@@ -261,10 +261,8 @@ func (c *L1Cache) respond(op *coherence.Msg, val byte) {
 	if op.Type == coherence.ReqStore {
 		ty = coherence.RespStore
 	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	c.fab.SendAfter(c.cfg.HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
+		Val: val, Tag: op.Tag}, nil)
 }
 
 // --- Crossing Guard side ---

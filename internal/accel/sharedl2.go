@@ -111,15 +111,18 @@ func (l *SharedL2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *SharedL2) Name() string { return l.name }
 
+// busyStateNames are the "+busy" coverage names by host state; stateName
+// runs on every message, so it must not build a string.
+var busyStateNames = [...]string{AI: "I+busy", AS: "S+busy", AE: "E+busy", AM: "M+busy", AB: "B+busy"}
+
 func (l *SharedL2) stateName(e *cacheset.Entry[sl2Line]) string {
 	if e == nil {
 		return "NP"
 	}
-	s := e.V.host.String()
 	if e.V.txn != nil {
-		s += "+busy"
+		return busyStateNames[e.V.host]
 	}
-	return s
+	return e.V.host.String()
 }
 
 // Recv implements coherence.Controller.

@@ -207,10 +207,8 @@ func (c *InnerL1) respond(op *coherence.Msg, val byte) {
 	if op.Type == coherence.ReqStore {
 		ty = coherence.RespStore
 	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	c.fab.SendAfter(c.cfg.HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
+		Val: val, Tag: op.Tag}, nil)
 }
 
 func (c *InnerL1) handleData(m *coherence.Msg) {

@@ -1,10 +1,12 @@
 package coherence
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"crossingguard/internal/mem"
+	"crossingguard/internal/raceflag"
 )
 
 func TestMsgTypeStrings(t *testing.T) {
@@ -127,5 +129,59 @@ func TestCoverageSummaryNoDeclared(t *testing.T) {
 	c.Record("I", "Load")
 	if !strings.Contains(c.Summary(), "1 pairs visited") {
 		t.Errorf("Summary = %q", c.Summary())
+	}
+}
+
+// The coverage maps are keyed by (state, event) structs; every string a
+// report or an aggregator sees keeps the "state/event" form.
+func TestCoverageRenderedStrings(t *testing.T) {
+	a := NewCoverage("L1")
+	a.DeclareAll([]string{"I", "S+busy"}, []string{"Load", "H:FwdGetS"})
+	a.Record("I", "Load")
+	a.Record("S+busy", "H:FwdGetS")
+	a.Record("S+busy", "H:FwdGetS")
+	a.Record("M", "H:Nack") // undeclared
+	b := NewCoverage("L1")
+	b.Declare("E", "Store")
+	b.Record("I", "Load") // undeclared in b: b declares only E/Store
+	b.Record("O", "Repl")
+	a.Merge(b)
+
+	if got, want := a.Snapshot(), map[string]uint64{
+		"I/Load": 2, "S+busy/H:FwdGetS": 2, "M/H:Nack": 1, "O/Repl": 1,
+	}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot = %v, want %v", got, want)
+	}
+	if got, want := a.Missing(), []string{"E/Store", "I/H:FwdGetS", "S+busy/Load"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Missing = %v, want %v", got, want)
+	}
+	if got, want := a.Unexpected, []string{"M/H:Nack", "I/Load", "O/Repl"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Unexpected = %v, want %v", got, want)
+	}
+	if got, want := a.Summary(), "L1                4/5    pairs ( 80.0%), 6 visits, 3 unexpected"; got != want {
+		t.Errorf("Summary = %q, want %q", got, want)
+	}
+}
+
+// Record runs on every protocol transition: it must not allocate, with or
+// without the obs hook.
+func TestCoverageRecordAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, hooked := range []bool{false, true} {
+		c := NewCoverage("L1")
+		c.DeclareAll([]string{"I", "S"}, []string{"Load", "Inv"})
+		seen := 0
+		if hooked {
+			c.OnRecord = func(state, event string) { seen++ }
+		}
+		c.Record("S", "Inv") // first visit inserts the key
+		if n := testing.AllocsPerRun(1000, func() { c.Record("S", "Inv") }); n != 0 {
+			t.Errorf("Record (OnRecord hooked=%v): %v allocs/op, want 0", hooked, n)
+		}
+		if hooked && seen == 0 {
+			t.Error("OnRecord never called")
+		}
 	}
 }

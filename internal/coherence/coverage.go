@@ -14,9 +14,10 @@ import (
 // via the Unexpected list.
 type Coverage struct {
 	name     string
-	declared map[string]bool
-	visited  map[string]uint64
-	// Unexpected lists visited pairs that were never declared possible.
+	declared map[pair]bool
+	visited  map[pair]uint64
+	// Unexpected lists visited pairs that were never declared possible,
+	// rendered "state/event".
 	Unexpected []string
 	// OnRecord, when non-nil, observes every Record call. The obs layer
 	// hooks per-state transition counters here (obs.StateRecorder)
@@ -28,15 +29,21 @@ type Coverage struct {
 func NewCoverage(name string) *Coverage {
 	return &Coverage{
 		name:     name,
-		declared: make(map[string]bool),
-		visited:  make(map[string]uint64),
+		declared: make(map[pair]bool),
+		visited:  make(map[pair]uint64),
 	}
 }
 
-func key(state, event string) string { return state + "/" + event }
+// pair keys the coverage maps. Record runs on every protocol transition,
+// so the key is the two strings as passed (controllers pass constants):
+// hashing them allocates nothing, and the "state/event" form is rendered
+// only where a report is built.
+type pair struct{ state, event string }
+
+func (p pair) String() string { return p.state + "/" + p.event }
 
 // Declare marks (state, event) as a possible transition.
-func (c *Coverage) Declare(state, event string) { c.declared[key(state, event)] = true }
+func (c *Coverage) Declare(state, event string) { c.declared[pair{state, event}] = true }
 
 // DeclareAll declares the cross product states x events.
 func (c *Coverage) DeclareAll(states, events []string) {
@@ -49,9 +56,9 @@ func (c *Coverage) DeclareAll(states, events []string) {
 
 // Record notes a visit to (state, event).
 func (c *Coverage) Record(state, event string) {
-	k := key(state, event)
+	k := pair{state, event}
 	if len(c.declared) > 0 && !c.declared[k] {
-		c.Unexpected = append(c.Unexpected, k)
+		c.Unexpected = append(c.Unexpected, k.String())
 	}
 	c.visited[k]++
 	if c.OnRecord != nil {
@@ -82,7 +89,7 @@ func (c *Coverage) Missing() []string {
 	var out []string
 	for k := range c.declared {
 		if c.visited[k] == 0 {
-			out = append(out, k)
+			out = append(out, k.String())
 		}
 	}
 	sort.Strings(out)
@@ -111,7 +118,7 @@ func (c *Coverage) Merge(other *Coverage) {
 func (c *Coverage) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(c.visited))
 	for k, v := range c.visited {
-		out[k] = v
+		out[k.String()] += v
 	}
 	return out
 }

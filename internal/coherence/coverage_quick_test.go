@@ -87,7 +87,7 @@ type fingerprint struct {
 func fp(c *Coverage) fingerprint {
 	f := fingerprint{Visits: c.Snapshot(), Summary: c.Summary()}
 	for k := range c.declared {
-		f.Declared = append(f.Declared, k)
+		f.Declared = append(f.Declared, k.String())
 	}
 	sort.Strings(f.Declared)
 	f.Unexpected = append(f.Unexpected, c.Unexpected...)

@@ -30,10 +30,20 @@ type holder struct {
 //  3. data agreement: every shared/clean copy equals the owner's data,
 //     or memory when nobody owns;
 //  4. for Full State guards: the block table matches the accelerator
-//     cache contents exactly (it is an inclusive directory).
+//     cache contents exactly (it is an inclusive directory);
+//  5. quiesce hygiene: no guard still holds a parked request, and no
+//     delayed send is still waiting for its tick.
 //
 // Audit implements tester.System.
 func (s *System) Audit() error {
+	for _, g := range s.Guards {
+		if n := g.ParkedNow(); n != 0 {
+			return fmt.Errorf("%s: %d accelerator requests still parked at quiesce", g.Name(), n)
+		}
+	}
+	if n := s.Fab.DelayedSends(); n != 0 {
+		return fmt.Errorf("fabric: %d delayed sends still scheduled at quiesce", n)
+	}
 	lines := make(map[mem.Addr][]holder)
 	add := func(h holder, addr mem.Addr) { lines[addr] = append(lines[addr], h) }
 

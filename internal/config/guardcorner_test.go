@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -112,5 +113,45 @@ func TestStressLarger(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAuditQuiesceHygiene: Audit names a guard that still holds a parked
+// request and a fabric that still holds a delayed send — both are zero at
+// a real quiesce, so either one means the run was cut short or a wake was
+// lost.
+func TestAuditQuiesceHygiene(t *testing.T) {
+	for _, host := range []HostKind{HostHammer, HostMESI} {
+		host := host
+		t.Run(host.String(), func(t *testing.T) {
+			s := Build(Spec{Host: host, Org: OrgXGTxn1L, CPUs: 2, AccelCores: 1, Seed: 71})
+			g := s.Guards[0]
+			const line = 0x3000
+			s.AccelSeqs[0].Store(line, 5, nil)
+			quiesce(t, s)
+
+			s.Fab.SendAfter(10, &coherence.Msg{Type: coherence.HAck, Addr: line, Src: g.ID(), Dst: 9999}, nil)
+			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "delayed sends still scheduled") {
+				t.Fatalf("audit with a delayed send pending: %v", err)
+			}
+			s.Eng.RunUntilQuiet() // the send fires into an unregistered node and is dropped
+			if err := s.Audit(); err != nil {
+				t.Fatalf("audit after the delayed send fired: %v", err)
+			}
+
+			// A CPU load pulls the line out of the accelerator: step until
+			// the guard's recall is open, then hand it a Get for that line.
+			s.CPUSeqs[0].Load(line, nil)
+			for g.Outstanding() == 0 {
+				s.Eng.RunUntil(s.Eng.Now() + 1)
+			}
+			g.Recv(&coherence.Msg{Type: coherence.AGetS, Addr: line, Src: g.AccelID(), Dst: g.ID()})
+			if g.ParkedNow() != 1 {
+				t.Fatalf("Get during the recall: ParkedNow = %d, want 1", g.ParkedNow())
+			}
+			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "still parked at quiesce") {
+				t.Fatalf("audit with a parked request: %v", err)
+			}
+		})
 	}
 }

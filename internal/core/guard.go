@@ -181,6 +181,10 @@ type guardShard struct {
 	hosts map[mem.Addr]*hostTxn  // open host-initiated recalls (2b, 2c)
 	table *blockTable            // Full State only
 
+	// parked holds, per line, the accelerator requests the guard is
+	// holding until the line's transaction or recall closes (waitlist.go).
+	parked map[mem.Addr]waitQueue
+
 	// ignoreInvAck marks addresses whose recall was resolved by a racing
 	// Put; the accelerator's InvAck (sent from B) is consumed silently.
 	ignoreInvAck map[mem.Addr]int
@@ -222,6 +226,18 @@ type Guard struct {
 	pending      []pendingGrant
 	flushPending bool
 
+	// Wait list (waitlist.go): ready lists the lines whose parked requests
+	// the armed wake event will re-run; freePark pools the records and
+	// parkedNow counts the requests currently held across all shards.
+	ready     []mem.Addr
+	wakeEv    sim.Timed
+	wakeArmed bool
+	freePark  *parkedReq
+	parkedNow int
+
+	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
+	stampEpoch func(*coherence.Msg)
+
 	// Disabled is set once the error policy shuts the accelerator out.
 	Disabled bool
 	// Quarantined is set once the quarantine policy fences the
@@ -257,6 +273,11 @@ type Guard struct {
 	RetriesSent     uint64 // Invalidates re-sent after a recall deadline expired
 	RateDelayed     uint64
 	ReqsBlocked     uint64 // requests dropped by guarantee enforcement
+	// Parked counts requests put on a line's wait list (a request that is
+	// woken and must wait again counts again); Woken counts parked
+	// requests re-run by a wake. Equal whenever no request is parked.
+	Parked uint64
+	Woken  uint64
 	// RecallsCoalesced counts host recalls merged into an already-open
 	// recall for the same block (one Invalidate serves every waiter).
 	RecallsCoalesced uint64
@@ -363,10 +384,13 @@ func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 		sh.txns = make(map[mem.Addr]*accelTxn)
 		sh.hosts = make(map[mem.Addr]*hostTxn)
 		sh.ignoreInvAck = make(map[mem.Addr]int)
+		sh.parked = make(map[mem.Addr]waitQueue)
 		if cfg.Mode == FullState {
 			sh.table = newBlockTable()
 		}
 	}
+	g.wakeEv.Fn = g.runWoken
+	g.stampEpoch = g.stamp
 	fab.Register(g)
 	return g
 }
@@ -562,6 +586,7 @@ func (g *Guard) violation(code, detail string, addr mem.Addr) {
 	})
 	if g.cfg.DisableAfter > 0 && g.errors >= g.cfg.DisableAfter && !g.Disabled {
 		g.Disabled = true
+		g.wakeAll() // parked requests are dropped like new arrivals
 		g.obsReg.Counter("guard.violation.XG.Disabled").Inc()
 		g.obsReg.Counter("guard.violation.XG.Disabled" + g.metricSuffix()).Inc()
 		g.sink.ReportError(coherence.ProtocolError{
@@ -660,7 +685,7 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 		g.ReqsBlocked++
 		g.obsReg.Counter("guard.quarantine.nacks").Inc()
 		addr := m.Addr.Line()
-		g.after(func() { g.sendToAccel(coherence.ANack, addr, nil, false, 0) })
+		g.sendToAccelAfter(coherence.ANack, addr, nil, 0)
 		return
 	}
 	if g.Disabled {
@@ -682,7 +707,10 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 
 // processAccelRequest runs the guarantee checks after rate admission.
 // arrive is the request's original arrival tick (kept across rate-limit
-// waits and busy-line deferrals; it anchors the span request phase).
+// waits and time on the wait list; it anchors the span request phase).
+// A request for a line with an open host-side transaction or an open
+// recall is parked, and runs through here again, from the top, in the
+// tick that closes it.
 func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	if g.Disabled {
 		g.ReqsBlocked++
@@ -711,12 +739,12 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		}
 	}
 
-	// Defer requests for lines with an open host-side transaction (e.g.
+	// Hold requests for lines with an open host-side transaction (e.g.
 	// a relinquish writeback still in flight): a cache never issues a
 	// Get while its own Put for the line is outstanding.
 	if _, open := sh.txns[addr]; !open {
 		if _, recalling := sh.hosts[addr]; !recalling && g.shim.busy(addr) {
-			g.eng.Schedule(1, func() { g.processAccelRequest(m, arrive) })
+			g.park(sh, addr, m, arrive)
 			return
 		}
 	}
@@ -729,16 +757,15 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	}
 	// A request racing with an open host recall: only a Put is
 	// meaningful (the legitimate Put/Inv race, §2.1); it resolves the
-	// recall. Gets during a recall are deferred until the recall closes.
+	// recall. Gets during a recall are held until the recall closes.
 	if ht, open := sh.hosts[addr]; open {
 		switch m.Type {
 		case coherence.APutM, coherence.APutE, coherence.APutS:
 			g.resolveRecallByPut(addr, ht, m)
-			return
 		default:
-			g.eng.Schedule(1, func() { g.processAccelRequest(m, arrive) })
-			return
+			g.park(sh, addr, m, arrive)
 		}
+		return
 	}
 
 	// Guarantee 1a: request consistent with the stable accelerator
@@ -752,18 +779,20 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 			// a *correct-but-confused* accelerator is not left hanging.
 			switch m.Type {
 			case coherence.APutM, coherence.APutE, coherence.APutS:
-				g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, 0) })
+				g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 			}
 			return
 		}
 	}
-	// Malformed data-carrying requests (Guarantee 1 hygiene).
-	if (m.Type == coherence.APutM || m.Type == coherence.APutE) && m.Data == nil {
+	// Malformed data-carrying requests (Guarantee 1 hygiene): the guard
+	// forwards a zero block in place of the missing data.
+	data := m.Data
+	if (m.Type == coherence.APutM || m.Type == coherence.APutE) && data == nil {
 		g.violation("XG.G1a", "Put without data", addr)
-		m = &coherence.Msg{Type: m.Type, Addr: m.Addr, Src: m.Src, Dst: m.Dst, Data: mem.Zero()}
+		data = mem.Zero()
 	}
 
-	g.forwardRequest(addr, m, access, arrive)
+	g.forwardRequest(addr, m.Type, data, access, arrive)
 }
 
 // forwardRequest opens the transaction synchronously (so that racing
@@ -773,20 +802,20 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 // latency window (the Put/Inv race), in which case nothing reaches the
 // host. With span tracing on, the accepted crossing opens its span here
 // and marks the check-phase end at dispatch.
-func (g *Guard) forwardRequest(addr mem.Addr, m *coherence.Msg, access perm.Access, arrive sim.Time) {
+//
+// data is the Put payload. It arrived from the untrusted accelerator, so
+// the guard copies it once, here; from then on the copy is frozen — the
+// transaction, the shim's writeback record and the host message share it.
+func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Block, access perm.Access, arrive sim.Time) {
 	g.mPass.Inc()
 	g.mPassAccel.Inc()
 	sh := g.shard(addr)
-	switch m.Type {
+	switch ty {
 	case coherence.AGetS, coherence.AGetM:
-		t := &accelTxn{kind: m.Type, start: g.eng.Now(), arrive: arrive}
-		sh.txns[addr] = t
-		if g.cfg.Spans {
-			t.span = g.newSpanID()
-			g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+m.Type.String())
-		}
+		t := &accelTxn{kind: ty, start: g.eng.Now(), arrive: arrive}
+		g.openTxn(sh, addr, t)
 		kind := GetExcl
-		if m.Type == coherence.AGetS {
+		if ty == coherence.AGetS {
 			kind = GetShared
 			if !access.AllowsWrite() && g.cfg.Mode == Transactional {
 				// Read-only page: never let the host hand us an
@@ -805,18 +834,14 @@ func (g *Guard) forwardRequest(addr mem.Addr, m *coherence.Msg, access perm.Acce
 			}
 		})
 	case coherence.APutM, coherence.APutE:
-		t := &accelTxn{kind: m.Type, data: m.Data.Copy(), dirty: m.Type == coherence.APutM,
+		t := &accelTxn{kind: ty, data: data.Copy(), dirty: ty == coherence.APutM,
 			start: g.eng.Now(), arrive: arrive}
-		sh.txns[addr] = t
-		if g.cfg.Spans {
-			t.span = g.newSpanID()
-			g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+m.Type.String())
-		}
+		g.openTxn(sh, addr, t)
 		g.after(func() {
 			if sh.txns[addr] == t {
 				t.fwd = g.eng.Now()
 				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
-				g.shim.put(addr, t.data.Copy(), t.dirty)
+				g.shim.put(addr, t.data, t.dirty)
 			}
 		})
 	case coherence.APutS:
@@ -831,18 +856,38 @@ func (g *Guard) forwardRequest(addr mem.Addr, m *coherence.Msg, access perm.Acce
 		if sh.table != nil {
 			sh.table.drop(addr)
 		}
-		g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, 0) })
+		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 	}
 }
 
-// granted is called by the shim when the host satisfies a get.
+// openTxn registers an accepted request as the line's open transaction
+// and, with span tracing on, opens its crossing span.
+func (g *Guard) openTxn(sh *guardShard, addr mem.Addr, t *accelTxn) {
+	sh.txns[addr] = t
+	g.wake(addr)
+	if g.cfg.Spans {
+		t.span = g.newSpanID()
+		g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+t.kind.String())
+	}
+}
+
+// closeTxn retires the line's open accelerator transaction and wakes the
+// requests parked behind it.
+func (g *Guard) closeTxn(sh *guardShard, addr mem.Addr) {
+	delete(sh.txns, addr)
+	g.wake(addr)
+}
+
+// granted is called by the shim when the host satisfies a get. The shim
+// is finished with data and hands it over: it leaves for the accelerator
+// without another copy.
 func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool) {
 	sh := g.shard(addr)
 	t, ok := sh.txns[addr]
 	if !ok {
 		panic(fmt.Sprintf("%s: host grant for %v with no transaction", g.name, addr))
 	}
-	delete(sh.txns, addr)
+	g.closeTxn(sh, addr)
 	if data == nil {
 		data = mem.Zero()
 	}
@@ -895,11 +940,10 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 	}
 	g.closeCrossingSpan(t, addr, "grant "+accelLevel.String())
 	if g.cfg.BatchGrants {
-		g.queueGrant(ty, addr, data.Copy(), t.span)
+		g.queueGrant(ty, addr, data, t.span)
 		return
 	}
-	span := t.span
-	g.after(func() { g.sendToAccel(ty, addr, data.Copy(), false, span) })
+	g.sendToAccelAfter(ty, addr, data, t.span)
 }
 
 // queueGrant appends one completed grant to the per-tick batch and arms
@@ -939,7 +983,7 @@ func (g *Guard) putDone(addr mem.Addr) {
 		return
 	}
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
-	delete(sh.txns, addr)
+	g.closeTxn(sh, addr)
 	if sh.table != nil {
 		sh.table.drop(addr)
 	}
@@ -951,8 +995,7 @@ func (g *Guard) putDone(addr mem.Addr) {
 		return
 	}
 	g.closeCrossingSpan(t, addr, "wback")
-	span := t.span
-	g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, span) })
+	g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
 }
 
 // openPut returns the open Put transaction for addr, if any (shims use
@@ -972,9 +1015,21 @@ func (g *Guard) sendToAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 		Epoch: g.epoch, Span: span})
 }
 
-// Outstanding reports open guard transactions (for deadlock detection).
+// sendToAccelAfter sends one guard->accelerator message after the guard's
+// processing latency. The epoch is stamped when the message leaves, not
+// when it is scheduled, so a reply still inside the guard across a
+// reintegration goes out under the new epoch.
+func (g *Guard) sendToAccelAfter(ty coherence.MsgType, addr mem.Addr, data *mem.Block, span uint64) {
+	g.fab.SendAfter(g.cfg.GuardLat, &coherence.Msg{Type: ty, Addr: addr, Src: g.id, Dst: g.accel,
+		Data: data, Span: span}, g.stampEpoch)
+}
+
+func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.epoch }
+
+// Outstanding reports open guard transactions and parked requests (for
+// deadlock detection: a parked request has no engine event of its own).
 func (g *Guard) Outstanding() int {
-	n := g.shim.outstanding()
+	n := g.shim.outstanding() + g.parkedNow
 	for i := range g.shards {
 		n += len(g.shards[i].txns) + len(g.shards[i].hosts)
 	}

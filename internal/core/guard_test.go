@@ -22,6 +22,9 @@ type stubShim struct {
 	putSs    []mem.Addr
 	suppress bool
 	received []*coherence.Msg
+	// busyLines marks lines with a (pretend) host transaction in flight;
+	// a test that clears an entry calls g.wake, as the real shims do.
+	busyLines map[mem.Addr]bool
 }
 
 func (s *stubShim) get(addr mem.Addr, kind GetKind) {
@@ -34,7 +37,7 @@ func (s *stubShim) put(addr mem.Addr, data *mem.Block, dirty bool) { s.puts = ap
 func (s *stubShim) putS(addr mem.Addr)                             { s.putSs = append(s.putSs, addr) }
 func (s *stubShim) suppressPutS() bool                             { return s.suppress }
 func (s *stubShim) recv(m *coherence.Msg)                          { s.received = append(s.received, m) }
-func (s *stubShim) busy(addr mem.Addr) bool                        { return false }
+func (s *stubShim) busy(addr mem.Addr) bool                        { return s.busyLines[addr] }
 func (s *stubShim) outstanding() int                               { return 0 }
 func (s *stubShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
 	s.puts = append(s.puts, addr)

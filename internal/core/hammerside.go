@@ -153,6 +153,7 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 		return
 	}
 	delete(s.gets, addr)
+	s.g.wake(addr)
 	data := t.memData
 	dirty := false
 	if t.cacheData != nil {
@@ -186,9 +187,11 @@ func (s *hammerShim) handleWBAck(m *coherence.Msg) {
 		return
 	}
 	dirty := p.dirty && !p.lost
+	// The writeback record is finished with its block: it leaves as is.
 	s.send(&coherence.Msg{Type: coherence.HWBData, Addr: addr, Src: s.g.id, Dst: s.dir,
-		Data: p.data.Copy(), Dirty: dirty})
+		Data: p.data, Dirty: dirty})
 	delete(s.puts, addr)
+	s.g.wake(addr)
 	if p.accelPut {
 		s.g.putDone(addr)
 	}
@@ -209,6 +212,7 @@ func (s *hammerShim) handleNack(m *coherence.Msg) {
 		s.g.violation("XG.G1a", "host rejected writeback (non-owner Put)", addr)
 	}
 	delete(s.puts, addr)
+	s.g.wake(addr)
 	if p.accelPut {
 		s.g.putDone(addr)
 	}

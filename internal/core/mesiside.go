@@ -166,6 +166,7 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 			Code: "XG.HostAnomaly", Addr: addr, Detail: "request completed without data"})
 	}
 	delete(s.gets, addr)
+	s.g.wake(addr)
 	s.send(&coherence.Msg{Type: coherence.MUnblock, Addr: addr, Src: s.g.id, Dst: s.l2})
 	level := GrantS
 	switch {
@@ -185,6 +186,7 @@ func (s *mesiShim) handleWBAck(m *coherence.Msg) {
 		return
 	}
 	delete(s.puts, addr)
+	s.g.wake(addr)
 	s.g.putDone(addr)
 }
 

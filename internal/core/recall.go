@@ -109,26 +109,25 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 	// the consumed crossing's span ends here (nothing reaches the host).
 	if t := g.openPut(addr); t != nil {
 		data, dirty := t.data, t.dirty
-		delete(sh.txns, addr)
+		g.closeTxn(sh, addr)
 		if sh.table != nil {
 			sh.table.drop(addr)
 		}
 		g.closeCrossingSpan(t, addr, "put-consumed-by-recall")
-		span := t.span
-		g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, span) })
+		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
 		done(data, dirty, true)
 		return
 	}
 	ht := newHostTxn(expect, done)
 	sh.hosts[addr] = ht
+	g.wake(addr) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
 		ht.span = g.newSpanID()
 		ht.opened = g.eng.Now()
 		g.spanEvent(obs.KindSpanBegin, ht.span, addr, req, "recall "+expect.String())
 	}
-	span := ht.span
-	g.after(func() { g.sendToAccel(coherence.AInv, addr, nil, false, span) })
+	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
 	if g.cfg.Timeout > 0 {
 		g.armRecallWatchdog(addr, ht, g.cfg.Timeout, 0)
 	}
@@ -180,8 +179,7 @@ func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, deadline sim.Time,
 			}
 			g.spanEvent(obs.KindSpanPhase, ht.span, addr, 0,
 				fmt.Sprintf("retry %d/%d", attempt+1, g.cfg.RecallRetries))
-			span := ht.span
-			g.after(func() { g.sendToAccel(coherence.AInv, addr, nil, false, span) })
+			g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
 			g.armRecallWatchdog(addr, ht, deadline*2, attempt+1)
 			return
 		}
@@ -223,7 +221,7 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 	if ht.closed {
 		// Recall already satisfied (e.g. by timeout); treat the Put as
 		// a plain writeback-to-nowhere: ack the accelerator.
-		g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, 0) })
+		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 		return
 	}
 	sh := g.shard(addr)
@@ -255,8 +253,7 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 	if sh.table != nil {
 		sh.table.drop(addr)
 	}
-	span := ht.span
-	g.after(func() { g.sendToAccel(coherence.AWBAck, addr, nil, false, span) })
+	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
 	ht.complete(data, dirty, true)
 }
 
@@ -269,6 +266,7 @@ func (g *Guard) closeRecall(addr mem.Addr, ht *hostTxn, reason string) {
 	ht.closed = true
 	ht.gen++ // invalidate any armed watchdog generation
 	delete(g.shard(addr).hosts, addr)
+	g.wake(addr)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
 		if ht.retryAt != 0 {

@@ -123,12 +123,13 @@ func (g *Guard) recoveryPhase(ended string) {
 
 // recoveryDrainWait polls until every in-flight transaction has settled:
 // open accelerator transactions close as their host halves complete
-// (granted/putDone run their quarantine paths), open recalls were
-// resolved by the fence, and the shim's own host transactions must
-// retire before the table flush — otherwise a straggling grant could
+// (granted/putDone run their quarantine paths), requests parked behind
+// them are woken and run to their own end, open recalls were resolved by
+// the fence, and the shim's own host transactions must retire before the
+// table flush — otherwise a straggling grant could
 // repopulate the table after the flush walked it.
 func (g *Guard) recoveryDrainWait() {
-	if g.openTxns() > 0 || g.openRecalls() > 0 || g.shim.outstanding() > 0 {
+	if g.openTxns() > 0 || g.openRecalls() > 0 || g.shim.outstanding() > 0 || g.parkedNow > 0 {
 		g.eng.Schedule(recoveryPoll, g.recoveryDrainWait)
 		return
 	}
@@ -179,10 +180,11 @@ func (g *Guard) recoveryDrainTable() {
 	g.recoveryResetWait()
 }
 
-// recoveryResetWait polls until the drain writebacks have retired, then
-// resets and reintegrates the device.
+// recoveryResetWait polls until the drain writebacks have retired (and
+// any request that parked behind one has been woken), then resets and
+// reintegrates the device.
 func (g *Guard) recoveryResetWait() {
-	if g.shim.outstanding() > 0 {
+	if g.shim.outstanding() > 0 || g.parkedNow > 0 {
 		g.eng.Schedule(recoveryPoll, g.recoveryResetWait)
 		return
 	}
@@ -196,6 +198,11 @@ func (g *Guard) recoveryResetWait() {
 // pre-reset straggler still in the fabric carries the old epoch and is
 // dropped as XG.StaleEpoch on arrival.
 func (g *Guard) reintegrate() {
+	if g.parkedNow != 0 {
+		// The maps below are replaced wholesale; a request still parked
+		// in them would be dropped and its sender hang silently.
+		panic(fmt.Sprintf("%s: reintegrating with %d requests still parked", g.name, g.parkedNow))
+	}
 	g.epoch++
 	g.recoveries++
 	for i := range g.shards {
@@ -203,6 +210,7 @@ func (g *Guard) reintegrate() {
 		sh.txns = make(map[mem.Addr]*accelTxn)
 		sh.hosts = make(map[mem.Addr]*hostTxn)
 		sh.ignoreInvAck = make(map[mem.Addr]int)
+		sh.parked = make(map[mem.Addr]waitQueue)
 		if g.cfg.Mode == FullState {
 			sh.table = newBlockTable()
 		}

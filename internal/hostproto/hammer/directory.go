@@ -46,6 +46,9 @@ type Directory struct {
 	waiting   map[mem.Addr][]*coherence.Msg
 	replaying *coherence.Msg // message being replayed from the queue head
 
+	// fillMemData is readMemData bound once (SendAfter's fill hook).
+	fillMemData func(*coherence.Msg)
+
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
 	// NacksSent counts Put/ownership races resolved by Nack.
@@ -62,6 +65,7 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		waiting: make(map[mem.Addr][]*coherence.Msg),
 		Cov:     NewDirectoryCoverage(),
 	}
+	d.fillMemData = d.readMemData
 	fab.Register(d)
 	return d
 }
@@ -98,15 +102,19 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 	return l
 }
 
+// stateName returns one of four constant names: it runs on every message,
+// so it must not build a string.
 func (d *Directory) stateName(l *dirLine) string {
-	s := "Unowned"
-	if l.owner != coherence.NodeNone {
-		s = "Owned"
+	owned, busy := l.owner != coherence.NodeNone, l.txn != nil
+	switch {
+	case owned && busy:
+		return "Owned+busy"
+	case owned:
+		return "Owned"
+	case busy:
+		return "Unowned+busy"
 	}
-	if l.txn != nil {
-		s += "+busy"
-	}
-	return s
+	return "Unowned"
 }
 
 func (d *Directory) protocolError(state string, m *coherence.Msg) {
@@ -149,9 +157,8 @@ func (d *Directory) Recv(m *coherence.Msg) {
 			return
 		}
 		l.txn = &dirTxn{kind: dirWB, requestor: m.Src}
-		d.eng.Schedule(d.cfg.DirLat, func() {
-			d.send(&coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src})
-		})
+		d.fab.SendAfter(d.cfg.DirLat,
+			&coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src}, nil)
 	case coherence.HWBData:
 		if l.txn == nil || l.txn.kind != dirWB || l.txn.requestor != m.Src {
 			d.protocolError(d.stateName(l), m)
@@ -198,11 +205,13 @@ func (d *Directory) broadcast(m *coherence.Msg) {
 		}
 		d.send(&coherence.Msg{Type: fwd, Addr: addr, Src: d.id, Dst: p, Requestor: m.Src})
 	}
-	d.eng.Schedule(d.cfg.MemLat, func() {
-		d.send(&coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src,
-			Data: d.memory.Read(addr)})
-	})
+	d.fab.SendAfter(d.cfg.MemLat,
+		&coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src}, d.fillMemData)
 }
+
+// readMemData is the speculative memory read: it fills HMemData when the
+// memory latency has elapsed, so a writeback landing in between is seen.
+func (d *Directory) readMemData(m *coherence.Msg) { m.Data = d.memory.Read(m.Addr) }
 
 func (d *Directory) send(m *coherence.Msg) { d.fab.Send(m) }
 

@@ -257,10 +257,8 @@ func (l *L1) respond(op *coherence.Msg, val byte) {
 	if op.Type == coherence.ReqStore {
 		ty = coherence.RespStore
 	}
-	l.eng.Schedule(l.cfg.L1HitLat, func() {
-		l.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: l.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	l.fab.SendAfter(l.cfg.L1HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: l.id, Dst: op.Src,
+		Val: val, Tag: op.Tag}, nil)
 }
 
 func (l *L1) send(m *coherence.Msg) { l.fab.Send(m) }

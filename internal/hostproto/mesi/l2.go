@@ -88,15 +88,18 @@ func (l *L2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *L2) Name() string { return l.name }
 
+// stateName returns a constant name: it runs on every message, so it
+// must not build a string.
 func (l *L2) stateName(e *cacheset.Entry[l2Line]) string {
-	if e == nil {
+	switch {
+	case e == nil:
 		return "NP"
+	case e.V.txn == nil:
+		return e.V.state.String()
+	case e.V.state == L2SS:
+		return "SS+busy"
 	}
-	s := e.V.state.String()
-	if e.V.txn != nil {
-		s += "+busy"
-	}
-	return s
+	return "MT+busy"
 }
 
 func (l *L2) protocolError(state string, m *coherence.Msg) {

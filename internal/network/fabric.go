@@ -17,6 +17,8 @@
 // sim.Engine.ScheduleEventAt instead of a fresh closure per message,
 // per-channel traffic accounting indexes fixed per-type arrays instead
 // of maps, and trace events are only constructed when the bus is Active.
+// SendAfter gives the protocol layers the same discipline for "send this
+// after N ticks": a pooled sendRec replaces the per-call closure.
 // TestFabricSendAllocFree and BenchmarkFabricSend pin the 0 allocs/op
 // budget; see ARCHITECTURE.md "Hot path & allocation discipline".
 package network
@@ -163,6 +165,30 @@ func (r *delivRec) run() {
 	dst.Recv(m)
 }
 
+// sendRec is one pooled delayed send (SendAfter): the closure-free
+// replacement for eng.Schedule(d, func() { fab.Send(m) }). It follows the
+// delivRec protocol — callback bound once, engine-owned until run fires,
+// released (fields cleared) before Send so a nested SendAfter reuses it.
+type sendRec struct {
+	fab  *Fabric
+	m    *coherence.Msg
+	fill func(*coherence.Msg)
+	ev   sim.Timed
+	next *sendRec // free-list link, nil while scheduled
+}
+
+func (r *sendRec) run() {
+	f, m, fill := r.fab, r.m, r.fill
+	r.m, r.fill = nil, nil
+	r.next = f.freeSend
+	f.freeSend = r
+	f.delayed--
+	if fill != nil {
+		fill(m)
+	}
+	f.Send(m)
+}
+
 // Fabric routes messages between registered controllers.
 type Fabric struct {
 	eng      *sim.Engine
@@ -176,6 +202,11 @@ type Fabric struct {
 	// run before Recv executes, so a simulation's pool size converges to
 	// its peak in-flight message count and then stops allocating.
 	freeRec *delivRec
+
+	// freeSend heads the delayed-send pool; delayed counts records handed
+	// to the engine and not yet fired (zero at quiesce).
+	freeSend *sendRec
+	delayed  int
 
 	// Bus, when non-nil, receives a structured trace event for every
 	// send, delivery, and drop (obs.KindSend/KindRecv/KindDrop) — the
@@ -339,6 +370,29 @@ func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d Delivery) {
 	r.ch, r.dst, r.m = ch, dst, m
 	f.eng.ScheduleEventAt(arrival, &r.ev)
 }
+
+// SendAfter sends m after delay ticks of sender-side latency: one engine
+// event at (now+delay, scheduling order) that calls Send, exactly what
+// eng.Schedule(delay, func() { f.Send(m) }) does, without the closure. A
+// non-nil fill runs on m when the event fires, just before Send, for the
+// fields that must be read then and not now (the guard epoch, a memory
+// read); pass a func bound once, or it allocates like the closure did.
+func (f *Fabric) SendAfter(delay sim.Time, m *coherence.Msg, fill func(*coherence.Msg)) {
+	r := f.freeSend
+	if r != nil {
+		f.freeSend = r.next
+		r.next = nil
+	} else {
+		r = &sendRec{fab: f}
+		r.ev.Fn = r.run
+	}
+	r.m, r.fill = m, fill
+	f.delayed++
+	f.eng.ScheduleEvent(delay, &r.ev)
+}
+
+// DelayedSends reports SendAfter messages still waiting for their tick.
+func (f *Fabric) DelayedSends() int { return f.delayed }
 
 // StatsFor returns traffic counters for the directed channel src->dst
 // (zero-valued if unused).

@@ -223,3 +223,64 @@ func TestFabricMetrics(t *testing.T) {
 		t.Fatalf("net.bytes = %d, want %d", got, wantBytes)
 	}
 }
+
+// arrival is one delivery as a recorder saw it.
+type arrival struct {
+	at   sim.Time
+	tag  uint64
+	acks int
+}
+
+type arrivalLog struct {
+	id  coherence.NodeID
+	eng *sim.Engine
+	got []arrival
+}
+
+func (a *arrivalLog) ID() coherence.NodeID { return a.id }
+func (a *arrivalLog) Name() string         { return "arrivals" }
+func (a *arrivalLog) Recv(m *coherence.Msg) {
+	a.got = append(a.got, arrival{a.eng.Now(), m.Tag, m.Acks})
+}
+
+// SendAfter is eng.Schedule(d, func() { fab.Send(m) }) without the
+// closure: on a jittered fabric, where the order of Send calls decides
+// which delivery gets which random draw, a mix of immediate and delayed
+// sends must arrive exactly as it does with the closure form, and the
+// fill hook must see the state at the send tick, not at the call.
+func TestSendAfterMatchesScheduledSend(t *testing.T) {
+	run := func(useSendAfter bool) ([]arrival, uint64) {
+		eng := sim.NewEngine()
+		f := NewFabric(eng, 42, Config{Latency: 3, Jitter: 5})
+		log := &arrivalLog{id: 2, eng: eng}
+		f.Register(&nop{id: 1})
+		f.Register(log)
+		epoch := 0
+		fill := func(m *coherence.Msg) { m.Acks = epoch }
+		for i := uint64(0); i < 40; i++ {
+			m := &coherence.Msg{Type: coherence.AGetS, Addr: 0x40, Src: 1, Dst: 2, Tag: i}
+			switch delay := sim.Time(i % 4); {
+			case delay == 0:
+				f.Send(m)
+			case useSendAfter:
+				f.SendAfter(delay, m, fill)
+			default:
+				eng.Schedule(delay, func() { fill(m); f.Send(m) })
+			}
+		}
+		eng.Schedule(2, func() { epoch = 7 }) // after the delay-2 sends queued above, before delay 3
+		eng.RunUntilQuiet()
+		return log.got, eng.Executed
+	}
+	want, wantEvents := run(false)
+	got, gotEvents := run(true)
+	if len(got) != len(want) || gotEvents != wantEvents {
+		t.Fatalf("SendAfter: %d arrivals in %d events, closure form: %d in %d",
+			len(got), gotEvents, len(want), wantEvents)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("arrival %d: SendAfter %+v, closure form %+v", i, got[i], want[i])
+		}
+	}
+}

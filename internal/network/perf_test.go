@@ -5,6 +5,7 @@ import (
 
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/obs"
+	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
 
@@ -25,7 +26,7 @@ func (n *nop) Recv(*coherence.Msg)  {}
 // a reintroduced delivery closure, map-based stats, eager trace-event
 // construction — fails this test.
 func TestFabricSendAllocFree(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	eng := sim.NewEngine()
@@ -54,7 +55,7 @@ func TestFabricSendAllocFree(t *testing.T) {
 // fast path: a bus with no sink (and one with a latched error) must not
 // cost event construction.
 func TestFabricSendAllocFreeInactiveBus(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	eng := sim.NewEngine()
@@ -137,5 +138,37 @@ func BenchmarkFabricSend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Send(m)
 		eng.RunUntilQuiet()
+	}
+}
+
+// TestSendAfterAllocFree extends the budget to delayed sends: a
+// steady-state SendAfter (with or without a bound fill hook) costs no
+// allocation beyond the message the caller built.
+func TestSendAfterAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 2, Ordered: true})
+	f.Register(&nop{id: 1})
+	f.Register(&nop{id: 2})
+	m := &coherence.Msg{Type: coherence.AGetS, Addr: 0x1000, Src: 1, Dst: 2}
+	fill := func(m *coherence.Msg) { m.Acks++ } // bound once, like a component's hook
+	for i := 0; i < 64; i++ {
+		f.SendAfter(3, m, fill)
+	}
+	eng.RunUntilQuiet()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 8; i++ {
+			f.SendAfter(3, m, nil)
+			f.SendAfter(1, m, fill)
+		}
+		eng.RunUntilQuiet()
+	})
+	if allocs != 0 {
+		t.Fatalf("Fabric.SendAfter allocated %v objects/run, want 0", allocs)
+	}
+	if f.DelayedSends() != 0 {
+		t.Fatalf("DelayedSends = %d at quiesce, want 0", f.DelayedSends())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crossingguard/internal/perfbench"
+	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
 
@@ -12,7 +13,7 @@ import (
 // (the only permitted allocation is amortized backing-array growth,
 // which the warm-up phase has already paid).
 func TestEngineScheduleAllocFree(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	e := sim.NewEngine()
@@ -36,7 +37,7 @@ func TestEngineScheduleAllocFree(t *testing.T) {
 // a prebound Timed allocates nothing even on a cold (but pre-grown)
 // queue.
 func TestScheduleEventAllocFree(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	e := sim.NewEngine()
