@@ -18,50 +18,14 @@ import (
 	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/perfbench"
 	"crossingguard/internal/perm"
 	"crossingguard/internal/seq"
-	"crossingguard/internal/sim"
 	"crossingguard/internal/tester"
 	"crossingguard/internal/workload"
 	"crossingguard/internal/xlate"
 )
 
 var benchHosts = []config.HostKind{config.HostHammer, config.HostMESI}
-
-// BenchmarkStressHotPath measures the per-message cost of the simulation
-// hot path (engine scheduling + fabric delivery) on the PR4 kernel: 16
-// concurrent ping-pong chains, 50k message hops. Compare against
-// BenchmarkStressHotPathRef; the ISSUE 4 acceptance bar is >= 25% ns/op
-// improvement, recorded by cmd/xgbench into BENCH_PR4.json.
-func BenchmarkStressHotPath(b *testing.B) {
-	b.ReportAllocs()
-	var ticks sim.Time
-	for i := 0; i < b.N; i++ {
-		end, ev := perfbench.HotPath(16, 50_000)
-		if ev == 0 {
-			b.Fatal("hot path executed no events")
-		}
-		ticks += end
-	}
-	b.ReportMetric(float64(ticks)/float64(b.N), "sim-ticks")
-}
-
-// BenchmarkStressHotPathRef is the identical workload on the frozen
-// pre-PR4 kernel (container/heap boxing, per-delivery closures, map
-// stats) — the baseline of the repo's perf trajectory.
-func BenchmarkStressHotPathRef(b *testing.B) {
-	b.ReportAllocs()
-	var ticks sim.Time
-	for i := 0; i < b.N; i++ {
-		end, ev := perfbench.RefHotPath(16, 50_000)
-		if ev == 0 {
-			b.Fatal("hot path executed no events")
-		}
-		ticks += end
-	}
-	b.ReportMetric(float64(ticks)/float64(b.N), "sim-ticks")
-}
 
 // BenchmarkE2_Complexity reports the protocol-complexity comparison of
 // §2.4: transient-state counts at the accelerator-facing cache.

@@ -9,7 +9,7 @@
 //
 //	xgcampaign [-mode stress|fuzz|chaos|recovery|multi|all] [-seeds N] [-workers N]
 //	           [-budget 30s] [-stores N] [-messages N] [-cpus N] [-cores N]
-//	           [-accels N] [-shards N]
+//	           [-accels N]
 //	           [-checked] [-consistency] [-coverage=false]
 //	           [-spans] [-tracetail N] [-http :8080] [-heartbeat 5s]
 //	           [-metrics out.json] [-trace out.jsonl] [-obs out.obs]
@@ -47,10 +47,8 @@
 //
 // -accels builds every machine with N accelerator devices, each behind
 // its own guard (fuzz/chaos shards attach one attacker/adversary per
-// device); -shards address-shards every guard's block table and recall
-// book (power of two; reports are byte-identical for any value). -mode
-// multi runs the dedicated accel-count sweep (org x accel count x fault
-// preset) and ignores -accels.
+// device). -mode multi runs the dedicated accel-count sweep (org x accel
+// count x fault preset) and ignores -accels.
 //
 // -spans turns on causal span tracing in every guard (per-crossing
 // span-begin/-phase/-end events plus per-phase latency histograms,
@@ -93,7 +91,6 @@ var (
 	cpus     = flag.Int("cpus", 2, "CPU cores per machine")
 	cores    = flag.Int("cores", 2, "accelerator cores per machine (stress shards)")
 	accels   = flag.Int("accels", 1, "accelerator devices per machine, each behind its own guard")
-	shards   = flag.Int("shards", 0, "guard-state shard count (power of two; 0 = single shard)")
 	checked  = flag.Bool("checked", false, "fuzz: keep value checks on while the attacker shares pages (deliberately failing buggy-accelerator demo)")
 	consist  = flag.Bool("consistency", false, "record per-core observations and run the offline invariant checker on every value-checked shard")
 	coverage = flag.Bool("coverage", true, "print merged state/event coverage")
@@ -112,6 +109,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := config.CheckSize(*cpus, *cores); err != nil {
+		fmt.Fprintln(os.Stderr, "xgcampaign:", err)
+		os.Exit(campaign.ExitUsage)
+	}
 	if *repro != "" {
 		os.Exit(runRepro(*repro))
 	}
@@ -138,18 +139,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xgcampaign: unknown -mode %q (want stress, fuzz, chaos, recovery, multi, or all)\n", *mode)
 		os.Exit(campaign.ExitUsage)
 	}
-	if *shards != 0 && *shards&(*shards-1) != 0 {
-		fmt.Fprintf(os.Stderr, "xgcampaign: -shards %d is not a power of two\n", *shards)
-		os.Exit(campaign.ExitUsage)
-	}
-	if *mode != "multi" && (*accels > 1 || *shards > 1) {
+	if *mode != "multi" && *accels > 1 {
 		for i := range base {
-			if *accels > 1 {
-				base[i].Accels = *accels
-			}
-			if *shards > 1 {
-				base[i].Shards = *shards
-			}
+			base[i].Accels = *accels
 		}
 	}
 	if *checked {

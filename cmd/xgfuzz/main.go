@@ -52,6 +52,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := config.CheckSize(*cpus, 0); err != nil {
+		fmt.Fprintln(os.Stderr, "xgfuzz:", err)
+		os.Exit(campaign.ExitUsage)
+	}
 	specs := campaign.FuzzSweep(*seeds, *cpus, *messages)
 	if *consist || *obsOut != "" {
 		for i := range specs {

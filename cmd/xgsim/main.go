@@ -52,6 +52,10 @@ var metricsReg = obs.NewRegistry()
 
 func main() {
 	flag.Parse()
+	if err := config.CheckSize(*cpus, *cores); err != nil {
+		fmt.Fprintln(os.Stderr, "xgsim:", err)
+		os.Exit(2)
+	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	defer w.Flush()
 	run := func(name string, fn func(*tabwriter.Writer)) {

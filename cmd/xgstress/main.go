@@ -57,6 +57,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := config.CheckSize(*cpus, *cores); err != nil {
+		fmt.Fprintln(os.Stderr, "xgstress:", err)
+		os.Exit(campaign.ExitUsage)
+	}
 	specs := campaign.StressSweep(*seeds, *cpus, *cores, *stores)
 	if *consist || *obsOut != "" {
 		for i := range specs {

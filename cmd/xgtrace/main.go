@@ -8,7 +8,7 @@
 // Usage:
 //
 //	xgtrace [-host hammer|mesi] [-org xg-full/1L|...] [-kind graph|...]
-//	        [-accels N] [-shards N]
+//	        [-accels N]
 //	        [-watch 0xADDR] [-accesses N] [-tail N] [-jsonl out.jsonl]
 //
 // With -accels 2 the machine gets two accelerator devices, each behind
@@ -36,7 +36,6 @@ var (
 	orgFlag  = flag.String("org", "xg-full/1L", "organization (see config.AllOrgs)")
 	kindFlag = flag.String("kind", "graph", "workload kind")
 	accels   = flag.Int("accels", 1, "accelerator devices, one guard each")
-	shards   = flag.Int("shards", 0, "guard-state shards per guard (power of two; 0 = one)")
 	watch    = flag.String("watch", "", "hex line address to filter (e.g. 0x100040)")
 	accesses = flag.Int("accesses", 200, "accelerator accesses per core")
 	tailN    = flag.Int("tail", 120, "print at most the last N matching events")
@@ -80,7 +79,7 @@ func main() {
 	cfg := workload.DefaultConfig(kind)
 	cfg.AccessesPerCore = *accesses
 	sys := config.Build(config.Spec{Host: host, Org: org, CPUs: 2, AccelCores: 2,
-		Accels: *accels, Shards: *shards, Seed: 1, Perms: workload.Perms(cfg)})
+		Accels: *accels, Seed: 1, Perms: workload.Perms(cfg)})
 	events := &obs.Slice{}
 	sys.Fab.Bus = obs.NewBus(events)
 

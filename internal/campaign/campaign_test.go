@@ -136,6 +136,40 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecSizeLimits: cpus and cores at the node-id layout's limits
+// parse and run on every kind of machine; one past either limit is a
+// parse error, never a node collision inside config.Build.
+func TestSpecSizeLimits(t *testing.T) {
+	for _, host := range []string{"hammer", "mesi"} {
+		for _, org := range []string{"accel-side", "xg-full/1L", "xg-txn/2L"} {
+			for _, c := range []struct {
+				cpus, cores int
+				ok          bool
+			}{
+				{config.MaxCPUs, config.MaxAccelCores, true},
+				{config.MaxCPUs + 1, 2, false},
+				{2, config.MaxAccelCores + 1, false},
+			} {
+				text := fmt.Sprintf("kind=stress host=%s org=%s seed=1 stores=1 cpus=%d cores=%d",
+					host, org, c.cpus, c.cores)
+				spec, err := ParseSpec(text)
+				if !c.ok {
+					if err == nil {
+						t.Errorf("ParseSpec(%q) accepted an oversized machine", text)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("ParseSpec(%q): %v", text, err)
+				}
+				if res := RunShard(spec, false); res.Err != nil {
+					t.Errorf("%q: %v", text, res.Err)
+				}
+			}
+		}
+	}
+}
+
 // TestBudgetMode bounds the time-budgeted path: it must run at least one
 // full shard, stop within a sane multiple of the budget, and aggregate
 // deterministically over whatever set completed.

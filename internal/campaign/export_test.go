@@ -133,7 +133,7 @@ func TestTraceGolden(t *testing.T) {
 // fixed-seed shard: span-begin/span-phase/span-end emission order is
 // part of the trace contract once Spans is on. The span-free golden
 // above is unaffected — Spans defaults off, so existing traces stay
-// byte-identical (the BatchGrants pattern).
+// byte-identical.
 func TestTraceGoldenSpans(t *testing.T) {
 	spec := ShardSpec{Kind: KindStress, Host: config.HostHammer, Org: config.OrgXGFull1L,
 		Seed: 7, CPUs: 1, Cores: 1, Stores: 2, Spans: true}

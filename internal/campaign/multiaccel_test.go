@@ -1,10 +1,8 @@
 package campaign
 
 // Multi-accelerator campaign tests: N devices behind N guards on one
-// host fabric, guard state address-sharded. The two load-bearing
-// properties are (1) worker-count determinism survives the extra
-// devices, and (2) sharding is pure state organization — any shard
-// count produces byte-identical results.
+// host fabric. The load-bearing property is that worker-count
+// determinism survives the extra devices.
 
 import (
 	"reflect"
@@ -20,7 +18,7 @@ import (
 func multiSweep() []ShardSpec {
 	return []ShardSpec{
 		{Kind: KindStress, Host: config.HostHammer, Org: config.OrgXGFull1L, Seed: 1, CPUs: 2, Cores: 1, Accels: 2, Stores: 10},
-		{Kind: KindStress, Host: config.HostMESI, Org: config.OrgXGTxn2L, Seed: 2, CPUs: 2, Cores: 2, Accels: 2, Shards: 4, Stores: 10},
+		{Kind: KindStress, Host: config.HostMESI, Org: config.OrgXGTxn2L, Seed: 2, CPUs: 2, Cores: 2, Accels: 2, Stores: 10},
 		{Kind: KindStress, Host: config.HostHammer, Org: config.OrgXGFull2L, Seed: 3, CPUs: 2, Cores: 1, Accels: 3, Stores: 10},
 		{Kind: KindFuzz, Host: config.HostHammer, Org: config.OrgXGTxn1L, Seed: 1, CPUs: 2, Accels: 2, Messages: 300, Confined: true},
 		{Kind: KindChaos, Host: config.HostMESI, Org: config.OrgXGFull1L, Seed: 1, CPUs: 2, Accels: 2, Model: "stalewriter", Messages: 400, Confined: true},
@@ -54,42 +52,10 @@ func TestMultiAccelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariant: sharding the guard's block table and recall
-// book is pure state organization — it never changes simulated timing —
-// so a shard's entire observable result (tester counters, attack
-// volume, violations, recorded observation history) is identical for
-// shard counts 1 and 16.
-func TestShardCountInvariant(t *testing.T) {
-	base := multiSweep()
-	for i := range base {
-		base[i].Consistency = true
-	}
-	degenerate := append([]ShardSpec(nil), base...)
-	sharded := append([]ShardSpec(nil), base...)
-	for i := range base {
-		degenerate[i].Shards = 1
-		sharded[i].Shards = 16
-	}
-	rep1 := Run(degenerate, Options{Workers: 4})
-	rep16 := Run(sharded, Options{Workers: 4})
-	for i := range rep1.Shards {
-		a, b := &rep1.Shards[i], &rep16.Shards[i]
-		if a.Res != b.Res || a.Sent != b.Sent || a.Violations != b.Violations {
-			t.Errorf("shard %d: shards=1 result %+v/%d/%d, shards=16 %+v/%d/%d",
-				i, a.Res, a.Sent, a.Violations, b.Res, b.Sent, b.Violations)
-		}
-		if !reflect.DeepEqual(a.Recs, b.Recs) {
-			t.Errorf("shard %d: observation history differs between shard counts", i)
-		}
-	}
-	if got, want := rep16.CoverageTable(), rep1.CoverageTable(); got != want {
-		t.Errorf("coverage table differs between shard counts:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestMultiAccelSpecRoundTrip: accels/shards survive the repro string,
-// single-device specs render without them, and non-power-of-two shard
-// counts are rejected at parse time.
+// TestMultiAccelSpecRoundTrip: accels survives the repro string and
+// single-device specs render without it. The retired shards= key still
+// parses — sharding never changed timing, so a pre-removal failure
+// artifact replays to the same result — but is never emitted.
 func TestMultiAccelSpecRoundTrip(t *testing.T) {
 	for _, s := range multiSweep() {
 		text := FormatSpec(s)
@@ -97,8 +63,8 @@ func TestMultiAccelSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", text, err)
 		}
-		if got.Accels != s.Accels || got.Shards != s.Shards || FormatSpec(got) != text {
-			t.Fatalf("round trip %q: got accels=%d shards=%d (%q)", text, got.Accels, got.Shards, FormatSpec(got))
+		if got.Accels != s.Accels || FormatSpec(got) != text {
+			t.Fatalf("round trip %q: got accels=%d (%q)", text, got.Accels, FormatSpec(got))
 		}
 		if s.Accels > 1 && !strings.Contains(s.Name(), "/a") {
 			t.Errorf("Name() %q does not carry the accel count", s.Name())
@@ -106,12 +72,31 @@ func TestMultiAccelSpecRoundTrip(t *testing.T) {
 	}
 	single := FormatSpec(ShardSpec{Kind: KindStress, Host: config.HostHammer,
 		Org: config.OrgXGFull1L, Seed: 1, CPUs: 2, Cores: 2, Stores: 10})
-	if strings.Contains(single, "accels=") || strings.Contains(single, "shards=") {
+	if strings.Contains(single, "accels=") {
 		t.Errorf("single-device spec %q carries multi-device fields", single)
 	}
-	bad := "kind=stress host=hammer org=xg-full/1L seed=1 shards=3"
-	if _, err := ParseSpec(bad); err == nil {
-		t.Errorf("ParseSpec(%q) accepted a non-power-of-two shard count", bad)
+
+	plain := "kind=stress host=mesi org=xg-txn/2L seed=2 cpus=2 cores=2 stores=10 accels=2"
+	want, err := ParseSpec(plain)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", plain, err)
+	}
+	got, err := ParseSpec(plain + " shards=4")
+	if err != nil {
+		t.Fatalf("ParseSpec with the retired shards= key: %v", err)
+	}
+	if text := FormatSpec(got); text != FormatSpec(want) || strings.Contains(text, "shards=") {
+		t.Errorf("shards=4 spec re-formats as %q, want %q", text, FormatSpec(want))
+	}
+	a, b := RunShard(got, false), RunShard(want, false)
+	if a.Err != nil || a.Res != b.Res || a.Sent != b.Sent || a.Violations != b.Violations {
+		t.Errorf("shards=4 spec ran to %+v/%d/%d (err %v), want %+v/%d/%d",
+			a.Res, a.Sent, a.Violations, a.Err, b.Res, b.Sent, b.Violations)
+	}
+	for _, bad := range []string{"shards=0", "shards=x"} {
+		if _, err := ParseSpec(plain + " " + bad); err == nil {
+			t.Errorf("ParseSpec accepted %q", bad)
+		}
 	}
 }
 

@@ -70,10 +70,6 @@ type ShardSpec struct {
 	// guard (0 or 1 = the historical single-accelerator machine). Fuzz
 	// and chaos shards attach one attacker/adversary per device.
 	Accels int
-	// Shards is the guard-state shard count (power of two; 0 = single
-	// shard). Sharding is pure state organization, so reports are
-	// byte-identical for any value.
-	Shards int
 
 	// Stores is StoresPerLoc for stress shards.
 	Stores int
@@ -252,7 +248,7 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 func runStressShard(res *ShardResult, trace bool, tail int) {
 	spec := res.Spec
 	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: spec.Cores, Accels: spec.Accels, Shards: spec.Shards,
+		CPUs: spec.CPUs, AccelCores: spec.Cores, Accels: spec.Accels,
 		Seed: spec.Seed * 97, Small: true, Spans: spec.Spans,
 		Consistency: newRecorder(spec)})
 	var ring *obs.Ring
@@ -322,7 +318,7 @@ func runFuzzShard(res *ShardResult, trace bool, tail int) {
 	}
 	var atts []*fuzz.Attacker
 	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels, Shards: spec.Shards,
+		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
 		Seed: spec.Seed * 61, Small: true, Spans: spec.Spans,
 		Timeout: 5000, Perms: perms, Consistency: newRecorder(spec),
 		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
@@ -396,7 +392,7 @@ func runChaosShard(res *ShardResult, trace bool, tail int) {
 	plan := spec.Faults
 	var advs []*accel.Adversary
 	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels, Shards: spec.Shards,
+		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
 		Seed: spec.Seed * 41, Small: true, Spans: spec.Spans,
 		Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
 		RecoverAfter: spec.RecoverAfter, MaxRecoveries: spec.MaxRecoveries,
@@ -525,9 +521,6 @@ func FormatSpec(s ShardSpec) string {
 	if s.Accels > 1 {
 		parts = append(parts, "accels="+strconv.Itoa(s.Accels))
 	}
-	if s.Shards > 1 {
-		parts = append(parts, "shards="+strconv.Itoa(s.Shards))
-	}
 	// Recovery keys are emitted only when set, so pre-recovery repro
 	// strings render byte-identically.
 	if s.RecoverAfter > 0 {
@@ -646,10 +639,8 @@ func ParseSpec(text string) (ShardSpec, error) {
 			case "accels":
 				spec.Accels = n
 			case "shards":
-				if n&(n-1) != 0 {
-					return spec, fmt.Errorf("campaign: shards %d is not a power of two", n)
-				}
-				spec.Shards = n
+				// The guard's address-sharding knob is gone; it never
+				// changed timing, so old repro strings replay identically.
 			}
 		case "recover", "backoffcap":
 			n, err := strconv.ParseInt(v, 10, 64)
@@ -699,6 +690,9 @@ func ParseSpec(text string) (ShardSpec, error) {
 	}
 	if spec.Kind == KindChaos && spec.Model == "" {
 		return spec, fmt.Errorf("campaign: chaos spec needs model= (got %q)", text)
+	}
+	if err := config.CheckSize(spec.CPUs, spec.Cores); err != nil {
+		return spec, fmt.Errorf("campaign: %w", err)
 	}
 	return spec, nil
 }

@@ -106,6 +106,27 @@ const (
 	nodeAccSeq  coherence.NodeID = 300 // accelerator sequencer i
 )
 
+// Machine-size limits, set by the node-id ranges above: CPU caches fill
+// [nodeCPU, nodeXG), and the single-level organizations' one guard per
+// accelerator core fills [nodeXG, nodeAccelL2).
+const (
+	MaxCPUs       = int(nodeXG - nodeCPU)
+	MaxAccelCores = int(nodeAccelL2 - nodeXG)
+)
+
+// CheckSize reports whether a machine with this many CPU cores and
+// accelerator cores per device fits the node-id layout. Parsers and CLIs
+// call it on outside input; Build panics on a spec that fails it.
+func CheckSize(cpus, accelCores int) error {
+	if cpus > MaxCPUs {
+		return fmt.Errorf("%d CPU cores exceeds the limit of %d", cpus, MaxCPUs)
+	}
+	if accelCores > MaxAccelCores {
+		return fmt.Errorf("%d accelerator cores exceeds the limit of %d", accelCores, MaxAccelCores)
+	}
+	return nil
+}
+
 // DeviceStride separates the node-id ranges of accelerator devices:
 // device d's guard, caches, and sequencers use the device-0 base ids
 // plus d*DeviceStride.
@@ -173,12 +194,6 @@ type Spec struct {
 	// therefore see each other only through it.
 	Accels int
 	Seed   int64
-	// Shards sets each guard's address-shard count (power of two; 0/1 =
-	// the single-shard degenerate case). Purely state organization:
-	// timing is identical for every value.
-	Shards int
-	// BatchGrants enables the guards' per-tick grant batching.
-	BatchGrants bool
 	// Spans enables the guards' causal span tracing (span-begin/-phase/
 	// -end trace events plus per-phase latency histograms). Default-off:
 	// pure observability, and span-free traces stay byte-identical.
@@ -380,6 +395,9 @@ func Build(spec Spec) *System {
 	if spec.Timeout == 0 {
 		spec.Timeout = 100_000
 	}
+	if err := CheckSize(spec.CPUs, spec.AccelCores); err != nil {
+		panic("config: " + err.Error())
+	}
 	lat := DefaultLatencies()
 	if spec.Lat != nil {
 		lat = *spec.Lat
@@ -477,8 +495,6 @@ func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 		MaxRecoveries:     spec.MaxRecoveries,
 		RecoverBackoff:    spec.RecoverBackoff,
 		RecoverBackoffCap: spec.RecoverBackoffCap,
-		Shards:            spec.Shards,
-		BatchGrants:       spec.BatchGrants,
 		Spans:             spec.Spans,
 	}
 }

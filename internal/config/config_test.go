@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"crossingguard/internal/seq"
@@ -122,5 +123,27 @@ func TestStressAllConfigs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBuildRejectsOversizedMachine: a spec past the node-id layout's
+// limits panics naming the limit, not with a fabric node collision.
+func TestBuildRejectsOversizedMachine(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{CPUs: MaxCPUs + 1}, fmt.Sprintf("limit of %d", MaxCPUs)},
+		{Spec{AccelCores: MaxAccelCores + 1}, fmt.Sprintf("limit of %d", MaxAccelCores)},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("Build(%d CPUs, %d cores) panicked with %q, want %q in it",
+						c.spec.CPUs, c.spec.AccelCores, msg, c.want)
+				}
+			}()
+			Build(c.spec)
+		}()
 	}
 }

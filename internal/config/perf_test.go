@@ -3,6 +3,7 @@ package config
 import (
 	"testing"
 
+	"crossingguard/internal/consistency"
 	"crossingguard/internal/raceflag"
 	"crossingguard/internal/tester"
 )
@@ -19,10 +20,22 @@ import (
 // here.
 var shardAllocCeiling = map[HostKind]float64{HostHammer: 33.3, HostMESI: 25.3}
 
-// TestStressShardAllocBudget builds and runs one benchmark-shaped stress
-// shard per host (Small caches, 2 CPUs + 2 accelerator cores, 20 stores
-// per location, xg-txn/1L) and holds its allocations per memop under the
-// ceiling.
+// stressShard builds and runs one benchmark-shaped stress shard (Small
+// caches, 2 CPUs + 2 accelerator cores, seed 7, 20 stores per location)
+// on spec's host and organization.
+func stressShard(t *testing.T, spec Spec) tester.Result {
+	spec.CPUs, spec.AccelCores, spec.Seed, spec.Small = 2, 2, 7, true
+	cfg := tester.DefaultConfig(7*37 + 5)
+	cfg.StoresPerLoc = 20
+	res, err := tester.Run(Build(spec), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestStressShardAllocBudget builds and runs one stress shard per host
+// on xg-txn/1L and holds its allocations per memop under the ceiling.
 func TestStressShardAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -31,17 +44,10 @@ func TestStressShardAllocBudget(t *testing.T) {
 		host := host
 		t.Run(host.String(), func(t *testing.T) {
 			var memops uint64
-			shard := func() {
-				s := Build(Spec{Host: host, Org: OrgXGTxn1L, CPUs: 2, AccelCores: 2, Seed: 7, Small: true})
-				cfg := tester.DefaultConfig(7*37 + 5)
-				cfg.StoresPerLoc = 20
-				res, err := tester.Run(s, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+			allocs := testing.AllocsPerRun(3, func() {
+				res := stressShard(t, Spec{Host: host, Org: OrgXGTxn1L})
 				memops = res.Stores + res.Loads
-			}
-			allocs := testing.AllocsPerRun(3, shard)
+			})
 			perMemop := allocs / float64(memops)
 			t.Logf("%.0f objects / %d memops = %.2f per memop (ceiling %.1f)",
 				allocs, memops, perMemop, shardAllocCeiling[host])
@@ -49,5 +55,22 @@ func TestStressShardAllocBudget(t *testing.T) {
 				t.Fatalf("%.2f heap objects per memop, over the %.1f ceiling", perMemop, shardAllocCeiling[host])
 			}
 		})
+	}
+}
+
+// TestStressShardRecordedIsInvisible pins that attaching the observation
+// recorder does not perturb the simulation: the recorded shard ends at
+// the same tick with the same memop count as the plain one. Recording
+// overhead is priced by comparing the two, so they must be one workload.
+func TestStressShardRecordedIsInvisible(t *testing.T) {
+	rec := consistency.NewRecorder()
+	plain := stressShard(t, Spec{Host: HostMESI, Org: OrgXGFull1L})
+	recorded := stressShard(t, Spec{Host: HostMESI, Org: OrgXGFull1L, Consistency: rec})
+	if len(rec.Merged()) == 0 {
+		t.Fatal("recorded shard produced no observations")
+	}
+	if plain.EndTime != recorded.EndTime || plain.Stores+plain.Loads != recorded.Stores+recorded.Loads {
+		t.Fatalf("recording perturbed the shard: plain (%d,%d), recorded (%d,%d)",
+			plain.EndTime, plain.Stores+plain.Loads, recorded.EndTime, recorded.Stores+recorded.Loads)
 	}
 }

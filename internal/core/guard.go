@@ -10,17 +10,9 @@
 // Transactional, which tracks only open transactions and relies on the
 // host-protocol tolerance modifications (hostproto/*.Config.TxnMods).
 //
-// # Sharded guard state
-//
 // One host fabric can carry several guards, each fronting its own
 // accelerator ("one instance of Crossing Guard per accelerator in the
-// system", §2). To keep a single guard's lookups O(1) as its footprint
-// grows, the guard's mutable state — block table, open transactions, and
-// the recall book — is split across a power-of-two number of address
-// shards selected by the block address (Config.Shards). Shard count 1 is
-// the degenerate case and behaves byte-for-byte like the unsharded
-// guard; higher counts only re-bucket the same maps, so simulated timing
-// is unchanged for any shard count.
+// system", §2).
 package core
 
 import (
@@ -147,13 +139,6 @@ type Config struct {
 	RecoverBackoff int
 	// RecoverBackoffCap, when nonzero, caps the backed-off delay.
 	RecoverBackoffCap sim.Time
-	// Shards is the power-of-two number of address shards the guard's
-	// block table, open-transaction maps, and recall book are split
-	// across. 0 and 1 both mean a single shard (the degenerate case,
-	// byte-identical to the historical unsharded guard); any other value
-	// must be a power of two. Sharding is pure state organization — it
-	// never changes simulated timing or message order.
-	Shards int
 	// Spans enables causal span tracing: every accepted accelerator
 	// crossing, host-initiated recall, and recovery cycle is assigned a
 	// stable span id, emits paired span-begin/span-end (+ span-phase)
@@ -161,42 +146,9 @@ type Config struct {
 	// messages, and feeds the per-phase xg.span.* latency histograms.
 	// Off by default: span events interleave with the message trace and
 	// add metrics, so golden traces and metric snapshots are only stable
-	// with spans off (the BatchGrants pattern). Pure observability — span
-	// tracing never changes simulated timing or message order.
+	// with spans off. Pure observability — span tracing never changes
+	// simulated timing or message order.
 	Spans bool
-	// BatchGrants queues completed grants and flushes them once per tick
-	// instead of sending each the moment its host transaction closes, so
-	// grants for disjoint blocks leave the guard as one per-tick batch.
-	// Off by default: batching reorders nothing but changes per-message
-	// departure ticks, so golden traces are only stable with it off.
-	BatchGrants bool
-}
-
-// guardShard is one address shard of the guard's mutable state. Every
-// map is keyed by line address; a block lives in exactly one shard
-// (selected by Guard.shard), so per-shard lookups stay O(1) no matter
-// how many blocks the accelerator touches.
-type guardShard struct {
-	txns  map[mem.Addr]*accelTxn // open accelerator-initiated transactions (1b)
-	hosts map[mem.Addr]*hostTxn  // open host-initiated recalls (2b, 2c)
-	table *blockTable            // Full State only
-
-	// parked holds, per line, the accelerator requests the guard is
-	// holding until the line's transaction or recall closes (waitlist.go).
-	parked map[mem.Addr]waitQueue
-
-	// ignoreInvAck marks addresses whose recall was resolved by a racing
-	// Put; the accelerator's InvAck (sent from B) is consumed silently.
-	ignoreInvAck map[mem.Addr]int
-}
-
-// pendingGrant is one queued accelerator grant awaiting the per-tick
-// batch flush (Config.BatchGrants).
-type pendingGrant struct {
-	ty   coherence.MsgType
-	addr mem.Addr
-	data *mem.Block
-	span uint64
 }
 
 // Guard is one Crossing Guard instance: the trusted boundary between one
@@ -211,24 +163,27 @@ type Guard struct {
 	accel coherence.NodeID
 	shim  hostShim
 
-	// shards holds the address-sharded guard state; shardMask is
-	// len(shards)-1 (power-of-two count).
-	shards    []guardShard
-	shardMask uint64
+	// Mutable protocol state, every map keyed by line address.
+	txns  map[mem.Addr]*accelTxn // open accelerator-initiated transactions (1b)
+	hosts map[mem.Addr]*hostTxn  // open host-initiated recalls (2b, 2c)
+	table *blockTable            // Full State only
+
+	// parked holds, per line, the accelerator requests the guard is
+	// holding until the line's transaction or recall closes (waitlist.go).
+	parked map[mem.Addr]waitQueue
+
+	// ignoreInvAck marks addresses whose recall was resolved by a racing
+	// Put; the accelerator's InvAck (sent from B) is consumed silently.
+	ignoreInvAck map[mem.Addr]int
 
 	// accelTag is the device label stamped on this guard's trace events
 	// and per-accelerator metric names (0 for the first/only device, so
 	// single-accelerator traces and metric sets are unchanged).
 	accelTag int
 
-	// pending is the per-tick grant batch (Config.BatchGrants); its
-	// backing array is reused so steady-state batching allocates nothing.
-	pending      []pendingGrant
-	flushPending bool
-
 	// Wait list (waitlist.go): ready lists the lines whose parked requests
 	// the armed wake event will re-run; freePark pools the records and
-	// parkedNow counts the requests currently held across all shards.
+	// parkedNow counts the requests currently held.
 	ready     []mem.Addr
 	wakeEv    sim.Timed
 	wakeArmed bool
@@ -281,10 +236,6 @@ type Guard struct {
 	// RecallsCoalesced counts host recalls merged into an already-open
 	// recall for the same block (one Invalidate serves every waiter).
 	RecallsCoalesced uint64
-	// GrantsBatched / GrantBatches count grants delivered through the
-	// per-tick batch path and the number of flushes (Config.BatchGrants).
-	GrantsBatched uint64
-	GrantBatches  uint64
 
 	// Observability (nil-safe no-ops until AttachObs). The hot-path
 	// instruments are fetched once; per-code violation counters are
@@ -367,43 +318,25 @@ func (ht *hostTxn) complete(data *mem.Block, dirty, viaPut bool) {
 // attachShim (done by NewHammerGuard / NewMESIGuard).
 func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	accel coherence.NodeID, cfg Config, sink coherence.ErrorSink) *Guard {
-	n := cfg.Shards
-	if n <= 1 {
-		n = 1
-	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("core: guard shard count %d is not a power of two", cfg.Shards))
-	}
-	g := &Guard{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink, accel: accel,
-		shards:    make([]guardShard, n),
-		shardMask: uint64(n - 1),
-	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.txns = make(map[mem.Addr]*accelTxn)
-		sh.hosts = make(map[mem.Addr]*hostTxn)
-		sh.ignoreInvAck = make(map[mem.Addr]int)
-		sh.parked = make(map[mem.Addr]waitQueue)
-		if cfg.Mode == FullState {
-			sh.table = newBlockTable()
-		}
-	}
+	g := &Guard{id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink, accel: accel}
+	g.resetState()
 	g.wakeEv.Fn = g.runWoken
 	g.stampEpoch = g.stamp
 	fab.Register(g)
 	return g
 }
 
-// shard selects the state shard owning addr's block: the block index
-// masked by the power-of-two shard count, so consecutive blocks land in
-// consecutive shards and every byte of one block shares a shard.
-func (g *Guard) shard(addr mem.Addr) *guardShard {
-	return &g.shards[(uint64(addr.Line())/mem.BlockBytes)&g.shardMask]
+// resetState empties the guard's protocol state: at construction, and
+// when recovery readmits a reset device (reintegrate).
+func (g *Guard) resetState() {
+	g.txns = make(map[mem.Addr]*accelTxn)
+	g.hosts = make(map[mem.Addr]*hostTxn)
+	g.ignoreInvAck = make(map[mem.Addr]int)
+	g.parked = make(map[mem.Addr]waitQueue)
+	if g.cfg.Mode == FullState {
+		g.table = newBlockTable()
+	}
 }
-
-// Shards reports the guard's shard count.
-func (g *Guard) Shards() int { return len(g.shards) }
 
 // SetAccelTag labels this guard with its accelerator device index
 // (0-based). Tag 0 — the first or only device — leaves trace events and
@@ -620,30 +553,16 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 		Where: g.name, Code: "XG.Quarantined", Addr: addr,
 		Detail: fmt.Sprintf("accelerator quarantined after %d violations", g.errors),
 	})
-	// Resolve open recalls in global address order across every shard
-	// (map iteration is randomized; resolution order must be
-	// deterministic — and independent of the shard count). Mirrors
-	// recallTimeout's trusted-state answer without charging additional
-	// timeouts.
-	var open []mem.Addr
-	for i := range g.shards {
-		for a := range g.shards[i].hosts {
-			open = append(open, a)
-		}
-	}
-	for i := 1; i < len(open); i++ {
-		for j := i; j > 0 && open[j] < open[j-1]; j-- {
-			open[j], open[j-1] = open[j-1], open[j]
-		}
-	}
-	for _, a := range open {
-		sh := g.shard(a)
-		ht := sh.hosts[a]
+	// Resolve open recalls in address order (map iteration is randomized;
+	// resolution order must be deterministic). Mirrors recallTimeout's
+	// trusted-state answer without charging additional timeouts.
+	for _, a := range sortedAddrs(g.hosts) {
+		ht := g.hosts[a]
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
 		g.closeRecall(a, ht, "quarantine")
 		g.answerFromTrusted(a, ht)
-		if sh.table != nil {
-			sh.table.drop(a)
+		if g.table != nil {
+			g.table.drop(a)
 		}
 	}
 	g.scheduleRecovery(addr)
@@ -717,7 +636,6 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		return
 	}
 	addr := m.Addr.Line()
-	sh := g.shard(addr)
 
 	// Guarantee 0: page permissions.
 	access := perm.ReadWrite
@@ -742,15 +660,15 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	// Hold requests for lines with an open host-side transaction (e.g.
 	// a relinquish writeback still in flight): a cache never issues a
 	// Get while its own Put for the line is outstanding.
-	if _, open := sh.txns[addr]; !open {
-		if _, recalling := sh.hosts[addr]; !recalling && g.shim.busy(addr) {
-			g.park(sh, addr, m, arrive)
+	if _, open := g.txns[addr]; !open {
+		if _, recalling := g.hosts[addr]; !recalling && g.shim.busy(addr) {
+			g.park(addr, m, arrive)
 			return
 		}
 	}
 
 	// Guarantee 1b: at most one outstanding transaction per address.
-	if _, open := sh.txns[addr]; open {
+	if _, open := g.txns[addr]; open {
 		g.ReqsBlocked++
 		g.violation("XG.G1b", fmt.Sprintf("%v while a transaction is already open", m.Type), addr)
 		return
@@ -758,12 +676,12 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	// A request racing with an open host recall: only a Put is
 	// meaningful (the legitimate Put/Inv race, §2.1); it resolves the
 	// recall. Gets during a recall are held until the recall closes.
-	if ht, open := sh.hosts[addr]; open {
+	if ht, open := g.hosts[addr]; open {
 		switch m.Type {
 		case coherence.APutM, coherence.APutE, coherence.APutS:
 			g.resolveRecallByPut(addr, ht, m)
 		default:
-			g.park(sh, addr, m, arrive)
+			g.park(addr, m, arrive)
 		}
 		return
 	}
@@ -771,8 +689,8 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	// Guarantee 1a: request consistent with the stable accelerator
 	// state. Full State checks its table; Transactional relies on host
 	// tolerance (§2.3.2) and can only sanity-check Puts carry data.
-	if sh.table != nil {
-		if err := sh.table.checkRequest(addr, m.Type); err != "" {
+	if g.table != nil {
+		if err := g.table.checkRequest(addr, m.Type); err != "" {
 			g.ReqsBlocked++
 			g.violation("XG.G1a", err, addr)
 			// Every request gets exactly one response: fail Puts fast so
@@ -809,11 +727,10 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Block, access perm.Access, arrive sim.Time) {
 	g.mPass.Inc()
 	g.mPassAccel.Inc()
-	sh := g.shard(addr)
 	switch ty {
 	case coherence.AGetS, coherence.AGetM:
 		t := &accelTxn{kind: ty, start: g.eng.Now(), arrive: arrive}
-		g.openTxn(sh, addr, t)
+		g.openTxn(addr, t)
 		kind := GetExcl
 		if ty == coherence.AGetS {
 			kind = GetShared
@@ -827,7 +744,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			}
 		}
 		g.after(func() {
-			if sh.txns[addr] == t {
+			if g.txns[addr] == t {
 				t.fwd = g.eng.Now()
 				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
 				g.shim.get(addr, kind)
@@ -836,9 +753,9 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 	case coherence.APutM, coherence.APutE:
 		t := &accelTxn{kind: ty, data: data.Copy(), dirty: ty == coherence.APutM,
 			start: g.eng.Now(), arrive: arrive}
-		g.openTxn(sh, addr, t)
+		g.openTxn(addr, t)
 		g.after(func() {
-			if sh.txns[addr] == t {
+			if g.txns[addr] == t {
 				t.fwd = g.eng.Now()
 				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
 				g.shim.put(addr, t.data, t.dirty)
@@ -853,8 +770,8 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			g.PutSForwarded++
 			g.after(func() { g.shim.putS(addr) })
 		}
-		if sh.table != nil {
-			sh.table.drop(addr)
+		if g.table != nil {
+			g.table.drop(addr)
 		}
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 	}
@@ -862,8 +779,8 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 
 // openTxn registers an accepted request as the line's open transaction
 // and, with span tracing on, opens its crossing span.
-func (g *Guard) openTxn(sh *guardShard, addr mem.Addr, t *accelTxn) {
-	sh.txns[addr] = t
+func (g *Guard) openTxn(addr mem.Addr, t *accelTxn) {
+	g.txns[addr] = t
 	g.wake(addr)
 	if g.cfg.Spans {
 		t.span = g.newSpanID()
@@ -873,8 +790,8 @@ func (g *Guard) openTxn(sh *guardShard, addr mem.Addr, t *accelTxn) {
 
 // closeTxn retires the line's open accelerator transaction and wakes the
 // requests parked behind it.
-func (g *Guard) closeTxn(sh *guardShard, addr mem.Addr) {
-	delete(sh.txns, addr)
+func (g *Guard) closeTxn(addr mem.Addr) {
+	delete(g.txns, addr)
 	g.wake(addr)
 }
 
@@ -882,12 +799,11 @@ func (g *Guard) closeTxn(sh *guardShard, addr mem.Addr) {
 // is finished with data and hands it over: it leaves for the accelerator
 // without another copy.
 func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool) {
-	sh := g.shard(addr)
-	t, ok := sh.txns[addr]
+	t, ok := g.txns[addr]
 	if !ok {
 		panic(fmt.Sprintf("%s: host grant for %v with no transaction", g.name, addr))
 	}
-	g.closeTxn(sh, addr)
+	g.closeTxn(addr)
 	if data == nil {
 		data = mem.Zero()
 	}
@@ -900,8 +816,8 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		// later forwards; for a shared grant another host cache may own
 		// the line, and a sharer volunteering data would hand the
 		// requestor two data responses.
-		if sh.table != nil {
-			sh.table.grant(addr, level, level, level != GrantS, data, dirty)
+		if g.table != nil {
+			g.table.grant(addr, level, level, level != GrantS, data, dirty)
 		}
 		return
 	}
@@ -918,8 +834,8 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		accelLevel = GrantS
 		keepCopy = true
 	}
-	if sh.table != nil {
-		sh.table.grant(addr, accelLevel, level, keepCopy, data, dirty)
+	if g.table != nil {
+		g.table.grant(addr, accelLevel, level, keepCopy, data, dirty)
 	}
 	var ty coherence.MsgType
 	switch {
@@ -939,53 +855,20 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		})
 	}
 	g.closeCrossingSpan(t, addr, "grant "+accelLevel.String())
-	if g.cfg.BatchGrants {
-		g.queueGrant(ty, addr, data, t.span)
-		return
-	}
 	g.sendToAccelAfter(ty, addr, data, t.span)
-}
-
-// queueGrant appends one completed grant to the per-tick batch and arms
-// the flush for this tick's batch if it is not armed yet. The flush runs
-// after the guard's processing latency — the same delay an unbatched
-// grant pays — so batching merges departures without adding latency to
-// the first grant of a tick.
-func (g *Guard) queueGrant(ty coherence.MsgType, addr mem.Addr, data *mem.Block, span uint64) {
-	g.pending = append(g.pending, pendingGrant{ty: ty, addr: addr, data: data, span: span})
-	if g.flushPending {
-		return
-	}
-	g.flushPending = true
-	g.after(g.flushGrants)
-}
-
-// flushGrants sends every queued grant back-to-back in queue order (one
-// batch per tick) and recycles the queue's backing array.
-func (g *Guard) flushGrants() {
-	g.flushPending = false
-	batch := g.pending
-	g.GrantBatches++
-	g.GrantsBatched += uint64(len(batch))
-	for i := range batch {
-		g.sendToAccel(batch[i].ty, batch[i].addr, batch[i].data, false, batch[i].span)
-		batch[i].data = nil
-	}
-	g.pending = batch[:0]
 }
 
 // putDone is called by the shim when the host acknowledges a writeback.
 func (g *Guard) putDone(addr mem.Addr) {
-	sh := g.shard(addr)
-	t, ok := sh.txns[addr]
+	t, ok := g.txns[addr]
 	if !ok {
 		// The transaction may have been closed by a racing recall.
 		return
 	}
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
-	g.closeTxn(sh, addr)
-	if sh.table != nil {
-		sh.table.drop(addr)
+	g.closeTxn(addr)
+	if g.table != nil {
+		g.table.drop(addr)
 	}
 	if g.Quarantined {
 		// Writeback completed after the fence; the data is safely with the
@@ -1001,24 +884,18 @@ func (g *Guard) putDone(addr mem.Addr) {
 // openPut returns the open Put transaction for addr, if any (shims use
 // its buffered data to answer forwards racing with the writeback).
 func (g *Guard) openPut(addr mem.Addr) *accelTxn {
-	if t, ok := g.shard(addr).txns[addr]; ok && t.data != nil {
+	if t, ok := g.txns[addr]; ok && t.data != nil {
 		return t
 	}
 	return nil
 }
 
-// sendToAccel sends one guard->accelerator interface message, stamped
-// with the guard epoch and, when span tracing is on, the causal span id
-// of the transaction it belongs to (0 for messages outside any span).
-func (g *Guard) sendToAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool, span uint64) {
-	g.send(&coherence.Msg{Type: ty, Addr: addr, Src: g.id, Dst: g.accel, Data: data, Dirty: dirty,
-		Epoch: g.epoch, Span: span})
-}
-
-// sendToAccelAfter sends one guard->accelerator message after the guard's
-// processing latency. The epoch is stamped when the message leaves, not
-// when it is scheduled, so a reply still inside the guard across a
-// reintegration goes out under the new epoch.
+// sendToAccelAfter sends one guard->accelerator interface message after
+// the guard's processing latency, carrying the causal span id of the
+// transaction it belongs to (0 outside any span, and with span tracing
+// off). The epoch is stamped when the message leaves, not when it is
+// scheduled, so a reply still inside the guard across a reintegration
+// goes out under the new epoch.
 func (g *Guard) sendToAccelAfter(ty coherence.MsgType, addr mem.Addr, data *mem.Block, span uint64) {
 	g.fab.SendAfter(g.cfg.GuardLat, &coherence.Msg{Type: ty, Addr: addr, Src: g.id, Dst: g.accel,
 		Data: data, Span: span}, g.stampEpoch)
@@ -1029,11 +906,7 @@ func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.epoch }
 // Outstanding reports open guard transactions and parked requests (for
 // deadlock detection: a parked request has no engine event of its own).
 func (g *Guard) Outstanding() int {
-	n := g.shim.outstanding() + g.parkedNow
-	for i := range g.shards {
-		n += len(g.shards[i].txns) + len(g.shards[i].hosts)
-	}
-	return n
+	return g.shim.outstanding() + g.parkedNow + len(g.txns) + len(g.hosts)
 }
 
 // StorageBytes models the hardware state this guard variant requires
@@ -1043,13 +916,9 @@ func (g *Guard) Outstanding() int {
 func (g *Guard) StorageBytes() int {
 	const tagStateBytes = 6 // ~42-bit tag + state bits, rounded up
 	const txnBytes = 8 + mem.BlockBytes
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		n += (len(sh.txns) + len(sh.hosts)) * txnBytes
-		if sh.table != nil {
-			n += sh.table.entries()*tagStateBytes + sh.table.copies()*mem.BlockBytes
-		}
+	n := (len(g.txns) + len(g.hosts)) * txnBytes
+	if g.table != nil {
+		n += g.table.entries()*tagStateBytes + g.table.copies()*mem.BlockBytes
 	}
 	return n
 }
@@ -1076,59 +945,22 @@ func (g *Guard) SetResetHook(fn func(epoch uint32)) { g.resetHook = fn }
 // Mode reports the guard variant.
 func (g *Guard) Mode() Mode { return g.cfg.Mode }
 
-// VisitBlocks reports the Full State block table across every shard
-// (no-op for Transactional guards, which keep no block state).
+// VisitBlocks reports the Full State block table (no-op for
+// Transactional guards, which keep no block state).
 func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bool)) {
-	for i := range g.shards {
-		t := g.shards[i].table
-		if t == nil {
-			continue
-		}
-		for a, e := range t.blocks {
-			fn(a, e.accel, e.host, e.copy != nil)
-		}
+	if g.table == nil {
+		return
+	}
+	for a, e := range g.table.blocks {
+		fn(a, e.accel, e.host, e.copy != nil)
 	}
 }
 
-// TableEntries reports the Full State table occupancy summed across
-// shards (0 for Transactional).
+// TableEntries reports the Full State table occupancy (0 for
+// Transactional).
 func (g *Guard) TableEntries() int {
-	n := 0
-	for i := range g.shards {
-		if t := g.shards[i].table; t != nil {
-			n += t.entries()
-		}
+	if g.table == nil {
+		return 0
 	}
-	return n
-}
-
-// tableCopies sums the Full State tables' trusted data copies across
-// every shard (tests and storage accounting).
-func (g *Guard) tableCopies() int {
-	n := 0
-	for i := range g.shards {
-		if t := g.shards[i].table; t != nil {
-			n += t.copies()
-		}
-	}
-	return n
-}
-
-// openRecalls counts open host-initiated recalls across every shard.
-func (g *Guard) openRecalls() int {
-	n := 0
-	for i := range g.shards {
-		n += len(g.shards[i].hosts)
-	}
-	return n
-}
-
-// openTxns counts open accelerator-initiated transactions across every
-// shard.
-func (g *Guard) openTxns() int {
-	n := 0
-	for i := range g.shards {
-		n += len(g.shards[i].txns)
-	}
-	return n
+	return g.table.entries()
 }

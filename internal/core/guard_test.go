@@ -121,8 +121,8 @@ func TestGuardGrantDegradesForReadOnly(t *testing.T) {
 		t.Fatalf("accel received %v, want DataS (degraded grant)", m)
 	}
 	// And the guard kept the trusted copy.
-	if r.g.tableCopies() != 1 {
-		t.Fatalf("copies = %d", r.g.tableCopies())
+	if r.g.table.copies() != 1 {
+		t.Fatalf("copies = %d", r.g.table.copies())
 	}
 }
 
@@ -262,5 +262,31 @@ func TestStorageBytesGrowsWithTable(t *testing.T) {
 	if rt.g.StorageBytes() != 0 {
 		t.Fatalf("Transactional storage = %d after all transactions closed, want 0",
 			rt.g.StorageBytes())
+	}
+}
+
+// Interface messages from a node that is not this guard's accelerator —
+// another device forging its neighbor's requests — are rejected with
+// XG.BadSource and never reach the host shim.
+func TestForgedAccelIDRejected(t *testing.T) {
+	r := newCoreRig(FullState, nil)
+	const forger coherence.NodeID = 1200 // device 1's accelerator node
+	r.g.Recv(&coherence.Msg{Type: coherence.AGetM, Addr: 0x40, Src: forger, Dst: 40})
+	r.eng.RunUntilQuiet()
+	if len(r.shim.gets) != 0 {
+		t.Fatalf("forged GetM reached the host shim (%d gets)", len(r.shim.gets))
+	}
+	if r.g.Errors() != 1 {
+		t.Fatalf("violations = %d, want 1 (XG.BadSource)", r.g.Errors())
+	}
+	errs := r.log.Errors
+	if len(errs) != 1 || errs[0].Code != "XG.BadSource" {
+		t.Fatalf("reported %v, want one XG.BadSource", errs)
+	}
+	// Forged responses are rejected the same way.
+	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: forger, Dst: 40})
+	r.eng.RunUntilQuiet()
+	if r.g.Errors() != 2 {
+		t.Fatalf("violations = %d after forged InvAck, want 2", r.g.Errors())
 	}
 }

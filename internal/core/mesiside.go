@@ -197,10 +197,9 @@ func (s *mesiShim) handleWBAck(m *coherence.Msg) {
 func (s *mesiShim) handleInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	r := m.Requestor
-	if p, busy := s.puts[addr]; busy {
+	if _, busy := s.puts[addr]; busy {
 		// We believed we owned the block and are writing it back while
 		// the L2 believes we are a sharer: ack and let the Put resolve.
-		_ = p
 		s.invAck(addr, r)
 		return
 	}

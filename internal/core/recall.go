@@ -36,9 +36,8 @@ func (v viewState) owned() bool { return v == viewE || v == viewM }
 // block with an open Get transaction has not been granted yet; everything
 // else is Unknown and requires consulting the accelerator.
 func (g *Guard) accelHolds(addr mem.Addr) (viewState, *blockEntry) {
-	sh := g.shard(addr)
-	if sh.table != nil {
-		e := sh.table.lookup(addr)
+	if g.table != nil {
+		e := g.table.lookup(addr)
 		if e == nil {
 			return viewNone, nil
 		}
@@ -76,8 +75,7 @@ func (g *Guard) accelHolds(addr mem.Addr) (viewState, *blockEntry) {
 // — is coalesced: the accelerator sees exactly one Invalidate, and every
 // waiter completes from the single response.
 func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeID, done func(data *mem.Block, dirty bool, viaPut bool)) {
-	sh := g.shard(addr)
-	if ht, open := sh.hosts[addr]; open {
+	if ht, open := g.hosts[addr]; open {
 		g.RecallsCoalesced++
 		g.obsReg.Counter("guard.recall.coalesced").Inc()
 		if b := g.fab.Bus; b.Active() {
@@ -100,8 +98,8 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 		ht := newHostTxn(expect, done)
 		ht.closed = true
 		g.answerFromTrusted(addr, ht)
-		if sh.table != nil {
-			sh.table.drop(addr)
+		if g.table != nil {
+			g.table.drop(addr)
 		}
 		return
 	}
@@ -109,9 +107,9 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 	// the consumed crossing's span ends here (nothing reaches the host).
 	if t := g.openPut(addr); t != nil {
 		data, dirty := t.data, t.dirty
-		g.closeTxn(sh, addr)
-		if sh.table != nil {
-			sh.table.drop(addr)
+		g.closeTxn(addr)
+		if g.table != nil {
+			g.table.drop(addr)
 		}
 		g.closeCrossingSpan(t, addr, "put-consumed-by-recall")
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
@@ -119,7 +117,7 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 		return
 	}
 	ht := newHostTxn(expect, done)
-	sh.hosts[addr] = ht
+	g.hosts[addr] = ht
 	g.wake(addr) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
@@ -160,7 +158,7 @@ func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, deadline sim.Time,
 	ht.gen++
 	gen := ht.gen
 	g.eng.Schedule(deadline, func() {
-		if ht.closed || ht.gen != gen || g.shard(addr).hosts[addr] != ht {
+		if ht.closed || ht.gen != gen || g.hosts[addr] != ht {
 			return
 		}
 		if attempt < g.cfg.RecallRetries {
@@ -208,8 +206,8 @@ func (g *Guard) recallTimeout(addr mem.Addr, ht *hostTxn) {
 	// Prefer the trusted copy when Full State kept one; otherwise a zero
 	// block keeps the host protocol moving.
 	g.answerFromTrusted(addr, ht)
-	if sh := g.shard(addr); sh.table != nil {
-		sh.table.drop(addr)
+	if g.table != nil {
+		g.table.drop(addr)
 	}
 }
 
@@ -224,9 +222,8 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 		return
 	}
-	sh := g.shard(addr)
 	g.closeRecall(addr, ht, "put-race")
-	sh.ignoreInvAck[addr]++
+	g.ignoreInvAck[addr]++
 	var data *mem.Block
 	dirty := false
 	if m.Data != nil {
@@ -250,8 +247,8 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 		g.violation("XG.G2a", fmt.Sprintf("racing %v carries data for a block held only in S", m.Type), addr)
 		data, dirty = nil, false
 	}
-	if sh.table != nil {
-		sh.table.drop(addr)
+	if g.table != nil {
+		g.table.drop(addr)
 	}
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
 	ht.complete(data, dirty, true)
@@ -265,7 +262,7 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 func (g *Guard) closeRecall(addr mem.Addr, ht *hostTxn, reason string) {
 	ht.closed = true
 	ht.gen++ // invalidate any armed watchdog generation
-	delete(g.shard(addr).hosts, addr)
+	delete(g.hosts, addr)
 	g.wake(addr)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
@@ -280,7 +277,6 @@ func (g *Guard) closeRecall(addr mem.Addr, ht *hostTxn, reason string) {
 // response types (InvAck, CleanWB, DirtyWB).
 func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	sh := g.shard(addr)
 	if g.Quarantined {
 		// A fenced accelerator has no pending host requests by
 		// construction (quarantine resolved them all); swallow late
@@ -288,17 +284,17 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 		g.obsReg.Counter("guard.quarantine.dropped").Inc()
 		return
 	}
-	if m.Type == coherence.AInvAck && sh.ignoreInvAck[addr] > 0 {
+	if m.Type == coherence.AInvAck && g.ignoreInvAck[addr] > 0 {
 		// The InvAck a correct accelerator sends from B after the
 		// Put/Inv race; already resolved.
-		if sh.ignoreInvAck[addr] == 1 {
-			delete(sh.ignoreInvAck, addr)
+		if g.ignoreInvAck[addr] == 1 {
+			delete(g.ignoreInvAck, addr)
 		} else {
-			sh.ignoreInvAck[addr]--
+			g.ignoreInvAck[addr]--
 		}
 		return
 	}
-	ht, ok := sh.hosts[addr]
+	ht, ok := g.hosts[addr]
 	if !ok {
 		// Guarantee 2b: responses are only valid against a pending host
 		// request; block and report.
@@ -307,8 +303,8 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 	}
 	data, dirty, errCode := g.validateResponse(addr, ht, m)
 	g.closeRecall(addr, ht, "response")
-	if sh.table != nil {
-		sh.table.drop(addr)
+	if g.table != nil {
+		g.table.drop(addr)
 	}
 	if errCode != "" {
 		g.violation(errCode, fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)

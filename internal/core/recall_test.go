@@ -83,8 +83,8 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 		t.Fatalf("stale timer charged the later recall: Timeouts=%d errors=%d",
 			r.g.Timeouts, r.g.Errors())
 	}
-	if r.g.openRecalls() != 0 {
-		t.Fatalf("%d host transactions left open", r.g.openRecalls())
+	if len(r.g.hosts) != 0 {
+		t.Fatalf("%d host transactions left open", len(r.g.hosts))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestRecallRetriesExhaustedSingleTimeout(t *testing.T) {
 	if calls != 1 || gotData == nil {
 		t.Fatalf("done calls=%d data=%v, want one zero-block answer", calls, gotData)
 	}
-	if r.g.openRecalls() != 0 {
+	if len(r.g.hosts) != 0 {
 		t.Fatal("timed-out recall left open")
 	}
 }
@@ -231,8 +231,8 @@ func TestQuarantineResolvesOpenRecallsInOrder(t *testing.T) {
 	if len(order) != 2 || order[0] != 0x40 || order[1] != 0x80 {
 		t.Fatalf("recalls resolved in order %v, want [0x40 0x80]", order)
 	}
-	if r.g.openRecalls() != 0 {
-		t.Fatalf("%d recalls left open after quarantine", r.g.openRecalls())
+	if len(r.g.hosts) != 0 {
+		t.Fatalf("%d recalls left open after quarantine", len(r.g.hosts))
 	}
 	r.eng.RunUntilQuiet()
 	if r.g.Timeouts != 0 {
@@ -260,9 +260,9 @@ func TestQuarantineGrantRaceKeepsTrustedCopy(t *testing.T) {
 	if len(r.accel.got) != sent {
 		t.Fatalf("grant under quarantine reached the accelerator: %v", r.lastToAccel())
 	}
-	if r.g.TableEntries() != 1 || r.g.tableCopies() != 1 {
+	if r.g.TableEntries() != 1 || r.g.table.copies() != 1 {
 		t.Fatalf("trusted copy not kept: entries=%d copies=%d",
-			r.g.TableEntries(), r.g.tableCopies())
+			r.g.TableEntries(), r.g.table.copies())
 	}
 	// The trusted copy now answers recalls with the granted data.
 	var gotData *mem.Block
@@ -284,9 +284,9 @@ func TestQuarantineGrantRaceSharedKeepsNoCopy(t *testing.T) {
 	blk[3] = 7
 	r.g.granted(0x40, GrantS, &blk, false)
 	r.eng.RunUntilQuiet()
-	if r.g.TableEntries() != 1 || r.g.tableCopies() != 0 {
+	if r.g.TableEntries() != 1 || r.g.table.copies() != 0 {
 		t.Fatalf("shared grant claim: entries=%d copies=%d, want 1/0",
-			r.g.TableEntries(), r.g.tableCopies())
+			r.g.TableEntries(), r.g.table.copies())
 	}
 	// A later forward recalls the line and must get an ack, never data.
 	called := false
@@ -312,5 +312,71 @@ func TestQuarantineDropsLateResponsesQuietly(t *testing.T) {
 	if r.g.Errors() != errs {
 		t.Fatalf("late responses under quarantine raised %d violations, want 0",
 			r.g.Errors()-errs)
+	}
+}
+
+// A second host recall for a block whose first recall is still in flight
+// coalesces: the accelerator sees exactly one Invalidate and both
+// completion callbacks fire from the single response.
+func TestRecallCoalescing(t *testing.T) {
+	r := newRecallRig(FullState, Config{Timeout: 1000, GuardLat: 1})
+	r.fromAccel(coherence.AGetM, 0x40, nil)
+	r.g.granted(0x40, GrantM, mem.Zero(), false)
+	r.eng.RunUntilQuiet()
+
+	first, second := 0, 0
+	var firstData, secondData *mem.Block
+	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) { first++; firstData = data })
+	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) { second++; secondData = data })
+	r.eng.RunUntil(10)
+	if got := countToAccel(r, coherence.AInv); got != 1 {
+		t.Fatalf("accelerator saw %d Invalidates, want 1 (coalesced)", got)
+	}
+	if r.g.RecallsCoalesced != 1 {
+		t.Fatalf("RecallsCoalesced = %d, want 1", r.g.RecallsCoalesced)
+	}
+	var blk mem.Block
+	blk[0] = 0x5A
+	r.g.Recv(&coherence.Msg{Type: coherence.ADirtyWB, Addr: 0x40, Src: 200, Dst: 40,
+		Data: &blk, Dirty: true})
+	r.eng.RunUntilQuiet()
+	if first != 1 || second != 1 {
+		t.Fatalf("done calls = %d/%d, want 1/1", first, second)
+	}
+	if firstData == nil || secondData == nil || firstData[0] != 0x5A || secondData[0] != 0x5A {
+		t.Fatalf("coalesced waiters got %v / %v, want the single response's data", firstData, secondData)
+	}
+	if len(r.g.hosts) != 0 {
+		t.Fatalf("%d recalls left open", len(r.g.hosts))
+	}
+	if r.g.Errors() != 0 {
+		t.Fatalf("violations = %d, want 0", r.g.Errors())
+	}
+}
+
+// Coalesced waiters complete when the recall resolves via the Put/Inv
+// race too — the racing writeback answers every waiting host requestor.
+func TestRecallCoalescingResolvedByPut(t *testing.T) {
+	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
+	first, second := 0, 0
+	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+		if !viaPut {
+			t.Error("first waiter not resolved via Put")
+		}
+		first++
+	})
+	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+		if !viaPut {
+			t.Error("second waiter not resolved via Put")
+		}
+		second++
+	})
+	r.fromAccel(coherence.APutM, 0x40, mem.Zero())
+	r.eng.RunUntilQuiet()
+	if first != 1 || second != 1 {
+		t.Fatalf("done calls = %d/%d, want 1/1", first, second)
+	}
+	if r.g.RecallsCoalesced != 1 {
+		t.Fatalf("RecallsCoalesced = %d, want 1", r.g.RecallsCoalesced)
 	}
 }

@@ -129,7 +129,7 @@ func (g *Guard) recoveryPhase(ended string) {
 // table flush — otherwise a straggling grant could
 // repopulate the table after the flush walked it.
 func (g *Guard) recoveryDrainWait() {
-	if g.openTxns() > 0 || g.openRecalls() > 0 || g.shim.outstanding() > 0 || g.parkedNow > 0 {
+	if len(g.txns) > 0 || len(g.hosts) > 0 || g.shim.outstanding() > 0 || g.parkedNow > 0 {
 		g.eng.Schedule(recoveryPoll, g.recoveryDrainWait)
 		return
 	}
@@ -141,25 +141,15 @@ func (g *Guard) recoveryDrainWait() {
 // trusted copy when Full State kept one, else the zero-block Guarantee
 // 2c substitution (the fenced accelerator cannot be asked). Shared lines
 // need only an eviction notice, and only on hosts that track sharers.
-// Lines are walked in global address order so the drain's message
-// sequence is deterministic and shard-count independent.
+// Lines are walked in address order so the drain's message sequence is
+// deterministic.
 func (g *Guard) recoveryDrainTable() {
 	var addrs []mem.Addr
-	for i := range g.shards {
-		if t := g.shards[i].table; t != nil {
-			for a := range t.blocks {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && addrs[j] < addrs[j-1]; j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
-		}
+	if g.table != nil {
+		addrs = sortedAddrs(g.table.blocks)
 	}
 	for _, a := range addrs {
-		sh := g.shard(a)
-		e := sh.table.lookup(a)
+		e := g.table.lookup(a)
 		if e.host == GrantS {
 			if !g.shim.suppressPutS() {
 				g.shim.putS(a)
@@ -171,7 +161,7 @@ func (g *Guard) recoveryDrainTable() {
 			}
 			g.shim.drain(a, data, dirty)
 		}
-		sh.table.drop(a)
+		g.table.drop(a)
 	}
 	g.obsReg.Counter("guard.recovery.drained_lines").Add(uint64(len(addrs)))
 	g.obsReg.Counter("guard.recovery.drained_lines" + g.metricSuffix()).Add(uint64(len(addrs)))
@@ -205,17 +195,7 @@ func (g *Guard) reintegrate() {
 	}
 	g.epoch++
 	g.recoveries++
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.txns = make(map[mem.Addr]*accelTxn)
-		sh.hosts = make(map[mem.Addr]*hostTxn)
-		sh.ignoreInvAck = make(map[mem.Addr]int)
-		sh.parked = make(map[mem.Addr]waitQueue)
-		if g.cfg.Mode == FullState {
-			sh.table = newBlockTable()
-		}
-	}
-	g.pending = g.pending[:0]
+	g.resetState()
 	if g.resetHook != nil {
 		g.resetHook(g.epoch)
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
@@ -40,7 +40,7 @@ type waitQueue struct {
 }
 
 // park holds m until something it waits on changes.
-func (g *Guard) park(sh *guardShard, addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
+func (g *Guard) park(addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
 	p := g.freePark
 	if p != nil {
 		g.freePark = p.next
@@ -49,14 +49,14 @@ func (g *Guard) park(sh *guardShard, addr mem.Addr, m *coherence.Msg, arrive sim
 		p = new(parkedReq)
 	}
 	p.m, p.arrive = m, arrive
-	q := sh.parked[addr]
+	q := g.parked[addr]
 	if q.tail == nil {
 		q.head = p
 	} else {
 		q.tail.next = p
 	}
 	q.tail = p
-	sh.parked[addr] = q
+	g.parked[addr] = q
 	g.parkedNow++
 	g.Parked++
 }
@@ -67,13 +67,12 @@ func (g *Guard) wake(addr mem.Addr) {
 	if g.parkedNow == 0 {
 		return
 	}
-	sh := g.shard(addr)
-	q, ok := sh.parked[addr]
+	q, ok := g.parked[addr]
 	if !ok || q.queued {
 		return
 	}
 	q.queued = true
-	sh.parked[addr] = q
+	g.parked[addr] = q
 	g.ready = append(g.ready, addr)
 	if !g.wakeArmed {
 		g.wakeArmed = true
@@ -87,16 +86,19 @@ func (g *Guard) wakeAll() {
 	if g.parkedNow == 0 {
 		return
 	}
-	var addrs []mem.Addr
-	for i := range g.shards {
-		for a := range g.shards[i].parked {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	for _, a := range sortedAddrs(g.parked) {
 		g.wake(a)
 	}
+}
+
+// sortedAddrs returns m's keys in address order.
+func sortedAddrs[V any](m map[mem.Addr]V) []mem.Addr {
+	addrs := make([]mem.Addr, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
 }
 
 // runWoken is the wake event: it re-runs the parked requests of every
@@ -106,9 +108,8 @@ func (g *Guard) wakeAll() {
 func (g *Guard) runWoken() {
 	for i := 0; i < len(g.ready); i++ {
 		addr := g.ready[i]
-		sh := g.shard(addr)
-		q := sh.parked[addr]
-		delete(sh.parked, addr)
+		q := g.parked[addr]
+		delete(g.parked, addr)
 		for p := q.head; p != nil; {
 			m, arrive, next := p.m, p.arrive, p.next
 			p.m, p.next = nil, g.freePark

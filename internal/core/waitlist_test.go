@@ -80,7 +80,7 @@ func newShimRig(host string) (*sim.Engine, *Guard) {
 // acceptedAt reports the tick waitLine's open accelerator transaction was
 // accepted at, and its kind (ok=false when none is open).
 func acceptedAt(g *Guard) (at sim.Time, kind coherence.MsgType, ok bool) {
-	t, ok := g.shard(waitLine).txns[waitLine]
+	t, ok := g.txns[waitLine]
 	if !ok {
 		return 0, 0, false
 	}
@@ -177,8 +177,8 @@ func TestWakeEdges(t *testing.T) {
 					t.Fatalf("recall resolved at tick %d (viaPut=%v), want tick %d by the parked Put",
 						resolvedAt, resolvedViaPut, closeAt)
 				}
-				if r.g.openRecalls() != 0 || r.g.openTxns() != 0 {
-					t.Fatalf("%d recalls, %d transactions left open", r.g.openRecalls(), r.g.openTxns())
+				if len(r.g.hosts) != 0 || len(r.g.txns) != 0 {
+					t.Fatalf("%d recalls, %d transactions left open", len(r.g.hosts), len(r.g.txns))
 				}
 			},
 		},
@@ -239,10 +239,8 @@ func TestWakeEdges(t *testing.T) {
 				t.Fatalf("after the closing tick: %d parked, Parked=%d Woken=%d",
 					r.g.ParkedNow(), r.g.Parked, r.g.Woken)
 			}
-			for i := range r.g.shards {
-				if n := len(r.g.shards[i].parked); n != 0 {
-					t.Fatalf("shard %d wait list still has %d lines", i, n)
-				}
+			if n := len(r.g.parked); n != 0 {
+				t.Fatalf("wait list still has %d lines", n)
 			}
 		})
 	}
@@ -286,7 +284,7 @@ func TestWakeEdges(t *testing.T) {
 			}
 			if c.reply.Type == coherence.HMemData || c.reply.Type == coherence.MDataS {
 				// granted needs a transaction to close; see the case comment.
-				g.shard(waitLine).txns[waitLine] = &accelTxn{kind: coherence.AGetM}
+				g.txns[waitLine] = &accelTxn{kind: coherence.AGetM}
 			}
 			eng.Schedule(closeAt, func() { g.Recv(c.reply) })
 			eng.RunUntil(closeAt - 1)

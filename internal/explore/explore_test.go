@@ -66,8 +66,7 @@ func TestRaceSweepsBaselines(t *testing.T) {
 
 // TestMultiAccelRaceSweeps is the dedicated two-accelerator
 // ownership-migration sweep: every multi-device scenario, every guard
-// organization, every host, across the offset grid — with the guards'
-// state sharded to prove sharding changes nothing under migration.
+// organization, every host, across the offset grid.
 func TestMultiAccelRaceSweeps(t *testing.T) {
 	maxOff := 30
 	if testing.Short() {
@@ -80,7 +79,7 @@ func TestMultiAccelRaceSweeps(t *testing.T) {
 				host, org, sc := host, org, sc
 				t.Run(fmt.Sprintf("%v/%v/%s", host, org, sc.Name), func(t *testing.T) {
 					spec := config.Spec{Host: host, Org: org, CPUs: 2, AccelCores: 1,
-						Accels: 2, Shards: 4, Seed: 31, Small: true}
+						Accels: 2, Seed: 31, Small: true}
 					res := Sweep(spec, sc, sim.Time(maxOff))
 					if len(res.Failures) > 0 {
 						t.Fatalf("%d/%d points failed; first: %s",

@@ -123,8 +123,8 @@ func TestInvalidMsgTypeClamped(t *testing.T) {
 }
 
 // BenchmarkFabricSend measures the closure-free hot path end to end:
-// one Send plus its engine-scheduled delivery per op. The perf gate in
-// CI (cmd/xgbench -check) fails if allocs/op leaves 0.
+// one Send plus its engine-scheduled delivery per op.
+// TestFabricSendAllocFree fails if allocs/op leaves 0.
 func BenchmarkFabricSend(b *testing.B) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng, 1, Config{Latency: 2, Ordered: true})

@@ -3,7 +3,6 @@ package sim_test
 import (
 	"testing"
 
-	"crossingguard/internal/perfbench"
 	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
@@ -54,28 +53,5 @@ func TestScheduleEventAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScheduleEvent allocated %v objects/run, want 0", allocs)
-	}
-}
-
-// BenchmarkEngineSchedule measures the production kernel's per-event
-// cost on the perfbench schedule/drain churn (compare with
-// BenchmarkEngineScheduleRef, the frozen container/heap kernel).
-func BenchmarkEngineSchedule(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if n := perfbench.ScheduleDrain(10_000); n == 0 {
-			b.Fatal("no events executed")
-		}
-	}
-}
-
-// BenchmarkEngineScheduleRef is BenchmarkEngineSchedule on the frozen
-// pre-PR4 kernel (container/heap, interface-boxed events).
-func BenchmarkEngineScheduleRef(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if n := perfbench.RefScheduleDrain(10_000); n == 0 {
-			b.Fatal("no events executed")
-		}
 	}
 }

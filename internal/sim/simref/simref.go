@@ -1,16 +1,9 @@
 // Package simref is a frozen copy of the pre-PR4 simulation kernel: a
 // container/heap priority queue with interface-boxed events. It exists
-// for two purposes only:
-//
-//   - Differential testing: internal/sim drives this engine and the
-//     monomorphic production engine with identical randomized schedules
-//     and asserts identical execution order (including same-tick FIFO
-//     ties), so the heap rewrite can never silently change determinism.
-//
-//   - Benchmarking: cmd/xgbench and BenchmarkStressHotPathRef measure
-//     the old kernel's per-event cost (two interface boxings per event,
-//     a delivery closure per message) next to the new kernel's, keeping
-//     the repo's perf trajectory honest.
+// for differential testing only: internal/sim drives this engine and the
+// monomorphic production engine with identical randomized schedules and
+// asserts identical execution order (including same-tick FIFO ties), so
+// the heap rewrite can never silently change determinism.
 //
 // Production code must not import this package; it intentionally keeps
 // the old kernel's costs (and its popped-slot retention bug) unfixed.

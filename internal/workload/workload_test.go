@@ -167,7 +167,7 @@ func TestMultiAccelKernels(t *testing.T) {
 				host, org, kind := host, org, kind
 				t.Run(fmt.Sprintf("%v/%v/%v", host, org, kind), func(t *testing.T) {
 					sys := config.Build(config.Spec{Host: host, Org: org, CPUs: 2,
-						AccelCores: 1, Accels: 2, Shards: 4, Seed: 5})
+						AccelCores: 1, Accels: 2, Seed: 5})
 					res, err := Run(sys, smallWL(kind))
 					if err != nil {
 						t.Fatal(err)
