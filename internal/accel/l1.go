@@ -64,29 +64,44 @@ func NewL1Cache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	return c
 }
 
+// l1Table is the Table 1 cache's coverage vocabulary: states by AState,
+// events the local three plus the interface's five messages to the cache.
+var l1Table = coherence.NewTable(aStateNames[:], localEvents,
+	coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv)
+
+// table1 is paper Table 1: for each state, the events whose cell is not
+// "impossible".
+var table1 = []struct {
+	st  AState
+	evs []int
+}{
+	{AM, []int{evLoad, evStore, evReplacement, l1Table.Event(coherence.AInv)}},
+	{AE, []int{evLoad, evStore, evReplacement, l1Table.Event(coherence.AInv)}},
+	{AS, []int{evLoad, evStore, evReplacement, l1Table.Event(coherence.AInv)}},
+	{AI, []int{evLoad, evStore, l1Table.Event(coherence.AInv)}},
+	{AB, []int{evLoad, evStore, evReplacement, l1Table.Event(coherence.AInv),
+		l1Table.Event(coherence.ADataM), l1Table.Event(coherence.ADataE),
+		l1Table.Event(coherence.ADataS), l1Table.Event(coherence.AWBAck)}},
+}
+
 // NewTable1Coverage declares exactly the transitions of paper Table 1.
 func NewTable1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel.L1")
-	for _, p := range Table1Pairs() {
-		cov.Declare(p[0], p[1])
+	cov := coherence.NewCoverage("accel.L1", l1Table)
+	for _, row := range table1 {
+		cov.Declare(int(row.st), row.evs...)
 	}
 	return cov
 }
 
 // Table1Pairs returns the (state, event) pairs paper Table 1 defines
-// (every cell that is not "impossible").
+// (every cell that is not "impossible"), by name.
 func Table1Pairs() [][2]string {
 	var pairs [][2]string
-	add := func(s string, evs ...string) {
-		for _, e := range evs {
-			pairs = append(pairs, [2]string{s, e})
+	for _, row := range table1 {
+		for _, ev := range row.evs {
+			pairs = append(pairs, [2]string{row.st.String(), l1Table.Events()[ev]})
 		}
 	}
-	add("M", evLoad, evStore, evReplacement, "A:Inv")
-	add("E", evLoad, evStore, evReplacement, "A:Inv")
-	add("S", evLoad, evStore, evReplacement, "A:Inv")
-	add("I", evLoad, evStore, "A:Inv")
-	add("B", evLoad, evStore, evReplacement, "A:Inv", "A:DataM", "A:DataE", "A:DataS", "A:WBAck")
 	return pairs
 }
 
@@ -168,19 +183,19 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
 		// Table 1: B stalls loads, stores, and replacements.
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(AB), opEv(m))
 		c.waitingOps[line] = append(c.waitingOps[line], m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == AB {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(AB), opEv(m))
 		c.waitingOps[line] = append(c.waitingOps[line], m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		c.Cov.Record("I", opEv(m))
+		c.Cov.Record(int(AI), opEv(m))
 		e = c.allocate(m)
 		if e == nil {
 			return
@@ -197,7 +212,7 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	c.Cov.Record(st.String(), opEv(m))
+	c.Cov.Record(int(st), opEv(m))
 	switch {
 	case !isStore: // Load hit in M/E/S.
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -235,7 +250,7 @@ func (c *L1Cache) allocate(m *coherence.Msg) *cacheset.Entry[aLine] {
 // evict issues the replacement row of Table 1: PutM from M, PutE from E,
 // PutS from S — Put data rides along (no multi-phase commit).
 func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), evReplacement)
 	var ty coherence.MsgType
 	var data *mem.Block
 	switch v.state {
@@ -272,7 +287,7 @@ func (c *L1Cache) handleData(m *coherence.Msg) {
 	if e == nil || e.V.state != AB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data %v with no pending get", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.Record(int(AB), l1Table.Event(m.Type))
 	st := AS
 	switch m.Type {
 	case coherence.ADataM:
@@ -310,7 +325,7 @@ func (c *L1Cache) handleWBAck(m *coherence.Msg) {
 	if _, ok := c.wb[line]; !ok {
 		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.Record(int(AB), l1Table.Event(m.Type))
 	delete(c.wb, line)
 	c.settled(line)
 }
@@ -322,17 +337,17 @@ func (c *L1Cache) handleInv(m *coherence.Msg) {
 		// B (put outstanding): send InvAck, take no further action;
 		// Crossing Guard resolves the Put/Inv race.
 		_ = wl
-		c.Cov.Record("B", evName(m.Type))
+		c.Cov.Record(int(AB), l1Table.Event(m.Type))
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 		return
 	}
 	e := c.cache.Peek(m.Addr)
 	if e == nil {
-		c.Cov.Record("I", evName(m.Type))
+		c.Cov.Record(int(AI), l1Table.Event(m.Type))
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 		return
 	}
-	c.Cov.Record(e.V.state.String(), evName(m.Type))
+	c.Cov.Record(int(e.V.state), l1Table.Event(m.Type))
 	switch e.V.state {
 	case AM:
 		c.sendToXG(coherence.ADirtyWB, line, e.V.data.Copy(), true)
@@ -398,15 +413,6 @@ func (c *L1Cache) AuditLine(addr mem.Addr) (present bool, st AState, data *mem.B
 	}
 	return true, e.V.state, e.V.data
 }
-
-func opEv(m *coherence.Msg) string {
-	if m.Type == coherence.ReqStore {
-		return evStore
-	}
-	return evLoad
-}
-
-func evName(t coherence.MsgType) string { return t.String() }
 
 // VisitStable reports every stable valid line for invariant checks.
 func (c *L1Cache) VisitStable(fn func(addr mem.Addr, st AState, data *mem.Block)) {

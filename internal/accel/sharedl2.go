@@ -94,14 +94,35 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 	return l
 }
 
+// Shared-L2 coverage states: the host grant level (by AState), the same
+// with a transaction open (+busy), and not-present.
+const (
+	sl2Busy   = len(aStateNames) // + host state
+	sl2NP     = 2 * len(aStateNames)
+	sl2NPBusy = sl2NP + 1
+)
+
+// sharedL2Table is the shared L2's coverage vocabulary. It has no local
+// events: everything it does answers an inner L1 or the guard.
+var sharedL2Table = coherence.NewTable(
+	[]string{"I", "S", "E", "M", "B", "I+busy", "S+busy", "E+busy", "M+busy", "B+busy", "NP", "NP+busy"}, nil,
+	coherence.XGetS, coherence.XGetM, coherence.XPutM, coherence.XPutS, coherence.XInvAck, coherence.XInvWB,
+	coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv, coherence.ANack)
+
 // NewSharedL2Coverage declares reachable (state, event) pairs.
 func NewSharedL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel2L.L2")
-	cov.DeclareAll(
-		[]string{"NP", "I", "S", "E", "M", "I+busy", "S+busy", "E+busy", "M+busy", "NP+busy"},
-		[]string{"X:GetS", "X:GetM", "X:PutM", "X:PutS", "X:InvAck", "X:InvWB",
-			"A:DataS", "A:DataE", "A:DataM", "A:WBAck", "A:Inv"},
-	)
+	cov := coherence.NewCoverage("accel2L.L2", sharedL2Table)
+	var states, events []int
+	for _, st := range []AState{AI, AS, AE, AM} {
+		states = append(states, int(st), sl2Busy+int(st))
+	}
+	states = append(states, sl2NP, sl2NPBusy)
+	for _, m := range []coherence.MsgType{
+		coherence.XGetS, coherence.XGetM, coherence.XPutM, coherence.XPutS, coherence.XInvAck, coherence.XInvWB,
+		coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv} {
+		events = append(events, sharedL2Table.Event(m))
+	}
+	cov.DeclareAll(states, events)
 	return cov
 }
 
@@ -111,18 +132,15 @@ func (l *SharedL2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *SharedL2) Name() string { return l.name }
 
-// busyStateNames are the "+busy" coverage names by host state; stateName
-// runs on every message, so it must not build a string.
-var busyStateNames = [...]string{AI: "I+busy", AS: "S+busy", AE: "E+busy", AM: "M+busy", AB: "B+busy"}
-
-func (l *SharedL2) stateName(e *cacheset.Entry[sl2Line]) string {
+// covState is the line's coverage state.
+func (l *SharedL2) covState(e *cacheset.Entry[sl2Line]) int {
 	if e == nil {
-		return "NP"
+		return sl2NP
 	}
 	if e.V.txn != nil {
-		return busyStateNames[e.V.host]
+		return sl2Busy + int(e.V.host)
 	}
-	return e.V.host.String()
+	return int(e.V.host)
 }
 
 // Recv implements coherence.Controller.
@@ -134,7 +152,7 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 		return
 	}
 	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.stateName(e), evName(m.Type))
+	l.Cov.Record(l.covState(e), sharedL2Table.Event(m.Type))
 	switch m.Type {
 	case coherence.XGetS, coherence.XGetM:
 		l.handleGet(m)

@@ -17,7 +17,10 @@
 // requests and seven responses with six transient states.
 package accel
 
-import "crossingguard/internal/sim"
+import (
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/sim"
+)
 
 // AState is the accelerator L1 line state — MESI plus the single
 // transient B (Busy), exactly as in paper Table 1.
@@ -84,11 +87,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// Controller-local coverage events: the first three events of every
+// accelerator class's table (localEvents); message events follow.
 const (
-	evLoad        = "Load"
-	evStore       = "Store"
-	evReplacement = "Replacement"
+	evLoad = iota
+	evStore
+	evReplacement
 )
+
+var localEvents = []string{evLoad: "Load", evStore: "Store", evReplacement: "Replacement"}
+
+// opEv is the coverage event of a core request.
+func opEv(m *coherence.Msg) int {
+	if m.Type == coherence.ReqStore {
+		return evStore
+	}
+	return evLoad
+}
 
 // StateInventory reports the Table 1 cache's stable and transient state
 // names, for the protocol-complexity comparison (experiment E2).

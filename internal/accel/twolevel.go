@@ -31,8 +31,10 @@ const (
 	NB                   // Busy: a request is outstanding to the shared L2
 )
 
+var innerStateNames = [...]string{NI: "I", NS: "S", NM: "M", NB: "B"}
+
 // String returns the one-letter inner-protocol state name.
-func (s InnerState) String() string { return [...]string{"I", "S", "M", "B"}[s] }
+func (s InnerState) String() string { return innerStateNames[s] }
 
 type innerLine struct {
 	state InnerState
@@ -78,11 +80,17 @@ func NewInnerL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	return c
 }
 
+// innerTable is the inner L1's coverage vocabulary: states by InnerState,
+// events the local three plus the shared L2's messages to an inner L1.
+var innerTable = coherence.NewTable(innerStateNames[:], localEvents,
+	coherence.XDataS, coherence.XDataM, coherence.XInv, coherence.XWBAck)
+
 // NewInnerL1Coverage declares reachable (state, event) pairs.
 func NewInnerL1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel2L.L1")
-	cov.DeclareAll([]string{"I", "S", "M", "B"},
-		[]string{evLoad, evStore, evReplacement, "X:Inv", "X:DataS", "X:DataM", "X:WBAck"})
+	cov := coherence.NewCoverage("accel2L.L1", innerTable)
+	cov.DeclareAll([]int{int(NI), int(NS), int(NM), int(NB)},
+		[]int{evLoad, evStore, evReplacement, innerTable.Event(coherence.XInv),
+			innerTable.Event(coherence.XDataS), innerTable.Event(coherence.XDataM), innerTable.Event(coherence.XWBAck)})
 	return cov
 }
 
@@ -141,19 +149,19 @@ func (c *InnerL1) send(m *coherence.Msg) {
 func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(NB), opEv(m))
 		c.waitingOps[line] = append(c.waitingOps[line], m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
-		c.Cov.Record("B", opEv(m))
+		c.Cov.Record(int(NB), opEv(m))
 		c.waitingOps[line] = append(c.waitingOps[line], m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		c.Cov.Record("I", opEv(m))
+		c.Cov.Record(int(NI), opEv(m))
 		var victim *cacheset.Entry[innerLine]
 		var ok bool
 		e, victim, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
@@ -174,7 +182,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
-	c.Cov.Record(e.V.state.String(), opEv(m))
+	c.Cov.Record(int(e.V.state), opEv(m))
 	switch {
 	case !isStore:
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -189,7 +197,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 }
 
 func (c *InnerL1) evict(addr mem.Addr, v *innerLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), evReplacement)
 	switch v.state {
 	case NM:
 		c.wb[addr] = &innerLine{state: NB, data: v.data}
@@ -216,7 +224,7 @@ func (c *InnerL1) handleData(m *coherence.Msg) {
 	if e == nil || e.V.state != NB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.name, m))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.Record(int(NB), innerTable.Event(m.Type))
 	op := e.V.op
 	e.V.op = nil
 	e.V.data = m.Data.Copy()
@@ -242,7 +250,7 @@ func (c *InnerL1) handleWBAck(m *coherence.Msg) {
 	if _, ok := c.wb[line]; !ok {
 		panic(fmt.Sprintf("%s: WBAck with no writeback", c.name))
 	}
-	c.Cov.Record("B", evName(m.Type))
+	c.Cov.Record(int(NB), innerTable.Event(m.Type))
 	delete(c.wb, line)
 	c.settled(line)
 }
@@ -252,7 +260,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 	if _, busy := c.wb[line]; busy {
 		// Our PutM crossed the L2's Inv; the L2 absorbs the Put as the
 		// response and ignores this ack.
-		c.Cov.Record("B", evName(m.Type))
+		c.Cov.Record(int(NB), innerTable.Event(m.Type))
 		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
 		return
 	}
@@ -261,7 +269,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 	if e != nil {
 		st = e.V.state
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.Record(int(st), innerTable.Event(m.Type))
 	switch st {
 	case NM:
 		c.send(&coherence.Msg{Type: coherence.XInvWB, Addr: line, Src: c.id, Dst: c.l2,

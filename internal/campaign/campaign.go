@@ -373,7 +373,7 @@ func mergeCoverage(dst, src map[string]*coherence.Coverage) {
 		if into, ok := dst[name]; ok {
 			into.Merge(c)
 		} else {
-			fresh := coherence.NewCoverage(name)
+			fresh := coherence.NewCoverage(name, nil)
 			fresh.Merge(c)
 			dst[name] = fresh
 		}

@@ -86,15 +86,56 @@ func TestMsgString(t *testing.T) {
 	}
 }
 
+// testTable is a small class vocabulary for the coverage tests: states
+// and local events by the constants below, then two message events.
+var testTable = NewTable(
+	[]string{tI: "I", tS: "S", tE: "E", tM: "M", tO: "O", tSBusy: "S+busy"},
+	[]string{tLoad: "Load", tStore: "Store", tInv: "Inv", tRepl: "Repl"},
+	HFwdGetS, HNack)
+
+const (
+	tI = iota
+	tS
+	tE
+	tM
+	tO
+	tSBusy
+)
+
+const (
+	tLoad = iota
+	tStore
+	tInv
+	tRepl
+)
+
+func TestTableEvents(t *testing.T) {
+	if got, want := testTable.Events(), []string{"Load", "Store", "Inv", "Repl", "H:FwdGetS", "H:Nack"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Events = %v, want %v", got, want)
+	}
+	if got := testTable.Event(HNack); got != 5 {
+		t.Errorf("Event(H:Nack) = %d, want 5", got)
+	}
+	if got := testTable.Event(MGetS); got != -1 {
+		t.Errorf("Event(M:GetS) = %d, want -1: the table has no such event", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Record of an event outside the table did not panic")
+		}
+	}()
+	NewCoverage("L1", testTable).Record(tI, testTable.Event(MGetS))
+}
+
 func TestCoverageDeclareRecord(t *testing.T) {
-	c := NewCoverage("L1")
-	c.DeclareAll([]string{"I", "S"}, []string{"Load", "Inv"})
+	c := NewCoverage("L1", testTable)
+	c.DeclareAll([]int{tI, tS}, []int{tLoad, tInv})
 	if c.Possible() != 4 {
 		t.Fatalf("Possible = %d", c.Possible())
 	}
-	c.Record("I", "Load")
-	c.Record("I", "Load")
-	c.Record("S", "Inv")
+	c.Record(tI, tLoad)
+	c.Record(tI, tLoad)
+	c.Record(tS, tInv)
 	if c.Visited() != 2 || c.Visits() != 3 {
 		t.Fatalf("Visited=%d Visits=%d", c.Visited(), c.Visits())
 	}
@@ -105,61 +146,73 @@ func TestCoverageDeclareRecord(t *testing.T) {
 	if len(c.Unexpected) != 0 {
 		t.Fatalf("Unexpected = %v", c.Unexpected)
 	}
-	c.Record("M", "Load") // undeclared
+	c.Record(tM, tLoad) // undeclared
 	if len(c.Unexpected) != 1 || c.Unexpected[0] != "M/Load" {
 		t.Fatalf("Unexpected = %v", c.Unexpected)
 	}
 }
 
 func TestCoverageMerge(t *testing.T) {
-	a := NewCoverage("L1")
-	a.Declare("I", "Load")
-	a.Record("I", "Load")
-	b := NewCoverage("L1")
-	b.Record("I", "Load")
-	b.Record("S", "Inv")
+	a := NewCoverage("L1", testTable)
+	a.Declare(tI, tLoad)
+	a.Record(tI, tLoad)
+	b := NewCoverage("L1", testTable)
+	b.Record(tI, tLoad)
+	b.Record(tS, tInv)
 	a.Merge(b)
 	if a.Visits() != 3 || a.Visited() != 2 {
 		t.Fatalf("after merge: Visits=%d Visited=%d", a.Visits(), a.Visited())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("merging a coverage of another table did not panic")
+		}
+	}()
+	a.Merge(NewCoverage("L2", NewTable([]string{"NP"}, nil, MGetS)))
 }
 
 func TestCoverageSummaryNoDeclared(t *testing.T) {
-	c := NewCoverage("x")
-	c.Record("I", "Load")
+	c := NewCoverage("x", testTable)
+	c.Record(tI, tLoad)
 	if !strings.Contains(c.Summary(), "1 pairs visited") {
 		t.Errorf("Summary = %q", c.Summary())
 	}
 }
 
-// The coverage maps are keyed by (state, event) structs; every string a
-// report or an aggregator sees keeps the "state/event" form.
+// Coverage counts by (state, event) index; every string a report or an
+// aggregator sees keeps the "state/event" form, and a bare coverage takes
+// the table and the declarations of what is merged into it.
 func TestCoverageRenderedStrings(t *testing.T) {
-	a := NewCoverage("L1")
-	a.DeclareAll([]string{"I", "S+busy"}, []string{"Load", "H:FwdGetS"})
-	a.Record("I", "Load")
-	a.Record("S+busy", "H:FwdGetS")
-	a.Record("S+busy", "H:FwdGetS")
-	a.Record("M", "H:Nack") // undeclared
-	b := NewCoverage("L1")
-	b.Declare("E", "Store")
-	b.Record("I", "Load") // undeclared in b: b declares only E/Store
-	b.Record("O", "Repl")
+	a := NewCoverage("L1", testTable)
+	a.DeclareAll([]int{tI, tSBusy}, []int{tLoad, testTable.Event(HFwdGetS)})
+	a.Record(tI, tLoad)
+	a.Record(tSBusy, testTable.Event(HFwdGetS))
+	a.Record(tSBusy, testTable.Event(HFwdGetS))
+	a.Record(tM, testTable.Event(HNack)) // undeclared
+	b := NewCoverage("L1", testTable)
+	b.Declare(tE, tStore)
+	b.Record(tI, tLoad) // undeclared in b: b declares only E/Store
+	b.Record(tO, tRepl)
+	bare := NewCoverage("L1", nil)
+	bare.Merge(a)
+	bare.Merge(b)
 	a.Merge(b)
 
-	if got, want := a.Snapshot(), map[string]uint64{
-		"I/Load": 2, "S+busy/H:FwdGetS": 2, "M/H:Nack": 1, "O/Repl": 1,
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Snapshot = %v, want %v", got, want)
-	}
-	if got, want := a.Missing(), []string{"E/Store", "I/H:FwdGetS", "S+busy/Load"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Missing = %v, want %v", got, want)
-	}
-	if got, want := a.Unexpected, []string{"M/H:Nack", "I/Load", "O/Repl"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Unexpected = %v, want %v", got, want)
-	}
-	if got, want := a.Summary(), "L1                4/5    pairs ( 80.0%), 6 visits, 3 unexpected"; got != want {
-		t.Errorf("Summary = %q, want %q", got, want)
+	for name, c := range map[string]*Coverage{"merged": a, "bare": bare} {
+		if got, want := c.Snapshot(), map[string]uint64{
+			"I/Load": 2, "S+busy/H:FwdGetS": 2, "M/H:Nack": 1, "O/Repl": 1,
+		}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Snapshot = %v, want %v", name, got, want)
+		}
+		if got, want := c.Missing(), []string{"E/Store", "I/H:FwdGetS", "S+busy/Load"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Missing = %v, want %v", name, got, want)
+		}
+		if got, want := c.Unexpected, []string{"M/H:Nack", "I/Load", "O/Repl"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Unexpected = %v, want %v", name, got, want)
+		}
+		if got, want := c.Summary(), "L1                4/5    pairs ( 80.0%), 6 visits, 3 unexpected"; got != want {
+			t.Errorf("%s: Summary = %q, want %q", name, got, want)
+		}
 	}
 }
 
@@ -170,14 +223,13 @@ func TestCoverageRecordAllocFree(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, hooked := range []bool{false, true} {
-		c := NewCoverage("L1")
-		c.DeclareAll([]string{"I", "S"}, []string{"Load", "Inv"})
+		c := NewCoverage("L1", testTable)
+		c.DeclareAll([]int{tI, tS}, []int{tLoad, tInv})
 		seen := 0
 		if hooked {
-			c.OnRecord = func(state, event string) { seen++ }
+			c.OnRecord = func(state, event int) { seen++ }
 		}
-		c.Record("S", "Inv") // first visit inserts the key
-		if n := testing.AllocsPerRun(1000, func() { c.Record("S", "Inv") }); n != 0 {
+		if n := testing.AllocsPerRun(1000, func() { c.Record(tS, tInv) }); n != 0 {
 			t.Errorf("Record (OnRecord hooked=%v): %v allocs/op, want 0", hooked, n)
 		}
 		if hooked && seen == 0 {

@@ -5,6 +5,46 @@ import (
 	"sort"
 )
 
+// Table is the coverage vocabulary of one controller class, declared once
+// as a package-level variable of the controller's package: the names of
+// its states and of its events. A state or event is thereafter the index
+// of its name, so recording a transition is integer arithmetic; names are
+// rendered only where a report is built. A Table is immutable and shared
+// by every Coverage of the class.
+type Table struct {
+	states, events []string
+	// col maps a message type to its event index, -1 where the class
+	// has no such event.
+	col [NumMsgTypes]int8
+}
+
+// NewTable declares a class vocabulary. Events 0..len(local)-1 are the
+// controller-local events (Load, Store, Replacement) in the order given;
+// the message types follow in order, named by MsgType.String. msgs lists
+// every type the class's protocol can address to it, not only those it
+// expects: an undeclared pair must still have a cell to be reported in.
+func NewTable(states, local []string, msgs ...MsgType) *Table {
+	t := &Table{states: states, events: append([]string(nil), local...)}
+	for i := range t.col {
+		t.col[i] = -1
+	}
+	for _, m := range msgs {
+		t.col[m] = int8(len(t.events))
+		t.events = append(t.events, m.String())
+	}
+	return t
+}
+
+// States returns the state names, indexed by state.
+func (t *Table) States() []string { return t.states }
+
+// Events returns the event names, indexed by event.
+func (t *Table) Events() []string { return t.events }
+
+// Event returns the event index of message type m, or -1 (which Record
+// rejects) when the class has no such event.
+func (t *Table) Event(m MsgType) int { return int(t.col[m]) }
+
 // Coverage records which (state, event) pairs a controller has exercised,
 // reproducing the coverage accounting of the paper's stress test (§4.1):
 // "we counted the state/event pairs that the random tester visited at each
@@ -12,55 +52,82 @@ import (
 // possible". Controllers Declare their reachable pairs up front; Record
 // marks a visit; visiting an undeclared pair is a protocol bug surfaced
 // via the Unexpected list.
+//
+// Visit counts and declarations are dense arrays over the class Table's
+// states x events, so Record is an increment and a flag test.
 type Coverage struct {
 	name     string
-	declared map[pair]bool
-	visited  map[pair]uint64
+	tab      *Table
+	nev      int      // len(tab.events): the row stride
+	visits   []uint64 // [state*nev+event]
+	declared []bool   // same indexing
+	possible int      // declared pairs
 	// Unexpected lists visited pairs that were never declared possible,
-	// rendered "state/event".
+	// rendered "state/event", one entry per visit.
 	Unexpected []string
 	// OnRecord, when non-nil, observes every Record call. The obs layer
 	// hooks per-state transition counters here (obs.StateRecorder)
 	// without this package importing it.
-	OnRecord func(state, event string)
+	OnRecord func(state, event int)
 }
 
-// NewCoverage returns an empty recorder for the named controller class.
-func NewCoverage(name string) *Coverage {
-	return &Coverage{
-		name:     name,
-		declared: make(map[pair]bool),
-		visited:  make(map[pair]uint64),
+// NewCoverage returns an empty recorder for the named controller class
+// over its vocabulary t. A nil t makes a bare coverage, which can only
+// be merged into: it takes the vocabulary of the first coverage merged.
+func NewCoverage(name string, t *Table) *Coverage {
+	c := &Coverage{name: name}
+	if t != nil {
+		c.adopt(t)
 	}
+	return c
 }
 
-// pair keys the coverage maps. Record runs on every protocol transition,
-// so the key is the two strings as passed (controllers pass constants):
-// hashing them allocates nothing, and the "state/event" form is rendered
-// only where a report is built.
-type pair struct{ state, event string }
+func (c *Coverage) adopt(t *Table) {
+	c.tab, c.nev = t, len(t.events)
+	cells := len(t.states) * c.nev
+	c.visits = make([]uint64, cells)
+	c.declared = make([]bool, cells)
+}
 
-func (p pair) String() string { return p.state + "/" + p.event }
+// cell returns the array index of (state, event). An event outside the
+// table would otherwise alias a cell of the next state's row.
+func (c *Coverage) cell(state, event int) int {
+	if uint(event) >= uint(c.nev) {
+		panic(fmt.Sprintf("coherence: %s coverage has no event %d", c.name, event))
+	}
+	return state*c.nev + event
+}
 
-// Declare marks (state, event) as a possible transition.
-func (c *Coverage) Declare(state, event string) { c.declared[pair{state, event}] = true }
+// pairName renders cell i as "state/event".
+func (c *Coverage) pairName(i int) string {
+	return c.tab.states[i/c.nev] + "/" + c.tab.events[i%c.nev]
+}
 
-// DeclareAll declares the cross product states x events.
-func (c *Coverage) DeclareAll(states, events []string) {
-	for _, s := range states {
-		for _, e := range events {
-			c.Declare(s, e)
+// Declare marks (state, event) for each given event as a possible
+// transition.
+func (c *Coverage) Declare(state int, events ...int) {
+	for _, ev := range events {
+		if i := c.cell(state, ev); !c.declared[i] {
+			c.declared[i] = true
+			c.possible++
 		}
 	}
 }
 
-// Record notes a visit to (state, event).
-func (c *Coverage) Record(state, event string) {
-	k := pair{state, event}
-	if len(c.declared) > 0 && !c.declared[k] {
-		c.Unexpected = append(c.Unexpected, k.String())
+// DeclareAll declares the cross product states x events.
+func (c *Coverage) DeclareAll(states, events []int) {
+	for _, s := range states {
+		c.Declare(s, events...)
 	}
-	c.visited[k]++
+}
+
+// Record notes a visit to (state, event).
+func (c *Coverage) Record(state, event int) {
+	i := c.cell(state, event)
+	if c.possible > 0 && !c.declared[i] {
+		c.Unexpected = append(c.Unexpected, c.pairName(i))
+	}
+	c.visits[i]++
 	if c.OnRecord != nil {
 		c.OnRecord(state, event)
 	}
@@ -69,16 +136,27 @@ func (c *Coverage) Record(state, event string) {
 // Name returns the controller class name.
 func (c *Coverage) Name() string { return c.name }
 
+// States returns the class's state names, indexed by state.
+func (c *Coverage) States() []string { return c.tab.states }
+
 // Possible returns the number of declared pairs.
-func (c *Coverage) Possible() int { return len(c.declared) }
+func (c *Coverage) Possible() int { return c.possible }
 
 // Visited returns the number of distinct pairs seen.
-func (c *Coverage) Visited() int { return len(c.visited) }
+func (c *Coverage) Visited() int {
+	n := 0
+	for _, v := range c.visits {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Visits returns the total transition count.
 func (c *Coverage) Visits() uint64 {
 	var n uint64
-	for _, v := range c.visited {
+	for _, v := range c.visits {
 		n += v
 	}
 	return n
@@ -87,9 +165,9 @@ func (c *Coverage) Visits() uint64 {
 // Missing returns declared pairs never visited, sorted.
 func (c *Coverage) Missing() []string {
 	var out []string
-	for k := range c.declared {
-		if c.visited[k] == 0 {
-			out = append(out, k.String())
+	for i, d := range c.declared {
+		if d && c.visits[i] == 0 {
+			out = append(out, c.pairName(i))
 		}
 	}
 	sort.Strings(out)
@@ -97,28 +175,42 @@ func (c *Coverage) Missing() []string {
 }
 
 // Merge folds other's visit counts into c (same controller class running
-// as multiple instances, or across runs or campaign shards). Declared
-// pairs are unioned, so merging into a bare NewCoverage preserves the
-// class's declaration table. Visit counts add and declared/visited sets
-// union, making Merge commutative and associative up to the order of the
+// as multiple instances, or across runs or campaign shards); merging
+// coverages of different vocabularies panics. Declared pairs are
+// unioned, so merging into a bare NewCoverage preserves the class's
+// declaration table. Visit counts add and declared/visited sets union,
+// making Merge commutative and associative up to the order of the
 // Unexpected list — aggregators that need byte-identical reports (the
 // campaign runner) must merge in a deterministic shard order.
 func (c *Coverage) Merge(other *Coverage) {
-	for k := range other.declared {
-		c.declared[k] = true
-	}
-	for k, v := range other.visited {
-		c.visited[k] += v
-	}
 	c.Unexpected = append(c.Unexpected, other.Unexpected...)
+	if other.tab == nil {
+		return
+	}
+	if c.tab == nil {
+		c.adopt(other.tab)
+	} else if c.tab != other.tab {
+		panic(fmt.Sprintf("coherence: merging %s coverage into %s: different tables", other.name, c.name))
+	}
+	for i, d := range other.declared {
+		if d && !c.declared[i] {
+			c.declared[i] = true
+			c.possible++
+		}
+	}
+	for i, v := range other.visits {
+		c.visits[i] += v
+	}
 }
 
 // Snapshot returns a copy of the visit counts keyed by "state/event",
 // the canonical form used by aggregation tests to compare merge results.
 func (c *Coverage) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.visited))
-	for k, v := range c.visited {
-		out[k.String()] += v
+	out := make(map[string]uint64)
+	for i, v := range c.visits {
+		if v != 0 {
+			out[c.pairName(i)] = v
+		}
 	}
 	return out
 }

@@ -13,31 +13,35 @@ import (
 // pairs its controller declared, how often each was visited, and which
 // undeclared pairs slipped through. It implements quick.Generator so
 // testing/quick can drive the merge properties over random coverages.
+// Pairs are indices into pairUniverse.
 type covSpec struct {
-	Declared   []string
-	Visits     map[string]uint64
+	Declared   []int
+	Visits     map[int]uint64
 	Unexpected []string
 }
 
-// pairUniverse is the pool of (state, event) keys specs draw from; a
-// small universe maximizes overlap between generated coverages, which is
-// where merge bugs live.
-var pairUniverse = []string{
-	"I/Load", "I/Store", "S/Load", "S/Store", "S/Inv",
-	"E/Load", "E/Store", "M/Inv", "M/Repl", "B/DataS",
-}
+// quickTable is the vocabulary the specs share, and pairUniverse the pool
+// of (state, event) pairs they draw from; a small universe maximizes
+// overlap between generated coverages, which is where merge bugs live.
+var (
+	quickTable   = NewTable([]string{"I", "S", "E", "M", "B"}, []string{"Load", "Store", "Inv", "Repl", "DataS"})
+	pairUniverse = [][2]int{
+		{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}, // I/Load I/Store S/Load S/Store S/Inv
+		{2, 0}, {2, 1}, {3, 2}, {3, 3}, {4, 4}, // E/Load E/Store M/Inv M/Repl B/DataS
+	}
+)
 
 // Generate implements quick.Generator.
 func (covSpec) Generate(r *rand.Rand, size int) reflect.Value {
-	s := covSpec{Visits: map[string]uint64{}}
-	for _, p := range pairUniverse {
+	s := covSpec{Visits: map[int]uint64{}}
+	for p := range pairUniverse {
 		if r.Intn(2) == 0 {
 			s.Declared = append(s.Declared, p)
 		}
 	}
 	n := r.Intn(size%len(pairUniverse) + 1)
 	for i := 0; i < n; i++ {
-		s.Visits[pairUniverse[r.Intn(len(pairUniverse))]] += uint64(r.Intn(5) + 1)
+		s.Visits[r.Intn(len(pairUniverse))] += uint64(r.Intn(5) + 1)
 	}
 	for i := r.Intn(3); i > 0; i-- {
 		s.Unexpected = append(s.Unexpected, fmt.Sprintf("X%d/Ev", r.Intn(4)))
@@ -47,30 +51,19 @@ func (covSpec) Generate(r *rand.Rand, size int) reflect.Value {
 
 // build materializes the spec as a real Coverage.
 func (s covSpec) build() *Coverage {
-	c := NewCoverage("quick")
+	c := NewCoverage("quick", quickTable)
 	for _, p := range s.Declared {
-		state, event := splitPair(p)
-		c.Declare(state, event)
+		c.Declare(pairUniverse[p][0], pairUniverse[p][1])
 	}
 	for p, n := range s.Visits {
-		state, event := splitPair(p)
 		for i := uint64(0); i < n; i++ {
-			c.Record(state, event)
+			c.Record(pairUniverse[p][0], pairUniverse[p][1])
 		}
 	}
 	// Unexpected entries are injected directly: they model visits a
 	// *different* shard's declaration table rejected.
 	c.Unexpected = append(c.Unexpected, s.Unexpected...)
 	return c
-}
-
-func splitPair(p string) (string, string) {
-	for i := 0; i < len(p); i++ {
-		if p[i] == '/' {
-			return p[:i], p[i+1:]
-		}
-	}
-	return p, ""
 }
 
 // fingerprint reduces a Coverage to a canonical comparable form: visit
@@ -86,8 +79,10 @@ type fingerprint struct {
 
 func fp(c *Coverage) fingerprint {
 	f := fingerprint{Visits: c.Snapshot(), Summary: c.Summary()}
-	for k := range c.declared {
-		f.Declared = append(f.Declared, k.String())
+	for i, d := range c.declared {
+		if d {
+			f.Declared = append(f.Declared, c.pairName(i))
+		}
 	}
 	sort.Strings(f.Declared)
 	f.Unexpected = append(f.Unexpected, c.Unexpected...)
@@ -96,7 +91,7 @@ func fp(c *Coverage) fingerprint {
 }
 
 func mergeAll(specs ...covSpec) *Coverage {
-	out := NewCoverage("quick")
+	out := NewCoverage("quick", nil)
 	for _, s := range specs {
 		out.Merge(s.build())
 	}
@@ -119,7 +114,7 @@ func TestMergeAssociative(t *testing.T) {
 		left := mergeAll(a, b)
 		left.Merge(c.build())
 		rightTail := mergeAll(b, c)
-		right := NewCoverage("quick")
+		right := NewCoverage("quick", nil)
 		right.Merge(a.build())
 		right.Merge(rightTail)
 		return reflect.DeepEqual(fp(left), fp(right))
@@ -137,7 +132,7 @@ func TestMergeIdentityAndIdempotence(t *testing.T) {
 	prop := func(a covSpec) bool {
 		c := a.build()
 		before := fp(c)
-		c.Merge(NewCoverage("empty"))
+		c.Merge(NewCoverage("empty", nil))
 		if !reflect.DeepEqual(fp(c), before) {
 			return false
 		}

@@ -502,7 +502,7 @@ func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.hammerCfg(spec.Small, txnMods)
 	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.HDir.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.dir")
+	s.HDir.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.dir", s.HDir.Cov.States())
 	s.outstandingFns = append(s.outstandingFns, s.HDir.Outstanding)
 
 	// Count the caches that will participate in broadcasts (each
@@ -523,7 +523,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	for i := 0; i < spec.CPUs; i++ {
 		c := hammer.NewCache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
 			s.Eng, s.Fab, nodeHost, responses, cfg, s.Log)
-		c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache")
+		c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache", c.Cov.States())
 		s.HCaches = append(s.HCaches, c)
 		s.HDir.AddPeer(c.ID())
 		s.outstandingFns = append(s.outstandingFns, c.Outstanding)
@@ -545,7 +545,7 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 				id := devID(d, nodeAccel, i)
 				c := hammer.NewCache(id, devName(d, fmt.Sprintf("hammer.A[%d]", i)),
 					s.Eng, s.Fab, nodeHost, responses, acfg, s.Log)
-				c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache")
+				c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache", c.Cov.States())
 				s.AccelHCaches = append(s.AccelHCaches, c)
 				s.HDir.AddPeer(c.ID())
 				s.outstandingFns = append(s.outstandingFns, c.Outstanding)
@@ -623,13 +623,13 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.mesiCfg(spec.Small, txnMods)
 	s.ML2 = mesi.NewL2(nodeHost, "mesi.L2", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.ML2.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L2")
+	s.ML2.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L2", s.ML2.Cov.States())
 	s.outstandingFns = append(s.outstandingFns, s.ML2.Outstanding)
 
 	for i := 0; i < spec.CPUs; i++ {
 		l1 := mesi.NewL1(nodeCPU+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i),
 			s.Eng, s.Fab, nodeHost, cfg, s.Log)
-		l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1")
+		l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1", l1.Cov.States())
 		s.ML1s = append(s.ML1s, l1)
 		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
 		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, l1.ID())
@@ -643,7 +643,7 @@ func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
 				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Eng, s.Fab, nodeHost, cfg, s.Log)
-				l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1")
+				l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1", l1.Cov.States())
 				s.AccelMCaches = append(s.AccelMCaches, l1)
 				s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
 				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)

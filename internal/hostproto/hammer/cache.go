@@ -67,30 +67,33 @@ func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 	return c
 }
 
+// cacheTable is the cache's coverage vocabulary: states by CState, events
+// the local three plus every message Recv dispatches on.
+var cacheTable = coherence.NewTable(cStateNames[:], localEvents,
+	coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM,
+	coherence.HData, coherence.HAck, coherence.HMemData, coherence.HWBAck, coherence.HNack)
+
 // NewCacheCoverage declares reachable (state, event) pairs.
 func NewCacheCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.cache")
-	type pe struct{ s, e string }
-	var pairs []pe
-	for _, s := range []string{"I", "S", "E", "O", "M"} {
-		pairs = append(pairs, pe{s, evLoad}, pe{s, evStore})
+	cov := coherence.NewCoverage("hammer.cache", cacheTable)
+	declare := func(states []CState, msgs ...coherence.MsgType) {
+		for _, s := range states {
+			for _, m := range msgs {
+				cov.Declare(int(s), cacheTable.Event(m))
+			}
+		}
 	}
-	for _, s := range []string{"S", "E", "O", "M"} {
-		pairs = append(pairs, pe{s, evReplacement})
+	for s := CI; s <= CM; s++ {
+		cov.Declare(int(s), evLoad, evStore)
 	}
-	for _, s := range []string{"I", "S", "E", "O", "M", "IS", "IM", "SM", "OM", "MI", "OI", "EI", "II"} {
-		pairs = append(pairs, pe{s, "H:FwdGetS"}, pe{s, "H:FwdGetSOnly"}, pe{s, "H:FwdGetM"})
+	for s := CS; s <= CM; s++ {
+		cov.Declare(int(s), evReplacement)
 	}
-	for _, s := range []string{"IS", "IM", "SM", "OM"} {
-		pairs = append(pairs, pe{s, "H:Data"}, pe{s, "H:Ack"}, pe{s, "H:MemData"})
-	}
-	for _, s := range []string{"MI", "OI", "EI"} {
-		pairs = append(pairs, pe{s, "H:WBAck"})
-	}
-	pairs = append(pairs, pe{"II", "H:Nack"}, pe{"II", "H:WBAck"})
-	for _, p := range pairs {
-		cov.Declare(p.s, p.e)
-	}
+	declare([]CState{CI, CS, CE, CO, CM, CIS, CIM, CSM, COM, CMI, COI, CEI, CII},
+		coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM)
+	declare([]CState{CIS, CIM, CSM, COM}, coherence.HData, coherence.HAck, coherence.HMemData)
+	declare([]CState{CMI, COI, CEI}, coherence.HWBAck)
+	declare([]CState{CII}, coherence.HNack, coherence.HWBAck)
 	return cov
 }
 
@@ -150,7 +153,7 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 		ev = evStore
 	}
 	if e == nil {
-		c.Cov.Record("I", ev)
+		c.Cov.Record(int(CI), ev)
 		e = c.allocate(m)
 		if e == nil {
 			return
@@ -163,7 +166,7 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	c.Cov.Record(st.String(), ev)
+	c.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/O/M
 		c.respond(m, e.V.data[m.Addr.Offset()])
@@ -211,7 +214,7 @@ func (c *Cache) allocate(m *coherence.Msg) *cacheset.Entry[cLine] {
 }
 
 func (c *Cache) evict(addr mem.Addr, v *cLine) {
-	c.Cov.Record(v.state.String(), evReplacement)
+	c.Cov.Record(int(v.state), evReplacement)
 	switch v.state {
 	case CS:
 		// Hammer allows silent eviction of shared blocks.
@@ -249,7 +252,7 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 	} else {
 		st = CI
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.Record(int(st), cacheTable.Event(m.Type))
 
 	getM := m.Type == coherence.HFwdGetM
 	if st.owned() {
@@ -306,7 +309,7 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 		c.protocolError(st.String(), m)
 		return
 	}
-	c.Cov.Record(st.String(), evName(m.Type))
+	c.Cov.Record(int(st), cacheTable.Event(m.Type))
 	switch m.Type {
 	case coherence.HData:
 		e.V.dataCount++
@@ -398,7 +401,7 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 		c.protocolError("I", m)
 		return
 	}
-	c.Cov.Record(wl.state.String(), evName(m.Type))
+	c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
 	switch wl.state {
 	case CMI, COI, CEI:
 		c.send(&coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
@@ -421,7 +424,7 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 func (c *Cache) handleNack(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if wl, ok := c.wb[line]; ok {
-		c.Cov.Record(wl.state.String(), evName(m.Type))
+		c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
 		if wl.state == CII {
 			// Normal race resolution: ownership moved while our Put was
 			// queued; the data already went to the new owner.
@@ -445,17 +448,17 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 	}
 	// Paper §3.2.1: host caches must sink unexpected Nacks and raise an
 	// error instead of crashing.
-	st := "I"
+	st := CI
 	if e := c.cache.Peek(m.Addr); e != nil {
-		st = e.V.state.String()
+		st = e.V.state
 	}
-	c.Cov.Record(st, evName(m.Type))
+	c.Cov.Record(int(st), cacheTable.Event(m.Type))
 	if !c.cfg.TxnMods {
 		panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.name, st, line))
 	}
 	c.NacksSunk++
 	c.sink.ReportError(coherence.ProtocolError{Where: c.name,
-		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st})
+		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
 }
 
 // --- wakeups, audit ---

@@ -70,13 +70,33 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	return d
 }
 
+// Directory coverage states: owned or not, with or without a
+// transaction open.
+const (
+	dirUnowned = iota
+	dirOwned
+	dirUnownedBusy
+	dirOwnedBusy
+)
+
+// dirTable is the directory's coverage vocabulary. Recv records before it
+// dispatches, so the events are the whole Hammer vocabulary, not only
+// what caches send a directory.
+var dirTable = coherence.NewTable(
+	[]string{dirUnowned: "Unowned", dirOwned: "Owned", dirUnownedBusy: "Unowned+busy", dirOwnedBusy: "Owned+busy"}, nil,
+	coherence.HGetS, coherence.HGetSOnly, coherence.HGetM, coherence.HPut, coherence.HWBData, coherence.HUnblock,
+	coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM, coherence.HWBAck, coherence.HNack,
+	coherence.HMemData, coherence.HData, coherence.HAck)
+
 // NewDirectoryCoverage declares reachable (state, event) pairs.
 func NewDirectoryCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.dir")
-	cov.DeclareAll(
-		[]string{"Unowned", "Owned", "Unowned+busy", "Owned+busy"},
-		[]string{"H:GetS", "H:GetSOnly", "H:GetM", "H:Put", "H:WBData", "H:Unblock"},
-	)
+	cov := coherence.NewCoverage("hammer.dir", dirTable)
+	var events []int
+	for _, m := range []coherence.MsgType{coherence.HGetS, coherence.HGetSOnly, coherence.HGetM,
+		coherence.HPut, coherence.HWBData, coherence.HUnblock} {
+		events = append(events, dirTable.Event(m))
+	}
+	cov.DeclareAll([]int{dirUnowned, dirOwned, dirUnownedBusy, dirOwnedBusy}, events)
 	return cov
 }
 
@@ -102,20 +122,21 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 	return l
 }
 
-// stateName returns one of four constant names: it runs on every message,
-// so it must not build a string.
-func (d *Directory) stateName(l *dirLine) string {
+// covState is the line's coverage state.
+func (d *Directory) covState(l *dirLine) int {
 	owned, busy := l.owner != coherence.NodeNone, l.txn != nil
 	switch {
 	case owned && busy:
-		return "Owned+busy"
+		return dirOwnedBusy
 	case owned:
-		return "Owned"
+		return dirOwned
 	case busy:
-		return "Unowned+busy"
+		return dirUnownedBusy
 	}
-	return "Unowned"
+	return dirUnowned
 }
+
+func (d *Directory) stateName(l *dirLine) string { return dirTable.States()[d.covState(l)] }
 
 func (d *Directory) protocolError(state string, m *coherence.Msg) {
 	if d.cfg.TxnMods {
@@ -132,7 +153,7 @@ func (d *Directory) protocolError(state string, m *coherence.Msg) {
 func (d *Directory) Recv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	l := d.lineFor(addr)
-	d.Cov.Record(d.stateName(l), evName(m.Type))
+	d.Cov.Record(d.covState(l), dirTable.Event(m.Type))
 	switch m.Type {
 	case coherence.HGetS, coherence.HGetSOnly, coherence.HGetM:
 		if l.txn != nil || (len(d.waiting[addr]) > 0 && m != d.replaying) {

@@ -18,10 +18,7 @@
 //     Nacks, and requestors count responses rather than acks (TxnMods).
 package hammer
 
-import (
-	"crossingguard/internal/coherence"
-	"crossingguard/internal/sim"
-)
+import "crossingguard/internal/sim"
 
 // CState is the per-line state of a private cache.
 type CState int
@@ -90,13 +87,15 @@ func DefaultConfig() Config {
 	return Config{Sets: 128, Ways: 4, HitLat: 1, DirLat: 20, MemLat: 160}
 }
 
+// Controller-local coverage events: the first three events of the
+// cache's table; message events follow.
 const (
-	evLoad        = "Load"
-	evStore       = "Store"
-	evReplacement = "Replacement"
+	evLoad = iota
+	evStore
+	evReplacement
 )
 
-func evName(t coherence.MsgType) string { return t.String() }
+var localEvents = []string{evLoad: "Load", evStore: "Store", evReplacement: "Replacement"}
 
 // StateInventory reports the cache's stable and transient state names,
 // for the protocol-complexity comparison (experiment E2).

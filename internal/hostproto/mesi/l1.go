@@ -60,48 +60,48 @@ func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	return l
 }
 
+// l1Unknown is the coverage state of a message Recv cannot dispatch: no
+// line state applies.
+const l1Unknown = int(L1IIa) + 1
+
+// l1Table is the L1's coverage vocabulary: states by L1State plus "?",
+// events the local three plus the MESI vocabulary.
+var l1Table = coherence.NewTable(append(l1StateNames[:], "?"), localEvents, mesiMsgs...)
+
 // NewL1Coverage declares the (state, event) pairs we believe reachable for
 // an L1, mirroring the paper's coverage accounting (§4.1). Pairs that are
 // declared but never visited are reported, not failed; visiting an
 // undeclared pair is flagged as unexpected.
 func NewL1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L1")
-	type pe struct{ s, e string }
-	pairs := []pe{
-		// CPU events.
-		{"I", evLoad}, {"I", evStore},
-		{"S", evLoad}, {"S", evStore},
-		{"E", evLoad}, {"E", evStore},
-		{"M", evLoad}, {"M", evStore},
-		{"S", evReplacement}, {"E", evReplacement}, {"M", evReplacement},
-		// Data/ack responses.
-		{"IS_D", "M:DataE"}, {"IS_D", "M:DataS"}, {"IS_D", "M:DataOwner"},
-		{"IM_AD", "M:DataAcks"}, {"IM_AD", "M:DataOwner"}, {"IM_AD", "M:InvAck"},
-		{"IM_A", "M:InvAck"}, {"IM_A", "M:DataOwner"},
-		{"SM_AD", "M:DataAcks"}, {"SM_AD", "M:DataOwner"}, {"SM_AD", "M:InvAck"},
-		{"SM_A", "M:InvAck"}, {"SM_A", "M:DataOwner"},
-		{"MI_A", "M:WBAck"}, {"II_A", "M:WBAck"},
-		// Host requests.
-		{"S", "M:Inv"}, {"I", "M:Inv"}, {"IS_D", "M:Inv"},
-		{"IM_AD", "M:Inv"}, {"SM_AD", "M:Inv"},
-		{"M", "M:FwdGetS"}, {"E", "M:FwdGetS"}, {"MI_A", "M:FwdGetS"},
-		{"M", "M:FwdGetM"}, {"E", "M:FwdGetM"}, {"MI_A", "M:FwdGetM"},
-		// An evicting owner can be recorded as a sharer after answering
-		// a Fwd_GetS from MI_A; a later GetM then invalidates it.
-		{"MI_A", "M:Inv"}, {"II_A", "M:Inv"},
-		{"S", "M:InvToL2"}, {"E", "M:InvToL2"}, {"M", "M:InvToL2"},
-		{"I", "M:InvToL2"}, {"MI_A", "M:InvToL2"},
-		{"SM_AD", "M:InvToL2"}, {"IM_AD", "M:InvToL2"},
-		// Defensive: buggy-accelerator responses surfaced by XG
-		// (tolerated only with TxnMods).
-		{"IS_D", "M:InvAck"},
-		// Forwards queued while completing a GetM.
-		{"IM_A", "M:FwdGetS"}, {"IM_A", "M:FwdGetM"},
-		{"SM_A", "M:FwdGetS"}, {"SM_A", "M:FwdGetM"},
+	cov := coherence.NewCoverage("mesi.L1", l1Table)
+	declare := func(m coherence.MsgType, states ...L1State) {
+		for _, s := range states {
+			cov.Declare(int(s), l1Table.Event(m))
+		}
 	}
-	for _, p := range pairs {
-		cov.Declare(p.s, p.e)
+	// CPU events.
+	for s := L1I; s <= L1M; s++ {
+		cov.Declare(int(s), evLoad, evStore)
 	}
+	for s := L1S; s <= L1M; s++ {
+		cov.Declare(int(s), evReplacement)
+	}
+	// Data/ack responses. InvAck in IS_D is defensive: a buggy-accelerator
+	// response surfaced by XG (tolerated only with TxnMods).
+	declare(coherence.MDataE, L1ISd)
+	declare(coherence.MDataS, L1ISd)
+	declare(coherence.MDataAcks, L1IMad, L1SMad)
+	declare(coherence.MDataOwner, L1ISd, L1IMad, L1IMa, L1SMad, L1SMa)
+	declare(coherence.MInvAck, L1IMad, L1IMa, L1SMad, L1SMa, L1ISd)
+	declare(coherence.MWBAck, L1MIa, L1IIa)
+	// Host requests. An evicting owner can be recorded as a sharer after
+	// answering a Fwd_GetS from MI_A; a later GetM then invalidates it
+	// (Inv in MI_A, II_A). Forwards in IM_A/SM_A are queued while
+	// completing a GetM.
+	declare(coherence.MInv, L1S, L1I, L1ISd, L1IMad, L1SMad, L1MIa, L1IIa)
+	declare(coherence.MFwdGetS, L1M, L1E, L1MIa, L1IMa, L1SMa)
+	declare(coherence.MFwdGetM, L1M, L1E, L1MIa, L1IMa, L1SMa)
+	declare(coherence.MInvToL2, L1S, L1E, L1M, L1I, L1MIa, L1SMad, L1IMad)
 	return cov
 }
 
@@ -122,7 +122,7 @@ func (l *L1) Recv(m *coherence.Msg) {
 	case coherence.MInv, coherence.MInvToL2, coherence.MFwdGetS, coherence.MFwdGetM:
 		l.handleHostRequest(m)
 	default:
-		l.unexpected("?", m)
+		l.unexpected(l1Unknown, m)
 	}
 }
 
@@ -141,9 +141,9 @@ func (l *L1) protocolError(state string, m *coherence.Msg) {
 	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.name, m, state))
 }
 
-func (l *L1) unexpected(state string, m *coherence.Msg) {
-	l.Cov.Record(state, evName(m.Type))
-	l.protocolError(state, m)
+func (l *L1) unexpected(state int, m *coherence.Msg) {
+	l.Cov.Record(state, l1Table.Event(m.Type))
+	l.protocolError(l1Table.States()[state], m)
 }
 
 // stateOf returns the line's current view: the in-cache entry, the
@@ -179,7 +179,7 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		ev = evStore
 	}
 	if e == nil {
-		l.Cov.Record("I", ev)
+		l.Cov.Record(int(L1I), ev)
 		e = l.allocate(m)
 		if e == nil {
 			return // stalled; will be replayed
@@ -197,7 +197,7 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		return
 	}
 	st := e.V.state
-	l.Cov.Record(st.String(), ev)
+	l.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/M
 		l.respond(m, e.V.data[m.Addr.Offset()])
@@ -237,7 +237,7 @@ func (l *L1) allocate(m *coherence.Msg) *cacheset.Entry[l1Line] {
 
 // evict starts replacement of a stable victim line.
 func (l *L1) evict(addr mem.Addr, v *l1Line) {
-	l.Cov.Record(v.state.String(), evReplacement)
+	l.Cov.Record(int(v.state), evReplacement)
 	switch v.state {
 	case L1S:
 		// Exact sharer tracking: notify the L2, fire-and-forget.
@@ -280,21 +280,21 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 	if m.Type == coherence.MWBAck {
 		wl, ok := l.wb[line]
 		if !ok {
-			l.unexpected("I", m)
+			l.unexpected(int(L1I), m)
 			return
 		}
-		l.Cov.Record(wl.state.String(), evName(m.Type))
+		l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
 		delete(l.wb, line)
 		l.settled(line)
 		return
 	}
 	e := l.cache.Peek(m.Addr)
 	if e == nil {
-		l.unexpected("I", m)
+		l.unexpected(int(L1I), m)
 		return
 	}
 	st := e.V.state
-	l.Cov.Record(st.String(), evName(m.Type))
+	l.Cov.Record(int(st), l1Table.Event(m.Type))
 	switch st {
 	case L1ISd:
 		switch m.Type {
@@ -423,7 +423,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	if e != nil {
 		st = e.V.state
 	}
-	l.Cov.Record(st.String(), evName(m.Type))
+	l.Cov.Record(int(st), l1Table.Event(m.Type))
 	switch m.Type {
 	case coherence.MInv:
 		switch st {
@@ -501,7 +501,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 // hostReqOnWB handles host requests that race with an outstanding
 // writeback (the line lives in the writeback buffer).
 func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
-	l.Cov.Record(wl.state.String(), evName(m.Type))
+	l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
 	switch m.Type {
 	case coherence.MFwdGetS:
 		if wl.state != L1MIa {

@@ -70,15 +70,27 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	return l
 }
 
+// L2 coverage states: not present, or the L2State with or without a
+// transaction open.
+const (
+	l2NP = int(L2MT) + 1 + iota
+	l2SSBusy
+	l2MTBusy
+)
+
+// l2Table is the L2's coverage vocabulary; it has no local events.
+var l2Table = coherence.NewTable(
+	[]string{int(L2SS): "SS", int(L2MT): "MT", l2NP: "NP", l2SSBusy: "SS+busy", l2MTBusy: "MT+busy"}, nil, mesiMsgs...)
+
 // NewL2Coverage declares reachable (state, event) pairs for the L2.
 func NewL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L2")
-	states := []string{"NP", "SS", "MT", "SS+busy", "MT+busy"}
-	events := []string{
-		"M:GetS", "M:GetM", "M:GetInstr", "M:PutM", "M:PutS",
-		"M:Unblock", "M:CopyToL2", "M:InvAckToL2",
+	cov := coherence.NewCoverage("mesi.L2", l2Table)
+	var events []int
+	for _, m := range []coherence.MsgType{coherence.MGetS, coherence.MGetM, coherence.MGetInstr,
+		coherence.MPutM, coherence.MPutS, coherence.MUnblock, coherence.MCopyToL2, coherence.MInvAckToL2} {
+		events = append(events, l2Table.Event(m))
 	}
-	cov.DeclareAll(states, events)
+	cov.DeclareAll([]int{l2NP, int(L2SS), int(L2MT), l2SSBusy, l2MTBusy}, events)
 	return cov
 }
 
@@ -88,19 +100,20 @@ func (l *L2) ID() coherence.NodeID { return l.id }
 // Name implements coherence.Controller.
 func (l *L2) Name() string { return l.name }
 
-// stateName returns a constant name: it runs on every message, so it
-// must not build a string.
-func (l *L2) stateName(e *cacheset.Entry[l2Line]) string {
+// covState is the line's coverage state.
+func (l *L2) covState(e *cacheset.Entry[l2Line]) int {
 	switch {
 	case e == nil:
-		return "NP"
+		return l2NP
 	case e.V.txn == nil:
-		return e.V.state.String()
+		return int(e.V.state)
 	case e.V.state == L2SS:
-		return "SS+busy"
+		return l2SSBusy
 	}
-	return "MT+busy"
+	return l2MTBusy
 }
+
+func (l *L2) stateName(e *cacheset.Entry[l2Line]) string { return l2Table.States()[l.covState(e)] }
 
 func (l *L2) protocolError(state string, m *coherence.Msg) {
 	if l.cfg.TxnMods {
@@ -116,7 +129,7 @@ func (l *L2) protocolError(state string, m *coherence.Msg) {
 // Recv implements coherence.Controller.
 func (l *L2) Recv(m *coherence.Msg) {
 	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.stateName(e), evName(m.Type))
+	l.Cov.Record(l.covState(e), l2Table.Event(m.Type))
 	switch m.Type {
 	case coherence.MGetS, coherence.MGetM, coherence.MGetInstr:
 		l.handleGet(m)

@@ -118,14 +118,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// event names for coverage recording.
+// Controller-local coverage events: the first three events of the L1's
+// table; message events follow.
 const (
-	evLoad        = "Load"
-	evStore       = "Store"
-	evReplacement = "Replacement"
+	evLoad = iota
+	evStore
+	evReplacement
 )
 
-func evName(t coherence.MsgType) string { return t.String() }
+var localEvents = []string{evLoad: "Load", evStore: "Store", evReplacement: "Replacement"}
+
+// mesiMsgs is the whole MESI vocabulary: the events of both classes'
+// tables, since each can record a message before it rejects it.
+var mesiMsgs = []coherence.MsgType{
+	coherence.MGetS, coherence.MGetM, coherence.MGetInstr, coherence.MPutM, coherence.MPutS,
+	coherence.MDataE, coherence.MDataS, coherence.MDataAcks, coherence.MInv, coherence.MInvToL2,
+	coherence.MFwdGetS, coherence.MFwdGetM, coherence.MWBAck, coherence.MInvAck, coherence.MInvAckToL2,
+	coherence.MDataOwner, coherence.MCopyToL2, coherence.MUnblock,
+}
 
 // StateInventory reports the L1's stable and transient state names, for
 // the protocol-complexity comparison (paper §2.4 / experiment E2).

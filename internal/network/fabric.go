@@ -45,6 +45,16 @@ type Config struct {
 
 type chanKey struct{ src, dst coherence.NodeID }
 
+// packed is the channel table's key: src in the high word, dst in the
+// low, so Send finds its channel with one integer-keyed lookup. Node ids
+// are small (config assigns them; NodeNone is -1), well inside 32 bits.
+func (k chanKey) packed() uint64 { return uint64(uint32(k.src))<<32 | uint64(uint32(k.dst)) }
+
+// unpackKey inverts packed.
+func unpackKey(p uint64) chanKey {
+	return chanKey{coherence.NodeID(int32(p >> 32)), coherence.NodeID(int32(p))}
+}
+
 // Stats is a point-in-time copy of the traffic counters for one directed
 // channel, as returned by StatsFor/VisitStats. The per-type maps are
 // materialized on demand from the channel's internal fixed arrays (the
@@ -62,7 +72,10 @@ type Stats struct {
 }
 
 type channel struct {
-	cfg         Config
+	cfg Config
+	// dst is the receiving controller: a channel exists only towards a
+	// registered node, so finding the channel is finding the receiver.
+	dst         coherence.Controller
 	lastArrival sim.Time
 	inflight    int // messages sent but not yet delivered on this channel
 
@@ -143,7 +156,6 @@ type Interceptor interface {
 type delivRec struct {
 	fab  *Fabric
 	ch   *channel
-	dst  coherence.Controller
 	m    *coherence.Msg
 	ev   sim.Timed
 	next *delivRec // free-list link, nil while in flight
@@ -152,8 +164,9 @@ type delivRec struct {
 // run is the arrival callback: pool release, accounting, trace, Recv.
 func (r *delivRec) run() {
 	f := r.fab
-	ch, dst, m := r.ch, r.dst, r.m
-	r.ch, r.dst, r.m = nil, nil, nil
+	ch, m := r.ch, r.m
+	dst := ch.dst
+	r.ch, r.m = nil, nil
 	r.next = f.freeRec
 	f.freeRec = r
 
@@ -194,7 +207,7 @@ type Fabric struct {
 	eng      *sim.Engine
 	rng      *rand.Rand
 	nodes    map[coherence.NodeID]coherence.Controller
-	chans    map[chanKey]*channel
+	chans    map[uint64]*channel // by chanKey.packed
 	defaults Config
 	routes   map[chanKey]Config
 
@@ -244,7 +257,7 @@ func NewFabric(eng *sim.Engine, seed int64, defaults Config) *Fabric {
 		eng:      eng,
 		rng:      rand.New(rand.NewSource(seed)),
 		nodes:    make(map[coherence.NodeID]coherence.Controller),
-		chans:    make(map[chanKey]*channel),
+		chans:    make(map[uint64]*channel),
 		defaults: defaults,
 		routes:   make(map[chanKey]Config),
 	}
@@ -286,16 +299,20 @@ func (f *Fabric) SetRoutePair(a, b coherence.NodeID, cfg Config) {
 	f.SetRoute(b, a, cfg)
 }
 
-func (f *Fabric) channelFor(k chanKey) *channel {
-	if ch, ok := f.chans[k]; ok {
-		return ch
+// open creates the channel k on its first send, or returns nil when
+// k.dst is not registered: no channel is kept for an unknown node, so one
+// registered later is found by the next send to it.
+func (f *Fabric) open(k chanKey) *channel {
+	dst, ok := f.nodes[k.dst]
+	if !ok {
+		return nil
 	}
 	cfg, ok := f.routes[k]
 	if !ok {
 		cfg = f.defaults
 	}
-	ch := &channel{cfg: cfg}
-	f.chans[k] = ch
+	ch := &channel{cfg: cfg, dst: dst}
+	f.chans[k.packed()] = ch
 	return ch
 }
 
@@ -310,16 +327,18 @@ func (f *Fabric) SetInterceptor(i Interceptor) { f.interceptor = i }
 // traffic stats always count the logical send once, while in-flight
 // accounting and recv events track the actual deliveries.
 func (f *Fabric) Send(m *coherence.Msg) {
-	dst, ok := f.nodes[m.Dst]
-	if !ok {
-		f.Dropped++
-		f.mDropped.Inc()
-		if b := f.Bus; b.Active() {
-			b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindDrop, "net", m))
+	k := chanKey{m.Src, m.Dst}
+	ch := f.chans[k.packed()]
+	if ch == nil {
+		if ch = f.open(k); ch == nil {
+			f.Dropped++
+			f.mDropped.Inc()
+			if b := f.Bus; b.Active() {
+				b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindDrop, "net", m))
+			}
+			return
 		}
-		return
 	}
-	ch := f.channelFor(chanKey{m.Src, m.Dst})
 	ch.account(m)
 	f.mMsgs.Inc()
 	f.mBytes.Add(uint64(m.Bytes()))
@@ -327,18 +346,18 @@ func (f *Fabric) Send(m *coherence.Msg) {
 	if f.interceptor != nil {
 		if dels, handled := f.interceptor.Intercept(f.eng.Now(), m); handled {
 			for i := range dels {
-				f.deliver(ch, dst, dels[i])
+				f.deliver(ch, dels[i])
 			}
 			return
 		}
 	}
-	f.deliver(ch, dst, Delivery{Msg: m})
+	f.deliver(ch, Delivery{Msg: m})
 }
 
 // deliver schedules one arrival on ch; d carries the (possibly perturbed)
 // message and its fault adjustments. The arrival rides a pooled delivRec
-// instead of a closure, so the steady-state cost is heap push only.
-func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d Delivery) {
+// instead of a closure, so the steady-state cost is the engine's push only.
+func (f *Fabric) deliver(ch *channel, d Delivery) {
 	m := d.Msg
 	ch.inflight++
 	f.mInflight.Add(1)
@@ -367,7 +386,7 @@ func (f *Fabric) deliver(ch *channel, dst coherence.Controller, d Delivery) {
 		r = &delivRec{fab: f}
 		r.ev.Fn = r.run // the pool's one allocation: bound method value
 	}
-	r.ch, r.dst, r.m = ch, dst, m
+	r.ch, r.m = ch, m
 	f.eng.ScheduleEventAt(arrival, &r.ev)
 }
 
@@ -397,7 +416,7 @@ func (f *Fabric) DelayedSends() int { return f.delayed }
 // StatsFor returns traffic counters for the directed channel src->dst
 // (zero-valued if unused).
 func (f *Fabric) StatsFor(src, dst coherence.NodeID) Stats {
-	if ch, ok := f.chans[chanKey{src, dst}]; ok {
+	if ch, ok := f.chans[chanKey{src, dst}.packed()]; ok {
 		return ch.snapshot()
 	}
 	return Stats{}
@@ -406,9 +425,10 @@ func (f *Fabric) StatsFor(src, dst coherence.NodeID) Stats {
 // VisitStats calls fn for every directed channel with traffic. The Stats
 // pointee is a per-call snapshot the visitor may keep or mutate freely.
 func (f *Fabric) VisitStats(fn func(src, dst coherence.NodeID, s *Stats)) {
-	for k, ch := range f.chans {
+	for p, ch := range f.chans {
 		if ch.msgs > 0 {
 			s := ch.snapshot()
+			k := unpackKey(p)
 			fn(k.src, k.dst, &s)
 		}
 	}
@@ -418,8 +438,8 @@ func (f *Fabric) VisitStats(fn func(src, dst coherence.NodeID, s *Stats)) {
 // filter matches everything).
 func (f *Fabric) TotalBytes(filter func(src, dst coherence.NodeID) bool) uint64 {
 	var n uint64
-	for k, ch := range f.chans {
-		if ch.msgs > 0 && (filter == nil || filter(k.src, k.dst)) {
+	for p, ch := range f.chans {
+		if k := unpackKey(p); ch.msgs > 0 && (filter == nil || filter(k.src, k.dst)) {
 			n += ch.bytes
 		}
 	}

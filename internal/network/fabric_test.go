@@ -65,6 +65,25 @@ func TestUnknownDestinationDropped(t *testing.T) {
 	}
 }
 
+// TestRegisterAfterDropDelivers: a drop leaves nothing behind in the
+// channel table, so a node registered after a send to its id was dropped
+// receives the next one.
+func TestRegisterAfterDropDelivers(t *testing.T) {
+	eng, f, _, _ := setup(1, Config{Latency: 3})
+	f.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 99})
+	eng.RunUntilQuiet()
+	late := &sink{id: 99, eng: eng}
+	f.Register(late)
+	f.Send(&coherence.Msg{Type: coherence.AGetM, Src: 1, Dst: 99})
+	eng.RunUntilQuiet()
+	if f.Dropped != 1 || len(late.got) != 1 || late.got[0].Type != coherence.AGetM {
+		t.Fatalf("Dropped = %d, late node got %v; want 1 drop and the A:GetM delivered", f.Dropped, late.got)
+	}
+	if st := f.StatsFor(1, 99); st.Msgs != 1 {
+		t.Fatalf("channel 1>99 counted %d msgs, want 1: a dropped send is not traffic", st.Msgs)
+	}
+}
+
 func TestOrderedChannelFIFO(t *testing.T) {
 	// With heavy jitter, an ordered channel must still deliver in send
 	// order; an unordered channel with the same seed reorders.

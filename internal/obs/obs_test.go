@@ -116,17 +116,22 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 
 func TestStateRecorder(t *testing.T) {
 	r := NewRegistry()
-	rec := StateRecorder(r, "hammer.cache")
-	rec("M", "H:FwdGetS")
-	rec("M", "H:FwdGetM")
-	rec("I", "Load")
+	rec := StateRecorder(r, "hammer.cache", []string{"I", "S", "M"})
+	rec(2, 4)
+	rec(2, 5)
+	rec(0, 0)
 	if got := r.Counter("hammer.cache.state.M").Value(); got != 2 {
 		t.Fatalf("state.M = %d, want 2", got)
 	}
 	if got := r.Counter("hammer.cache.state.I").Value(); got != 1 {
 		t.Fatalf("state.I = %d, want 1", got)
 	}
-	if StateRecorder(nil, "x") != nil {
+	// The registry snapshot is part of reports and of the benchmark's
+	// fingerprint: a never-visited state must not appear in it.
+	if _, ok := r.Snapshot().Counters["hammer.cache.state.S"]; ok {
+		t.Fatal("counter created for state S, which was never visited")
+	}
+	if StateRecorder(nil, "x", nil) != nil {
 		t.Fatalf("nil registry must yield a nil recorder")
 	}
 }

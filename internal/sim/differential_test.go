@@ -15,25 +15,46 @@ import (
 type kernel interface {
 	Schedule(delay sim.Time, fn func())
 	Now() sim.Time
+	Pending() int
+	RunUntil(deadline sim.Time) bool
 	RunUntilQuiet() sim.Time
 }
 
+// edgeDelays are the delays that land an event on either side of the
+// production kernel's wheel/far-heap boundary, plus the guard's watchdog
+// delay; the reference kernel has no such boundary.
+var edgeDelays = [...]sim.Time{sim.Horizon - 1, sim.Horizon, sim.Horizon + 1, 100_000}
+
+// drawDelay returns 0 (same-tick ties), 1-8 or an edge delay.
+func drawDelay(rng *rand.Rand) sim.Time {
+	switch k := rng.Intn(8); {
+	case k < 2:
+		return 0
+	case k < 6:
+		return sim.Time(1 + rng.Intn(8))
+	}
+	return edgeDelays[rng.Intn(len(edgeDelays))]
+}
+
 // driveRandom feeds eng a pseudo-random self-extending schedule derived
-// only from seed and n: initial events at random delays (zero included,
-// so same-tick FIFO ties are exercised on every run), each firing event
-// logging its id and possibly scheduling children, several at delay 0 to
-// pile ties onto the current tick.
-func driveRandom(eng kernel, seed int64, n int) []int {
+// only from seed and n: initial events at random delays, each firing
+// event logging its id and possibly scheduling children. The queue is
+// run in slices, RunUntil(now+k) interleaved with RunUntilQuiet and with
+// schedules made between slices, and the log records the clock, the queue
+// length and the verdict after every slice, so a kernel that executes the
+// right order but parks the clock or an event in the wrong place still
+// diverges from the reference.
+func driveRandom(eng kernel, seed int64, n int) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
-	var order []int
-	next := 0
+	var log []uint64
+	next := uint64(0)
 	budget := n
 	var spawn func()
 	spawn = func() {
 		id := next
 		next++
-		eng.Schedule(sim.Time(rng.Intn(8)), func() {
-			order = append(order, id)
+		eng.Schedule(drawDelay(rng), func() {
+			log = append(log, id)
 			for k := rng.Intn(3); k > 0 && budget > 0; k-- {
 				budget--
 				spawn()
@@ -45,38 +66,78 @@ func driveRandom(eng kernel, seed int64, n int) []int {
 		next++
 		d := sim.Time(rng.Intn(4)) * sim.Time(i%2) // half start at t=0: ties
 		eng.Schedule(d, func() {
-			order = append(order, id)
+			log = append(log, id)
 			if budget > 0 {
 				budget--
 				spawn()
 			}
 		})
 	}
-	eng.RunUntilQuiet()
-	return order
+	mark := func(quiet bool) {
+		q := uint64(0)
+		if quiet {
+			q = 1
+		}
+		log = append(log, ^uint64(0), uint64(eng.Now()), uint64(eng.Pending()), q)
+	}
+	for slices := 0; eng.Pending() > 0; slices++ {
+		if slices == 64 || rng.Intn(4) == 0 {
+			eng.RunUntilQuiet()
+			mark(true)
+			continue
+		}
+		mark(eng.RunUntil(eng.Now() + drawDelay(rng)))
+		// Schedule from outside a callback too: the clock may just have
+		// jumped to a deadline rather than to an event.
+		if budget > 0 && rng.Intn(2) == 0 {
+			budget--
+			spawn()
+		}
+	}
+	return log
 }
 
-// TestDifferentialAgainstReference drives the monomorphic 4-ary heap and
-// the frozen container/heap kernel with identical randomized schedules
-// and requires identical execution order — including zero-delay same-tick
-// FIFO ties, which is where a heap rewrite would betray determinism.
+// diverges reports the first index at which two driveRandom logs differ,
+// or -1.
+func diverges(got, want []uint64) int {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	return -1
+}
+
+// TestDifferentialAgainstReference drives the wheel-plus-far-heap kernel
+// and the frozen container/heap kernel with identical randomized
+// schedules and requires identical execution order, clock and queue
+// length after every run slice — including zero-delay same-tick FIFO
+// ties and events that enter the wheel through the far heap, which is
+// where a queue rewrite would betray determinism.
 func TestDifferentialAgainstReference(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		got := driveRandom(sim.NewEngine(), seed, int(n))
-		want := driveRandom(simref.NewEngine(), seed, int(n))
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return diverges(driveRandom(sim.NewEngine(), seed, int(n)), driveRandom(simref.NewEngine(), seed, int(n))) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzEngineOrder is the same differential check under the native
+// fuzzer, with longer schedules.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add(int64(1), uint16(64))
+	f.Add(int64(-7), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		got := driveRandom(sim.NewEngine(), seed, int(n))
+		want := driveRandom(simref.NewEngine(), seed, int(n))
+		if i := diverges(got, want); i >= 0 {
+			t.Fatalf("seed %d n %d: log diverges from the reference at entry %d of %d/%d", seed, n, i, len(got), len(want))
+		}
+	})
 }
 
 // TestDifferentialSameTickStorm pins the pure-tie case: hundreds of
@@ -110,33 +171,41 @@ func TestDifferentialSameTickStorm(t *testing.T) {
 
 // TestPoppedEventReleased is the regression test for the old kernel's
 // Pop leak: the backing array slot of a popped event kept the closure —
-// and everything it captured — alive for the rest of the run. The new
-// pop zeroes the vacated slot, so once an event has run, its closure is
-// collectable even while the engine retains a warm queue.
+// and everything it captured — alive for the rest of the run. A freed
+// wheel node drops its fn, and so does the far-heap slot an event
+// migrated out of, so once an event has run, its closure is collectable
+// even while the engine retains a warm queue.
 func TestPoppedEventReleased(t *testing.T) {
-	e := sim.NewEngine()
-	collected := make(chan struct{})
-	func() {
-		obj := new([1 << 16]byte)
-		runtime.SetFinalizer(obj, func(*[1 << 16]byte) { close(collected) })
-		e.Schedule(1, func() { obj[0] = 1 })
-	}()
-	// A later event keeps the engine's backing array live past the pop,
-	// exactly the long-RunUntil shape that used to pin every closure.
-	e.Schedule(1000, func() {})
-	if e.RunUntil(500) {
-		t.Fatal("queue unexpectedly drained")
-	}
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		default:
-			time.Sleep(5 * time.Millisecond)
+	for name, delay := range map[string]sim.Time{"wheel": 1, "far": sim.Horizon + 5} {
+		e := sim.NewEngine()
+		collected := make(chan struct{})
+		func() {
+			obj := new([1 << 16]byte)
+			runtime.SetFinalizer(obj, func(*[1 << 16]byte) { close(collected) })
+			e.Schedule(delay, func() { obj[0] = 1 })
+		}()
+		// Later events, one per structure, keep the slab and the heap's
+		// backing array live past the pop: exactly the long-RunUntil shape
+		// that used to pin every closure.
+		e.Schedule(delay+1, func() {})
+		e.Schedule(delay+10*sim.Horizon, func() {})
+		if e.RunUntil(delay) {
+			t.Fatalf("%s: queue unexpectedly drained", name)
+		}
+		released := false
+		for i := 0; i < 100 && !released; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				released = true
+			default:
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if !released {
+			t.Errorf("%s: executed event's closure still reachable: its queue slot was not cleared", name)
 		}
 	}
-	t.Fatal("popped event's closure still reachable: pop did not clear its heap slot")
 }
 
 // TestScheduleEventOrdering checks Timed events interleave with plain

@@ -104,6 +104,37 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastDeadlineKeepsClock: a deadline behind the clock runs
+// nothing and must not rewind Now — a rewound clock would let Schedule
+// order new events before ones that already ran, and would move the
+// wheel's window off the events it holds.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	e.Schedule(50, func() { ran = true })
+	if e.RunUntil(20) || e.Now() != 20 {
+		t.Fatalf("RunUntil(20): Now = %d, want 20 with the event pending", e.Now())
+	}
+	if e.RunUntil(5) {
+		t.Fatal("RunUntil(5) reported quiet with an event pending")
+	}
+	if e.Now() != 20 {
+		t.Fatalf("RunUntil(5) after RunUntil(20) moved the clock to %d", e.Now())
+	}
+	e.Schedule(0, func() {
+		if e.Now() != 20 {
+			t.Errorf("zero-delay event ran at t=%d, want 20", e.Now())
+		}
+	})
+	e.RunUntilQuiet()
+	if !ran || e.Now() != 50 {
+		t.Fatalf("ran=%v Now=%d, want the pending event to run at 50", ran, e.Now())
+	}
+	if !e.RunUntil(10) || e.Now() != 50 {
+		t.Fatalf("RunUntil(10) on a drained queue: Now = %d, want 50 and quiet", e.Now())
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	n := 0

@@ -9,26 +9,30 @@ import (
 
 // TestEngineScheduleAllocFree pins the kernel's allocation budget:
 // steady-state Schedule+step cycles on a warmed engine allocate nothing
-// (the only permitted allocation is amortized backing-array growth,
-// which the warm-up phase has already paid).
+// (the only permitted allocation is amortized growth of the node slab
+// and of the far heap's backing array, which the warm-up phase has
+// already paid). The far variant sends every event through the far heap
+// and its migration into the wheel.
 func TestEngineScheduleAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
-	e := sim.NewEngine()
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		e.Schedule(sim.Time(i%13), fn)
-	}
-	e.RunUntilQuiet()
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			e.Schedule(sim.Time(i%13), fn)
+	for name, base := range map[string]sim.Time{"wheel": 0, "far": sim.Horizon} {
+		e := sim.NewEngine()
+		fn := func() {}
+		for i := 0; i < 1024; i++ {
+			e.Schedule(base+sim.Time(i%13), fn)
 		}
 		e.RunUntilQuiet()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Schedule+drain allocated %v objects/run, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 64; i++ {
+				e.Schedule(base+sim.Time(i%13), fn)
+			}
+			e.RunUntilQuiet()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state Schedule+drain allocated %v objects/run, want 0", name, allocs)
+		}
 	}
 }
 

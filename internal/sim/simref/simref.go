@@ -1,9 +1,9 @@
 // Package simref is a frozen copy of the pre-PR4 simulation kernel: a
 // container/heap priority queue with interface-boxed events. It exists
 // for differential testing only: internal/sim drives this engine and the
-// monomorphic production engine with identical randomized schedules and
-// asserts identical execution order (including same-tick FIFO ties), so
-// the heap rewrite can never silently change determinism.
+// production engine with identical randomized schedules and asserts
+// identical execution order (including same-tick FIFO ties), so a rewrite
+// of the production queue can never silently change determinism.
 //
 // Production code must not import this package; it intentionally keeps
 // the old kernel's costs (and its popped-slot retention bug) unfixed.
