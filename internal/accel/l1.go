@@ -272,12 +272,7 @@ func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
 }
 
 func (c *L1Cache) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.fab.SendAfter(c.cfg.HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-		Val: val, Tag: op.Tag}, nil)
+	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 // --- Crossing Guard side ---

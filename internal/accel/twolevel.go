@@ -211,12 +211,7 @@ func (c *InnerL1) evict(addr mem.Addr, v *innerLine) {
 }
 
 func (c *InnerL1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.fab.SendAfter(c.cfg.HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-		Val: val, Tag: op.Tag}, nil)
+	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 func (c *InnerL1) handleData(m *coherence.Msg) {

@@ -253,14 +253,7 @@ func (c *WeakL1) handleInv(m *coherence.Msg) {
 }
 
 func (c *WeakL1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.eng.Schedule(c.cfg.HitLat, func() {
-		c.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 func (c *WeakL1) settledWeak(line mem.Addr) {

@@ -237,3 +237,16 @@ func TestCoverageRecordAllocFree(t *testing.T) {
 		}
 	}
 }
+
+func TestReplyCompletesTheRequestInPlace(t *testing.T) {
+	for _, c := range []struct{ req, resp MsgType }{{ReqLoad, RespLoad}, {ReqStore, RespStore}} {
+		req := &Msg{Type: c.req, Addr: 0x1234, Src: 7, Dst: 9, Val: 55, Tag: 42}
+		got := Reply(req, 9, 3)
+		if got != req {
+			t.Fatalf("%v: Reply made a new message", c.req)
+		}
+		if want := (Msg{Type: c.resp, Addr: 0x1234, Src: 9, Dst: 7, Val: 3, Tag: 42}); *got != want {
+			t.Fatalf("%v: reply is %+v, want %+v", c.req, *got, want)
+		}
+	}
+}

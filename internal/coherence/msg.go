@@ -203,7 +203,9 @@ const (
 
 // Msg is a coherence message. A single struct serves every protocol;
 // unused fields are zero. Messages are immutable once sent: senders that
-// keep mutating a block must send a copy.
+// keep mutating a block must send a copy. The one exception is a
+// sequencer-level request (ReqLoad/ReqStore), which belongs to the cache
+// it was delivered to until that cache completes it with Reply.
 type Msg struct {
 	Type      MsgType
 	Addr      mem.Addr
@@ -227,6 +229,20 @@ type Msg struct {
 	// message outside any guard transaction — is omitted from rendering,
 	// so span-free traces are byte-identical to the pre-span format.
 	Span uint64
+}
+
+// Reply completes the sequencer-level request op in place and returns it
+// for sending: ReqLoad becomes RespLoad and ReqStore RespStore, from is the
+// new Src and the requester the new Dst, Val carries val, Addr and Tag are
+// kept. No message is made: the request object itself travels back, so the
+// caller must be done with op — it stops being the cache's here.
+func Reply(op *Msg, from NodeID, val byte) *Msg {
+	ty := RespLoad
+	if op.Type == ReqStore {
+		ty = RespStore
+	}
+	op.Type, op.Src, op.Dst, op.Val = ty, from, op.Src, val
+	return op
 }
 
 // Bytes returns the modeled wire size of the message.

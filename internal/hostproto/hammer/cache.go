@@ -219,7 +219,13 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 	case CS:
 		// Hammer allows silent eviction of shared blocks.
 	case CM, CO, CE:
-		next := map[CState]CState{CM: CMI, CO: COI, CE: CEI}[v.state]
+		next := CMI
+		switch v.state {
+		case CO:
+			next = COI
+		case CE:
+			next = CEI
+		}
 		c.wb[addr] = &cLine{state: next, data: v.data, dirty: v.dirty}
 		c.send(&coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.id, Dst: c.dir})
 	default:
@@ -228,12 +234,7 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 }
 
 func (c *Cache) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	c.fab.SendAfter(c.cfg.HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: c.id, Dst: op.Src,
-		Val: val, Tag: op.Tag}, nil)
+	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 // --- forwards (broadcast requests from the directory) ---

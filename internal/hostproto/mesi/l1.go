@@ -253,12 +253,7 @@ func (l *L1) evict(addr mem.Addr, v *l1Line) {
 
 // respond completes a CPU operation after the hit latency.
 func (l *L1) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	l.fab.SendAfter(l.cfg.L1HitLat, &coherence.Msg{Type: ty, Addr: op.Addr, Src: l.id, Dst: op.Src,
-		Val: val, Tag: op.Tag}, nil)
+	l.fab.SendAfter(l.cfg.L1HitLat, coherence.Reply(op, l.id, val), nil)
 }
 
 func (l *L1) send(m *coherence.Msg) { l.fab.Send(m) }

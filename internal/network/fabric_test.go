@@ -234,7 +234,7 @@ func TestFabricMetrics(t *testing.T) {
 	if g.Value() != 0 || g.Max() != 3 {
 		t.Fatalf("inflight value=%d max=%d, want 0/3", g.Value(), g.Max())
 	}
-	if h := r.Histogram("net.channel.depth").Sample(); h.N() != 3 || h.Max() != 3 {
+	if h := r.Histogram("net.channel.depth").Counts(); h.N() != 3 || h.Max() != 3 {
 		t.Fatalf("depth histogram n=%d max=%f, want 3/3", h.N(), h.Max())
 	}
 	wantBytes := uint64(3 * coherence.ControlBytes)

@@ -96,26 +96,27 @@ func (g *Gauge) Max() int64 {
 	return g.max
 }
 
-// Histogram accumulates a distribution of observations (typically
-// latencies in ticks), backed by stats.Sample so exports answer the
-// paper-style quantiles. The nil Histogram is a valid no-op.
+// Histogram accumulates a distribution of observations (latencies in
+// ticks, queue depths), backed by stats.Counts: exact counts per value,
+// so exports answer the paper-style quantiles while an observation costs
+// one array index and no memory. The nil Histogram is a valid no-op.
 type Histogram struct {
-	s stats.Sample
+	c stats.Counts
 }
 
 // Observe records one observation.
 func (h *Histogram) Observe(x float64) {
 	if h != nil {
-		h.s.Add(x)
+		h.c.Add(x)
 	}
 }
 
-// Sample exposes the underlying sample (nil for the nil Histogram).
-func (h *Histogram) Sample() *stats.Sample {
+// Counts exposes the underlying counts (nil for the nil Histogram).
+func (h *Histogram) Counts() *stats.Counts {
 	if h == nil {
 		return nil
 	}
-	return &h.s
+	return &h.c
 }
 
 // Registry holds named instruments. Components register (or re-fetch —
@@ -177,10 +178,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Merge folds other's instruments into r: counters add, gauge levels add
-// and high-water marks take the max, histogram samples concatenate.
-// Merging shard registries in shard-index order keeps every derived
-// number (including float sums) deterministic regardless of worker
-// scheduling. A nil other is a no-op.
+// and high-water marks take the max, histogram counts add. Everything
+// observed is integer-valued, so the merged registry is the same in any
+// merge order; shard-index order is still the convention. A nil other is
+// a no-op.
 func (r *Registry) Merge(other *Registry) {
 	if r == nil || other == nil {
 		return
@@ -197,7 +198,7 @@ func (r *Registry) Merge(other *Registry) {
 		}
 	}
 	for _, name := range sortedKeys(other.hists) {
-		r.Histogram(name).s.Merge(other.hists[name].Sample())
+		r.Histogram(name).c.Merge(&other.hists[name].c)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(5)
 	g.Add(-2)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Sample() != nil {
+	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Counts() != nil {
 		t.Fatalf("nil instruments must be inert")
 	}
 	r.Merge(NewRegistry())
@@ -52,8 +52,8 @@ func TestRegistryIdentity(t *testing.T) {
 	h := r.Histogram("lat")
 	h.Observe(10)
 	h.Observe(30)
-	if h.Sample().N() != 2 || h.Sample().Mean() != 20 {
-		t.Fatalf("histogram n=%d mean=%f", h.Sample().N(), h.Sample().Mean())
+	if h.Counts().N() != 2 || h.Counts().Mean() != 20 {
+		t.Fatalf("histogram n=%d mean=%f", h.Counts().N(), h.Counts().Mean())
 	}
 }
 
@@ -77,7 +77,7 @@ func TestRegistryMerge(t *testing.T) {
 	if g := a.Gauge("g"); g.Value() != 4 || g.Max() != 9 {
 		t.Fatalf("merged gauge value=%d max=%d, want 4/9", g.Value(), g.Max())
 	}
-	if s := a.Histogram("h").Sample(); s.N() != 2 || s.Max() != 8 {
+	if s := a.Histogram("h").Counts(); s.N() != 2 || s.Max() != 8 {
 		t.Fatalf("merged hist n=%d max=%f", s.N(), s.Max())
 	}
 }

@@ -59,11 +59,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = GaugeSnapshot{Value: g.v, Max: g.max}
 	}
 	for name, h := range r.hists {
-		sm := h.Sample()
+		c := &h.c
 		s.Histograms[name] = HistSnapshot{
-			N: sm.N(), Mean: sm.Mean(),
-			P50: sm.P50(), P90: sm.P90(), P95: sm.P95(), P99: sm.P99(),
-			Min: sm.Min(), Max: sm.Max(),
+			N: c.N(), Mean: c.Mean(),
+			P50: c.P50(), P90: c.P90(), P95: c.P95(), P99: c.P99(),
+			Min: c.Min(), Max: c.Max(),
 		}
 	}
 	return s

@@ -4,6 +4,17 @@
 // operation per cache line (further same-line operations queue locally),
 // track per-operation latency, and provide the completion callbacks the
 // random tester and workload generators build on.
+//
+// # Op lifetime
+//
+// Ops belong to the sequencer, which recycles them through a free list:
+// the *Op handed to a done callback is valid only until the callback
+// returns, so a callback copies out whatever it needs (Result, Issued,
+// Done). An Op carries its own request message. That message belongs to
+// the cache from delivery until the cache replies — normally by retyping
+// it in place (coherence.Reply) — so an Op discarded by Abort after it was
+// issued is not reused until its stale completion has come back and been
+// dropped.
 package seq
 
 import (
@@ -14,9 +25,12 @@ import (
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 	"crossingguard/internal/sim"
+	"crossingguard/internal/stats"
 )
 
-// Op is one memory operation in flight.
+// Op is one memory operation in flight. The sequencer owns every Op: it
+// hands one to the done callback at completion and takes it back when the
+// callback returns (see the package comment).
 type Op struct {
 	Addr   mem.Addr
 	Store  bool
@@ -24,8 +38,43 @@ type Op struct {
 	Result byte // load result, set at completion
 	Issued sim.Time
 	Done   sim.Time
-	tag    uint64
+	tag    uint64 // kept apart from msg.Tag: the cache may rewrite msg
 	onDone func(*Op)
+
+	// msg is the request the sequencer sends, as &op.msg. From delivery
+	// until it replies the message is the cache's, which completes it in
+	// place (coherence.Reply), so the same object comes back.
+	msg coherence.Msg
+	// next threads the Op through the one list it is on — issueQ, another
+	// op's waiters, or the free list; waiters, on an issued op, are the
+	// operations queued behind it for its line.
+	next    *Op
+	waiters opFIFO
+}
+
+// opFIFO is an intrusive queue of Ops linked through Op.next.
+type opFIFO struct{ head, tail *Op }
+
+func (q *opFIFO) push(op *Op) {
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
+}
+
+// pop returns the oldest op, or nil when the queue is empty.
+func (q *opFIFO) pop() *Op {
+	op := q.head
+	if op == nil {
+		return nil
+	}
+	q.head, op.next = op.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return op
 }
 
 // Sequencer issues byte-granularity loads and stores to one cache.
@@ -36,25 +85,31 @@ type Sequencer struct {
 	fab   *network.Fabric
 	cache coherence.NodeID
 
-	nextTag  uint64
-	inflight map[uint64]*Op
-	perLine  map[mem.Addr]*Op // at most one op outstanding per line
-	lineQ    map[mem.Addr][]*Op
-	issueQ   []*Op // waiting on MaxOutstanding
-	// aborted remembers tags discarded by Abort whose completions may
-	// still arrive from the cache; such completions are dropped silently.
-	aborted map[uint64]bool
+	nextTag uint64
+	// inflight holds the operations issued to the cache, at most one per
+	// line and at most MaxOutstanding of them, so finding one by tag or
+	// by line is a short scan.
+	inflight []*Op
+	issueQ   opFIFO // waiting on MaxOutstanding
+	// outstanding counts inflight, issueQ and every waiters queue.
+	outstanding int
+	// aborted holds the issued operations Abort discarded whose
+	// completions may still arrive from the cache; such completions are
+	// dropped silently. An aborted Op stays off the free list until then:
+	// its message is still in the cache or on the wire.
+	aborted []*Op
+	free    *Op
 
 	// MaxOutstanding bounds concurrently issued operations (0 = 1).
 	MaxOutstanding int
 
 	// Statistics.
-	Loads, Stores  uint64
-	TotalLatency   sim.Time
-	MaxLatency     sim.Time
-	Completed      uint64
-	Aborted        uint64
-	latencySamples []sim.Time
+	Loads, Stores uint64
+	TotalLatency  sim.Time
+	MaxLatency    sim.Time
+	Completed     uint64
+	Aborted       uint64
+	latencies     stats.Counts
 
 	// OnQuiesce, when non-nil, fires whenever the sequencer goes from
 	// busy to fully idle.
@@ -69,14 +124,7 @@ type Sequencer struct {
 
 // New returns a sequencer with the given node id, wired to cache.
 func New(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric, cache coherence.NodeID) *Sequencer {
-	s := &Sequencer{
-		id: id, name: name, eng: eng, fab: fab, cache: cache,
-		inflight:       make(map[uint64]*Op),
-		perLine:        make(map[mem.Addr]*Op),
-		lineQ:          make(map[mem.Addr][]*Op),
-		aborted:        make(map[uint64]bool),
-		MaxOutstanding: 16,
-	}
+	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, MaxOutstanding: 16}
 	fab.Register(s)
 	return s
 }
@@ -88,63 +136,89 @@ func (s *Sequencer) ID() coherence.NodeID { return s.id }
 func (s *Sequencer) Name() string { return s.name }
 
 // Outstanding reports operations issued or queued but not completed.
-func (s *Sequencer) Outstanding() int {
-	return len(s.inflight) + len(s.issueQ) + s.queuedPerLine()
-}
-
-func (s *Sequencer) queuedPerLine() int {
-	n := 0
-	for _, q := range s.lineQ {
-		n += len(q)
-	}
-	return n
-}
+func (s *Sequencer) Outstanding() int { return s.outstanding }
 
 // Load issues a load of one byte; done (optional) runs at completion.
-func (s *Sequencer) Load(addr mem.Addr, done func(*Op)) *Op {
-	op := &Op{Addr: addr, onDone: done}
+func (s *Sequencer) Load(addr mem.Addr, done func(*Op)) {
+	op := s.newOp()
+	op.Addr, op.onDone = addr, done
 	s.submit(op)
-	return op
 }
 
 // Store issues a store of one byte; done (optional) runs at completion.
-func (s *Sequencer) Store(addr mem.Addr, val byte, done func(*Op)) *Op {
-	op := &Op{Addr: addr, Store: true, Val: val, onDone: done}
+func (s *Sequencer) Store(addr mem.Addr, val byte, done func(*Op)) {
+	op := s.newOp()
+	op.Addr, op.Store, op.Val, op.onDone = addr, true, val, done
 	s.submit(op)
+}
+
+// newOp returns a zeroed Op, recycled when one is free.
+func (s *Sequencer) newOp() *Op {
+	op := s.free
+	if op == nil {
+		return &Op{}
+	}
+	s.free, op.next = op.next, nil
 	return op
 }
 
+// release zeroes op, which nothing refers to any more, onto the free list.
+func (s *Sequencer) release(op *Op) {
+	*op = Op{next: s.free}
+	s.free = op
+}
+
 func (s *Sequencer) submit(op *Op) {
-	max := s.MaxOutstanding
-	if max <= 0 {
-		max = 1
-	}
-	if len(s.inflight) >= max {
-		s.issueQ = append(s.issueQ, op)
+	s.outstanding++
+	if len(s.inflight) >= max(s.MaxOutstanding, 1) {
+		s.issueQ.push(op)
 		return
 	}
 	s.tryIssue(op)
 }
 
+// tryIssue sends op to the cache, or queues it behind the operation that
+// holds its line.
 func (s *Sequencer) tryIssue(op *Op) {
 	line := op.Addr.Line()
-	if _, busy := s.perLine[line]; busy {
-		s.lineQ[line] = append(s.lineQ[line], op)
-		return
+	for _, busy := range s.inflight {
+		if busy.Addr.Line() == line {
+			busy.waiters.push(op)
+			return
+		}
 	}
+	s.issue(op)
+}
+
+func (s *Sequencer) issue(op *Op) {
 	s.nextTag++
 	op.tag = s.nextTag
 	op.Issued = s.eng.Now()
-	s.inflight[op.tag] = op
-	s.perLine[line] = op
+	s.inflight = append(s.inflight, op)
 	ty := coherence.ReqLoad
 	if op.Store {
 		ty = coherence.ReqStore
 	}
-	s.fab.Send(&coherence.Msg{
+	op.msg = coherence.Msg{
 		Type: ty, Addr: op.Addr, Src: s.id, Dst: s.cache,
 		Val: op.Val, Tag: op.tag,
-	})
+	}
+	s.fab.Send(&op.msg)
+}
+
+// take removes and returns the op carrying tag from ops, or nil. Order in
+// ops carries no meaning, so the last element fills the hole.
+func take(ops *[]*Op, tag uint64) *Op {
+	list := *ops
+	for i, op := range list {
+		if op.tag == tag {
+			last := len(list) - 1
+			list[i], list[last] = list[last], nil
+			*ops = list[:last]
+			return op
+		}
+	}
+	return nil
 }
 
 // Abort drops every in-flight and queued operation without completing
@@ -154,37 +228,45 @@ func (s *Sequencer) tryIssue(op *Op) {
 // aborted tags that are still in flight from the cache are tolerated and
 // dropped. Aborted counts the operations discarded.
 func (s *Sequencer) Abort() {
-	s.Aborted += uint64(s.Outstanding())
-	for tag := range s.inflight {
-		s.aborted[tag] = true
+	s.Aborted += uint64(s.outstanding)
+	s.outstanding = 0
+	for i, op := range s.inflight {
+		s.drain(&op.waiters)
+		s.aborted = append(s.aborted, op)
+		s.inflight[i] = nil
 	}
-	s.inflight = make(map[uint64]*Op)
-	s.perLine = make(map[mem.Addr]*Op)
-	s.lineQ = make(map[mem.Addr][]*Op)
-	s.issueQ = nil
+	s.inflight = s.inflight[:0]
+	s.drain(&s.issueQ)
 	if s.OnQuiesce != nil {
 		s.OnQuiesce()
 	}
 }
 
-// Recv handles completion messages from the cache.
+// drain releases every op on q: queued operations were never sent, so
+// nothing else holds them.
+func (s *Sequencer) drain(q *opFIFO) {
+	for op := q.pop(); op != nil; op = q.pop() {
+		s.release(op)
+	}
+}
+
+// Recv handles completion messages from the cache. Operations are found
+// by Tag, never by pointer: a cache may answer with the request retyped
+// in place or with a message of its own.
 func (s *Sequencer) Recv(m *coherence.Msg) {
 	switch m.Type {
 	case coherence.RespLoad, coherence.RespStore:
 	default:
 		panic(fmt.Sprintf("%s: unexpected message %v", s.name, m))
 	}
-	op, ok := s.inflight[m.Tag]
-	if !ok {
-		if s.aborted[m.Tag] {
-			delete(s.aborted, m.Tag)
+	op := take(&s.inflight, m.Tag)
+	if op == nil {
+		if stale := take(&s.aborted, m.Tag); stale != nil {
+			s.release(stale)
 			return
 		}
 		panic(fmt.Sprintf("%s: completion for unknown tag %d (%v)", s.name, m.Tag, m))
 	}
-	delete(s.inflight, m.Tag)
-	line := op.Addr.Line()
-	delete(s.perLine, line)
 
 	op.Done = s.eng.Now()
 	op.Result = m.Val
@@ -194,7 +276,7 @@ func (s *Sequencer) Recv(m *coherence.Msg) {
 	if lat > s.MaxLatency {
 		s.MaxLatency = lat
 	}
-	s.latencySamples = append(s.latencySamples, lat)
+	s.latencies.Add(float64(lat))
 	if op.Store {
 		s.Stores++
 	} else {
@@ -209,25 +291,21 @@ func (s *Sequencer) Recv(m *coherence.Msg) {
 	}
 
 	// Wake a same-line queued op first (preserves program order per
-	// line), then any op waiting on the outstanding limit.
-	if q := s.lineQ[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(s.lineQ, line)
-		} else {
-			s.lineQ[line] = q[1:]
-		}
-		s.tryIssue(next)
-	} else if len(s.issueQ) > 0 {
-		next := s.issueQ[0]
-		s.issueQ = s.issueQ[1:]
+	// line) — it inherits the rest of the line's queue — then any op
+	// waiting on the outstanding limit.
+	if next := op.waiters.pop(); next != nil {
+		next.waiters = op.waiters
+		s.issue(next)
+	} else if next := s.issueQ.pop(); next != nil {
 		s.tryIssue(next)
 	}
 
+	s.outstanding--
 	if op.onDone != nil {
 		op.onDone(op)
 	}
-	if s.Outstanding() == 0 && s.OnQuiesce != nil {
+	s.release(op)
+	if s.outstanding == 0 && s.OnQuiesce != nil {
 		s.OnQuiesce()
 	}
 }
@@ -240,5 +318,5 @@ func (s *Sequencer) AvgLatency() float64 {
 	return float64(s.TotalLatency) / float64(s.Completed)
 }
 
-// Latencies returns all recorded per-op latencies (for histograms).
-func (s *Sequencer) Latencies() []sim.Time { return s.latencySamples }
+// Latencies returns the distribution of per-op completion latencies.
+func (s *Sequencer) Latencies() *stats.Counts { return &s.latencies }

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"reflect"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -10,20 +11,21 @@ import (
 )
 
 // echoCache is a trivial memory-backed cache that answers every request
-// after a fixed delay, recording the order requests arrived.
+// after a fixed delay with a message of its own, recording (by copy: the
+// request is the cache's only until it replies) the order requests arrived.
 type echoCache struct {
 	id    coherence.NodeID
 	eng   *sim.Engine
 	fab   *network.Fabric
 	mem   *mem.Memory
 	delay sim.Time
-	seen  []*coherence.Msg
+	seen  []coherence.Msg
 }
 
 func (c *echoCache) ID() coherence.NodeID { return c.id }
 func (c *echoCache) Name() string         { return "echo" }
 func (c *echoCache) Recv(m *coherence.Msg) {
-	c.seen = append(c.seen, m)
+	c.seen = append(c.seen, *m)
 	c.eng.Schedule(c.delay, func() {
 		resp := &coherence.Msg{Addr: m.Addr, Src: c.id, Dst: m.Src, Tag: m.Tag}
 		switch m.Type {
@@ -121,8 +123,8 @@ func TestLatencyAccounting(t *testing.T) {
 	if s.AvgLatency() != 10 || s.MaxLatency != 10 {
 		t.Fatalf("avg %v max %v, want 10", s.AvgLatency(), s.MaxLatency)
 	}
-	if len(s.Latencies()) != 1 {
-		t.Fatalf("latency samples %d", len(s.Latencies()))
+	if s.Latencies().N() != 1 {
+		t.Fatalf("latency samples %d", s.Latencies().N())
 	}
 }
 
@@ -147,4 +149,166 @@ func TestUnknownTagPanics(t *testing.T) {
 	}()
 	_ = eng
 	s.Recv(&coherence.Msg{Type: coherence.RespLoad, Tag: 999})
+}
+
+// parkingCache holds every request it receives while parked is set — the
+// way a cache holds operations behind a busy line — and otherwise completes
+// it in place one tick later; a load returns the low byte of its address.
+type parkingCache struct {
+	id     coherence.NodeID
+	fab    *network.Fabric
+	parked bool
+	held   []*coherence.Msg
+}
+
+func (c *parkingCache) ID() coherence.NodeID { return c.id }
+func (c *parkingCache) Name() string         { return "parking" }
+func (c *parkingCache) Recv(m *coherence.Msg) {
+	if c.parked {
+		c.held = append(c.held, m)
+		return
+	}
+	c.reply(m)
+}
+
+func (c *parkingCache) reply(m *coherence.Msg) {
+	var val byte
+	if m.Type == coherence.ReqLoad {
+		val = byte(m.Addr)
+	}
+	c.fab.SendAfter(1, coherence.Reply(m, c.id, val), nil)
+}
+
+func (s *Sequencer) freeOps() int {
+	n := 0
+	for op := s.free; op != nil; op = op.next {
+		n++
+	}
+	return n
+}
+
+// TestAbortDoesNotRecycleOpsTheCacheHolds is the regression test for the
+// third ownership rule: an issued Op that Abort discards carries a message
+// the cache still holds, so it must stay off the free list — while the
+// queued ones go straight back — until its stale completion has arrived.
+func TestAbortDoesNotRecycleOpsTheCacheHolds(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := network.NewFabric(eng, 7, network.Config{Latency: 1, Ordered: true})
+	cache := &parkingCache{id: 100, fab: fab, parked: true}
+	fab.Register(cache)
+	s := New(1, "seq0", eng, fab, 100)
+	s.MaxOutstanding = 4
+
+	never := func(*Op) { t.Error("an aborted operation completed") }
+	line := func(i int) mem.Addr { return mem.Addr(0x8000 + i*mem.BlockBytes) }
+	for i := 0; i < 4; i++ {
+		s.Store(line(i), byte(10+i), never) // issued, then held by the cache
+	}
+	s.Load(line(0)+1, never) // these two would queue behind line 0,
+	s.Load(line(0)+2, never) // but the issue limit is reached first
+	s.Load(line(9), never)
+	s.Load(line(9)+1, never)
+	eng.RunUntilQuiet()
+	if len(cache.held) != 4 || s.Outstanding() != 8 {
+		t.Fatalf("cache holds %d requests, %d outstanding; want 4 and 8", len(cache.held), s.Outstanding())
+	}
+	type wire struct {
+		ty   coherence.MsgType
+		addr mem.Addr
+		val  byte
+		tag  uint64
+	}
+	snapshot := func() []wire {
+		var out []wire
+		for _, m := range cache.held {
+			out = append(out, wire{m.Type, m.Addr, m.Val, m.Tag})
+		}
+		return out
+	}
+	before := snapshot()
+
+	s.Abort()
+	if s.Aborted != 8 || s.Outstanding() != 0 {
+		t.Fatalf("Aborted=%d Outstanding=%d after Abort, want 8 and 0", s.Aborted, s.Outstanding())
+	}
+	if got := s.freeOps(); got != 4 {
+		t.Fatalf("%d Ops on the free list after Abort, want the 4 that were only queued", got)
+	}
+
+	// New work recycles every free Op and more, with the stale requests
+	// still parked. Each completion must see its own operation intact.
+	cache.parked = false
+	completed := 0
+	issue := func(n int) {
+		for i := 0; i < n; i++ {
+			a := line(i%6) + mem.Addr(i%5)
+			if i%2 == 0 {
+				v := byte(100 + i)
+				s.Store(a, v, func(op *Op) {
+					completed++
+					if op.Addr != a || !op.Store || op.Val != v {
+						t.Errorf("store %v<-%d completed as %+v", a, v, op)
+					}
+				})
+			} else {
+				s.Load(a, func(op *Op) {
+					completed++
+					if op.Addr != a || op.Store || op.Result != byte(a) {
+						t.Errorf("load %v completed as %+v, want result %d", a, op, byte(a))
+					}
+				})
+			}
+		}
+	}
+	issue(12)
+	eng.RunUntilQuiet()
+	if completed != 12 || s.Completed != 12 {
+		t.Fatalf("%d callbacks, Completed=%d; want 12 and 12", completed, s.Completed)
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("requests the cache holds were disturbed by recycling:\n before %+v\n after  %+v", before, after)
+	}
+
+	// The cache finally answers the stale requests, in place: dropped
+	// without a callback, and only now are their Ops free.
+	free := s.freeOps()
+	for _, m := range cache.held {
+		cache.reply(m)
+	}
+	cache.held = nil
+	eng.RunUntilQuiet()
+	if s.Completed != 12 || s.Outstanding() != 0 {
+		t.Fatalf("stale completions were counted: Completed=%d Outstanding=%d", s.Completed, s.Outstanding())
+	}
+	if got := s.freeOps(); got != free+4 {
+		t.Fatalf("%d Ops free after the stale completions, want %d", got, free+4)
+	}
+	issue(free + 4) // a burst that needs every Op at once, the stale four included
+	eng.RunUntilQuiet()
+	if completed != 12+free+4 || s.freeOps() != free+4 {
+		t.Fatalf("after recycling: %d callbacks (want %d), %d Ops free (want %d: no new Op was needed)",
+			completed, 12+free+4, s.freeOps(), free+4)
+	}
+}
+
+// TestOpIsValidOnlyUntilDoneReturns documents the second ownership rule by
+// its consequence: the Op a callback was handed is the very object the
+// next operation is built in.
+func TestOpIsValidOnlyUntilDoneReturns(t *testing.T) {
+	eng, s, _ := rig(2)
+	var first *Op
+	s.Store(0x40, 9, func(op *Op) { first = op })
+	eng.RunUntilQuiet()
+	s.Load(0x80, func(op *Op) {
+		if op != first {
+			t.Errorf("second operation did not reuse the first one's Op")
+		}
+		if op.Addr != 0x80 || op.Store || op.Val != 0 {
+			t.Errorf("recycled Op carries the previous operation's fields: %+v", op)
+		}
+	})
+	eng.RunUntilQuiet()
+	if s.Completed != 2 {
+		t.Fatalf("completed %d, want 2", s.Completed)
+	}
 }

@@ -1,13 +1,14 @@
 // Package stats provides the small statistics toolkit the evaluation
-// uses: streaming histograms with quantiles, and normalization helpers
-// for the paper-style tables.
+// uses: exact counting histograms with quantiles (Counts) for the
+// integer-valued data the simulator observes, a sample-retaining
+// accumulator (Sample) for anything else, and normalization helpers for
+// the paper-style tables.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations and answers moments and quantiles.
@@ -129,34 +130,11 @@ func (s *Sample) Summary() string {
 // Histogram renders a log2-bucketed ASCII histogram, useful for latency
 // distributions in command output.
 func (s *Sample) Histogram(width int) string {
-	if len(s.xs) == 0 {
-		return "(empty)"
-	}
-	if width <= 0 {
-		width = 40
-	}
-	buckets := map[int]int{}
-	maxB, maxN := 0, 0
+	var c Counts
 	for _, x := range s.xs {
-		b := 0
-		for v := x; v >= 2; v /= 2 {
-			b++
-		}
-		buckets[b]++
-		if b > maxB {
-			maxB = b
-		}
-		if buckets[b] > maxN {
-			maxN = buckets[b]
-		}
+		c.Add(x)
 	}
-	var sb strings.Builder
-	for b := 0; b <= maxB; b++ {
-		n := buckets[b]
-		bar := strings.Repeat("#", n*width/maxN)
-		fmt.Fprintf(&sb, "%8d-%-8d %6d %s\n", 1<<b, 1<<(b+1)-1, n, bar)
-	}
-	return sb.String()
+	return c.Histogram(width)
 }
 
 // Normalize divides every value by base, for the paper's

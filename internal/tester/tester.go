@@ -90,12 +90,20 @@ type Result struct {
 	EndTime sim.Time
 }
 
-// location is one independently-verified byte address.
+// location is one independently-verified byte address. It has one
+// operation in flight at a time and keeps that operation's state itself,
+// so its callbacks are bound once, not once per operation.
 type location struct {
-	addr    mem.Addr
-	value   byte
-	rounds  int
-	hasEver bool
+	addr   mem.Addr
+	value  byte // last completed store
+	rounds int
+
+	storing   byte           // operand of the store in flight
+	checker   *seq.Sequencer // core that issued the verifying load in flight
+	remaining int            // verifying loads to issue after that one
+
+	start           func() // begins the next store→verify round
+	stored, checked func(*seq.Op)
 }
 
 type runner struct {
@@ -135,7 +143,10 @@ func Run(sys System, cfg Config) (Result, error) {
 	eng := sys.Engine()
 	for _, loc := range locs {
 		loc := loc
-		eng.Schedule(sim.Time(r.rng.Intn(16)), func() { r.startStore(loc) })
+		loc.start = func() { r.startStore(loc) }
+		loc.stored = func(*seq.Op) { r.storeDone(loc) }
+		loc.checked = func(op *seq.Op) { r.checkDone(loc, op) }
+		eng.Schedule(sim.Time(r.rng.Intn(16)), loc.start)
 	}
 
 	quiet := eng.RunUntil(cfg.Deadline)
@@ -177,14 +188,14 @@ func (r *runner) startStore(loc *location) {
 		r.sys.Engine().Stop()
 		return
 	}
-	val := byte(r.rng.Intn(255) + 1) // never 0, so "never written" is distinguishable
-	s := r.pick()
-	s.Store(loc.addr, val, func(*seq.Op) {
-		r.res.Stores++
-		loc.value = val
-		loc.hasEver = true
-		r.startChecks(loc, r.cfg.LoadsPerStore)
-	})
+	loc.storing = byte(r.rng.Intn(255) + 1) // never 0, so "never written" is distinguishable
+	r.pick().Store(loc.addr, loc.storing, loc.stored)
+}
+
+func (r *runner) storeDone(loc *location) {
+	r.res.Stores++
+	loc.value = loc.storing
+	r.startChecks(loc, r.cfg.LoadsPerStore)
 }
 
 func (r *runner) startChecks(loc *location, remaining int) {
@@ -200,31 +211,34 @@ func (r *runner) startChecks(loc *location, remaining int) {
 			return
 		}
 		// Small random think time decorrelates the locations.
-		r.sys.Engine().Schedule(sim.Time(r.rng.Intn(8)), func() { r.startStore(loc) })
+		r.sys.Engine().Schedule(sim.Time(r.rng.Intn(8)), loc.start)
 		return
 	}
-	s := r.pick()
-	expect := loc.value
-	s.Load(loc.addr, func(op *seq.Op) {
-		r.res.Loads++
-		// Record the tester's own expectation next to the sequencer's
-		// load record: the offline checker then validates the harness's
-		// bookkeeping against the recorded history, even on runs where
-		// inline verification is off.
-		if rec := s.Rec; rec.Active() {
-			rec.Record(consistency.OpVerify, loc.addr, expect, op.Issued, op.Done)
-		}
-		if r.cfg.SkipValueChecks {
-			r.startChecks(loc, remaining-1)
-			return
-		}
-		r.res.LoadChecks++
-		if op.Result != expect {
-			r.fail(fmt.Errorf("tester: DATA ERROR at %v: loaded %d, want %d (t=%d, core %s)",
-				loc.addr, op.Result, expect, r.sys.Engine().Now(), s.Name()))
-			r.sys.Engine().Stop()
-			return
-		}
-		r.startChecks(loc, remaining-1)
-	})
+	loc.checker, loc.remaining = r.pick(), remaining-1
+	loc.checker.Load(loc.addr, loc.checked)
+}
+
+// checkDone verifies one load against the location's last completed store
+// (no store to the location is in flight while its loads are).
+func (r *runner) checkDone(loc *location, op *seq.Op) {
+	r.res.Loads++
+	// Record the tester's own expectation next to the sequencer's
+	// load record: the offline checker then validates the harness's
+	// bookkeeping against the recorded history, even on runs where
+	// inline verification is off.
+	if rec := loc.checker.Rec; rec.Active() {
+		rec.Record(consistency.OpVerify, loc.addr, loc.value, op.Issued, op.Done)
+	}
+	if r.cfg.SkipValueChecks {
+		r.startChecks(loc, loc.remaining)
+		return
+	}
+	r.res.LoadChecks++
+	if op.Result != loc.value {
+		r.fail(fmt.Errorf("tester: DATA ERROR at %v: loaded %d, want %d (t=%d, core %s)",
+			loc.addr, op.Result, loc.value, r.sys.Engine().Now(), loc.checker.Name()))
+		r.sys.Engine().Stop()
+		return
+	}
+	r.startChecks(loc, loc.remaining)
 }

@@ -123,7 +123,7 @@ type Result struct {
 	// AccelAvgLat / CPUAvgLat are mean per-access latencies in ticks;
 	// AccelLat carries the full distribution for histograms/quantiles.
 	AccelAvgLat, CPUAvgLat float64
-	AccelLat               stats.Sample
+	AccelLat               stats.Counts
 	// CrossingBytes is accel<->host boundary traffic; GuardHostBytes the
 	// guard-to-host share; PutSFrac the PutS share of accelerator-to-
 	// guard traffic (paper §2.1 reports 1-4%).
@@ -248,8 +248,10 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 	for ci, sq := range sys.AccelSeqs {
 		sq := sq
 		k := &kernel{cfg: cfg, core: ci, dev: sys.AccelSeqDevice(ci), state: uint64(ci)*977 + 1}
-		var step func(last byte)
-		step = func(last byte) {
+		// The completion callbacks are bound once per core, not once per
+		// access: the sequencer hands each the finished Op.
+		var stored, loaded func(*seq.Op)
+		step := func(last byte) {
 			if k.i >= cfg.AccessesPerCore {
 				accelDone++
 				if accelDone == len(sys.AccelSeqs) {
@@ -259,11 +261,13 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 			}
 			addr, store, val := k.next(last)
 			if store {
-				sq.Store(addr, val, func(*seq.Op) { step(0) })
+				sq.Store(addr, val, stored)
 			} else {
-				sq.Load(addr, func(op *seq.Op) { step(op.Result) })
+				sq.Load(addr, loaded)
 			}
 		}
+		stored = func(*seq.Op) { step(0) }
+		loaded = func(op *seq.Op) { step(op.Result) }
 		eng.Schedule(sim.Time(ci), func() { step(0) })
 	}
 
@@ -272,8 +276,8 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 	for ci, sq := range sys.CPUSeqs {
 		ci, sq := ci, sq
 		i := 0
-		var step func()
-		step = func() {
+		var done func(*seq.Op)
+		step := func() {
 			if accelDone == len(sys.AccelSeqs) {
 				return
 			}
@@ -285,14 +289,14 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 			} else {
 				addr = cpuBase + mem.Addr(ci<<14) + mem.Addr((i*mem.BlockBytes/2)%(1<<13))
 			}
-			done := func(*seq.Op) { eng.Schedule(8, step) } // think time
 			if store {
 				sq.Store(addr, byte(i), done)
 			} else {
 				sq.Load(addr, done)
 			}
 		}
-		eng.Schedule(sim.Time(ci)+2, func() { step() })
+		done = func(*seq.Op) { eng.Schedule(8, step) } // think time
+		eng.Schedule(sim.Time(ci)+2, step)
 	}
 
 	if !eng.RunUntil(cfg.Deadline) && accelDone < len(sys.AccelSeqs) {
@@ -306,9 +310,7 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 	for _, sq := range sys.AccelSeqs {
 		res.AccelAccesses += sq.Completed
 		res.AccelAvgLat += sq.AvgLatency()
-		for _, l := range sq.Latencies() {
-			res.AccelLat.Add(float64(l))
-		}
+		res.AccelLat.Merge(sq.Latencies())
 	}
 	res.AccelAvgLat /= float64(len(sys.AccelSeqs))
 	for _, sq := range sys.CPUSeqs {

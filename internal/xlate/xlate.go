@@ -337,14 +337,7 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 }
 
 func (w *WideAccel) respond(op *coherence.Msg, val byte) {
-	ty := coherence.RespLoad
-	if op.Type == coherence.ReqStore {
-		ty = coherence.RespStore
-	}
-	w.eng.Schedule(1, func() {
-		w.fab.Send(&coherence.Msg{Type: ty, Addr: op.Addr, Src: w.id, Dst: op.Src,
-			Val: val, Tag: op.Tag})
-	})
+	w.fab.SendAfter(1, coherence.Reply(op, w.id, val), nil)
 }
 
 func (w *WideAccel) settled(wa mem.Addr) {
