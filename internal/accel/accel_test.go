@@ -55,6 +55,7 @@ func (g *mockGuard) Recv(m *coherence.Msg) {
 		g.putSs++
 		g.fab.Send(&coherence.Msg{Type: coherence.AWBAck, Addr: m.Addr, Src: g.id, Dst: m.Src})
 	case coherence.AInvAck, coherence.ACleanWB, coherence.ADirtyWB:
+		m.Keep()
 		g.invResps = append(g.invResps, m)
 		if m.Data != nil && m.Type == coherence.ADirtyWB {
 			g.mem.Write(m.Addr, m.Data)

@@ -10,7 +10,9 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// aLine is the payload of one accelerator L1 line.
+// aLine is the payload of one accelerator L1 line. data is the cache's
+// own block, taken from the machine's block list at fill and given back
+// at invalidation.
 type aLine struct {
 	state AState
 	data  *mem.Block
@@ -31,10 +33,14 @@ type L1Cache struct {
 	cfg  Config
 	xg   coherence.NodeID // the Crossing Guard endpoint
 
-	cache      *cacheset.Cache[aLine]
-	wb         map[mem.Addr]*aLine // put-origin B entries
-	waitingOps map[mem.Addr][]*coherence.Msg
+	cache *cacheset.Cache[aLine]
+	wb    map[mem.Addr]*mem.Block // put-origin B entries: the evicted data
+	// waitingOps and stalledOps hold core operations only: sequencer
+	// requests, which belong to this cache until it replies.
+	waitingOps coherence.LineQueues
 	stalledOps []*coherence.Msg
+	// doCPU is handleCPU bound once (CallAfter's handler).
+	doCPU func(*coherence.Msg)
 
 	// epoch is the guard epoch this cache operates under (0 until the
 	// first device reset). Guard messages from another epoch are
@@ -56,10 +62,11 @@ func NewL1Cache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	c := &L1Cache{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:      cacheset.New[aLine](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*aLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		wb:         make(map[mem.Addr]*mem.Block),
+		waitingOps: make(coherence.LineQueues),
 		Cov:        NewTable1Coverage(),
 	}
+	c.doCPU = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -153,8 +160,8 @@ func (c *L1Cache) Recv(m *coherence.Msg) {
 func (c *L1Cache) Reset(epoch uint32) {
 	c.epoch = epoch
 	c.cache = cacheset.New[aLine](c.cfg.L1Sets, c.cfg.L1Ways)
-	c.wb = make(map[mem.Addr]*aLine)
-	c.waitingOps = make(map[mem.Addr][]*coherence.Msg)
+	c.wb = make(map[mem.Addr]*mem.Block)
+	c.waitingOps = make(coherence.LineQueues)
 	c.stalledOps = nil
 }
 
@@ -165,17 +172,27 @@ func (c *L1Cache) handleNack(m *coherence.Msg) {
 	line := m.Addr.Line()
 	c.Nacked++
 	if _, ok := c.wb[line]; ok {
-		delete(c.wb, line)
-		c.settled(line)
+		c.retire(line)
 		return
 	}
 	if e := c.cache.Peek(m.Addr); e != nil && e.V.state == AB {
-		c.cache.Invalidate(m.Addr)
+		c.invalidate(e)
 		c.settled(line)
 	}
 }
 
-func (c *L1Cache) send(m *coherence.Msg) { c.fab.Send(m) }
+// invalidate drops the line and gives its block back.
+func (c *L1Cache) invalidate(e *cacheset.Entry[aLine]) {
+	c.fab.FreeBlock(e.V.data)
+	c.cache.Invalidate(e.Addr)
+}
+
+// retire closes a finished (or refused) writeback.
+func (c *L1Cache) retire(line mem.Addr) {
+	c.fab.FreeBlock(c.wb[line])
+	delete(c.wb, line)
+	c.settled(line)
+}
 
 // --- accelerator-core side ---
 
@@ -184,13 +201,13 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 	if _, busy := c.wb[line]; busy {
 		// Table 1: B stalls loads, stores, and replacements.
 		c.Cov.Record(int(AB), opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == AB {
 		c.Cov.Record(int(AB), opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -208,7 +225,7 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 		}
 		e.V.state = AB
 		e.V.op = m
-		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.xg, Epoch: c.epoch})
+		c.sendToXG(ty, line, nil, false)
 		return
 	}
 	st := e.V.state
@@ -228,19 +245,20 @@ func (c *L1Cache) handleCPU(m *coherence.Msg) {
 		// S + Store -> issue GetM / B.
 		e.V.state = AB
 		e.V.op = m
-		c.send(&coherence.Msg{Type: coherence.AGetM, Addr: line, Src: c.id, Dst: c.xg, Epoch: c.epoch})
+		c.sendToXG(coherence.AGetM, line, nil, false)
 	}
 }
 
 func (c *L1Cache) allocate(m *coherence.Msg) *cacheset.Entry[aLine] {
-	e, victim, ok := c.cache.Allocate(m.Addr, func(e *cacheset.Entry[aLine]) bool {
+	var victim cacheset.Entry[aLine]
+	e, evicted, ok := c.cache.Allocate(m.Addr, func(e *cacheset.Entry[aLine]) bool {
 		return e.V.state.Stable()
-	})
+	}, &victim)
 	if !ok {
 		c.stalledOps = append(c.stalledOps, m)
 		return nil
 	}
-	if victim != nil {
+	if evicted {
 		c.evict(victim.Addr, &victim.V)
 	}
 	e.V = aLine{state: AI}
@@ -255,9 +273,9 @@ func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
 	var data *mem.Block
 	switch v.state {
 	case AM:
-		ty, data = coherence.APutM, v.data.Copy()
+		ty, data = coherence.APutM, v.data
 	case AE:
-		ty, data = coherence.APutE, v.data.Copy()
+		ty, data = coherence.APutE, v.data
 		if c.cfg.Flavor == FlavorMSI || c.cfg.Flavor == FlavorVI {
 			ty = coherence.APutM // degraded designs send only dirty Puts
 		}
@@ -266,9 +284,8 @@ func (c *L1Cache) evict(addr mem.Addr, v *aLine) {
 	default:
 		panic(fmt.Sprintf("%s: evicting %v", c.name, v.state))
 	}
-	c.wb[addr] = &aLine{state: AB, data: v.data}
-	c.send(&coherence.Msg{Type: ty, Addr: addr, Src: c.id, Dst: c.xg, Data: data,
-		Dirty: ty == coherence.APutM, Epoch: c.epoch})
+	c.wb[addr] = v.data // the buffer takes the victim's block over
+	c.sendToXG(ty, addr, data, ty == coherence.APutM)
 }
 
 func (c *L1Cache) respond(op *coherence.Msg, val byte) {
@@ -296,7 +313,7 @@ func (c *L1Cache) handleData(m *coherence.Msg) {
 	}
 	op := e.V.op
 	e.V.state = st
-	e.V.data = m.Data.Copy()
+	c.fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade
 	e.V.op = nil
 	if op.Type == coherence.ReqStore {
 		if st == AS {
@@ -321,17 +338,15 @@ func (c *L1Cache) handleWBAck(m *coherence.Msg) {
 		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", c.name, m))
 	}
 	c.Cov.Record(int(AB), l1Table.Event(m.Type))
-	delete(c.wb, line)
-	c.settled(line)
+	c.retire(line)
 }
 
 // handleInv implements the Invalidate column of Table 1.
 func (c *L1Cache) handleInv(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if wl, ok := c.wb[line]; ok {
+	if _, ok := c.wb[line]; ok {
 		// B (put outstanding): send InvAck, take no further action;
 		// Crossing Guard resolves the Put/Inv race.
-		_ = wl
 		c.Cov.Record(int(AB), l1Table.Event(m.Type))
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 		return
@@ -345,53 +360,41 @@ func (c *L1Cache) handleInv(m *coherence.Msg) {
 	c.Cov.Record(int(e.V.state), l1Table.Event(m.Type))
 	switch e.V.state {
 	case AM:
-		c.sendToXG(coherence.ADirtyWB, line, e.V.data.Copy(), true)
-		c.cache.Invalidate(m.Addr)
+		c.sendToXG(coherence.ADirtyWB, line, e.V.data, true)
+		c.invalidate(e)
 		c.settled(line)
 	case AE:
-		c.sendToXG(coherence.ACleanWB, line, e.V.data.Copy(), false)
-		c.cache.Invalidate(m.Addr)
+		c.sendToXG(coherence.ACleanWB, line, e.V.data, false)
+		c.invalidate(e)
 		c.settled(line)
 	case AS:
 		c.sendToXG(coherence.AInvAck, line, nil, false)
-		c.cache.Invalidate(m.Addr)
+		c.invalidate(e)
 		c.settled(line)
 	case AB:
 		c.sendToXG(coherence.AInvAck, line, nil, false)
 	}
 }
 
+// sendToXG sends the guard one interface message, data copied into it.
 func (c *L1Cache) sendToXG(ty coherence.MsgType, line mem.Addr, data *mem.Block, dirty bool) {
-	c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.xg, Data: data, Dirty: dirty,
-		Epoch: c.epoch})
+	c.fab.Send(c.fab.Msg(coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.xg, Data: data, Dirty: dirty,
+		Epoch: c.epoch}))
 }
 
 func (c *L1Cache) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+	if next := c.waitingOps.Pop(line); next != nil {
+		c.fab.CallAfter(0, c.doCPU, next)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for _, op := range c.stalledOps {
+		c.fab.CallAfter(0, c.doCPU, op)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.
 func (c *L1Cache) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waitingOps.Len()
 	c.cache.Visit(func(e *cacheset.Entry[aLine]) {
 		if e.V.state == AB {
 			n++

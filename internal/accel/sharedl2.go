@@ -32,6 +32,9 @@ type sl2Txn struct {
 	granted       bool // the fetch's grant already arrived
 }
 
+// sl2Line is the payload of one shared-L2 line. data is the L2's own
+// block, taken from the machine's block list when the grant lands and
+// given back when the line leaves the cache.
 type sl2Line struct {
 	host    AState // grant level held from Crossing Guard (S/E/M)
 	data    *mem.Block
@@ -52,16 +55,19 @@ type SharedL2 struct {
 	xg   coherence.NodeID
 
 	cache     *cacheset.Cache[sl2Line]
-	evictions map[mem.Addr]*sl2Line // writebacks to the guard awaiting WBAck
-	waiting   map[mem.Addr][]*coherence.Msg
-	stalled   []*coherence.Msg
-	replaying *coherence.Msg // message being replayed from the queue head
-	// hostInv holds a guard Invalidate that arrived during a local
-	// transaction; it is serviced with priority as soon as the line goes
-	// idle, ahead of queued requests (whose own guard Gets may be
+	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
+	waiting   coherence.LineQueues
+	stalled   []*coherence.Msg // kept until replayed
+	replaying *coherence.Msg   // message being replayed from the queue head
+	// hostInv holds (and keeps) a guard Invalidate that arrived during a
+	// local transaction; it is serviced with priority as soon as the line
+	// goes idle, ahead of queued requests (whose own guard Gets may be
 	// deferred until this very Invalidate is answered).
 	hostInv   map[mem.Addr]*coherence.Msg
 	ignoreAck map[mem.Addr]map[coherence.NodeID]int
+	// doRecv and doServe are Recv and serve bound once (CallAfter's
+	// handlers).
+	doRecv, doServe func(*coherence.Msg)
 
 	Cov *coherence.Coverage
 	// LocalSharing counts data requests satisfied without crossing to
@@ -84,12 +90,13 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 	l := &SharedL2{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
-		evictions: make(map[mem.Addr]*sl2Line),
-		waiting:   make(map[mem.Addr][]*coherence.Msg),
+		evictions: make(map[mem.Addr]struct{}),
+		waiting:   make(coherence.LineQueues),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 		ignoreAck: make(map[mem.Addr]map[coherence.NodeID]int),
 		Cov:       NewSharedL2Coverage(),
 	}
+	l.doRecv, l.doServe = l.Recv, l.serve
 	fab.Register(l)
 	return l
 }
@@ -184,8 +191,8 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 func (l *SharedL2) Reset(epoch uint32) {
 	l.epoch = epoch
 	l.cache = cacheset.New[sl2Line](l.cfg.L2Sets, l.cfg.L2Ways)
-	l.evictions = make(map[mem.Addr]*sl2Line)
-	l.waiting = make(map[mem.Addr][]*coherence.Msg)
+	l.evictions = make(map[mem.Addr]struct{})
+	l.waiting = make(coherence.LineQueues)
 	l.stalled = nil
 	l.replaying = nil
 	l.hostInv = make(map[mem.Addr]*coherence.Msg)
@@ -205,16 +212,22 @@ func (l *SharedL2) handleANack(m *coherence.Msg) {
 		return
 	}
 	if e := l.cache.Peek(addr); e != nil && e.V.txn != nil && e.V.txn.kind == sl2Fetch {
-		l.cache.Invalidate(addr)
+		l.invalidate(e)
 	}
 }
 
-// send stamps the hierarchy's epoch and hands the message to the fabric
-// (every protocol message the L2 emits — guard-bound or internal —
-// carries the epoch).
-func (l *SharedL2) send(m *coherence.Msg) {
-	m.Epoch = l.epoch
-	l.fab.Send(m)
+// send takes a message holding t from the pool, stamps the hierarchy's
+// epoch on it and hands it to the fabric (every protocol message the L2
+// emits — guard-bound or internal — carries the epoch).
+func (l *SharedL2) send(t coherence.Msg) {
+	t.Src, t.Epoch = l.id, l.epoch
+	l.fab.Send(l.fab.Msg(t))
+}
+
+// invalidate drops the line and gives its block back.
+func (l *SharedL2) invalidate(e *cacheset.Entry[sl2Line]) {
+	l.fab.FreeBlock(e.V.data)
+	l.cache.Invalidate(e.Addr)
 }
 
 // --- inner L1 requests ---
@@ -222,36 +235,38 @@ func (l *SharedL2) send(m *coherence.Msg) {
 func (l *SharedL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, evicting := l.evictions[addr]; evicting {
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
-	if (e != nil && e.V.txn != nil) || (len(l.waiting[addr]) > 0 && m != l.replaying) {
+	if (e != nil && e.V.txn != nil) || (l.waiting.Waiting(addr) && m != l.replaying) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
 	if e == nil {
 		l.missFetch(m)
 		return
 	}
-	l.eng.Schedule(l.cfg.L2Lat, func() { l.serve(m) })
+	l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
 	e.V.txn = &sl2Txn{kind: sl2LocalInv, requestor: m.Src, wait: map[coherence.NodeID]bool{}}
 }
 
 func (l *SharedL2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	e, victim, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[sl2Line]) bool {
+	var victim cacheset.Entry[sl2Line]
+	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[sl2Line]) bool {
 		_, evicting := l.evictions[e.Addr]
 		return e.V.txn == nil && len(e.V.sharers) == 0 &&
 			e.V.owner == coherence.NodeNone && !evicting
-	})
+	}, &victim)
 	if !ok {
 		l.startLocalRecallInSet(addr)
+		m.Keep()
 		l.stalled = append(l.stalled, m)
 		return
 	}
-	if victim != nil {
+	if evicted {
 		l.putToGuard(victim.Addr, &victim.V)
 	}
 	wantM := m.Type == coherence.XGetM
@@ -261,7 +276,7 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 	if wantM {
 		ty = coherence.AGetM
 	}
-	l.send(&coherence.Msg{Type: ty, Addr: addr, Src: l.id, Dst: l.xg})
+	l.send(coherence.Msg{Type: ty, Addr: addr, Dst: l.xg})
 }
 
 // serve handles a Get against a present line (reserved by a lookup txn).
@@ -269,7 +284,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
 	if e == nil || e.V.txn == nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
 	t := e.V.txn
@@ -278,7 +293,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		if e.V.owner != coherence.NodeNone {
 			// Pull the dirty copy out of the owner first.
 			t.wait[e.V.owner] = true
-			l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: e.V.owner})
+			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 			l.LocalSharing++
 			return // completed in handleInvResp
 		}
@@ -290,7 +305,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		// Upgrade needed from the host before any local write.
 		t.kind = sl2Fetch
 		t.wantM = true
-		l.send(&coherence.Msg{Type: coherence.AGetM, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
 		// A guard Invalidate that arrived during the lookup window must
 		// be answered now: the guard defers our Get until it is.
 		l.applyPendingHostInv(addr, e)
@@ -310,13 +325,13 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	}
 	if e.V.owner != coherence.NodeNone && e.V.owner != t.requestor {
 		t.wait[e.V.owner] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: e.V.owner})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 		l.LocalSharing++
 	}
 	for _, s := range coherence.SortedNodes(e.V.sharers) {
 		if s != t.requestor {
 			t.wait[s] = true
-			l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: s})
+			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
 		}
 	}
 	l.maybeGrantM(addr, e)
@@ -325,8 +340,8 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 func (l *SharedL2) grantS(addr mem.Addr, e *cacheset.Entry[sl2Line], i coherence.NodeID) {
 	e.V.sharers[i] = true
 	e.V.txn = nil
-	l.send(&coherence.Msg{Type: coherence.XDataS, Addr: addr, Src: l.id, Dst: i,
-		Data: e.V.data.Copy()})
+	l.send(coherence.Msg{Type: coherence.XDataS, Addr: addr, Dst: i,
+		Data: e.V.data})
 	l.pop(addr)
 }
 
@@ -339,8 +354,8 @@ func (l *SharedL2) maybeGrantM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	e.V.sharers = map[coherence.NodeID]bool{}
 	e.V.owner = i
 	e.V.txn = nil
-	l.send(&coherence.Msg{Type: coherence.XDataM, Addr: addr, Src: l.id, Dst: i,
-		Data: e.V.data.Copy()})
+	l.send(coherence.Msg{Type: coherence.XDataM, Addr: addr, Dst: i,
+		Data: e.V.data})
 	l.pop(addr)
 }
 
@@ -355,10 +370,10 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 	if t := e.V.txn; t != nil && t.activeWait()[m.Src] {
 		// The owner's Put crossed our Inv: absorb it as the response.
 		delete(t.activeWait(), m.Src)
-		e.V.data = m.Data.Copy()
+		l.fab.FillBlock(&e.V.data, m.Data)
 		e.V.dirty = true
 		e.V.owner = coherence.NodeNone
-		l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
+		l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
 		l.noteIgnore(addr, m.Src)
 		l.advance(addr, e)
 		return
@@ -368,22 +383,22 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 			// The owner's Put arrived in a transaction's lookup window,
 			// before any Inv went out: absorb it now so the transaction
 			// proceeds against current data and a cleared owner.
-			e.V.data = m.Data.Copy()
+			l.fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = true
 			e.V.owner = coherence.NodeNone
-			l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
+			l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
 			return
 		}
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
 	if e.V.owner != m.Src {
 		panic(fmt.Sprintf("%s: Put from non-owner %d for %v", l.name, m.Src, addr))
 	}
-	e.V.data = m.Data.Copy()
+	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = true
 	e.V.owner = coherence.NodeNone
-	l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
+	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
 	l.pop(addr)
 }
 
@@ -427,7 +442,7 @@ func (l *SharedL2) handleInvResp(m *coherence.Msg) {
 	}
 	delete(w, m.Src)
 	if m.Type == coherence.XInvWB {
-		e.V.data = m.Data.Copy()
+		l.fab.FillBlock(&e.V.data, m.Data)
 		e.V.dirty = true
 		e.V.owner = coherence.NodeNone
 	} else if e.V.owner == m.Src {
@@ -453,7 +468,7 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 		t.invWait = nil
 		e.V.sharers = map[coherence.NodeID]bool{}
 		e.V.dirty = false
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		if t.kind != sl2Fetch {
 			panic(fmt.Sprintf("%s: pendingInvAck outside a fetch at %v", l.name, addr))
 		}
@@ -504,7 +519,7 @@ func (l *SharedL2) handleGrant(m *coherence.Msg) {
 	case coherence.ADataM:
 		e.V.host = AM
 	}
-	e.V.data = m.Data.Copy()
+	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = false
 	t.granted = true
 	if t.pendingInvAck {
@@ -544,12 +559,12 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, evicting := l.evictions[addr]; evicting {
 		// Put/Inv race: the guard resolves it from our Put data.
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
 	e := l.cache.Peek(addr)
 	if e == nil {
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
 	if t := e.V.txn; t != nil {
@@ -564,6 +579,7 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 			if l.hostInv[addr] != nil {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
+			m.Keep()
 			l.hostInv[addr] = m
 		}
 		return
@@ -573,11 +589,11 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 	e.V.txn = t
 	for _, s := range coherence.SortedNodes(e.V.sharers) {
 		t.wait[s] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: s})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
 	}
 	if e.V.owner != coherence.NodeNone {
 		t.wait[e.V.owner] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: e.V.owner})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 	}
 	l.advance(addr, e)
 }
@@ -591,11 +607,11 @@ func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line
 	t.invWait = map[coherence.NodeID]bool{}
 	for _, s := range coherence.SortedNodes(e.V.sharers) {
 		t.invWait[s] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: s})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
 	}
 	if e.V.owner != coherence.NodeNone {
 		t.invWait[e.V.owner] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: e.V.owner})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 		e.V.owner = coherence.NodeNone
 	}
 	e.V.host = AI // whatever we held is gone; the grant re-establishes
@@ -615,6 +631,7 @@ func (l *SharedL2) applyPendingHostInv(addr mem.Addr, e *cacheset.Entry[sl2Line]
 		return // pop() services it when the line goes idle
 	}
 	delete(l.hostInv, addr)
+	l.fab.Release(m)
 	l.invalidateUnderFetch(addr, e)
 }
 
@@ -623,32 +640,30 @@ func (l *SharedL2) finishRecall(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	l.cache.Invalidate(addr)
 	switch {
 	case host == AM || dirty:
-		l.send(&coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Src: l.id, Dst: l.xg,
-			Data: data.Copy(), Dirty: true})
+		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
 	case host == AE:
-		l.send(&coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Src: l.id, Dst: l.xg,
-			Data: data.Copy()})
+		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
 	default:
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 	}
+	l.fab.FreeBlock(data)
 	l.pop(addr)
 	l.replayStalled()
 }
 
-// putToGuard starts the writeback of an evicted line to Crossing Guard.
+// putToGuard starts the writeback of an evicted line to Crossing Guard and
+// gives the line's block, copied into the Put, back.
 func (l *SharedL2) putToGuard(addr mem.Addr, v *sl2Line) {
-	l.evictions[addr] = v
-	var m coherence.Msg
+	l.evictions[addr] = struct{}{}
 	switch {
 	case v.host == AM || v.dirty:
-		m = coherence.Msg{Type: coherence.APutM, Data: v.data.Copy(), Dirty: true}
+		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: v.data, Dirty: true})
 	case v.host == AE:
-		m = coherence.Msg{Type: coherence.APutE, Data: v.data.Copy()}
+		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: v.data})
 	default:
-		m = coherence.Msg{Type: coherence.APutS}
+		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
 	}
-	m.Addr, m.Src, m.Dst = addr, l.id, l.xg
-	l.send(&m)
+	l.fab.FreeBlock(v.data)
 }
 
 // startLocalRecallInSet recalls the LRU idle line with local copies so a
@@ -673,11 +688,11 @@ func (l *SharedL2) startLocalRecallInSet(addr mem.Addr) {
 	cand.V.txn = t
 	for _, s := range coherence.SortedNodes(cand.V.sharers) {
 		t.wait[s] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Src: l.id, Dst: s})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Dst: s})
 	}
 	if cand.V.owner != coherence.NodeNone {
 		t.wait[cand.V.owner] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Src: l.id, Dst: cand.V.owner})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Dst: cand.V.owner})
 	}
 	l.advance(cand.Addr, cand)
 }
@@ -687,44 +702,35 @@ func (l *SharedL2) startLocalRecallInSet(addr mem.Addr) {
 func (l *SharedL2) pop(addr mem.Addr) {
 	if m := l.hostInv[addr]; m != nil {
 		delete(l.hostInv, addr)
+		l.fab.BeginRecv(m)
 		l.handleAInv(m)
+		l.fab.EndRecv(m)
 		return
 	}
-	q := l.waiting[addr]
-	if len(q) == 0 {
+	next := l.waiting.Pop(addr)
+	if next == nil {
 		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
 	}
 	// Process synchronously so no same-tick arrival can cut in front.
 	prev := l.replaying
 	l.replaying = next
+	l.fab.BeginRecv(next)
 	l.Recv(next)
+	l.fab.EndRecv(next)
 	l.replaying = prev
 }
 
 func (l *SharedL2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i, m := range l.stalled {
+		l.fab.CallAfter(0, l.doRecv, m)
+		l.stalled[i] = nil
 	}
-	stalled := l.stalled
-	l.stalled = nil
-	for _, m := range stalled {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.
 func (l *SharedL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
 		if e.V.txn != nil {
 			n++

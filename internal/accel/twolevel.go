@@ -36,6 +36,9 @@ var innerStateNames = [...]string{NI: "I", NS: "S", NM: "M", NB: "B"}
 // String returns the one-letter inner-protocol state name.
 func (s InnerState) String() string { return innerStateNames[s] }
 
+// innerLine is the payload of one inner (or weak) L1 line. data is the
+// cache's own block, taken from the machine's block list at fill and given
+// back at invalidation.
 type innerLine struct {
 	state InnerState
 	data  *mem.Block
@@ -51,10 +54,14 @@ type InnerL1 struct {
 	cfg  Config
 	l2   coherence.NodeID
 
-	cache      *cacheset.Cache[innerLine]
-	wb         map[mem.Addr]*innerLine
-	waitingOps map[mem.Addr][]*coherence.Msg
+	cache *cacheset.Cache[innerLine]
+	wb    map[mem.Addr]*mem.Block // evicted M lines awaiting XWBAck: their data
+	// waitingOps and stalledOps hold core operations only: sequencer
+	// requests, which belong to this cache until it replies.
+	waitingOps coherence.LineQueues
 	stalledOps []*coherence.Msg
+	// doCPU is handleCPU bound once (CallAfter's handler).
+	doCPU func(*coherence.Msg)
 
 	// epoch is the guard epoch the hierarchy operates under (0 until the
 	// first device reset); stamped on every protocol send, checked on
@@ -72,10 +79,11 @@ func NewInnerL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.
 	c := &InnerL1{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
 		cache:      cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*innerLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		wb:         make(map[mem.Addr]*mem.Block),
+		waitingOps: make(coherence.LineQueues),
 		Cov:        NewInnerL1Coverage(),
 	}
+	c.doCPU = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -135,43 +143,50 @@ func (c *InnerL1) Recv(m *coherence.Msg) {
 func (c *InnerL1) Reset(epoch uint32) {
 	c.epoch = epoch
 	c.cache = cacheset.New[innerLine](c.cfg.L1Sets, c.cfg.L1Ways)
-	c.wb = make(map[mem.Addr]*innerLine)
-	c.waitingOps = make(map[mem.Addr][]*coherence.Msg)
+	c.wb = make(map[mem.Addr]*mem.Block)
+	c.waitingOps = make(coherence.LineQueues)
 	c.stalledOps = nil
 }
 
-// send stamps the hierarchy's epoch and hands the message to the fabric.
-func (c *InnerL1) send(m *coherence.Msg) {
-	m.Epoch = c.epoch
-	c.fab.Send(m)
+// send takes a message holding t from the pool, stamps the hierarchy's
+// epoch on it and hands it to the fabric.
+func (c *InnerL1) send(t coherence.Msg) {
+	t.Src, t.Epoch = c.id, c.epoch
+	c.fab.Send(c.fab.Msg(t))
+}
+
+// invalidate drops the line and gives its block back.
+func (c *InnerL1) invalidate(e *cacheset.Entry[innerLine]) {
+	c.fab.FreeBlock(e.V.data)
+	c.cache.Invalidate(e.Addr)
 }
 
 func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
 		c.Cov.Record(int(NB), opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
 		c.Cov.Record(int(NB), opEv(m))
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
 		c.Cov.Record(int(NI), opEv(m))
-		var victim *cacheset.Entry[innerLine]
-		var ok bool
-		e, victim, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
+		var victim cacheset.Entry[innerLine]
+		var evicted, ok bool
+		e, evicted, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
 			return e.V.state != NB
-		})
+		}, &victim)
 		if !ok {
 			c.stalledOps = append(c.stalledOps, m)
 			return
 		}
-		if victim != nil {
+		if evicted {
 			c.evict(victim.Addr, &victim.V)
 		}
 		ty := coherence.XGetS
@@ -179,7 +194,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 			ty = coherence.XGetM
 		}
 		e.V = innerLine{state: NB, op: m}
-		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: ty, Addr: line, Dst: c.l2})
 		return
 	}
 	c.Cov.Record(int(e.V.state), opEv(m))
@@ -192,7 +207,7 @@ func (c *InnerL1) handleCPU(m *coherence.Msg) {
 	default: // store to S: upgrade
 		e.V.state = NB
 		e.V.op = m
-		c.send(&coherence.Msg{Type: coherence.XGetM, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XGetM, Addr: line, Dst: c.l2})
 	}
 }
 
@@ -200,11 +215,11 @@ func (c *InnerL1) evict(addr mem.Addr, v *innerLine) {
 	c.Cov.Record(int(v.state), evReplacement)
 	switch v.state {
 	case NM:
-		c.wb[addr] = &innerLine{state: NB, data: v.data}
-		c.send(&coherence.Msg{Type: coherence.XPutM, Addr: addr, Src: c.id, Dst: c.l2,
-			Data: v.data.Copy(), Dirty: true})
+		c.wb[addr] = v.data // the buffer takes the victim's block over
+		c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
 	case NS:
-		c.send(&coherence.Msg{Type: coherence.XPutS, Addr: addr, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XPutS, Addr: addr, Dst: c.l2})
+		c.fab.FreeBlock(v.data)
 	default:
 		panic(fmt.Sprintf("%s: evicting %v", c.name, v.state))
 	}
@@ -222,7 +237,7 @@ func (c *InnerL1) handleData(m *coherence.Msg) {
 	c.Cov.Record(int(NB), innerTable.Event(m.Type))
 	op := e.V.op
 	e.V.op = nil
-	e.V.data = m.Data.Copy()
+	c.fab.FillBlock(&e.V.data, m.Data)
 	if m.Type == coherence.XDataM {
 		e.V.state = NM
 	} else {
@@ -246,6 +261,7 @@ func (c *InnerL1) handleWBAck(m *coherence.Msg) {
 		panic(fmt.Sprintf("%s: WBAck with no writeback", c.name))
 	}
 	c.Cov.Record(int(NB), innerTable.Event(m.Type))
+	c.fab.FreeBlock(c.wb[line])
 	delete(c.wb, line)
 	c.settled(line)
 }
@@ -256,7 +272,7 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 		// Our PutM crossed the L2's Inv; the L2 absorbs the Put as the
 		// response and ignores this ack.
 		c.Cov.Record(int(NB), innerTable.Event(m.Type))
-		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 		return
 	}
 	e := c.cache.Peek(m.Addr)
@@ -267,47 +283,33 @@ func (c *InnerL1) handleInv(m *coherence.Msg) {
 	c.Cov.Record(int(st), innerTable.Event(m.Type))
 	switch st {
 	case NM:
-		c.send(&coherence.Msg{Type: coherence.XInvWB, Addr: line, Src: c.id, Dst: c.l2,
-			Data: e.V.data.Copy(), Dirty: true})
-		c.cache.Invalidate(m.Addr)
+		c.send(coherence.Msg{Type: coherence.XInvWB, Addr: line, Dst: c.l2, Data: e.V.data, Dirty: true})
+		c.invalidate(e)
 		c.settled(line)
 	case NS:
-		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
-		c.cache.Invalidate(m.Addr)
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
+		c.invalidate(e)
 		c.settled(line)
 	case NI, NB:
 		// Stale-epoch invalidation (we PutS'd and re-requested), or an
 		// invalidation while our own request waits: ack, no action.
-		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 	}
 }
 
 func (c *InnerL1) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+	if next := c.waitingOps.Pop(line); next != nil {
+		c.fab.CallAfter(0, c.doCPU, next)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for _, op := range c.stalledOps {
+		c.fab.CallAfter(0, c.doCPU, op)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.
 func (c *InnerL1) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waitingOps.Len()
 	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
 		if e.V.state == NB {
 			n++

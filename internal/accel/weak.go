@@ -35,11 +35,15 @@ type WeakL1 struct {
 	cfg  Config
 	l2   coherence.NodeID
 
-	cache      *cacheset.Cache[innerLine]
-	waitingOps map[mem.Addr][]*coherence.Msg
+	cache *cacheset.Cache[innerLine]
+	// waitingOps and stalledOps hold core operations only: sequencer
+	// requests, which belong to this cache until it replies.
+	waitingOps coherence.LineQueues
 	stalledOps []*coherence.Msg
 	flushing   int // outstanding flush writebacks
 	onFlush    func()
+	// doCPU is handleCPU bound once (CallAfter's handler).
+	doCPU func(*coherence.Msg)
 }
 
 // NewWeakL1 builds and registers a weak private L1.
@@ -48,8 +52,9 @@ func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 	c := &WeakL1{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
 		cache:      cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		waitingOps: make(coherence.LineQueues),
 	}
+	c.doCPU = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -76,27 +81,37 @@ func (c *WeakL1) Recv(m *coherence.Msg) {
 	}
 }
 
-func (c *WeakL1) send(m *coherence.Msg) { c.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (c *WeakL1) send(t coherence.Msg) {
+	t.Src = c.id
+	c.fab.Send(c.fab.Msg(t))
+}
+
+// invalidate drops the line and gives its block back.
+func (c *WeakL1) invalidate(e *cacheset.Entry[innerLine]) {
+	c.fab.FreeBlock(e.V.data)
+	c.cache.Invalidate(e.Addr)
+}
 
 func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && e.V.state == NB {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		var victim *cacheset.Entry[innerLine]
-		var ok bool
-		e, victim, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
+		var victim cacheset.Entry[innerLine]
+		var evicted, ok bool
+		e, evicted, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
 			return e.V.state != NB
-		})
+		}, &victim)
 		if !ok {
 			c.stalledOps = append(c.stalledOps, m)
 			return
 		}
-		if victim != nil {
+		if evicted {
 			c.evictWeak(victim.Addr, &victim.V, nil)
 		}
 		// Writes need host write permission at the L2 (XGetM ensures
@@ -106,7 +121,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 			ty = coherence.XGetM
 		}
 		e.V = innerLine{state: NB, op: m}
-		c.send(&coherence.Msg{Type: ty, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: ty, Addr: line, Dst: c.l2})
 		return
 	}
 	switch {
@@ -118,23 +133,24 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	default: // store to a read-only local copy: upgrade (no sibling invs)
 		e.V.state = NB
 		e.V.op = m
-		c.send(&coherence.Msg{Type: coherence.XGetM, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XGetM, Addr: line, Dst: c.l2})
 	}
 }
 
-// evictWeak writes back a dirty (NM) line or silently drops a clean one;
-// cb runs when the writeback (if any) completes.
+// evictWeak writes back a dirty (NM) line or silently drops a clean one,
+// and gives the victim's block back; cb runs when the writeback (if any)
+// completes.
 func (c *WeakL1) evictWeak(addr mem.Addr, v *innerLine, cb func()) {
+	defer c.fab.FreeBlock(v.data)
 	if v.state != NM {
-		c.send(&coherence.Msg{Type: coherence.XPutS, Addr: addr, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XPutS, Addr: addr, Dst: c.l2})
 		if cb != nil {
 			cb()
 		}
 		return
 	}
 	c.flushing++
-	c.send(&coherence.Msg{Type: coherence.XPutM, Addr: addr, Src: c.id, Dst: c.l2,
-		Data: v.data.Copy(), Dirty: true})
+	c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
 	if cb != nil {
 		prev := c.onFlush
 		c.onFlush = func() {
@@ -164,12 +180,11 @@ func (c *WeakL1) Flush(done func()) {
 		if e.V.state == NM {
 			pending++
 			c.flushing++
-			c.send(&coherence.Msg{Type: coherence.XPutM, Addr: e.Addr, Src: c.id, Dst: c.l2,
-				Data: e.V.data.Copy(), Dirty: true})
+			c.send(coherence.Msg{Type: coherence.XPutM, Addr: e.Addr, Dst: c.l2, Data: e.V.data, Dirty: true})
 		} else {
-			c.send(&coherence.Msg{Type: coherence.XPutS, Addr: e.Addr, Src: c.id, Dst: c.l2})
+			c.send(coherence.Msg{Type: coherence.XPutS, Addr: e.Addr, Dst: c.l2})
 		}
-		c.cache.Invalidate(e.Addr)
+		c.invalidate(e)
 	}
 	if pending == 0 {
 		if done != nil {
@@ -200,7 +215,7 @@ func (c *WeakL1) handleData(m *coherence.Msg) {
 	// Keep locally-written bytes on an upgrade: the weak model merges at
 	// flush time, and our own writes must not be lost.
 	if e.V.data == nil || e.V.state != NM {
-		e.V.data = m.Data.Copy()
+		c.fab.FillBlock(&e.V.data, m.Data)
 	}
 	if m.Type == coherence.XDataM {
 		e.V.state = NM
@@ -239,16 +254,15 @@ func (c *WeakL1) handleInv(m *coherence.Msg) {
 	line := m.Addr.Line()
 	e := c.cache.Peek(m.Addr)
 	if e == nil || e.V.state == NB {
-		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 		return
 	}
 	if e.V.state == NM {
-		c.send(&coherence.Msg{Type: coherence.XInvWB, Addr: line, Src: c.id, Dst: c.l2,
-			Data: e.V.data.Copy(), Dirty: true})
+		c.send(coherence.Msg{Type: coherence.XInvWB, Addr: line, Dst: c.l2, Data: e.V.data, Dirty: true})
 	} else {
-		c.send(&coherence.Msg{Type: coherence.XInvAck, Addr: line, Src: c.id, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 	}
-	c.cache.Invalidate(m.Addr)
+	c.invalidate(e)
 	c.settledWeak(line)
 }
 
@@ -257,31 +271,21 @@ func (c *WeakL1) respond(op *coherence.Msg, val byte) {
 }
 
 func (c *WeakL1) settledWeak(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+	if next := c.waitingOps.Pop(line); next != nil {
+		c.fab.CallAfter(0, c.doCPU, next)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for _, op := range c.stalledOps {
+		c.fab.CallAfter(0, c.doCPU, op)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
+
+// Lines reports how many lines the cache holds (for the pool audit).
+func (c *WeakL1) Lines() int { return c.cache.Count() }
 
 // Outstanding reports open transactions.
 func (c *WeakL1) Outstanding() int {
-	n := c.flushing + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := c.flushing + len(c.stalledOps) + c.waitingOps.Len()
 	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
 		if e.V.state == NB {
 			n++

@@ -21,12 +21,15 @@ const (
 
 type wkTxn struct {
 	kind    wkTxnKind
-	waiters []*coherence.Msg // XGets served once the fetch lands
+	waiters []*coherence.Msg // XGets, kept, served once the fetch lands
 	wait    map[coherence.NodeID]bool
 	wantM   bool
 	invPend bool // guard Invalidate arrived mid-fetch; ack when local copies die
 }
 
+// wkLine is the payload of one weak-L2 line. data is the L2's own block,
+// taken from the machine's block list when the grant lands and given back
+// when the line leaves the cache.
 type wkLine struct {
 	host    AState // grant held from the guard
 	data    *mem.Block
@@ -49,11 +52,14 @@ type WeakL2 struct {
 	xg   coherence.NodeID
 
 	cache     *cacheset.Cache[wkLine]
-	evictions map[mem.Addr]*wkLine
-	waiting   map[mem.Addr][]*coherence.Msg
-	stalled   []*coherence.Msg
+	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
+	waiting   coherence.LineQueues
+	stalled   []*coherence.Msg // kept until replayed
 	replaying *coherence.Msg
-	hostInv   map[mem.Addr]*coherence.Msg
+	hostInv   map[mem.Addr]*coherence.Msg // kept until serviced
+	// doRecv and doServe are Recv and serveWeak bound once (CallAfter's
+	// handlers).
+	doRecv, doServe func(*coherence.Msg)
 }
 
 // NewWeakL2 builds and registers the weak shared L2.
@@ -62,10 +68,11 @@ func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 	l := &WeakL2{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways),
-		evictions: make(map[mem.Addr]*wkLine),
-		waiting:   make(map[mem.Addr][]*coherence.Msg),
+		evictions: make(map[mem.Addr]struct{}),
+		waiting:   make(coherence.LineQueues),
 		hostInv:   make(map[mem.Addr]*coherence.Msg),
 	}
+	l.doRecv, l.doServe = l.Recv, l.serveWeak
 	fab.Register(l)
 	return l
 }
@@ -100,12 +107,22 @@ func (l *WeakL2) Recv(m *coherence.Msg) {
 	}
 }
 
-func (l *WeakL2) send(m *coherence.Msg) { l.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (l *WeakL2) send(t coherence.Msg) {
+	t.Src = l.id
+	l.fab.Send(l.fab.Msg(t))
+}
+
+// invalidate drops the line and gives its block back.
+func (l *WeakL2) invalidate(e *cacheset.Entry[wkLine]) {
+	l.fab.FreeBlock(e.V.data)
+	l.cache.Invalidate(e.Addr)
+}
 
 func (l *WeakL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, ev := l.evictions[addr]; ev {
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
@@ -120,37 +137,41 @@ func (l *WeakL2) handleGet(m *coherence.Msg) {
 					// issuing a GetM once it lands (handled at grant).
 				}
 			}
+			m.Keep()
 			e.V.txn.waiters = append(e.V.txn.waiters, m)
 			return
 		}
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
-	if len(l.waiting[addr]) > 0 && m != l.replaying {
-		l.waiting[addr] = append(l.waiting[addr], m)
+	if l.waiting.Waiting(addr) && m != l.replaying {
+		l.waiting.Push(addr, m)
 		return
 	}
 	if e == nil {
 		l.missFetch(m)
 		return
 	}
-	l.eng.Schedule(l.cfg.L2Lat, func() { l.serveWeak(m) })
+	l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
 }
 
 func (l *WeakL2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	e, victim, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[wkLine]) bool {
+	var victim cacheset.Entry[wkLine]
+	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[wkLine]) bool {
 		_, ev := l.evictions[e.Addr]
 		return e.V.txn == nil && len(e.V.holders) == 0 && !ev
-	})
+	}, &victim)
 	if !ok {
 		l.startEvictInSet(addr)
+		m.Keep()
 		l.stalled = append(l.stalled, m)
 		return
 	}
-	if victim != nil {
+	if evicted {
 		l.putToGuard(victim.Addr, &victim.V)
 	}
+	m.Keep() // as the fetch's first waiter
 	wantM := m.Type == coherence.XGetM
 	e.V = wkLine{host: AI, holders: map[coherence.NodeID]bool{},
 		txn: &wkTxn{kind: wkFetch, wantM: wantM, waiters: []*coherence.Msg{m}}}
@@ -158,7 +179,7 @@ func (l *WeakL2) missFetch(m *coherence.Msg) {
 	if wantM {
 		ty = coherence.AGetM
 	}
-	l.send(&coherence.Msg{Type: ty, Addr: addr, Src: l.id, Dst: l.xg})
+	l.send(coherence.Msg{Type: ty, Addr: addr, Dst: l.xg})
 }
 
 // serveWeak serves a Get against a present, idle line.
@@ -166,14 +187,15 @@ func (l *WeakL2) serveWeak(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
 	if e == nil || e.V.txn != nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
 	if m.Type == coherence.XGetM && e.V.host == AS {
 		// Need host write permission first (no sibling invalidations —
 		// the weak model's whole point).
+		m.Keep() // as the fetch's first waiter
 		e.V.txn = &wkTxn{kind: wkFetch, wantM: true, waiters: []*coherence.Msg{m}}
-		l.send(&coherence.Msg{Type: coherence.AGetM, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
 		return
 	}
 	l.grant(addr, e, m)
@@ -185,7 +207,7 @@ func (l *WeakL2) grant(addr mem.Addr, e *cacheset.Entry[wkLine], m *coherence.Ms
 	if m.Type == coherence.XGetM {
 		ty = coherence.XDataM
 	}
-	l.send(&coherence.Msg{Type: ty, Addr: addr, Src: l.id, Dst: m.Src, Data: e.V.data.Copy()})
+	l.send(coherence.Msg{Type: ty, Addr: addr, Dst: m.Src, Data: e.V.data})
 }
 
 func (l *WeakL2) handlePut(m *coherence.Msg) {
@@ -196,10 +218,10 @@ func (l *WeakL2) handlePut(m *coherence.Msg) {
 	}
 	// Weak merge: the flusher's whole block wins (last writer wins — the
 	// documented hazard of the flush-based model).
-	e.V.data = m.Data.Copy()
+	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = true
 	delete(e.V.holders, m.Src)
-	l.send(&coherence.Msg{Type: coherence.XWBAck, Addr: addr, Src: l.id, Dst: m.Src})
+	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
 	if t := e.V.txn; t != nil && t.wait[m.Src] {
 		delete(t.wait, m.Src)
 		l.advanceWeak(addr, e)
@@ -215,7 +237,7 @@ func (l *WeakL2) handleInvResp(m *coherence.Msg) {
 	delete(e.V.txn.wait, m.Src)
 	delete(e.V.holders, m.Src)
 	if m.Type == coherence.XInvWB {
-		e.V.data = m.Data.Copy()
+		l.fab.FillBlock(&e.V.data, m.Data)
 		e.V.dirty = true
 	}
 	l.advanceWeak(addr, e)
@@ -254,7 +276,7 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 		e.V.host = AM
 	}
 	if !e.V.dirty {
-		e.V.data = m.Data.Copy()
+		l.fab.FillBlock(&e.V.data, m.Data)
 	}
 	if t.invPend {
 		// A guard Invalidate raced the fetch; local copies are already
@@ -262,19 +284,18 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 		t.invPend = false
 		e.V.txn = nil
 		waiters := t.waiters
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		// Whatever we were granted is void; drop and refetch on demand.
-		l.cache.Invalidate(addr)
+		l.invalidate(e)
 		for _, wm := range waiters {
-			wm := wm
-			l.eng.Schedule(0, func() { l.Recv(wm) })
+			l.fab.CallAfter(0, l.doRecv, wm)
 		}
 		l.pop(addr)
 		return
 	}
 	if t.wantM && e.V.host == AS {
 		// Readers piled on first and a writer joined: upgrade.
-		l.send(&coherence.Msg{Type: coherence.AGetM, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
 		return
 	}
 	waiters := t.waiters
@@ -282,6 +303,7 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 	e.V.txn = nil
 	for _, wm := range waiters {
 		l.grant(addr, e, wm)
+		l.fab.Release(wm)
 	}
 	l.pop(addr)
 }
@@ -299,12 +321,12 @@ func (l *WeakL2) handleAWBAck(m *coherence.Msg) {
 func (l *WeakL2) handleAInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if _, ev := l.evictions[addr]; ev {
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
 	e := l.cache.Peek(addr)
 	if e == nil {
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
 	if t := e.V.txn; t != nil {
@@ -315,6 +337,7 @@ func (l *WeakL2) handleAInv(m *coherence.Msg) {
 			if l.hostInv[addr] != nil {
 				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 			}
+			m.Keep()
 			l.hostInv[addr] = m
 		}
 		return
@@ -328,7 +351,7 @@ func (l *WeakL2) recallHolders(addr mem.Addr, e *cacheset.Entry[wkLine], kind wk
 	e.V.txn = t
 	for _, h := range coherence.SortedNodes(e.V.holders) {
 		t.wait[h] = true
-		l.send(&coherence.Msg{Type: coherence.XInv, Addr: addr, Src: l.id, Dst: h})
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: h})
 	}
 	l.advanceWeak(addr, e)
 }
@@ -338,31 +361,30 @@ func (l *WeakL2) answerGuard(addr mem.Addr, e *cacheset.Entry[wkLine]) {
 	l.cache.Invalidate(addr)
 	switch {
 	case host == AM || dirty:
-		l.send(&coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Src: l.id, Dst: l.xg,
-			Data: data.Copy(), Dirty: true})
+		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
 	case host == AE:
-		l.send(&coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Src: l.id, Dst: l.xg,
-			Data: data.Copy()})
+		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
 	default:
-		l.send(&coherence.Msg{Type: coherence.AInvAck, Addr: addr, Src: l.id, Dst: l.xg})
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 	}
+	l.fab.FreeBlock(data)
 	l.pop(addr)
 	l.replayStalled()
 }
 
+// putToGuard starts the writeback of an evicted line to Crossing Guard and
+// gives the line's block, copied into the Put, back.
 func (l *WeakL2) putToGuard(addr mem.Addr, v *wkLine) {
-	l.evictions[addr] = v
-	var m coherence.Msg
+	l.evictions[addr] = struct{}{}
 	switch {
 	case v.host == AM || v.dirty:
-		m = coherence.Msg{Type: coherence.APutM, Data: v.data.Copy(), Dirty: true}
+		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: v.data, Dirty: true})
 	case v.host == AE:
-		m = coherence.Msg{Type: coherence.APutE, Data: v.data.Copy()}
+		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: v.data})
 	default:
-		m = coherence.Msg{Type: coherence.APutS}
+		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
 	}
-	m.Addr, m.Src, m.Dst = addr, l.id, l.xg
-	l.send(&m)
+	l.fab.FreeBlock(v.data)
 }
 
 func (l *WeakL2) startEvictInSet(addr mem.Addr) {
@@ -387,43 +409,34 @@ func (l *WeakL2) startEvictInSet(addr mem.Addr) {
 func (l *WeakL2) pop(addr mem.Addr) {
 	if m := l.hostInv[addr]; m != nil {
 		delete(l.hostInv, addr)
+		l.fab.BeginRecv(m)
 		l.handleAInv(m)
+		l.fab.EndRecv(m)
 		return
 	}
-	q := l.waiting[addr]
-	if len(q) == 0 {
+	next := l.waiting.Pop(addr)
+	if next == nil {
 		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
 	}
 	prev := l.replaying
 	l.replaying = next
+	l.fab.BeginRecv(next)
 	l.Recv(next)
+	l.fab.EndRecv(next)
 	l.replaying = prev
 }
 
 func (l *WeakL2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i, m := range l.stalled {
+		l.fab.CallAfter(0, l.doRecv, m)
+		l.stalled[i] = nil
 	}
-	st := l.stalled
-	l.stalled = nil
-	for _, m := range st {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.
 func (l *WeakL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
 		if e.V.txn != nil {
 			n++

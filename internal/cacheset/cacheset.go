@@ -86,10 +86,11 @@ func (c *Cache[T]) Peek(addr mem.Addr) *Entry[T] {
 // Allocate installs a line for addr, assuming it is not present. It
 // prefers an invalid way; otherwise it evicts the LRU entry among those
 // for which canEvict returns true (nil canEvict means all are eligible).
-// It returns the new entry and, when an eviction occurred, a copy of the
-// victim. ok is false — and the cache unchanged — when every way is
-// pinned by canEvict; callers must then stall and retry.
-func (c *Cache[T]) Allocate(addr mem.Addr, canEvict func(*Entry[T]) bool) (e *Entry[T], victim *Entry[T], ok bool) {
+// It returns the new entry; when an eviction occurred, evicted is true and
+// the victim has been copied into *victim, a slot the caller owns (so the
+// copy costs no allocation). ok is false — and the cache unchanged — when
+// every way is pinned by canEvict; callers must then stall and retry.
+func (c *Cache[T]) Allocate(addr mem.Addr, canEvict func(*Entry[T]) bool, victim *Entry[T]) (e *Entry[T], evicted, ok bool) {
 	line := addr.Line()
 	set := c.setOf(addr)
 	var best *Entry[T]
@@ -109,16 +110,16 @@ func (c *Cache[T]) Allocate(addr mem.Addr, canEvict func(*Entry[T]) bool) (e *En
 			}
 		}
 		if best == nil {
-			return nil, nil, false
+			return nil, false, false
 		}
-		v := *best // copy before overwrite
-		victim = &v
+		*victim = *best // copy before overwrite
+		evicted = true
 		c.Evictions++
 	}
 	c.tick++
 	var zero T
 	*best = Entry[T]{Addr: line, Valid: true, lru: c.tick, V: zero}
-	return best, victim, true
+	return best, evicted, true
 }
 
 // Invalidate removes addr's line if present and returns whether it was.

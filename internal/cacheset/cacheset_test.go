@@ -31,8 +31,9 @@ func TestLookupMissThenHit(t *testing.T) {
 	if c.Lookup(0x100) != nil {
 		t.Fatal("lookup hit on empty cache")
 	}
-	e, victim, ok := c.Allocate(0x100, nil)
-	if !ok || victim != nil {
+	var victim Entry[payload]
+	e, evicted, ok := c.Allocate(0x100, nil, &victim)
+	if !ok || evicted {
 		t.Fatal("allocate into empty set should not evict")
 	}
 	e.V.state = 7
@@ -47,13 +48,14 @@ func TestLookupMissThenHit(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New[payload](1, 2) // one set, two ways
-	a1, _, _ := c.Allocate(0x000, nil)
+	var victim Entry[payload]
+	a1, _, _ := c.Allocate(0x000, nil, &victim)
 	a1.V.state = 1
-	a2, _, _ := c.Allocate(0x040, nil)
+	a2, _, _ := c.Allocate(0x040, nil, &victim)
 	a2.V.state = 2
 	c.Lookup(0x000) // make 0x000 MRU
-	_, victim, ok := c.Allocate(0x080, nil)
-	if !ok || victim == nil {
+	_, evicted, ok := c.Allocate(0x080, nil, &victim)
+	if !ok || !evicted {
 		t.Fatal("expected an eviction")
 	}
 	if victim.Addr != 0x040 || victim.V.state != 2 {
@@ -66,11 +68,12 @@ func TestLRUEviction(t *testing.T) {
 
 func TestAllocatePinnedWays(t *testing.T) {
 	c := New[payload](1, 2)
-	e1, _, _ := c.Allocate(0x000, nil)
+	var victim Entry[payload]
+	e1, _, _ := c.Allocate(0x000, nil, &victim)
 	e1.V.state = 99 // "transient" — pinned
-	e2, _, _ := c.Allocate(0x040, nil)
+	e2, _, _ := c.Allocate(0x040, nil, &victim)
 	e2.V.state = 99
-	_, _, ok := c.Allocate(0x080, func(e *Entry[payload]) bool { return e.V.state != 99 })
+	_, _, ok := c.Allocate(0x080, func(e *Entry[payload]) bool { return e.V.state != 99 }, &victim)
 	if ok {
 		t.Fatal("allocate should fail with every way pinned")
 	}
@@ -78,9 +81,9 @@ func TestAllocatePinnedWays(t *testing.T) {
 		t.Fatal("failed allocate must not disturb contents")
 	}
 	e1.V.state = 0
-	e, victim, ok := c.Allocate(0x080, func(e *Entry[payload]) bool { return e.V.state != 99 })
-	if !ok || victim == nil || victim.Addr != 0x000 {
-		t.Fatalf("expected to evict unpinned 0x000, got victim=%v ok=%v", victim, ok)
+	e, evicted, ok := c.Allocate(0x080, func(e *Entry[payload]) bool { return e.V.state != 99 }, &victim)
+	if !ok || !evicted || victim.Addr != 0x000 {
+		t.Fatalf("expected to evict unpinned 0x000, got victim=%v evicted=%v ok=%v", victim.Addr, evicted, ok)
 	}
 	if e.Addr != 0x080 {
 		t.Fatalf("new entry addr %v", e.Addr)
@@ -89,7 +92,7 @@ func TestAllocatePinnedWays(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := New[payload](4, 2)
-	c.Allocate(0x100, nil)
+	c.Allocate(0x100, nil, new(Entry[payload]))
 	if !c.Invalidate(0x100) {
 		t.Fatal("invalidate missed present line")
 	}
@@ -103,10 +106,11 @@ func TestInvalidate(t *testing.T) {
 
 func TestPeekDoesNotTouchLRU(t *testing.T) {
 	c := New[payload](1, 2)
-	c.Allocate(0x000, nil)
-	c.Allocate(0x040, nil)
+	var victim Entry[payload]
+	c.Allocate(0x000, nil, &victim)
+	c.Allocate(0x040, nil, &victim)
 	c.Peek(0x000) // must NOT refresh; 0x000 stays LRU
-	_, victim, _ := c.Allocate(0x080, nil)
+	c.Allocate(0x080, nil, &victim)
 	if victim.Addr != 0x000 {
 		t.Fatalf("Peek refreshed LRU: victim %v", victim.Addr)
 	}
@@ -115,7 +119,7 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 func TestVisit(t *testing.T) {
 	c := New[payload](4, 2)
 	for i := 0; i < 5; i++ {
-		c.Allocate(mem.Addr(i*0x40), nil)
+		c.Allocate(mem.Addr(i*0x40), nil, new(Entry[payload]))
 	}
 	n := 0
 	c.Visit(func(e *Entry[payload]) { n++ })
@@ -132,7 +136,7 @@ func TestPropertyNoDuplicateTags(t *testing.T) {
 		for _, a := range addrs {
 			addr := mem.Addr(a)
 			if c.Peek(addr) == nil {
-				c.Allocate(addr, nil)
+				c.Allocate(addr, nil, new(Entry[payload]))
 			}
 		}
 		seen := make(map[mem.Addr]bool)
@@ -154,7 +158,7 @@ func TestPropertyNoDuplicateTags(t *testing.T) {
 func TestPropertyAllocateThenLookup(t *testing.T) {
 	f := func(a uint32) bool {
 		c := New[payload](8, 2)
-		c.Allocate(mem.Addr(a), nil)
+		c.Allocate(mem.Addr(a), nil, new(Entry[payload]))
 		return c.Lookup(mem.Addr(a)) != nil
 	}
 	if err := quick.Check(f, nil); err != nil {

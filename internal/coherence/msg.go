@@ -202,20 +202,45 @@ const (
 )
 
 // Msg is a coherence message. A single struct serves every protocol;
-// unused fields are zero. Messages are immutable once sent: senders that
-// keep mutating a block must send a copy. The one exception is a
-// sequencer-level request (ReqLoad/ReqStore), which belongs to the cache
+// unused fields are zero.
+//
+// # Lifetime
+//
+// Protocol agents take their messages from the machine's Pool
+// (network.Fabric embeds it: fab.Msg(coherence.Msg{…})); a pooled message
+// owns 64 bytes of block storage, and a block named in the template is
+// copied into it, so a sender keeps no claim on what it sent and may go
+// on mutating its own line. The rule, for every message:
+//
+// A delivered message and its block are the receiver's until Recv returns;
+// after that the fabric takes a pooled message back unless the receiver
+// said it is keeping it (Keep), and whoever keeps it gives it back when
+// done (Release, or BeginRecv/EndRecv around a replay).
+//
+// So a receiver that needs the data after Recv copies it out into storage
+// it owns (Pool.CopyBlock for line storage), and a receiver that queues
+// the message itself, hangs it on an open transaction or schedules a
+// handler for it (Fabric.CallAfter keeps it for the caller) calls Keep.
+// A forgotten give-back costs one allocation — the collector still owns
+// the object; a missing Keep is the bug, and the lifetime check
+// (Pool.CheckLifetimes, on in -race builds) is there to trip on it.
+//
+// Messages the pool did not hand out are never recycled and the calls
+// above ignore them: anything built with &coherence.Msg{…} (the fuzzing
+// and adversarial accelerators, tests), and a sequencer's request
+// (ReqLoad/ReqStore), which is embedded in its Op and belongs to the cache
 // it was delivered to until that cache completes it with Reply.
 type Msg struct {
 	Type      MsgType
 	Addr      mem.Addr
 	Src, Dst  NodeID
 	Requestor NodeID     // original requestor, for forwarded requests
-	Data      *mem.Block // nil when absent
+	Data      *mem.Block // nil when absent; a pooled message's points at its own storage
 	Dirty     bool       // data is modified relative to memory
 	Shared    bool       // responder also holds/held the block shared
 	Acks      int        // invalidation acks the requestor must await
 	Val       byte       // byte operand/result for sequencer-level ops
+	life      lifeState  // pool bookkeeping; zero on a message the pool did not hand out
 	Tag       uint64     // sequencer-level operation id, echoed in responses
 	// Epoch is the guard epoch the message was issued under. 0 — the
 	// epoch of a guard that has never been reset — is omitted from
@@ -229,6 +254,10 @@ type Msg struct {
 	// message outside any guard transaction — is omitted from rendering,
 	// so span-free traces are byte-identical to the pre-span format.
 	Span uint64
+	// home is the pooled object this message lives in (nil otherwise); a
+	// by-value copy of a pooled message points at its original's home, not
+	// its own, which is how the pool tells the two apart.
+	home *pooledMsg
 }
 
 // Reply completes the sequencer-level request op in place and returns it

@@ -31,8 +31,9 @@ type holder struct {
 //     or memory when nobody owns;
 //  4. for Full State guards: the block table matches the accelerator
 //     cache contents exactly (it is an inclusive directory);
-//  5. quiesce hygiene: no guard still holds a parked request, and no
-//     delayed send is still waiting for its tick.
+//  5. quiesce hygiene: no guard still holds a parked request, no delayed
+//     send or deferred handler is still waiting for its tick, and the
+//     machine's message and block pool balances (auditPool).
 //
 // Audit implements tester.System.
 func (s *System) Audit() error {
@@ -151,7 +152,84 @@ func (s *System) Audit() error {
 	}
 
 	// 4: Full State table == accelerator contents.
-	return s.auditGuardTables(lines)
+	if err := s.auditGuardTables(lines); err != nil {
+		return err
+	}
+	return s.auditPool()
+}
+
+// auditPool checks the pool's balance at quiesce: every message handed out
+// has come back, and the blocks still out are exactly the ones resident in
+// cache lines and guard tables. A leak is only a performance bug — the
+// collector still owns whatever the pool lost track of — but this is where
+// it gets noticed. Three kinds of machine are exempt, because they lose
+// messages by design: one with a fault injector (what the interceptor
+// handled left the pool for good, and a dropped message's transaction
+// never closes), one with a quarantined guard (the fenced device's open
+// transactions, and the requests kept behind them, never finish), and one
+// whose device was reset (Reset drops tables full of kept messages and
+// whole caches of blocks for the collector).
+func (s *System) auditPool() error {
+	if s.Faults != nil {
+		return nil
+	}
+	for _, g := range s.Guards {
+		if g.Quarantined || g.Epoch() != 0 {
+			return nil
+		}
+	}
+	st := s.Fab.Stats()
+	if st.MsgsOut != 0 {
+		return fmt.Errorf("pool: %d messages handed out and never returned at quiesce", st.MsgsOut)
+	}
+	if held := s.residentBlocks(); st.BlocksOut != held {
+		return fmt.Errorf("pool: %d blocks out at quiesce, %d resident in cache lines and guard tables",
+			st.BlocksOut, held)
+	}
+	return nil
+}
+
+// residentBlocks counts the pooled blocks the machine legitimately holds
+// at quiesce: one per valid cache line, plus the Full State guards'
+// trusted copies.
+func (s *System) residentBlocks() int {
+	n := 0
+	for _, cs := range [][]*hammer.Cache{s.HCaches, s.AccelHCaches} {
+		for _, c := range cs {
+			c.VisitStable(func(mem.Addr, hammer.CState, *mem.Block, bool) { n++ })
+		}
+	}
+	for _, ls := range [][]*mesi.L1{s.ML1s, s.AccelMCaches} {
+		for _, l1 := range ls {
+			l1.VisitStable(func(mem.Addr, mesi.L1State, *mem.Block, bool) { n++ })
+		}
+	}
+	if s.ML2 != nil {
+		s.ML2.VisitStable(func(mem.Addr, coherence.NodeID, []coherence.NodeID, *mem.Block, bool) { n++ })
+	}
+	for _, a := range s.AccelL1s {
+		a.VisitStable(func(mem.Addr, accel.AState, *mem.Block) { n++ })
+	}
+	for _, l1 := range s.InnerL1s {
+		l1.VisitStable(func(mem.Addr, accel.InnerState, *mem.Block) { n++ })
+	}
+	for _, l2 := range s.AccelL2s {
+		l2.VisitStable(func(mem.Addr, accel.AState, coherence.NodeID, int, *mem.Block, bool) { n++ })
+	}
+	for _, l1 := range s.WeakL1s {
+		n += l1.Lines()
+	}
+	if s.WeakL2C != nil {
+		s.WeakL2C.VisitStable(func(mem.Addr, accel.AState, int, *mem.Block, bool) { n++ })
+	}
+	for _, g := range s.Guards {
+		g.VisitBlocks(func(_ mem.Addr, _, _ core.Grant, hasCopy bool) {
+			if hasCopy {
+				n++
+			}
+		})
+	}
+	return n
 }
 
 // ownerToleratesSharers: hammer's O state legitimately coexists with

@@ -81,7 +81,7 @@ func TestPropertyRateLimitBound(t *testing.T) {
 }
 
 func TestBlockTableCheckRequest(t *testing.T) {
-	tb := newBlockTable()
+	tb := newBlockTable(new(coherence.Pool))
 	addr := mem.Addr(0x1000)
 
 	// Nothing held: Gets legal, Puts are violations.
@@ -129,7 +129,7 @@ func TestBlockTableCheckRequest(t *testing.T) {
 }
 
 func TestBlockTableCopiesAndStorage(t *testing.T) {
-	tb := newBlockTable()
+	tb := newBlockTable(new(coherence.Pool))
 	tb.grant(0x0, GrantS, GrantE, true, mem.Zero(), false) // read-only owned: copy kept
 	tb.grant(0x40, GrantM, GrantM, false, mem.Zero(), true)
 	if tb.entries() != 2 || tb.copies() != 1 {

@@ -14,9 +14,30 @@ type blockEntry struct {
 	host  Grant // what the host believes this guard holds
 	// copy is a trusted data copy, kept when the host granted ownership
 	// of a block the accelerator may only read (Guarantee 0b) so the
-	// guard can answer forwards without trusting the accelerator.
+	// guard can answer forwards without trusting the accelerator. It is
+	// the entry's own block and goes back to the block list with it.
 	copy  *mem.Block
 	dirty bool
+}
+
+// recPool is a free list of *T records: the guard's per-transaction and
+// per-block records are recycled through one, so a crossing allocates none
+// in steady state. A record comes back zeroed.
+type recPool[T any] struct{ free []*T }
+
+func (p *recPool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(T)
+}
+
+func (p *recPool[T]) put(r *T) {
+	var zero T
+	*r = zero
+	p.free = append(p.free, r)
 }
 
 // blockTable is the Full State guard's inclusive directory of every block
@@ -24,20 +45,29 @@ type blockEntry struct {
 // PutS, the table tracks exactly the accelerator's contents.
 type blockTable struct {
 	blocks map[mem.Addr]*blockEntry
+	free   recPool[blockEntry]
+	pool   *coherence.Pool // the machine's block list, for trusted copies
 	// peak tracks the high-water mark for storage reporting.
 	peak int
 }
 
-func newBlockTable() *blockTable {
-	return &blockTable{blocks: make(map[mem.Addr]*blockEntry)}
+func newBlockTable(pool *coherence.Pool) *blockTable {
+	return &blockTable{blocks: make(map[mem.Addr]*blockEntry), pool: pool}
 }
 
 func (t *blockTable) grant(addr mem.Addr, accel, host Grant, keepCopy bool, data *mem.Block, dirty bool) {
-	e := &blockEntry{accel: accel, host: host, dirty: dirty}
-	if keepCopy {
-		e.copy = data.Copy()
+	e := t.blocks[addr]
+	if e == nil {
+		e = t.free.get()
+		t.blocks[addr] = e
 	}
-	t.blocks[addr] = e
+	e.accel, e.host, e.dirty = accel, host, dirty
+	if keepCopy {
+		t.pool.FillBlock(&e.copy, data)
+	} else {
+		t.pool.FreeBlock(e.copy)
+		e.copy = nil
+	}
 	if len(t.blocks) > t.peak {
 		t.peak = len(t.blocks)
 	}
@@ -45,7 +75,15 @@ func (t *blockTable) grant(addr mem.Addr, accel, host Grant, keepCopy bool, data
 
 func (t *blockTable) lookup(addr mem.Addr) *blockEntry { return t.blocks[addr] }
 
-func (t *blockTable) drop(addr mem.Addr) { delete(t.blocks, addr) }
+// drop forgets addr; its entry and trusted copy are recycled, so a caller
+// still reading either must be done first.
+func (t *blockTable) drop(addr mem.Addr) {
+	if e, ok := t.blocks[addr]; ok {
+		t.pool.FreeBlock(e.copy)
+		t.free.put(e)
+		delete(t.blocks, addr)
+	}
+}
 
 func (t *blockTable) entries() int { return len(t.blocks) }
 

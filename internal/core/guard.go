@@ -27,6 +27,10 @@ import (
 	"crossingguard/internal/sim"
 )
 
+// zeroBlock is the block of zeros the guard supplies on a misbehaving
+// accelerator's behalf (Guarantees 2a/2c). It is only ever read.
+var zeroBlock mem.Block
+
 // Mode selects the Crossing Guard variant.
 type Mode int
 
@@ -68,7 +72,9 @@ const (
 
 // hostShim is the host-protocol-specific half of Crossing Guard. The
 // guard core calls down; the shim calls back via the guard's grant/put
-// hooks. Shims also receive all host-protocol messages.
+// hooks. Shims also receive all host-protocol messages. A block passed
+// either way is a loan for the call: whoever needs it longer copies it
+// into a record of its own.
 type hostShim interface {
 	// get issues a host request for a block.
 	get(addr mem.Addr, kind GetKind)
@@ -193,6 +199,11 @@ type Guard struct {
 	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
 	stampEpoch func(*coherence.Msg)
 
+	// trusted holds a trusted copy's bytes while a recall completes: the
+	// table entry the copy belongs to is dropped before the completion
+	// callbacks, which only read their data, run.
+	trusted mem.Block
+
 	// Disabled is set once the error policy shuts the accelerator out.
 	Disabled bool
 	// Quarantined is set once the quarantine policy fences the
@@ -264,8 +275,10 @@ type Guard struct {
 
 // accelTxn is an open accelerator-initiated transaction.
 type accelTxn struct {
-	kind  coherence.MsgType // AGetS, AGetM, APutM, APutE, APutS
-	data  *mem.Block        // Put payload held at the guard
+	kind coherence.MsgType // AGetS, AGetM, APutM, APutE, APutS
+	// data is the Put payload held at the guard: the transaction's own
+	// block, given back when the transaction closes.
+	data  *mem.Block
 	dirty bool
 	start sim.Time // acceptance tick, for the crossing-latency histogram
 	// Span tracing (Config.Spans): the crossing's span id, its arrival
@@ -304,8 +317,9 @@ type hostTxn struct {
 }
 
 // complete invokes the recall's completion callback plus every coalesced
-// waiter, in arrival order, with the same resolution. Callbacks copy the
-// block before sending it anywhere, so sharing the pointer is safe.
+// waiter, in arrival order, with the same resolution. data is a loan: a
+// callback only reads it, into the messages it sends and the writeback
+// records it opens, so sharing the pointer is safe.
 func (ht *hostTxn) complete(data *mem.Block, dirty, viaPut bool) {
 	ht.done(data, dirty, viaPut)
 	for _, w := range ht.waiters {
@@ -334,7 +348,7 @@ func (g *Guard) resetState() {
 	g.ignoreInvAck = make(map[mem.Addr]int)
 	g.parked = make(map[mem.Addr]waitQueue)
 	if g.cfg.Mode == FullState {
-		g.table = newBlockTable()
+		g.table = newBlockTable(&g.fab.Pool)
 	}
 }
 
@@ -431,7 +445,8 @@ func (g *Guard) Recv(m *coherence.Msg) {
 	}
 }
 
-func (g *Guard) send(m *coherence.Msg) { g.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (g *Guard) send(t coherence.Msg) { g.fab.Send(g.fab.Msg(t)) }
 
 // staleEpoch drops one accelerator message carrying an outdated epoch.
 // Unlike violation, it neither scores the error nor reports to the sink:
@@ -584,11 +599,11 @@ func (g *Guard) answerFromTrusted(addr mem.Addr, ht *hostTxn) {
 		return
 	}
 	if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
-		ht.complete(e.copy.Copy(), e.dirty, false)
+		ht.complete(e.copy, e.dirty, false)
 		return
 	}
 	if ht.known {
-		ht.complete(mem.Zero(), true, false)
+		ht.complete(&zeroBlock, true, false)
 		return
 	}
 	ht.complete(nil, false, false)
@@ -617,7 +632,12 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	if g.cfg.Rate != nil {
 		if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
 			g.RateDelayed++
-			g.eng.Schedule(wait, func() { g.processAccelRequest(m, arrive) })
+			m.Keep()
+			g.eng.Schedule(wait, func() {
+				g.fab.BeginRecv(m)
+				g.processAccelRequest(m, arrive)
+				g.fab.EndRecv(m)
+			})
 			return
 		}
 	}
@@ -707,7 +727,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	data := m.Data
 	if (m.Type == coherence.APutM || m.Type == coherence.APutE) && data == nil {
 		g.violation("XG.G1a", "Put without data", addr)
-		data = mem.Zero()
+		data = &zeroBlock
 	}
 
 	g.forwardRequest(addr, m.Type, data, access, arrive)
@@ -721,9 +741,9 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 // host. With span tracing on, the accepted crossing opens its span here
 // and marks the check-phase end at dispatch.
 //
-// data is the Put payload. It arrived from the untrusted accelerator, so
-// the guard copies it once, here; from then on the copy is frozen — the
-// transaction, the shim's writeback record and the host message share it.
+// data is the Put payload, on loan from the request message: the
+// transaction copies it into a block of its own, which the shim's
+// writeback record and the host message copy from in turn.
 func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Block, access perm.Access, arrive sim.Time) {
 	g.mPass.Inc()
 	g.mPassAccel.Inc()
@@ -751,7 +771,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			}
 		})
 	case coherence.APutM, coherence.APutE:
-		t := &accelTxn{kind: ty, data: data.Copy(), dirty: ty == coherence.APutM,
+		t := &accelTxn{kind: ty, data: g.fab.CopyBlock(data), dirty: ty == coherence.APutM,
 			start: g.eng.Now(), arrive: arrive}
 		g.openTxn(addr, t)
 		g.after(func() {
@@ -795,9 +815,8 @@ func (g *Guard) closeTxn(addr mem.Addr) {
 	g.wake(addr)
 }
 
-// granted is called by the shim when the host satisfies a get. The shim
-// is finished with data and hands it over: it leaves for the accelerator
-// without another copy.
+// granted is called by the shim when the host satisfies a get; data (nil
+// reads as a zero block) is copied into the grant message.
 func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool) {
 	t, ok := g.txns[addr]
 	if !ok {
@@ -805,7 +824,7 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 	}
 	g.closeTxn(addr)
 	if data == nil {
-		data = mem.Zero()
+		data = &zeroBlock
 	}
 	if g.Quarantined {
 		g.closeCrossingSpan(t, addr, "grant-quarantined")
@@ -854,7 +873,9 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 			Payload: accelLevel.String(),
 		})
 	}
-	g.closeCrossingSpan(t, addr, "grant "+accelLevel.String())
+	if t.span != 0 { // the outcome string is only built for a live span
+		g.closeCrossingSpan(t, addr, "grant "+accelLevel.String())
+	}
 	g.sendToAccelAfter(ty, addr, data, t.span)
 }
 
@@ -867,6 +888,8 @@ func (g *Guard) putDone(addr mem.Addr) {
 	}
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
 	g.closeTxn(addr)
+	g.fab.FreeBlock(t.data)
+	t.data = nil
 	if g.table != nil {
 		g.table.drop(addr)
 	}
@@ -897,8 +920,8 @@ func (g *Guard) openPut(addr mem.Addr) *accelTxn {
 // scheduled, so a reply still inside the guard across a reintegration
 // goes out under the new epoch.
 func (g *Guard) sendToAccelAfter(ty coherence.MsgType, addr mem.Addr, data *mem.Block, span uint64) {
-	g.fab.SendAfter(g.cfg.GuardLat, &coherence.Msg{Type: ty, Addr: addr, Src: g.id, Dst: g.accel,
-		Data: data, Span: span}, g.stampEpoch)
+	g.fab.SendAfter(g.cfg.GuardLat, g.fab.Msg(coherence.Msg{Type: ty, Addr: addr, Src: g.id, Dst: g.accel,
+		Data: data, Span: span}), g.stampEpoch)
 }
 
 func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.epoch }

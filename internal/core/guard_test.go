@@ -36,7 +36,7 @@ func (s *stubShim) get(addr mem.Addr, kind GetKind) {
 func (s *stubShim) put(addr mem.Addr, data *mem.Block, dirty bool) { s.puts = append(s.puts, addr) }
 func (s *stubShim) putS(addr mem.Addr)                             { s.putSs = append(s.putSs, addr) }
 func (s *stubShim) suppressPutS() bool                             { return s.suppress }
-func (s *stubShim) recv(m *coherence.Msg)                          { s.received = append(s.received, m) }
+func (s *stubShim) recv(m *coherence.Msg)                          { m.Keep(); s.received = append(s.received, m) }
 func (s *stubShim) busy(addr mem.Addr) bool                        { return s.busyLines[addr] }
 func (s *stubShim) outstanding() int                               { return 0 }
 func (s *stubShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
@@ -51,7 +51,7 @@ type accelSink struct {
 
 func (a *accelSink) ID() coherence.NodeID  { return a.id }
 func (a *accelSink) Name() string          { return "accelSink" }
-func (a *accelSink) Recv(m *coherence.Msg) { a.got = append(a.got, m) }
+func (a *accelSink) Recv(m *coherence.Msg) { m.Keep(); a.got = append(a.got, m) }
 
 type coreRig struct {
 	eng   *sim.Engine

@@ -21,8 +21,12 @@ type hammerShim struct {
 	dir       coherence.NodeID
 	responses int // peers + speculative memory data
 
-	gets map[mem.Addr]*hGet
-	puts map[mem.Addr]*hPut
+	// gets and puts are the shim's tables of open host transactions; the
+	// records, which hold their blocks by value, are recycled.
+	gets     map[mem.Addr]*hGet
+	puts     map[mem.Addr]*hPut
+	freeGets recPool[hGet]
+	freePuts recPool[hPut]
 }
 
 type hGet struct {
@@ -30,13 +34,15 @@ type hGet struct {
 	got        int
 	dataCount  int
 	shared     bool
-	cacheData  *mem.Block
+	hasCache   bool // cacheData holds an owner's response
 	cacheDirty bool
-	memData    *mem.Block
+	hasMem     bool // memData holds the memory response
+	cacheData  mem.Block
+	memData    mem.Block
 }
 
 type hPut struct {
-	data     *mem.Block
+	data     mem.Block
 	dirty    bool
 	lost     bool // ownership moved via Fwd_GetM while the Put was in flight
 	accelPut bool // initiated by an accelerator Put (vs. guard-initiated relinquish)
@@ -57,7 +63,7 @@ func NewHammerGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *netw
 	return g
 }
 
-func (s *hammerShim) send(m *coherence.Msg) { s.g.send(m) }
+func (s *hammerShim) send(t coherence.Msg) { s.g.send(t) }
 
 func (s *hammerShim) outstanding() int { return len(s.gets) + len(s.puts) }
 
@@ -73,7 +79,9 @@ func (s *hammerShim) suppressPutS() bool { return true }
 func (s *hammerShim) putS(mem.Addr) {} // never called; PutS is suppressed
 
 func (s *hammerShim) get(addr mem.Addr, kind GetKind) {
-	s.gets[addr] = &hGet{kind: kind}
+	t := s.freeGets.get()
+	t.kind = kind
+	s.gets[addr] = t
 	ty := coherence.HGetS
 	switch kind {
 	case GetSharedOnly:
@@ -81,12 +89,26 @@ func (s *hammerShim) get(addr mem.Addr, kind GetKind) {
 	case GetExcl:
 		ty = coherence.HGetM
 	}
-	s.send(&coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.dir})
+	s.send(coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.dir})
 }
 
 func (s *hammerShim) put(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.puts[addr] = &hPut{data: data, dirty: dirty, accelPut: true}
-	s.send(&coherence.Msg{Type: coherence.HPut, Addr: addr, Src: s.g.id, Dst: s.dir})
+	s.startPut(addr, data, dirty, true)
+}
+
+// startPut opens a two-part writeback of a copy of data.
+func (s *hammerShim) startPut(addr mem.Addr, data *mem.Block, dirty, accelPut bool) {
+	p := s.freePuts.get()
+	p.data, p.dirty, p.accelPut = *data, dirty, accelPut
+	s.puts[addr] = p
+	s.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: s.g.id, Dst: s.dir})
+}
+
+// closePut retires the line's writeback record.
+func (s *hammerShim) closePut(addr mem.Addr, p *hPut) {
+	delete(s.puts, addr)
+	s.freePuts.put(p)
+	s.g.wake(addr)
 }
 
 // relinquish starts a guard-initiated writeback (ownership give-up after
@@ -95,8 +117,7 @@ func (s *hammerShim) relinquish(addr mem.Addr, data *mem.Block, dirty bool) {
 	if _, busy := s.puts[addr]; busy {
 		return // already writing back
 	}
-	s.puts[addr] = &hPut{data: data, dirty: dirty}
-	s.send(&coherence.Msg{Type: coherence.HPut, Addr: addr, Src: s.g.id, Dst: s.dir})
+	s.startPut(addr, data, dirty, false)
 }
 
 // drain returns an owned line to the host during quarantine recovery:
@@ -136,8 +157,8 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 	switch m.Type {
 	case coherence.HData:
 		t.dataCount++
-		if t.cacheData == nil && m.Data != nil {
-			t.cacheData = m.Data.Copy()
+		if !t.hasCache && m.Data != nil {
+			t.cacheData, t.hasCache = *m.Data, true
 			t.cacheDirty = m.Dirty
 		}
 		t.shared = true
@@ -146,7 +167,7 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 			t.shared = true
 		}
 	case coherence.HMemData:
-		t.memData = m.Data.Copy()
+		t.memData, t.hasMem = *m.Data, true
 	}
 	t.got++
 	if t.got < s.responses {
@@ -154,10 +175,13 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 	}
 	delete(s.gets, addr)
 	s.g.wake(addr)
-	data := t.memData
+	var data *mem.Block // nil (no response carried data) grants zeros
 	dirty := false
-	if t.cacheData != nil {
-		data, dirty = t.cacheData, t.cacheDirty
+	switch {
+	case t.hasCache:
+		data, dirty = &t.cacheData, t.cacheDirty
+	case t.hasMem:
+		data = &t.memData
 	}
 	var level Grant
 	tookShared := false
@@ -171,9 +195,10 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 	default:
 		level = GrantE
 	}
-	s.send(&coherence.Msg{Type: coherence.HUnblock, Addr: addr, Src: s.g.id, Dst: s.dir,
+	s.send(coherence.Msg{Type: coherence.HUnblock, Addr: addr, Src: s.g.id, Dst: s.dir,
 		Shared: tookShared})
 	s.g.granted(addr, level, data, dirty)
+	s.freeGets.put(t) // not before: data points into the record
 }
 
 // --- writebacks ---
@@ -186,13 +211,11 @@ func (s *hammerShim) handleWBAck(m *coherence.Msg) {
 			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
 		return
 	}
-	dirty := p.dirty && !p.lost
-	// The writeback record is finished with its block: it leaves as is.
-	s.send(&coherence.Msg{Type: coherence.HWBData, Addr: addr, Src: s.g.id, Dst: s.dir,
-		Data: p.data, Dirty: dirty})
-	delete(s.puts, addr)
-	s.g.wake(addr)
-	if p.accelPut {
+	s.send(coherence.Msg{Type: coherence.HWBData, Addr: addr, Src: s.g.id, Dst: s.dir,
+		Data: &p.data, Dirty: p.dirty && !p.lost})
+	accelPut := p.accelPut
+	s.closePut(addr, p)
+	if accelPut {
 		s.g.putDone(addr)
 	}
 }
@@ -211,9 +234,9 @@ func (s *hammerShim) handleNack(m *coherence.Msg) {
 		// (Transactional mode forwarding a stray accelerator Put).
 		s.g.violation("XG.G1a", "host rejected writeback (non-owner Put)", addr)
 	}
-	delete(s.puts, addr)
-	s.g.wake(addr)
-	if p.accelPut {
+	accelPut := p.accelPut
+	s.closePut(addr, p)
+	if accelPut {
 		s.g.putDone(addr)
 	}
 }
@@ -232,8 +255,7 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 			s.ack(addr, r, false)
 			return
 		}
-		s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
-			Data: p.data.Copy(), Dirty: p.dirty, Shared: true})
+		s.data(addr, r, &p.data, p.dirty)
 		if getM {
 			p.lost = true
 		}
@@ -262,8 +284,7 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 			if data != nil {
 				// Transactional mode forwarding a (suspicious) writeback:
 				// the requestor tolerates extra data under TxnMods.
-				s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id,
-					Dst: r, Data: data.Copy(), Dirty: dirty, Shared: true})
+				s.data(addr, r, data, dirty)
 				return
 			}
 			s.ack(addr, r, false)
@@ -276,51 +297,55 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 				s.ack(addr, r, false)
 				return
 			}
-			s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
-				Data: data.Copy(), Dirty: dirty, Shared: true})
+			s.data(addr, r, data, dirty)
 			if !getM {
 				// The accelerator supplied owner data on a Fwd_GetS; the
 				// interface has no O state, so relinquish (§3.2.1). This
 				// also covers the Put/Inv race, whose Put the guard
 				// consumed rather than forwarded.
-				s.relinquish(addr, data.Copy(), dirty)
+				s.relinquish(addr, data, dirty)
 			}
 		})
 	}
 }
 
 func (s *hammerShim) serveFromCopy(addr mem.Addr, entry *blockEntry, r coherence.NodeID, getM bool) {
-	copyData, copyDirty := entry.copy.Copy(), entry.dirty
 	if !getM {
 		s.g.SnoopsFiltered++
-		s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
-			Data: copyData, Dirty: copyDirty, Shared: true})
+		s.data(addr, r, entry.copy, entry.dirty)
 		return
 	}
 	// Fwd_GetM: the accelerator's S copy must die before the writer may
-	// proceed; then the trusted copy answers.
+	// proceed; then the trusted copy answers. The table entry is gone by
+	// then, so the answer is copied now and its block given back after.
+	copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
 	s.g.startRecall(addr, viewS, r, func(_ *mem.Block, _ bool, _ bool) {
-		s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
-			Data: copyData, Dirty: copyDirty, Shared: true})
+		s.data(addr, r, copyData, copyDirty)
+		s.g.fab.FreeBlock(copyData)
 	})
 }
 
 func (s *hammerShim) recallOwner(addr mem.Addr, view viewState, r coherence.NodeID, getM bool) {
 	s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
 		if data == nil {
-			data, dirty = mem.Zero(), true
+			data, dirty = &zeroBlock, true
 		}
-		s.send(&coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
-			Data: data.Copy(), Dirty: dirty, Shared: true})
+		s.data(addr, r, data, dirty)
 		if !getM {
 			// No O state in the interface: give ownership back to the
 			// directory (§3.2.1); required equally when the data came
 			// from a consumed racing Put.
-			s.relinquish(addr, data.Copy(), dirty)
+			s.relinquish(addr, data, dirty)
 		}
 	})
 }
 
 func (s *hammerShim) ack(addr mem.Addr, r coherence.NodeID, shared bool) {
-	s.send(&coherence.Msg{Type: coherence.HAck, Addr: addr, Src: s.g.id, Dst: r, Shared: shared})
+	s.send(coherence.Msg{Type: coherence.HAck, Addr: addr, Src: s.g.id, Dst: r, Shared: shared})
+}
+
+// data answers requestor r's forward with a copy of blk, as an owner.
+func (s *hammerShim) data(addr mem.Addr, r coherence.NodeID, blk *mem.Block, dirty bool) {
+	s.send(coherence.Msg{Type: coherence.HData, Addr: addr, Src: s.g.id, Dst: r,
+		Data: blk, Dirty: dirty, Shared: true})
 }

@@ -19,22 +19,26 @@ type mesiShim struct {
 	g  *Guard
 	l2 coherence.NodeID
 
-	gets map[mem.Addr]*mGet
-	puts map[mem.Addr]*mPut
+	// gets and puts are the shim's tables of open host transactions; the
+	// records, which hold their blocks by value, are recycled.
+	gets     map[mem.Addr]*mGet
+	puts     map[mem.Addr]*mPut
+	freeGets recPool[mGet]
+	freePuts recPool[mPut]
 }
 
 type mGet struct {
 	kind    GetKind
 	needed  int // -1 until the L2 announces the response count
 	got     int
-	data    *mem.Block
+	data    mem.Block // valid once gotData
 	dirty   bool
 	gotData bool
 	excl    bool // host granted E/M
 }
 
 type mPut struct {
-	data  *mem.Block
+	data  mem.Block
 	dirty bool
 }
 
@@ -50,7 +54,7 @@ func NewMESIGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	return g
 }
 
-func (s *mesiShim) send(m *coherence.Msg) { s.g.send(m) }
+func (s *mesiShim) send(t coherence.Msg) { s.g.send(t) }
 
 func (s *mesiShim) outstanding() int { return len(s.gets) + len(s.puts) }
 
@@ -64,11 +68,13 @@ func (s *mesiShim) busy(addr mem.Addr) bool {
 func (s *mesiShim) suppressPutS() bool { return false }
 
 func (s *mesiShim) putS(addr mem.Addr) {
-	s.send(&coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: s.g.id, Dst: s.l2})
+	s.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: s.g.id, Dst: s.l2})
 }
 
 func (s *mesiShim) get(addr mem.Addr, kind GetKind) {
-	s.gets[addr] = &mGet{kind: kind, needed: -1}
+	t := s.freeGets.get()
+	t.kind, t.needed = kind, -1
+	s.gets[addr] = t
 	ty := coherence.MGetS
 	switch kind {
 	case GetSharedOnly:
@@ -76,13 +82,15 @@ func (s *mesiShim) get(addr mem.Addr, kind GetKind) {
 	case GetExcl:
 		ty = coherence.MGetM
 	}
-	s.send(&coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.l2})
+	s.send(coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.l2})
 }
 
 func (s *mesiShim) put(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.puts[addr] = &mPut{data: data, dirty: dirty}
-	s.send(&coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: s.g.id, Dst: s.l2,
-		Data: data.Copy(), Dirty: dirty})
+	p := s.freePuts.get()
+	p.data, p.dirty = *data, dirty
+	s.puts[addr] = p
+	s.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: s.g.id, Dst: s.l2,
+		Data: data, Dirty: dirty})
 }
 
 // drain returns an owned line to the host during quarantine recovery: a
@@ -128,20 +136,20 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 	complete := false
 	switch m.Type {
 	case coherence.MDataE:
-		t.data, t.gotData, t.excl = m.Data.Copy(), true, true
+		t.data, t.gotData, t.excl = *m.Data, true, true
 		complete = true
 	case coherence.MDataS:
-		t.data, t.gotData = m.Data.Copy(), true
+		t.data, t.gotData = *m.Data, true
 		complete = true
 	case coherence.MDataAcks:
 		if m.Data != nil {
-			t.data, t.gotData = m.Data.Copy(), true
+			t.data, t.gotData = *m.Data, true
 		}
 		t.needed = m.Acks
 		t.excl = true
 	case coherence.MDataOwner:
 		if m.Data != nil {
-			t.data, t.gotData = m.Data.Copy(), true
+			t.data, t.gotData = *m.Data, true
 			t.dirty = m.Dirty
 		}
 		t.got++
@@ -161,13 +169,13 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 		return
 	}
 	if !t.gotData {
-		t.data = mem.Zero()
+		t.data = mem.Block{}
 		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
 			Code: "XG.HostAnomaly", Addr: addr, Detail: "request completed without data"})
 	}
 	delete(s.gets, addr)
 	s.g.wake(addr)
-	s.send(&coherence.Msg{Type: coherence.MUnblock, Addr: addr, Src: s.g.id, Dst: s.l2})
+	s.send(coherence.Msg{Type: coherence.MUnblock, Addr: addr, Src: s.g.id, Dst: s.l2})
 	level := GrantS
 	switch {
 	case t.kind == GetExcl:
@@ -175,17 +183,20 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 	case t.excl:
 		level = GrantE
 	}
-	s.g.granted(addr, level, t.data, t.dirty)
+	s.g.granted(addr, level, &t.data, t.dirty)
+	s.freeGets.put(t) // not before: granted reads the record's block
 }
 
 func (s *mesiShim) handleWBAck(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if _, ok := s.puts[addr]; !ok {
+	p, ok := s.puts[addr]
+	if !ok {
 		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
 			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
 		return
 	}
 	delete(s.puts, addr)
+	s.freePuts.put(p)
 	s.g.wake(addr)
 	s.g.putDone(addr)
 }
@@ -214,8 +225,7 @@ func (s *mesiShim) handleInv(m *coherence.Msg) {
 				// The accelerator answered an Inv with a writeback; the
 				// data goes to the L2, which acks the requestor on the
 				// accelerator's behalf (host modification, §3.2.2).
-				s.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: addr, Src: s.g.id,
-					Dst: s.l2, Data: data.Copy(), Dirty: dirty})
+				s.copyToL2(addr, data, dirty)
 				return
 			}
 			s.invAck(addr, r)
@@ -229,20 +239,23 @@ func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if p, busy := s.puts[addr]; busy {
 		// Our writeback is in flight; answer the recall from its data.
-		s.copyToL2(addr, p.data, p.dirty)
+		s.copyToL2(addr, &p.data, p.dirty)
 		return
 	}
 	view, entry := s.g.accelHolds(addr)
 	switch {
 	case view == viewNone:
 		s.g.SnoopsFiltered++
-		s.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: addr, Src: s.g.id, Dst: s.l2})
+		s.invAckToL2(addr)
 	case view == viewS && entry != nil && entry.copy != nil:
 		// Read-only block owned by the guard: the accelerator's S copy
-		// still dies, but the trusted copy answers.
-		copyData, copyDirty := entry.copy.Copy(), entry.dirty
+		// still dies, but the trusted copy answers. The table entry is
+		// gone by then, so the answer is copied now and its block given
+		// back after.
+		copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
 		s.g.startRecall(addr, viewS, s.l2, func(_ *mem.Block, _ bool, _ bool) {
 			s.copyToL2(addr, copyData, copyDirty)
+			s.g.fab.FreeBlock(copyData)
 		})
 	default:
 		s.g.startRecall(addr, view, s.l2, func(data *mem.Block, dirty bool, viaPut bool) {
@@ -250,7 +263,7 @@ func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 				s.copyToL2(addr, data, dirty)
 				return
 			}
-			s.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: addr, Src: s.g.id, Dst: s.l2})
+			s.invAckToL2(addr)
 		})
 	}
 }
@@ -261,9 +274,9 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 	addr := m.Addr.Line()
 	r := m.Requestor
 	if p, busy := s.puts[addr]; busy {
-		s.dataOwner(addr, r, p.data, p.dirty)
+		s.dataOwner(addr, r, &p.data, p.dirty)
 		if !getM {
-			s.copyToL2(addr, p.data, p.dirty)
+			s.copyToL2(addr, &p.data, p.dirty)
 		}
 		return
 	}
@@ -273,17 +286,19 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 		// Read-only owned block: serve from the trusted copy. On a
 		// Fwd_GetS the accelerator may keep its S copy (we downgrade to
 		// a plain sharer); on Fwd_GetM its copy must die first.
-		copyData, copyDirty := entry.copy.Copy(), entry.dirty
 		if !getM {
 			s.g.SnoopsFiltered++
-			s.dataOwner(addr, r, copyData, copyDirty)
-			s.copyToL2(addr, copyData, copyDirty)
+			s.dataOwner(addr, r, entry.copy, entry.dirty)
+			s.copyToL2(addr, entry.copy, entry.dirty)
 			entry.host = GrantS
+			s.g.fab.FreeBlock(entry.copy)
 			entry.copy = nil // no longer the owner; the copy is moot
 			return
 		}
+		copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
 		s.g.startRecall(addr, viewS, r, func(_ *mem.Block, _ bool, _ bool) {
 			s.dataOwner(addr, r, copyData, copyDirty)
+			s.g.fab.FreeBlock(copyData)
 		})
 	case view == viewE || view == viewM || view == viewUnknown:
 		s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
@@ -295,7 +310,7 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 				// transaction can close.
 				s.invAck(addr, r)
 				if !getM {
-					s.copyToL2(addr, mem.Zero(), false)
+					s.copyToL2(addr, &zeroBlock, false)
 				}
 				return
 			}
@@ -309,23 +324,27 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 		// accelerator does not have: answer with zero data to keep the
 		// host alive and report.
 		s.g.violation("XG.G2a", "host forwarded to a non-owner guard", addr)
-		s.dataOwner(addr, r, mem.Zero(), false)
+		s.dataOwner(addr, r, &zeroBlock, false)
 		if !getM {
-			s.copyToL2(addr, mem.Zero(), false)
+			s.copyToL2(addr, &zeroBlock, false)
 		}
 	}
 }
 
 func (s *mesiShim) invAck(addr mem.Addr, r coherence.NodeID) {
-	s.send(&coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: s.g.id, Dst: r})
+	s.send(coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: s.g.id, Dst: r})
+}
+
+func (s *mesiShim) invAckToL2(addr mem.Addr) {
+	s.send(coherence.Msg{Type: coherence.MInvAckToL2, Addr: addr, Src: s.g.id, Dst: s.l2})
 }
 
 func (s *mesiShim) dataOwner(addr mem.Addr, r coherence.NodeID, data *mem.Block, dirty bool) {
-	s.send(&coherence.Msg{Type: coherence.MDataOwner, Addr: addr, Src: s.g.id, Dst: r,
-		Data: data.Copy(), Dirty: dirty})
+	s.send(coherence.Msg{Type: coherence.MDataOwner, Addr: addr, Src: s.g.id, Dst: r,
+		Data: data, Dirty: dirty})
 }
 
 func (s *mesiShim) copyToL2(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: addr, Src: s.g.id, Dst: s.l2,
-		Data: data.Copy(), Dirty: dirty})
+	s.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: addr, Src: s.g.id, Dst: s.l2,
+		Data: data, Dirty: dirty})
 }

@@ -114,6 +114,8 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 		g.closeCrossingSpan(t, addr, "put-consumed-by-recall")
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
 		done(data, dirty, true)
+		g.fab.FreeBlock(data)
+		t.data = nil
 		return
 	}
 	ht := newHostTxn(expect, done)
@@ -224,12 +226,8 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 	}
 	g.closeRecall(addr, ht, "put-race")
 	g.ignoreInvAck[addr]++
-	var data *mem.Block
-	dirty := false
-	if m.Data != nil {
-		data = m.Data.Copy()
-		dirty = m.Type == coherence.APutM
-	}
+	data := m.Data // read by the completion callbacks before m goes back
+	dirty := data != nil && m.Type == coherence.APutM
 	// Guarantee 2a for the race path, mirroring validateResponse: if the
 	// guard knows the accelerator owned the block, the host MUST receive
 	// data — a data-less racing Put is corrected to a zero-block
@@ -238,9 +236,10 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 	if ht.known && ht.expect != GrantS && data == nil {
 		g.violation("XG.G2a", fmt.Sprintf("racing %v for an owned block carries no data", m.Type), addr)
 		if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
-			data, dirty = e.copy.Copy(), e.dirty
+			g.trusted = *e.copy
+			data, dirty = &g.trusted, e.dirty
 		} else {
-			data, dirty = mem.Zero(), true
+			data, dirty = &zeroBlock, true
 		}
 	}
 	if ht.known && ht.expect == GrantS && data != nil {
@@ -318,15 +317,16 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 // forwards any well-typed response and relies on the host modifications.
 func (g *Guard) validateResponse(addr mem.Addr, ht *hostTxn, m *coherence.Msg) (data *mem.Block, dirty bool, errCode string) {
 	carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
-	if carries && m.Data == nil {
+	wb := m.Data // read by the completion callbacks before m goes back
+	if carries && wb == nil {
 		// A writeback without data is malformed however you look at it.
-		m = &coherence.Msg{Type: m.Type, Addr: m.Addr, Data: mem.Zero()}
+		wb = &zeroBlock
 		errCode = "XG.G2a"
 	}
 	if g.cfg.Mode != FullState {
 		// Transactional: pass through.
 		if carries {
-			return m.Data.Copy(), m.Type == coherence.ADirtyWB, errCode
+			return wb, m.Type == coherence.ADirtyWB, errCode
 		}
 		return nil, false, errCode
 	}
@@ -336,13 +336,14 @@ func (g *Guard) validateResponse(addr mem.Addr, ht *hostTxn, m *coherence.Msg) (
 			// Owner answered with InvAck: substitute a zero-block
 			// writeback (paper §2.2) and report.
 			if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
-				return e.copy.Copy(), e.dirty, "XG.G2a"
+				g.trusted = *e.copy
+				return &g.trusted, e.dirty, "XG.G2a"
 			}
-			return mem.Zero(), true, "XG.G2a"
+			return &zeroBlock, true, "XG.G2a"
 		}
 		// Either writeback type is accepted from an owner; data from an
 		// M block is conservatively treated as dirty.
-		return m.Data.Copy(), m.Type == coherence.ADirtyWB || ht.expect == GrantM, errCode
+		return wb, m.Type == coherence.ADirtyWB || ht.expect == GrantM, errCode
 	default: // accelerator holds at most a shared copy
 		if carries {
 			// Non-owners must not supply data: correct to an ack.

@@ -266,7 +266,11 @@ func TestQuarantineGrantRaceKeepsTrustedCopy(t *testing.T) {
 	}
 	// The trusted copy now answers recalls with the granted data.
 	var gotData *mem.Block
-	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) { gotData = data })
+	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+		if data != nil {
+			gotData = data.Copy() // data is a loan for the length of the callback
+		}
+	})
 	if gotData == nil || gotData[3] != 7 {
 		t.Fatalf("recall answered with %v, want the claimed grant data", gotData)
 	}

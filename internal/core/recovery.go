@@ -155,9 +155,9 @@ func (g *Guard) recoveryDrainTable() {
 				g.shim.putS(a)
 			}
 		} else {
-			data, dirty := mem.Zero(), true
+			data, dirty := &zeroBlock, true
 			if e.copy != nil {
-				data, dirty = e.copy.Copy(), e.dirty
+				data, dirty = e.copy, e.dirty
 			}
 			g.shim.drain(a, data, dirty)
 		}

@@ -39,8 +39,9 @@ type waitQueue struct {
 	queued     bool
 }
 
-// park holds m until something it waits on changes.
+// park keeps m until something it waits on changes.
 func (g *Guard) park(addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
+	m.Keep()
 	p := g.freePark
 	if p != nil {
 		g.freePark = p.next
@@ -116,7 +117,11 @@ func (g *Guard) runWoken() {
 			g.freePark = p
 			g.parkedNow--
 			g.Woken++
+			// The re-run is a delivery of a kept message: m goes back to
+			// its pool afterwards unless it parked again.
+			g.fab.BeginRecv(m)
 			g.processAccelRequest(m, arrive)
+			g.fab.EndRecv(m)
 			p = next
 		}
 	}

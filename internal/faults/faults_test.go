@@ -9,6 +9,7 @@ import (
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 	"crossingguard/internal/obs"
+	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
 
@@ -321,5 +322,87 @@ func TestNewInjectorDefaultsMaxDelay(t *testing.T) {
 	inj := NewInjector(Plan{Seed: 1, Delay: 0.5}, fab)
 	if inj.Plan().MaxDelay != DefaultMaxDelay {
 		t.Fatalf("MaxDelay = %d, want DefaultMaxDelay", inj.Plan().MaxDelay)
+	}
+}
+
+// A plan with every perturbing fault on, over a link that carries pooled
+// messages: each message must arrive exactly twice (Dup: 1) with its own
+// payload — intact, or one bit off where it was corrupted — however the
+// deliveries are delayed and reordered, while unwatched pooled traffic
+// keeps recycling messages around it. The fabric takes whatever the
+// injector handled out of the pool, so neither the duplicate's second
+// delivery nor a corrupted copy's original can be handed to a new tenant.
+// Run with the pool reusing messages and with the lifetime check poisoning
+// them instead.
+func TestFaultedPooledPayloadsArriveTwice(t *testing.T) {
+	for _, checked := range []bool{false, true} {
+		name := "pooled"
+		if checked {
+			name = "checked"
+		}
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fab := network.NewFabric(eng, 1, network.Config{Latency: 2, Ordered: true})
+			if checked {
+				fab.CheckLifetimes()
+			}
+			const n = 100
+			var arrivals [n]int
+			guard := &funcController{id: 1, fn: func(*coherence.Msg) {}}
+			churn := &funcController{id: 3, fn: func(*coherence.Msg) {}}
+			accel := &funcController{id: 2, fn: func(m *coherence.Msg) {
+				if m.Src != 1 {
+					return // churn
+				}
+				i := m.Acks
+				arrivals[i]++
+				if m.Type != coherence.ADataM || m.Data == nil {
+					t.Fatalf("message %d arrived as %v", i, m)
+				}
+				flipped := 0
+				for _, b := range m.Data {
+					for x := b ^ byte(i); x != 0; x &= x - 1 {
+						flipped++
+					}
+				}
+				if flipped > 1 {
+					t.Fatalf("message %d arrived with %d bits off its payload", i, flipped)
+				}
+			}}
+			fab.Register(guard)
+			fab.Register(accel)
+			fab.Register(churn)
+			inj := NewInjector(Plan{Seed: 11, Dup: 1, Corrupt: 0.5, Delay: 0.5, MaxDelay: 30, Reorder: 0.5}, fab)
+			inj.Watch(1, 2)
+			fab.SetInterceptor(inj)
+			for i := 0; i < n; i++ {
+				i := i
+				eng.Schedule(sim.Time(3*i), func() {
+					var blk mem.Block
+					for j := range blk {
+						blk[j] = byte(i)
+					}
+					fab.Send(fab.Msg(coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: i, Data: &blk}))
+					for k := 0; k < 4; k++ {
+						var junk mem.Block
+						junk[0] = 0xFF
+						fab.Send(fab.Msg(coherence.Msg{Type: coherence.ADataS, Src: 3, Dst: 2, Data: &junk}))
+					}
+				})
+			}
+			eng.RunUntilQuiet()
+			for i, got := range arrivals {
+				if got != 2 {
+					t.Fatalf("message %d arrived %d times, want 2", i, got)
+				}
+			}
+			if inj.Dups != n || inj.Corrupts == 0 || inj.Delays == 0 || inj.Reorders == 0 {
+				t.Fatalf("plan not exercised: %d dups, %d corrupts, %d delays, %d reorders",
+					inj.Dups, inj.Corrupts, inj.Delays, inj.Reorders)
+			}
+			if st := fab.Stats(); !checked && !raceflag.Enabled && st.MsgsMade >= 5*n {
+				t.Fatalf("pool allocated %d messages for %d sends: the churn was not recycled", st.MsgsMade, 5*n)
+			}
+		})
 	}
 }

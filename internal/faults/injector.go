@@ -124,10 +124,11 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 	return dels, true
 }
 
-// corrupt returns a copy of m with one random bit flipped in a copied
-// data block. Messages are immutable once sent, so corruption never
-// touches the original (a duplicate of a corrupted message can deliver
-// the clean payload).
+// corrupt returns a plain copy of m with one random bit flipped in a
+// copied data block. Corruption never touches the original: a duplicate
+// of a corrupted message can deliver the clean payload. Neither message
+// is recycled — the fabric takes what an interceptor handled out of its
+// pool.
 func (in *Injector) corrupt(m *coherence.Msg) *coherence.Msg {
 	cp := *m
 	blk := *m.Data

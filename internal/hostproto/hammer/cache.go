@@ -10,7 +10,10 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// cLine is the protocol payload of one private-cache line.
+// cLine is the protocol payload of one private-cache line. Its blocks —
+// the line's data and the responses an open Get has collected — are the
+// cache's own, taken from the machine's block list when filled and given
+// back when the line is invalidated or the Get completes.
 type cLine struct {
 	state CState
 	data  *mem.Block
@@ -27,6 +30,14 @@ type cLine struct {
 	op        *coherence.Msg
 }
 
+// wbLine is an evicted line in the writeback buffer: its state, and the
+// data it took with it.
+type wbLine struct {
+	state CState
+	data  *mem.Block
+	dirty bool
+}
+
 // Cache is a private combined L1/L2 in the Hammer-like protocol.
 type Cache struct {
 	id   coherence.NodeID
@@ -40,10 +51,14 @@ type Cache struct {
 	// one per peer cache plus the speculative memory data.
 	responses int
 
-	cache      *cacheset.Cache[cLine]
-	wb         map[mem.Addr]*cLine
-	waitingOps map[mem.Addr][]*coherence.Msg
+	cache *cacheset.Cache[cLine]
+	wb    map[mem.Addr]*wbLine
+	// waitingOps and stalledOps hold core operations only: sequencer
+	// requests, which belong to this cache until it replies.
+	waitingOps coherence.LineQueues
 	stalledOps []*coherence.Msg
+	// doCPU is handleCPU bound once (CallAfter's handler).
+	doCPU func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -59,10 +74,11 @@ func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, dir: dir, sink: sink,
 		responses:  responses,
 		cache:      cacheset.New[cLine](cfg.Sets, cfg.Ways),
-		wb:         make(map[mem.Addr]*cLine),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		wb:         make(map[mem.Addr]*wbLine),
+		waitingOps: make(coherence.LineQueues),
 		Cov:        NewCacheCoverage(),
 	}
+	c.doCPU = c.handleCPU
 	fab.Register(c)
 	return c
 }
@@ -132,19 +148,20 @@ func (c *Cache) Recv(m *coherence.Msg) {
 	}
 }
 
-func (c *Cache) send(m *coherence.Msg) { c.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (c *Cache) send(t coherence.Msg) { c.fab.Send(c.fab.Msg(t)) }
 
 // --- CPU side ---
 
 func (c *Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if _, busy := c.wb[line]; busy {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	e := c.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		c.waitingOps[line] = append(c.waitingOps[line], m)
+		c.waitingOps.Push(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -191,22 +208,21 @@ func (c *Cache) issueGet(e *cacheset.Entry[cLine], op *coherence.Msg, ty coheren
 	e.V.got = 0
 	e.V.dataCount = 0
 	e.V.shared = false
-	e.V.cacheData = nil
-	e.V.memData = nil
 	e.V.noExcl = ty == coherence.HGetSOnly
 	e.V.op = op
-	c.send(&coherence.Msg{Type: ty, Addr: e.Addr, Src: c.id, Dst: c.dir})
+	c.send(coherence.Msg{Type: ty, Addr: e.Addr, Src: c.id, Dst: c.dir})
 }
 
 func (c *Cache) allocate(m *coherence.Msg) *cacheset.Entry[cLine] {
-	e, victim, ok := c.cache.Allocate(m.Addr, func(e *cacheset.Entry[cLine]) bool {
+	var victim cacheset.Entry[cLine]
+	e, evicted, ok := c.cache.Allocate(m.Addr, func(e *cacheset.Entry[cLine]) bool {
 		return e.V.state.Stable()
-	})
+	}, &victim)
 	if !ok {
 		c.stalledOps = append(c.stalledOps, m)
 		return nil
 	}
-	if victim != nil {
+	if evicted {
 		c.evict(victim.Addr, &victim.V)
 	}
 	e.V = cLine{state: CI}
@@ -218,6 +234,7 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 	switch v.state {
 	case CS:
 		// Hammer allows silent eviction of shared blocks.
+		c.fab.FreeBlock(v.data)
 	case CM, CO, CE:
 		next := CMI
 		switch v.state {
@@ -226,11 +243,24 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 		case CE:
 			next = CEI
 		}
-		c.wb[addr] = &cLine{state: next, data: v.data, dirty: v.dirty}
-		c.send(&coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.id, Dst: c.dir})
+		c.wb[addr] = &wbLine{state: next, data: v.data, dirty: v.dirty}
+		c.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.id, Dst: c.dir})
 	default:
 		panic(fmt.Sprintf("%s: evicting line in state %v", c.name, v.state))
 	}
+}
+
+// invalidate drops the line and gives its block back.
+func (c *Cache) invalidate(e *cacheset.Entry[cLine]) {
+	c.fab.FreeBlock(e.V.data)
+	c.cache.Invalidate(e.Addr)
+}
+
+// retire closes a finished writeback.
+func (c *Cache) retire(line mem.Addr, wl *wbLine) {
+	c.fab.FreeBlock(wl.data)
+	delete(c.wb, line)
+	c.settled(line)
 }
 
 func (c *Cache) respond(op *coherence.Msg, val byte) {
@@ -257,14 +287,14 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 
 	getM := m.Type == coherence.HFwdGetM
 	if st.owned() {
-		c.send(&coherence.Msg{Type: coherence.HData, Addr: line, Src: c.id, Dst: m.Requestor,
-			Data: data.Copy(), Dirty: dirty, Shared: true})
+		c.send(coherence.Msg{Type: coherence.HData, Addr: line, Src: c.id, Dst: m.Requestor,
+			Data: data, Dirty: dirty, Shared: true})
 		switch {
 		case getM:
 			// Ownership moves to the requestor.
 			switch st {
 			case CM, CO, CE:
-				c.cache.Invalidate(m.Addr)
+				c.invalidate(e)
 				c.settled(line)
 			case COM:
 				e.V.state = CIM // lost our copy; our own GetM is still queued
@@ -282,12 +312,12 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 	}
 	// Non-owners ack, asserting Shared when they hold an S copy.
 	hasS := st == CS || st == CSM
-	c.send(&coherence.Msg{Type: coherence.HAck, Addr: line, Src: c.id, Dst: m.Requestor,
+	c.send(coherence.Msg{Type: coherence.HAck, Addr: line, Src: c.id, Dst: m.Requestor,
 		Shared: hasS && !getM})
 	if getM {
 		switch st {
 		case CS:
-			c.cache.Invalidate(m.Addr)
+			c.invalidate(e)
 			c.settled(line)
 		case CSM:
 			e.V.state = CIM
@@ -322,7 +352,7 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 				Code: "HOST.MultiData", Addr: m.Addr, Detail: "duplicate data response tolerated"})
 		}
 		if e.V.cacheData == nil && m.Data != nil {
-			e.V.cacheData = m.Data.Copy()
+			e.V.cacheData = c.fab.CopyBlock(m.Data)
 			e.V.cacheDirt = m.Dirty
 		}
 		e.V.shared = true // an owner elsewhere means the block is shared
@@ -331,7 +361,10 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 			e.V.shared = true
 		}
 	case coherence.HMemData:
-		e.V.memData = m.Data.Copy()
+		// A second memory response (possible only under fault injection)
+		// replaces the first.
+		c.fab.FreeBlock(e.V.memData)
+		e.V.memData = c.fab.CopyBlock(m.Data)
 	}
 	e.V.got++
 	if e.V.got < e.V.expected {
@@ -343,16 +376,20 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 	op := e.V.op
 	st := e.V.state
-	var data *mem.Block
+	// The line adopts the block that answers the Get — no further copy —
+	// and the other collected responses go back to the block list.
+	data := e.V.data
 	var dirty bool
 	switch {
 	case st == COM:
 		// We are the owner: our copy is authoritative.
-		data, dirty = e.V.data, e.V.dirty
+		dirty = e.V.dirty
 	case e.V.cacheData != nil:
 		data, dirty = e.V.cacheData, e.V.cacheDirt
+		e.V.cacheData = nil
 	case e.V.memData != nil:
 		data, dirty = e.V.memData, false
+		e.V.memData = nil
 	default:
 		// Response-counting tolerance: every response was an ack and
 		// even memory data is missing (possible only under fuzzing with
@@ -362,8 +399,15 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		}
 		c.sink.ReportError(coherence.ProtocolError{Where: c.name,
 			Code: "HOST.NoData", Addr: e.Addr, Detail: "request completed with zero block"})
-		data, dirty = mem.Zero(), false
+		data, dirty = c.fab.CopyBlock(nil), false
 	}
+	if data != e.V.data {
+		c.fab.FreeBlock(e.V.data)
+		e.V.data = data
+	}
+	c.fab.FreeBlock(e.V.cacheData)
+	c.fab.FreeBlock(e.V.memData)
+	e.V.cacheData, e.V.memData = nil, nil
 	tookShared := false
 	if st == CIS {
 		if e.V.shared || e.V.noExcl {
@@ -372,7 +416,6 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		} else {
 			e.V.state = CE
 		}
-		e.V.data = data.Copy()
 		e.V.dirty = dirty
 		if tookShared {
 			e.V.dirty = false // the owner retains responsibility
@@ -380,15 +423,12 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		c.respond(op, e.V.data[op.Addr.Offset()])
 	} else {
 		e.V.state = CM
-		e.V.data = data.Copy()
 		e.V.dirty = true
 		e.V.data[op.Addr.Offset()] = op.Val
 		c.respond(op, 0)
 	}
 	e.V.op = nil
-	e.V.cacheData = nil
-	e.V.memData = nil
-	c.send(&coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.id, Dst: c.dir,
+	c.send(coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.id, Dst: c.dir,
 		Shared: tookShared})
 	c.settled(e.Addr)
 }
@@ -405,18 +445,16 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 	c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
 	switch wl.state {
 	case CMI, COI, CEI:
-		c.send(&coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
-			Data: wl.data.Copy(), Dirty: wl.dirty})
-		delete(c.wb, line)
-		c.settled(line)
+		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
+			Data: wl.data, Dirty: wl.dirty})
+		c.retire(line, wl)
 	case CII:
 		// We no longer own the block; the WBAck is for a Put the
 		// directory accepted before ownership moved — complete with a
 		// clean (ignored) writeback so the directory can close.
-		c.send(&coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
-			Data: wl.data.Copy(), Dirty: false})
-		delete(c.wb, line)
-		c.settled(line)
+		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
+			Data: wl.data, Dirty: false})
+		c.retire(line, wl)
 	default:
 		c.protocolError(wl.state.String(), m)
 	}
@@ -429,8 +467,7 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 		if wl.state == CII {
 			// Normal race resolution: ownership moved while our Put was
 			// queued; the data already went to the new owner.
-			delete(c.wb, line)
-			c.settled(line)
+			c.retire(line, wl)
 			return
 		}
 		// A Nack in MI/OI/EI means the directory disagrees about
@@ -443,8 +480,7 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 		c.sink.ReportError(coherence.ProtocolError{Where: c.name,
 			Code: "HOST.UnexpectedNack", Addr: line,
 			Detail: fmt.Sprintf("Nack sunk in state %v; dropping writeback", wl.state)})
-		delete(c.wb, line)
-		c.settled(line)
+		c.retire(line, wl)
 		return
 	}
 	// Paper §3.2.1: host caches must sink unexpected Nacks and raise an
@@ -465,31 +501,18 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 // --- wakeups, audit ---
 
 func (c *Cache) settled(line mem.Addr) {
-	if q := c.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(c.waitingOps, line)
-		} else {
-			c.waitingOps[line] = q[1:]
-		}
-		c.eng.Schedule(0, func() { c.handleCPU(next) })
+	if next := c.waitingOps.Pop(line); next != nil {
+		c.fab.CallAfter(0, c.doCPU, next)
 	}
-	if len(c.stalledOps) > 0 {
-		stalled := c.stalledOps
-		c.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			c.eng.Schedule(0, func() { c.handleCPU(op) })
-		}
+	for _, op := range c.stalledOps {
+		c.fab.CallAfter(0, c.doCPU, op)
 	}
+	c.stalledOps = c.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.
 func (c *Cache) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps)
-	for _, q := range c.waitingOps {
-		n += len(q)
-	}
+	n := len(c.wb) + len(c.stalledOps) + c.waitingOps.Len()
 	c.cache.Visit(func(e *cacheset.Entry[cLine]) {
 		if !e.V.state.Stable() {
 			n++

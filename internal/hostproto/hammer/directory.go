@@ -13,10 +13,12 @@ import (
 type dirTxnKind int
 
 const (
-	dirGet dirTxnKind = iota
+	dirIdle dirTxnKind = iota // no transaction open
+	dirGet
 	dirWB
 )
 
+// dirTxn is a line's open transaction, held by value in its dirLine.
 type dirTxn struct {
 	kind      dirTxnKind
 	requestor coherence.NodeID
@@ -27,8 +29,10 @@ type dirTxn struct {
 // know when memory may be stale).
 type dirLine struct {
 	owner coherence.NodeID
-	txn   *dirTxn
+	txn   dirTxn
 }
+
+func (l *dirLine) busy() bool { return l.txn.kind != dirIdle }
 
 // Directory is the Hammer directory + memory controller. It serializes
 // transactions per line and broadcasts every request to all peer caches.
@@ -43,11 +47,13 @@ type Directory struct {
 
 	memory    *mem.Memory
 	lines     map[mem.Addr]*dirLine
-	waiting   map[mem.Addr][]*coherence.Msg
+	waiting   coherence.LineQueues
 	replaying *coherence.Msg // message being replayed from the queue head
 
-	// fillMemData is readMemData bound once (SendAfter's fill hook).
+	// fillMemData and doBroadcast are readMemData and broadcast bound once
+	// (SendAfter's fill hook, CallAfter's handler).
 	fillMemData func(*coherence.Msg)
+	doBroadcast func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -62,10 +68,11 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
 		memory:  memory,
 		lines:   make(map[mem.Addr]*dirLine),
-		waiting: make(map[mem.Addr][]*coherence.Msg),
+		waiting: make(coherence.LineQueues),
 		Cov:     NewDirectoryCoverage(),
 	}
 	d.fillMemData = d.readMemData
+	d.doBroadcast = d.broadcast
 	fab.Register(d)
 	return d
 }
@@ -124,7 +131,7 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 
 // covState is the line's coverage state.
 func (d *Directory) covState(l *dirLine) int {
-	owned, busy := l.owner != coherence.NodeNone, l.txn != nil
+	owned, busy := l.owner != coherence.NodeNone, l.busy()
 	switch {
 	case owned && busy:
 		return dirOwnedBusy
@@ -156,32 +163,32 @@ func (d *Directory) Recv(m *coherence.Msg) {
 	d.Cov.Record(d.covState(l), dirTable.Event(m.Type))
 	switch m.Type {
 	case coherence.HGetS, coherence.HGetSOnly, coherence.HGetM:
-		if l.txn != nil || (len(d.waiting[addr]) > 0 && m != d.replaying) {
+		if l.busy() || (d.waiting.Waiting(addr) && m != d.replaying) {
 			// Strict per-line FIFO: nothing may overtake queued requests
 			// (a Get overtaking a queued Put would read stale memory).
-			d.waiting[addr] = append(d.waiting[addr], m)
+			d.waiting.Push(addr, m)
 			return
 		}
-		l.txn = &dirTxn{kind: dirGet, requestor: m.Src}
-		d.eng.Schedule(d.cfg.DirLat, func() { d.broadcast(m) })
+		l.txn = dirTxn{kind: dirGet, requestor: m.Src}
+		d.fab.CallAfter(d.cfg.DirLat, d.doBroadcast, m)
 	case coherence.HPut:
-		if l.txn != nil || (len(d.waiting[addr]) > 0 && m != d.replaying) {
-			d.waiting[addr] = append(d.waiting[addr], m)
+		if l.busy() || (d.waiting.Waiting(addr) && m != d.replaying) {
+			d.waiting.Push(addr, m)
 			return
 		}
 		if l.owner != m.Src {
 			// Put from a non-owner: a legitimate race (ownership moved
 			// while the Put was in flight) or a stray accelerator Put.
 			d.NacksSent++
-			d.send(&coherence.Msg{Type: coherence.HNack, Addr: addr, Src: d.id, Dst: m.Src})
+			d.send(coherence.Msg{Type: coherence.HNack, Addr: addr, Src: d.id, Dst: m.Src})
 			d.pop(addr)
 			return
 		}
-		l.txn = &dirTxn{kind: dirWB, requestor: m.Src}
+		l.txn = dirTxn{kind: dirWB, requestor: m.Src}
 		d.fab.SendAfter(d.cfg.DirLat,
-			&coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src}, nil)
+			d.fab.Msg(coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src}), nil)
 	case coherence.HWBData:
-		if l.txn == nil || l.txn.kind != dirWB || l.txn.requestor != m.Src {
+		if l.txn.kind != dirWB || l.txn.requestor != m.Src {
 			d.protocolError(d.stateName(l), m)
 			return
 		}
@@ -189,10 +196,10 @@ func (d *Directory) Recv(m *coherence.Msg) {
 			d.memory.Write(addr, m.Data)
 		}
 		l.owner = coherence.NodeNone
-		l.txn = nil
+		l.txn = dirTxn{}
 		d.pop(addr)
 	case coherence.HUnblock:
-		if l.txn == nil || l.txn.kind != dirGet || l.txn.requestor != m.Src {
+		if l.txn.kind != dirGet || l.txn.requestor != m.Src {
 			d.protocolError(d.stateName(l), m)
 			return
 		}
@@ -200,7 +207,7 @@ func (d *Directory) Recv(m *coherence.Msg) {
 			// The requestor took an owned state (E or M).
 			l.owner = m.Src
 		}
-		l.txn = nil
+		l.txn = dirTxn{}
 		d.pop(addr)
 	default:
 		d.protocolError(d.stateName(l), m)
@@ -224,44 +231,40 @@ func (d *Directory) broadcast(m *coherence.Msg) {
 		if p == m.Src {
 			continue
 		}
-		d.send(&coherence.Msg{Type: fwd, Addr: addr, Src: d.id, Dst: p, Requestor: m.Src})
+		d.send(coherence.Msg{Type: fwd, Addr: addr, Src: d.id, Dst: p, Requestor: m.Src})
 	}
 	d.fab.SendAfter(d.cfg.MemLat,
-		&coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src}, d.fillMemData)
+		d.fab.Msg(coherence.Msg{Type: coherence.HMemData, Addr: addr, Src: d.id, Dst: m.Src}), d.fillMemData)
 }
 
 // readMemData is the speculative memory read: it fills HMemData when the
 // memory latency has elapsed, so a writeback landing in between is seen.
-func (d *Directory) readMemData(m *coherence.Msg) { m.Data = d.memory.Read(m.Addr) }
+func (d *Directory) readMemData(m *coherence.Msg) { d.memory.ReadInto(m.Addr, m.OwnData()) }
 
-func (d *Directory) send(m *coherence.Msg) { d.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (d *Directory) send(t coherence.Msg) { d.fab.Send(d.fab.Msg(t)) }
 
+// pop replays the line's oldest queued request, which goes back to the
+// pool when its Recv returns unless it queued again.
 func (d *Directory) pop(addr mem.Addr) {
-	q := d.waiting[addr]
-	if len(q) == 0 {
+	next := d.waiting.Pop(addr)
+	if next == nil {
 		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(d.waiting, addr)
-	} else {
-		d.waiting[addr] = q[1:]
 	}
 	// Process synchronously so no same-tick arrival can cut in front.
 	prev := d.replaying
 	d.replaying = next
+	d.fab.BeginRecv(next)
 	d.Recv(next)
+	d.fab.EndRecv(next)
 	d.replaying = prev
 }
 
 // Outstanding reports open transactions and queued requests.
 func (d *Directory) Outstanding() int {
-	n := 0
-	for _, q := range d.waiting {
-		n += len(q)
-	}
+	n := d.waiting.Len()
 	for _, l := range d.lines {
-		if l.txn != nil {
+		if l.busy() {
 			n++
 		}
 	}

@@ -10,7 +10,9 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// l1Line is the protocol payload of one L1 cache line.
+// l1Line is the protocol payload of one L1 cache line. data is the L1's
+// own block, taken from the machine's block list at fill and given back
+// at invalidation.
 type l1Line struct {
 	state  L1State
 	data   *mem.Block
@@ -37,10 +39,13 @@ type L1 struct {
 	wb map[mem.Addr]*l1Line
 	// waitingOps queues CPU operations that hit a line with an open
 	// transaction (e.g. an address being written back).
-	waitingOps map[mem.Addr][]*coherence.Msg
+	waitingOps coherence.LineQueues
 	// stalledOps holds CPU operations that could not allocate a line
 	// because every way in the set was transient.
 	stalledOps []*coherence.Msg
+	// doCPU and doRecv are handleCPU and Recv bound once (CallAfter's
+	// handlers).
+	doCPU, doRecv func(*coherence.Msg)
 
 	// Cov records (state, event) coverage for the stress-test report.
 	Cov *coherence.Coverage
@@ -53,9 +58,10 @@ func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2, sink: sink,
 		cache:      cacheset.New[l1Line](cfg.L1Sets, cfg.L1Ways),
 		wb:         make(map[mem.Addr]*l1Line),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		waitingOps: make(coherence.LineQueues),
 		Cov:        NewL1Coverage(),
 	}
+	l.doCPU, l.doRecv = l.handleCPU, l.Recv
 	fab.Register(l)
 	return l
 }
@@ -162,15 +168,14 @@ func (l *L1) lineFor(addr mem.Addr) *l1Line {
 
 func (l *L1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if wl, ok := l.wb[line]; ok {
+	if _, ok := l.wb[line]; ok {
 		// Address is mid-writeback; wait for the WBAck.
-		_ = wl
-		l.waitingOps[line] = append(l.waitingOps[line], m)
+		l.waitingOps.Push(line, m)
 		return
 	}
 	e := l.cache.Lookup(m.Addr)
 	if e != nil && !e.V.state.Stable() {
-		l.waitingOps[line] = append(l.waitingOps[line], m)
+		l.waitingOps.Push(line, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -188,11 +193,11 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 			e.V.state = L1IMad
 			e.V.needed = -1
 			e.V.op = m
-			l.send(&coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
+			l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
 		} else {
 			e.V.state = L1ISd
 			e.V.op = m
-			l.send(&coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.id, Dst: l.l2})
+			l.send(coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.id, Dst: l.l2})
 		}
 		return
 	}
@@ -214,21 +219,22 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		e.V.state = L1SMad
 		e.V.needed = -1
 		e.V.op = m
-		l.send(&coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
+		l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
 	}
 }
 
 // allocate finds a way for m.Addr's line, evicting if necessary. It
 // returns nil (and stalls m) when no way is evictable.
 func (l *L1) allocate(m *coherence.Msg) *cacheset.Entry[l1Line] {
-	e, victim, ok := l.cache.Allocate(m.Addr, func(e *cacheset.Entry[l1Line]) bool {
+	var victim cacheset.Entry[l1Line]
+	e, evicted, ok := l.cache.Allocate(m.Addr, func(e *cacheset.Entry[l1Line]) bool {
 		return e.V.state.Stable()
-	})
+	}, &victim)
 	if !ok {
 		l.stalledOps = append(l.stalledOps, m)
 		return nil
 	}
-	if victim != nil {
+	if evicted {
 		l.evict(victim.Addr, &victim.V)
 	}
 	e.V = l1Line{state: L1I, needed: -1}
@@ -241,11 +247,12 @@ func (l *L1) evict(addr mem.Addr, v *l1Line) {
 	switch v.state {
 	case L1S:
 		// Exact sharer tracking: notify the L2, fire-and-forget.
-		l.send(&coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.id, Dst: l.l2})
+		l.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.id, Dst: l.l2})
+		l.fab.FreeBlock(v.data)
 	case L1E, L1M:
 		l.wb[addr] = &l1Line{state: L1MIa, data: v.data, dirty: v.dirty}
-		l.send(&coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.id, Dst: l.l2,
-			Data: v.data.Copy(), Dirty: v.dirty})
+		l.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.id, Dst: l.l2,
+			Data: v.data, Dirty: v.dirty})
 	default:
 		panic(fmt.Sprintf("%s: evicting line in state %v", l.name, v.state))
 	}
@@ -256,16 +263,13 @@ func (l *L1) respond(op *coherence.Msg, val byte) {
 	l.fab.SendAfter(l.cfg.L1HitLat, coherence.Reply(op, l.id, val), nil)
 }
 
-func (l *L1) send(m *coherence.Msg) { l.fab.Send(m) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (l *L1) send(t coherence.Msg) { l.fab.Send(l.fab.Msg(t)) }
 
-// blockOrZero guards against data-less messages from a misbehaving peer:
-// a nil block is treated as zero data, matching Crossing Guard's recovery
-// policy of supplying zero blocks.
-func blockOrZero(b *mem.Block) *mem.Block {
-	if b == nil {
-		return mem.Zero()
-	}
-	return b
+// invalidate drops the line and gives its block back.
+func (l *L1) invalidate(e *cacheset.Entry[l1Line]) {
+	l.fab.FreeBlock(e.V.data)
+	l.cache.Invalidate(e.Addr)
 }
 
 // --- responses (data, acks, writeback acks) ---
@@ -279,6 +283,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 			return
 		}
 		l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
+		l.fab.FreeBlock(wl.data)
 		delete(l.wb, line)
 		l.settled(line)
 		return
@@ -294,9 +299,9 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 	case L1ISd:
 		switch m.Type {
 		case coherence.MDataE:
-			l.completeGet(e, blockOrZero(m.Data), L1E)
+			l.completeGet(e, m.Data, L1E)
 		case coherence.MDataS, coherence.MDataOwner:
-			l.completeGet(e, blockOrZero(m.Data), L1S)
+			l.completeGet(e, m.Data, L1S)
 		case coherence.MInvAck:
 			// A buggy accelerator behind Crossing Guard answered a
 			// Fwd_GetS with an InvAck; with the paper's host mods we
@@ -308,7 +313,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 			l.sink.ReportError(coherence.ProtocolError{Where: l.name,
 				Code: "HOST.AckAsData", Addr: m.Addr,
 				Detail: "InvAck accepted as GetS data (zero block)"})
-			l.completeGet(e, mem.Zero(), L1S)
+			l.completeGet(e, nil, L1S)
 		default:
 			l.protocolError(st.String(), m)
 		}
@@ -316,14 +321,14 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		switch m.Type {
 		case coherence.MDataAcks:
 			if m.Data != nil {
-				e.V.data = m.Data.Copy()
+				l.fab.FillBlock(&e.V.data, m.Data)
 				e.V.dirty = false
 			}
 			e.V.needed = m.Acks
 			l.maybeCompleteGetM(e, m.Addr)
 		case coherence.MDataOwner:
 			// Ownership hand-off from the previous owner.
-			e.V.data = blockOrZero(m.Data)
+			l.fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
 			e.V.got++
 			l.maybeCompleteGetM(e, m.Addr)
@@ -341,7 +346,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		case coherence.MDataOwner:
 			// Owner hand-off whose "expect 1 response" notice from the
 			// L2 arrived first.
-			e.V.data = blockOrZero(m.Data)
+			l.fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
 			e.V.got++
 			l.maybeCompleteGetM(e, m.Addr)
@@ -353,14 +358,16 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 	}
 }
 
-// completeGet finishes a GetS transaction.
+// completeGet finishes a GetS transaction. A nil data — a data-less
+// message from a misbehaving peer — fills the line with zeros, matching
+// Crossing Guard's recovery policy of supplying zero blocks.
 func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State) {
 	op := e.V.op
 	e.V.state = st
-	e.V.data = data.Copy()
+	l.fab.FillBlock(&e.V.data, data)
 	e.V.dirty = false
 	e.V.op = nil
-	l.send(&coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
+	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
 	l.respond(op, e.V.data[op.Addr.Offset()])
 	l.drainFwds(e)
 	l.settled(e.Addr)
@@ -390,7 +397,7 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 		l.sink.ReportError(coherence.ProtocolError{Where: l.name,
 			Code: "HOST.AckAsData", Addr: e.Addr,
 			Detail: "GetM completed with zero block"})
-		e.V.data = mem.Zero()
+		e.V.data = l.fab.CopyBlock(nil)
 	}
 	op := e.V.op
 	e.V.state = L1M
@@ -399,7 +406,7 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 	e.V.got = 0
 	e.V.op = nil
 	e.V.data[op.Addr.Offset()] = op.Val
-	l.send(&coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
+	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
 	l.respond(op, 0)
 	l.drainFwds(e)
 	l.settled(e.Addr)
@@ -423,7 +430,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	case coherence.MInv:
 		switch st {
 		case L1S:
-			l.cache.Invalidate(m.Addr)
+			l.invalidate(e)
 			l.sendInvAck(m)
 			l.settled(line)
 		case L1I, L1ISd:
@@ -443,37 +450,35 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	case coherence.MInvToL2:
 		switch st {
 		case L1S:
-			l.cache.Invalidate(m.Addr)
-			l.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+			l.invalidate(e)
+			l.sendInvAckToL2(line)
 			l.settled(line)
 		case L1E, L1M:
-			l.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
-				Data: e.V.data.Copy(), Dirty: e.V.dirty})
-			l.cache.Invalidate(m.Addr)
+			l.copyToL2(line, &e.V)
+			l.invalidate(e)
 			l.settled(line)
 		case L1I:
-			l.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+			l.sendInvAckToL2(line)
 		case L1SMad, L1IMad:
 			// Recall of a line we are also trying to upgrade; our S
 			// copy dies, our GetM stays queued.
 			if st == L1SMad {
 				e.V.state = L1IMad
 			}
-			l.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+			l.sendInvAckToL2(line)
 		default:
 			l.protocolError(st.String(), m)
 		}
 	case coherence.MFwdGetS:
 		switch st {
 		case L1E, L1M:
-			l.send(&coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
-				Dst: m.Requestor, Data: e.V.data.Copy(), Dirty: e.V.dirty})
-			l.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
-				Data: e.V.data.Copy(), Dirty: e.V.dirty})
+			l.dataOwner(line, m.Requestor, &e.V)
+			l.copyToL2(line, &e.V)
 			e.V.state = L1S
 			e.V.dirty = false
 			l.settled(line)
 		case L1IMa, L1SMa:
+			m.Keep()
 			e.V.fwds = append(e.V.fwds, m)
 		default:
 			l.protocolError(st.String(), m)
@@ -481,11 +486,11 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	case coherence.MFwdGetM:
 		switch st {
 		case L1E, L1M:
-			l.send(&coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
-				Dst: m.Requestor, Data: e.V.data.Copy(), Dirty: e.V.dirty})
-			l.cache.Invalidate(m.Addr)
+			l.dataOwner(line, m.Requestor, &e.V)
+			l.invalidate(e)
 			l.settled(line)
 		case L1IMa, L1SMa:
+			m.Keep()
 			e.V.fwds = append(e.V.fwds, m)
 		default:
 			l.protocolError(st.String(), m)
@@ -503,27 +508,23 @@ func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
 			l.protocolError(wl.state.String(), m)
 			return
 		}
-		l.send(&coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
-			Dst: m.Requestor, Data: wl.data.Copy(), Dirty: wl.dirty})
-		l.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
-			Data: wl.data.Copy(), Dirty: wl.dirty})
+		l.dataOwner(line, m.Requestor, wl)
+		l.copyToL2(line, wl)
 		// Remain MI_A: the WBAck for our Put is still coming.
 	case coherence.MFwdGetM:
 		if wl.state != L1MIa {
 			l.protocolError(wl.state.String(), m)
 			return
 		}
-		l.send(&coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
-			Dst: m.Requestor, Data: wl.data.Copy(), Dirty: wl.dirty})
+		l.dataOwner(line, m.Requestor, wl)
 		wl.state = L1IIa
 	case coherence.MInvToL2:
 		if wl.state != L1MIa {
 			// II_A: ownership already handed off; just ack.
-			l.send(&coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+			l.sendInvAckToL2(line)
 			return
 		}
-		l.send(&coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
-			Data: wl.data.Copy(), Dirty: wl.dirty})
+		l.copyToL2(line, wl)
 		wl.state = L1IIa
 	case coherence.MInv:
 		// We answered a Fwd_GetS while evicting, so the L2 recorded us
@@ -535,47 +536,49 @@ func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
 }
 
 func (l *L1) sendInvAck(m *coherence.Msg) {
-	l.send(&coherence.Msg{Type: coherence.MInvAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Requestor})
+	l.send(coherence.Msg{Type: coherence.MInvAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Requestor})
+}
+
+func (l *L1) sendInvAckToL2(line mem.Addr) {
+	l.send(coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+}
+
+// dataOwner hands v's data to the requestor of a forward.
+func (l *L1) dataOwner(line mem.Addr, r coherence.NodeID, v *l1Line) {
+	l.send(coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
+		Dst: r, Data: v.data, Dirty: v.dirty})
+}
+
+// copyToL2 sends the L2 a copy of v's data.
+func (l *L1) copyToL2(line mem.Addr, v *l1Line) {
+	l.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
+		Data: v.data, Dirty: v.dirty})
 }
 
 // drainFwds replays forwards queued while a GetM was completing.
 func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
-	fwds := e.V.fwds
-	e.V.fwds = nil
-	for _, f := range fwds {
-		f := f
-		l.eng.Schedule(0, func() { l.Recv(f) })
+	for i, f := range e.V.fwds {
+		l.fab.CallAfter(0, l.doRecv, f)
+		e.V.fwds[i] = nil
 	}
+	e.V.fwds = e.V.fwds[:0]
 }
 
 // settled replays CPU operations blocked on this line and any operations
 // stalled on allocation.
 func (l *L1) settled(line mem.Addr) {
-	if q := l.waitingOps[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(l.waitingOps, line)
-		} else {
-			l.waitingOps[line] = q[1:]
-		}
-		l.eng.Schedule(0, func() { l.handleCPU(next) })
+	if next := l.waitingOps.Pop(line); next != nil {
+		l.fab.CallAfter(0, l.doCPU, next)
 	}
-	if len(l.stalledOps) > 0 {
-		stalled := l.stalledOps
-		l.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			l.eng.Schedule(0, func() { l.handleCPU(op) })
-		}
+	for _, op := range l.stalledOps {
+		l.fab.CallAfter(0, l.doCPU, op)
 	}
+	l.stalledOps = l.stalledOps[:0]
 }
 
 // Outstanding reports open transactions (for deadlock detection).
 func (l *L1) Outstanding() int {
-	n := len(l.wb) + len(l.stalledOps)
-	for _, q := range l.waitingOps {
-		n += len(q)
-	}
+	n := len(l.wb) + len(l.stalledOps) + l.waitingOps.Len()
 	l.cache.Visit(func(e *cacheset.Entry[l1Line]) {
 		if !e.V.state.Stable() {
 			n++

@@ -10,29 +10,45 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// l2Txn is an open transaction on one L2 line. The L2 processes one
+// l2Txn is the open transaction on one L2 line, held by value in the
+// line (kind txnNone when the line is idle). The L2 processes one
 // transaction per line at a time; later requests queue.
 type l2Txn struct {
 	kind        txnKind
 	requestor   coherence.NodeID
-	req         *coherence.Msg // original request (replayed after a fetch)
+	req         *coherence.Msg // original request, kept (lookup, fetch)
 	oldOwner    coherence.NodeID
 	unblocked   bool
 	needCopy    bool
 	copyIn      bool
-	invalidated map[coherence.NodeID]bool // sharers told to ack the requestor
-	recallWait  map[coherence.NodeID]bool
+	invalidated coherence.NodeSet // sharers told to ack the requestor
+	recallWait  coherence.NodeSet
 }
 
-// l2Line is the protocol payload of one L2 line.
+// l2Line is the protocol payload of one L2 line. data is the L2's own
+// block, taken from the machine's block list when the fetch lands and
+// given back when the line leaves the cache.
 type l2Line struct {
 	state   L2State
 	data    *mem.Block
 	dirty   bool // relative to memory
-	sharers map[coherence.NodeID]bool
+	sharers coherence.NodeSet
 	owner   coherence.NodeID
-	txn     *l2Txn
+	txn     l2Txn
 }
+
+func (v *l2Line) busy() bool { return v.txn.kind != txnNone }
+
+// open starts the line's transaction; the node sets keep their storage
+// from one transaction to the next.
+func (v *l2Line) open(kind txnKind, requestor, oldOwner coherence.NodeID) *l2Txn {
+	v.txn = l2Txn{kind: kind, requestor: requestor, oldOwner: oldOwner,
+		invalidated: v.txn.invalidated[:0], recallWait: v.txn.recallWait[:0]}
+	return &v.txn
+}
+
+// closeTxn leaves the line idle.
+func (v *l2Line) closeTxn() { v.txn.kind, v.txn.req = txnNone, nil }
 
 // L2 is the shared inclusive L2 with its integrated directory and the
 // memory controller behind it.
@@ -46,9 +62,12 @@ type L2 struct {
 
 	cache     *cacheset.Cache[l2Line]
 	memory    *mem.Memory
-	waiting   map[mem.Addr][]*coherence.Msg
-	stalled   []*coherence.Msg
-	replaying *coherence.Msg // message being replayed from the queue head
+	waiting   coherence.LineQueues
+	stalled   []*coherence.Msg // kept until replayed
+	replaying *coherence.Msg   // message being replayed from the queue head
+	// doRecv, doServeHit and doFetchDone are Recv, serveHit and fetchDone
+	// bound once (CallAfter's handlers).
+	doRecv, doServeHit, doFetchDone func(*coherence.Msg)
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
@@ -63,9 +82,10 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
 		cache:   cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
 		memory:  memory,
-		waiting: make(map[mem.Addr][]*coherence.Msg),
+		waiting: make(coherence.LineQueues),
 		Cov:     NewL2Coverage(),
 	}
+	l.doRecv, l.doServeHit, l.doFetchDone = l.Recv, l.serveHit, l.fetchDone
 	fab.Register(l)
 	return l
 }
@@ -105,7 +125,7 @@ func (l *L2) covState(e *cacheset.Entry[l2Line]) int {
 	switch {
 	case e == nil:
 		return l2NP
-	case e.V.txn == nil:
+	case !e.V.busy():
 		return int(e.V.state)
 	case e.V.state == L2SS:
 		return l2SSBusy
@@ -148,19 +168,17 @@ func (l *L2) Recv(m *coherence.Msg) {
 	}
 }
 
-func (l *L2) send(m *coherence.Msg) { l.fab.Send(m) }
-
-// after runs fn after the L2 lookup latency.
-func (l *L2) after(d sim.Time, fn func()) { l.eng.Schedule(d, fn) }
+// send takes a message holding t from the pool and hands it to the fabric.
+func (l *L2) send(t coherence.Msg) { l.fab.Send(l.fab.Msg(t)) }
 
 // --- Get handling ---
 
 func (l *L2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if (e != nil && e.V.txn != nil) || (len(l.waiting[addr]) > 0 && m != l.replaying) {
+	if (e != nil && e.V.busy()) || (l.waiting.Waiting(addr) && m != l.replaying) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting[addr] = append(l.waiting[addr], m)
+		l.waiting.Push(addr, m)
 		return
 	}
 	if e == nil {
@@ -169,41 +187,50 @@ func (l *L2) handleGet(m *coherence.Msg) {
 	}
 	// Reserve the line for the duration of the lookup latency so that a
 	// second request cannot start a racing transaction.
-	e.V.txn = &l2Txn{kind: txnLookup, requestor: m.Src, req: m, oldOwner: coherence.NodeNone}
-	l.after(l.cfg.L2Lat, func() { l.serveHit(m) })
+	e.V.open(txnLookup, m.Src, coherence.NodeNone).req = m
+	l.fab.CallAfter(l.cfg.L2Lat, l.doServeHit, m)
 }
 
 // missFetch allocates a line and fetches it from memory; the original
 // request is replayed when the data arrives.
 func (l *L2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	e, victim, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[l2Line]) bool {
-		return e.V.txn == nil && e.V.owner == coherence.NodeNone && len(e.V.sharers) == 0
-	})
+	var victim cacheset.Entry[l2Line]
+	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[l2Line]) bool {
+		return !e.V.busy() && e.V.owner == coherence.NodeNone && len(e.V.sharers) == 0
+	}, &victim)
 	if !ok {
 		// Every way is either busy or still has L1 copies: recall the
 		// LRU candidate with copies, then retry.
 		l.startRecallInSet(addr)
+		m.Keep()
 		l.stalled = append(l.stalled, m)
 		return
 	}
-	if victim != nil && victim.V.dirty {
-		l.memory.Write(victim.Addr, victim.V.data)
-	}
-	e.V = l2Line{state: L2SS, owner: coherence.NodeNone,
-		sharers: make(map[coherence.NodeID]bool),
-		txn:     &l2Txn{kind: txnFetch, requestor: m.Src, req: m, oldOwner: coherence.NodeNone}}
-	l.after(l.cfg.L2Lat+l.cfg.MemLat, func() {
-		le := l.cache.Peek(addr)
-		if le == nil || le.V.txn == nil || le.V.txn.kind != txnFetch {
-			panic(fmt.Sprintf("%s: fetch completion for %v found no fetch txn", l.name, addr))
+	if evicted {
+		if victim.V.dirty {
+			l.memory.Write(victim.Addr, victim.V.data)
 		}
-		req := le.V.txn.req
-		le.V.data = l.memory.Read(addr)
-		le.V.dirty = false
-		le.V.txn = nil
-		l.serveHit(req)
-	})
+		l.fab.FreeBlock(victim.V.data)
+	}
+	e.V = l2Line{state: L2SS, owner: coherence.NodeNone}
+	e.V.open(txnFetch, m.Src, coherence.NodeNone).req = m
+	l.fab.CallAfter(l.cfg.L2Lat+l.cfg.MemLat, l.doFetchDone, m)
+}
+
+// fetchDone lands the memory fetch missFetch started for m and serves it.
+func (l *L2) fetchDone(m *coherence.Msg) {
+	addr := m.Addr.Line()
+	le := l.cache.Peek(addr)
+	if le == nil || le.V.txn.kind != txnFetch {
+		panic(fmt.Sprintf("%s: fetch completion for %v found no fetch txn", l.name, addr))
+	}
+	req := le.V.txn.req
+	le.V.data = l.fab.CopyBlock(nil)
+	l.memory.ReadInto(addr, le.V.data)
+	le.V.dirty = false
+	le.V.closeTxn()
+	l.serveHit(req)
 }
 
 // serveHit serves a Get against a present, idle line.
@@ -212,13 +239,13 @@ func (l *L2) serveHit(m *coherence.Msg) {
 	e := l.cache.Peek(addr)
 	if e == nil {
 		// The line moved under a replayed request; start over.
-		l.eng.Schedule(0, func() { l.Recv(m) })
+		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
-	if e.V.txn != nil && e.V.txn.kind == txnLookup && e.V.txn.req == m {
-		e.V.txn = nil // lookup reservation resolves into the real txn below
-	} else if e.V.txn != nil {
-		l.eng.Schedule(0, func() { l.Recv(m) })
+	if e.V.txn.kind == txnLookup && e.V.txn.req == m {
+		e.V.closeTxn() // lookup reservation resolves into the real txn below
+	} else if e.V.busy() {
+		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
 	r := m.Src
@@ -227,46 +254,43 @@ func (l *L2) serveHit(m *coherence.Msg) {
 		o := e.V.owner
 		switch m.Type {
 		case coherence.MGetS, coherence.MGetInstr:
-			e.V.txn = &l2Txn{kind: txnGetS, requestor: r, oldOwner: o, needCopy: true}
-			l.send(&coherence.Msg{Type: coherence.MFwdGetS, Addr: addr, Src: l.id, Dst: o, Requestor: r})
+			e.V.open(txnGetS, r, o).needCopy = true
+			l.send(coherence.Msg{Type: coherence.MFwdGetS, Addr: addr, Src: l.id, Dst: o, Requestor: r})
 		case coherence.MGetM:
-			e.V.txn = &l2Txn{kind: txnGetM, requestor: r, oldOwner: o}
+			e.V.open(txnGetM, r, o)
 			e.V.owner = r
 			// Tell the requestor to expect exactly one response; the
 			// data arrives directly from the old owner.
-			l.send(&coherence.Msg{Type: coherence.MDataAcks, Addr: addr, Src: l.id, Dst: r, Acks: 1})
-			l.send(&coherence.Msg{Type: coherence.MFwdGetM, Addr: addr, Src: l.id, Dst: o, Requestor: r})
+			l.send(coherence.Msg{Type: coherence.MDataAcks, Addr: addr, Src: l.id, Dst: r, Acks: 1})
+			l.send(coherence.Msg{Type: coherence.MFwdGetM, Addr: addr, Src: l.id, Dst: o, Requestor: r})
 		}
 	case L2SS:
 		switch m.Type {
 		case coherence.MGetS, coherence.MGetInstr:
+			ty := coherence.MDataS
 			if len(e.V.sharers) == 0 && m.Type == coherence.MGetS {
 				// Exclusive grant: no other cache holds the line.
 				e.V.state = L2MT
 				e.V.owner = r
-				e.V.txn = &l2Txn{kind: txnGetS, requestor: r, oldOwner: coherence.NodeNone}
-				l.send(&coherence.Msg{Type: coherence.MDataE, Addr: addr, Src: l.id, Dst: r,
-					Data: e.V.data.Copy()})
+				ty = coherence.MDataE
 			} else {
-				e.V.sharers[r] = true
-				e.V.txn = &l2Txn{kind: txnGetS, requestor: r, oldOwner: coherence.NodeNone}
-				l.send(&coherence.Msg{Type: coherence.MDataS, Addr: addr, Src: l.id, Dst: r,
-					Data: e.V.data.Copy()})
+				e.V.sharers.Add(r)
 			}
+			e.V.open(txnGetS, r, coherence.NodeNone)
+			l.send(coherence.Msg{Type: ty, Addr: addr, Src: l.id, Dst: r, Data: e.V.data})
 		case coherence.MGetM:
-			inv := make(map[coherence.NodeID]bool)
-			for _, s := range coherence.SortedNodes(e.V.sharers) {
+			t := e.V.open(txnGetM, r, coherence.NodeNone)
+			for _, s := range e.V.sharers {
 				if s != r {
-					inv[s] = true
-					l.send(&coherence.Msg{Type: coherence.MInv, Addr: addr, Src: l.id, Dst: s, Requestor: r})
+					t.invalidated = append(t.invalidated, s) // ascending, like sharers
+					l.send(coherence.Msg{Type: coherence.MInv, Addr: addr, Src: l.id, Dst: s, Requestor: r})
 				}
 			}
-			e.V.sharers = make(map[coherence.NodeID]bool)
+			e.V.sharers = e.V.sharers[:0]
 			e.V.owner = r
 			e.V.state = L2MT
-			e.V.txn = &l2Txn{kind: txnGetM, requestor: r, oldOwner: coherence.NodeNone, invalidated: inv}
-			l.send(&coherence.Msg{Type: coherence.MDataAcks, Addr: addr, Src: l.id, Dst: r,
-				Data: e.V.data.Copy(), Acks: len(inv)})
+			l.send(coherence.Msg{Type: coherence.MDataAcks, Addr: addr, Src: l.id, Dst: r,
+				Data: e.V.data, Acks: len(t.invalidated)})
 		}
 	}
 }
@@ -285,33 +309,32 @@ func (l *L2) handlePut(m *coherence.Msg) {
 		l.popWaiting(addr)
 		return
 	}
-	if t := e.V.txn; t == nil && len(l.waiting[addr]) > 0 && m != l.replaying {
-		l.waiting[addr] = append(l.waiting[addr], m)
+	if t := &e.V.txn; !e.V.busy() && l.waiting.Waiting(addr) && m != l.replaying {
+		l.waiting.Push(addr, m)
 		return
-	} else if t != nil {
+	} else if e.V.busy() {
 		switch {
 		case m.Src == t.oldOwner:
 			// Put raced with a forward we already sent; the data is
 			// (or will be) supplied by the forward response.
 			l.ackPut(m)
-		case t.kind == txnRecall && t.recallWait[m.Src]:
+		case t.kind == txnRecall && t.recallWait.Remove(m.Src):
 			// Put raced with our recall; absorb it as the recall reply.
-			delete(t.recallWait, m.Src)
 			if m.Dirty {
-				e.V.data = m.Data.Copy()
+				l.fab.FillBlock(&e.V.data, m.Data)
 				e.V.dirty = true
 			}
 			l.ackPut(m)
 			l.maybeFinishRecall(addr, e)
 		default:
-			l.waiting[addr] = append(l.waiting[addr], m)
+			l.waiting.Push(addr, m)
 		}
 		return
 	}
 	switch {
 	case e.V.owner == m.Src:
 		if m.Data != nil {
-			e.V.data = m.Data.Copy()
+			l.fab.FillBlock(&e.V.data, m.Data)
 		}
 		if m.Dirty {
 			e.V.dirty = true
@@ -319,9 +342,8 @@ func (l *L2) handlePut(m *coherence.Msg) {
 		e.V.owner = coherence.NodeNone
 		e.V.state = L2SS
 		l.ackPut(m)
-	case e.V.sharers[m.Src]:
+	case e.V.sharers.Remove(m.Src):
 		// Stale Put from a cache that lost ownership earlier.
-		delete(e.V.sharers, m.Src)
 		l.StrayPuts++
 		l.ackPut(m)
 	default:
@@ -332,12 +354,12 @@ func (l *L2) handlePut(m *coherence.Msg) {
 }
 
 func (l *L2) ackPut(m *coherence.Msg) {
-	l.send(&coherence.Msg{Type: coherence.MWBAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Src})
+	l.send(coherence.Msg{Type: coherence.MWBAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Src})
 }
 
 func (l *L2) handlePutS(m *coherence.Msg) {
 	if e := l.cache.Peek(m.Addr); e != nil {
-		delete(e.V.sharers, m.Src)
+		e.V.sharers.Remove(m.Src)
 	}
 	// Fire-and-forget: no ack, absent line ignored.
 }
@@ -346,7 +368,7 @@ func (l *L2) handlePutS(m *coherence.Msg) {
 
 func (l *L2) handleUnblock(m *coherence.Msg) {
 	e := l.cache.Peek(m.Addr)
-	if e == nil || e.V.txn == nil || e.V.txn.requestor != m.Src {
+	if e == nil || !e.V.busy() || e.V.txn.requestor != m.Src {
 		l.StrayAcks++
 		l.protocolError(l.stateName(e), m)
 		return
@@ -358,37 +380,37 @@ func (l *L2) handleUnblock(m *coherence.Msg) {
 func (l *L2) handleCopy(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e != nil && e.V.txn != nil {
-		t := e.V.txn
+	if e != nil && e.V.busy() {
+		t := &e.V.txn
 		switch {
 		case t.kind == txnGetS && t.needCopy && m.Src == t.oldOwner:
-			e.V.data = m.Data.Copy()
+			l.fab.FillBlock(&e.V.data, m.Data)
 			if m.Dirty {
 				e.V.dirty = true
 			}
 			t.copyIn = true
 			l.maybeCloseTxn(addr, e)
 			return
-		case t.kind == txnRecall && t.recallWait[m.Src]:
-			e.V.data = m.Data.Copy()
+		case t.kind == txnRecall && t.recallWait.Has(m.Src):
+			l.fab.FillBlock(&e.V.data, m.Data)
 			if m.Dirty {
 				e.V.dirty = true
 			}
-			delete(t.recallWait, m.Src)
+			t.recallWait.Remove(m.Src)
 			l.maybeFinishRecall(addr, e)
 			return
-		case t.kind == txnGetM && t.invalidated[m.Src]:
+		case t.kind == txnGetM && t.invalidated.Has(m.Src):
 			// Paper §3.2.2: a buggy accelerator answered an Inv with a
 			// writeback; the L2 acks the requestor on its behalf.
 			if !l.cfg.TxnMods {
 				l.protocolError(l.stateName(e), m)
 				return
 			}
-			delete(t.invalidated, m.Src)
+			t.invalidated.Remove(m.Src)
 			l.sink.ReportError(coherence.ProtocolError{Where: l.name,
 				Code: "HOST.WBAsAck", Addr: addr,
 				Detail: "writeback accepted as InvAck; acking requestor on its behalf"})
-			l.send(&coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: l.id, Dst: t.requestor})
+			l.send(coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: l.id, Dst: t.requestor})
 			return
 		}
 	}
@@ -398,18 +420,18 @@ func (l *L2) handleCopy(m *coherence.Msg) {
 }
 
 func (l *L2) maybeCloseTxn(addr mem.Addr, e *cacheset.Entry[l2Line]) {
-	t := e.V.txn
-	if t == nil || !t.unblocked || (t.needCopy && !t.copyIn) {
+	t := &e.V.txn
+	if !e.V.busy() || !t.unblocked || (t.needCopy && !t.copyIn) {
 		return
 	}
 	if t.kind == txnGetS && t.oldOwner != coherence.NodeNone {
 		// Owner downgraded to S; requestor joined the sharers.
 		e.V.state = L2SS
 		e.V.owner = coherence.NodeNone
-		e.V.sharers[t.oldOwner] = true
-		e.V.sharers[t.requestor] = true
+		e.V.sharers.Add(t.oldOwner)
+		e.V.sharers.Add(t.requestor)
 	}
-	e.V.txn = nil
+	e.V.closeTxn()
 	l.popWaiting(addr)
 	l.replayStalled()
 }
@@ -421,7 +443,7 @@ func (l *L2) maybeCloseTxn(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 func (l *L2) startRecallInSet(addr mem.Addr) {
 	var cand *cacheset.Entry[l2Line]
 	l.cache.VisitSet(addr, func(e *cacheset.Entry[l2Line]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
 			return
 		}
 		if cand == nil || l.cache.LRUOrder(e) < l.cache.LRUOrder(cand) {
@@ -431,38 +453,38 @@ func (l *L2) startRecallInSet(addr mem.Addr) {
 	if cand == nil {
 		return // all ways busy; stalled request retries on any close
 	}
-	t := &l2Txn{kind: txnRecall, oldOwner: coherence.NodeNone, recallWait: make(map[coherence.NodeID]bool)}
-	for _, s := range coherence.SortedNodes(cand.V.sharers) {
-		t.recallWait[s] = true
-		l.send(&coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: s})
+	// No requestor: node 0, which an Unblock is checked against.
+	t := cand.V.open(txnRecall, 0, coherence.NodeNone)
+	for _, s := range cand.V.sharers {
+		t.recallWait.Add(s)
+		l.send(coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: s})
 	}
 	if cand.V.owner != coherence.NodeNone {
-		t.recallWait[cand.V.owner] = true
-		l.send(&coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: cand.V.owner})
+		t.recallWait.Add(cand.V.owner)
+		l.send(coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: cand.V.owner})
 	}
-	cand.V.txn = t
 	l.maybeFinishRecall(cand.Addr, cand) // zero-copy lines finish at once
 }
 
 func (l *L2) handleRecallAck(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil || e.V.txn.kind != txnRecall || !e.V.txn.recallWait[m.Src] {
+	if e == nil || e.V.txn.kind != txnRecall || !e.V.txn.recallWait.Remove(m.Src) {
 		l.StrayAcks++
 		return
 	}
-	delete(e.V.txn.recallWait, m.Src)
 	l.maybeFinishRecall(addr, e)
 }
 
 func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
-	t := e.V.txn
-	if t == nil || t.kind != txnRecall || len(t.recallWait) > 0 {
+	t := &e.V.txn
+	if t.kind != txnRecall || len(t.recallWait) > 0 {
 		return
 	}
 	if e.V.dirty {
 		l.memory.Write(addr, e.V.data)
 	}
+	l.fab.FreeBlock(e.V.data)
 	l.cache.Invalidate(addr)
 	l.popWaiting(addr)
 	l.replayStalled()
@@ -471,43 +493,32 @@ func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 // --- wakeups ---
 
 func (l *L2) popWaiting(addr mem.Addr) {
-	q := l.waiting[addr]
-	if len(q) == 0 {
+	next := l.waiting.Pop(addr)
+	if next == nil {
 		return
-	}
-	next := q[0]
-	if len(q) == 1 {
-		delete(l.waiting, addr)
-	} else {
-		l.waiting[addr] = q[1:]
 	}
 	// Process synchronously so no same-tick arrival can cut in front.
 	prev := l.replaying
 	l.replaying = next
+	l.fab.BeginRecv(next)
 	l.Recv(next)
+	l.fab.EndRecv(next)
 	l.replaying = prev
 }
 
 func (l *L2) replayStalled() {
-	if len(l.stalled) == 0 {
-		return
+	for i, m := range l.stalled {
+		l.fab.CallAfter(0, l.doRecv, m)
+		l.stalled[i] = nil
 	}
-	stalled := l.stalled
-	l.stalled = nil
-	for _, m := range stalled {
-		m := m
-		l.eng.Schedule(0, func() { l.Recv(m) })
-	}
+	l.stalled = l.stalled[:0]
 }
 
 // Outstanding reports open transactions and queued work.
 func (l *L2) Outstanding() int {
-	n := len(l.stalled)
-	for _, q := range l.waiting {
-		n += len(q)
-	}
+	n := len(l.stalled) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
 			n++
 		}
 	})
@@ -530,13 +541,9 @@ func (l *L2) Memory() *mem.Memory { return l.memory }
 // VisitStable reports every idle line with its directory bookkeeping.
 func (l *L2) VisitStable(fn func(addr mem.Addr, owner coherence.NodeID, sharers []coherence.NodeID, data *mem.Block, dirty bool)) {
 	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
 			return
 		}
-		var sh []coherence.NodeID
-		for s := range e.V.sharers {
-			sh = append(sh, s)
-		}
-		fn(e.Addr, e.V.owner, sh, e.V.data, e.V.dirty)
+		fn(e.Addr, e.V.owner, e.V.sharers, e.V.data, e.V.dirty)
 	})
 }

@@ -135,7 +135,7 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 	// Every L2 line with recorded copies must be backed by real copies.
 	var err error
 	l2.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if err != nil || e.V.txn != nil {
+		if err != nil || e.V.busy() {
 			return
 		}
 		if e.V.owner != coherence.NodeNone {

@@ -34,12 +34,15 @@ func (a Addr) Page() Addr { return a &^ (PageBytes - 1) }
 // String renders the address in hex.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
-// Block is one cache line of data. Blocks are passed by pointer in
-// messages; a component that hands a block to another must Copy it first
-// if it intends to keep mutating its own version.
+// Block is one cache line of data. A block has one owner: the cache line,
+// transaction record or message whose storage it is. Sending copies it
+// into the message (coherence.Pool.Msg) and a receiver that keeps the data
+// copies it out into storage of its own (coherence.Pool.CopyBlock), so a
+// *Block handed across a call is a loan for the length of that call.
 type Block [BlockBytes]byte
 
-// Copy returns a fresh heap copy of b.
+// Copy returns a fresh heap copy of b: for set-up code and tests. The
+// protocol paths use pooled storage instead.
 func (b *Block) Copy() *Block {
 	c := *b
 	return &c
@@ -76,24 +79,40 @@ func NewMemory() *Memory { return &Memory{lines: make(map[Addr]*Block)} }
 
 // Read returns a copy of the block containing a.
 func (m *Memory) Read(a Addr) *Block {
+	b := new(Block)
+	m.ReadInto(a, b)
+	return b
+}
+
+// ReadInto copies the block containing a into dst: Read without the
+// allocation, for a caller that owns the storage.
+func (m *Memory) ReadInto(a Addr, dst *Block) {
 	m.Reads++
 	if b, ok := m.lines[a.Line()]; ok {
-		return b.Copy()
+		*dst = *b
+	} else {
+		*dst = Block{}
 	}
-	return Zero()
 }
 
 // Peek returns the stored block without copying or counting; for
 // invariant checks only. Never-written lines return nil.
 func (m *Memory) Peek(a Addr) *Block { return m.lines[a.Line()] }
 
-// Write stores a copy of b as the block containing a.
+// Write stores a copy of b (nil is a zero block) as the block containing
+// a, overwriting the line in place once it exists.
 func (m *Memory) Write(a Addr, b *Block) {
 	m.Writes++
-	if b == nil {
-		b = Zero()
+	line, ok := m.lines[a.Line()]
+	if !ok {
+		line = new(Block)
+		m.lines[a.Line()] = line
 	}
-	m.lines[a.Line()] = b.Copy()
+	if b != nil {
+		*line = *b
+	} else {
+		*line = Block{}
+	}
 }
 
 // StoreByte stores one byte, reading/modifying/writing the containing

@@ -18,7 +18,11 @@
 // per-channel traffic accounting indexes fixed per-type arrays instead
 // of maps, and trace events are only constructed when the bus is Active.
 // SendAfter gives the protocol layers the same discipline for "send this
-// after N ticks": a pooled sendRec replaces the per-call closure.
+// after N ticks" and CallAfter for "handle this message after N ticks":
+// pooled sendRec and callRec records replace the per-call closures. The
+// messages themselves, and the blocks cache lines hold, come from the
+// coherence.Pool the fabric embeds and go back to it when their Recv
+// returns (coherence.Msg states the lifetime rule).
 // TestFabricSendAllocFree and BenchmarkFabricSend pin the 0 allocs/op
 // budget; see ARCHITECTURE.md "Hot path & allocation discipline".
 package network
@@ -124,7 +128,9 @@ func (ch *channel) snapshot() Stats {
 // deliveries, each possibly perturbed.
 type Delivery struct {
 	// Msg is the message to deliver — the original, or a corrupted copy
-	// (messages are immutable once sent, so corruption must copy).
+	// (one pointer may be delivered twice, so corruption must copy: a
+	// by-value copy, which the pool never takes for one of its own). The
+	// fabric takes the message an interceptor handled out of the pool.
 	Msg *coherence.Msg
 	// ExtraDelay is added to the channel's configured latency.
 	ExtraDelay sim.Time
@@ -161,7 +167,8 @@ type delivRec struct {
 	next *delivRec // free-list link, nil while in flight
 }
 
-// run is the arrival callback: pool release, accounting, trace, Recv.
+// run is the arrival callback: pool release, accounting, trace, Recv —
+// and, when Recv returns, the message back to its pool unless kept.
 func (r *delivRec) run() {
 	f := r.fab
 	ch, m := r.ch, r.m
@@ -175,7 +182,9 @@ func (r *delivRec) run() {
 	if b := f.Bus; b.Active() {
 		b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindRecv, dst.Name(), m))
 	}
+	f.BeginRecv(m)
 	dst.Recv(m)
+	f.EndRecv(m)
 }
 
 // sendRec is one pooled delayed send (SendAfter): the closure-free
@@ -202,8 +211,37 @@ func (r *sendRec) run() {
 	f.Send(m)
 }
 
+// callRec is one pooled deferred handler call (CallAfter): the
+// closure-free replacement for eng.Schedule(d, func() { h(m) }), following
+// the sendRec protocol. The message rides the record kept; when the event
+// fires it is handled like a delivery — the handler's until it returns,
+// then back to the pool unless the handler kept it again.
+type callRec struct {
+	fab  *Fabric
+	m    *coherence.Msg
+	h    func(*coherence.Msg)
+	ev   sim.Timed
+	next *callRec // free-list link, nil while scheduled
+}
+
+func (r *callRec) run() {
+	f, m, h := r.fab, r.m, r.h
+	r.m, r.h = nil, nil
+	r.next = f.freeCall
+	f.freeCall = r
+	f.delayed--
+	f.BeginRecv(m)
+	h(m)
+	f.EndRecv(m)
+}
+
 // Fabric routes messages between registered controllers.
 type Fabric struct {
+	// Pool is the machine's free lists of messages and line blocks:
+	// fab.Msg(coherence.Msg{…}) at every construction site, fab.CopyBlock
+	// and fab.FreeBlock for line storage.
+	coherence.Pool
+
 	eng      *sim.Engine
 	rng      *rand.Rand
 	nodes    map[coherence.NodeID]coherence.Controller
@@ -216,9 +254,11 @@ type Fabric struct {
 	// its peak in-flight message count and then stops allocating.
 	freeRec *delivRec
 
-	// freeSend heads the delayed-send pool; delayed counts records handed
-	// to the engine and not yet fired (zero at quiesce).
+	// freeSend and freeCall head the delayed-send and deferred-call pools;
+	// delayed counts records of both kinds handed to the engine and not
+	// yet fired (zero at quiesce).
 	freeSend *sendRec
+	freeCall *callRec
 	delayed  int
 
 	// Bus, when non-nil, receives a structured trace event for every
@@ -321,8 +361,9 @@ func (f *Fabric) open(k chanKey) *channel {
 // only affects messages not yet sent.
 func (f *Fabric) SetInterceptor(i Interceptor) { f.interceptor = i }
 
-// Send delivers m to m.Dst after the channel's latency. The message must
-// not be mutated after sending. An installed Interceptor may replace the
+// Send delivers m to m.Dst after the channel's latency. The message is
+// the fabric's from here and the receiver's on arrival: the sender must
+// not touch it again. An installed Interceptor may replace the
 // single delivery with any set of perturbed deliveries (or none); channel
 // traffic stats always count the logical send once, while in-flight
 // accounting and recv events track the actual deliveries.
@@ -336,6 +377,7 @@ func (f *Fabric) Send(m *coherence.Msg) {
 			if b := f.Bus; b.Active() {
 				b.Emit(obs.MsgEvent(f.eng.Now(), obs.KindDrop, "net", m))
 			}
+			f.Release(m)
 			return
 		}
 	}
@@ -345,6 +387,9 @@ func (f *Fabric) Send(m *coherence.Msg) {
 
 	if f.interceptor != nil {
 		if dels, handled := f.interceptor.Intercept(f.eng.Now(), m); handled {
+			// A handled message may be dropped, delivered twice or stand
+			// beside a copy of itself: none of that can be recycled.
+			f.Disown(m)
 			for i := range dels {
 				f.deliver(ch, dels[i])
 			}
@@ -410,7 +455,29 @@ func (f *Fabric) SendAfter(delay sim.Time, m *coherence.Msg, fill func(*coherenc
 	f.eng.ScheduleEvent(delay, &r.ev)
 }
 
-// DelayedSends reports SendAfter messages still waiting for their tick.
+// CallAfter runs h(m) after delay ticks: one engine event at (now+delay,
+// scheduling order), exactly what eng.Schedule(delay, func() { h(m) })
+// does, without the closure — pass a method value bound once. m counts as
+// kept while it waits; when the event fires, m is h's like a delivered
+// message is its receiver's, and goes back to the pool when h returns
+// unless h keeps it.
+func (f *Fabric) CallAfter(delay sim.Time, h func(*coherence.Msg), m *coherence.Msg) {
+	r := f.freeCall
+	if r != nil {
+		f.freeCall = r.next
+		r.next = nil
+	} else {
+		r = &callRec{fab: f}
+		r.ev.Fn = r.run
+	}
+	m.Keep()
+	r.m, r.h = m, h
+	f.delayed++
+	f.eng.ScheduleEvent(delay, &r.ev)
+}
+
+// DelayedSends reports SendAfter messages and CallAfter handlers still
+// waiting for their tick.
 func (f *Fabric) DelayedSends() int { return f.delayed }
 
 // StatsFor returns traffic counters for the directed channel src->dst

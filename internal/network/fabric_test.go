@@ -303,3 +303,69 @@ func TestSendAfterMatchesScheduledSend(t *testing.T) {
 		}
 	}
 }
+
+// keeper keeps every message it receives, like a controller queueing
+// requests, and gives them back on demand.
+type keeper struct {
+	id   coherence.NodeID
+	kept []*coherence.Msg
+}
+
+func (k *keeper) ID() coherence.NodeID { return k.id }
+func (k *keeper) Name() string         { return "keeper" }
+func (k *keeper) Recv(m *coherence.Msg) {
+	m.Keep()
+	k.kept = append(k.kept, m)
+}
+
+// A message the fabric did not hand out — anything built with
+// &coherence.Msg{}, as the fuzzing and adversarial accelerators and most
+// tests do — is never put on the free list, however it travels.
+func TestForgedMessageNeverPooled(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 1})
+	k := &keeper{id: 2}
+	f.Register(&nop{id: 1})
+	f.Register(k)
+	forged := &coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2}
+	f.Send(forged)
+	f.SendAfter(2, forged, nil)
+	f.CallAfter(3, func(*coherence.Msg) {}, forged)
+	f.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 99}) // dropped: no such node
+	eng.RunUntilQuiet()
+	for _, m := range k.kept {
+		f.Release(m)
+	}
+	if st := f.Stats(); st.MsgsOut != 0 || st.MsgsMade != 0 {
+		t.Fatalf("forged traffic touched the pool: %+v", st)
+	}
+	if m := f.Msg(coherence.Msg{Type: coherence.HAck}); m == forged {
+		t.Fatal("forged message handed out by the pool")
+	} else if f.Stats().MsgsMade != 1 {
+		t.Fatal("the free list was not empty after forged traffic")
+	}
+}
+
+// The lifetime rule end to end: a pooled message a receiver keeps stays
+// out until released; one sent to an unknown node, or not kept, goes back.
+func TestPooledMessageLifetime(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 1})
+	k := &keeper{id: 2}
+	f.Register(&nop{id: 1})
+	f.Register(k)
+	f.Send(f.Msg(coherence.Msg{Type: coherence.HGetS, Src: 1, Dst: 2}))  // kept
+	f.Send(f.Msg(coherence.Msg{Type: coherence.HAck, Src: 2, Dst: 1}))   // delivered, not kept
+	f.Send(f.Msg(coherence.Msg{Type: coherence.HAck, Src: 2, Dst: 404})) // dropped
+	eng.RunUntilQuiet()
+	if st := f.Stats(); st.MsgsOut != 1 || f.Dropped != 1 {
+		t.Fatalf("after delivery: %+v, %d dropped", st, f.Dropped)
+	}
+	if len(k.kept) != 1 || k.kept[0].Type != coherence.HGetS {
+		t.Fatalf("kept message disturbed: %v", k.kept)
+	}
+	f.Release(k.kept[0])
+	if st := f.Stats(); st.MsgsOut != 0 {
+		t.Fatalf("after release: %+v", st)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crossingguard/internal/coherence"
+	"crossingguard/internal/mem"
 	"crossingguard/internal/obs"
 	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
@@ -170,5 +171,41 @@ func TestSendAfterAllocFree(t *testing.T) {
 	}
 	if f.DelayedSends() != 0 {
 		t.Fatalf("DelayedSends = %d at quiesce, want 0", f.DelayedSends())
+	}
+}
+
+// TestPooledSendAllocFree extends the budget to the messages themselves:
+// in steady state a pooled message with its block — taken from the pool,
+// sent, delivered, taken back — and a deferred handler call cost no
+// allocation, where each used to be an object (two, with the block copy).
+func TestPooledSendAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 2, Ordered: true})
+	f.Register(&nop{id: 1})
+	f.Register(&nop{id: 2})
+	var line mem.Block
+	handled := 0
+	handler := func(*coherence.Msg) { handled++ } // bound once, like a component's
+	round := func() {
+		for i := 0; i < 16; i++ {
+			line[0]++
+			f.Send(f.Msg(coherence.Msg{Type: coherence.ADataM, Addr: 0x1000, Src: 1, Dst: 2, Data: &line}))
+			f.SendAfter(3, f.Msg(coherence.Msg{Type: coherence.AWBAck, Addr: 0x1000, Src: 1, Dst: 2}), nil)
+			f.CallAfter(2, handler, f.Msg(coherence.Msg{Type: coherence.AGetS, Addr: 0x1000, Src: 2, Dst: 1}))
+		}
+		eng.RunUntilQuiet()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("a round of pooled sends allocated %v objects, want 0", allocs)
+	}
+	if st := f.Stats(); st.MsgsOut != 0 || st.MsgsMade > 48 {
+		t.Fatalf("pool after the rounds: %+v", st)
+	}
+	if handled != 16*202 || f.DelayedSends() != 0 {
+		t.Fatalf("handled %d deferred calls, %d still delayed", handled, f.DelayedSends())
 	}
 }

@@ -36,6 +36,9 @@ const (
 	halfM
 )
 
+// wideLine is one 128-byte line; data holds its two halves, each the
+// accelerator's own block, taken from the machine's block list when the
+// half is granted and given back when it is invalidated or evicted.
 type wideLine struct {
 	busy     bool // paired transaction outstanding
 	op       *coherence.Msg
@@ -55,10 +58,14 @@ type WideAccel struct {
 	fab  *network.Fabric
 	xg   coherence.NodeID
 
-	cache      *cacheset.Cache[wideLine]
-	wb         map[mem.Addr]int // wide evictions: outstanding WBAcks
-	waitingOps map[mem.Addr][]*coherence.Msg
+	cache *cacheset.Cache[wideLine]
+	wb    map[mem.Addr]int // wide evictions: outstanding WBAcks
+	// waitingOps and stalledOps hold core operations only: sequencer
+	// requests, which belong to this cache until it replies.
+	waitingOps coherence.LineQueues
 	stalledOps []*coherence.Msg
+	// doCPU is handleCPU bound once (CallAfter's handler).
+	doCPU func(*coherence.Msg)
 
 	// Merges counts wide fills assembled from sub-blocks; Splits counts
 	// wide writebacks split into host blocks; FalseShareRecalls counts
@@ -78,8 +85,9 @@ func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		id: id, name: name, eng: eng, fab: fab, xg: xg,
 		cache:      cacheset.New[wideLine](sets, ways),
 		wb:         make(map[mem.Addr]int),
-		waitingOps: make(map[mem.Addr][]*coherence.Msg),
+		waitingOps: make(coherence.LineQueues),
 	}
+	w.doCPU = w.handleCPU
 	fab.Register(w)
 	return w
 }
@@ -126,7 +134,7 @@ func (w *WideAccel) Recv(m *coherence.Msg) {
 }
 
 func (w *WideAccel) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) {
-	w.fab.Send(&coherence.Msg{Type: ty, Addr: addr, Src: w.id, Dst: w.xg, Data: data, Dirty: dirty})
+	w.fab.Send(w.fab.Msg(coherence.Msg{Type: ty, Addr: addr, Src: w.id, Dst: w.xg, Data: data, Dirty: dirty}))
 }
 
 // Lookup uses wide granularity; the tag array indexes 128-byte lines.
@@ -135,26 +143,26 @@ func (w *WideAccel) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, d
 func (w *WideAccel) handleCPU(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
 	if _, busy := w.wb[wa]; busy {
-		w.waitingOps[wa] = append(w.waitingOps[wa], m)
+		w.waitingOps.Push(wa, m)
 		return
 	}
 	e := w.cache.Lookup(wa)
 	if e != nil && e.V.busy {
-		w.waitingOps[wa] = append(w.waitingOps[wa], m)
+		w.waitingOps.Push(wa, m)
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		var victim *cacheset.Entry[wideLine]
-		var ok bool
-		e, victim, ok = w.cache.Allocate(wa, func(e *cacheset.Entry[wideLine]) bool {
+		var victim cacheset.Entry[wideLine]
+		var evicted, ok bool
+		e, evicted, ok = w.cache.Allocate(wa, func(e *cacheset.Entry[wideLine]) bool {
 			return !e.V.busy
-		})
+		}, &victim)
 		if !ok {
 			w.stalledOps = append(w.stalledOps, m)
 			return
 		}
-		if victim != nil {
+		if evicted {
 			w.evict(victim.Addr, &victim.V)
 		}
 		w.fill(e, wa, m, isStore)
@@ -227,7 +235,7 @@ func (w *WideAccel) handleData(m *coherence.Msg) {
 	default:
 		e.V.half[h] = halfS
 	}
-	e.V.data[h] = m.Data.Copy()
+	w.fab.FillBlock(&e.V.data[h], m.Data) // in place on an upgrade
 	e.V.dirty[h] = false
 	e.V.inflight[h] = false
 	e.V.pending--
@@ -268,12 +276,13 @@ func (w *WideAccel) evict(wa mem.Addr, v *wideLine) {
 		sub := wa + mem.Addr(h*mem.BlockBytes)
 		switch {
 		case v.half[h] == halfM || v.dirty[h]:
-			w.send(coherence.APutM, sub, v.data[h].Copy(), true)
+			w.send(coherence.APutM, sub, v.data[h], true)
 		case v.half[h] == halfE:
-			w.send(coherence.APutE, sub, v.data[h].Copy(), false)
+			w.send(coherence.APutE, sub, v.data[h], false)
 		default:
 			w.send(coherence.APutS, sub, nil, false)
 		}
+		w.fab.FreeBlock(v.data[h])
 		outstanding++
 	}
 	if outstanding > 0 {
@@ -318,9 +327,9 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 	}
 	switch {
 	case e.V.half[h] == halfM || e.V.dirty[h]:
-		w.send(coherence.ADirtyWB, m.Addr.Line(), e.V.data[h].Copy(), true)
+		w.send(coherence.ADirtyWB, m.Addr.Line(), e.V.data[h], true)
 	case e.V.half[h] == halfE:
-		w.send(coherence.ACleanWB, m.Addr.Line(), e.V.data[h].Copy(), false)
+		w.send(coherence.ACleanWB, m.Addr.Line(), e.V.data[h], false)
 	default:
 		w.send(coherence.AInvAck, m.Addr.Line(), nil, false)
 	}
@@ -328,6 +337,7 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 		w.FalseShareRecalls++ // useful wide line broken up
 		w.mFalseShare.Inc()
 	}
+	w.fab.FreeBlock(e.V.data[h])
 	e.V.data[h] = nil
 	e.V.dirty[h] = false
 	e.V.half[h] = halfS
@@ -341,31 +351,18 @@ func (w *WideAccel) respond(op *coherence.Msg, val byte) {
 }
 
 func (w *WideAccel) settled(wa mem.Addr) {
-	if q := w.waitingOps[wa]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(w.waitingOps, wa)
-		} else {
-			w.waitingOps[wa] = q[1:]
-		}
-		w.eng.Schedule(0, func() { w.handleCPU(next) })
+	if next := w.waitingOps.Pop(wa); next != nil {
+		w.fab.CallAfter(0, w.doCPU, next)
 	}
-	if len(w.stalledOps) > 0 {
-		stalled := w.stalledOps
-		w.stalledOps = nil
-		for _, op := range stalled {
-			op := op
-			w.eng.Schedule(0, func() { w.handleCPU(op) })
-		}
+	for _, op := range w.stalledOps {
+		w.fab.CallAfter(0, w.doCPU, op)
 	}
+	w.stalledOps = w.stalledOps[:0]
 }
 
 // Outstanding reports open transactions.
 func (w *WideAccel) Outstanding() int {
-	n := len(w.wb) + len(w.stalledOps)
-	for _, q := range w.waitingOps {
-		n += len(q)
-	}
+	n := len(w.wb) + len(w.stalledOps) + w.waitingOps.Len()
 	w.cache.Visit(func(e *cacheset.Entry[wideLine]) {
 		if e.V.busy {
 			n++
