@@ -39,8 +39,10 @@ func New[T any](sets, ways int) *Cache[T] {
 	return &Cache[T]{sets: sets, ways: ways, entries: make([]Entry[T], sets*ways)}
 }
 
-// Sets and Ways report the geometry.
+// Sets reports the number of sets.
 func (c *Cache[T]) Sets() int { return c.sets }
+
+// Ways reports the associativity.
 func (c *Cache[T]) Ways() int { return c.ways }
 
 // Capacity returns the number of lines the cache can hold.

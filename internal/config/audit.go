@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 
 	"crossingguard/internal/accel"
 	"crossingguard/internal/coherence"
@@ -31,15 +32,21 @@ type holder struct {
 //     or memory when nobody owns;
 //  4. for Full State guards: the block table matches the accelerator
 //     cache contents exactly (it is an inclusive directory);
-//  5. quiesce hygiene: no guard still holds a parked request, no delayed
-//     send or deferred handler is still waiting for its tick, and the
-//     machine's message and block pool balances (auditPool).
+//  5. quiesce hygiene: no guard still holds a parked request; every line
+//     left in a guard's table is resident (Full State) or kept by an
+//     InvAck the accelerator still owes — none has open work, none is
+//     empty (core.Guard.CheckQuiesced); no delayed send or deferred
+//     handler is still waiting for its tick; and the machine's message
+//     and block pool balances (auditPool).
 //
 // Audit implements tester.System.
 func (s *System) Audit() error {
 	for _, g := range s.Guards {
 		if n := g.ParkedNow(); n != 0 {
 			return fmt.Errorf("%s: %d accelerator requests still parked at quiesce", g.Name(), n)
+		}
+		if err := g.CheckQuiesced(); err != nil {
+			return err
 		}
 	}
 	if n := s.Fab.DelayedSends(); n != 0 {
@@ -267,24 +274,24 @@ func refName(owner *holder) string {
 }
 
 func (s *System) auditHostOwnership(lines map[mem.Addr][]holder) error {
-	guardIDs := make(map[coherence.NodeID]*core.Guard)
+	// Each Full State guard's table, read once: VisitBlocks walks in address
+	// order, so membership is a binary search. A Transactional guard has no
+	// table to check against, and its entry is nil.
+	guardTables := make(map[coherence.NodeID][]mem.Addr)
 	for _, g := range s.Guards {
-		guardIDs[g.ID()] = g
+		var table []mem.Addr
+		if g.Mode() == core.FullState {
+			table = make([]mem.Addr, 0, g.TableEntries())
+			g.VisitBlocks(func(a mem.Addr, _, _ core.Grant, _ bool) { table = append(table, a) })
+		}
+		guardTables[g.ID()] = table
 	}
 	ownerOK := func(addr mem.Addr, rec coherence.NodeID) error {
-		if g, isGuard := guardIDs[rec]; isGuard {
+		if table, isGuard := guardTables[rec]; isGuard {
 			// The guard is the recorded owner: the accelerator side (or
 			// the guard's trusted copy) must hold the block.
-			if g.Mode() == core.FullState {
-				found := false
-				g.VisitBlocks(func(a mem.Addr, _, _ core.Grant, _ bool) {
-					if a == addr {
-						found = true
-					}
-				})
-				if !found {
-					return fmt.Errorf("%v: host records guard as owner but its table is empty", addr)
-				}
+			if _, held := slices.BinarySearch(table, addr); table != nil && !held {
+				return fmt.Errorf("%v: host records guard as owner but its table is empty", addr)
 			}
 			return nil
 		}
@@ -314,7 +321,9 @@ func (s *System) auditHostOwnership(lines map[mem.Addr][]holder) error {
 }
 
 // auditGuardTables checks Full State inclusivity: table entries mirror
-// the accelerator's resident blocks (silent upgrades E->M allowed).
+// the accelerator's resident blocks (silent upgrades E->M allowed). Of
+// several mismatches it reports the one at the lowest address (VisitBlocks
+// walks in address order), so a failure reads the same on every run.
 func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
 	for gi, g := range s.Guards {
 		if g.Mode() != core.FullState {
@@ -346,11 +355,15 @@ func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
 		if err != nil {
 			return err
 		}
+		missing, found := mem.Addr(0), false
 		for addr := range accelLines {
-			if !tableAddrs[addr] {
-				return fmt.Errorf("%s: accelerator holds %v but the guard table does not (inclusion broken)",
-					g.Name(), addr)
+			if !tableAddrs[addr] && (!found || addr < missing) {
+				missing, found = addr, true
 			}
+		}
+		if found {
+			return fmt.Errorf("%s: accelerator holds %v but the guard table does not (inclusion broken)",
+				g.Name(), missing)
 		}
 	}
 	return nil

@@ -117,9 +117,9 @@ func TestStressLarger(t *testing.T) {
 }
 
 // TestAuditQuiesceHygiene: Audit names a guard that still holds a parked
-// request and a fabric that still holds a delayed send — both are zero at
-// a real quiesce, so either one means the run was cut short or a wake was
-// lost.
+// request or a line with open work, and a fabric that still holds a
+// delayed send — all are zero at a real quiesce, so any of them means the
+// run was cut short or a wake was lost.
 func TestAuditQuiesceHygiene(t *testing.T) {
 	for _, host := range []HostKind{HostHammer, HostMESI} {
 		host := host
@@ -145,12 +145,64 @@ func TestAuditQuiesceHygiene(t *testing.T) {
 			for g.Outstanding() == 0 {
 				s.Eng.RunUntil(s.Eng.Now() + 1)
 			}
+			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "has open work at quiesce") {
+				t.Fatalf("audit with a recall open: %v", err)
+			}
 			g.Recv(&coherence.Msg{Type: coherence.AGetS, Addr: line, Src: g.AccelID(), Dst: g.ID()})
 			if g.ParkedNow() != 1 {
 				t.Fatalf("Get during the recall: ParkedNow = %d, want 1", g.ParkedNow())
 			}
 			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "still parked at quiesce") {
 				t.Fatalf("audit with a parked request: %v", err)
+			}
+		})
+	}
+}
+
+// TestAuditGuardTableMismatchStable: when the Full State table and the
+// accelerator disagree about several lines, the audit reports the one at
+// the lowest address, the same on every run — a shard's failure artifact
+// must not depend on map iteration order.
+func TestAuditGuardTableMismatchStable(t *testing.T) {
+	for _, host := range []HostKind{HostHammer, HostMESI} {
+		host := host
+		t.Run(host.String(), func(t *testing.T) {
+			s := Build(Spec{Host: host, Org: OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: 71})
+			for i := 0; i < 8; i++ {
+				s.AccelSeqs[0].Store(mem.Addr(0x3000+i*mem.BlockBytes), byte(i), nil)
+			}
+			quiesce(t, s)
+			if n := s.Guards[0].TableEntries(); n != 8 {
+				t.Fatalf("guard table holds %d lines, want 8", n)
+			}
+			view := s.guardAccelView[0]
+			broken := func(lines map[mem.Addr]int) {}
+			s.guardAccelView[0] = func() map[mem.Addr]int {
+				lines := view()
+				broken(lines)
+				return lines
+			}
+			cases := []struct {
+				name   string
+				broken func(map[mem.Addr]int)
+				want   string
+			}{
+				{"two table lines the accelerator lacks", func(lines map[mem.Addr]int) {
+					delete(lines, 0x3080)
+					delete(lines, 0x3140)
+				}, "table records 0x3080 but the accelerator does not hold it"},
+				{"two accelerator lines the table lacks", func(lines map[mem.Addr]int) {
+					lines[0x5040], lines[0x5000] = 0, 0
+				}, "accelerator holds 0x5000 but the guard table does not"},
+			}
+			for _, c := range cases {
+				broken = c.broken
+				for run := 0; run < 50; run++ {
+					err := s.auditGuardTables(nil)
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("%s, run %d: audit says %v, want %q", c.name, run, err, c.want)
+					}
+				}
 			}
 		})
 	}

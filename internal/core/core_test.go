@@ -81,63 +81,67 @@ func TestPropertyRateLimitBound(t *testing.T) {
 }
 
 func TestBlockTableCheckRequest(t *testing.T) {
-	tb := newBlockTable(new(coherence.Pool))
+	g := newCoreRig(FullState, nil).g
 	addr := mem.Addr(0x1000)
+	tb := tableView{g, addr}
 
 	// Nothing held: Gets legal, Puts are violations.
 	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.AGetM} {
-		if msg := tb.checkRequest(addr, ty); msg != "" {
+		if msg := tb.checkRequest(ty); msg != "" {
 			t.Errorf("%v on empty table flagged: %s", ty, msg)
 		}
 	}
 	for _, ty := range []coherence.MsgType{coherence.APutM, coherence.APutE, coherence.APutS} {
-		if msg := tb.checkRequest(addr, ty); msg == "" {
+		if msg := tb.checkRequest(ty); msg == "" {
 			t.Errorf("%v on empty table not flagged", ty)
 		}
 	}
 
 	// Held in S: GetM (upgrade) and PutS legal; GetS/PutM/PutE not.
-	tb.grant(addr, GrantS, GrantS, false, mem.Zero(), false)
-	if tb.checkRequest(addr, coherence.AGetM) != "" || tb.checkRequest(addr, coherence.APutS) != "" {
+	tb.grant(GrantS, GrantS, false, mem.Zero(), false)
+	if tb.checkRequest(coherence.AGetM) != "" || tb.checkRequest(coherence.APutS) != "" {
 		t.Error("legal S-state requests flagged")
 	}
 	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.APutM, coherence.APutE} {
-		if tb.checkRequest(addr, ty) == "" {
+		if tb.checkRequest(ty) == "" {
 			t.Errorf("%v from S not flagged", ty)
 		}
 	}
 
 	// Held in E: PutE and PutM (silent upgrade) legal.
-	tb.grant(addr, GrantE, GrantE, false, mem.Zero(), false)
-	if tb.checkRequest(addr, coherence.APutE) != "" || tb.checkRequest(addr, coherence.APutM) != "" {
+	tb.grant(GrantE, GrantE, false, mem.Zero(), false)
+	if tb.checkRequest(coherence.APutE) != "" || tb.checkRequest(coherence.APutM) != "" {
 		t.Error("legal E-state puts flagged")
 	}
-	if tb.checkRequest(addr, coherence.APutS) == "" || tb.checkRequest(addr, coherence.AGetM) == "" {
+	if tb.checkRequest(coherence.APutS) == "" || tb.checkRequest(coherence.AGetM) == "" {
 		t.Error("illegal E-state requests not flagged")
 	}
 
 	// Held in M: only PutM legal.
-	tb.grant(addr, GrantM, GrantM, false, mem.Zero(), true)
-	if tb.checkRequest(addr, coherence.APutM) != "" {
+	tb.grant(GrantM, GrantM, false, mem.Zero(), true)
+	if tb.checkRequest(coherence.APutM) != "" {
 		t.Error("PutM from M flagged")
 	}
 	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.AGetM, coherence.APutE, coherence.APutS} {
-		if tb.checkRequest(addr, ty) == "" {
+		if tb.checkRequest(ty) == "" {
 			t.Errorf("%v from M not flagged", ty)
 		}
 	}
 }
 
 func TestBlockTableCopiesAndStorage(t *testing.T) {
-	tb := newBlockTable(new(coherence.Pool))
-	tb.grant(0x0, GrantS, GrantE, true, mem.Zero(), false) // read-only owned: copy kept
-	tb.grant(0x40, GrantM, GrantM, false, mem.Zero(), true)
-	if tb.entries() != 2 || tb.copies() != 1 {
-		t.Fatalf("entries=%d copies=%d", tb.entries(), tb.copies())
+	g := newCoreRig(FullState, nil).g
+	tableView{g, 0x0}.grant(GrantS, GrantE, true, mem.Zero(), false) // read-only owned: copy kept
+	tableView{g, 0x40}.grant(GrantM, GrantM, false, mem.Zero(), true)
+	if g.TableEntries() != 2 || tableCopies(g) != 1 {
+		t.Fatalf("entries=%d copies=%d", g.TableEntries(), tableCopies(g))
 	}
-	tb.drop(0x0)
-	if tb.entries() != 1 || tb.copies() != 0 {
-		t.Fatalf("after drop: entries=%d copies=%d", tb.entries(), tb.copies())
+	g.drop(0x0)
+	if g.TableEntries() != 1 || tableCopies(g) != 0 {
+		t.Fatalf("after drop: entries=%d copies=%d", g.TableEntries(), tableCopies(g))
+	}
+	if len(g.lines) != 1 {
+		t.Fatalf("%d lines in the table after the drop, want 1", len(g.lines))
 	}
 }
 

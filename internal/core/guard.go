@@ -71,14 +71,25 @@ const (
 )
 
 // hostShim is the host-protocol-specific half of Crossing Guard. The
-// guard core calls down; the shim calls back via the guard's grant/put
-// hooks. Shims also receive all host-protocol messages. A block passed
-// either way is a loan for the call: whoever needs it longer copies it
-// into a record of its own.
+// guard core calls down; the shim calls back (finishGet, retirePut,
+// startRecall). Shims also receive all host-protocol messages. A block
+// passed either way is a loan for the call: whoever needs it longer
+// copies it into a record of its own.
+//
+// The core owns every per-line record — a shim has no table — and with it
+// "is this line busy", what is outstanding, and the life of a host
+// writeback: its record and block, "already writing back" for a
+// guard-initiated one, retiring on the host's ack, completing the
+// accelerator's Put, reporting a stray ack. A shim owns what its protocol
+// differs in: the message vocabulary, how a get's responses are counted
+// and which carries the data, what a writeback's ack asks for (hammer's
+// HWBAck wants the data; an HNack or a Fwd_GetM loses it), and how each
+// forward, Inv or inclusion recall is answered.
 type hostShim interface {
-	// get issues a host request for a block.
+	// get issues a host request for a block, opening the line's host get.
 	get(addr mem.Addr, kind GetKind)
-	// put starts a host writeback carrying data (dirty=false for PutE).
+	// put sends the first message of the line's host writeback, which the
+	// core has opened (dirty=false for PutE); data is the record's block.
 	put(addr mem.Addr, data *mem.Block, dirty bool)
 	// putS notifies the host of a shared eviction, if the host wants it.
 	putS(addr mem.Addr)
@@ -87,16 +98,6 @@ type hostShim interface {
 	suppressPutS() bool
 	// recv handles a host-protocol message.
 	recv(m *coherence.Msg)
-	// busy reports whether the shim has an open host-side transaction
-	// for the line (the guard defers new accelerator requests for it).
-	busy(addr mem.Addr) bool
-	// outstanding reports open host-side transactions.
-	outstanding() int
-	// drain starts a guard-initiated writeback returning an owned block
-	// to the host during quarantine recovery (the accelerator is fenced
-	// and cannot be consulted; data is the guard's trusted copy or a
-	// zero block, the Guarantee 2c substitution).
-	drain(addr mem.Addr, data *mem.Block, dirty bool)
 }
 
 // Config parameterizes a Crossing Guard instance.
@@ -169,38 +170,33 @@ type Guard struct {
 	accel coherence.NodeID
 	shim  hostShim
 
-	// Mutable protocol state, every map keyed by line address.
-	txns  map[mem.Addr]*accelTxn // open accelerator-initiated transactions (1b)
-	hosts map[mem.Addr]*hostTxn  // open host-initiated recalls (2b, 2c)
-	table *blockTable            // Full State only
-
-	// parked holds, per line, the accelerator requests the guard is
-	// holding until the line's transaction or recall closes (waitlist.go).
-	parked map[mem.Addr]waitQueue
-
-	// ignoreInvAck marks addresses whose recall was resolved by a racing
-	// Put; the accelerator's InvAck (sent from B) is consumed silently.
-	ignoreInvAck map[mem.Addr]int
+	// lines is the guard's one table (line.go): everything it knows about
+	// a block, keyed by line address. Lines and their open-work records
+	// are recycled through the two free lists.
+	lines     map[mem.Addr]*line
+	freeLines recPool[line]
+	freeWork  recPool[lineWork]
 
 	// accelTag is the device label stamped on this guard's trace events
 	// and per-accelerator metric names (0 for the first/only device, so
 	// single-accelerator traces and metric sets are unchanged).
 	accelTag int
 
-	// Wait list (waitlist.go): ready lists the lines whose parked requests
-	// the armed wake event will re-run; freePark pools the records and
-	// parkedNow counts the requests currently held.
+	// Wait list (waitlist.go): a line's parked requests are on its
+	// open-work record; ready lists the lines whose parked requests the
+	// armed wake event will re-run; freePark pools the per-request records
+	// and parkedNow counts the requests currently held.
 	ready     []mem.Addr
 	wakeEv    sim.Timed
 	wakeArmed bool
-	freePark  *parkedReq
+	freePark  recPool[parkedReq]
 	parkedNow int
 
 	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
 	stampEpoch func(*coherence.Msg)
 
 	// trusted holds a trusted copy's bytes while a recall completes: the
-	// table entry the copy belongs to is dropped before the completion
+	// residency the copy belongs to is dropped before the completion
 	// callbacks, which only read their data, run.
 	trusted mem.Block
 
@@ -332,23 +328,30 @@ func (ht *hostTxn) complete(data *mem.Block, dirty, viaPut bool) {
 // attachShim (done by NewHammerGuard / NewMESIGuard).
 func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	accel coherence.NodeID, cfg Config, sink coherence.ErrorSink) *Guard {
-	g := &Guard{id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink, accel: accel}
-	g.resetState()
+	g := &Guard{id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink, accel: accel,
+		lines: make(map[mem.Addr]*line)}
 	g.wakeEv.Fn = g.runWoken
 	g.stampEpoch = g.stamp
 	fab.Register(g)
 	return g
 }
 
-// resetState empties the guard's protocol state: at construction, and
-// when recovery readmits a reset device (reintegrate).
+// resetState empties the table when recovery readmits a reset device
+// (reintegrate). Every block a line still holds goes back to the block
+// list and every record to its free list.
 func (g *Guard) resetState() {
-	g.txns = make(map[mem.Addr]*accelTxn)
-	g.hosts = make(map[mem.Addr]*hostTxn)
-	g.ignoreInvAck = make(map[mem.Addr]int)
-	g.parked = make(map[mem.Addr]waitQueue)
-	if g.cfg.Mode == FullState {
-		g.table = newBlockTable(&g.fab.Pool)
+	for a, l := range g.lines {
+		g.fab.FreeBlock(l.copy)
+		if w := l.work; w != nil {
+			if w.txn != nil {
+				g.fab.FreeBlock(w.txn.data)
+			}
+			g.fab.FreeBlock(w.get.data)
+			g.fab.FreeBlock(w.put.data)
+			g.freeWork.put(w)
+		}
+		delete(g.lines, a)
+		g.freeLines.put(l)
 	}
 }
 
@@ -571,19 +574,17 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 	// Resolve open recalls in address order (map iteration is randomized;
 	// resolution order must be deterministic). Mirrors recallTimeout's
 	// trusted-state answer without charging additional timeouts.
-	for _, a := range sortedAddrs(g.hosts) {
-		ht := g.hosts[a]
+	for _, l := range g.sortedLines(hasRecall) {
+		a, ht := l.addr, l.work.recall
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		g.closeRecall(a, ht, "quarantine")
+		g.closeRecall(l, ht, "quarantine")
 		g.answerFromTrusted(a, ht)
-		if g.table != nil {
-			g.table.drop(a)
-		}
 	}
 	g.scheduleRecovery(addr)
 }
 
-// answerFromTrusted completes a recall on the accelerator's behalf: the
+// answerFromTrusted completes a recall on the accelerator's behalf, and
+// writes the accelerator's copy off (the residency ends): the
 // guard's trusted copy when Full State kept one, a zero-block writeback
 // when the guard knows the accelerator owned the block (the Guarantee 2c
 // substitution), and a plain ack otherwise. The last case matters for
@@ -594,19 +595,18 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 // broadcast hosts the requestor receives both "owners'" responses and
 // may adopt the zeros).
 func (g *Guard) answerFromTrusted(addr mem.Addr, ht *hostTxn) {
-	if !ht.wantData {
+	_, e := g.accelHolds(addr)
+	switch {
+	case !ht.wantData:
 		ht.complete(nil, false, false)
-		return
-	}
-	if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
+	case e != nil && e.copy != nil:
 		ht.complete(e.copy, e.dirty, false)
-		return
-	}
-	if ht.known {
+	case ht.known:
 		ht.complete(&zeroBlock, true, false)
-		return
+	default:
+		ht.complete(nil, false, false)
 	}
-	ht.complete(nil, false, false)
+	g.drop(addr)
 }
 
 // --- accelerator requests (GetS, GetM, PutM, PutE, PutS) ---
@@ -677,40 +677,40 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		}
 	}
 
-	// Hold requests for lines with an open host-side transaction (e.g.
-	// a relinquish writeback still in flight): a cache never issues a
-	// Get while its own Put for the line is outstanding.
-	if _, open := g.txns[addr]; !open {
-		if _, recalling := g.hosts[addr]; !recalling && g.shim.busy(addr) {
+	l := g.lines[addr]
+	if hasWork(l) {
+		w := l.work
+		switch {
+		case w.txn != nil:
+			// Guarantee 1b: at most one outstanding transaction per address.
+			g.ReqsBlocked++
+			g.violation("XG.G1b", fmt.Sprintf("%v while a transaction is already open", m.Type), addr)
+			return
+		case w.recall != nil:
+			// A request racing with an open host recall: only a Put is
+			// meaningful (the legitimate Put/Inv race, §2.1); it resolves
+			// the recall. Gets during a recall are held until it closes.
+			switch m.Type {
+			case coherence.APutM, coherence.APutE, coherence.APutS:
+				g.resolveRecallByPut(l, w.recall, m)
+			default:
+				g.park(addr, m, arrive)
+			}
+			return
+		case w.get.open || w.put.open:
+			// Hold requests for lines with an open host-side transaction
+			// (e.g. a relinquish writeback still in flight): a cache never
+			// issues a Get while its own Put for the line is outstanding.
 			g.park(addr, m, arrive)
 			return
 		}
 	}
 
-	// Guarantee 1b: at most one outstanding transaction per address.
-	if _, open := g.txns[addr]; open {
-		g.ReqsBlocked++
-		g.violation("XG.G1b", fmt.Sprintf("%v while a transaction is already open", m.Type), addr)
-		return
-	}
-	// A request racing with an open host recall: only a Put is
-	// meaningful (the legitimate Put/Inv race, §2.1); it resolves the
-	// recall. Gets during a recall are held until the recall closes.
-	if ht, open := g.hosts[addr]; open {
-		switch m.Type {
-		case coherence.APutM, coherence.APutE, coherence.APutS:
-			g.resolveRecallByPut(addr, ht, m)
-		default:
-			g.park(addr, m, arrive)
-		}
-		return
-	}
-
 	// Guarantee 1a: request consistent with the stable accelerator
 	// state. Full State checks its table; Transactional relies on host
 	// tolerance (§2.3.2) and can only sanity-check Puts carry data.
-	if g.table != nil {
-		if err := g.table.checkRequest(addr, m.Type); err != "" {
+	if g.cfg.Mode == FullState {
+		if err := l.checkRequest(m.Type); err != "" {
 			g.ReqsBlocked++
 			g.violation("XG.G1a", err, addr)
 			// Every request gets exactly one response: fail Puts fast so
@@ -764,7 +764,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			}
 		}
 		g.after(func() {
-			if g.txns[addr] == t {
+			if g.txnAt(addr) == t {
 				t.fwd = g.eng.Now()
 				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
 				g.shim.get(addr, kind)
@@ -775,10 +775,10 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			start: g.eng.Now(), arrive: arrive}
 		g.openTxn(addr, t)
 		g.after(func() {
-			if g.txns[addr] == t {
+			if g.txnAt(addr) == t {
 				t.fwd = g.eng.Now()
 				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
-				g.shim.put(addr, t.data, t.dirty)
+				g.writeback(addr, t.data, t.dirty, true)
 			}
 		})
 	case coherence.APutS:
@@ -790,9 +790,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			g.PutSForwarded++
 			g.after(func() { g.shim.putS(addr) })
 		}
-		if g.table != nil {
-			g.table.drop(addr)
-		}
+		g.drop(addr)
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 	}
 }
@@ -800,34 +798,36 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 // openTxn registers an accepted request as the line's open transaction
 // and, with span tracing on, opens its crossing span.
 func (g *Guard) openTxn(addr mem.Addr, t *accelTxn) {
-	g.txns[addr] = t
-	g.wake(addr)
+	l := g.workFor(addr)
+	l.work.txn = t
+	g.wake(l)
 	if g.cfg.Spans {
 		t.span = g.newSpanID()
 		g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+t.kind.String())
 	}
 }
 
-// closeTxn retires the line's open accelerator transaction and wakes the
+// closeTxn retires l's open accelerator transaction and wakes the
 // requests parked behind it.
-func (g *Guard) closeTxn(addr mem.Addr) {
-	delete(g.txns, addr)
-	g.wake(addr)
+func (g *Guard) closeTxn(l *line) {
+	l.work.txn = nil
+	g.closed(l)
 }
 
 // granted is called by the shim when the host satisfies a get; data (nil
 // reads as a zero block) is copied into the grant message.
 func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool) {
-	t, ok := g.txns[addr]
-	if !ok {
+	l := g.lines[addr]
+	if !hasTxn(l) {
 		panic(fmt.Sprintf("%s: host grant for %v with no transaction", g.name, addr))
 	}
-	g.closeTxn(addr)
+	t := l.work.txn
 	if data == nil {
 		data = &zeroBlock
 	}
-	if g.Quarantined {
-		g.closeCrossingSpan(t, addr, "grant-quarantined")
+	accelLevel, keepCopy := level, false
+	switch {
+	case g.Quarantined:
 		// The grant raced the quarantine: the host has handed the line
 		// over, but the accelerator must not see it. The guard claims the
 		// line itself. A trusted copy is kept only for exclusive grants,
@@ -835,26 +835,20 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		// later forwards; for a shared grant another host cache may own
 		// the line, and a sharer volunteering data would hand the
 		// requestor two data responses.
-		if g.table != nil {
-			g.table.grant(addr, level, level, level != GrantS, data, dirty)
-		}
+		keepCopy = level != GrantS
+	case level != GrantS && g.cfg.Perms != nil && !g.cfg.Perms.Peek(addr).AllowsWrite():
+		// Guarantee 0b: an exclusive grant for a read-only page must be
+		// degraded; the guard keeps the trusted copy so it can answer later
+		// host forwards without the accelerator (§2.3.1).
+		accelLevel, keepCopy = GrantS, true
+	}
+	if g.cfg.Mode == FullState {
+		g.grant(l, accelLevel, level, keepCopy, data, dirty)
+	}
+	g.closeTxn(l)
+	if g.Quarantined {
+		g.closeCrossingSpan(t, addr, "grant-quarantined")
 		return
-	}
-	// Guarantee 0b: an exclusive grant for a read-only page must be
-	// degraded; the guard keeps the trusted copy so it can answer later
-	// host forwards without the accelerator (§2.3.1).
-	access := perm.ReadWrite
-	if g.cfg.Perms != nil {
-		access = g.cfg.Perms.Peek(addr)
-	}
-	accelLevel := level
-	keepCopy := false
-	if !access.AllowsWrite() && level != GrantS {
-		accelLevel = GrantS
-		keepCopy = true
-	}
-	if g.table != nil {
-		g.table.grant(addr, accelLevel, level, keepCopy, data, dirty)
 	}
 	var ty coherence.MsgType
 	switch {
@@ -879,20 +873,20 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 	g.sendToAccelAfter(ty, addr, data, t.span)
 }
 
-// putDone is called by the shim when the host acknowledges a writeback.
+// putDone completes the accelerator's Put once the host has acknowledged
+// its writeback (retirePut).
 func (g *Guard) putDone(addr mem.Addr) {
-	t, ok := g.txns[addr]
-	if !ok {
+	l := g.lines[addr]
+	if !hasTxn(l) {
 		// The transaction may have been closed by a racing recall.
 		return
 	}
+	t := l.work.txn
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
-	g.closeTxn(addr)
 	g.fab.FreeBlock(t.data)
 	t.data = nil
-	if g.table != nil {
-		g.table.drop(addr)
-	}
+	g.closeTxn(l)
+	g.drop(addr)
 	if g.Quarantined {
 		// Writeback completed after the fence; the data is safely with the
 		// host, but the fenced accelerator gets no ack (it would be nacked
@@ -902,15 +896,6 @@ func (g *Guard) putDone(addr mem.Addr) {
 	}
 	g.closeCrossingSpan(t, addr, "wback")
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
-}
-
-// openPut returns the open Put transaction for addr, if any (shims use
-// its buffered data to answer forwards racing with the writeback).
-func (g *Guard) openPut(addr mem.Addr) *accelTxn {
-	if t, ok := g.txns[addr]; ok && t.data != nil {
-		return t
-	}
-	return nil
 }
 
 // sendToAccelAfter sends one guard->accelerator interface message after
@@ -926,10 +911,11 @@ func (g *Guard) sendToAccelAfter(ty coherence.MsgType, addr mem.Addr, data *mem.
 
 func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.epoch }
 
-// Outstanding reports open guard transactions and parked requests (for
-// deadlock detection: a parked request has no engine event of its own).
+// Outstanding reports open guard transactions (accelerator transactions,
+// recalls, host gets and writebacks) and parked requests (for deadlock
+// detection: a parked request has no engine event of its own).
 func (g *Guard) Outstanding() int {
-	return g.shim.outstanding() + g.parkedNow + len(g.txns) + len(g.hosts)
+	return g.count(hasTxn) + g.count(hasRecall) + g.count(hasGet) + g.count(hasPut) + g.parkedNow
 }
 
 // StorageBytes models the hardware state this guard variant requires
@@ -939,11 +925,8 @@ func (g *Guard) Outstanding() int {
 func (g *Guard) StorageBytes() int {
 	const tagStateBytes = 6 // ~42-bit tag + state bits, rounded up
 	const txnBytes = 8 + mem.BlockBytes
-	n := (len(g.txns) + len(g.hosts)) * txnBytes
-	if g.table != nil {
-		n += g.table.entries()*tagStateBytes + g.table.copies()*mem.BlockBytes
-	}
-	return n
+	return (g.count(hasTxn)+g.count(hasRecall))*txnBytes +
+		g.count(isResident)*tagStateBytes + g.count(hasCopy)*mem.BlockBytes
 }
 
 // Errors reports the number of guarantee violations recorded.
@@ -968,22 +951,14 @@ func (g *Guard) SetResetHook(fn func(epoch uint32)) { g.resetHook = fn }
 // Mode reports the guard variant.
 func (g *Guard) Mode() Mode { return g.cfg.Mode }
 
-// VisitBlocks reports the Full State block table (no-op for
-// Transactional guards, which keep no block state).
+// VisitBlocks reports the Full State block table in address order (no-op
+// for Transactional guards, which keep no block state).
 func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bool)) {
-	if g.table == nil {
-		return
-	}
-	for a, e := range g.table.blocks {
-		fn(a, e.accel, e.host, e.copy != nil)
+	for _, l := range g.sortedLines(isResident) {
+		fn(l.addr, l.accel, l.host, l.copy != nil)
 	}
 }
 
 // TableEntries reports the Full State table occupancy (0 for
 // Transactional).
-func (g *Guard) TableEntries() int {
-	if g.table == nil {
-		return 0
-	}
-	return g.table.entries()
-}
+func (g *Guard) TableEntries() int { return g.count(isResident) }

@@ -22,9 +22,6 @@ type stubShim struct {
 	putSs    []mem.Addr
 	suppress bool
 	received []*coherence.Msg
-	// busyLines marks lines with a (pretend) host transaction in flight;
-	// a test that clears an entry calls g.wake, as the real shims do.
-	busyLines map[mem.Addr]bool
 }
 
 func (s *stubShim) get(addr mem.Addr, kind GetKind) {
@@ -37,11 +34,6 @@ func (s *stubShim) put(addr mem.Addr, data *mem.Block, dirty bool) { s.puts = ap
 func (s *stubShim) putS(addr mem.Addr)                             { s.putSs = append(s.putSs, addr) }
 func (s *stubShim) suppressPutS() bool                             { return s.suppress }
 func (s *stubShim) recv(m *coherence.Msg)                          { m.Keep(); s.received = append(s.received, m) }
-func (s *stubShim) busy(addr mem.Addr) bool                        { return s.busyLines[addr] }
-func (s *stubShim) outstanding() int                               { return 0 }
-func (s *stubShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.puts = append(s.puts, addr)
-}
 
 // accelSink collects what the guard sends to the accelerator.
 type accelSink struct {
@@ -121,8 +113,8 @@ func TestGuardGrantDegradesForReadOnly(t *testing.T) {
 		t.Fatalf("accel received %v, want DataS (degraded grant)", m)
 	}
 	// And the guard kept the trusted copy.
-	if r.g.table.copies() != 1 {
-		t.Fatalf("copies = %d", r.g.table.copies())
+	if tableCopies(r.g) != 1 {
+		t.Fatalf("copies = %d", tableCopies(r.g))
 	}
 }
 

@@ -20,32 +20,6 @@ type hammerShim struct {
 	g         *Guard
 	dir       coherence.NodeID
 	responses int // peers + speculative memory data
-
-	// gets and puts are the shim's tables of open host transactions; the
-	// records, which hold their blocks by value, are recycled.
-	gets     map[mem.Addr]*hGet
-	puts     map[mem.Addr]*hPut
-	freeGets recPool[hGet]
-	freePuts recPool[hPut]
-}
-
-type hGet struct {
-	kind       GetKind
-	got        int
-	dataCount  int
-	shared     bool
-	hasCache   bool // cacheData holds an owner's response
-	cacheDirty bool
-	hasMem     bool // memData holds the memory response
-	cacheData  mem.Block
-	memData    mem.Block
-}
-
-type hPut struct {
-	data     mem.Block
-	dirty    bool
-	lost     bool // ownership moved via Fwd_GetM while the Put was in flight
-	accelPut bool // initiated by an accelerator Put (vs. guard-initiated relinquish)
 }
 
 // NewHammerGuard builds a Crossing Guard instance attached to a Hammer
@@ -55,76 +29,30 @@ type hPut struct {
 func NewHammerGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	accel, dir coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Guard {
 	g := newGuard(id, name, eng, fab, accel, cfg, sink)
-	g.shim = &hammerShim{
-		g: g, dir: dir, responses: responses,
-		gets: make(map[mem.Addr]*hGet),
-		puts: make(map[mem.Addr]*hPut),
-	}
+	g.shim = &hammerShim{g: g, dir: dir, responses: responses}
 	return g
 }
 
 func (s *hammerShim) send(t coherence.Msg) { s.g.send(t) }
-
-func (s *hammerShim) outstanding() int { return len(s.gets) + len(s.puts) }
-
-func (s *hammerShim) busy(addr mem.Addr) bool {
-	_, g := s.gets[addr]
-	_, p := s.puts[addr]
-	return g || p
-}
 
 // suppressPutS: hammer evicts shared blocks silently (§2.1).
 func (s *hammerShim) suppressPutS() bool { return true }
 
 func (s *hammerShim) putS(mem.Addr) {} // never called; PutS is suppressed
 
+// hammerGets maps a get kind to the hammer request that asks for it.
+var hammerGets = [...]coherence.MsgType{
+	GetShared: coherence.HGetS, GetSharedOnly: coherence.HGetSOnly, GetExcl: coherence.HGetM}
+
 func (s *hammerShim) get(addr mem.Addr, kind GetKind) {
-	t := s.freeGets.get()
-	t.kind = kind
-	s.gets[addr] = t
-	ty := coherence.HGetS
-	switch kind {
-	case GetSharedOnly:
-		ty = coherence.HGetSOnly
-	case GetExcl:
-		ty = coherence.HGetM
-	}
-	s.send(coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.dir})
+	s.g.workFor(addr).work.get = hostGet{open: true, kind: kind, needed: s.responses}
+	s.send(coherence.Msg{Type: hammerGets[kind], Addr: addr, Src: s.g.id, Dst: s.dir})
 }
 
-func (s *hammerShim) put(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.startPut(addr, data, dirty, true)
-}
-
-// startPut opens a two-part writeback of a copy of data.
-func (s *hammerShim) startPut(addr mem.Addr, data *mem.Block, dirty, accelPut bool) {
-	p := s.freePuts.get()
-	p.data, p.dirty, p.accelPut = *data, dirty, accelPut
-	s.puts[addr] = p
+// put opens the two-part writeback: the data follows the directory's
+// HWBAck (handleWBAck).
+func (s *hammerShim) put(addr mem.Addr, _ *mem.Block, _ bool) {
 	s.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: s.g.id, Dst: s.dir})
-}
-
-// closePut retires the line's writeback record.
-func (s *hammerShim) closePut(addr mem.Addr, p *hPut) {
-	delete(s.puts, addr)
-	s.freePuts.put(p)
-	s.g.wake(addr)
-}
-
-// relinquish starts a guard-initiated writeback (ownership give-up after
-// serving a Fwd_GetS on the accelerator's behalf, §3.2.1).
-func (s *hammerShim) relinquish(addr mem.Addr, data *mem.Block, dirty bool) {
-	if _, busy := s.puts[addr]; busy {
-		return // already writing back
-	}
-	s.startPut(addr, data, dirty, false)
-}
-
-// drain returns an owned line to the host during quarantine recovery:
-// the same guard-initiated writeback as relinquish (the fenced
-// accelerator never sees an ack for it).
-func (s *hammerShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
-	s.relinquish(addr, data, dirty)
 }
 
 func (s *hammerShim) recv(m *coherence.Msg) {
@@ -148,18 +76,16 @@ func (s *hammerShim) recv(m *coherence.Msg) {
 
 func (s *hammerShim) handleResponse(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	t, ok := s.gets[addr]
-	if !ok {
-		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
-			Code: "XG.HostAnomaly", Addr: addr, Detail: "response with no open get"})
+	t := s.g.getAt(addr)
+	if t == nil {
 		return
 	}
 	switch m.Type {
 	case coherence.HData:
-		t.dataCount++
-		if !t.hasCache && m.Data != nil {
-			t.cacheData, t.hasCache = *m.Data, true
-			t.cacheDirty = m.Dirty
+		// The first owner's data wins, over memory's too.
+		if !t.fromCache && m.Data != nil {
+			s.g.fab.FillBlock(&t.data, m.Data)
+			t.fromCache, t.dirty = true, m.Dirty
 		}
 		t.shared = true
 	case coherence.HAck:
@@ -167,22 +93,15 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 			t.shared = true
 		}
 	case coherence.HMemData:
-		t.memData, t.hasMem = *m.Data, true
+		if !t.fromCache {
+			s.g.fab.FillBlock(&t.data, m.Data)
+		}
 	}
 	t.got++
-	if t.got < s.responses {
+	if t.got < t.needed {
 		return
 	}
-	delete(s.gets, addr)
-	s.g.wake(addr)
-	var data *mem.Block // nil (no response carried data) grants zeros
-	dirty := false
-	switch {
-	case t.hasCache:
-		data, dirty = &t.cacheData, t.cacheDirty
-	case t.hasMem:
-		data = &t.memData
-	}
+	dirty := t.dirty
 	var level Grant
 	tookShared := false
 	switch {
@@ -197,33 +116,24 @@ func (s *hammerShim) handleResponse(m *coherence.Msg) {
 	}
 	s.send(coherence.Msg{Type: coherence.HUnblock, Addr: addr, Src: s.g.id, Dst: s.dir,
 		Shared: tookShared})
-	s.g.granted(addr, level, data, dirty)
-	s.freeGets.put(t) // not before: data points into the record
+	s.g.finishGet(addr, level, dirty)
 }
 
 // --- writebacks ---
 
 func (s *hammerShim) handleWBAck(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	p, ok := s.puts[addr]
-	if !ok {
-		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
-			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
-		return
+	if p := s.g.putAt(addr); p != nil {
+		s.send(coherence.Msg{Type: coherence.HWBData, Addr: addr, Src: s.g.id, Dst: s.dir,
+			Data: p.data, Dirty: p.dirty && !p.lost})
 	}
-	s.send(coherence.Msg{Type: coherence.HWBData, Addr: addr, Src: s.g.id, Dst: s.dir,
-		Data: &p.data, Dirty: p.dirty && !p.lost})
-	accelPut := p.accelPut
-	s.closePut(addr, p)
-	if accelPut {
-		s.g.putDone(addr)
-	}
+	s.g.retirePut(addr)
 }
 
 func (s *hammerShim) handleNack(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	p, ok := s.puts[addr]
-	if !ok {
+	p := s.g.putAt(addr)
+	if p == nil {
 		// An unexpected Nack: sink it and report (paper §3.2.1).
 		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
 			Code: "XG.HostNack", Addr: addr, Detail: "unexpected Nack sunk"})
@@ -234,11 +144,7 @@ func (s *hammerShim) handleNack(m *coherence.Msg) {
 		// (Transactional mode forwarding a stray accelerator Put).
 		s.g.violation("XG.G1a", "host rejected writeback (non-owner Put)", addr)
 	}
-	accelPut := p.accelPut
-	s.closePut(addr, p)
-	if accelPut {
-		s.g.putDone(addr)
-	}
+	s.g.retirePut(addr)
 }
 
 // --- forwards (the host pulling blocks out of the accelerator) ---
@@ -250,12 +156,12 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 	// A writeback in flight answers the forward directly (MI/OI-style);
 	// once a Fwd_GetM has taken ownership away, later forwards are acked
 	// like a cache in II.
-	if p, busy := s.puts[addr]; busy {
+	if p := s.g.putAt(addr); p != nil {
 		if p.lost {
 			s.ack(addr, r, false)
 			return
 		}
-		s.data(addr, r, &p.data, p.dirty)
+		s.data(addr, r, p.data, p.dirty)
 		if getM {
 			p.lost = true
 		}
@@ -303,26 +209,21 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 				// interface has no O state, so relinquish (§3.2.1). This
 				// also covers the Put/Inv race, whose Put the guard
 				// consumed rather than forwarded.
-				s.relinquish(addr, data, dirty)
+				s.g.relinquish(addr, data, dirty)
 			}
 		})
 	}
 }
 
-func (s *hammerShim) serveFromCopy(addr mem.Addr, entry *blockEntry, r coherence.NodeID, getM bool) {
+func (s *hammerShim) serveFromCopy(addr mem.Addr, entry *line, r coherence.NodeID, getM bool) {
 	if !getM {
 		s.g.SnoopsFiltered++
 		s.data(addr, r, entry.copy, entry.dirty)
 		return
 	}
 	// Fwd_GetM: the accelerator's S copy must die before the writer may
-	// proceed; then the trusted copy answers. The table entry is gone by
-	// then, so the answer is copied now and its block given back after.
-	copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
-	s.g.startRecall(addr, viewS, r, func(_ *mem.Block, _ bool, _ bool) {
-		s.data(addr, r, copyData, copyDirty)
-		s.g.fab.FreeBlock(copyData)
-	})
+	// proceed; then the trusted copy answers.
+	s.g.recallThenServe(entry, r, func(d *mem.Block, dirty bool) { s.data(addr, r, d, dirty) })
 }
 
 func (s *hammerShim) recallOwner(addr mem.Addr, view viewState, r coherence.NodeID, getM bool) {
@@ -335,7 +236,7 @@ func (s *hammerShim) recallOwner(addr mem.Addr, view viewState, r coherence.Node
 			// No O state in the interface: give ownership back to the
 			// directory (§3.2.1); required equally when the data came
 			// from a consumed racing Put.
-			s.relinquish(addr, data, dirty)
+			s.g.relinquish(addr, data, dirty)
 		}
 	})
 }

@@ -64,7 +64,7 @@ func TestZeroSubstitutionSurvivesRecycling(t *testing.T) {
 				made := fab.Stats().MsgsMade
 
 				// The accelerator owns the line in M; the host wants it back.
-				g.table.grant(line, GrantM, GrantM, false, nil, false)
+				tableView{g, line}.grant(GrantM, GrantM, false, nil, false)
 				g.Recv(&coherence.Msg{Type: fwd, Addr: line, Src: dir, Dst: 40, Requestor: requestor})
 				eng.RunUntil(10)
 				if path[1] == 'a' {

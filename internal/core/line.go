@@ -1,0 +1,367 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/mem"
+)
+
+// The guard's one table. The paper's guard keeps a tag-and-state entry per
+// block the accelerator holds in Full State (§2.3.1) and an entry only per
+// open transaction in Transactional (§2.3.2): the same structure, differing
+// only in whether an idle line stays. Everything the guard knows about one
+// block hangs off its line — the Full State residency, the accelerator's
+// open transaction, the open recall, the shim's open host get and host
+// writeback, the parked requests, the InvAcks still owed — so "is this line
+// busy" is one lookup.
+//
+// Lifetime: the first of those makes the line (workFor) and the last to go
+// sends it back to the free list. settle alone decides that, and every site
+// that closes something ends with it; a *line, or a pointer into its open
+// work, held across a call that settles is dead: look the line up again.
+
+// line is the guard's record of one block.
+type line struct {
+	addr mem.Addr
+	// work is the line's open work, nil while the line is idle. A Full
+	// State table holds every resident block and open work is five times
+	// the size of the rest, so an idle line does not carry it.
+	work *lineWork
+
+	// Full State residency (§2.3.1), meaningful while resident: the
+	// guard's trusted view of a block the accelerator holds.
+	accel Grant // what the accelerator was granted (S/E/M)
+	host  Grant // what the host believes this guard holds
+	// copy is a trusted data copy, kept when the host granted ownership
+	// of a block the accelerator may only read (Guarantee 0b) so the
+	// guard can answer forwards without trusting the accelerator. It is
+	// the line's own block and goes back to the block list with the
+	// residency.
+	copy *mem.Block
+	// ignoreInvAck counts recalls of this block resolved by a racing Put;
+	// the accelerator's InvAck for each (sent from B) is consumed silently.
+	ignoreInvAck int32
+	dirty        bool
+	resident     bool
+}
+
+// lineWork is what is open on a line. The two transaction records are
+// allocated per transaction, never recycled: timers armed for one tell it
+// from a later one by identity, and handlers read a record after closing it.
+type lineWork struct {
+	txn    *accelTxn // open accelerator-initiated transaction (1b)
+	recall *hostTxn  // open host-initiated recall (2b, 2c)
+	get    hostGet   // the shim's open host get
+	put    hostPut   // open host writeback
+	wait   waitQueue // requests parked until one of the above changes
+}
+
+// hostGet is the host half of an accelerator Get: what the shim has
+// collected of the host's responses so far.
+type hostGet struct {
+	open bool
+	kind GetKind
+	// needed is the response count that completes the get (MESI: -1 until
+	// the L2 announces it); got counts the responses received.
+	needed, got int
+	// data is the block the grant will carry, the get's own (FillBlock);
+	// nil until a response brought one.
+	data      *mem.Block
+	dirty     bool
+	fromCache bool // hammer: data is an owner's HData, which beats memory's
+	shared    bool // hammer: some peer keeps a copy
+	excl      bool // mesi: the host granted E/M
+}
+
+// hostPut is an open host writeback.
+type hostPut struct {
+	open  bool
+	data  *mem.Block // the writeback's own copy (CopyBlock)
+	dirty bool
+	lost  bool // hammer: ownership moved via Fwd_GetM while the Put was in flight
+	// accelPut marks a writeback started for an accelerator Put, whose ack
+	// completes that Put. A guard-initiated one (relinquish) can be in
+	// flight while the accelerator has a Get open on the same line; its
+	// ack must not close that Get.
+	accelPut bool
+}
+
+// recPool is a free list of *T records: lines and their open-work records
+// are recycled through one each, so a crossing allocates neither in steady
+// state. A record comes back zeroed.
+type recPool[T any] struct{ free []*T }
+
+func (p *recPool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(T)
+}
+
+func (p *recPool[T]) put(r *T) {
+	var zero T
+	*r = zero
+	p.free = append(p.free, r)
+}
+
+// workFor returns addr's line with an open-work record attached, making
+// either if need be. The caller opens something on it at once: a line with
+// nothing in it is a leak (CheckQuiesced).
+func (g *Guard) workFor(addr mem.Addr) *line {
+	l := g.lines[addr]
+	if l == nil {
+		l = g.freeLines.get()
+		l.addr = addr
+		g.lines[addr] = l
+	}
+	if l.work == nil {
+		l.work = g.freeWork.get()
+	}
+	return l
+}
+
+// txnAt returns addr's open accelerator transaction, if any.
+func (g *Guard) txnAt(addr mem.Addr) *accelTxn {
+	if l := g.lines[addr]; hasTxn(l) {
+		return l.work.txn
+	}
+	return nil
+}
+
+// getAt returns addr's open host get for a response that has arrived for
+// it; a response for no open get is reported and nil returned.
+func (g *Guard) getAt(addr mem.Addr) *hostGet {
+	if l := g.lines[addr]; hasGet(l) {
+		return &l.work.get
+	}
+	g.sink.ReportError(coherence.ProtocolError{Where: g.name,
+		Code: "XG.HostAnomaly", Addr: addr, Detail: "response with no open get"})
+	return nil
+}
+
+// finishGet retires addr's open host get and grants the line at level with
+// the block the get collected (none grants zeros).
+func (g *Guard) finishGet(addr mem.Addr, level Grant, dirty bool) {
+	l := g.lines[addr]
+	data := l.work.get.data
+	l.work.get = hostGet{}
+	g.closed(l)
+	g.granted(addr, level, data, dirty)
+	g.fab.FreeBlock(data)
+}
+
+// putAt returns addr's open host writeback, if any (shims answer forwards
+// racing with the writeback from its data).
+func (g *Guard) putAt(addr mem.Addr) *hostPut {
+	if l := g.lines[addr]; hasPut(l) {
+		return &l.work.put
+	}
+	return nil
+}
+
+// closed runs where something on l has just closed: it wakes the requests
+// parked behind it and gives back what the line no longer needs.
+func (g *Guard) closed(l *line) {
+	g.wake(l)
+	g.settle(l)
+}
+
+// settle gives back l's open-work record once nothing in it is open, and l
+// itself once it is also neither resident nor owed an InvAck. l is dead to
+// the caller afterwards.
+func (g *Guard) settle(l *line) {
+	if w := l.work; w != nil {
+		if w.txn != nil || w.recall != nil || w.get.open || w.put.open || w.wait.head != nil {
+			return
+		}
+		l.work = nil
+		g.freeWork.put(w)
+	}
+	if !l.resident && l.ignoreInvAck == 0 {
+		delete(g.lines, l.addr)
+		g.freeLines.put(l)
+	}
+}
+
+// sortedLines returns the lines keep accepts, in address order: map
+// iteration is randomized, and every walk that sends, resolves or reports
+// must not be.
+func (g *Guard) sortedLines(keep func(*line) bool) []*line {
+	out := make([]*line, 0, len(g.lines))
+	for _, l := range g.lines {
+		if keep(l) {
+			out = append(out, l)
+		}
+	}
+	slices.SortFunc(out, func(a, b *line) int { return cmp.Compare(a.addr, b.addr) })
+	return out
+}
+
+// count reports how many lines keep accepts.
+func (g *Guard) count(keep func(*line) bool) int {
+	n := 0
+	for _, l := range g.lines {
+		if keep(l) {
+			n++
+		}
+	}
+	return n
+}
+
+// What a walk of the table may select by, and what a handler asks of the
+// line it looked up (nil, for the second group, when the table has none).
+func isResident(l *line) bool { return l.resident }
+func hasCopy(l *line) bool    { return l.copy != nil }
+func hasWork(l *line) bool    { return l != nil && l.work != nil }
+func hasTxn(l *line) bool     { return hasWork(l) && l.work.txn != nil }
+func hasRecall(l *line) bool  { return hasWork(l) && l.work.recall != nil }
+func hasGet(l *line) bool     { return hasWork(l) && l.work.get.open }
+func hasPut(l *line) bool     { return hasWork(l) && l.work.put.open }
+func hasParked(l *line) bool  { return hasWork(l) && l.work.wait.head != nil }
+
+// --- Full State residency: the inclusive directory of every block in the
+// accelerator hierarchy. Because the interface requires PutS, the resident
+// lines track exactly the accelerator's contents. ---
+
+// grant records that the accelerator now holds l's block at level accel
+// while the host believes the guard holds it at level host.
+func (g *Guard) grant(l *line, accel, host Grant, keepCopy bool, data *mem.Block, dirty bool) {
+	l.resident = true
+	l.accel, l.host, l.dirty = accel, host, dirty
+	if keepCopy {
+		g.fab.FillBlock(&l.copy, data)
+	} else {
+		g.fab.FreeBlock(l.copy)
+		l.copy = nil
+	}
+}
+
+// drop ends addr's residency, if it has one (a Transactional guard's lines
+// never do). The trusted copy goes back to the block list, so a caller
+// still reading it must be done first.
+func (g *Guard) drop(addr mem.Addr) {
+	if l := g.lines[addr]; l != nil && l.resident {
+		g.fab.FreeBlock(l.copy)
+		l.copy, l.resident = nil, false
+		g.settle(l)
+	}
+}
+
+// recallThenServe answers a forward for a read-only block the guard owns
+// (resident line e with a trusted copy) once the accelerator's S copy has
+// died: the recall first, then serve with the trusted data. The residency is
+// gone by then, so the data is copied now and its block given back after.
+func (g *Guard) recallThenServe(e *line, req coherence.NodeID, serve func(data *mem.Block, dirty bool)) {
+	data, dirty := g.fab.CopyBlock(e.copy), e.dirty
+	g.startRecall(e.addr, viewS, req, func(*mem.Block, bool, bool) {
+		serve(data, dirty)
+		g.fab.FreeBlock(data)
+	})
+}
+
+// checkRequest enforces Guarantee 1a: the request must be consistent with
+// the accelerator's stable state as the table tracks it (l is nil or not
+// resident when the accelerator holds nothing). It returns a violation
+// description, or "" when the request is legal.
+func (l *line) checkRequest(ty coherence.MsgType) string {
+	e := l
+	if l != nil && !l.resident {
+		e = nil
+	}
+	switch ty {
+	case coherence.AGetS:
+		if e != nil {
+			return fmt.Sprintf("GetS but the accelerator already holds the block in %v", e.accel)
+		}
+	case coherence.AGetM:
+		if e != nil && e.accel != GrantS {
+			return fmt.Sprintf("GetM but the accelerator already holds the block in %v", e.accel)
+		}
+	case coherence.APutM:
+		if e == nil {
+			return "PutM for a block the accelerator does not hold"
+		}
+		if e.accel == GrantS {
+			return "PutM for a block held only in S"
+		}
+	case coherence.APutE:
+		if e == nil {
+			return "PutE for a block the accelerator does not hold"
+		}
+		if e.accel != GrantE {
+			return fmt.Sprintf("PutE for a block held in %v", e.accel)
+		}
+	case coherence.APutS:
+		if e == nil {
+			return "PutS for a block the accelerator does not hold"
+		}
+		if e.accel != GrantS {
+			return fmt.Sprintf("PutS for a block held in %v", e.accel)
+		}
+	}
+	return ""
+}
+
+// --- the host writeback, shared by both shims ---
+
+// writeback opens addr's host writeback with a copy of data and has the
+// shim send its first message.
+func (g *Guard) writeback(addr mem.Addr, data *mem.Block, dirty, accelPut bool) {
+	p := &g.workFor(addr).work.put
+	*p = hostPut{open: true, data: g.fab.CopyBlock(data), dirty: dirty, accelPut: accelPut}
+	g.shim.put(addr, p.data, dirty)
+}
+
+// relinquish starts a guard-initiated writeback, unless the line is
+// already writing back: ownership given up after serving a Fwd_GetS on
+// the accelerator's behalf (§3.2.1), or an owned line returned to the host
+// during quarantine recovery (the fenced accelerator cannot be consulted
+// and never sees an ack for it; data is the guard's trusted copy or a zero
+// block, the Guarantee 2c substitution).
+func (g *Guard) relinquish(addr mem.Addr, data *mem.Block, dirty bool) {
+	if g.putAt(addr) == nil {
+		g.writeback(addr, data, dirty, false)
+	}
+}
+
+// retirePut closes addr's host writeback on the host's last word for it
+// and, when the writeback was the accelerator's, completes its Put. An ack
+// for no open writeback is reported, not acted on.
+func (g *Guard) retirePut(addr mem.Addr) {
+	l := g.lines[addr]
+	if !hasPut(l) {
+		g.sink.ReportError(coherence.ProtocolError{Where: g.name,
+			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
+		return
+	}
+	accelPut := l.work.put.accelPut
+	g.fab.FreeBlock(l.work.put.data)
+	l.work.put = hostPut{}
+	g.closed(l)
+	if accelPut {
+		g.putDone(addr)
+	}
+}
+
+// CheckQuiesced names the first line, in address order, that should not
+// outlive a quiesce: one with open work, or one that nothing keeps. What
+// may remain is a resident line (Full State: TableEntries of them) and a
+// line kept only by an InvAck the accelerator still owes from B.
+// config.System.Audit runs it.
+func (g *Guard) CheckQuiesced() error {
+	for _, l := range g.sortedLines(func(l *line) bool {
+		return l.work != nil || (!l.resident && l.ignoreInvAck == 0)
+	}) {
+		if w := l.work; w != nil {
+			return fmt.Errorf("%s: line %v has open work at quiesce (transaction %t, recall %t, host get %t, host put %t, parked %t)",
+				g.name, l.addr, w.txn != nil, w.recall != nil, w.get.open, w.put.open, w.wait.head != nil)
+		}
+		return fmt.Errorf("%s: line %v is in the table at quiesce with nothing to keep it", g.name, l.addr)
+	}
+	return nil
+}

@@ -1,0 +1,229 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/mem"
+	"crossingguard/internal/perm"
+)
+
+// Helpers for the tests that look into the guard's table.
+
+func openTxns(g *Guard) int    { return g.count(hasTxn) }
+func openRecalls(g *Guard) int { return g.count(hasRecall) }
+
+// parkedLines counts the lines with requests on their wait list.
+func parkedLines(g *Guard) int { return g.count(hasParked) }
+
+// tableCopies counts the Full State trusted copies.
+func tableCopies(g *Guard) int { return g.count(hasCopy) }
+
+// tableView drives one address's Full State residency directly, with no
+// transaction behind it.
+type tableView struct {
+	g    *Guard
+	addr mem.Addr
+}
+
+func (v tableView) grant(accel, host Grant, keepCopy bool, data *mem.Block, dirty bool) {
+	l := v.g.workFor(v.addr)
+	v.g.grant(l, accel, host, keepCopy, data, dirty)
+	v.g.settle(l)
+}
+
+func (v tableView) checkRequest(ty coherence.MsgType) string {
+	return v.g.lines[v.addr].checkRequest(ty)
+}
+
+// The line lifecycle: a line is made by the first thing opened on its
+// address, survives while anything is, and is recycled — with its open-work
+// record — when the last closes, whatever the pair and whichever closes
+// first.
+func TestLineLifecycle(t *testing.T) {
+	const A mem.Addr = 0x40
+	type holder struct {
+		name  string
+		open  func(r *coreRig)
+		close func(r *coreRig)
+		held  func(l *line) bool
+	}
+	holders := []holder{
+		{"accelerator transaction",
+			func(r *coreRig) { r.g.openTxn(A, &accelTxn{kind: coherence.AGetS}) },
+			func(r *coreRig) { r.g.closeTxn(r.g.lines[A]) },
+			func(l *line) bool { return l.work != nil && l.work.txn != nil }},
+		{"recall",
+			func(r *coreRig) { r.g.startRecall(A, viewS, 0, func(*mem.Block, bool, bool) {}) },
+			func(r *coreRig) { r.g.closeRecall(r.g.lines[A], r.g.lines[A].work.recall, "response") },
+			func(l *line) bool { return l.work != nil && l.work.recall != nil }},
+		{"parked request",
+			func(r *coreRig) { r.g.park(A, accelMsg(coherence.AGetS, A, nil), 0) },
+			// The re-run fails Guarantee 0a (the rig's page has no access),
+			// whatever else is open: the request leaves and opens nothing.
+			func(r *coreRig) { r.g.wake(r.g.lines[A]); r.eng.RunUntil(r.eng.Now()) },
+			func(l *line) bool { return l.work != nil && l.work.wait.head != nil }},
+		{"owed InvAck",
+			func(r *coreRig) { l := r.g.workFor(A); l.ignoreInvAck++; r.g.settle(l) },
+			func(r *coreRig) { r.g.Recv(accelMsg(coherence.AInvAck, A, nil)) },
+			func(l *line) bool { return l.ignoreInvAck > 0 }},
+		{"host put",
+			func(r *coreRig) { r.g.relinquish(A, mem.Zero(), true) },
+			func(r *coreRig) { r.g.retirePut(A) },
+			func(l *line) bool { return l.work != nil && l.work.put.open }},
+		{"residency",
+			func(r *coreRig) { tableView{r.g, A}.grant(GrantS, GrantS, false, nil, false) },
+			func(r *coreRig) { r.g.drop(A) },
+			func(l *line) bool { return l.resident }},
+	}
+	for i, first := range holders {
+		for j, second := range holders {
+			if i == j {
+				continue
+			}
+			for _, order := range [][2]holder{{first, second}, {second, first}} {
+				name := fmt.Sprintf("open %s, %s; close %s first", first.name, second.name, order[0].name)
+				t.Run(name, func(t *testing.T) {
+					perms := perm.NewTable()
+					perms.GrantRange(0, mem.PageBytes, perm.None)
+					r := newCoreRig(FullState, perms)
+					g := r.g
+					first.open(r)
+					l := g.lines[A]
+					if l == nil || !first.held(l) {
+						t.Fatalf("after opening the %s: line %v", first.name, l)
+					}
+					second.open(r)
+					if g.lines[A] != l || !first.held(l) || !second.held(l) {
+						t.Fatalf("after opening the %s: line %p (was %p), held %v/%v",
+							second.name, g.lines[A], l, first.held(l), second.held(l))
+					}
+					order[0].close(r)
+					if g.lines[A] != l || order[0].held(l) || !order[1].held(l) {
+						t.Fatalf("after closing the %s: line %p (was %p), held %v/%v; the %s must keep it",
+							order[0].name, g.lines[A], l, order[0].held(l), order[1].held(l), order[1].name)
+					}
+					order[1].close(r)
+					if len(g.lines) != 0 {
+						t.Fatalf("after closing the %s too: %d lines left in the table", order[1].name, len(g.lines))
+					}
+					if *l != (line{}) {
+						t.Fatalf("recycled line not zeroed: %+v", *l)
+					}
+					if err := g.CheckQuiesced(); err != nil {
+						t.Fatal(err)
+					}
+					// Both records are back on their free lists: reopening the
+					// address allocates neither.
+					if n := len(g.freeLines.free); n != 1 {
+						t.Fatalf("%d lines on the free list, want 1", n)
+					}
+					if got := g.workFor(A); got != l || len(g.freeLines.free) != 0 || len(g.freeWork.free) != 0 {
+						t.Fatalf("reopening took line %p (recycled %p); free lists hold %d lines, %d work records",
+							got, l, len(g.freeLines.free), len(g.freeWork.free))
+					}
+				})
+			}
+		}
+	}
+}
+
+// CheckQuiesced accepts what may outlive a quiesce — a resident line, a line
+// owed an InvAck — and names a line with open work or with nothing at all.
+func TestCheckQuiesced(t *testing.T) {
+	g := newCoreRig(FullState, nil).g
+	tableView{g, 0x80}.grant(GrantM, GrantM, false, nil, true)
+	owed := g.workFor(0xc0)
+	owed.ignoreInvAck++
+	g.settle(owed)
+	if err := g.CheckQuiesced(); err != nil {
+		t.Fatalf("resident line and owed InvAck: %v", err)
+	}
+	g.workFor(0x100) // never filled, never settled
+	g.startRecall(0x140, viewS, 0, func(*mem.Block, bool, bool) {})
+	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x100 has open work at quiesce") {
+		t.Fatalf("with two bad lines, the lower must be named: %v", err)
+	}
+	g.settle(g.lines[0x100])
+	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x140 has open work at quiesce (transaction false, recall true") {
+		t.Fatalf("open recall: %v", err)
+	}
+	g.closeRecall(g.lines[0x140], g.lines[0x140].work.recall, "response")
+	empty := g.workFor(0x40)
+	g.freeWork.put(empty.work)
+	empty.work = nil
+	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x40 is in the table at quiesce with nothing to keep it") {
+		t.Fatalf("empty line: %v", err)
+	}
+}
+
+// A guard-initiated writeback in flight beside an accelerator Get: its ack
+// retires the writeback and leaves the Get open (only an accelerator Put's
+// writeback completes a transaction).
+func TestRelinquishAckLeavesGetOpen(t *testing.T) {
+	r := newCoreRig(Transactional, nil)
+	r.fromAccel(coherence.AGetS, 0x40, nil)
+	r.g.relinquish(0x40, mem.Zero(), true)
+	r.g.retirePut(0x40)
+	r.eng.RunUntilQuiet()
+	if openTxns(r.g) != 1 || r.g.putAt(0x40) != nil {
+		t.Fatalf("%d transactions open, put %v; want the Get still open and the put gone", openTxns(r.g), r.g.putAt(0x40))
+	}
+	if m := r.lastToAccel(); m != nil {
+		t.Fatalf("accelerator received %v for a writeback it did not ask for", m.Type)
+	}
+}
+
+// Timers armed for a closed record stay inert when the address is reopened
+// on the very line record the closed one used: the dispatch and the 2c
+// watchdog tell their transaction from a later one by its own identity,
+// not by the line's.
+func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
+	const A mem.Addr = 0x40
+	t.Run("dispatch", func(t *testing.T) {
+		r := newRecallRig(Transactional, Config{GuardLat: 5})
+		r.g.Recv(accelMsg(coherence.AGetS, A, nil)) // dispatch armed for tick 5
+		l := r.g.lines[A]
+		r.g.closeTxn(l)
+		if len(r.g.lines) != 0 {
+			t.Fatal("line not recycled")
+		}
+		later := &accelTxn{kind: coherence.AGetM}
+		r.g.openTxn(A, later)
+		if r.g.lines[A] != l {
+			t.Fatal("reopened address did not take the recycled line")
+		}
+		r.eng.RunUntilQuiet()
+		if len(r.shim.gets) != 0 || later.fwd != 0 {
+			t.Fatalf("stale dispatch ran against the later transaction: %d gets, fwd=%d", len(r.shim.gets), later.fwd)
+		}
+	})
+	t.Run("watchdog", func(t *testing.T) {
+		r := newRecallRig(Transactional, Config{Timeout: 100, GuardLat: 1, RecallRetries: 1})
+		calls := 0
+		done := func(*mem.Block, bool, bool) { calls++ }
+		r.g.startRecall(A, viewS, 0, done) // watchdog armed for tick 100
+		l := r.g.lines[A]
+		r.eng.RunUntil(50)
+		r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
+		if len(r.g.lines) != 0 {
+			t.Fatal("line not recycled")
+		}
+		r.g.startRecall(A, viewS, 0, done) // its own watchdog: tick 150
+		if r.g.lines[A] != l {
+			t.Fatal("reopened address did not take the recycled line")
+		}
+		r.eng.RunUntil(120) // the stale timer has fired
+		if r.g.RetriesSent != 0 || r.g.Timeouts != 0 || openRecalls(r.g) != 1 || calls != 1 {
+			t.Fatalf("stale watchdog acted on the later recall: retries=%d timeouts=%d open=%d calls=%d",
+				r.g.RetriesSent, r.g.Timeouts, openRecalls(r.g), calls)
+		}
+		r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
+		r.eng.RunUntilQuiet()
+		if calls != 2 || r.g.Timeouts != 0 || r.g.Errors() != 0 || len(r.g.lines) != 0 {
+			t.Fatalf("calls=%d timeouts=%d errors=%d lines=%d, want 2, 0, 0, 0", calls, r.g.Timeouts, r.g.Errors(), len(r.g.lines))
+		}
+	})
+}

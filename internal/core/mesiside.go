@@ -18,51 +18,17 @@ import (
 type mesiShim struct {
 	g  *Guard
 	l2 coherence.NodeID
-
-	// gets and puts are the shim's tables of open host transactions; the
-	// records, which hold their blocks by value, are recycled.
-	gets     map[mem.Addr]*mGet
-	puts     map[mem.Addr]*mPut
-	freeGets recPool[mGet]
-	freePuts recPool[mPut]
-}
-
-type mGet struct {
-	kind    GetKind
-	needed  int // -1 until the L2 announces the response count
-	got     int
-	data    mem.Block // valid once gotData
-	dirty   bool
-	gotData bool
-	excl    bool // host granted E/M
-}
-
-type mPut struct {
-	data  mem.Block
-	dirty bool
 }
 
 // NewMESIGuard builds a Crossing Guard instance attached to a MESI host.
 func NewMESIGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	accel, l2 coherence.NodeID, cfg Config, sink coherence.ErrorSink) *Guard {
 	g := newGuard(id, name, eng, fab, accel, cfg, sink)
-	g.shim = &mesiShim{
-		g: g, l2: l2,
-		gets: make(map[mem.Addr]*mGet),
-		puts: make(map[mem.Addr]*mPut),
-	}
+	g.shim = &mesiShim{g: g, l2: l2}
 	return g
 }
 
 func (s *mesiShim) send(t coherence.Msg) { s.g.send(t) }
-
-func (s *mesiShim) outstanding() int { return len(s.gets) + len(s.puts) }
-
-func (s *mesiShim) busy(addr mem.Addr) bool {
-	_, g := s.gets[addr]
-	_, p := s.puts[addr]
-	return g || p
-}
 
 // suppressPutS: the MESI host keeps exact sharers, so PutS is forwarded.
 func (s *mesiShim) suppressPutS() bool { return false }
@@ -71,36 +37,19 @@ func (s *mesiShim) putS(addr mem.Addr) {
 	s.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: s.g.id, Dst: s.l2})
 }
 
+// mesiGets maps a get kind to the MESI request that asks for it.
+var mesiGets = [...]coherence.MsgType{
+	GetShared: coherence.MGetS, GetSharedOnly: coherence.MGetInstr, GetExcl: coherence.MGetM}
+
 func (s *mesiShim) get(addr mem.Addr, kind GetKind) {
-	t := s.freeGets.get()
-	t.kind, t.needed = kind, -1
-	s.gets[addr] = t
-	ty := coherence.MGetS
-	switch kind {
-	case GetSharedOnly:
-		ty = coherence.MGetInstr
-	case GetExcl:
-		ty = coherence.MGetM
-	}
-	s.send(coherence.Msg{Type: ty, Addr: addr, Src: s.g.id, Dst: s.l2})
+	s.g.workFor(addr).work.get = hostGet{open: true, kind: kind, needed: -1}
+	s.send(coherence.Msg{Type: mesiGets[kind], Addr: addr, Src: s.g.id, Dst: s.l2})
 }
 
+// put sends the one-part writeback: the data rides on the MPutM.
 func (s *mesiShim) put(addr mem.Addr, data *mem.Block, dirty bool) {
-	p := s.freePuts.get()
-	p.data, p.dirty = *data, dirty
-	s.puts[addr] = p
 	s.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: s.g.id, Dst: s.l2,
 		Data: data, Dirty: dirty})
-}
-
-// drain returns an owned line to the host during quarantine recovery: a
-// guard-initiated writeback. Its WBAck finds no accelerator transaction,
-// so putDone is a no-op and the fenced accelerator sees nothing.
-func (s *mesiShim) drain(addr mem.Addr, data *mem.Block, dirty bool) {
-	if _, busy := s.puts[addr]; busy {
-		return
-	}
-	s.put(addr, data, dirty)
 }
 
 func (s *mesiShim) recv(m *coherence.Msg) {
@@ -109,7 +58,7 @@ func (s *mesiShim) recv(m *coherence.Msg) {
 		coherence.MDataOwner, coherence.MInvAck:
 		s.handleResponse(m)
 	case coherence.MWBAck:
-		s.handleWBAck(m)
+		s.g.retirePut(m.Addr.Line())
 	case coherence.MInv:
 		s.handleInv(m)
 	case coherence.MInvToL2:
@@ -127,29 +76,28 @@ func (s *mesiShim) recv(m *coherence.Msg) {
 
 func (s *mesiShim) handleResponse(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	t, ok := s.gets[addr]
-	if !ok {
-		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
-			Code: "XG.HostAnomaly", Addr: addr, Detail: "response with no open get"})
+	t := s.g.getAt(addr)
+	if t == nil {
 		return
 	}
 	complete := false
 	switch m.Type {
 	case coherence.MDataE:
-		t.data, t.gotData, t.excl = *m.Data, true, true
+		s.g.fab.FillBlock(&t.data, m.Data)
+		t.excl = true
 		complete = true
 	case coherence.MDataS:
-		t.data, t.gotData = *m.Data, true
+		s.g.fab.FillBlock(&t.data, m.Data)
 		complete = true
 	case coherence.MDataAcks:
 		if m.Data != nil {
-			t.data, t.gotData = *m.Data, true
+			s.g.fab.FillBlock(&t.data, m.Data)
 		}
 		t.needed = m.Acks
 		t.excl = true
 	case coherence.MDataOwner:
 		if m.Data != nil {
-			t.data, t.gotData = *m.Data, true
+			s.g.fab.FillBlock(&t.data, m.Data)
 			t.dirty = m.Dirty
 		}
 		t.got++
@@ -168,13 +116,11 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 	if !complete && (t.needed < 0 || t.got < t.needed) {
 		return
 	}
-	if !t.gotData {
-		t.data = mem.Block{}
+	if t.data == nil {
+		// granted reads no data as a zero block.
 		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
 			Code: "XG.HostAnomaly", Addr: addr, Detail: "request completed without data"})
 	}
-	delete(s.gets, addr)
-	s.g.wake(addr)
 	s.send(coherence.Msg{Type: coherence.MUnblock, Addr: addr, Src: s.g.id, Dst: s.l2})
 	level := GrantS
 	switch {
@@ -183,22 +129,7 @@ func (s *mesiShim) handleResponse(m *coherence.Msg) {
 	case t.excl:
 		level = GrantE
 	}
-	s.g.granted(addr, level, &t.data, t.dirty)
-	s.freeGets.put(t) // not before: granted reads the record's block
-}
-
-func (s *mesiShim) handleWBAck(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	p, ok := s.puts[addr]
-	if !ok {
-		s.g.sink.ReportError(coherence.ProtocolError{Where: s.g.name,
-			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
-		return
-	}
-	delete(s.puts, addr)
-	s.freePuts.put(p)
-	s.g.wake(addr)
-	s.g.putDone(addr)
+	s.g.finishGet(addr, level, t.dirty)
 }
 
 // --- host-initiated requests ---
@@ -208,7 +139,7 @@ func (s *mesiShim) handleWBAck(m *coherence.Msg) {
 func (s *mesiShim) handleInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	r := m.Requestor
-	if _, busy := s.puts[addr]; busy {
+	if s.g.putAt(addr) != nil {
 		// We believed we owned the block and are writing it back while
 		// the L2 believes we are a sharer: ack and let the Put resolve.
 		s.invAck(addr, r)
@@ -237,9 +168,9 @@ func (s *mesiShim) handleInv(m *coherence.Msg) {
 // ack or a data copy — the L2 accepts both).
 func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if p, busy := s.puts[addr]; busy {
+	if p := s.g.putAt(addr); p != nil {
 		// Our writeback is in flight; answer the recall from its data.
-		s.copyToL2(addr, &p.data, p.dirty)
+		s.copyToL2(addr, p.data, p.dirty)
 		return
 	}
 	view, entry := s.g.accelHolds(addr)
@@ -249,14 +180,8 @@ func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 		s.invAckToL2(addr)
 	case view == viewS && entry != nil && entry.copy != nil:
 		// Read-only block owned by the guard: the accelerator's S copy
-		// still dies, but the trusted copy answers. The table entry is
-		// gone by then, so the answer is copied now and its block given
-		// back after.
-		copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
-		s.g.startRecall(addr, viewS, s.l2, func(_ *mem.Block, _ bool, _ bool) {
-			s.copyToL2(addr, copyData, copyDirty)
-			s.g.fab.FreeBlock(copyData)
-		})
+		// still dies, but the trusted copy answers.
+		s.g.recallThenServe(entry, s.l2, func(d *mem.Block, dirty bool) { s.copyToL2(addr, d, dirty) })
 	default:
 		s.g.startRecall(addr, view, s.l2, func(data *mem.Block, dirty bool, viaPut bool) {
 			if data != nil {
@@ -273,10 +198,10 @@ func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 	addr := m.Addr.Line()
 	r := m.Requestor
-	if p, busy := s.puts[addr]; busy {
-		s.dataOwner(addr, r, &p.data, p.dirty)
+	if p := s.g.putAt(addr); p != nil {
+		s.dataOwner(addr, r, p.data, p.dirty)
 		if !getM {
-			s.copyToL2(addr, &p.data, p.dirty)
+			s.copyToL2(addr, p.data, p.dirty)
 		}
 		return
 	}
@@ -290,16 +215,11 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 			s.g.SnoopsFiltered++
 			s.dataOwner(addr, r, entry.copy, entry.dirty)
 			s.copyToL2(addr, entry.copy, entry.dirty)
-			entry.host = GrantS
-			s.g.fab.FreeBlock(entry.copy)
-			entry.copy = nil // no longer the owner; the copy is moot
+			// No longer the owner; the copy is moot.
+			s.g.grant(entry, entry.accel, GrantS, false, nil, entry.dirty)
 			return
 		}
-		copyData, copyDirty := s.g.fab.CopyBlock(entry.copy), entry.dirty
-		s.g.startRecall(addr, viewS, r, func(_ *mem.Block, _ bool, _ bool) {
-			s.dataOwner(addr, r, copyData, copyDirty)
-			s.g.fab.FreeBlock(copyData)
-		})
+		s.g.recallThenServe(entry, r, func(d *mem.Block, dirty bool) { s.dataOwner(addr, r, d, dirty) })
 	case view == viewE || view == viewM || view == viewUnknown:
 		s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
 			if data == nil {

@@ -28,17 +28,17 @@ func (v viewState) String() string {
 func (v viewState) owned() bool { return v == viewE || v == viewM }
 
 // accelHolds returns the guard's view of addr at the accelerator, plus
-// the Full State entry when one exists.
+// the resident Full State line when there is one.
 //
 // Full State answers from its inclusive table. Transactional deduces what
 // it can (§2.3.2): a page with no permissions cannot be cached by the
 // accelerator (this also closes the coherence side channel, §3.2), and a
 // block with an open Get transaction has not been granted yet; everything
 // else is Unknown and requires consulting the accelerator.
-func (g *Guard) accelHolds(addr mem.Addr) (viewState, *blockEntry) {
-	if g.table != nil {
-		e := g.table.lookup(addr)
-		if e == nil {
+func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
+	if g.cfg.Mode == FullState {
+		e := g.lines[addr]
+		if e == nil || !e.resident {
 			return viewNone, nil
 		}
 		switch e.accel {
@@ -75,7 +75,8 @@ func (g *Guard) accelHolds(addr mem.Addr) (viewState, *blockEntry) {
 // — is coalesced: the accelerator sees exactly one Invalidate, and every
 // waiter completes from the single response.
 func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeID, done func(data *mem.Block, dirty bool, viaPut bool)) {
-	if ht, open := g.hosts[addr]; open {
+	if l := g.lines[addr]; hasRecall(l) {
+		ht := l.work.recall
 		g.RecallsCoalesced++
 		g.obsReg.Counter("guard.recall.coalesced").Inc()
 		if b := g.fab.Bus; b.Active() {
@@ -98,19 +99,15 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 		ht := newHostTxn(expect, done)
 		ht.closed = true
 		g.answerFromTrusted(addr, ht)
-		if g.table != nil {
-			g.table.drop(addr)
-		}
 		return
 	}
 	// A Put already buffered at the guard resolves the recall at once;
 	// the consumed crossing's span ends here (nothing reaches the host).
-	if t := g.openPut(addr); t != nil {
+	if l := g.lines[addr]; hasTxn(l) && l.work.txn.data != nil {
+		t := l.work.txn
 		data, dirty := t.data, t.dirty
-		g.closeTxn(addr)
-		if g.table != nil {
-			g.table.drop(addr)
-		}
+		g.closeTxn(l)
+		g.drop(addr)
 		g.closeCrossingSpan(t, addr, "put-consumed-by-recall")
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
 		done(data, dirty, true)
@@ -119,8 +116,9 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 		return
 	}
 	ht := newHostTxn(expect, done)
-	g.hosts[addr] = ht
-	g.wake(addr) // a parked Put resolves the recall it now races
+	l := g.workFor(addr)
+	l.work.recall = ht
+	g.wake(l) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
 		ht.span = g.newSpanID()
@@ -160,7 +158,7 @@ func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, deadline sim.Time,
 	ht.gen++
 	gen := ht.gen
 	g.eng.Schedule(deadline, func() {
-		if ht.closed || ht.gen != gen || g.hosts[addr] != ht {
+		if l := g.lines[addr]; ht.closed || ht.gen != gen || !hasWork(l) || l.work.recall != ht {
 			return
 		}
 		if attempt < g.cfg.RecallRetries {
@@ -204,28 +202,26 @@ func (g *Guard) recallTimeout(addr mem.Addr, ht *hostTxn) {
 	if ht.closed {
 		return
 	}
-	g.closeRecall(addr, ht, "timeout")
+	g.closeRecall(g.lines[addr], ht, "timeout")
 	// Prefer the trusted copy when Full State kept one; otherwise a zero
 	// block keeps the host protocol moving.
 	g.answerFromTrusted(addr, ht)
-	if g.table != nil {
-		g.table.drop(addr)
-	}
 }
 
 // resolveRecallByPut handles the legitimate Put/Inv race (§2.1): the
 // accelerator's Put and the guard's Invalidate crossed on the ordered
 // link. The Put data answers the host; the accelerator's InvAck (sent
 // from B) will be consumed silently.
-func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg) {
+func (g *Guard) resolveRecallByPut(l *line, ht *hostTxn, m *coherence.Msg) {
+	addr := l.addr
 	if ht.closed {
 		// Recall already satisfied (e.g. by timeout); treat the Put as
 		// a plain writeback-to-nowhere: ack the accelerator.
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 		return
 	}
-	g.closeRecall(addr, ht, "put-race")
-	g.ignoreInvAck[addr]++
+	l.ignoreInvAck++ // before the close: the owed InvAck keeps the line
+	g.closeRecall(l, ht, "put-race")
 	data := m.Data // read by the completion callbacks before m goes back
 	dirty := data != nil && m.Type == coherence.APutM
 	// Guarantee 2a for the race path, mirroring validateResponse: if the
@@ -246,9 +242,7 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 		g.violation("XG.G2a", fmt.Sprintf("racing %v carries data for a block held only in S", m.Type), addr)
 		data, dirty = nil, false
 	}
-	if g.table != nil {
-		g.table.drop(addr)
-	}
+	g.drop(addr)
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
 	ht.complete(data, dirty, true)
 }
@@ -258,11 +252,12 @@ func (g *Guard) resolveRecallByPut(addr mem.Addr, ht *hostTxn, m *coherence.Msg)
 // becomes the span-end payload; the recall's total duration — and, for
 // recalls that needed watchdog retries, the tail past the first retry —
 // feeds the anatomy histograms.
-func (g *Guard) closeRecall(addr mem.Addr, ht *hostTxn, reason string) {
+func (g *Guard) closeRecall(l *line, ht *hostTxn, reason string) {
+	addr := l.addr
 	ht.closed = true
 	ht.gen++ // invalidate any armed watchdog generation
-	delete(g.hosts, addr)
-	g.wake(addr)
+	l.work.recall = nil
+	g.closed(l)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
 		if ht.retryAt != 0 {
@@ -283,28 +278,24 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 		g.obsReg.Counter("guard.quarantine.dropped").Inc()
 		return
 	}
-	if m.Type == coherence.AInvAck && g.ignoreInvAck[addr] > 0 {
+	l := g.lines[addr]
+	if m.Type == coherence.AInvAck && l != nil && l.ignoreInvAck > 0 {
 		// The InvAck a correct accelerator sends from B after the
 		// Put/Inv race; already resolved.
-		if g.ignoreInvAck[addr] == 1 {
-			delete(g.ignoreInvAck, addr)
-		} else {
-			g.ignoreInvAck[addr]--
-		}
+		l.ignoreInvAck--
+		g.settle(l)
 		return
 	}
-	ht, ok := g.hosts[addr]
-	if !ok {
+	if !hasRecall(l) {
 		// Guarantee 2b: responses are only valid against a pending host
 		// request; block and report.
 		g.violation("XG.G2b", fmt.Sprintf("%v with no pending host request", m.Type), addr)
 		return
 	}
+	ht := l.work.recall
 	data, dirty, errCode := g.validateResponse(addr, ht, m)
-	g.closeRecall(addr, ht, "response")
-	if g.table != nil {
-		g.table.drop(addr)
-	}
+	g.closeRecall(l, ht, "response")
+	g.drop(addr)
 	if errCode != "" {
 		g.violation(errCode, fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)
 	}

@@ -83,8 +83,8 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 		t.Fatalf("stale timer charged the later recall: Timeouts=%d errors=%d",
 			r.g.Timeouts, r.g.Errors())
 	}
-	if len(r.g.hosts) != 0 {
-		t.Fatalf("%d host transactions left open", len(r.g.hosts))
+	if openRecalls(r.g) != 0 {
+		t.Fatalf("%d host transactions left open", openRecalls(r.g))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestRecallRetriesExhaustedSingleTimeout(t *testing.T) {
 	if calls != 1 || gotData == nil {
 		t.Fatalf("done calls=%d data=%v, want one zero-block answer", calls, gotData)
 	}
-	if len(r.g.hosts) != 0 {
+	if openRecalls(r.g) != 0 {
 		t.Fatal("timed-out recall left open")
 	}
 }
@@ -231,8 +231,8 @@ func TestQuarantineResolvesOpenRecallsInOrder(t *testing.T) {
 	if len(order) != 2 || order[0] != 0x40 || order[1] != 0x80 {
 		t.Fatalf("recalls resolved in order %v, want [0x40 0x80]", order)
 	}
-	if len(r.g.hosts) != 0 {
-		t.Fatalf("%d recalls left open after quarantine", len(r.g.hosts))
+	if openRecalls(r.g) != 0 {
+		t.Fatalf("%d recalls left open after quarantine", openRecalls(r.g))
 	}
 	r.eng.RunUntilQuiet()
 	if r.g.Timeouts != 0 {
@@ -260,9 +260,9 @@ func TestQuarantineGrantRaceKeepsTrustedCopy(t *testing.T) {
 	if len(r.accel.got) != sent {
 		t.Fatalf("grant under quarantine reached the accelerator: %v", r.lastToAccel())
 	}
-	if r.g.TableEntries() != 1 || r.g.table.copies() != 1 {
+	if r.g.TableEntries() != 1 || tableCopies(r.g) != 1 {
 		t.Fatalf("trusted copy not kept: entries=%d copies=%d",
-			r.g.TableEntries(), r.g.table.copies())
+			r.g.TableEntries(), tableCopies(r.g))
 	}
 	// The trusted copy now answers recalls with the granted data.
 	var gotData *mem.Block
@@ -288,9 +288,9 @@ func TestQuarantineGrantRaceSharedKeepsNoCopy(t *testing.T) {
 	blk[3] = 7
 	r.g.granted(0x40, GrantS, &blk, false)
 	r.eng.RunUntilQuiet()
-	if r.g.TableEntries() != 1 || r.g.table.copies() != 0 {
+	if r.g.TableEntries() != 1 || tableCopies(r.g) != 0 {
 		t.Fatalf("shared grant claim: entries=%d copies=%d, want 1/0",
-			r.g.TableEntries(), r.g.table.copies())
+			r.g.TableEntries(), tableCopies(r.g))
 	}
 	// A later forward recalls the line and must get an ack, never data.
 	called := false
@@ -350,8 +350,8 @@ func TestRecallCoalescing(t *testing.T) {
 	if firstData == nil || secondData == nil || firstData[0] != 0x5A || secondData[0] != 0x5A {
 		t.Fatalf("coalesced waiters got %v / %v, want the single response's data", firstData, secondData)
 	}
-	if len(r.g.hosts) != 0 {
-		t.Fatalf("%d recalls left open", len(r.g.hosts))
+	if openRecalls(r.g) != 0 {
+		t.Fatalf("%d recalls left open", openRecalls(r.g))
 	}
 	if r.g.Errors() != 0 {
 		t.Fatalf("violations = %d, want 0", r.g.Errors())

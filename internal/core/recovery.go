@@ -101,7 +101,7 @@ func (g *Guard) scheduleRecovery(addr mem.Addr) {
 	}
 	g.eng.Schedule(delay, func() {
 		g.recoveryPhase("backoff")
-		g.recoveryDrainWait()
+		g.recoveryWhenIdle(g.recoveryDrainTable)
 	})
 }
 
@@ -121,19 +121,21 @@ func (g *Guard) recoveryPhase(ended string) {
 	g.spanEvent(obs.KindSpanPhase, g.recoverySpan, 0, 0, ended)
 }
 
-// recoveryDrainWait polls until every in-flight transaction has settled:
+// recoveryWhenIdle polls until nothing is outstanding, then runs next.
+// Before the table flush that is every in-flight transaction settling:
 // open accelerator transactions close as their host halves complete
 // (granted/putDone run their quarantine paths), requests parked behind
 // them are woken and run to their own end, open recalls were resolved by
-// the fence, and the shim's own host transactions must retire before the
-// table flush — otherwise a straggling grant could
-// repopulate the table after the flush walked it.
-func (g *Guard) recoveryDrainWait() {
-	if len(g.txns) > 0 || len(g.hosts) > 0 || g.shim.outstanding() > 0 || g.parkedNow > 0 {
-		g.eng.Schedule(recoveryPoll, g.recoveryDrainWait)
+// the fence, and the host gets and writebacks retire — otherwise a
+// straggling grant could repopulate the table after the flush walked it.
+// Before the reset it is the drain's writebacks retiring (and any request
+// that parked behind one being woken).
+func (g *Guard) recoveryWhenIdle(next func()) {
+	if g.Outstanding() > 0 {
+		g.eng.Schedule(recoveryPoll, func() { g.recoveryWhenIdle(next) })
 		return
 	}
-	g.recoveryDrainTable()
+	next()
 }
 
 // recoveryDrainTable returns every line the host still believes this
@@ -144,12 +146,9 @@ func (g *Guard) recoveryDrainWait() {
 // Lines are walked in address order so the drain's message sequence is
 // deterministic.
 func (g *Guard) recoveryDrainTable() {
-	var addrs []mem.Addr
-	if g.table != nil {
-		addrs = sortedAddrs(g.table.blocks)
-	}
-	for _, a := range addrs {
-		e := g.table.lookup(a)
+	lines := g.sortedLines(isResident)
+	for _, e := range lines {
+		a := e.addr
 		if e.host == GrantS {
 			if !g.shim.suppressPutS() {
 				g.shim.putS(a)
@@ -159,26 +158,15 @@ func (g *Guard) recoveryDrainTable() {
 			if e.copy != nil {
 				data, dirty = e.copy, e.dirty
 			}
-			g.shim.drain(a, data, dirty)
+			g.relinquish(a, data, dirty)
 		}
-		g.table.drop(a)
+		g.drop(a)
 	}
-	g.obsReg.Counter("guard.recovery.drained_lines").Add(uint64(len(addrs)))
-	g.obsReg.Counter("guard.recovery.drained_lines" + g.metricSuffix()).Add(uint64(len(addrs)))
-	g.recoveryEvent(0, fmt.Sprintf("drain flushed %d lines", len(addrs)))
+	g.obsReg.Counter("guard.recovery.drained_lines").Add(uint64(len(lines)))
+	g.obsReg.Counter("guard.recovery.drained_lines" + g.metricSuffix()).Add(uint64(len(lines)))
+	g.recoveryEvent(0, fmt.Sprintf("drain flushed %d lines", len(lines)))
 	g.recoveryPhase("drain")
-	g.recoveryResetWait()
-}
-
-// recoveryResetWait polls until the drain writebacks have retired (and
-// any request that parked behind one has been woken), then resets and
-// reintegrates the device.
-func (g *Guard) recoveryResetWait() {
-	if g.shim.outstanding() > 0 || g.parkedNow > 0 {
-		g.eng.Schedule(recoveryPoll, g.recoveryResetWait)
-		return
-	}
-	g.reintegrate()
+	g.recoveryWhenIdle(g.reintegrate)
 }
 
 // reintegrate is the reset + readmission step: the guard epoch is
@@ -189,8 +177,8 @@ func (g *Guard) recoveryResetWait() {
 // dropped as XG.StaleEpoch on arrival.
 func (g *Guard) reintegrate() {
 	if g.parkedNow != 0 {
-		// The maps below are replaced wholesale; a request still parked
-		// in them would be dropped and its sender hang silently.
+		// The table is emptied below; a request still parked in it would
+		// be dropped and its sender hang silently.
 		panic(fmt.Sprintf("%s: reintegrating with %d requests still parked", g.name, g.parkedNow))
 	}
 	g.epoch++

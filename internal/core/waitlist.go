@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/sim"
@@ -10,15 +8,15 @@ import (
 
 // The per-line wait list. The paper's guard holds an accelerator request
 // while the line has an in-flight host transaction or an open recall
-// (§2.1–2.3). A held request is parked here once — one pooled record, no
-// engine event — and every site that changes what it waits on calls wake:
-// the line's accelerator transaction opening or closing (openTxn,
-// closeTxn), a recall opening or closing (startRecall, closeRecall), the
-// shim retiring a host get or put (hammerside.go, mesiside.go), and the
-// error policy disabling the accelerator (wakeAll). wake never re-runs a
-// request itself: the close sites sit in the middle of handlers that are
-// still updating the block table or the shim's maps, so it only queues the
-// line and arms one delay-0 engine event; that event re-runs the line's
+// (§2.1–2.3). A held request is parked once, on its line's open-work record
+// — one pooled record, no engine event — and every site that changes what
+// it waits on calls wake: the line's accelerator transaction opening or
+// closing (openTxn, closeTxn), a recall opening or closing (startRecall,
+// closeRecall), a host get or writeback retiring (the shims' response
+// handlers, retirePut), and the error policy disabling the accelerator
+// (wakeAll). wake never re-runs a request itself: the close sites sit in
+// the middle of handlers that are still updating the line, so it only queues
+// the line and arms one delay-0 engine event; that event re-runs the line's
 // parked requests, in arrival order, through processAccelRequest — the
 // same checks a fresh arrival gets, so a woken request may be accepted,
 // resolve a recall, be reported, or park again.
@@ -27,7 +25,7 @@ import (
 type parkedReq struct {
 	m      *coherence.Msg
 	arrive sim.Time   // original arrival tick, kept across the wait
-	next   *parkedReq // FIFO link while parked, free-list link otherwise
+	next   *parkedReq // FIFO link while parked
 }
 
 // waitQueue is one line's parked requests in arrival order. queued marks
@@ -42,64 +40,44 @@ type waitQueue struct {
 // park keeps m until something it waits on changes.
 func (g *Guard) park(addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
 	m.Keep()
-	p := g.freePark
-	if p != nil {
-		g.freePark = p.next
-		p.next = nil
-	} else {
-		p = new(parkedReq)
-	}
+	p := g.freePark.get()
 	p.m, p.arrive = m, arrive
-	q := g.parked[addr]
+	q := &g.workFor(addr).work.wait
 	if q.tail == nil {
 		q.head = p
 	} else {
 		q.tail.next = p
 	}
 	q.tail = p
-	g.parked[addr] = q
 	g.parkedNow++
 	g.Parked++
 }
 
-// wake queues addr's parked requests, if any, for a re-run later this
-// tick.
-func (g *Guard) wake(addr mem.Addr) {
-	if g.parkedNow == 0 {
+// wake queues l's parked requests, if any, for a re-run later this tick.
+func (g *Guard) wake(l *line) {
+	if g.parkedNow == 0 || l.work == nil {
 		return
 	}
-	q, ok := g.parked[addr]
-	if !ok || q.queued {
+	q := &l.work.wait
+	if q.head == nil || q.queued {
 		return
 	}
 	q.queued = true
-	g.parked[addr] = q
-	g.ready = append(g.ready, addr)
+	g.ready = append(g.ready, l.addr)
 	if !g.wakeArmed {
 		g.wakeArmed = true
 		g.eng.ScheduleEvent(0, &g.wakeEv)
 	}
 }
 
-// wakeAll wakes every line with parked requests, in address order (map
-// iteration is randomized; the re-run order must not be).
+// wakeAll wakes every line with parked requests, in address order.
 func (g *Guard) wakeAll() {
 	if g.parkedNow == 0 {
 		return
 	}
-	for _, a := range sortedAddrs(g.parked) {
-		g.wake(a)
+	for _, l := range g.sortedLines(hasParked) {
+		g.wake(l)
 	}
-}
-
-// sortedAddrs returns m's keys in address order.
-func sortedAddrs[V any](m map[mem.Addr]V) []mem.Addr {
-	addrs := make([]mem.Addr, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	return addrs
 }
 
 // runWoken is the wake event: it re-runs the parked requests of every
@@ -109,12 +87,12 @@ func sortedAddrs[V any](m map[mem.Addr]V) []mem.Addr {
 func (g *Guard) runWoken() {
 	for i := 0; i < len(g.ready); i++ {
 		addr := g.ready[i]
-		q := g.parked[addr]
-		delete(g.parked, addr)
+		w := g.lines[addr].work // a queued line has parked requests, which keep it
+		q := w.wait
+		w.wait = waitQueue{}
 		for p := q.head; p != nil; {
 			m, arrive, next := p.m, p.arrive, p.next
-			p.m, p.next = nil, g.freePark
-			g.freePark = p
+			g.freePark.put(p)
 			g.parkedNow--
 			g.Woken++
 			// The re-run is a delivery of a kept message: m goes back to
@@ -123,6 +101,11 @@ func (g *Guard) runWoken() {
 			g.processAccelRequest(m, arrive)
 			g.fab.EndRecv(m)
 			p = next
+		}
+		// A line whose requests all left without opening anything (reported
+		// or dropped) may have nothing left to keep it.
+		if l := g.lines[addr]; l != nil {
+			g.settle(l)
 		}
 	}
 	g.ready = g.ready[:0]

@@ -80,8 +80,8 @@ func newShimRig(host string) (*sim.Engine, *Guard) {
 // acceptedAt reports the tick waitLine's open accelerator transaction was
 // accepted at, and its kind (ok=false when none is open).
 func acceptedAt(g *Guard) (at sim.Time, kind coherence.MsgType, ok bool) {
-	t, ok := g.txns[waitLine]
-	if !ok {
+	t := g.txnAt(waitLine)
+	if t == nil {
 		return 0, 0, false
 	}
 	return t.start, t.kind, true
@@ -163,7 +163,7 @@ func TestWakeEdges(t *testing.T) {
 		{
 			name: "parked Put resolves a recall opened after it parked",
 			setup: func(r *coreRig) {
-				r.shim.busyLines = map[mem.Addr]bool{waitLine: true}
+				r.g.relinquish(waitLine, mem.Zero(), true) // a host writeback in flight
 				r.g.Recv(accelMsg(coherence.APutM, waitLine, mem.Zero()))
 			},
 			closing: func(r *coreRig) {
@@ -177,8 +177,8 @@ func TestWakeEdges(t *testing.T) {
 					t.Fatalf("recall resolved at tick %d (viaPut=%v), want tick %d by the parked Put",
 						resolvedAt, resolvedViaPut, closeAt)
 				}
-				if len(r.g.hosts) != 0 || len(r.g.txns) != 0 {
-					t.Fatalf("%d recalls, %d transactions left open", len(r.g.hosts), len(r.g.txns))
+				if openRecalls(r.g) != 0 || openTxns(r.g) != 0 {
+					t.Fatalf("%d recalls, %d transactions left open", openRecalls(r.g), openTxns(r.g))
 				}
 			},
 		},
@@ -239,7 +239,7 @@ func TestWakeEdges(t *testing.T) {
 				t.Fatalf("after the closing tick: %d parked, Parked=%d Woken=%d",
 					r.g.ParkedNow(), r.g.Parked, r.g.Woken)
 			}
-			if n := len(r.g.parked); n != 0 {
+			if n := parkedLines(r.g); n != 0 {
 				t.Fatalf("wait list still has %d lines", n)
 			}
 		})
@@ -254,13 +254,13 @@ func TestWakeEdges(t *testing.T) {
 		reply      *coherence.Msg
 	}{
 		{"shim Put retired by WBAck (hammer)", "hammer",
-			func(g *Guard) { g.shim.drain(waitLine, mem.Zero(), true) },
+			func(g *Guard) { g.relinquish(waitLine, mem.Zero(), true) },
 			&coherence.Msg{Type: coherence.HWBAck, Addr: waitLine, Src: 10, Dst: 40}},
 		{"shim Put retired by Nack (hammer)", "hammer",
-			func(g *Guard) { g.shim.drain(waitLine, mem.Zero(), true) },
+			func(g *Guard) { g.relinquish(waitLine, mem.Zero(), true) },
 			&coherence.Msg{Type: coherence.HNack, Addr: waitLine, Src: 10, Dst: 40}},
 		{"shim Put retired by WBAck (mesi)", "mesi",
-			func(g *Guard) { g.shim.drain(waitLine, mem.Zero(), true) },
+			func(g *Guard) { g.relinquish(waitLine, mem.Zero(), true) },
 			&coherence.Msg{Type: coherence.MWBAck, Addr: waitLine, Src: 10, Dst: 40}},
 		// A host get in flight with a request parked behind it is a state no
 		// event can observe (the shim retires the get and the guard closes
@@ -284,7 +284,7 @@ func TestWakeEdges(t *testing.T) {
 			}
 			if c.reply.Type == coherence.HMemData || c.reply.Type == coherence.MDataS {
 				// granted needs a transaction to close; see the case comment.
-				g.txns[waitLine] = &accelTxn{kind: coherence.AGetM}
+				g.workFor(waitLine).work.txn = &accelTxn{kind: coherence.AGetM}
 			}
 			eng.Schedule(closeAt, func() { g.Recv(c.reply) })
 			eng.RunUntil(closeAt - 1)
@@ -309,11 +309,12 @@ func TestWakeEdges(t *testing.T) {
 // reintegration refuses to run over one.
 func TestParkedRequestIsOutstanding(t *testing.T) {
 	r := newRecallRig(Transactional, Config{GuardLat: 1})
-	r.shim.busyLines = map[mem.Addr]bool{waitLine: true}
+	r.g.relinquish(waitLine, mem.Zero(), true) // a host writeback in flight
+	before := r.g.Outstanding()
 	r.g.Recv(accelMsg(coherence.AGetS, waitLine, nil))
 	r.eng.RunUntilQuiet()
-	if r.g.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d with one parked request, want 1", r.g.Outstanding())
+	if r.g.Outstanding() != before+1 {
+		t.Fatalf("Outstanding = %d with one parked request, want %d", r.g.Outstanding(), before+1)
 	}
 	defer func() {
 		if recover() == nil {

@@ -23,6 +23,8 @@ import "crossingguard/internal/sim"
 // CState is the per-line state of a private cache.
 type CState int
 
+// The MOESI stable states (CI..CM), then the transients, named for the
+// stable state left and the one headed for.
 const (
 	CI CState = iota
 	CS
@@ -46,6 +48,7 @@ var cStateNames = [...]string{
 	CMI: "MI", COI: "OI", CEI: "EI", CII: "II",
 }
 
+// String returns the state's protocol-table name ("I", "SM", ...).
 func (s CState) String() string { return cStateNames[s] }
 
 // Stable reports whether s is a MOESI stable state.

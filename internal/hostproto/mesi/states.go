@@ -23,6 +23,7 @@ import (
 // L1State is the per-line state of a private L1.
 type L1State int
 
+// The MESI stable states (L1I..L1M), then the transients.
 const (
 	L1I L1State = iota
 	L1S
@@ -45,6 +46,7 @@ var l1StateNames = [...]string{
 	L1SMad: "SM_AD", L1SMa: "SM_A", L1MIa: "MI_A", L1IIa: "II_A",
 }
 
+// String returns the state's protocol-table name ("I", "IM_AD", ...).
 func (s L1State) String() string { return l1StateNames[s] }
 
 // Stable reports whether s is one of the four MESI stable states.
@@ -61,6 +63,7 @@ const (
 	L2MT
 )
 
+// String returns "SS" or "MT".
 func (s L2State) String() string {
 	if s == L2SS {
 		return "SS"

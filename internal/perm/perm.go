@@ -24,6 +24,7 @@ const (
 	ReadWrite
 )
 
+// String returns the right's name ("None", "ReadOnly", "ReadWrite").
 func (a Access) String() string {
 	switch a {
 	case None:
