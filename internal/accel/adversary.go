@@ -148,6 +148,13 @@ type Adversary struct {
 	burstLeft    int
 	correctSteps int
 
+	// left is the self-initiated steps still to take and stepEv the step
+	// event, bound once; replies are the recall responses waiting out their
+	// delay. A step or a reply schedules no closure.
+	left    int
+	stepEv  sim.Timed
+	replies sim.Deferred[advReply]
+
 	// Sent counts self-initiated messages; Grants / WBAcks / Invs /
 	// Nacks count guard traffic observed; StaleDrops counts guard
 	// messages dropped for carrying an outdated epoch; Resets counts
@@ -179,7 +186,10 @@ func NewAdversary(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric,
 		stale: make(map[mem.Addr]*mem.Block),
 	}
 	fab.Register(a)
-	a.eng.Schedule(1, func() { a.step(cfg.Budget) })
+	a.left = cfg.Budget
+	a.stepEv.Fn = a.step
+	a.replies.Bind(eng, a.sendReply)
+	a.eng.ScheduleEvent(1, &a.stepEv)
 	return a
 }
 
@@ -250,8 +260,8 @@ func (a *Adversary) Recv(m *coherence.Msg) {
 // step is the self-initiated driver: one action, then reschedule until
 // the budget is spent. Every model keeps the gap deterministic in
 // [1, Gap].
-func (a *Adversary) step(left int) {
-	if left <= 0 {
+func (a *Adversary) step() {
+	if a.left <= 0 {
 		return
 	}
 	switch a.cfg.Model {
@@ -271,7 +281,8 @@ func (a *Adversary) step(left int) {
 		// Nothing: an idle slot initiates no traffic at all.
 	}
 	gap := sim.Time(a.rng.Int63n(int64(a.cfg.Gap))) + 1
-	a.eng.Schedule(gap, func() { a.step(left - 1) })
+	a.left--
+	a.eng.ScheduleEvent(gap, &a.stepEv)
 }
 
 // stepFlapper alternates phases: behave correctly, then burst stray
@@ -462,18 +473,26 @@ func (a *Adversary) respond(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 	if delay <= 0 {
 		delay = 1
 	}
-	epoch := a.epoch
-	a.eng.Schedule(delay, func() { a.sendEpoch(ty, addr, data, dirty, epoch) })
+	a.replies.After(delay, advReply{ty, addr, data, dirty, a.epoch})
+}
+
+// advReply is one recall response waiting out its delay.
+type advReply struct {
+	ty    coherence.MsgType
+	addr  mem.Addr
+	data  *mem.Block
+	dirty bool
+	epoch uint32
 }
 
 func (a *Adversary) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) {
-	a.sendEpoch(ty, addr, data, dirty, a.epoch)
+	a.sendReply(advReply{ty, addr, data, dirty, a.epoch})
 }
 
-func (a *Adversary) sendEpoch(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool, epoch uint32) {
+func (a *Adversary) sendReply(r advReply) {
 	a.Sent++
-	a.fab.Send(&coherence.Msg{Type: ty, Addr: addr, Src: a.id, Dst: a.xg, Data: data, Dirty: dirty,
-		Epoch: epoch})
+	a.fab.Send(&coherence.Msg{Type: r.ty, Addr: r.addr, Src: a.id, Dst: a.xg, Data: r.data, Dirty: r.dirty,
+		Epoch: r.epoch})
 }
 
 func (a *Adversary) pick() mem.Addr {

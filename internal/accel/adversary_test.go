@@ -7,6 +7,7 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
+	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
 
@@ -109,6 +110,39 @@ func TestAdversaryDeterministic(t *testing.T) {
 			if sg1.log[i] != sg2.log[i] {
 				t.Fatalf("%v: message %d diverged: %q vs %q", m, i, sg1.log[i], sg2.log[i])
 			}
+		}
+	}
+}
+
+// The self-initiated driver schedules no closure: a thousand steps of an
+// idle slot allocate nothing once the engine's free list has filled, and a
+// recall response waiting out its delay costs only the forged message, which
+// is the adversary's by the lifetime rule and never pooled.
+func TestAdversaryStepAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eng := sim.NewEngine()
+	fab := network.NewFabric(eng, 1, network.Config{Latency: 1})
+	fab.Register(&muteGuard{id: 40})
+	adv := NewAdversary(200, 40, eng, fab, AdvConfig{
+		Model: AdvIdle, Seed: 1, Pool: []mem.Addr{0x1000}, Budget: 1 << 30, Gap: 1,
+	})
+	inv := &coherence.Msg{Type: coherence.AInv, Addr: 0x1000, Src: 40, Dst: 200}
+	for _, invs := range []int{0, 4} {
+		round := func() {
+			before := eng.Executed
+			for i := 0; i < invs; i++ {
+				adv.Recv(inv) // answered one tick later
+			}
+			eng.RunUntil(eng.Now() + 1000) // Gap 1: one step per tick
+			if steps := int(eng.Executed-before) - 2*invs; steps != 1000 {
+				t.Fatalf("%d steps in 1000 ticks, want 1000", steps)
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(10, round); allocs != float64(invs) {
+			t.Fatalf("1000 idle steps and %d recall responses allocated %v objects, want %d", invs, allocs, invs)
 		}
 	}
 }

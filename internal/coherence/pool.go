@@ -177,8 +177,8 @@ func (p *Pool) release(m *Msg) {
 }
 
 // Disown takes m out of the pool for good: the collector owns it from
-// here. The fabric disowns what a fault interceptor handled — one pointer
-// may then be delivered twice, or stand beside a corrupted copy of itself.
+// here. The fabric disowns a message a fault interceptor has it deliver
+// twice, or beside a corrupted copy of itself.
 func (p *Pool) Disown(m *Msg) {
 	if m.pooled() {
 		m.life = lifeNone

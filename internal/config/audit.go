@@ -170,9 +170,9 @@ func (s *System) Audit() error {
 // cache lines and guard tables. A leak is only a performance bug — the
 // collector still owns whatever the pool lost track of — but this is where
 // it gets noticed. Three kinds of machine are exempt, because they lose
-// messages by design: one with a fault injector (what the interceptor
-// handled left the pool for good, and a dropped message's transaction
-// never closes), one with a quarantined guard (the fenced device's open
+// messages by design: one with a fault injector (a message delivered
+// twice or beside a corrupted copy left the pool for good, and a dropped
+// message's transaction never closes), one with a quarantined guard (the fenced device's open
 // transactions, and the requests kept behind them, never finish), and one
 // whose device was reset (Reset drops tables full of kept messages and
 // whole caches of blocks for the collector).

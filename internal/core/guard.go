@@ -72,9 +72,9 @@ const (
 
 // hostShim is the host-protocol-specific half of Crossing Guard. The
 // guard core calls down; the shim calls back (finishGet, retirePut,
-// startRecall). Shims also receive all host-protocol messages. A block
-// passed either way is a loan for the call: whoever needs it longer
-// copies it into a record of its own.
+// startRecall, whose completion comes back down as resume). Shims also
+// receive all host-protocol messages. A block passed either way is a loan
+// for the call: whoever needs it longer copies it into a record of its own.
 //
 // The core owns every per-line record — a shim has no table — and with it
 // "is this line busy", what is outstanding, and the life of a host
@@ -98,6 +98,11 @@ type hostShim interface {
 	suppressPutS() bool
 	// recv handles a host-protocol message.
 	recv(m *coherence.Msg)
+	// resume finishes what the shim was doing when it had to recall addr
+	// from the accelerator first (startRecall): c is the continuation it
+	// left, data the recovered block (nil when the accelerator held none)
+	// and viaPut whether a racing Put resolved the recall.
+	resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool)
 }
 
 // Config parameterizes a Crossing Guard instance.
@@ -176,6 +181,15 @@ type Guard struct {
 	lines     map[mem.Addr]*line
 	freeLines recPool[line]
 	freeWork  recPool[lineWork]
+
+	// serial stamps every opening of a transaction or recall and every
+	// arming of a recall watchdog; it only counts up, so no two ever share
+	// a value (timer). timers holds the guard's short deferred actions and
+	// watchdogs the Guarantee 2c deadlines, one lane per retry attempt:
+	// attempt n waits Timeout<<n.
+	serial    uint64
+	timers    sim.Deferred[timer]
+	watchdogs []sim.Lane[deadline]
 
 	// accelTag is the device label stamped on this guard's trace events
 	// and per-accelerator metric names (0 for the first/only device, so
@@ -269,9 +283,13 @@ type Guard struct {
 	mSpanRetry    [2]*obs.Histogram
 }
 
-// accelTxn is an open accelerator-initiated transaction.
+// accelTxn is an open accelerator-initiated transaction. It lives in its
+// line's open-work record and is recycled with it.
 type accelTxn struct {
-	kind coherence.MsgType // AGetS, AGetM, APutM, APutE, APutS
+	// serial is nonzero while the transaction is open: the serial of its
+	// opening, which its dispatch timer carries.
+	serial uint64
+	kind   coherence.MsgType // AGetS, AGetM, APutM, APutE, APutS
 	// data is the Put payload held at the guard: the transaction's own
 	// block, given back when the transaction closes.
 	data  *mem.Block
@@ -286,24 +304,22 @@ type accelTxn struct {
 	fwd    sim.Time
 }
 
-// hostTxn is an open host-initiated recall toward the accelerator.
+// hostTxn is an open host-initiated recall toward the accelerator, in its
+// line's open-work record like the accelTxn.
 type hostTxn struct {
+	// serial is nonzero while the recall is open: the serial of its opening
+	// or, once a watchdog is armed, of the latest arming — so a superseded
+	// 2c timer is as inert as one whose recall has closed.
+	serial   uint64
 	wantData bool
-	expect   Grant // what the guard believes the accelerator holds (Full State)
 	known    bool  // expect is authoritative
-	done     func(data *mem.Block, dirty bool, viaPut bool)
-	// waiters holds the completion callbacks of recalls coalesced onto
-	// this one: later host requests for the same block while this recall
-	// is in flight do not send a second Invalidate — they wait here and
-	// complete from the single response.
-	waiters []func(data *mem.Block, dirty bool, viaPut bool)
-	// gen numbers watchdog armings; a scheduled 2c timer only acts if the
-	// generation it captured is still current (and the txn still open and
-	// still the one registered for its address), so a canceled or
-	// superseded watchdog can never fire against a completed or later
-	// transaction.
-	gen    uint64
-	closed bool
+	expect   Grant // what the guard believes the accelerator holds (Full State)
+	done     recallCont
+	// waiters holds the continuations of recalls coalesced onto this one:
+	// later host requests for the same block while this recall is in flight
+	// do not send a second Invalidate — they wait here and complete from
+	// the single response. The slice's storage stays with the work record.
+	waiters []recallCont
 	// Span tracing (Config.Spans): the recall's span id, its opening
 	// tick, and the tick of the first watchdog retry (0 when the recall
 	// never retried). All zero with spans off.
@@ -312,16 +328,102 @@ type hostTxn struct {
 	retryAt sim.Time
 }
 
-// complete invokes the recall's completion callback plus every coalesced
-// waiter, in arrival order, with the same resolution. data is a loan: a
-// callback only reads it, into the messages it sends and the writeback
-// records it opens, so sharing the pointer is safe.
-func (ht *hostTxn) complete(data *mem.Block, dirty, viaPut bool) {
-	ht.done(data, dirty, viaPut)
-	for _, w := range ht.waiters {
-		w(data, dirty, viaPut)
+// recallCont is what a shim leaves behind when it starts a recall: which of
+// its handlers to finish (kind, the shim's own numbering) and that handler's
+// arguments, by value.
+type recallCont struct {
+	kind uint8
+	getM bool // the host request was a Fwd_GetM
+	// req is the host node whose request caused the recall (the L2 for an
+	// inclusion recall), where most continuations send their answer.
+	req coherence.NodeID
+	// copy is the guard's trusted data, copied when the recall started
+	// because the residency is gone when it completes (recallThenServe):
+	// the continuation's own block, given back once it has run.
+	copy  *mem.Block
+	dirty bool // copy is dirty
+}
+
+// complete resumes the shim handler that started the closed recall ht and
+// every one coalesced onto it, in arrival order, with the same resolution.
+// data is a loan: a continuation only reads it, into the messages it sends
+// and the writeback records it opens, so sharing the pointer is safe. None
+// of them starts a recall, so nothing appends to the waiters' storage —
+// still the work record's, which may be in use again — while it is read.
+func (g *Guard) complete(addr mem.Addr, ht *hostTxn, data *mem.Block, dirty, viaPut bool) {
+	g.resume(addr, ht.done, data, dirty, viaPut)
+	for _, c := range ht.waiters {
+		g.resume(addr, c, data, dirty, viaPut)
 	}
-	ht.waiters = nil
+}
+
+func (g *Guard) resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool) {
+	g.shim.resume(addr, c, data, dirty, viaPut)
+	g.fab.FreeBlock(c.copy)
+}
+
+// timerKind says what a deferred guard action does when its tick comes.
+type timerKind uint8
+
+const (
+	timerGet   timerKind = iota // dispatch an accepted Get to the host shim
+	timerPut                    // dispatch an accepted PutM/PutE as a host writeback
+	timerPutS                   // forward a PutS
+	timerAdmit                  // a rate-limited request's wait is over
+)
+
+// timer is the payload of one deferred guard action, and deadline that of
+// one armed watchdog. One that belongs to a transaction or a recall carries
+// the serial it was armed under and acts only if the record open at addr
+// still has it: a record that has since closed reads 0, and one opened or
+// re-armed since — on the same recycled storage or not, at this address or
+// another — a later serial. Timers are never cancelled; a dead one fires
+// inert at its original tick.
+type timer struct {
+	kind    timerKind
+	getKind GetKind // timerGet
+	addr    mem.Addr
+	serial  uint64
+	arrive  sim.Time       // timerAdmit: the request's arrival tick
+	m       *coherence.Msg // timerAdmit: the request, kept while it waits
+}
+
+type deadline struct {
+	addr    mem.Addr
+	serial  uint64
+	attempt int // Invalidates re-sent so far: the lane it waits on
+}
+
+// fire runs one deferred action.
+func (g *Guard) fire(t timer) {
+	switch t.kind {
+	case timerGet, timerPut:
+		// A recall can consume a buffered Put in the latency window (the
+		// Put/Inv race), in which case nothing reaches the host.
+		txn := g.txnAt(t.addr)
+		if txn == nil || txn.serial != t.serial {
+			return
+		}
+		txn.fwd = g.eng.Now()
+		g.spanEvent(obs.KindSpanPhase, txn.span, t.addr, 0, "check")
+		if t.kind == timerGet {
+			g.shim.get(t.addr, t.getKind)
+		} else {
+			g.writeback(t.addr, txn.data, txn.dirty, true)
+		}
+	case timerPutS:
+		g.shim.putS(t.addr)
+	case timerAdmit:
+		g.fab.BeginRecv(t.m)
+		g.processAccelRequest(t.m, t.arrive)
+		g.fab.EndRecv(t.m)
+	}
+}
+
+// nextSerial returns a serial no opening or arming has had.
+func (g *Guard) nextSerial() uint64 {
+	g.serial++
+	return g.serial
 }
 
 // NewGuard builds the guard core; a shim must be attached with
@@ -332,6 +434,13 @@ func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 		lines: make(map[mem.Addr]*line)}
 	g.wakeEv.Fn = g.runWoken
 	g.stampEpoch = g.stamp
+	g.timers.Bind(eng, g.fire)
+	if cfg.Timeout > 0 {
+		g.watchdogs = make([]sim.Lane[deadline], max(cfg.RecallRetries, 0)+1)
+		for attempt := range g.watchdogs {
+			g.watchdogs[attempt].Bind(eng, cfg.Timeout<<attempt, g.recallDeadline)
+		}
+	}
 	fab.Register(g)
 	return g
 }
@@ -343,9 +452,7 @@ func (g *Guard) resetState() {
 	for a, l := range g.lines {
 		g.fab.FreeBlock(l.copy)
 		if w := l.work; w != nil {
-			if w.txn != nil {
-				g.fab.FreeBlock(w.txn.data)
-			}
+			g.fab.FreeBlock(w.txn.data)
 			g.fab.FreeBlock(w.get.data)
 			g.fab.FreeBlock(w.put.data)
 			g.freeWork.put(w)
@@ -468,9 +575,6 @@ func (g *Guard) staleEpoch(m *coherence.Msg) {
 	}
 }
 
-// after applies the guard's processing latency.
-func (g *Guard) after(fn func()) { g.eng.Schedule(g.cfg.GuardLat, fn) }
-
 // newSpanID allocates the next causal span id for this guard:
 // guard-node<<32|sequence, unique and deterministic across the guards of
 // one machine. Only called with Config.Spans on, so span-free runs never
@@ -508,7 +612,8 @@ func observeSpan(h [2]*obs.Histogram, v float64) {
 // limiting and busy-line deferrals), check (acceptance to host
 // dispatch), grant (host dispatch to completion). A crossing consumed
 // before its dispatch closure ran (the Put/Inv race) has no dispatch
-// tick and contributes only its request phase.
+// tick and contributes only its request phase. t is the caller's copy of the
+// closed transaction.
 func (g *Guard) closeCrossingSpan(t *accelTxn, addr mem.Addr, outcome string) {
 	if !g.cfg.Spans || t.span == 0 {
 		return
@@ -575,16 +680,16 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 	// resolution order must be deterministic). Mirrors recallTimeout's
 	// trusted-state answer without charging additional timeouts.
 	for _, l := range g.sortedLines(hasRecall) {
-		a, ht := l.addr, l.work.recall
+		a := l.addr
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		g.closeRecall(l, ht, "quarantine")
-		g.answerFromTrusted(a, ht)
+		ht := g.closeRecall(l, "quarantine")
+		g.answerFromTrusted(a, &ht)
 	}
 	g.scheduleRecovery(addr)
 }
 
-// answerFromTrusted completes a recall on the accelerator's behalf, and
-// writes the accelerator's copy off (the residency ends): the
+// answerFromTrusted completes the closed recall ht on the accelerator's
+// behalf, and writes the accelerator's copy off (the residency ends): the
 // guard's trusted copy when Full State kept one, a zero-block writeback
 // when the guard knows the accelerator owned the block (the Guarantee 2c
 // substitution), and a plain ack otherwise. The last case matters for
@@ -598,13 +703,13 @@ func (g *Guard) answerFromTrusted(addr mem.Addr, ht *hostTxn) {
 	_, e := g.accelHolds(addr)
 	switch {
 	case !ht.wantData:
-		ht.complete(nil, false, false)
+		g.complete(addr, ht, nil, false, false)
 	case e != nil && e.copy != nil:
-		ht.complete(e.copy, e.dirty, false)
+		g.complete(addr, ht, e.copy, e.dirty, false)
 	case ht.known:
-		ht.complete(&zeroBlock, true, false)
+		g.complete(addr, ht, &zeroBlock, true, false)
 	default:
-		ht.complete(nil, false, false)
+		g.complete(addr, ht, nil, false, false)
 	}
 	g.drop(addr)
 }
@@ -633,11 +738,7 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 		if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
 			g.RateDelayed++
 			m.Keep()
-			g.eng.Schedule(wait, func() {
-				g.fab.BeginRecv(m)
-				g.processAccelRequest(m, arrive)
-				g.fab.EndRecv(m)
-			})
+			g.timers.After(wait, timer{kind: timerAdmit, m: m, arrive: arrive})
 			return
 		}
 	}
@@ -681,18 +782,18 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	if hasWork(l) {
 		w := l.work
 		switch {
-		case w.txn != nil:
+		case w.txn.serial != 0:
 			// Guarantee 1b: at most one outstanding transaction per address.
 			g.ReqsBlocked++
 			g.violation("XG.G1b", fmt.Sprintf("%v while a transaction is already open", m.Type), addr)
 			return
-		case w.recall != nil:
+		case w.recall.serial != 0:
 			// A request racing with an open host recall: only a Put is
 			// meaningful (the legitimate Put/Inv race, §2.1); it resolves
 			// the recall. Gets during a recall are held until it closes.
 			switch m.Type {
 			case coherence.APutM, coherence.APutE, coherence.APutS:
-				g.resolveRecallByPut(l, w.recall, m)
+				g.resolveRecallByPut(l, m)
 			default:
 				g.park(addr, m, arrive)
 			}
@@ -735,11 +836,9 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 
 // forwardRequest opens the transaction synchronously (so that racing
 // host forwards observe it) and dispatches to the host shim after the
-// guard's processing latency. The dispatch re-checks that the very same
-// transaction is still open: a recall can consume a buffered Put in the
-// latency window (the Put/Inv race), in which case nothing reaches the
-// host. With span tracing on, the accepted crossing opens its span here
-// and marks the check-phase end at dispatch.
+// guard's processing latency (fire), if the very same transaction is still
+// open then. With span tracing on, the accepted crossing opens its span
+// here and marks the check-phase end at dispatch.
 //
 // data is the Put payload, on loan from the request message: the
 // transaction copies it into a block of its own, which the shim's
@@ -749,8 +848,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 	g.mPassAccel.Inc()
 	switch ty {
 	case coherence.AGetS, coherence.AGetM:
-		t := &accelTxn{kind: ty, start: g.eng.Now(), arrive: arrive}
-		g.openTxn(addr, t)
+		t := g.openTxn(addr, ty, arrive)
 		kind := GetExcl
 		if ty == coherence.AGetS {
 			kind = GetShared
@@ -763,24 +861,11 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 				kind = GetSharedOnly
 			}
 		}
-		g.after(func() {
-			if g.txnAt(addr) == t {
-				t.fwd = g.eng.Now()
-				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
-				g.shim.get(addr, kind)
-			}
-		})
+		g.timers.After(g.cfg.GuardLat, timer{kind: timerGet, getKind: kind, addr: addr, serial: t.serial})
 	case coherence.APutM, coherence.APutE:
-		t := &accelTxn{kind: ty, data: g.fab.CopyBlock(data), dirty: ty == coherence.APutM,
-			start: g.eng.Now(), arrive: arrive}
-		g.openTxn(addr, t)
-		g.after(func() {
-			if g.txnAt(addr) == t {
-				t.fwd = g.eng.Now()
-				g.spanEvent(obs.KindSpanPhase, t.span, addr, 0, "check")
-				g.writeback(addr, t.data, t.dirty, true)
-			}
-		})
+		t := g.openTxn(addr, ty, arrive)
+		t.data, t.dirty = g.fab.CopyBlock(data), ty == coherence.APutM
+		g.timers.After(g.cfg.GuardLat, timer{kind: timerPut, addr: addr, serial: t.serial})
 	case coherence.APutS:
 		if g.shim.suppressPutS() {
 			// Host evicts shared blocks silently; drop the message
@@ -788,29 +873,33 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 			g.PutSSuppressed++
 		} else {
 			g.PutSForwarded++
-			g.after(func() { g.shim.putS(addr) })
+			g.timers.After(g.cfg.GuardLat, timer{kind: timerPutS, addr: addr})
 		}
 		g.drop(addr)
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
 	}
 }
 
-// openTxn registers an accepted request as the line's open transaction
-// and, with span tracing on, opens its crossing span.
-func (g *Guard) openTxn(addr mem.Addr, t *accelTxn) {
+// openTxn registers an accepted request as the line's open transaction,
+// under a fresh serial, and, with span tracing on, opens its crossing span.
+// The record is the line's until closeTxn.
+func (g *Guard) openTxn(addr mem.Addr, kind coherence.MsgType, arrive sim.Time) *accelTxn {
 	l := g.workFor(addr)
-	l.work.txn = t
+	t := &l.work.txn
+	*t = accelTxn{serial: g.nextSerial(), kind: kind, start: g.eng.Now(), arrive: arrive}
 	g.wake(l)
 	if g.cfg.Spans {
 		t.span = g.newSpanID()
-		g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+t.kind.String())
+		g.spanEvent(obs.KindSpanBegin, t.span, addr, 0, "crossing "+kind.String())
 	}
+	return t
 }
 
 // closeTxn retires l's open accelerator transaction and wakes the
-// requests parked behind it.
+// requests parked behind it. The record may be recycled at once: a caller
+// that still needs it, or must free its block, copies it first.
 func (g *Guard) closeTxn(l *line) {
-	l.work.txn = nil
+	l.work.txn = accelTxn{}
 	g.closed(l)
 }
 
@@ -821,7 +910,7 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 	if !hasTxn(l) {
 		panic(fmt.Sprintf("%s: host grant for %v with no transaction", g.name, addr))
 	}
-	t := l.work.txn
+	t := l.work.txn // a copy: the record goes with closeTxn
 	if data == nil {
 		data = &zeroBlock
 	}
@@ -847,7 +936,7 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 	}
 	g.closeTxn(l)
 	if g.Quarantined {
-		g.closeCrossingSpan(t, addr, "grant-quarantined")
+		g.closeCrossingSpan(&t, addr, "grant-quarantined")
 		return
 	}
 	var ty coherence.MsgType
@@ -868,7 +957,7 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		})
 	}
 	if t.span != 0 { // the outcome string is only built for a live span
-		g.closeCrossingSpan(t, addr, "grant "+accelLevel.String())
+		g.closeCrossingSpan(&t, addr, "grant "+accelLevel.String())
 	}
 	g.sendToAccelAfter(ty, addr, data, t.span)
 }
@@ -881,20 +970,19 @@ func (g *Guard) putDone(addr mem.Addr) {
 		// The transaction may have been closed by a racing recall.
 		return
 	}
-	t := l.work.txn
+	t := l.work.txn // a copy: the record goes with closeTxn
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
 	g.fab.FreeBlock(t.data)
-	t.data = nil
 	g.closeTxn(l)
 	g.drop(addr)
 	if g.Quarantined {
 		// Writeback completed after the fence; the data is safely with the
 		// host, but the fenced accelerator gets no ack (it would be nacked
 		// if it asked again anyway).
-		g.closeCrossingSpan(t, addr, "wback-quarantined")
+		g.closeCrossingSpan(&t, addr, "wback-quarantined")
 		return
 	}
-	g.closeCrossingSpan(t, addr, "wback")
+	g.closeCrossingSpan(&t, addr, "wback")
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
 }
 

@@ -22,6 +22,9 @@ type stubShim struct {
 	putSs    []mem.Addr
 	suppress bool
 	received []*coherence.Msg
+	// dones are the completion callbacks of the recalls started through
+	// coreRig.recall, which numbers them in the continuation's req.
+	dones []func(data *mem.Block, dirty, viaPut bool)
 }
 
 func (s *stubShim) get(addr mem.Addr, kind GetKind) {
@@ -34,6 +37,9 @@ func (s *stubShim) put(addr mem.Addr, data *mem.Block, dirty bool) { s.puts = ap
 func (s *stubShim) putS(addr mem.Addr)                             { s.putSs = append(s.putSs, addr) }
 func (s *stubShim) suppressPutS() bool                             { return s.suppress }
 func (s *stubShim) recv(m *coherence.Msg)                          { m.Keep(); s.received = append(s.received, m) }
+func (s *stubShim) resume(_ mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool) {
+	s.dones[c.req](data, dirty, viaPut)
+}
 
 // accelSink collects what the guard sends to the accelerator.
 type accelSink struct {
@@ -71,6 +77,13 @@ func (r *coreRig) fromAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 	r.g.Recv(&coherence.Msg{Type: ty, Addr: addr, Src: 200, Dst: 40, Data: data,
 		Dirty: ty == coherence.APutM || ty == coherence.ADirtyWB})
 	r.eng.RunUntilQuiet()
+}
+
+// recall starts a recall the way a shim does and has done called with its
+// resolution.
+func (r *coreRig) recall(addr mem.Addr, expect viewState, done func(data *mem.Block, dirty, viaPut bool)) {
+	r.shim.dones = append(r.shim.dones, done)
+	r.g.startRecall(addr, expect, recallCont{req: coherence.NodeID(len(r.shim.dones) - 1)})
 }
 
 func (r *coreRig) lastToAccel() *coherence.Msg {
@@ -156,7 +169,7 @@ func TestRecallRaceCorrections(t *testing.T) {
 		r.eng.RunUntilQuiet()
 		var got *mem.Block
 		var viaPut bool
-		r.g.startRecall(0x40, viewM, 0, func(d *mem.Block, dirty, vp bool) { got, viaPut = d, vp })
+		r.recall(0x40, viewM, func(d *mem.Block, dirty, vp bool) { got, viaPut = d, vp })
 		// The racing Put arrives... malformed, with no data.
 		r.fromAccel(coherence.APutM, 0x40, nil)
 		if got == nil {
@@ -175,7 +188,7 @@ func TestRecallRaceCorrections(t *testing.T) {
 		r.g.granted(0x40, GrantS, mem.Zero(), false)
 		r.eng.RunUntilQuiet()
 		var got *mem.Block = mem.Zero()
-		r.g.startRecall(0x40, viewS, 0, func(d *mem.Block, dirty, vp bool) { got = d })
+		r.recall(0x40, viewS, func(d *mem.Block, dirty, vp bool) { got = d })
 		var blk mem.Block
 		blk[0] = 0xbad & 0xff
 		r.fromAccel(coherence.APutM, 0x40, &blk) // S holder injecting data
@@ -192,7 +205,7 @@ func TestRecallRaceCorrections(t *testing.T) {
 		r.g.granted(0x40, GrantM, mem.Zero(), false)
 		r.eng.RunUntilQuiet()
 		var got *mem.Block
-		r.g.startRecall(0x40, viewM, 0, func(d *mem.Block, dirty, vp bool) { got = d })
+		r.recall(0x40, viewM, func(d *mem.Block, dirty, vp bool) { got = d })
 		var blk mem.Block
 		blk[3] = 77
 		r.fromAccel(coherence.APutM, 0x40, &blk)
@@ -220,7 +233,7 @@ func TestRecallTimeoutUsesTrustedCopy(t *testing.T) {
 	r.g.granted(0x1040, GrantE, &blk, false) // degraded + copy kept
 	r.eng.RunUntilQuiet()
 	var got *mem.Block
-	r.g.startRecall(0x1040, viewS, 0, func(d *mem.Block, dirty, vp bool) { got = d })
+	r.recall(0x1040, viewS, func(d *mem.Block, dirty, vp bool) { got = d })
 	// The accelerator never answers; run past the timeout.
 	r.eng.RunUntilQuiet()
 	if r.g.Timeouts != 1 {

@@ -186,32 +186,52 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 			s.ack(addr, r, true)
 			return
 		}
-		s.g.startRecall(addr, viewS, r, func(data *mem.Block, dirty bool, viaPut bool) {
-			if data != nil {
-				// Transactional mode forwarding a (suspicious) writeback:
-				// the requestor tolerates extra data under TxnMods.
-				s.data(addr, r, data, dirty)
-				return
-			}
-			s.ack(addr, r, false)
-		})
+		s.g.startRecall(addr, viewS, recallCont{kind: hammerSharer, req: r})
 	case viewE, viewM:
-		s.recallOwner(addr, view, r, getM)
+		s.g.startRecall(addr, view, recallCont{kind: hammerOwner, getM: getM, req: r})
 	default: // viewUnknown (Transactional)
-		s.g.startRecall(addr, viewUnknown, r, func(data *mem.Block, dirty bool, viaPut bool) {
-			if data == nil {
+		s.g.startRecall(addr, viewUnknown, recallCont{kind: hammerUnknown, getM: getM, req: r})
+	}
+}
+
+// What handleForward was doing when it had to recall the block first.
+const (
+	hammerSharer    uint8 = iota + 1 // Fwd_GetM to a block held in S
+	hammerOwner                      // forward to a block held in E or M
+	hammerUnknown                    // forward to a Transactional guard
+	hammerServeCopy                  // Fwd_GetM to a read-only block the guard owns (serveFromCopy)
+)
+
+// resume answers requestor c.req's forward now that the recall is over.
+func (s *hammerShim) resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, _ bool) {
+	r := c.req
+	switch c.kind {
+	case hammerSharer:
+		if data != nil {
+			// Transactional mode forwarding a (suspicious) writeback:
+			// the requestor tolerates extra data under TxnMods.
+			s.data(addr, r, data, dirty)
+			return
+		}
+		s.ack(addr, r, false)
+	case hammerOwner, hammerUnknown:
+		if data == nil {
+			if c.kind == hammerUnknown {
 				s.ack(addr, r, false)
 				return
 			}
-			s.data(addr, r, data, dirty)
-			if !getM {
-				// The accelerator supplied owner data on a Fwd_GetS; the
-				// interface has no O state, so relinquish (§3.2.1). This
-				// also covers the Put/Inv race, whose Put the guard
-				// consumed rather than forwarded.
-				s.g.relinquish(addr, data, dirty)
-			}
-		})
+			data, dirty = &zeroBlock, true // a known owner must supply data (2a, 2c)
+		}
+		s.data(addr, r, data, dirty)
+		if !c.getM {
+			// The accelerator supplied owner data on a Fwd_GetS; the
+			// interface has no O state, so give ownership back to the
+			// directory (§3.2.1). This also covers the Put/Inv race,
+			// whose Put the guard consumed rather than forwarded.
+			s.g.relinquish(addr, data, dirty)
+		}
+	case hammerServeCopy:
+		s.data(addr, r, c.copy, c.dirty)
 	}
 }
 
@@ -223,22 +243,7 @@ func (s *hammerShim) serveFromCopy(addr mem.Addr, entry *line, r coherence.NodeI
 	}
 	// Fwd_GetM: the accelerator's S copy must die before the writer may
 	// proceed; then the trusted copy answers.
-	s.g.recallThenServe(entry, r, func(d *mem.Block, dirty bool) { s.data(addr, r, d, dirty) })
-}
-
-func (s *hammerShim) recallOwner(addr mem.Addr, view viewState, r coherence.NodeID, getM bool) {
-	s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
-		if data == nil {
-			data, dirty = &zeroBlock, true
-		}
-		s.data(addr, r, data, dirty)
-		if !getM {
-			// No O state in the interface: give ownership back to the
-			// directory (§3.2.1); required equally when the data came
-			// from a consumed racing Put.
-			s.g.relinquish(addr, data, dirty)
-		}
-	})
+	s.g.recallThenServe(entry, recallCont{kind: hammerServeCopy, req: r})
 }
 
 func (s *hammerShim) ack(addr mem.Addr, r coherence.NodeID, shared bool) {

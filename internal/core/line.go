@@ -48,12 +48,14 @@ type line struct {
 	resident     bool
 }
 
-// lineWork is what is open on a line. The two transaction records are
-// allocated per transaction, never recycled: timers armed for one tell it
-// from a later one by identity, and handlers read a record after closing it.
+// lineWork is what is open on a line, recycled as one record. The two
+// transaction records in it are open while their serial is nonzero; a timer
+// tells the one it was armed for from whatever the storage holds later by
+// that serial (timer), and a handler that reads one after closing it reads
+// its own copy.
 type lineWork struct {
-	txn    *accelTxn // open accelerator-initiated transaction (1b)
-	recall *hostTxn  // open host-initiated recall (2b, 2c)
+	txn    accelTxn  // open accelerator-initiated transaction (1b)
+	recall hostTxn   // open host-initiated recall (2b, 2c)
 	get    hostGet   // the shim's open host get
 	put    hostPut   // open host writeback
 	wait   waitQueue // requests parked until one of the above changes
@@ -128,7 +130,7 @@ func (g *Guard) workFor(addr mem.Addr) *line {
 // txnAt returns addr's open accelerator transaction, if any.
 func (g *Guard) txnAt(addr mem.Addr) *accelTxn {
 	if l := g.lines[addr]; hasTxn(l) {
-		return l.work.txn
+		return &l.work.txn
 	}
 	return nil
 }
@@ -176,11 +178,13 @@ func (g *Guard) closed(l *line) {
 // the caller afterwards.
 func (g *Guard) settle(l *line) {
 	if w := l.work; w != nil {
-		if w.txn != nil || w.recall != nil || w.get.open || w.put.open || w.wait.head != nil {
+		if w.txn.serial != 0 || w.recall.serial != 0 || w.get.open || w.put.open || w.wait.head != nil {
 			return
 		}
 		l.work = nil
+		waiters := w.recall.waiters
 		g.freeWork.put(w)
+		w.recall.waiters = waiters // emptied by closeRecall; the storage stays
 	}
 	if !l.resident && l.ignoreInvAck == 0 {
 		delete(g.lines, l.addr)
@@ -218,8 +222,8 @@ func (g *Guard) count(keep func(*line) bool) int {
 func isResident(l *line) bool { return l.resident }
 func hasCopy(l *line) bool    { return l.copy != nil }
 func hasWork(l *line) bool    { return l != nil && l.work != nil }
-func hasTxn(l *line) bool     { return hasWork(l) && l.work.txn != nil }
-func hasRecall(l *line) bool  { return hasWork(l) && l.work.recall != nil }
+func hasTxn(l *line) bool     { return hasWork(l) && l.work.txn.serial != 0 }
+func hasRecall(l *line) bool  { return hasWork(l) && l.work.recall.serial != 0 }
 func hasGet(l *line) bool     { return hasWork(l) && l.work.get.open }
 func hasPut(l *line) bool     { return hasWork(l) && l.work.put.open }
 func hasParked(l *line) bool  { return hasWork(l) && l.work.wait.head != nil }
@@ -254,14 +258,12 @@ func (g *Guard) drop(addr mem.Addr) {
 
 // recallThenServe answers a forward for a read-only block the guard owns
 // (resident line e with a trusted copy) once the accelerator's S copy has
-// died: the recall first, then serve with the trusted data. The residency is
-// gone by then, so the data is copied now and its block given back after.
-func (g *Guard) recallThenServe(e *line, req coherence.NodeID, serve func(data *mem.Block, dirty bool)) {
-	data, dirty := g.fab.CopyBlock(e.copy), e.dirty
-	g.startRecall(e.addr, viewS, req, func(*mem.Block, bool, bool) {
-		serve(data, dirty)
-		g.fab.FreeBlock(data)
-	})
+// died: the recall first, then c serves with the trusted data. The residency
+// is gone by then, so the data is copied into the continuation now and its
+// block given back after (resume).
+func (g *Guard) recallThenServe(e *line, c recallCont) {
+	c.copy, c.dirty = g.fab.CopyBlock(e.copy), e.dirty
+	g.startRecall(e.addr, viewS, c)
 }
 
 // checkRequest enforces Guarantee 1a: the request must be consistent with
@@ -359,7 +361,7 @@ func (g *Guard) CheckQuiesced() error {
 	}) {
 		if w := l.work; w != nil {
 			return fmt.Errorf("%s: line %v has open work at quiesce (transaction %t, recall %t, host get %t, host put %t, parked %t)",
-				g.name, l.addr, w.txn != nil, w.recall != nil, w.get.open, w.put.open, w.wait.head != nil)
+				g.name, l.addr, w.txn.serial != 0, w.recall.serial != 0, w.get.open, w.put.open, w.wait.head != nil)
 		}
 		return fmt.Errorf("%s: line %v is in the table at quiesce with nothing to keep it", g.name, l.addr)
 	}

@@ -52,13 +52,13 @@ func TestLineLifecycle(t *testing.T) {
 	}
 	holders := []holder{
 		{"accelerator transaction",
-			func(r *coreRig) { r.g.openTxn(A, &accelTxn{kind: coherence.AGetS}) },
+			func(r *coreRig) { r.g.openTxn(A, coherence.AGetS, 0) },
 			func(r *coreRig) { r.g.closeTxn(r.g.lines[A]) },
-			func(l *line) bool { return l.work != nil && l.work.txn != nil }},
+			func(l *line) bool { return hasTxn(l) }},
 		{"recall",
-			func(r *coreRig) { r.g.startRecall(A, viewS, 0, func(*mem.Block, bool, bool) {}) },
-			func(r *coreRig) { r.g.closeRecall(r.g.lines[A], r.g.lines[A].work.recall, "response") },
-			func(l *line) bool { return l.work != nil && l.work.recall != nil }},
+			func(r *coreRig) { r.recall(A, viewS, func(*mem.Block, bool, bool) {}) },
+			func(r *coreRig) { r.g.closeRecall(r.g.lines[A], "response") },
+			func(l *line) bool { return hasRecall(l) }},
 		{"parked request",
 			func(r *coreRig) { r.g.park(A, accelMsg(coherence.AGetS, A, nil), 0) },
 			// The re-run fails Guarantee 0a (the rig's page has no access),
@@ -133,7 +133,8 @@ func TestLineLifecycle(t *testing.T) {
 // CheckQuiesced accepts what may outlive a quiesce — a resident line, a line
 // owed an InvAck — and names a line with open work or with nothing at all.
 func TestCheckQuiesced(t *testing.T) {
-	g := newCoreRig(FullState, nil).g
+	r := newCoreRig(FullState, nil)
+	g := r.g
 	tableView{g, 0x80}.grant(GrantM, GrantM, false, nil, true)
 	owed := g.workFor(0xc0)
 	owed.ignoreInvAck++
@@ -142,7 +143,7 @@ func TestCheckQuiesced(t *testing.T) {
 		t.Fatalf("resident line and owed InvAck: %v", err)
 	}
 	g.workFor(0x100) // never filled, never settled
-	g.startRecall(0x140, viewS, 0, func(*mem.Block, bool, bool) {})
+	r.recall(0x140, viewS, func(*mem.Block, bool, bool) {})
 	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x100 has open work at quiesce") {
 		t.Fatalf("with two bad lines, the lower must be named: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestCheckQuiesced(t *testing.T) {
 	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x140 has open work at quiesce (transaction false, recall true") {
 		t.Fatalf("open recall: %v", err)
 	}
-	g.closeRecall(g.lines[0x140], g.lines[0x140].work.recall, "response")
+	g.closeRecall(g.lines[0x140], "response")
 	empty := g.workFor(0x40)
 	g.freeWork.put(empty.work)
 	empty.work = nil
@@ -174,56 +175,4 @@ func TestRelinquishAckLeavesGetOpen(t *testing.T) {
 	if m := r.lastToAccel(); m != nil {
 		t.Fatalf("accelerator received %v for a writeback it did not ask for", m.Type)
 	}
-}
-
-// Timers armed for a closed record stay inert when the address is reopened
-// on the very line record the closed one used: the dispatch and the 2c
-// watchdog tell their transaction from a later one by its own identity,
-// not by the line's.
-func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
-	const A mem.Addr = 0x40
-	t.Run("dispatch", func(t *testing.T) {
-		r := newRecallRig(Transactional, Config{GuardLat: 5})
-		r.g.Recv(accelMsg(coherence.AGetS, A, nil)) // dispatch armed for tick 5
-		l := r.g.lines[A]
-		r.g.closeTxn(l)
-		if len(r.g.lines) != 0 {
-			t.Fatal("line not recycled")
-		}
-		later := &accelTxn{kind: coherence.AGetM}
-		r.g.openTxn(A, later)
-		if r.g.lines[A] != l {
-			t.Fatal("reopened address did not take the recycled line")
-		}
-		r.eng.RunUntilQuiet()
-		if len(r.shim.gets) != 0 || later.fwd != 0 {
-			t.Fatalf("stale dispatch ran against the later transaction: %d gets, fwd=%d", len(r.shim.gets), later.fwd)
-		}
-	})
-	t.Run("watchdog", func(t *testing.T) {
-		r := newRecallRig(Transactional, Config{Timeout: 100, GuardLat: 1, RecallRetries: 1})
-		calls := 0
-		done := func(*mem.Block, bool, bool) { calls++ }
-		r.g.startRecall(A, viewS, 0, done) // watchdog armed for tick 100
-		l := r.g.lines[A]
-		r.eng.RunUntil(50)
-		r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
-		if len(r.g.lines) != 0 {
-			t.Fatal("line not recycled")
-		}
-		r.g.startRecall(A, viewS, 0, done) // its own watchdog: tick 150
-		if r.g.lines[A] != l {
-			t.Fatal("reopened address did not take the recycled line")
-		}
-		r.eng.RunUntil(120) // the stale timer has fired
-		if r.g.RetriesSent != 0 || r.g.Timeouts != 0 || openRecalls(r.g) != 1 || calls != 1 {
-			t.Fatalf("stale watchdog acted on the later recall: retries=%d timeouts=%d open=%d calls=%d",
-				r.g.RetriesSent, r.g.Timeouts, openRecalls(r.g), calls)
-		}
-		r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
-		r.eng.RunUntilQuiet()
-		if calls != 2 || r.g.Timeouts != 0 || r.g.Errors() != 0 || len(r.g.lines) != 0 {
-			t.Fatalf("calls=%d timeouts=%d errors=%d lines=%d, want 2, 0, 0, 0", calls, r.g.Timeouts, r.g.Errors(), len(r.g.lines))
-		}
-	})
 }

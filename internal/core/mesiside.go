@@ -151,16 +151,7 @@ func (s *mesiShim) handleInv(m *coherence.Msg) {
 		s.g.SnoopsFiltered++
 		s.invAck(addr, r)
 	default:
-		s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
-			if data != nil {
-				// The accelerator answered an Inv with a writeback; the
-				// data goes to the L2, which acks the requestor on the
-				// accelerator's behalf (host modification, §3.2.2).
-				s.copyToL2(addr, data, dirty)
-				return
-			}
-			s.invAck(addr, r)
-		})
+		s.g.startRecall(addr, view, recallCont{kind: mesiInv, req: r})
 	}
 }
 
@@ -181,15 +172,9 @@ func (s *mesiShim) handleInvToL2(m *coherence.Msg) {
 	case view == viewS && entry != nil && entry.copy != nil:
 		// Read-only block owned by the guard: the accelerator's S copy
 		// still dies, but the trusted copy answers.
-		s.g.recallThenServe(entry, s.l2, func(d *mem.Block, dirty bool) { s.copyToL2(addr, d, dirty) })
+		s.g.recallThenServe(entry, recallCont{kind: mesiInvToL2Copy, req: s.l2})
 	default:
-		s.g.startRecall(addr, view, s.l2, func(data *mem.Block, dirty bool, viaPut bool) {
-			if data != nil {
-				s.copyToL2(addr, data, dirty)
-				return
-			}
-			s.invAckToL2(addr)
-		})
+		s.g.startRecall(addr, view, recallCont{kind: mesiInvToL2, req: s.l2})
 	}
 }
 
@@ -219,26 +204,9 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 			s.g.grant(entry, entry.accel, GrantS, false, nil, entry.dirty)
 			return
 		}
-		s.g.recallThenServe(entry, r, func(d *mem.Block, dirty bool) { s.dataOwner(addr, r, d, dirty) })
+		s.g.recallThenServe(entry, recallCont{kind: mesiFwdCopy, req: r})
 	case view == viewE || view == viewM || view == viewUnknown:
-		s.g.startRecall(addr, view, r, func(data *mem.Block, dirty bool, viaPut bool) {
-			if data == nil {
-				// Transactional mode: the accelerator InvAcked a forward
-				// that demanded data. Forward the ack; the modified host
-				// treats acks and data interchangeably (§3.2.2) and the
-				// L2 still receives a (zero) downgrade copy so its
-				// transaction can close.
-				s.invAck(addr, r)
-				if !getM {
-					s.copyToL2(addr, &zeroBlock, false)
-				}
-				return
-			}
-			s.dataOwner(addr, r, data, dirty)
-			if !getM {
-				s.copyToL2(addr, data, dirty)
-			}
-		})
+		s.g.startRecall(addr, view, recallCont{kind: mesiFwd, getM: getM, req: r})
 	default:
 		// The host believes we own a block the guard knows the
 		// accelerator does not have: answer with zero data to keep the
@@ -248,6 +216,55 @@ func (s *mesiShim) handleFwd(m *coherence.Msg, getM bool) {
 		if !getM {
 			s.copyToL2(addr, &zeroBlock, false)
 		}
+	}
+}
+
+// What a host-initiated request was doing when it had to recall the block
+// first.
+const (
+	mesiInv         uint8 = iota + 1 // handleInv
+	mesiInvToL2                      // handleInvToL2
+	mesiInvToL2Copy                  // handleInvToL2 on a read-only block the guard owns
+	mesiFwd                          // handleFwd
+	mesiFwdCopy                      // handleFwd, Fwd_GetM on a read-only block the guard owns
+)
+
+// resume answers the host request behind c now that the recall is over.
+func (s *mesiShim) resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, _ bool) {
+	r := c.req
+	switch c.kind {
+	case mesiInv, mesiInvToL2:
+		if data != nil {
+			// The accelerator answered with a writeback; the data goes to
+			// the L2, which on an Inv acks the requestor on the
+			// accelerator's behalf (host modification, §3.2.2).
+			s.copyToL2(addr, data, dirty)
+		} else if c.kind == mesiInv {
+			s.invAck(addr, r)
+		} else {
+			s.invAckToL2(addr)
+		}
+	case mesiInvToL2Copy:
+		s.copyToL2(addr, c.copy, c.dirty)
+	case mesiFwd:
+		if data == nil {
+			// Transactional mode: the accelerator InvAcked a forward
+			// that demanded data. Forward the ack; the modified host
+			// treats acks and data interchangeably (§3.2.2) and the
+			// L2 still receives a (zero) downgrade copy so its
+			// transaction can close.
+			s.invAck(addr, r)
+			if !c.getM {
+				s.copyToL2(addr, &zeroBlock, false)
+			}
+			return
+		}
+		s.dataOwner(addr, r, data, dirty)
+		if !c.getM {
+			s.copyToL2(addr, data, dirty)
+		}
+	case mesiFwdCopy:
+		s.dataOwner(addr, r, c.copy, c.dirty)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/obs"
-	"crossingguard/internal/sim"
 )
 
 // viewState is the guard's knowledge of the accelerator's copy of a block.
@@ -61,22 +60,22 @@ func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
 
 // startRecall obtains a block back from the accelerator: it sends the
 // interface's single host request (Inv), arms the Guarantee 2c watchdog,
-// validates the response (2a/2b), and resolves the Put/Inv race. req
-// names the host node whose request triggered the recall (0 when the
-// host protocol does not say); it only feeds span tracing, where the
-// Perfetto exporter draws recall fan-out and cross-device ownership
-// migration arrows from it. done is invoked exactly once with the
+// validates the response (2a/2b), and resolves the Put/Inv race. c is what
+// the shim will do with the answer: it is resumed exactly once with the
 // recovered data (nil when the accelerator held no data) and whether the
-// resolution came from a racing Put.
+// resolution came from a racing Put. c.req names the host node whose
+// request triggered the recall; here it only feeds span tracing, where the
+// Perfetto exporter draws recall fan-out and cross-device ownership
+// migration arrows from it.
 //
 // A recall arriving while one for the same block is already in flight —
 // two host-side requestors racing for the line, reachable once several
 // guards (and hence several host requestors' forwards) share one fabric
 // — is coalesced: the accelerator sees exactly one Invalidate, and every
 // waiter completes from the single response.
-func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeID, done func(data *mem.Block, dirty bool, viaPut bool)) {
+func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	if l := g.lines[addr]; hasRecall(l) {
-		ht := l.work.recall
+		ht := &l.work.recall
 		g.RecallsCoalesced++
 		g.obsReg.Counter("guard.recall.coalesced").Inc()
 		if b := g.fab.Bus; b.Active() {
@@ -86,8 +85,8 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 				Payload: "recall coalesced onto in-flight Invalidate",
 			})
 		}
-		g.spanEvent(obs.KindSpanPhase, ht.span, addr, req, "coalesced")
-		ht.waiters = append(ht.waiters, done)
+		g.spanEvent(obs.KindSpanPhase, ht.span, addr, c.req, "coalesced")
+		ht.waiters = append(ht.waiters, c)
 		return
 	}
 	// Quarantined accelerators are never consulted: the guard answers the
@@ -96,46 +95,45 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, req coherence.NodeI
 	// nothing crosses to the accelerator.
 	if g.Quarantined {
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		ht := newHostTxn(expect, done)
-		ht.closed = true
-		g.answerFromTrusted(addr, ht)
+		ht := newHostTxn(expect, c)
+		g.answerFromTrusted(addr, &ht)
 		return
 	}
 	// A Put already buffered at the guard resolves the recall at once;
 	// the consumed crossing's span ends here (nothing reaches the host).
 	if l := g.lines[addr]; hasTxn(l) && l.work.txn.data != nil {
-		t := l.work.txn
-		data, dirty := t.data, t.dirty
+		t := l.work.txn // a copy: the record goes with closeTxn, its block stays ours
 		g.closeTxn(l)
 		g.drop(addr)
-		g.closeCrossingSpan(t, addr, "put-consumed-by-recall")
+		g.closeCrossingSpan(&t, addr, "put-consumed-by-recall")
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
-		done(data, dirty, true)
-		g.fab.FreeBlock(data)
-		t.data = nil
+		g.resume(addr, c, t.data, t.dirty, true)
+		g.fab.FreeBlock(t.data)
 		return
 	}
-	ht := newHostTxn(expect, done)
 	l := g.workFor(addr)
-	l.work.recall = ht
+	ht := &l.work.recall
+	waiters := ht.waiters // empty; the storage is the record's
+	*ht = newHostTxn(expect, c)
+	ht.serial, ht.waiters = g.nextSerial(), waiters
 	g.wake(l) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
 		ht.span = g.newSpanID()
 		ht.opened = g.eng.Now()
-		g.spanEvent(obs.KindSpanBegin, ht.span, addr, req, "recall "+expect.String())
+		g.spanEvent(obs.KindSpanBegin, ht.span, addr, c.req, "recall "+expect.String())
 	}
 	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
 	if g.cfg.Timeout > 0 {
-		g.armRecallWatchdog(addr, ht, g.cfg.Timeout, 0)
+		g.armRecallWatchdog(addr, ht, 0)
 	}
 }
 
 // newHostTxn builds a recall transaction from the guard's view of the
 // accelerator's copy: the view fixes whether data is expected back and,
 // when definite, the grant level responses are validated against.
-func newHostTxn(expect viewState, done func(data *mem.Block, dirty bool, viaPut bool)) *hostTxn {
-	ht := &hostTxn{wantData: expect.owned() || expect == viewUnknown, done: done}
+func newHostTxn(expect viewState, done recallCont) hostTxn {
+	ht := hostTxn{wantData: expect.owned() || expect == viewUnknown, done: done}
 	switch expect {
 	case viewE:
 		ht.known, ht.expect = true, GrantE
@@ -147,48 +145,52 @@ func newHostTxn(expect viewState, done func(data *mem.Block, dirty bool, viaPut 
 	return ht
 }
 
-// armRecallWatchdog schedules the Guarantee 2c deadline for one recall.
-// The timer acts only if the transaction it armed is still open, still
-// registered for its address, and has not been re-armed since (generation
-// check) — closing or superseding the recall makes the pending timer
-// inert. On expiry with retries remaining the guard re-sends Invalidate
-// and doubles the deadline; once retries are exhausted the 2c timeout
-// answers on the accelerator's behalf.
-func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, deadline sim.Time, attempt int) {
-	ht.gen++
-	gen := ht.gen
-	g.eng.Schedule(deadline, func() {
-		if l := g.lines[addr]; ht.closed || ht.gen != gen || !hasWork(l) || l.work.recall != ht {
-			return
-		}
-		if attempt < g.cfg.RecallRetries {
-			g.RetriesSent++
-			g.obsReg.Counter("guard.recall.retry").Inc()
-			if b := g.fab.Bus; b.Active() {
-				b.Emit(obs.Event{
-					Tick: g.eng.Now(), Component: g.name, Kind: obs.KindRetry,
-					Addr: addr, Accel: g.accelTag, Msg: coherence.AInv, To: g.accel,
-					Span:    ht.span,
-					Payload: fmt.Sprintf("recall retry %d/%d", attempt+1, g.cfg.RecallRetries),
-				})
-			}
-			if ht.retryAt == 0 {
-				ht.retryAt = g.eng.Now()
-			}
-			g.spanEvent(obs.KindSpanPhase, ht.span, addr, 0,
-				fmt.Sprintf("retry %d/%d", attempt+1, g.cfg.RecallRetries))
-			g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
-			g.armRecallWatchdog(addr, ht, deadline*2, attempt+1)
-			return
-		}
-		g.recallTimeout(addr, ht)
-	})
+// armRecallWatchdog schedules the Guarantee 2c deadline for the open recall
+// ht, Timeout doubled for every Invalidate re-sent so far, under a fresh
+// serial, which makes any deadline armed for it before inert (timer).
+func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, attempt int) {
+	ht.serial = g.nextSerial()
+	g.watchdogs[attempt].Defer(deadline{addr, ht.serial, attempt})
+}
+
+// recallDeadline is a 2c deadline expiring. If it is still its recall's
+// current one: with retries remaining the guard re-sends Invalidate and
+// doubles the deadline; once retries are exhausted the 2c timeout answers on
+// the accelerator's behalf.
+func (g *Guard) recallDeadline(d deadline) {
+	addr, attempt := d.addr, d.attempt
+	l := g.lines[addr]
+	if !hasRecall(l) || l.work.recall.serial != d.serial {
+		return
+	}
+	if attempt >= g.cfg.RecallRetries {
+		g.recallTimeout(addr, d.serial)
+		return
+	}
+	ht := &l.work.recall
+	g.RetriesSent++
+	g.obsReg.Counter("guard.recall.retry").Inc()
+	if b := g.fab.Bus; b.Active() {
+		b.Emit(obs.Event{
+			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindRetry,
+			Addr: addr, Accel: g.accelTag, Msg: coherence.AInv, To: g.accel,
+			Span:    ht.span,
+			Payload: fmt.Sprintf("recall retry %d/%d", attempt+1, g.cfg.RecallRetries),
+		})
+	}
+	if ht.retryAt == 0 {
+		ht.retryAt = g.eng.Now()
+	}
+	g.spanEvent(obs.KindSpanPhase, ht.span, addr, 0,
+		fmt.Sprintf("retry %d/%d", attempt+1, g.cfg.RecallRetries))
+	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
+	g.armRecallWatchdog(addr, ht, attempt+1)
 }
 
 // recallTimeout enforces Guarantee 2c: if the accelerator does not answer
 // within the deadline, the guard answers on its behalf (zero or stale
-// data) and reports the error.
-func (g *Guard) recallTimeout(addr mem.Addr, ht *hostTxn) {
+// data) and reports the error. serial is the expired timer's.
+func (g *Guard) recallTimeout(addr mem.Addr, serial uint64) {
 	g.Timeouts++
 	if b := g.fab.Bus; b.Active() {
 		b.Emit(obs.Event{
@@ -199,30 +201,25 @@ func (g *Guard) recallTimeout(addr mem.Addr, ht *hostTxn) {
 	g.violation("XG.G2c", "accelerator did not answer Invalidate within the timeout", addr)
 	// The violation may have tripped quarantine, which resolves every open
 	// recall — this one included — before returning.
-	if ht.closed {
+	l := g.lines[addr]
+	if !hasRecall(l) || l.work.recall.serial != serial {
 		return
 	}
-	g.closeRecall(g.lines[addr], ht, "timeout")
+	ht := g.closeRecall(l, "timeout")
 	// Prefer the trusted copy when Full State kept one; otherwise a zero
 	// block keeps the host protocol moving.
-	g.answerFromTrusted(addr, ht)
+	g.answerFromTrusted(addr, &ht)
 }
 
 // resolveRecallByPut handles the legitimate Put/Inv race (§2.1): the
 // accelerator's Put and the guard's Invalidate crossed on the ordered
 // link. The Put data answers the host; the accelerator's InvAck (sent
 // from B) will be consumed silently.
-func (g *Guard) resolveRecallByPut(l *line, ht *hostTxn, m *coherence.Msg) {
+func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
 	addr := l.addr
-	if ht.closed {
-		// Recall already satisfied (e.g. by timeout); treat the Put as
-		// a plain writeback-to-nowhere: ack the accelerator.
-		g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
-		return
-	}
 	l.ignoreInvAck++ // before the close: the owed InvAck keeps the line
-	g.closeRecall(l, ht, "put-race")
-	data := m.Data // read by the completion callbacks before m goes back
+	ht := g.closeRecall(l, "put-race")
+	data := m.Data // read by the continuations before m goes back
 	dirty := data != nil && m.Type == coherence.APutM
 	// Guarantee 2a for the race path, mirroring validateResponse: if the
 	// guard knows the accelerator owned the block, the host MUST receive
@@ -244,19 +241,19 @@ func (g *Guard) resolveRecallByPut(l *line, ht *hostTxn, m *coherence.Msg) {
 	}
 	g.drop(addr)
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
-	ht.complete(data, dirty, true)
+	g.complete(addr, &ht, data, dirty, true)
 }
 
-// closeRecall retires one registered recall. reason names the
-// resolution path ("response", "timeout", "put-race", "quarantine") and
-// becomes the span-end payload; the recall's total duration — and, for
-// recalls that needed watchdog retries, the tail past the first retry —
-// feeds the anatomy histograms.
-func (g *Guard) closeRecall(l *line, ht *hostTxn, reason string) {
+// closeRecall retires l's open recall and returns it: the record is the
+// line's and may be recycled at once, and every resolution path still has
+// the recall to complete. reason names the path ("response", "timeout",
+// "put-race", "quarantine") and becomes the span-end payload; the recall's
+// total duration — and, for recalls that needed watchdog retries, the tail
+// past the first retry — feeds the anatomy histograms.
+func (g *Guard) closeRecall(l *line, reason string) hostTxn {
 	addr := l.addr
-	ht.closed = true
-	ht.gen++ // invalidate any armed watchdog generation
-	l.work.recall = nil
+	ht := l.work.recall
+	l.work.recall = hostTxn{waiters: ht.waiters[:0]}
 	g.closed(l)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
@@ -265,6 +262,7 @@ func (g *Guard) closeRecall(l *line, ht *hostTxn, reason string) {
 		}
 		g.spanEvent(obs.KindSpanEnd, ht.span, addr, 0, reason)
 	}
+	return ht
 }
 
 // handleAccelResponse validates and translates the accelerator's three
@@ -292,14 +290,13 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 		g.violation("XG.G2b", fmt.Sprintf("%v with no pending host request", m.Type), addr)
 		return
 	}
-	ht := l.work.recall
-	data, dirty, errCode := g.validateResponse(addr, ht, m)
-	g.closeRecall(l, ht, "response")
+	data, dirty, errCode := g.validateResponse(addr, &l.work.recall, m)
+	ht := g.closeRecall(l, "response")
 	g.drop(addr)
 	if errCode != "" {
 		g.violation(errCode, fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)
 	}
-	ht.complete(data, dirty, false)
+	g.complete(addr, &ht, data, dirty, false)
 }
 
 // validateResponse enforces Guarantee 2a. Full State corrects responses
@@ -308,7 +305,7 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 // forwards any well-typed response and relies on the host modifications.
 func (g *Guard) validateResponse(addr mem.Addr, ht *hostTxn, m *coherence.Msg) (data *mem.Block, dirty bool, errCode string) {
 	carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
-	wb := m.Data // read by the completion callbacks before m goes back
+	wb := m.Data // read by the continuations before m goes back
 	if carries && wb == nil {
 		// A writeback without data is malformed however you look at it.
 		wb = &zeroBlock

@@ -42,7 +42,7 @@ func countToAccel(r *coreRig, ty coherence.MsgType) int {
 func TestRecallWatchdogCanceledNeverFires(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
 	calls := 0
-	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) { calls++ })
+	r.recall(0x40, viewM, func(data *mem.Block, dirty bool, viaPut bool) { calls++ })
 	r.eng.RunUntil(10) // deliver the Invalidate; the watchdog waits at t=1000
 	r.g.Recv(&coherence.Msg{Type: coherence.ADirtyWB, Addr: 0x40, Src: 200, Dst: 40,
 		Data: mem.Zero(), Dirty: true})
@@ -67,12 +67,12 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
 	calls := 0
 	done := func(data *mem.Block, dirty bool, viaPut bool) { calls++ }
-	r.g.startRecall(0x40, viewS, 0, done)
+	r.recall(0x40, viewS, done)
 	r.eng.RunUntil(5)
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: 200, Dst: 40})
 	// Second recall for the same line while the first timer (t=1000) is
 	// still queued; its own timer lands at t=1005.
-	r.g.startRecall(0x40, viewS, 0, done)
+	r.recall(0x40, viewS, done)
 	r.eng.RunUntil(500)
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: 200, Dst: 40})
 	r.eng.RunUntilQuiet()
@@ -94,7 +94,7 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 func TestRecallRetryThenSuccess(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 100, GuardLat: 1, RecallRetries: 2})
 	calls := 0
-	r.g.startRecall(0x40, viewS, 0, func(data *mem.Block, dirty bool, viaPut bool) { calls++ })
+	r.recall(0x40, viewS, func(data *mem.Block, dirty bool, viaPut bool) { calls++ })
 	r.eng.RunUntil(150) // first deadline (t=100) expires: one retry goes out
 	if r.g.RetriesSent != 1 {
 		t.Fatalf("RetriesSent = %d after first deadline, want 1", r.g.RetriesSent)
@@ -120,7 +120,7 @@ func TestRecallRetriesExhaustedSingleTimeout(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 100, GuardLat: 1, RecallRetries: 2})
 	calls := 0
 	var gotData *mem.Block
-	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewM, func(data *mem.Block, dirty bool, viaPut bool) {
 		calls++
 		gotData = data
 	})
@@ -186,14 +186,14 @@ func TestQuarantineRecallServedFromTrustedState(t *testing.T) {
 	calls := 0
 	var gotData *mem.Block
 	gotDirty := false
-	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewM, func(data *mem.Block, dirty bool, viaPut bool) {
 		calls++
 		gotData, gotDirty = data, dirty
 	})
 	if calls != 1 || gotData == nil || !gotDirty {
 		t.Fatalf("owned recall not answered synchronously with substituted data (calls=%d data=%v dirty=%v)", calls, gotData, gotDirty)
 	}
-	r.g.startRecall(0x80, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x80, viewUnknown, func(data *mem.Block, dirty bool, viaPut bool) {
 		calls++
 		gotData, gotDirty = data, dirty
 	})
@@ -221,8 +221,8 @@ func TestQuarantineResolvesOpenRecallsInOrder(t *testing.T) {
 	done := func(addr mem.Addr) func(*mem.Block, bool, bool) {
 		return func(data *mem.Block, dirty bool, viaPut bool) { order = append(order, addr) }
 	}
-	r.g.startRecall(0x80, viewUnknown, 0, done(0x80))
-	r.g.startRecall(0x40, viewUnknown, 0, done(0x40))
+	r.recall(0x80, viewUnknown, done(0x80))
+	r.recall(0x40, viewUnknown, done(0x40))
 	r.eng.RunUntil(10)
 	r.fromAccel(coherence.APutM, 0x2000, mem.Zero()) // violation -> quarantine
 	if !r.g.Quarantined {
@@ -266,7 +266,7 @@ func TestQuarantineGrantRaceKeepsTrustedCopy(t *testing.T) {
 	}
 	// The trusted copy now answers recalls with the granted data.
 	var gotData *mem.Block
-	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewUnknown, func(data *mem.Block, dirty bool, viaPut bool) {
 		if data != nil {
 			gotData = data.Copy() // data is a loan for the length of the callback
 		}
@@ -294,7 +294,7 @@ func TestQuarantineGrantRaceSharedKeepsNoCopy(t *testing.T) {
 	}
 	// A later forward recalls the line and must get an ack, never data.
 	called := false
-	r.g.startRecall(0x40, viewS, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewS, func(data *mem.Block, dirty bool, viaPut bool) {
 		called = true
 		if data != nil {
 			t.Fatalf("S-held line answered recall with data %v", data)
@@ -330,8 +330,8 @@ func TestRecallCoalescing(t *testing.T) {
 
 	first, second := 0, 0
 	var firstData, secondData *mem.Block
-	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) { first++; firstData = data })
-	r.g.startRecall(0x40, viewM, 0, func(data *mem.Block, dirty bool, viaPut bool) { second++; secondData = data })
+	r.recall(0x40, viewM, func(data *mem.Block, dirty bool, viaPut bool) { first++; firstData = data })
+	r.recall(0x40, viewM, func(data *mem.Block, dirty bool, viaPut bool) { second++; secondData = data })
 	r.eng.RunUntil(10)
 	if got := countToAccel(r, coherence.AInv); got != 1 {
 		t.Fatalf("accelerator saw %d Invalidates, want 1 (coalesced)", got)
@@ -363,13 +363,13 @@ func TestRecallCoalescing(t *testing.T) {
 func TestRecallCoalescingResolvedByPut(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
 	first, second := 0, 0
-	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewUnknown, func(data *mem.Block, dirty bool, viaPut bool) {
 		if !viaPut {
 			t.Error("first waiter not resolved via Put")
 		}
 		first++
 	})
-	r.g.startRecall(0x40, viewUnknown, 0, func(data *mem.Block, dirty bool, viaPut bool) {
+	r.recall(0x40, viewUnknown, func(data *mem.Block, dirty bool, viaPut bool) {
 		if !viaPut {
 			t.Error("second waiter not resolved via Put")
 		}

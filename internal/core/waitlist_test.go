@@ -23,7 +23,7 @@ func accelMsg(ty coherence.MsgType, addr mem.Addr, data *mem.Block) *coherence.M
 // engine events the whole run executed.
 func parkedGetRun(t testing.TB, delay sim.Time) uint64 {
 	r := newRecallRig(Transactional, Config{GuardLat: 1})
-	r.g.startRecall(waitLine, viewS, 0, func(*mem.Block, bool, bool) {})
+	r.recall(waitLine, viewS, func(*mem.Block, bool, bool) {})
 	r.g.Recv(accelMsg(coherence.AGetS, waitLine, nil))
 	if r.g.ParkedNow() != 1 {
 		t.Fatalf("Get behind a recall: ParkedNow = %d, want 1", r.g.ParkedNow())
@@ -103,7 +103,7 @@ func TestWakeEdges(t *testing.T) {
 		check   func(t *testing.T, r *coreRig)
 	}
 	parkGetBehindRecall := func(r *coreRig) {
-		r.g.startRecall(waitLine, viewS, 0, func(*mem.Block, bool, bool) {})
+		r.recall(waitLine, viewS, func(*mem.Block, bool, bool) {})
 		r.g.Recv(accelMsg(coherence.AGetS, waitLine, nil))
 	}
 	getAcceptedAtClose := func(t *testing.T, r *coreRig) {
@@ -168,7 +168,7 @@ func TestWakeEdges(t *testing.T) {
 			},
 			closing: func(r *coreRig) {
 				resolvedAt, resolvedViaPut = 0, false
-				r.g.startRecall(waitLine, viewM, 0, func(_ *mem.Block, _ bool, viaPut bool) {
+				r.recall(waitLine, viewM, func(_ *mem.Block, _ bool, viaPut bool) {
 					resolvedAt, resolvedViaPut = r.eng.Now(), viaPut
 				})
 			},
@@ -284,7 +284,7 @@ func TestWakeEdges(t *testing.T) {
 			}
 			if c.reply.Type == coherence.HMemData || c.reply.Type == coherence.MDataS {
 				// granted needs a transaction to close; see the case comment.
-				g.workFor(waitLine).work.txn = &accelTxn{kind: coherence.AGetM}
+				g.workFor(waitLine).work.txn = accelTxn{serial: g.nextSerial(), kind: coherence.AGetM}
 			}
 			eng.Schedule(closeAt, func() { g.Recv(c.reply) })
 			eng.RunUntil(closeAt - 1)

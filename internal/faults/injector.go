@@ -21,6 +21,9 @@ type Injector struct {
 	rng     *rand.Rand
 	fab     *network.Fabric
 	watched map[[2]coherence.NodeID]bool
+	// dels backs the slice Intercept returns (at most a message and its
+	// duplicate); the fabric is done with it before the next Intercept.
+	dels [2]network.Delivery
 
 	// Injected counts every fault applied (sum over kinds).
 	Injected uint64
@@ -104,7 +107,7 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 		in.note(now, "dup", in.mDup, &in.Dups, m)
 		n = 2
 	}
-	dels := make([]network.Delivery, 0, n)
+	dels := in.dels[:0]
 	for i := 0; i < n; i++ {
 		d := network.Delivery{Msg: m}
 		if in.roll(in.plan.Corrupt) && m.Data != nil {
@@ -127,8 +130,8 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 // corrupt returns a plain copy of m with one random bit flipped in a
 // copied data block. Corruption never touches the original: a duplicate
 // of a corrupted message can deliver the clean payload. Neither message
-// is recycled — the fabric takes what an interceptor handled out of its
-// pool.
+// is recycled: the copy is no pool's, and the fabric takes an original
+// that stands beside one out of its pool.
 func (in *Injector) corrupt(m *coherence.Msg) *coherence.Msg {
 	cp := *m
 	blk := *m.Data

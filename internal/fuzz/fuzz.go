@@ -60,6 +60,12 @@ type Attacker struct {
 	// Sent counts injected messages; Grants counts data grants received
 	// (the guard still answers well-formed requests).
 	Sent, Grants, Invs, WBAcks uint64
+
+	// The rampage in progress: messages still to send, the gap bound, and
+	// the firing event, bound once.
+	left   int
+	maxGap sim.Time
+	fireEv sim.Timed
 }
 
 // NewAttacker builds and registers an attacker as the accelerator node.
@@ -131,34 +137,46 @@ func (a *Attacker) randomBlock() *mem.Block {
 	return &b
 }
 
-// Rampage schedules count random messages with gaps in [1, maxGap].
-// Messages cover the full accelerator vocabulary (requests AND responses,
-// valid or not for the current state) and, optionally, raw host-protocol
-// types the interface boundary must reject.
-func (a *Attacker) Rampage(count int, maxGap sim.Time) {
-	accelTypes := []coherence.MsgType{
+// The vocabularies a rampage draws from.
+var (
+	accelTypes = [...]coherence.MsgType{
 		coherence.AGetS, coherence.AGetM, coherence.APutM, coherence.APutE,
 		coherence.APutS, coherence.AInvAck, coherence.ACleanWB, coherence.ADirtyWB,
 	}
-	hostTypes := []coherence.MsgType{
+	hostTypes = [...]coherence.MsgType{
 		coherence.HGetM, coherence.HData, coherence.HNack, coherence.HWBData,
 		coherence.MGetM, coherence.MInvAck, coherence.MCopyToL2, coherence.MUnblock,
 	}
-	var fire func(left int)
-	fire = func(left int) {
-		if left == 0 {
-			return
-		}
-		ty := accelTypes[a.Rng.Intn(len(accelTypes))]
-		if a.IncludeHostTypes && a.Rng.Float64() < 0.15 {
-			ty = hostTypes[a.Rng.Intn(len(hostTypes))]
-		}
-		var data *mem.Block
-		if ty.CarriesData() && a.Rng.Float64() >= a.NilDataProb {
-			data = a.randomBlock()
-		}
-		a.send(ty, a.randomAddr(), data, ty == coherence.APutM || ty == coherence.ADirtyWB)
-		a.Eng.Schedule(sim.Time(a.Rng.Int63n(int64(maxGap))+1), func() { fire(left - 1) })
+)
+
+// Rampage schedules count random messages with gaps in [1, maxGap].
+// Messages cover the full accelerator vocabulary (requests AND responses,
+// valid or not for the current state) and, optionally, raw host-protocol
+// types the interface boundary must reject. An attacker runs one rampage at
+// a time.
+func (a *Attacker) Rampage(count int, maxGap sim.Time) {
+	if a.left != 0 {
+		panic("fuzz: Rampage while one is still running")
 	}
-	a.Eng.Schedule(1, func() { fire(count) })
+	a.left, a.maxGap = count, maxGap
+	a.fireEv.Fn = a.fire
+	a.Eng.ScheduleEvent(1, &a.fireEv)
+}
+
+// fire sends one message of the rampage and schedules the next.
+func (a *Attacker) fire() {
+	if a.left == 0 {
+		return
+	}
+	ty := accelTypes[a.Rng.Intn(len(accelTypes))]
+	if a.IncludeHostTypes && a.Rng.Float64() < 0.15 {
+		ty = hostTypes[a.Rng.Intn(len(hostTypes))]
+	}
+	var data *mem.Block
+	if ty.CarriesData() && a.Rng.Float64() >= a.NilDataProb {
+		data = a.randomBlock()
+	}
+	a.send(ty, a.randomAddr(), data, ty == coherence.APutM || ty == coherence.ADirtyWB)
+	a.left--
+	a.Eng.ScheduleEvent(sim.Time(a.Rng.Int63n(int64(a.maxGap))+1), &a.fireEv)
 }

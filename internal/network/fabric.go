@@ -130,7 +130,8 @@ type Delivery struct {
 	// Msg is the message to deliver — the original, or a corrupted copy
 	// (one pointer may be delivered twice, so corruption must copy: a
 	// by-value copy, which the pool never takes for one of its own). The
-	// fabric takes the message an interceptor handled out of the pool.
+	// fabric takes the original out of the pool unless it is delivered
+	// exactly once, as itself.
 	Msg *coherence.Msg
 	// ExtraDelay is added to the channel's configured latency.
 	ExtraDelay sim.Time
@@ -144,9 +145,10 @@ type Delivery struct {
 // consulted once per Send, before delivery is scheduled; returning
 // handled=false leaves the message on the normal path. With handled=true
 // the fabric schedules exactly the returned deliveries — an empty slice
-// drops the message. Interceptors must be deterministic (seeded RNG, no
-// wall clock): a fabric with the same interceptor state replays the same
-// schedule.
+// drops the message. The slice is a loan: Send has consumed it when it
+// returns, so the interceptor may hand out the same storage every time.
+// Interceptors must be deterministic (seeded RNG, no wall clock): a fabric
+// with the same interceptor state replays the same schedule.
 type Interceptor interface {
 	Intercept(now sim.Time, m *coherence.Msg) (deliveries []Delivery, handled bool)
 }
@@ -387,9 +389,16 @@ func (f *Fabric) Send(m *coherence.Msg) {
 
 	if f.interceptor != nil {
 		if dels, handled := f.interceptor.Intercept(f.eng.Now(), m); handled {
-			// A handled message may be dropped, delivered twice or stand
-			// beside a copy of itself: none of that can be recycled.
-			f.Disown(m)
+			// Delayed or reordered only, the message is still delivered
+			// once as itself and goes back to the pool from there; dropped,
+			// it goes back now. Delivered twice, or standing beside a
+			// corrupted copy of itself, it cannot be recycled.
+			switch {
+			case len(dels) == 0:
+				f.Release(m)
+			case len(dels) > 1 || dels[0].Msg != m:
+				f.Disown(m)
+			}
 			for i := range dels {
 				f.deliver(ch, dels[i])
 			}

@@ -26,7 +26,11 @@
 // Callers that schedule the same logical callback repeatedly (the
 // network fabric's delivery records, tickers, pooled protocol events)
 // should bind the callback once in a Timed and use ScheduleEvent, which
-// is allocation-free per call.
+// is allocation-free per call. A callback that needs a payload per call —
+// "do this to that line after N ticks" — goes through a Deferred (a free
+// list of records, each a payload and a bound Timed) or, when every call
+// waits the same delay, a Lane (one Timed over a ring of payloads), which
+// keep that discipline in one place.
 package sim
 
 import (

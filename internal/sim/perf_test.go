@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"slices"
 	"testing"
 
 	"crossingguard/internal/raceflag"
@@ -57,5 +58,105 @@ func TestScheduleEventAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScheduleEvent allocated %v objects/run, want 0", allocs)
+	}
+}
+
+// TestDeferredAllocFree pins the record list's contract: once as many
+// records exist as are ever pending at once, deferring a payload — near or
+// far, from outside or from inside a running action — allocates nothing, and
+// each action runs with its own payload at the position Schedule would have
+// given it.
+func TestDeferredAllocFree(t *testing.T) {
+	type payload struct {
+		id    int
+		chain *int // non-nil: defer a follow-up from inside the action
+	}
+	e := sim.NewEngine()
+	var d sim.Deferred[payload]
+	var got []int
+	d.Bind(e, func(p payload) {
+		got = append(got, p.id)
+		if p.chain != nil && *p.chain > 0 {
+			*p.chain--
+			d.After(2, payload{id: p.id + 100, chain: p.chain})
+		}
+	})
+	chain := 0
+	plain := sim.NewTimed(func() { got = append(got, -1) })
+	round := func() {
+		got = got[:0]
+		chain = 3
+		for i := 0; i < 32; i++ {
+			d.After(sim.Time(i%7), payload{id: i})
+		}
+		e.ScheduleEvent(3, plain) // between the deferred actions of its tick
+		d.After(sim.Horizon+5, payload{id: 32})
+		d.After(1, payload{id: 33, chain: &chain})
+		e.RunUntilQuiet()
+	}
+	round()
+	var want []int
+	for delay := 0; delay < 7; delay++ {
+		for i := delay; i < 32; i += 7 {
+			want = append(want, i)
+		}
+		switch delay {
+		case 1:
+			want = append(want, 33)
+		case 3:
+			want = append(want, -1, 133) // the plain event, then the chain's first follow-up
+		case 5:
+			want = append(want, 233)
+		}
+	}
+	want = append(want, 333, 32)
+	if !slices.Equal(got, want) {
+		t.Fatalf("actions ran in order\n%v, want\n%v", got, want)
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of deferred actions allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestLaneAllocFree: a lane's actions run in the order deferred, each at the
+// position Schedule would have given it, and once the ring holds as many
+// payloads as are ever pending, deferring allocates nothing — even when, as
+// with the guard's watchdogs, hundreds are pending before the first fires.
+func TestLaneAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	var l sim.Lane[int]
+	var got []int
+	l.Bind(e, sim.Horizon+100, func(id int) { got = append(got, id) })
+	plain := sim.NewTimed(func() { got = append(got, -1) })
+	round := func() {
+		got = got[:0]
+		for i := 0; i < 300; i++ {
+			l.Defer(i)
+			if i == 150 {
+				e.ScheduleEvent(sim.Horizon+100, plain) // same tick as id 150, after it
+			}
+			e.RunUntil(e.Now() + sim.Time(i%3)) // ids 0, 3, 6… share a tick with their successor
+		}
+		e.RunUntilQuiet()
+	}
+	round()
+	var want []int
+	for i := 0; i < 300; i++ {
+		want = append(want, i)
+		if i == 150 {
+			want = append(want, -1)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("actions ran in order\n%v, want\n%v", got, want)
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of 300 pending lane actions allocated %v objects, want 0", allocs)
 	}
 }
