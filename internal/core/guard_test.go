@@ -41,15 +41,21 @@ func (s *stubShim) resume(_ mem.Addr, c recallCont, data *mem.Block, dirty, viaP
 	s.dones[c.req](data, dirty, viaPut)
 }
 
-// accelSink collects what the guard sends to the accelerator.
+// accelSink collects what the guard sends to the accelerator, and the tick
+// each message arrived.
 type accelSink struct {
 	id  coherence.NodeID
+	eng *sim.Engine
 	got []*coherence.Msg
+	at  []sim.Time
 }
 
-func (a *accelSink) ID() coherence.NodeID  { return a.id }
-func (a *accelSink) Name() string          { return "accelSink" }
-func (a *accelSink) Recv(m *coherence.Msg) { m.Keep(); a.got = append(a.got, m) }
+func (a *accelSink) ID() coherence.NodeID { return a.id }
+func (a *accelSink) Name() string         { return "accelSink" }
+func (a *accelSink) Recv(m *coherence.Msg) {
+	m.Keep()
+	a.got, a.at = append(a.got, m), append(a.at, a.eng.Now())
+}
 
 type coreRig struct {
 	eng   *sim.Engine
@@ -64,7 +70,7 @@ func newCoreRig(mode Mode, perms *perm.Table) *coreRig {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
 	log := coherence.NewErrorLog()
-	accel := &accelSink{id: 200}
+	accel := &accelSink{id: 200, eng: eng}
 	fab.Register(accel)
 	g := newGuard(40, "xg", eng, fab, 200, Config{Mode: mode, Perms: perms,
 		Timeout: 1000, GuardLat: 1}, log)

@@ -38,7 +38,7 @@ func TestZeroSubstitutionSurvivesRecycling(t *testing.T) {
 			t.Run(host+"/"+path, func(t *testing.T) {
 				eng := sim.NewEngine()
 				fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
-				fab.Register(&accelSink{id: 200})
+				fab.Register(&accelSink{id: 200, eng: eng})
 				fab.Register(&hostSink{id: dir})
 				req := &dataSink{id: requestor}
 				fab.Register(req)

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -16,7 +20,7 @@ func newRecallRig(mode Mode, cfg Config) *coreRig {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
 	log := coherence.NewErrorLog()
-	accel := &accelSink{id: 200}
+	accel := &accelSink{id: 200, eng: eng}
 	fab.Register(accel)
 	cfg.Mode = mode
 	g := newGuard(40, "xg", eng, fab, 200, cfg, log)
@@ -382,5 +386,70 @@ func TestRecallCoalescingResolvedByPut(t *testing.T) {
 	}
 	if r.g.RecallsCoalesced != 1 {
 		t.Fatalf("RecallsCoalesced = %d, want 1", r.g.RecallsCoalesced)
+	}
+}
+
+// TestMuteAcceleratorDeadlineTicks pins when a live 2c deadline fires: an
+// accelerator that never answers sees each retry and the final timeout at
+// exactly these ticks, at the production Timeout, whatever else is armed and
+// answered around them. Line B answers (twice, 50 000 ticks apart), so its
+// deadlines lapse beside the live ones of the mute lines A, C and D.
+func TestMuteAcceleratorDeadlineTicks(t *testing.T) {
+	const A, B, C, D mem.Addr = 0x40, 0x80, 0xc0, 0x100
+	for _, tc := range []struct {
+		retries int
+		want    []string
+	}{
+		{0, []string{
+			"2 A:Inv 0x40", "2 A:Inv 0x100", "9 A:Inv 0x80", "200 done 0x80 data=true",
+			"302 A:Inv 0xc0", "50002 A:Inv 0x80", "50150 done 0x80 data=true",
+			"100000 done 0x40 data=true", "100000 done 0x100 data=true", "100300 done 0xc0 data=true",
+			"timeouts=3 retries=0 errors=3",
+		}},
+		{2, []string{
+			"2 A:Inv 0x40", "2 A:Inv 0x100", "9 A:Inv 0x80", "200 done 0x80 data=true",
+			"302 A:Inv 0xc0", "50002 A:Inv 0x80", "50150 done 0x80 data=true",
+			"100002 A:Inv 0x40", "100002 A:Inv 0x100", "100302 A:Inv 0xc0",
+			"300002 A:Inv 0x40", "300002 A:Inv 0x100", "300302 A:Inv 0xc0",
+			"700000 done 0x40 data=true", "700000 done 0x100 data=true", "700300 done 0xc0 data=true",
+			"timeouts=3 retries=6 errors=3",
+		}},
+	} {
+		r := newRecallRig(Transactional, Config{Timeout: 100_000, GuardLat: 1, RecallRetries: tc.retries})
+		var got []string
+		recall := func(a mem.Addr) {
+			r.recall(a, viewM, func(data *mem.Block, _, _ bool) {
+				got = append(got, fmt.Sprintf("%d done %v data=%t", r.eng.Now(), a, data != nil))
+			})
+		}
+		answer := func(a mem.Addr) {
+			r.g.Recv(&coherence.Msg{Type: coherence.ADirtyWB, Addr: a, Src: 200, Dst: 40, Data: mem.Zero(), Dirty: true})
+		}
+		recall(A)
+		recall(D) // shares every deadline tick with A, and runs after it
+		r.eng.RunUntil(7)
+		recall(B)
+		r.eng.RunUntil(200)
+		answer(B)
+		r.eng.RunUntil(300)
+		recall(C)
+		r.eng.RunUntil(50_000)
+		recall(B)
+		r.eng.RunUntil(50_150)
+		answer(B)
+		r.eng.RunUntilQuiet()
+		for i, m := range r.accel.got {
+			got = append(got, fmt.Sprintf("%d %v %v", r.accel.at[i], m.Type, m.Addr))
+		}
+		slices.SortStableFunc(got, func(a, b string) int {
+			var ta, tb int
+			fmt.Sscan(a, &ta)
+			fmt.Sscan(b, &tb)
+			return cmp.Compare(ta, tb)
+		})
+		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, r.g.RetriesSent, r.g.Errors()))
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("RecallRetries %d:\n%s\nwant\n%s", tc.retries, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
 	}
 }

@@ -308,7 +308,7 @@ func TestRecallContinuations(t *testing.T) {
 				eng := sim.NewEngine()
 				fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
 				fab.CheckLifetimes()
-				fab.Register(&accelSink{id: 200})
+				fab.Register(&accelSink{id: 200, eng: eng})
 				var log []sent
 				for _, id := range []coherence.NodeID{home, r1, r2} {
 					fab.Register(&recorder{id, &log})

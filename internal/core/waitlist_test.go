@@ -68,7 +68,7 @@ func (h *hostSink) Recv(*coherence.Msg)  {}
 func newShimRig(host string) (*sim.Engine, *Guard) {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
-	fab.Register(&accelSink{id: 200})
+	fab.Register(&accelSink{id: 200, eng: eng})
 	fab.Register(&hostSink{id: 10})
 	cfg := Config{Mode: Transactional, GuardLat: 1}
 	if host == "hammer" {
