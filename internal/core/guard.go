@@ -182,11 +182,11 @@ type Guard struct {
 	freeLines recPool[line]
 	freeWork  recPool[lineWork]
 
-	// serial stamps every opening of a transaction or recall and every
-	// arming of a recall watchdog; it only counts up, so no two ever share
-	// a value (timer). timers holds the guard's short deferred actions and
-	// watchdogs the Guarantee 2c deadlines, one lane per retry attempt:
-	// attempt n waits Timeout<<n.
+	// serial stamps every opening of a transaction or recall; it only
+	// counts up, so no two ever share a value (timer). timers holds the
+	// guard's short deferred actions and watchdogs the Guarantee 2c
+	// deadlines of the open recalls, one lane per retry attempt: attempt n
+	// waits Timeout<<n.
 	serial    uint64
 	timers    sim.Deferred[timer]
 	watchdogs []sim.Lane[deadline]
@@ -307,10 +307,12 @@ type accelTxn struct {
 // hostTxn is an open host-initiated recall toward the accelerator, in its
 // line's open-work record like the accelTxn.
 type hostTxn struct {
-	// serial is nonzero while the recall is open: the serial of its opening
-	// or, once a watchdog is armed, of the latest arming — so a superseded
-	// 2c timer is as inert as one whose recall has closed.
-	serial   uint64
+	// serial is nonzero while the recall is open: the serial of its opening.
+	serial uint64
+	// watchdog is the recall's armed Guarantee 2c deadline: exactly one while
+	// the recall is open and Timeout is set, nil in the moment between one
+	// firing and the retry or timeout it causes. closeRecall cancels it.
+	watchdog *sim.Armed[deadline]
 	wantData bool
 	known    bool  // expect is authoritative
 	expect   Grant // what the guard believes the accelerator holds (Full State)
@@ -372,13 +374,12 @@ const (
 	timerAdmit                  // a rate-limited request's wait is over
 )
 
-// timer is the payload of one deferred guard action, and deadline that of
-// one armed watchdog. One that belongs to a transaction or a recall carries
-// the serial it was armed under and acts only if the record open at addr
-// still has it: a record that has since closed reads 0, and one opened or
-// re-armed since — on the same recycled storage or not, at this address or
-// another — a later serial. Timers are never cancelled; a dead one fires
-// inert at its original tick.
+// timer is the payload of one deferred guard action. One that belongs to a
+// transaction carries the serial it was armed under and acts only if the
+// record open at addr still has it: a record that has since closed reads 0,
+// and one opened since — on the same recycled storage or not, at this address
+// or another — a later serial. These wait a few ticks and are never
+// cancelled; an overtaken one fires inert at its original tick.
 type timer struct {
 	kind    timerKind
 	getKind GetKind // timerGet
@@ -388,6 +389,10 @@ type timer struct {
 	m       *coherence.Msg // timerAdmit: the request, kept while it waits
 }
 
+// deadline is the payload of one armed watchdog. It waits 100 000 ticks or
+// more and its recall usually closes within a few hundred, so it is not left
+// to fire inert: the recall holds it (hostTxn.watchdog) and closing cancels
+// it. serial is the recall's, which both a firing and a cancel check against.
 type deadline struct {
 	addr    mem.Addr
 	serial  uint64

@@ -353,9 +353,23 @@ func (g *Guard) retirePut(addr mem.Addr) {
 // CheckQuiesced names the first line, in address order, that should not
 // outlive a quiesce: one with open work, or one that nothing keeps. What
 // may remain is a resident line (Full State: TableEntries of them) and a
-// line kept only by an InvAck the accelerator still owes from B.
-// config.System.Audit runs it.
+// line kept only by an InvAck the accelerator still owes from B. Before
+// that it counts the armed watchdogs: every open recall holds exactly one
+// (when Timeout is set, outside the moment its deadline is firing), so more
+// than there are open recalls means a close that did not cancel its own, and
+// any at all outlives the quiesce. config.System.Audit runs it.
 func (g *Guard) CheckQuiesced() error {
+	armed := 0
+	for i := range g.watchdogs {
+		armed += g.watchdogs[i].Len()
+	}
+	open := 0
+	if g.cfg.Timeout > 0 {
+		open = g.count(hasRecall)
+	}
+	if armed != open {
+		return fmt.Errorf("%s: %d recall watchdogs armed for %d open recalls", g.name, armed, open)
+	}
 	for _, l := range g.sortedLines(func(l *line) bool {
 		return l.work != nil || (!l.resident && l.ignoreInvAck == 0)
 	}) {

@@ -160,6 +160,57 @@ func TestCheckQuiesced(t *testing.T) {
 	}
 }
 
+// An open recall holds exactly one armed deadline, and CheckQuiesced counts:
+// a close that forgot to cancel leaves one more armed than recalls open (and
+// that deadline panics when it fires on nothing), a recall that lost its
+// deadline one fewer, and a close holding another recall's deadline — a stale
+// pointer into a recycled record — is stopped at the cancel.
+func TestCheckQuiescedCountsWatchdogs(t *testing.T) {
+	const A, B mem.Addr = 0x40, 0x80
+	done := func(*mem.Block, bool, bool) {}
+	panics := func(t *testing.T, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("panic %v, want one mentioning %q", r, want)
+			}
+		}()
+		fn()
+	}
+	t.Run("close without cancel", func(t *testing.T) {
+		r := newCoreRig(Transactional, nil)
+		r.recall(A, viewS, done)
+		if err := r.g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "has open work") {
+			t.Fatalf("one recall open, one deadline armed: %v", err)
+		}
+		l := r.g.lines[A]
+		l.work.recall = hostTxn{}
+		r.g.closed(l)
+		if err := r.g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "1 recall watchdogs armed for 0 open recalls") {
+			t.Fatalf("deadline left armed: %v", err)
+		}
+		panics(t, "fired with that recall closed", func() { r.eng.RunUntilQuiet() })
+	})
+	t.Run("deadline lost", func(t *testing.T) {
+		r := newCoreRig(Transactional, nil)
+		r.recall(A, viewS, done)
+		ht := &r.g.lines[A].work.recall
+		ht.watchdog.Cancel()
+		ht.watchdog = nil
+		if err := r.g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0 recall watchdogs armed for 1 open recalls") {
+			t.Fatalf("open recall with no deadline: %v", err)
+		}
+	})
+	t.Run("another recall's deadline", func(t *testing.T) {
+		r := newCoreRig(Transactional, nil)
+		r.recall(A, viewS, done)
+		r.recall(B, viewS, done)
+		a, b := &r.g.lines[A].work.recall, &r.g.lines[B].work.recall
+		a.watchdog, b.watchdog = b.watchdog, a.watchdog
+		panics(t, "cancelled the deadline of recall", func() { r.g.closeRecall(r.g.lines[A], "response") })
+	})
+}
+
 // A guard-initiated writeback in flight beside an accelerator Get: its ack
 // retires the writeback and leaves the Get open (only an accelerator Put's
 // writeback completes a transaction).

@@ -145,29 +145,29 @@ func newHostTxn(expect viewState, done recallCont) hostTxn {
 	return ht
 }
 
-// armRecallWatchdog schedules the Guarantee 2c deadline for the open recall
-// ht, Timeout doubled for every Invalidate re-sent so far, under a fresh
-// serial, which makes any deadline armed for it before inert (timer).
+// armRecallWatchdog arms the Guarantee 2c deadline of the open recall ht,
+// Timeout doubled for every Invalidate re-sent so far. The recall has none
+// armed: it is opening, or its last one has just fired.
 func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, attempt int) {
-	ht.serial = g.nextSerial()
-	g.watchdogs[attempt].Defer(deadline{addr, ht.serial, attempt})
+	ht.watchdog = g.watchdogs[attempt].Defer(deadline{addr, ht.serial, attempt})
 }
 
-// recallDeadline is a 2c deadline expiring. If it is still its recall's
-// current one: with retries remaining the guard re-sends Invalidate and
+// recallDeadline is a 2c deadline expiring, which only an open recall's does
+// (closeRecall): with retries remaining the guard re-sends Invalidate and
 // doubles the deadline; once retries are exhausted the 2c timeout answers on
 // the accelerator's behalf.
 func (g *Guard) recallDeadline(d deadline) {
 	addr, attempt := d.addr, d.attempt
 	l := g.lines[addr]
 	if !hasRecall(l) || l.work.recall.serial != d.serial {
-		return
+		panic(fmt.Sprintf("%s: a deadline of recall %d at %v fired with that recall closed", g.name, d.serial, addr))
 	}
+	ht := &l.work.recall
+	ht.watchdog = nil // fired: the record is the lane's again
 	if attempt >= g.cfg.RecallRetries {
 		g.recallTimeout(addr, d.serial)
 		return
 	}
-	ht := &l.work.recall
 	g.RetriesSent++
 	g.obsReg.Counter("guard.recall.retry").Inc()
 	if b := g.fab.Bus; b.Active() {
@@ -244,16 +244,25 @@ func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
 	g.complete(addr, &ht, data, dirty, true)
 }
 
-// closeRecall retires l's open recall and returns it: the record is the
-// line's and may be recycled at once, and every resolution path still has
-// the recall to complete. reason names the path ("response", "timeout",
-// "put-race", "quarantine") and becomes the span-end payload; the recall's
-// total duration — and, for recalls that needed watchdog retries, the tail
-// past the first retry — feeds the anatomy histograms.
+// closeRecall retires l's open recall, cancels its deadline and returns it:
+// the record is the line's and may be recycled at once, and every resolution
+// path still has the recall to complete. reason names the path ("response",
+// "timeout", "put-race", "quarantine") and becomes the span-end payload; the
+// recall's total duration — and, for recalls that needed watchdog retries, the
+// tail past the first retry — feeds the anatomy histograms.
 func (g *Guard) closeRecall(l *line, reason string) hostTxn {
 	addr := l.addr
 	ht := l.work.recall
 	l.work.recall = hostTxn{waiters: ht.waiters[:0]}
+	// None is armed with Timeout off, or when it is the deadline's own
+	// firing that closes the recall.
+	if ht.watchdog != nil {
+		if d := ht.watchdog.Cancel(); d.addr != addr || d.serial != ht.serial {
+			panic(fmt.Sprintf("%s: closing recall %d at %v cancelled the deadline of recall %d at %v",
+				g.name, ht.serial, addr, d.serial, d.addr))
+		}
+		ht.watchdog = nil
+	}
 	g.closed(l)
 	if g.cfg.Spans && ht.span != 0 {
 		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))

@@ -39,10 +39,9 @@ func countToAccel(r *coreRig, ty coherence.MsgType) int {
 	return n
 }
 
-// Regression for the watchdog-cancellation hazard: a recall answered well
-// before its deadline leaves a timer in the engine queue; when that timer
-// eventually runs it must be inert — no spurious Timeouts, no second done
-// callback, no G2c violation.
+// A recall answered well before its deadline takes the deadline with it: no
+// spurious Timeouts, no second done callback, no G2c violation, and nothing
+// left queued to carry the clock to tick 1000.
 func TestRecallWatchdogCanceledNeverFires(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
 	calls := 0
@@ -53,9 +52,11 @@ func TestRecallWatchdogCanceledNeverFires(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("done called %d times after response, want 1", calls)
 	}
-	r.eng.RunUntilQuiet() // runs the stale timer past t=1000
+	if end := r.eng.RunUntilQuiet(); end >= 1000 {
+		t.Fatalf("went quiet at tick %d: the cancelled deadline (t=1000) held the clock open", end)
+	}
 	if calls != 1 {
-		t.Fatalf("stale watchdog re-invoked done (calls=%d)", calls)
+		t.Fatalf("cancelled watchdog re-invoked done (calls=%d)", calls)
 	}
 	if r.g.Timeouts != 0 {
 		t.Fatalf("Timeouts = %d after canceled watchdog, want 0", r.g.Timeouts)
@@ -65,8 +66,8 @@ func TestRecallWatchdogCanceledNeverFires(t *testing.T) {
 	}
 }
 
-// A stale timer from a closed recall must not fire against a LATER recall
-// of the same address (the hosts[addr] identity / generation check).
+// The deadline of a closed recall must not fire against a LATER recall of
+// the same address: it was cancelled, and the later recall has its own.
 func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 	r := newRecallRig(Transactional, Config{Timeout: 1000, GuardLat: 1})
 	calls := 0
@@ -74,8 +75,8 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 	r.recall(0x40, viewS, done)
 	r.eng.RunUntil(5)
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: 200, Dst: 40})
-	// Second recall for the same line while the first timer (t=1000) is
-	// still queued; its own timer lands at t=1005.
+	// Second recall for the same line before the first deadline's tick
+	// (t=1000); its own lands at t=1005.
 	r.recall(0x40, viewS, done)
 	r.eng.RunUntil(500)
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: 200, Dst: 40})
@@ -107,7 +108,7 @@ func TestRecallRetryThenSuccess(t *testing.T) {
 		t.Fatalf("accel saw %d Invalidates, want 2 (original + retry)", got)
 	}
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: 200, Dst: 40})
-	r.eng.RunUntilQuiet() // doubled deadline (t=300) must be inert
+	r.eng.RunUntilQuiet() // the doubled deadline (t=300) went with the recall
 	if calls != 1 {
 		t.Fatalf("done calls = %d, want 1", calls)
 	}
@@ -447,6 +448,13 @@ func TestMuteAcceleratorDeadlineTicks(t *testing.T) {
 			fmt.Sscan(b, &tb)
 			return cmp.Compare(ta, tb)
 		})
+		// B's lapsed deadlines (due at 100 007 and 150 000) are gone: the run
+		// ends with the last thing that happened.
+		var last sim.Time
+		fmt.Sscan(got[len(got)-1], &last)
+		if r.eng.Now() != last {
+			t.Errorf("RecallRetries %d: went quiet at tick %d, after %q", tc.retries, r.eng.Now(), got[len(got)-1])
+		}
 		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, r.g.RetriesSent, r.g.Errors()))
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("RecallRetries %d:\n%s\nwant\n%s", tc.retries, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))

@@ -11,13 +11,19 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// A timer armed for a closed transaction or recall stays inert whatever its
-// recycled record holds when it fires: the same address reopened on the very
-// storage the closed one used, or that storage serving another address while
-// the timer's own address is open again on other storage. The lifetime check
-// is on, so a timer that did act would dispatch poison.
+// A timer armed for a closed transaction stays inert, and the cancelled
+// deadline of a closed recall stays cancelled, whatever the recycled record
+// holds afterwards: the same address reopened on the very storage the closed
+// one used, or that storage serving another address while the timer's own
+// address is open again on other storage. The lifetime check is on, so a
+// timer that did act would dispatch poison.
 func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 	const A, B mem.Addr = 0x40, 0x80
+	// runTo moves the clock to tick: with nothing queued it stands still.
+	runTo := func(r *coreRig, tick sim.Time) {
+		r.eng.ScheduleAt(tick, func() {})
+		r.eng.RunUntil(tick)
+	}
 	rig := func(cfg Config) *coreRig {
 		r := newRecallRig(Transactional, cfg)
 		r.fab.CheckLifetimes()
@@ -78,34 +84,72 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			}
 		})
 	})
-	t.Run("watchdog", func(t *testing.T) { // one a retry re-armed
+	// A deadline is not left to go stale: closing its recall cancels it. The
+	// reopening takes the recycled work record and the lane's recycled
+	// action, and the cancel must have hit neither the new owner's deadline
+	// nor left the old one to fire on it.
+	t.Run("watchdog", func(t *testing.T) { // one a retry re-armed, waiting in the wheel
 		each(t, func(t *testing.T, at mem.Addr) {
 			r := rig(Config{Timeout: 100, GuardLat: 1, RecallRetries: 1})
 			calls := 0
 			done := func(*mem.Block, bool, bool) { calls++ }
 			r.recall(A, viewS, done) // watchdog armed for tick 100
 			w := r.g.lines[A].work
-			r.eng.RunUntil(150) // it expired: one retry, re-armed for tick 300
+			runTo(r, 150) // it expired: one retry, re-armed for tick 300
 			if r.g.RetriesSent != 1 {
 				t.Fatalf("RetriesSent = %d at tick 150, want 1", r.g.RetriesSent)
 			}
 			r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
-			r.eng.RunUntil(250)
+			r.eng.RunUntilQuiet()
+			if n := r.eng.Pending(); n != 0 || r.g.CheckQuiesced() != nil {
+				t.Fatalf("the closed recall left %d events queued (%v)", n, r.g.CheckQuiesced())
+			}
+			runTo(r, 250)
 			recycled(t, r, w, at, func(a mem.Addr) { r.recall(a, viewS, done) }) // their own watchdogs: tick 350
-			r.eng.RunUntil(320)                                                  // the stale timer has fired
 			open := len(r.g.lines)
+			runTo(r, 320) // past the cancelled deadline's tick
 			if r.g.RetriesSent != 1 || r.g.Timeouts != 0 || openRecalls(r.g) != open || calls != 1 {
-				t.Fatalf("stale watchdog acted on a later recall: retries=%d timeouts=%d open=%d calls=%d",
+				t.Fatalf("a cancelled watchdog acted on a later recall: retries=%d timeouts=%d open=%d calls=%d",
 					r.g.RetriesSent, r.g.Timeouts, openRecalls(r.g), calls)
+			}
+			runTo(r, 360) // past their own
+			if r.g.RetriesSent != uint64(1+open) || r.g.Timeouts != 0 {
+				t.Fatalf("retries=%d timeouts=%d at tick 360, want %d, 0: the reopened recalls' deadlines are due at 350",
+					r.g.RetriesSent, r.g.Timeouts, 1+open)
 			}
 			r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
 			if at != A {
 				r.g.Recv(accelMsg(coherence.AInvAck, at, nil))
 			}
-			r.eng.RunUntilQuiet()
-			if calls != 1+open || r.g.Timeouts != 0 || r.g.Errors() != 0 || len(r.g.lines) != 0 {
-				t.Fatalf("calls=%d timeouts=%d errors=%d lines=%d, want %d, 0, 0, 0",
-					calls, r.g.Timeouts, r.g.Errors(), len(r.g.lines), 1+open)
+			if end := r.eng.RunUntilQuiet(); end >= 550 {
+				t.Fatalf("the run ended at tick %d: a cancelled deadline (due 550) held the clock open", end)
+			}
+			if calls != 1+open || r.g.Timeouts != 0 || r.g.Errors() != 0 || len(r.g.lines) != 0 || r.g.CheckQuiesced() != nil {
+				t.Fatalf("calls=%d timeouts=%d errors=%d lines=%d quiesced=%v, want %d, 0, 0, 0, <nil>",
+					calls, r.g.Timeouts, r.g.Errors(), len(r.g.lines), r.g.CheckQuiesced(), 1+open)
+			}
+		})
+	})
+	t.Run("cancelled watchdog", func(t *testing.T) { // a first deadline, waiting in the far heap
+		each(t, func(t *testing.T, at mem.Addr) {
+			r := rig(Config{Timeout: 1000, GuardLat: 1})
+			calls := 0
+			done := func(*mem.Block, bool, bool) { calls++ }
+			r.recall(A, viewS, done) // watchdog armed for tick 1000
+			w := r.g.lines[A].work
+			runTo(r, 10)
+			r.g.Recv(accelMsg(coherence.AInvAck, A, nil)) // closed: cancelled
+			runTo(r, 20)
+			recycled(t, r, w, at, func(a mem.Addr) { r.recall(a, viewS, done) }) // their own watchdogs: tick 1020
+			open := len(r.g.lines)
+			runTo(r, 1010) // past the cancelled deadline's tick
+			if r.g.Timeouts != 0 || openRecalls(r.g) != open || calls != 1 || r.g.CheckQuiesced() == nil {
+				t.Fatalf("a cancelled watchdog acted on a later recall: timeouts=%d open=%d calls=%d", r.g.Timeouts, openRecalls(r.g), calls)
+			}
+			r.eng.RunUntilQuiet() // nobody answers: each times out on its own deadline
+			if r.eng.Now() != 1020 || r.g.Timeouts != uint64(open) || calls != 1+open || len(r.g.lines) != 0 || r.g.CheckQuiesced() != nil {
+				t.Fatalf("went quiet at tick %d with timeouts=%d calls=%d lines=%d quiesced=%v, want 1020, %d, %d, 0, <nil>",
+					r.eng.Now(), r.g.Timeouts, calls, len(r.g.lines), r.g.CheckQuiesced(), open, 1+open)
 			}
 		})
 	})

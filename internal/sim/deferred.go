@@ -9,11 +9,14 @@ package sim
 // The guard's dispatch and rate-limit timers and the adversary's delayed
 // replies are each one Deferred.
 //
-// A record is the engine's from After until its tick; there is no cancel.
-// An owner whose action may be overtaken puts in the payload what tells it so
-// (the guard's serial) and lets the action fire inert. The record is cleared
-// and given back before run is called, so run may defer again — it takes the
-// record it just left — and a payload pins nothing once it has run.
+// A record is the engine's from After until its tick: a Deferred has no
+// cancel, because its actions are short-dated (a few ticks of latency) and an
+// overtaken one costs an event that was due anyway. An owner whose action may
+// be overtaken puts in the payload what tells it so (the guard's serial) and
+// lets the action fire inert; an action that waits long enough for that to
+// matter belongs on a Lane. The record is cleared and given back before run is
+// called, so run may defer again — it takes the record it just left — and a
+// payload pins nothing once it has run.
 //
 // Bind before first use. A Deferred must not be copied after that: its
 // records point back at it.
@@ -64,53 +67,85 @@ func (r *deferredRec[P]) fire() {
 	d.run(p)
 }
 
-// Lane is Deferred for actions that all wait the same number of ticks, and
-// so run in the order they were deferred: the payloads wait in one ring and
-// every event is the same Timed taking the ring's head. A pending action
-// costs a ring slot, not a record, which is what a long delay needs — a
-// record is only reused once it has fired, and the guard's 100 000-tick
-// watchdogs are armed by the hundred before the first one does.
+// Lane is the deferred actions of one kind that usually do not happen: every
+// one waits the same long delay, and its owner calls most of them off long
+// before — the guard's Guarantee 2c deadlines, 100 000 ticks each, on recalls
+// that close in a couple of hundred. Defer hands back the armed action and its
+// Cancel takes it out of the engine's queue (Timer), so what a lane holds, and
+// what it keeps queued, is what is armed now: a called-off action does not
+// fire, does not count as pending and does not hold the clock open.
 //
-// Like a Deferred it has no cancel, is bound before first use and must not
-// move afterwards.
+// Like a Deferred's, an action's record goes back to the free list before run
+// is called — or when it is cancelled — so a lane allocates nothing once it
+// has as many records as were ever armed at once. Bind before first use; a
+// Lane must not be copied after that.
 type Lane[P any] struct {
 	eng   *Engine
 	run   func(P)
 	delay Time
-	ev    Timed
-	// ring holds the n pending payloads from head on, wrapping; its length
-	// is zero or a power of two.
-	ring    []P
-	head, n int
+	free  *Armed[P]
+	n     int
+}
+
+// Armed is one action waiting on a Lane. It is its owner's to Cancel until
+// the action runs; after either, the record belongs to the lane again and
+// the pointer must be dropped.
+type Armed[P any] struct {
+	p    P
+	t    Timer
+	lane *Lane[P]
+	next *Armed[P] // free-list link
 }
 
 // Bind sets the engine, the delay every action of the lane waits and the
 // function every one of them runs.
 func (l *Lane[P]) Bind(eng *Engine, delay Time, run func(P)) {
 	l.eng, l.delay, l.run = eng, delay, run
-	l.ev.Fn = l.fire
 }
 
 // Defer runs run(p) after the lane's delay, at the queue position
-// eng.Schedule(delay, …) would give it.
-func (l *Lane[P]) Defer(p P) {
-	if l.n == len(l.ring) {
-		grown := make([]P, max(8, 2*len(l.ring)))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-		}
-		l.ring, l.head = grown, 0
+// eng.Schedule(delay, …) would give it, unless the action is cancelled first.
+func (l *Lane[P]) Defer(p P) *Armed[P] {
+	a := l.free
+	if a != nil {
+		l.free = a.next
+		a.next = nil
+	} else {
+		a = &Armed[P]{lane: l}
+		a.t.Bind(a.fire)
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = p
+	a.p = p
 	l.n++
-	l.eng.ScheduleEvent(l.delay, &l.ev)
+	l.eng.ScheduleTimer(l.delay, &a.t)
+	return a
 }
 
-func (l *Lane[P]) fire() {
-	p := l.ring[l.head]
+// Cancel calls the action off and returns its payload, so that the owner can
+// check it took back what it meant to. Cancelling an action that is not armed
+// — it ran, or was already cancelled — panics: by now the record may be armed
+// again for someone else.
+func (a *Armed[P]) Cancel() P {
+	l := a.lane
+	if !l.eng.Cancel(&a.t) {
+		panic("sim: Cancel of a lane action that is not armed")
+	}
+	return l.release(a)
+}
+
+// Len reports how many actions are armed.
+func (l *Lane[P]) Len() int { return l.n }
+
+func (l *Lane[P]) release(a *Armed[P]) P {
+	p := a.p
 	var zero P
-	l.ring[l.head] = zero
-	l.head = (l.head + 1) & (len(l.ring) - 1)
+	a.p = zero
+	a.next = l.free
+	l.free = a
 	l.n--
-	l.run(p)
+	return p
+}
+
+func (a *Armed[P]) fire() {
+	l := a.lane
+	l.run(l.release(a))
 }

@@ -11,13 +11,52 @@ import (
 	"crossingguard/internal/sim/simref"
 )
 
-// kernel abstracts the two engines under differential test.
+// kernel abstracts the engines under differential test. arm schedules an
+// event that can be taken back: cancel reports whether it was still queued.
 type kernel interface {
 	Schedule(delay sim.Time, fn func())
+	arm(delay sim.Time, fn func()) (cancel func() bool)
 	Now() sim.Time
 	Pending() int
 	RunUntil(deadline sim.Time) bool
 	RunUntilQuiet() sim.Time
+}
+
+// prod is the production kernel: arm is a Timer.
+type prod struct{ *sim.Engine }
+
+func (k prod) arm(delay sim.Time, fn func()) func() bool {
+	t := new(sim.Timer)
+	t.Bind(fn)
+	k.ScheduleTimer(delay, t)
+	return func() bool { return k.Cancel(t) }
+}
+
+// ref is the frozen reference kernel, whose cancel scans the queue.
+type ref struct{ *simref.Engine }
+
+func (k ref) arm(delay sim.Time, fn func()) func() bool {
+	id := k.ScheduleID(delay, fn)
+	return func() bool { return k.Cancel(id) }
+}
+
+// inert is a kernel without a cancel, as the production one was: a
+// cancelled event stays queued and fires as a no-op at its original tick.
+type inert struct{ kernel }
+
+func (k inert) arm(delay sim.Time, fn func()) func() bool {
+	queued := true
+	k.Schedule(delay, func() {
+		if queued {
+			queued = false
+			fn()
+		}
+	})
+	return func() bool {
+		was := queued
+		queued = false
+		return was
+	}
 }
 
 // edgeDelays are the delays that land an event on either side of the
@@ -25,53 +64,81 @@ type kernel interface {
 // delay; the reference kernel has no such boundary.
 var edgeDelays = [...]sim.Time{sim.Horizon - 1, sim.Horizon, sim.Horizon + 1, 100_000}
 
-// drawDelay returns 0 (same-tick ties), 1-8 or an edge delay.
+// drawDelay returns 0 (same-tick ties), 1-8, an edge delay, or a delay
+// spread over the next few windows: a far heap deep enough that taking an
+// event out of its middle has to move others both up and down.
 func drawDelay(rng *rand.Rand) sim.Time {
 	switch k := rng.Intn(8); {
 	case k < 2:
 		return 0
-	case k < 6:
+	case k < 5:
 		return sim.Time(1 + rng.Intn(8))
+	case k < 6:
+		return sim.Horizon + sim.Time(rng.Intn(8*sim.Horizon))
 	}
 	return edgeDelays[rng.Intn(len(edgeDelays))]
 }
 
 // driveRandom feeds eng a pseudo-random self-extending schedule derived
 // only from seed and n: initial events at random delays, each firing
-// event logging its id and possibly scheduling children. The queue is
-// run in slices, RunUntil(now+k) interleaved with RunUntilQuiet and with
-// schedules made between slices, and the log records the clock, the queue
-// length and the verdict after every slice, so a kernel that executes the
-// right order but parks the clock or an event in the wrong place still
-// diverges from the reference.
-func driveRandom(eng kernel, seed int64, n int) []uint64 {
+// event logging its id and tick and possibly scheduling children. A third
+// of the children are armed, and a firing event may cancel an armed one
+// drawn at random — queued in the wheel, queued in the far heap, fired
+// already or cancelled before — logging what the cancel reported.
+//
+// When sliced, the queue is run in slices, RunUntil(now+k) interleaved
+// with RunUntilQuiet and with schedules made between slices, and the log
+// records the clock, the queue length and the verdict after every slice,
+// so a kernel that executes the right order but parks the clock or an
+// event in the wrong place still diverges from the reference. Unsliced, it
+// is one RunUntilQuiet and the log holds only what live events did: the
+// form in which a kernel that cancels and one whose cancelled events fire
+// inert must agree.
+func driveRandom(eng kernel, seed int64, n int, sliced bool) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var log []uint64
+	var armed []func() bool
 	next := uint64(0)
 	budget := n
 	var spawn func()
 	spawn = func() {
 		id := next
 		next++
-		eng.Schedule(drawDelay(rng), func() {
-			log = append(log, id)
+		fire := func() {
+			log = append(log, id, uint64(eng.Now()))
 			for k := rng.Intn(3); k > 0 && budget > 0; k-- {
 				budget--
 				spawn()
 			}
-		})
+			if len(armed) > 0 && rng.Intn(2) == 0 {
+				took := uint64(0)
+				if armed[rng.Intn(len(armed))]() {
+					took = 1
+				}
+				log = append(log, ^uint64(1), took)
+			}
+		}
+		if delay := drawDelay(rng); rng.Intn(3) == 0 {
+			armed = append(armed, eng.arm(delay, fire))
+		} else {
+			eng.Schedule(delay, fire)
+		}
 	}
 	for i := 0; i < 4; i++ {
 		id := next
 		next++
 		d := sim.Time(rng.Intn(4)) * sim.Time(i%2) // half start at t=0: ties
 		eng.Schedule(d, func() {
-			log = append(log, id)
+			log = append(log, id, uint64(eng.Now()))
 			if budget > 0 {
 				budget--
 				spawn()
 			}
 		})
+	}
+	if !sliced {
+		eng.RunUntilQuiet()
+		return log
 	}
 	mark := func(quiet bool) {
 		q := uint64(0)
@@ -113,29 +180,55 @@ func diverges(got, want []uint64) int {
 
 // TestDifferentialAgainstReference drives the wheel-plus-far-heap kernel
 // and the frozen container/heap kernel with identical randomized
-// schedules and requires identical execution order, clock and queue
-// length after every run slice — including zero-delay same-tick FIFO
-// ties and events that enter the wheel through the far heap, which is
-// where a queue rewrite would betray determinism.
+// schedule/cancel mixes and requires identical execution order, clock and
+// queue length after every run slice — including zero-delay same-tick FIFO
+// ties, events that enter the wheel through the far heap, and cancels that
+// catch their event on either side of that move, which is where a queue
+// rewrite would betray determinism.
 func TestDifferentialAgainstReference(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		return diverges(driveRandom(sim.NewEngine(), seed, int(n)), driveRandom(simref.NewEngine(), seed, int(n))) < 0
+		return diverges(driveRandom(prod{sim.NewEngine()}, seed, int(n), true),
+			driveRandom(ref{simref.NewEngine()}, seed, int(n), true)) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// FuzzEngineOrder is the same differential check under the native
+// TestCancelKeepsLiveOrder is the cancel's own contract: taking events out
+// of the queue changes nothing for the ones left in. The live events run at
+// the same ticks in the same order, and every cancel reports the same, as on
+// a kernel where a cancelled event stays queued and fires as a no-op — on
+// the production queue, and on the reference with its scanning cancel.
+func TestCancelKeepsLiveOrder(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		want := driveRandom(inert{prod{sim.NewEngine()}}, seed, int(n), false)
+		return diverges(driveRandom(prod{sim.NewEngine()}, seed, int(n), false), want) < 0 &&
+			diverges(driveRandom(ref{simref.NewEngine()}, seed, int(n), false), want) < 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzEngineOrder is the same two differential checks under the native
 // fuzzer, with longer schedules.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add(int64(1), uint16(64))
 	f.Add(int64(-7), uint16(2000))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
-		got := driveRandom(sim.NewEngine(), seed, int(n))
-		want := driveRandom(simref.NewEngine(), seed, int(n))
-		if i := diverges(got, want); i >= 0 {
-			t.Fatalf("seed %d n %d: log diverges from the reference at entry %d of %d/%d", seed, n, i, len(got), len(want))
+		for _, sliced := range []bool{true, false} {
+			got := driveRandom(prod{sim.NewEngine()}, seed, int(n), sliced)
+			want := driveRandom(ref{simref.NewEngine()}, seed, int(n), sliced)
+			if i := diverges(got, want); i >= 0 {
+				t.Fatalf("seed %d n %d: log diverges from the reference at entry %d of %d/%d", seed, n, i, len(got), len(want))
+			}
+			if !sliced {
+				want = driveRandom(inert{prod{sim.NewEngine()}}, seed, int(n), false)
+				if i := diverges(got, want); i >= 0 {
+					t.Fatalf("seed %d n %d: log diverges from the run with inert cancels at entry %d of %d/%d", seed, n, i, len(got), len(want))
+				}
+			}
 		}
 	})
 }
@@ -158,7 +251,7 @@ func TestDifferentialSameTickStorm(t *testing.T) {
 		eng.RunUntilQuiet()
 		return order
 	}
-	got, want := run(sim.NewEngine()), run(simref.NewEngine())
+	got, want := run(prod{sim.NewEngine()}), run(ref{simref.NewEngine()})
 	if len(got) != len(want) {
 		t.Fatalf("executed %d events, reference executed %d", len(got), len(want))
 	}
@@ -267,6 +360,43 @@ func TestScheduleEventNilPanics(t *testing.T) {
 				}
 			}()
 			fn(sim.NewEngine())
+		}()
+	}
+}
+
+// TestTimerContracts pins what ScheduleTimer and Cancel refuse.
+func TestTimerContracts(t *testing.T) {
+	e := sim.NewEngine()
+	var tm sim.Timer
+	tm.Bind(func() {})
+	if e.Cancel(&tm) {
+		t.Fatal("Cancel of a Timer never scheduled reported true")
+	}
+	e.ScheduleTimer(5, &tm)
+	if !e.Cancel(&tm) || e.Cancel(&tm) || e.Pending() != 0 {
+		t.Fatalf("Cancel then Cancel: want true, false and an empty queue (%d pending)", e.Pending())
+	}
+	e.ScheduleTimer(5, &tm) // free to go again once cancelled
+	e.RunUntilQuiet()
+	if e.Cancel(&tm) {
+		t.Fatal("Cancel of a fired Timer reported true")
+	}
+	var l sim.Lane[int]
+	l.Bind(e, 5, func(int) {})
+	a := l.Defer(1)
+	e.RunUntilQuiet()
+	for name, fn := range map[string]func(){
+		"unbound":          func() { e.ScheduleTimer(1, new(sim.Timer)) },
+		"queued twice":     func() { e.ScheduleTimer(1, &tm); e.ScheduleTimer(1, &tm) },
+		"cancel after run": func() { a.Cancel() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
 		}()
 	}
 }

@@ -24,13 +24,27 @@
 // (time, sequence).
 //
 // Callers that schedule the same logical callback repeatedly (the
-// network fabric's delivery records, tickers, pooled protocol events)
-// should bind the callback once in a Timed and use ScheduleEvent, which
-// is allocation-free per call. A callback that needs a payload per call —
+// network fabric's delivery records, pooled protocol events) should bind
+// the callback once in a Timed and use ScheduleEvent, which is
+// allocation-free per call. A callback that needs a payload per call —
 // "do this to that line after N ticks" — goes through a Deferred (a free
-// list of records, each a payload and a bound Timed) or, when every call
-// waits the same delay, a Lane (one Timed over a ring of payloads), which
-// keep that discipline in one place.
+// list of records, each a payload and a bound Timed), which keeps that
+// discipline in one place.
+//
+// # Taking an event back
+//
+// A Timed is the engine's until its tick. That suits a short delay: an
+// action that is overtaken fires inert a few ticks later, on an event that
+// was due anyway. It does not suit a long one. A deadline of 100 000 ticks
+// on work that finishes in 200 would sit in the far heap for the rest of
+// the run, and the run would not end until the last dead one had fired. A
+// Timer is the event that can be taken back: it knows its slot in the far
+// heap (the heap is indexed) or its node in the wheel, and Cancel removes
+// it, leaving every other event's (time, sequence) position as it was. A
+// Lane is Deferred over Timers — payload records whose actions the owner
+// cancels — and Ticker's cancel is the same call. So Pending counts, and
+// the clock stops at, the events that will actually do something:
+// RunUntilQuiet returns the tick the system went quiet.
 package sim
 
 import (
@@ -70,11 +84,13 @@ type node struct {
 type bucket struct{ head, tail int32 }
 
 // event is a far-heap entry: a callback due at least horizon ticks after
-// the clock at which it was scheduled.
+// the clock at which it was scheduled. t is the Timer it belongs to, nil for
+// an event nobody can take back.
 type event struct {
 	at  Time
 	seq uint64 // insertion order among far events; breaks timestamp ties FIFO
 	fn  func()
+	t   *Timer
 }
 
 // before reports whether a must execute before b: earlier timestamp, or
@@ -91,62 +107,79 @@ func (a event) before(b event) bool {
 // eventHeap is a 4-ary min-heap ordered by (at, seq). Children of slot i
 // live at 4i+1..4i+4. A 4-ary layout halves tree depth versus binary,
 // trading a few extra sibling compares (cache-resident) for fewer levels
-// of swaps.
+// of swaps. It is indexed: a Timer's event tells the Timer every slot it
+// lands in, which is what lets remove find it.
 type eventHeap []event
+
+// set stores ev in slot i.
+func (h eventHeap) set(i int, ev event) {
+	h[i] = ev
+	if ev.t != nil {
+		ev.t.pos = int32(i + 1)
+	}
+}
+
+// up places ev at or above the vacant slot i, moving larger parents down.
+func (h eventHeap) up(i int, ev event) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h.set(i, h[p])
+		i = p
+	}
+	h.set(i, ev)
+}
+
+// down places ev at or below the vacant slot i, moving smaller children up.
+func (h eventHeap) down(i int, ev event) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(ev) {
+			break
+		}
+		h.set(i, h[m])
+		i = m
+	}
+	h.set(i, ev)
+}
 
 // push adds ev, restoring heap order.
 func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !q[i].before(q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
+	*h = append(*h, event{})
+	h.up(len(*h)-1, ev)
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the popped callback is not retained by the backing array.
-func (h *eventHeap) pop() event {
+// remove takes the event in slot i out, refilling the slot from the tail.
+// The vacated tail slot is zeroed so the removed callback is not retained
+// by the backing array.
+func (h *eventHeap) remove(i int) event {
 	q := *h
-	top := q[0]
+	ev := q[i]
 	n := len(q) - 1
 	moved := q[n]
 	q[n] = event{} // release fn: no liveness beyond execution
 	q = q[:n]
-	if n > 0 {
-		// Sift moved down from the root, writing it only at its final
-		// slot (half the stores of swap-based sifting).
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(moved) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = moved
-	}
 	*h = q
-	return top
+	switch {
+	case i == n:
+	case i > 0 && moved.before(q[(i-1)>>2]):
+		q.up(i, moved)
+	default:
+		q.down(i, moved)
+	}
+	return ev
 }
 
 // Timed is a reusable scheduled event: the callback is bound once (one
@@ -166,6 +199,33 @@ type Timed struct {
 
 // NewTimed returns a Timed bound to fn.
 func NewTimed(fn func()) *Timed { return &Timed{Fn: fn} }
+
+// Timer is a scheduled event that can be taken back. A Timed handed to the
+// engine stays there until its tick; a Timer knows where in the queue it
+// waits, so Cancel removes it: nothing is left to fire, to count as pending,
+// or to hold the clock open. It is for long-dated events that are usually
+// overtaken — the guard's recall deadlines, a ticker — which would otherwise
+// pile up in the far heap and stretch every run to the last dead one.
+//
+// A Timer is queued at most once at a time; it is free to be scheduled again
+// from the moment its callback starts or Cancel returns. Bind before first
+// use; a Timer must not be copied or moved after that.
+type Timer struct {
+	fn   func()
+	fire func() // fired, bound once: what the queue holds
+	at   Time   // due tick, while queued
+	// pos says where the Timer waits: 0 not queued, k > 0 far-heap slot k-1,
+	// k < 0 wheel node -k (in the bucket of tick at).
+	pos int32
+}
+
+// Bind sets the callback the timer runs when it fires.
+func (t *Timer) Bind(fn func()) { t.fn, t.fire = fn, t.fired }
+
+func (t *Timer) fired() {
+	t.pos = 0
+	t.fn()
+}
 
 // Engine is a deterministic discrete-event scheduler.
 //
@@ -238,13 +298,56 @@ func (e *Engine) ScheduleEventAt(at Time, t *Timed) {
 	e.ScheduleEvent(at-e.now, t)
 }
 
-// schedule queues fn for now+delay: on its tick's bucket when that lies
-// inside the window, else on the far heap.
-func (e *Engine) schedule(delay Time, fn func()) {
+// ScheduleTimer runs t's callback after delay ticks, at the queue position
+// Schedule would give it, unless Cancel takes it back first. It allocates
+// nothing. Scheduling a Timer that is already queued panics.
+func (e *Engine) ScheduleTimer(delay Time, t *Timer) {
+	if t == nil || t.fn == nil {
+		panic("sim: ScheduleTimer with nil or unbound Timer")
+	}
+	if t.pos != 0 {
+		panic("sim: ScheduleTimer of a Timer that is already queued")
+	}
+	t.at = e.now + delay
 	if delay >= horizon {
-		e.farSeq++
-		e.far.push(event{at: e.now + delay, seq: e.farSeq, fn: fn})
+		e.pushFar(t.at, t.fire, t)
 		return
+	}
+	t.pos = -e.schedule(delay, t.fire)
+}
+
+// Cancel takes a queued Timer out of the queue and reports whether it was
+// there to take: false means it has fired, or was never scheduled. Every
+// other event keeps its (time, sequence) position. A far event — the usual
+// case, a deadline called off long before it is due — leaves the heap in
+// O(log n); one the clock has already brought into the wheel is unlinked
+// from its tick's bucket, which is a walk of that one bucket.
+func (e *Engine) Cancel(t *Timer) bool {
+	switch {
+	case t.pos > 0:
+		e.far.remove(int(t.pos - 1))
+	case t.pos < 0:
+		e.unlink(t.at, -t.pos)
+	default:
+		return false
+	}
+	t.pos = 0
+	return true
+}
+
+// pushFar queues fn, for timer t if any, on the far heap for tick at.
+func (e *Engine) pushFar(at Time, fn func(), t *Timer) {
+	e.farSeq++
+	e.far.push(event{at: at, seq: e.farSeq, fn: fn, t: t})
+}
+
+// schedule queues fn for now+delay: on its tick's bucket when that lies
+// inside the window, returning the wheel node it took, else on the far heap,
+// returning 0.
+func (e *Engine) schedule(delay Time, fn func()) int32 {
+	if delay >= horizon {
+		e.pushFar(e.now+delay, fn, nil)
+		return 0
 	}
 	i := e.free
 	if i != 0 {
@@ -267,6 +370,35 @@ func (e *Engine) schedule(delay Time, fn func()) {
 	}
 	b.tail = i
 	e.inWheel++
+	return i
+}
+
+// unlink removes node i from the bucket of tick at and frees it.
+func (e *Engine) unlink(at Time, i int32) {
+	slot := uint(at) & wheelMask
+	b := &e.wheel[slot]
+	prev := int32(0)
+	for j := b.head; j != i; j = e.nodes[j].next {
+		if j == 0 {
+			panic("sim: Cancel of a Timer its bucket does not hold")
+		}
+		prev = j
+	}
+	n := &e.nodes[i]
+	if prev == 0 {
+		b.head = n.next
+	} else {
+		e.nodes[prev].next = n.next
+	}
+	if b.tail == i {
+		b.tail = prev
+	}
+	if b.head == 0 {
+		e.occ[slot>>6] &^= 1 << (slot & 63)
+	}
+	*n = node{next: e.free}
+	e.free = i
+	e.inWheel--
 }
 
 // Pending reports the number of queued events.
@@ -307,8 +439,11 @@ func (e *Engine) next() Time {
 func (e *Engine) advance(t Time) {
 	e.now = t
 	for len(e.far) > 0 && e.far[0].at-t < horizon {
-		ev := e.far.pop()
-		e.schedule(ev.at-t, ev.fn)
+		ev := e.far.remove(0)
+		i := e.schedule(ev.at-t, ev.fn)
+		if ev.t != nil {
+			ev.t.pos = -i
+		}
 	}
 }
 
@@ -377,23 +512,18 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	return false
 }
 
-// Ticker invokes fn every period ticks until cancel is called.
-// It is used for watchdogs and rate-limiter refills.
+// Ticker invokes fn every period ticks until cancel is called. The next
+// tick is queued before fn runs, so cancel works from inside fn as from
+// outside, and a cancelled ticker leaves nothing in the queue.
 func (e *Engine) Ticker(period Time, fn func()) (cancel func()) {
 	if period == 0 {
 		panic("sim: Ticker with zero period")
 	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
+	t := new(Timer)
+	t.Bind(func() {
+		e.ScheduleTimer(period, t)
 		fn()
-		if !stopped {
-			e.Schedule(period, tick)
-		}
-	}
-	e.Schedule(period, tick)
-	return func() { stopped = true }
+	})
+	e.ScheduleTimer(period, t)
+	return func() { e.Cancel(t) }
 }

@@ -176,6 +176,32 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// A stopped ticker leaves nothing queued, whether it is stopped from
+// outside a tick or inside one, so it neither counts as pending nor moves the
+// clock a period further.
+func TestTickerCancelLeavesNothingQueued(t *testing.T) {
+	for _, period := range []Time{10, horizon + 10} { // next tick in the wheel, in the far heap
+		e := NewEngine()
+		n := 0
+		cancel := e.Ticker(period, func() { n++ })
+		e.Schedule(3*period+1, func() {})
+		e.RunUntil(3*period + 1)
+		cancel()
+		if n != 3 || e.Pending() != 0 {
+			t.Fatalf("period %d: %d ticks, %d events pending after cancel, want 3, 0", period, n, e.Pending())
+		}
+		if end := e.RunUntilQuiet(); end != 3*period+1 || n != 3 {
+			t.Fatalf("period %d: ran on to tick %d (%d ticks) after cancel", period, end, n)
+		}
+		cancel() // a second cancel finds nothing to take
+		var stop func()
+		stop = e.Ticker(period, func() { stop() })
+		if e.RunUntilQuiet(); e.Pending() != 0 || e.Now() != 4*period+1 {
+			t.Fatalf("period %d: cancel from inside the tick left %d pending, clock %d", period, e.Pending(), e.Now())
+		}
+	}
+}
+
 func TestTickerZeroPeriodPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

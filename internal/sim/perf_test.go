@@ -122,9 +122,9 @@ func TestDeferredAllocFree(t *testing.T) {
 }
 
 // TestLaneAllocFree: a lane's actions run in the order deferred, each at the
-// position Schedule would have given it, and once the ring holds as many
-// payloads as are ever pending, deferring allocates nothing — even when, as
-// with the guard's watchdogs, hundreds are pending before the first fires.
+// position Schedule would have given it, and once the lane has as many
+// records as are ever armed at once, deferring allocates nothing — even when
+// hundreds are armed before the first fires.
 func TestLaneAllocFree(t *testing.T) {
 	e := sim.NewEngine()
 	var l sim.Lane[int]
@@ -158,5 +158,60 @@ func TestLaneAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("a round of 300 pending lane actions allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestLaneCancelAllocFree is the guard's pattern: arm a long deadline, call
+// it off a few ticks later. Neither step allocates; the lane and the far
+// heap hold what is armed now, not what was armed in the last 100 000 ticks;
+// a cancelled action never runs, in the far heap or already in the wheel; and
+// the run ends at the last live event, not at the last deadline called off.
+func TestLaneCancelAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	var far, near sim.Lane[int]
+	var ran []int
+	run := func(id int) { ran = append(ran, id) }
+	far.Bind(e, 100_000, run)
+	near.Bind(e, 100, run) // inside the wheel from the start
+	nop := sim.NewTimed(func() {})
+	var want []int
+	for i := 0; i < 300; i += 3 {
+		want = append(want, 1000+i)
+	}
+	round := func() {
+		ran = ran[:0]
+		held := far.Defer(-1) // stays armed throughout, as a slow recall's does
+		var last sim.Time     // when the last near action left armed is due
+		for i := 0; i < 300; i++ {
+			a, b := far.Defer(i), near.Defer(1000+i)
+			e.ScheduleEvent(20, nop)
+			e.RunUntil(e.Now() + 20)
+			if got := a.Cancel(); got != i {
+				t.Fatalf("cancel returned payload %d, want %d", got, i)
+			}
+			if i%3 != 0 {
+				b.Cancel()
+			} else {
+				last = e.Now() + 80
+			}
+			if far.Len() != 1 || e.FarLen() != 1 || near.Len() > 2 {
+				t.Fatalf("round %d: %d far and %d near actions armed, %d events in the far heap, want 1, at most 2, 1",
+					i, far.Len(), near.Len(), e.FarLen())
+			}
+		}
+		held.Cancel()
+		if end := e.RunUntilQuiet(); end != last || e.Pending() != 0 {
+			t.Fatalf("went quiet at tick %d with %d pending, want %d with 0", end, e.Pending(), last)
+		}
+	}
+	round()
+	if !slices.Equal(ran, want) {
+		t.Fatalf("actions ran\n%v, want\n%v", ran, want)
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of 600 arms and 500 cancels allocated %v objects, want 0", allocs)
 	}
 }

@@ -60,12 +60,29 @@ func (e *Engine) Now() sim.Time { return e.now }
 
 // Schedule runs fn after delay ticks with the old kernel's semantics
 // (identical to the production kernel's by construction).
-func (e *Engine) Schedule(delay sim.Time, fn func()) {
+func (e *Engine) Schedule(delay sim.Time, fn func()) { e.ScheduleID(delay, fn) }
+
+// ScheduleID is Schedule returning the event's id, for Cancel.
+func (e *Engine) ScheduleID(delay sim.Time, fn func()) uint64 {
 	if fn == nil {
 		panic("simref: Schedule with nil fn")
 	}
 	e.seq++
 	heap.Push(&e.pq, event{at: e.now + delay, seq: e.seq, fn: fn})
+	return e.seq
+}
+
+// Cancel is the reference for the production kernel's Timer cancel, done
+// the naive way: scan the whole queue for the event and take it out. It
+// reports whether the event was still queued.
+func (e *Engine) Cancel(id uint64) bool {
+	for i := range e.pq {
+		if e.pq[i].seq == id {
+			heap.Remove(&e.pq, i)
+			return true
+		}
+	}
+	return false
 }
 
 // ScheduleAt runs fn at absolute time t; scheduling in the past panics.

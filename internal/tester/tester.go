@@ -86,7 +86,11 @@ type Result struct {
 	Stores, Loads uint64
 	// LoadChecks counts loads whose value was verified.
 	LoadChecks uint64
-	// EndTime is the simulated completion time.
+	// EndTime is the tick the machine went quiet: that of the last event
+	// any component had to run — the last memop's completion and whatever
+	// writebacks and acks trail it. A timer called off before it was due
+	// (a closed recall's Guarantee 2c watchdog) is not one; on a run that
+	// hit Deadline with events still queued it is Deadline.
 	EndTime sim.Time
 }
 
