@@ -24,6 +24,7 @@ type mockGuard struct {
 
 	gets, puts, putSs uint64
 	invResps          []*coherence.Msg
+	onInvResp         func() // called as each Invalidate response arrives, if set
 }
 
 func newMockGuard(id coherence.NodeID, eng *sim.Engine, fab *network.Fabric) *mockGuard {
@@ -57,6 +58,9 @@ func (g *mockGuard) Recv(m *coherence.Msg) {
 	case coherence.AInvAck, coherence.ACleanWB, coherence.ADirtyWB:
 		m.Keep()
 		g.invResps = append(g.invResps, m)
+		if g.onInvResp != nil {
+			g.onInvResp()
+		}
 		if m.Data != nil && m.Type == coherence.ADirtyWB {
 			g.mem.Write(m.Addr, m.Data)
 		}

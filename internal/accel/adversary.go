@@ -349,9 +349,10 @@ func (a *Adversary) stepBabble() {
 	types := [...]coherence.MsgType{coherence.AGetS, coherence.AGetM,
 		coherence.APutM, coherence.APutE, coherence.APutS}
 	ty := types[a.rng.Intn(len(types))]
+	var blk mem.Block
 	var data *mem.Block
 	if ty.CarriesData() && a.rng.Intn(4) != 0 {
-		data = a.randomBlock()
+		blk, data = a.randomBlock(), &blk
 	}
 	a.send(ty, a.pick(), data, ty == coherence.APutM)
 }
@@ -369,7 +370,8 @@ func (a *Adversary) stepStaleWriter() {
 		return
 	}
 	a.open[addr] = coherence.APutM
-	a.send(coherence.APutM, addr, a.staleBlock(addr), true)
+	blk := a.staleBlock(addr)
+	a.send(coherence.APutM, addr, &blk, true)
 	delete(a.held, addr)
 }
 
@@ -377,13 +379,16 @@ func (a *Adversary) stepStaleWriter() {
 // ordinary requests it immediately forgets about.
 func (a *Adversary) stepConfused() {
 	addr := a.pick()
+	var blk mem.Block
 	switch a.rng.Intn(4) {
 	case 0:
 		a.send(coherence.AInvAck, addr, nil, false)
 	case 1:
-		a.send(coherence.ADirtyWB, addr, a.randomBlock(), true)
+		blk = a.randomBlock()
+		a.send(coherence.ADirtyWB, addr, &blk, true)
 	case 2:
-		a.send(coherence.ACleanWB, addr, a.randomBlock(), false)
+		blk = a.randomBlock()
+		a.send(coherence.ACleanWB, addr, &blk, false)
 	default:
 		// A request it will never track: later grants/acks find no open
 		// transaction on our side, and a duplicate request trips G1b.
@@ -428,15 +433,17 @@ func (a *Adversary) answerInv(addr mem.Addr) {
 		return
 	case AdvStaleWriter:
 		delete(a.held, addr)
-		a.respond(coherence.ADirtyWB, addr, a.staleBlock(addr), true, 0)
+		blk := a.staleBlock(addr)
+		a.respond(coherence.ADirtyWB, addr, &blk, true, 0)
 	case AdvConfused:
 		delete(a.held, addr)
 		types := [...]coherence.MsgType{coherence.AInvAck, coherence.ACleanWB,
 			coherence.ADirtyWB, coherence.AGetM}
 		ty := types[a.rng.Intn(len(types))]
+		var blk mem.Block
 		var data *mem.Block
 		if ty.CarriesData() {
-			data = a.randomBlock()
+			blk, data = a.randomBlock(), &blk
 		}
 		a.respond(ty, addr, data, ty == coherence.ADirtyWB, 0)
 	case AdvSlowpoke:
@@ -473,26 +480,40 @@ func (a *Adversary) respond(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 	if delay <= 0 {
 		delay = 1
 	}
-	a.replies.After(delay, advReply{ty, addr, data, dirty, a.epoch})
+	a.replies.After(delay, a.reply(ty, addr, data, dirty))
 }
 
-// advReply is one recall response waiting out its delay.
+// advReply is one message to the guard: sent at once, or a recall response
+// waiting out its delay. It carries its block by value — what the adversary
+// forges is content, and the message it goes out in is the pool's.
 type advReply struct {
-	ty    coherence.MsgType
-	addr  mem.Addr
-	data  *mem.Block
-	dirty bool
-	epoch uint32
+	ty      coherence.MsgType
+	addr    mem.Addr
+	data    mem.Block
+	hasData bool
+	dirty   bool
+	epoch   uint32
+}
+
+func (a *Adversary) reply(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) advReply {
+	r := advReply{ty: ty, addr: addr, hasData: data != nil, dirty: dirty, epoch: a.epoch}
+	if data != nil {
+		r.data = *data
+	}
+	return r
 }
 
 func (a *Adversary) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) {
-	a.sendReply(advReply{ty, addr, data, dirty, a.epoch})
+	a.sendReply(a.reply(ty, addr, data, dirty))
 }
 
 func (a *Adversary) sendReply(r advReply) {
 	a.Sent++
-	a.fab.Send(&coherence.Msg{Type: r.ty, Addr: r.addr, Src: a.id, Dst: a.xg, Data: r.data, Dirty: r.dirty,
-		Epoch: r.epoch})
+	m := a.fab.Msg(coherence.Msg{Type: r.ty, Addr: r.addr, Src: a.id, Dst: a.xg, Dirty: r.dirty, Epoch: r.epoch})
+	if r.hasData { // copied in here: a block named in the template would escape to the heap
+		*m.OwnData() = r.data
+	}
+	a.fab.Send(m)
 }
 
 func (a *Adversary) pick() mem.Addr {
@@ -502,17 +523,16 @@ func (a *Adversary) pick() mem.Addr {
 // staleBlock returns deliberately wrong data for addr: the first value
 // ever observed for the line, scrambled further so it can never pass for
 // current.
-func (a *Adversary) staleBlock(addr mem.Addr) *mem.Block {
+func (a *Adversary) staleBlock(addr mem.Addr) mem.Block {
 	var blk mem.Block
 	if old, ok := a.stale[addr]; ok {
 		blk = *old
 	}
 	blk[int(addr)%mem.BlockBytes] ^= 0xA5
-	return &blk
+	return blk
 }
 
-func (a *Adversary) randomBlock() *mem.Block {
-	var b mem.Block
+func (a *Adversary) randomBlock() (b mem.Block) {
 	a.rng.Read(b[:])
-	return &b
+	return b
 }

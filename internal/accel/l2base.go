@@ -1,0 +1,163 @@
+package accel
+
+import (
+	"fmt"
+
+	"crossingguard/internal/cacheset"
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/mem"
+	"crossingguard/internal/network"
+)
+
+// l2Base is what the two accelerator L2s (SharedL2, WeakL2) have in
+// common: the Crossing Guard side of the interface — how a line is put or
+// recalled back, the writebacks in flight — and the queues of inner-L1
+// requests waiting for a line or a way.
+type l2Base struct {
+	id   coherence.NodeID
+	name string
+	fab  *network.Fabric
+	cfg  Config
+	xg   coherence.NodeID
+	// epoch is the guard epoch the hierarchy operates under, stamped on
+	// every message sent (0 until the first device reset, and always for
+	// the weak hierarchy, which takes no part in recovery).
+	epoch uint32
+
+	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
+	waiting   coherence.LineQueues
+	stalled   []*coherence.Msg // kept until replayed
+	replaying *coherence.Msg   // message being replayed from the queue head
+	// doRecv and doAInv are the L2's Recv and handleAInv, bound once (the
+	// first is also a CallAfter handler).
+	doRecv, doAInv func(*coherence.Msg)
+}
+
+func (l *l2Base) init(id coherence.NodeID, name string, fab *network.Fabric, xg coherence.NodeID, cfg Config,
+	recv, aInv func(*coherence.Msg)) {
+	*l = l2Base{id: id, name: name, fab: fab, cfg: cfg, xg: xg, doRecv: recv, doAInv: aInv}
+	l.reset(0)
+}
+
+// reset empties the queues under a new guard epoch.
+func (l *l2Base) reset(epoch uint32) {
+	l.epoch = epoch
+	l.evictions = make(map[mem.Addr]struct{})
+	l.waiting = make(coherence.LineQueues)
+	l.stalled, l.replaying = nil, nil
+}
+
+// ID implements coherence.Controller.
+func (l *l2Base) ID() coherence.NodeID { return l.id }
+
+// Name implements coherence.Controller.
+func (l *l2Base) Name() string { return l.name }
+
+// send takes a message holding t from the pool, stamps the hierarchy's
+// epoch on it and hands it to the fabric (every protocol message an L2
+// emits — guard-bound or internal — carries the epoch).
+func (l *l2Base) send(t coherence.Msg) {
+	t.Src, t.Epoch = l.id, l.epoch
+	l.fab.Send(l.fab.Msg(t))
+}
+
+// evicting reports whether addr's writeback to the guard is in flight.
+func (l *l2Base) evicting(addr mem.Addr) bool {
+	_, ok := l.evictions[addr]
+	return ok
+}
+
+// putToGuard starts the writeback of an evicted line to Crossing Guard and
+// gives the line's block, copied into the Put, back.
+func (l *l2Base) putToGuard(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
+	l.evictions[addr] = struct{}{}
+	switch {
+	case host == AM || dirty:
+		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
+	case host == AE:
+		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: data})
+	default:
+		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
+	}
+	l.fab.FreeBlock(data)
+}
+
+// closeEviction retires addr's writeback (acked, or refused by a
+// quarantined guard) and wakes what waited for it.
+func (l *l2Base) closeEviction(addr mem.Addr, m *coherence.Msg) {
+	if !l.evicting(addr) {
+		panic(fmt.Sprintf("%s: %v with no eviction", l.name, m))
+	}
+	delete(l.evictions, addr)
+	l.wake(addr, nil)
+	l.replayStalled()
+}
+
+// answerInv answers the guard's Invalidate for a line that has just left
+// the cache — with the data when the grant or a local write made it ours to
+// return — gives the line's block back, and wakes what waited: parked, the
+// next Invalidate the line held, first.
+func (l *l2Base) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block, parked *coherence.Msg) {
+	switch {
+	case host == AM || dirty:
+		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
+	case host == AE:
+		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
+	default:
+		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
+	}
+	l.fab.FreeBlock(data)
+	l.wake(addr, parked)
+	l.replayStalled()
+}
+
+// wake serves the guard Invalidate that was parked on addr's line, or with
+// none the oldest queued request; a caller that took the line out of the
+// cache passes the Invalidate the line held.
+func (l *l2Base) wake(addr mem.Addr, parked *coherence.Msg) {
+	next, handle := parked, l.doAInv
+	if next == nil {
+		if next, handle = l.waiting.Pop(addr), l.doRecv; next == nil {
+			return
+		}
+	}
+	// Process synchronously so no same-tick arrival can cut in front.
+	prev := l.replaying
+	l.replaying = next
+	l.fab.BeginRecv(next)
+	handle(next)
+	l.fab.EndRecv(next)
+	l.replaying = prev
+}
+
+func (l *l2Base) replayStalled() {
+	for i, m := range l.stalled {
+		l.fab.CallAfter(0, l.doRecv, m)
+		l.stalled[i] = nil
+	}
+	l.stalled = l.stalled[:0]
+}
+
+// grantLevel is the permission a guard grant confers.
+func grantLevel(t coherence.MsgType) AState {
+	switch t {
+	case coherence.ADataE:
+		return AE
+	case coherence.ADataM:
+		return AM
+	}
+	return AS
+}
+
+// lruWhere returns the least recently used line of addr's set that passes
+// ok, or nil: the L2s' choice of a line to recall so a stalled miss can
+// allocate.
+func lruWhere[T any](c *cacheset.Cache[T], addr mem.Addr, ok func(*cacheset.Entry[T]) bool) *cacheset.Entry[T] {
+	var cand *cacheset.Entry[T]
+	c.VisitSet(addr, func(e *cacheset.Entry[T]) {
+		if ok(e) && (cand == nil || c.LRUOrder(e) < c.LRUOrder(cand)) {
+			cand = e
+		}
+	})
+	return cand
+}

@@ -14,21 +14,26 @@ import (
 type sl2TxnKind int
 
 const (
-	sl2Fetch    sl2TxnKind = iota // Crossing Guard Get outstanding
+	sl2Idle     sl2TxnKind = iota // no transaction open
+	sl2Fetch                      // Crossing Guard Get outstanding
 	sl2LocalInv                   // gathering invalidation acks from inner L1s
 	sl2Recall                     // answering a Crossing Guard Invalidate
 )
 
+// sl2Txn is the open transaction on one line, held by value in the line
+// (kind sl2Idle when there is none).
 type sl2Txn struct {
 	kind      sl2TxnKind
 	requestor coherence.NodeID // inner L1 being served
 	wantM     bool
-	wait      map[coherence.NodeID]bool
+	// wait is the inner L1s whose invalidation response is outstanding. A
+	// fetch has none of its own, so while pendingInvAck is set these are
+	// the acks the guard's Invalidate waits for.
+	wait coherence.NodeSet
 	// pendingInvAck: a Crossing Guard Invalidate arrived mid-fetch; once
 	// local copies are gone, ack the guard and keep waiting for (fresh)
 	// data.
 	pendingInvAck bool
-	invWait       map[coherence.NodeID]bool
 	granted       bool // the fetch's grant already arrived
 }
 
@@ -39,46 +44,55 @@ type sl2Line struct {
 	host    AState // grant level held from Crossing Guard (S/E/M)
 	data    *mem.Block
 	dirty   bool // modified relative to the grant
-	sharers map[coherence.NodeID]bool
+	sharers coherence.NodeSet
 	owner   coherence.NodeID
-	txn     *sl2Txn
+	txn     sl2Txn
+	// hostInv holds (and keeps) a guard Invalidate that arrived during a
+	// local transaction; it is serviced with priority as soon as the line
+	// goes idle, ahead of queued requests (whose own guard Gets may be
+	// deferred until this very Invalidate is answered).
+	hostInv *coherence.Msg
+}
+
+func (v *sl2Line) busy() bool { return v.txn.kind != sl2Idle }
+
+// open starts the line's transaction; the wait set keeps its storage from
+// one transaction to the next.
+func (v *sl2Line) open(kind sl2TxnKind, requestor coherence.NodeID, wantM bool) *sl2Txn {
+	v.txn = sl2Txn{kind: kind, requestor: requestor, wantM: wantM, wait: v.txn.wait[:0]}
+	return &v.txn
+}
+
+// closeTxn leaves the line idle.
+func (v *sl2Line) closeTxn() { v.txn.kind = sl2Idle }
+
+// ackKey names one inner L1's invalidation ack for one line.
+type ackKey struct {
+	addr mem.Addr
+	node coherence.NodeID
 }
 
 // SharedL2 is the shared inclusive accelerator L2 of the two-level
 // design; it is the only agent that speaks the Crossing Guard interface.
 type SharedL2 struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	cfg  Config
-	xg   coherence.NodeID
+	l2Base // the guard side and the request queues; internal X* traffic carries its epoch too
 
-	cache     *cacheset.Cache[sl2Line]
-	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
-	waiting   coherence.LineQueues
-	stalled   []*coherence.Msg // kept until replayed
-	replaying *coherence.Msg   // message being replayed from the queue head
-	// hostInv holds (and keeps) a guard Invalidate that arrived during a
-	// local transaction; it is serviced with priority as soon as the line
-	// goes idle, ahead of queued requests (whose own guard Gets may be
-	// deferred until this very Invalidate is answered).
-	hostInv   map[mem.Addr]*coherence.Msg
-	ignoreAck map[mem.Addr]map[coherence.NodeID]int
-	// doRecv and doServe are Recv and serve bound once (CallAfter's
-	// handlers).
-	doRecv, doServe func(*coherence.Msg)
+	cache *cacheset.Cache[sl2Line]
+	// ignoreAck counts the XInvAcks still to come from an inner L1 whose
+	// Put crossed our Inv and already served as its response; the line may
+	// have left the cache by the time one arrives.
+	ignoreAck map[ackKey]int
+	// spare is the node-set storage of lines that have left the cache, for
+	// the next lines fetched.
+	spare coherence.NodeSets
+	// doServe is serve bound once (CallAfter's handler).
+	doServe func(*coherence.Msg)
 
 	Cov *coherence.Coverage
 	// LocalSharing counts data requests satisfied without crossing to
 	// the host (the benefit of Figure 2d).
 	LocalSharing uint64
 
-	// epoch is the guard epoch the hierarchy operates under (0 until the
-	// first device reset); the whole two-level hierarchy resets as one,
-	// so internal X* traffic carries it too and pre-reset stragglers on
-	// either level are dropped.
-	epoch uint32
 	// StaleDrops counts messages dropped for a stale epoch; Nacked
 	// counts transactions refused by a quarantined guard.
 	StaleDrops, Nacked uint64
@@ -88,15 +102,12 @@ type SharedL2 struct {
 func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *SharedL2 {
 	l := &SharedL2{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
-		evictions: make(map[mem.Addr]struct{}),
-		waiting:   make(coherence.LineQueues),
-		hostInv:   make(map[mem.Addr]*coherence.Msg),
-		ignoreAck: make(map[mem.Addr]map[coherence.NodeID]int),
+		ignoreAck: make(map[ackKey]int),
 		Cov:       NewSharedL2Coverage(),
 	}
-	l.doRecv, l.doServe = l.Recv, l.serve
+	l.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
+	l.doServe = l.serve
 	fab.Register(l)
 	return l
 }
@@ -133,18 +144,12 @@ func NewSharedL2Coverage() *coherence.Coverage {
 	return cov
 }
 
-// ID implements coherence.Controller.
-func (l *SharedL2) ID() coherence.NodeID { return l.id }
-
-// Name implements coherence.Controller.
-func (l *SharedL2) Name() string { return l.name }
-
 // covState is the line's coverage state.
 func (l *SharedL2) covState(e *cacheset.Entry[sl2Line]) int {
 	if e == nil {
 		return sl2NP
 	}
-	if e.V.txn != nil {
+	if e.V.busy() {
 		return sl2Busy + int(e.V.host)
 	}
 	return int(e.V.host)
@@ -167,14 +172,14 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 		l.handlePut(m)
 	case coherence.XPutS:
 		if e := l.cache.Peek(m.Addr); e != nil {
-			delete(e.V.sharers, m.Src)
+			e.V.sharers.Remove(m.Src)
 		}
 	case coherence.XInvAck, coherence.XInvWB:
 		l.handleInvResp(m)
 	case coherence.ADataS, coherence.ADataE, coherence.ADataM:
 		l.handleGrant(m)
 	case coherence.AWBAck:
-		l.handleAWBAck(m)
+		l.closeEviction(m.Addr.Line(), m)
 	case coherence.AInv:
 		l.handleAInv(m)
 	case coherence.ANack:
@@ -189,14 +194,9 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 // same hook, so the whole hierarchy re-enters empty and any in-flight
 // internal message drops as stale on arrival.
 func (l *SharedL2) Reset(epoch uint32) {
-	l.epoch = epoch
+	l.reset(epoch)
 	l.cache = cacheset.New[sl2Line](l.cfg.L2Sets, l.cfg.L2Ways)
-	l.evictions = make(map[mem.Addr]struct{})
-	l.waiting = make(coherence.LineQueues)
-	l.stalled = nil
-	l.replaying = nil
-	l.hostInv = make(map[mem.Addr]*coherence.Msg)
-	l.ignoreAck = make(map[mem.Addr]map[coherence.NodeID]int)
+	l.ignoreAck = make(map[ackKey]int)
 }
 
 // handleANack closes a transaction a quarantined guard refused: a nacked
@@ -205,41 +205,38 @@ func (l *SharedL2) Reset(epoch uint32) {
 func (l *SharedL2) handleANack(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	l.Nacked++
-	if _, ok := l.evictions[addr]; ok {
-		delete(l.evictions, addr)
-		l.pop(addr)
-		l.replayStalled()
+	if l.evicting(addr) {
+		l.closeEviction(addr, m)
 		return
 	}
-	if e := l.cache.Peek(addr); e != nil && e.V.txn != nil && e.V.txn.kind == sl2Fetch {
+	if e := l.cache.Peek(addr); e != nil && e.V.txn.kind == sl2Fetch {
 		l.invalidate(e)
 	}
-}
-
-// send takes a message holding t from the pool, stamps the hierarchy's
-// epoch on it and hands it to the fabric (every protocol message the L2
-// emits — guard-bound or internal — carries the epoch).
-func (l *SharedL2) send(t coherence.Msg) {
-	t.Src, t.Epoch = l.id, l.epoch
-	l.fab.Send(l.fab.Msg(t))
 }
 
 // invalidate drops the line and gives its block back.
 func (l *SharedL2) invalidate(e *cacheset.Entry[sl2Line]) {
 	l.fab.FreeBlock(e.V.data)
+	l.reclaim(&e.V)
 	l.cache.Invalidate(e.Addr)
+}
+
+// reclaim takes the storage of a departing line's node sets.
+func (l *SharedL2) reclaim(v *sl2Line) {
+	l.spare.Put(v.sharers)
+	l.spare.Put(v.txn.wait)
 }
 
 // --- inner L1 requests ---
 
 func (l *SharedL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if _, evicting := l.evictions[addr]; evicting {
+	if l.evicting(addr) {
 		l.waiting.Push(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
-	if (e != nil && e.V.txn != nil) || (l.waiting.Waiting(addr) && m != l.replaying) {
+	if (e != nil && e.V.busy()) || (l.waiting.Waiting(addr) && m != l.replaying) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
 		l.waiting.Push(addr, m)
 		return
@@ -249,29 +246,34 @@ func (l *SharedL2) handleGet(m *coherence.Msg) {
 		return
 	}
 	l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
-	e.V.txn = &sl2Txn{kind: sl2LocalInv, requestor: m.Src, wait: map[coherence.NodeID]bool{}}
+	e.V.open(sl2LocalInv, m.Src, false)
 }
 
 func (l *SharedL2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	var victim cacheset.Entry[sl2Line]
 	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[sl2Line]) bool {
-		_, evicting := l.evictions[e.Addr]
-		return e.V.txn == nil && len(e.V.sharers) == 0 &&
-			e.V.owner == coherence.NodeNone && !evicting
+		return !e.V.busy() && len(e.V.sharers) == 0 &&
+			e.V.owner == coherence.NodeNone && !l.evicting(e.Addr)
 	}, &victim)
 	if !ok {
-		l.startLocalRecallInSet(addr)
+		// Recall the LRU idle line with local copies so the miss can
+		// allocate when it is replayed.
+		if cand := lruWhere(l.cache, addr, func(e *cacheset.Entry[sl2Line]) bool {
+			return !e.V.busy() && !l.evicting(e.Addr)
+		}); cand != nil {
+			l.recallCopies(cand, sl2LocalInv)
+		}
 		m.Keep()
 		l.stalled = append(l.stalled, m)
 		return
 	}
 	if evicted {
-		l.putToGuard(victim.Addr, &victim.V)
+		l.evict(victim.Addr, &victim.V)
 	}
 	wantM := m.Type == coherence.XGetM
-	e.V = sl2Line{owner: coherence.NodeNone, sharers: map[coherence.NodeID]bool{},
-		txn: &sl2Txn{kind: sl2Fetch, requestor: m.Src, wantM: wantM}}
+	e.V = sl2Line{owner: coherence.NodeNone, sharers: l.spare.Get(), txn: sl2Txn{wait: l.spare.Get()}}
+	e.V.open(sl2Fetch, m.Src, wantM)
 	ty := coherence.AGetS
 	if wantM {
 		ty = coherence.AGetM
@@ -283,16 +285,16 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 func (l *SharedL2) serve(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil {
+	if e == nil || !e.V.busy() {
 		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
-	t := e.V.txn
+	t := &e.V.txn
 	i := m.Src
 	if m.Type == coherence.XGetS {
 		if e.V.owner != coherence.NodeNone {
 			// Pull the dirty copy out of the owner first.
-			t.wait[e.V.owner] = true
+			t.wait.Add(e.V.owner)
 			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 			l.LocalSharing++
 			return // completed in handleInvResp
@@ -306,9 +308,14 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		t.kind = sl2Fetch
 		t.wantM = true
 		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
-		// A guard Invalidate that arrived during the lookup window must
-		// be answered now: the guard defers our Get until it is.
-		l.applyPendingHostInv(addr, e)
+		// A guard Invalidate parked during the lookup window must be
+		// answered now: the guard defers our Get until it is, so waiting
+		// for the fetch to finish first would deadlock into the 2c timeout.
+		if parked := e.V.hostInv; parked != nil {
+			e.V.hostInv = nil
+			l.fab.Release(parked)
+			l.invalidateUnderFetch(addr, e)
+		}
 		return
 	}
 	l.localInvForGetM(addr, e)
@@ -317,20 +324,17 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 // localInvForGetM invalidates all local copies except the requestor's,
 // then grants M.
 func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := e.V.txn
+	t := &e.V.txn
 	t.kind = sl2LocalInv
 	t.wantM = true
-	if t.wait == nil {
-		t.wait = map[coherence.NodeID]bool{}
-	}
 	if e.V.owner != coherence.NodeNone && e.V.owner != t.requestor {
-		t.wait[e.V.owner] = true
+		t.wait.Add(e.V.owner)
 		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 		l.LocalSharing++
 	}
-	for _, s := range coherence.SortedNodes(e.V.sharers) {
+	for _, s := range e.V.sharers {
 		if s != t.requestor {
-			t.wait[s] = true
+			t.wait.Add(s)
 			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
 		}
 	}
@@ -338,22 +342,22 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 }
 
 func (l *SharedL2) grantS(addr mem.Addr, e *cacheset.Entry[sl2Line], i coherence.NodeID) {
-	e.V.sharers[i] = true
-	e.V.txn = nil
+	e.V.sharers.Add(i)
+	e.V.closeTxn()
 	l.send(coherence.Msg{Type: coherence.XDataS, Addr: addr, Dst: i,
 		Data: e.V.data})
 	l.pop(addr)
 }
 
 func (l *SharedL2) maybeGrantM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := e.V.txn
-	if t == nil || len(t.wait) > 0 {
+	t := &e.V.txn
+	if !e.V.busy() || len(t.wait) > 0 {
 		return
 	}
 	i := t.requestor
-	e.V.sharers = map[coherence.NodeID]bool{}
+	e.V.sharers = e.V.sharers[:0]
 	e.V.owner = i
-	e.V.txn = nil
+	e.V.closeTxn()
 	l.send(coherence.Msg{Type: coherence.XDataM, Addr: addr, Dst: i,
 		Data: e.V.data})
 	l.pop(addr)
@@ -367,26 +371,19 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 	if e == nil {
 		panic(fmt.Sprintf("%s: Put for absent line %v (inclusion broken)", l.name, addr))
 	}
-	if t := e.V.txn; t != nil && t.activeWait()[m.Src] {
+	if e.V.busy() && e.V.txn.wait.Remove(m.Src) {
 		// The owner's Put crossed our Inv: absorb it as the response.
-		delete(t.activeWait(), m.Src)
-		l.fab.FillBlock(&e.V.data, m.Data)
-		e.V.dirty = true
-		e.V.owner = coherence.NodeNone
-		l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
-		l.noteIgnore(addr, m.Src)
+		l.absorbPut(e, m)
+		l.ignoreAck[ackKey{addr, m.Src}]++
 		l.advance(addr, e)
 		return
 	}
-	if e.V.txn != nil {
+	if e.V.busy() {
 		if e.V.owner == m.Src {
 			// The owner's Put arrived in a transaction's lookup window,
 			// before any Inv went out: absorb it now so the transaction
 			// proceeds against current data and a cleared owner.
-			l.fab.FillBlock(&e.V.data, m.Data)
-			e.V.dirty = true
-			e.V.owner = coherence.NodeNone
-			l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
+			l.absorbPut(e, m)
 			return
 		}
 		l.waiting.Push(addr, m)
@@ -395,52 +392,35 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 	if e.V.owner != m.Src {
 		panic(fmt.Sprintf("%s: Put from non-owner %d for %v", l.name, m.Src, addr))
 	}
-	l.fab.FillBlock(&e.V.data, m.Data)
-	e.V.dirty = true
-	e.V.owner = coherence.NodeNone
-	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
+	l.absorbPut(e, m)
 	l.pop(addr)
 }
 
-// activeWait returns whichever ack set the transaction is collecting.
-func (t *sl2Txn) activeWait() map[coherence.NodeID]bool {
-	if t.pendingInvAck && t.invWait != nil {
-		return t.invWait
-	}
-	if t.wait == nil {
-		t.wait = map[coherence.NodeID]bool{}
-	}
-	return t.wait
-}
-
-func (l *SharedL2) noteIgnore(addr mem.Addr, n coherence.NodeID) {
-	if l.ignoreAck[addr] == nil {
-		l.ignoreAck[addr] = make(map[coherence.NodeID]int)
-	}
-	l.ignoreAck[addr][n]++
+// absorbPut takes the owner's written-back data into the line and acks it.
+func (l *SharedL2) absorbPut(e *cacheset.Entry[sl2Line], m *coherence.Msg) {
+	l.fab.FillBlock(&e.V.data, m.Data)
+	e.V.dirty = true
+	e.V.owner = coherence.NodeNone
+	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: e.Addr, Dst: m.Src})
 }
 
 func (l *SharedL2) handleInvResp(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	if m.Type == coherence.XInvAck {
-		if byNode := l.ignoreAck[addr]; byNode[m.Src] > 0 {
-			byNode[m.Src]--
-			if byNode[m.Src] == 0 {
-				delete(byNode, m.Src)
+		if k := (ackKey{addr, m.Src}); l.ignoreAck[k] > 0 {
+			if l.ignoreAck[k]--; l.ignoreAck[k] == 0 {
+				delete(l.ignoreAck, k)
 			}
 			return
 		}
 	}
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil {
+	if e == nil || !e.V.busy() {
 		panic(fmt.Sprintf("%s: inv response with no transaction: %v", l.name, m))
 	}
-	t := e.V.txn
-	w := t.activeWait()
-	if !w[m.Src] {
+	if !e.V.txn.wait.Remove(m.Src) {
 		panic(fmt.Sprintf("%s: unexpected inv response from %d for %v", l.name, m.Src, addr))
 	}
-	delete(w, m.Src)
 	if m.Type == coherence.XInvWB {
 		l.fab.FillBlock(&e.V.data, m.Data)
 		e.V.dirty = true
@@ -448,25 +428,21 @@ func (l *SharedL2) handleInvResp(m *coherence.Msg) {
 	} else if e.V.owner == m.Src {
 		e.V.owner = coherence.NodeNone
 	}
-	delete(e.V.sharers, m.Src)
+	e.V.sharers.Remove(m.Src)
 	l.advance(addr, e)
 }
 
 // advance moves a transaction forward once an ack set drains.
 func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := e.V.txn
-	if t == nil {
+	t := &e.V.txn
+	if !e.V.busy() || len(t.wait) > 0 {
 		return
 	}
-	if t.pendingInvAck && t.invWait != nil {
-		if len(t.invWait) > 0 {
-			return
-		}
+	if t.pendingInvAck {
 		// Local copies gone: ack the guard's Invalidate; our fetch (if
 		// any) continues and will deliver fresh data.
 		t.pendingInvAck = false
-		t.invWait = nil
-		e.V.sharers = map[coherence.NodeID]bool{}
+		e.V.sharers = e.V.sharers[:0]
 		e.V.dirty = false
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		if t.kind != sl2Fetch {
@@ -475,9 +451,6 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 		if t.granted {
 			l.resumeGrant(addr, e)
 		}
-		return
-	}
-	if len(t.wait) > 0 {
 		return
 	}
 	switch t.kind {
@@ -494,8 +467,8 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 		// Local recall for eviction: write the line back to the guard.
 		v := e.V
 		l.cache.Invalidate(addr)
-		l.putToGuard(addr, &v)
-		l.pop(addr)
+		l.evict(addr, &v)
+		l.wake(addr, v.hostInv)
 		l.replayStalled()
 	case sl2Recall:
 		l.finishRecall(addr, e)
@@ -507,18 +480,11 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 func (l *SharedL2) handleGrant(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil || e.V.txn.kind != sl2Fetch {
+	if e == nil || e.V.txn.kind != sl2Fetch {
 		panic(fmt.Sprintf("%s: grant with no fetch: %v", l.name, m))
 	}
-	t := e.V.txn
-	switch m.Type {
-	case coherence.ADataS:
-		e.V.host = AS
-	case coherence.ADataE:
-		e.V.host = AE
-	case coherence.ADataM:
-		e.V.host = AM
-	}
+	t := &e.V.txn
+	e.V.host = grantLevel(m.Type)
 	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = false
 	t.granted = true
@@ -534,7 +500,7 @@ func (l *SharedL2) handleGrant(m *coherence.Msg) {
 // resumeGrant completes a fetch once its grant (and any racing guard
 // Invalidate) has been dealt with.
 func (l *SharedL2) resumeGrant(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := e.V.txn
+	t := &e.V.txn
 	if t.wantM {
 		if e.V.host == AS {
 			panic(fmt.Sprintf("%s: DataS answered GetM at %v", l.name, addr))
@@ -545,194 +511,105 @@ func (l *SharedL2) resumeGrant(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	l.grantS(addr, e, t.requestor)
 }
 
-func (l *SharedL2) handleAWBAck(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	if _, ok := l.evictions[addr]; !ok {
-		panic(fmt.Sprintf("%s: WBAck with no eviction: %v", l.name, m))
-	}
-	delete(l.evictions, addr)
-	l.pop(addr)
-	l.replayStalled()
-}
-
 func (l *SharedL2) handleAInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if _, evicting := l.evictions[addr]; evicting {
-		// Put/Inv race: the guard resolves it from our Put data.
-		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-		return
-	}
 	e := l.cache.Peek(addr)
 	if e == nil {
+		// Nothing held — or, with our Put in flight, a Put/Inv race the
+		// guard resolves from the Put's data.
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
-	if t := e.V.txn; t != nil {
-		switch t.kind {
-		case sl2Fetch:
-			l.invalidateUnderFetch(addr, e)
-		default:
-			// Local transaction in progress: serve the Invalidate with
-			// priority as soon as it completes (it must never wait
-			// behind queued requests, whose guard Gets are deferred
-			// until this Invalidate is answered).
-			if l.hostInv[addr] != nil {
-				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
-			}
-			m.Keep()
-			l.hostInv[addr] = m
+	switch e.V.txn.kind {
+	case sl2Idle:
+		// Stable line: recall every local copy, then answer the guard.
+		l.recallCopies(e, sl2Recall)
+	case sl2Fetch:
+		l.invalidateUnderFetch(addr, e)
+	default:
+		// Local transaction in progress: serve the Invalidate with
+		// priority as soon as it completes (it must never wait behind
+		// queued requests, whose guard Gets are deferred until this
+		// Invalidate is answered).
+		if e.V.hostInv != nil {
+			panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 		}
-		return
+		m.Keep()
+		e.V.hostInv = m
 	}
-	// Stable line: recall every local copy, then answer the guard.
-	t := &sl2Txn{kind: sl2Recall, requestor: coherence.NodeNone, wait: map[coherence.NodeID]bool{}}
-	e.V.txn = t
-	for _, s := range coherence.SortedNodes(e.V.sharers) {
-		t.wait[s] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
+}
+
+// recallCopies opens a requestor-less transaction that pulls the idle
+// line out of every inner L1 holding it, and advances at once when there
+// is none.
+func (l *SharedL2) recallCopies(e *cacheset.Entry[sl2Line], kind sl2TxnKind) {
+	e.V.open(kind, coherence.NodeNone, false)
+	l.invalidateCopies(e)
+	l.advance(e.Addr, e)
+}
+
+// invalidateCopies sends XInv to every inner L1 holding the line — sharers
+// in ascending order, then the owner — and has the transaction wait for
+// each one's response.
+func (l *SharedL2) invalidateCopies(e *cacheset.Entry[sl2Line]) {
+	for _, s := range e.V.sharers {
+		e.V.txn.wait.Add(s)
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: s})
 	}
 	if e.V.owner != coherence.NodeNone {
-		t.wait[e.V.owner] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
+		e.V.txn.wait.Add(e.V.owner)
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: e.V.owner})
 	}
-	l.advance(addr, e)
 }
 
 // invalidateUnderFetch answers a guard Invalidate that hit a line with a
 // fetch outstanding: local copies die, the guard is acked, and the fetch
 // continues (its grant carries fresh post-invalidation data).
 func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := e.V.txn
+	t := &e.V.txn
+	if len(t.wait) > 0 {
+		panic(fmt.Sprintf("%s: fetch at %v is collecting acks of its own", l.name, addr))
+	}
 	t.pendingInvAck = true
-	t.invWait = map[coherence.NodeID]bool{}
-	for _, s := range coherence.SortedNodes(e.V.sharers) {
-		t.invWait[s] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
-	}
-	if e.V.owner != coherence.NodeNone {
-		t.invWait[e.V.owner] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
-		e.V.owner = coherence.NodeNone
-	}
+	l.invalidateCopies(e)
+	e.V.owner = coherence.NodeNone
 	e.V.host = AI // whatever we held is gone; the grant re-establishes
 	l.advance(addr, e)
 }
 
-// applyPendingHostInv services a parked guard Invalidate once the line's
-// transaction has turned into a fetch: the guard defers our Get until the
-// Invalidate is answered, so waiting for the fetch to finish first would
-// deadlock into the 2c timeout.
-func (l *SharedL2) applyPendingHostInv(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	m := l.hostInv[addr]
-	if m == nil {
-		return
-	}
-	if e.V.txn == nil || e.V.txn.kind != sl2Fetch {
-		return // pop() services it when the line goes idle
-	}
-	delete(l.hostInv, addr)
-	l.fab.Release(m)
-	l.invalidateUnderFetch(addr, e)
-}
-
 func (l *SharedL2) finishRecall(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	host, data, dirty := e.V.host, e.V.data, e.V.dirty
+	host, data, dirty, parked := e.V.host, e.V.data, e.V.dirty, e.V.hostInv
+	l.reclaim(&e.V)
 	l.cache.Invalidate(addr)
-	switch {
-	case host == AM || dirty:
-		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
-	case host == AE:
-		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
-	default:
-		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-	}
-	l.fab.FreeBlock(data)
-	l.pop(addr)
-	l.replayStalled()
+	l.answerInv(addr, host, dirty, data, parked)
 }
 
-// putToGuard starts the writeback of an evicted line to Crossing Guard and
-// gives the line's block, copied into the Put, back.
-func (l *SharedL2) putToGuard(addr mem.Addr, v *sl2Line) {
-	l.evictions[addr] = struct{}{}
-	switch {
-	case v.host == AM || v.dirty:
-		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: v.data, Dirty: true})
-	case v.host == AE:
-		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: v.data})
-	default:
-		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
-	}
-	l.fab.FreeBlock(v.data)
-}
-
-// startLocalRecallInSet recalls the LRU idle line with local copies so a
-// stalled miss can allocate.
-func (l *SharedL2) startLocalRecallInSet(addr mem.Addr) {
-	var cand *cacheset.Entry[sl2Line]
-	l.cache.VisitSet(addr, func(e *cacheset.Entry[sl2Line]) {
-		if e.V.txn != nil {
-			return
-		}
-		if _, evicting := l.evictions[e.Addr]; evicting {
-			return
-		}
-		if cand == nil || l.cache.LRUOrder(e) < l.cache.LRUOrder(cand) {
-			cand = e
-		}
-	})
-	if cand == nil {
-		return
-	}
-	t := &sl2Txn{kind: sl2LocalInv, requestor: coherence.NodeNone, wait: map[coherence.NodeID]bool{}}
-	cand.V.txn = t
-	for _, s := range coherence.SortedNodes(cand.V.sharers) {
-		t.wait[s] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Dst: s})
-	}
-	if cand.V.owner != coherence.NodeNone {
-		t.wait[cand.V.owner] = true
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: cand.Addr, Dst: cand.V.owner})
-	}
-	l.advance(cand.Addr, cand)
+// evict writes a line that has left the cache back to the guard and takes
+// its node sets' storage.
+func (l *SharedL2) evict(addr mem.Addr, v *sl2Line) {
+	l.putToGuard(addr, v.host, v.dirty, v.data)
+	l.reclaim(v)
 }
 
 // --- wakeups ---
 
+// pop wakes the next piece of work on a line that has gone idle.
 func (l *SharedL2) pop(addr mem.Addr) {
-	if m := l.hostInv[addr]; m != nil {
-		delete(l.hostInv, addr)
-		l.fab.BeginRecv(m)
-		l.handleAInv(m)
-		l.fab.EndRecv(m)
-		return
+	var parked *coherence.Msg
+	if e := l.cache.Peek(addr); e != nil {
+		parked, e.V.hostInv = e.V.hostInv, nil
 	}
-	next := l.waiting.Pop(addr)
-	if next == nil {
-		return
-	}
-	// Process synchronously so no same-tick arrival can cut in front.
-	prev := l.replaying
-	l.replaying = next
-	l.fab.BeginRecv(next)
-	l.Recv(next)
-	l.fab.EndRecv(next)
-	l.replaying = prev
-}
-
-func (l *SharedL2) replayStalled() {
-	for i, m := range l.stalled {
-		l.fab.CallAfter(0, l.doRecv, m)
-		l.stalled[i] = nil
-	}
-	l.stalled = l.stalled[:0]
+	l.wake(addr, parked)
 }
 
 // Outstanding reports open transactions and queued work.
 func (l *SharedL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
+	n := len(l.evictions) + len(l.stalled) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
+			n++
+		}
+		if e.V.hostInv != nil {
 			n++
 		}
 	})
@@ -743,7 +620,7 @@ func (l *SharedL2) Outstanding() int {
 // from the guard, local owner/sharers, and the L2's data view.
 func (l *SharedL2) VisitStable(fn func(addr mem.Addr, host AState, owner coherence.NodeID, sharers int, data *mem.Block, dirty bool)) {
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
 			return
 		}
 		fn(e.Addr, e.V.host, e.V.owner, len(e.V.sharers), e.V.data, e.V.dirty)

@@ -14,15 +14,18 @@ import (
 type wkTxnKind int
 
 const (
-	wkFetch  wkTxnKind = iota // guard Get outstanding
+	wkIdle   wkTxnKind = iota // no transaction open
+	wkFetch                   // guard Get outstanding
 	wkRecall                  // answering a guard Invalidate
 	wkEvict                   // local recall for a capacity eviction
 )
 
+// wkTxn is the open transaction on one line, held by value in the line
+// (kind wkIdle when there is none).
 type wkTxn struct {
 	kind    wkTxnKind
-	waiters []*coherence.Msg // XGets, kept, served once the fetch lands
-	wait    map[coherence.NodeID]bool
+	waiters []*coherence.Msg  // XGets, kept, served once the fetch lands
+	wait    coherence.NodeSet // holders whose invalidation response is outstanding
 	wantM   bool
 	invPend bool // guard Invalidate arrived mid-fetch; ack when local copies die
 }
@@ -34,8 +37,24 @@ type wkLine struct {
 	host    AState // grant held from the guard
 	data    *mem.Block
 	dirty   bool
-	holders map[coherence.NodeID]bool // L1s that may hold (stale) copies
-	txn     *wkTxn
+	holders coherence.NodeSet // L1s that may hold (stale) copies
+	txn     wkTxn
+	hostInv *coherence.Msg // guard Invalidate parked during a recall, kept until serviced
+}
+
+func (v *wkLine) busy() bool { return v.txn.kind != wkIdle }
+
+// open starts the line's transaction; the waiter list and the wait set
+// keep their storage from one transaction to the next.
+func (v *wkLine) open(kind wkTxnKind, wantM bool) *wkTxn {
+	v.txn = wkTxn{kind: kind, wantM: wantM, waiters: v.txn.waiters[:0], wait: v.txn.wait[:0]}
+	return &v.txn
+}
+
+// closeTxn leaves the line idle and forgets the fetch's waiters.
+func (v *wkLine) closeTxn() {
+	clear(v.txn.waiters)
+	v.txn.kind, v.txn.waiters = wkIdle, v.txn.waiters[:0]
 }
 
 // WeakL2 is the shared L2 of the weakly-coherent hierarchy: it never
@@ -44,44 +63,22 @@ type wkLine struct {
 // Crossing Guard client — it acquires write permission before granting
 // writable copies and recalls every holder when the guard invalidates.
 type WeakL2 struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	cfg  Config
-	xg   coherence.NodeID
+	l2Base // the guard side and the request queues
 
-	cache     *cacheset.Cache[wkLine]
-	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
-	waiting   coherence.LineQueues
-	stalled   []*coherence.Msg // kept until replayed
-	replaying *coherence.Msg
-	hostInv   map[mem.Addr]*coherence.Msg // kept until serviced
-	// doRecv and doServe are Recv and serveWeak bound once (CallAfter's
-	// handlers).
-	doRecv, doServe func(*coherence.Msg)
+	cache *cacheset.Cache[wkLine]
+	// doServe is serveWeak bound once (CallAfter's handler).
+	doServe func(*coherence.Msg)
 }
 
 // NewWeakL2 builds and registers the weak shared L2.
 func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *WeakL2 {
-	l := &WeakL2{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, xg: xg,
-		cache:     cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways),
-		evictions: make(map[mem.Addr]struct{}),
-		waiting:   make(coherence.LineQueues),
-		hostInv:   make(map[mem.Addr]*coherence.Msg),
-	}
-	l.doRecv, l.doServe = l.Recv, l.serveWeak
+	l := &WeakL2{cache: cacheset.New[wkLine](cfg.L2Sets, cfg.L2Ways)}
+	l.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
+	l.doServe = l.serveWeak
 	fab.Register(l)
 	return l
 }
-
-// ID implements coherence.Controller.
-func (l *WeakL2) ID() coherence.NodeID { return l.id }
-
-// Name implements coherence.Controller.
-func (l *WeakL2) Name() string { return l.name }
 
 // Recv implements coherence.Controller.
 func (l *WeakL2) Recv(m *coherence.Msg) {
@@ -92,25 +89,19 @@ func (l *WeakL2) Recv(m *coherence.Msg) {
 		l.handlePut(m)
 	case coherence.XPutS:
 		if e := l.cache.Peek(m.Addr); e != nil {
-			delete(e.V.holders, m.Src)
+			e.V.holders.Remove(m.Src)
 		}
 	case coherence.XInvAck, coherence.XInvWB:
 		l.handleInvResp(m)
 	case coherence.ADataS, coherence.ADataE, coherence.ADataM:
 		l.handleGrant(m)
 	case coherence.AWBAck:
-		l.handleAWBAck(m)
+		l.closeEviction(m.Addr.Line(), m)
 	case coherence.AInv:
 		l.handleAInv(m)
 	default:
 		panic(fmt.Sprintf("%s: unexpected %v", l.name, m))
 	}
-}
-
-// send takes a message holding t from the pool and hands it to the fabric.
-func (l *WeakL2) send(t coherence.Msg) {
-	t.Src = l.id
-	l.fab.Send(l.fab.Msg(t))
 }
 
 // invalidate drops the line and gives its block back.
@@ -121,21 +112,19 @@ func (l *WeakL2) invalidate(e *cacheset.Entry[wkLine]) {
 
 func (l *WeakL2) handleGet(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if _, ev := l.evictions[addr]; ev {
+	if l.evicting(addr) {
 		l.waiting.Push(addr, m)
 		return
 	}
 	e := l.cache.Peek(addr)
-	if e != nil && e.V.txn != nil {
+	if e != nil && e.V.busy() {
 		if e.V.txn.kind == wkFetch {
 			// Weak model: pile additional readers/writers onto the
 			// in-flight fetch instead of serializing them.
 			if m.Type == coherence.XGetM {
 				e.V.txn.wantM = true
-				if e.V.host == AS || e.V.host == AI {
-					// The open fetch may be shared-only; upgrade it by
-					// issuing a GetM once it lands (handled at grant).
-				}
+				// The open fetch may be shared-only: handleGrant
+				// upgrades it with a GetM once it lands.
 			}
 			m.Keep()
 			e.V.txn.waiters = append(e.V.txn.waiters, m)
@@ -159,22 +148,26 @@ func (l *WeakL2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	var victim cacheset.Entry[wkLine]
 	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[wkLine]) bool {
-		_, ev := l.evictions[e.Addr]
-		return e.V.txn == nil && len(e.V.holders) == 0 && !ev
+		return !e.V.busy() && len(e.V.holders) == 0 && !l.evicting(e.Addr)
 	}, &victim)
 	if !ok {
-		l.startEvictInSet(addr)
+		// Recall the LRU idle line's holders so the miss can allocate when
+		// it is replayed.
+		if cand := lruWhere(l.cache, addr, func(e *cacheset.Entry[wkLine]) bool {
+			return !e.V.busy() && !l.evicting(e.Addr)
+		}); cand != nil {
+			l.recallHolders(cand.Addr, cand, wkEvict)
+		}
 		m.Keep()
 		l.stalled = append(l.stalled, m)
 		return
 	}
 	if evicted {
-		l.putToGuard(victim.Addr, &victim.V)
+		l.putToGuard(victim.Addr, victim.V.host, victim.V.dirty, victim.V.data)
 	}
-	m.Keep() // as the fetch's first waiter
 	wantM := m.Type == coherence.XGetM
-	e.V = wkLine{host: AI, holders: map[coherence.NodeID]bool{},
-		txn: &wkTxn{kind: wkFetch, wantM: wantM, waiters: []*coherence.Msg{m}}}
+	e.V = wkLine{host: AI}
+	l.openFetch(e, wantM, m)
 	ty := coherence.AGetS
 	if wantM {
 		ty = coherence.AGetM
@@ -186,23 +179,29 @@ func (l *WeakL2) missFetch(m *coherence.Msg) {
 func (l *WeakL2) serveWeak(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn != nil {
+	if e == nil || e.V.busy() {
 		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
 	if m.Type == coherence.XGetM && e.V.host == AS {
 		// Need host write permission first (no sibling invalidations —
 		// the weak model's whole point).
-		m.Keep() // as the fetch's first waiter
-		e.V.txn = &wkTxn{kind: wkFetch, wantM: true, waiters: []*coherence.Msg{m}}
+		l.openFetch(e, true, m)
 		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
 		return
 	}
 	l.grant(addr, e, m)
 }
 
+// openFetch opens the line's fetch with m, kept, as its first waiter.
+func (l *WeakL2) openFetch(e *cacheset.Entry[wkLine], wantM bool, m *coherence.Msg) {
+	m.Keep()
+	t := e.V.open(wkFetch, wantM)
+	t.waiters = append(t.waiters, m)
+}
+
 func (l *WeakL2) grant(addr mem.Addr, e *cacheset.Entry[wkLine], m *coherence.Msg) {
-	e.V.holders[m.Src] = true
+	e.V.holders.Add(m.Src)
 	ty := coherence.XDataS
 	if m.Type == coherence.XGetM {
 		ty = coherence.XDataM
@@ -220,10 +219,9 @@ func (l *WeakL2) handlePut(m *coherence.Msg) {
 	// documented hazard of the flush-based model).
 	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = true
-	delete(e.V.holders, m.Src)
+	e.V.holders.Remove(m.Src)
 	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: addr, Dst: m.Src})
-	if t := e.V.txn; t != nil && t.wait[m.Src] {
-		delete(t.wait, m.Src)
+	if e.V.busy() && e.V.txn.wait.Remove(m.Src) {
 		l.advanceWeak(addr, e)
 	}
 }
@@ -231,11 +229,10 @@ func (l *WeakL2) handlePut(m *coherence.Msg) {
 func (l *WeakL2) handleInvResp(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil || !e.V.txn.wait[m.Src] {
+	if e == nil || !e.V.busy() || !e.V.txn.wait.Remove(m.Src) {
 		return // stale ack from a flush that raced the recall
 	}
-	delete(e.V.txn.wait, m.Src)
-	delete(e.V.holders, m.Src)
+	e.V.holders.Remove(m.Src)
 	if m.Type == coherence.XInvWB {
 		l.fab.FillBlock(&e.V.data, m.Data)
 		e.V.dirty = true
@@ -244,18 +241,17 @@ func (l *WeakL2) handleInvResp(m *coherence.Msg) {
 }
 
 func (l *WeakL2) advanceWeak(addr mem.Addr, e *cacheset.Entry[wkLine]) {
-	t := e.V.txn
-	if t == nil || len(t.wait) > 0 {
+	if len(e.V.txn.wait) > 0 {
 		return
 	}
-	switch t.kind {
+	switch e.V.txn.kind {
 	case wkRecall:
 		l.answerGuard(addr, e)
 	case wkEvict:
 		v := e.V
 		l.cache.Invalidate(addr)
-		l.putToGuard(addr, &v)
-		l.pop(addr)
+		l.putToGuard(addr, v.host, v.dirty, v.data)
+		l.wake(addr, v.hostInv)
 		l.replayStalled()
 	}
 }
@@ -263,26 +259,17 @@ func (l *WeakL2) advanceWeak(addr mem.Addr, e *cacheset.Entry[wkLine]) {
 func (l *WeakL2) handleGrant(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn == nil || e.V.txn.kind != wkFetch {
+	if e == nil || e.V.txn.kind != wkFetch {
 		panic(fmt.Sprintf("%s: grant with no fetch: %v", l.name, m))
 	}
-	t := e.V.txn
-	switch m.Type {
-	case coherence.ADataS:
-		e.V.host = AS
-	case coherence.ADataE:
-		e.V.host = AE
-	case coherence.ADataM:
-		e.V.host = AM
-	}
+	t := &e.V.txn
+	e.V.host = grantLevel(m.Type)
 	if !e.V.dirty {
 		l.fab.FillBlock(&e.V.data, m.Data)
 	}
 	if t.invPend {
 		// A guard Invalidate raced the fetch; local copies are already
 		// gone (nothing was granted), so answer now and retry waiters.
-		t.invPend = false
-		e.V.txn = nil
 		waiters := t.waiters
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		// Whatever we were granted is void; drop and refetch on demand.
@@ -298,147 +285,70 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 		l.send(coherence.Msg{Type: coherence.AGetM, Addr: addr, Dst: l.xg})
 		return
 	}
-	waiters := t.waiters
-	t.waiters = nil
-	e.V.txn = nil
-	for _, wm := range waiters {
+	for _, wm := range t.waiters {
 		l.grant(addr, e, wm)
 		l.fab.Release(wm)
 	}
+	e.V.closeTxn()
 	l.pop(addr)
-}
-
-func (l *WeakL2) handleAWBAck(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	if _, ok := l.evictions[addr]; !ok {
-		panic(fmt.Sprintf("%s: WBAck with no eviction: %v", l.name, m))
-	}
-	delete(l.evictions, addr)
-	l.pop(addr)
-	l.replayStalled()
 }
 
 func (l *WeakL2) handleAInv(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	if _, ev := l.evictions[addr]; ev {
-		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-		return
-	}
 	e := l.cache.Peek(addr)
 	if e == nil {
+		// Nothing held — or, with our Put in flight, a Put/Inv race the
+		// guard resolves from the Put's data.
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
-	if t := e.V.txn; t != nil {
-		switch t.kind {
-		case wkFetch:
-			t.invPend = true // answered when the grant lands
-		default:
-			if l.hostInv[addr] != nil {
-				panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
-			}
-			m.Keep()
-			l.hostInv[addr] = m
+	switch e.V.txn.kind {
+	case wkIdle:
+		l.recallHolders(addr, e, wkRecall)
+	case wkFetch:
+		e.V.txn.invPend = true // answered when the grant lands
+	default:
+		if e.V.hostInv != nil {
+			panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 		}
-		return
+		m.Keep()
+		e.V.hostInv = m
 	}
-	l.recallHolders(addr, e, wkRecall)
 }
 
 // recallHolders pulls the line out of every (possibly stale) holder.
 func (l *WeakL2) recallHolders(addr mem.Addr, e *cacheset.Entry[wkLine], kind wkTxnKind) {
-	t := &wkTxn{kind: kind, wait: map[coherence.NodeID]bool{}}
-	e.V.txn = t
-	for _, h := range coherence.SortedNodes(e.V.holders) {
-		t.wait[h] = true
+	t := e.V.open(kind, false)
+	for _, h := range e.V.holders {
+		t.wait.Add(h)
 		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: h})
 	}
 	l.advanceWeak(addr, e)
 }
 
 func (l *WeakL2) answerGuard(addr mem.Addr, e *cacheset.Entry[wkLine]) {
-	host, data, dirty := e.V.host, e.V.data, e.V.dirty
+	host, data, dirty, parked := e.V.host, e.V.data, e.V.dirty, e.V.hostInv
 	l.cache.Invalidate(addr)
-	switch {
-	case host == AM || dirty:
-		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
-	case host == AE:
-		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
-	default:
-		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-	}
-	l.fab.FreeBlock(data)
-	l.pop(addr)
-	l.replayStalled()
+	l.answerInv(addr, host, dirty, data, parked)
 }
 
-// putToGuard starts the writeback of an evicted line to Crossing Guard and
-// gives the line's block, copied into the Put, back.
-func (l *WeakL2) putToGuard(addr mem.Addr, v *wkLine) {
-	l.evictions[addr] = struct{}{}
-	switch {
-	case v.host == AM || v.dirty:
-		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: v.data, Dirty: true})
-	case v.host == AE:
-		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: v.data})
-	default:
-		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
-	}
-	l.fab.FreeBlock(v.data)
-}
-
-func (l *WeakL2) startEvictInSet(addr mem.Addr) {
-	var cand *cacheset.Entry[wkLine]
-	l.cache.VisitSet(addr, func(e *cacheset.Entry[wkLine]) {
-		if e.V.txn != nil {
-			return
-		}
-		if _, ev := l.evictions[e.Addr]; ev {
-			return
-		}
-		if cand == nil || l.cache.LRUOrder(e) < l.cache.LRUOrder(cand) {
-			cand = e
-		}
-	})
-	if cand == nil {
-		return
-	}
-	l.recallHolders(cand.Addr, cand, wkEvict)
-}
-
+// pop wakes the next piece of work on a line that has gone idle.
 func (l *WeakL2) pop(addr mem.Addr) {
-	if m := l.hostInv[addr]; m != nil {
-		delete(l.hostInv, addr)
-		l.fab.BeginRecv(m)
-		l.handleAInv(m)
-		l.fab.EndRecv(m)
-		return
+	var parked *coherence.Msg
+	if e := l.cache.Peek(addr); e != nil {
+		parked, e.V.hostInv = e.V.hostInv, nil
 	}
-	next := l.waiting.Pop(addr)
-	if next == nil {
-		return
-	}
-	prev := l.replaying
-	l.replaying = next
-	l.fab.BeginRecv(next)
-	l.Recv(next)
-	l.fab.EndRecv(next)
-	l.replaying = prev
-}
-
-func (l *WeakL2) replayStalled() {
-	for i, m := range l.stalled {
-		l.fab.CallAfter(0, l.doRecv, m)
-		l.stalled[i] = nil
-	}
-	l.stalled = l.stalled[:0]
+	l.wake(addr, parked)
 }
 
 // Outstanding reports open transactions and queued work.
 func (l *WeakL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + len(l.hostInv) + l.waiting.Len()
+	n := len(l.evictions) + len(l.stalled) + l.waiting.Len()
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
+			n++
+		}
+		if e.V.hostInv != nil {
 			n++
 		}
 	})
@@ -449,7 +359,7 @@ func (l *WeakL2) Outstanding() int {
 // holder count, and data, for system audits.
 func (l *WeakL2) VisitStable(fn func(addr mem.Addr, host AState, holders int, data *mem.Block, dirty bool)) {
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
-		if e.V.txn != nil {
+		if e.V.busy() {
 			return
 		}
 		fn(e.Addr, e.V.host, len(e.V.holders), e.V.data, e.V.dirty)

@@ -384,56 +384,13 @@ func runChaosShard(res *ShardResult, trace bool, tail int) {
 		res.Err = err
 		return
 	}
-	const base = mem.Addr(0x10000)
-	var perms *perm.Table
-	if spec.Confined {
-		perms = perm.NewTable() // deny everything: the adversary owns no pages
-	}
-	plan := spec.Faults
-	var advs []*accel.Adversary
-	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
-		Seed: spec.Seed * 41, Small: true, Spans: spec.Spans,
-		Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
-		RecoverAfter: spec.RecoverAfter, MaxRecoveries: spec.MaxRecoveries,
-		RecoverBackoff: spec.RecoverBackoff, RecoverBackoffCap: spec.RecoverBackoffCap,
-		Perms: perms, Faults: &plan, Consistency: newRecorder(spec),
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			// One adversary per device. Device 0 keeps the historical seed
-			// and pool exactly; further devices get a device-private pool
-			// plus the shared lines as a victim pool, so they fight the
-			// other accelerator (and the CPUs) for ownership.
-			cfg := accel.AdvConfig{
-				Model: model, Seed: spec.Seed * 43, Pool: fuzzPool(base),
-				Budget: spec.Messages, Gap: 20, Deadline: 2000,
-			}
-			if d := config.DeviceOf(accelID); d > 0 {
-				cfg.Seed += int64(d) * 1013
-				cfg.Pool = fuzzPool(base + mem.Addr(d*0x8000))
-				cfg.VictimPool = fuzzPool(base)
-			}
-			adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, cfg)
-			// Rejoin the epoch protocol after a device reset; without this
-			// a recovered adversary keeps stamping its old epoch and every
-			// message it sends is dropped as stale.
-			s.OnDeviceReset(accelID, adv.Reset)
-			advs = append(advs, adv)
-			return adv.Outstanding
-		}})
+	sys, advs := buildChaosMachine(spec, model)
 	var ring *obs.Ring
 	if trace {
 		ring = obs.NewRing(tail)
 		sys.Fab.Bus = obs.NewBus(ring)
 	}
-	cfg := tester.DefaultConfig(spec.Seed * 47)
-	cfg.StoresPerLoc = 25
-	cfg.BaseAddr = base
-	cfg.Deadline = 200_000_000
-	// checked=1 keeps value verification on even against an unconfined
-	// adversary — the deliberately-failing demonstration shards the
-	// minimizer's tests and docs shrink.
-	cfg.SkipValueChecks = !spec.Confined && !spec.CheckValues
-	res.Res, res.Err = tester.Run(hostView{sys}, cfg)
+	res.Res, res.Err = tester.Run(hostView{sys}, chaosTester(spec))
 	res.Obs = sys.Obs
 	for _, adv := range advs {
 		res.Sent += adv.Sent
@@ -461,6 +418,64 @@ func runChaosShard(res *ShardResult, trace bool, tail int) {
 			res.TraceDump = ring.Dump()
 		}
 	}
+}
+
+// chaosBase is where a chaos shard's shared lines start.
+const chaosBase = mem.Addr(0x10000)
+
+// buildChaosMachine builds a chaos shard's machine — one adversary of the
+// given model per device behind the shard's fault plan — and returns the
+// adversaries with it.
+func buildChaosMachine(spec ShardSpec, model accel.AdvModel) (*config.System, []*accel.Adversary) {
+	var perms *perm.Table
+	if spec.Confined {
+		perms = perm.NewTable() // deny everything: the adversary owns no pages
+	}
+	plan := spec.Faults
+	var advs []*accel.Adversary
+	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
+		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
+		Seed: spec.Seed * 41, Small: true, Spans: spec.Spans,
+		Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
+		RecoverAfter: spec.RecoverAfter, MaxRecoveries: spec.MaxRecoveries,
+		RecoverBackoff: spec.RecoverBackoff, RecoverBackoffCap: spec.RecoverBackoffCap,
+		Perms: perms, Faults: &plan, Consistency: newRecorder(spec),
+		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+			// One adversary per device. Device 0 keeps the historical seed
+			// and pool exactly; further devices get a device-private pool
+			// plus the shared lines as a victim pool, so they fight the
+			// other accelerator (and the CPUs) for ownership.
+			cfg := accel.AdvConfig{
+				Model: model, Seed: spec.Seed * 43, Pool: fuzzPool(chaosBase),
+				Budget: spec.Messages, Gap: 20, Deadline: 2000,
+			}
+			if d := config.DeviceOf(accelID); d > 0 {
+				cfg.Seed += int64(d) * 1013
+				cfg.Pool = fuzzPool(chaosBase + mem.Addr(d*0x8000))
+				cfg.VictimPool = fuzzPool(chaosBase)
+			}
+			adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, cfg)
+			// Rejoin the epoch protocol after a device reset; without this
+			// a recovered adversary keeps stamping its old epoch and every
+			// message it sends is dropped as stale.
+			s.OnDeviceReset(accelID, adv.Reset)
+			advs = append(advs, adv)
+			return adv.Outstanding
+		}})
+	return sys, advs
+}
+
+// chaosTester is the host-side stress configuration of a chaos shard.
+func chaosTester(spec ShardSpec) tester.Config {
+	cfg := tester.DefaultConfig(spec.Seed * 47)
+	cfg.StoresPerLoc = 25
+	cfg.BaseAddr = chaosBase
+	cfg.Deadline = 200_000_000
+	// checked=1 keeps value verification on even against an unconfined
+	// adversary — the deliberately-failing demonstration shards the
+	// minimizer's tests and docs shrink.
+	cfg.SkipValueChecks = !spec.Confined && !spec.CheckValues
+	return cfg
 }
 
 // recordCoverage folds every controller's coverage into the per-class

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"crossingguard/internal/mem"
 )
@@ -37,8 +38,18 @@ type ErrorLog struct {
 // NewErrorLog returns an empty log.
 func NewErrorLog() *ErrorLog { return &ErrorLog{ByCode: make(map[string]uint64)} }
 
-// ReportError implements ErrorSink.
+// errorLogFirstCap is the room the first reported error makes: most
+// adversarial shards end below it, and an error-free machine pays nothing.
+const errorLogFirstCap = 32
+
+// ReportError implements ErrorSink. Every error is kept. A full list at
+// least doubles — a fuzz shard reports one error per forged message, and
+// append's 1.25× steps past 256 entries would copy such a list twice as
+// often.
 func (l *ErrorLog) ReportError(e ProtocolError) {
+	if n := len(l.Errors); n == cap(l.Errors) {
+		l.Errors = slices.Grow(l.Errors, max(errorLogFirstCap, n))
+	}
 	l.Errors = append(l.Errors, e)
 	l.ByCode[e.Code]++
 }

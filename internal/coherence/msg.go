@@ -225,11 +225,18 @@ const (
 // the object; a missing Keep is the bug, and the lifetime check
 // (Pool.CheckLifetimes, on in -race builds) is there to trip on it.
 //
+// That goes for hostile senders too: the fuzzing attacker and the
+// adversarial accelerators forge content, not storage, and take the
+// messages they send from the same pool. What a fault interceptor had
+// delivered twice, or beside a corrupted copy of itself, leaves the pool
+// for good (Pool.Disown).
+//
 // Messages the pool did not hand out are never recycled and the calls
-// above ignore them: anything built with &coherence.Msg{…} (the fuzzing
-// and adversarial accelerators, tests), and a sequencer's request
-// (ReqLoad/ReqStore), which is embedded in its Op and belongs to the cache
-// it was delivered to until that cache completes it with Reply.
+// above ignore them: a literal built with &coherence.Msg{…} (tests and
+// their scripted injections), a by-value copy of a pooled message, and a
+// sequencer's request (ReqLoad/ReqStore), which is embedded in its Op and
+// belongs to the cache it was delivered to until that cache completes it
+// with Reply.
 type Msg struct {
 	Type      MsgType
 	Addr      mem.Addr
@@ -315,20 +322,4 @@ type Controller interface {
 	ID() NodeID
 	Name() string
 	Recv(m *Msg)
-}
-
-// SortedNodes returns the keys of a node set in ascending order, so that
-// iteration-driven message emission is deterministic (Go map iteration is
-// randomized; simulations must be reproducible).
-func SortedNodes(set map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -245,11 +245,61 @@ func (p *Pool) FreeBlock(b *mem.Block) {
 	p.blocks = append(p.blocks, b)
 }
 
+// RecPool is a free list of *T records for one machine's controllers: the
+// guard's lines, open-work and parked-request records, and the caches'
+// write-back buffer entries are recycled through one each, so a crossing or
+// an eviction allocates none in steady state. A record comes back zeroed.
+type RecPool[T any] struct{ free []*T }
+
+// Get hands out a zeroed record.
+func (p *RecPool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(T)
+}
+
+// Put zeroes r and takes it back.
+func (p *RecPool[T]) Put(r *T) {
+	var zero T
+	*r = zero
+	p.free = append(p.free, r)
+}
+
+// Free reports how many records wait on the list.
+func (p *RecPool[T]) Free() int { return len(p.free) }
+
 // NodeSet is a small set of nodes kept as an ascending slice, so ranging
-// over it is the deterministic order SortedNodes gives a map and emptying
-// it (s[:0]) keeps its storage. Node ids are sparse — device d's nodes sit
+// over it is deterministic (a map's order is not) and emptying it (s[:0])
+// keeps its storage. Node ids are sparse — device d's nodes sit
 // at d×1000 — so this is a sorted slice, not a bitset.
 type NodeSet []NodeID
+
+// NodeSets is a free list of NodeSet storage, for sets that live in a cache
+// line: the line gives its sets back when it leaves the cache and the next
+// line fetched takes them, so a set costs an allocation only while the
+// cache is filling.
+type NodeSets []NodeSet
+
+// Get hands out an empty set, on recycled storage if there is any.
+func (p *NodeSets) Get() NodeSet {
+	n := len(*p)
+	if n == 0 {
+		return nil
+	}
+	s := (*p)[n-1]
+	*p = (*p)[:n-1]
+	return s
+}
+
+// Put takes back s's storage, if it has any.
+func (p *NodeSets) Put(s NodeSet) {
+	if cap(s) > 0 {
+		*p = append(*p, s[:0])
+	}
+}
 
 // Has reports whether n is in the set.
 func (s NodeSet) Has(n NodeID) bool {

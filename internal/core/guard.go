@@ -179,8 +179,8 @@ type Guard struct {
 	// a block, keyed by line address. Lines and their open-work records
 	// are recycled through the two free lists.
 	lines     map[mem.Addr]*line
-	freeLines recPool[line]
-	freeWork  recPool[lineWork]
+	freeLines coherence.RecPool[line]
+	freeWork  coherence.RecPool[lineWork]
 
 	// serial stamps every opening of a transaction or recall; it only
 	// counts up, so no two ever share a value (timer). timers holds the
@@ -203,7 +203,7 @@ type Guard struct {
 	ready     []mem.Addr
 	wakeEv    sim.Timed
 	wakeArmed bool
-	freePark  recPool[parkedReq]
+	freePark  coherence.RecPool[parkedReq]
 	parkedNow int
 
 	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
@@ -259,12 +259,14 @@ type Guard struct {
 	RecallsCoalesced uint64
 
 	// Observability (nil-safe no-ops until AttachObs). The hot-path
-	// instruments are fetched once; per-code violation counters are
-	// looked up through obsReg on the cold violation path only.
+	// instruments are fetched once; the per-code violation counters — an
+	// adversary makes that path hot too — are created in obsReg on a code's
+	// first violation and found in mViolation after that.
 	obsReg     *obs.Registry
 	mPass      *obs.Counter
 	mPassAccel *obs.Counter
 	mCrossing  *obs.Histogram
+	mViolation map[string][2]*obs.Counter // by code: the counter and its @a<N> twin
 
 	// Span tracing (Config.Spans). spanSeq numbers this guard's spans;
 	// the emitted id is guard-node<<32|seq, unique and deterministic
@@ -460,10 +462,10 @@ func (g *Guard) resetState() {
 			g.fab.FreeBlock(w.txn.data)
 			g.fab.FreeBlock(w.get.data)
 			g.fab.FreeBlock(w.put.data)
-			g.freeWork.put(w)
+			g.freeWork.Put(w)
 		}
 		delete(g.lines, a)
-		g.freeLines.put(l)
+		g.freeLines.Put(l)
 	}
 }
 
@@ -491,7 +493,7 @@ func (g *Guard) metricSuffix() string { return "@a" + strconv.Itoa(g.accelTag) }
 // structured events on the fabric's trace bus when one is attached. A
 // nil registry leaves the guard uninstrumented.
 func (g *Guard) AttachObs(r *obs.Registry) {
-	g.obsReg = r
+	g.obsReg, g.mViolation = r, nil
 	g.mPass = r.Counter("guard.check.pass")
 	g.mPassAccel = r.Counter("guard.check.pass" + g.metricSuffix())
 	g.mCrossing = r.Histogram("xg.crossing.ticks")
@@ -569,8 +571,7 @@ func (g *Guard) send(t coherence.Msg) { g.fab.Send(g.fab.Msg(t)) }
 // to the freshly readmitted device would re-trip quarantine on ghosts.
 func (g *Guard) staleEpoch(m *coherence.Msg) {
 	g.ReqsBlocked++
-	g.obsReg.Counter("guard.violation.XG.StaleEpoch").Inc()
-	g.obsReg.Counter("guard.violation.XG.StaleEpoch" + g.metricSuffix()).Inc()
+	g.countViolation("XG.StaleEpoch")
 	if b := g.fab.Bus; b.Active() {
 		b.Emit(obs.Event{
 			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindViolation,
@@ -631,11 +632,30 @@ func (g *Guard) closeCrossingSpan(t *accelTxn, addr mem.Addr, outcome string) {
 	g.spanEvent(obs.KindSpanEnd, t.span, addr, 0, outcome)
 }
 
+// countViolation bumps guard.violation.<code> and its per-accelerator twin,
+// building the two names and creating the counters on the code's first
+// violation only.
+func (g *Guard) countViolation(code string) {
+	if g.obsReg == nil {
+		return
+	}
+	c, ok := g.mViolation[code]
+	if !ok {
+		name := "guard.violation." + code
+		c = [2]*obs.Counter{g.obsReg.Counter(name), g.obsReg.Counter(name + g.metricSuffix())}
+		if g.mViolation == nil {
+			g.mViolation = make(map[string][2]*obs.Counter)
+		}
+		g.mViolation[code] = c
+	}
+	c[0].Inc()
+	c[1].Inc()
+}
+
 // violation records a guarantee violation and applies the error policy.
 func (g *Guard) violation(code, detail string, addr mem.Addr) {
 	g.errors++
-	g.obsReg.Counter("guard.violation." + code).Inc()
-	g.obsReg.Counter("guard.violation." + code + g.metricSuffix()).Inc()
+	g.countViolation(code)
 	if b := g.fab.Bus; b.Active() {
 		b.Emit(obs.Event{
 			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindViolation,
@@ -648,8 +668,7 @@ func (g *Guard) violation(code, detail string, addr mem.Addr) {
 	if g.cfg.DisableAfter > 0 && g.errors >= g.cfg.DisableAfter && !g.Disabled {
 		g.Disabled = true
 		g.wakeAll() // parked requests are dropped like new arrivals
-		g.obsReg.Counter("guard.violation.XG.Disabled").Inc()
-		g.obsReg.Counter("guard.violation.XG.Disabled" + g.metricSuffix()).Inc()
+		g.countViolation("XG.Disabled")
 		g.sink.ReportError(coherence.ProtocolError{
 			Where: g.name, Code: "XG.Disabled", Addr: addr,
 			Detail: fmt.Sprintf("accelerator disabled after %d violations", g.errors),

@@ -91,38 +91,18 @@ type hostPut struct {
 	accelPut bool
 }
 
-// recPool is a free list of *T records: lines and their open-work records
-// are recycled through one each, so a crossing allocates neither in steady
-// state. A record comes back zeroed.
-type recPool[T any] struct{ free []*T }
-
-func (p *recPool[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free = p.free[:n-1]
-		return r
-	}
-	return new(T)
-}
-
-func (p *recPool[T]) put(r *T) {
-	var zero T
-	*r = zero
-	p.free = append(p.free, r)
-}
-
 // workFor returns addr's line with an open-work record attached, making
 // either if need be. The caller opens something on it at once: a line with
 // nothing in it is a leak (CheckQuiesced).
 func (g *Guard) workFor(addr mem.Addr) *line {
 	l := g.lines[addr]
 	if l == nil {
-		l = g.freeLines.get()
+		l = g.freeLines.Get()
 		l.addr = addr
 		g.lines[addr] = l
 	}
 	if l.work == nil {
-		l.work = g.freeWork.get()
+		l.work = g.freeWork.Get()
 	}
 	return l
 }
@@ -183,12 +163,12 @@ func (g *Guard) settle(l *line) {
 		}
 		l.work = nil
 		waiters := w.recall.waiters
-		g.freeWork.put(w)
+		g.freeWork.Put(w)
 		w.recall.waiters = waiters // emptied by closeRecall; the storage stays
 	}
 	if !l.resident && l.ignoreInvAck == 0 {
 		delete(g.lines, l.addr)
-		g.freeLines.put(l)
+		g.freeLines.Put(l)
 	}
 }
 

@@ -117,12 +117,12 @@ func TestLineLifecycle(t *testing.T) {
 					}
 					// Both records are back on their free lists: reopening the
 					// address allocates neither.
-					if n := len(g.freeLines.free); n != 1 {
+					if n := g.freeLines.Free(); n != 1 {
 						t.Fatalf("%d lines on the free list, want 1", n)
 					}
-					if got := g.workFor(A); got != l || len(g.freeLines.free) != 0 || len(g.freeWork.free) != 0 {
+					if got := g.workFor(A); got != l || g.freeLines.Free() != 0 || g.freeWork.Free() != 0 {
 						t.Fatalf("reopening took line %p (recycled %p); free lists hold %d lines, %d work records",
-							got, l, len(g.freeLines.free), len(g.freeWork.free))
+							got, l, g.freeLines.Free(), g.freeWork.Free())
 					}
 				})
 			}
@@ -153,7 +153,7 @@ func TestCheckQuiesced(t *testing.T) {
 	}
 	g.closeRecall(g.lines[0x140], "response")
 	empty := g.workFor(0x40)
-	g.freeWork.put(empty.work)
+	g.freeWork.Put(empty.work)
 	empty.work = nil
 	if err := g.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), "0x40 is in the table at quiesce with nothing to keep it") {
 		t.Fatalf("empty line: %v", err)

@@ -40,7 +40,7 @@ type waitQueue struct {
 // park keeps m until something it waits on changes.
 func (g *Guard) park(addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
 	m.Keep()
-	p := g.freePark.get()
+	p := g.freePark.Get()
 	p.m, p.arrive = m, arrive
 	q := &g.workFor(addr).work.wait
 	if q.tail == nil {
@@ -92,7 +92,7 @@ func (g *Guard) runWoken() {
 		w.wait = waitQueue{}
 		for p := q.head; p != nil; {
 			m, arrive, next := p.m, p.arrive, p.next
-			g.freePark.put(p)
+			g.freePark.Put(p)
 			g.parkedNow--
 			g.Woken++
 			// The re-run is a delivery of a kept message: m goes back to

@@ -110,15 +110,22 @@ func (a *Attacker) answerInv(m *coherence.Msg) {
 	case InvAckAlways, InvCorrectAck:
 		a.send(coherence.AInvAck, m.Addr, nil, false)
 	case InvWBAlways:
-		a.send(coherence.ADirtyWB, m.Addr, a.randomBlock(), true)
+		blk := a.randomBlock()
+		a.send(coherence.ADirtyWB, m.Addr, &blk, true)
 	}
 }
 
-// send emits one message to the guard after a small random delay.
+// send emits one message to the guard: what the attacker forges is
+// content, and the message it goes out in — with its copy of data — is the
+// machine pool's. The copy is made here, not by naming data in the
+// template, which would move the caller's stack block to the heap.
 func (a *Attacker) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) {
 	a.Sent++
-	a.Fab.Send(&coherence.Msg{Type: ty, Addr: addr, Src: a.ID_, Dst: a.XG,
-		Data: data, Dirty: dirty, Epoch: a.Epoch})
+	m := a.Fab.Msg(coherence.Msg{Type: ty, Addr: addr, Src: a.ID_, Dst: a.XG, Dirty: dirty, Epoch: a.Epoch})
+	if data != nil {
+		*m.OwnData() = *data
+	}
+	a.Fab.Send(m)
 }
 
 // Send exposes raw injection for the scripted guarantee tests.
@@ -131,10 +138,9 @@ func (a *Attacker) randomAddr() mem.Addr {
 	return a.Pool[a.Rng.Intn(len(a.Pool))]
 }
 
-func (a *Attacker) randomBlock() *mem.Block {
-	var b mem.Block
+func (a *Attacker) randomBlock() (b mem.Block) {
 	a.Rng.Read(b[:])
-	return &b
+	return b
 }
 
 // The vocabularies a rampage draws from.
@@ -172,9 +178,10 @@ func (a *Attacker) fire() {
 	if a.IncludeHostTypes && a.Rng.Float64() < 0.15 {
 		ty = hostTypes[a.Rng.Intn(len(hostTypes))]
 	}
+	var blk mem.Block
 	var data *mem.Block
 	if ty.CarriesData() && a.Rng.Float64() >= a.NilDataProb {
-		data = a.randomBlock()
+		blk, data = a.randomBlock(), &blk
 	}
 	a.send(ty, a.randomAddr(), data, ty == coherence.APutM || ty == coherence.ADirtyWB)
 	a.left--

@@ -53,6 +53,8 @@ type Cache struct {
 
 	cache *cacheset.Cache[cLine]
 	wb    map[mem.Addr]*wbLine
+	// freeWB recycles the writeback buffer's records.
+	freeWB coherence.RecPool[wbLine]
 	// waitingOps and stalledOps hold core operations only: sequencer
 	// requests, which belong to this cache until it replies.
 	waitingOps coherence.LineQueues
@@ -243,7 +245,9 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 		case CE:
 			next = CEI
 		}
-		c.wb[addr] = &wbLine{state: next, data: v.data, dirty: v.dirty}
+		wl := c.freeWB.Get()
+		wl.state, wl.data, wl.dirty = next, v.data, v.dirty
+		c.wb[addr] = wl
 		c.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.id, Dst: c.dir})
 	default:
 		panic(fmt.Sprintf("%s: evicting line in state %v", c.name, v.state))
@@ -260,6 +264,7 @@ func (c *Cache) invalidate(e *cacheset.Entry[cLine]) {
 func (c *Cache) retire(line mem.Addr, wl *wbLine) {
 	c.fab.FreeBlock(wl.data)
 	delete(c.wb, line)
+	c.freeWB.Put(wl)
 	c.settled(line)
 }
 

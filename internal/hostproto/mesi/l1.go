@@ -36,7 +36,9 @@ type L1 struct {
 	cache *cacheset.Cache[l1Line]
 	// wb holds lines evicted but awaiting a writeback ack (MI_A / II_A);
 	// this models the writeback buffer / MSHR of a real L1.
-	wb map[mem.Addr]*l1Line
+	// freeWB recycles its records.
+	wb     map[mem.Addr]*l1Line
+	freeWB coherence.RecPool[l1Line]
 	// waitingOps queues CPU operations that hit a line with an open
 	// transaction (e.g. an address being written back).
 	waitingOps coherence.LineQueues
@@ -250,7 +252,9 @@ func (l *L1) evict(addr mem.Addr, v *l1Line) {
 		l.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.id, Dst: l.l2})
 		l.fab.FreeBlock(v.data)
 	case L1E, L1M:
-		l.wb[addr] = &l1Line{state: L1MIa, data: v.data, dirty: v.dirty}
+		wl := l.freeWB.Get()
+		wl.state, wl.data, wl.dirty = L1MIa, v.data, v.dirty
+		l.wb[addr] = wl
 		l.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.id, Dst: l.l2,
 			Data: v.data, Dirty: v.dirty})
 	default:
@@ -285,6 +289,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
 		l.fab.FreeBlock(wl.data)
 		delete(l.wb, line)
+		l.freeWB.Put(wl)
 		l.settled(line)
 		return
 	}

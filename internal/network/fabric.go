@@ -15,8 +15,9 @@
 // is allocation-free in steady state: deliveries ride pooled delivRec
 // records (free-listed, callback bound once per record) through
 // sim.Engine.ScheduleEventAt instead of a fresh closure per message,
-// per-channel traffic accounting indexes fixed per-type arrays instead
-// of maps, and trace events are only constructed when the bus is Active.
+// per-channel traffic accounting scans a short list of the types the
+// channel has carried instead of maps, and trace events are only
+// constructed when the bus is Active.
 // SendAfter gives the protocol layers the same discipline for "send this
 // after N ticks" and CallAfter for "handle this message after N ticks":
 // pooled sendRec and callRec records replace the per-call closures. The
@@ -61,7 +62,7 @@ func unpackKey(p uint64) chanKey {
 
 // Stats is a point-in-time copy of the traffic counters for one directed
 // channel, as returned by StatsFor/VisitStats. The per-type maps are
-// materialized on demand from the channel's internal fixed arrays (the
+// materialized on demand from the channel's internal per-type list (the
 // hot path never touches a map); they are never nil-checked by readers
 // because indexing a nil map yields zero, matching an unused channel.
 type Stats struct {
@@ -83,12 +84,41 @@ type channel struct {
 	lastArrival sim.Time
 	inflight    int // messages sent but not yet delivered on this channel
 
-	// Traffic accounting: fixed arrays indexed by MsgType, so the per-send
-	// cost is two integer adds instead of two map operations, and channels
-	// that never carry typed traffic allocate nothing for it.
+	// Traffic accounting. A channel carries a handful of message types —
+	// a protocol pair's few, never the whole vocabulary — so the per-type
+	// counts are a list in first-seen order, scanned on each send: the
+	// first four in place (a slot is taken once its msgs is nonzero), the
+	// rest, which few channels but a fuzzer's have, in more.
 	msgs, bytes uint64
-	msgsByType  [coherence.NumMsgTypes]uint64
-	bytesByType [coherence.NumMsgTypes]uint64
+	first       [4]typeCount
+	more        []typeCount
+}
+
+// typeCount is one message type's traffic on one channel.
+type typeCount struct {
+	t           coherence.MsgType
+	msgs, bytes uint64
+}
+
+// countFor returns t's counts on the channel, taking the next free slot
+// on its first message.
+func (ch *channel) countFor(t coherence.MsgType) *typeCount {
+	for i := range ch.first {
+		c := &ch.first[i]
+		if c.msgs == 0 {
+			c.t = t
+		}
+		if c.t == t {
+			return c
+		}
+	}
+	for i := range ch.more {
+		if ch.more[i].t == t {
+			return &ch.more[i]
+		}
+	}
+	ch.more = append(ch.more, typeCount{t: t})
+	return &ch.more[len(ch.more)-1]
 }
 
 // account records one logical send. Types outside the defined value space
@@ -102,23 +132,22 @@ func (ch *channel) account(m *coherence.Msg) {
 	b := uint64(m.Bytes())
 	ch.msgs++
 	ch.bytes += b
-	ch.msgsByType[t]++
-	ch.bytesByType[t] += b
+	c := ch.countFor(t)
+	c.msgs++
+	c.bytes += b
 }
 
 // snapshot materializes the externally visible Stats copy.
 func (ch *channel) snapshot() Stats {
-	s := Stats{Msgs: ch.msgs, Bytes: ch.bytes}
-	for t, n := range ch.msgsByType {
-		if n == 0 {
-			continue
+	s := Stats{Msgs: ch.msgs, Bytes: ch.bytes,
+		MsgsByType: make(map[coherence.MsgType]uint64), BytesByType: make(map[coherence.MsgType]uint64)}
+	for _, list := range [...][]typeCount{ch.first[:], ch.more} {
+		for _, c := range list {
+			if c.msgs > 0 {
+				s.MsgsByType[c.t] = c.msgs
+				s.BytesByType[c.t] = c.bytes
+			}
 		}
-		if s.MsgsByType == nil {
-			s.MsgsByType = make(map[coherence.MsgType]uint64)
-			s.BytesByType = make(map[coherence.MsgType]uint64)
-		}
-		s.MsgsByType[coherence.MsgType(t)] = n
-		s.BytesByType[coherence.MsgType(t)] = ch.bytesByType[t]
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -108,7 +109,7 @@ func TestDeliveryRecordPooled(t *testing.T) {
 
 // TestInvalidMsgTypeClamped checks forged message types (a fuzzer
 // inventing values outside the defined space) land in the MsgInvalid
-// accounting bucket instead of crashing the fixed-array stats.
+// accounting bucket instead of crashing the stats.
 func TestInvalidMsgTypeClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng, 1, Config{Latency: 1})
@@ -120,6 +121,86 @@ func TestInvalidMsgTypeClamped(t *testing.T) {
 	s := f.StatsFor(1, 2)
 	if s.Msgs != 2 || s.MsgsByType[coherence.MsgInvalid] != 2 {
 		t.Fatalf("forged types not clamped: %+v", s)
+	}
+}
+
+// TestManyTypeChannelStats: a channel keeps its per-type counts in a short
+// first-seen list sized for a protocol pair's handful of types; a fuzzer's
+// channel, which carries the whole vocabulary and forged types outside it,
+// must report exactly what per-type arrays indexed by (clamped) MsgType
+// would — and, once it has seen a type, count it without allocating.
+func TestManyTypeChannelStats(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 1, Config{Latency: 1})
+	f.Register(&nop{id: 1})
+	f.Register(&nop{id: 2})
+	var wantMsgs, wantBytes [coherence.NumMsgTypes]uint64
+	var total uint64
+	send := func(ty coherence.MsgType, data *mem.Block) {
+		m := &coherence.Msg{Type: ty, Src: 1, Dst: 2, Data: data}
+		slot := ty
+		if slot < 0 || int(slot) >= coherence.NumMsgTypes {
+			slot = coherence.MsgInvalid
+		}
+		wantMsgs[slot]++
+		wantBytes[slot] += uint64(m.Bytes())
+		total += uint64(m.Bytes())
+		f.Send(m)
+	}
+	// Every defined type in descending order (so first-seen order is not
+	// type order), a varying number of times, data on every third; forged
+	// types between them.
+	for ty := coherence.MsgType(coherence.NumMsgTypes - 1); ty > coherence.MsgInvalid; ty-- {
+		for i := 0; i <= int(ty)%3; i++ {
+			var data *mem.Block
+			if int(ty)%3 == 0 {
+				data = mem.Zero()
+			}
+			send(ty, data)
+		}
+		if ty%7 == 0 {
+			send(coherence.MsgType(200+int(ty)), nil)
+			send(coherence.MsgType(-int(ty)), mem.Zero())
+		}
+	}
+	eng.RunUntilQuiet()
+
+	want := Stats{Bytes: total, MsgsByType: map[coherence.MsgType]uint64{}, BytesByType: map[coherence.MsgType]uint64{}}
+	for ty, n := range wantMsgs {
+		if n > 0 {
+			want.Msgs += n
+			want.MsgsByType[coherence.MsgType(ty)] = n
+			want.BytesByType[coherence.MsgType(ty)] = wantBytes[ty]
+		}
+	}
+	if len(want.MsgsByType) != coherence.NumMsgTypes {
+		t.Fatalf("the test sent %d types, want all %d (MsgInvalid by forgery)", len(want.MsgsByType), coherence.NumMsgTypes)
+	}
+	if got := f.StatsFor(1, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StatsFor = %+v\nwant %+v", got, want)
+	}
+	visited := 0
+	f.VisitStats(func(src, dst coherence.NodeID, s *Stats) {
+		visited++
+		if src != 1 || dst != 2 || !reflect.DeepEqual(*s, want) {
+			t.Fatalf("VisitStats(%d->%d) = %+v\nwant %+v", src, dst, *s, want)
+		}
+	})
+	if visited != 1 || f.TotalBytes(nil) != total {
+		t.Fatalf("visited %d channels, TotalBytes %d; want 1 and %d", visited, f.TotalBytes(nil), total)
+	}
+
+	if raceflag.Enabled {
+		return // allocation accounting is perturbed by the race detector
+	}
+	last := &coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2} // the last type the channel met
+	forged := &coherence.Msg{Type: coherence.MsgType(999), Src: 1, Dst: 2}
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.Send(last)
+		f.Send(forged)
+		eng.RunUntilQuiet()
+	}); allocs != 0 {
+		t.Fatalf("a send of a type the channel has seen allocated %v objects, want 0", allocs)
 	}
 }
 
