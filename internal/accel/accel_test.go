@@ -86,7 +86,7 @@ func newRig(cfg Config, seed int64) *rig {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, seed, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
-	c := NewL1Cache(2, "accelL1", eng, fab, 1, cfg)
+	c := NewL1Cache(2, "accelL1", fab, 1, cfg)
 	sq := seq.New(3, "acc", eng, fab, 2)
 	return &rig{eng, fab, xg, c, sq}
 }
@@ -285,7 +285,7 @@ func TestVIFlavorSendsOnlyGetM(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 9, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
-	c := NewL1Cache(2, "vi", eng, fab, 1, cfg)
+	c := NewL1Cache(2, "vi", fab, 1, cfg)
 	sq := seq.New(3, "acc", eng, fab, 2)
 	sq.Load(0x100, nil)
 	sq.Store(0x180, 1, nil)
@@ -312,7 +312,7 @@ func TestMSIFlavorTreatsDataEAsDataM(t *testing.T) {
 	fab := network.NewFabric(eng, 10, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
 	xg.sGets = coherence.ADataE
-	c := NewL1Cache(2, "msi", eng, fab, 1, cfg)
+	c := NewL1Cache(2, "msi", fab, 1, cfg)
 	sq := seq.New(3, "acc", eng, fab, 2)
 	sq.Load(0x100, nil)
 	eng.RunUntilQuiet()

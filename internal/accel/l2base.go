@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -137,6 +138,18 @@ func (l *l2Base) replayStalled() {
 	}
 	l.stalled = l.stalled[:0]
 }
+
+// hostLevel is an L2 line's claim toward the host: the guard's grant, or
+// Modified once an inner core has written under it.
+func hostLevel(host AState, dirty bool) chassis.Level {
+	if dirty {
+		return chassis.Modified
+	}
+	return host.Level()
+}
+
+// WBPending reports writebacks to the guard in flight (zero at quiesce).
+func (l *l2Base) WBPending() int { return len(l.evictions) }
 
 // grantLevel is the permission a guard grant confers.
 func grantLevel(t coherence.MsgType) AState {

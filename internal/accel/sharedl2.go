@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -616,13 +617,23 @@ func (l *SharedL2) Outstanding() int {
 	return n
 }
 
-// VisitStable reports idle lines for invariant checks: the grant held
-// from the guard, local owner/sharers, and the L2's data view.
-func (l *SharedL2) VisitStable(fn func(addr mem.Addr, host AState, owner coherence.NodeID, sharers int, data *mem.Block, dirty bool)) {
+// Coverage returns the L2's (state, event) coverage.
+func (l *SharedL2) Coverage() *coherence.Coverage { return l.Cov }
+
+// Held reports idle lines for invariant checks: the hierarchy's claim
+// toward the host, and the L2's data view.
+func (l *SharedL2) Held(fn chassis.HeldFunc) {
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
-		if e.V.busy() {
-			return
+		if !e.V.busy() {
+			fn(e.Addr, hostLevel(e.V.host, e.V.dirty), e.V.data, e.V.dirty)
 		}
-		fn(e.Addr, e.V.host, e.V.owner, len(e.V.sharers), e.V.data, e.V.dirty)
 	})
+}
+
+// Owner reports the inner L1 recorded as addr's owner (for audits).
+func (l *SharedL2) Owner(addr mem.Addr) coherence.NodeID {
+	if e := l.cache.Peek(addr); e != nil {
+		return e.V.owner
+	}
+	return coherence.NodeNone
 }

@@ -18,6 +18,7 @@
 package accel
 
 import (
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/sim"
 )
@@ -41,6 +42,17 @@ func (s AState) String() string { return aStateNames[s] }
 
 // Stable reports whether s is a stable state.
 func (s AState) Stable() bool { return s != AB }
+
+// Level is the permission a stable, valid state holds.
+func (s AState) Level() chassis.Level {
+	switch s {
+	case AM:
+		return chassis.Modified
+	case AE:
+		return chassis.Exclusive
+	}
+	return chassis.Shared
+}
 
 // Flavor selects how much of the Crossing Guard interface the cache
 // uses. The interface permits degraded designs (paper §2.1).

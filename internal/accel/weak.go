@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -28,42 +29,23 @@ import (
 
 // WeakL1 is one core's incoherent private cache.
 type WeakL1 struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	cfg  Config
-	l2   coherence.NodeID
+	// A write-back gives its block back at once, so the chassis's buffer
+	// stays empty: flushing counts the acknowledgements still due.
+	chassis.L1[innerLine]
+	eng *sim.Engine
+	l2  coherence.NodeID
 
-	cache *cacheset.Cache[innerLine]
-	// waitingOps and stalledOps hold core operations only: sequencer
-	// requests, which belong to this cache until it replies.
-	waitingOps coherence.LineQueues
-	stalledOps []*coherence.Msg
-	flushing   int // outstanding flush writebacks
-	onFlush    func()
-	// doCPU is handleCPU bound once (CallAfter's handler).
-	doCPU func(*coherence.Msg)
+	flushing int    // outstanding writebacks, evictions and flushes alike
+	onFlush  func() // the open Flush calls' completions, chained
 }
 
 // NewWeakL1 builds and registers a weak private L1.
 func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config) *WeakL1 {
-	c := &WeakL1{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2,
-		cache:      cacheset.New[innerLine](cfg.L1Sets, cfg.L1Ways),
-		waitingOps: make(coherence.LineQueues),
-	}
-	c.doCPU = c.handleCPU
-	fab.Register(c)
+	c := &WeakL1{eng: eng, l2: l2}
+	c.Init(c, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, nil, innerBusy, c.evict, c.handleCPU)
 	return c
 }
-
-// ID implements coherence.Controller.
-func (c *WeakL1) ID() coherence.NodeID { return c.id }
-
-// Name implements coherence.Controller.
-func (c *WeakL1) Name() string { return c.name }
 
 // Recv implements coherence.Controller.
 func (c *WeakL1) Recv(m *coherence.Msg) {
@@ -77,42 +59,26 @@ func (c *WeakL1) Recv(m *coherence.Msg) {
 	case coherence.XInv:
 		c.handleInv(m)
 	default:
-		panic(fmt.Sprintf("%s: unexpected %v", c.name, m))
+		panic(fmt.Sprintf("%s: unexpected %v", c.Name(), m))
 	}
 }
 
 // send takes a message holding t from the pool and hands it to the fabric.
 func (c *WeakL1) send(t coherence.Msg) {
-	t.Src = c.id
-	c.fab.Send(c.fab.Msg(t))
-}
-
-// invalidate drops the line and gives its block back.
-func (c *WeakL1) invalidate(e *cacheset.Entry[innerLine]) {
-	c.fab.FreeBlock(e.V.data)
-	c.cache.Invalidate(e.Addr)
+	t.Src = c.ID()
+	c.Fab.Send(c.Fab.Msg(t))
 }
 
 func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
-	e := c.cache.Lookup(m.Addr)
-	if e != nil && e.V.state == NB {
-		c.waitingOps.Push(line, m)
+	e, ok := c.Admit(line, m)
+	if !ok {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		var victim cacheset.Entry[innerLine]
-		var evicted, ok bool
-		e, evicted, ok = c.cache.Allocate(m.Addr, func(e *cacheset.Entry[innerLine]) bool {
-			return e.V.state != NB
-		}, &victim)
-		if !ok {
-			c.stalledOps = append(c.stalledOps, m)
+		if e = c.Allocate(line, m); e == nil {
 			return
-		}
-		if evicted {
-			c.evictWeak(victim.Addr, &victim.V, nil)
 		}
 		// Writes need host write permission at the L2 (XGetM ensures
 		// it) but do NOT invalidate sibling copies (weak model).
@@ -126,10 +92,10 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	}
 	switch {
 	case !isStore:
-		c.respond(m, e.V.data[m.Addr.Offset()])
+		c.Respond(m, e.V.data[m.Addr.Offset()])
 	case e.V.state == NM:
 		e.V.data[m.Addr.Offset()] = m.Val
-		c.respond(m, 0)
+		c.Respond(m, 0)
 	default: // store to a read-only local copy: upgrade (no sibling invs)
 		e.V.state = NB
 		e.V.op = m
@@ -137,29 +103,16 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 	}
 }
 
-// evictWeak writes back a dirty (NM) line or silently drops a clean one,
-// and gives the victim's block back; cb runs when the writeback (if any)
-// completes.
-func (c *WeakL1) evictWeak(addr mem.Addr, v *innerLine, cb func()) {
-	defer c.fab.FreeBlock(v.data)
-	if v.state != NM {
+// evict writes back a dirty (NM) line or drops a clean one, and gives the
+// victim's block back.
+func (c *WeakL1) evict(addr mem.Addr, v *innerLine) {
+	if v.state == NM {
+		c.flushing++
+		c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
+	} else {
 		c.send(coherence.Msg{Type: coherence.XPutS, Addr: addr, Dst: c.l2})
-		if cb != nil {
-			cb()
-		}
-		return
 	}
-	c.flushing++
-	c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
-	if cb != nil {
-		prev := c.onFlush
-		c.onFlush = func() {
-			if prev != nil {
-				prev()
-			}
-			cb()
-		}
-	}
+	c.Fab.FreeBlock(v.data)
 }
 
 // Flush publishes this core's writes: every dirty line is written back to
@@ -169,9 +122,9 @@ func (c *WeakL1) evictWeak(addr mem.Addr, v *innerLine, cb func()) {
 // fence.
 func (c *WeakL1) Flush(done func()) {
 	var dirty []*cacheset.Entry[innerLine]
-	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
+	c.Lines.Visit(func(e *cacheset.Entry[innerLine]) {
 		if e.V.state == NB {
-			panic(fmt.Sprintf("%s: Flush with operations outstanding", c.name))
+			panic(fmt.Sprintf("%s: Flush with operations outstanding", c.Name()))
 		}
 		dirty = append(dirty, e)
 	})
@@ -184,7 +137,7 @@ func (c *WeakL1) Flush(done func()) {
 		} else {
 			c.send(coherence.Msg{Type: coherence.XPutS, Addr: e.Addr, Dst: c.l2})
 		}
-		c.invalidate(e)
+		c.Drop(e, e.V.data)
 	}
 	if pending == 0 {
 		if done != nil {
@@ -206,16 +159,16 @@ func (c *WeakL1) Flush(done func()) {
 }
 
 func (c *WeakL1) handleData(m *coherence.Msg) {
-	e := c.cache.Peek(m.Addr)
+	e := c.Lines.Peek(m.Addr)
 	if e == nil || e.V.state != NB || e.V.op == nil {
-		panic(fmt.Sprintf("%s: data with no pending get: %v", c.name, m))
+		panic(fmt.Sprintf("%s: data with no pending get: %v", c.Name(), m))
 	}
 	op := e.V.op
 	e.V.op = nil
 	// Keep locally-written bytes on an upgrade: the weak model merges at
 	// flush time, and our own writes must not be lost.
 	if e.V.data == nil || e.V.state != NM {
-		c.fab.FillBlock(&e.V.data, m.Data)
+		c.Fab.FillBlock(&e.V.data, m.Data)
 	}
 	if m.Type == coherence.XDataM {
 		e.V.state = NM
@@ -225,16 +178,16 @@ func (c *WeakL1) handleData(m *coherence.Msg) {
 	if op.Type == coherence.ReqStore {
 		e.V.state = NM
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.Respond(op, 0)
 	} else {
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.Respond(op, e.V.data[op.Addr.Offset()])
 	}
-	c.settledWeak(m.Addr.Line())
+	c.Settled(m.Addr.Line())
 }
 
 func (c *WeakL1) handleWBAck(m *coherence.Msg) {
 	if c.flushing == 0 {
-		panic(fmt.Sprintf("%s: WBAck with no writeback", c.name))
+		panic(fmt.Sprintf("%s: WBAck with no writeback", c.Name()))
 	}
 	c.flushing--
 	if c.onFlush != nil {
@@ -244,7 +197,7 @@ func (c *WeakL1) handleWBAck(m *coherence.Msg) {
 		}
 		cb()
 	}
-	c.settledWeak(m.Addr.Line())
+	c.Settled(m.Addr.Line())
 }
 
 // handleInv: the shared L2 recalls the line on the host's behalf. This
@@ -252,7 +205,7 @@ func (c *WeakL1) handleWBAck(m *coherence.Msg) {
 // coherence is not negotiable.
 func (c *WeakL1) handleInv(m *coherence.Msg) {
 	line := m.Addr.Line()
-	e := c.cache.Peek(m.Addr)
+	e := c.Lines.Peek(m.Addr)
 	if e == nil || e.V.state == NB {
 		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 		return
@@ -262,34 +215,13 @@ func (c *WeakL1) handleInv(m *coherence.Msg) {
 	} else {
 		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
 	}
-	c.invalidate(e)
-	c.settledWeak(line)
+	c.Drop(e, e.V.data)
+	c.Settled(line)
 }
-
-func (c *WeakL1) respond(op *coherence.Msg, val byte) {
-	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
-}
-
-func (c *WeakL1) settledWeak(line mem.Addr) {
-	if next := c.waitingOps.Pop(line); next != nil {
-		c.fab.CallAfter(0, c.doCPU, next)
-	}
-	for _, op := range c.stalledOps {
-		c.fab.CallAfter(0, c.doCPU, op)
-	}
-	c.stalledOps = c.stalledOps[:0]
-}
-
-// Lines reports how many lines the cache holds (for the pool audit).
-func (c *WeakL1) Lines() int { return c.cache.Count() }
 
 // Outstanding reports open transactions.
-func (c *WeakL1) Outstanding() int {
-	n := c.flushing + len(c.stalledOps) + c.waitingOps.Len()
-	c.cache.Visit(func(e *cacheset.Entry[innerLine]) {
-		if e.V.state == NB {
-			n++
-		}
-	})
-	return n
-}
+func (c *WeakL1) Outstanding() int { return c.flushing + c.L1.Outstanding() }
+
+// Held reports the lines the cache holds. They are this core's view only:
+// the weak model promises no agreement between sibling copies.
+func (c *WeakL1) Held(fn chassis.HeldFunc) { heldInner(c.Lines, fn) }

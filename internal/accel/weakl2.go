@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -355,13 +356,15 @@ func (l *WeakL2) Outstanding() int {
 	return n
 }
 
-// VisitStable reports idle lines with their guard-level grant, local
-// holder count, and data, for system audits.
-func (l *WeakL2) VisitStable(fn func(addr mem.Addr, host AState, holders int, data *mem.Block, dirty bool)) {
+// Coverage returns nil: the weak hierarchy declares no transition table.
+func (l *WeakL2) Coverage() *coherence.Coverage { return nil }
+
+// Held reports idle lines for system audits: the hierarchy's claim toward
+// the host, and the L2's data view.
+func (l *WeakL2) Held(fn chassis.HeldFunc) {
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
-		if e.V.busy() {
-			return
+		if !e.V.busy() {
+			fn(e.Addr, hostLevel(e.V.host, e.V.dirty), e.V.data, e.V.dirty)
 		}
-		fn(e.Addr, e.V.host, len(e.V.holders), e.V.data, e.V.dirty)
 	})
 }

@@ -202,8 +202,8 @@ func (r *Report) WritePerfetto(w io.Writer, trackOf func(coherence.NodeID) int) 
 	for i := range r.Shards {
 		s := &r.Shards[i]
 		shards = append(shards, obs.ShardTrace{
-			Index: s.Spec.Index,
-			Label: fmt.Sprintf("%v %s seed %d", s.Spec.Kind, s.Spec.Name(), s.Spec.Seed),
+			Index:  s.Spec.Index,
+			Label:  fmt.Sprintf("%v %s seed %d", s.Spec.Kind, s.Spec.Name(), s.Spec.Seed),
 			Events: s.Events,
 		})
 	}

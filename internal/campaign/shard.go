@@ -12,8 +12,6 @@ import (
 	"crossingguard/internal/consistency"
 	"crossingguard/internal/faults"
 	"crossingguard/internal/fuzz"
-	"crossingguard/internal/hostproto/hammer"
-	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/obs"
 	"crossingguard/internal/perm"
@@ -481,40 +479,15 @@ func chaosTester(spec ShardSpec) tester.Config {
 // recordCoverage folds every controller's coverage into the per-class
 // map, exactly the accounting xgstress has always reported.
 func recordCoverage(sys *config.System, covs map[string]*coherence.Coverage) {
-	get := func(name string, fresh func() *coherence.Coverage) *coherence.Coverage {
-		if c, ok := covs[name]; ok {
-			return c
+	for _, cov := range sys.Coverages() {
+		c, ok := covs[cov.Name()]
+		if !ok {
+			// A bare coverage takes the class's table and declarations from
+			// the first instance merged into it.
+			c = coherence.NewCoverage(cov.Name(), nil)
+			covs[cov.Name()] = c
 		}
-		c := fresh()
-		covs[name] = c
-		return c
-	}
-	for _, l1 := range sys.AccelL1s {
-		get("accel.L1", accel.NewTable1Coverage).Merge(l1.Cov)
-	}
-	for _, il := range sys.InnerL1s {
-		get("accel2L.L1", accel.NewInnerL1Coverage).Merge(il.Cov)
-	}
-	for _, l2 := range sys.AccelL2s {
-		get("accel2L.L2", accel.NewSharedL2Coverage).Merge(l2.Cov)
-	}
-	for _, c := range sys.HCaches {
-		get("hammer.cache", hammer.NewCacheCoverage).Merge(c.Cov)
-	}
-	for _, c := range sys.AccelHCaches {
-		get("hammer.cache", hammer.NewCacheCoverage).Merge(c.Cov)
-	}
-	if sys.HDir != nil {
-		get("hammer.dir", hammer.NewDirectoryCoverage).Merge(sys.HDir.Cov)
-	}
-	for _, c := range sys.ML1s {
-		get("mesi.L1", mesi.NewL1Coverage).Merge(c.Cov)
-	}
-	for _, c := range sys.AccelMCaches {
-		get("mesi.L1", mesi.NewL1Coverage).Merge(c.Cov)
-	}
-	if sys.ML2 != nil {
-		get("mesi.L2", mesi.NewL2Coverage).Merge(sys.ML2.Cov)
+		c.Merge(cov)
 	}
 }
 

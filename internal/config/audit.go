@@ -4,22 +4,19 @@ import (
 	"fmt"
 	"slices"
 
-	"crossingguard/internal/accel"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/core"
-	"crossingguard/internal/hostproto/hammer"
-	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
 )
 
 // holder is one cache's stable claim on a line, normalized across
-// protocols: level 0 = shared, 1 = exclusive-clean (E), 2 = owned (M/O).
+// protocols.
 type holder struct {
 	name  string
 	id    coherence.NodeID
-	level int
+	level chassis.Level
 	data  *mem.Block
-	accel bool
 }
 
 // Audit checks system-wide invariants at a quiesce point:
@@ -52,76 +49,27 @@ func (s *System) Audit() error {
 	if n := s.Fab.DelayedSends(); n != 0 {
 		return fmt.Errorf("fabric: %d delayed sends still scheduled at quiesce", n)
 	}
+	// The host-level claims: every cache up to the one a guard fronts. A
+	// shared accelerator L2 claims for its whole device; the inner L1s
+	// behind it are checked per device below, never against another
+	// device's L2. The weak hierarchy's inner copies are deliberately
+	// incoherent locally and are NOT checked for data agreement (§2.1's
+	// flush model).
 	lines := make(map[mem.Addr][]holder)
-	add := func(h holder, addr mem.Addr) { lines[addr] = append(lines[addr], h) }
-
-	for _, c := range s.HCaches {
-		c := c
-		if c.WBPending() != 0 {
+	for _, c := range s.caches {
+		if c.place == cpuCache && c.WBPending() != 0 {
 			return fmt.Errorf("%s: writebacks pending at quiesce", c.Name())
 		}
-		c.VisitStable(func(addr mem.Addr, st hammer.CState, data *mem.Block, dirty bool) {
-			add(holder{c.Name(), c.ID(), hammerLevel(st), data, false}, addr)
-		})
-	}
-	for _, c := range s.AccelHCaches {
-		c := c
-		c.VisitStable(func(addr mem.Addr, st hammer.CState, data *mem.Block, dirty bool) {
-			add(holder{c.Name(), c.ID(), hammerLevel(st), data, true}, addr)
-		})
-	}
-	for _, l1 := range s.ML1s {
-		l1 := l1
-		if l1.WBPending() != 0 {
-			return fmt.Errorf("%s: writebacks pending at quiesce", l1.Name())
+		if c.place <= guardedCache {
+			c.Held(func(addr mem.Addr, lvl chassis.Level, data *mem.Block, _ bool) {
+				lines[addr] = append(lines[addr], holder{c.Name(), c.ID(), lvl, data})
+			})
 		}
-		l1.VisitStable(func(addr mem.Addr, st mesi.L1State, data *mem.Block, dirty bool) {
-			add(holder{l1.Name(), l1.ID(), mesiLevel(st), data, false}, addr)
-		})
-	}
-	for _, l1 := range s.AccelMCaches {
-		l1 := l1
-		l1.VisitStable(func(addr mem.Addr, st mesi.L1State, data *mem.Block, dirty bool) {
-			add(holder{l1.Name(), l1.ID(), mesiLevel(st), data, true}, addr)
-		})
-	}
-	for _, a := range s.AccelL1s {
-		a := a
-		a.VisitStable(func(addr mem.Addr, st accel.AState, data *mem.Block) {
-			add(holder{a.Name(), a.ID(), accelLevel(st), data, true}, addr)
-		})
-	}
-	for _, l2 := range s.AccelL2s {
-		// Each device's shared accelerator L2 host-grant is that device's
-		// claim toward the host; inner L1 state is checked separately,
-		// per device, so one device's L1s are never audited against
-		// another device's L2.
-		l2 := l2
-		l2.VisitStable(func(addr mem.Addr, host accel.AState, owner coherence.NodeID, sharers int, data *mem.Block, dirty bool) {
-			lvl := accelLevel(host)
-			if dirty && lvl < 2 {
-				lvl = 2
-			}
-			add(holder{l2.Name(), l2.ID(), lvl, data, true}, addr)
-		})
 	}
 	for i := range s.innerGroups {
 		if err := s.auditInnerHierarchy(&s.innerGroups[i]); err != nil {
 			return err
 		}
-	}
-	if s.WeakL2C != nil {
-		// The weak hierarchy's host-level claims come from its shared
-		// L2; inner L1 copies are deliberately incoherent locally and
-		// are NOT checked for data agreement (§2.1's flush model), but
-		// inclusion must hold: no held line without an L2 line.
-		s.WeakL2C.VisitStable(func(addr mem.Addr, host accel.AState, holders int, data *mem.Block, dirty bool) {
-			lvl := accelLevel(host)
-			if dirty && lvl < 2 {
-				lvl = 2
-			}
-			add(holder{s.WeakL2C.Name(), s.WeakL2C.ID(), lvl, data, true}, addr)
-		})
 	}
 
 	// 1-3: SWMR + data agreement per line.
@@ -129,24 +77,25 @@ func (s *System) Audit() error {
 		var owner *holder
 		sharers := 0
 		for i := range hs {
-			switch hs[i].level {
-			case 2, 1:
-				if owner != nil {
-					return fmt.Errorf("SWMR violated at %v: %s and %s both own",
-						addr, owner.name, hs[i].name)
-				}
-				owner = &hs[i]
-			default:
+			if hs[i].level == chassis.Shared {
 				sharers++
+				continue
 			}
+			if owner != nil {
+				return fmt.Errorf("SWMR violated at %v: %s and %s both own",
+					addr, owner.name, hs[i].name)
+			}
+			owner = &hs[i]
 		}
-		if owner != nil && owner.level >= 1 && sharers > 0 && !s.ownerToleratesSharers(owner) {
+		// MOESI's O is the one owner that answers for a line beside
+		// sharers; E and M are sole copies.
+		if owner != nil && owner.level != chassis.Owned && sharers > 0 {
 			return fmt.Errorf("SWMR violated at %v: %s owns exclusively beside %d sharers",
 				addr, owner.name, sharers)
 		}
 		ref := s.refData(addr, owner)
 		for _, h := range hs {
-			if h.level == 0 && !mem.Equal(h.data, ref) {
+			if h.level == chassis.Shared && !mem.Equal(h.data, ref) {
 				return fmt.Errorf("data divergence at %v: sharer %s disagrees with %s",
 					addr, h.name, refName(owner))
 			}
@@ -201,34 +150,11 @@ func (s *System) auditPool() error {
 // trusted copies.
 func (s *System) residentBlocks() int {
 	n := 0
-	for _, cs := range [][]*hammer.Cache{s.HCaches, s.AccelHCaches} {
-		for _, c := range cs {
-			c.VisitStable(func(mem.Addr, hammer.CState, *mem.Block, bool) { n++ })
-		}
+	count := func(mem.Addr, chassis.Level, *mem.Block, bool) { n++ }
+	for _, c := range s.caches {
+		c.Held(count)
 	}
-	for _, ls := range [][]*mesi.L1{s.ML1s, s.AccelMCaches} {
-		for _, l1 := range ls {
-			l1.VisitStable(func(mem.Addr, mesi.L1State, *mem.Block, bool) { n++ })
-		}
-	}
-	if s.ML2 != nil {
-		s.ML2.VisitStable(func(mem.Addr, coherence.NodeID, []coherence.NodeID, *mem.Block, bool) { n++ })
-	}
-	for _, a := range s.AccelL1s {
-		a.VisitStable(func(mem.Addr, accel.AState, *mem.Block) { n++ })
-	}
-	for _, l1 := range s.InnerL1s {
-		l1.VisitStable(func(mem.Addr, accel.InnerState, *mem.Block) { n++ })
-	}
-	for _, l2 := range s.AccelL2s {
-		l2.VisitStable(func(mem.Addr, accel.AState, coherence.NodeID, int, *mem.Block, bool) { n++ })
-	}
-	for _, l1 := range s.WeakL1s {
-		n += l1.Lines()
-	}
-	if s.WeakL2C != nil {
-		s.WeakL2C.VisitStable(func(mem.Addr, accel.AState, int, *mem.Block, bool) { n++ })
-	}
+	n += s.home.Blocks()
 	for _, g := range s.Guards {
 		g.VisitBlocks(func(_ mem.Addr, _, _ core.Grant, hasCopy bool) {
 			if hasCopy {
@@ -237,19 +163,6 @@ func (s *System) residentBlocks() int {
 		})
 	}
 	return n
-}
-
-// ownerToleratesSharers: hammer's O state legitimately coexists with
-// sharers; M/E (level 1 from E only... level 2 covers both M and O) —
-// we encode O as level 2 with tolerance, detected by protocol: for
-// simplicity, owners from hammer caches in O and the guard-held S+copy
-// cases tolerate sharers. We approximate by allowing level-2 owners
-// that are hammer caches to coexist (O), and rejecting E (level 1).
-func (s *System) ownerToleratesSharers(o *holder) bool {
-	if s.Spec.Host == HostHammer && o.level == 2 {
-		return true // MOESI O
-	}
-	return false
 }
 
 func (s *System) refData(addr mem.Addr, owner *holder) *mem.Block {
@@ -296,24 +209,15 @@ func (s *System) auditHostOwnership(lines map[mem.Addr][]holder) error {
 			return nil
 		}
 		for _, h := range lines[addr] {
-			if h.id == rec && h.level >= 1 {
+			if h.id == rec && h.level != chassis.Shared {
 				return nil
 			}
 		}
 		return fmt.Errorf("%v: host records owner %d but that cache does not own", addr, rec)
 	}
-	if s.HDir != nil {
-		var err error
-		s.HDir.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
-			if err == nil {
-				err = ownerOK(addr, owner)
-			}
-		})
-		return err
-	}
 	var err error
-	s.ML2.VisitStable(func(addr mem.Addr, owner coherence.NodeID, _ []coherence.NodeID, _ *mem.Block, _ bool) {
-		if err == nil && owner != coherence.NodeNone {
+	s.home.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
+		if err == nil {
 			err = ownerOK(addr, owner)
 		}
 	})
@@ -373,33 +277,23 @@ func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
 // invariants: inner inclusion, single inner owner, data agreement. The
 // group scopes the check to the device's own L2 and L1s.
 func (s *System) auditInnerHierarchy(grp *innerGroup) error {
-	type innerClaim struct {
-		name  string
-		state accel.InnerState
-		data  *mem.Block
-	}
-	claims := make(map[mem.Addr][]innerClaim)
+	claims := make(map[mem.Addr][]holder)
 	for _, l1 := range grp.l1s {
-		l1 := l1
-		l1.VisitStable(func(addr mem.Addr, st accel.InnerState, data *mem.Block) {
-			claims[addr] = append(claims[addr], innerClaim{l1.Name(), st, data})
+		l1.Held(func(addr mem.Addr, lvl chassis.Level, data *mem.Block, _ bool) {
+			claims[addr] = append(claims[addr], holder{l1.Name(), l1.ID(), lvl, data})
 		})
 	}
 	l2lines := make(map[mem.Addr]*mem.Block)
-	owners := make(map[mem.Addr]coherence.NodeID)
-	grp.l2.VisitStable(func(addr mem.Addr, _ accel.AState, owner coherence.NodeID, _ int, data *mem.Block, _ bool) {
-		l2lines[addr] = data
-		owners[addr] = owner
-	})
+	grp.l2.Held(func(addr mem.Addr, _ chassis.Level, data *mem.Block, _ bool) { l2lines[addr] = data })
 	for addr, cs := range claims {
 		if _, ok := l2lines[addr]; !ok {
 			return fmt.Errorf("inner inclusion broken: %v in an inner L1 but not the accel L2", addr)
 		}
 		nM := 0
 		for _, c := range cs {
-			if c.state == accel.NM {
+			if c.level == chassis.Modified {
 				nM++
-			} else if !mem.Equal(c.data, l2lines[addr]) && owners[addr] == coherence.NodeNone {
+			} else if !mem.Equal(c.data, l2lines[addr]) && grp.l2.Owner(addr) == coherence.NodeNone {
 				return fmt.Errorf("inner data divergence at %v: %s disagrees with accel L2", addr, c.name)
 			}
 		}
@@ -411,37 +305,4 @@ func (s *System) auditInnerHierarchy(grp *innerGroup) error {
 		}
 	}
 	return nil
-}
-
-func hammerLevel(st hammer.CState) int {
-	switch st {
-	case hammer.CM, hammer.CO:
-		return 2
-	case hammer.CE:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func mesiLevel(st mesi.L1State) int {
-	switch st {
-	case mesi.L1M:
-		return 2
-	case mesi.L1E:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func accelLevel(st accel.AState) int {
-	switch st {
-	case accel.AM:
-		return 2
-	case accel.AE:
-		return 1
-	default:
-		return 0
-	}
 }

@@ -3,9 +3,8 @@ package config
 import (
 	"fmt"
 
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
-	"crossingguard/internal/hostproto/hammer"
-	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
 )
 
@@ -29,34 +28,20 @@ func (s *System) AuditHostOnly() error {
 	}
 	lines := make(map[mem.Addr][]claim)
 	shared := make(map[mem.Addr]int)
-	for _, c := range s.HCaches {
-		c := c
+	for _, c := range s.caches {
+		if c.place != cpuCache {
+			continue
+		}
 		if c.WBPending() != 0 {
 			return fmt.Errorf("%s: writebacks pending at quiesce", c.Name())
 		}
-		c.VisitStable(func(addr mem.Addr, st hammer.CState, _ *mem.Block, _ bool) {
-			switch {
-			case st == hammer.CO:
-				// MOESI O legitimately coexists with sharers.
-				lines[addr] = append(lines[addr], claim{c.Name(), c.ID(), false})
-			case hammerLevel(st) >= 1:
-				lines[addr] = append(lines[addr], claim{c.Name(), c.ID(), true})
-			default:
+		c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) {
+			if lvl == chassis.Shared {
 				shared[addr]++
+				return
 			}
-		})
-	}
-	for _, l1 := range s.ML1s {
-		l1 := l1
-		if l1.WBPending() != 0 {
-			return fmt.Errorf("%s: writebacks pending at quiesce", l1.Name())
-		}
-		l1.VisitStable(func(addr mem.Addr, st mesi.L1State, _ *mem.Block, _ bool) {
-			if mesiLevel(st) >= 1 {
-				lines[addr] = append(lines[addr], claim{l1.Name(), l1.ID(), true})
-			} else {
-				shared[addr]++
-			}
+			// MOESI O legitimately coexists with sharers.
+			lines[addr] = append(lines[addr], claim{c.Name(), c.ID(), lvl != chassis.Owned})
 		})
 	}
 	for addr, cs := range lines {
@@ -85,32 +70,19 @@ func (s *System) AuditHostOnly() error {
 			}
 		}
 		// A CPU sequencer id or unknown node as owner would be corrupt.
-		for _, c := range s.HCaches {
-			if c.ID() == rec {
-				return fmt.Errorf("%v: host records CPU owner %d holding nothing", addr, rec)
-			}
-		}
-		for _, l1 := range s.ML1s {
-			if l1.ID() == rec {
+		for _, c := range s.caches {
+			if c.place == cpuCache && c.ID() == rec {
 				return fmt.Errorf("%v: host records CPU owner %d holding nothing", addr, rec)
 			}
 		}
 		return fmt.Errorf("%v: host records unknown owner %d", addr, rec)
 	}
 	var err error
-	if s.HDir != nil {
-		s.HDir.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
-			if err == nil {
-				err = check(addr, owner)
-			}
-		})
-	} else {
-		s.ML2.VisitStable(func(addr mem.Addr, owner coherence.NodeID, _ []coherence.NodeID, _ *mem.Block, _ bool) {
-			if err == nil && owner != coherence.NodeNone {
-				err = check(addr, owner)
-			}
-		})
-	}
+	s.home.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
+		if err == nil {
+			err = check(addr, owner)
+		}
+	})
 	return err
 }
 
@@ -118,21 +90,14 @@ func (s *System) AuditHostOnly() error {
 // sequencers only (the accelerator side may legitimately be wedged when
 // it is a fuzzer).
 func (s *System) HostOutstanding() int {
-	n := 0
+	n := s.home.Outstanding()
 	for _, sq := range s.CPUSeqs {
 		n += sq.Outstanding()
 	}
-	if s.HDir != nil {
-		n += s.HDir.Outstanding()
-	}
-	for _, c := range s.HCaches {
-		n += c.Outstanding()
-	}
-	if s.ML2 != nil {
-		n += s.ML2.Outstanding()
-	}
-	for _, l1 := range s.ML1s {
-		n += l1.Outstanding()
+	for _, c := range s.caches {
+		if c.place == cpuCache {
+			n += c.Outstanding()
+		}
 	}
 	return n
 }

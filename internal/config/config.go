@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/accel"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/consistency"
 	"crossingguard/internal/core"
@@ -319,6 +320,14 @@ type System struct {
 	AccelHCaches []*hammer.Cache // accel-side / host-side with hammer
 	AccelMCaches []*mesi.L1      // accel-side / host-side with MESI
 
+	// caches lists every cache Build wired, whatever its protocol, with its
+	// place in the machine; home is the host protocol's home node. The
+	// audits, the coverage merge and the outstanding counts walk these and
+	// never the typed handles above.
+	caches []placedCache
+	home   homeView
+
+	// outstandingFns counts what is neither: guards and custom accelerators.
 	outstandingFns []func() int
 	// guardAccelView maps each guard (by index in Guards) to a snapshot
 	// of its accelerator's resident lines (level 0=S,1=E,2=M), used by
@@ -335,6 +344,82 @@ type System struct {
 	// registered by OnDeviceReset (custom accelerators joining the
 	// quarantine-recovery protocol).
 	deviceResets map[coherence.NodeID][]func(epoch uint32)
+}
+
+// cacheView is what the machine asks of a cache it built, whatever its
+// protocol. A private cache answers all but Held through its chassis.
+type cacheView interface {
+	ID() coherence.NodeID
+	Name() string
+	Outstanding() int
+	WBPending() int
+	Coverage() *coherence.Coverage // nil when the cache declares no table
+	Held(fn chassis.HeldFunc)
+}
+
+// homeView is the host protocol's home node: hammer's directory, or MESI's
+// shared L2.
+type homeView interface {
+	Outstanding() int
+	Coverage() *coherence.Coverage
+	VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID))
+	Blocks() int // pooled blocks its own lines hold
+}
+
+// place says where a cache sits, in order of distance from the host: each
+// audit reads a prefix of the order.
+type place int
+
+const (
+	// cpuCache is a CPU core's cache: part of the host the paper protects.
+	cpuCache place = iota
+	// hostProtoCache is an accelerator's cache that speaks the host
+	// protocol itself (Fig. 2a/2b).
+	hostProtoCache
+	// guardedCache is the accelerator cache a guard fronts; its lines are
+	// the device's claims toward the host.
+	guardedCache
+	// innerCache is a private L1 behind an accelerator L2, where its claims
+	// stop.
+	innerCache
+)
+
+// placedCache is one registered cache.
+type placedCache struct {
+	cacheView
+	place place
+}
+
+// register enters a cache Build wired into the machine's list; a cache of
+// the host protocol also counts its transitions per state in the metrics
+// registry.
+func (s *System) register(c cacheView, p place) {
+	s.caches = append(s.caches, placedCache{c, p})
+	if p <= hostProtoCache {
+		s.countStates(c.Coverage())
+	}
+}
+
+// setHome enters the host protocol's home node, like register.
+func (s *System) setHome(h homeView) {
+	s.home = h
+	s.countStates(h.Coverage())
+}
+
+func (s *System) countStates(cov *coherence.Coverage) {
+	cov.OnRecord = obs.StateRecorder(s.Obs, cov.Name(), cov.States())
+}
+
+// Coverages returns the coverage of every controller that declares a
+// transition table: the home node's, then the caches' in build order.
+func (s *System) Coverages() []*coherence.Coverage {
+	covs := []*coherence.Coverage{s.home.Coverage()}
+	for _, c := range s.caches {
+		if cov := c.Coverage(); cov != nil {
+			covs = append(covs, cov)
+		}
+	}
+	return covs
 }
 
 // OnDeviceReset registers fn to run when the guard fronting accelID
@@ -502,8 +587,7 @@ func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.hammerCfg(spec.Small, txnMods)
 	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.HDir.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.dir", s.HDir.Cov.States())
-	s.outstandingFns = append(s.outstandingFns, s.HDir.Outstanding)
+	s.setHome(s.HDir)
 
 	// Count the caches that will participate in broadcasts (each
 	// accelerator device contributes its own set).
@@ -522,11 +606,10 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 
 	for i := 0; i < spec.CPUs; i++ {
 		c := hammer.NewCache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
-			s.Eng, s.Fab, nodeHost, responses, cfg, s.Log)
-		c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache", c.Cov.States())
+			s.Fab, nodeHost, responses, cfg, s.Log)
 		s.HCaches = append(s.HCaches, c)
+		s.register(c, cpuCache)
 		s.HDir.AddPeer(c.ID())
-		s.outstandingFns = append(s.outstandingFns, c.Outstanding)
 		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, c.ID())
 		s.CPUSeqs = append(s.CPUSeqs, sq)
 		s.Fab.SetRoutePair(sq.ID(), c.ID(), network.Config{Latency: lat.CoreToCache, Ordered: true})
@@ -544,11 +627,10 @@ func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
 				c := hammer.NewCache(id, devName(d, fmt.Sprintf("hammer.A[%d]", i)),
-					s.Eng, s.Fab, nodeHost, responses, acfg, s.Log)
-				c.Cov.OnRecord = obs.StateRecorder(s.Obs, "hammer.cache", c.Cov.States())
+					s.Fab, nodeHost, responses, acfg, s.Log)
 				s.AccelHCaches = append(s.AccelHCaches, c)
+				s.register(c, hostProtoCache)
 				s.HDir.AddPeer(c.ID())
-				s.outstandingFns = append(s.outstandingFns, c.Outstanding)
 				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, c.ID())
 				s.AccelSeqs = append(s.AccelSeqs, sq)
 				s.accelSeqDevs = append(s.accelSeqDevs, d)
@@ -602,10 +684,10 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 		g.SetResetHook(s.deviceResetHook(acID))
 		return
 	}
-	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Eng, s.Fab, xgID, s.accelCfg(spec.Small))
+	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Fab, xgID, s.accelCfg(spec.Small))
 	s.AccelL1s = append(s.AccelL1s, l1)
-	s.guardAccelView = append(s.guardAccelView, accelL1View(l1))
-	s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
+	s.register(l1, guardedCache)
+	s.guardAccelView = append(s.guardAccelView, heldView(l1))
 	sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, acID)
 	s.AccelSeqs = append(s.AccelSeqs, sq)
 	s.accelSeqDevs = append(s.accelSeqDevs, d)
@@ -623,15 +705,13 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 	cfg := s.mesiCfg(spec.Small, txnMods)
 	s.ML2 = mesi.NewL2(nodeHost, "mesi.L2", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.ML2.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L2", s.ML2.Cov.States())
-	s.outstandingFns = append(s.outstandingFns, s.ML2.Outstanding)
+	s.setHome(s.ML2)
 
 	for i := 0; i < spec.CPUs; i++ {
 		l1 := mesi.NewL1(nodeCPU+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i),
-			s.Eng, s.Fab, nodeHost, cfg, s.Log)
-		l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1", l1.Cov.States())
+			s.Fab, nodeHost, cfg, s.Log)
 		s.ML1s = append(s.ML1s, l1)
-		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
+		s.register(l1, cpuCache)
 		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, l1.ID())
 		s.CPUSeqs = append(s.CPUSeqs, sq)
 		s.Fab.SetRoutePair(sq.ID(), l1.ID(), network.Config{Latency: lat.CoreToCache, Ordered: true})
@@ -642,10 +722,9 @@ func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
 		case OrgAccelSide, OrgHostSide:
 			for i := 0; i < spec.AccelCores; i++ {
 				id := devID(d, nodeAccel, i)
-				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Eng, s.Fab, nodeHost, cfg, s.Log)
-				l1.Cov.OnRecord = obs.StateRecorder(s.Obs, "mesi.L1", l1.Cov.States())
+				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Fab, nodeHost, cfg, s.Log)
 				s.AccelMCaches = append(s.AccelMCaches, l1)
-				s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
+				s.register(l1, hostProtoCache)
 				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)
 				s.AccelSeqs = append(s.AccelSeqs, sq)
 				s.accelSeqDevs = append(s.accelSeqDevs, d)
@@ -707,17 +786,17 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 		s.AccelL2 = l2
 	}
 	s.AccelL2s = append(s.AccelL2s, l2)
+	s.register(l2, guardedCache)
 	group := innerGroup{l2: l2}
-	s.guardAccelView = append(s.guardAccelView, sharedL2View(l2))
-	s.outstandingFns = append(s.outstandingFns, l2.Outstanding)
+	s.guardAccelView = append(s.guardAccelView, heldView(l2))
 	s.Fab.SetRoutePair(l2ID, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
 	var seqs []*seq.Sequencer
 	for i := 0; i < spec.AccelCores; i++ {
 		id := devID(d, nodeAccel, i)
-		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Eng, s.Fab, l2ID, acfg)
+		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
 		s.InnerL1s = append(s.InnerL1s, l1)
+		s.register(l1, innerCache)
 		group.l1s = append(group.l1s, l1)
-		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
 		sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)
 		s.AccelSeqs = append(s.AccelSeqs, sq)
 		seqs = append(seqs, sq)
@@ -747,14 +826,14 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 func (s *System) buildWeakAccel(spec Spec, lat Latencies, xgID coherence.NodeID) {
 	acfg := s.accelCfg(spec.Small)
 	s.WeakL2C = accel.NewWeakL2(nodeAccelL2, "weakL2", s.Eng, s.Fab, xgID, acfg)
-	s.guardAccelView = append(s.guardAccelView, weakL2View(s.WeakL2C))
-	s.outstandingFns = append(s.outstandingFns, s.WeakL2C.Outstanding)
+	s.register(s.WeakL2C, guardedCache)
+	s.guardAccelView = append(s.guardAccelView, heldView(s.WeakL2C))
 	s.Fab.SetRoutePair(nodeAccelL2, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
 	for i := 0; i < spec.AccelCores; i++ {
 		id := nodeAccel + coherence.NodeID(i)
 		l1 := accel.NewWeakL1(id, fmt.Sprintf("weakL1[%d]", i), s.Eng, s.Fab, nodeAccelL2, acfg)
 		s.WeakL1s = append(s.WeakL1s, l1)
-		s.outstandingFns = append(s.outstandingFns, l1.Outstanding)
+		s.register(l1, innerCache)
 		sq := seq.New(nodeAccSeq+coherence.NodeID(i), fmt.Sprintf("acc[%d]", i), s.Eng, s.Fab, id)
 		s.AccelSeqs = append(s.AccelSeqs, sq)
 		s.accelSeqDevs = append(s.accelSeqDevs, 0)
@@ -787,7 +866,10 @@ func (s *System) Sequencers() []*seq.Sequencer {
 
 // Outstanding implements tester.System.
 func (s *System) Outstanding() int {
-	n := 0
+	n := s.home.Outstanding()
+	for _, c := range s.caches {
+		n += c.Outstanding()
+	}
 	for _, fn := range s.outstandingFns {
 		n += fn()
 	}
@@ -797,43 +879,11 @@ func (s *System) Outstanding() int {
 	return n
 }
 
-// accelL1View snapshots a Table 1 cache's stable lines.
-func accelL1View(c *accel.L1Cache) func() map[mem.Addr]int {
+// heldView snapshots the stable lines of the cache a guard fronts.
+func heldView(c cacheView) func() map[mem.Addr]int {
 	return func() map[mem.Addr]int {
 		out := map[mem.Addr]int{}
-		c.VisitStable(func(addr mem.Addr, st accel.AState, _ *mem.Block) {
-			out[addr] = accelLevel(st)
-		})
-		return out
-	}
-}
-
-// sharedL2View snapshots a two-level hierarchy's host-level claims.
-func sharedL2View(l *accel.SharedL2) func() map[mem.Addr]int {
-	return func() map[mem.Addr]int {
-		out := map[mem.Addr]int{}
-		l.VisitStable(func(addr mem.Addr, host accel.AState, _ coherence.NodeID, _ int, _ *mem.Block, dirty bool) {
-			lvl := accelLevel(host)
-			if dirty && lvl < 2 {
-				lvl = 2
-			}
-			out[addr] = lvl
-		})
-		return out
-	}
-}
-
-// weakL2View snapshots the weak hierarchy's host-level claims.
-func weakL2View(l *accel.WeakL2) func() map[mem.Addr]int {
-	return func() map[mem.Addr]int {
-		out := map[mem.Addr]int{}
-		l.VisitStable(func(addr mem.Addr, host accel.AState, _ int, _ *mem.Block, dirty bool) {
-			lvl := accelLevel(host)
-			if dirty && lvl < 2 {
-				lvl = 2
-			}
-			out[addr] = lvl
-		})
+		c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) { out[addr] = int(lvl) })
 		return out
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/seq"
@@ -205,5 +206,62 @@ func TestAuditGuardTableMismatchStable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// strayCopy is a cache that claims one line, whatever the protocol says:
+// the registry takes any cacheView, so a test can stand one beside the
+// real caches.
+type strayCopy struct {
+	addr mem.Addr
+	lvl  chassis.Level
+	data *mem.Block
+}
+
+func (strayCopy) ID() coherence.NodeID          { return 9999 }
+func (strayCopy) Name() string                  { return "stray" }
+func (strayCopy) Outstanding() int              { return 0 }
+func (strayCopy) WBPending() int                { return 0 }
+func (strayCopy) Coverage() *coherence.Coverage { return nil }
+func (c strayCopy) Held(fn chassis.HeldFunc)    { fn(c.addr, c.lvl, c.data, false) }
+
+// TestAuditSharersOnlyBesideOwned pins the SWMR rule on the MOESI host: a
+// sharer may sit beside an O owner and beside no other. The audit once
+// tolerated sharers beside any M-or-O owner on hammer, so "M beside
+// sharers" passed it.
+func TestAuditSharersOnlyBesideOwned(t *testing.T) {
+	const addr = mem.Addr(0x7000)
+	owner := func(load bool) *System {
+		s := Build(Spec{Host: HostHammer, Org: OrgHostSide, CPUs: 2, AccelCores: 1, Seed: 5})
+		s.CPUSeqs[0].Store(addr, 7, nil)
+		quiesce(t, s)
+		if load { // a second reader takes the owner from M to O
+			s.CPUSeqs[1].Load(addr, nil)
+			quiesce(t, s)
+		}
+		return s
+	}
+	held := func(s *System) (lvl chassis.Level, data *mem.Block) {
+		s.HCaches[0].Held(func(a mem.Addr, l chassis.Level, d *mem.Block, _ bool) {
+			if a == addr {
+				lvl, data = l, d
+			}
+		})
+		return
+	}
+
+	s := owner(false)
+	lvl, data := held(s)
+	if lvl != chassis.Modified {
+		t.Fatalf("owner holds level %d after a store, want Modified", lvl)
+	}
+	s.register(strayCopy{addr, chassis.Shared, data}, guardedCache)
+	if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "owns exclusively beside 1 sharers") {
+		t.Fatalf("audit of M beside a sharer = %v, want an SWMR violation", err)
+	}
+
+	s = owner(true) // O beside CPU 1's real S copy: quiesce audited it clean
+	if lvl, _ := held(s); lvl != chassis.Owned {
+		t.Fatalf("owner holds level %d after a remote load, want Owned", lvl)
 	}
 }

@@ -72,15 +72,15 @@ func BuildMultiDevice(host HostKind, cpus int, seed int64, small bool) *MultiSys
 	l2 := accel.NewSharedL2(nodeAccelL2B, "accelL2B", base.Eng, base.Fab, nodeXG2, acfg)
 	base.AccelL2 = l2
 	base.AccelL2s = append(base.AccelL2s, l2)
+	base.register(l2, guardedCache)
 	grp := innerGroup{l2: l2}
-	base.outstandingFns = append(base.outstandingFns, l2.Outstanding)
 	base.Fab.SetRoutePair(nodeAccelL2B, nodeXG2, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
 	for i := 0; i < 2; i++ {
 		id := nodeAccelB + coherence.NodeID(i)
-		l1 := accel.NewInnerL1(id, fmt.Sprintf("accelB.L1[%d]", i), base.Eng, base.Fab, nodeAccelL2B, acfg)
+		l1 := accel.NewInnerL1(id, fmt.Sprintf("accelB.L1[%d]", i), base.Fab, nodeAccelL2B, acfg)
 		base.InnerL1s = append(base.InnerL1s, l1)
+		base.register(l1, innerCache)
 		grp.l1s = append(grp.l1s, l1)
-		base.outstandingFns = append(base.outstandingFns, l1.Outstanding)
 		sq := seq.New(nodeAccSeqB+coherence.NodeID(i), fmt.Sprintf("accB[%d]", i), base.Eng, base.Fab, id)
 		ms.DeviceBSeqs = append(ms.DeviceBSeqs, sq)
 		base.AccelSeqs = append(base.AccelSeqs, sq)

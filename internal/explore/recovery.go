@@ -64,7 +64,7 @@ func RecoveryScenario() Scenario {
 					// hand (CustomAccel replaces the hierarchy for every
 					// device) but wired like the standard single-level
 					// path, reset hook included.
-					l1 := accel.NewL1Cache(accelID, "nbrL1", s.Eng, s.Fab, xgID, accel.DefaultConfig())
+					l1 := accel.NewL1Cache(accelID, "nbrL1", s.Fab, xgID, accel.DefaultConfig())
 					sq := seq.New(accelID+100, "nbr", s.Eng, s.Fab, accelID)
 					s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
 					s.OnDeviceReset(accelID, func(epoch uint32) {

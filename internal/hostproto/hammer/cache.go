@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // cLine is the protocol payload of one private-cache line. Its blocks —
@@ -17,71 +17,44 @@ import (
 type cLine struct {
 	state CState
 	data  *mem.Block
-	dirty bool // modified relative to memory
 	// Open-transaction bookkeeping (response counting).
 	expected  int
 	got       int
 	dataCount int
-	shared    bool
 	cacheData *mem.Block
-	cacheDirt bool
 	memData   *mem.Block
-	noExcl    bool // GetS_only: never take E
 	op        *coherence.Msg
-}
-
-// wbLine is an evicted line in the writeback buffer: its state, and the
-// data it took with it.
-type wbLine struct {
-	state CState
-	data  *mem.Block
-	dirty bool
+	// The flags sit together so a line, which the write-back buffer holds
+	// by value, pads once.
+	dirty     bool // modified relative to memory
+	shared    bool
+	cacheDirt bool
+	noExcl    bool // GetS_only: never take E
 }
 
 // Cache is a private combined L1/L2 in the Hammer-like protocol.
 type Cache struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	cfg  Config
-	dir  coherence.NodeID
-	sink coherence.ErrorSink
+	// The chassis's write-back buffer holds evicted lines in MI/OI/EI/II,
+	// with the data they took along.
+	chassis.L1[cLine]
+	txnMods bool
+	dir     coherence.NodeID
+	sink    coherence.ErrorSink
 	// responses is how many responses every request collects:
 	// one per peer cache plus the speculative memory data.
 	responses int
 
-	cache *cacheset.Cache[cLine]
-	wb    map[mem.Addr]*wbLine
-	// freeWB recycles the writeback buffer's records.
-	freeWB coherence.RecPool[wbLine]
-	// waitingOps and stalledOps hold core operations only: sequencer
-	// requests, which belong to this cache until it replies.
-	waitingOps coherence.LineQueues
-	stalledOps []*coherence.Msg
-	// doCPU is handleCPU bound once (CallAfter's handler).
-	doCPU func(*coherence.Msg)
-
-	// Cov records (state, event) coverage.
-	Cov *coherence.Coverage
 	// NacksSunk counts unexpected Nacks tolerated under TxnMods.
 	NacksSunk uint64
 }
 
 // NewCache builds and registers a private cache. responses must be
 // (number of peer caches) + 1.
-func NewCache(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewCache(id coherence.NodeID, name string, fab *network.Fabric,
 	dir coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Cache {
-	c := &Cache{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, dir: dir, sink: sink,
-		responses:  responses,
-		cache:      cacheset.New[cLine](cfg.Sets, cfg.Ways),
-		wb:         make(map[mem.Addr]*wbLine),
-		waitingOps: make(coherence.LineQueues),
-		Cov:        NewCacheCoverage(),
-	}
-	c.doCPU = c.handleCPU
-	fab.Register(c)
+	c := &Cache{txnMods: cfg.TxnMods, dir: dir, sink: sink, responses: responses}
+	c.Init(c, id, name, fab, cfg.Sets, cfg.Ways, cfg.HitLat, NewCacheCoverage(),
+		func(v *cLine) bool { return !v.state.Stable() }, c.evict, c.handleCPU)
 	return c
 }
 
@@ -115,21 +88,15 @@ func NewCacheCoverage() *coherence.Coverage {
 	return cov
 }
 
-// ID implements coherence.Controller.
-func (c *Cache) ID() coherence.NodeID { return c.id }
-
-// Name implements coherence.Controller.
-func (c *Cache) Name() string { return c.name }
-
 func (c *Cache) protocolError(state string, m *coherence.Msg) {
-	if c.cfg.TxnMods {
+	if c.txnMods {
 		c.sink.ReportError(coherence.ProtocolError{
-			Where: c.name, Code: "HOST.Cache.Unexpected", Addr: m.Addr,
+			Where: c.Name(), Code: "HOST.Cache.Unexpected", Addr: m.Addr,
 			Detail: fmt.Sprintf("state %s event %v", state, m.Type),
 		})
 		return
 	}
-	panic(fmt.Sprintf("%s: unexpected %v in state %s", c.name, m, state))
+	panic(fmt.Sprintf("%s: unexpected %v in state %s", c.Name(), m, state))
 }
 
 // Recv implements coherence.Controller.
@@ -151,19 +118,14 @@ func (c *Cache) Recv(m *coherence.Msg) {
 }
 
 // send takes a message holding t from the pool and hands it to the fabric.
-func (c *Cache) send(t coherence.Msg) { c.fab.Send(c.fab.Msg(t)) }
+func (c *Cache) send(t coherence.Msg) { c.Fab.Send(c.Fab.Msg(t)) }
 
 // --- CPU side ---
 
 func (c *Cache) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if _, busy := c.wb[line]; busy {
-		c.waitingOps.Push(line, m)
-		return
-	}
-	e := c.cache.Lookup(m.Addr)
-	if e != nil && !e.V.state.Stable() {
-		c.waitingOps.Push(line, m)
+	e, ok := c.Admit(line, m)
+	if !ok {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
@@ -173,8 +135,7 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 	}
 	if e == nil {
 		c.Cov.Record(int(CI), ev)
-		e = c.allocate(m)
-		if e == nil {
+		if e = c.Allocate(line, m); e == nil {
 			return
 		}
 		if isStore {
@@ -188,15 +149,15 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 	c.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/O/M
-		c.respond(m, e.V.data[m.Addr.Offset()])
+		c.Respond(m, e.V.data[m.Addr.Offset()])
 	case st == CM:
 		e.V.data[m.Addr.Offset()] = m.Val
-		c.respond(m, 0)
+		c.Respond(m, 0)
 	case st == CE:
 		e.V.state = CM
 		e.V.dirty = true
 		e.V.data[m.Addr.Offset()] = m.Val
-		c.respond(m, 0)
+		c.Respond(m, 0)
 	case st == CS:
 		c.issueGet(e, m, coherence.HGetM, CSM)
 	case st == CO:
@@ -212,23 +173,7 @@ func (c *Cache) issueGet(e *cacheset.Entry[cLine], op *coherence.Msg, ty coheren
 	e.V.shared = false
 	e.V.noExcl = ty == coherence.HGetSOnly
 	e.V.op = op
-	c.send(coherence.Msg{Type: ty, Addr: e.Addr, Src: c.id, Dst: c.dir})
-}
-
-func (c *Cache) allocate(m *coherence.Msg) *cacheset.Entry[cLine] {
-	var victim cacheset.Entry[cLine]
-	e, evicted, ok := c.cache.Allocate(m.Addr, func(e *cacheset.Entry[cLine]) bool {
-		return e.V.state.Stable()
-	}, &victim)
-	if !ok {
-		c.stalledOps = append(c.stalledOps, m)
-		return nil
-	}
-	if evicted {
-		c.evict(victim.Addr, &victim.V)
-	}
-	e.V = cLine{state: CI}
-	return e
+	c.send(coherence.Msg{Type: ty, Addr: e.Addr, Src: c.ID(), Dst: c.dir})
 }
 
 func (c *Cache) evict(addr mem.Addr, v *cLine) {
@@ -236,40 +181,21 @@ func (c *Cache) evict(addr mem.Addr, v *cLine) {
 	switch v.state {
 	case CS:
 		// Hammer allows silent eviction of shared blocks.
-		c.fab.FreeBlock(v.data)
+		c.Fab.FreeBlock(v.data)
 	case CM, CO, CE:
-		next := CMI
 		switch v.state {
+		case CM:
+			v.state = CMI
 		case CO:
-			next = COI
+			v.state = COI
 		case CE:
-			next = CEI
+			v.state = CEI
 		}
-		wl := c.freeWB.Get()
-		wl.state, wl.data, wl.dirty = next, v.data, v.dirty
-		c.wb[addr] = wl
-		c.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.id, Dst: c.dir})
+		c.Buffer(addr, v)
+		c.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.ID(), Dst: c.dir})
 	default:
-		panic(fmt.Sprintf("%s: evicting line in state %v", c.name, v.state))
+		panic(fmt.Sprintf("%s: evicting line in state %v", c.Name(), v.state))
 	}
-}
-
-// invalidate drops the line and gives its block back.
-func (c *Cache) invalidate(e *cacheset.Entry[cLine]) {
-	c.fab.FreeBlock(e.V.data)
-	c.cache.Invalidate(e.Addr)
-}
-
-// retire closes a finished writeback.
-func (c *Cache) retire(line mem.Addr, wl *wbLine) {
-	c.fab.FreeBlock(wl.data)
-	delete(c.wb, line)
-	c.freeWB.Put(wl)
-	c.settled(line)
-}
-
-func (c *Cache) respond(op *coherence.Msg, val byte) {
-	c.fab.SendAfter(c.cfg.HitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 // --- forwards (broadcast requests from the directory) ---
@@ -280,10 +206,10 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 	var data *mem.Block
 	var dirty bool
 	var e *cacheset.Entry[cLine]
-	wl, inWB := c.wb[line]
-	if inWB {
+	wl := c.Buffered(line)
+	if wl != nil {
 		st, data, dirty = wl.state, wl.data, wl.dirty
-	} else if e = c.cache.Peek(m.Addr); e != nil {
+	} else if e = c.Lines.Peek(m.Addr); e != nil {
 		st, data, dirty = e.V.state, e.V.data, e.V.dirty
 	} else {
 		st = CI
@@ -292,15 +218,15 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 
 	getM := m.Type == coherence.HFwdGetM
 	if st.owned() {
-		c.send(coherence.Msg{Type: coherence.HData, Addr: line, Src: c.id, Dst: m.Requestor,
+		c.send(coherence.Msg{Type: coherence.HData, Addr: line, Src: c.ID(), Dst: m.Requestor,
 			Data: data, Dirty: dirty, Shared: true})
 		switch {
 		case getM:
 			// Ownership moves to the requestor.
 			switch st {
 			case CM, CO, CE:
-				c.invalidate(e)
-				c.settled(line)
+				c.Drop(e, e.V.data)
+				c.Settled(line)
 			case COM:
 				e.V.state = CIM // lost our copy; our own GetM is still queued
 			case CMI, COI, CEI:
@@ -317,13 +243,13 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 	}
 	// Non-owners ack, asserting Shared when they hold an S copy.
 	hasS := st == CS || st == CSM
-	c.send(coherence.Msg{Type: coherence.HAck, Addr: line, Src: c.id, Dst: m.Requestor,
+	c.send(coherence.Msg{Type: coherence.HAck, Addr: line, Src: c.ID(), Dst: m.Requestor,
 		Shared: hasS && !getM})
 	if getM {
 		switch st {
 		case CS:
-			c.invalidate(e)
-			c.settled(line)
+			c.Drop(e, e.V.data)
+			c.Settled(line)
 		case CSM:
 			e.V.state = CIM
 		}
@@ -333,7 +259,7 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 // --- responses to our own requests ---
 
 func (c *Cache) handleResponse(m *coherence.Msg) {
-	e := c.cache.Peek(m.Addr)
+	e := c.Lines.Peek(m.Addr)
 	if e == nil || e.V.op == nil {
 		c.protocolError("I", m)
 		return
@@ -349,15 +275,15 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 	switch m.Type {
 	case coherence.HData:
 		e.V.dataCount++
-		if e.V.dataCount > 1 && !c.cfg.TxnMods {
-			panic(fmt.Sprintf("%s: multiple data responses for %v", c.name, m.Addr))
+		if e.V.dataCount > 1 && !c.txnMods {
+			panic(fmt.Sprintf("%s: multiple data responses for %v", c.Name(), m.Addr))
 		}
 		if e.V.dataCount > 1 {
-			c.sink.ReportError(coherence.ProtocolError{Where: c.name,
+			c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 				Code: "HOST.MultiData", Addr: m.Addr, Detail: "duplicate data response tolerated"})
 		}
 		if e.V.cacheData == nil && m.Data != nil {
-			e.V.cacheData = c.fab.CopyBlock(m.Data)
+			e.V.cacheData = c.Fab.CopyBlock(m.Data)
 			e.V.cacheDirt = m.Dirty
 		}
 		e.V.shared = true // an owner elsewhere means the block is shared
@@ -368,8 +294,8 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 	case coherence.HMemData:
 		// A second memory response (possible only under fault injection)
 		// replaces the first.
-		c.fab.FreeBlock(e.V.memData)
-		e.V.memData = c.fab.CopyBlock(m.Data)
+		c.Fab.FreeBlock(e.V.memData)
+		e.V.memData = c.Fab.CopyBlock(m.Data)
 	}
 	e.V.got++
 	if e.V.got < e.V.expected {
@@ -399,19 +325,19 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		// Response-counting tolerance: every response was an ack and
 		// even memory data is missing (possible only under fuzzing with
 		// TxnMods); complete with a zero block.
-		if !c.cfg.TxnMods {
-			panic(fmt.Sprintf("%s: request for %v completed without data", c.name, e.Addr))
+		if !c.txnMods {
+			panic(fmt.Sprintf("%s: request for %v completed without data", c.Name(), e.Addr))
 		}
-		c.sink.ReportError(coherence.ProtocolError{Where: c.name,
+		c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 			Code: "HOST.NoData", Addr: e.Addr, Detail: "request completed with zero block"})
-		data, dirty = c.fab.CopyBlock(nil), false
+		data, dirty = c.Fab.CopyBlock(nil), false
 	}
 	if data != e.V.data {
-		c.fab.FreeBlock(e.V.data)
+		c.Fab.FreeBlock(e.V.data)
 		e.V.data = data
 	}
-	c.fab.FreeBlock(e.V.cacheData)
-	c.fab.FreeBlock(e.V.memData)
+	c.Fab.FreeBlock(e.V.cacheData)
+	c.Fab.FreeBlock(e.V.memData)
 	e.V.cacheData, e.V.memData = nil, nil
 	tookShared := false
 	if st == CIS {
@@ -425,41 +351,41 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		if tookShared {
 			e.V.dirty = false // the owner retains responsibility
 		}
-		c.respond(op, e.V.data[op.Addr.Offset()])
+		c.Respond(op, e.V.data[op.Addr.Offset()])
 	} else {
 		e.V.state = CM
 		e.V.dirty = true
 		e.V.data[op.Addr.Offset()] = op.Val
-		c.respond(op, 0)
+		c.Respond(op, 0)
 	}
 	e.V.op = nil
-	c.send(coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.id, Dst: c.dir,
+	c.send(coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.ID(), Dst: c.dir,
 		Shared: tookShared})
-	c.settled(e.Addr)
+	c.Settled(e.Addr)
 }
 
 // --- writeback acks and nacks ---
 
 func (c *Cache) handleWBAck(m *coherence.Msg) {
 	line := m.Addr.Line()
-	wl, ok := c.wb[line]
-	if !ok {
+	wl := c.Buffered(line)
+	if wl == nil {
 		c.protocolError("I", m)
 		return
 	}
 	c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
 	switch wl.state {
 	case CMI, COI, CEI:
-		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
+		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.ID(), Dst: c.dir,
 			Data: wl.data, Dirty: wl.dirty})
-		c.retire(line, wl)
+		c.Retire(line, wl.data)
 	case CII:
 		// We no longer own the block; the WBAck is for a Put the
 		// directory accepted before ownership moved — complete with a
 		// clean (ignored) writeback so the directory can close.
-		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.id, Dst: c.dir,
+		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.ID(), Dst: c.dir,
 			Data: wl.data, Dirty: false})
-		c.retire(line, wl)
+		c.Retire(line, wl.data)
 	default:
 		c.protocolError(wl.state.String(), m)
 	}
@@ -467,82 +393,58 @@ func (c *Cache) handleWBAck(m *coherence.Msg) {
 
 func (c *Cache) handleNack(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if wl, ok := c.wb[line]; ok {
+	if wl := c.Buffered(line); wl != nil {
 		c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
 		if wl.state == CII {
 			// Normal race resolution: ownership moved while our Put was
 			// queued; the data already went to the new owner.
-			c.retire(line, wl)
+			c.Retire(line, wl.data)
 			return
 		}
 		// A Nack in MI/OI/EI means the directory disagrees about
 		// ownership without us having seen a FwdGetM: impossible in a
 		// correct system, possible after accelerator-corrupted state.
-		if !c.cfg.TxnMods {
-			panic(fmt.Sprintf("%s: Nack in %v for %v", c.name, wl.state, line))
+		if !c.txnMods {
+			panic(fmt.Sprintf("%s: Nack in %v for %v", c.Name(), wl.state, line))
 		}
 		c.NacksSunk++
-		c.sink.ReportError(coherence.ProtocolError{Where: c.name,
+		c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 			Code: "HOST.UnexpectedNack", Addr: line,
 			Detail: fmt.Sprintf("Nack sunk in state %v; dropping writeback", wl.state)})
-		c.retire(line, wl)
+		c.Retire(line, wl.data)
 		return
 	}
 	// Paper §3.2.1: host caches must sink unexpected Nacks and raise an
 	// error instead of crashing.
 	st := CI
-	if e := c.cache.Peek(m.Addr); e != nil {
+	if e := c.Lines.Peek(m.Addr); e != nil {
 		st = e.V.state
 	}
 	c.Cov.Record(int(st), cacheTable.Event(m.Type))
-	if !c.cfg.TxnMods {
-		panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.name, st, line))
+	if !c.txnMods {
+		panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.Name(), st, line))
 	}
 	c.NacksSunk++
-	c.sink.ReportError(coherence.ProtocolError{Where: c.name,
+	c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
 }
 
-// --- wakeups, audit ---
-
-func (c *Cache) settled(line mem.Addr) {
-	if next := c.waitingOps.Pop(line); next != nil {
-		c.fab.CallAfter(0, c.doCPU, next)
-	}
-	for _, op := range c.stalledOps {
-		c.fab.CallAfter(0, c.doCPU, op)
-	}
-	c.stalledOps = c.stalledOps[:0]
-}
-
-// Outstanding reports open transactions.
-func (c *Cache) Outstanding() int {
-	n := len(c.wb) + len(c.stalledOps) + c.waitingOps.Len()
-	c.cache.Visit(func(e *cacheset.Entry[cLine]) {
-		if !e.V.state.Stable() {
-			n++
-		}
-	})
-	return n
-}
+// --- audit ---
 
 // AuditLine reports the stable view for invariant checks.
 func (c *Cache) AuditLine(addr mem.Addr) (present bool, st CState, data *mem.Block, dirty bool) {
-	e := c.cache.Peek(addr)
+	e := c.Lines.Peek(addr)
 	if e == nil || !e.V.state.Stable() || e.V.state == CI {
 		return false, CI, nil, false
 	}
 	return true, e.V.state, e.V.data, e.V.dirty
 }
 
-// VisitStable reports every stable valid line for invariant checks.
-func (c *Cache) VisitStable(fn func(addr mem.Addr, st CState, data *mem.Block, dirty bool)) {
-	c.cache.Visit(func(e *cacheset.Entry[cLine]) {
+// Held reports every stable valid line for invariant checks.
+func (c *Cache) Held(fn chassis.HeldFunc) {
+	c.Lines.Visit(func(e *cacheset.Entry[cLine]) {
 		if e.V.state.Stable() && e.V.state != CI {
-			fn(e.Addr, e.V.state, e.V.data, e.V.dirty)
+			fn(e.Addr, e.V.state.Level(), e.V.data, e.V.dirty)
 		}
 	})
 }
-
-// WBPending reports buffered writebacks (zero at quiesce).
-func (c *Cache) WBPending() int { return len(c.wb) }

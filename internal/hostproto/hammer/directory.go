@@ -282,6 +282,13 @@ func (d *Directory) Owner(addr mem.Addr) coherence.NodeID {
 // Memory exposes the backing store for checkers.
 func (d *Directory) Memory() *mem.Memory { return d.memory }
 
+// Coverage returns the directory's (state, event) coverage.
+func (d *Directory) Coverage() *coherence.Coverage { return d.Cov }
+
+// Blocks reports the pooled blocks the directory holds: none, it keeps an
+// owner pointer per line and no data.
+func (d *Directory) Blocks() int { return 0 }
+
 // VisitOwned reports every line with a recorded owner.
 func (d *Directory) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {
 	for a, l := range d.lines {

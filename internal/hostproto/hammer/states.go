@@ -18,7 +18,10 @@
 //     Nacks, and requestors count responses rather than acks (TxnMods).
 package hammer
 
-import "crossingguard/internal/sim"
+import (
+	"crossingguard/internal/chassis"
+	"crossingguard/internal/sim"
+)
 
 // CState is the per-line state of a private cache.
 type CState int
@@ -53,6 +56,19 @@ func (s CState) String() string { return cStateNames[s] }
 
 // Stable reports whether s is a MOESI stable state.
 func (s CState) Stable() bool { return s <= CM }
+
+// Level is the permission a stable, valid state holds.
+func (s CState) Level() chassis.Level {
+	switch s {
+	case CM:
+		return chassis.Modified
+	case CO:
+		return chassis.Owned
+	case CE:
+		return chassis.Exclusive
+	}
+	return chassis.Shared
+}
 
 // owned reports whether this state must supply data to forwards.
 func (s CState) owned() bool {

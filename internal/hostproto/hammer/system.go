@@ -41,7 +41,7 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	responses := nCPU // (nCPU-1 peers) + 1 memory response
 	for i := 0; i < nCPU; i++ {
 		c := NewCache(NodeCache+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
-			eng, fab, NodeDir, responses, cfg, log)
+			fab, NodeDir, responses, cfg, log)
 		s.Caches = append(s.Caches, c)
 		s.Dir.AddPeer(c.ID())
 		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, c.ID())
@@ -84,10 +84,10 @@ func AuditHammer(caches []*Cache, dir *Directory) error {
 	lines := make(map[mem.Addr][]holder)
 	for _, c := range caches {
 		c := c
-		if n := len(c.wb); n != 0 {
-			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", c.name, n)
+		if n := c.WBPending(); n != 0 {
+			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", c.Name(), n)
 		}
-		c.cache.Visit(func(e *cacheset.Entry[cLine]) {
+		c.Lines.Visit(func(e *cacheset.Entry[cLine]) {
 			if !e.V.state.Stable() || e.V.state == CI {
 				return
 			}
@@ -120,9 +120,9 @@ func AuditHammer(caches []*Cache, dir *Directory) error {
 		}
 		// Directory owner agreement.
 		dOwner := dir.Owner(addr)
-		if owner != nil && dOwner != owner.c.id {
+		if owner != nil && dOwner != owner.c.ID() {
 			return fmt.Errorf("%v: cache %s owns (%v) but directory records %d",
-				addr, owner.c.name, owner.state, dOwner)
+				addr, owner.c.Name(), owner.state, dOwner)
 		}
 		if owner == nil && dOwner != coherence.NodeNone {
 			return fmt.Errorf("%v: directory records owner %d but nobody owns", addr, dOwner)
@@ -135,7 +135,7 @@ func AuditHammer(caches []*Cache, dir *Directory) error {
 		for _, h := range hs {
 			if h.state == CS && !mem.Equal(h.data, ref) {
 				return fmt.Errorf("data divergence at %v: sharer %s disagrees with %s",
-					addr, h.c.name, map[bool]string{true: "owner", false: "memory"}[owner != nil])
+					addr, h.c.Name(), map[bool]string{true: "owner", false: "memory"}[owner != nil])
 			}
 		}
 		// A clean owner (E, or O-from-E) must match memory.

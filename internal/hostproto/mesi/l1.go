@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
-	"crossingguard/internal/sim"
 )
 
 // l1Line is the protocol payload of one L1 cache line. data is the L1's
@@ -25,46 +25,23 @@ type l1Line struct {
 
 // L1 is a private MESI L1 cache attached to the shared L2.
 type L1 struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	cfg  Config
-	l2   coherence.NodeID
-	sink coherence.ErrorSink
-
-	cache *cacheset.Cache[l1Line]
-	// wb holds lines evicted but awaiting a writeback ack (MI_A / II_A);
-	// this models the writeback buffer / MSHR of a real L1.
-	// freeWB recycles its records.
-	wb     map[mem.Addr]*l1Line
-	freeWB coherence.RecPool[l1Line]
-	// waitingOps queues CPU operations that hit a line with an open
-	// transaction (e.g. an address being written back).
-	waitingOps coherence.LineQueues
-	// stalledOps holds CPU operations that could not allocate a line
-	// because every way in the set was transient.
-	stalledOps []*coherence.Msg
-	// doCPU and doRecv are handleCPU and Recv bound once (CallAfter's
-	// handlers).
-	doCPU, doRecv func(*coherence.Msg)
-
-	// Cov records (state, event) coverage for the stress-test report.
-	Cov *coherence.Coverage
+	// The chassis's write-back buffer holds lines evicted but awaiting a
+	// writeback ack (MI_A / II_A): the writeback buffer / MSHR of a real L1.
+	chassis.L1[l1Line]
+	txnMods bool
+	l2      coherence.NodeID
+	sink    coherence.ErrorSink
+	// doRecv is Recv bound once (CallAfter's handler).
+	doRecv func(*coherence.Msg)
 }
 
 // NewL1 builds and registers an L1.
-func NewL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+func NewL1(id coherence.NodeID, name string, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config, sink coherence.ErrorSink) *L1 {
-	l := &L1{
-		id: id, name: name, eng: eng, fab: fab, cfg: cfg, l2: l2, sink: sink,
-		cache:      cacheset.New[l1Line](cfg.L1Sets, cfg.L1Ways),
-		wb:         make(map[mem.Addr]*l1Line),
-		waitingOps: make(coherence.LineQueues),
-		Cov:        NewL1Coverage(),
-	}
-	l.doCPU, l.doRecv = l.handleCPU, l.Recv
-	fab.Register(l)
+	l := &L1{txnMods: cfg.TxnMods, l2: l2, sink: sink}
+	l.doRecv = l.Recv
+	l.Init(l, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLat, NewL1Coverage(),
+		func(v *l1Line) bool { return !v.state.Stable() }, l.evict, l.handleCPU)
 	return l
 }
 
@@ -113,12 +90,6 @@ func NewL1Coverage() *coherence.Coverage {
 	return cov
 }
 
-// ID implements coherence.Controller.
-func (l *L1) ID() coherence.NodeID { return l.id }
-
-// Name implements coherence.Controller.
-func (l *L1) Name() string { return l.name }
-
 // Recv implements coherence.Controller.
 func (l *L1) Recv(m *coherence.Msg) {
 	switch m.Type {
@@ -139,14 +110,14 @@ func (l *L1) Recv(m *coherence.Msg) {
 // treat undefined transitions as fatal, which is exactly the fragility
 // Crossing Guard exists to contain.
 func (l *L1) protocolError(state string, m *coherence.Msg) {
-	if l.cfg.TxnMods {
+	if l.txnMods {
 		l.sink.ReportError(coherence.ProtocolError{
-			Where: l.name, Code: "HOST.L1.Unexpected", Addr: m.Addr,
+			Where: l.Name(), Code: "HOST.L1.Unexpected", Addr: m.Addr,
 			Detail: fmt.Sprintf("state %s event %v", state, m.Type),
 		})
 		return
 	}
-	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.name, m, state))
+	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.Name(), m, state))
 }
 
 func (l *L1) unexpected(state int, m *coherence.Msg) {
@@ -154,31 +125,13 @@ func (l *L1) unexpected(state int, m *coherence.Msg) {
 	l.protocolError(l1Table.States()[state], m)
 }
 
-// stateOf returns the line's current view: the in-cache entry, the
-// writeback-buffer entry, or nil (Invalid).
-func (l *L1) lineFor(addr mem.Addr) *l1Line {
-	if e := l.cache.Peek(addr); e != nil {
-		return &e.V
-	}
-	if wl, ok := l.wb[addr.Line()]; ok {
-		return wl
-	}
-	return nil
-}
-
 // --- CPU side ---
 
 func (l *L1) handleCPU(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if _, ok := l.wb[line]; ok {
-		// Address is mid-writeback; wait for the WBAck.
-		l.waitingOps.Push(line, m)
-		return
-	}
-	e := l.cache.Lookup(m.Addr)
-	if e != nil && !e.V.state.Stable() {
-		l.waitingOps.Push(line, m)
-		return
+	e, ok := l.Admit(line, m)
+	if !ok {
+		return // mid-writeback or mid-transaction; replayed when it settles
 	}
 	isStore := m.Type == coherence.ReqStore
 	ev := evLoad
@@ -187,19 +140,18 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 	}
 	if e == nil {
 		l.Cov.Record(int(L1I), ev)
-		e = l.allocate(m)
-		if e == nil {
+		if e = l.Allocate(line, m); e == nil {
 			return // stalled; will be replayed
 		}
+		e.V.needed = -1
 		if isStore {
 			e.V.state = L1IMad
-			e.V.needed = -1
 			e.V.op = m
-			l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
+			l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
 		} else {
 			e.V.state = L1ISd
 			e.V.op = m
-			l.send(coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.id, Dst: l.l2})
+			l.send(coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.ID(), Dst: l.l2})
 		}
 		return
 	}
@@ -207,40 +159,22 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 	l.Cov.Record(int(st), ev)
 	switch {
 	case !isStore: // load hit in S/E/M
-		l.respond(m, e.V.data[m.Addr.Offset()])
+		l.Respond(m, e.V.data[m.Addr.Offset()])
 	case st == L1M:
 		e.V.data[m.Addr.Offset()] = m.Val
 		e.V.dirty = true
-		l.respond(m, 0)
+		l.Respond(m, 0)
 	case st == L1E:
 		e.V.state = L1M
 		e.V.data[m.Addr.Offset()] = m.Val
 		e.V.dirty = true
-		l.respond(m, 0)
+		l.Respond(m, 0)
 	case st == L1S:
 		e.V.state = L1SMad
 		e.V.needed = -1
 		e.V.op = m
-		l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.id, Dst: l.l2})
+		l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
 	}
-}
-
-// allocate finds a way for m.Addr's line, evicting if necessary. It
-// returns nil (and stalls m) when no way is evictable.
-func (l *L1) allocate(m *coherence.Msg) *cacheset.Entry[l1Line] {
-	var victim cacheset.Entry[l1Line]
-	e, evicted, ok := l.cache.Allocate(m.Addr, func(e *cacheset.Entry[l1Line]) bool {
-		return e.V.state.Stable()
-	}, &victim)
-	if !ok {
-		l.stalledOps = append(l.stalledOps, m)
-		return nil
-	}
-	if evicted {
-		l.evict(victim.Addr, &victim.V)
-	}
-	e.V = l1Line{state: L1I, needed: -1}
-	return e
 }
 
 // evict starts replacement of a stable victim line.
@@ -249,51 +183,36 @@ func (l *L1) evict(addr mem.Addr, v *l1Line) {
 	switch v.state {
 	case L1S:
 		// Exact sharer tracking: notify the L2, fire-and-forget.
-		l.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.id, Dst: l.l2})
-		l.fab.FreeBlock(v.data)
+		l.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.ID(), Dst: l.l2})
+		l.Fab.FreeBlock(v.data)
 	case L1E, L1M:
-		wl := l.freeWB.Get()
-		wl.state, wl.data, wl.dirty = L1MIa, v.data, v.dirty
-		l.wb[addr] = wl
-		l.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.id, Dst: l.l2,
+		v.state = L1MIa
+		l.Buffer(addr, v)
+		l.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.ID(), Dst: l.l2,
 			Data: v.data, Dirty: v.dirty})
 	default:
-		panic(fmt.Sprintf("%s: evicting line in state %v", l.name, v.state))
+		panic(fmt.Sprintf("%s: evicting line in state %v", l.Name(), v.state))
 	}
 }
 
-// respond completes a CPU operation after the hit latency.
-func (l *L1) respond(op *coherence.Msg, val byte) {
-	l.fab.SendAfter(l.cfg.L1HitLat, coherence.Reply(op, l.id, val), nil)
-}
-
 // send takes a message holding t from the pool and hands it to the fabric.
-func (l *L1) send(t coherence.Msg) { l.fab.Send(l.fab.Msg(t)) }
-
-// invalidate drops the line and gives its block back.
-func (l *L1) invalidate(e *cacheset.Entry[l1Line]) {
-	l.fab.FreeBlock(e.V.data)
-	l.cache.Invalidate(e.Addr)
-}
+func (l *L1) send(t coherence.Msg) { l.Fab.Send(l.Fab.Msg(t)) }
 
 // --- responses (data, acks, writeback acks) ---
 
 func (l *L1) handleResponse(m *coherence.Msg) {
 	line := m.Addr.Line()
 	if m.Type == coherence.MWBAck {
-		wl, ok := l.wb[line]
-		if !ok {
+		wl := l.Buffered(line)
+		if wl == nil {
 			l.unexpected(int(L1I), m)
 			return
 		}
 		l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
-		l.fab.FreeBlock(wl.data)
-		delete(l.wb, line)
-		l.freeWB.Put(wl)
-		l.settled(line)
+		l.Retire(line, wl.data)
 		return
 	}
-	e := l.cache.Peek(m.Addr)
+	e := l.Lines.Peek(m.Addr)
 	if e == nil {
 		l.unexpected(int(L1I), m)
 		return
@@ -311,11 +230,11 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 			// A buggy accelerator behind Crossing Guard answered a
 			// Fwd_GetS with an InvAck; with the paper's host mods we
 			// accept the ack as a (data-less) response.
-			if !l.cfg.TxnMods {
+			if !l.txnMods {
 				l.protocolError(st.String(), m)
 				return
 			}
-			l.sink.ReportError(coherence.ProtocolError{Where: l.name,
+			l.sink.ReportError(coherence.ProtocolError{Where: l.Name(),
 				Code: "HOST.AckAsData", Addr: m.Addr,
 				Detail: "InvAck accepted as GetS data (zero block)"})
 			l.completeGet(e, nil, L1S)
@@ -326,14 +245,14 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		switch m.Type {
 		case coherence.MDataAcks:
 			if m.Data != nil {
-				l.fab.FillBlock(&e.V.data, m.Data)
+				l.Fab.FillBlock(&e.V.data, m.Data)
 				e.V.dirty = false
 			}
 			e.V.needed = m.Acks
 			l.maybeCompleteGetM(e, m.Addr)
 		case coherence.MDataOwner:
 			// Ownership hand-off from the previous owner.
-			l.fab.FillBlock(&e.V.data, m.Data)
+			l.Fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
 			e.V.got++
 			l.maybeCompleteGetM(e, m.Addr)
@@ -351,7 +270,7 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 		case coherence.MDataOwner:
 			// Owner hand-off whose "expect 1 response" notice from the
 			// L2 arrived first.
-			l.fab.FillBlock(&e.V.data, m.Data)
+			l.Fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
 			e.V.got++
 			l.maybeCompleteGetM(e, m.Addr)
@@ -369,13 +288,13 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State) {
 	op := e.V.op
 	e.V.state = st
-	l.fab.FillBlock(&e.V.data, data)
+	l.Fab.FillBlock(&e.V.data, data)
 	e.V.dirty = false
 	e.V.op = nil
-	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
-	l.respond(op, e.V.data[op.Addr.Offset()])
+	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
+	l.Respond(op, e.V.data[op.Addr.Offset()])
 	l.drainFwds(e)
-	l.settled(e.Addr)
+	l.Settled(e.Addr)
 }
 
 // maybeCompleteGetM finishes a GetM once the data and every expected
@@ -396,13 +315,13 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 	if e.V.data == nil {
 		// All responses arrived but none carried data: only possible
 		// when a buggy accelerator InvAcked instead of forwarding data.
-		if !l.cfg.TxnMods {
-			panic(fmt.Sprintf("%s: GetM for %v completed without data", l.name, e.Addr))
+		if !l.txnMods {
+			panic(fmt.Sprintf("%s: GetM for %v completed without data", l.Name(), e.Addr))
 		}
-		l.sink.ReportError(coherence.ProtocolError{Where: l.name,
+		l.sink.ReportError(coherence.ProtocolError{Where: l.Name(),
 			Code: "HOST.AckAsData", Addr: e.Addr,
 			Detail: "GetM completed with zero block"})
-		e.V.data = l.fab.CopyBlock(nil)
+		e.V.data = l.Fab.CopyBlock(nil)
 	}
 	op := e.V.op
 	e.V.state = L1M
@@ -411,21 +330,21 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 	e.V.got = 0
 	e.V.op = nil
 	e.V.data[op.Addr.Offset()] = op.Val
-	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.id, Dst: l.l2})
-	l.respond(op, 0)
+	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
+	l.Respond(op, 0)
 	l.drainFwds(e)
-	l.settled(e.Addr)
+	l.Settled(e.Addr)
 }
 
 // --- host requests (invalidations, forwards) ---
 
 func (l *L1) handleHostRequest(m *coherence.Msg) {
 	line := m.Addr.Line()
-	if wl, ok := l.wb[line]; ok {
+	if wl := l.Buffered(line); wl != nil {
 		l.hostReqOnWB(line, wl, m)
 		return
 	}
-	e := l.cache.Peek(m.Addr)
+	e := l.Lines.Peek(m.Addr)
 	st := L1I
 	if e != nil {
 		st = e.V.state
@@ -435,9 +354,9 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	case coherence.MInv:
 		switch st {
 		case L1S:
-			l.invalidate(e)
+			l.Drop(e, e.V.data)
 			l.sendInvAck(m)
-			l.settled(line)
+			l.Settled(line)
 		case L1I, L1ISd:
 			// Raced with our PutS or our queued GetS; the S copy (if
 			// any) is from an older epoch. Ack and carry on.
@@ -455,13 +374,13 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 	case coherence.MInvToL2:
 		switch st {
 		case L1S:
-			l.invalidate(e)
+			l.Drop(e, e.V.data)
 			l.sendInvAckToL2(line)
-			l.settled(line)
+			l.Settled(line)
 		case L1E, L1M:
 			l.copyToL2(line, &e.V)
-			l.invalidate(e)
-			l.settled(line)
+			l.Drop(e, e.V.data)
+			l.Settled(line)
 		case L1I:
 			l.sendInvAckToL2(line)
 		case L1SMad, L1IMad:
@@ -481,7 +400,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 			l.copyToL2(line, &e.V)
 			e.V.state = L1S
 			e.V.dirty = false
-			l.settled(line)
+			l.Settled(line)
 		case L1IMa, L1SMa:
 			m.Keep()
 			e.V.fwds = append(e.V.fwds, m)
@@ -492,8 +411,8 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 		switch st {
 		case L1E, L1M:
 			l.dataOwner(line, m.Requestor, &e.V)
-			l.invalidate(e)
-			l.settled(line)
+			l.Drop(e, e.V.data)
+			l.Settled(line)
 		case L1IMa, L1SMa:
 			m.Keep()
 			e.V.fwds = append(e.V.fwds, m)
@@ -541,61 +460,38 @@ func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
 }
 
 func (l *L1) sendInvAck(m *coherence.Msg) {
-	l.send(coherence.Msg{Type: coherence.MInvAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Requestor})
+	l.send(coherence.Msg{Type: coherence.MInvAck, Addr: m.Addr.Line(), Src: l.ID(), Dst: m.Requestor})
 }
 
 func (l *L1) sendInvAckToL2(line mem.Addr) {
-	l.send(coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.id, Dst: l.l2})
+	l.send(coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.ID(), Dst: l.l2})
 }
 
 // dataOwner hands v's data to the requestor of a forward.
 func (l *L1) dataOwner(line mem.Addr, r coherence.NodeID, v *l1Line) {
-	l.send(coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.id,
+	l.send(coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.ID(),
 		Dst: r, Data: v.data, Dirty: v.dirty})
 }
 
 // copyToL2 sends the L2 a copy of v's data.
 func (l *L1) copyToL2(line mem.Addr, v *l1Line) {
-	l.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.id, Dst: l.l2,
+	l.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.ID(), Dst: l.l2,
 		Data: v.data, Dirty: v.dirty})
 }
 
 // drainFwds replays forwards queued while a GetM was completing.
 func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 	for i, f := range e.V.fwds {
-		l.fab.CallAfter(0, l.doRecv, f)
+		l.Fab.CallAfter(0, l.doRecv, f)
 		e.V.fwds[i] = nil
 	}
 	e.V.fwds = e.V.fwds[:0]
 }
 
-// settled replays CPU operations blocked on this line and any operations
-// stalled on allocation.
-func (l *L1) settled(line mem.Addr) {
-	if next := l.waitingOps.Pop(line); next != nil {
-		l.fab.CallAfter(0, l.doCPU, next)
-	}
-	for _, op := range l.stalledOps {
-		l.fab.CallAfter(0, l.doCPU, op)
-	}
-	l.stalledOps = l.stalledOps[:0]
-}
-
-// Outstanding reports open transactions (for deadlock detection).
-func (l *L1) Outstanding() int {
-	n := len(l.wb) + len(l.stalledOps) + l.waitingOps.Len()
-	l.cache.Visit(func(e *cacheset.Entry[l1Line]) {
-		if !e.V.state.Stable() {
-			n++
-		}
-	})
-	return n
-}
-
 // AuditLine reports this L1's stable view of a line for the SWMR
 // invariant checker: (hasCopy, exclusive, data, dirty).
 func (l *L1) AuditLine(addr mem.Addr) (bool, bool, *mem.Block, bool) {
-	e := l.cache.Peek(addr)
+	e := l.Lines.Peek(addr)
 	if e == nil || !e.V.state.Stable() || e.V.state == L1I {
 		return false, false, nil, false
 	}
@@ -603,14 +499,11 @@ func (l *L1) AuditLine(addr mem.Addr) (bool, bool, *mem.Block, bool) {
 	return true, excl, e.V.data, e.V.dirty
 }
 
-// VisitStable reports every stable valid line for invariant checks.
-func (l *L1) VisitStable(fn func(addr mem.Addr, st L1State, data *mem.Block, dirty bool)) {
-	l.cache.Visit(func(e *cacheset.Entry[l1Line]) {
+// Held reports every stable valid line for invariant checks.
+func (l *L1) Held(fn chassis.HeldFunc) {
+	l.Lines.Visit(func(e *cacheset.Entry[l1Line]) {
 		if e.V.state.Stable() && e.V.state != L1I {
-			fn(e.Addr, e.V.state, e.V.data, e.V.dirty)
+			fn(e.Addr, e.V.state.Level(), e.V.data, e.V.dirty)
 		}
 	})
 }
-
-// WBPending reports buffered writebacks (zero at quiesce).
-func (l *L1) WBPending() int { return len(l.wb) }

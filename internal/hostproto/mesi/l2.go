@@ -538,6 +538,21 @@ func (l *L2) AuditLine(addr mem.Addr) (present bool, owner coherence.NodeID, sha
 // Memory exposes the backing store for checkers.
 func (l *L2) Memory() *mem.Memory { return l.memory }
 
+// Coverage returns the L2's (state, event) coverage.
+func (l *L2) Coverage() *coherence.Coverage { return l.Cov }
+
+// Blocks reports the pooled blocks the L2 holds: one per line.
+func (l *L2) Blocks() int { return l.cache.Count() }
+
+// VisitOwned reports every idle line an L1 is recorded as owning.
+func (l *L2) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {
+	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
+		if !e.V.busy() && e.V.owner != coherence.NodeNone {
+			fn(e.Addr, e.V.owner)
+		}
+	})
+}
+
 // VisitStable reports every idle line with its directory bookkeeping.
 func (l *L2) VisitStable(fn func(addr mem.Addr, owner coherence.NodeID, sharers []coherence.NodeID, data *mem.Block, dirty bool)) {
 	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {

@@ -60,7 +60,7 @@ func TestExclusiveGrantOnPrivateGetS(t *testing.T) {
 	s := NewSystem(2, DefaultConfig(), 3)
 	s.Seqs[0].Load(0x3000, nil)
 	run(t, s)
-	e := s.L1s[0].cache.Peek(0x3000)
+	e := s.L1s[0].Lines.Peek(0x3000)
 	if e == nil || e.V.state != L1E {
 		t.Fatalf("lone reader state = %v, want E", e)
 	}
@@ -68,10 +68,10 @@ func TestExclusiveGrantOnPrivateGetS(t *testing.T) {
 	var got byte
 	s.Seqs[1].Load(0x3000, func(op *seq.Op) { got = op.Result })
 	run(t, s)
-	if s.L1s[0].cache.Peek(0x3000).V.state != L1S {
+	if s.L1s[0].Lines.Peek(0x3000).V.state != L1S {
 		t.Fatalf("owner not downgraded to S")
 	}
-	if s.L1s[1].cache.Peek(0x3000).V.state != L1S {
+	if s.L1s[1].Lines.Peek(0x3000).V.state != L1S {
 		t.Fatalf("second reader not S")
 	}
 	_ = got
@@ -83,7 +83,7 @@ func TestSilentEUpgrade(t *testing.T) {
 	run(t, s)
 	s.Seqs[0].Store(0x4000, 5, nil) // silent E->M, no GetM
 	run(t, s)
-	if st := s.L1s[0].cache.Peek(0x4000).V.state; st != L1M {
+	if st := s.L1s[0].Lines.Peek(0x4000).V.state; st != L1M {
 		t.Fatalf("state after store on E = %v, want M", st)
 	}
 	// No GetM should have crossed the fabric for this upgrade.
@@ -101,7 +101,7 @@ func TestInvalidationOnGetM(t *testing.T) {
 	run(t, s)
 	s.Seqs[2].Store(0x5000, 42, nil)
 	run(t, s)
-	if e := s.L1s[0].cache.Peek(0x5000); e != nil {
+	if e := s.L1s[0].Lines.Peek(0x5000); e != nil {
 		t.Fatalf("core0 still holds line after invalidation: %v", e.V.state)
 	}
 	var v0, v1 byte
@@ -120,10 +120,10 @@ func TestOwnershipHandOff(t *testing.T) {
 	run(t, s)
 	s.Seqs[1].Store(0x6000, 2, nil)
 	run(t, s)
-	if e := s.L1s[0].cache.Peek(0x6000); e != nil {
+	if e := s.L1s[0].Lines.Peek(0x6000); e != nil {
 		t.Fatalf("old owner still holds line: %v", e.V.state)
 	}
-	e := s.L1s[1].cache.Peek(0x6000)
+	e := s.L1s[1].Lines.Peek(0x6000)
 	if e == nil || e.V.state != L1M {
 		t.Fatal("new owner not in M")
 	}
@@ -188,7 +188,7 @@ func TestPutSExactSharerTracking(t *testing.T) {
 	s.Seqs[1].Load(0xa000+2*64, nil)
 	s.Seqs[1].Load(0xa000+4*64, nil)
 	run(t, s)
-	if e := s.L1s[1].cache.Peek(0xa000); e != nil {
+	if e := s.L1s[1].Lines.Peek(0xa000); e != nil {
 		t.Skip("eviction did not pick the expected victim")
 	}
 	_, _, sharers, _, _ := s.L2C.AuditLine(0xa000)

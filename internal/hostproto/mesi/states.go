@@ -16,6 +16,7 @@
 package mesi
 
 import (
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/sim"
 )
@@ -51,6 +52,17 @@ func (s L1State) String() string { return l1StateNames[s] }
 
 // Stable reports whether s is one of the four MESI stable states.
 func (s L1State) Stable() bool { return s <= L1M }
+
+// Level is the permission a stable, valid state holds.
+func (s L1State) Level() chassis.Level {
+	switch s {
+	case L1M:
+		return chassis.Modified
+	case L1E:
+		return chassis.Exclusive
+	}
+	return chassis.Shared
+}
 
 // L2State is the per-line state of the shared L2, from the point of view
 // of the on-chip hierarchy.

@@ -41,7 +41,7 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	s := &System{Eng: eng, Fab: fab, Mem: memory, Log: log}
 	s.L2C = NewL2(NodeL2, "mesi.L2", eng, fab, memory, cfg, log)
 	for i := 0; i < nCPU; i++ {
-		l1 := NewL1(NodeL1+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i), eng, fab, NodeL2, cfg, log)
+		l1 := NewL1(NodeL1+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i), fab, NodeL2, cfg, log)
 		s.L1s = append(s.L1s, l1)
 		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, l1.ID())
 		s.Seqs = append(s.Seqs, sq)
@@ -85,10 +85,10 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 	lines := make(map[mem.Addr][]holder)
 	for _, l1 := range l1s {
 		l1 := l1
-		if n := len(l1.wb); n != 0 {
-			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", l1.name, n)
+		if n := l1.WBPending(); n != 0 {
+			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", l1.Name(), n)
 		}
-		l1.cache.Visit(func(e *cacheset.Entry[l1Line]) {
+		l1.Lines.Visit(func(e *cacheset.Entry[l1Line]) {
 			if !e.V.state.Stable() || e.V.state == L1I {
 				return
 			}
@@ -105,8 +105,8 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 		for _, h := range hs {
 			if h.state == L1E || h.state == L1M {
 				excl++
-				if owner != h.l1.id {
-					return fmt.Errorf("%v: L2 records owner %d but %s holds %v", addr, owner, h.l1.name, h.state)
+				if owner != h.l1.ID() {
+					return fmt.Errorf("%v: L2 records owner %d but %s holds %v", addr, owner, h.l1.Name(), h.state)
 				}
 			} else {
 				shared++
@@ -123,7 +123,7 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 				continue // may legitimately differ from L2
 			}
 			if !mem.Equal(h.data, l2data) {
-				return fmt.Errorf("data divergence at %v: %s (%v) disagrees with L2", addr, h.l1.name, h.state)
+				return fmt.Errorf("data divergence at %v: %s (%v) disagrees with L2", addr, h.l1.Name(), h.state)
 			}
 		}
 		if !l2dirty {
@@ -141,7 +141,7 @@ func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
 		if e.V.owner != coherence.NodeNone {
 			found := false
 			for _, h := range lines[e.Addr] {
-				if h.l1.id == e.V.owner && (h.state == L1E || h.state == L1M) {
+				if h.l1.ID() == e.V.owner && (h.state == L1E || h.state == L1M) {
 					found = true
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -42,7 +43,7 @@ const (
 type wideLine struct {
 	busy     bool // paired transaction outstanding
 	op       *coherence.Msg
-	pending  int      // sub-block responses still expected
+	pending  int      // sub-block responses still expected: grants, or WBAcks once evicted
 	issue    sim.Time // first sub-block request tick, for crossing latency
 	inflight [2]bool
 	half     [2]halfState
@@ -52,20 +53,13 @@ type wideLine struct {
 
 // WideAccel is the 128-byte-block accelerator plus its translation layer.
 type WideAccel struct {
-	id   coherence.NodeID
-	name string
-	eng  *sim.Engine
-	fab  *network.Fabric
-	xg   coherence.NodeID
-
-	cache *cacheset.Cache[wideLine]
-	wb    map[mem.Addr]int // wide evictions: outstanding WBAcks
-	// waitingOps and stalledOps hold core operations only: sequencer
-	// requests, which belong to this cache until it replies.
-	waitingOps coherence.LineQueues
-	stalledOps []*coherence.Msg
-	// doCPU is handleCPU bound once (CallAfter's handler).
-	doCPU func(*coherence.Msg)
+	// The tag array indexes 128-byte lines: cacheset works at any
+	// granularity as long as addresses are consistent, so entries are keyed
+	// by the wide-aligned address. The chassis's write-back buffer holds
+	// wide evictions until their last WBAck.
+	chassis.L1[wideLine]
+	eng *sim.Engine
+	xg  coherence.NodeID
 
 	// Merges counts wide fills assembled from sub-blocks; Splits counts
 	// wide writebacks split into host blocks; FalseShareRecalls counts
@@ -81,14 +75,8 @@ type WideAccel struct {
 // describe 128-byte lines.
 func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	xg coherence.NodeID, sets, ways int) *WideAccel {
-	w := &WideAccel{
-		id: id, name: name, eng: eng, fab: fab, xg: xg,
-		cache:      cacheset.New[wideLine](sets, ways),
-		wb:         make(map[mem.Addr]int),
-		waitingOps: make(coherence.LineQueues),
-	}
-	w.doCPU = w.handleCPU
-	fab.Register(w)
+	w := &WideAccel{eng: eng, xg: xg}
+	w.Init(w, id, name, fab, sets, ways, 1, nil, func(v *wideLine) bool { return v.busy }, w.evict, w.handleCPU)
 	return w
 }
 
@@ -111,12 +99,6 @@ func wideAddr(a mem.Addr) mem.Addr { return a &^ (WideBytes - 1) }
 // halfIndex selects which host block within the wide line a falls in.
 func halfIndex(a mem.Addr) int { return int(a>>mem.BlockShift) & 1 }
 
-// ID implements coherence.Controller.
-func (w *WideAccel) ID() coherence.NodeID { return w.id }
-
-// Name implements coherence.Controller.
-func (w *WideAccel) Name() string { return w.name }
-
 // Recv implements coherence.Controller.
 func (w *WideAccel) Recv(m *coherence.Msg) {
 	switch m.Type {
@@ -129,43 +111,25 @@ func (w *WideAccel) Recv(m *coherence.Msg) {
 	case coherence.AInv:
 		w.handleInv(m)
 	default:
-		panic(fmt.Sprintf("%s: unexpected %v", w.name, m))
+		panic(fmt.Sprintf("%s: unexpected %v", w.Name(), m))
 	}
 }
 
 func (w *WideAccel) send(ty coherence.MsgType, addr mem.Addr, data *mem.Block, dirty bool) {
-	w.fab.Send(w.fab.Msg(coherence.Msg{Type: ty, Addr: addr, Src: w.id, Dst: w.xg, Data: data, Dirty: dirty}))
+	w.Fab.Send(w.Fab.Msg(coherence.Msg{Type: ty, Addr: addr, Src: w.ID(), Dst: w.xg, Data: data, Dirty: dirty}))
 }
 
-// Lookup uses wide granularity; the tag array indexes 128-byte lines.
-// cacheset works at any granularity as long as addresses are consistent,
-// so we key entries by the wide-aligned address.
 func (w *WideAccel) handleCPU(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
-	if _, busy := w.wb[wa]; busy {
-		w.waitingOps.Push(wa, m)
-		return
-	}
-	e := w.cache.Lookup(wa)
-	if e != nil && e.V.busy {
-		w.waitingOps.Push(wa, m)
+	e, ok := w.Admit(wa, m)
+	if !ok {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		var victim cacheset.Entry[wideLine]
-		var evicted, ok bool
-		e, evicted, ok = w.cache.Allocate(wa, func(e *cacheset.Entry[wideLine]) bool {
-			return !e.V.busy
-		}, &victim)
-		if !ok {
-			w.stalledOps = append(w.stalledOps, m)
-			return
+		if e = w.Allocate(wa, m); e != nil {
+			w.fill(e, wa, m, isStore)
 		}
-		if evicted {
-			w.evict(victim.Addr, &victim.V)
-		}
-		w.fill(e, wa, m, isStore)
 		return
 	}
 	h := halfIndex(m.Addr)
@@ -174,12 +138,12 @@ func (w *WideAccel) handleCPU(m *coherence.Msg) {
 		// Half lost to a host invalidation: re-fetch.
 		w.fill(e, wa, m, isStore)
 	case !isStore:
-		w.respond(m, e.V.data[h][m.Addr.Offset()])
+		w.Respond(m, e.V.data[h][m.Addr.Offset()])
 	case e.V.half[h] == halfM || e.V.half[h] == halfE:
 		e.V.half[h] = halfM
 		e.V.dirty[h] = true
 		e.V.data[h][m.Addr.Offset()] = m.Val
-		w.respond(m, 0)
+		w.Respond(m, 0)
 	default:
 		// Wide upgrade: both halves must become writable.
 		w.fill(e, wa, m, true)
@@ -190,12 +154,9 @@ func (w *WideAccel) handleCPU(m *coherence.Msg) {
 // "it can request all needed host blocks").
 func (w *WideAccel) fill(e *cacheset.Entry[wideLine], wa mem.Addr, op *coherence.Msg, excl bool) {
 	ty := coherence.AGetS
-	want := halfS
 	if excl {
 		ty = coherence.AGetM
-		want = halfM
 	}
-	_ = want
 	e.V.busy = true
 	e.V.op = op
 	e.V.pending = 0
@@ -222,9 +183,9 @@ func (w *WideAccel) fill(e *cacheset.Entry[wideLine], wa mem.Addr, op *coherence
 
 func (w *WideAccel) handleData(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
-	e := w.cache.Peek(wa)
+	e := w.Lines.Peek(wa)
 	if e == nil || !e.V.busy {
-		panic(fmt.Sprintf("%s: grant with no fill: %v", w.name, m))
+		panic(fmt.Sprintf("%s: grant with no fill: %v", w.Name(), m))
 	}
 	h := halfIndex(m.Addr)
 	switch m.Type {
@@ -235,7 +196,7 @@ func (w *WideAccel) handleData(m *coherence.Msg) {
 	default:
 		e.V.half[h] = halfS
 	}
-	w.fab.FillBlock(&e.V.data[h], m.Data) // in place on an upgrade
+	w.Fab.FillBlock(&e.V.data[h], m.Data) // in place on an upgrade
 	e.V.dirty[h] = false
 	e.V.inflight[h] = false
 	e.V.pending--
@@ -258,17 +219,17 @@ func (w *WideAccel) completeFill(e *cacheset.Entry[wideLine]) {
 		}
 		e.V.dirty[h] = true
 		e.V.data[h][op.Addr.Offset()] = op.Val
-		w.respond(op, 0)
+		w.Respond(op, 0)
 	} else {
-		w.respond(op, e.V.data[h][op.Addr.Offset()])
+		w.Respond(op, e.V.data[h][op.Addr.Offset()])
 	}
-	w.settled(e.Addr)
+	w.Settled(e.Addr)
 }
 
 // evict splits the wide line into per-half writebacks ("on a writeback,
 // it can split the single accelerator block back into component blocks").
 func (w *WideAccel) evict(wa mem.Addr, v *wideLine) {
-	outstanding := 0
+	v.pending = 0 // counts the WBAcks due from here on
 	for h := 0; h < 2; h++ {
 		if v.data[h] == nil {
 			continue
@@ -282,28 +243,26 @@ func (w *WideAccel) evict(wa mem.Addr, v *wideLine) {
 		default:
 			w.send(coherence.APutS, sub, nil, false)
 		}
-		w.fab.FreeBlock(v.data[h])
-		outstanding++
+		w.Fab.FreeBlock(v.data[h])
+		v.data[h] = nil
+		v.pending++
 	}
-	if outstanding > 0 {
+	if v.pending > 0 {
 		w.Splits++
 		w.mSplits.Inc()
-		w.wb[wa] = outstanding
+		w.Buffer(wa, v)
 	}
 }
 
 func (w *WideAccel) handleWBAck(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
-	n, ok := w.wb[wa]
-	if !ok {
-		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", w.name, m))
+	wl := w.Buffered(wa)
+	if wl == nil {
+		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", w.Name(), m))
 	}
-	if n > 1 {
-		w.wb[wa] = n - 1
-		return
+	if wl.pending--; wl.pending == 0 {
+		w.Retire(wa, nil) // evict gave the halves back
 	}
-	delete(w.wb, wa)
-	w.settled(wa)
 }
 
 // handleInv: the host invalidates ONE 64-byte block; the translation
@@ -314,12 +273,12 @@ func (w *WideAccel) handleWBAck(m *coherence.Msg) {
 func (w *WideAccel) handleInv(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
 	h := halfIndex(m.Addr)
-	if _, busy := w.wb[wa]; busy {
+	if w.Buffered(wa) != nil {
 		// Wide eviction in flight: the Put/Inv race, resolved by the guard.
 		w.send(coherence.AInvAck, m.Addr.Line(), nil, false)
 		return
 	}
-	e := w.cache.Peek(wa)
+	e := w.Lines.Peek(wa)
 	if e == nil || e.V.inflight[h] || e.V.data[h] == nil {
 		// Absent or mid-fetch: B-style InvAck, no further action.
 		w.send(coherence.AInvAck, m.Addr.Line(), nil, false)
@@ -337,36 +296,11 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 		w.FalseShareRecalls++ // useful wide line broken up
 		w.mFalseShare.Inc()
 	}
-	w.fab.FreeBlock(e.V.data[h])
+	w.Fab.FreeBlock(e.V.data[h])
 	e.V.data[h] = nil
 	e.V.dirty[h] = false
 	e.V.half[h] = halfS
 	if e.V.data[0] == nil && e.V.data[1] == nil && !e.V.busy {
-		w.cache.Invalidate(wa)
+		w.Lines.Invalidate(wa)
 	}
-}
-
-func (w *WideAccel) respond(op *coherence.Msg, val byte) {
-	w.fab.SendAfter(1, coherence.Reply(op, w.id, val), nil)
-}
-
-func (w *WideAccel) settled(wa mem.Addr) {
-	if next := w.waitingOps.Pop(wa); next != nil {
-		w.fab.CallAfter(0, w.doCPU, next)
-	}
-	for _, op := range w.stalledOps {
-		w.fab.CallAfter(0, w.doCPU, op)
-	}
-	w.stalledOps = w.stalledOps[:0]
-}
-
-// Outstanding reports open transactions.
-func (w *WideAccel) Outstanding() int {
-	n := len(w.wb) + len(w.stalledOps) + w.waitingOps.Len()
-	w.cache.Visit(func(e *cacheset.Entry[wideLine]) {
-		if e.V.busy {
-			n++
-		}
-	})
-	return n
 }
