@@ -1,9 +1,10 @@
-// Command xgcampaign is the parallel stress/fuzz campaign runner: it
-// fans (configuration x seed) shards of the E3 stress tester and E4
-// fuzzer across a worker pool, merges per-controller coverage
-// deterministically (output is byte-identical for a fixed shard set
-// regardless of -workers), and captures a reproduction artifact for
-// every failing shard.
+// Command xgcampaign is the campaign runner, the one binary behind the
+// paper's random testing: -mode stress is the §4.1 protocol stress test
+// (E3) and -mode fuzz the §4.2 guard fuzz test (E4). It fans
+// (configuration x seed) shards across a worker pool, merges
+// per-controller coverage deterministically (output is byte-identical for
+// a fixed shard set regardless of -workers), and captures a reproduction
+// artifact for every failing shard.
 //
 // Usage:
 //
@@ -19,9 +20,9 @@
 //
 // Fixed-set mode runs (hosts x organizations x seeds 1..N). Budget mode
 // (-budget) keeps drawing fresh seeds until the wall-clock budget
-// expires, reporting shards/sec, stores/sec, and cumulative transition
-// coverage as it goes. -repro re-runs a single captured shard with the
-// network trace enabled and dumps the trace tail on failure.
+// expires. Both report shards/sec, stores/sec, and cumulative transition
+// coverage to stderr as they go. -repro re-runs a single captured shard
+// with the network trace enabled and dumps the trace tail on failure.
 //
 // -consistency records every core's completed loads and stores and runs
 // the offline invariant checker (SWMR, data-value, write-serialization)
@@ -58,13 +59,14 @@
 // shard's trace ring keeps; failure artifacts record the size. -http
 // serves live campaign telemetry while running: /metrics returns a JSON
 // snapshot (progress counters plus completion-order merged metrics) and
-// net/http/pprof is mounted for profiling; -heartbeat emits one JSONL
-// progress line to stderr per interval. Both are advisory wall-clock
-// views; the final report stays deterministic.
+// net/http/pprof is mounted for profiling; -heartbeat turns the stderr
+// progress lines into one JSONL snapshot per interval. Both are advisory
+// wall-clock views; the final report stays deterministic.
 //
 // Exit codes (documented in README.md): 0 all shards passed, 1 at least
-// one guarantee violation / hang / crash / corruption, 2 usage error,
-// 3 all shards passed but at least one guard quarantined its accelerator.
+// one guarantee violation / hang / crash / corruption or undeclared
+// transition, 2 usage error, 3 all shards passed but at least one guard
+// quarantined its accelerator.
 package main
 
 import (
@@ -104,12 +106,12 @@ var (
 	perfetto = flag.String("perfetto", "", "write a Chrome-trace-event/Perfetto timeline JSON to this file (implies -spans and tracing)")
 	traceTl  = flag.Int("tracetail", campaign.DefaultTraceTail, "events kept per shard trace ring (recorded in failure artifacts)")
 	httpAddr = flag.String("http", "", "serve live telemetry on this address (/metrics JSON + net/http/pprof) while the campaign runs")
-	heartbt  = flag.Duration("heartbeat", 0, "emit one JSONL progress snapshot to stderr per interval while running")
+	heartbt  = flag.Duration("heartbeat", 0, "write progress to stderr as one JSONL snapshot per interval while running")
 )
 
 func main() {
 	flag.Parse()
-	if err := config.CheckSize(*cpus, *cores); err != nil {
+	if err := config.CheckSize(*cpus, *cores, *accels); err != nil {
 		fmt.Fprintln(os.Stderr, "xgcampaign:", err)
 		os.Exit(campaign.ExitUsage)
 	}
@@ -162,14 +164,10 @@ func main() {
 		}
 	}
 
-	opt := campaign.Options{Workers: *workers, Progress: os.Stderr,
+	opt := campaign.Options{Workers: *workers, Progress: os.Stderr, Heartbeat: *heartbt,
 		Trace: *trace != "" || *perfetto != "", TraceTail: *traceTl}
-	if *httpAddr != "" || *heartbt > 0 {
-		opt.Telemetry = campaign.NewTelemetry()
-		opt.Heartbeat = *heartbt
-		opt.HeartbeatW = os.Stderr
-	}
 	if *httpAddr != "" {
+		opt.Telemetry = campaign.NewTelemetry()
 		http.Handle("/metrics", opt.Telemetry)
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
@@ -292,6 +290,9 @@ func printReport(rep *campaign.Report) {
 		if a.TraceTail > 0 {
 			fmt.Printf("  trace tail: last %d events captured (-tracetail)\n", a.TraceTail)
 		}
+	}
+	for _, name := range rep.Undeclared() {
+		fmt.Printf("\nFAILED: %s visited undeclared transitions: %v\n", name, rep.Cov[name].Unexpected)
 	}
 }
 

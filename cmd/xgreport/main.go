@@ -1,13 +1,14 @@
 // Command xgreport renders a metrics JSON file (the -metrics output of
-// xgsim, xgstress, xgcampaign, or xgfuzz) into paper-style text tables:
-// guard guarantee-check outcomes per Figure 1 guarantee, per-device
-// recovery outcomes, crossing latency distributions, per-protocol host
-// state-transition counts, and network occupancy.
+// xgsim or xgcampaign) into paper-style text tables: guard guarantee-check
+// outcomes per Figure 1 guarantee, per-device recovery outcomes, crossing
+// latency distributions, per-protocol host state-transition counts, and
+// network occupancy.
 //
 // With -diff, it compares two runs instead: per-guarantee and
 // per-accelerator deltas between a baseline metrics file and the
 // current one, flagging every violation count that grew as a
-// REGRESSION — the campaign-over-campaign triage view.
+// REGRESSION — the campaign-over-campaign triage view. It exits 1 on a
+// regression and 2 on bad usage or an unreadable input.
 //
 // Usage:
 //
@@ -32,16 +33,30 @@ import (
 func main() {
 	diffPath := flag.String("diff", "", "baseline metrics JSON; render per-guarantee and per-accelerator deltas against it instead of the full report")
 	flag.Parse()
-	var in io.Reader = os.Stdin
 	if flag.NArg() > 1 {
 		fmt.Fprintln(os.Stderr, "usage: xgreport [-diff old.json] [metrics.json]")
 		os.Exit(2)
 	}
-	if flag.NArg() == 1 {
-		f, err := os.Open(flag.Arg(0))
+	snap := readSnapshot(flag.Arg(0))
+	if *diffPath != "" {
+		if regressed := renderDiff(os.Stdout, readSnapshot(*diffPath), snap); regressed {
+			os.Exit(1)
+		}
+		return
+	}
+	render(os.Stdout, snap)
+}
+
+// readSnapshot reads a metrics JSON file, or stdin when path is empty. A
+// missing or unparseable input exits 2, so a -diff gate can tell it from
+// a regression (exit 1).
+func readSnapshot(path string) obs.Snapshot {
+	var in io.Reader = os.Stdin
+	if path != "" {
+		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xgreport:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		defer f.Close()
 		in = f
@@ -49,26 +64,9 @@ func main() {
 	snap, err := obs.ReadSnapshot(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xgreport:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-	if *diffPath != "" {
-		f, err := os.Open(*diffPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xgreport:", err)
-			os.Exit(1)
-		}
-		old, err := obs.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xgreport:", err)
-			os.Exit(1)
-		}
-		if regressed := renderDiff(os.Stdout, old, snap); regressed {
-			os.Exit(1)
-		}
-		return
-	}
-	render(os.Stdout, snap)
+	return snap
 }
 
 // guaranteeNames maps violation codes to the Figure 1 prose, so the

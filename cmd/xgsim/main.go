@@ -38,7 +38,7 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "which experiment to run")
+	experiment = flag.String("experiment", "all", "which experiment to run: all, table1, complexity, perf, latency, hist, puts, storage, dos, or blockxlate")
 	accesses   = flag.Int("accesses", 2000, "accelerator accesses per core")
 	cores      = flag.Int("cores", 2, "accelerator cores")
 	cpus       = flag.Int("cpus", 2, "CPU cores")
@@ -52,28 +52,33 @@ var metricsReg = obs.NewRegistry()
 
 func main() {
 	flag.Parse()
-	if err := config.CheckSize(*cpus, *cores); err != nil {
+	if err := config.CheckSize(*cpus, *cores, 1); err != nil {
 		fmt.Fprintln(os.Stderr, "xgsim:", err)
 		os.Exit(2)
 	}
+	experiments := []struct {
+		name string
+		fn   func(*tabwriter.Writer)
+	}{
+		{"table1", table1}, {"complexity", complexity}, {"perf", perf}, {"latency", latency},
+		{"hist", hist}, {"puts", putsOverhead}, {"storage", storage}, {"dos", dos},
+		{"blockxlate", blockXlate},
+	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	defer w.Flush()
-	run := func(name string, fn func(*tabwriter.Writer)) {
-		if *experiment == "all" || *experiment == name {
-			fn(w)
+	ran := false
+	for _, e := range experiments {
+		if *experiment == "all" || *experiment == e.name {
+			e.fn(w)
 			w.Flush()
 			fmt.Println()
+			ran = true
 		}
 	}
-	run("table1", table1)
-	run("complexity", complexity)
-	run("perf", perf)
-	run("latency", latency)
-	run("hist", hist)
-	run("puts", putsOverhead)
-	run("storage", storage)
-	run("dos", dos)
-	run("blockxlate", blockXlate)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "xgsim: unknown -experiment %q (see -help)\n", *experiment)
+		os.Exit(2)
+	}
 	if *metrics != "" {
 		if err := writeMetrics(*metrics); err != nil {
 			fmt.Fprintln(os.Stderr, "xgsim:", err)

@@ -45,9 +45,19 @@ var (
 func main() {
 	flag.Parse()
 
-	host := config.HostMESI
-	if *hostFlag == "hammer" {
+	var host config.HostKind
+	switch *hostFlag {
+	case "hammer":
 		host = config.HostHammer
+	case "mesi":
+		host = config.HostMESI
+	default:
+		fmt.Fprintf(os.Stderr, "xgtrace: unknown host %q (want hammer or mesi)\n", *hostFlag)
+		os.Exit(2)
+	}
+	if err := config.CheckSize(2, 2, *accels); err != nil {
+		fmt.Fprintln(os.Stderr, "xgtrace:", err)
+		os.Exit(2)
 	}
 	var org config.Org
 	found := false

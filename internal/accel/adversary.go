@@ -289,7 +289,7 @@ func (a *Adversary) step() {
 // responses (each one a G2b violation at the guard) until the quarantine
 // policy fences us, then behave again once readmitted — Flaps times in
 // total, after which the device is permanently well-behaved. Whether it
-// is permanently *readmitted* is the guard's call (MaxRecoveries).
+// is permanently *readmitted* is the guard's call (its readmission budget).
 func (a *Adversary) stepFlapper() {
 	if a.burstLeft > 0 {
 		a.burstLeft--

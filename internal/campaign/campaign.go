@@ -48,20 +48,18 @@ type Options struct {
 	// flag); 0 means DefaultTraceTail. The chosen size is recorded in
 	// every failure artifact.
 	TraceTail int
-	// Progress, when non-nil, receives interim throughput lines
-	// (shards/sec, stores/sec, cumulative coverage) while running.
+	// Progress, when non-nil, receives one live progress line per second
+	// while running (shards/sec, stores/sec, cumulative coverage) — or,
+	// with Heartbeat set, one JSONL snapshot per Heartbeat interval plus a
+	// final one.
 	Progress io.Writer
-	// ProgressEvery is the interval between progress lines (default 1s).
-	ProgressEvery time.Duration
-	// Telemetry, when non-nil, is updated after every shard completion —
-	// the live (advisory, completion-order) view served by xgcampaign
-	// -http. The deterministic report is unaffected.
+	// Telemetry, when non-nil, is the run's live view, for a caller that
+	// serves it (xgcampaign -http); otherwise the run keeps its own. The
+	// deterministic report is unaffected.
 	Telemetry *Telemetry
-	// Heartbeat, when nonzero, emits one JSONL progress snapshot to
-	// HeartbeatW every interval (xgcampaign -heartbeat).
+	// Heartbeat, when nonzero, turns the Progress lines into JSONL
+	// snapshots, one per interval (xgcampaign -heartbeat).
 	Heartbeat time.Duration
-	// HeartbeatW receives heartbeat lines (default os.Stderr).
-	HeartbeatW io.Writer
 }
 
 func (o Options) workers() int {
@@ -120,16 +118,17 @@ type Report struct {
 	Recoveries uint64
 }
 
-// Process exit codes shared by the campaign CLIs (xgcampaign, xgstress,
-// xgfuzz), documented in README.md: a guarantee violation is always a
-// distinct, nonzero exit; quarantine-triggered runs that otherwise passed
-// get their own code so chaos CI can accept degradation while still
-// failing on violations.
+// Process exit codes shared by the campaign CLIs (xgcampaign, xgcheck),
+// documented in README.md: a guarantee violation is always a distinct,
+// nonzero exit; quarantine-triggered runs that otherwise passed get their
+// own code so chaos CI can accept degradation while still failing on
+// violations.
 const (
 	// ExitOK: every shard passed, no guard quarantined.
 	ExitOK = 0
 	// ExitViolation: at least one shard failed (guarantee violation,
-	// hang, crash, or corruption) — the campaign's failure exit.
+	// hang, crash, or corruption) or some controller visited a transition
+	// its table does not declare — the campaign's failure exit.
 	ExitViolation = 1
 	// ExitUsage: bad flags or spec (the conventional usage exit).
 	ExitUsage = 2
@@ -141,7 +140,7 @@ const (
 
 // ExitCode maps the report onto the documented process exit contract.
 func (r *Report) ExitCode() int {
-	if r.Failures() > 0 {
+	if r.Failures() > 0 || len(r.Undeclared()) > 0 {
 		return ExitViolation
 	}
 	if r.Quarantines > 0 {
@@ -166,10 +165,22 @@ func (r *Report) Totals() (stores, loads, checks, sent, violations uint64) {
 // Failures counts failed shards.
 func (r *Report) Failures() int { return len(r.Artifacts) }
 
+// Undeclared names, sorted, the controller classes whose merged coverage
+// visited a transition their table does not declare: the paper's "no
+// missing transition" verdict, failed.
+func (r *Report) Undeclared() []string {
+	var out []string
+	for _, name := range r.CoverageClasses() {
+		if len(r.Cov[name].Unexpected) > 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // WriteMetrics exports the merged metrics registry as indented JSON
-// (the -metrics flag of xgstress/xgcampaign; cmd/xgreport's input).
-// Output is byte-identical for a fixed shard set regardless of worker
-// count.
+// (xgcampaign's -metrics flag; cmd/xgreport's input). Output is
+// byte-identical for a fixed shard set regardless of worker count.
 func (r *Report) WriteMetrics(w io.Writer) error { return r.Metrics.WriteJSON(w) }
 
 // WriteTrace exports every shard's captured trace events as JSONL in
@@ -347,24 +358,6 @@ func RunBudget(gen func(i int) ShardSpec, opt Options) *Report {
 	return run(g, opt)
 }
 
-// progressState is the mutex-guarded live view used only for interim
-// reporting; the deterministic report is rebuilt from per-shard results
-// after the pool drains.
-type progressState struct {
-	mu      sync.Mutex
-	results []ShardResult
-	stores  uint64
-	cov     map[string]*coherence.Coverage
-}
-
-func (p *progressState) add(res ShardResult) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.results = append(p.results, res)
-	p.stores += res.Res.Stores
-	mergeCoverage(p.cov, res.Cov)
-}
-
 // mergeCoverage folds src class coverages into dst, creating classes on
 // first sight. dst must be guarded by the caller.
 func mergeCoverage(dst, src map[string]*coherence.Coverage) {
@@ -392,8 +385,14 @@ func sortedKeys(m map[string]*coherence.Coverage) []string {
 func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 	start := time.Now()
 	workers := opt.workers()
+	live := opt.Telemetry
+	if live == nil {
+		live = &Telemetry{start: start}
+	}
+	if opt.Progress != nil && opt.Heartbeat <= 0 {
+		live.cov = map[string]*coherence.Coverage{} // the human line prints it
+	}
 	jobs := make(chan ShardSpec)
-	live := &progressState{cov: map[string]*coherence.Coverage{}}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -401,33 +400,18 @@ func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 		go func() {
 			defer wg.Done()
 			for spec := range jobs {
-				res := runShardSafe(spec, opt.Trace, opt.TraceTail)
-				live.add(res)
-				opt.Telemetry.observe(&res)
+				live.observe(runShardSafe(spec, opt.Trace, opt.TraceTail))
 			}
 		}()
 	}
 
-	stopProgress := make(chan struct{})
-	if opt.Progress != nil {
-		every := opt.ProgressEvery
-		if every <= 0 {
-			every = time.Second
+	stop, reported := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(reported)
+		if opt.Progress != nil {
+			live.report(opt.Progress, opt.Heartbeat, stop)
 		}
-		go reportProgress(opt.Progress, live, start, every, stopProgress)
-	}
-	var hbDone chan struct{}
-	if opt.Heartbeat > 0 && opt.Telemetry != nil {
-		hw := opt.HeartbeatW
-		if hw == nil {
-			hw = os.Stderr
-		}
-		hbDone = make(chan struct{})
-		go func() {
-			defer close(hbDone)
-			heartbeat(hw, opt.Telemetry, opt.Heartbeat, stopProgress)
-		}()
-	}
+	}()
 
 	for i := 0; ; i++ {
 		spec, ok := gen(i)
@@ -439,44 +423,12 @@ func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 	}
 	close(jobs)
 	wg.Wait()
-	close(stopProgress)
-	if hbDone != nil {
-		// Wait for the final heartbeat line so the writer is never touched
-		// after run returns.
-		<-hbDone
-	}
+	close(stop)
+	// Wait for the last progress line so the writer is never touched after
+	// run returns.
+	<-reported
 
 	return aggregate(live.results, time.Since(start), workers)
-}
-
-func reportProgress(w io.Writer, live *progressState, start time.Time, every time.Duration, stop <-chan struct{}) {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			live.mu.Lock()
-			shards := len(live.results)
-			stores := live.stores
-			var visited, possible int
-			for _, c := range live.cov {
-				visited += c.Visited()
-				possible += c.Possible()
-			}
-			live.mu.Unlock()
-			el := time.Since(start).Seconds()
-			if el <= 0 {
-				continue
-			}
-			line := fmt.Sprintf("t=%4.0fs  shards=%d (%.1f/s)  stores=%d (%.0f/s)", el, shards, float64(shards)/el, stores, float64(stores)/el)
-			if possible > 0 {
-				line += fmt.Sprintf("  coverage=%d/%d pairs (%.1f%%)", visited, possible, 100*float64(visited)/float64(possible))
-			}
-			fmt.Fprintln(w, line)
-		}
-	}
 }
 
 // aggregate rebuilds the deterministic report: results sorted by shard

@@ -136,22 +136,24 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecSizeLimits: cpus and cores at the node-id layout's limits
-// parse and run on every kind of machine; one past either limit is a
-// parse error, never a node collision inside config.Build.
+// TestSpecSizeLimits: cpus, cores and devices at their limits parse and
+// run on every kind of machine; one past any limit is a parse error, never
+// a node collision inside config.Build or a machine too big to build.
 func TestSpecSizeLimits(t *testing.T) {
 	for _, host := range []string{"hammer", "mesi"} {
 		for _, org := range []string{"accel-side", "xg-full/1L", "xg-txn/2L"} {
 			for _, c := range []struct {
-				cpus, cores int
-				ok          bool
+				cpus, cores, accels int
+				ok                  bool
 			}{
-				{config.MaxCPUs, config.MaxAccelCores, true},
-				{config.MaxCPUs + 1, 2, false},
-				{2, config.MaxAccelCores + 1, false},
+				{config.MaxCPUs, config.MaxAccelCores, 1, true},
+				{2, 1, config.MaxAccels, true},
+				{config.MaxCPUs + 1, 2, 1, false},
+				{2, config.MaxAccelCores + 1, 1, false},
+				{2, 1, config.MaxAccels + 1, false},
 			} {
-				text := fmt.Sprintf("kind=stress host=%s org=%s seed=1 stores=1 cpus=%d cores=%d",
-					host, org, c.cpus, c.cores)
+				text := fmt.Sprintf("kind=stress host=%s org=%s seed=1 stores=1 cpus=%d cores=%d accels=%d",
+					host, org, c.cpus, c.cores, c.accels)
 				spec, err := ParseSpec(text)
 				if !c.ok {
 					if err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crossingguard/internal/accel"
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/faults"
 )
@@ -174,6 +175,22 @@ func TestReportExitCode(t *testing.T) {
 	f := &Report{Quarantines: 1, Artifacts: []Artifact{{Err: "boom"}}}
 	if got := f.ExitCode(); got != ExitViolation {
 		t.Errorf("failing report exit = %d, want %d", got, ExitViolation)
+	}
+}
+
+// TestUndeclaredTransitionFailsCampaign: the paper's verdict is "no crash,
+// no deadlock, no missing transition", so one visited pair outside a
+// controller's declared table fails a campaign whose shards all passed,
+// and the report names the class.
+func TestUndeclaredTransitionFailsCampaign(t *testing.T) {
+	cov := coherence.NewCoverage("accel.L1", nil)
+	cov.Unexpected = []string{"M/Load"}
+	rep := &Report{Quarantines: 1, Cov: map[string]*coherence.Coverage{"accel.L1": cov}}
+	if got := rep.ExitCode(); got != ExitViolation {
+		t.Errorf("undeclared-transition report exit = %d, want %d", got, ExitViolation)
+	}
+	if got := rep.Undeclared(); !reflect.DeepEqual(got, []string{"accel.L1"}) {
+		t.Errorf("Undeclared() = %v, want [accel.L1]", got)
 	}
 }
 

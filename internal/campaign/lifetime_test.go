@@ -38,19 +38,22 @@ func TestChaosLifetimeMatrix(t *testing.T) {
 						Confined: true, RecoverAfter: 5000}
 					t.Run(fmt.Sprintf("%v/%dx%v/%s", host, accels, model, fabric.Name), func(t *testing.T) {
 						run := func(check bool) (tester.Result, uint64, *config.System) {
-							sys, advs := buildChaosMachine(spec, model)
-							if check {
-								sys.Fab.CheckLifetimes()
+							m, err := newMachine(spec)
+							if err != nil {
+								t.Fatal(err)
 							}
-							res, err := tester.Run(hostView{sys}, chaosTester(spec))
+							if check {
+								m.sys.Fab.CheckLifetimes()
+							}
+							res, err := tester.Run(m.drive, m.cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
 							var sent uint64
-							for _, adv := range advs {
-								sent += adv.Sent
+							for _, n := range m.sent {
+								sent += *n
 							}
-							return res, sent, sys
+							return res, sent, m.sys
 						}
 						plain, plainSent, _ := run(false)
 						checked, sent, sys := run(true)

@@ -26,23 +26,13 @@ func TestRecoveryGrammarRoundTrip(t *testing.T) {
 			t.Errorf("re-format drifted: %q vs %q", FormatSpec(got), text)
 		}
 	}
-	// All four recovery keys round-trip together.
-	full := ShardSpec{Kind: KindChaos, Host: config.HostHammer, Org: config.OrgXGFull1L,
-		Seed: 3, CPUs: 2, Messages: 100, Model: accel.AdvFlapper.String(),
-		RecoverAfter: 5000, MaxRecoveries: 4, RecoverBackoff: 3, RecoverBackoffCap: 60000}
-	text := FormatSpec(full)
-	for _, key := range []string{"recover=5000", "maxrec=4", "backoff=3", "backoffcap=60000"} {
-		if !strings.Contains(text, key) {
-			t.Fatalf("FormatSpec(%v) = %q missing %s", full, text, key)
+	// The retired backoff keys changed timing, so a spec carrying one is
+	// refused rather than replayed differently.
+	text := FormatSpec(RecoverySweep(1, 2, 400)[0])
+	for _, key := range []string{"maxrec=4", "backoff=3", "backoffcap=60000"} {
+		if _, err := ParseSpec(text + " " + key); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("ParseSpec(%q) = %v, want a retired-field error", text+" "+key, err)
 		}
-	}
-	got, err := ParseSpec(text)
-	if err != nil {
-		t.Fatalf("ParseSpec(%q): %v", text, err)
-	}
-	if got.RecoverAfter != 5000 || got.MaxRecoveries != 4 ||
-		got.RecoverBackoff != 3 || got.RecoverBackoffCap != 60000 {
-		t.Fatalf("recovery keys did not survive: %+v", got)
 	}
 }
 

@@ -99,16 +99,9 @@ type ShardSpec struct {
 
 	// RecoverAfter arms quarantine recovery: nonzero makes a quarantined
 	// guard drain, reset, and readmit its device after this many ticks
-	// (backed off per prior readmission). 0 keeps quarantine terminal —
-	// the historical behavior.
+	// (doubled per prior readmission, three readmissions at most). 0 keeps
+	// quarantine terminal — the historical behavior.
 	RecoverAfter sim.Time
-	// MaxRecoveries bounds readmissions per guard (0 = guard default 3).
-	MaxRecoveries int
-	// RecoverBackoff is the per-readmission delay multiplier (0 = guard
-	// default 2).
-	RecoverBackoff int
-	// RecoverBackoffCap caps the backed-off delay (0 = no cap).
-	RecoverBackoffCap sim.Time
 
 	// Model names the adversarial accelerator for chaos shards (one of
 	// accel.AllAdvModels' spec names).
@@ -179,14 +172,17 @@ type ShardResult struct {
 	ObsDump string
 }
 
-// hostView narrows a fuzzed system for the stress tester: drive the CPUs
-// only and validate only host-side health (the accelerator is an
+// hostView narrows an attacked system for the stress tester: drive the
+// CPUs only and validate only host-side health (the accelerator is an
 // attacker; its "health" is not the guard's problem).
 type hostView struct{ *config.System }
 
 func (h hostView) Sequencers() []*seq.Sequencer { return h.CPUSeqs }
 func (h hostView) Outstanding() int             { return h.HostOutstanding() }
 func (h hostView) Audit() error                 { return h.AuditHostOnly() }
+
+// attackBase is where the lines fuzz and chaos shards fight over start.
+const attackBase = mem.Addr(0x10000)
 
 // fuzzPool is the small shared address pool attackers aim at (the same 8
 // lines the CPUs stress, maximizing interference).
@@ -201,6 +197,119 @@ func fuzzPool(base mem.Addr) []mem.Addr {
 // DefaultTraceTail is the trace-ring capacity (events kept per shard)
 // when the caller does not override it (Options.TraceTail, -tracetail).
 const DefaultTraceTail = 4000
+
+// machine is a shard's built machine and what the runner needs to drive
+// and judge it.
+type machine struct {
+	sys *config.System
+	// drive is what the tester runs: the whole machine, or hostView when
+	// an attacker stands in for the accelerator.
+	drive tester.System
+	cfg   tester.Config
+	// sent points at each attacker's count of messages injected.
+	sent []*uint64
+}
+
+// newMachine builds the machine a shard runs on. Per-component seeds
+// (build, tester, attacker) are derived from the shard seed with fixed
+// multipliers, so a spec replays run-for-run.
+func newMachine(spec ShardSpec) (*machine, error) {
+	if spec.Kind == KindStress {
+		sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
+			CPUs: spec.CPUs, AccelCores: spec.Cores, Accels: spec.Accels,
+			Seed: spec.Seed * 97, Small: true, Spans: spec.Spans,
+			Consistency: newRecorder(spec)})
+		cfg := tester.DefaultConfig(spec.Seed * 131)
+		cfg.StoresPerLoc = spec.Stores
+		cfg.Deadline = 400_000_000
+		return &machine{sys: sys, drive: sys, cfg: cfg}, nil
+	}
+	m := &machine{}
+	var perms *perm.Table
+	if spec.Confined {
+		perms = perm.NewTable() // deny everything: the attacker owns no pages
+	}
+	var testerSeed int64
+	switch spec.Kind {
+	case KindFuzz:
+		var atts []*fuzz.Attacker
+		m.sys = config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
+			CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
+			Seed: spec.Seed * 61, Small: true, Spans: spec.Spans,
+			Timeout: 5000, Perms: perms, Consistency: newRecorder(spec),
+			CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+				// One attacker per device. Device 0 keeps the historical seed
+				// formula exactly; further devices perturb it so each attacker
+				// draws an independent — but replayable — message stream.
+				seed := spec.Seed * 67
+				if d := config.DeviceOf(accelID); d > 0 {
+					seed += int64(d) * 1009
+				}
+				att := fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, seed, fuzzPool(attackBase))
+				att.Policy = fuzz.InvRandom
+				att.IncludeHostTypes = true
+				att.NilDataProb = 0.1
+				atts = append(atts, att)
+				m.sent = append(m.sent, &att.Sent)
+				return nil
+			}})
+		for _, att := range atts {
+			att.Rampage(spec.Messages, 40)
+		}
+		testerSeed = spec.Seed * 71
+	case KindChaos:
+		// A Byzantine accelerator (spec.Model) behind a deterministically
+		// faulty fabric (spec.Faults), against a guard configured for
+		// graceful degradation: short 2c deadline, bounded Invalidate
+		// retries, quarantine.
+		model, err := accel.ParseAdvModel(spec.Model)
+		if err != nil {
+			return nil, err
+		}
+		plan := spec.Faults
+		m.sys = config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
+			CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
+			Seed: spec.Seed * 41, Small: true, Spans: spec.Spans,
+			Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
+			RecoverAfter: spec.RecoverAfter, Perms: perms, Faults: &plan,
+			Consistency: newRecorder(spec),
+			CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+				// One adversary per device. Device 0 keeps the historical seed
+				// and pool exactly; further devices get a device-private pool
+				// plus the shared lines as a victim pool, so they fight the
+				// other accelerator (and the CPUs) for ownership.
+				cfg := accel.AdvConfig{
+					Model: model, Seed: spec.Seed * 43, Pool: fuzzPool(attackBase),
+					Budget: spec.Messages, Gap: 20, Deadline: 2000,
+				}
+				if d := config.DeviceOf(accelID); d > 0 {
+					cfg.Seed += int64(d) * 1013
+					cfg.Pool = fuzzPool(attackBase + mem.Addr(d*0x8000))
+					cfg.VictimPool = fuzzPool(attackBase)
+				}
+				adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, cfg)
+				// Rejoin the epoch protocol after a device reset; without this
+				// a recovered adversary keeps stamping its old epoch and every
+				// message it sends is dropped as stale.
+				s.OnDeviceReset(accelID, adv.Reset)
+				m.sent = append(m.sent, &adv.Sent)
+				return adv.Outstanding
+			}})
+		testerSeed = spec.Seed * 47
+	default:
+		return nil, fmt.Errorf("campaign: unknown shard kind %d", spec.Kind)
+	}
+	m.drive = hostView{m.sys}
+	// The CPUs stress the attacked lines. Value checks stay on only where
+	// the attacker cannot write those lines (confined) or where the spec
+	// asks for the deliberately failing demonstration (checked=1).
+	m.cfg = tester.DefaultConfig(testerSeed)
+	m.cfg.StoresPerLoc = 25
+	m.cfg.BaseAddr = attackBase
+	m.cfg.Deadline = 200_000_000
+	m.cfg.SkipValueChecks = !spec.Confined && !spec.CheckValues
+	return m, nil
+}
 
 // RunShard executes one shard to completion on the calling goroutine
 // with the default trace-ring capacity. The shard builds a private
@@ -230,43 +339,43 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 		res.Res, res.Err = tester.Run(sys, cfg)
 		return res
 	}
-	switch spec.Kind {
-	case KindStress:
-		runStressShard(&res, trace, tail)
-	case KindFuzz:
-		runFuzzShard(&res, trace, tail)
-	case KindChaos:
-		runChaosShard(&res, trace, tail)
-	default:
-		res.Err = fmt.Errorf("campaign: unknown shard kind %d", spec.Kind)
+	m, err := newMachine(spec)
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	return res
-}
-
-func runStressShard(res *ShardResult, trace bool, tail int) {
-	spec := res.Spec
-	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: spec.Cores, Accels: spec.Accels,
-		Seed: spec.Seed * 97, Small: true, Spans: spec.Spans,
-		Consistency: newRecorder(spec)})
+	sys := m.sys
 	var ring *obs.Ring
 	if trace {
 		ring = obs.NewRing(tail)
 		sys.Fab.Bus = obs.NewBus(ring)
 	}
-	cfg := tester.DefaultConfig(spec.Seed * 131)
-	cfg.StoresPerLoc = spec.Stores
-	cfg.Deadline = 400_000_000
-	res.Res, res.Err = tester.Run(sys, cfg)
+	res.Res, res.Err = tester.Run(m.drive, m.cfg)
 	res.Obs = sys.Obs
+	for _, n := range m.sent {
+		res.Sent += *n
+	}
+	if sys.Faults != nil {
+		res.Injected = sys.Faults.Injected
+	}
+	for _, g := range sys.Guards {
+		if g.Quarantined {
+			res.Quarantined = true
+		}
+		res.Recoveries += uint64(g.Recoveries())
+	}
 	res.Violations = uint64(sys.Log.Count())
 	for code, n := range sys.Log.ByCode {
 		res.ByCode[code] += n
 	}
-	if res.Err == nil && sys.Log.Count() != 0 {
+	// With no attacker every logged protocol error is a failure; with one,
+	// they are the violations the guard caught and classified.
+	if _, attacked := m.drive.(hostView); !attacked && res.Err == nil && sys.Log.Count() != 0 {
 		res.Err = fmt.Errorf("protocol errors reported: %v", sys.Log.Errors[0])
 	}
-	finishConsistency(res, sys.Consistency, true)
+	// The offline check applies where inline value checks do (see
+	// ShardSpec.Consistency).
+	finishConsistency(&res, sys.Consistency, !m.cfg.SkipValueChecks)
 	if res.Err == nil {
 		recordCoverage(sys, res.Cov)
 	}
@@ -276,6 +385,7 @@ func runStressShard(res *ShardResult, trace bool, tail int) {
 			res.TraceDump = ring.Dump()
 		}
 	}
+	return res
 }
 
 // newRecorder returns the observation recorder for a shard, nil unless
@@ -307,177 +417,8 @@ func finishConsistency(res *ShardResult, rec *consistency.Recorder, checked bool
 	}
 }
 
-func runFuzzShard(res *ShardResult, trace bool, tail int) {
-	spec := res.Spec
-	const base = mem.Addr(0x10000)
-	var perms *perm.Table
-	if spec.Confined {
-		perms = perm.NewTable() // deny everything: the attacker owns no pages
-	}
-	var atts []*fuzz.Attacker
-	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
-		Seed: spec.Seed * 61, Small: true, Spans: spec.Spans,
-		Timeout: 5000, Perms: perms, Consistency: newRecorder(spec),
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			// One attacker per device. Device 0 keeps the historical seed
-			// formula exactly; further devices perturb it so each attacker
-			// draws an independent — but replayable — message stream.
-			seed := spec.Seed * 67
-			if d := config.DeviceOf(accelID); d > 0 {
-				seed += int64(d) * 1009
-			}
-			att := fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, seed, fuzzPool(base))
-			att.Policy = fuzz.InvRandom
-			att.IncludeHostTypes = true
-			att.NilDataProb = 0.1
-			atts = append(atts, att)
-			return nil
-		}})
-	var ring *obs.Ring
-	if trace {
-		ring = obs.NewRing(tail)
-		sys.Fab.Bus = obs.NewBus(ring)
-	}
-	for _, att := range atts {
-		att.Rampage(spec.Messages, 40)
-	}
-	cfg := tester.DefaultConfig(spec.Seed * 71)
-	cfg.StoresPerLoc = 25
-	cfg.BaseAddr = base
-	cfg.Deadline = 200_000_000
-	cfg.SkipValueChecks = !spec.Confined && !spec.CheckValues
-	res.Res, res.Err = tester.Run(hostView{sys}, cfg)
-	res.Obs = sys.Obs
-	for _, att := range atts {
-		res.Sent += att.Sent
-	}
-	res.Violations = uint64(sys.Log.Count())
-	for code, n := range sys.Log.ByCode {
-		res.ByCode[code] += n
-	}
-	finishConsistency(res, sys.Consistency, spec.Confined || spec.CheckValues)
-	if res.Err == nil {
-		recordCoverage(sys, res.Cov)
-	}
-	if ring != nil {
-		res.Events = ring.Events()
-		if res.Err != nil {
-			res.TraceDump = ring.Dump()
-		}
-	}
-}
-
-// runChaosShard is one cell of the chaos campaign: a Byzantine
-// accelerator (spec.Model) behind a deterministically faulty fabric
-// (spec.Faults), against a guard configured for graceful degradation
-// (short 2c deadline, bounded Invalidate retries, quarantine). Host-side
-// health is asserted exactly like fuzz shards; confined shards (deny-all
-// permissions) additionally keep load-value verification on, proving the
-// host never reads corrupted data.
-func runChaosShard(res *ShardResult, trace bool, tail int) {
-	spec := res.Spec
-	model, err := accel.ParseAdvModel(spec.Model)
-	if err != nil {
-		res.Err = err
-		return
-	}
-	sys, advs := buildChaosMachine(spec, model)
-	var ring *obs.Ring
-	if trace {
-		ring = obs.NewRing(tail)
-		sys.Fab.Bus = obs.NewBus(ring)
-	}
-	res.Res, res.Err = tester.Run(hostView{sys}, chaosTester(spec))
-	res.Obs = sys.Obs
-	for _, adv := range advs {
-		res.Sent += adv.Sent
-	}
-	if sys.Faults != nil {
-		res.Injected = sys.Faults.Injected
-	}
-	for _, g := range sys.Guards {
-		if g.Quarantined {
-			res.Quarantined = true
-		}
-		res.Recoveries += uint64(g.Recoveries())
-	}
-	res.Violations = uint64(sys.Log.Count())
-	for code, n := range sys.Log.ByCode {
-		res.ByCode[code] += n
-	}
-	finishConsistency(res, sys.Consistency, spec.Confined || spec.CheckValues)
-	if res.Err == nil {
-		recordCoverage(sys, res.Cov)
-	}
-	if ring != nil {
-		res.Events = ring.Events()
-		if res.Err != nil {
-			res.TraceDump = ring.Dump()
-		}
-	}
-}
-
-// chaosBase is where a chaos shard's shared lines start.
-const chaosBase = mem.Addr(0x10000)
-
-// buildChaosMachine builds a chaos shard's machine — one adversary of the
-// given model per device behind the shard's fault plan — and returns the
-// adversaries with it.
-func buildChaosMachine(spec ShardSpec, model accel.AdvModel) (*config.System, []*accel.Adversary) {
-	var perms *perm.Table
-	if spec.Confined {
-		perms = perm.NewTable() // deny everything: the adversary owns no pages
-	}
-	plan := spec.Faults
-	var advs []*accel.Adversary
-	sys := config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
-		CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
-		Seed: spec.Seed * 41, Small: true, Spans: spec.Spans,
-		Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
-		RecoverAfter: spec.RecoverAfter, MaxRecoveries: spec.MaxRecoveries,
-		RecoverBackoff: spec.RecoverBackoff, RecoverBackoffCap: spec.RecoverBackoffCap,
-		Perms: perms, Faults: &plan, Consistency: newRecorder(spec),
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			// One adversary per device. Device 0 keeps the historical seed
-			// and pool exactly; further devices get a device-private pool
-			// plus the shared lines as a victim pool, so they fight the
-			// other accelerator (and the CPUs) for ownership.
-			cfg := accel.AdvConfig{
-				Model: model, Seed: spec.Seed * 43, Pool: fuzzPool(chaosBase),
-				Budget: spec.Messages, Gap: 20, Deadline: 2000,
-			}
-			if d := config.DeviceOf(accelID); d > 0 {
-				cfg.Seed += int64(d) * 1013
-				cfg.Pool = fuzzPool(chaosBase + mem.Addr(d*0x8000))
-				cfg.VictimPool = fuzzPool(chaosBase)
-			}
-			adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, cfg)
-			// Rejoin the epoch protocol after a device reset; without this
-			// a recovered adversary keeps stamping its old epoch and every
-			// message it sends is dropped as stale.
-			s.OnDeviceReset(accelID, adv.Reset)
-			advs = append(advs, adv)
-			return adv.Outstanding
-		}})
-	return sys, advs
-}
-
-// chaosTester is the host-side stress configuration of a chaos shard.
-func chaosTester(spec ShardSpec) tester.Config {
-	cfg := tester.DefaultConfig(spec.Seed * 47)
-	cfg.StoresPerLoc = 25
-	cfg.BaseAddr = chaosBase
-	cfg.Deadline = 200_000_000
-	// checked=1 keeps value verification on even against an unconfined
-	// adversary — the deliberately-failing demonstration shards the
-	// minimizer's tests and docs shrink.
-	cfg.SkipValueChecks = !spec.Confined && !spec.CheckValues
-	return cfg
-}
-
 // recordCoverage folds every controller's coverage into the per-class
-// map, exactly the accounting xgstress has always reported.
+// map: the state/event accounting of the paper's §4.1 stress test.
 func recordCoverage(sys *config.System, covs map[string]*coherence.Coverage) {
 	for _, cov := range sys.Coverages() {
 		c, ok := covs[cov.Name()]
@@ -509,19 +450,10 @@ func FormatSpec(s ShardSpec) string {
 	if s.Accels > 1 {
 		parts = append(parts, "accels="+strconv.Itoa(s.Accels))
 	}
-	// Recovery keys are emitted only when set, so pre-recovery repro
+	// The recovery key is emitted only when set, so pre-recovery repro
 	// strings render byte-identically.
 	if s.RecoverAfter > 0 {
 		parts = append(parts, "recover="+strconv.FormatInt(int64(s.RecoverAfter), 10))
-	}
-	if s.MaxRecoveries > 0 {
-		parts = append(parts, "maxrec="+strconv.Itoa(s.MaxRecoveries))
-	}
-	if s.RecoverBackoff > 0 {
-		parts = append(parts, "backoff="+strconv.Itoa(s.RecoverBackoff))
-	}
-	if s.RecoverBackoffCap > 0 {
-		parts = append(parts, "backoffcap="+strconv.FormatInt(int64(s.RecoverBackoffCap), 10))
 	}
 	switch s.Kind {
 	case KindStress:
@@ -630,26 +562,17 @@ func ParseSpec(text string) (ShardSpec, error) {
 				// The guard's address-sharding knob is gone; it never
 				// changed timing, so old repro strings replay identically.
 			}
-		case "recover", "backoffcap":
+		case "recover":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n <= 0 {
 				return spec, fmt.Errorf("campaign: bad %s %q", k, v)
 			}
-			if k == "recover" {
-				spec.RecoverAfter = sim.Time(n)
-			} else {
-				spec.RecoverBackoffCap = sim.Time(n)
-			}
-		case "maxrec", "backoff":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return spec, fmt.Errorf("campaign: bad %s %q", k, v)
-			}
-			if k == "maxrec" {
-				spec.MaxRecoveries = n
-			} else {
-				spec.RecoverBackoff = n
-			}
+			spec.RecoverAfter = sim.Time(n)
+		case "maxrec", "backoff", "backoffcap":
+			// Unlike shards=, these changed timing, so a spec carrying one
+			// cannot replay: recovery now always doubles its delay, three
+			// readmissions at most.
+			return spec, fmt.Errorf("campaign: retired spec field %q (recovery backoff is fixed)", k)
 		case "confined":
 			spec.Confined = v == "1" || v == "true"
 		case "checked":
@@ -679,7 +602,7 @@ func ParseSpec(text string) (ShardSpec, error) {
 	if spec.Kind == KindChaos && spec.Model == "" {
 		return spec, fmt.Errorf("campaign: chaos spec needs model= (got %q)", text)
 	}
-	if err := config.CheckSize(spec.CPUs, spec.Cores); err != nil {
+	if err := config.CheckSize(spec.CPUs, spec.Cores, spec.Accels); err != nil {
 		return spec, fmt.Errorf("campaign: %w", err)
 	}
 	return spec, nil

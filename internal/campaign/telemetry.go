@@ -2,24 +2,27 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/obs"
 )
 
-// Telemetry is the live, advisory view of a running campaign: workers
+// Telemetry is the live, advisory view of one running campaign: workers
 // fold each shard in as it completes, so the contents depend on
 // scheduling and wall-clock time and are deliberately NOT part of the
 // deterministic report (which is rebuilt in shard-index order after the
-// pool drains). It backs xgcampaign's -http metrics endpoint and
-// -heartbeat progress lines; reading it mid-run is always safe.
+// pool drains from the results collected here). It backs the progress
+// lines and -heartbeat snapshots written to Options.Progress and
+// xgcampaign's -http metrics endpoint; reading it mid-run is always safe.
 type Telemetry struct {
 	mu          sync.Mutex
 	start       time.Time
-	shards      int
+	results     []ShardResult
 	failures    int
 	quarantines int
 	recoveries  uint64
@@ -27,24 +30,25 @@ type Telemetry struct {
 	stores      uint64
 	sent        uint64
 	ticks       uint64
-	reg         *obs.Registry
+	// reg merges the shards' metrics registries for the -http payload and
+	// cov their coverage for the human progress line. Each is nil unless
+	// something reads it, so a run pays for neither by default.
+	reg *obs.Registry
+	cov map[string]*coherence.Coverage
 }
 
-// NewTelemetry returns a telemetry view; pass it as Options.Telemetry
-// and serve it (it implements http.Handler) or snapshot it.
+// NewTelemetry returns a telemetry view that also merges the shards'
+// metrics registries; pass it as Options.Telemetry and serve it (it
+// implements http.Handler) or snapshot it.
 func NewTelemetry() *Telemetry {
 	return &Telemetry{start: time.Now(), reg: obs.NewRegistry()}
 }
 
-// observe folds one completed shard in. Nil-safe so the runner calls it
-// unconditionally.
-func (t *Telemetry) observe(res *ShardResult) {
-	if t == nil {
-		return
-	}
+// observe folds one completed shard in.
+func (t *Telemetry) observe(res ShardResult) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.shards++
+	t.results = append(t.results, res)
 	if res.Err != nil {
 		t.failures++
 	}
@@ -56,7 +60,12 @@ func (t *Telemetry) observe(res *ShardResult) {
 	t.stores += res.Res.Stores
 	t.sent += res.Sent
 	t.ticks += uint64(res.Res.EndTime)
-	t.reg.Merge(res.Obs)
+	if t.reg != nil {
+		t.reg.Merge(res.Obs)
+	}
+	if t.cov != nil {
+		mergeCoverage(t.cov, res.Cov)
+	}
 }
 
 // TelemetrySnapshot is one point-in-time progress record: a -heartbeat
@@ -88,7 +97,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	defer t.mu.Unlock()
 	s := TelemetrySnapshot{
 		ElapsedSec:  time.Since(t.start).Seconds(),
-		Shards:      t.shards,
+		Shards:      len(t.results),
 		Failures:    t.failures,
 		Quarantines: t.quarantines,
 		Recoveries:  t.recoveries,
@@ -131,20 +140,51 @@ func (t *Telemetry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(t.Payload()) //nolint:errcheck // a dropped client is not our error
 }
 
-// heartbeat writes one JSON snapshot line per interval until stop
-// closes, then a final line so even sub-interval campaigns record their
-// end state. The runner waits for it, so the writer outlives the lines.
-func heartbeat(w io.Writer, t *Telemetry, every time.Duration, stop <-chan struct{}) {
+// report writes progress lines to w until stop closes: a human line every
+// second, or with a heartbeat one JSON snapshot per heartbeat interval and
+// a final one at stop, so even a sub-interval campaign records its end
+// state. The runner waits for it, so w outlives the lines.
+func (t *Telemetry) report(w io.Writer, heartbeat time.Duration, stop <-chan struct{}) {
+	every := heartbeat
+	if every <= 0 {
+		every = time.Second
+	}
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	enc := json.NewEncoder(w)
 	for {
 		select {
 		case <-stop:
-			enc.Encode(t.Snapshot()) //nolint:errcheck // best-effort progress line
+			if heartbeat > 0 {
+				enc.Encode(t.Snapshot()) //nolint:errcheck // best-effort progress line
+			}
 			return
 		case <-tick.C:
-			enc.Encode(t.Snapshot()) //nolint:errcheck // best-effort progress line
+			if heartbeat > 0 {
+				enc.Encode(t.Snapshot()) //nolint:errcheck // best-effort progress line
+			} else {
+				fmt.Fprintln(w, t.progressLine())
+			}
 		}
 	}
+}
+
+// progressLine renders throughput so far and the share of declared
+// state/event pairs the completed shards visited.
+func (t *Telemetry) progressLine() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el := time.Since(t.start).Seconds()
+	shards := len(t.results)
+	line := fmt.Sprintf("t=%4.0fs  shards=%d (%.1f/s)  stores=%d (%.0f/s)",
+		el, shards, float64(shards)/el, t.stores, float64(t.stores)/el)
+	var visited, possible int
+	for _, c := range t.cov {
+		visited += c.Visited()
+		possible += c.Possible()
+	}
+	if possible > 0 {
+		line += fmt.Sprintf("  coverage=%d/%d pairs (%.1f%%)", visited, possible, 100*float64(visited)/float64(possible))
+	}
+	return line
 }

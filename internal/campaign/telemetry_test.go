@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"crossingguard/internal/config"
 )
 
 // TestTelemetryObservesCampaign: a campaign run with a telemetry view
@@ -49,40 +47,37 @@ func TestTelemetryObservesCampaign(t *testing.T) {
 
 // TestHeartbeatEmitsFinalLine: even a campaign shorter than the
 // heartbeat interval records at least one JSONL line — the final
-// snapshot written on shutdown — and every line parses.
+// snapshot written on shutdown — and every line parses, also when
+// snapshots are taken while the workers are still folding shards in.
 func TestHeartbeatEmitsFinalLine(t *testing.T) {
-	var hb bytes.Buffer
-	tel := NewTelemetry()
-	spec := ShardSpec{Kind: KindStress, Host: config.HostHammer, Org: config.OrgXGFull1L,
-		Seed: 1, CPUs: 1, Cores: 1, Stores: 2}
-	Run([]ShardSpec{spec}, Options{Workers: 1, Telemetry: tel,
-		Heartbeat: time.Hour, HeartbeatW: &hb})
-	lines := strings.Split(strings.TrimSpace(hb.String()), "\n")
-	if len(lines) < 1 || lines[0] == "" {
-		t.Fatalf("heartbeat wrote nothing; want at least the final line")
-	}
-	for i, line := range lines {
-		var snap TelemetrySnapshot
-		if err := json.Unmarshal([]byte(line), &snap); err != nil {
-			t.Fatalf("heartbeat line %d is not valid JSON: %v\n%s", i, err, line)
+	for _, every := range []time.Duration{time.Hour, time.Millisecond} {
+		var hb bytes.Buffer
+		specs := smallSweep()
+		Run(specs, Options{Workers: 2, Progress: &hb, Heartbeat: every})
+		lines := strings.Split(strings.TrimSpace(hb.String()), "\n")
+		if len(lines) < 1 || lines[0] == "" {
+			t.Fatalf("heartbeat %v wrote nothing; want at least the final line", every)
 		}
-	}
-	var last TelemetrySnapshot
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Shards != 1 {
-		t.Fatalf("final heartbeat reports %d shards, want 1", last.Shards)
+		var last TelemetrySnapshot
+		for i, line := range lines {
+			if err := json.Unmarshal([]byte(line), &last); err != nil {
+				t.Fatalf("heartbeat %v line %d is not valid JSON: %v\n%s", every, i, err, line)
+			}
+		}
+		if last.Shards != len(specs) {
+			t.Fatalf("final heartbeat reports %d shards, want %d", last.Shards, len(specs))
+		}
 	}
 }
 
-// TestTelemetryNilSafe: campaigns without a telemetry view (every
-// caller before -http existed) run exactly as before.
+// TestTelemetryNilSafe: campaigns that pass no telemetry view (every
+// caller but -http) run on the runner's own and lose nothing.
 func TestTelemetryNilSafe(t *testing.T) {
-	var tel *Telemetry
-	tel.observe(&ShardResult{}) // must not panic
 	rep := Run(smallSweep()[:1], Options{Workers: 1})
 	if rep.Failures() != 0 {
 		t.Fatalf("telemetry-free run failed: %+v", rep.Artifacts)
+	}
+	if len(rep.Shards) != 1 || rep.Shards[0].Res.Stores == 0 {
+		t.Fatalf("telemetry-free run lost its shard: %+v", rep.Shards)
 	}
 }

@@ -115,15 +115,23 @@ const (
 	MaxAccelCores = int(nodeAccelL2 - nodeXG)
 )
 
-// CheckSize reports whether a machine with this many CPU cores and
-// accelerator cores per device fits the node-id layout. Parsers and CLIs
-// call it on outside input; Build panics on a spec that fails it.
-func CheckSize(cpus, accelCores int) error {
+// MaxAccels bounds the accelerator devices on one machine. The id layout
+// has room for any count (DeviceStride apart); the bound is on what a run
+// asks to build, four times the largest count AccelCounts sweeps.
+const MaxAccels = 64
+
+// CheckSize reports whether a machine with this many CPU cores, accelerator
+// cores per device and devices fits the limits above. Parsers and CLIs call
+// it on outside input; Build panics on a spec that fails it.
+func CheckSize(cpus, accelCores, accels int) error {
 	if cpus > MaxCPUs {
 		return fmt.Errorf("%d CPU cores exceeds the limit of %d", cpus, MaxCPUs)
 	}
 	if accelCores > MaxAccelCores {
 		return fmt.Errorf("%d accelerator cores exceeds the limit of %d", accelCores, MaxAccelCores)
+	}
+	if accels > MaxAccels {
+		return fmt.Errorf("%d accelerator devices exceeds the limit of %d", accels, MaxAccels)
 	}
 	return nil
 }
@@ -216,20 +224,12 @@ type Spec struct {
 	// fence the accelerator).
 	QuarantineAfter int
 	// RecoverAfter, when nonzero, arms quarantine recovery: a quarantined
-	// guard waits this many ticks (scaled by the backoff for repeat
-	// offenders), then drains the device, resets its cache hierarchy, and
-	// readmits it under a bumped guard epoch. 0 (the default) keeps
-	// quarantine terminal, reproducing the pre-recovery machine exactly.
+	// guard waits this many ticks (doubled for every earlier readmission),
+	// then drains the device, resets its cache hierarchy, and readmits it
+	// under a bumped guard epoch, at most three times. 0 (the default)
+	// keeps quarantine terminal, reproducing the pre-recovery machine
+	// exactly.
 	RecoverAfter sim.Time
-	// MaxRecoveries bounds readmissions per guard before quarantine
-	// becomes permanent (0 = default 3).
-	MaxRecoveries int
-	// RecoverBackoff is the multiplier applied to RecoverAfter per prior
-	// readmission — exponential backoff for flapping devices (0 =
-	// default 2; 1 = constant delay).
-	RecoverBackoff int
-	// RecoverBackoffCap caps the backed-off recovery delay (0 = no cap).
-	RecoverBackoffCap sim.Time
 	// Faults, when set and active, installs a deterministic fault
 	// injector on the fabric watching every guard<->accelerator channel
 	// (chaos testing). Non-XG organizations ignore it.
@@ -480,7 +480,7 @@ func Build(spec Spec) *System {
 	if spec.Timeout == 0 {
 		spec.Timeout = 100_000
 	}
-	if err := CheckSize(spec.CPUs, spec.AccelCores); err != nil {
+	if err := CheckSize(spec.CPUs, spec.AccelCores, spec.Accels); err != nil {
 		panic("config: " + err.Error())
 	}
 	lat := DefaultLatencies()
@@ -568,19 +568,16 @@ func (s *System) accelCfg(small bool) accel.Config {
 
 func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
 	return core.Config{
-		Mode:              spec.Org.Mode(),
-		Perms:             spec.Perms,
-		Timeout:           spec.Timeout,
-		GuardLat:          lat.GuardLat,
-		Rate:              spec.Rate,
-		DisableAfter:      spec.DisableAfter,
-		RecallRetries:     spec.RecallRetries,
-		QuarantineAfter:   spec.QuarantineAfter,
-		RecoverAfter:      spec.RecoverAfter,
-		MaxRecoveries:     spec.MaxRecoveries,
-		RecoverBackoff:    spec.RecoverBackoff,
-		RecoverBackoffCap: spec.RecoverBackoffCap,
-		Spans:             spec.Spans,
+		Mode:            spec.Org.Mode(),
+		Perms:           spec.Perms,
+		Timeout:         spec.Timeout,
+		GuardLat:        lat.GuardLat,
+		Rate:            spec.Rate,
+		DisableAfter:    spec.DisableAfter,
+		RecallRetries:   spec.RecallRetries,
+		QuarantineAfter: spec.QuarantineAfter,
+		RecoverAfter:    spec.RecoverAfter,
+		Spans:           spec.Spans,
 	}
 }
 

@@ -135,12 +135,13 @@ func TestBuildRejectsOversizedMachine(t *testing.T) {
 	}{
 		{Spec{CPUs: MaxCPUs + 1}, fmt.Sprintf("limit of %d", MaxCPUs)},
 		{Spec{AccelCores: MaxAccelCores + 1}, fmt.Sprintf("limit of %d", MaxAccelCores)},
+		{Spec{Accels: MaxAccels + 1}, fmt.Sprintf("%d accelerator devices exceeds the limit of %d", MaxAccels+1, MaxAccels)},
 	} {
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
-					t.Errorf("Build(%d CPUs, %d cores) panicked with %q, want %q in it",
-						c.spec.CPUs, c.spec.AccelCores, msg, c.want)
+					t.Errorf("Build(%d CPUs, %d cores, %d devices) panicked with %q, want %q in it",
+						c.spec.CPUs, c.spec.AccelCores, c.spec.Accels, msg, c.want)
 				}
 			}()
 			Build(c.spec)

@@ -108,7 +108,7 @@ func TestStaleEpochRejectedAfterReintegration(t *testing.T) {
 
 // TestFlapperConvergesToPermanentQuarantine pins the health model's
 // convergence: a device that keeps misbehaving after every readmission
-// burns through MaxRecoveries backed-off attempts and lands in
+// burns through the guard's three backed-off readmissions and lands in
 // permanent quarantine, with every backoff and the final conversion
 // visible as KindRecovery trace events.
 func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
@@ -117,7 +117,6 @@ func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
 		t.Run(host.String(), func(t *testing.T) {
 			spec := recoverySpec(host, OrgXGFull1L)
 			spec.RecoverAfter = 200
-			spec.MaxRecoveries = 2
 			spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
 				adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, accel.AdvConfig{
 					// A persistent offender: enough flaps that bursts burned
@@ -152,27 +151,31 @@ func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
 			if !g.Quarantined {
 				t.Fatal("permanently quarantined guard must stay fenced")
 			}
-			if g.Recoveries() != 2 {
-				t.Fatalf("guard recovered %d times, want exactly MaxRecoveries=2", g.Recoveries())
+			if g.Recoveries() != 3 {
+				t.Fatalf("guard recovered %d times, want exactly 3", g.Recoveries())
 			}
 			c := sys.Obs.Snapshot().Counters
-			if c["guard.recovery.backoff"] != 2 || c["guard.recovery.reintegrated"] != 2 ||
+			if c["guard.recovery.backoff"] != 3 || c["guard.recovery.reintegrated"] != 3 ||
 				c["guard.recovery.permanent"] != 1 {
-				t.Fatalf("recovery counters backoff=%d reintegrated=%d permanent=%d, want 2/2/1",
+				t.Fatalf("recovery counters backoff=%d reintegrated=%d permanent=%d, want 3/3/1",
 					c["guard.recovery.backoff"], c["guard.recovery.reintegrated"],
 					c["guard.recovery.permanent"])
 			}
 			var backoffs, permanents int
 			for _, p := range recoveryEvents {
 				if strings.Contains(p, "backoff") {
+					// Each readmission doubles the wait: 200, 400, then 800 ticks.
+					if want := fmt.Sprintf("backoff %d ticks", 200<<backoffs); !strings.Contains(p, want) {
+						t.Errorf("recovery event %q, want %q in it", p, want)
+					}
 					backoffs++
 				}
 				if strings.Contains(p, "permanent") {
 					permanents++
 				}
 			}
-			if backoffs != 2 || permanents != 1 {
-				t.Fatalf("trace shows %d backoff and %d permanent recovery events, want 2 and 1 (events: %q)",
+			if backoffs != 3 || permanents != 1 {
+				t.Fatalf("trace shows %d backoff and %d permanent recovery events, want 3 and 1 (events: %q)",
 					backoffs, permanents, recoveryEvents)
 			}
 		})

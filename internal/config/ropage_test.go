@@ -142,7 +142,7 @@ func TestTransactionalUsesNonUpgradableGetS(t *testing.T) {
 					t.Fatal("non-upgradable GetS still produced guard ownership")
 				}
 			} else {
-				s.ML2.VisitStable(func(a mem.Addr, owner coherence.NodeID, _ []coherence.NodeID, _ *mem.Block, _ bool) {
+				s.ML2.VisitOwned(func(a mem.Addr, owner coherence.NodeID) {
 					if a == roPage.Line() && owner == s.Guards[0].ID() {
 						t.Error("non-upgradable GetInstr still produced guard ownership")
 					}

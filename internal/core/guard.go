@@ -136,21 +136,11 @@ type Config struct {
 	// confused-but-live accelerator observes its fencing.
 	QuarantineAfter int
 	// RecoverAfter enables quarantine recovery: after this many ticks of
-	// backoff a quarantined device is drained, reset, and reintegrated
-	// under a bumped guard epoch. 0 (the default) keeps quarantine
-	// terminal — today's behavior, byte-for-byte.
+	// backoff, doubled for every earlier readmission, a quarantined device
+	// is drained, reset, and reintegrated under a bumped guard epoch; after
+	// maxRecoveries readmissions the next quarantine is permanent. 0 (the
+	// default) keeps quarantine terminal — today's behavior, byte-for-byte.
 	RecoverAfter sim.Time
-	// MaxRecoveries bounds reintegrations: once a device has been
-	// readmitted this many times, the next quarantine is permanent (a
-	// flapping device converges to a fenced one). 0 defaults to 3 when
-	// recovery is enabled.
-	MaxRecoveries int
-	// RecoverBackoff multiplies the backoff delay per prior readmission
-	// (exponential backoff between recovery attempts). 0 defaults to 2;
-	// 1 keeps the delay constant.
-	RecoverBackoff int
-	// RecoverBackoffCap, when nonzero, caps the backed-off delay.
-	RecoverBackoffCap sim.Time
 	// Spans enables causal span tracing: every accepted accelerator
 	// crossing, host-initiated recall, and recovery cycle is assigned a
 	// stable span id, emits paired span-begin/span-end (+ span-phase)
@@ -227,8 +217,8 @@ type Guard struct {
 	// accelerator messages carrying any other epoch are dropped as
 	// XG.StaleEpoch.
 	epoch uint32
-	// recoveries counts completed reintegrations; once it reaches the
-	// MaxRecoveries budget the next quarantine is permanent.
+	// recoveries counts completed reintegrations; once it reaches
+	// maxRecoveries the next quarantine is permanent.
 	recoveries int
 	// recovering is set while a recovery (backoff, drain, or reset) is
 	// in flight, so a second scheduling attempt is inert.
@@ -1051,7 +1041,7 @@ func (g *Guard) Epoch() uint32 { return g.epoch }
 func (g *Guard) Recoveries() int { return g.recoveries }
 
 // PermanentlyQuarantined reports whether the recovery policy has given up
-// on this device (MaxRecoveries exhausted).
+// on this device (maxRecoveries readmissions spent).
 func (g *Guard) PermanentlyQuarantined() bool { return g.permanent }
 
 // SetResetHook installs the device-reset callback recovery invokes at the

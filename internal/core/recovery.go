@@ -15,17 +15,17 @@ import (
 //
 //	fence -> backoff -> drain -> device reset -> reintegrate
 //
-// Backoff waits RecoverAfter ticks, multiplied by RecoverBackoff for
-// every prior readmission (capped at RecoverBackoffCap), so a flapping
-// device is readmitted ever more reluctantly and, after MaxRecoveries,
-// not at all. Drain waits for every in-flight transaction to settle and
-// returns every line the host still believes this guard holds (writeback
-// of the trusted copy, or the zero-block Guarantee 2c substitution, for
-// owned lines; PutS or silent drop for shared ones). Reset reinitializes
-// the accelerator hierarchy through the installed reset hook under a
-// bumped guard epoch. Reintegration reopens the guard with an empty
-// block table and a zero error score; stragglers from before the reset
-// are rejected as XG.StaleEpoch by the epoch check in Recv.
+// Backoff waits RecoverAfter ticks, doubled for every prior readmission,
+// so a flapping device is readmitted ever more reluctantly and, after
+// maxRecoveries readmissions, not at all. Drain waits for every in-flight
+// transaction to settle and returns every line the host still believes
+// this guard holds (writeback of the trusted copy, or the zero-block
+// Guarantee 2c substitution, for owned lines; PutS or silent drop for
+// shared ones). Reset reinitializes the accelerator hierarchy through the
+// installed reset hook under a bumped guard epoch. Reintegration reopens
+// the guard with an empty block table and a zero error score; stragglers
+// from before the reset are rejected as XG.StaleEpoch by the epoch check
+// in Recv.
 
 // recoveryPoll is the drain-phase polling cadence: while transactions
 // are still settling, the recovery machine re-checks every this many
@@ -33,31 +33,14 @@ import (
 // deterministic.
 const recoveryPoll sim.Time = 16
 
-// maxRecoveries resolves the readmission budget (0 defaults to 3).
-func (g *Guard) maxRecoveries() int {
-	if g.cfg.MaxRecoveries > 0 {
-		return g.cfg.MaxRecoveries
-	}
-	return 3
-}
+// maxRecoveries is the readmission budget: once a device has been
+// readmitted this many times, its next quarantine is permanent (a flapping
+// device converges to a fenced one).
+const maxRecoveries = 3
 
-// recoverDelay computes the exponential backoff before the next
-// readmission attempt: RecoverAfter x RecoverBackoff^recoveries, capped
-// at RecoverBackoffCap when one is set.
-func (g *Guard) recoverDelay() sim.Time {
-	mult := g.cfg.RecoverBackoff
-	if mult <= 0 {
-		mult = 2
-	}
-	d := g.cfg.RecoverAfter
-	for i := 0; i < g.recoveries; i++ {
-		d *= sim.Time(mult)
-		if g.cfg.RecoverBackoffCap > 0 && d >= g.cfg.RecoverBackoffCap {
-			return g.cfg.RecoverBackoffCap
-		}
-	}
-	return d
-}
+// recoverDelay is the exponential backoff before the next readmission
+// attempt: RecoverAfter, doubled for every earlier readmission.
+func (g *Guard) recoverDelay() sim.Time { return g.cfg.RecoverAfter << g.recoveries }
 
 // recoveryEvent emits one KindRecovery trace event (nil-safe: quiet when
 // no bus is attached).
@@ -79,7 +62,7 @@ func (g *Guard) scheduleRecovery(addr mem.Addr) {
 	if g.cfg.RecoverAfter <= 0 || g.recovering || g.permanent {
 		return
 	}
-	if g.recoveries >= g.maxRecoveries() {
+	if g.recoveries >= maxRecoveries {
 		g.permanent = true
 		g.obsReg.Counter("guard.recovery.permanent").Inc()
 		g.obsReg.Counter("guard.recovery.permanent" + g.metricSuffix()).Inc()
@@ -91,13 +74,13 @@ func (g *Guard) scheduleRecovery(addr mem.Addr) {
 	g.obsReg.Counter("guard.recovery.backoff").Inc()
 	g.obsReg.Counter("guard.recovery.backoff" + g.metricSuffix()).Inc()
 	g.recoveryEvent(addr, fmt.Sprintf("recovery %d/%d scheduled, backoff %d ticks",
-		g.recoveries+1, g.maxRecoveries(), uint64(delay)))
+		g.recoveries+1, maxRecoveries, uint64(delay)))
 	if g.cfg.Spans {
 		g.recoverySpan = g.newSpanID()
 		g.recoveryStart = g.eng.Now()
 		g.recoveryMark = g.recoveryStart
 		g.spanEvent(obs.KindSpanBegin, g.recoverySpan, addr, 0,
-			fmt.Sprintf("recovery %d/%d", g.recoveries+1, g.maxRecoveries()))
+			fmt.Sprintf("recovery %d/%d", g.recoveries+1, maxRecoveries))
 	}
 	g.eng.Schedule(delay, func() {
 		g.recoveryPhase("backoff")
@@ -193,7 +176,7 @@ func (g *Guard) reintegrate() {
 	g.obsReg.Counter("guard.recovery.reintegrated").Inc()
 	g.obsReg.Counter("guard.recovery.reintegrated" + g.metricSuffix()).Inc()
 	g.recoveryEvent(0, fmt.Sprintf("device reset, reintegrated under epoch %d (recovery %d/%d)",
-		g.epoch, g.recoveries, g.maxRecoveries()))
+		g.epoch, g.recoveries, maxRecoveries))
 	if g.cfg.Spans && g.recoverySpan != 0 {
 		now := g.eng.Now()
 		g.obsReg.Histogram("xg.span.recovery.reset.ticks").Observe(float64(now - g.recoveryMark))

@@ -552,13 +552,3 @@ func (l *L2) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {
 		}
 	})
 }
-
-// VisitStable reports every idle line with its directory bookkeeping.
-func (l *L2) VisitStable(fn func(addr mem.Addr, owner coherence.NodeID, sharers []coherence.NodeID, data *mem.Block, dirty bool)) {
-	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if e.V.busy() {
-			return
-		}
-		fn(e.Addr, e.V.owner, e.V.sharers, e.V.data, e.V.dirty)
-	})
-}

@@ -3,9 +3,9 @@
 // span-end, no phase or end event dangles, no id is reused while live —
 // over the artifacts a traced campaign exports:
 //
-//   - a campaign trace JSONL (the -trace flag of xgstress/xgfuzz/
-//     xgcampaign): lines are parsed back into per-shard event streams
-//     and each shard's stream must satisfy obs.SpanBalance. The trace
+//   - a campaign trace JSONL (xgcampaign's -trace flag): lines are
+//     parsed back into per-shard event streams and each shard's
+//     stream must satisfy obs.SpanBalance. The trace
 //     must have been captured with a -tracetail large enough to hold
 //     the whole run; a truncated ring legitimately orphans events, so
 //     spanlint on a default-sized tail is a usage error, not a bug.
