@@ -81,7 +81,6 @@ var guaranteeNames = []struct{ code, prose string }{
 	{"XG.G2c", "responses within bounded time"},
 	{"XG.BadMessage", "non-interface message rejected"},
 	{"XG.BadSource", "wrong-source message rejected"},
-	{"XG.Disabled", "device fenced after violation budget"},
 }
 
 func render(w io.Writer, s obs.Snapshot) {

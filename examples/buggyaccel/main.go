@@ -4,7 +4,7 @@
 // to invalidations — while the CPUs keep doing real, value-checked work.
 // The guard detects and classifies every violation, answers the host on
 // the accelerator's behalf (including by timeout), and finally applies
-// the OS policy of disabling the accelerator. The host never crashes,
+// the OS policy of quarantining the accelerator. The host never crashes,
 // never deadlocks, and its data stays correct because the permission
 // table denies the accelerator access to the CPUs' pages.
 package main
@@ -33,14 +33,14 @@ func main() {
 	perms.GrantRange(0x20000, 0x1000, perm.ReadWrite) // the accel's own page
 
 	sys := config.Build(config.Spec{
-		Host:         config.HostHammer,
-		Org:          config.OrgXGFull1L,
-		CPUs:         2,
-		AccelCores:   1,
-		Seed:         13,
-		Perms:        perms,
-		Timeout:      5000, // Guarantee 2c watchdog
-		DisableAfter: 500,  // OS policy: shut it out after 500 violations
+		Host:            config.HostHammer,
+		Org:             config.OrgXGFull1L,
+		CPUs:            2,
+		AccelCores:      1,
+		Seed:            13,
+		Perms:           perms,
+		Timeout:         5000, // Guarantee 2c watchdog
+		QuarantineAfter: 500,  // OS policy: fence it after 500 violations
 		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
 			att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, 14, pool)
 			att.Policy = fuzz.InvRandom // sometimes ignores, sometimes lies
@@ -90,7 +90,7 @@ func main() {
 	fmt.Printf("  attacker messages sent:      %d\n", att.Sent)
 	fmt.Printf("  CPU read-after-write checks: %d, failures: %d\n", checked, failures)
 	fmt.Printf("  host deadlocked or crashed:  no\n")
-	fmt.Printf("  accelerator disabled by OS:  %v\n", sys.Guards[0].Disabled)
+	fmt.Printf("  accelerator quarantined:     %v\n", sys.Guards[0].Quarantined)
 	fmt.Printf("  timeouts answered for it:    %d\n", sys.Guards[0].Timeouts)
 
 	fmt.Println("\nviolations detected and classified (paper Figure 1 guarantees):")

@@ -108,7 +108,7 @@ func (s *System) Audit() error {
 	}
 
 	// 4: Full State table == accelerator contents.
-	if err := s.auditGuardTables(lines); err != nil {
+	if err := s.auditGuardTables(); err != nil {
 		return err
 	}
 	return s.auditPool()
@@ -228,15 +228,15 @@ func (s *System) auditHostOwnership(lines map[mem.Addr][]holder) error {
 // the accelerator's resident blocks (silent upgrades E->M allowed). Of
 // several mismatches it reports the one at the lowest address (VisitBlocks
 // walks in address order), so a failure reads the same on every run.
-func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
-	for gi, g := range s.Guards {
+func (s *System) auditGuardTables() error {
+	for _, g := range s.Guards {
 		if g.Mode() != core.FullState {
 			continue
 		}
-		if gi >= len(s.guardAccelView) || s.guardAccelView[gi] == nil {
-			continue // custom accelerator: no view to audit against
+		accelLines := s.guardedLines(g.AccelID())
+		if accelLines == nil {
+			continue // custom accelerator: no cache to audit against
 		}
-		accelLines := s.guardAccelView[gi]()
 		var err error
 		tableAddrs := make(map[mem.Addr]bool)
 		g.VisitBlocks(func(addr mem.Addr, grant, _ core.Grant, hasCopy bool) {
@@ -268,6 +268,19 @@ func (s *System) auditGuardTables(lines map[mem.Addr][]holder) error {
 		if found {
 			return fmt.Errorf("%s: accelerator holds %v but the guard table does not (inclusion broken)",
 				g.Name(), missing)
+		}
+	}
+	return nil
+}
+
+// guardedLines snapshots the stable lines (level 0=S,1=E,2=M) of the cache
+// a guard fronts at id, or is nil when Build wired none there.
+func (s *System) guardedLines(id coherence.NodeID) map[mem.Addr]int {
+	for _, c := range s.caches {
+		if c.place == guardedCache && c.ID() == id {
+			out := map[mem.Addr]int{}
+			c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) { out[addr] = int(lvl) })
+			return out
 		}
 	}
 	return nil

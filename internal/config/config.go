@@ -215,8 +215,6 @@ type Spec struct {
 	Timeout sim.Time
 	// Rate optionally rate-limits accelerator requests.
 	Rate *core.RateLimit
-	// DisableAfter sets the guard's error policy.
-	DisableAfter int
 	// RecallRetries sets the guard's Invalidate retry budget (0 = the
 	// paper's single-shot 2c watchdog).
 	RecallRetries int
@@ -239,13 +237,6 @@ type Spec struct {
 	// AccelL1KB overrides the accelerator L1 capacity (0 = default
 	// 16 KiB); used by the storage experiment (E8).
 	AccelL1KB int
-	// ExtraHammerPeers enlarges the hammer broadcast set for caches
-	// attached after Build (the multi-device builder).
-	ExtraHammerPeers int
-	// ForceTxnMods enables the §3.2 host modifications regardless of
-	// organization (needed when a Transactional guard is attached after
-	// Build, as in the multi-device builder).
-	ForceTxnMods bool
 	// Consistency, when set, attaches one observation stream per
 	// sequencer (CPU cores first, then accelerator cores, matching
 	// Sequencers() order): every completed load and store is recorded
@@ -302,23 +293,17 @@ type System struct {
 	// machine runs clean); callers read its per-kind injection counts.
 	Faults *faults.Injector
 
-	// Host protocol handles (one set is nil).
-	HDir    *hammer.Directory
-	HCaches []*hammer.Cache
-	ML2     *mesi.L2
-	ML1s    []*mesi.L1
+	// The host's home node (one is nil).
+	HDir *hammer.Directory
+	ML2  *mesi.L2
 
-	// Accelerator handles (by organization). The per-device slices are
-	// flat across devices in build order; AccelL2 aliases AccelL2s[0]
-	// for single-device callers.
-	AccelL1s     []*accel.L1Cache // 1L XG organizations
-	InnerL1s     []*accel.InnerL1 // 2L XG organizations
-	AccelL2      *accel.SharedL2
-	AccelL2s     []*accel.SharedL2 // one per two-level device
-	WeakL1s      []*accel.WeakL1   // weak hierarchy (OrgXGWeak)
-	WeakL2C      *accel.WeakL2
-	AccelHCaches []*hammer.Cache // accel-side / host-side with hammer
-	AccelMCaches []*mesi.L1      // accel-side / host-side with MESI
+	// AccelL2 is device 0's shared accelerator L2 (two-level XG
+	// organizations); WeakL1s are the weak hierarchy's private L1s
+	// (OrgXGWeak).
+	AccelL2 *accel.SharedL2
+	WeakL1s []*accel.WeakL1
+
+	lat Latencies // the latency model Build routes with
 
 	// caches lists every cache Build wired, whatever its protocol, with its
 	// place in the machine; home is the host protocol's home node. The
@@ -327,16 +312,11 @@ type System struct {
 	caches []placedCache
 	home   homeView
 
-	// outstandingFns counts what is neither: guards and custom accelerators.
+	// crossings lists the node pairs routed across the host<->accelerator
+	// crossing (cross).
+	crossings [][2]coherence.NodeID
+	// outstandingFns counts the custom accelerators' open work.
 	outstandingFns []func() int
-	// guardAccelView maps each guard (by index in Guards) to a snapshot
-	// of its accelerator's resident lines (level 0=S,1=E,2=M), used by
-	// the audit to check Full State table exactness.
-	guardAccelView []func() map[mem.Addr]int
-	// accelSeqDevs holds, parallel to AccelSeqs, the device index each
-	// accelerator sequencer belongs to (consistency streams tag records
-	// with device+1 so the offline checker can attribute observations).
-	accelSeqDevs []int
 	// innerGroups pairs each two-level device's shared L2 with its own
 	// inner L1s, so the inner-hierarchy audit never mixes devices.
 	innerGroups []innerGroup
@@ -455,11 +435,15 @@ type innerGroup struct {
 // AccelSeqDevice returns the device index AccelSeqs[i] belongs to
 // (0 for the first accelerator; matches the d in "d<d>." names).
 func (s *System) AccelSeqDevice(i int) int {
-	if i < 0 || i >= len(s.accelSeqDevs) {
+	if i < 0 || i >= len(s.AccelSeqs) {
 		return 0
 	}
-	return s.accelSeqDevs[i]
+	return DeviceOf(s.AccelSeqs[i].ID())
 }
+
+// Crossings returns the node pairs Build routed across the
+// host<->accelerator crossing, each once; traffic flows both ways.
+func (s *System) Crossings() [][2]coherence.NodeID { return s.crossings }
 
 // Build wires the machine described by spec.
 func Build(spec Spec) *System {
@@ -496,14 +480,14 @@ func Build(spec Spec) *System {
 		reg = obs.NewRegistry()
 	}
 	fab.AttachObs(reg)
-	s := &System{Spec: spec, Eng: eng, Fab: fab, Mem: memory, Log: log, Obs: reg}
+	s := &System{Spec: spec, Eng: eng, Fab: fab, Mem: memory, Log: log, Obs: reg, lat: lat}
 
-	txnMods := spec.Org == OrgXGTxn1L || spec.Org == OrgXGTxn2L || spec.ForceTxnMods
-	switch spec.Host {
-	case HostHammer:
-		s.buildHammer(spec, lat, txnMods)
-	case HostMESI:
-		s.buildMESI(spec, lat, txnMods)
+	// The §3.2 host modifications serve the Transactional guard.
+	txnMods := spec.Org == OrgXGTxn1L || spec.Org == OrgXGTxn2L
+	if spec.Host == HostHammer {
+		s.build(s.hammerHost(txnMods))
+	} else {
+		s.build(s.mesiHost(txnMods))
 	}
 	if spec.Faults != nil && spec.Faults.Active() && len(s.Guards) > 0 {
 		inj := faults.NewInjector(*spec.Faults, fab)
@@ -523,38 +507,118 @@ func Build(spec Spec) *System {
 			sq.Rec = spec.Consistency.DeviceStream(i, sq.Name(), 0)
 		}
 		for j, sq := range s.AccelSeqs {
-			dev := 0
-			if j < len(s.accelSeqDevs) {
-				dev = s.accelSeqDevs[j]
-			}
-			sq.Rec = spec.Consistency.DeviceStream(len(s.CPUSeqs)+j, sq.Name(), dev+1)
+			sq.Rec = spec.Consistency.DeviceStream(len(s.CPUSeqs)+j, sq.Name(), s.AccelSeqDevice(j)+1)
 		}
 	}
 	return s
 }
 
-func (s *System) hammerCfg(small, txnMods bool) hammer.Config {
+// hostParts is what the device loop needs of a host protocol: the name
+// prefixes of its CPU and accelerator caches, and constructors for a cache
+// of the protocol (accelSide for an accelerator's own) and for a guard.
+type hostParts struct {
+	cpuName, accName string
+	cache            func(id coherence.NodeID, name string, accelSide bool) cacheView
+	guard            func(id, accelID coherence.NodeID, name string, cfg core.Config) *core.Guard
+}
+
+// hammerHost builds the hammer directory and returns hammer's parts. Every
+// cache and guard they build joins the directory's broadcast set, which
+// is sized up front: a requestor awaits every other member plus memory.
+func (s *System) hammerHost(txnMods bool) hostParts {
+	spec := s.Spec
 	cfg := hammer.DefaultConfig()
-	if small {
+	if spec.Small {
 		cfg.Sets, cfg.Ways = 2, 2
 	}
 	cfg.TxnMods = txnMods
-	return cfg
+	// An accelerator's own cache is sized like the accelerator L1 of the
+	// guard organizations, for a fair comparison.
+	acfg := cfg
+	if !spec.Small {
+		acfg.Sets, acfg.Ways = 64, 4
+	}
+	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
+	s.setHome(s.HDir)
+	// Each device adds one member per accelerator core, or one guard in
+	// front of its shared L2.
+	perDevice := spec.AccelCores
+	if spec.Org.TwoLevel() {
+		perDevice = 1
+	}
+	responses := spec.CPUs + spec.Accels*perDevice
+	return hostParts{cpuName: "hammer.C", accName: "hammer.A",
+		cache: func(id coherence.NodeID, name string, accelSide bool) cacheView {
+			ccfg := cfg
+			if accelSide {
+				ccfg = acfg
+			}
+			c := hammer.NewCache(id, name, s.Fab, nodeHost, responses, ccfg, s.Log)
+			s.HDir.AddPeer(id)
+			return c
+		},
+		guard: func(id, accelID coherence.NodeID, name string, gcfg core.Config) *core.Guard {
+			g := core.NewHammerGuard(id, name, s.Eng, s.Fab, accelID, nodeHost, responses, gcfg, s.Log)
+			s.HDir.AddPeer(id)
+			return g
+		},
+	}
 }
 
-func (s *System) mesiCfg(small, txnMods bool) mesi.Config {
+// mesiHost builds the MESI L2 and returns MESI's parts.
+func (s *System) mesiHost(txnMods bool) hostParts {
 	cfg := mesi.DefaultConfig()
-	if small {
+	if s.Spec.Small {
 		cfg.L1Sets, cfg.L1Ways = 2, 2
 		cfg.L2Sets, cfg.L2Ways = 4, 2
 	}
 	cfg.TxnMods = txnMods
-	return cfg
+	s.ML2 = mesi.NewL2(nodeHost, "mesi.L2", s.Eng, s.Fab, s.Mem, cfg, s.Log)
+	s.setHome(s.ML2)
+	return hostParts{cpuName: "mesi.L1", accName: "mesi.A",
+		cache: func(id coherence.NodeID, name string, _ bool) cacheView {
+			return mesi.NewL1(id, name, s.Fab, nodeHost, cfg, s.Log)
+		},
+		guard: func(id, accelID coherence.NodeID, name string, gcfg core.Config) *core.Guard {
+			return core.NewMESIGuard(id, name, s.Eng, s.Fab, accelID, nodeHost, gcfg, s.Log)
+		},
+	}
 }
 
-func (s *System) accelCfg(small bool) accel.Config {
+// build wires the CPU cores, then each accelerator device in turn, out of
+// the host's parts.
+func (s *System) build(h hostParts) {
+	spec := s.Spec
+	for i := 0; i < spec.CPUs; i++ {
+		c := h.cache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("%s[%d]", h.cpuName, i), false)
+		s.register(c, cpuCache)
+		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, c.ID())
+		s.CPUSeqs = append(s.CPUSeqs, sq)
+		s.link(sq.ID(), c.ID(), s.lat.CoreToCache, 0)
+	}
+	for d := 0; d < spec.Accels; d++ {
+		switch {
+		case !spec.Org.UsesXG():
+			for i := 0; i < spec.AccelCores; i++ {
+				c := h.cache(devID(d, nodeAccel, i), devName(d, fmt.Sprintf("%s[%d]", h.accName, i)), true)
+				s.register(c, hostProtoCache)
+				s.routeHostProtoCache(s.accelSeq(d, i, c.ID()), c.ID())
+			}
+		case spec.Org.TwoLevel():
+			xgID, l2ID := devID(d, nodeXG, 0), devID(d, nodeAccelL2, 0)
+			s.buildTwoLevelAccel(s.addGuard(h, d, xgID, l2ID, "xg"), xgID, l2ID, d)
+		default:
+			for i := 0; i < spec.AccelCores; i++ {
+				xgID, acID := devID(d, nodeXG, i), devID(d, nodeAccel, i)
+				s.attachAccelL1(s.addGuard(h, d, xgID, acID, fmt.Sprintf("xg[%d]", i)), xgID, acID, d, i)
+			}
+		}
+	}
+}
+
+func (s *System) accelCfg() accel.Config {
 	cfg := accel.DefaultConfig()
-	if small {
+	if s.Spec.Small {
 		cfg.L1Sets, cfg.L1Ways = 2, 2
 		cfg.L2Sets, cfg.L2Ways = 4, 2
 	}
@@ -566,129 +630,72 @@ func (s *System) accelCfg(small bool) accel.Config {
 	return cfg
 }
 
-func (s *System) guardCfg(spec Spec, lat Latencies) core.Config {
-	return core.Config{
+// addGuard builds device d's guard at xgID in front of accelID, and routes
+// the link between them across the crossing.
+func (s *System) addGuard(h hostParts, d int, xgID, accelID coherence.NodeID, name string) *core.Guard {
+	spec := s.Spec
+	g := h.guard(xgID, accelID, devName(d, name), core.Config{
 		Mode:            spec.Org.Mode(),
 		Perms:           spec.Perms,
 		Timeout:         spec.Timeout,
-		GuardLat:        lat.GuardLat,
+		GuardLat:        s.lat.GuardLat,
 		Rate:            spec.Rate,
-		DisableAfter:    spec.DisableAfter,
 		RecallRetries:   spec.RecallRetries,
 		QuarantineAfter: spec.QuarantineAfter,
 		RecoverAfter:    spec.RecoverAfter,
 		Spans:           spec.Spans,
-	}
+	})
+	g.SetAccelTag(d)
+	g.AttachObs(s.Obs)
+	s.Guards = append(s.Guards, g)
+	s.cross(accelID, xgID, network.Config{Jitter: s.lat.Jitter, Ordered: true})
+	return g
 }
 
-func (s *System) buildHammer(spec Spec, lat Latencies, txnMods bool) {
-	cfg := s.hammerCfg(spec.Small, txnMods)
-	s.HDir = hammer.NewDirectory(nodeHost, "hammer.dir", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.setHome(s.HDir)
-
-	// Count the caches that will participate in broadcasts (each
-	// accelerator device contributes its own set).
-	nCaches := spec.CPUs
-	switch spec.Org {
-	case OrgAccelSide, OrgHostSide:
-		nCaches += spec.Accels * spec.AccelCores
-	case OrgXGFull1L, OrgXGTxn1L:
-		nCaches += spec.Accels * spec.AccelCores // one guard per accelerator core
-	default:
-		nCaches += spec.Accels // one guard in front of each shared accelerator L2
+// attachCustom hands the accelerator side of guard g to Spec.CustomAccel.
+func (s *System) attachCustom(g *core.Guard, xgID, accelID coherence.NodeID) {
+	if fn := s.Spec.CustomAccel(s, accelID, xgID); fn != nil {
+		s.outstandingFns = append(s.outstandingFns, fn)
 	}
+	g.SetResetHook(s.deviceResetHook(accelID))
+}
 
-	nCaches += spec.ExtraHammerPeers
-	responses := nCaches // (nCaches-1 peers) + 1 memory response
+// accelSeq builds the sequencer of device d's core i, in front of cache.
+func (s *System) accelSeq(d, i int, cache coherence.NodeID) *seq.Sequencer {
+	sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, cache)
+	s.AccelSeqs = append(s.AccelSeqs, sq)
+	return sq
+}
 
-	for i := 0; i < spec.CPUs; i++ {
-		c := hammer.NewCache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
-			s.Fab, nodeHost, responses, cfg, s.Log)
-		s.HCaches = append(s.HCaches, c)
-		s.register(c, cpuCache)
-		s.HDir.AddPeer(c.ID())
-		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, c.ID())
-		s.CPUSeqs = append(s.CPUSeqs, sq)
-		s.Fab.SetRoutePair(sq.ID(), c.ID(), network.Config{Latency: lat.CoreToCache, Ordered: true})
+// routeHostProtoCache routes an accelerator core's cache of the host
+// protocol (Fig. 2a/2b) and its sequencer sq.
+func (s *System) routeHostProtoCache(sq *seq.Sequencer, c coherence.NodeID) {
+	if s.Spec.Org == OrgHostSide {
+		// Cache at the host: every access crosses.
+		s.cross(sq.ID(), c, network.Config{Ordered: true})
+		return
 	}
-
-	for d := 0; d < spec.Accels; d++ {
-		switch spec.Org {
-		case OrgAccelSide, OrgHostSide:
-			// The accelerator's cache is sized like the accelerator L1 of
-			// the guard organizations, for a fair comparison.
-			acfg := cfg
-			if !spec.Small {
-				acfg.Sets, acfg.Ways = 64, 4
-			}
-			for i := 0; i < spec.AccelCores; i++ {
-				id := devID(d, nodeAccel, i)
-				c := hammer.NewCache(id, devName(d, fmt.Sprintf("hammer.A[%d]", i)),
-					s.Fab, nodeHost, responses, acfg, s.Log)
-				s.AccelHCaches = append(s.AccelHCaches, c)
-				s.register(c, hostProtoCache)
-				s.HDir.AddPeer(c.ID())
-				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, c.ID())
-				s.AccelSeqs = append(s.AccelSeqs, sq)
-				s.accelSeqDevs = append(s.accelSeqDevs, d)
-				if spec.Org == OrgAccelSide {
-					// Cache at the accelerator: cheap hits, every protocol
-					// message crosses.
-					s.Fab.SetRoutePair(sq.ID(), c.ID(), network.Config{Latency: lat.CoreToCache, Ordered: true})
-					s.crossingRoutes(c.ID(), lat)
-				} else {
-					// Cache at the host: every access crosses.
-					s.Fab.SetRoutePair(sq.ID(), c.ID(), network.Config{Latency: lat.Crossing, Ordered: true})
-				}
-			}
-		case OrgXGFull1L, OrgXGTxn1L:
-			for i := 0; i < spec.AccelCores; i++ {
-				xgID := devID(d, nodeXG, i)
-				acID := devID(d, nodeAccel, i)
-				g := core.NewHammerGuard(xgID, devName(d, fmt.Sprintf("xg[%d]", i)), s.Eng, s.Fab,
-					acID, nodeHost, responses, s.guardCfg(spec, lat), s.Log)
-				g.SetAccelTag(d)
-				g.AttachObs(s.Obs)
-				s.Guards = append(s.Guards, g)
-				s.HDir.AddPeer(g.ID())
-				s.outstandingFns = append(s.outstandingFns, g.Outstanding)
-				s.attachAccelL1(spec, lat, g, acID, xgID, d, i)
-			}
-		default: // two-level
-			xgID := devID(d, nodeXG, 0)
-			g := core.NewHammerGuard(xgID, devName(d, "xg"), s.Eng, s.Fab,
-				devID(d, nodeAccelL2, 0), nodeHost, responses, s.guardCfg(spec, lat), s.Log)
-			g.SetAccelTag(d)
-			g.AttachObs(s.Obs)
-			s.Guards = append(s.Guards, g)
-			s.HDir.AddPeer(g.ID())
-			s.outstandingFns = append(s.outstandingFns, g.Outstanding)
-			s.buildTwoLevelAccel(spec, lat, g, xgID, d)
-		}
+	// Cache at the accelerator: cheap hits, every protocol message crosses.
+	s.link(sq.ID(), c, s.lat.CoreToCache, 0)
+	cfg := network.Config{Jitter: s.lat.Jitter, Ordered: true}
+	s.cross(c, nodeHost, cfg)
+	for i := 0; i < s.Spec.CPUs; i++ {
+		s.cross(c, nodeCPU+coherence.NodeID(i), cfg)
 	}
 }
 
 // attachAccelL1 wires device d's single-level accelerator cache (or the
 // custom accelerator provided by the spec) behind guard g, including the
 // guard's device-reset hook for quarantine recovery.
-func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xgID coherence.NodeID, d, i int) {
-	s.Fab.SetRoutePair(acID, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
-	if spec.CustomAccel != nil {
-		s.guardAccelView = append(s.guardAccelView, nil)
-		if fn := spec.CustomAccel(s, acID, xgID); fn != nil {
-			s.outstandingFns = append(s.outstandingFns, fn)
-		}
-		g.SetResetHook(s.deviceResetHook(acID))
+func (s *System) attachAccelL1(g *core.Guard, xgID, acID coherence.NodeID, d, i int) {
+	if s.Spec.CustomAccel != nil {
+		s.attachCustom(g, xgID, acID)
 		return
 	}
-	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Fab, xgID, s.accelCfg(spec.Small))
-	s.AccelL1s = append(s.AccelL1s, l1)
+	l1 := accel.NewL1Cache(acID, devName(d, fmt.Sprintf("accelL1[%d]", i)), s.Fab, xgID, s.accelCfg())
 	s.register(l1, guardedCache)
-	s.guardAccelView = append(s.guardAccelView, heldView(l1))
-	sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, acID)
-	s.AccelSeqs = append(s.AccelSeqs, sq)
-	s.accelSeqDevs = append(s.accelSeqDevs, d)
-	s.Fab.SetRoutePair(sq.ID(), acID, network.Config{Latency: lat.CoreToCache, Ordered: true})
+	sq := s.accelSeq(d, i, acID)
+	s.link(sq.ID(), acID, s.lat.CoreToCache, 0)
 	// Device reset: abort the core's in-flight operations first (no
 	// completions will come), then wipe the cache under the new epoch.
 	// sq.Rec is attached after build; the closure reads it at fire time.
@@ -699,107 +706,37 @@ func (s *System) attachAccelL1(spec Spec, lat Latencies, g *core.Guard, acID, xg
 	})
 }
 
-func (s *System) buildMESI(spec Spec, lat Latencies, txnMods bool) {
-	cfg := s.mesiCfg(spec.Small, txnMods)
-	s.ML2 = mesi.NewL2(nodeHost, "mesi.L2", s.Eng, s.Fab, s.Mem, cfg, s.Log)
-	s.setHome(s.ML2)
-
-	for i := 0; i < spec.CPUs; i++ {
-		l1 := mesi.NewL1(nodeCPU+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i),
-			s.Fab, nodeHost, cfg, s.Log)
-		s.ML1s = append(s.ML1s, l1)
-		s.register(l1, cpuCache)
-		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, l1.ID())
-		s.CPUSeqs = append(s.CPUSeqs, sq)
-		s.Fab.SetRoutePair(sq.ID(), l1.ID(), network.Config{Latency: lat.CoreToCache, Ordered: true})
-	}
-
-	for d := 0; d < spec.Accels; d++ {
-		switch spec.Org {
-		case OrgAccelSide, OrgHostSide:
-			for i := 0; i < spec.AccelCores; i++ {
-				id := devID(d, nodeAccel, i)
-				l1 := mesi.NewL1(id, devName(d, fmt.Sprintf("mesi.A[%d]", i)), s.Fab, nodeHost, cfg, s.Log)
-				s.AccelMCaches = append(s.AccelMCaches, l1)
-				s.register(l1, hostProtoCache)
-				sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)
-				s.AccelSeqs = append(s.AccelSeqs, sq)
-				s.accelSeqDevs = append(s.accelSeqDevs, d)
-				if spec.Org == OrgAccelSide {
-					s.Fab.SetRoutePair(sq.ID(), id, network.Config{Latency: lat.CoreToCache, Ordered: true})
-					s.crossingRoutes(id, lat)
-				} else {
-					s.Fab.SetRoutePair(sq.ID(), id, network.Config{Latency: lat.Crossing, Ordered: true})
-				}
-			}
-		case OrgXGFull1L, OrgXGTxn1L:
-			for i := 0; i < spec.AccelCores; i++ {
-				xgID := devID(d, nodeXG, i)
-				acID := devID(d, nodeAccel, i)
-				g := core.NewMESIGuard(xgID, devName(d, fmt.Sprintf("xg[%d]", i)), s.Eng, s.Fab,
-					acID, nodeHost, s.guardCfg(spec, lat), s.Log)
-				g.SetAccelTag(d)
-				g.AttachObs(s.Obs)
-				s.Guards = append(s.Guards, g)
-				s.outstandingFns = append(s.outstandingFns, g.Outstanding)
-				s.attachAccelL1(spec, lat, g, acID, xgID, d, i)
-			}
-		default:
-			xgID := devID(d, nodeXG, 0)
-			g := core.NewMESIGuard(xgID, devName(d, "xg"), s.Eng, s.Fab,
-				devID(d, nodeAccelL2, 0), nodeHost, s.guardCfg(spec, lat), s.Log)
-			g.SetAccelTag(d)
-			g.AttachObs(s.Obs)
-			s.Guards = append(s.Guards, g)
-			s.outstandingFns = append(s.outstandingFns, g.Outstanding)
-			s.buildTwoLevelAccel(spec, lat, g, xgID, d)
-		}
-	}
-}
-
 // buildTwoLevelAccel wires device d's Figure 2d accelerator: inner L1s
-// behind the device's shared accelerator L2 which talks to guard g,
-// including the guard's device-reset hook for quarantine recovery.
-func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgID coherence.NodeID, d int) {
-	l2ID := devID(d, nodeAccelL2, 0)
-	if spec.Org == OrgXGWeak && spec.CustomAccel == nil {
+// behind the device's shared accelerator L2 at l2ID, which talks to guard
+// g, including the guard's device-reset hook for quarantine recovery.
+func (s *System) buildTwoLevelAccel(g *core.Guard, xgID, l2ID coherence.NodeID, d int) {
+	if s.Spec.CustomAccel != nil {
+		s.attachCustom(g, xgID, l2ID)
+		return
+	}
+	if s.Spec.Org == OrgXGWeak {
 		// The weak hierarchy predates the epoch protocol and does not
 		// participate in quarantine recovery (no reset hook is wired).
-		s.buildWeakAccel(spec, lat, xgID)
+		s.buildWeakAccel(xgID)
 		return
 	}
-	if spec.CustomAccel != nil {
-		s.guardAccelView = append(s.guardAccelView, nil)
-		s.Fab.SetRoutePair(l2ID, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
-		if fn := spec.CustomAccel(s, l2ID, xgID); fn != nil {
-			s.outstandingFns = append(s.outstandingFns, fn)
-		}
-		g.SetResetHook(s.deviceResetHook(l2ID))
-		return
-	}
-	acfg := s.accelCfg(spec.Small)
+	acfg := s.accelCfg()
 	l2 := accel.NewSharedL2(l2ID, devName(d, "accelL2"), s.Eng, s.Fab, xgID, acfg)
 	if d == 0 {
 		s.AccelL2 = l2
 	}
-	s.AccelL2s = append(s.AccelL2s, l2)
 	s.register(l2, guardedCache)
 	group := innerGroup{l2: l2}
-	s.guardAccelView = append(s.guardAccelView, heldView(l2))
-	s.Fab.SetRoutePair(l2ID, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
 	var seqs []*seq.Sequencer
-	for i := 0; i < spec.AccelCores; i++ {
+	for i := 0; i < s.Spec.AccelCores; i++ {
 		id := devID(d, nodeAccel, i)
 		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
-		s.InnerL1s = append(s.InnerL1s, l1)
 		s.register(l1, innerCache)
 		group.l1s = append(group.l1s, l1)
-		sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, id)
-		s.AccelSeqs = append(s.AccelSeqs, sq)
+		sq := s.accelSeq(d, i, id)
 		seqs = append(seqs, sq)
-		s.accelSeqDevs = append(s.accelSeqDevs, d)
-		s.Fab.SetRoutePair(sq.ID(), id, network.Config{Latency: lat.CoreToCache, Ordered: true})
-		s.Fab.SetRoutePair(id, l2ID, network.Config{Latency: lat.AccelHop, Jitter: 1, Ordered: true})
+		s.link(sq.ID(), id, s.lat.CoreToCache, 0)
+		s.link(id, l2ID, s.lat.AccelHop, 1)
 	}
 	s.innerGroups = append(s.innerGroups, group)
 	// Device reset: abort every core's operations, then wipe the whole
@@ -820,33 +757,32 @@ func (s *System) buildTwoLevelAccel(spec Spec, lat Latencies, g *core.Guard, xgI
 
 // buildWeakAccel wires the weakly-coherent hierarchy: incoherent WeakL1s
 // behind a host-coherent WeakL2 talking to the guard.
-func (s *System) buildWeakAccel(spec Spec, lat Latencies, xgID coherence.NodeID) {
-	acfg := s.accelCfg(spec.Small)
-	s.WeakL2C = accel.NewWeakL2(nodeAccelL2, "weakL2", s.Eng, s.Fab, xgID, acfg)
-	s.register(s.WeakL2C, guardedCache)
-	s.guardAccelView = append(s.guardAccelView, heldView(s.WeakL2C))
-	s.Fab.SetRoutePair(nodeAccelL2, xgID, network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true})
-	for i := 0; i < spec.AccelCores; i++ {
+func (s *System) buildWeakAccel(xgID coherence.NodeID) {
+	acfg := s.accelCfg()
+	l2 := accel.NewWeakL2(nodeAccelL2, "weakL2", s.Eng, s.Fab, xgID, acfg)
+	s.register(l2, guardedCache)
+	for i := 0; i < s.Spec.AccelCores; i++ {
 		id := nodeAccel + coherence.NodeID(i)
 		l1 := accel.NewWeakL1(id, fmt.Sprintf("weakL1[%d]", i), s.Eng, s.Fab, nodeAccelL2, acfg)
 		s.WeakL1s = append(s.WeakL1s, l1)
 		s.register(l1, innerCache)
-		sq := seq.New(nodeAccSeq+coherence.NodeID(i), fmt.Sprintf("acc[%d]", i), s.Eng, s.Fab, id)
-		s.AccelSeqs = append(s.AccelSeqs, sq)
-		s.accelSeqDevs = append(s.accelSeqDevs, 0)
-		s.Fab.SetRoutePair(sq.ID(), id, network.Config{Latency: lat.CoreToCache, Ordered: true})
-		s.Fab.SetRoutePair(id, nodeAccelL2, network.Config{Latency: lat.AccelHop, Jitter: 1, Ordered: true})
+		sq := s.accelSeq(0, i, id)
+		s.link(sq.ID(), id, s.lat.CoreToCache, 0)
+		s.link(id, nodeAccelL2, s.lat.AccelHop, 1)
 	}
 }
 
-// crossingRoutes makes every channel between node and host components pay
-// the crossing latency (accel-side organization).
-func (s *System) crossingRoutes(node coherence.NodeID, lat Latencies) {
-	cfg := network.Config{Latency: lat.Crossing, Jitter: lat.Jitter, Ordered: true}
-	s.Fab.SetRoutePair(node, nodeHost, cfg)
-	for i := 0; i < s.Spec.CPUs; i++ {
-		s.Fab.SetRoutePair(node, nodeCPU+coherence.NodeID(i), cfg)
-	}
+// link routes a<->b inside the host or inside a device.
+func (s *System) link(a, b coherence.NodeID, lat, jitter sim.Time) {
+	s.Fab.SetRoutePair(a, b, network.Config{Latency: lat, Jitter: jitter, Ordered: true})
+}
+
+// cross routes a<->b across the host<->accelerator crossing, at the
+// crossing latency, and records the pair (Crossings).
+func (s *System) cross(a, b coherence.NodeID, cfg network.Config) {
+	cfg.Latency = s.lat.Crossing
+	s.Fab.SetRoutePair(a, b, cfg)
+	s.crossings = append(s.crossings, [2]coherence.NodeID{a, b})
 }
 
 // --- tester.System implementation ---
@@ -867,6 +803,9 @@ func (s *System) Outstanding() int {
 	for _, c := range s.caches {
 		n += c.Outstanding()
 	}
+	for _, g := range s.Guards {
+		n += g.Outstanding()
+	}
 	for _, fn := range s.outstandingFns {
 		n += fn()
 	}
@@ -874,13 +813,4 @@ func (s *System) Outstanding() int {
 		n += sq.Outstanding()
 	}
 	return n
-}
-
-// heldView snapshots the stable lines of the cache a guard fronts.
-func heldView(c cacheView) func() map[mem.Addr]int {
-	return func() map[mem.Addr]int {
-		out := map[mem.Addr]int{}
-		c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) { out[addr] = int(lvl) })
-		return out
-	}
 }

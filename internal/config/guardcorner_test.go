@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,30 +177,28 @@ func TestAuditGuardTableMismatchStable(t *testing.T) {
 			if n := s.Guards[0].TableEntries(); n != 8 {
 				t.Fatalf("guard table holds %d lines, want 8", n)
 			}
-			view := s.guardAccelView[0]
-			broken := func(lines map[mem.Addr]int) {}
-			s.guardAccelView[0] = func() map[mem.Addr]int {
-				lines := view()
-				broken(lines)
-				return lines
+			// Wrap the registered accelerator L1 so it lies about its lines.
+			lying := &lyingCopy{}
+			for i, c := range s.caches {
+				if c.ID() == s.Guards[0].AccelID() {
+					lying.cacheView = c.cacheView
+					s.caches[i].cacheView = lying
+				}
 			}
 			cases := []struct {
-				name   string
-				broken func(map[mem.Addr]int)
-				want   string
+				name      string
+				hide, add []mem.Addr
+				want      string
 			}{
-				{"two table lines the accelerator lacks", func(lines map[mem.Addr]int) {
-					delete(lines, 0x3080)
-					delete(lines, 0x3140)
-				}, "table records 0x3080 but the accelerator does not hold it"},
-				{"two accelerator lines the table lacks", func(lines map[mem.Addr]int) {
-					lines[0x5040], lines[0x5000] = 0, 0
-				}, "accelerator holds 0x5000 but the guard table does not"},
+				{"two table lines the accelerator lacks", []mem.Addr{0x3140, 0x3080}, nil,
+					"table records 0x3080 but the accelerator does not hold it"},
+				{"two accelerator lines the table lacks", nil, []mem.Addr{0x5040, 0x5000},
+					"accelerator holds 0x5000 but the guard table does not"},
 			}
 			for _, c := range cases {
-				broken = c.broken
+				lying.hide, lying.add = c.hide, c.add
 				for run := 0; run < 50; run++ {
-					err := s.auditGuardTables(nil)
+					err := s.auditGuardTables()
 					if err == nil || !strings.Contains(err.Error(), c.want) {
 						t.Fatalf("%s, run %d: audit says %v, want %q", c.name, run, err, c.want)
 					}
@@ -225,6 +224,24 @@ func (strayCopy) WBPending() int                { return 0 }
 func (strayCopy) Coverage() *coherence.Coverage { return nil }
 func (c strayCopy) Held(fn chassis.HeldFunc)    { fn(c.addr, c.lvl, c.data, false) }
 
+// lyingCopy wraps a registered cache and misreports its lines: it hides
+// the lines in hide and claims the lines in add, shared.
+type lyingCopy struct {
+	cacheView
+	hide, add []mem.Addr
+}
+
+func (c *lyingCopy) Held(fn chassis.HeldFunc) {
+	c.cacheView.Held(func(addr mem.Addr, lvl chassis.Level, data *mem.Block, dirty bool) {
+		if !slices.Contains(c.hide, addr) {
+			fn(addr, lvl, data, dirty)
+		}
+	})
+	for _, addr := range c.add {
+		fn(addr, chassis.Shared, nil, false)
+	}
+}
+
 // TestAuditSharersOnlyBesideOwned pins the SWMR rule on the MOESI host: a
 // sharer may sit beside an O owner and beside no other. The audit once
 // tolerated sharers beside any M-or-O owner on hammer, so "M beside
@@ -242,7 +259,8 @@ func TestAuditSharersOnlyBesideOwned(t *testing.T) {
 		return s
 	}
 	held := func(s *System) (lvl chassis.Level, data *mem.Block) {
-		s.HCaches[0].Held(func(a mem.Addr, l chassis.Level, d *mem.Block, _ bool) {
+		// CPU 0's cache is the first one Build registers.
+		s.caches[0].Held(func(a mem.Addr, l chassis.Level, d *mem.Block, _ bool) {
 			if a == addr {
 				lvl, data = l, d
 			}

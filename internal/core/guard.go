@@ -118,10 +118,6 @@ type Config struct {
 	GuardLat sim.Time
 	// Rate, when non-nil, bounds accelerator request bandwidth (§2.5).
 	Rate *RateLimit
-	// DisableAfter disables the accelerator after this many guarantee
-	// violations (0 = never disable); disabled accelerators have their
-	// requests dropped while the guard keeps answering the host.
-	DisableAfter int
 	// RecallRetries re-sends Invalidate up to this many times when a
 	// recall deadline expires, doubling the deadline each attempt, before
 	// the 2c watchdog answers on the accelerator's behalf. 0 keeps the
@@ -132,8 +128,8 @@ type Config struct {
 	// violations (0 = never): open recalls resolve from trusted state,
 	// the Full State table's lines are reclaimed by the guard, further
 	// requests are nacked, and the host keeps running on trusted copies.
-	// Unlike DisableAfter's silent drop, quarantine keeps answering so a
-	// confused-but-live accelerator observes its fencing.
+	// Nacking rather than dropping lets a confused-but-live accelerator
+	// observe its fencing.
 	QuarantineAfter int
 	// RecoverAfter enables quarantine recovery: after this many ticks of
 	// backoff, doubled for every earlier readmission, a quarantined device
@@ -204,8 +200,6 @@ type Guard struct {
 	// callbacks, which only read their data, run.
 	trusted mem.Block
 
-	// Disabled is set once the error policy shuts the accelerator out.
-	Disabled bool
 	// Quarantined is set once the quarantine policy fences the
 	// accelerator (graceful degradation: the host keeps running on
 	// trusted state, the accelerator is nacked).
@@ -475,7 +469,7 @@ func (g *Guard) metricSuffix() string { return "@a" + strconv.Itoa(g.accelTag) }
 // AttachObs registers the guard's instruments with r: the
 // guard.check.pass counter (requests that cleared every guarantee
 // check), per-code guard.violation.<code> counters (XG.G0a .. XG.G2c,
-// XG.BadMessage, XG.BadSource, XG.Disabled), and the xg.crossing.ticks
+// XG.BadMessage, XG.BadSource), and the xg.crossing.ticks
 // histogram measuring request acceptance to grant/writeback-ack. Each
 // pass/violation counter also increments a per-accelerator variant
 // suffixed "@a<device>" so reports can break guarantee outcomes down by
@@ -655,15 +649,6 @@ func (g *Guard) violation(code, detail string, addr mem.Addr) {
 	g.sink.ReportError(coherence.ProtocolError{
 		Where: g.name, Code: code, Addr: addr, Detail: detail,
 	})
-	if g.cfg.DisableAfter > 0 && g.errors >= g.cfg.DisableAfter && !g.Disabled {
-		g.Disabled = true
-		g.wakeAll() // parked requests are dropped like new arrivals
-		g.countViolation("XG.Disabled")
-		g.sink.ReportError(coherence.ProtocolError{
-			Where: g.name, Code: "XG.Disabled", Addr: addr,
-			Detail: fmt.Sprintf("accelerator disabled after %d violations", g.errors),
-		})
-	}
 	if g.cfg.QuarantineAfter > 0 && g.errors >= g.cfg.QuarantineAfter && !g.Quarantined {
 		g.enterQuarantine(addr)
 	}
@@ -741,10 +726,6 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 		g.sendToAccelAfter(coherence.ANack, addr, nil, 0)
 		return
 	}
-	if g.Disabled {
-		g.ReqsBlocked++
-		return
-	}
 	arrive := g.eng.Now()
 	// §2.5: rate-limit requests (responses are never delayed). The
 	// limiter hands out a single wait per request (queue semantics).
@@ -766,10 +747,6 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 // recall is parked, and runs through here again, from the top, in the
 // tick that closes it.
 func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
-	if g.Disabled {
-		g.ReqsBlocked++
-		return
-	}
 	addr := m.Addr.Line()
 
 	// Guarantee 0: page permissions.

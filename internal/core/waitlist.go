@@ -12,14 +12,13 @@ import (
 // — one pooled record, no engine event — and every site that changes what
 // it waits on calls wake: the line's accelerator transaction opening or
 // closing (openTxn, closeTxn), a recall opening or closing (startRecall,
-// closeRecall), a host get or writeback retiring (the shims' response
-// handlers, retirePut), and the error policy disabling the accelerator
-// (wakeAll). wake never re-runs a request itself: the close sites sit in
-// the middle of handlers that are still updating the line, so it only queues
-// the line and arms one delay-0 engine event; that event re-runs the line's
-// parked requests, in arrival order, through processAccelRequest — the
-// same checks a fresh arrival gets, so a woken request may be accepted,
-// resolve a recall, be reported, or park again.
+// closeRecall), and a host get or writeback retiring (the shims' response
+// handlers, retirePut). wake never re-runs a request itself: the close
+// sites sit in the middle of handlers that are still updating the line, so
+// it only queues the line and arms one delay-0 engine event; that event
+// re-runs the line's parked requests, in arrival order, through
+// processAccelRequest — the same checks a fresh arrival gets, so a woken
+// request may be accepted, resolve a recall, be reported, or park again.
 
 // parkedReq is one held accelerator request.
 type parkedReq struct {
@@ -67,16 +66,6 @@ func (g *Guard) wake(l *line) {
 	if !g.wakeArmed {
 		g.wakeArmed = true
 		g.eng.ScheduleEvent(0, &g.wakeEv)
-	}
-}
-
-// wakeAll wakes every line with parked requests, in address order.
-func (g *Guard) wakeAll() {
-	if g.parkedNow == 0 {
-		return
-	}
-	for _, l := range g.sortedLines(hasParked) {
-		g.wake(l)
 	}
 }
 

@@ -183,25 +183,6 @@ func TestWakeEdges(t *testing.T) {
 			},
 		},
 		{
-			name:  "Disabled set while parked",
-			cfg:   Config{DisableAfter: 1},
-			setup: parkGetBehindRecall,
-			closing: func(r *coreRig) {
-				r.g.Recv(accelMsg(coherence.AInvAck, 0x1000, nil)) // G2b: disables
-			},
-			check: func(t *testing.T, r *coreRig) {
-				if !r.g.Disabled {
-					t.Fatal("guard not disabled")
-				}
-				if r.g.ReqsBlocked != 1 {
-					t.Fatalf("ReqsBlocked = %d, want 1 (the parked Get)", r.g.ReqsBlocked)
-				}
-				if _, _, ok := acceptedAt(r.g); ok || len(r.shim.gets) != 0 {
-					t.Fatal("parked Get was accepted by a disabled guard")
-				}
-			},
-		},
-		{
 			name: "two requests on one line released in arrival order",
 			setup: func(r *coreRig) {
 				parkGetBehindRecall(r)

@@ -275,45 +275,6 @@ func permTable() *perm.Table {
 	return t
 }
 
-// TestDisablePolicy: after DisableAfter violations the guard shuts the
-// accelerator out but keeps answering the host.
-func TestDisablePolicy(t *testing.T) {
-	var att *Attacker
-	spec := config.Spec{
-		Host: config.HostMESI, Org: config.OrgXGFull1L, CPUs: 2, AccelCores: 1,
-		Seed: 31, Timeout: 3000, DisableAfter: 3,
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			att = NewAttacker(accelID, xgID, s.Eng, s.Fab, 32, pool())
-			att.Policy = InvCorrectAck
-			return nil
-		},
-	}
-	s := config.Build(spec)
-	for i := 0; i < 5; i++ {
-		att.Send(coherence.ADirtyWB, mem.Addr(0x10000+i*64), mem.Zero()) // G2b x5
-	}
-	s.Eng.RunUntilQuiet()
-	if !s.Guards[0].Disabled {
-		t.Fatal("guard did not disable the accelerator")
-	}
-	// Requests after disablement are dropped without response.
-	att.Send(coherence.AGetS, 0x10000, nil)
-	s.Eng.RunUntilQuiet()
-	if att.Grants != 0 {
-		t.Fatal("disabled accelerator still received a grant")
-	}
-	// The host continues normally.
-	done := false
-	s.CPUSeqs[0].Store(0x10000, 5, func(*seq.Op) { done = true })
-	s.Eng.RunUntilQuiet()
-	if !done {
-		t.Fatal("host wedged after accelerator disablement")
-	}
-	if err := s.AuditHostOnly(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSnoopFiltering (paper §3.2): the guard answers host snoops for
 // blocks the accelerator cannot access without consulting it, closing the
 // coherence side channel and saving crossings.

@@ -50,7 +50,7 @@ var knownCodes = map[string]bool{
 	"XG.G0a": true, "XG.G0b": true,
 	"XG.G1a": true, "XG.G1b": true,
 	"XG.G2a": true, "XG.G2b": true, "XG.G2c": true,
-	"XG.Disabled": true, "XG.HostAnomaly": true, "XG.HostNack": true,
+	"XG.HostAnomaly": true, "XG.HostNack": true,
 	"HOST.AckAsData": true, "HOST.MultiData": true, "HOST.NoData": true,
 	"HOST.UnexpectedNack": true, "HOST.WBAsAck": true,
 }

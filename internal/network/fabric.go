@@ -370,6 +370,15 @@ func (f *Fabric) SetRoutePair(a, b coherence.NodeID, cfg Config) {
 	f.SetRoute(b, a, cfg)
 }
 
+// Route returns the channel configuration for src->dst: its override, or
+// the fabric's defaults.
+func (f *Fabric) Route(src, dst coherence.NodeID) Config {
+	if cfg, ok := f.routes[chanKey{src, dst}]; ok {
+		return cfg
+	}
+	return f.defaults
+}
+
 // open creates the channel k on its first send, or returns nil when
 // k.dst is not registered: no channel is kept for an unknown node, so one
 // registered later is found by the next send to it.
@@ -378,11 +387,7 @@ func (f *Fabric) open(k chanKey) *channel {
 	if !ok {
 		return nil
 	}
-	cfg, ok := f.routes[k]
-	if !ok {
-		cfg = f.defaults
-	}
-	ch := &channel{cfg: cfg, dst: dst}
+	ch := &channel{cfg: f.Route(k.src, k.dst), dst: dst}
 	f.chans[k.packed()] = ch
 	return ch
 }

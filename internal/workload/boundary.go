@@ -3,67 +3,14 @@ package workload
 import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
-	"crossingguard/internal/network"
 )
 
-// boundaryPairs returns the directed node pairs that constitute the
-// host<->accelerator crossing for the system's organization.
-func boundaryPairs(sys *config.System) [][2]coherence.NodeID {
-	var pairs [][2]coherence.NodeID
-	both := func(a, b coherence.NodeID) {
-		pairs = append(pairs, [2]coherence.NodeID{a, b}, [2]coherence.NodeID{b, a})
-	}
-	switch {
-	case len(sys.Guards) > 0 && sys.AccelL2 != nil:
-		both(sys.AccelL2.ID(), sys.Guards[0].ID())
-	case len(sys.Guards) > 0:
-		for i, g := range sys.Guards {
-			both(sys.AccelL1s[i].ID(), g.ID())
-		}
-	case sys.Spec.Org == config.OrgHostSide:
-		// The crossing is between the accelerator sequencers and the
-		// host-side caches.
-		for i, sq := range sys.AccelSeqs {
-			if len(sys.AccelHCaches) > 0 {
-				both(sq.ID(), sys.AccelHCaches[i].ID())
-			} else {
-				both(sq.ID(), sys.AccelMCaches[i].ID())
-			}
-		}
-	default: // accel-side: the accel's host-protocol cache talks across
-		hostNodes := []coherence.NodeID{}
-		if sys.HDir != nil {
-			hostNodes = append(hostNodes, sys.HDir.ID())
-			for _, c := range sys.HCaches {
-				hostNodes = append(hostNodes, c.ID())
-			}
-		} else {
-			hostNodes = append(hostNodes, sys.ML2.ID())
-			for _, c := range sys.ML1s {
-				hostNodes = append(hostNodes, c.ID())
-			}
-		}
-		var accNodes []coherence.NodeID
-		for _, c := range sys.AccelHCaches {
-			accNodes = append(accNodes, c.ID())
-		}
-		for _, c := range sys.AccelMCaches {
-			accNodes = append(accNodes, c.ID())
-		}
-		for _, a := range accNodes {
-			for _, h := range hostNodes {
-				both(a, h)
-			}
-		}
-	}
-	return pairs
-}
-
-// CrossingBytes sums traffic over the host<->accelerator boundary.
+// CrossingBytes sums traffic, both ways, over every node pair the machine
+// routes across the host<->accelerator boundary.
 func CrossingBytes(sys *config.System) uint64 {
 	var n uint64
-	for _, p := range boundaryPairs(sys) {
-		n += sys.Fab.StatsFor(p[0], p[1]).Bytes
+	for _, p := range sys.Crossings() {
+		n += sys.Fab.StatsFor(p[0], p[1]).Bytes + sys.Fab.StatsFor(p[1], p[0]).Bytes
 	}
 	return n
 }
@@ -72,20 +19,11 @@ func CrossingBytes(sys *config.System) uint64 {
 // (paper §2.1: "unnecessary PutS messages comprised about 1-4% of
 // Crossing-Guard-to-host bandwidth"). Zero for non-guard organizations.
 func PutSFraction(sys *config.System) float64 {
-	if len(sys.Guards) == 0 {
-		return 0
-	}
 	var putS, total uint64
-	add := func(s network.Stats) {
+	for _, g := range sys.Guards {
+		s := sys.Fab.StatsFor(g.AccelID(), g.ID())
 		putS += s.BytesByType[coherence.APutS]
 		total += s.Bytes
-	}
-	if sys.AccelL2 != nil {
-		add(sys.Fab.StatsFor(sys.AccelL2.ID(), sys.Guards[0].ID()))
-	} else {
-		for i, g := range sys.Guards {
-			add(sys.Fab.StatsFor(sys.AccelL1s[i].ID(), g.ID()))
-		}
 	}
 	if total == 0 {
 		return 0

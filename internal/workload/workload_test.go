@@ -157,6 +157,33 @@ func TestPutSFractionSmall(t *testing.T) {
 	t.Logf("PutS fraction of accel->guard traffic: %.2f%%", 100*res.PutSFrac)
 }
 
+// TestCrossingBytesEveryDevice: boundary traffic counts every guard's
+// accelerator channel, on every device and on the weak hierarchy, and
+// nothing else in a guarded machine.
+func TestCrossingBytesEveryDevice(t *testing.T) {
+	for _, spec := range []config.Spec{
+		{Host: config.HostMESI, Org: config.OrgXGTxn2L, Accels: 2},
+		{Host: config.HostHammer, Org: config.OrgXGFull1L, Accels: 2},
+		{Host: config.HostMESI, Org: config.OrgXGWeak},
+	} {
+		t.Run(spec.Name(), func(t *testing.T) {
+			spec.CPUs, spec.AccelCores, spec.Seed = 2, 2, 5
+			sys := config.Build(spec)
+			res, err := Run(sys, smallWL(Streaming))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want uint64
+			for _, g := range sys.Guards {
+				want += sys.Fab.StatsFor(g.AccelID(), g.ID()).Bytes + sys.Fab.StatsFor(g.ID(), g.AccelID()).Bytes
+			}
+			if want == 0 || res.CrossingBytes != want {
+				t.Fatalf("CrossingBytes = %d, want %d summed over %d guards", res.CrossingBytes, want, len(sys.Guards))
+			}
+		})
+	}
+}
+
 // TestMultiAccelKernels runs the cross-accelerator kernels on two-device
 // machines: every device completes, no protocol errors, and the audit
 // holds after lines migrated between guards all run.
