@@ -62,6 +62,10 @@ func TestExitCodes(t *testing.T) {
 		{"missing metrics", []string{"xgreport", missing}, 2, "xgreport: open " + missing + ": no such file or directory"},
 		{"unknown host", []string{"xgtrace", "-host", "bogus"}, 2, `xgtrace: unknown host "bogus" (want hammer or mesi)`},
 		{"unknown experiment", []string{"xgsim", "-experiment", "bogus"}, 2, `xgsim: unknown -experiment "bogus" (see -help)`},
+		{"no accesses", []string{"xgsim", "-accesses", "0", "-experiment", "puts"}, 2, "xgsim: -accesses 0 is below the minimum of 1"},
+		{"no accelerator cores", []string{"xgsim", "-cores", "0"}, 2, "xgsim: -cores 0 is below the minimum of 1"},
+		{"negative CPUs", []string{"xgsim", "-cpus", "-1"}, 2, "xgsim: -cpus -1 is below the minimum of 1"},
+		{"too many accelerator cores", []string{"xgsim", "-cores", "21"}, 2, "xgsim: 21 accelerator cores exceeds the limit of 20"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(dir, c.args[0]), c.args[1:]...)

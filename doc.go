@@ -30,7 +30,7 @@
 //
 // and the evaluation drivers:
 //
-//	go run ./cmd/xgsim                   // performance tables and figures (E1, E2, E5-E10)
+//	go run ./cmd/xgsim                   // every single-machine experiment (E1, E2, E5-E12, A1-A4)
 //	go run ./cmd/xgcampaign -mode stress // the paper's random protocol stress test (E3)
 //	go run ./cmd/xgcampaign -mode fuzz   // the paper's guard fuzz testing (E4)
 //	go run ./cmd/xgcampaign -mode chaos  // adversarial models over a faulty crossing

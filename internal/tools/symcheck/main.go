@@ -12,6 +12,13 @@
 //     matches an exported repo type, so the second must be one of its
 //     methods or struct fields.
 //
+// Inline code spans are also checked for test names: a `Test…`,
+// `Benchmark…` or `Fuzz…` token must name a declared function (test
+// files are parsed too), so a `go test -run TestX` that would silently
+// run nothing cannot survive a rename or a deletion. A trailing `*` or `_`
+// makes the token a prefix (`BenchmarkE3_Stress*`, `BenchmarkE5_*`),
+// which at least one declared function must start with.
+//
 // Dotted tokens whose first part matches neither (metric names like
 // guard.check.pass, file names like metrics.json, trace fields) are
 // ignored, so prose and tool output inside fences stay lintable without
@@ -41,10 +48,11 @@ import (
 type symtab struct {
 	pkgs    map[string]map[string]bool // package name -> top-level idents
 	members map[string]map[string]bool // exported type name -> methods/fields
+	funcs   map[string]bool            // top-level function names, every package
 }
 
 func buildSymtab(root string) (*symtab, error) {
-	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -92,6 +100,7 @@ func (st *symtab) addFile(f *ast.File) {
 		case *ast.FuncDecl:
 			if d.Recv == nil || len(d.Recv.List) == 0 {
 				decls[d.Name.Name] = true
+				st.funcs[d.Name.Name] = true
 			} else {
 				member(recvTypeName(d.Recv.List[0].Type), d.Name.Name)
 			}
@@ -150,6 +159,32 @@ var refRE = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]
 // fenced block.
 var spanRE = regexp.MustCompile("`([^`]+)`")
 
+// testRE matches a test, benchmark or fuzz target name (TestXxx), with
+// a trailing * when the doc means every name with that prefix.
+var testRE = regexp.MustCompile(`(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+
+// checkTestNames reports the test names in one inline code span that no
+// declared function has.
+func checkTestNames(span string, st *symtab) (missing []string) {
+	for _, loc := range testRE.FindAllStringIndex(span, -1) {
+		if loc[0] > 0 && (span[loc[0]-1] == '.' || isIdentByte(span[loc[0]-1])) {
+			continue // a method (f.Fuzz) or a longer identifier
+		}
+		name := span[loc[0]:loc[1]]
+		prefix, star := strings.CutSuffix(name, "*")
+		found := st.funcs[name]
+		if star || strings.HasSuffix(name, "_") {
+			for fn := range st.funcs {
+				found = found || strings.HasPrefix(fn, prefix)
+			}
+		}
+		if !found {
+			missing = append(missing, name)
+		}
+	}
+	return missing
+}
+
 func checkFile(path string, st *symtab) (problems []string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -177,6 +212,10 @@ func checkFile(path string, st *symtab) (problems []string, err error) {
 		} else {
 			for _, m := range spanRE.FindAllStringSubmatch(line, -1) {
 				spans = append(spans, m[1])
+				for _, name := range checkTestNames(m[1], st) {
+					problems = append(problems, fmt.Sprintf(
+						"%s:%d: `%s` names no declared test, benchmark or fuzz target", path, i+1, name))
+				}
 			}
 		}
 		for _, span := range spans {
