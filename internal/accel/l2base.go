@@ -44,7 +44,7 @@ func (l *l2Base) init(id coherence.NodeID, name string, fab *network.Fabric, xg 
 func (l *l2Base) reset(epoch uint32) {
 	l.epoch = epoch
 	l.evictions = make(map[mem.Addr]struct{})
-	l.waiting = make(coherence.LineQueues)
+	l.waiting = coherence.LineQueues{}
 	l.stalled, l.replaying = nil, nil
 }
 

@@ -15,14 +15,14 @@ import (
 // benchmark-shaped chaos shard (stale-writer adversary, the chaotic fault
 // preset, 2 CPUs, 2000 messages, xg-txn/1L) through RunShard, machine build,
 // fault injector, quarantine and result maps included. About 10% above what
-// the code allocates today (hammer 0.56, mesi 0.55; 1.14 and 1.02 while the
+// the code allocates today (hammer 0.54, mesi 0.53; 1.14 and 1.02 while the
 // adversary built every message it sent and the guard two counter names per
 // violation; 3.74 and 2.95 while the adversary's step, the guard's records
 // and the injector's slice were allocated per event). What is left is the
 // machine — build, pools filling, channels opening — and the error log.
 // Lower it when a change earns it; raise it only with the reason written
 // here.
-var chaosAllocCeiling = map[config.HostKind]float64{config.HostHammer: 0.62, config.HostMESI: 0.61}
+var chaosAllocCeiling = map[config.HostKind]float64{config.HostHammer: 0.60, config.HostMESI: 0.59}
 
 // chaotic is the fault preset with every fault kind in it.
 func chaotic(t *testing.T) faults.Plan {
@@ -70,9 +70,11 @@ func TestChaosShardAllocBudget(t *testing.T) {
 // broadcasts to and every pair of them a channel: what a channel, a
 // controller and a pool entry weigh shows here, and hardly in the
 // per-memop numbers of a one-device shard. About 10% above today's reading
-// (354 kB in 2 126 objects; 455 kB in 3 186 while a channel held two
-// 62-entry per-type arrays and the adversaries built their own messages).
-const wideShardByteCeiling = 390_000
+// (342 kB in 2 089 objects; 354 kB while the sequencers kept latency
+// histograms and the fabric a channel map; 455 kB in 3 186 while a channel
+// held two 62-entry per-type arrays and the adversaries built their own
+// messages).
+const wideShardByteCeiling = 376_000
 
 func TestWideChaosShardByteBudget(t *testing.T) {
 	if raceflag.Enabled {

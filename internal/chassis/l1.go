@@ -61,7 +61,6 @@ func (c *L1[L]) Init(self coherence.Controller, id coherence.NodeID, name string
 	c.busy, c.evict, c.cpu = busy, evict, cpu
 	c.canEvict = func(e *cacheset.Entry[L]) bool { return !busy(&e.V) }
 	c.Lines = cacheset.New[L](sets, ways)
-	c.waiting = make(coherence.LineQueues)
 	fab.Register(self)
 }
 
@@ -78,7 +77,7 @@ func (c *L1[L]) Name() string { return c.name }
 // device reset; the sequencer aborts the operations in the same reset).
 func (c *L1[L]) Reset() {
 	c.Lines = cacheset.New[L](c.Lines.Sets(), c.Lines.Ways())
-	c.waiting = make(coherence.LineQueues)
+	c.waiting = coherence.LineQueues{}
 	c.wb, c.stalled = nil, nil
 }
 

@@ -249,7 +249,7 @@ func TestNodeSet(t *testing.T) {
 
 func TestLineQueues(t *testing.T) {
 	var p Pool
-	q := make(LineQueues)
+	var q LineQueues
 	a, b, c := p.Msg(Msg{Acks: 1}), p.Msg(Msg{Acks: 2}), p.Msg(Msg{Acks: 3})
 	for _, m := range []*Msg{a, b} {
 		deliver(&p, m, func(m *Msg) { q.Push(0x40, m) })
@@ -269,5 +269,59 @@ func TestLineQueues(t *testing.T) {
 	}
 	if q.Waiting(0x40) || q.Len() != 1 || p.Stats().MsgsOut != 1 {
 		t.Fatalf("after pops: len %d %+v", q.Len(), p.Stats())
+	}
+}
+
+// TestLineQueuesZeroValue: a zero LineQueues answers before its first
+// Push, and across interleaved pushes and pops on several lines Pop,
+// Waiting and the counted Len agree with a per-line FIFO model — through
+// every line emptying and refilling, and the whole queue emptying.
+func TestLineQueuesZeroValue(t *testing.T) {
+	var q LineQueues
+	if q.Pop(0x40) != nil || q.Waiting(0x40) || q.Len() != 0 {
+		t.Fatal("zero LineQueues is not empty")
+	}
+	var p Pool
+	lines := []mem.Addr{0x0, 0x40, 0x1000, 0x1040}
+	model := map[mem.Addr][]*Msg{}
+	queued := 0
+	for i := 0; i < 400; i++ {
+		// Pushes outnumber pops in the first half of every 100 steps and
+		// pops win the second half, so lines and the whole queue empty.
+		line := lines[(i*7+i/5)%len(lines)]
+		if i%100 < 50 && i%3 != 2 || i%100 >= 50 && i%6 == 0 {
+			m := p.Msg(Msg{Acks: i})
+			deliver(&p, m, func(m *Msg) { q.Push(line, m) })
+			model[line] = append(model[line], m)
+			queued++
+		} else {
+			var want *Msg
+			if l := model[line]; len(l) > 0 {
+				want, model[line] = l[0], l[1:]
+				queued--
+			}
+			if got := q.Pop(line); got != want {
+				t.Fatalf("step %d: Pop(%#x) = %v, want %v", i, line, got, want)
+			}
+			if want != nil {
+				p.Release(want)
+			}
+		}
+		for _, l := range lines {
+			if q.Waiting(l) != (len(model[l]) > 0) {
+				t.Fatalf("step %d: Waiting(%#x) = %v with %d queued", i, l, q.Waiting(l), len(model[l]))
+			}
+		}
+		if q.Len() != queued || int(p.Stats().MsgsOut) != queued {
+			t.Fatalf("step %d: Len %d, %d kept, want %d", i, q.Len(), p.Stats().MsgsOut, queued)
+		}
+	}
+	for _, l := range lines {
+		for m := q.Pop(l); m != nil; m = q.Pop(l) {
+			p.Release(m)
+		}
+	}
+	if q.Len() != 0 || q.Waiting(lines[0]) || p.Stats().MsgsOut != 0 {
+		t.Fatalf("drained queues: Len %d, %+v", q.Len(), p.Stats())
 	}
 }

@@ -66,10 +66,9 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	memory *mem.Memory, cfg Config, sink coherence.ErrorSink) *Directory {
 	d := &Directory{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
-		memory:  memory,
-		lines:   make(map[mem.Addr]*dirLine),
-		waiting: make(coherence.LineQueues),
-		Cov:     NewDirectoryCoverage(),
+		memory: memory,
+		lines:  make(map[mem.Addr]*dirLine),
+		Cov:    NewDirectoryCoverage(),
 	}
 	d.fillMemData = d.readMemData
 	d.doBroadcast = d.broadcast

@@ -80,10 +80,9 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	memory *mem.Memory, cfg Config, sink coherence.ErrorSink) *L2 {
 	l := &L2{
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
-		cache:   cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
-		memory:  memory,
-		waiting: make(coherence.LineQueues),
-		Cov:     NewL2Coverage(),
+		cache:  cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
+		memory: memory,
+		Cov:    NewL2Coverage(),
 	}
 	l.doRecv, l.doServeHit, l.doFetchDone = l.Recv, l.serveHit, l.fetchDone
 	fab.Register(l)

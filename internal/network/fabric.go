@@ -15,9 +15,11 @@
 // is allocation-free in steady state: deliveries ride pooled delivRec
 // records (free-listed, callback bound once per record) through
 // sim.Engine.ScheduleEventAt instead of a fresh closure per message,
-// per-channel traffic accounting scans a short list of the types the
-// channel has carried instead of maps, and trace events are only
-// constructed when the bus is Active.
+// Send finds its channel in an open-addressed table keyed by the
+// full-width (src, dst) pair instead of a map, per-channel traffic
+// accounting scans a short list of the types the channel has carried
+// instead of maps, and trace events are only constructed when the bus is
+// Active.
 // SendAfter gives the protocol layers the same discipline for "send this
 // after N ticks" and CallAfter for "handle this message after N ticks":
 // pooled sendRec and callRec records replace the per-call closures. The
@@ -30,6 +32,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"crossingguard/internal/coherence"
@@ -50,16 +53,6 @@ type Config struct {
 
 type chanKey struct{ src, dst coherence.NodeID }
 
-// packed is the channel table's key: src in the high word, dst in the
-// low, so Send finds its channel with one integer-keyed lookup. Node ids
-// are small (config assigns them; NodeNone is -1), well inside 32 bits.
-func (k chanKey) packed() uint64 { return uint64(uint32(k.src))<<32 | uint64(uint32(k.dst)) }
-
-// unpackKey inverts packed.
-func unpackKey(p uint64) chanKey {
-	return chanKey{coherence.NodeID(int32(p >> 32)), coherence.NodeID(int32(p))}
-}
-
 // Stats is a point-in-time copy of the traffic counters for one directed
 // channel, as returned by StatsFor/VisitStats. The per-type maps are
 // materialized on demand from the channel's internal per-type list (the
@@ -77,6 +70,7 @@ type Stats struct {
 }
 
 type channel struct {
+	key chanKey
 	cfg Config
 	// dst is the receiving controller: a channel exists only towards a
 	// registered node, so finding the channel is finding the receiver.
@@ -276,7 +270,7 @@ type Fabric struct {
 	eng      *sim.Engine
 	rng      *rand.Rand
 	nodes    map[coherence.NodeID]coherence.Controller
-	chans    map[uint64]*channel // by chanKey.packed
+	chans    chanTable
 	defaults Config
 	routes   map[chanKey]Config
 
@@ -328,7 +322,6 @@ func NewFabric(eng *sim.Engine, seed int64, defaults Config) *Fabric {
 		eng:      eng,
 		rng:      rand.New(rand.NewSource(seed)),
 		nodes:    make(map[coherence.NodeID]coherence.Controller),
-		chans:    make(map[uint64]*channel),
 		defaults: defaults,
 		routes:   make(map[chanKey]Config),
 	}
@@ -387,8 +380,8 @@ func (f *Fabric) open(k chanKey) *channel {
 	if !ok {
 		return nil
 	}
-	ch := &channel{cfg: f.Route(k.src, k.dst), dst: dst}
-	f.chans[k.packed()] = ch
+	ch := &channel{key: k, cfg: f.Route(k.src, k.dst), dst: dst}
+	f.chans.add(ch)
 	return ch
 }
 
@@ -405,7 +398,7 @@ func (f *Fabric) SetInterceptor(i Interceptor) { f.interceptor = i }
 // accounting and recv events track the actual deliveries.
 func (f *Fabric) Send(m *coherence.Msg) {
 	k := chanKey{m.Src, m.Dst}
-	ch := f.chans[k.packed()]
+	ch := f.chans.get(k)
 	if ch == nil {
 		if ch = f.open(k); ch == nil {
 			f.Dropped++
@@ -526,20 +519,21 @@ func (f *Fabric) DelayedSends() int { return f.delayed }
 // StatsFor returns traffic counters for the directed channel src->dst
 // (zero-valued if unused).
 func (f *Fabric) StatsFor(src, dst coherence.NodeID) Stats {
-	if ch, ok := f.chans[chanKey{src, dst}.packed()]; ok {
+	if ch := f.chans.get(chanKey{src, dst}); ch != nil {
 		return ch.snapshot()
 	}
 	return Stats{}
 }
 
-// VisitStats calls fn for every directed channel with traffic. The Stats
-// pointee is a per-call snapshot the visitor may keep or mutate freely.
+// VisitStats calls fn for every directed channel with traffic, in the
+// order the channels were opened (their first sends), so two identical
+// runs visit in the same order. The Stats pointee is a per-call snapshot
+// the visitor may keep or mutate freely.
 func (f *Fabric) VisitStats(fn func(src, dst coherence.NodeID, s *Stats)) {
-	for p, ch := range f.chans {
+	for _, ch := range f.chans.opened {
 		if ch.msgs > 0 {
 			s := ch.snapshot()
-			k := unpackKey(p)
-			fn(k.src, k.dst, &s)
+			fn(ch.key.src, ch.key.dst, &s)
 		}
 	}
 }
@@ -548,10 +542,72 @@ func (f *Fabric) VisitStats(fn func(src, dst coherence.NodeID, s *Stats)) {
 // filter matches everything).
 func (f *Fabric) TotalBytes(filter func(src, dst coherence.NodeID) bool) uint64 {
 	var n uint64
-	for p, ch := range f.chans {
-		if k := unpackKey(p); ch.msgs > 0 && (filter == nil || filter(k.src, k.dst)) {
+	for _, ch := range f.chans.opened {
+		if ch.msgs > 0 && (filter == nil || filter(ch.key.src, ch.key.dst)) {
 			n += ch.bytes
 		}
 	}
 	return n
+}
+
+// chanTable finds a channel by its (src, dst) pair for every Send: open
+// addressing with linear probing over a power-of-two slot array kept at
+// most half full, indexed by the top bits of a multiplicative hash of the
+// full-width pair. Channels are never closed, so there is no deletion and
+// no tombstone. opened lists the channels in the order they were opened;
+// growing re-places them in that order, and the stats walks follow it.
+type chanTable struct {
+	slots  []*channel // nil = empty
+	shift  uint       // 64 - log2(len(slots))
+	opened []*channel
+}
+
+// minChanSlots is the table's first size: a single-device machine opens
+// a few dozen channels, so it grows about three times.
+const minChanSlots = 16
+
+// slot is k's home slot. Both ids enter the hash at full width: two pairs
+// that differ in any bit of either id are different keys.
+func (t *chanTable) slot(k chanKey) uint64 {
+	h := uint64(k.src)*0x9e3779b97f4a7c15 ^ uint64(k.dst)
+	return h * 0xbf58476d1ce4e5b9 >> t.shift
+}
+
+// get returns the channel k, or nil when it has not been opened.
+func (t *chanTable) get(k chanKey) *channel {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		if ch := t.slots[i]; ch == nil || ch.key == k {
+			return ch
+		}
+	}
+}
+
+// add enters ch, whose key is not in the table, growing the slots first
+// if ch would fill more than half of them.
+func (t *chanTable) add(ch *channel) {
+	t.opened = append(t.opened, ch)
+	if 2*len(t.opened) > len(t.slots) {
+		n := max(2*len(t.slots), minChanSlots)
+		t.slots = make([]*channel, n)
+		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+		for _, c := range t.opened {
+			t.place(c)
+		}
+		return
+	}
+	t.place(ch)
+}
+
+// place puts ch in the first empty slot from its home slot on.
+func (t *chanTable) place(ch *channel) {
+	mask := uint64(len(t.slots) - 1)
+	i := t.slot(ch.key)
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = ch
 }

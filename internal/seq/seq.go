@@ -2,8 +2,10 @@
 // core or accelerator core issues loads and stores to its private cache
 // and observes completions. Sequencers enforce at most one outstanding
 // operation per cache line (further same-line operations queue locally),
-// track per-operation latency, and provide the completion callbacks the
-// random tester and workload generators build on.
+// keep latency totals (sum and maximum, not a distribution: a caller that
+// wants one adds op.Done-op.Issued in its done callback, as workload.Run
+// does for the accelerator cores), and provide the completion callbacks
+// the random tester and workload generators build on.
 //
 // # Op lifetime
 //
@@ -25,7 +27,6 @@ import (
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 	"crossingguard/internal/sim"
-	"crossingguard/internal/stats"
 )
 
 // Op is one memory operation in flight. The sequencer owns every Op: it
@@ -109,7 +110,6 @@ type Sequencer struct {
 	MaxLatency    sim.Time
 	Completed     uint64
 	Aborted       uint64
-	latencies     stats.Counts
 
 	// OnQuiesce, when non-nil, fires whenever the sequencer goes from
 	// busy to fully idle.
@@ -276,7 +276,6 @@ func (s *Sequencer) Recv(m *coherence.Msg) {
 	if lat > s.MaxLatency {
 		s.MaxLatency = lat
 	}
-	s.latencies.Add(float64(lat))
 	if op.Store {
 		s.Stores++
 	} else {
@@ -317,6 +316,3 @@ func (s *Sequencer) AvgLatency() float64 {
 	}
 	return float64(s.TotalLatency) / float64(s.Completed)
 }
-
-// Latencies returns the distribution of per-op completion latencies.
-func (s *Sequencer) Latencies() *stats.Counts { return &s.latencies }

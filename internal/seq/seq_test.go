@@ -123,8 +123,8 @@ func TestLatencyAccounting(t *testing.T) {
 	if s.AvgLatency() != 10 || s.MaxLatency != 10 {
 		t.Fatalf("avg %v max %v, want 10", s.AvgLatency(), s.MaxLatency)
 	}
-	if s.Latencies().N() != 1 {
-		t.Fatalf("latency samples %d", s.Latencies().N())
+	if s.Completed != 1 || s.TotalLatency != 10 {
+		t.Fatalf("completed %d, total latency %d; want 1 and 10", s.Completed, s.TotalLatency)
 	}
 }
 

@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"testing"
 
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
+	"crossingguard/internal/network"
 )
 
 // TestEndToEndDeterminism validates the claim DESIGN.md and EXPERIMENTS.md
 // make: identical seeds produce bit-for-bit identical runs — cycle
 // counts, latencies, traffic, and guard statistics — for every host and
 // organization. Reviewers regenerating the tables get the same numbers.
+// The fabric's VisitStats walk, which reports and fingerprints read, is
+// part of the run: it visits the same channels in the same order.
 func TestEndToEndDeterminism(t *testing.T) {
 	run := func(host config.HostKind, org config.Org) string {
 		cfg := DefaultConfig(Graph)
@@ -25,6 +29,9 @@ func TestEndToEndDeterminism(t *testing.T) {
 			res.Cycles, res.AccelAvgLat, res.CPUAvgLat, res.CrossingBytes,
 			res.PutSFrac, res.SnoopsFiltered, res.SnoopsForwarded)
 		fp += fmt.Sprintf(" events=%d end=%d", sys.Eng.Executed, sys.Eng.Now())
+		sys.Fab.VisitStats(func(src, dst coherence.NodeID, s *network.Stats) {
+			fp += fmt.Sprintf(" %d>%d:%d", src, dst, s.Bytes)
+		})
 		return fp
 	}
 	for _, host := range []config.HostKind{config.HostHammer, config.HostMESI} {

@@ -121,7 +121,8 @@ type Result struct {
 	// AccelAccesses / CPUAccesses completed.
 	AccelAccesses, CPUAccesses uint64
 	// AccelAvgLat / CPUAvgLat are mean per-access latencies in ticks;
-	// AccelLat carries the full distribution for histograms/quantiles.
+	// AccelLat carries the full distribution for histograms/quantiles,
+	// one observation per accelerator access, added as it completes.
 	AccelAvgLat, CPUAvgLat float64
 	AccelLat               stats.Counts
 	// CrossingBytes is accel<->host boundary traffic; GuardHostBytes the
@@ -266,8 +267,14 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 				sq.Load(addr, loaded)
 			}
 		}
-		stored = func(*seq.Op) { step(0) }
-		loaded = func(op *seq.Op) { step(op.Result) }
+		stored = func(op *seq.Op) {
+			res.AccelLat.Add(float64(op.Done - op.Issued))
+			step(0)
+		}
+		loaded = func(op *seq.Op) {
+			res.AccelLat.Add(float64(op.Done - op.Issued))
+			step(op.Result)
+		}
 		eng.Schedule(sim.Time(ci), func() { step(0) })
 	}
 
@@ -310,7 +317,6 @@ func Run(sys *config.System, cfg Config) (Result, error) {
 	for _, sq := range sys.AccelSeqs {
 		res.AccelAccesses += sq.Completed
 		res.AccelAvgLat += sq.AvgLatency()
-		res.AccelLat.Merge(sq.Latencies())
 	}
 	res.AccelAvgLat /= float64(len(sys.AccelSeqs))
 	for _, sq := range sys.CPUSeqs {

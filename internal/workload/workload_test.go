@@ -6,6 +6,7 @@ import (
 
 	"crossingguard/internal/config"
 	"crossingguard/internal/mem"
+	"crossingguard/internal/sim"
 )
 
 func smallWL(kind Kind) Config {
@@ -225,5 +226,43 @@ func TestFalseShareMigratesOwnership(t *testing.T) {
 		if g.SnoopsForwarded == 0 {
 			t.Errorf("guard %d never recalled a line: the hot lines never migrated", d)
 		}
+	}
+}
+
+// TestAccelLatIsEveryAccelOp: the completion callbacks add each
+// accelerator access's latency to AccelLat, so it holds exactly the
+// accesses the accelerator sequencers completed — their count, the mean
+// of their latency totals and the largest of their maxima — on one device
+// and on two.
+func TestAccelLatIsEveryAccelOp(t *testing.T) {
+	for _, spec := range []config.Spec{
+		{Host: config.HostMESI, Org: config.OrgXGFull1L},
+		{Host: config.HostHammer, Org: config.OrgHostSide},
+		{Host: config.HostHammer, Org: config.OrgXGTxn2L, Accels: 2},
+	} {
+		spec.CPUs, spec.AccelCores, spec.Seed = 2, 2, 5
+		t.Run(spec.Name(), func(t *testing.T) {
+			sys := config.Build(spec)
+			res, err := Run(sys, smallWL(Graph))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total sim.Time
+			var completed uint64
+			var maxLat sim.Time
+			for _, sq := range sys.AccelSeqs {
+				total += sq.TotalLatency
+				completed += sq.Completed
+				maxLat = max(maxLat, sq.MaxLatency)
+			}
+			h := &res.AccelLat
+			if uint64(h.N()) != res.AccelAccesses || res.AccelAccesses != completed {
+				t.Fatalf("AccelLat holds %d observations, AccelAccesses %d, sequencers completed %d",
+					h.N(), res.AccelAccesses, completed)
+			}
+			if want := float64(total) / float64(completed); h.Mean() != want || h.Max() != float64(maxLat) {
+				t.Fatalf("AccelLat mean %v max %v, want %v and %d", h.Mean(), h.Max(), want, maxLat)
+			}
+		})
 	}
 }
