@@ -101,7 +101,7 @@ var (
 	shrinkN  = flag.Int("shrink-runs", 120, "run budget for -shrink (shards executed)")
 	metrics  = flag.String("metrics", "", "write merged metrics JSON to this file (render with cmd/xgreport)")
 	trace    = flag.String("trace", "", "write merged trace JSONL to this file")
-	obsOut   = flag.String("obs", "", "write the recorded observation log (xgobs v1) to this file; needs -consistency")
+	obsOut   = flag.String("obs", "", "write the recorded observation log (xgobs v2, or v3 when guard epochs are present) to this file; needs -consistency")
 	spans    = flag.Bool("spans", false, "enable causal span tracing in every guard (span events + per-phase latency histograms)")
 	perfetto = flag.String("perfetto", "", "write a Chrome-trace-event/Perfetto timeline JSON to this file (implies -spans and tracing)")
 	traceTl  = flag.Int("tracetail", campaign.DefaultTraceTail, "events kept per shard trace ring (recorded in failure artifacts)")

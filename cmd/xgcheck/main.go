@@ -2,10 +2,10 @@
 // the coherence invariants: per-block SWMR, the data-value invariant
 // (every load returns the most recent store in the happens-before order
 // induced by ticks and per-core program order), and write-serialization.
-// The log is the xgobs v1 format written by the campaign CLIs' -obs
-// flag; each shard in the log is checked independently and the first
-// violating edge per location is reported with the two offending
-// records.
+// The log is the xgobs format written by the campaign CLIs' -obs flag
+// (v2, or v3 when guard epochs are present); each shard in the log is
+// checked independently and the first violating edge per location is
+// reported with the two offending records.
 //
 // Usage:
 //

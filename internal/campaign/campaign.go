@@ -239,9 +239,9 @@ func (r *Report) ExportPerfetto(path string, trackOf func(coherence.NodeID) int)
 }
 
 // WriteObs exports every recorded shard's observation stream as one
-// xgobs v1 log in shard-index order, each line tagged with its shard
-// index (the -obs flag; requires per-spec Consistency). cmd/xgcheck
-// reads the result. Output is byte-identical for a fixed shard set
+// xgobs log (v2, or v3 when guard epochs are present) in shard-index
+// order, each line tagged with its shard index (the -obs flag; requires
+// per-spec Consistency). cmd/xgcheck reads the result. Output is byte-identical for a fixed shard set
 // regardless of worker count.
 func (r *Report) WriteObs(w io.Writer) error {
 	lw := consistency.NewLogWriter(w)

@@ -9,8 +9,7 @@
 // the guard-epoch column after accel, but only when some record actually
 // carries a nonzero epoch (a run with quarantine recovery), so logs from
 // recovery-free runs stay byte-identical to the v2 format. ReadLog
-// accepts v3, v2, and the historical v1 format — v1 records parse with
-// accel 0, v1/v2 records with epoch 0.
+// accepts both; v2 records parse with epoch 0.
 package consistency
 
 import (
@@ -27,9 +26,6 @@ import (
 
 // logHeader is the first line of recovery-free observation logs.
 const logHeader = "# xgobs v2"
-
-// logHeaderV1 is the historical header; ReadLog still accepts it.
-const logHeaderV1 = "# xgobs v1"
 
 // logHeaderV3 heads logs whose records carry guard epochs.
 const logHeaderV3 = "# xgobs v3"
@@ -146,16 +142,16 @@ type ShardRecs struct {
 	Recs  []Rec
 }
 
-// ReadLog parses an xgobs log — v3, v2, or the accel-less v1 — and
-// returns the records grouped by shard index, shards in ascending
-// order, records in file order within each shard.
+// ReadLog parses an xgobs log — v3 or v2 — and returns the records
+// grouped by shard index, shards in ascending order, records in file
+// order within each shard.
 func ReadLog(r io.Reader) ([]ShardRecs, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	byShard := map[int][]Rec{}
 	lineNo := 0
 	sawHeader := false
-	v1, v3 := false, false
+	v3 := false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -166,8 +162,6 @@ func ReadLog(r io.Reader) ([]ShardRecs, error) {
 			if lineNo == 1 {
 				switch line {
 				case logHeader:
-				case logHeaderV1:
-					v1 = true
 				case logHeaderV3:
 					v3 = true
 				default:
@@ -182,9 +176,6 @@ func ReadLog(r io.Reader) ([]ShardRecs, error) {
 		}
 		f := strings.Fields(line)
 		want := 8
-		if v1 {
-			want = 7
-		}
 		if v3 {
 			want = 9
 		}
@@ -195,21 +186,18 @@ func ReadLog(r io.Reader) ([]ShardRecs, error) {
 		if err != nil {
 			return nil, fmt.Errorf("consistency: line %d: bad shard %q", lineNo, f[0])
 		}
-		accel := int64(0)
-		if !v1 {
-			accel, err = strconv.ParseInt(f[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("consistency: line %d: bad accel %q", lineNo, f[1])
-			}
-			f = f[1:] // the remaining columns line up with v1
+		accel, err := strconv.ParseInt(f[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("consistency: line %d: bad accel %q", lineNo, f[1])
 		}
+		f = f[1:] // the remaining columns line up whatever the version
 		epoch := uint64(0)
 		if v3 {
 			epoch, err = strconv.ParseUint(f[1], 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("consistency: line %d: bad epoch %q", lineNo, f[1])
 			}
-			f = f[1:] // the remaining columns line up with v1
+			f = f[1:]
 		}
 		core, err := strconv.ParseInt(f[1], 10, 32)
 		if err != nil {

@@ -152,16 +152,19 @@ func TestLogWriterMultiShard(t *testing.T) {
 	}
 }
 
+// garbageLogs are inputs ReadLog must refuse (FuzzReadLog seeds them too).
+var garbageLogs = map[string]string{
+	"no header":    "0 0 store 0x40 0x01 1 2\n",
+	"wrong header": "# nope v9\n0 0 store 0x40 0x01 1 2\n",
+	"v1 header":    "# xgobs v1\n0 0 store 0x40 0x01 1 2\n",
+	"short line":   logHeader + "\n0 0 store 0x40\n",
+	"bad op":       logHeader + "\n0 0 smash 0x40 0x01 1 2\n",
+	"bad addr":     logHeader + "\n0 0 store zz 0x01 1 2\n",
+	"empty":        "",
+}
+
 func TestReadLogRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"no header":    "0 0 store 0x40 0x01 1 2\n",
-		"wrong header": "# nope v9\n0 0 store 0x40 0x01 1 2\n",
-		"short line":   logHeader + "\n0 0 store 0x40\n",
-		"bad op":       logHeader + "\n0 0 smash 0x40 0x01 1 2\n",
-		"bad addr":     logHeader + "\n0 0 store zz 0x01 1 2\n",
-		"empty":        "",
-	}
-	for name, in := range cases {
+	for name, in := range garbageLogs {
 		if _, err := ReadLog(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadLog accepted malformed input", name)
 		}

@@ -80,51 +80,44 @@ func TestPropertyRateLimitBound(t *testing.T) {
 	}
 }
 
+// Guarantee 1a, every cell: each request from each view the Full State table
+// can have of the accelerator's copy, with the exact detail a violation
+// reports ("" is legal). The details reach -trace output and docs/PROTOCOL.md.
 func TestBlockTableCheckRequest(t *testing.T) {
 	g := newCoreRig(FullState, nil).g
-	addr := mem.Addr(0x1000)
-	tb := tableView{g, addr}
-
-	// Nothing held: Gets legal, Puts are violations.
-	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.AGetM} {
-		if msg := tb.checkRequest(ty); msg != "" {
-			t.Errorf("%v on empty table flagged: %s", ty, msg)
+	reqs := [...]coherence.MsgType{coherence.AGetS, coherence.AGetM, coherence.APutM, coherence.APutE, coherence.APutS}
+	for i, row := range []struct {
+		view  string
+		held  bool
+		accel Grant
+		want  [len(reqs)]string // by request, in reqs' order
+	}{
+		{"None", false, 0, [...]string{"", "",
+			"PutM for a block the accelerator does not hold",
+			"PutE for a block the accelerator does not hold",
+			"PutS for a block the accelerator does not hold"}},
+		{"S", true, GrantS, [...]string{
+			"GetS but the accelerator already holds the block in S", "",
+			"PutM for a block held only in S",
+			"PutE for a block held in S", ""}},
+		{"E", true, GrantE, [...]string{
+			"GetS but the accelerator already holds the block in E",
+			"GetM but the accelerator already holds the block in E", "", "",
+			"PutS for a block held in E"}},
+		{"M", true, GrantM, [...]string{
+			"GetS but the accelerator already holds the block in M",
+			"GetM but the accelerator already holds the block in M", "",
+			"PutE for a block held in M",
+			"PutS for a block held in M"}},
+	} {
+		tb := tableView{g, mem.Addr(0x1000 + i*mem.BlockBytes)}
+		if row.held {
+			tb.grant(row.accel, row.accel, false, mem.Zero(), row.accel == GrantM)
 		}
-	}
-	for _, ty := range []coherence.MsgType{coherence.APutM, coherence.APutE, coherence.APutS} {
-		if msg := tb.checkRequest(ty); msg == "" {
-			t.Errorf("%v on empty table not flagged", ty)
-		}
-	}
-
-	// Held in S: GetM (upgrade) and PutS legal; GetS/PutM/PutE not.
-	tb.grant(GrantS, GrantS, false, mem.Zero(), false)
-	if tb.checkRequest(coherence.AGetM) != "" || tb.checkRequest(coherence.APutS) != "" {
-		t.Error("legal S-state requests flagged")
-	}
-	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.APutM, coherence.APutE} {
-		if tb.checkRequest(ty) == "" {
-			t.Errorf("%v from S not flagged", ty)
-		}
-	}
-
-	// Held in E: PutE and PutM (silent upgrade) legal.
-	tb.grant(GrantE, GrantE, false, mem.Zero(), false)
-	if tb.checkRequest(coherence.APutE) != "" || tb.checkRequest(coherence.APutM) != "" {
-		t.Error("legal E-state puts flagged")
-	}
-	if tb.checkRequest(coherence.APutS) == "" || tb.checkRequest(coherence.AGetM) == "" {
-		t.Error("illegal E-state requests not flagged")
-	}
-
-	// Held in M: only PutM legal.
-	tb.grant(GrantM, GrantM, false, mem.Zero(), true)
-	if tb.checkRequest(coherence.APutM) != "" {
-		t.Error("PutM from M flagged")
-	}
-	for _, ty := range []coherence.MsgType{coherence.AGetS, coherence.AGetM, coherence.APutE, coherence.APutS} {
-		if tb.checkRequest(ty) == "" {
-			t.Errorf("%v from M not flagged", ty)
+		for j, ty := range reqs {
+			if got := tb.checkRequest(ty); got != row.want[j] {
+				t.Errorf("view %s, %v: %q, want %q", row.view, ty, got, row.want[j])
+			}
 		}
 	}
 }

@@ -195,11 +195,6 @@ type Guard struct {
 	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
 	stampEpoch func(*coherence.Msg)
 
-	// trusted holds a trusted copy's bytes while a recall completes: the
-	// residency the copy belongs to is dropped before the completion
-	// callbacks, which only read their data, run.
-	trusted mem.Block
-
 	// Quarantined is set once the quarantine policy fences the
 	// accelerator (graceful degradation: the host keeps running on
 	// trusted state, the accelerator is nacked).
@@ -299,10 +294,10 @@ type hostTxn struct {
 	// the recall is open and Timeout is set, nil in the moment between one
 	// firing and the retry or timeout it causes. closeRecall cancels it.
 	watchdog *sim.Armed[deadline]
-	wantData bool
-	known    bool  // expect is authoritative
-	expect   Grant // what the guard believes the accelerator holds (Full State)
-	done     recallCont
+	// view is what the guard believed the accelerator held when the recall
+	// opened: it decides the host's answer (hostAnswer).
+	view viewState
+	done recallCont
 	// waiters holds the continuations of recalls coalesced onto this one:
 	// later host requests for the same block while this recall is in flight
 	// do not send a second Invalidate — they wait here and complete from
@@ -523,25 +518,18 @@ func (g *Guard) Recv(m *coherence.Msg) {
 		g.staleEpoch(m)
 		return
 	}
+	req, resp := m.Type.IsAccelRequest(), m.Type.IsAccelResponse()
 	switch {
-	case m.Type.IsAccelRequest():
-		if !fromAccel {
-			g.violation("XG.BadSource", fmt.Sprintf("%v from non-accelerator node %d", m.Type, m.Src), m.Addr.Line())
-			return
-		}
+	case (req || resp) && !fromAccel:
+		g.violation("XG.BadSource", fmt.Sprintf("%v from non-accelerator node %d", m.Type, m.Src), m.Addr.Line())
+	case req:
 		g.handleAccelRequest(m)
-	case m.Type.IsAccelResponse():
-		if !fromAccel {
-			g.violation("XG.BadSource", fmt.Sprintf("%v from non-accelerator node %d", m.Type, m.Src), m.Addr.Line())
-			return
-		}
+	case resp:
 		g.handleAccelResponse(m)
+	case fromAccel:
+		g.ReqsBlocked++
+		g.violation("XG.BadMessage", fmt.Sprintf("accelerator sent non-interface message %v", m.Type), m.Addr.Line())
 	default:
-		if fromAccel {
-			g.ReqsBlocked++
-			g.violation("XG.BadMessage", fmt.Sprintf("accelerator sent non-interface message %v", m.Type), m.Addr.Line())
-			return
-		}
 		g.shim.recv(m)
 	}
 }
@@ -676,40 +664,30 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 		Detail: fmt.Sprintf("accelerator quarantined after %d violations", g.errors),
 	})
 	// Resolve open recalls in address order (map iteration is randomized;
-	// resolution order must be deterministic). Mirrors recallTimeout's
-	// trusted-state answer without charging additional timeouts.
+	// resolution order must be deterministic), without charging timeouts.
 	for _, l := range g.sortedLines(hasRecall) {
 		a := l.addr
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
 		ht := g.closeRecall(l, "quarantine")
-		g.answerFromTrusted(a, &ht)
+		g.answerFenced(a, &ht)
 	}
 	g.scheduleRecovery(addr)
 }
 
-// answerFromTrusted completes the closed recall ht on the accelerator's
-// behalf, and writes the accelerator's copy off (the residency ends): the
-// guard's trusted copy when Full State kept one, a zero-block writeback
-// when the guard knows the accelerator owned the block (the Guarantee 2c
-// substitution), and a plain ack otherwise. The last case matters for
-// Transactional guards, whose view is Unknown: answering without data
-// lets the host serve its own — possibly stale — copy, which 2c
-// sanctions, whereas injecting dirty zeros for a block the accelerator
-// held at most shared would trample the live host owner's data (on
-// broadcast hosts the requestor receives both "owners'" responses and
-// may adopt the zeros).
-func (g *Guard) answerFromTrusted(addr mem.Addr, ht *hostTxn) {
-	_, e := g.accelHolds(addr)
-	switch {
-	case !ht.wantData:
-		g.complete(addr, ht, nil, false, false)
-	case e != nil && e.copy != nil:
-		g.complete(addr, ht, e.copy, e.dirty, false)
-	case ht.known:
-		g.complete(addr, ht, &zeroBlock, true, false)
-	default:
-		g.complete(addr, ht, nil, false, false)
+// answerFenced completes the closed recall ht of a fenced accelerator, which
+// is not asked, and writes its copy off (the residency ends after the
+// continuations have read their data). The line's trusted copy, when it kept
+// one, stands in for the accelerator's answer: an owned line keeps one only
+// when its grant raced the fence, so this is the one path that answers from
+// an owner's copy.
+func (g *Guard) answerFenced(addr mem.Addr, ht *hostTxn) {
+	var copy *mem.Block
+	dirty := false
+	if _, e := g.accelHolds(addr); e != nil {
+		copy, dirty = e.copy, e.dirty
 	}
+	data, dirty, _ := hostAnswer(ht.view, copy != nil, copy, dirty)
+	g.complete(addr, ht, data, dirty, false)
 	g.drop(addr)
 }
 
@@ -802,7 +780,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	// state. Full State checks its table; Transactional relies on host
 	// tolerance (§2.3.2) and can only sanity-check Puts carry data.
 	if g.cfg.Mode == FullState {
-		if err := l.checkRequest(m.Type); err != "" {
+		if err := requestRules[l.view()][m.Type-coherence.AGetS]; err != "" {
 			g.ReqsBlocked++
 			g.violation("XG.G1a", err, addr)
 			// Every request gets exactly one response: fail Puts fast so

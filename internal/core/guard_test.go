@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -165,9 +167,147 @@ func TestGuardPutSSuppression(t *testing.T) {
 	}
 }
 
-// TestRecallRaceCorrections: the Guarantee 2a corrections on the Put/Inv
-// race path, in isolation.
+// TestRecallRaceCorrections: what the host side gets when a recall closes,
+// on every path that closes one — the accelerator's response, a racing Put,
+// the 2c timeout, the quarantine fence closing an open recall, and a recall
+// opened while fenced — from every view of the accelerator's copy, for each
+// thing the accelerator can supply: nothing, a block, or a data-carrying
+// message without its block. A row expects the block's source (none, the
+// accelerator's, zeros, the trusted copy), its dirty bit and the Guarantee 2
+// codes reported. The named cases after the grid check one race each in full.
 func TestRecallRaceCorrections(t *testing.T) {
+	const (
+		A          = mem.Addr(0x40)
+		answerByte = 0xDA // the accelerator's block
+		copyByte   = 0xC0 // the guard's trusted copy
+	)
+	type view struct {
+		name  string
+		mode  Mode
+		state viewState
+		grant func(tb tableView) // the Full State residency, nil for none
+	}
+	resident := func(accel, host Grant, keepCopy bool) func(tableView) {
+		return func(tb tableView) { tb.grant(accel, host, keepCopy, &mem.Block{copyByte}, true) }
+	}
+	views := []view{
+		{"S", FullState, viewS, resident(GrantS, GrantS, false)},
+		{"S+copy", FullState, viewS, resident(GrantS, GrantM, true)},
+		{"E", FullState, viewE, resident(GrantE, GrantE, false)},
+		{"M", FullState, viewM, resident(GrantM, GrantM, false)},
+		{"Unknown", Transactional, viewUnknown, nil},
+		// An owned line with a trusted copy exists only when its grant raced
+		// the fence, so only a recall opened while fenced can meet one.
+		{"M+copy", FullState, viewM, resident(GrantM, GrantM, true)},
+	}
+	// What the accelerator supplies on the two paths it answers on.
+	respond := [3]*coherence.Msg{
+		{Type: coherence.AInvAck},
+		{Type: coherence.ACleanWB, Data: &mem.Block{answerByte}},
+		{Type: coherence.ACleanWB},
+	}
+	race := [3]*coherence.Msg{
+		{Type: coherence.APutS},
+		{Type: coherence.APutE, Data: &mem.Block{answerByte}},
+		{Type: coherence.APutM},
+	}
+	supplied := [3]string{"nothing", "block", "no block"}
+	// want, by path and view, by what was supplied (timeout and the fence:
+	// nothing, the accelerator is silent or never asked).
+	want := map[string]map[string][]string{
+		"response": {
+			"S":       {"none clean", "none clean XG.G2a", "none clean XG.G2a"},
+			"S+copy":  {"none clean", "none clean XG.G2a", "none clean XG.G2a"},
+			"E":       {"zero dirty XG.G2a", "accel clean", "zero clean XG.G2a"},
+			"M":       {"zero dirty XG.G2a", "accel dirty", "zero dirty XG.G2a"},
+			"Unknown": {"none clean", "accel clean", "zero clean XG.G2a"},
+		},
+		"put-race": {
+			"S":       {"none clean", "none clean XG.G2a", "none clean"},
+			"S+copy":  {"none clean", "none clean XG.G2a", "none clean"},
+			"E":       {"zero dirty XG.G2a", "accel clean", "zero dirty XG.G2a"},
+			"M":       {"zero dirty XG.G2a", "accel clean", "zero dirty XG.G2a"},
+			"Unknown": {"none clean", "accel clean", "none clean"},
+		},
+		"timeout": {
+			"S": {"none clean XG.G2c"}, "S+copy": {"none clean XG.G2c"},
+			"E": {"zero dirty XG.G2c"}, "M": {"zero dirty XG.G2c"}, "Unknown": {"none clean XG.G2c"},
+		},
+		"quarantine": {
+			"S": {"none clean"}, "S+copy": {"none clean"},
+			"E": {"zero dirty"}, "M": {"zero dirty"}, "Unknown": {"none clean"},
+		},
+		"quarantined": {
+			"S": {"none clean"}, "S+copy": {"none clean"},
+			"E": {"zero dirty"}, "M": {"zero dirty"}, "Unknown": {"none clean"},
+			"M+copy": {"copy dirty"},
+		},
+	}
+	for _, path := range []string{"response", "put-race", "timeout", "quarantine", "quarantined"} {
+		for _, v := range views {
+			for i, w := range want[path][v.name] {
+				t.Run(path+"/"+v.name+"/"+supplied[i], func(t *testing.T) {
+					r := newRecallRig(v.mode, Config{Timeout: 1000, GuardLat: 1, QuarantineAfter: 1})
+					if v.grant != nil {
+						v.grant(tableView{r.g, A})
+					}
+					fence := func() { // any violation trips it
+						r.g.Recv(&coherence.Msg{Type: coherence.HGetS, Addr: 0x2000, Src: 200, Dst: 40})
+						if !r.g.Quarantined {
+							t.Fatal("guard not quarantined")
+						}
+					}
+					if path == "quarantined" {
+						fence()
+					}
+					calls, reported := 0, len(r.log.Errors)
+					var got string
+					var viaPut bool
+					r.recall(A, v.state, func(d *mem.Block, dirty, vp bool) {
+						calls++
+						viaPut = vp
+						switch {
+						case d == nil:
+							got = "none"
+						case d[0] == answerByte:
+							got = "accel"
+						case d[0] == copyByte:
+							got = "copy"
+						case *d == mem.Block{}:
+							got = "zero"
+						default:
+							got = fmt.Sprintf("block %x", d[0])
+						}
+						got += map[bool]string{false: " clean", true: " dirty"}[dirty]
+					})
+					r.eng.RunUntil(5) // the Invalidate is out
+					switch path {
+					case "response":
+						m := *respond[i]
+						m.Addr, m.Src, m.Dst = A, 200, 40
+						r.g.Recv(&m)
+					case "put-race":
+						m := *race[i]
+						m.Addr, m.Src, m.Dst = A, 200, 40
+						r.g.Recv(&m)
+					case "timeout":
+						r.eng.RunUntilQuiet()
+					case "quarantine":
+						fence()
+					}
+					for _, e := range r.log.Errors[reported:] {
+						if strings.HasPrefix(e.Code, "XG.G2") {
+							got += " " + e.Code
+						}
+					}
+					if calls != 1 || got != w || viaPut != (path == "put-race") {
+						t.Fatalf("%d completions, got %q via Put %t; want one, %q via Put %t", calls, got, viaPut, w, path == "put-race")
+					}
+				})
+			}
+		}
+	}
+
 	t.Run("owner-put-without-data-zero-filled", func(t *testing.T) {
 		r := newCoreRig(FullState, nil)
 		r.fromAccel(coherence.AGetM, 0x40, nil)
@@ -229,25 +369,53 @@ func TestRecallRaceCorrections(t *testing.T) {
 	})
 }
 
+// A mute accelerator holding a read-only block the guard owns: the host's
+// Fwd_GetM recalls the accelerator's S copy, the 2c timeout closes the recall,
+// and the requestor is served the guard's trusted copy — not zeros.
 func TestRecallTimeoutUsesTrustedCopy(t *testing.T) {
+	const (
+		line       = mem.Addr(0x1040)
+		dir, req   = coherence.NodeID(10), coherence.NodeID(11)
+		accel      = coherence.NodeID(200)
+		copyByte   = 42
+		timeoutLat = 1000
+	)
+	eng := sim.NewEngine()
+	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
+	fab.CheckLifetimes()
+	fab.Register(&accelSink{id: accel, eng: eng}) // never answers
+	var log []sent
+	for _, id := range []coherence.NodeID{dir, req} {
+		fab.Register(&recorder{id, &log})
+	}
 	perms := perm.NewTable()
 	perms.GrantRange(0x1000, mem.PageBytes, perm.ReadOnly)
-	r := newCoreRig(FullState, perms)
-	r.fromAccel(coherence.AGetS, 0x1040, nil)
-	var blk mem.Block
-	blk[1] = 42
-	r.g.granted(0x1040, GrantE, &blk, false) // degraded + copy kept
-	r.eng.RunUntilQuiet()
-	var got *mem.Block
-	r.recall(0x1040, viewS, func(d *mem.Block, dirty, vp bool) { got = d })
-	// The accelerator never answers; run past the timeout.
-	r.eng.RunUntilQuiet()
-	if r.g.Timeouts != 1 {
-		t.Fatalf("Timeouts = %d", r.g.Timeouts)
+	errs := coherence.NewErrorLog()
+	g := NewHammerGuard(40, "xg", eng, fab, accel, dir, 1,
+		Config{Mode: FullState, Perms: perms, Timeout: timeoutLat, GuardLat: 1}, errs)
+
+	// The accelerator reads the line; memory answers alone, so the host
+	// grants E, which the guard degrades to S and keeps a copy of.
+	g.Recv(&coherence.Msg{Type: coherence.AGetS, Addr: line, Src: accel, Dst: 40})
+	eng.RunUntilQuiet()
+	g.Recv(&coherence.Msg{Type: coherence.HMemData, Addr: line, Src: dir, Dst: 40, Data: &mem.Block{copyByte}})
+	eng.RunUntilQuiet()
+	if tableCopies(g) != 1 {
+		t.Fatalf("trusted copies = %d after the degraded grant, want 1", tableCopies(g))
 	}
-	_ = got // viewS recall wants no data; the point is liveness + the error
-	if r.log.ByCode["XG.G2c"] != 1 {
-		t.Fatalf("G2c not reported: %v", r.log.ByCode)
+	log = nil
+
+	g.Recv(&coherence.Msg{Type: coherence.HFwdGetM, Addr: line, Src: dir, Dst: 40, Requestor: req})
+	eng.RunUntilQuiet()
+	if g.Timeouts != 1 || errs.ByCode["XG.G2c"] != 1 {
+		t.Fatalf("Timeouts = %d, G2c reports = %d; want 1, 1", g.Timeouts, errs.ByCode["XG.G2c"])
+	}
+	got := to(log, req)
+	if len(got) != 1 || got[0].Type != coherence.HData {
+		t.Fatalf("requestor received %v, want one HData", got)
+	}
+	if got[0].Data != copyByte {
+		t.Fatalf("requestor's data starts %#x, want the trusted copy's %#x", got[0].Data, copyByte)
 	}
 }
 

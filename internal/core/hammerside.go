@@ -187,18 +187,15 @@ func (s *hammerShim) handleForward(m *coherence.Msg, getM bool) {
 			return
 		}
 		s.g.startRecall(addr, viewS, recallCont{kind: hammerSharer, req: r})
-	case viewE, viewM:
-		s.g.startRecall(addr, view, recallCont{kind: hammerOwner, getM: getM, req: r})
-	default: // viewUnknown (Transactional)
-		s.g.startRecall(addr, viewUnknown, recallCont{kind: hammerUnknown, getM: getM, req: r})
+	default: // viewE, viewM, or viewUnknown (Transactional)
+		s.g.startRecall(addr, view, recallCont{kind: hammerMayOwn, getM: getM, req: r})
 	}
 }
 
 // What handleForward was doing when it had to recall the block first.
 const (
 	hammerSharer    uint8 = iota + 1 // Fwd_GetM to a block held in S
-	hammerOwner                      // forward to a block held in E or M
-	hammerUnknown                    // forward to a Transactional guard
+	hammerMayOwn                     // forward to a block held in E or M, or to a Transactional guard
 	hammerServeCopy                  // Fwd_GetM to a read-only block the guard owns (serveFromCopy)
 )
 
@@ -214,13 +211,12 @@ func (s *hammerShim) resume(addr mem.Addr, c recallCont, data *mem.Block, dirty,
 			return
 		}
 		s.ack(addr, r, false)
-	case hammerOwner, hammerUnknown:
+	case hammerMayOwn:
 		if data == nil {
-			if c.kind == hammerUnknown {
-				s.ack(addr, r, false)
-				return
-			}
-			data, dirty = &zeroBlock, true // a known owner must supply data (2a, 2c)
+			// Only an Unknown view resolves without data: the core answers
+			// for an owner that supplied none (hostAnswer).
+			s.ack(addr, r, false)
+			return
 		}
 		s.data(addr, r, data, dirty)
 		if !c.getM {

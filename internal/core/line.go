@@ -246,47 +246,34 @@ func (g *Guard) recallThenServe(e *line, c recallCont) {
 	g.startRecall(e.addr, viewS, c)
 }
 
-// checkRequest enforces Guarantee 1a: the request must be consistent with
-// the accelerator's stable state as the table tracks it (l is nil or not
-// resident when the accelerator holds nothing). It returns a violation
-// description, or "" when the request is legal.
-func (l *line) checkRequest(ty coherence.MsgType) string {
-	e := l
-	if l != nil && !l.resident {
-		e = nil
+// view is the Full State table's view of l's block at the accelerator:
+// None unless l is resident. l may be nil.
+func (l *line) view() viewState {
+	if l == nil || !l.resident {
+		return viewNone
 	}
-	switch ty {
-	case coherence.AGetS:
-		if e != nil {
-			return fmt.Sprintf("GetS but the accelerator already holds the block in %v", e.accel)
-		}
-	case coherence.AGetM:
-		if e != nil && e.accel != GrantS {
-			return fmt.Sprintf("GetM but the accelerator already holds the block in %v", e.accel)
-		}
-	case coherence.APutM:
-		if e == nil {
-			return "PutM for a block the accelerator does not hold"
-		}
-		if e.accel == GrantS {
-			return "PutM for a block held only in S"
-		}
-	case coherence.APutE:
-		if e == nil {
-			return "PutE for a block the accelerator does not hold"
-		}
-		if e.accel != GrantE {
-			return fmt.Sprintf("PutE for a block held in %v", e.accel)
-		}
-	case coherence.APutS:
-		if e == nil {
-			return "PutS for a block the accelerator does not hold"
-		}
-		if e.accel != GrantS {
-			return fmt.Sprintf("PutS for a block held in %v", e.accel)
-		}
-	}
-	return ""
+	return [...]viewState{GrantS: viewS, GrantE: viewE, GrantM: viewM}[l.accel]
+}
+
+// requestRules is Guarantee 1a: a request must be consistent with the
+// accelerator's stable state as the Full State table tracks it. It holds,
+// for each view and each request (indexed from AGetS: GetS, GetM, PutM,
+// PutE, PutS), the violation detail, or "" when the request is legal.
+var requestRules = [viewM + 1][coherence.APutS - coherence.AGetS + 1]string{
+	viewNone: {"", "",
+		"PutM for a block the accelerator does not hold",
+		"PutE for a block the accelerator does not hold",
+		"PutS for a block the accelerator does not hold"},
+	viewS: {"GetS but the accelerator already holds the block in S", "",
+		"PutM for a block held only in S",
+		"PutE for a block held in S", ""},
+	viewE: {"GetS but the accelerator already holds the block in E",
+		"GetM but the accelerator already holds the block in E", "", "",
+		"PutS for a block held in E"},
+	viewM: {"GetS but the accelerator already holds the block in M",
+		"GetM but the accelerator already holds the block in M", "",
+		"PutE for a block held in M",
+		"PutS for a block held in M"},
 }
 
 // --- the host writeback, shared by both shims ---

@@ -35,7 +35,7 @@ func (v tableView) grant(accel, host Grant, keepCopy bool, data *mem.Block, dirt
 }
 
 func (v tableView) checkRequest(ty coherence.MsgType) string {
-	return v.g.lines[v.addr].checkRequest(ty)
+	return requestRules[v.g.lines[v.addr].view()][ty-coherence.AGetS]
 }
 
 // The line lifecycle: a line is made by the first thing opened on its

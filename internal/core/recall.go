@@ -36,18 +36,11 @@ func (v viewState) owned() bool { return v == viewE || v == viewM }
 // else is Unknown and requires consulting the accelerator.
 func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
 	if g.cfg.Mode == FullState {
-		e := g.lines[addr]
-		if e == nil || !e.resident {
-			return viewNone, nil
+		l := g.lines[addr]
+		if v := l.view(); v != viewNone {
+			return v, l
 		}
-		switch e.accel {
-		case GrantM:
-			return viewM, e
-		case GrantE:
-			return viewE, e
-		default:
-			return viewS, e
-		}
+		return viewNone, nil
 	}
 	if g.cfg.Perms != nil && !g.cfg.Perms.Peek(addr).AllowsRead() {
 		return viewNone, nil
@@ -95,8 +88,7 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	// nothing crosses to the accelerator.
 	if g.Quarantined {
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		ht := newHostTxn(expect, c)
-		g.answerFromTrusted(addr, &ht)
+		g.answerFenced(addr, &hostTxn{view: expect, done: c})
 		return
 	}
 	// A Put already buffered at the guard resolves the recall at once;
@@ -114,8 +106,7 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	l := g.workFor(addr)
 	ht := &l.work.recall
 	waiters := ht.waiters // empty; the storage is the record's
-	*ht = newHostTxn(expect, c)
-	ht.serial, ht.waiters = g.nextSerial(), waiters
+	*ht = hostTxn{serial: g.nextSerial(), view: expect, done: c, waiters: waiters}
 	g.wake(l) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
@@ -127,22 +118,6 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	if g.cfg.Timeout > 0 {
 		g.armRecallWatchdog(addr, ht, 0)
 	}
-}
-
-// newHostTxn builds a recall transaction from the guard's view of the
-// accelerator's copy: the view fixes whether data is expected back and,
-// when definite, the grant level responses are validated against.
-func newHostTxn(expect viewState, done recallCont) hostTxn {
-	ht := hostTxn{wantData: expect.owned() || expect == viewUnknown, done: done}
-	switch expect {
-	case viewE:
-		ht.known, ht.expect = true, GrantE
-	case viewM:
-		ht.known, ht.expect = true, GrantM
-	case viewS:
-		ht.known, ht.expect = true, GrantS
-	}
-	return ht
 }
 
 // armRecallWatchdog arms the Guarantee 2c deadline of the open recall ht,
@@ -206,38 +181,27 @@ func (g *Guard) recallTimeout(addr mem.Addr, serial uint64) {
 		return
 	}
 	ht := g.closeRecall(l, "timeout")
-	// Prefer the trusted copy when Full State kept one; otherwise a zero
-	// block keeps the host protocol moving.
-	g.answerFromTrusted(addr, &ht)
+	data, dirty, _ := hostAnswer(ht.view, false, nil, false)
+	g.complete(addr, &ht, data, dirty, false)
+	g.drop(addr)
 }
 
 // resolveRecallByPut handles the legitimate Put/Inv race (§2.1): the
 // accelerator's Put and the guard's Invalidate crossed on the ordered
-// link. The Put data answers the host; the accelerator's InvAck (sent
-// from B) will be consumed silently.
+// link. The Put answers the host as the accelerator's response would
+// (hostAnswer; a Put without data supplies nothing); the accelerator's
+// InvAck (sent from B) will be consumed silently.
 func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
 	addr := l.addr
 	l.ignoreInvAck++ // before the close: the owed InvAck keeps the line
 	ht := g.closeRecall(l, "put-race")
-	data := m.Data // read by the continuations before m goes back
-	dirty := data != nil && m.Type == coherence.APutM
-	// Guarantee 2a for the race path, mirroring validateResponse: if the
-	// guard knows the accelerator owned the block, the host MUST receive
-	// data — a data-less racing Put is corrected to a zero-block
-	// writeback (preferring a trusted copy). Conversely, a non-owner
-	// must never inject data into the host.
-	if ht.known && ht.expect != GrantS && data == nil {
+	// m.Data is read by the continuations before m goes back.
+	data, dirty, bad := hostAnswer(ht.view, m.Data != nil, m.Data, m.Type == coherence.APutM)
+	switch {
+	case bad && ht.view.owned():
 		g.violation("XG.G2a", fmt.Sprintf("racing %v for an owned block carries no data", m.Type), addr)
-		if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
-			g.trusted = *e.copy
-			data, dirty = &g.trusted, e.dirty
-		} else {
-			data, dirty = &zeroBlock, true
-		}
-	}
-	if ht.known && ht.expect == GrantS && data != nil {
+	case bad:
 		g.violation("XG.G2a", fmt.Sprintf("racing %v carries data for a block held only in S", m.Type), addr)
-		data, dirty = nil, false
 	}
 	g.drop(addr)
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
@@ -299,53 +263,47 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 		g.violation("XG.G2b", fmt.Sprintf("%v with no pending host request", m.Type), addr)
 		return
 	}
-	data, dirty, errCode := g.validateResponse(addr, &l.work.recall, m)
+	// Either writeback type is accepted from an owner; data from an M
+	// block is conservatively treated as dirty. m.Data is read by the
+	// continuations before m goes back.
+	view := l.work.recall.view
+	carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
+	data, dirty, bad := hostAnswer(view, carries, m.Data, m.Type == coherence.ADirtyWB || view == viewM)
 	ht := g.closeRecall(l, "response")
 	g.drop(addr)
-	if errCode != "" {
-		g.violation(errCode, fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)
+	if bad {
+		g.violation("XG.G2a", fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)
 	}
 	g.complete(addr, &ht, data, dirty, false)
 }
 
-// validateResponse enforces Guarantee 2a. Full State corrects responses
-// that contradict its table (the paper's example: an owner answering
-// Invalidate with InvAck becomes a zero-block writeback). Transactional
-// forwards any well-typed response and relies on the host modifications.
-func (g *Guard) validateResponse(addr mem.Addr, ht *hostTxn, m *coherence.Msg) (data *mem.Block, dirty bool, errCode string) {
-	carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
-	wb := m.Data // read by the continuations before m goes back
-	if carries && wb == nil {
-		// A writeback without data is malformed however you look at it.
-		wb = &zeroBlock
-		errCode = "XG.G2a"
-	}
-	if g.cfg.Mode != FullState {
-		// Transactional: pass through.
-		if carries {
-			return wb, m.Type == coherence.ADirtyWB, errCode
-		}
-		return nil, false, errCode
-	}
+// hostAnswer is the one rule for what the host side gets back when a recall
+// closes (Guarantees 2a and 2c), decided from the guard's view of the
+// accelerator's copy when the recall opened. carries says the accelerator
+// supplied a data-carrying message, blk its block (nil when the message
+// came without one) and dirty whether that data counts as dirty. It returns
+// the block the host side gets (nil for none), its dirty bit, and whether
+// the supply contradicted the view (a 2a violation).
+//
+// A holder of at most a shared copy must not inject data: anything it
+// supplied is dropped. An owner must supply data: when it supplied none
+// (an InvAck, a data-less Put, silence) the guard substitutes a dirty zero
+// block (§2.2). A data-carrying message without its block is malformed;
+// from an owner or an Unknown view it carries zeros. Transactional guards'
+// Unknown view passes any well-formed answer through and relies on the
+// host modifications: answering without data lets the host serve its own
+// copy, which 2c sanctions, where dirty zeros for a block the accelerator
+// may have held only shared would trample the live host owner's data.
+func hostAnswer(view viewState, carries bool, blk *mem.Block, dirty bool) (data *mem.Block, dirtyOut, bad bool) {
 	switch {
-	case ht.known && ht.expect != GrantS: // accelerator owns the block
-		if !carries {
-			// Owner answered with InvAck: substitute a zero-block
-			// writeback (paper §2.2) and report.
-			if _, e := g.accelHolds(addr); e != nil && e.copy != nil {
-				g.trusted = *e.copy
-				return &g.trusted, e.dirty, "XG.G2a"
-			}
-			return &zeroBlock, true, "XG.G2a"
-		}
-		// Either writeback type is accepted from an owner; data from an
-		// M block is conservatively treated as dirty.
-		return wb, m.Type == coherence.ADirtyWB || ht.expect == GrantM, errCode
-	default: // accelerator holds at most a shared copy
-		if carries {
-			// Non-owners must not supply data: correct to an ack.
-			return nil, false, "XG.G2a"
-		}
-		return nil, false, errCode
+	case view != viewUnknown && !view.owned():
+		return nil, false, carries
+	case carries && blk != nil:
+		return blk, dirty, false
+	case carries:
+		return &zeroBlock, dirty, true
+	case view.owned():
+		return &zeroBlock, true, true
 	}
+	return nil, false, false
 }

@@ -120,7 +120,7 @@ func ParsePlan(s string) (Plan, error) {
 			p.MaxDelay = sim.Time(n)
 		case "drop", "dup", "corrupt", "delay", "reorder":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return Plan{}, fmt.Errorf("faults: bad probability %s=%q (want [0,1])", key, val)
 			}
 			switch key {
