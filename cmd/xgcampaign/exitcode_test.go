@@ -36,6 +36,8 @@ func TestExitCodes(t *testing.T) {
 	convicted := write("convicted.obs", "# xgobs v2\n0 0 0 store 0x1000 0x07 1 5\n0 0 1 load 0x1000 0x09 10 12\n")
 	before := write("before.json", `{"counters": {"guard.violation.XG.G2b": 1}}`)
 	after := write("after.json", `{"counters": {"guard.violation.XG.G2b": 3}}`)
+	twice := write("twice.json", `{"counters": {"guard.violation.XG.G2b": 1}}`+"\n"+`{"counters": {"guard.violation.XG.G2b": 3}}`)
+	null := write("null.json", "null\n")
 	missing := filepath.Join(dir, "missing")
 	const chaos = "kind=chaos host=hammer org=xg-full/1L seed=1 cpus=2 messages=3000 "
 
@@ -60,6 +62,9 @@ func TestExitCodes(t *testing.T) {
 		{"missing log", []string{"xgcheck", missing}, 2, "xgcheck: open " + missing + ": no such file or directory"},
 		{"violations grew", []string{"xgreport", "-diff", before, after}, 1, ""},
 		{"missing metrics", []string{"xgreport", missing}, 2, "xgreport: open " + missing + ": no such file or directory"},
+		{"two metrics objects", []string{"xgreport", twice}, 2, "xgreport: obs: metrics JSON has data after its object"},
+		{"null metrics", []string{"xgreport", null}, 2, "xgreport: obs: metrics JSON is null, not an object"},
+		{"null baseline", []string{"xgreport", "-diff", null, after}, 2, "xgreport: obs: metrics JSON is null, not an object"},
 		{"unknown host", []string{"xgtrace", "-host", "bogus"}, 2, `xgtrace: unknown host "bogus" (want hammer or mesi)`},
 		{"unknown experiment", []string{"xgsim", "-experiment", "bogus"}, 2, `xgsim: unknown -experiment "bogus" (see -help)`},
 		{"no accesses", []string{"xgsim", "-accesses", "0", "-experiment", "puts"}, 2, "xgsim: -accesses 0 is below the minimum of 1"},

@@ -8,7 +8,9 @@
 // per-accelerator deltas between a baseline metrics file and the
 // current one, flagging every violation count that grew as a
 // REGRESSION — the campaign-over-campaign triage view. It exits 1 on a
-// regression and 2 on bad usage or an unreadable input.
+// regression and 2 on bad usage or an unreadable input: each input must be
+// exactly one metrics object, so a null, a non-object or a second value
+// after the first is refused, not reported as part of a run.
 //
 // Usage:
 //

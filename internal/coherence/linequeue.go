@@ -6,25 +6,69 @@ import "crossingguard/internal/mem"
 // that line's open transaction, oldest first. A queued message is kept
 // (Msg.Keep); whoever pops it replays it — Fabric.CallAfter, or
 // BeginRecv/EndRecv around a direct call — which is what gives it back.
-// An emptied line keeps its entry and its storage for the next wait.
 //
-// Pop and Waiting run on every completion and every request, and almost
-// always find nothing parked, so the queues count their messages: with
-// none queued they answer without hashing the line, and Len is O(1). The
-// zero value is ready to use; the map is made on the first Push.
+// A controller has few lines waiting at once, so the queues are a short
+// list of (line, head, tail) entries, scanned, and the messages of a line
+// are chained through themselves (Msg.next): queueing allocates nothing
+// once the list has as many entries as lines ever waited at once. An
+// emptied entry is free for the next line that waits, and the list starts
+// over when the last message leaves. Pop and Waiting run on every
+// completion and every request and almost always find nothing parked, so
+// the queues count their messages: with none queued they answer at once,
+// and Len is O(1). The zero value is ready to use.
 type LineQueues struct {
-	lines map[mem.Addr][]*Msg
+	lines []lineQueue
 	n     int // messages queued over every line
+}
+
+// minLineEntries is the list's first size: most controllers that queue at
+// all see a few lines wait at once, so the list is made once, not grown
+// from one entry.
+const minLineEntries = 4
+
+// lineQueue is one line's FIFO; head == nil marks a free entry.
+type lineQueue struct {
+	line       mem.Addr
+	head, tail *Msg
+}
+
+// find returns line's entry, or nil when none of its messages is queued.
+func (q *LineQueues) find(line mem.Addr) *lineQueue {
+	for i := range q.lines {
+		if e := &q.lines[i]; e.head != nil && e.line == line {
+			return e
+		}
+	}
+	return nil
 }
 
 // Push keeps m at the tail of line's queue.
 func (q *LineQueues) Push(line mem.Addr, m *Msg) {
 	m.Keep()
-	if q.lines == nil {
-		q.lines = make(map[mem.Addr][]*Msg)
-	}
-	q.lines[line] = append(q.lines[line], m)
+	m.next = nil
 	q.n++
+	free := -1
+	for i := range q.lines {
+		e := &q.lines[i]
+		switch {
+		case e.head == nil:
+			if free < 0 {
+				free = i
+			}
+		case e.line == line:
+			e.tail.next = m
+			e.tail = m
+			return
+		}
+	}
+	if free < 0 {
+		if q.lines == nil {
+			q.lines = make([]lineQueue, 0, minLineEntries)
+		}
+		free = len(q.lines)
+		q.lines = append(q.lines, lineQueue{})
+	}
+	q.lines[free] = lineQueue{line: line, head: m, tail: m}
 }
 
 // Pop removes and returns the head of line's queue, or nil when it is
@@ -33,20 +77,23 @@ func (q *LineQueues) Pop(line mem.Addr) *Msg {
 	if q.n == 0 {
 		return nil
 	}
-	l := q.lines[line]
-	if len(l) == 0 {
+	e := q.find(line)
+	if e == nil {
 		return nil
 	}
-	m := l[0]
-	n := copy(l, l[1:])
-	l[n] = nil
-	q.lines[line] = l[:n]
-	q.n--
+	m := e.head
+	e.head, m.next = m.next, nil
+	if e.head == nil {
+		e.tail = nil
+	}
+	if q.n--; q.n == 0 {
+		q.lines = q.lines[:0]
+	}
 	return m
 }
 
 // Waiting reports whether line has queued messages.
-func (q *LineQueues) Waiting(line mem.Addr) bool { return q.n > 0 && len(q.lines[line]) > 0 }
+func (q *LineQueues) Waiting(line mem.Addr) bool { return q.n > 0 && q.find(line) != nil }
 
 // Len counts the queued messages of every line.
 func (q *LineQueues) Len() int { return q.n }

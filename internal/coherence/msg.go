@@ -225,6 +225,11 @@ const (
 // the object; a missing Keep is the bug, and the lifetime check
 // (Pool.CheckLifetimes, on in -race builds) is there to trip on it.
 //
+// A message waits on at most one list at a time, and the list runs through
+// the message itself: a kept message queued behind its line (LineQueues)
+// or a released one on the pool's free list costs no storage of its own,
+// so queueing and recycling allocate nothing.
+//
 // That goes for hostile senders too: the fuzzing attacker and the
 // adversarial accelerators forge content, not storage, and take the
 // messages they send from the same pool. What a fault interceptor had
@@ -243,28 +248,31 @@ type Msg struct {
 	Src, Dst  NodeID
 	Requestor NodeID     // original requestor, for forwarded requests
 	Data      *mem.Block // nil when absent; a pooled message's points at its own storage
-	Dirty     bool       // data is modified relative to memory
-	Shared    bool       // responder also holds/held the block shared
 	Acks      int        // invalidation acks the requestor must await
-	Val       byte       // byte operand/result for sequencer-level ops
-	life      lifeState  // pool bookkeeping; zero on a message the pool did not hand out
 	Tag       uint64     // sequencer-level operation id, echoed in responses
+	// Span is the causal span id of the guard transaction this message
+	// belongs to (core.Config.Spans). 0 — span tracing disabled, or a
+	// message outside any guard transaction — is omitted from rendering,
+	// so span-free traces are byte-identical to the pre-span format.
+	Span uint64
 	// Epoch is the guard epoch the message was issued under. 0 — the
 	// epoch of a guard that has never been reset — is omitted from
 	// rendering, so pre-recovery traces are byte-identical. A guard that
 	// has reintegrated its device stamps its bumped epoch on every
 	// outbound accelerator message and rejects accelerator messages
 	// carrying an older epoch as XG.StaleEpoch.
-	Epoch uint32
-	// Span is the causal span id of the guard transaction this message
-	// belongs to (core.Config.Spans). 0 — span tracing disabled, or a
-	// message outside any guard transaction — is omitted from rendering,
-	// so span-free traces are byte-identical to the pre-span format.
-	Span uint64
+	Epoch  uint32
+	Dirty  bool      // data is modified relative to memory
+	Shared bool      // responder also holds/held the block shared
+	Val    byte      // byte operand/result for sequencer-level ops
+	life   lifeState // pool bookkeeping; zero on a message the pool did not hand out
 	// home is the pooled object this message lives in (nil otherwise); a
 	// by-value copy of a pooled message points at its original's home, not
 	// its own, which is how the pool tells the two apart.
 	home *pooledMsg
+	// next links the message into the one list it waits on — a line's
+	// queue in LineQueues, or the pool's free list — and is nil otherwise.
+	next *Msg
 }
 
 // Reply completes the sequencer-level request op in place and returns it

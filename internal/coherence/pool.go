@@ -37,7 +37,8 @@ func (m *Msg) pooled() bool { return m.home != nil && &m.home.m == m && m.life !
 
 // Pool is one machine's free lists of protocol messages and cache-line
 // blocks. A machine runs on one goroutine, so these are plain LIFO lists,
-// never sync.Pool; the zero Pool is ready to use. network.Fabric embeds
+// never sync.Pool: the messages linked through themselves (Msg.next), the
+// blocks a slice. The zero Pool is ready to use. network.Fabric embeds
 // one, which is how every protocol agent reaches it.
 //
 // With the lifetime check on, a released message or block is poisoned and
@@ -48,7 +49,7 @@ func (m *Msg) pooled() bool { return m.home != nil && &m.home.m == m && m.life !
 // does not have out all panic. The check is on in -race builds and where a
 // test calls CheckLifetimes; nothing else selects it.
 type Pool struct {
-	msgs   []*Msg
+	msgs   *Msg // free messages, linked through next
 	blocks []*mem.Block
 	check  bool
 	// live is the set of blocks out, kept only under the lifetime check.
@@ -80,10 +81,9 @@ func (p *Pool) checking() bool { return raceflag.Enabled || p.check }
 // block t names is copied into the message's own storage, so nothing of
 // the previous tenant — or of the sender's line — is shared.
 func (p *Pool) Msg(t Msg) *Msg {
-	var m *Msg
-	if n := len(p.msgs); n > 0 {
-		m = p.msgs[n-1]
-		p.msgs = p.msgs[:n-1]
+	m := p.msgs
+	if m != nil {
+		p.msgs = m.next
 	} else {
 		pm := new(pooledMsg)
 		pm.m.home = pm
@@ -92,7 +92,7 @@ func (p *Pool) Msg(t Msg) *Msg {
 	}
 	home := m.home
 	*m = t
-	m.home, m.life = home, lifeHeld
+	m.home, m.life, m.next = home, lifeHeld, nil
 	if t.Data != nil {
 		home.blk = *t.Data
 		m.Data = &home.blk
@@ -173,7 +173,8 @@ func (p *Pool) release(m *Msg) {
 		return
 	}
 	m.life = lifeFree
-	p.msgs = append(p.msgs, m)
+	m.next = p.msgs
+	p.msgs = m
 }
 
 // Disown takes m out of the pool for good: the collector owns it from

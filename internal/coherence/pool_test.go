@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"crossingguard/internal/mem"
 	"crossingguard/internal/raceflag"
@@ -275,7 +276,10 @@ func TestLineQueues(t *testing.T) {
 // TestLineQueuesZeroValue: a zero LineQueues answers before its first
 // Push, and across interleaved pushes and pops on several lines Pop,
 // Waiting and the counted Len agree with a per-line FIFO model — through
-// every line emptying and refilling, and the whole queue emptying.
+// every line emptying and refilling, and the whole queue emptying. A line
+// that waits takes the entry another line emptied, and once the queues
+// have as many entries as lines ever waited at once, queueing behind new
+// lines allocates nothing.
 func TestLineQueuesZeroValue(t *testing.T) {
 	var q LineQueues
 	if q.Pop(0x40) != nil || q.Waiting(0x40) || q.Len() != 0 {
@@ -323,5 +327,66 @@ func TestLineQueuesZeroValue(t *testing.T) {
 	}
 	if q.Len() != 0 || q.Waiting(lines[0]) || p.Stats().MsgsOut != 0 {
 		t.Fatalf("drained queues: Len %d, %+v", q.Len(), p.Stats())
+	}
+
+	// Entry reuse: with 0x40 and 0x80 waiting, 0x40 empties and 0xc0 takes
+	// its entry — two entries, not three — behind 0x80's still queued one.
+	a, b, c := p.Msg(Msg{}), p.Msg(Msg{}), p.Msg(Msg{})
+	q.Push(0x40, a)
+	q.Push(0x80, b)
+	if q.Pop(0x40) != a {
+		t.Fatal("Pop(0x40) is not the message pushed")
+	}
+	q.Push(0xc0, c)
+	if len(q.lines) != 2 || q.Waiting(0x40) || !q.Waiting(0x80) || !q.Waiting(0xc0) {
+		t.Fatalf("%d entries after a line emptied and another waited, want 2", len(q.lines))
+	}
+	if q.Pop(0xc0) != c || q.Pop(0x80) != b || q.Len() != 0 {
+		t.Fatal("queues lost a message across the reused entry")
+	}
+	for _, m := range []*Msg{a, b, c} {
+		p.Release(m)
+	}
+
+	// Warm, every round queues behind lines none has used before,
+	// interleaved, and empties one line while others still wait.
+	msgs := make([]*Msg, 12)
+	for i := range msgs {
+		msgs[i] = p.Msg(Msg{Acks: i})
+	}
+	base := mem.Addr(0x10000)
+	round := func() {
+		base += 4 * mem.BlockBytes
+		for i, m := range msgs {
+			q.Push(base+mem.Addr(i%4)*mem.BlockBytes, m)
+			if i == 5 { // line 1 empties with lines 0, 2 and 3 waiting, and waits again from message 9
+				if q.Pop(base+mem.BlockBytes) != msgs[1] || q.Pop(base+mem.BlockBytes) != msgs[5] {
+					t.Fatal("line 1 popped out of order")
+				}
+			}
+		}
+		for l := mem.Addr(0); l < 4; l++ {
+			for q.Pop(base+l*mem.BlockBytes) != nil {
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("%d messages left queued", q.Len())
+		}
+	}
+	round()
+	if raceflag.Enabled {
+		return // allocation accounting is perturbed by the race detector
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of 12 messages over 4 new lines allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestMsgSize pins a message's size: the link that chains it into a line's
+// queue or the pool's free list (next) sits in what used to be padding, so
+// a pooled message and its block fit the 160-byte size class.
+func TestMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(Msg{}) = %d, want at most 96", got)
 	}
 }

@@ -13,19 +13,20 @@
 //
 // Send/deliver is the single most executed path in the simulator, so it
 // is allocation-free in steady state: deliveries ride pooled delivRec
-// records (free-listed, callback bound once per record) through
-// sim.Engine.ScheduleEventAt instead of a fresh closure per message,
-// Send finds its channel in an open-addressed table keyed by the
-// full-width (src, dst) pair instead of a map, per-channel traffic
+// records through sim.Engine.ScheduleEventAt instead of a fresh closure
+// per message, Send finds its channel in an open-addressed table keyed by
+// the full-width (src, dst) pair instead of a map, per-channel traffic
 // accounting scans a short list of the types the channel has carried
 // instead of maps, and trace events are only constructed when the bus is
-// Active.
-// SendAfter gives the protocol layers the same discipline for "send this
-// after N ticks" and CallAfter for "handle this message after N ticks":
-// pooled sendRec and callRec records replace the per-call closures. The
-// messages themselves, and the blocks cache lines hold, come from the
-// coherence.Pool the fabric embeds and go back to it when their Recv
-// returns (coherence.Msg states the lifetime rule).
+// Active. SendAfter gives the protocol layers the same discipline for
+// "send this after N ticks" and CallAfter for "handle this message after
+// N ticks": pooled sendRec and callRec records replace the per-call
+// closures. Each record is the sim.Event the engine queues, so it is one
+// heap object, made once per machine up to the most of its kind ever in
+// flight at once. The messages themselves, and the blocks cache lines
+// hold, come from the coherence.Pool the fabric embeds and go back to it
+// when their Recv returns (coherence.Msg states the lifetime rule); the
+// fabric also keeps the sequencers' shared free list of operations (Ops).
 // TestFabricSendAllocFree and BenchmarkFabricSend pin the 0 allocs/op
 // budget; see ARCHITECTURE.md "Hot path & allocation discipline".
 package network
@@ -177,24 +178,23 @@ type Interceptor interface {
 }
 
 // delivRec is one pooled in-flight delivery: the closure-free replacement
-// for the per-message func() the fabric used to hand the engine. The
-// callback (run) is bound into ev exactly once, when the record is first
-// allocated; afterwards the record cycles through the fabric's free list,
-// so steady-state delivery costs zero allocations. A record belongs to
-// the engine from ScheduleEventAt until run fires, which releases it
-// (fields cleared — no message is pinned by the pool) before invoking the
-// receiver, so a Recv that immediately Sends reuses the same record.
+// for the per-message func() the fabric used to hand the engine. The record
+// is the sim.Event the engine queues, so it is the delivery's only object,
+// allocated once; afterwards it cycles through the fabric's free list, so
+// steady-state delivery costs zero allocations. A record belongs to the
+// engine from ScheduleEventAt until Fire, which releases it (fields cleared
+// — no message is pinned by the pool) before invoking the receiver, so a
+// Recv that immediately Sends reuses the same record.
 type delivRec struct {
 	fab  *Fabric
 	ch   *channel
 	m    *coherence.Msg
-	ev   sim.Timed
 	next *delivRec // free-list link, nil while in flight
 }
 
-// run is the arrival callback: pool release, accounting, trace, Recv —
-// and, when Recv returns, the message back to its pool unless kept.
-func (r *delivRec) run() {
+// Fire is the arrival: pool release, accounting, trace, Recv — and, when
+// Recv returns, the message back to its pool unless kept.
+func (r *delivRec) Fire() {
 	f := r.fab
 	ch, m := r.ch, r.m
 	dst := ch.dst
@@ -214,17 +214,17 @@ func (r *delivRec) run() {
 
 // sendRec is one pooled delayed send (SendAfter): the closure-free
 // replacement for eng.Schedule(d, func() { fab.Send(m) }). It follows the
-// delivRec protocol — callback bound once, engine-owned until run fires,
-// released (fields cleared) before Send so a nested SendAfter reuses it.
+// delivRec protocol — its own Event, engine-owned until it fires, released
+// (fields cleared) before Send so a nested SendAfter reuses it.
 type sendRec struct {
 	fab  *Fabric
 	m    *coherence.Msg
 	fill func(*coherence.Msg)
-	ev   sim.Timed
 	next *sendRec // free-list link, nil while scheduled
 }
 
-func (r *sendRec) run() {
+// Fire fills and sends the message.
+func (r *sendRec) Fire() {
 	f, m, fill := r.fab, r.m, r.fill
 	r.m, r.fill = nil, nil
 	r.next = f.freeSend
@@ -245,11 +245,11 @@ type callRec struct {
 	fab  *Fabric
 	m    *coherence.Msg
 	h    func(*coherence.Msg)
-	ev   sim.Timed
 	next *callRec // free-list link, nil while scheduled
 }
 
-func (r *callRec) run() {
+// Fire hands the message to the handler.
+func (r *callRec) Fire() {
 	f, m, h := r.fab, r.m, r.h
 	r.m, r.h = nil, nil
 	r.next = f.freeCall
@@ -275,7 +275,7 @@ type Fabric struct {
 	routes   map[chanKey]Config
 
 	// freeRec heads the delivery-record pool. Records are pushed back in
-	// run before Recv executes, so a simulation's pool size converges to
+	// Fire before Recv executes, so a simulation's pool size converges to
 	// its peak in-flight message count and then stops allocating.
 	freeRec *delivRec
 
@@ -285,6 +285,11 @@ type Fabric struct {
 	freeSend *sendRec
 	freeCall *callRec
 	delayed  int
+
+	// Ops is the machine's free list of sequencer operations. Package seq
+	// keeps it here, beside the message pool, so that every sequencer on
+	// the fabric draws from the one list; the fabric never looks at it.
+	Ops any
 
 	// Bus, when non-nil, receives a structured trace event for every
 	// send, delivery, and drop (obs.KindSend/KindRecv/KindDrop) — the
@@ -464,11 +469,10 @@ func (f *Fabric) deliver(ch *channel, d Delivery) {
 		f.freeRec = r.next
 		r.next = nil
 	} else {
-		r = &delivRec{fab: f}
-		r.ev.Fn = r.run // the pool's one allocation: bound method value
+		r = &delivRec{fab: f} // the pool's one allocation
 	}
 	r.ch, r.m = ch, m
-	f.eng.ScheduleEventAt(arrival, &r.ev)
+	f.eng.ScheduleEventAt(arrival, r)
 }
 
 // SendAfter sends m after delay ticks of sender-side latency: one engine
@@ -484,11 +488,10 @@ func (f *Fabric) SendAfter(delay sim.Time, m *coherence.Msg, fill func(*coherenc
 		r.next = nil
 	} else {
 		r = &sendRec{fab: f}
-		r.ev.Fn = r.run
 	}
 	r.m, r.fill = m, fill
 	f.delayed++
-	f.eng.ScheduleEvent(delay, &r.ev)
+	f.eng.ScheduleEvent(delay, r)
 }
 
 // CallAfter runs h(m) after delay ticks: one engine event at (now+delay,
@@ -504,12 +507,11 @@ func (f *Fabric) CallAfter(delay sim.Time, h func(*coherence.Msg), m *coherence.
 		r.next = nil
 	} else {
 		r = &callRec{fab: f}
-		r.ev.Fn = r.run
 	}
 	m.Keep()
 	r.m, r.h = m, h
 	f.delayed++
-	f.eng.ScheduleEvent(delay, &r.ev)
+	f.eng.ScheduleEvent(delay, r)
 }
 
 // DelayedSends reports SendAfter messages and CallAfter handlers still

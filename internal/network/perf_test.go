@@ -2,6 +2,7 @@ package network
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -112,6 +113,60 @@ func TestFabricSendAllocFreeInactiveBus(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Send with inactive bus allocated %v objects/run, want 0", allocs)
 	}
+}
+
+// TestRecordsAreOneObjectEach pins what warm-up costs: on a cold fabric,
+// k deliveries, k delayed sends or k deferred calls in flight at once make
+// k records, one heap object each — the record is the event the engine
+// queues, with no bound callback beside it. The engine's node slab is grown
+// and the channel opened first (through an interceptor that drops the
+// message, so no delivery record is made), so that only records are
+// counted; the messages are literals, which the pool never takes.
+func TestRecordsAreOneObjectEach(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	const k = 8
+	handle := func(*coherence.Msg) {}
+	for _, c := range []struct {
+		name string
+		put  func(f *Fabric, m *coherence.Msg)
+	}{
+		{"deliveries", func(f *Fabric, m *coherence.Msg) { f.Send(m) }},
+		{"SendAfter", func(f *Fabric, m *coherence.Msg) { f.SendAfter(3, m, nil) }},
+		{"CallAfter", func(f *Fabric, m *coherence.Msg) { f.CallAfter(3, handle, m) }},
+	} {
+		eng := sim.NewEngine()
+		for i := 0; i <= k; i++ {
+			eng.Schedule(1, func() {})
+		}
+		eng.RunUntilQuiet()
+		f := NewFabric(eng, 1, Config{Latency: 2, Ordered: true})
+		m := oneChannel(f)[0]
+		f.SetInterceptor(scriptIntercept(func(sim.Time, *coherence.Msg) ([]Delivery, bool) { return nil, true }))
+		f.Send(m)
+		f.SetInterceptor(nil)
+
+		got := mallocs(func() {
+			for i := 0; i < k; i++ {
+				c.put(f, m)
+			}
+		})
+		eng.RunUntilQuiet()
+		if got != k {
+			t.Errorf("%s: %d in flight at once made %d heap objects, want %d: one per record", c.name, k, got, k)
+		}
+	}
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestDeliveryRecordPooled checks the free list actually recycles: a

@@ -151,3 +151,31 @@ func TestSnapshotEmptyHistogram(t *testing.T) {
 		t.Fatalf("empty histogram missing from export:\n%s", b.String())
 	}
 }
+
+// TestReadSnapshotWholeObject: xgreport's input is one metrics object and
+// nothing else. Two objects back to back, an object followed by garbage,
+// and a top level that is not an object are each an error — read leniently,
+// the first would report half the input and null would report an empty run,
+// which a -diff then reads as growth.
+func TestReadSnapshotWholeObject(t *testing.T) {
+	for _, c := range []struct{ in, err string }{
+		{`{"counters": {"a": 1}}{"counters": {"a": 2}}`, "obs: metrics JSON has data after its object"},
+		{`{"counters": {"a": 1}} x`, "obs: metrics JSON has data after its object"},
+		{`{"counters": {"a": 1}}]`, "obs: metrics JSON has data after its object"},
+		{`null`, "obs: metrics JSON is null, not an object"},
+		{` [1, 2]`, "obs: metrics JSON is an array, not an object"},
+		{`"counters"`, "obs: metrics JSON is a string, not an object"},
+		{`true`, "obs: metrics JSON is a boolean, not an object"},
+		{`-3`, "obs: metrics JSON is a number, not an object"},
+	} {
+		_, err := ReadSnapshot(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.err {
+			t.Errorf("ReadSnapshot(%q) = %v, want %q", c.in, err, c.err)
+		}
+	}
+	for _, in := range []string{`{}`, "  {\"counters\": {\"a\": 1}}\n\n", `{"gauges": null}`} {
+		if _, err := ReadSnapshot(strings.NewReader(in)); err != nil {
+			t.Errorf("ReadSnapshot(%q): %v", in, err)
+		}
+	}
+}

@@ -83,12 +83,40 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // ReadSnapshot parses a metrics JSON file produced by WriteJSON
-// (cmd/xgreport's input).
+// (cmd/xgreport's input). The input must be exactly one JSON object:
+// anything after it, or a top level of another kind (null included, which
+// would otherwise read as an empty run), is an error rather than a report
+// of part of the input.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var s Snapshot
+	var raw json.RawMessage
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
+	if err := dec.Decode(&raw); err != nil {
+		return s, fmt.Errorf("obs: parsing metrics JSON: %w", err)
+	}
+	if raw[0] != '{' {
+		return s, fmt.Errorf("obs: metrics JSON is %s, not an object", jsonKind(raw[0]))
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, fmt.Errorf("obs: metrics JSON has data after its object")
+	}
+	if err := json.Unmarshal(raw, &s); err != nil {
 		return s, fmt.Errorf("obs: parsing metrics JSON: %w", err)
 	}
 	return s, nil
+}
+
+// jsonKind names the kind of JSON value whose first byte is b.
+func jsonKind(b byte) string {
+	switch b {
+	case 'n':
+		return "null"
+	case '[':
+		return "an array"
+	case '"':
+		return "a string"
+	case 't', 'f':
+		return "a boolean"
+	}
+	return "a number"
 }

@@ -9,14 +9,16 @@
 //
 // # Op lifetime
 //
-// Ops belong to the sequencer, which recycles them through a free list:
-// the *Op handed to a done callback is valid only until the callback
-// returns, so a callback copies out whatever it needs (Result, Issued,
-// Done). An Op carries its own request message. That message belongs to
-// the cache from delivery until the cache replies — normally by retyping
-// it in place (coherence.Reply) — so an Op discarded by Abort after it was
-// issued is not reused until its stale completion has come back and been
-// dropped.
+// Ops belong to the sequencers, which recycle them through one free list
+// per machine, kept on the fabric (network.Fabric.Ops) as the message pool
+// is: every core of a machine draws from it, so the machine makes as many
+// Ops as it ever has in flight at once, not that many per core. The *Op
+// handed to a done callback is valid only until the callback returns, so a
+// callback copies out whatever it needs (Result, Issued, Done). An Op
+// carries its own request message. That message belongs to the cache from
+// delivery until the cache replies — normally by retyping it in place
+// (coherence.Reply) — so an Op discarded by Abort after it was issued is
+// not reused until its stale completion has come back and been dropped.
 package seq
 
 import (
@@ -29,8 +31,8 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// Op is one memory operation in flight. The sequencer owns every Op: it
-// hands one to the done callback at completion and takes it back when the
+// Op is one memory operation in flight. The sequencers own every Op: one
+// hands it to the done callback at completion and takes it back when the
 // callback returns (see the package comment).
 type Op struct {
 	Addr   mem.Addr
@@ -47,8 +49,8 @@ type Op struct {
 	// place (coherence.Reply), so the same object comes back.
 	msg coherence.Msg
 	// next threads the Op through the one list it is on — issueQ, another
-	// op's waiters, or the free list; waiters, on an issued op, are the
-	// operations queued behind it for its line.
+	// op's waiters, or the machine's free list; waiters, on an issued op,
+	// are the operations queued behind it for its line.
 	next    *Op
 	waiters opFIFO
 }
@@ -78,6 +80,20 @@ func (q *opFIFO) pop() *Op {
 	return op
 }
 
+// opList is one machine's free list of Ops, shared by all its sequencers
+// through Fabric.Ops.
+type opList struct{ free *Op }
+
+// opsOf returns fab's op list, making it for the fabric's first sequencer.
+func opsOf(fab *network.Fabric) *opList {
+	l, _ := fab.Ops.(*opList)
+	if l == nil {
+		l = new(opList)
+		fab.Ops = l
+	}
+	return l
+}
+
 // Sequencer issues byte-granularity loads and stores to one cache.
 type Sequencer struct {
 	id    coherence.NodeID
@@ -89,7 +105,7 @@ type Sequencer struct {
 	nextTag uint64
 	// inflight holds the operations issued to the cache, at most one per
 	// line and at most MaxOutstanding of them, so finding one by tag or
-	// by line is a short scan.
+	// by line is a short scan. It is sized once, at the first issue.
 	inflight []*Op
 	issueQ   opFIFO // waiting on MaxOutstanding
 	// outstanding counts inflight, issueQ and every waiters queue.
@@ -99,7 +115,7 @@ type Sequencer struct {
 	// dropped silently. An aborted Op stays off the free list until then:
 	// its message is still in the cache or on the wire.
 	aborted []*Op
-	free    *Op
+	ops     *opList
 
 	// MaxOutstanding bounds concurrently issued operations (0 = 1).
 	MaxOutstanding int
@@ -124,7 +140,7 @@ type Sequencer struct {
 
 // New returns a sequencer with the given node id, wired to cache.
 func New(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric, cache coherence.NodeID) *Sequencer {
-	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, MaxOutstanding: 16}
+	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, ops: opsOf(fab), MaxOutstanding: 16}
 	fab.Register(s)
 	return s
 }
@@ -154,18 +170,20 @@ func (s *Sequencer) Store(addr mem.Addr, val byte, done func(*Op)) {
 
 // newOp returns a zeroed Op, recycled when one is free.
 func (s *Sequencer) newOp() *Op {
-	op := s.free
+	l := s.ops
+	op := l.free
 	if op == nil {
 		return &Op{}
 	}
-	s.free, op.next = op.next, nil
+	l.free, op.next = op.next, nil
 	return op
 }
 
 // release zeroes op, which nothing refers to any more, onto the free list.
 func (s *Sequencer) release(op *Op) {
-	*op = Op{next: s.free}
-	s.free = op
+	l := s.ops
+	*op = Op{next: l.free}
+	l.free = op
 }
 
 func (s *Sequencer) submit(op *Op) {
@@ -194,6 +212,9 @@ func (s *Sequencer) issue(op *Op) {
 	s.nextTag++
 	op.tag = s.nextTag
 	op.Issued = s.eng.Now()
+	if s.inflight == nil {
+		s.inflight = make([]*Op, 0, max(s.MaxOutstanding, 1))
+	}
 	s.inflight = append(s.inflight, op)
 	ty := coherence.ReqLoad
 	if op.Store {

@@ -179,9 +179,11 @@ func (c *parkingCache) reply(m *coherence.Msg) {
 	c.fab.SendAfter(1, coherence.Reply(m, c.id, val), nil)
 }
 
+// freeOps counts the Ops on the free list s shares with the other
+// sequencers of its machine.
 func (s *Sequencer) freeOps() int {
 	n := 0
-	for op := s.free; op != nil; op = op.next {
+	for op := s.ops.free; op != nil; op = op.next {
 		n++
 	}
 	return n
@@ -310,5 +312,43 @@ func TestOpIsValidOnlyUntilDoneReturns(t *testing.T) {
 	eng.RunUntilQuiet()
 	if s.Completed != 2 {
 		t.Fatalf("completed %d, want 2", s.Completed)
+	}
+}
+
+// TestMachineSharesOneOpList: the sequencers of one machine — those on one
+// fabric — draw their Ops from one free list, so an Op one core released is
+// the next Op of another, and the machine makes as many Ops as it ever has
+// in flight at once, not that many per core. Every Op made is handed to a
+// done callback, so the distinct Ops the callbacks see are the Ops made.
+func TestMachineSharesOneOpList(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := network.NewFabric(eng, 7, network.Config{Latency: 1, Ordered: true})
+	fab.Register(&parkingCache{id: 100, fab: fab})
+	a, b := New(1, "seq0", eng, fab, 100), New(2, "seq1", eng, fab, 100)
+	made := map[*Op]bool{}
+	done := func(op *Op) { made[op] = true }
+	peak := 0
+	round := func(onA, onB int) { // loads on a and on b, all in flight at once
+		for s, n := range map[*Sequencer]int{a: onA, b: onB} {
+			for i := 0; i < n; i++ {
+				s.Load(mem.Addr(0x1000+i*mem.BlockBytes)+mem.Addr(s.ID()), done)
+			}
+		}
+		peak = max(peak, a.Outstanding()+b.Outstanding())
+		eng.RunUntilQuiet()
+	}
+	round(3, 0)
+	round(0, 3) // b reuses the three a released
+	if len(made) != 3 {
+		t.Fatalf("3 loads on one core, then 3 on another, made %d Ops; want 3", len(made))
+	}
+	round(2, 2)
+	round(0, 1)
+	if len(made) != peak || peak != 4 {
+		t.Fatalf("made %d Ops for a machine peak of %d in flight; want both 4", len(made), peak)
+	}
+	if a.Completed+b.Completed != 11 || a.freeOps() != 4 || b.freeOps() != 4 {
+		t.Fatalf("Completed %d, free lists %d and %d; want 11, 4 and 4 (one list)",
+			a.Completed+b.Completed, a.freeOps(), b.freeOps())
 	}
 }

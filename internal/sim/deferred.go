@@ -1,11 +1,11 @@
 package sim
 
 // Deferred is the deferred actions of one kind that one component has
-// pending: "run this with payload p after N ticks", allocation-free. It is
-// the record-with-payload form of Timed. Each pending action rides a record
-// holding its payload and a Timed whose callback was bound when the record
-// was made; a fired record goes back to the list's free list, so a
-// component's steady state allocates nothing however many actions it defers.
+// pending: "run this with payload p after N ticks", allocation-free. Each
+// pending action rides a record holding its payload; the record is the
+// Event the engine queues, so it is the action's one object, and a fired
+// record goes back to the list's free list, so a component's steady state
+// allocates nothing however many actions it defers.
 // The guard's dispatch and rate-limit timers and the adversary's delayed
 // replies are each one Deferred.
 //
@@ -28,7 +28,6 @@ type Deferred[P any] struct {
 
 type deferredRec[P any] struct {
 	p    P
-	ev   Timed
 	list *Deferred[P]
 	next *deferredRec[P] // free-list link
 }
@@ -44,21 +43,21 @@ func (d *Deferred[P]) After(delay Time, p P) {
 }
 
 // rec takes a record off the free list, or makes one — the list's only
-// allocation: the record and its bound callback.
-func (d *Deferred[P]) rec(p P) *Timed {
+// allocation.
+func (d *Deferred[P]) rec(p P) *deferredRec[P] {
 	r := d.free
 	if r != nil {
 		d.free = r.next
 		r.next = nil
 	} else {
 		r = &deferredRec[P]{list: d}
-		r.ev.Fn = r.fire
 	}
 	r.p = p
-	return &r.ev
+	return r
 }
 
-func (r *deferredRec[P]) fire() {
+// Fire gives the record back and runs the action with its payload.
+func (r *deferredRec[P]) Fire() {
 	d, p := r.list, r.p
 	var zero P
 	r.p = zero
@@ -75,9 +74,10 @@ func (r *deferredRec[P]) fire() {
 // what it keeps queued, is what is armed now: a called-off action does not
 // fire, does not count as pending and does not hold the clock open.
 //
-// Like a Deferred's, an action's record goes back to the free list before run
-// is called — or when it is cancelled — so a lane allocates nothing once it
-// has as many records as were ever armed at once. Bind before first use; a
+// Like a Deferred's, an action is one record — payload and Timer together,
+// the record its Timer's Event — and it goes back to the free list before
+// run is called, or when it is cancelled, so a lane allocates nothing once
+// it has as many records as were ever armed at once. Bind before first use; a
 // Lane must not be copied after that.
 type Lane[P any] struct {
 	eng   *Engine
@@ -112,7 +112,7 @@ func (l *Lane[P]) Defer(p P) *Armed[P] {
 		a.next = nil
 	} else {
 		a = &Armed[P]{lane: l}
-		a.t.Bind(a.fire)
+		a.t.ev = a
 	}
 	a.p = p
 	l.n++
@@ -145,7 +145,9 @@ func (l *Lane[P]) release(a *Armed[P]) P {
 	return p
 }
 
-func (a *Armed[P]) fire() {
+// Fire gives the record back and runs the action with its payload; the
+// engine calls it, through the Timer, when the lane's delay is up.
+func (a *Armed[P]) Fire() {
 	l := a.lane
 	l.run(l.release(a))
 }

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All protocol components in this repository are driven by a single
-// Engine: a queue of (time, sequence, callback) events executed in strict
+// Engine: a queue of (time, sequence, Event) entries executed in strict
 // timestamp order, with FIFO tie-breaking by insertion order.
 // Determinism is a hard requirement for debugging coherence races: given
 // the same seed and configuration, a run is bit-for-bit reproducible.
@@ -23,17 +23,19 @@
 // allocation discipline" for why that keeps the execution order exactly
 // (time, sequence).
 //
-// Callers that schedule the same logical callback repeatedly (the
-// network fabric's delivery records, pooled protocol events) should bind
-// the callback once in a Timed and use ScheduleEvent, which is
-// allocation-free per call. A callback that needs a payload per call —
-// "do this to that line after N ticks" — goes through a Deferred (a free
-// list of records, each a payload and a bound Timed), which keeps that
+// What the queue holds is an Event: a value with a Fire method. A pooled
+// record — the network fabric's deliveries, a Deferred's or a Lane's
+// actions — is its own Event, so queueing it is storing one pointer and the
+// record is the only object it ever costs; ScheduleEvent takes any Event
+// and allocates nothing per call. Schedule(fn) queues the func value itself,
+// which costs nothing either. A callback that needs a payload per
+// call — "do this to that line after N ticks" — goes through a Deferred (a
+// free list of records, each a payload that fires itself), which keeps that
 // discipline in one place.
 //
 // # Taking an event back
 //
-// A Timed is the engine's until its tick. That suits a short delay: an
+// An Event is the engine's until its tick. That suits a short delay: an
 // action that is overtaken fires inert a few ticks later, on an event that
 // was due anyway. It does not suit a long one. A deadline of 100 000 ticks
 // on work that finishes in 200 would sit in the far heap for the rest of
@@ -72,10 +74,23 @@ const (
 	wheelWords = horizon / 64
 )
 
+// Event is what the engine queues: Fire runs it when its tick comes. A
+// record that is its own Event (a pointer) is queued without allocating.
+type Event interface{ Fire() }
+
+// funcEvent is a plain callback as an Event. A func value is one pointer,
+// so converting it to an Event allocates nothing.
+type funcEvent func()
+
+// Fire calls f.
+func (f funcEvent) Fire() { f() }
+
 // node is one wheel event. Its tick is its bucket's and its sequence is
-// its position in the bucket, so it carries neither.
+// its position in the bucket, so it carries neither. Nodes live in the
+// engine's slab, not in the events, so one Event may be queued more than
+// once at a time.
 type node struct {
-	fn   func()
+	ev   Event
 	next int32 // next node in the bucket or free list; 0 ends the list
 }
 
@@ -83,13 +98,13 @@ type node struct {
 // head == 0 means empty (slot 0 of the slab is never handed out).
 type bucket struct{ head, tail int32 }
 
-// event is a far-heap entry: a callback due at least horizon ticks after
-// the clock at which it was scheduled. t is the Timer it belongs to, nil for
-// an event nobody can take back.
+// event is a far-heap entry: an Event due at least horizon ticks after
+// the clock at which it was scheduled. t is the Timer it belongs to (then
+// ev is t), nil for an event nobody can take back.
 type event struct {
 	at  Time
 	seq uint64 // insertion order among far events; breaks timestamp ties FIFO
-	fn  func()
+	ev  Event
 	t   *Timer
 }
 
@@ -162,14 +177,14 @@ func (h *eventHeap) push(ev event) {
 }
 
 // remove takes the event in slot i out, refilling the slot from the tail.
-// The vacated tail slot is zeroed so the removed callback is not retained
-// by the backing array.
+// The vacated tail slot is zeroed so the removed event is not retained by
+// the backing array.
 func (h *eventHeap) remove(i int) event {
 	q := *h
 	ev := q[i]
 	n := len(q) - 1
 	moved := q[n]
-	q[n] = event{} // release fn: no liveness beyond execution
+	q[n] = event{} // release ev: no liveness beyond execution
 	q = q[:n]
 	*h = q
 	switch {
@@ -182,15 +197,14 @@ func (h *eventHeap) remove(i int) event {
 	return ev
 }
 
-// Timed is a reusable scheduled event: the callback is bound once (one
-// closure or method-value allocation at construction) and the record is
-// then passed to ScheduleEvent any number of times with no per-schedule
-// allocation. It is the kernel half of the pooling protocol used by the
-// network fabric's delivery records.
+// Timed is a reusable Event around a callback bound once (one closure or
+// method-value allocation at construction), for a component's one
+// recurring event — the fuzzing attacker's and the adversary's pacing. A
+// pooled record does better by being its own Event: nothing to bind.
 //
-// Contract for pooled Timed owners: a record handed to ScheduleEvent is
-// owned by the engine until Fn runs; it must not be re-scheduled or
-// recycled before then unless Fn tolerates concurrent pending instances.
+// An Event handed to ScheduleEvent is owned by the engine until it fires;
+// it must not be recycled before then unless Fire tolerates concurrent
+// pending instances.
 type Timed struct {
 	// Fn is the callback run when the event fires. It must be non-nil at
 	// ScheduleEvent time and should be bound once, at construction.
@@ -200,7 +214,10 @@ type Timed struct {
 // NewTimed returns a Timed bound to fn.
 func NewTimed(fn func()) *Timed { return &Timed{Fn: fn} }
 
-// Timer is a scheduled event that can be taken back. A Timed handed to the
+// Fire calls t.Fn.
+func (t *Timed) Fire() { t.Fn() }
+
+// Timer is a scheduled event that can be taken back. An Event handed to the
 // engine stays there until its tick; a Timer knows where in the queue it
 // waits, so Cancel removes it: nothing is left to fire, to count as pending,
 // or to hold the clock open. It is for long-dated events that are usually
@@ -211,20 +228,21 @@ func NewTimed(fn func()) *Timed { return &Timed{Fn: fn} }
 // from the moment its callback starts or Cancel returns. Bind before first
 // use; a Timer must not be copied or moved after that.
 type Timer struct {
-	fn   func()
-	fire func() // fired, bound once: what the queue holds
-	at   Time   // due tick, while queued
+	ev Event // what the timer runs
+	at Time  // due tick, while queued
 	// pos says where the Timer waits: 0 not queued, k > 0 far-heap slot k-1,
 	// k < 0 wheel node -k (in the bucket of tick at).
 	pos int32
 }
 
 // Bind sets the callback the timer runs when it fires.
-func (t *Timer) Bind(fn func()) { t.fn, t.fire = fn, t.fired }
+func (t *Timer) Bind(fn func()) { t.ev = funcEvent(fn) }
 
-func (t *Timer) fired() {
+// Fire is the Timer's Event, what the queue holds: it marks the timer not
+// queued and runs its callback.
+func (t *Timer) Fire() {
 	t.pos = 0
-	t.fn()
+	t.ev.Fire()
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -267,7 +285,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
-	e.schedule(delay, fn)
+	e.schedule(delay, funcEvent(fn))
 }
 
 // ScheduleAt runs fn at absolute time t. Scheduling in the past panics:
@@ -279,30 +297,32 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
-// ScheduleEvent runs t.Fn after delay ticks, with the same ordering
-// semantics as Schedule. It allocates nothing: the callback was bound
-// when t was constructed.
-func (e *Engine) ScheduleEvent(delay Time, t *Timed) {
-	if t == nil || t.Fn == nil {
-		panic("sim: ScheduleEvent with nil Timed/Fn")
+// ScheduleEvent fires ev after delay ticks, with the same ordering
+// semantics as Schedule. It allocates nothing: the queue stores ev itself.
+// A nil ev, or a Timed without its Fn, panics.
+func (e *Engine) ScheduleEvent(delay Time, ev Event) {
+	// schedule refuses nil itself, which keeps this call small enough to
+	// inline on the fabric's paths.
+	if t, ok := ev.(*Timed); ok && t.Fn == nil {
+		panic("sim: ScheduleEvent with nil Timed.Fn")
 	}
-	e.schedule(delay, t.Fn)
+	e.schedule(delay, ev)
 }
 
-// ScheduleEventAt runs t.Fn at absolute time at (panics when at is in
-// the past, like ScheduleAt), allocation-free like ScheduleEvent.
-func (e *Engine) ScheduleEventAt(at Time, t *Timed) {
+// ScheduleEventAt fires ev at absolute time at (panics when at is in the
+// past, like ScheduleAt), allocation-free like ScheduleEvent.
+func (e *Engine) ScheduleEventAt(at Time, ev Event) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleEventAt(%d) in the past (now=%d)", at, e.now))
 	}
-	e.ScheduleEvent(at-e.now, t)
+	e.ScheduleEvent(at-e.now, ev)
 }
 
 // ScheduleTimer runs t's callback after delay ticks, at the queue position
 // Schedule would give it, unless Cancel takes it back first. It allocates
 // nothing. Scheduling a Timer that is already queued panics.
 func (e *Engine) ScheduleTimer(delay Time, t *Timer) {
-	if t == nil || t.fn == nil {
+	if t == nil || t.ev == nil {
 		panic("sim: ScheduleTimer with nil or unbound Timer")
 	}
 	if t.pos != 0 {
@@ -310,10 +330,10 @@ func (e *Engine) ScheduleTimer(delay Time, t *Timer) {
 	}
 	t.at = e.now + delay
 	if delay >= horizon {
-		e.pushFar(t.at, t.fire, t)
+		e.pushFar(t.at, t, t)
 		return
 	}
-	t.pos = -e.schedule(delay, t.fire)
+	t.pos = -e.schedule(delay, t)
 }
 
 // Cancel takes a queued Timer out of the queue and reports whether it was
@@ -335,18 +355,21 @@ func (e *Engine) Cancel(t *Timer) bool {
 	return true
 }
 
-// pushFar queues fn, for timer t if any, on the far heap for tick at.
-func (e *Engine) pushFar(at Time, fn func(), t *Timer) {
+// pushFar queues ev, for timer t if any, on the far heap for tick at.
+func (e *Engine) pushFar(at Time, ev Event, t *Timer) {
 	e.farSeq++
-	e.far.push(event{at: at, seq: e.farSeq, fn: fn, t: t})
+	e.far.push(event{at: at, seq: e.farSeq, ev: ev, t: t})
 }
 
-// schedule queues fn for now+delay: on its tick's bucket when that lies
+// schedule queues ev for now+delay: on its tick's bucket when that lies
 // inside the window, returning the wheel node it took, else on the far heap,
 // returning 0.
-func (e *Engine) schedule(delay Time, fn func()) int32 {
+func (e *Engine) schedule(delay Time, ev Event) int32 {
+	if ev == nil {
+		panic("sim: ScheduleEvent with nil Event")
+	}
 	if delay >= horizon {
-		e.pushFar(e.now+delay, fn, nil)
+		e.pushFar(e.now+delay, ev, nil)
 		return 0
 	}
 	i := e.free
@@ -359,7 +382,7 @@ func (e *Engine) schedule(delay Time, fn func()) int32 {
 		i = int32(len(e.nodes))
 		e.nodes = append(e.nodes, node{})
 	}
-	e.nodes[i] = node{fn: fn}
+	e.nodes[i] = node{ev: ev}
 	slot := uint(e.now+delay) & wheelMask
 	b := &e.wheel[slot]
 	if b.head == 0 {
@@ -440,7 +463,7 @@ func (e *Engine) advance(t Time) {
 	e.now = t
 	for len(e.far) > 0 && e.far[0].at-t < horizon {
 		ev := e.far.remove(0)
-		i := e.schedule(ev.at-t, ev.fn)
+		i := e.schedule(ev.at-t, ev.ev)
 		if ev.t != nil {
 			ev.t.pos = -i
 		}
@@ -470,17 +493,17 @@ func (e *Engine) run(deadline Time) {
 		b := &e.wheel[slot]
 		i := b.head
 		n := &e.nodes[i]
-		fn := n.fn
+		ev := n.ev
 		if b.head = n.next; b.head == 0 {
 			e.occ[slot>>6] &^= 1 << (slot & 63)
 		}
-		// Release the slot: a freed node must not keep fn, and what fn
-		// captured, reachable for the rest of the run.
+		// Release the slot: a freed node must not keep ev, and what it
+		// refers to, reachable for the rest of the run.
 		*n = node{next: e.free}
 		e.free = i
 		e.inWheel--
 		e.Executed++
-		fn()
+		ev.Fire()
 	}
 }
 

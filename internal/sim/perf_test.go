@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -214,4 +215,47 @@ func TestLaneCancelAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("a round of 600 arms and 500 cancels allocated %v objects, want 0", allocs)
 	}
+}
+
+// TestFirstActionIsOneObject pins what warm-up costs a Deferred and a Lane:
+// the first action of each makes one heap object, its record, which is
+// itself the event the engine queues — no bound callback beside it, and for
+// a lane no second record for its Timer. The engine's node slab and far heap
+// are grown first, so that only the records are counted.
+func TestFirstActionIsOneObject(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	e := sim.NewEngine()
+	e.Schedule(1, func() {})
+	e.Schedule(sim.Horizon+1, func() {})
+	e.RunUntilQuiet()
+	var d sim.Deferred[int]
+	d.Bind(e, func(int) {})
+	var near, far sim.Lane[int]
+	near.Bind(e, 100, func(int) {})
+	far.Bind(e, 100_000, func(int) {})
+	for _, c := range []struct {
+		name  string
+		first func()
+	}{
+		{"Deferred", func() { d.After(3, 7) }},
+		{"Lane in the wheel", func() { near.Defer(7) }},
+		{"Lane in the far heap", func() { far.Defer(7) }},
+	} {
+		if got := mallocs(c.first); got != 1 {
+			t.Errorf("%s: first action made %d heap objects, want 1", c.name, got)
+		}
+		e.RunUntilQuiet()
+	}
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
