@@ -614,7 +614,7 @@ func (l *lab) wideRun(host config.HostKind) xlateRow {
 	spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
 		wide = xlate.NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 16, 4)
 		wide.AttachObs(s.Obs)
-		sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID)
+		sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
 		s.AccelSeqs = append(s.AccelSeqs, sq)
 		s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
 		return wide.Outstanding

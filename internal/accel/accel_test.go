@@ -87,7 +87,7 @@ func newRig(cfg Config, seed int64) *rig {
 	fab := network.NewFabric(eng, seed, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
 	c := NewL1Cache(2, "accelL1", fab, 1, cfg)
-	sq := seq.New(3, "acc", eng, fab, 2)
+	sq := seq.New(3, "acc", eng, fab, 2, new(seq.OpList))
 	return &rig{eng, fab, xg, c, sq}
 }
 
@@ -286,7 +286,7 @@ func TestVIFlavorSendsOnlyGetM(t *testing.T) {
 	fab := network.NewFabric(eng, 9, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
 	c := NewL1Cache(2, "vi", fab, 1, cfg)
-	sq := seq.New(3, "acc", eng, fab, 2)
+	sq := seq.New(3, "acc", eng, fab, 2, new(seq.OpList))
 	sq.Load(0x100, nil)
 	sq.Store(0x180, 1, nil)
 	eng.RunUntilQuiet()
@@ -313,7 +313,7 @@ func TestMSIFlavorTreatsDataEAsDataM(t *testing.T) {
 	xg := newMockGuard(1, eng, fab)
 	xg.sGets = coherence.ADataE
 	c := NewL1Cache(2, "msi", fab, 1, cfg)
-	sq := seq.New(3, "acc", eng, fab, 2)
+	sq := seq.New(3, "acc", eng, fab, 2, new(seq.OpList))
 	sq.Load(0x100, nil)
 	eng.RunUntilQuiet()
 	_, st, _ := c.AuditLine(0x100)

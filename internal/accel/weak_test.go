@@ -30,10 +30,11 @@ func newWeakRig(seed int64) *weakRig {
 	cfg.L2Sets, cfg.L2Ways = 8, 2
 	l2 := NewWeakL2(5, "weakL2", eng, fab, 1, cfg)
 	r := &weakRig{eng: eng, fab: fab, xg: xg, l2: l2}
+	ops := new(seq.OpList)
 	for i := 0; i < 2; i++ {
 		l1 := NewWeakL1(coherence.NodeID(10+i), fmt.Sprintf("weakL1[%d]", i), eng, fab, 5, cfg)
 		r.l1s = append(r.l1s, l1)
-		r.seqs = append(r.seqs, seq.New(coherence.NodeID(100+i), "wk", eng, fab, l1.ID()))
+		r.seqs = append(r.seqs, seq.New(coherence.NodeID(100+i), "wk", eng, fab, l1.ID(), ops))
 	}
 	return r
 }

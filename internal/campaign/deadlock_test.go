@@ -22,7 +22,7 @@ type stuckSystem struct {
 func newStuckSystem() *stuckSystem {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
-	sq := seq.New(1, "stuck", eng, fab, 99 /* unregistered cache node */)
+	sq := seq.New(1, "stuck", eng, fab, 99 /* unregistered cache node */, new(seq.OpList))
 	return &stuckSystem{eng: eng, sq: sq}
 }
 

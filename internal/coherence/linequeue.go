@@ -1,74 +1,106 @@
 package coherence
 
-import "crossingguard/internal/mem"
+import (
+	"math/bits"
+
+	"crossingguard/internal/mem"
+)
 
 // LineQueues holds, per line, the messages a controller has queued behind
 // that line's open transaction, oldest first. A queued message is kept
 // (Msg.Keep); whoever pops it replays it — Fabric.CallAfter, or
 // BeginRecv/EndRecv around a direct call — which is what gives it back.
 //
-// A controller has few lines waiting at once, so the queues are a short
-// list of (line, head, tail) entries, scanned, and the messages of a line
-// are chained through themselves (Msg.next): queueing allocates nothing
-// once the list has as many entries as lines ever waited at once. An
-// emptied entry is free for the next line that waits, and the list starts
-// over when the last message leaves. Pop and Waiting run on every
-// completion and every request and almost always find nothing parked, so
-// the queues count their messages: with none queued they answer at once,
-// and Len is O(1). The zero value is ready to use.
+// The queues are an open-addressed table of (line, head, tail) entries,
+// keyed by line, and the messages of a line are chained through themselves
+// (Msg.next), so queueing allocates nothing once the table has room for the
+// most lines ever waiting at once. Most controllers have a few: at most 8 on
+// every benchmark workload and on a 16-device chaos shard, 1 to 4 on most.
+// The Hammer directory of a 64-device chaos campaign has had 134, which is
+// why a line is found by its hash, not by a scan. An entry leaves the table
+// with its line's last message, so an emptied entry is free for the next
+// line that waits.
+//
+// A message waits on one line, once: pushing one that is already queued —
+// here or on any other controller's queues — panics, where it would cut off
+// the messages queued behind it. Pop and Waiting run on every completion
+// and every request and almost always find nothing parked, so the queues
+// count their messages: with none queued they answer without hashing the
+// line, and Len is O(1). The zero value is ready to use.
 type LineQueues struct {
-	lines []lineQueue
-	n     int // messages queued over every line
+	slots []lineQueue // head == nil: empty
+	shift uint        // 64 - log2(len(slots))
+	lines int         // occupied slots
+	n     int         // messages queued over every line
 }
 
-// minLineEntries is the list's first size: most controllers that queue at
-// all see a few lines wait at once, so the list is made once, not grown
-// from one entry.
-const minLineEntries = 4
+// minLineSlots is the table's first size. Kept at most half full, it holds
+// the 1 to 4 lines most controllers that queue at all ever have waiting, so
+// most make it once and never grow it.
+const minLineSlots = 8
 
-// lineQueue is one line's FIFO; head == nil marks a free entry.
+// lineQueue is one line's FIFO, head to tail through Msg.next; the tail's
+// next is lineEnd.
 type lineQueue struct {
 	line       mem.Addr
 	head, tail *Msg
 }
 
-// find returns line's entry, or nil when none of its messages is queued.
-func (q *LineQueues) find(line mem.Addr) *lineQueue {
-	for i := range q.lines {
-		if e := &q.lines[i]; e.head != nil && e.line == line {
-			return e
-		}
+// lineEnd ends every line's chain, so a message is queued exactly when its
+// next is not nil.
+var lineEnd = new(Msg)
+
+// home is line's first slot: the top bits of a multiplicative hash.
+func (q *LineQueues) home(line mem.Addr) int {
+	return int(uint64(line) * 0x9e3779b97f4a7c15 >> q.shift)
+}
+
+// find returns the slot holding line's entry, or the empty slot that would.
+func (q *LineQueues) find(line mem.Addr) int {
+	mask := len(q.slots) - 1
+	i := q.home(line)
+	for e := &q.slots[i]; e.head != nil && e.line != line; e = &q.slots[i] {
+		i = (i + 1) & mask
 	}
-	return nil
+	return i
 }
 
 // Push keeps m at the tail of line's queue.
 func (q *LineQueues) Push(line mem.Addr, m *Msg) {
 	m.Keep()
-	m.next = nil
+	if m.next != nil {
+		panic("coherence: Push of a message that is already queued")
+	}
+	m.next = lineEnd
 	q.n++
-	free := -1
-	for i := range q.lines {
-		e := &q.lines[i]
-		switch {
-		case e.head == nil:
-			if free < 0 {
-				free = i
-			}
-		case e.line == line:
-			e.tail.next = m
-			e.tail = m
-			return
+	if q.slots == nil {
+		q.grow()
+	}
+	i := q.find(line)
+	if e := &q.slots[i]; e.head != nil {
+		e.tail.next = m
+		e.tail = m
+		return
+	}
+	if 2*(q.lines+1) > len(q.slots) {
+		q.grow()
+		i = q.find(line)
+	}
+	q.slots[i] = lineQueue{line: line, head: m, tail: m}
+	q.lines++
+}
+
+// grow doubles the table and places the waiting lines again.
+func (q *LineQueues) grow() {
+	old := q.slots
+	n := max(2*len(old), minLineSlots)
+	q.slots = make([]lineQueue, n)
+	q.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, e := range old {
+		if e.head != nil {
+			q.slots[q.find(e.line)] = e
 		}
 	}
-	if free < 0 {
-		if q.lines == nil {
-			q.lines = make([]lineQueue, 0, minLineEntries)
-		}
-		free = len(q.lines)
-		q.lines = append(q.lines, lineQueue{})
-	}
-	q.lines[free] = lineQueue{line: line, head: m, tail: m}
 }
 
 // Pop removes and returns the head of line's queue, or nil when it is
@@ -77,23 +109,39 @@ func (q *LineQueues) Pop(line mem.Addr) *Msg {
 	if q.n == 0 {
 		return nil
 	}
-	e := q.find(line)
-	if e == nil {
+	i := q.find(line)
+	e := &q.slots[i]
+	m := e.head
+	if m == nil {
 		return nil
 	}
-	m := e.head
 	e.head, m.next = m.next, nil
-	if e.head == nil {
-		e.tail = nil
+	if e.head == lineEnd {
+		q.remove(i)
 	}
-	if q.n--; q.n == 0 {
-		q.lines = q.lines[:0]
-	}
+	q.n--
 	return m
 }
 
+// remove empties slot i and moves the entries after it in its probe run
+// back, each as far as its home slot allows, so that every entry stays
+// reachable from its home and no slot needs a tombstone.
+func (q *LineQueues) remove(i int) {
+	mask := len(q.slots) - 1
+	for j := (i + 1) & mask; q.slots[j].head != nil; j = (j + 1) & mask {
+		if h := q.home(q.slots[j].line); (j-h)&mask >= (j-i)&mask {
+			q.slots[i] = q.slots[j]
+			i = j
+		}
+	}
+	q.slots[i] = lineQueue{}
+	q.lines--
+}
+
 // Waiting reports whether line has queued messages.
-func (q *LineQueues) Waiting(line mem.Addr) bool { return q.n > 0 && q.find(line) != nil }
+func (q *LineQueues) Waiting(line mem.Addr) bool {
+	return q.n > 0 && q.slots[q.find(line)].head != nil
+}
 
 // Len counts the queued messages of every line.
 func (q *LineQueues) Len() int { return q.n }

@@ -228,7 +228,9 @@ const (
 // A message waits on at most one list at a time, and the list runs through
 // the message itself: a kept message queued behind its line (LineQueues)
 // or a released one on the pool's free list costs no storage of its own,
-// so queueing and recycling allocate nothing.
+// so queueing and recycling allocate nothing. Queueing a message that
+// already waits on a line panics (LineQueues.Push): the link it would
+// overwrite is what holds the messages behind it.
 //
 // That goes for hostile senders too: the fuzzing attacker and the
 // adversarial accelerators forge content, not storage, and take the
@@ -271,7 +273,8 @@ type Msg struct {
 	// its own, which is how the pool tells the two apart.
 	home *pooledMsg
 	// next links the message into the one list it waits on — a line's
-	// queue in LineQueues, or the pool's free list — and is nil otherwise.
+	// queue in LineQueues, where the last message's next is a sentinel, or
+	// the pool's free list — and is nil otherwise.
 	next *Msg
 }
 

@@ -276,61 +276,78 @@ func TestLineQueues(t *testing.T) {
 // TestLineQueuesZeroValue: a zero LineQueues answers before its first
 // Push, and across interleaved pushes and pops on several lines Pop,
 // Waiting and the counted Len agree with a per-line FIFO model — through
-// every line emptying and refilling, and the whole queue emptying. A line
-// that waits takes the entry another line emptied, and once the queues
-// have as many entries as lines ever waited at once, queueing behind new
-// lines allocates nothing.
+// every line emptying and refilling, the whole queue emptying, and, with
+// many lines, the table growing and entries leaving from the middle of
+// probe runs. A line that waits takes the entry another line emptied, and
+// once the queues have room for as many lines as ever waited at once,
+// queueing behind new lines allocates nothing.
 func TestLineQueuesZeroValue(t *testing.T) {
 	var q LineQueues
 	if q.Pop(0x40) != nil || q.Waiting(0x40) || q.Len() != 0 {
 		t.Fatal("zero LineQueues is not empty")
 	}
 	var p Pool
-	lines := []mem.Addr{0x0, 0x40, 0x1000, 0x1040}
 	model := map[mem.Addr][]*Msg{}
 	queued := 0
-	for i := 0; i < 400; i++ {
-		// Pushes outnumber pops in the first half of every 100 steps and
-		// pops win the second half, so lines and the whole queue empty.
-		line := lines[(i*7+i/5)%len(lines)]
-		if i%100 < 50 && i%3 != 2 || i%100 >= 50 && i%6 == 0 {
-			m := p.Msg(Msg{Acks: i})
-			deliver(&p, m, func(m *Msg) { q.Push(line, m) })
-			model[line] = append(model[line], m)
-			queued++
-		} else {
-			var want *Msg
-			if l := model[line]; len(l) > 0 {
-				want, model[line] = l[0], l[1:]
-				queued--
+	check := func(lines []mem.Addr, steps int) {
+		t.Helper()
+		for i := 0; i < steps; i++ {
+			// Pushes outnumber pops in the first half of every 100 steps and
+			// pops win the second half, so lines and the whole queue empty.
+			line := lines[(i*7+i/5)%len(lines)]
+			if i%100 < 50 && i%3 != 2 || i%100 >= 50 && i%6 == 0 {
+				m := p.Msg(Msg{Acks: i})
+				deliver(&p, m, func(m *Msg) { q.Push(line, m) })
+				model[line] = append(model[line], m)
+				queued++
+			} else {
+				var want *Msg
+				if l := model[line]; len(l) > 0 {
+					want, model[line] = l[0], l[1:]
+					queued--
+				}
+				if got := q.Pop(line); got != want {
+					t.Fatalf("step %d: Pop(%#x) = %v, want %v", i, line, got, want)
+				}
+				if want != nil {
+					p.Release(want)
+				}
 			}
-			if got := q.Pop(line); got != want {
-				t.Fatalf("step %d: Pop(%#x) = %v, want %v", i, line, got, want)
+			for _, l := range lines {
+				if q.Waiting(l) != (len(model[l]) > 0) {
+					t.Fatalf("step %d: Waiting(%#x) = %v with %d queued", i, l, q.Waiting(l), len(model[l]))
+				}
 			}
-			if want != nil {
-				p.Release(want)
+			if q.Len() != queued || int(p.Stats().MsgsOut) != queued {
+				t.Fatalf("step %d: Len %d, %d kept, want %d", i, q.Len(), p.Stats().MsgsOut, queued)
 			}
 		}
 		for _, l := range lines {
-			if q.Waiting(l) != (len(model[l]) > 0) {
-				t.Fatalf("step %d: Waiting(%#x) = %v with %d queued", i, l, q.Waiting(l), len(model[l]))
+			for m := q.Pop(l); m != nil; m = q.Pop(l) {
+				p.Release(m)
 			}
+			model[l] = nil
 		}
-		if q.Len() != queued || int(p.Stats().MsgsOut) != queued {
-			t.Fatalf("step %d: Len %d, %d kept, want %d", i, q.Len(), p.Stats().MsgsOut, queued)
-		}
-	}
-	for _, l := range lines {
-		for m := q.Pop(l); m != nil; m = q.Pop(l) {
-			p.Release(m)
+		queued = 0
+		if q.Len() != 0 || q.Waiting(lines[0]) || p.Stats().MsgsOut != 0 || q.lines != 0 {
+			t.Fatalf("drained queues: Len %d, %d entries, %+v", q.Len(), q.lines, p.Stats())
 		}
 	}
-	if q.Len() != 0 || q.Waiting(lines[0]) || p.Stats().MsgsOut != 0 {
-		t.Fatalf("drained queues: Len %d, %+v", q.Len(), p.Stats())
+	check([]mem.Addr{0x0, 0x40, 0x1000, 0x1040}, 400)
+	// 97 lines, dozens of them waiting at once: the table grows past its
+	// first size, and lines sharing home slots empty in every order.
+	var many []mem.Addr
+	for i := 0; i < 97; i++ {
+		many = append(many, mem.Addr(i*i*mem.BlockBytes))
+	}
+	check(many, 2000)
+	if len(q.slots) <= minLineSlots {
+		t.Fatalf("%d slots after dozens of lines waited, want the table grown", len(q.slots))
 	}
 
-	// Entry reuse: with 0x40 and 0x80 waiting, 0x40 empties and 0xc0 takes
-	// its entry — two entries, not three — behind 0x80's still queued one.
+	// Entry reuse: with 0x40 and 0x80 waiting, 0x40 empties and its entry
+	// leaves the table — two entries, not three — while 0x80's still queued
+	// one stays.
 	a, b, c := p.Msg(Msg{}), p.Msg(Msg{}), p.Msg(Msg{})
 	q.Push(0x40, a)
 	q.Push(0x80, b)
@@ -338,8 +355,8 @@ func TestLineQueuesZeroValue(t *testing.T) {
 		t.Fatal("Pop(0x40) is not the message pushed")
 	}
 	q.Push(0xc0, c)
-	if len(q.lines) != 2 || q.Waiting(0x40) || !q.Waiting(0x80) || !q.Waiting(0xc0) {
-		t.Fatalf("%d entries after a line emptied and another waited, want 2", len(q.lines))
+	if q.lines != 2 || q.Waiting(0x40) || !q.Waiting(0x80) || !q.Waiting(0xc0) {
+		t.Fatalf("%d entries after a line emptied and another waited, want 2", q.lines)
 	}
 	if q.Pop(0xc0) != c || q.Pop(0x80) != b || q.Len() != 0 {
 		t.Fatal("queues lost a message across the reused entry")
@@ -379,6 +396,44 @@ func TestLineQueuesZeroValue(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Fatalf("a round of 12 messages over 4 new lines allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestLineQueuesPushTwicePanics: a message waits on one line, once.
+// Pushing it again — as its line's tail, from the middle of its line, onto
+// another line or onto another controller's queues — would cut off the
+// messages behind it, so Push panics instead.
+func TestLineQueuesPushTwicePanics(t *testing.T) {
+	var p Pool
+	for _, tc := range []struct {
+		name   string
+		behind bool // a second message waits behind m
+		other  bool // the second Push goes to another LineQueues
+		line   mem.Addr
+	}{
+		{"tail", false, false, 0x40},
+		{"mid-line", true, false, 0x40},
+		{"other line", true, false, 0x80},
+		{"other queues", false, true, 0x40},
+	} {
+		var q, r LineQueues
+		m := p.Msg(Msg{})
+		q.Push(0x40, m)
+		if tc.behind {
+			q.Push(0x40, p.Msg(Msg{}))
+		}
+		again := &q
+		if tc.other {
+			again = &r
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a second Push of a queued message did not panic", tc.name)
+				}
+			}()
+			again.Push(tc.line, m)
+		}()
 	}
 }
 

@@ -283,7 +283,10 @@ type System struct {
 
 	CPUSeqs   []*seq.Sequencer
 	AccelSeqs []*seq.Sequencer
-	Guards    []*core.Guard
+	// Ops is the free list of memory operations every sequencer of the
+	// machine shares; a sequencer added by Spec.CustomAccel takes &s.Ops.
+	Ops    seq.OpList
+	Guards []*core.Guard
 
 	// Consistency is the observation recorder installed by
 	// Spec.Consistency (nil when the machine runs unrecorded).
@@ -592,7 +595,7 @@ func (s *System) build(h hostParts) {
 	for i := 0; i < spec.CPUs; i++ {
 		c := h.cache(nodeCPU+coherence.NodeID(i), fmt.Sprintf("%s[%d]", h.cpuName, i), false)
 		s.register(c, cpuCache)
-		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, c.ID())
+		sq := seq.New(nodeCPUSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), s.Eng, s.Fab, c.ID(), &s.Ops)
 		s.CPUSeqs = append(s.CPUSeqs, sq)
 		s.link(sq.ID(), c.ID(), s.lat.CoreToCache, 0)
 	}
@@ -662,7 +665,7 @@ func (s *System) attachCustom(g *core.Guard, xgID, accelID coherence.NodeID) {
 
 // accelSeq builds the sequencer of device d's core i, in front of cache.
 func (s *System) accelSeq(d, i int, cache coherence.NodeID) *seq.Sequencer {
-	sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, cache)
+	sq := seq.New(devID(d, nodeAccSeq, i), devName(d, fmt.Sprintf("acc[%d]", i)), s.Eng, s.Fab, cache, &s.Ops)
 	s.AccelSeqs = append(s.AccelSeqs, sq)
 	return sq
 }

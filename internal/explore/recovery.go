@@ -65,7 +65,7 @@ func RecoveryScenario() Scenario {
 					// device) but wired like the standard single-level
 					// path, reset hook included.
 					l1 := accel.NewL1Cache(accelID, "nbrL1", s.Fab, xgID, accel.DefaultConfig())
-					sq := seq.New(accelID+100, "nbr", s.Eng, s.Fab, accelID)
+					sq := seq.New(accelID+100, "nbr", s.Eng, s.Fab, accelID, &s.Ops)
 					s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
 					s.OnDeviceReset(accelID, func(epoch uint32) {
 						sq.Abort()

@@ -39,12 +39,13 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	s := &System{Eng: eng, Fab: fab, Mem: memory, Log: log}
 	s.Dir = NewDirectory(NodeDir, "hammer.dir", eng, fab, memory, cfg, log)
 	responses := nCPU // (nCPU-1 peers) + 1 memory response
+	ops := new(seq.OpList)
 	for i := 0; i < nCPU; i++ {
 		c := NewCache(NodeCache+coherence.NodeID(i), fmt.Sprintf("hammer.C[%d]", i),
 			fab, NodeDir, responses, cfg, log)
 		s.Caches = append(s.Caches, c)
 		s.Dir.AddPeer(c.ID())
-		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, c.ID())
+		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, c.ID(), ops)
 		s.Seqs = append(s.Seqs, sq)
 		fab.SetRoutePair(sq.ID(), c.ID(), network.Config{Latency: 1, Ordered: true})
 	}

@@ -40,10 +40,11 @@ func NewSystem(nCPU int, cfg Config, seed int64) *System {
 	log := coherence.NewErrorLog()
 	s := &System{Eng: eng, Fab: fab, Mem: memory, Log: log}
 	s.L2C = NewL2(NodeL2, "mesi.L2", eng, fab, memory, cfg, log)
+	ops := new(seq.OpList)
 	for i := 0; i < nCPU; i++ {
 		l1 := NewL1(NodeL1+coherence.NodeID(i), fmt.Sprintf("mesi.L1[%d]", i), fab, NodeL2, cfg, log)
 		s.L1s = append(s.L1s, l1)
-		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, l1.ID())
+		sq := seq.New(NodeSeq+coherence.NodeID(i), fmt.Sprintf("cpu[%d]", i), eng, fab, l1.ID(), ops)
 		s.Seqs = append(s.Seqs, sq)
 		// Core <-> L1 is a short on-chip hop.
 		fab.SetRoutePair(sq.ID(), l1.ID(), network.Config{Latency: 1, Ordered: true})

@@ -25,8 +25,7 @@
 // heap object, made once per machine up to the most of its kind ever in
 // flight at once. The messages themselves, and the blocks cache lines
 // hold, come from the coherence.Pool the fabric embeds and go back to it
-// when their Recv returns (coherence.Msg states the lifetime rule); the
-// fabric also keeps the sequencers' shared free list of operations (Ops).
+// when their Recv returns (coherence.Msg states the lifetime rule).
 // TestFabricSendAllocFree and BenchmarkFabricSend pin the 0 allocs/op
 // budget; see ARCHITECTURE.md "Hot path & allocation discipline".
 package network
@@ -285,11 +284,6 @@ type Fabric struct {
 	freeSend *sendRec
 	freeCall *callRec
 	delayed  int
-
-	// Ops is the machine's free list of sequencer operations. Package seq
-	// keeps it here, beside the message pool, so that every sequencer on
-	// the fabric draws from the one list; the fabric never looks at it.
-	Ops any
 
 	// Bus, when non-nil, receives a structured trace event for every
 	// send, delivery, and drop (obs.KindSend/KindRecv/KindDrop) — the

@@ -198,7 +198,7 @@ func runProgram(seed int64, maxOutstanding int, useOracle bool) []string {
 			aborted:     func() uint64 { return o.nAborted },
 		}
 	} else {
-		s := New(1, "seq", eng, fab, 100)
+		s := New(1, "seq", eng, fab, 100, new(OpList))
 		s.MaxOutstanding, s.OnQuiesce = maxOutstanding, quiesce
 		adapt := func(d doneFn) func(*Op) {
 			return func(op *Op) { d(op.Result, op.Issued, op.Done) }

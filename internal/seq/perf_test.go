@@ -25,7 +25,7 @@ func TestSequencerRoundTripAllocFree(t *testing.T) {
 	fab.AttachObs(obs.NewRegistry())
 	cache := &parkingCache{id: 100, fab: fab}
 	fab.Register(cache)
-	s := New(1, "seq0", eng, fab, 100)
+	s := New(1, "seq0", eng, fab, 100, new(OpList))
 
 	var sum int
 	done := func(op *Op) { sum += int(op.Result) }

@@ -10,15 +10,16 @@
 // # Op lifetime
 //
 // Ops belong to the sequencers, which recycle them through one free list
-// per machine, kept on the fabric (network.Fabric.Ops) as the message pool
-// is: every core of a machine draws from it, so the machine makes as many
-// Ops as it ever has in flight at once, not that many per core. The *Op
-// handed to a done callback is valid only until the callback returns, so a
-// callback copies out whatever it needs (Result, Issued, Done). An Op
-// carries its own request message. That message belongs to the cache from
-// delivery until the cache replies — normally by retyping it in place
-// (coherence.Reply) — so an Op discarded by Abort after it was issued is
-// not reused until its stale completion has come back and been dropped.
+// per machine (OpList), made where the machine is built and handed to each
+// of its sequencers: every core of a machine draws from it, so the machine
+// makes as many Ops as it ever has in flight at once, not that many per
+// core. The *Op handed to a done callback is valid only until the callback
+// returns, so a callback copies out whatever it needs (Result, Issued,
+// Done). An Op carries its own request message. That message belongs to
+// the cache from delivery until the cache replies — normally by retyping
+// it in place (coherence.Reply) — so an Op discarded by Abort after it was
+// issued is not reused until its stale completion has come back and been
+// dropped.
 package seq
 
 import (
@@ -80,19 +81,9 @@ func (q *opFIFO) pop() *Op {
 	return op
 }
 
-// opList is one machine's free list of Ops, shared by all its sequencers
-// through Fabric.Ops.
-type opList struct{ free *Op }
-
-// opsOf returns fab's op list, making it for the fabric's first sequencer.
-func opsOf(fab *network.Fabric) *opList {
-	l, _ := fab.Ops.(*opList)
-	if l == nil {
-		l = new(opList)
-		fab.Ops = l
-	}
-	return l
-}
+// OpList is one machine's free list of Ops, shared by all its sequencers
+// (see the package comment). The zero value is an empty list.
+type OpList struct{ free *Op }
 
 // Sequencer issues byte-granularity loads and stores to one cache.
 type Sequencer struct {
@@ -115,7 +106,7 @@ type Sequencer struct {
 	// dropped silently. An aborted Op stays off the free list until then:
 	// its message is still in the cache or on the wire.
 	aborted []*Op
-	ops     *opList
+	ops     *OpList
 
 	// MaxOutstanding bounds concurrently issued operations (0 = 1).
 	MaxOutstanding int
@@ -138,9 +129,10 @@ type Sequencer struct {
 	Rec *consistency.Stream
 }
 
-// New returns a sequencer with the given node id, wired to cache.
-func New(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric, cache coherence.NodeID) *Sequencer {
-	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, ops: opsOf(fab), MaxOutstanding: 16}
+// New returns a sequencer with the given node id, wired to cache, drawing
+// its Ops from ops: the machine's list, shared with its other sequencers.
+func New(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric, cache coherence.NodeID, ops *OpList) *Sequencer {
+	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, ops: ops, MaxOutstanding: 16}
 	fab.Register(s)
 	return s
 }

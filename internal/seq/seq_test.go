@@ -45,7 +45,7 @@ func rig(delay sim.Time) (*sim.Engine, *Sequencer, *echoCache) {
 	fab := network.NewFabric(eng, 7, network.Config{Latency: 1})
 	cache := &echoCache{id: 100, eng: eng, fab: fab, mem: mem.NewMemory(), delay: delay}
 	fab.Register(cache)
-	s := New(1, "seq0", eng, fab, 100)
+	s := New(1, "seq0", eng, fab, 100, new(OpList))
 	return eng, s, cache
 }
 
@@ -198,7 +198,7 @@ func TestAbortDoesNotRecycleOpsTheCacheHolds(t *testing.T) {
 	fab := network.NewFabric(eng, 7, network.Config{Latency: 1, Ordered: true})
 	cache := &parkingCache{id: 100, fab: fab, parked: true}
 	fab.Register(cache)
-	s := New(1, "seq0", eng, fab, 100)
+	s := New(1, "seq0", eng, fab, 100, new(OpList))
 	s.MaxOutstanding = 4
 
 	never := func(*Op) { t.Error("an aborted operation completed") }
@@ -324,7 +324,8 @@ func TestMachineSharesOneOpList(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 7, network.Config{Latency: 1, Ordered: true})
 	fab.Register(&parkingCache{id: 100, fab: fab})
-	a, b := New(1, "seq0", eng, fab, 100), New(2, "seq1", eng, fab, 100)
+	ops := new(OpList)
+	a, b := New(1, "seq0", eng, fab, 100, ops), New(2, "seq1", eng, fab, 100, ops)
 	made := map[*Op]bool{}
 	done := func(op *Op) { made[op] = true }
 	peak := 0

@@ -112,7 +112,7 @@ func (l *Lane[P]) Defer(p P) *Armed[P] {
 		a.next = nil
 	} else {
 		a = &Armed[P]{lane: l}
-		a.t.ev = a
+		a.t.ev = (*armedEv[P])(a)
 	}
 	a.p = p
 	l.n++
@@ -145,9 +145,12 @@ func (l *Lane[P]) release(a *Armed[P]) P {
 	return p
 }
 
-// Fire gives the record back and runs the action with its payload; the
-// engine calls it, through the Timer, when the lane's delay is up.
-func (a *Armed[P]) Fire() {
+// armedEv is an Armed as its Timer's Event. Only the engine fires it, when
+// the lane's delay is up: an Armed offers its owner Cancel, never Fire.
+type armedEv[P any] Armed[P]
+
+// Fire gives the record back and runs the action with its payload.
+func (a *armedEv[P]) Fire() {
 	l := a.lane
-	l.run(l.release(a))
+	l.run(l.release((*Armed[P])(a)))
 }

@@ -364,7 +364,10 @@ func TestScheduleEventNilPanics(t *testing.T) {
 	}
 }
 
-// TestTimerContracts pins what ScheduleTimer and Cancel refuse.
+// TestTimerContracts pins what ScheduleTimer and Cancel refuse, and that
+// neither a Timer nor a lane's Armed is an Event: a Timer reaches the queue
+// only through ScheduleTimer, which tracks where it waits, and an Armed is
+// its owner's to Cancel, never to fire.
 func TestTimerContracts(t *testing.T) {
 	e := sim.NewEngine()
 	var tm sim.Timer
@@ -398,5 +401,10 @@ func TestTimerContracts(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+	for _, v := range []any{&tm, a} {
+		if _, ok := v.(sim.Event); ok {
+			t.Errorf("%T is a sim.Event", v)
+		}
 	}
 }

@@ -100,7 +100,7 @@ type bucket struct{ head, tail int32 }
 
 // event is a far-heap entry: an Event due at least horizon ticks after
 // the clock at which it was scheduled. t is the Timer it belongs to (then
-// ev is t), nil for an event nobody can take back.
+// ev is t's timerEv), nil for an event nobody can take back.
 type event struct {
 	at  Time
 	seq uint64 // insertion order among far events; breaks timestamp ties FIFO
@@ -238,9 +238,13 @@ type Timer struct {
 // Bind sets the callback the timer runs when it fires.
 func (t *Timer) Bind(fn func()) { t.ev = funcEvent(fn) }
 
-// Fire is the Timer's Event, what the queue holds: it marks the timer not
-// queued and runs its callback.
-func (t *Timer) Fire() {
+// timerEv is a Timer as the Event the queue holds: firing it marks the
+// timer not queued and runs the timer's event. The Timer itself is no
+// Event, so it reaches the queue only through ScheduleTimer, which tracks
+// where it waits.
+type timerEv Timer
+
+func (t *timerEv) Fire() {
 	t.pos = 0
 	t.ev.Fire()
 }
@@ -330,10 +334,10 @@ func (e *Engine) ScheduleTimer(delay Time, t *Timer) {
 	}
 	t.at = e.now + delay
 	if delay >= horizon {
-		e.pushFar(t.at, t, t)
+		e.pushFar(t.at, (*timerEv)(t), t)
 		return
 	}
-	t.pos = -e.schedule(delay, t)
+	t.pos = -e.schedule(delay, (*timerEv)(t))
 }
 
 // Cancel takes a queued Timer out of the queue and reports whether it was

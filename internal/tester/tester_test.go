@@ -61,10 +61,11 @@ func newFake(cores int, seed int64) *fakeSystem {
 		fab: network.NewFabric(eng, seed, network.Config{Latency: 2}),
 		mem: mem.NewMemory(),
 	}
+	ops := new(seq.OpList)
 	for i := 0; i < cores; i++ {
 		c := &fakeCache{s: fs, id: coherence.NodeID(10 + i)}
 		fs.fab.Register(c)
-		fs.seqs = append(fs.seqs, seq.New(coherence.NodeID(100+i), "core", eng, fs.fab, c.ID()))
+		fs.seqs = append(fs.seqs, seq.New(coherence.NodeID(100+i), "core", eng, fs.fab, c.ID(), ops))
 	}
 	return fs
 }

@@ -20,7 +20,7 @@ func buildWide(host config.HostKind, org config.Org, seed int64) (*config.System
 		Host: host, Org: org, CPUs: 2, AccelCores: 1, Seed: seed, Timeout: 50_000,
 		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
 			wide = NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 4, 2)
-			sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID)
+			sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
 			s.AccelSeqs = append(s.AccelSeqs, sq)
 			s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
 			return wide.Outstanding
