@@ -50,6 +50,10 @@ func TestExitCodes(t *testing.T) {
 		{"clean stress run", []string{"xgcampaign", "-mode", "stress", "-seeds", "1", "-stores", "2", "-cpus", "1", "-cores", "1"}, 0, ""},
 		{"unknown mode", []string{"xgcampaign", "-mode", "bogus"}, 2,
 			`xgcampaign: unknown -mode "bogus" (want stress, fuzz, chaos, recovery, multi, or all)`},
+		{"negative fuzz messages", []string{"xgcampaign", "-messages", "-1", "-mode", "fuzz"}, 2,
+			"xgcampaign: -messages -1 is below the minimum of 1"},
+		{"no stores", []string{"xgcampaign", "-stores", "0"}, 2, "xgcampaign: -stores 0 is below the minimum of 1"},
+		{"no seeds", []string{"xgcampaign", "-seeds", "0"}, 2, "xgcampaign: -seeds 0 is below the minimum of 1"},
 		{"too many CPUs", []string{"xgcampaign", "-cpus", "31"}, 2, "xgcampaign: 31 CPU cores exceeds the limit of 30"},
 		{"too many devices", []string{"xgcampaign", "-accels", "65"}, 2,
 			"xgcampaign: 65 accelerator devices exceeds the limit of 64"},

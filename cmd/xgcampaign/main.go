@@ -111,6 +111,15 @@ var (
 
 func main() {
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"seeds", *seeds}, {"stores", *stores}, {"messages", *messages}, {"cpus", *cpus}, {"cores", *cores}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "xgcampaign: -%s %d is below the minimum of 1\n", f.name, f.v)
+			os.Exit(campaign.ExitUsage)
+		}
+	}
 	if err := config.CheckSize(*cpus, *cores, *accels); err != nil {
 		fmt.Fprintln(os.Stderr, "xgcampaign:", err)
 		os.Exit(campaign.ExitUsage)

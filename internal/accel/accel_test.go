@@ -356,3 +356,12 @@ func TestTable1PairsShape(t *testing.T) {
 		}
 	}
 }
+
+// AuditLine reports the cache's stable view of one line.
+func (c *L1Cache) AuditLine(addr mem.Addr) (present bool, st AState, data *mem.Block) {
+	e := c.Lines.Peek(addr)
+	if e == nil || e.V.state == AB || e.V.state == AI {
+		return false, AI, nil
+	}
+	return true, e.V.state, e.V.data
+}

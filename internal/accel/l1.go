@@ -304,15 +304,6 @@ func (c *L1Cache) sendToXG(ty coherence.MsgType, line mem.Addr, data *mem.Block,
 		Epoch: c.epoch}))
 }
 
-// AuditLine reports the stable view for invariant checks.
-func (c *L1Cache) AuditLine(addr mem.Addr) (present bool, st AState, data *mem.Block) {
-	e := c.Lines.Peek(addr)
-	if e == nil || e.V.state == AB || e.V.state == AI {
-		return false, AI, nil
-	}
-	return true, e.V.state, e.V.data
-}
-
 // Held reports every stable valid line for invariant checks.
 func (c *L1Cache) Held(fn chassis.HeldFunc) {
 	c.Lines.Visit(func(e *cacheset.Entry[aLine]) {

@@ -139,13 +139,16 @@ func (l *l2Base) replayStalled() {
 	l.stalled = l.stalled[:0]
 }
 
-// hostLevel is an L2 line's claim toward the host: the guard's grant, or
-// Modified once an inner core has written under it.
-func hostLevel(host AState, dirty bool) chassis.Level {
+// heldLine reports an idle L2 line's claim toward the host: the guard's
+// grant, or Modified once an inner core has written under it. An M grant
+// is dirty toward the host before any write: its data may have come from
+// a CPU's dirty copy.
+func heldLine(fn chassis.HeldFunc, addr mem.Addr, host AState, data *mem.Block, dirty bool) {
+	lvl := host.Level()
 	if dirty {
-		return chassis.Modified
+		lvl = chassis.Modified
 	}
-	return host.Level()
+	fn(addr, lvl, data, dirty || host == AM)
 }
 
 // WBPending reports writebacks to the guard in flight (zero at quiesce).

@@ -625,15 +625,25 @@ func (l *SharedL2) Coverage() *coherence.Coverage { return l.Cov }
 func (l *SharedL2) Held(fn chassis.HeldFunc) {
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
 		if !e.V.busy() {
-			fn(e.Addr, hostLevel(e.V.host, e.V.dirty), e.V.data, e.V.dirty)
+			heldLine(fn, e.Addr, e.V.host, e.V.data, e.V.dirty)
 		}
 	})
 }
 
-// Owner reports the inner L1 recorded as addr's owner (for audits).
-func (l *SharedL2) Owner(addr mem.Addr) coherence.NodeID {
-	if e := l.cache.Peek(addr); e != nil {
-		return e.V.owner
+// VisitOwned reports every idle line an inner L1 is recorded as owning.
+func (l *SharedL2) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {
+	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
+		if !e.V.busy() && e.V.owner != coherence.NodeNone {
+			fn(e.Addr, e.V.owner)
+		}
+	})
+}
+
+// Line reports the inner L1 recorded as addr's owner and the L2's copy of
+// the line, if it holds it idle: the L2 is inclusive.
+func (l *SharedL2) Line(addr mem.Addr) (coherence.NodeID, *mem.Block, bool) {
+	if e := l.cache.Peek(addr); e != nil && !e.V.busy() {
+		return e.V.owner, e.V.data, true
 	}
-	return coherence.NodeNone
+	return coherence.NodeNone, nil, false
 }

@@ -364,7 +364,7 @@ func (l *WeakL2) Coverage() *coherence.Coverage { return nil }
 func (l *WeakL2) Held(fn chassis.HeldFunc) {
 	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
 		if !e.V.busy() {
-			fn(e.Addr, hostLevel(e.V.host, e.V.dirty), e.V.data, e.V.dirty)
+			heldLine(fn, e.Addr, e.V.host, e.V.data, e.V.dirty)
 		}
 	})
 }

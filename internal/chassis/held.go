@@ -17,5 +17,6 @@ const (
 // HeldFunc receives one stable line of a cache — its address, level, data,
 // and whether the data is modified relative to the next level. Every cache
 // answers Held(fn HeldFunc) with its stable lines: the one enumeration the
-// machine's audits are written against.
+// machine's audits are written against. Audit's clean-owner rule reads
+// dirty: an owner that reports clean data must equal its home's copy.
 type HeldFunc func(addr mem.Addr, lvl Level, data *mem.Block, dirty bool)

@@ -2,7 +2,6 @@ package config
 
 import (
 	"fmt"
-	"slices"
 
 	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
@@ -10,26 +9,16 @@ import (
 	"crossingguard/internal/mem"
 )
 
-// holder is one cache's stable claim on a line, normalized across
-// protocols.
-type holder struct {
-	name  string
-	id    coherence.NodeID
-	level chassis.Level
-	data  *mem.Block
-}
-
 // Audit checks system-wide invariants at a quiesce point:
 //
-//  1. SWMR across *all* caches — CPU and accelerator alike: at most one
-//     exclusive holder, never coexisting with sharers;
-//  2. the host's ownership bookkeeping points at a real owner (the guard
-//     counts as owner exactly when the accelerator side owns);
-//  3. data agreement: every shared/clean copy equals the owner's data,
-//     or memory when nobody owns;
-//  4. for Full State guards: the block table matches the accelerator
+//  1. chassis.Audit's coherence rules over the host's home and every
+//     cache that claims lines from it, values compared (hostScope);
+//  2. the same rules inside each two-level device, its inner L1s under
+//     its shared L2. The weak hierarchy's inner copies are deliberately
+//     incoherent locally and are NOT checked (§2.1's flush model);
+//  3. for Full State guards: the block table matches the accelerator
 //     cache contents exactly (it is an inclusive directory);
-//  5. quiesce hygiene: no guard still holds a parked request; every line
+//  4. quiesce hygiene: no guard still holds a parked request; every line
 //     left in a guard's table is resident (Full State) or kept by an
 //     InvAck the accelerator still owes — none has open work, none is
 //     empty (core.Guard.CheckQuiesced); no delayed send or deferred
@@ -49,69 +38,65 @@ func (s *System) Audit() error {
 	if n := s.Fab.DelayedSends(); n != 0 {
 		return fmt.Errorf("fabric: %d delayed sends still scheduled at quiesce", n)
 	}
-	// The host-level claims: every cache up to the one a guard fronts. A
-	// shared accelerator L2 claims for its whole device; the inner L1s
-	// behind it are checked per device below, never against another
-	// device's L2. The weak hierarchy's inner copies are deliberately
-	// incoherent locally and are NOT checked for data agreement (§2.1's
-	// flush model).
-	lines := make(map[mem.Addr][]holder)
-	for _, c := range s.caches {
-		if c.place == cpuCache && c.WBPending() != 0 {
-			return fmt.Errorf("%s: writebacks pending at quiesce", c.Name())
-		}
-		if c.place <= guardedCache {
-			c.Held(func(addr mem.Addr, lvl chassis.Level, data *mem.Block, _ bool) {
-				lines[addr] = append(lines[addr], holder{c.Name(), c.ID(), lvl, data})
-			})
-		}
+	if err := chassis.Audit(s.hostScope(guardedCache)); err != nil {
+		return err
 	}
-	for i := range s.innerGroups {
-		if err := s.auditInnerHierarchy(&s.innerGroups[i]); err != nil {
+	for _, sc := range s.innerScopes {
+		if err := chassis.Audit(sc); err != nil {
 			return err
 		}
 	}
-
-	// 1-3: SWMR + data agreement per line.
-	for addr, hs := range lines {
-		var owner *holder
-		sharers := 0
-		for i := range hs {
-			if hs[i].level == chassis.Shared {
-				sharers++
-				continue
-			}
-			if owner != nil {
-				return fmt.Errorf("SWMR violated at %v: %s and %s both own",
-					addr, owner.name, hs[i].name)
-			}
-			owner = &hs[i]
-		}
-		// MOESI's O is the one owner that answers for a line beside
-		// sharers; E and M are sole copies.
-		if owner != nil && owner.level != chassis.Owned && sharers > 0 {
-			return fmt.Errorf("SWMR violated at %v: %s owns exclusively beside %d sharers",
-				addr, owner.name, sharers)
-		}
-		ref := s.refData(addr, owner)
-		for _, h := range hs {
-			if h.level == chassis.Shared && !mem.Equal(h.data, ref) {
-				return fmt.Errorf("data divergence at %v: sharer %s disagrees with %s",
-					addr, h.name, refName(owner))
-			}
-		}
-	}
-
-	// 2: host ownership bookkeeping.
-	if err := s.auditHostOwnership(lines); err != nil {
-		return err
-	}
-
-	// 4: Full State table == accelerator contents.
 	if err := s.auditGuardTables(); err != nil {
 		return err
 	}
 	return s.auditPool()
+}
+
+// AuditHostOnly checks the invariants the paper guarantees even against a
+// pathological accelerator (§2.2): the host caches keep their structural
+// coherence (chassis.Audit's rules over the caches that speak the host
+// protocol: the CPU caches, and on a guard-free machine the accelerator's
+// own), and the host's ownership bookkeeping is sane wherever the guard
+// is not involved: a guard recorded as owner is accepted without looking
+// behind it, since its internal state is not trusted after fuzzing. Data
+// values are deliberately NOT checked — the paper accepts that a buggy
+// accelerator corrupts the data of pages it may write ("the host system
+// eventually converges on a single value"), and guard-substituted zero
+// blocks are expected.
+func (s *System) AuditHostOnly() error { return chassis.Audit(s.hostScope(hostProtoCache)) }
+
+// hostScope is the coherence audit of the caches placed up to last under
+// the host's home. A guard stands for the cache it fronts: the home
+// records that cache's lines under the guard's id. The full scope (last
+// guardedCache) compares values, and lets a Full State guard stand for the
+// lines its table keeps and a Transactional guard, which keeps no table,
+// for any line. The host-only scope (hostProtoCache) compares no values
+// and accepts a guard recorded as owner without looking behind it.
+func (s *System) hostScope(last place) chassis.Scope {
+	full := last == guardedCache
+	sc := chassis.Scope{Home: s.home, Values: full, Memory: s.Mem,
+		Caches: make([]chassis.Claimant, 0, len(s.caches))}
+	for _, c := range s.caches {
+		if c.place > last {
+			continue
+		}
+		as := c.ID()
+		for _, g := range s.Guards {
+			if c.place == guardedCache && g.AccelID() == c.ID() {
+				as = g.ID()
+			}
+		}
+		sc.Caches = append(sc.Caches, chassis.Claimant{Holder: c, As: as})
+	}
+	sc.Stands = func(owner coherence.NodeID, addr mem.Addr) bool {
+		for _, g := range s.Guards {
+			if g.ID() == owner {
+				return !full || g.Mode() != core.FullState || g.Resident(addr)
+			}
+		}
+		return false
+	}
+	return sc
 }
 
 // auditPool checks the pool's balance at quiesce: every message handed out
@@ -154,7 +139,7 @@ func (s *System) residentBlocks() int {
 	for _, c := range s.caches {
 		c.Held(count)
 	}
-	n += s.home.Blocks()
+	s.home.Held(count)
 	for _, g := range s.Guards {
 		g.VisitBlocks(func(_ mem.Addr, _, _ core.Grant, hasCopy bool) {
 			if hasCopy {
@@ -163,65 +148,6 @@ func (s *System) residentBlocks() int {
 		})
 	}
 	return n
-}
-
-func (s *System) refData(addr mem.Addr, owner *holder) *mem.Block {
-	if owner != nil {
-		return owner.data
-	}
-	// No owner: MESI's L2 copy (if any) else memory.
-	if s.ML2 != nil {
-		present, _, _, data, _ := s.ML2.AuditLine(addr)
-		if present {
-			return data
-		}
-	}
-	return s.Mem.Peek(addr)
-}
-
-func refName(owner *holder) string {
-	if owner != nil {
-		return owner.name
-	}
-	return "memory"
-}
-
-func (s *System) auditHostOwnership(lines map[mem.Addr][]holder) error {
-	// Each Full State guard's table, read once: VisitBlocks walks in address
-	// order, so membership is a binary search. A Transactional guard has no
-	// table to check against, and its entry is nil.
-	guardTables := make(map[coherence.NodeID][]mem.Addr)
-	for _, g := range s.Guards {
-		var table []mem.Addr
-		if g.Mode() == core.FullState {
-			table = make([]mem.Addr, 0, g.TableEntries())
-			g.VisitBlocks(func(a mem.Addr, _, _ core.Grant, _ bool) { table = append(table, a) })
-		}
-		guardTables[g.ID()] = table
-	}
-	ownerOK := func(addr mem.Addr, rec coherence.NodeID) error {
-		if table, isGuard := guardTables[rec]; isGuard {
-			// The guard is the recorded owner: the accelerator side (or
-			// the guard's trusted copy) must hold the block.
-			if _, held := slices.BinarySearch(table, addr); table != nil && !held {
-				return fmt.Errorf("%v: host records guard as owner but its table is empty", addr)
-			}
-			return nil
-		}
-		for _, h := range lines[addr] {
-			if h.id == rec && h.level != chassis.Shared {
-				return nil
-			}
-		}
-		return fmt.Errorf("%v: host records owner %d but that cache does not own", addr, rec)
-	}
-	var err error
-	s.home.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
-		if err == nil {
-			err = ownerOK(addr, owner)
-		}
-	})
-	return err
 }
 
 // auditGuardTables checks Full State inclusivity: table entries mirror
@@ -281,40 +207,6 @@ func (s *System) guardedLines(id coherence.NodeID) map[mem.Addr]int {
 			out := map[mem.Addr]int{}
 			c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) { out[addr] = int(lvl) })
 			return out
-		}
-	}
-	return nil
-}
-
-// auditInnerHierarchy checks one two-level device's internal
-// invariants: inner inclusion, single inner owner, data agreement. The
-// group scopes the check to the device's own L2 and L1s.
-func (s *System) auditInnerHierarchy(grp *innerGroup) error {
-	claims := make(map[mem.Addr][]holder)
-	for _, l1 := range grp.l1s {
-		l1.Held(func(addr mem.Addr, lvl chassis.Level, data *mem.Block, _ bool) {
-			claims[addr] = append(claims[addr], holder{l1.Name(), l1.ID(), lvl, data})
-		})
-	}
-	l2lines := make(map[mem.Addr]*mem.Block)
-	grp.l2.Held(func(addr mem.Addr, _ chassis.Level, data *mem.Block, _ bool) { l2lines[addr] = data })
-	for addr, cs := range claims {
-		if _, ok := l2lines[addr]; !ok {
-			return fmt.Errorf("inner inclusion broken: %v in an inner L1 but not the accel L2", addr)
-		}
-		nM := 0
-		for _, c := range cs {
-			if c.level == chassis.Modified {
-				nM++
-			} else if !mem.Equal(c.data, l2lines[addr]) && grp.l2.Owner(addr) == coherence.NodeNone {
-				return fmt.Errorf("inner data divergence at %v: %s disagrees with accel L2", addr, c.name)
-			}
-		}
-		if nM > 1 {
-			return fmt.Errorf("inner SWMR violated at %v: %d modified copies", addr, nM)
-		}
-		if nM == 1 && len(cs) > 1 {
-			return fmt.Errorf("inner SWMR violated at %v: owner beside sharers", addr)
 		}
 	}
 	return nil

@@ -320,9 +320,9 @@ type System struct {
 	crossings [][2]coherence.NodeID
 	// outstandingFns counts the custom accelerators' open work.
 	outstandingFns []func() int
-	// innerGroups pairs each two-level device's shared L2 with its own
-	// inner L1s, so the inner-hierarchy audit never mixes devices.
-	innerGroups []innerGroup
+	// innerScopes audits each two-level device's inner L1s under its own
+	// shared L2, so the inner audit never mixes devices.
+	innerScopes []chassis.Scope
 	// deviceResets maps accelerator-side node ids to the reset functions
 	// registered by OnDeviceReset (custom accelerators joining the
 	// quarantine-recovery protocol).
@@ -332,21 +332,18 @@ type System struct {
 // cacheView is what the machine asks of a cache it built, whatever its
 // protocol. A private cache answers all but Held through its chassis.
 type cacheView interface {
+	chassis.Holder
 	ID() coherence.NodeID
-	Name() string
 	Outstanding() int
-	WBPending() int
 	Coverage() *coherence.Coverage // nil when the cache declares no table
-	Held(fn chassis.HeldFunc)
 }
 
 // homeView is the host protocol's home node: hammer's directory, or MESI's
 // shared L2.
 type homeView interface {
+	chassis.Home
 	Outstanding() int
 	Coverage() *coherence.Coverage
-	VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID))
-	Blocks() int // pooled blocks its own lines hold
 }
 
 // place says where a cache sits, in order of distance from the host: each
@@ -427,12 +424,6 @@ func (s *System) deviceResetHook(accelID coherence.NodeID) func(epoch uint32) {
 			fn(epoch)
 		}
 	}
-}
-
-// innerGroup is one two-level device's shared L2 plus its inner L1s.
-type innerGroup struct {
-	l2  *accel.SharedL2
-	l1s []*accel.InnerL1
 }
 
 // AccelSeqDevice returns the device index AccelSeqs[i] belongs to
@@ -729,23 +720,22 @@ func (s *System) buildTwoLevelAccel(g *core.Guard, xgID, l2ID coherence.NodeID, 
 		s.AccelL2 = l2
 	}
 	s.register(l2, guardedCache)
-	group := innerGroup{l2: l2}
+	var l1s []*accel.InnerL1
 	var seqs []*seq.Sequencer
 	for i := 0; i < s.Spec.AccelCores; i++ {
 		id := devID(d, nodeAccel, i)
 		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
 		s.register(l1, innerCache)
-		group.l1s = append(group.l1s, l1)
+		l1s = append(l1s, l1)
 		sq := s.accelSeq(d, i, id)
 		seqs = append(seqs, sq)
 		s.link(sq.ID(), id, s.lat.CoreToCache, 0)
 		s.link(id, l2ID, s.lat.AccelHop, 1)
 	}
-	s.innerGroups = append(s.innerGroups, group)
+	s.innerScopes = append(s.innerScopes, chassis.Scope{Caches: chassis.Claimants(l1s), Home: l2, Values: true})
 	// Device reset: abort every core's operations, then wipe the whole
 	// hierarchy — inner L1s before the shared L2 so no L1 retains a line
 	// the L2 no longer tracks (inclusivity).
-	l1s := group.l1s
 	g.SetResetHook(func(epoch uint32) {
 		for _, sq := range seqs {
 			sq.Abort()
@@ -814,6 +804,22 @@ func (s *System) Outstanding() int {
 	}
 	for _, sq := range s.Sequencers() {
 		n += sq.Outstanding()
+	}
+	return n
+}
+
+// HostOutstanding reports open transactions in the host protocol and CPU
+// sequencers only (the accelerator side may legitimately be wedged when
+// it is a fuzzer).
+func (s *System) HostOutstanding() int {
+	n := s.home.Outstanding()
+	for _, sq := range s.CPUSeqs {
+		n += sq.Outstanding()
+	}
+	for _, c := range s.caches {
+		if c.place == cpuCache {
+			n += c.Outstanding()
+		}
 	}
 	return n
 }

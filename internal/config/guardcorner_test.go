@@ -283,3 +283,84 @@ func TestAuditSharersOnlyBesideOwned(t *testing.T) {
 		t.Fatalf("owner holds level %d after a remote load, want Owned", lvl)
 	}
 }
+
+// TestAuditErrorStable: of several violating lines, Audit reports the one
+// at the lowest address, the same on every call — a shard's failure
+// artifact must not depend on map iteration order. Three stray M copies
+// sit beside a hammer owner's three lines.
+func TestAuditErrorStable(t *testing.T) {
+	s := Build(Spec{Host: HostHammer, Org: OrgHostSide, CPUs: 2, AccelCores: 1, Seed: 5})
+	lines := []mem.Addr{0x7080, 0x7000, 0x7040}
+	for _, addr := range lines {
+		s.CPUSeqs[0].Store(addr, 7, nil)
+	}
+	quiesce(t, s)
+	for _, addr := range lines {
+		s.register(strayCopy{addr, chassis.Modified, nil}, guardedCache)
+	}
+	const want = "SWMR violated at 0x7000: hammer.C[0] and stray both own"
+	for call := 0; call < 50; call++ {
+		if err := s.Audit(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: audit = %v, want %q", call, err, want)
+		}
+	}
+}
+
+// TestSharedL2MGrantIsDirty: an accelerator L2 holding an M grant reports
+// the line dirty (chassis.HeldFunc: modified relative to the next level)
+// before any inner L1 writes it back. Its data came from a CPU's dirty
+// copy, which the host's own copy of the line does not have.
+func TestSharedL2MGrantIsDirty(t *testing.T) {
+	const addr = mem.Addr(0x7000)
+	s := Build(Spec{Host: HostMESI, Org: OrgXGFull2L, CPUs: 2, AccelCores: 2, Seed: 5})
+	s.CPUSeqs[0].Store(addr, 7, nil)
+	quiesce(t, s)
+	s.AccelSeqs[0].Store(addr, 9, nil)
+	quiesce(t, s)
+	found, dirty := false, false
+	s.AccelL2.Held(func(a mem.Addr, _ chassis.Level, _ *mem.Block, d bool) {
+		if a == addr {
+			found, dirty = true, d
+		}
+	})
+	if !found || !dirty {
+		t.Fatalf("after a CPU store and an accelerator store the accelerator L2 holds %v: %v, dirty: %v; want both",
+			addr, found, dirty)
+	}
+}
+
+// TestAuditMachineScopes: Audit applies the ownership and inclusion rules
+// on a real machine, both over the host's home and inside a two-level
+// device, where the device's shared L2 is its inner L1s' home.
+func TestAuditMachineScopes(t *testing.T) {
+	const addr, elsewhere = mem.Addr(0x7000), mem.Addr(0x9000)
+	for _, c := range []struct {
+		name  string
+		inner bool
+		stray strayCopy
+		want  string
+	}{
+		{"owner the host does not record", false, strayCopy{elsewhere, chassis.Exclusive, nil},
+			"0x9000: stray owns but its home records owner -1"},
+		{"line missing from the host's L2", false, strayCopy{elsewhere, chassis.Shared, nil},
+			"inclusion broken at 0x9000: stray holds it but its home does not"},
+		{"second inner owner", true, strayCopy{addr, chassis.Modified, nil}, "SWMR violated at 0x7000"},
+		{"line missing from the shared L2", true, strayCopy{elsewhere, chassis.Shared, nil},
+			"inclusion broken at 0x9000: stray holds it but its home does not"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := Build(Spec{Host: HostMESI, Org: OrgXGFull2L, CPUs: 2, AccelCores: 2, Seed: 5})
+			s.AccelSeqs[0].Store(addr, 9, nil)
+			quiesce(t, s)
+			if c.inner {
+				sc := &s.innerScopes[0]
+				sc.Caches = append(sc.Caches, chassis.Claimant{Holder: c.stray, As: c.stray.ID()})
+			} else {
+				s.register(c.stray, guardedCache)
+			}
+			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("audit = %v, want %q", err, c.want)
+			}
+		})
+	}
+}

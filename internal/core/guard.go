@@ -1016,6 +1016,9 @@ func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bo
 	}
 }
 
+// Resident reports whether the Full State table holds addr's line.
+func (g *Guard) Resident(addr mem.Addr) bool { return g.lines[addr] != nil && g.lines[addr].resident }
+
 // TableEntries reports the Full State table occupancy (0 for
 // Transactional).
 func (g *Guard) TableEntries() int { return g.count(isResident) }

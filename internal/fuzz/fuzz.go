@@ -164,6 +164,9 @@ func (a *Attacker) Rampage(count int, maxGap sim.Time) {
 	if a.left != 0 {
 		panic("fuzz: Rampage while one is still running")
 	}
+	if count < 0 {
+		panic("fuzz: Rampage of a negative message count")
+	}
 	a.left, a.maxGap = count, maxGap
 	a.fireEv.Fn = a.fire
 	a.Eng.ScheduleEvent(1, &a.fireEv)

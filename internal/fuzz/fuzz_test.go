@@ -126,6 +126,18 @@ func TestFuzzBoundaryRejectsHostTypes(t *testing.T) {
 	}
 }
 
+// TestRampageRejectsNegativeCount: a rampage stops when its count of
+// messages left reaches zero, so a negative count would never stop.
+func TestRampageRejectsNegativeCount(t *testing.T) {
+	_, att := buildFuzzed(config.HostHammer, config.OrgXGFull1L, 7, InvCorrectAck, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rampage(-1, 40) did not panic")
+		}
+	}()
+	att.Rampage(-1, 40)
+}
+
 // TestGuaranteeClauses violates each Figure 1 clause in isolation and
 // checks the guard detects it with the right code while the host stays
 // healthy.

@@ -429,17 +429,6 @@ func (c *Cache) handleNack(m *coherence.Msg) {
 		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
 }
 
-// --- audit ---
-
-// AuditLine reports the stable view for invariant checks.
-func (c *Cache) AuditLine(addr mem.Addr) (present bool, st CState, data *mem.Block, dirty bool) {
-	e := c.Lines.Peek(addr)
-	if e == nil || !e.V.state.Stable() || e.V.state == CI {
-		return false, CI, nil, false
-	}
-	return true, e.V.state, e.V.data, e.V.dirty
-}
-
 // Held reports every stable valid line for invariant checks.
 func (c *Cache) Held(fn chassis.HeldFunc) {
 	c.Lines.Visit(func(e *cacheset.Entry[cLine]) {

@@ -3,6 +3,7 @@ package hammer
 import (
 	"fmt"
 
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -278,15 +279,18 @@ func (d *Directory) Owner(addr mem.Addr) coherence.NodeID {
 	return coherence.NodeNone
 }
 
-// Memory exposes the backing store for checkers.
-func (d *Directory) Memory() *mem.Memory { return d.memory }
-
 // Coverage returns the directory's (state, event) coverage.
 func (d *Directory) Coverage() *coherence.Coverage { return d.Cov }
 
-// Blocks reports the pooled blocks the directory holds: none, it keeps an
-// owner pointer per line and no data.
-func (d *Directory) Blocks() int { return 0 }
+// Line reports addr's recorded owner and memory's copy of the line: the
+// directory keeps an owner pointer per line and no data, and is not
+// inclusive.
+func (d *Directory) Line(addr mem.Addr) (coherence.NodeID, *mem.Block, bool) {
+	return d.Owner(addr), d.memory.Peek(addr), true
+}
+
+// Held reports no lines: the directory holds no data.
+func (d *Directory) Held(chassis.HeldFunc) {}
 
 // VisitOwned reports every line with a recorded owner.
 func (d *Directory) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {

@@ -204,3 +204,12 @@ func TestStressCoverage(t *testing.T) {
 		t.Logf("%s", cov.Summary())
 	}
 }
+
+// AuditLine reports a cache's stable view of one line.
+func (c *Cache) AuditLine(addr mem.Addr) (present bool, st CState, data *mem.Block, dirty bool) {
+	e := c.Lines.Peek(addr)
+	if e == nil || !e.V.state.Stable() || e.V.state == CI {
+		return false, CI, nil, false
+	}
+	return true, e.V.state, e.V.data, e.V.dirty
+}

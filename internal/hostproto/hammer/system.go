@@ -3,7 +3,7 @@ package hammer
 import (
 	"fmt"
 
-	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -70,83 +70,10 @@ func (s *System) Outstanding() int {
 	return n
 }
 
-// Audit implements tester.System, checking MOESI invariants at quiesce.
-func (s *System) Audit() error { return AuditHammer(s.Caches, s.Dir) }
-
-// AuditHammer checks the MOESI single-owner and data-agreement invariants
-// over any set of Hammer caches and their directory.
-func AuditHammer(caches []*Cache, dir *Directory) error {
-	type holder struct {
-		c     *Cache
-		state CState
-		data  *mem.Block
-		dirty bool
-	}
-	lines := make(map[mem.Addr][]holder)
-	for _, c := range caches {
-		c := c
-		if n := c.WBPending(); n != 0 {
-			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", c.Name(), n)
-		}
-		c.Lines.Visit(func(e *cacheset.Entry[cLine]) {
-			if !e.V.state.Stable() || e.V.state == CI {
-				return
-			}
-			lines[e.Addr] = append(lines[e.Addr], holder{c, e.V.state, e.V.data, e.V.dirty})
-		})
-	}
-	for addr, hs := range lines {
-		var owner *holder
-		exclusive := 0
-		sharers := 0
-		for i := range hs {
-			switch hs[i].state {
-			case CM, CE:
-				exclusive++
-				owner = &hs[i]
-			case CO:
-				if owner != nil {
-					return fmt.Errorf("SWMR violated at %v: multiple owners", addr)
-				}
-				owner = &hs[i]
-			case CS:
-				sharers++
-			}
-		}
-		if exclusive > 1 {
-			return fmt.Errorf("SWMR violated at %v: %d M/E holders", addr, exclusive)
-		}
-		if exclusive == 1 && sharers > 0 {
-			return fmt.Errorf("SWMR violated at %v: M/E coexists with %d sharers", addr, sharers)
-		}
-		// Directory owner agreement.
-		dOwner := dir.Owner(addr)
-		if owner != nil && dOwner != owner.c.ID() {
-			return fmt.Errorf("%v: cache %s owns (%v) but directory records %d",
-				addr, owner.c.Name(), owner.state, dOwner)
-		}
-		if owner == nil && dOwner != coherence.NodeNone {
-			return fmt.Errorf("%v: directory records owner %d but nobody owns", addr, dOwner)
-		}
-		// Data agreement: sharers match the owner (or memory).
-		ref := dir.Memory().Peek(addr)
-		if owner != nil {
-			ref = owner.data
-		}
-		for _, h := range hs {
-			if h.state == CS && !mem.Equal(h.data, ref) {
-				return fmt.Errorf("data divergence at %v: sharer %s disagrees with %s",
-					addr, h.c.Name(), map[bool]string{true: "owner", false: "memory"}[owner != nil])
-			}
-		}
-		// A clean owner (E, or O-from-E) must match memory.
-		if owner != nil && !owner.dirty {
-			if mb := dir.Memory().Peek(addr); mb != nil && !mem.Equal(owner.data, mb) {
-				return fmt.Errorf("clean owner of %v disagrees with memory", addr)
-			}
-		}
-	}
-	return nil
+// Audit implements tester.System: it checks chassis.Audit's rules at a
+// quiesce point, with the directory as the caches' home.
+func (s *System) Audit() error {
+	return chassis.Audit(chassis.Scope{Caches: chassis.Claimants(s.Caches), Home: s.Dir, Values: true, Memory: s.Mem})
 }
 
 // Coverage returns merged coverage across controller classes.

@@ -488,17 +488,6 @@ func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
 	e.V.fwds = e.V.fwds[:0]
 }
 
-// AuditLine reports this L1's stable view of a line for the SWMR
-// invariant checker: (hasCopy, exclusive, data, dirty).
-func (l *L1) AuditLine(addr mem.Addr) (bool, bool, *mem.Block, bool) {
-	e := l.Lines.Peek(addr)
-	if e == nil || !e.V.state.Stable() || e.V.state == L1I {
-		return false, false, nil, false
-	}
-	excl := e.V.state == L1E || e.V.state == L1M
-	return true, excl, e.V.data, e.V.dirty
-}
-
 // Held reports every stable valid line for invariant checks.
 func (l *L1) Held(fn chassis.HeldFunc) {
 	l.Lines.Visit(func(e *cacheset.Entry[l1Line]) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -524,24 +525,26 @@ func (l *L2) Outstanding() int {
 	return n
 }
 
-// AuditLine reports the L2's stable view of a line for invariant checks:
-// present, owner, sharer count, data, dirty.
-func (l *L2) AuditLine(addr mem.Addr) (present bool, owner coherence.NodeID, sharers int, data *mem.Block, dirty bool) {
-	e := l.cache.Peek(addr)
-	if e == nil {
-		return false, coherence.NodeNone, 0, nil, false
-	}
-	return true, e.V.owner, len(e.V.sharers), e.V.data, e.V.dirty
-}
-
-// Memory exposes the backing store for checkers.
-func (l *L2) Memory() *mem.Memory { return l.memory }
-
 // Coverage returns the L2's (state, event) coverage.
 func (l *L2) Coverage() *coherence.Coverage { return l.Cov }
 
-// Blocks reports the pooled blocks the L2 holds: one per line.
-func (l *L2) Blocks() int { return l.cache.Count() }
+// Line reports addr's recorded owner and the L2's copy of the line, if
+// it holds one: the L2 is inclusive.
+func (l *L2) Line(addr mem.Addr) (coherence.NodeID, *mem.Block, bool) {
+	if e := l.cache.Peek(addr); e != nil {
+		return e.V.owner, e.V.data, true
+	}
+	return coherence.NodeNone, nil, false
+}
+
+// Held reports every idle line as Exclusive, dirty relative to memory.
+func (l *L2) Held(fn chassis.HeldFunc) {
+	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
+		if !e.V.busy() {
+			fn(e.Addr, chassis.Exclusive, e.V.data, e.V.dirty)
+		}
+	})
+}
 
 // VisitOwned reports every idle line an L1 is recorded as owning.
 func (l *L2) VisitOwned(fn func(addr mem.Addr, owner coherence.NodeID)) {

@@ -249,3 +249,13 @@ func TestStressCoverage(t *testing.T) {
 		t.Logf("%s", cov.Summary())
 	}
 }
+
+// AuditLine reports the L2's view of one line: present, owner, sharer
+// count, data, dirty.
+func (l *L2) AuditLine(addr mem.Addr) (present bool, owner coherence.NodeID, sharers int, data *mem.Block, dirty bool) {
+	e := l.cache.Peek(addr)
+	if e == nil {
+		return false, coherence.NodeNone, 0, nil, false
+	}
+	return true, e.V.owner, len(e.V.sharers), e.V.data, e.V.dirty
+}

@@ -3,7 +3,7 @@ package mesi
 import (
 	"fmt"
 
-	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -70,93 +70,10 @@ func (s *System) Outstanding() int {
 	return n
 }
 
-// Audit implements tester.System: it checks the MESI invariants at a
-// quiesce point — SWMR, inclusion, directory agreement, and data-value
-// agreement between clean copies, the L2, and memory.
-func (s *System) Audit() error { return AuditMESI(s.L1s, s.L2C, s.Mem) }
-
-// AuditMESI checks hierarchy invariants over any set of L1s and an L2.
-func AuditMESI(l1s []*L1, l2 *L2, memory *mem.Memory) error {
-	type holder struct {
-		l1    *L1
-		state L1State
-		data  *mem.Block
-		dirty bool
-	}
-	lines := make(map[mem.Addr][]holder)
-	for _, l1 := range l1s {
-		l1 := l1
-		if n := l1.WBPending(); n != 0 {
-			return fmt.Errorf("%s: %d writebacks still buffered at quiesce", l1.Name(), n)
-		}
-		l1.Lines.Visit(func(e *cacheset.Entry[l1Line]) {
-			if !e.V.state.Stable() || e.V.state == L1I {
-				return
-			}
-			lines[e.Addr] = append(lines[e.Addr], holder{l1, e.V.state, e.V.data, e.V.dirty})
-		})
-	}
-	for addr, hs := range lines {
-		present, owner, _, l2data, l2dirty := l2.AuditLine(addr)
-		if !present {
-			return fmt.Errorf("inclusion violated: %v held by an L1 but absent from L2", addr)
-		}
-		excl := 0
-		shared := 0
-		for _, h := range hs {
-			if h.state == L1E || h.state == L1M {
-				excl++
-				if owner != h.l1.ID() {
-					return fmt.Errorf("%v: L2 records owner %d but %s holds %v", addr, owner, h.l1.Name(), h.state)
-				}
-			} else {
-				shared++
-			}
-		}
-		if excl > 1 {
-			return fmt.Errorf("SWMR violated at %v: %d exclusive holders", addr, excl)
-		}
-		if excl == 1 && shared > 0 {
-			return fmt.Errorf("SWMR violated at %v: exclusive holder coexists with %d sharers", addr, shared)
-		}
-		for _, h := range hs {
-			if h.state == L1M && h.dirty {
-				continue // may legitimately differ from L2
-			}
-			if !mem.Equal(h.data, l2data) {
-				return fmt.Errorf("data divergence at %v: %s (%v) disagrees with L2", addr, h.l1.Name(), h.state)
-			}
-		}
-		if !l2dirty {
-			if mb := memory.Peek(addr); mb != nil && !mem.Equal(l2data, mb) {
-				return fmt.Errorf("clean L2 line %v disagrees with memory", addr)
-			}
-		}
-	}
-	// Every L2 line with recorded copies must be backed by real copies.
-	var err error
-	l2.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if err != nil || e.V.busy() {
-			return
-		}
-		if e.V.owner != coherence.NodeNone {
-			found := false
-			for _, h := range lines[e.Addr] {
-				if h.l1.ID() == e.V.owner && (h.state == L1E || h.state == L1M) {
-					found = true
-				}
-			}
-			if !found {
-				err = fmt.Errorf("L2 records owner %d for %v but no L1 holds it exclusively", e.V.owner, e.Addr)
-			}
-		}
-		if !e.V.dirty {
-			if mb := memory.Peek(e.Addr); mb != nil && !mem.Equal(e.V.data, mb) {
-				err = fmt.Errorf("clean L2 line %v disagrees with memory", e.Addr)
-			}
-		}
-	})
-	return err
+// Audit implements tester.System: it checks chassis.Audit's rules at a
+// quiesce point, with the inclusive L2 as the L1s' home.
+func (s *System) Audit() error {
+	return chassis.Audit(chassis.Scope{Caches: chassis.Claimants(s.L1s), Home: s.L2C, Values: true, Memory: s.Mem})
 }
 
 // Coverage returns merged coverage across all controllers, keyed by
