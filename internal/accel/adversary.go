@@ -178,7 +178,7 @@ func NewAdversary(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric,
 	pool = append(append(pool, cfg.Pool...), cfg.VictimPool...)
 	a := &Adversary{
 		id: id, xg: xg, eng: eng, fab: fab,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   eng.Rand(cfg.Seed),
 		cfg:   cfg,
 		pool:  pool,
 		open:  make(map[mem.Addr]coherence.MsgType),

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crossingguard/internal/accel"
@@ -79,11 +80,22 @@ func TestChaosShardReplaysExactly(t *testing.T) {
 }
 
 // Chaos shards are deterministic across worker counts, like every other
-// shard kind: merged metrics and trace exports are byte-identical.
+// shard kind: merged metrics and trace exports are byte-identical. They stay
+// so when every machine runs on random streams and log arrays that closed
+// machines handed on (sim.Engine.Rand, config.System.Close), on one worker
+// or concurrently on three: a stream handed on while its owner still draws
+// from it, or a log array that keeps an entry, changes the export. A fuzz
+// shard (one violation per forged message) and a 4-device shard (one
+// adversary stream each) ride along.
 func TestChaosDeterministicAcrossWorkers(t *testing.T) {
-	var wantMetrics, wantTrace []byte
-	for _, workers := range []int{1, 3} {
-		rep := Run(smallChaosSweep(), Options{Workers: workers, Trace: true})
+	specs := append(smallChaosSweep(),
+		ShardSpec{Kind: KindFuzz, Host: config.HostMESI, Org: config.OrgXGFull1L,
+			Seed: 3, CPUs: 1, Messages: 400},
+		ShardSpec{Kind: KindChaos, Host: config.HostHammer, Org: config.OrgXGTxn1L,
+			Seed: 2, CPUs: 1, Accels: 4, Messages: 120, Model: accel.AdvStaleWriter.String(),
+			Faults: chaotic(t), Confined: true})
+	run := func(workers int) (metrics, trace []byte) {
+		rep := Run(specs, Options{Workers: workers, Trace: true})
 		if rep.Failures() != 0 {
 			t.Fatalf("workers=%d: chaos shards failed: %+v", workers, rep.Artifacts)
 		}
@@ -94,19 +106,26 @@ func TestChaosDeterministicAcrossWorkers(t *testing.T) {
 		if err := rep.WriteTrace(&tr); err != nil {
 			t.Fatal(err)
 		}
-		if wantMetrics == nil {
-			wantMetrics, wantTrace = m.Bytes(), tr.Bytes()
-			continue
+		return m.Bytes(), tr.Bytes()
+	}
+	// Two collections empty the pools closed machines hand their streams
+	// and log arrays to, so the first run starts cold.
+	runtime.GC()
+	runtime.GC()
+	wantMetrics, wantTrace := run(1)
+	for _, workers := range []int{1, 3} {
+		m, tr := run(workers)
+		if !bytes.Equal(m, wantMetrics) {
+			t.Errorf("workers=%d, warm: metrics JSON differs from the cold run", workers)
 		}
-		if !bytes.Equal(m.Bytes(), wantMetrics) {
-			t.Errorf("workers=%d: metrics JSON differs", workers)
-		}
-		if !bytes.Equal(tr.Bytes(), wantTrace) {
-			t.Errorf("workers=%d: trace JSONL differs", workers)
+		if !bytes.Equal(tr, wantTrace) {
+			t.Errorf("workers=%d, warm: trace JSONL differs from the cold run", workers)
 		}
 	}
-	if !bytes.Contains(wantMetrics, []byte("fault.injected")) {
-		t.Error("chaos metrics export missing fault.injected")
+	for _, want := range []string{"fault.injected", "guard.violation.XG.G0a"} {
+		if !bytes.Contains(wantMetrics, []byte(want)) {
+			t.Errorf("chaos metrics export missing %s", want)
+		}
 	}
 }
 

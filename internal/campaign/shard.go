@@ -345,6 +345,9 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 		return res
 	}
 	sys := m.sys
+	// What the result keeps is copied out of the machine (counts, error
+	// text) or never recycled (metrics, trace ring, observations).
+	defer sys.Close()
 	var ring *obs.Ring
 	if trace {
 		ring = obs.NewRing(tail)

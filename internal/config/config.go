@@ -778,6 +778,19 @@ func (s *System) cross(a, b coherence.NodeID, cfg network.Config) {
 	s.crossings = append(s.crossings, [2]coherence.NodeID{a, b})
 }
 
+// Close hands what outlives the machine to the next one built, on any
+// goroutine: its random streams and its error log's array. Nothing of the
+// machine may be read after Close — not its log, not its agents, not a
+// stream — and it must not run again. Under the lifetime check
+// (Fab.CheckLifetimes, on in -race builds) Close recycles nothing, like the
+// message pool. Closing twice is harmless.
+func (s *System) Close() {
+	if s.Eng.Recycles() {
+		s.Log.Recycle()
+	}
+	s.Eng.Close()
+}
+
 // --- tester.System implementation ---
 
 // Engine implements tester.System.

@@ -528,7 +528,7 @@ func (g *Guard) Recv(m *coherence.Msg) {
 		g.handleAccelResponse(m)
 	case fromAccel:
 		g.ReqsBlocked++
-		g.violation("XG.BadMessage", fmt.Sprintf("accelerator sent non-interface message %v", m.Type), m.Addr.Line())
+		g.violation("XG.BadMessage", detailNotInterface.of(m.Type), m.Addr.Line())
 	default:
 		g.shim.recv(m)
 	}
@@ -734,7 +734,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	}
 	if !access.AllowsRead() {
 		g.ReqsBlocked++
-		g.violation("XG.G0a", fmt.Sprintf("%v for page with no access", m.Type), addr)
+		g.violation("XG.G0a", detailNoAccess.of(m.Type), addr)
 		return
 	}
 	// Guarantee 0b: no exclusive (write) request, and no dirty data,
@@ -742,7 +742,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	if m.Type == coherence.AGetM || m.Type == coherence.APutM {
 		if !access.AllowsWrite() {
 			g.ReqsBlocked++
-			g.violation("XG.G0b", fmt.Sprintf("%v for read-only page", m.Type), addr)
+			g.violation("XG.G0b", detailReadOnly.of(m.Type), addr)
 			return
 		}
 	}
@@ -754,7 +754,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		case w.txn.serial != 0:
 			// Guarantee 1b: at most one outstanding transaction per address.
 			g.ReqsBlocked++
-			g.violation("XG.G1b", fmt.Sprintf("%v while a transaction is already open", m.Type), addr)
+			g.violation("XG.G1b", detailTxnOpen.of(m.Type), addr)
 			return
 		case w.recall.serial != 0:
 			// A request racing with an open host recall: only a Put is

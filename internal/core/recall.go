@@ -199,9 +199,9 @@ func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
 	data, dirty, bad := hostAnswer(ht.view, m.Data != nil, m.Data, m.Type == coherence.APutM)
 	switch {
 	case bad && ht.view.owned():
-		g.violation("XG.G2a", fmt.Sprintf("racing %v for an owned block carries no data", m.Type), addr)
+		g.violation("XG.G2a", detailOwnedNoData.of(m.Type), addr)
 	case bad:
-		g.violation("XG.G2a", fmt.Sprintf("racing %v carries data for a block held only in S", m.Type), addr)
+		g.violation("XG.G2a", detailSharedData.of(m.Type), addr)
 	}
 	g.drop(addr)
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
@@ -260,7 +260,7 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 	if !hasRecall(l) {
 		// Guarantee 2b: responses are only valid against a pending host
 		// request; block and report.
-		g.violation("XG.G2b", fmt.Sprintf("%v with no pending host request", m.Type), addr)
+		g.violation("XG.G2b", detailNoHostReq.of(m.Type), addr)
 		return
 	}
 	// Either writeback type is accepted from an owner; data from an M
@@ -272,7 +272,7 @@ func (g *Guard) handleAccelResponse(m *coherence.Msg) {
 	ht := g.closeRecall(l, "response")
 	g.drop(addr)
 	if bad {
-		g.violation("XG.G2a", fmt.Sprintf("%v inconsistent with accelerator state", m.Type), addr)
+		g.violation("XG.G2a", detailInconsistent.of(m.Type), addr)
 	}
 	g.complete(addr, &ht, data, dirty, false)
 }

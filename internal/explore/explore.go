@@ -10,6 +10,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 
 	"crossingguard/internal/config"
@@ -47,7 +48,8 @@ type Result struct {
 }
 
 // Sweep runs scenario at every offset in [0, maxOffset] against the
-// given spec (a fresh deterministic system per point).
+// given spec (a fresh deterministic system per point, closed once the
+// point is judged).
 func Sweep(spec config.Spec, sc Scenario, maxOffset sim.Time) Result {
 	res := Result{Scenario: sc.Name, Spec: spec}
 	build := config.Build
@@ -56,39 +58,38 @@ func Sweep(spec config.Spec, sc Scenario, maxOffset sim.Time) Result {
 	}
 	for off := sim.Time(0); off <= maxOffset; off++ {
 		res.Points++
-		sys := build(spec)
-		verify := sc.Run(sys, off)
-		fail := func(f string, args ...any) {
-			res.Failures = append(res.Failures,
-				fmt.Sprintf("%s offset=%d: %s", sc.Name, off, fmt.Sprintf(f, args...)))
-		}
-		if !sys.Eng.RunUntil(20_000_000) {
-			fail("engine did not drain")
-			continue
-		}
-		outstanding, audit := sys.Outstanding, sys.Audit
-		if sc.ExpectViolations {
-			outstanding, audit = sys.HostOutstanding, sys.AuditHostOnly
-		}
-		if n := outstanding(); n != 0 {
-			fail("%d transactions outstanding (deadlock)", n)
-			continue
-		}
-		if err := audit(); err != nil {
-			fail("audit: %v", err)
-			continue
-		}
-		if !sc.ExpectViolations && sys.Log.Count() != 0 {
-			fail("protocol errors: %v", sys.Log.Errors[0])
-			continue
-		}
-		if verify != nil {
-			if err := verify(); err != nil {
-				fail("%v", err)
-			}
+		if err := runPoint(build(spec), sc, off); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("%s offset=%d: %v", sc.Name, off, err))
 		}
 	}
 	return res
+}
+
+// runPoint runs sc at offset off on sys and judges the point, then closes
+// sys.
+func runPoint(sys *config.System, sc Scenario, off sim.Time) error {
+	defer sys.Close()
+	verify := sc.Run(sys, off)
+	if !sys.Eng.RunUntil(20_000_000) {
+		return errors.New("engine did not drain")
+	}
+	outstanding, audit := sys.Outstanding, sys.Audit
+	if sc.ExpectViolations {
+		outstanding, audit = sys.HostOutstanding, sys.AuditHostOnly
+	}
+	if n := outstanding(); n != 0 {
+		return fmt.Errorf("%d transactions outstanding (deadlock)", n)
+	}
+	if err := audit(); err != nil {
+		return fmt.Errorf("audit: %v", err)
+	}
+	if !sc.ExpectViolations && sys.Log.Count() != 0 {
+		return fmt.Errorf("protocol errors: %v", sys.Log.Errors[0])
+	}
+	if verify != nil {
+		return verify()
+	}
+	return nil
 }
 
 const raceLine = mem.Addr(0x7000)

@@ -42,7 +42,7 @@ func NewInjector(plan Plan, fab *network.Fabric) *Injector {
 	}
 	return &Injector{
 		plan:    plan,
-		rng:     rand.New(rand.NewSource(plan.Seed)),
+		rng:     fab.Engine().Rand(plan.Seed),
 		fab:     fab,
 		watched: make(map[[2]coherence.NodeID]bool),
 	}

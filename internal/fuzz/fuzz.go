@@ -73,7 +73,7 @@ func NewAttacker(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric,
 	seed int64, pool []mem.Addr) *Attacker {
 	a := &Attacker{
 		ID_: id, XG: xg, Eng: eng, Fab: fab,
-		Rng: rand.New(rand.NewSource(seed)), Pool: pool,
+		Rng: eng.Rand(seed), Pool: pool,
 	}
 	fab.Register(a)
 	return a

@@ -319,7 +319,7 @@ type Fabric struct {
 func NewFabric(eng *sim.Engine, seed int64, defaults Config) *Fabric {
 	return &Fabric{
 		eng:      eng,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      eng.Rand(seed),
 		nodes:    make(map[coherence.NodeID]coherence.Controller),
 		defaults: defaults,
 		routes:   make(map[chanKey]Config),
@@ -350,6 +350,17 @@ func (f *Fabric) Register(c coherence.Controller) {
 
 // Node returns the controller registered under id, or nil.
 func (f *Fabric) Node(id coherence.NodeID) coherence.Controller { return f.nodes[id] }
+
+// Engine returns the engine the fabric schedules deliveries on.
+func (f *Fabric) Engine() *sim.Engine { return f.eng }
+
+// CheckLifetimes turns the lifetime check on for the machine: the pool's
+// (released messages and blocks poisoned, never reused) and the engine's
+// (closing the machine recycles nothing). Call before traffic starts.
+func (f *Fabric) CheckLifetimes() {
+	f.Pool.CheckLifetimes()
+	f.eng.CheckLifetimes()
+}
 
 // SetRoute overrides the channel configuration for src->dst.
 func (f *Fabric) SetRoute(src, dst coherence.NodeID, cfg Config) {

@@ -275,6 +275,11 @@ type Engine struct {
 	// (at, farSeq).
 	far    eventHeap
 	farSeq uint64
+
+	// streams lists the random streams Rand handed out, for Close; check
+	// is the lifetime check (CheckLifetimes).
+	streams *stream
+	check   bool
 }
 
 // NewEngine returns a fresh engine at time zero.

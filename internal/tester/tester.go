@@ -127,7 +127,7 @@ func Run(sys System, cfg Config) (Result, error) {
 	if cfg.Lines <= 0 || cfg.LocsPerLine <= 0 || cfg.StoresPerLoc <= 0 {
 		return Result{}, fmt.Errorf("tester: bad config %+v", cfg)
 	}
-	r := &runner{sys: sys, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), seqs: sys.Sequencers()}
+	r := &runner{sys: sys, cfg: cfg, rng: sys.Engine().Rand(cfg.Seed), seqs: sys.Sequencers()}
 	if len(r.seqs) == 0 {
 		return Result{}, fmt.Errorf("tester: system has no sequencers")
 	}
