@@ -58,8 +58,25 @@ func TestExperiments(t *testing.T) {
 	})
 
 	t.Run("E1", func(t *testing.T) {
-		if m := get[matrix](t, secs, "table1"); m.undeclared != 0 {
-			t.Errorf("%d implemented cells are not in the published Table 1", m.undeclared)
+		// The printed matrix is Table 1's shape: 5 states by 8 events,
+		// with 23 implemented cells and "-" in the rest.
+		m := get[matrix](t, secs, "table1")
+		if len(m.rows) != 5 || len(m.events) != 8 {
+			t.Fatalf("E1 is %d states by %d events, want 5 by 8", len(m.rows), len(m.events))
+		}
+		implemented := 0
+		for _, r := range m.rows {
+			if len(r) != len(m.events)+1 {
+				t.Fatalf("E1 row %q has %d cells, want %d", r[0], len(r)-1, len(m.events))
+			}
+			for _, c := range r[1:] {
+				if c != "-" {
+					implemented++
+				}
+			}
+		}
+		if implemented != 23 {
+			t.Errorf("E1 has %d implemented cells, want 23", implemented)
 		}
 	})
 

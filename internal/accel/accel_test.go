@@ -2,6 +2,8 @@ package accel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -279,13 +281,18 @@ func TestTable1Conformance(t *testing.T) {
 	t.Log(r.cache.Cov.Summary())
 }
 
+// newTableL1 builds a single-level cache running tab in place of Table 1.
+func newTableL1(tab *table, fab *network.Fabric, cfg Config) *L1Cache {
+	c := &L1Cache{}
+	c.init(c, tab, 2, tab.class, fab, 1, cfg)
+	return c
+}
+
 func TestVIFlavorSendsOnlyGetM(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Flavor = FlavorVI
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 9, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
-	c := NewL1Cache(2, "vi", fab, 1, cfg)
+	c := newTableL1(tableVI, fab, tinyCfg())
 	sq := seq.New(3, "acc", eng, fab, 2, new(seq.OpList))
 	sq.Load(0x100, nil)
 	sq.Store(0x180, 1, nil)
@@ -306,13 +313,11 @@ func TestVIFlavorSendsOnlyGetM(t *testing.T) {
 }
 
 func TestMSIFlavorTreatsDataEAsDataM(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Flavor = FlavorMSI
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 10, network.Config{Latency: 3, Ordered: true})
 	xg := newMockGuard(1, eng, fab)
 	xg.sGets = coherence.ADataE
-	c := NewL1Cache(2, "msi", fab, 1, cfg)
+	c := newTableL1(tableMSI, fab, tinyCfg())
 	sq := seq.New(3, "acc", eng, fab, 2, new(seq.OpList))
 	sq.Load(0x100, nil)
 	eng.RunUntilQuiet()
@@ -329,15 +334,26 @@ func TestMSIFlavorTreatsDataEAsDataM(t *testing.T) {
 	}
 }
 
+// TestFlavorStrings checks the state names, and that the §2.1 degraded
+// designs, built from Table 1 with cells substituted, keep its states
+// and record coverage under the L1's class.
 func TestFlavorStrings(t *testing.T) {
-	for f, want := range map[Flavor]string{FlavorMESI: "MESI", FlavorMSI: "MSI", FlavorVI: "VI"} {
-		if f.String() != want {
-			t.Errorf("%d.String() = %q", f, f.String())
-		}
-	}
 	for s, want := range map[AState]string{AI: "I", AS: "S", AE: "E", AM: "M", AB: "B"} {
 		if s.String() != want {
 			t.Errorf("AState %q != %q", s.String(), want)
+		}
+	}
+	for name, tab := range map[string]*table{"MESI": table1, "MSI": tableMSI, "VI": tableVI} {
+		_, rows := tab.render()
+		var states []string
+		for _, r := range rows {
+			states = append(states, r[0])
+		}
+		if want := []string{"M", "E", "S", "I", "B"}; !slices.Equal(states, want) {
+			t.Errorf("%s states %q, want %q", name, states, want)
+		}
+		if tab.class != "accel.L1" {
+			t.Errorf("%s records coverage under %q, want accel.L1", name, tab.class)
 		}
 	}
 }
@@ -346,13 +362,126 @@ func TestTable1PairsShape(t *testing.T) {
 	// The published table: M/E/S have 4 defined cells, I has 3 (no
 	// replacement), B has 8 (stalls + 4 responses + inv).
 	counts := map[string]int{}
-	for _, p := range Table1Pairs() {
-		counts[p[0]]++
+	for _, r := range table1.rows {
+		counts[r.st.String()]++
 	}
 	want := map[string]int{"M": 4, "E": 4, "S": 4, "I": 3, "B": 8}
-	for st, n := range want {
-		if counts[st] != n {
-			t.Errorf("Table 1 row %s has %d cells, want %d", st, counts[st], n)
+	if !maps.Equal(counts, want) {
+		t.Errorf("Table 1 has %v cells per state, want %v", counts, want)
+	}
+}
+
+// paperTable1 is Table 1 as the paper prints it (§2.1), "-" for an
+// impossible cell.
+var paperTable1 = [][]string{
+	{"M", "hit", "hit", "issue PutM / B", "send DirtyWB / I", "-", "-", "-", "-"},
+	{"E", "hit", "hit / M", "issue PutE / B", "send CleanWB / I", "-", "-", "-", "-"},
+	{"S", "hit", "issue GetM / B", "issue PutS / B", "send InvAck / I", "-", "-", "-", "-"},
+	{"I", "issue GetS / B", "issue GetM / B", "-", "send InvAck", "-", "-", "-", "-"},
+	{"B", "stall", "stall", "stall", "send InvAck", "/ M", "/ E", "/ S", "/ I"},
+}
+
+// TestTable1MatchesPaper renders the rows the L1 cache runs and compares
+// all 40 cells with the published table, then checks that the degraded
+// designs differ from it in exactly the cells §2.1 names.
+func TestTable1MatchesPaper(t *testing.T) {
+	events, rows := Table1()
+	paperEvents := []string{"Load", "Store", "Replacement", "A:Inv", "A:DataM", "A:DataE", "A:DataS", "A:WBAck"}
+	if !slices.Equal(events, paperEvents) {
+		t.Fatalf("events %q, the paper's %q", events, paperEvents)
+	}
+	if len(rows) != len(paperTable1) {
+		t.Fatalf("%d states, the paper's %d", len(rows), len(paperTable1))
+	}
+	cells := 0
+	for i, want := range paperTable1 {
+		if !slices.Equal(rows[i], want) {
+			t.Errorf("row %q, the paper's %q", rows[i], want)
+		}
+		cells += len(want) - 1
+	}
+	if cells != 40 {
+		t.Errorf("the paper's table has %d cells, want 40", cells)
+	}
+	for _, d := range []struct {
+		name string
+		tab  *table
+		want map[string]string // "state/event" -> cell
+	}{
+		{"MSI", tableMSI, map[string]string{"B/A:DataE": "/ M", "E/Replacement": "issue PutM / B"}},
+		{"VI", tableVI, map[string]string{"B/A:DataE": "/ M", "E/Replacement": "issue PutM / B",
+			"I/Load": "issue GetM / B"}},
+	} {
+		_, got := d.tab.render()
+		diff := map[string]string{}
+		for i := range got {
+			for j := 1; j < len(got[i]); j++ {
+				if got[i][j] != rows[i][j] {
+					diff[got[i][0]+"/"+events[j-1]] = got[i][j]
+				}
+			}
+		}
+		if !maps.Equal(diff, d.want) {
+			t.Errorf("%s differs from Table 1 in %v, want %v", d.name, diff, d.want)
+		}
+	}
+}
+
+// TestTablesWellFormed checks every table for the cells the interpreter
+// reads without looking: Load, Store and Inv in every state, Replacement
+// in every stable valid one, a Get only into B, a B cell for every
+// message, and a grant only into a state where the ops it completes hit.
+func TestTablesWellFormed(t *testing.T) {
+	// completes lists the core ops a grant may answer: DataS and DataE
+	// answer GetS only.
+	completes := map[coherence.MsgType][]int{
+		coherence.ADataS: {evLoad}, coherence.ADataE: {evLoad}, coherence.ADataM: {evLoad, evStore},
+		coherence.XDataS: {evLoad}, coherence.XDataM: {evLoad, evStore},
+	}
+	gets := []coherence.MsgType{coherence.AGetS, coherence.AGetM, coherence.XGetS, coherence.XGetM}
+	for _, tab := range []*table{table1, tableMSI, tableVI, innerL1} {
+		name := func(st AState, ev int) string { return fmt.Sprintf("%s %v/%s", tab.class, st, tab.vocab.Events()[ev]) }
+		cell := func(st AState, ev int) (row, bool) {
+			if i := tab.find(st, ev); i >= 0 {
+				return tab.rows[i], true
+			}
+			return row{}, false
+		}
+		hits := func(st AState, ev int) bool {
+			r, ok := cell(st, ev)
+			return ok && st.Stable() && r.send == none
+		}
+		inv := tab.vocab.Event(coherence.AInv)
+		if inv < 0 {
+			inv = tab.vocab.Event(coherence.XInv)
+		}
+		for _, r := range tab.rows {
+			for _, ev := range []int{evLoad, evStore, inv} {
+				if _, ok := cell(r.st, ev); !ok {
+					t.Errorf("%s has no cell", name(r.st, ev))
+				}
+			}
+			if _, ok := cell(r.st, evReplacement); !ok && r.st.Stable() && r.st != AI {
+				t.Errorf("%s has no cell", name(r.st, evReplacement))
+			}
+			if slices.Contains(gets, r.send) && r.next != AB {
+				t.Errorf("%s sends %v into %v, not B", name(r.st, r.ev), r.send, r.next)
+			}
+			if r.ev >= len(localEvents) {
+				if _, ok := cell(AB, r.ev); !ok {
+					t.Errorf("%s has no cell", name(AB, r.ev))
+				}
+			}
+			for mt, ops := range completes {
+				if tab.vocab.Event(mt) != r.ev {
+					continue
+				}
+				for _, op := range ops {
+					if !hits(r.next, op) {
+						t.Errorf("%s enters %v, where %s is not a hit", name(r.st, r.ev), r.next, localEvents[op])
+					}
+				}
+			}
 		}
 	}
 }

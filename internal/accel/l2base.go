@@ -68,18 +68,12 @@ func (l *l2Base) evicting(addr mem.Addr) bool {
 	return ok
 }
 
-// putToGuard starts the writeback of an evicted line to Crossing Guard and
-// gives the line's block, copied into the Put, back.
+// putToGuard starts the writeback of an evicted line to Crossing Guard,
+// by Table 1's Replacement cell for the line's claim, and gives the line's
+// block, copied into the Put, back.
 func (l *l2Base) putToGuard(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
 	l.evictions[addr] = struct{}{}
-	switch {
-	case host == AM || dirty:
-		l.send(coherence.Msg{Type: coherence.APutM, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
-	case host == AE:
-		l.send(coherence.Msg{Type: coherence.APutE, Addr: addr, Dst: l.xg, Data: data})
-	default:
-		l.send(coherence.Msg{Type: coherence.APutS, Addr: addr, Dst: l.xg})
-	}
+	l.send(cellMsg(table1.at(claim(host, dirty), evReplacement).send, addr, l.xg, data))
 	l.fab.FreeBlock(data)
 }
 
@@ -95,21 +89,24 @@ func (l *l2Base) closeEviction(addr mem.Addr, m *coherence.Msg) {
 }
 
 // answerInv answers the guard's Invalidate for a line that has just left
-// the cache — with the data when the grant or a local write made it ours to
-// return — gives the line's block back, and wakes what waited: parked, the
-// next Invalidate the line held, first.
+// the cache by Table 1's Invalidate cell for the line's claim — with the
+// data when the grant or a local write made it ours to return — gives the
+// line's block back, and wakes what waited: parked, the next Invalidate the
+// line held, first.
 func (l *l2Base) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block, parked *coherence.Msg) {
-	switch {
-	case host == AM || dirty:
-		l.send(coherence.Msg{Type: coherence.ADirtyWB, Addr: addr, Dst: l.xg, Data: data, Dirty: true})
-	case host == AE:
-		l.send(coherence.Msg{Type: coherence.ACleanWB, Addr: addr, Dst: l.xg, Data: data})
-	default:
-		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-	}
+	l.send(cellMsg(table1.at(claim(host, dirty), aInv).send, addr, l.xg, data))
 	l.fab.FreeBlock(data)
 	l.wake(addr, parked)
 	l.replayStalled()
+}
+
+// claim is the Table 1 state an L2 line answers the guard from: its grant,
+// or Modified once an inner core has written under it.
+func claim(host AState, dirty bool) AState {
+	if dirty {
+		return AM
+	}
+	return host
 }
 
 // wake serves the guard Invalidate that was parked on addr's line, or with
@@ -144,26 +141,15 @@ func (l *l2Base) replayStalled() {
 // is dirty toward the host before any write: its data may have come from
 // a CPU's dirty copy.
 func heldLine(fn chassis.HeldFunc, addr mem.Addr, host AState, data *mem.Block, dirty bool) {
-	lvl := host.Level()
-	if dirty {
-		lvl = chassis.Modified
-	}
-	fn(addr, lvl, data, dirty || host == AM)
+	st := claim(host, dirty)
+	fn(addr, st.Level(), data, st == AM)
 }
 
 // WBPending reports writebacks to the guard in flight (zero at quiesce).
 func (l *l2Base) WBPending() int { return len(l.evictions) }
 
-// grantLevel is the permission a guard grant confers.
-func grantLevel(t coherence.MsgType) AState {
-	switch t {
-	case coherence.ADataE:
-		return AE
-	case coherence.ADataM:
-		return AM
-	}
-	return AS
-}
+// grantLevel is the permission a guard grant confers: Table 1's B row.
+func grantLevel(t coherence.MsgType) AState { return table1.at(AB, l1Table.Event(t)).next }
 
 // lruWhere returns the least recently used line of addr's set that passes
 // ok, or nil: the L2s' choice of a line to recall so a stalled miss can

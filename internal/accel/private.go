@@ -1,0 +1,294 @@
+package accel
+
+import (
+	"fmt"
+	"slices"
+
+	"crossingguard/internal/cacheset"
+	"crossingguard/internal/chassis"
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/mem"
+	"crossingguard/internal/network"
+)
+
+// The private accelerator caches, paper Table 1's L1Cache and the
+// two-level design's InnerL1, are one interpreter running a transition
+// table. A row names only what the cell sends and the state it enters;
+// everything else follows from the event:
+//
+//   - a core op in a stable state that sends nothing is a hit;
+//   - a grant fills the B line, then completes the waiting op by replaying
+//     that op's cell from the granted state, which must be a hit;
+//   - a Replacement whose next state is B buffers the line until the
+//     writeback is acknowledged, any other frees the line's block;
+//   - an Inv answered from a valid line drops it; in B or I it only
+//     answers, and the guard or the shared L2 resolves the race.
+
+// none is a cell that sends nothing.
+const none = coherence.MsgInvalid
+
+// A row is one cell of a transition table: in state st, event ev (an
+// index into the table's vocabulary) sends send and enters next.
+type row struct {
+	st   AState
+	ev   int
+	send coherence.MsgType
+	next AState
+}
+
+// A table is a private cache's transition table: the coverage class it
+// records under, its vocabulary, its rows in the order written, and the
+// same rows indexed densely by (state, event) for dispatch.
+type table struct {
+	class string
+	vocab *coherence.Table
+	rows  []row
+	cells []row // [state*events + event]
+}
+
+func newTable(class string, vocab *coherence.Table, rows []row) *table {
+	t := &table{class: class, vocab: vocab, rows: rows}
+	t.cells = make([]row, len(vocab.States())*len(vocab.Events()))
+	for _, r := range rows {
+		*t.at(r.st, r.ev) = r
+	}
+	return t
+}
+
+// at returns the cell of (st, ev). The interpreter reads only cells the
+// well-formedness test shows every table has.
+func (t *table) at(st AState, ev int) *row { return &t.cells[int(st)*len(t.vocab.Events())+ev] }
+
+// find returns the index of the row of (st, ev), or -1.
+func (t *table) find(st AState, ev int) int {
+	return slices.IndexFunc(t.rows, func(r row) bool { return r.st == st && r.ev == ev })
+}
+
+// with returns t with the given cells substituted for its own.
+func (t *table) with(subs ...row) *table {
+	rows := slices.Clone(t.rows)
+	for _, s := range subs {
+		rows[t.find(s.st, s.ev)] = s
+	}
+	return newTable(t.class, t.vocab, rows)
+}
+
+// coverage declares exactly the table's rows.
+func (t *table) coverage() *coherence.Coverage {
+	cov := coherence.NewCoverage(t.class, t.vocab)
+	for _, r := range t.rows {
+		cov.Declare(int(r.st), r.ev)
+	}
+	return cov
+}
+
+// line is the payload of one private accelerator line. data is the
+// cache's own block, taken from the machine's block list at fill and
+// given back at invalidation; op is the core operation waiting in B for
+// a grant.
+type line struct {
+	state AState
+	data  *mem.Block
+	op    *coherence.Msg
+}
+
+// busy reports a line with a request outstanding.
+func busy(v *line) bool { return v.state == AB }
+
+// held reports the stable valid lines of a private cache.
+func held(lines *cacheset.Cache[line], fn chassis.HeldFunc) {
+	lines.Visit(func(e *cacheset.Entry[line]) {
+		if e.V.state.Stable() && e.V.state != AI {
+			fn(e.Addr, e.V.state.Level(), e.V.data, e.V.state == AM)
+		}
+	})
+}
+
+// private is the interpreter: a chassis cache whose transitions are its
+// table's cells. The chassis's write-back buffer holds the lines a
+// Replacement left in B.
+type private struct {
+	chassis.L1[line]
+	tab *table
+	up  coherence.NodeID // the Crossing Guard endpoint, or the shared L2
+
+	// epoch is the guard epoch the cache operates under (0 until the first
+	// device reset), stamped on every send. Protocol messages from another
+	// epoch are pre-reset stragglers and are dropped, never dispatched — a
+	// stale grant must not be mistaken for an answer to a fresh request.
+	epoch uint32
+	// StaleDrops counts messages dropped for a stale epoch; Nacked counts
+	// transactions refused by a quarantined guard.
+	StaleDrops, Nacked uint64
+}
+
+// init builds the chassis over t and registers self, the cache type
+// embedding c, with the fabric.
+func (c *private) init(self coherence.Controller, t *table, id coherence.NodeID, name string,
+	fab *network.Fabric, up coherence.NodeID, cfg Config) {
+	c.tab, c.up = t, up
+	c.Init(self, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, t.coverage(), busy, c.evict, c.core)
+}
+
+// Recv implements coherence.Controller. Of the messages a table's
+// vocabulary names, those that are not an Inv or a WBAck are grants.
+func (c *private) Recv(m *coherence.Msg) {
+	switch {
+	case m.Type == coherence.ReqLoad || m.Type == coherence.ReqStore:
+		c.core(m)
+	case m.Epoch != c.epoch:
+		c.StaleDrops++
+	case m.Type == coherence.ANack:
+		c.nack(m)
+	case c.tab.vocab.Event(m.Type) < 0:
+		panic(fmt.Sprintf("%s: unexpected %v", c.Name(), m))
+	case m.Type == coherence.AInv || m.Type == coherence.XInv:
+		c.inv(m)
+	case m.Type == coherence.AWBAck || m.Type == coherence.XWBAck:
+		c.wbAck(m)
+	default:
+		c.grant(m)
+	}
+}
+
+// Reset reinitializes the cache under a new guard epoch (the recovery
+// protocol's device-reset step): every line returns to Invalid and every
+// in-flight transaction is forgotten. Waiting core operations are dropped
+// without responses — the sequencer aborts them in the same reset.
+// Coverage is cumulative and survives the reset.
+func (c *private) Reset(epoch uint32) {
+	c.epoch = epoch
+	c.L1.Reset()
+}
+
+// cellMsg is the message of type t a cell sends to dst for addr: with the
+// line's block when t carries data, dirty when t hands back written data.
+func cellMsg(t coherence.MsgType, addr mem.Addr, dst coherence.NodeID, data *mem.Block) coherence.Msg {
+	if !t.CarriesData() {
+		data = nil
+	}
+	dirty := t == coherence.APutM || t == coherence.ADirtyWB || t == coherence.XPutM || t == coherence.XInvWB
+	return coherence.Msg{Type: t, Addr: addr, Dst: dst, Data: data, Dirty: dirty}
+}
+
+// send sends cell message t up, stamped with the cache's epoch.
+func (c *private) send(t coherence.MsgType, addr mem.Addr, data *mem.Block) {
+	m := cellMsg(t, addr, c.up, data)
+	m.Src, m.Epoch = c.ID(), c.epoch
+	c.Fab.Send(c.Fab.Msg(m))
+}
+
+func (c *private) core(m *coherence.Msg) {
+	addr, ev := m.Addr.Line(), opEv(m)
+	e, ok := c.Admit(addr, m)
+	if !ok {
+		c.Cov.Record(int(AB), ev)
+		return
+	}
+	st := AI
+	if e != nil {
+		st = e.V.state
+	}
+	c.Cov.Record(int(st), ev)
+	if e == nil {
+		if e = c.Allocate(addr, m); e == nil {
+			return
+		}
+	}
+	cell := c.tab.at(st, ev)
+	if cell.send == none {
+		c.hit(e, cell, m)
+		return
+	}
+	e.V.state, e.V.op = cell.next, m
+	c.send(cell.send, addr, nil)
+}
+
+// hit completes op on line e, which enters cell's next state.
+func (c *private) hit(e *cacheset.Entry[line], cell *row, op *coherence.Msg) {
+	e.V.state = cell.next
+	if op.Type == coherence.ReqStore {
+		e.V.data[op.Addr.Offset()] = op.Val
+		c.Respond(op, 0)
+	} else {
+		c.Respond(op, e.V.data[op.Addr.Offset()])
+	}
+}
+
+func (c *private) evict(addr mem.Addr, v *line) {
+	c.Cov.Record(int(v.state), evReplacement)
+	cell := c.tab.at(v.state, evReplacement)
+	c.send(cell.send, addr, v.data)
+	if cell.next == AB {
+		c.Buffer(addr, v) // the buffer takes the victim's block over
+	} else {
+		c.Fab.FreeBlock(v.data)
+	}
+}
+
+func (c *private) grant(m *coherence.Msg) {
+	e := c.Lines.Peek(m.Addr)
+	if e == nil || e.V.state != AB || e.V.op == nil {
+		panic(fmt.Sprintf("%s: data %v with no pending get", c.Name(), m))
+	}
+	ev := c.tab.vocab.Event(m.Type)
+	c.Cov.Record(int(AB), ev)
+	op := e.V.op
+	e.V.state, e.V.op = c.tab.at(AB, ev).next, nil
+	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade
+	cell := c.tab.at(e.V.state, opEv(op))
+	if cell.send != none {
+		// DataS answered a GetM? The interfaces forbid it; only a buggy
+		// guard or L2 could do this.
+		panic(fmt.Sprintf("%s: %v for a %v at %v", c.Name(), m.Type, op.Type, m.Addr))
+	}
+	c.hit(e, cell, op)
+	c.Settled(m.Addr.Line())
+}
+
+func (c *private) wbAck(m *coherence.Msg) {
+	addr := m.Addr.Line()
+	wl := c.Buffered(addr)
+	if wl == nil {
+		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", c.Name(), m))
+	}
+	c.Cov.Record(int(AB), c.tab.vocab.Event(m.Type))
+	c.Retire(addr, wl.data)
+}
+
+func (c *private) inv(m *coherence.Msg) {
+	addr, ev := m.Addr.Line(), c.tab.vocab.Event(m.Type)
+	st, e := AI, c.Lines.Peek(m.Addr)
+	var data *mem.Block
+	if e != nil {
+		st, data = e.V.state, e.V.data
+	} else if c.Buffered(addr) != nil {
+		st = AB
+	}
+	c.Cov.Record(int(st), ev)
+	cell := c.tab.at(st, ev)
+	c.send(cell.send, addr, data)
+	if cell.next != st {
+		c.Drop(e, data)
+		c.Settled(addr)
+	}
+}
+
+// nack closes a transaction a quarantined guard refused. No response
+// reaches the waiting core operation: the device is about to be reset,
+// and the sequencer abort drops the operation with it.
+func (c *private) nack(m *coherence.Msg) {
+	addr := m.Addr.Line()
+	c.Nacked++
+	if wl := c.Buffered(addr); wl != nil {
+		c.Retire(addr, wl.data)
+		return
+	}
+	if e := c.Lines.Peek(m.Addr); e != nil && e.V.state == AB {
+		c.Drop(e, e.V.data)
+		c.Settled(addr)
+	}
+}
+
+// Held reports every stable valid line for invariant checks.
+func (c *private) Held(fn chassis.HeldFunc) { held(c.Lines, fn) }

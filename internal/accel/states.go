@@ -10,7 +10,7 @@
 //   - simplified variants (VI, MSI) built by degrading the interface, as
 //     §2.1 describes ("an accelerator cache can implement a VI design by
 //     sending only GetM requests; an MSI design is possible by treating
-//     DataE as DataM").
+//     DataE as DataM"): Table 1 with those cells substituted.
 //
 // The contrast that motivates the paper: this L1 receives one host
 // request (Inv) and four responses, versus the MESI host L1's four host
@@ -54,39 +54,12 @@ func (s AState) Level() chassis.Level {
 	return chassis.Shared
 }
 
-// Flavor selects how much of the Crossing Guard interface the cache
-// uses. The interface permits degraded designs (paper §2.1).
-type Flavor int
-
-const (
-	// FlavorMESI uses the full interface (Table 1).
-	FlavorMESI Flavor = iota
-	// FlavorMSI treats DataE as DataM (only Dirty writebacks are sent).
-	FlavorMSI
-	// FlavorVI sends only GetM requests and holds only V (=M) or I.
-	FlavorVI
-)
-
-// String names the flavor after the protocol it degrades to.
-func (f Flavor) String() string {
-	switch f {
-	case FlavorMESI:
-		return "MESI"
-	case FlavorMSI:
-		return "MSI"
-	case FlavorVI:
-		return "VI"
-	}
-	return "Flavor(?)"
-}
-
 // Config parameterizes accelerator caches.
 type Config struct {
 	L1Sets, L1Ways int
 	L2Sets, L2Ways int // two-level hierarchies only
 	HitLat         sim.Time
 	L2Lat          sim.Time
-	Flavor         Flavor
 }
 
 // DefaultConfig returns the geometry used by the benchmarks (a 16 kB L1;

@@ -31,7 +31,7 @@ import (
 type WeakL1 struct {
 	// A write-back gives its block back at once, so the chassis's buffer
 	// stays empty: flushing counts the acknowledgements still due.
-	chassis.L1[innerLine]
+	chassis.L1[line]
 	eng *sim.Engine
 	l2  coherence.NodeID
 
@@ -43,7 +43,7 @@ type WeakL1 struct {
 func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config) *WeakL1 {
 	c := &WeakL1{eng: eng, l2: l2}
-	c.Init(c, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, nil, innerBusy, c.evict, c.handleCPU)
+	c.Init(c, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, nil, busy, c.evict, c.handleCPU)
 	return c
 }
 
@@ -70,14 +70,14 @@ func (c *WeakL1) send(t coherence.Msg) {
 }
 
 func (c *WeakL1) handleCPU(m *coherence.Msg) {
-	line := m.Addr.Line()
-	e, ok := c.Admit(line, m)
+	addr := m.Addr.Line()
+	e, ok := c.Admit(addr, m)
 	if !ok {
 		return
 	}
 	isStore := m.Type == coherence.ReqStore
 	if e == nil {
-		if e = c.Allocate(line, m); e == nil {
+		if e = c.Allocate(addr, m); e == nil {
 			return
 		}
 		// Writes need host write permission at the L2 (XGetM ensures
@@ -86,27 +86,27 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 		if isStore {
 			ty = coherence.XGetM
 		}
-		e.V = innerLine{state: NB, op: m}
-		c.send(coherence.Msg{Type: ty, Addr: line, Dst: c.l2})
+		e.V.state, e.V.op = AB, m
+		c.send(coherence.Msg{Type: ty, Addr: addr, Dst: c.l2})
 		return
 	}
 	switch {
 	case !isStore:
 		c.Respond(m, e.V.data[m.Addr.Offset()])
-	case e.V.state == NM:
+	case e.V.state == AM:
 		e.V.data[m.Addr.Offset()] = m.Val
 		c.Respond(m, 0)
 	default: // store to a read-only local copy: upgrade (no sibling invs)
-		e.V.state = NB
+		e.V.state = AB
 		e.V.op = m
-		c.send(coherence.Msg{Type: coherence.XGetM, Addr: line, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XGetM, Addr: addr, Dst: c.l2})
 	}
 }
 
-// evict writes back a dirty (NM) line or drops a clean one, and gives the
+// evict writes back a dirty (AM) line or drops a clean one, and gives the
 // victim's block back.
-func (c *WeakL1) evict(addr mem.Addr, v *innerLine) {
-	if v.state == NM {
+func (c *WeakL1) evict(addr mem.Addr, v *line) {
+	if v.state == AM {
 		c.flushing++
 		c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
 	} else {
@@ -121,16 +121,16 @@ func (c *WeakL1) evict(addr mem.Addr, v *innerLine) {
 // runs once all writebacks are acknowledged — the accelerator's release
 // fence.
 func (c *WeakL1) Flush(done func()) {
-	var dirty []*cacheset.Entry[innerLine]
-	c.Lines.Visit(func(e *cacheset.Entry[innerLine]) {
-		if e.V.state == NB {
+	var dirty []*cacheset.Entry[line]
+	c.Lines.Visit(func(e *cacheset.Entry[line]) {
+		if e.V.state == AB {
 			panic(fmt.Sprintf("%s: Flush with operations outstanding", c.Name()))
 		}
 		dirty = append(dirty, e)
 	})
 	pending := 0
 	for _, e := range dirty {
-		if e.V.state == NM {
+		if e.V.state == AM {
 			pending++
 			c.flushing++
 			c.send(coherence.Msg{Type: coherence.XPutM, Addr: e.Addr, Dst: c.l2, Data: e.V.data, Dirty: true})
@@ -160,23 +160,19 @@ func (c *WeakL1) Flush(done func()) {
 
 func (c *WeakL1) handleData(m *coherence.Msg) {
 	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.state != NB || e.V.op == nil {
+	if e == nil || e.V.state != AB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.Name(), m))
 	}
 	op := e.V.op
 	e.V.op = nil
-	// Keep locally-written bytes on an upgrade: the weak model merges at
-	// flush time, and our own writes must not be lost.
-	if e.V.data == nil || e.V.state != NM {
-		c.Fab.FillBlock(&e.V.data, m.Data)
-	}
+	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade from S
 	if m.Type == coherence.XDataM {
-		e.V.state = NM
+		e.V.state = AM
 	} else {
-		e.V.state = NS
+		e.V.state = AS
 	}
 	if op.Type == coherence.ReqStore {
-		e.V.state = NM
+		e.V.state = AM
 		e.V.data[op.Addr.Offset()] = op.Val
 		c.Respond(op, 0)
 	} else {
@@ -204,19 +200,19 @@ func (c *WeakL1) handleWBAck(m *coherence.Msg) {
 // is the one flow where even the weak hierarchy must cooperate: host
 // coherence is not negotiable.
 func (c *WeakL1) handleInv(m *coherence.Msg) {
-	line := m.Addr.Line()
+	addr := m.Addr.Line()
 	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.state == NB {
-		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
+	if e == nil || e.V.state == AB {
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: addr, Dst: c.l2})
 		return
 	}
-	if e.V.state == NM {
-		c.send(coherence.Msg{Type: coherence.XInvWB, Addr: line, Dst: c.l2, Data: e.V.data, Dirty: true})
+	if e.V.state == AM {
+		c.send(coherence.Msg{Type: coherence.XInvWB, Addr: addr, Dst: c.l2, Data: e.V.data, Dirty: true})
 	} else {
-		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: line, Dst: c.l2})
+		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: addr, Dst: c.l2})
 	}
 	c.Drop(e, e.V.data)
-	c.Settled(line)
+	c.Settled(addr)
 }
 
 // Outstanding reports open transactions.
@@ -224,4 +220,4 @@ func (c *WeakL1) Outstanding() int { return c.flushing + c.L1.Outstanding() }
 
 // Held reports the lines the cache holds. They are this core's view only:
 // the weak model promises no agreement between sibling copies.
-func (c *WeakL1) Held(fn chassis.HeldFunc) { heldInner(c.Lines, fn) }
+func (c *WeakL1) Held(fn chassis.HeldFunc) { held(c.Lines, fn) }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"crossingguard/internal/accel"
@@ -81,6 +82,9 @@ func TestChaosShardAllocBudget(t *testing.T) {
 // a channel map; 455 kB in 3 186 while a channel held two 62-entry
 // per-type arrays and the adversaries built their own messages). The first
 // run hands its streams on to the measured one, as shards on a worker do.
+// That hand-over goes through sync.Pools, which a GC empties and which
+// keep one private slot per P, so the test holds GC off and the goroutine
+// on one P across both runs.
 const wideShardByteCeiling = 205_000
 
 func TestWideChaosShardByteBudget(t *testing.T) {
@@ -94,6 +98,8 @@ func TestWideChaosShardByteBudget(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run() // the first run also pays for lazily built package state
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
