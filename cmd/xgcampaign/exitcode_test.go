@@ -54,6 +54,16 @@ func TestExitCodes(t *testing.T) {
 			"xgcampaign: -messages -1 is below the minimum of 1"},
 		{"no stores", []string{"xgcampaign", "-stores", "0"}, 2, "xgcampaign: -stores 0 is below the minimum of 1"},
 		{"no seeds", []string{"xgcampaign", "-seeds", "0"}, 2, "xgcampaign: -seeds 0 is below the minimum of 1"},
+		{"negative workers", []string{"xgcampaign", "-mode", "stress", "-seeds", "1", "-stores", "2", "-workers", "-1"}, 2,
+			"xgcampaign: -workers -1 is below the minimum of 0"},
+		{"no trace tail", []string{"xgcampaign", "-mode", "stress", "-seeds", "1", "-stores", "2", "-tracetail", "0"}, 2,
+			"xgcampaign: -tracetail 0 is below the minimum of 1"},
+		{"no shrink runs", []string{"xgcampaign", "-shrink-runs", "0", "-shrink", chaos + "model=stalewriter checked=1"}, 2,
+			"xgcampaign: -shrink-runs 0 is below the minimum of 1"},
+		{"negative budget", []string{"xgcampaign", "-mode", "stress", "-seeds", "1", "-stores", "2", "-budget", "-1s"}, 2,
+			"xgcampaign: -budget -1s is below the minimum of 0s"},
+		{"negative heartbeat", []string{"xgcampaign", "-mode", "stress", "-seeds", "1", "-stores", "2", "-heartbeat", "-5s"}, 2,
+			"xgcampaign: -heartbeat -5s is below the minimum of 0s"},
 		{"too many CPUs", []string{"xgcampaign", "-cpus", "31"}, 2, "xgcampaign: 31 CPU cores exceeds the limit of 30"},
 		{"too many devices", []string{"xgcampaign", "-accels", "65"}, 2,
 			"xgcampaign: 65 accelerator devices exceeds the limit of 64"},

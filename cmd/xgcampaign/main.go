@@ -112,11 +112,21 @@ var (
 func main() {
 	flag.Parse()
 	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"seeds", *seeds, 1}, {"stores", *stores, 1}, {"messages", *messages, 1}, {"cpus", *cpus, 1},
+		{"cores", *cores, 1}, {"workers", *workers, 0}, {"tracetail", *traceTl, 1}, {"shrink-runs", *shrinkN, 1}} {
+		if f.v < f.min {
+			fmt.Fprintf(os.Stderr, "xgcampaign: -%s %d is below the minimum of %d\n", f.name, f.v, f.min)
+			os.Exit(campaign.ExitUsage)
+		}
+	}
+	for _, f := range []struct {
 		name string
-		v    int
-	}{{"seeds", *seeds}, {"stores", *stores}, {"messages", *messages}, {"cpus", *cpus}, {"cores", *cores}} {
-		if f.v < 1 {
-			fmt.Fprintf(os.Stderr, "xgcampaign: -%s %d is below the minimum of 1\n", f.name, f.v)
+		v    time.Duration
+	}{{"budget", *budget}, {"heartbeat", *heartbt}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "xgcampaign: -%s %v is below the minimum of 0s\n", f.name, f.v)
 			os.Exit(campaign.ExitUsage)
 		}
 	}
@@ -189,14 +199,7 @@ func main() {
 		opt.Budget = *budget
 		rep = campaign.RunBudget(campaign.BudgetGenerator(base), opt)
 	} else {
-		var specs []campaign.ShardSpec
-		for seed := int64(1); seed <= int64(*seeds); seed++ {
-			for _, s := range base {
-				s.Seed = seed
-				specs = append(specs, s)
-			}
-		}
-		rep = campaign.Run(specs, opt)
+		rep = campaign.Run(campaign.Seeded(base, *seeds), opt)
 	}
 
 	if err := rep.ExportFiles(*metrics, *trace, *obsOut); err != nil {

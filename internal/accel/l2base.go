@@ -36,16 +36,17 @@ type l2Base struct {
 
 func (l *l2Base) init(id coherence.NodeID, name string, fab *network.Fabric, xg coherence.NodeID, cfg Config,
 	recv, aInv func(*coherence.Msg)) {
-	*l = l2Base{id: id, name: name, fab: fab, cfg: cfg, xg: xg, doRecv: recv, doAInv: aInv}
-	l.reset(0)
+	*l = l2Base{id: id, name: name, fab: fab, cfg: cfg, xg: xg, doRecv: recv, doAInv: aInv,
+		evictions: make(map[mem.Addr]struct{})}
 }
 
-// reset empties the queues under a new guard epoch.
+// reset empties the queues under a new guard epoch, keeping their storage.
 func (l *l2Base) reset(epoch uint32) {
 	l.epoch = epoch
-	l.evictions = make(map[mem.Addr]struct{})
-	l.waiting = coherence.LineQueues{}
-	l.stalled, l.replaying = nil, nil
+	clear(l.evictions)
+	l.waiting.Reset()
+	clear(l.stalled)
+	l.stalled, l.replaying = l.stalled[:0], nil
 }
 
 // ID implements coherence.Controller.

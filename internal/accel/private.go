@@ -161,6 +161,15 @@ func (c *private) Reset(epoch uint32) {
 	c.L1.Reset()
 }
 
+// Restart returns the cache to its just-built state for the machine's next
+// run, keeping its storage. Unlike a device reset it zeroes coverage and
+// counters too. The machine's Reset calls it.
+func (c *private) Restart() {
+	c.Reset(0)
+	c.Cov.Reset()
+	c.StaleDrops, c.Nacked = 0, 0
+}
+
 // cellMsg is the message of type t a cell sends to dst for addr: with the
 // line's block when t carries data, dirty when t hands back written data.
 func cellMsg(t coherence.MsgType, addr mem.Addr, dst coherence.NodeID, data *mem.Block) coherence.Msg {

@@ -196,8 +196,17 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 // internal message drops as stale on arrival.
 func (l *SharedL2) Reset(epoch uint32) {
 	l.reset(epoch)
-	l.cache = cacheset.New[sl2Line](l.cfg.L2Sets, l.cfg.L2Ways)
-	l.ignoreAck = make(map[ackKey]int)
+	l.cache.Reset()
+	clear(l.ignoreAck)
+}
+
+// Restart returns the L2 to its just-built state for the machine's next
+// run, keeping its storage. Unlike a device reset it zeroes coverage and
+// counters too. The machine's Reset calls it.
+func (l *SharedL2) Restart() {
+	l.Reset(0)
+	l.Cov.Reset()
+	l.LocalSharing, l.StaleDrops, l.Nacked = 0, 0, 0
 }
 
 // handleANack closes a transaction a quarantined guard refused: a nacked

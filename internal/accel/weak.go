@@ -47,6 +47,13 @@ func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 	return c
 }
 
+// Restart returns the cache to its just-built state for the machine's next
+// run, keeping its storage. The machine's Reset calls it.
+func (c *WeakL1) Restart() {
+	c.Reset()
+	c.flushing, c.onFlush = 0, nil
+}
+
 // Recv implements coherence.Controller.
 func (c *WeakL1) Recv(m *coherence.Msg) {
 	switch m.Type {

@@ -81,6 +81,13 @@ func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 	return l
 }
 
+// Restart returns the L2 to its just-built state for the machine's next
+// run, keeping its storage. The machine's Reset calls it.
+func (l *WeakL2) Restart() {
+	l.reset(0)
+	l.cache.Reset()
+}
+
 // Recv implements coherence.Controller.
 func (l *WeakL2) Recv(m *coherence.Msg) {
 	switch m.Type {

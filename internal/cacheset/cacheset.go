@@ -39,6 +39,13 @@ func New[T any](sets, ways int) *Cache[T] {
 	return &Cache[T]{sets: sets, ways: ways, entries: make([]Entry[T], sets*ways)}
 }
 
+// Reset invalidates every entry and zeroes the counters, keeping the
+// array: the cache as New built it.
+func (c *Cache[T]) Reset() {
+	clear(c.entries)
+	*c = Cache[T]{sets: c.sets, ways: c.ways, entries: c.entries}
+}
+
 // Sets reports the number of sets.
 func (c *Cache[T]) Sets() int { return c.sets }
 

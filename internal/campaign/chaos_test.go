@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/faults"
+	"crossingguard/internal/obs"
 )
 
 // smallChaosSweep is a quick chaos shard set covering both hosts, three
@@ -239,5 +241,59 @@ func TestChaosSweepShape(t *testing.T) {
 	}
 	if len(plans) != len(faults.Presets) {
 		t.Errorf("sweep covers %d fault profiles, want %d", len(plans), len(faults.Presets))
+	}
+}
+
+// Every seed of a chaos cell draws its own fault schedule, whichever way
+// the seeds are made: the sweep itself (ChaosSweep with two seeds), the
+// fixed-set runner reseeding a one-seed sweep (Seeded, xgcampaign -seeds),
+// or a budgeted run cycling through it (BudgetGenerator). The three agree
+// cell for cell, and two seeds of one cell inject different faults.
+func TestChaosSeedsDrawOwnFaultSchedules(t *testing.T) {
+	base := ChaosSweep(1, 1, 150)
+	swept := map[string]bool{}
+	for _, s := range ChaosSweep(2, 1, 150) {
+		swept[FormatSpec(s)] = true
+	}
+	seeded := Seeded(base, 2)
+	gen := BudgetGenerator(base)
+	for i, s := range seeded {
+		if !swept[FormatSpec(s)] {
+			t.Fatalf("fixed-set shard %q is not a cell of the two-seed sweep", FormatSpec(s))
+		}
+		if g := gen(i); FormatSpec(g) != FormatSpec(s) {
+			t.Fatalf("budgeted shard %d is %q, fixed-set %q", i, FormatSpec(g), FormatSpec(s))
+		}
+	}
+	cell := -1
+	for i, s := range base {
+		if s.Faults.Reorder > 0 && s.Model == accel.AdvStaleWriter.String() {
+			cell = i
+			break
+		}
+	}
+	if cell < 0 {
+		t.Fatal("no chaos cell with an active fault plan")
+	}
+	one, two := seeded[cell], seeded[len(base)+cell]
+	if one.Faults.Seed == two.Faults.Seed {
+		t.Fatalf("seeds 1 and 2 of %s share fault seed %d", one.Name(), one.Faults.Seed)
+	}
+	a, b := RunShardTrace(one, true, 1<<20), RunShardTrace(two, true, 1<<20)
+	faulted := func(r ShardResult) []string {
+		var out []string
+		for _, e := range r.Events {
+			if e.Kind == obs.KindFault {
+				out = append(out, fmt.Sprintf("%d %s %v", e.Tick, e.Payload, e.Msg))
+			}
+		}
+		return out
+	}
+	fa, fb := faulted(a), faulted(b)
+	if len(fa) == 0 || len(fb) == 0 {
+		t.Fatalf("no faults injected (%d and %d)", len(fa), len(fb))
+	}
+	if reflect.DeepEqual(fa, fb) {
+		t.Fatalf("seeds 1 and 2 of %s drew the same fault schedule", one.Name())
 	}
 }

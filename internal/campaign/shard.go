@@ -345,8 +345,9 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 		return res
 	}
 	sys := m.sys
-	// What the result keeps is copied out of the machine (counts, error
-	// text) or never recycled (metrics, trace ring, observations).
+	// Close parks the machine for the next shard of its shape, so what the
+	// result keeps is copied out of it (counts, error text, metrics,
+	// coverage, observations) or was never its (the trace ring).
 	defer sys.Close()
 	var ring *obs.Ring
 	if trace {
@@ -354,7 +355,7 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 		sys.Fab.Bus = obs.NewBus(ring)
 	}
 	res.Res, res.Err = tester.Run(m.drive, m.cfg)
-	res.Obs = sys.Obs
+	res.Obs = sys.Obs.Clone()
 	for _, n := range m.sent {
 		res.Sent += *n
 	}

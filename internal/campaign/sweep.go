@@ -71,14 +71,11 @@ func MultiAccelSweep(seeds, cpus, stores, messages int) []ShardSpec {
 		for _, org := range FuzzOrgs {
 			for _, accels := range AccelCounts {
 				for _, preset := range faults.Presets {
+					cell := ShardSpec{Kind: KindChaos, Host: host, Org: org,
+						CPUs: cpus, Messages: messages, Accels: accels,
+						Model: accel.AdvStaleWriter.String(), Faults: preset.Plan, Confined: true}
 					for seed := int64(1); seed <= int64(seeds); seed++ {
-						plan := preset.Plan
-						if plan.Active() {
-							plan.Seed += seed
-						}
-						specs = append(specs, ShardSpec{Kind: KindChaos, Host: host, Org: org,
-							Seed: seed, CPUs: cpus, Messages: messages, Accels: accels,
-							Model: accel.AdvStaleWriter.String(), Faults: plan, Confined: true})
+						specs = append(specs, cell.WithSeed(seed))
 					}
 				}
 			}
@@ -89,8 +86,8 @@ func MultiAccelSweep(seeds, cpus, stores, messages int) []ShardSpec {
 
 // ChaosSweep builds the chaos shard set: (host x guard organization x
 // adversary model x fault preset x {shared, confined} x seed). Fault-plan
-// seeds are offset by the shard seed so each cell draws an independent —
-// but replayable — fault schedule.
+// seeds are offset by the shard seed (WithSeed) so each cell draws an
+// independent — but replayable — fault schedule.
 func ChaosSweep(seeds, cpus, messages int) []ShardSpec {
 	var specs []ShardSpec
 	for _, host := range []config.HostKind{config.HostHammer, config.HostMESI} {
@@ -98,14 +95,11 @@ func ChaosSweep(seeds, cpus, messages int) []ShardSpec {
 			for _, model := range accel.AllAdvModels {
 				for _, preset := range faults.Presets {
 					for _, confined := range []bool{false, true} {
+						cell := ShardSpec{Kind: KindChaos, Host: host, Org: org,
+							CPUs: cpus, Messages: messages,
+							Model: model.String(), Faults: preset.Plan, Confined: confined}
 						for seed := int64(1); seed <= int64(seeds); seed++ {
-							plan := preset.Plan
-							if plan.Active() {
-								plan.Seed += seed
-							}
-							specs = append(specs, ShardSpec{Kind: KindChaos, Host: host, Org: org,
-								Seed: seed, CPUs: cpus, Messages: messages,
-								Model: model.String(), Faults: plan, Confined: confined})
+							specs = append(specs, cell.WithSeed(seed))
 						}
 					}
 				}
@@ -150,18 +144,41 @@ func RecoverySweep(seeds, cpus, messages int) []ShardSpec {
 	return specs
 }
 
+// WithSeed returns the cell s at another seed, as the sweeps build it:
+// the shard seed, and an active fault plan's seed offset by the same
+// amount, so every seed of a chaos cell draws its own fault schedule. The
+// sweeps, the fixed-set runner (Seeded) and BudgetGenerator all reseed
+// through it.
+func (s ShardSpec) WithSeed(seed int64) ShardSpec {
+	if s.Faults.Active() {
+		s.Faults.Seed += seed - s.Seed
+	}
+	s.Seed = seed
+	return s
+}
+
+// Seeded returns the fixed shard set of a campaign: every cell of base (a
+// sweep built with one seed) at seeds 1..seeds, seed by seed.
+func Seeded(base []ShardSpec, seeds int) []ShardSpec {
+	specs := make([]ShardSpec, 0, len(base)*seeds)
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		for _, s := range base {
+			specs = append(specs, s.WithSeed(seed))
+		}
+	}
+	return specs
+}
+
 // BudgetGenerator returns a deterministic infinite shard stream for
 // time-budgeted campaigns: it cycles through base (a fixed configuration
-// sweep; Seed fields are overridden) drawing a fresh seed on every full
-// cycle. gen(i) depends only on i, so a budgeted run is a prefix of one
-// fixed infinite sequence — any two runs agree on the shards both ran.
+// sweep, reseeded by WithSeed) drawing a fresh seed on every full cycle.
+// gen(i) depends only on i, so a budgeted run is a prefix of one fixed
+// infinite sequence — any two runs agree on the shards both ran.
 func BudgetGenerator(base []ShardSpec) func(i int) ShardSpec {
 	if len(base) == 0 {
 		panic("campaign: BudgetGenerator with empty base sweep")
 	}
 	return func(i int) ShardSpec {
-		spec := base[i%len(base)]
-		spec.Seed = int64(i/len(base)) + 1
-		return spec
+		return base[i%len(base)].WithSeed(int64(i/len(base)) + 1)
 	}
 }

@@ -95,23 +95,46 @@ type claim struct {
 // measured work, and a map per line, or a slice regrown as it fills,
 // costs objects and bytes per line.
 func Audit(sc Scope) error {
-	n := 0
-	count := func(mem.Addr, Level, *mem.Block, bool) { n++ }
+	var a Auditor
+	return a.Audit(&sc)
+}
+
+// Auditor runs Audit and keeps its storage — the claims slice and the
+// visitors it hands the caches — for the next audit, so a machine that is
+// audited after every run allocates nothing for it once warm. Its zero
+// value is ready to use; it is not safe for concurrent audits.
+type Auditor struct {
+	sc     *Scope
+	claims []claim
+	who    int32
+	n      int
+	bad    mem.Addr
+	err    error
+	// The visitors, bound once: Held and VisitOwned take them through
+	// interfaces, where a closure would be allocated per call.
+	countFn, addFn, homeFn HeldFunc
+	ownedFn                func(addr mem.Addr, owner coherence.NodeID)
+}
+
+// Audit is the package's Audit over sc, on a's storage.
+func (a *Auditor) Audit(sc *Scope) error {
+	if a.countFn == nil {
+		a.countFn, a.addFn, a.homeFn, a.ownedFn = a.count, a.add, a.homeLine, a.owned
+	}
+	a.sc, a.n, a.err, a.bad = sc, 0, nil, 0
 	for _, c := range sc.Caches {
 		if wb := c.WBPending(); wb != 0 {
 			return fmt.Errorf("%s: %d writebacks pending at quiesce", c.Name(), wb)
 		}
-		c.Held(count)
+		c.Held(a.countFn)
 	}
-	claims := make([]claim, 0, n)
-	var who int32
-	add := func(addr mem.Addr, lvl Level, data *mem.Block, dirty bool) {
-		claims = append(claims, claim{addr, data, who, lvl, dirty})
-	}
+	clear(a.claims)
+	a.claims = slices.Grow(a.claims[:0], a.n)
 	for i, c := range sc.Caches {
-		who = int32(i)
-		c.Held(add)
+		a.who = int32(i)
+		c.Held(a.addFn)
 	}
+	claims := a.claims
 	slices.SortFunc(claims, func(a, b claim) int {
 		if a.addr != b.addr {
 			return cmp.Compare(a.addr, b.addr)
@@ -121,33 +144,12 @@ func Audit(sc Scope) error {
 
 	// Rules 2 and 6 visit the home's lines in its own order and keep the
 	// lowest line that breaks one; the walk of the claims stops past it.
-	var bad mem.Addr
-	var err error
-	note := func(addr mem.Addr, e error) {
-		if err == nil || addr < bad {
-			bad, err = addr, e
-		}
-	}
-	sc.Home.VisitOwned(func(addr mem.Addr, owner coherence.NodeID) {
-		i, _ := slices.BinarySearchFunc(claims, addr, func(c claim, a mem.Addr) int { return cmp.Compare(c.addr, a) })
-		for ; i < len(claims) && claims[i].addr == addr; i++ {
-			if claims[i].lvl != Shared {
-				return // rule 3 judges the holder
-			}
-		}
-		if sc.Stands == nil || !sc.Stands(owner, addr) {
-			note(addr, fmt.Errorf("%v: home records owner %d but that cache does not own", addr, owner))
-		}
-	})
+	sc.Home.VisitOwned(a.ownedFn)
 	if sc.Values && sc.Memory != nil {
-		sc.Home.Held(func(addr mem.Addr, _ Level, data *mem.Block, dirty bool) {
-			if !dirty && !mem.Equal(data, sc.Memory.Peek(addr)) {
-				note(addr, fmt.Errorf("data divergence at %v: clean home line disagrees with memory", addr))
-			}
-		})
+		sc.Home.Held(a.homeFn)
 	}
-	for len(claims) > 0 && (err == nil || claims[0].addr <= bad) {
-		n = 1
+	for len(claims) > 0 && (a.err == nil || claims[0].addr <= a.bad) {
+		n := 1
 		for n < len(claims) && claims[n].addr == claims[0].addr {
 			n++
 		}
@@ -156,7 +158,41 @@ func Audit(sc Scope) error {
 		}
 		claims = claims[n:]
 	}
-	return err
+	return a.err
+}
+
+func (a *Auditor) count(mem.Addr, Level, *mem.Block, bool) { a.n++ }
+
+func (a *Auditor) add(addr mem.Addr, lvl Level, data *mem.Block, dirty bool) {
+	a.claims = append(a.claims, claim{addr, data, a.who, lvl, dirty})
+}
+
+// note keeps the violation at the lowest address.
+func (a *Auditor) note(addr mem.Addr, e error) {
+	if a.err == nil || addr < a.bad {
+		a.bad, a.err = addr, e
+	}
+}
+
+// owned applies rule 2 to one line the home records an owner for.
+func (a *Auditor) owned(addr mem.Addr, owner coherence.NodeID) {
+	claims := a.claims
+	i, _ := slices.BinarySearchFunc(claims, addr, func(c claim, a mem.Addr) int { return cmp.Compare(c.addr, a) })
+	for ; i < len(claims) && claims[i].addr == addr; i++ {
+		if claims[i].lvl != Shared {
+			return // rule 3 judges the holder
+		}
+	}
+	if a.sc.Stands == nil || !a.sc.Stands(owner, addr) {
+		a.note(addr, fmt.Errorf("%v: home records owner %d but that cache does not own", addr, owner))
+	}
+}
+
+// homeLine applies rule 6 to one of the home's lines.
+func (a *Auditor) homeLine(addr mem.Addr, _ Level, data *mem.Block, dirty bool) {
+	if !dirty && !mem.Equal(data, a.sc.Memory.Peek(addr)) {
+		a.note(addr, fmt.Errorf("data divergence at %v: clean home line disagrees with memory", addr))
+	}
 }
 
 // line applies rules 1 and 3-5 to the claims on one line.

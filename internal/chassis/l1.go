@@ -74,11 +74,15 @@ func (c *L1[L]) ID() coherence.NodeID { return c.id }
 func (c *L1[L]) Name() string { return c.name }
 
 // Reset forgets every line, buffered write-back and waiting operation (a
-// device reset; the sequencer aborts the operations in the same reset).
+// device reset; the sequencer aborts the operations in the same reset),
+// keeping the storage. Coverage is cumulative and survives it.
 func (c *L1[L]) Reset() {
-	c.Lines = cacheset.New[L](c.Lines.Sets(), c.Lines.Ways())
-	c.waiting = coherence.LineQueues{}
-	c.wb, c.stalled = nil, nil
+	c.Lines.Reset()
+	c.waiting.Reset()
+	clear(c.wb)
+	clear(c.stalled)
+	c.wb, c.stalled = c.wb[:0], c.stalled[:0]
+	c.victim = cacheset.Entry[L]{}
 }
 
 // Admit looks up the line of core operation m. ok is false when the line

@@ -133,6 +133,18 @@ func (c *Coverage) Record(state, event int) {
 	}
 }
 
+// Reset zeroes the visit counts and empties Unexpected, keeping the
+// declarations and the storage: the coverage of a machine that is reset.
+// A nil coverage (a cache that declares no table) is left alone.
+func (c *Coverage) Reset() {
+	if c == nil {
+		return
+	}
+	clear(c.visits)
+	clear(c.Unexpected)
+	c.Unexpected = c.Unexpected[:0]
+}
+
 // Name returns the controller class name.
 func (c *Coverage) Name() string { return c.name }
 

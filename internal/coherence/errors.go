@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"crossingguard/internal/mem"
 )
@@ -34,14 +33,7 @@ type ErrorLog struct {
 	Errors []ProtocolError
 	// ByCode counts errors per code.
 	ByCode map[string]uint64
-	// store is the box Errors' array travels in through logStores.
-	store *[]ProtocolError
 }
-
-// logStores holds the cleared arrays of recycled logs, for the next log
-// that reports an error on any goroutine: a fuzz shard logs one error per
-// forged message, and a fresh array would double its way up again.
-var logStores sync.Pool
 
 // NewErrorLog returns an empty log.
 func NewErrorLog() *ErrorLog { return &ErrorLog{ByCode: make(map[string]uint64)} }
@@ -56,37 +48,18 @@ const errorLogFirstCap = 32
 // often.
 func (l *ErrorLog) ReportError(e ProtocolError) {
 	if n := len(l.Errors); n == cap(l.Errors) {
-		l.grow(n)
+		l.Errors = slices.Grow(l.Errors, max(errorLogFirstCap, n))
 	}
 	l.Errors = append(l.Errors, e)
 	l.ByCode[e.Code]++
 }
 
-// grow makes room for one more error in a full list of n: a recycled
-// array for the first, else at least double the room.
-func (l *ErrorLog) grow(n int) {
-	if n == 0 {
-		if s, ok := logStores.Get().(*[]ProtocolError); ok {
-			l.store, l.Errors = s, *s
-			return
-		}
-	}
-	l.Errors = slices.Grow(l.Errors, max(errorLogFirstCap, n))
-}
-
-// Recycle clears the log's array and hands it to the next log that reports
-// an error. The log is empty afterwards; the errors it held may not be read.
-func (l *ErrorLog) Recycle() {
-	if cap(l.Errors) == 0 {
-		return
-	}
+// Reset empties the log and keeps its array and map for the errors of the
+// next run: a fuzz shard logs one error per forged message, and a fresh
+// array would double its way up again. The errors it held may not be read.
+func (l *ErrorLog) Reset() {
 	clear(l.Errors)
-	if l.store == nil {
-		l.store = new([]ProtocolError)
-	}
-	*l.store = l.Errors[:0]
-	logStores.Put(l.store)
-	l.Errors, l.store = nil, nil
+	l.Errors = l.Errors[:0]
 	clear(l.ByCode)
 }
 

@@ -143,5 +143,12 @@ func (q *LineQueues) Waiting(line mem.Addr) bool {
 	return q.n > 0 && q.slots[q.find(line)].head != nil
 }
 
+// Reset empties every queue, keeping the table; the queued messages are
+// forgotten, not released.
+func (q *LineQueues) Reset() {
+	clear(q.slots)
+	q.lines, q.n = 0, 0
+}
+
 // Len counts the queued messages of every line.
 func (q *LineQueues) Len() int { return q.n }

@@ -29,6 +29,14 @@ type pooledMsg struct {
 	blk mem.Block
 }
 
+// blockSlab is four blocks the pool made together, linked to the slab
+// made before: Reset finds every block the pool made through the chain,
+// wherever the run left it.
+type blockSlab struct {
+	b    [4]mem.Block
+	prev *blockSlab
+}
+
 // pooled reports whether m is a message the pool handed out and still
 // answers for. Forged messages, a sequencer's embedded request, a disowned
 // message and a by-value copy of a pooled one (its home is the
@@ -51,7 +59,10 @@ func (m *Msg) pooled() bool { return m.home != nil && &m.home.m == m && m.life !
 type Pool struct {
 	msgs   *Msg // free messages, linked through next
 	blocks []*mem.Block
-	check  bool
+	// slabs is the newest block slab, spare its blocks not handed out yet.
+	slabs *blockSlab
+	spare []mem.Block
+	check bool
 	// live is the set of blocks out, kept only under the lifetime check.
 	live map[*mem.Block]struct{}
 
@@ -69,6 +80,28 @@ type PoolStats struct {
 // Stats reports the pool's balance.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{p.msgsOut, p.blocksOut, p.msgsMade, p.blocksMade}
+}
+
+// Reset takes back every block the pool ever made, wherever the last run
+// left it — free, in flight or held by a cache line — and keeps the free
+// messages. A message still out is left to the collector: a run that
+// drained has none, and one that did not (a fault or a fence lost some)
+// makes that many again. The machine's Reset calls it after every holder
+// forgot its references. Under the lifetime check it keeps nothing, so
+// nothing of the last run is handed out again.
+func (p *Pool) Reset() {
+	if p.checking() {
+		*p = Pool{check: p.check, msgsMade: p.msgsMade, blocksMade: p.blocksMade}
+		return
+	}
+	p.blocks = p.blocks[:0]
+	for s := p.slabs; s != nil; s = s.prev {
+		for i := range s.b {
+			p.blocks = append(p.blocks, &s.b[i])
+		}
+	}
+	p.spare = nil
+	p.msgsOut, p.blocksOut = 0, 0
 }
 
 // CheckLifetimes turns the lifetime check on for this pool. Call before
@@ -195,7 +228,12 @@ func (p *Pool) CopyBlock(src *mem.Block) *mem.Block {
 		b = p.blocks[n-1]
 		p.blocks = p.blocks[:n-1]
 	} else {
-		b = new(mem.Block)
+		if len(p.spare) == 0 {
+			p.slabs = &blockSlab{prev: p.slabs}
+			p.spare = p.slabs.b[:]
+		}
+		b = &p.spare[0]
+		p.spare = p.spare[1:]
 		p.blocksMade++
 	}
 	if src != nil {

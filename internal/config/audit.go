@@ -38,11 +38,11 @@ func (s *System) Audit() error {
 	if n := s.Fab.DelayedSends(); n != 0 {
 		return fmt.Errorf("fabric: %d delayed sends still scheduled at quiesce", n)
 	}
-	if err := chassis.Audit(s.hostScope(guardedCache)); err != nil {
+	if err := s.auditor().Audit(s.hostScope(guardedCache)); err != nil {
 		return err
 	}
-	for _, sc := range s.innerScopes {
-		if err := chassis.Audit(sc); err != nil {
+	for i := range s.innerScopes {
+		if err := s.auditor().Audit(&s.innerScopes[i]); err != nil {
 			return err
 		}
 	}
@@ -63,7 +63,33 @@ func (s *System) Audit() error {
 // accelerator corrupts the data of pages it may write ("the host system
 // eventually converges on a single value"), and guard-substituted zero
 // blocks are expected.
-func (s *System) AuditHostOnly() error { return chassis.Audit(s.hostScope(hostProtoCache)) }
+func (s *System) AuditHostOnly() error { return s.auditor().Audit(s.hostScope(hostProtoCache)) }
+
+// auditor returns the audits' storage, made on first use.
+func (s *System) auditor() *auditState {
+	if s.audit == nil {
+		a := &auditState{}
+		a.countFn, a.heldFn = a.count, a.hold
+		s.audit = a
+	}
+	return s.audit
+}
+
+// auditState is the storage the audits keep from one audit to the next,
+// so a machine audited after every run allocates nothing for it once
+// warm: the coherence auditor, the host scopes (built at first use, and
+// again after a cache is registered), and the guard-table check's line
+// sets, made when a Full State guard is first checked, with the visitors
+// that fill them.
+type auditState struct {
+	chassis.Auditor
+	scopes  [2]*chassis.Scope // by last place: hostProtoCache, guardedCache
+	held    map[mem.Addr]int  // guardedLines
+	table   map[mem.Addr]bool // auditGuardTables
+	n       int               // residentBlocks
+	countFn chassis.HeldFunc
+	heldFn  chassis.HeldFunc
+}
 
 // hostScope is the coherence audit of the caches placed up to last under
 // the host's home. A guard stands for the cache it fronts: the home
@@ -72,10 +98,15 @@ func (s *System) AuditHostOnly() error { return chassis.Audit(s.hostScope(hostPr
 // lines its table keeps and a Transactional guard, which keeps no table,
 // for any line. The host-only scope (hostProtoCache) compares no values
 // and accepts a guard recorded as owner without looking behind it.
-func (s *System) hostScope(last place) chassis.Scope {
+func (s *System) hostScope(last place) *chassis.Scope {
 	full := last == guardedCache
-	sc := chassis.Scope{Home: s.home, Values: full, Memory: s.Mem,
+	slot := &s.auditor().scopes[last-hostProtoCache]
+	if *slot != nil {
+		return *slot
+	}
+	sc := &chassis.Scope{Home: s.home, Values: full, Memory: s.Mem,
 		Caches: make([]chassis.Claimant, 0, len(s.caches))}
+	*slot = sc
 	for _, c := range s.caches {
 		if c.place > last {
 			continue
@@ -134,20 +165,26 @@ func (s *System) auditPool() error {
 // at quiesce: one per valid cache line, plus the Full State guards'
 // trusted copies.
 func (s *System) residentBlocks() int {
-	n := 0
-	count := func(mem.Addr, chassis.Level, *mem.Block, bool) { n++ }
+	a := s.auditor()
+	a.n = 0
 	for _, c := range s.caches {
-		c.Held(count)
+		c.Held(a.countFn)
 	}
-	s.home.Held(count)
+	s.home.Held(a.countFn)
 	for _, g := range s.Guards {
 		g.VisitBlocks(func(_ mem.Addr, _, _ core.Grant, hasCopy bool) {
 			if hasCopy {
-				n++
+				a.n++
 			}
 		})
 	}
-	return n
+	return a.n
+}
+
+func (a *auditState) count(mem.Addr, chassis.Level, *mem.Block, bool) { a.n++ }
+
+func (a *auditState) hold(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) {
+	a.held[addr] = int(lvl)
 }
 
 // auditGuardTables checks Full State inclusivity: table entries mirror
@@ -164,7 +201,12 @@ func (s *System) auditGuardTables() error {
 			continue // custom accelerator: no cache to audit against
 		}
 		var err error
-		tableAddrs := make(map[mem.Addr]bool)
+		a := s.auditor()
+		if a.table == nil {
+			a.table = make(map[mem.Addr]bool)
+		}
+		tableAddrs := a.table
+		clear(tableAddrs)
 		g.VisitBlocks(func(addr mem.Addr, grant, _ core.Grant, hasCopy bool) {
 			tableAddrs[addr] = true
 			lvl, held := accelLines[addr]
@@ -200,13 +242,18 @@ func (s *System) auditGuardTables() error {
 }
 
 // guardedLines snapshots the stable lines (level 0=S,1=E,2=M) of the cache
-// a guard fronts at id, or is nil when Build wired none there.
+// a guard fronts at id, or is nil when Build wired none there. The map is
+// the audit's, refilled by the next call.
 func (s *System) guardedLines(id coherence.NodeID) map[mem.Addr]int {
+	a := s.auditor()
 	for _, c := range s.caches {
 		if c.place == guardedCache && c.ID() == id {
-			out := map[mem.Addr]int{}
-			c.Held(func(addr mem.Addr, lvl chassis.Level, _ *mem.Block, _ bool) { out[addr] = int(lvl) })
-			return out
+			if a.held == nil {
+				a.held = make(map[mem.Addr]int)
+			}
+			clear(a.held)
+			c.Held(a.heldFn)
+			return a.held
 		}
 	}
 	return nil

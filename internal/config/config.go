@@ -327,6 +327,31 @@ type System struct {
 	// registered by OnDeviceReset (custom accelerators joining the
 	// quarantine-recovery protocol).
 	deviceResets map[coherence.NodeID][]func(epoch uint32)
+
+	// custom is what Spec.CustomAccel builds on, nil without one.
+	custom *customWiring
+	// audit is the audits' storage, made at the first audit (audit.go).
+	audit *auditState
+	// ownObs is false when the registry is the caller's (Spec.Obs), and
+	// such a machine is never parked. closed is set by Close and cleared by
+	// the reset that hands the machine out again.
+	ownObs, closed bool
+}
+
+// customWiring lists the guards whose accelerator side Spec.CustomAccel
+// builds, afresh on every reset, after the machine forgets what the last
+// build added: the fabric's wiring past wired, and the sequencers past the
+// first seqs of AccelSeqs.
+type customWiring struct {
+	slots []customSlot
+	wired network.Mark
+	seqs  int
+}
+
+// customSlot is one guard whose accelerator side is Spec.CustomAccel's.
+type customSlot struct {
+	g             *core.Guard
+	xgID, accelID coherence.NodeID
 }
 
 // cacheView is what the machine asks of a cache it built, whatever its
@@ -336,6 +361,7 @@ type cacheView interface {
 	ID() coherence.NodeID
 	Outstanding() int
 	Coverage() *coherence.Coverage // nil when the cache declares no table
+	Restart()                      // back to just built, for the next run
 }
 
 // homeView is the host protocol's home node: hammer's directory, or MESI's
@@ -344,6 +370,7 @@ type homeView interface {
 	chassis.Home
 	Outstanding() int
 	Coverage() *coherence.Coverage
+	Restart()
 }
 
 // place says where a cache sits, in order of distance from the host: each
@@ -375,6 +402,9 @@ type placedCache struct {
 // registry.
 func (s *System) register(c cacheView, p place) {
 	s.caches = append(s.caches, placedCache{c, p})
+	if s.audit != nil {
+		s.audit.scopes = [2]*chassis.Scope{}
+	}
 	if p <= hostProtoCache {
 		s.countStates(c.Coverage())
 	}
@@ -439,8 +469,23 @@ func (s *System) AccelSeqDevice(i int) int {
 // host<->accelerator crossing, each once; traffic flows both ways.
 func (s *System) Crossings() [][2]coherence.NodeID { return s.crossings }
 
-// Build wires the machine described by spec.
+// Build returns the machine described by spec, ready to run: a closed
+// machine of the same shape reset in place when one is parked (park.go),
+// else a new one. Either way the machine ends in the same reset, so the
+// two are the same machine.
 func Build(spec Spec) *System {
+	spec = normalize(spec)
+	s := unpark(spec)
+	if s == nil {
+		s = construct(spec)
+	}
+	s.reset(spec)
+	return s
+}
+
+// normalize fills in spec's defaults and panics on a machine too big to
+// build.
+func normalize(spec Spec) Spec {
 	if spec.CPUs <= 0 {
 		spec.CPUs = 2
 	}
@@ -461,20 +506,26 @@ func Build(spec Spec) *System {
 	if err := CheckSize(spec.CPUs, spec.AccelCores, spec.Accels); err != nil {
 		panic("config: " + err.Error())
 	}
+	return spec
+}
+
+// construct wires a new machine of spec's shape: every component, route
+// and instrument. What a run changes is left to reset, which Build calls
+// next.
+func construct(spec Spec) *System {
 	lat := DefaultLatencies()
 	if spec.Lat != nil {
 		lat = *spec.Lat
 	}
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, spec.Seed, network.Config{Latency: lat.HostHop, Jitter: lat.Jitter, Ordered: true})
-	memory := mem.NewMemory()
-	log := coherence.NewErrorLog()
 	reg := spec.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	fab.AttachObs(reg)
-	s := &System{Spec: spec, Eng: eng, Fab: fab, Mem: memory, Log: log, Obs: reg, lat: lat}
+	s := &System{Spec: spec, Eng: eng, Fab: fab, Mem: mem.NewMemory(), Log: coherence.NewErrorLog(), Obs: reg,
+		lat: lat, ownObs: spec.Obs == nil}
 
 	// The §3.2 host modifications serve the Transactional guard.
 	txnMods := spec.Org == OrgXGTxn1L || spec.Org == OrgXGTxn2L
@@ -489,22 +540,84 @@ func Build(spec Spec) *System {
 		for _, g := range s.Guards {
 			inj.Watch(g.ID(), g.AccelID())
 		}
-		fab.SetInterceptor(inj)
 		s.Faults = inj
 	}
-	if spec.Consistency != nil {
-		s.Consistency = spec.Consistency
-		// CPU cores record with accel id 0; device d's cores with d+1, so
-		// the offline checker can attribute every observation — and
-		// cross-accelerator violations name both devices involved.
-		for i, sq := range s.CPUSeqs {
-			sq.Rec = spec.Consistency.DeviceStream(i, sq.Name(), 0)
-		}
-		for j, sq := range s.AccelSeqs {
-			sq.Rec = spec.Consistency.DeviceStream(len(s.CPUSeqs)+j, sq.Name(), s.AccelSeqDevice(j)+1)
-		}
+	if s.ownObs {
+		s.Obs.Seal()
+	}
+	if s.custom != nil {
+		s.custom.wired, s.custom.seqs = fab.Mark(), len(s.AccelSeqs)
 	}
 	return s
+}
+
+// reset returns every part of the machine to its just-built state for a
+// run of spec, keeping all its storage: Build ends in it, for a new
+// machine and a parked one alike. The engine goes first (its queue is
+// dropped, its streams rewound), then the agents, which forget what they
+// hold without handing it back, then the fabric, whose pool takes every
+// message and block back. Last come what spec supplies for the run: the
+// custom accelerators, built afresh, the fault plan and the recorder.
+func (s *System) reset(spec Spec) {
+	s.Spec, s.closed = spec, false
+	s.Eng.Reset()
+	s.home.Restart()
+	for _, c := range s.caches {
+		c.Restart()
+	}
+	gcfg := s.guardConfig()
+	for _, g := range s.Guards {
+		g.Restart(gcfg)
+	}
+	for _, sq := range s.CPUSeqs {
+		sq.Restart()
+	}
+	for _, sq := range s.AccelSeqs {
+		sq.Restart()
+	}
+	s.Fab.Reset(spec.Seed)
+	s.Mem.Reset()
+	s.Log.Reset()
+	if s.ownObs {
+		s.Obs.Reset()
+	}
+	clear(s.outstandingFns)
+	s.outstandingFns = s.outstandingFns[:0]
+	clear(s.deviceResets)
+	if c := s.custom; c != nil {
+		s.Fab.Forget(c.wired)
+		clear(s.AccelSeqs[c.seqs:])
+		s.AccelSeqs = s.AccelSeqs[:c.seqs]
+		for _, slot := range c.slots {
+			if fn := spec.CustomAccel(s, slot.accelID, slot.xgID); fn != nil {
+				s.outstandingFns = append(s.outstandingFns, fn)
+			}
+		}
+	}
+	if s.Faults != nil {
+		s.Faults.Reset(*spec.Faults)
+		s.Fab.SetInterceptor(s.Faults)
+	}
+	s.attachRecorder(spec.Consistency)
+}
+
+// attachRecorder gives every sequencer its observation stream of rec, which
+// takes over the streams' storage from the last run's recorder. CPU cores
+// record with accel id 0; device d's cores with d+1, so the offline checker
+// can attribute every observation — and cross-accelerator violations name
+// both devices involved.
+func (s *System) attachRecorder(rec *consistency.Recorder) {
+	if rec == nil {
+		return
+	}
+	rec.Adopt(s.Consistency)
+	s.Consistency = rec
+	for i, sq := range s.CPUSeqs {
+		sq.Rec = rec.DeviceStream(i, sq.Name(), 0)
+	}
+	for j, sq := range s.AccelSeqs {
+		sq.Rec = rec.DeviceStream(len(s.CPUSeqs)+j, sq.Name(), s.AccelSeqDevice(j)+1)
+	}
 }
 
 // hostParts is what the device loop needs of a host protocol: the name
@@ -627,8 +740,18 @@ func (s *System) accelCfg() accel.Config {
 // addGuard builds device d's guard at xgID in front of accelID, and routes
 // the link between them across the crossing.
 func (s *System) addGuard(h hostParts, d int, xgID, accelID coherence.NodeID, name string) *core.Guard {
+	g := h.guard(xgID, accelID, devName(d, name), s.guardConfig())
+	g.SetAccelTag(d)
+	g.AttachObs(s.Obs)
+	s.Guards = append(s.Guards, g)
+	s.cross(accelID, xgID, network.Config{Jitter: s.lat.Jitter, Ordered: true})
+	return g
+}
+
+// guardConfig is the guard configuration s.Spec asks for.
+func (s *System) guardConfig() core.Config {
 	spec := s.Spec
-	g := h.guard(xgID, accelID, devName(d, name), core.Config{
+	return core.Config{
 		Mode:            spec.Org.Mode(),
 		Perms:           spec.Perms,
 		Timeout:         spec.Timeout,
@@ -638,19 +761,16 @@ func (s *System) addGuard(h hostParts, d int, xgID, accelID coherence.NodeID, na
 		QuarantineAfter: spec.QuarantineAfter,
 		RecoverAfter:    spec.RecoverAfter,
 		Spans:           spec.Spans,
-	})
-	g.SetAccelTag(d)
-	g.AttachObs(s.Obs)
-	s.Guards = append(s.Guards, g)
-	s.cross(accelID, xgID, network.Config{Jitter: s.lat.Jitter, Ordered: true})
-	return g
+	}
 }
 
-// attachCustom hands the accelerator side of guard g to Spec.CustomAccel.
+// attachCustom leaves the accelerator side of guard g to Spec.CustomAccel,
+// which every reset invokes afresh.
 func (s *System) attachCustom(g *core.Guard, xgID, accelID coherence.NodeID) {
-	if fn := s.Spec.CustomAccel(s, accelID, xgID); fn != nil {
-		s.outstandingFns = append(s.outstandingFns, fn)
+	if s.custom == nil {
+		s.custom = &customWiring{}
 	}
+	s.custom.slots = append(s.custom.slots, customSlot{g, xgID, accelID})
 	g.SetResetHook(s.deviceResetHook(accelID))
 }
 
@@ -778,17 +898,21 @@ func (s *System) cross(a, b coherence.NodeID, cfg network.Config) {
 	s.crossings = append(s.crossings, [2]coherence.NodeID{a, b})
 }
 
-// Close hands what outlives the machine to the next one built, on any
-// goroutine: its random streams and its error log's array. Nothing of the
-// machine may be read after Close — not its log, not its agents, not a
-// stream — and it must not run again. Under the lifetime check
-// (Fab.CheckLifetimes, on in -race builds) Close recycles nothing, like the
-// message pool. Closing twice is harmless.
+// Close ends the machine's run. Nothing of it may be read after Close —
+// not its log, its registry, its agents or a stream — and it must not run
+// again: Close parks it for the next Build of its shape to reset in place
+// (park.go). Under the lifetime check (Fab.CheckLifetimes, on in -race
+// builds) it parks nothing and poisons the random streams instead. Closing
+// twice is harmless.
 func (s *System) Close() {
-	if s.Eng.Recycles() {
-		s.Log.Recycle()
+	if s.closed {
+		return
 	}
+	s.closed = true
 	s.Eng.Close()
+	if s.Eng.Recycles() && s.ownObs {
+		park(s)
+	}
 }
 
 // --- tester.System implementation ---
@@ -815,7 +939,10 @@ func (s *System) Outstanding() int {
 	for _, fn := range s.outstandingFns {
 		n += fn()
 	}
-	for _, sq := range s.Sequencers() {
+	for _, sq := range s.CPUSeqs {
+		n += sq.Outstanding()
+	}
+	for _, sq := range s.AccelSeqs {
 		n += sq.Outstanding()
 	}
 	return n

@@ -3,6 +3,8 @@ package config
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crossingguard/internal/seq"
@@ -147,4 +149,47 @@ func TestBuildRejectsOversizedMachine(t *testing.T) {
 			Build(c.spec)
 		}()
 	}
+}
+
+// The park is shared by every goroutine that builds and closes machines (a
+// campaign's workers): parked from one goroutine, a machine may be taken
+// by another, but never by two at once. Run with -race: the lifetime check
+// keeps Close from parking there, so this test parks directly.
+func TestParkHandsEachMachineToOneTaker(t *testing.T) {
+	was := SetParking(true)
+	defer func() {
+		SetParking(false) // empties the park of the machines this test made up
+		SetParking(was)
+	}()
+	specs := []Spec{
+		normalize(Spec{Host: HostHammer, Org: OrgXGFull1L}),
+		normalize(Spec{Host: HostMESI, Org: OrgXGTxn2L, Small: true}),
+	}
+	var out sync.Map // *System -> *atomic.Bool: handed out and not parked again
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				spec := specs[(w+i)%len(specs)]
+				s := unpark(spec)
+				if s == nil {
+					s = &System{Spec: spec}
+				}
+				taken, _ := out.LoadOrStore(s, new(atomic.Bool))
+				if !taken.(*atomic.Bool).CompareAndSwap(false, true) {
+					t.Error("a parked machine was handed to two takers at once")
+					return
+				}
+				if s.Spec.Host != spec.Host || s.Spec.Org != spec.Org {
+					t.Errorf("asked for %s, got a parked %s", spec.Name(), s.Spec.Name())
+					return
+				}
+				taken.(*atomic.Bool).Store(false)
+				park(s)
+			}
+		}(w)
+	}
+	wg.Wait()
 }

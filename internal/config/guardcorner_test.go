@@ -222,6 +222,7 @@ func (strayCopy) Name() string                  { return "stray" }
 func (strayCopy) Outstanding() int              { return 0 }
 func (strayCopy) WBPending() int                { return 0 }
 func (strayCopy) Coverage() *coherence.Coverage { return nil }
+func (strayCopy) Restart()                      {}
 func (c strayCopy) Held(fn chassis.HeldFunc)    { fn(c.addr, c.lvl, c.data, false) }
 
 // lyingCopy wraps a registered cache and misreports its lines: it hides

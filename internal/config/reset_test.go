@@ -1,0 +1,332 @@
+package config_test
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"crossingguard/internal/accel"
+	"crossingguard/internal/campaign"
+	"crossingguard/internal/coherence"
+	"crossingguard/internal/config"
+	"crossingguard/internal/explore"
+	"crossingguard/internal/faults"
+	"crossingguard/internal/mem"
+	"crossingguard/internal/network"
+	"crossingguard/internal/obs"
+	"crossingguard/internal/raceflag"
+	"crossingguard/internal/seq"
+	"crossingguard/internal/sim"
+	"crossingguard/internal/workload"
+	"crossingguard/internal/xlate"
+)
+
+// The reset contract: a machine reset after an unrelated run of its shape
+// and a machine just built run a spec identically. Each case runs once on
+// a new machine (parking off) and once on a parked machine that first ran
+// something else, and everything the runs decide must match: end tick,
+// events run, the trace, the metrics registry, coverage, the error log,
+// traffic per channel, the audit's verdict, memory and pool balances.
+// The sample covers every organization on both hosts under the random
+// tester, the GPGPU kernels, every explore scenario, fuzz, chaos,
+// recovery and multi-device shards, over two seeds; the unrelated run is
+// of another seed and, where the shape allows, another kind of work.
+func TestResetMachineRunsAsBuilt(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the lifetime check, on under -race, parks nothing")
+	}
+	defer config.SetParking(config.SetParking(true))
+	for _, c := range resetCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			config.SetParking(false)
+			want := c.run()
+			config.SetParking(true)
+			c.unrelated()
+			hits := config.ParkHits()
+			got := c.run()
+			if config.ParkHits() == hits {
+				t.Fatal("the run did not take the parked machine")
+			}
+			if got != want {
+				t.Fatalf("a reset machine ran differently from a new one:\n%s", firstDiff(want, got))
+			}
+		})
+	}
+}
+
+// resetCase is one run and the unrelated run of its shape that precedes
+// it on the parked machine. run returns everything the run decided.
+type resetCase struct {
+	name      string
+	run       func() string
+	unrelated func()
+}
+
+func resetCases() []resetCase {
+	var cases []resetCase
+	hosts := []config.HostKind{config.HostHammer, config.HostMESI}
+	allOrgs := append(append([]config.Org{}, config.AllOrgs...), config.OrgXGWeak)
+	xgOrgs := []config.Org{config.OrgXGFull1L, config.OrgXGTxn1L, config.OrgXGFull2L, config.OrgXGTxn2L}
+	shard := func(name string, spec, other campaign.ShardSpec) resetCase {
+		return resetCase{name: name, run: func() string { return shardSig(spec) },
+			unrelated: func() { campaign.RunShardTrace(other, false, 0) }}
+	}
+	for _, host := range hosts {
+		for _, org := range allOrgs {
+			for _, seed := range []int64{1, 2} {
+				spec := campaign.ShardSpec{Kind: campaign.KindStress, Host: host, Org: org, Seed: seed,
+					CPUs: 2, Cores: 2, Stores: 40, Consistency: true}
+				other := spec
+				other.Seed, other.Stores = seed+100, 15
+				cases = append(cases, shard(fmt.Sprintf("tester/%v/%v/seed%d", host, org, seed), spec, other))
+			}
+		}
+		for _, org := range config.AllOrgs {
+			spec := config.Spec{Host: host, Org: org, CPUs: 2, AccelCores: 2, Seed: 5}
+			kinds := []workload.Kind{workload.Streaming, workload.Graph}
+			cases = append(cases, resetCase{name: fmt.Sprintf("kernel/%v/%v", host, org),
+				run: func() string { return kernelSig(spec, kinds[0]) },
+				unrelated: func() {
+					other := spec
+					other.Seed = 9
+					kernelSig(other, kinds[1])
+				}})
+		}
+		for _, org := range xgOrgs {
+			for _, seed := range []int64{3, 4} {
+				fuzzSpec := campaign.ShardSpec{Kind: campaign.KindFuzz, Host: host, Org: org, Seed: seed,
+					CPUs: 2, Messages: 300, Consistency: true}
+				chaosSpec := campaign.ShardSpec{Kind: campaign.KindChaos, Host: host, Org: org, Seed: seed,
+					CPUs: 2, Messages: 200, Model: accel.AdvStaleWriter.String(), Confined: true,
+					Consistency: true}
+				// Without faults a chaos machine has a fuzz machine's shape:
+				// each runs after the other's attacker.
+				cases = append(cases,
+					shard(fmt.Sprintf("fuzz/%v/%v/seed%d", host, org, seed), fuzzSpec, withSeed(chaosSpec, seed+50)),
+					shard(fmt.Sprintf("chaos-clean/%v/%v/seed%d", host, org, seed), chaosSpec, withSeed(fuzzSpec, seed+50)))
+			}
+		}
+		for i, model := range accel.AllAdvModels {
+			spec := campaign.ShardSpec{Kind: campaign.KindChaos, Host: host, Org: xgOrgs[i%len(xgOrgs)],
+				Seed: int64(i + 1), CPUs: 2, Messages: 300, Model: model.String(), Faults: chaotic()}
+			other := withSeed(spec, spec.Seed+70)
+			other.Model = accel.AllAdvModels[(i+1)%len(accel.AllAdvModels)].String()
+			cases = append(cases, shard(fmt.Sprintf("chaos/%v/%v", host, model), spec, other))
+			rec := spec
+			rec.RecoverAfter, rec.Confined = 3000, true
+			cases = append(cases, shard(fmt.Sprintf("recovery/%v/%v", host, model), rec, withSeed(rec, rec.Seed+70)))
+		}
+		multi := campaign.ShardSpec{Kind: campaign.KindChaos, Host: host, Org: config.OrgXGTxn1L, Seed: 2,
+			CPUs: 2, Accels: 4, Messages: 150, Model: accel.AdvStaleWriter.String(), Faults: chaotic(),
+			Confined: true, RecoverAfter: 4000}
+		cases = append(cases, shard(fmt.Sprintf("multi/%v", host), multi, withSeed(multi, 9)))
+		multiStress := campaign.ShardSpec{Kind: campaign.KindStress, Host: host, Org: config.OrgXGFull2L, Seed: 1,
+			CPUs: 2, Cores: 2, Accels: 3, Stores: 30}
+		cases = append(cases, shard(fmt.Sprintf("multi-tester/%v", host), multiStress, withSeed(multiStress, 8)))
+
+		for _, org := range []config.Org{config.OrgAccelSide, config.OrgXGFull1L, config.OrgXGTxn2L} {
+			spec := config.Spec{Host: host, Org: org, CPUs: 2, AccelCores: 1, Seed: 23, Small: true}
+			scs := explore.Scenarios()
+			for i, sc := range scs {
+				other := scs[(i+1)%len(scs)]
+				cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%v/%s", host, org, sc.Name), spec, sc, 7, other, 3))
+			}
+		}
+		spec := config.Spec{Host: host, Org: config.OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: 31, Small: true}
+		cases = append(cases,
+			pointCase(fmt.Sprintf("explore/%v/quarantine", host), spec, explore.QuarantineScenario(), 5, explore.QuarantineScenario(), 11),
+			pointCase(fmt.Sprintf("explore/%v/recovery", host), spec, explore.RecoveryScenario(), 9, explore.RecoveryScenario(), 2))
+		multiSpec := spec
+		multiSpec.Accels = 2
+		for _, sc := range explore.MultiAccelScenarios() {
+			cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%s", host, sc.Name), multiSpec, sc, 4, sc, 13))
+		}
+		host := host
+		cases = append(cases, resetCase{name: fmt.Sprintf("wide/%v", host),
+			run: func() string { return wideSig(host, 3, 60) }, unrelated: func() { wideSig(host, 8, 25) }})
+	}
+	return cases
+}
+
+// wideSig runs loads and stores through a wide-line accelerator that its
+// spec's custom builder wires with a sequencer of its own, which it adds
+// to the machine's, as cmd/xgsim's translation experiment does.
+func wideSig(host config.HostKind, seed int64, ops int) string {
+	var wide *xlate.WideAccel
+	var sq *seq.Sequencer
+	spec := config.Spec{Host: host, Org: config.OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: seed, Timeout: 50_000,
+		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+			wide = xlate.NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 4, 2)
+			wide.AttachObs(s.Obs)
+			sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
+			s.AccelSeqs = append(s.AccelSeqs, sq)
+			s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
+			return wide.Outstanding
+		}}
+	return machineSig(config.Build(spec), func(sys *config.System) string {
+		for i := 0; i < ops; i++ {
+			addr := mem.Addr(0x4000 + 64*(i%7))
+			sq.Store(addr, byte(i), nil)
+			sys.CPUSeqs[i%2].Load(addr+mem.Addr(i%3), nil)
+		}
+		drained := sys.Eng.RunUntil(20_000_000)
+		return fmt.Sprintf("wide drained %v seqs %d\n", drained, len(sys.AccelSeqs))
+	})
+}
+
+func withSeed(s campaign.ShardSpec, seed int64) campaign.ShardSpec {
+	s.Seed = seed
+	return s
+}
+
+func chaotic() faults.Plan {
+	for _, p := range faults.Presets {
+		if p.Name == "chaotic" {
+			return p.Plan
+		}
+	}
+	panic("no chaotic fault preset")
+}
+
+// shardSig runs a campaign shard, traced, and renders what it decided.
+func shardSig(spec campaign.ShardSpec) string {
+	res := campaign.RunShardTrace(spec, true, 200_000)
+	var b strings.Builder
+	fmt.Fprintf(&b, "spec %s\nres %+v\nsent %d injected %d violations %d quarantined %v recoveries %d\nerr %v\n",
+		campaign.FormatSpec(spec), res.Res, res.Sent, res.Injected, res.Violations, res.Quarantined,
+		res.Recoveries, res.Err)
+	writeCodes(&b, res.ByCode)
+	if err := res.Obs.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	names := make([]string, 0, len(res.Cov))
+	for n := range res.Cov {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		writeCoverage(&b, res.Cov[n])
+	}
+	writeEvents(&b, res.Events)
+	for _, r := range res.Recs {
+		fmt.Fprintf(&b, "rec %+v\n", r)
+	}
+	return b.String()
+}
+
+// kernelSig runs a GPGPU kernel on a machine of spec and renders it.
+func kernelSig(spec config.Spec, kind workload.Kind) string {
+	cfg := workload.DefaultConfig(kind)
+	cfg.AccessesPerCore = 150
+	return machineSig(config.Build(spec), func(sys *config.System) string {
+		res, err := workload.Run(sys, cfg)
+		return fmt.Sprintf("kernel %+v err %v\n", res, err)
+	})
+}
+
+// pointCase is one explore scenario point, after a point of another
+// scenario (or offset) on the same machine shape.
+func pointCase(name string, spec config.Spec, sc explore.Scenario, off sim.Time, other explore.Scenario, otherOff sim.Time) resetCase {
+	point := func(sc explore.Scenario, off sim.Time) string {
+		build := config.Build
+		if sc.Build != nil {
+			build = sc.Build
+		}
+		return machineSig(build(spec), func(sys *config.System) string {
+			verify := sc.Run(sys, off)
+			drained := sys.Eng.RunUntil(20_000_000)
+			var verdict error
+			if verify != nil {
+				verdict = verify()
+			}
+			return fmt.Sprintf("point %s@%d drained %v verdict %v\n", sc.Name, off, drained, verdict)
+		})
+	}
+	return resetCase{name: name, run: func() string { return point(sc, off) },
+		unrelated: func() { point(other, otherOff) }}
+}
+
+// machineSig traces drive on sys, renders what the run decided, and closes
+// sys.
+func machineSig(sys *config.System, drive func(*config.System) string) string {
+	defer sys.Close()
+	ring := obs.NewRing(200_000)
+	sys.Fab.Bus = obs.NewBus(ring)
+	var b strings.Builder
+	b.WriteString(drive(sys))
+	fmt.Fprintf(&b, "now %d executed %d pending %d outstanding %d host %d\n", sys.Eng.Now(), sys.Eng.Executed,
+		sys.Eng.Pending(), sys.Outstanding(), sys.HostOutstanding())
+	fmt.Fprintf(&b, "audit %v\nhost audit %v\n", sys.Audit(), sys.AuditHostOnly())
+	fmt.Fprintf(&b, "errors %d\n", sys.Log.Count())
+	for _, e := range sys.Log.Errors {
+		fmt.Fprintf(&b, " %v\n", e)
+	}
+	writeCodes(&b, sys.Log.ByCode)
+	if err := sys.Obs.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	for _, cov := range sys.Coverages() {
+		writeCoverage(&b, cov)
+	}
+	var chans []string
+	sys.Fab.VisitStats(func(src, dst coherence.NodeID, s *network.Stats) {
+		chans = append(chans, fmt.Sprintf("chan %d>%d %d msgs %d bytes %v", src, dst, s.Msgs, s.Bytes, s.MsgsByType))
+	})
+	sort.Strings(chans)
+	b.WriteString(strings.Join(chans, "\n"))
+	st := sys.Fab.Stats()
+	fmt.Fprintf(&b, "pool out %d/%d dropped %d delayed %d mem %d lines %d reads %d writes\n",
+		st.MsgsOut, st.BlocksOut, sys.Fab.Dropped, sys.Fab.DelayedSends(), sys.Mem.Lines(), sys.Mem.Reads, sys.Mem.Writes)
+	for _, g := range sys.Guards {
+		fmt.Fprintf(&b, "guard %s quarantined %v entries %d epoch %d recoveries %d stats %d %d %d %d %d %d %d %d %d %d %d\n",
+			g.Name(), g.Quarantined, g.TableEntries(), g.Epoch(), g.Recoveries(), g.PutSSuppressed, g.PutSForwarded,
+			g.SnoopsFiltered, g.SnoopsForwarded, g.Timeouts, g.RetriesSent, g.RateDelayed, g.ReqsBlocked,
+			g.Parked, g.Woken, g.RecallsCoalesced)
+	}
+	for _, sq := range sys.Sequencers() {
+		fmt.Fprintf(&b, "seq %s loads %d stores %d done %d latency %d/%d\n", sq.Name(), sq.Loads, sq.Stores,
+			sq.Completed, sq.TotalLatency, sq.MaxLatency)
+	}
+	writeEvents(&b, ring.Events())
+	return b.String()
+}
+
+func writeCodes(b *strings.Builder, byCode map[string]uint64) {
+	codes := make([]string, 0, len(byCode))
+	for c := range byCode {
+		codes = append(codes, c)
+	}
+	sort.Strings(codes)
+	for _, c := range codes {
+		fmt.Fprintf(b, "code %s=%d\n", c, byCode[c])
+	}
+}
+
+func writeCoverage(b *strings.Builder, cov *coherence.Coverage) {
+	snap := cov.Snapshot()
+	pairs := make([]string, 0, len(snap))
+	for p, n := range snap {
+		pairs = append(pairs, fmt.Sprintf("%s=%d", p, n))
+	}
+	sort.Strings(pairs)
+	fmt.Fprintf(b, "coverage %s %v unexpected %v\n", cov.Name(), pairs, cov.Unexpected)
+}
+
+func writeEvents(b *strings.Builder, events []obs.Event) {
+	for _, e := range events {
+		fmt.Fprintf(b, "event %+v\n", e)
+	}
+}
+
+// firstDiff shows the first line where two renderings part.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n  new:   %s\n  reset: %s", i+1, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("new machine rendered %d lines, reset one %d", len(w), len(g))
+}

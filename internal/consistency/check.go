@@ -24,9 +24,10 @@
 package consistency
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"crossingguard/internal/mem"
@@ -124,25 +125,34 @@ func (v *Verdict) Render() string {
 }
 
 // Check verifies the three invariants over recs (any order; Check sorts
-// a copy into canonical order first). Each byte location is checked
-// independently; the verdict lists the first violating edge per
-// violating location, in address order.
+// a copy). Each byte location is checked independently; the verdict
+// lists the first violating edge per violating location, in address
+// order.
+//
+// One stable sort of the copy by (address, canonical merged order) lays
+// each location's history out as one contiguous run, in merged order, and
+// the locations in address order; two counting passes then size the
+// location and block lists exactly.
 //
 // Parallelism is block-granular: byte locations sharing a cache line
 // (mem.Addr.Line()) form one work unit, so each pool task carries a
 // whole block's history instead of a lone location's handful of
-// records. Grouping is free — the address list is already sorted, so a
+// records. Grouping is free — the locations are already sorted, so a
 // block is a contiguous index range — and the merge walks results in
 // address order, making the verdict a pure function of the records.
 func Check(recs []Rec, opt Options) *Verdict {
-	sorted := make([]Rec, len(recs))
-	copy(sorted, recs)
-	SortRecs(sorted)
+	byLoc := make([]Rec, len(recs))
+	copy(byLoc, recs)
+	slices.SortStableFunc(byLoc, func(a, b Rec) int {
+		if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+			return c
+		}
+		return compareMerged(a, b)
+	})
 
-	v := &Verdict{Records: len(sorted)}
-	byLoc := map[mem.Addr][]Rec{}
-	var addrs []mem.Addr
-	for _, r := range sorted {
+	v := &Verdict{Records: len(byLoc)}
+	nlocs, nunits := 0, 0
+	for i, r := range byLoc {
 		switch r.Op {
 		case OpStore:
 			v.Stores++
@@ -151,24 +161,30 @@ func Check(recs []Rec, opt Options) *Verdict {
 		case OpVerify:
 			v.Verifies++
 		}
-		if _, ok := byLoc[r.Addr]; !ok {
-			addrs = append(addrs, r.Addr)
+		if i == 0 || r.Addr != byLoc[i-1].Addr {
+			nlocs++
+			if i == 0 || r.Addr.Line() != byLoc[i-1].Addr.Line() {
+				nunits++
+			}
 		}
-		byLoc[r.Addr] = append(byLoc[r.Addr], r)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	v.Locations = len(addrs)
+	v.Locations = nlocs
 
-	// Block-level work units: addrs is ascending, so the locations of one
-	// cache line occupy a contiguous index range [lo, hi).
-	type unit struct{ lo, hi int }
-	var units []unit
-	for i := 0; i < len(addrs); {
+	// locs[k] is location k's record range in byLoc; a work unit is a
+	// range [lo, hi) of locs sharing a cache line.
+	type span struct{ lo, hi int }
+	locs := make([]span, 0, nlocs)
+	units := make([]span, 0, nunits)
+	for i := 0; i < len(byLoc); {
 		j := i + 1
-		for j < len(addrs) && addrs[j].Line() == addrs[i].Line() {
+		for j < len(byLoc) && byLoc[j].Addr == byLoc[i].Addr {
 			j++
 		}
-		units = append(units, unit{i, j})
+		if len(locs) == 0 || byLoc[i].Addr.Line() != byLoc[locs[len(locs)-1].lo].Addr.Line() {
+			units = append(units, span{len(locs), len(locs)})
+		}
+		locs = append(locs, span{i, j})
+		units[len(units)-1].hi = len(locs)
 		i = j
 	}
 
@@ -183,10 +199,11 @@ func Check(recs []Rec, opt Options) *Verdict {
 		workers = 1
 	}
 
-	found := make([]*Violation, len(addrs))
-	runUnit := func(u unit) {
+	found := make([]*Violation, len(locs))
+	runUnit := func(u span) {
 		for i := u.lo; i < u.hi; i++ {
-			found[i] = checkLocation(addrs[i], byLoc[addrs[i]])
+			l := locs[i]
+			found[i] = checkLocation(byLoc[l.lo].Addr, byLoc[l.lo:l.hi])
 		}
 	}
 	if workers == 1 {
@@ -194,7 +211,7 @@ func Check(recs []Rec, opt Options) *Verdict {
 			runUnit(u)
 		}
 	} else {
-		next := make(chan unit, len(units))
+		next := make(chan span, len(units))
 		for _, u := range units {
 			next <- u
 		}
@@ -238,6 +255,15 @@ func hb(a, b Rec) bool {
 // other). Equal-tick meetings count as concurrent (strict comparisons).
 func concurrent(a, b Rec) bool { return !hb(a, b) && !hb(b, a) }
 
+// readSummary is what the passes of checkLocation learn about one read:
+// whether a store could explain it (hasCand) or the initial zero could
+// (zeroOK), the latest completion and earliest issue over its candidate
+// stores, and whether no store was concurrent with it (stable).
+type readSummary struct {
+	hasCand, zeroOK, stable    bool
+	candMaxDone, candMinIssued sim.Time
+}
+
 // checkLocation runs all three invariants over one location's records
 // (in canonical merged order) and returns the first violating edge, in
 // a fixed check order: data-value scanning reads in merged order, then
@@ -245,7 +271,14 @@ func concurrent(a, b Rec) bool { return !hb(a, b) && !hb(b, a) }
 // pairs. O(reads x stores) — locations see at most a few hundred
 // records each.
 func checkLocation(addr mem.Addr, recs []Rec) *Violation {
-	var stores, reads []Rec
+	nstores := 0
+	for _, r := range recs {
+		if r.Op == OpStore {
+			nstores++
+		}
+	}
+	stores := make([]Rec, 0, nstores)
+	reads := make([]Rec, 0, len(recs)-nstores)
 	for _, r := range recs {
 		if r.Op == OpStore {
 			stores = append(stores, r)
@@ -261,10 +294,7 @@ func checkLocation(addr mem.Addr, recs []Rec) *Violation {
 	// or concurrent with r). A read's actually-observed store is always
 	// in its candidate set, so bounds over C(r) are bounds over every
 	// legal explanation.
-	hasCand := make([]bool, len(reads))
-	zeroOK := make([]bool, len(reads))
-	candMaxDone := make([]sim.Time, len(reads))
-	candMinIssued := make([]sim.Time, len(reads))
+	sum := make([]readSummary, len(reads))
 
 	for i, rd := range reads {
 		latest := -1 // latest completed, unsuperseded store (for the report)
@@ -290,16 +320,16 @@ func checkLocation(addr mem.Addr, recs []Rec) *Violation {
 			if st.Val != rd.Val {
 				continue
 			}
-			if !hasCand[i] || st.Done > candMaxDone[i] {
-				candMaxDone[i] = st.Done
+			if !sum[i].hasCand || st.Done > sum[i].candMaxDone {
+				sum[i].candMaxDone = st.Done
 			}
-			if !hasCand[i] || st.Issued < candMinIssued[i] {
-				candMinIssued[i] = st.Issued
+			if !sum[i].hasCand || st.Issued < sum[i].candMinIssued {
+				sum[i].candMinIssued = st.Issued
 			}
-			hasCand[i] = true
+			sum[i].hasCand = true
 		}
-		zeroOK[i] = rd.Val == 0 && !sawCompleted
-		if hasCand[i] || zeroOK[i] {
+		sum[i].zeroOK = rd.Val == 0 && !sawCompleted
+		if sum[i].hasCand || sum[i].zeroOK {
 			continue
 		}
 		a := Rec{Addr: addr}
@@ -315,22 +345,21 @@ func checkLocation(addr mem.Addr, recs []Rec) *Violation {
 	}
 
 	// swmr: overlapping reads with no writer active must agree.
-	stable := make([]bool, len(reads))
 	for i, rd := range reads {
-		stable[i] = true
+		sum[i].stable = true
 		for _, st := range stores {
 			if concurrent(st, rd) {
-				stable[i] = false
+				sum[i].stable = false
 				break
 			}
 		}
 	}
 	for i := 0; i < len(reads); i++ {
-		if !stable[i] {
+		if !sum[i].stable {
 			continue
 		}
 		for j := i + 1; j < len(reads); j++ {
-			if !stable[j] || !concurrent(reads[i], reads[j]) {
+			if !sum[j].stable || !concurrent(reads[i], reads[j]) {
 				continue
 			}
 			if reads[i].Val != reads[j].Val {
@@ -351,14 +380,14 @@ func checkLocation(addr mem.Addr, recs []Rec) *Violation {
 	// later edge, a zero-only read after a store-explained read is a
 	// lost store.
 	for i := 0; i < len(reads); i++ {
-		if zeroOK[i] || !hasCand[i] {
+		if sum[i].zeroOK || !sum[i].hasCand {
 			continue
 		}
 		for j := 0; j < len(reads); j++ {
 			if !hb(reads[i], reads[j]) {
 				continue
 			}
-			if !hasCand[j] || candMaxDone[j] < candMinIssued[i] {
+			if !sum[j].hasCand || sum[j].candMaxDone < sum[i].candMinIssued {
 				return &Violation{Inv: InvWriteSer, Addr: addr, A: reads[i], B: reads[j],
 					Detail: fmt.Sprintf("later read observed 0x%02x, serialized strictly before the 0x%02x an earlier read returned", reads[j].Val, reads[i].Val)}
 			}

@@ -24,6 +24,8 @@
 package consistency
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"crossingguard/internal/mem"
@@ -183,6 +185,20 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Active reports whether the recorder collects anything.
 func (r *Recorder) Active() bool { return r != nil }
 
+// Adopt hands old's streams, emptied, to r, which has none yet: a machine
+// reset for another run records into the storage its last run grew. old
+// keeps no stream, and its records may not be read again. Adopting from
+// nil or from r itself does nothing.
+func (r *Recorder) Adopt(old *Recorder) {
+	if old == nil || old == r || len(r.streams) != 0 {
+		return
+	}
+	for _, s := range old.streams {
+		s.recs, s.epoch = s.recs[:0], 0
+	}
+	r.streams, old.streams = old.streams, nil
+}
+
 // Stream returns the stream for core (creating it on first sight), or
 // nil on a nil recorder — so wiring code can assign the result into a
 // sequencer unconditionally. The stream records with device tag 0; use
@@ -252,15 +268,16 @@ func (r *Recorder) Merged() []Rec {
 // SortRecs sorts records into the canonical merged order. The sort is
 // stable, so records already in per-core emission order keep that order
 // on (Done, Issued, Core) ties.
-func SortRecs(recs []Rec) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Done != b.Done {
-			return a.Done < b.Done
-		}
-		if a.Issued != b.Issued {
-			return a.Issued < b.Issued
-		}
-		return a.Core < b.Core
-	})
+func SortRecs(recs []Rec) { slices.SortStableFunc(recs, compareMerged) }
+
+// compareMerged orders two records by the canonical merged order's keys:
+// completion tick, then issue tick, then core.
+func compareMerged(a, b Rec) int {
+	if c := cmp.Compare(a.Done, b.Done); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Issued, b.Issued); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Core, b.Core)
 }

@@ -167,6 +167,7 @@ type Guard struct {
 	lines     map[mem.Addr]*line
 	freeLines coherence.RecPool[line]
 	freeWork  coherence.RecPool[lineWork]
+	inspect   []*line // the audits' walks of the table (inspected)
 
 	// serial stamps every opening of a transaction or recall; it only
 	// counts up, so no two ever share a value (timer). timers holds the
@@ -192,8 +193,10 @@ type Guard struct {
 	freePark  coherence.RecPool[parkedReq]
 	parkedNow int
 
-	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook).
+	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook), and
+	// onDeadline recallDeadline (the watchdog lanes' action).
 	stampEpoch func(*coherence.Msg)
+	onDeadline func(deadline)
 
 	// Quarantined is set once the quarantine policy fences the
 	// accelerator (graceful degradation: the host keeps running on
@@ -416,19 +419,63 @@ func (g *Guard) nextSerial() uint64 {
 // attachShim (done by NewHammerGuard / NewMESIGuard).
 func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	accel coherence.NodeID, cfg Config, sink coherence.ErrorSink) *Guard {
-	g := &Guard{id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink, accel: accel,
+	g := &Guard{id: id, name: name, eng: eng, fab: fab, sink: sink, accel: accel,
 		lines: make(map[mem.Addr]*line)}
 	g.wakeEv.Fn = g.runWoken
-	g.stampEpoch = g.stamp
+	g.stampEpoch, g.onDeadline = g.stamp, g.recallDeadline
 	g.timers.Bind(eng, g.fire)
-	if cfg.Timeout > 0 {
-		g.watchdogs = make([]sim.Lane[deadline], max(cfg.RecallRetries, 0)+1)
-		for attempt := range g.watchdogs {
-			g.watchdogs[attempt].Bind(eng, cfg.Timeout<<attempt, g.recallDeadline)
-		}
-	}
+	g.Restart(cfg)
 	fab.Register(g)
 	return g
+}
+
+// Restart returns the guard to its just-built state under cfg, for the
+// machine's next run: an empty table, nothing open or parked, epoch 0,
+// every counter zero. It keeps the wiring, the device-reset hook, the
+// instruments and the storage: the table's map and its records' free
+// lists. The blocks the table held are not freed, since the pool takes
+// every block back in the same reset, and the engine, reset first, has
+// already dropped every armed timer. newGuard ends in it.
+func (g *Guard) Restart(cfg Config) {
+	for _, l := range g.lines {
+		if w := l.work; w != nil {
+			for p := w.wait.head; p != nil; {
+				next := p.next
+				g.freePark.Put(p)
+				p = next
+			}
+			g.freeWork.Put(w)
+		}
+		g.freeLines.Put(l)
+	}
+	clear(g.lines)
+	clear(g.ready)
+	clear(g.mViolation)
+	// A lane's records point back at it, so lanes never move: a guard
+	// that needs more than it has takes a new array.
+	watchdogs := g.watchdogs[:0]
+	if n := max(cfg.RecallRetries, 0) + 1; cfg.Timeout > 0 {
+		if n > cap(watchdogs) {
+			watchdogs = make([]sim.Lane[deadline], n)
+		}
+		watchdogs = watchdogs[:n]
+		for attempt := range watchdogs {
+			watchdogs[attempt].Reset()
+			watchdogs[attempt].Bind(g.eng, cfg.Timeout<<attempt, g.onDeadline)
+		}
+	}
+	*g = Guard{
+		// The wiring.
+		id: g.id, name: g.name, eng: g.eng, fab: g.fab, cfg: cfg, sink: g.sink, accel: g.accel, shim: g.shim,
+		accelTag: g.accelTag, resetHook: g.resetHook, stampEpoch: g.stampEpoch, onDeadline: g.onDeadline,
+		// The storage.
+		lines: g.lines, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
+		ready: g.ready[:0], timers: g.timers, watchdogs: watchdogs, wakeEv: g.wakeEv,
+		// The instruments.
+		obsReg: g.obsReg, mPass: g.mPass, mPassAccel: g.mPassAccel, mCrossing: g.mCrossing, mViolation: g.mViolation,
+		mSpanRequest: g.mSpanRequest, mSpanCheck: g.mSpanCheck, mSpanGrant: g.mSpanGrant,
+		mSpanRecall: g.mSpanRecall, mSpanRetry: g.mSpanRetry,
+	}
 }
 
 // resetState empties the table when recovery readmits a reset device
@@ -1011,7 +1058,7 @@ func (g *Guard) Mode() Mode { return g.cfg.Mode }
 // VisitBlocks reports the Full State block table in address order (no-op
 // for Transactional guards, which keep no block state).
 func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bool)) {
-	for _, l := range g.sortedLines(isResident) {
+	for _, l := range g.inspected(isResident) {
 		fn(l.addr, l.accel, l.host, l.copy != nil)
 	}
 }

@@ -176,7 +176,19 @@ func (g *Guard) settle(l *line) {
 // iteration is randomized, and every walk that sends, resolves or reports
 // must not be.
 func (g *Guard) sortedLines(keep func(*line) bool) []*line {
-	out := make([]*line, 0, len(g.lines))
+	return g.sortInto(make([]*line, 0, len(g.lines)), keep)
+}
+
+// inspected is sortedLines on the guard's own slice, for the read-only
+// walks of the audits (VisitBlocks, CheckQuiesced), which run after every
+// run and so allocate nothing once warm. The next call refills the slice:
+// nothing a walk calls may walk again.
+func (g *Guard) inspected(keep func(*line) bool) []*line {
+	g.inspect = g.sortInto(g.inspect[:0], keep)
+	return g.inspect
+}
+
+func (g *Guard) sortInto(out []*line, keep func(*line) bool) []*line {
 	for _, l := range g.lines {
 		if keep(l) {
 			out = append(out, l)
@@ -337,7 +349,7 @@ func (g *Guard) CheckQuiesced() error {
 	if armed != open {
 		return fmt.Errorf("%s: %d recall watchdogs armed for %d open recalls", g.name, armed, open)
 	}
-	for _, l := range g.sortedLines(func(l *line) bool {
+	for _, l := range g.inspected(func(l *line) bool {
 		return l.work != nil || (!l.resident && l.ignoreInvAck == 0)
 	}) {
 		if w := l.work; w != nil {

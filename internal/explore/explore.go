@@ -48,8 +48,8 @@ type Result struct {
 }
 
 // Sweep runs scenario at every offset in [0, maxOffset] against the
-// given spec (a fresh deterministic system per point, closed once the
-// point is judged).
+// given spec: a just-built system per point, closed once the point is
+// judged, so the next point's Build resets the same machine in place.
 func Sweep(spec config.Spec, sc Scenario, maxOffset sim.Time) Result {
 	res := Result{Scenario: sc.Name, Spec: spec}
 	build := config.Build
@@ -106,7 +106,60 @@ func fillSet(sq *seq.Sequencer, n int, cb func()) {
 	sq.Store(raceLine+mem.Addr(n*128), byte(n), func(*seq.Op) { fillSet(sq, n-1, cb) })
 }
 
-// Scenarios returns the named races.
+// putVsInv is the put-vs-inv scenario's state, one point at a time: its
+// callbacks are bound once, so a point allocates nothing and a sweep on a
+// machine that is reset per point allocates nothing at all once warm
+// (TestPutVsInvPointAllocFree).
+type putVsInv struct {
+	sys    *config.System
+	off    sim.Time
+	fill   mem.Addr // lines of raceLine's set still to fill, counting down
+	cpuSaw byte
+
+	stored, filled, loaded func(*seq.Op)
+	claim                  func()
+	verify                 func() error
+}
+
+func newPutVsInv() *putVsInv {
+	p := &putVsInv{}
+	p.stored, p.filled, p.loaded = p.onStored, p.onFilled, p.onLoaded
+	p.claim, p.verify = p.onClaim, p.check
+	return p
+}
+
+func (p *putVsInv) run(sys *config.System, off sim.Time) func() error {
+	p.sys, p.off, p.fill, p.cpuSaw = sys, off, 2, 255
+	sys.AccelSeqs[0].Store(raceLine, 11, p.stored)
+	return p.verify
+}
+
+// onStored evicts raceLine by filling its set (as fillSet does); at the
+// swept offset, a CPU claims the line.
+func (p *putVsInv) onStored(*seq.Op) {
+	p.onFilled(nil)
+	p.sys.Eng.Schedule(p.off, p.claim)
+}
+
+func (p *putVsInv) onFilled(*seq.Op) {
+	if n := p.fill; n > 0 {
+		p.fill--
+		p.sys.AccelSeqs[0].Store(raceLine+n*128, byte(n), p.filled)
+	}
+}
+
+func (p *putVsInv) onClaim()            { p.sys.CPUSeqs[0].Load(raceLine, p.loaded) }
+func (p *putVsInv) onLoaded(op *seq.Op) { p.cpuSaw = op.Result }
+
+func (p *putVsInv) check() error {
+	if p.cpuSaw != 11 {
+		return fmt.Errorf("CPU read %d, want 11 (put data lost in the race)", p.cpuSaw)
+	}
+	return nil
+}
+
+// Scenarios returns the named races. A scenario may keep its points' state
+// in itself: sweep one value from one goroutine at a time.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
@@ -115,23 +168,7 @@ func Scenarios() []Scenario {
 			// — the accelerator evicts a modified line while a CPU
 			// writes the same line.
 			Name: "put-vs-inv",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				var cpuSaw = byte(255)
-				sys.AccelSeqs[0].Store(raceLine, 11, func(*seq.Op) {
-					// Evict raceLine by filling its set; at a swept
-					// offset, a CPU claims the line.
-					fillSet(sys.AccelSeqs[0], 2, func() {})
-					sys.Eng.Schedule(off, func() {
-						sys.CPUSeqs[0].Load(raceLine, func(op *seq.Op) { cpuSaw = op.Result })
-					})
-				})
-				return func() error {
-					if cpuSaw != 11 {
-						return fmt.Errorf("CPU read %d, want 11 (put data lost in the race)", cpuSaw)
-					}
-					return nil
-				}
-			},
+			Run:  newPutVsInv().run,
 		},
 		{
 			// The accelerator upgrades S->M while a CPU writes: the

@@ -37,15 +37,21 @@ type Injector struct {
 // fab's bus. Install with fab.SetInterceptor and select traffic with
 // Watch; an injector watching nothing perturbs nothing.
 func NewInjector(plan Plan, fab *network.Fabric) *Injector {
+	in := &Injector{fab: fab, watched: make(map[[2]coherence.NodeID]bool)}
+	in.Reset(plan)
+	return in
+}
+
+// Reset arms the injector with plan for its machine's next run, keeping
+// what it watches and its instruments: the counts start from zero and the
+// stream is drawn again from the engine, which must have been reset first.
+// NewInjector ends in it.
+func (in *Injector) Reset(plan Plan) {
 	if plan.Delay > 0 && plan.MaxDelay <= 0 {
 		plan.MaxDelay = DefaultMaxDelay
 	}
-	return &Injector{
-		plan:    plan,
-		rng:     fab.Engine().Rand(plan.Seed),
-		fab:     fab,
-		watched: make(map[[2]coherence.NodeID]bool),
-	}
+	in.plan, in.rng = plan, in.fab.Engine().Rand(plan.Seed)
+	in.Injected, in.Drops, in.Dups, in.Corrupts, in.Delays, in.Reorders = 0, 0, 0, 0, 0, 0
 }
 
 // Plan returns the (normalized) plan the injector executes.

@@ -58,6 +58,14 @@ func NewCache(id coherence.NodeID, name string, fab *network.Fabric,
 	return c
 }
 
+// Restart returns the cache to its just-built state for the machine's next
+// run, keeping its storage. The machine's Reset calls it.
+func (c *Cache) Restart() {
+	c.Reset()
+	c.Cov.Reset()
+	c.NacksSunk = 0
+}
+
 // cacheTable is the cache's coverage vocabulary: states by CState, events
 // the local three plus every message Recv dispatches on.
 var cacheTable = coherence.NewTable(cStateNames[:], localEvents,

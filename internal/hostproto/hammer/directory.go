@@ -48,6 +48,7 @@ type Directory struct {
 
 	memory    *mem.Memory
 	lines     map[mem.Addr]*dirLine
+	spare     []*dirLine // records of the lines a Restart forgot
 	waiting   coherence.LineQueues
 	replaying *coherence.Msg // message being replayed from the queue head
 
@@ -124,9 +125,29 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 	if l, ok := d.lines[addr]; ok {
 		return l
 	}
-	l := &dirLine{owner: coherence.NodeNone}
+	var l *dirLine
+	if n := len(d.spare); n > 0 {
+		l, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		l = new(dirLine)
+	}
+	*l = dirLine{owner: coherence.NodeNone}
 	d.lines[addr] = l
 	return l
+}
+
+// Restart returns the directory to its just-built state for the machine's
+// next run, keeping its storage: no line known, nothing queued, coverage
+// and counters zero. The machine's Reset calls it.
+func (d *Directory) Restart() {
+	for _, l := range d.lines {
+		d.spare = append(d.spare, l)
+	}
+	clear(d.lines)
+	d.waiting.Reset()
+	d.replaying = nil
+	d.Cov.Reset()
+	d.NacksSent = 0
 }
 
 // covState is the line's coverage state.

@@ -45,6 +45,13 @@ func NewL1(id coherence.NodeID, name string, fab *network.Fabric,
 	return l
 }
 
+// Restart returns the L1 to its just-built state for the machine's next
+// run, keeping its storage. The machine's Reset calls it.
+func (l *L1) Restart() {
+	l.Reset()
+	l.Cov.Reset()
+}
+
 // l1Unknown is the coverage state of a message Recv cannot dispatch: no
 // line state applies.
 const l1Unknown = int(L1IIa) + 1

@@ -61,7 +61,10 @@ type L2 struct {
 	cfg  Config
 	sink coherence.ErrorSink
 
-	cache     *cacheset.Cache[l2Line]
+	cache *cacheset.Cache[l2Line]
+	// spare is the node-set storage of lines that have left the cache, for
+	// the next lines fetched.
+	spare     coherence.NodeSets
 	memory    *mem.Memory
 	waiting   coherence.LineQueues
 	stalled   []*coherence.Msg // kept until replayed
@@ -88,6 +91,18 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 	l.doRecv, l.doServeHit, l.doFetchDone = l.Recv, l.serveHit, l.fetchDone
 	fab.Register(l)
 	return l
+}
+
+// Restart returns the L2 to its just-built state for the machine's next
+// run, keeping its storage. The machine's Reset calls it.
+func (l *L2) Restart() {
+	l.cache.Visit(func(e *cacheset.Entry[l2Line]) { l.keepSets(&e.V) })
+	l.cache.Reset()
+	l.waiting.Reset()
+	clear(l.stalled)
+	l.stalled, l.replaying = l.stalled[:0], nil
+	l.Cov.Reset()
+	l.StrayPuts, l.StrayCopies, l.StrayAcks = 0, 0, 0
 }
 
 // L2 coverage states: not present, or the L2State with or without a
@@ -212,8 +227,10 @@ func (l *L2) missFetch(m *coherence.Msg) {
 			l.memory.Write(victim.Addr, victim.V.data)
 		}
 		l.fab.FreeBlock(victim.V.data)
+		l.keepSets(&victim.V)
 	}
-	e.V = l2Line{state: L2SS, owner: coherence.NodeNone}
+	e.V = l2Line{state: L2SS, owner: coherence.NodeNone, sharers: l.spare.Get(),
+		txn: l2Txn{invalidated: l.spare.Get(), recallWait: l.spare.Get()}}
 	e.V.open(txnFetch, m.Src, coherence.NodeNone).req = m
 	l.fab.CallAfter(l.cfg.L2Lat+l.cfg.MemLat, l.doFetchDone, m)
 }
@@ -485,9 +502,18 @@ func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 		l.memory.Write(addr, e.V.data)
 	}
 	l.fab.FreeBlock(e.V.data)
+	l.keepSets(&e.V)
 	l.cache.Invalidate(addr)
 	l.popWaiting(addr)
 	l.replayStalled()
+}
+
+// keepSets puts the node-set storage of a line leaving the cache on the
+// spare list.
+func (l *L2) keepSets(v *l2Line) {
+	l.spare.Put(v.sharers)
+	l.spare.Put(v.txn.invalidated)
+	l.spare.Put(v.txn.recallWait)
 }
 
 // --- wakeups ---

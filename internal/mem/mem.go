@@ -69,6 +69,9 @@ func Equal(a, b *Block) bool {
 // return zero blocks, like freshly-mapped physical memory.
 type Memory struct {
 	lines map[Addr]*Block
+	// spare holds the blocks of lines a Reset forgot, for the next lines
+	// written.
+	spare []*Block
 
 	// Reads and Writes count functional accesses, for statistics.
 	Reads, Writes uint64
@@ -76,6 +79,15 @@ type Memory struct {
 
 // NewMemory returns an empty backing store.
 func NewMemory() *Memory { return &Memory{lines: make(map[Addr]*Block)} }
+
+// Reset empties the store, keeping its map and blocks for the next run.
+func (m *Memory) Reset() {
+	for _, b := range m.lines {
+		m.spare = append(m.spare, b)
+	}
+	clear(m.lines)
+	m.Reads, m.Writes = 0, 0
+}
 
 // Read returns a copy of the block containing a.
 func (m *Memory) Read(a Addr) *Block {
@@ -105,7 +117,11 @@ func (m *Memory) Write(a Addr, b *Block) {
 	m.Writes++
 	line, ok := m.lines[a.Line()]
 	if !ok {
-		line = new(Block)
+		if n := len(m.spare); n > 0 {
+			line, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			line = new(Block)
+		}
 		m.lines[a.Line()] = line
 	}
 	if b != nil {

@@ -73,7 +73,9 @@ type channel struct {
 	key chanKey
 	cfg Config
 	// dst is the receiving controller: a channel exists only towards a
-	// registered node, so finding the channel is finding the receiver.
+	// registered node, so finding the channel is finding the receiver. It
+	// is nil from the fabric's Reset to the channel's first send after it,
+	// which opens it again from scratch.
 	dst         coherence.Controller
 	lastArrival sim.Time
 	inflight    int // messages sent but not yet delivered on this channel
@@ -272,6 +274,9 @@ type Fabric struct {
 	chans    chanTable
 	defaults Config
 	routes   map[chanKey]Config
+	// wiring records every Register and SetRoute since the first Mark, for
+	// Forget; nil before it.
+	wiring *wiringLog
 
 	// freeRec heads the delivery-record pool. Records are pushed back in
 	// Fire before Recv executes, so a simulation's pool size converges to
@@ -346,6 +351,9 @@ func (f *Fabric) Register(c coherence.Controller) {
 		panic(fmt.Sprintf("network: duplicate node %d (%s)", c.ID(), c.Name()))
 	}
 	f.nodes[c.ID()] = c
+	if w := f.wiring; w != nil {
+		w.nodes = append(w.nodes, c.ID())
+	}
 }
 
 // Node returns the controller registered under id, or nil.
@@ -364,7 +372,12 @@ func (f *Fabric) CheckLifetimes() {
 
 // SetRoute overrides the channel configuration for src->dst.
 func (f *Fabric) SetRoute(src, dst coherence.NodeID, cfg Config) {
-	f.routes[chanKey{src, dst}] = cfg
+	k := chanKey{src, dst}
+	if w := f.wiring; w != nil {
+		prev, had := f.routes[k]
+		w.routes = append(w.routes, routeChange{k, prev, had})
+	}
+	f.routes[k] = cfg
 }
 
 // SetRoutePair overrides both directions between a and b.
@@ -384,15 +397,81 @@ func (f *Fabric) Route(src, dst coherence.NodeID) Config {
 
 // open creates the channel k on its first send, or returns nil when
 // k.dst is not registered: no channel is kept for an unknown node, so one
-// registered later is found by the next send to it.
-func (f *Fabric) open(k chanKey) *channel {
+// registered later is found by the next send to it. old is the channel a
+// run before the last Reset left at k, if any: it opens again in place,
+// as a fresh channel would, towards whatever is registered at k.dst now.
+func (f *Fabric) open(k chanKey, old *channel) *channel {
 	dst, ok := f.nodes[k.dst]
 	if !ok {
 		return nil
 	}
-	ch := &channel{key: k, cfg: f.Route(k.src, k.dst), dst: dst}
-	f.chans.add(ch)
-	return ch
+	if old == nil {
+		ch := &channel{key: k, cfg: f.Route(k.src, k.dst), dst: dst}
+		f.chans.add(ch)
+		return ch
+	}
+	*old = channel{key: k, cfg: f.Route(k.src, k.dst), dst: dst, more: old.more[:0]}
+	f.chans.opened = append(f.chans.opened, old)
+	return old
+}
+
+// Reset returns the fabric to its just-built state for a machine's next
+// run, keeping its routes, its registered nodes and its storage: the
+// pool takes back every message and block, every channel closes (it
+// opens again on its next send), the jitter stream is drawn again from
+// the engine, which must have been reset first, and the trace bus and the
+// interceptor come off.
+func (f *Fabric) Reset(seed int64) {
+	f.Pool.Reset()
+	f.rng = f.eng.Rand(seed)
+	f.chans.reset()
+	f.delayed, f.Dropped = 0, 0
+	f.Bus, f.interceptor = nil, nil
+}
+
+// Mark is a point in the fabric's wiring history, for Forget.
+type Mark struct{ nodes, routes int }
+
+// wiringLog is the fabric's wiring history.
+type wiringLog struct {
+	nodes  []coherence.NodeID
+	routes []routeChange
+}
+
+// routeChange is one SetRoute, with the route it replaced.
+type routeChange struct {
+	k    chanKey
+	prev Config
+	had  bool
+}
+
+// Mark returns the fabric's wiring as it stands. From the first Mark on,
+// the fabric records its wiring for Forget.
+func (f *Fabric) Mark() Mark {
+	if f.wiring == nil {
+		f.wiring = &wiringLog{}
+	}
+	return Mark{len(f.wiring.nodes), len(f.wiring.routes)}
+}
+
+// Forget undoes the wiring done since m: the nodes registered since are
+// unregistered and the routes set since are restored. A machine's reset
+// clears its custom accelerators' wiring this way before building them
+// afresh.
+func (f *Fabric) Forget(m Mark) {
+	w := f.wiring
+	for i := len(w.routes) - 1; i >= m.routes; i-- {
+		c := w.routes[i]
+		if c.had {
+			f.routes[c.k] = c.prev
+		} else {
+			delete(f.routes, c.k)
+		}
+	}
+	for _, id := range w.nodes[m.nodes:] {
+		delete(f.nodes, id)
+	}
+	w.nodes, w.routes = w.nodes[:m.nodes], w.routes[:m.routes]
 }
 
 // SetInterceptor installs (or, with nil, removes) the fault-injection
@@ -409,8 +488,8 @@ func (f *Fabric) SetInterceptor(i Interceptor) { f.interceptor = i }
 func (f *Fabric) Send(m *coherence.Msg) {
 	k := chanKey{m.Src, m.Dst}
 	ch := f.chans.get(k)
-	if ch == nil {
-		if ch = f.open(k); ch == nil {
+	if ch == nil || ch.dst == nil {
+		if ch = f.open(k, ch); ch == nil {
 			f.Dropped++
 			f.mDropped.Inc()
 			if b := f.Bus; b.Active() {
@@ -526,7 +605,7 @@ func (f *Fabric) DelayedSends() int { return f.delayed }
 // StatsFor returns traffic counters for the directed channel src->dst
 // (zero-valued if unused).
 func (f *Fabric) StatsFor(src, dst coherence.NodeID) Stats {
-	if ch := f.chans.get(chanKey{src, dst}); ch != nil {
+	if ch := f.chans.get(chanKey{src, dst}); ch != nil && ch.dst != nil {
 		return ch.snapshot()
 	}
 	return Stats{}
@@ -561,12 +640,24 @@ func (f *Fabric) TotalBytes(filter func(src, dst coherence.NodeID) bool) uint64 
 // addressing with linear probing over a power-of-two slot array kept at
 // most half full, indexed by the top bits of a multiplicative hash of the
 // full-width pair. Channels are never closed, so there is no deletion and
-// no tombstone. opened lists the channels in the order they were opened;
-// growing re-places them in that order, and the stats walks follow it.
+// no tombstone. n counts the channels in the table; opened lists the ones
+// open since the last reset, in the order they were opened, which the
+// stats walks follow.
 type chanTable struct {
 	slots  []*channel // nil = empty
 	shift  uint       // 64 - log2(len(slots))
+	n      int
 	opened []*channel
+}
+
+// reset closes every channel, keeping it in the table for its key's next
+// send to open again.
+func (t *chanTable) reset() {
+	for _, ch := range t.opened {
+		ch.dst = nil
+	}
+	clear(t.opened)
+	t.opened = t.opened[:0]
 }
 
 // minChanSlots is the table's first size: a single-device machine opens
@@ -580,7 +671,8 @@ func (t *chanTable) slot(k chanKey) uint64 {
 	return h * 0xbf58476d1ce4e5b9 >> t.shift
 }
 
-// get returns the channel k, or nil when it has not been opened.
+// get returns the channel k, or nil when it was never opened; a channel
+// the last reset closed is returned closed.
 func (t *chanTable) get(k chanKey) *channel {
 	if len(t.slots) == 0 {
 		return nil
@@ -597,14 +689,16 @@ func (t *chanTable) get(k chanKey) *channel {
 // if ch would fill more than half of them.
 func (t *chanTable) add(ch *channel) {
 	t.opened = append(t.opened, ch)
-	if 2*len(t.opened) > len(t.slots) {
-		n := max(2*len(t.slots), minChanSlots)
+	if t.n++; 2*t.n > len(t.slots) {
+		old := t.slots
+		n := max(2*len(old), minChanSlots)
 		t.slots = make([]*channel, n)
 		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-		for _, c := range t.opened {
-			t.place(c)
+		for _, c := range old {
+			if c != nil {
+				t.place(c)
+			}
 		}
-		return
 	}
 	t.place(ch)
 }

@@ -31,6 +31,16 @@ import (
 // valid no-op, so components built without a registry need no branches.
 type Counter struct {
 	v uint64
+	life
+}
+
+// life is what Seal and Reset mark on an instrument. A registry that is
+// reset with its machine keeps every instrument; the ones its machine
+// registered at build (sealed) stay listed, at zero, and the ones a run
+// created are hidden until the next run looks them up or records into
+// them again, so a reset registry lists exactly what a fresh one would.
+type life struct {
+	sealed, hidden bool
 }
 
 // Inc adds one.
@@ -59,6 +69,7 @@ func (c *Counter) Value() uint64 {
 // also remembers its high-water mark. The nil Gauge is a valid no-op.
 type Gauge struct {
 	v, max int64
+	life
 }
 
 // Set replaces the level.
@@ -102,6 +113,7 @@ func (g *Gauge) Max() int64 {
 // one array index and no memory. The nil Histogram is a valid no-op.
 type Histogram struct {
 	c stats.Counts
+	life
 }
 
 // Observe records one observation.
@@ -148,6 +160,7 @@ func (r *Registry) Counter(name string) *Counter {
 		c = &Counter{}
 		r.counters[name] = c
 	}
+	c.hidden = false
 	return c
 }
 
@@ -161,6 +174,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
+	g.hidden = false
 	return g
 }
 
@@ -174,6 +188,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		h = &Histogram{}
 		r.hists[name] = h
 	}
+	h.hidden = false
 	return h
 }
 
@@ -187,10 +202,15 @@ func (r *Registry) Merge(other *Registry) {
 		return
 	}
 	for _, name := range sortedKeys(other.counters) {
-		r.Counter(name).Add(other.counters[name].v)
+		if c := other.counters[name]; !c.hidden {
+			r.Counter(name).Add(c.v)
+		}
 	}
 	for _, name := range sortedKeys(other.gauges) {
 		og := other.gauges[name]
+		if og.hidden {
+			continue
+		}
 		g := r.Gauge(name)
 		g.v += og.v
 		if og.max > g.max {
@@ -198,7 +218,47 @@ func (r *Registry) Merge(other *Registry) {
 		}
 	}
 	for _, name := range sortedKeys(other.hists) {
-		r.Histogram(name).c.Merge(&other.hists[name].c)
+		if h := other.hists[name]; !h.hidden {
+			r.Histogram(name).c.Merge(&h.c)
+		}
+	}
+}
+
+// Clone returns a new registry holding what r lists: what a run's result
+// keeps when r goes on to the machine's next run.
+func (r *Registry) Clone() *Registry {
+	out := NewRegistry()
+	out.Merge(r)
+	return out
+}
+
+// Seal marks every instrument registered so far as the machine's own:
+// Reset zeroes it and keeps it listed.
+func (r *Registry) Seal() {
+	for _, c := range r.counters {
+		c.sealed = true
+	}
+	for _, g := range r.gauges {
+		g.sealed = true
+	}
+	for _, h := range r.hists {
+		h.sealed = true
+	}
+}
+
+// Reset zeroes every instrument and keeps it, so the pointers components
+// hold stay good: a sealed one stays listed, any other is hidden until
+// looked up or recorded into again.
+func (r *Registry) Reset() {
+	for _, c := range r.counters {
+		*c = Counter{life: life{sealed: c.sealed, hidden: !c.sealed}}
+	}
+	for _, g := range r.gauges {
+		*g = Gauge{life: life{sealed: g.sealed, hidden: !g.sealed}}
+	}
+	for _, h := range r.hists {
+		h.c.Reset()
+		h.hidden = !h.sealed
 	}
 }
 
@@ -207,7 +267,8 @@ func (r *Registry) Merge(other *Registry) {
 // "<prefix>.state.<state>", states being the class's state names by
 // index. A state's counter is created on its first visit — a snapshot
 // must not list a state the run never entered — and cached by index, so
-// steady state is one slice load per transition, no allocation.
+// steady state is one slice load per transition, no allocation. The cache
+// outlives a Reset; the first visit after one lists the counter again.
 func StateRecorder(r *Registry, prefix string, states []string) func(state, event int) {
 	if r == nil {
 		return nil
@@ -219,7 +280,8 @@ func StateRecorder(r *Registry, prefix string, states []string) func(state, even
 			c = r.Counter(prefix + ".state." + states[state])
 			byState[state] = c
 		}
-		c.Inc()
+		c.v++
+		c.hidden = false
 	}
 }
 

@@ -53,12 +53,19 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	for name, c := range r.counters {
-		s.Counters[name] = c.v
+		if !c.hidden {
+			s.Counters[name] = c.v
+		}
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = GaugeSnapshot{Value: g.v, Max: g.max}
+		if !g.hidden {
+			s.Gauges[name] = GaugeSnapshot{Value: g.v, Max: g.max}
+		}
 	}
 	for name, h := range r.hists {
+		if h.hidden {
+			continue
+		}
 		c := &h.c
 		s.Histograms[name] = HistSnapshot{
 			N: c.N(), Mean: c.Mean(),

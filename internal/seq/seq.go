@@ -132,9 +132,21 @@ type Sequencer struct {
 // New returns a sequencer with the given node id, wired to cache, drawing
 // its Ops from ops: the machine's list, shared with its other sequencers.
 func New(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric, cache coherence.NodeID, ops *OpList) *Sequencer {
-	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, ops: ops, MaxOutstanding: 16}
+	s := &Sequencer{id: id, name: name, eng: eng, fab: fab, cache: cache, ops: ops}
+	s.Restart()
 	fab.Register(s)
 	return s
+}
+
+// Restart returns the sequencer to its just-built state for the machine's
+// next run: nothing issued or queued, statistics zero, MaxOutstanding 16,
+// no OnQuiesce and no Rec. The operations the last run left in flight are
+// forgotten, not put back on the Op list. New ends in it.
+func (s *Sequencer) Restart() {
+	clear(s.inflight)
+	clear(s.aborted)
+	*s = Sequencer{id: s.id, name: s.name, eng: s.eng, fab: s.fab, cache: s.cache, ops: s.ops,
+		inflight: s.inflight[:0], aborted: s.aborted[:0], MaxOutstanding: 16}
 }
 
 // ID implements coherence.Controller.

@@ -135,6 +135,10 @@ func (a *Armed[P]) Cancel() P {
 // Len reports how many actions are armed.
 func (l *Lane[P]) Len() int { return l.n }
 
+// Reset forgets the armed actions after their engine's Reset dropped them:
+// their records are left to the collector, and the lane arms afresh.
+func (l *Lane[P]) Reset() { l.n = 0 }
+
 func (l *Lane[P]) release(a *Armed[P]) P {
 	p := a.p
 	var zero P

@@ -52,6 +52,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 )
 
 // Time is the simulated clock, in ticks. One tick loosely corresponds to
@@ -276,14 +277,39 @@ type Engine struct {
 	far    eventHeap
 	farSeq uint64
 
-	// streams lists the random streams Rand handed out, for Close; check
-	// is the lifetime check (CheckLifetimes).
-	streams *stream
+	// streams lists the random streams Rand handed out, in order; drawn
+	// counts those handed out since the last Reset. check is the lifetime
+	// check (CheckLifetimes).
+	streams []*rand.Rand
+	drawn   int
 	check   bool
 }
 
 // NewEngine returns a fresh engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
+
+// Reset returns the engine to time zero with nothing queued, keeping its
+// storage: the node slab, the far heap's array and the random streams,
+// which the next Rand calls get back in order. Every queued event is
+// dropped unfired; a queued Timer comes out unqueued, so its owner may
+// schedule it again.
+func (e *Engine) Reset() {
+	for slot := range e.wheel {
+		for i := e.wheel[slot].head; i != 0; i = e.nodes[i].next {
+			if t, ok := e.nodes[i].ev.(*timerEv); ok {
+				t.pos = 0
+			}
+		}
+	}
+	for _, ev := range e.far {
+		if ev.t != nil {
+			ev.t.pos = 0
+		}
+	}
+	clear(e.far)
+	clear(e.nodes)
+	*e = Engine{far: e.far[:0], nodes: e.nodes[:0], streams: e.streams, check: e.check}
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"crossingguard/internal/raceflag"
 	"crossingguard/internal/sim"
 )
 
@@ -45,39 +44,45 @@ func sameDraws(a, b *rand.Rand, n int) int {
 	return -1
 }
 
-// A stream a closed engine handed back is, for the engine that takes it,
-// exactly the stream a fresh source with its seed draws: nothing of the
-// last owner's position or buffered bytes is left. Under the lifetime check
-// (-race builds) Close hands nothing back.
+// A stream a reset engine hands out again is, for its next run, exactly
+// the stream a fresh source with its seed draws: nothing of the last run's
+// position or buffered bytes is left. The same calls get the same streams
+// back, in order, and a call past them draws a new one; re-seeding with
+// the same seed again and again stays exact.
 func TestRecycledStreamIsFresh(t *testing.T) {
 	for _, seed := range []int64{1, 7, 131, 1 << 40, -3} {
-		old := sim.NewEngine()
-		owned := map[*rand.Rand]bool{}
-		// Several streams, so that at least one is found again whichever
-		// processor the test goroutine runs on next.
-		for i := 0; i < 4; i++ {
-			r := old.Rand(seed*10 + int64(i))
-			drawMix(r)
-			owned[r] = true
-		}
-		old.Close()
 		e := sim.NewEngine()
-		reused := 0
+		var first []*rand.Rand
 		for i := 0; i < 4; i++ {
-			r := e.Rand(seed)
-			if owned[r] {
-				reused++
+			r := e.Rand(seed*10 + int64(i))
+			drawMix(r)
+			first = append(first, r)
+		}
+		e.Reset()
+		for i := 0; i < 5; i++ {
+			r := e.Rand(seed + int64(i))
+			if i < len(first) && r != first[i] {
+				t.Fatalf("seed %d: call %d after Reset drew a new stream, not the engine's own", seed, i)
 			}
-			if d := sameDraws(r, rand.New(rand.NewSource(seed)), 10_000); d >= 0 {
+			if i == len(first) {
+				for _, old := range first {
+					if r == old {
+						t.Fatalf("seed %d: a call past the engine's streams handed one out twice", seed)
+					}
+				}
+			}
+			if d := sameDraws(r, rand.New(rand.NewSource(seed+int64(i))), 10_000); d >= 0 {
 				t.Fatalf("seed %d: stream %d differs from a fresh source at draw %d", seed, i, d)
 			}
 		}
-		e.Close()
-		switch {
-		case raceflag.Enabled && reused != 0:
-			t.Fatalf("seed %d: Close handed back %d streams under -race", seed, reused)
-		case !raceflag.Enabled && reused == 0:
-			t.Fatalf("seed %d: no stream handed back by Close was reused", seed)
+		// A sweep re-seeds with one seed run after run, drawing between, and
+		// sometimes with another in between.
+		for _, s := range []int64{seed, seed, seed + 1, seed, seed} {
+			e.Reset()
+			r := e.Rand(s)
+			if d := sameDraws(r, rand.New(rand.NewSource(s)), 1_000); d >= 0 {
+				t.Fatalf("seed %d: re-seeded stream differs from a fresh source at draw %d", s, d)
+			}
 		}
 	}
 }

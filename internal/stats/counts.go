@@ -45,6 +45,12 @@ func (c *Counts) Add(x float64) {
 	c.bump(x, 1)
 }
 
+// Reset forgets every observation, keeping the storage.
+func (c *Counts) Reset() {
+	clear(c.dense)
+	*c = Counts{dense: c.dense, sparse: c.sparse[:0]}
+}
+
 // Merge adds other's counts to c. Merging is commutative and associative
 // for integer-valued data (see the type comment). A nil other is a no-op.
 func (c *Counts) Merge(other *Counts) {
