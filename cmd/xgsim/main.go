@@ -146,9 +146,9 @@ func newTable(out io.Writer) *tabwriter.Writer { return tabwriter.NewWriter(out,
 
 var hosts = []config.HostKind{config.HostHammer, config.HostMESI}
 
-// lab builds and runs the experiments' machines. Every machine registers
-// its instruments in reg, and each (host, kernel, org) cell of the kernel
-// sweep runs once however many experiments read it.
+// lab builds and runs the experiments' machines. Every machine's
+// instruments are merged into reg when it is done, and each (host, kernel,
+// org) cell of the kernel sweep runs once however many experiments read it.
 type lab struct {
 	params
 	reg   *obs.Registry
@@ -184,11 +184,19 @@ func (l *lab) kernel(kind workload.Kind) workload.Config {
 	return cfg
 }
 
-// build builds one machine that registers its instruments in the lab's
-// registry.
-func (l *lab) build(spec config.Spec) *config.System {
-	spec.Obs = l.reg
-	return config.Build(spec)
+// done ends the use of a machine the lab built: it merges sys's
+// instruments into the lab's registry and closes sys, which the next
+// machine of its shape may reuse.
+func (l *lab) done(sys *config.System) {
+	l.reg.Merge(sys.Obs)
+	sys.Close()
+}
+
+// measure runs kernel cfg once on a machine of spec.
+func (l *lab) measure(spec config.Spec, cfg workload.Config) workload.Result {
+	sys := config.Build(spec)
+	defer l.done(sys)
+	return l.run(sys, cfg)
 }
 
 // run drives sys with one kernel; every workload measurement goes through
@@ -214,7 +222,8 @@ func (l *lab) cell(host config.HostKind, kind workload.Kind, org config.Org) cel
 	cfg := l.kernel(kind)
 	spec := l.spec(host, org)
 	spec.Perms = workload.Perms(cfg)
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	c := cell{Result: l.run(sys, cfg)}
 	for _, g := range sys.Guards {
 		c.putsSuppressed += g.PutSSuppressed
@@ -440,7 +449,8 @@ func (l *lab) peakStorage(kb int, org config.Org) int {
 	cfg.Footprint = kb * 1024 * 8   // per-core tile band = 2x the cache
 	spec := l.spec(config.HostMESI, org)
 	spec.AccelCores, spec.AccelL1KB, spec.Perms = 1, kb, workload.Perms(cfg)
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	peak := 0
 	var stop func()
 	stop = sys.Eng.Ticker(500, func() {
@@ -503,7 +513,8 @@ func (l *lab) flood(name string, flood bool, rate *core.RateLimit) floodRow {
 		att.Policy = fuzz.InvCorrectAck
 		return nil
 	}
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	if flood {
 		// A legitimate-looking but relentless request stream.
 		i := 0
@@ -593,7 +604,8 @@ func (l *lab) wideRun(host config.HostKind) xlateRow {
 		s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
 		return wide.Outstanding
 	}
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	n := 0
 	var step func()
 	step = func() {
@@ -655,7 +667,8 @@ func timeout(l *lab) recovery {
 		att.Policy = fuzz.InvIgnore
 		return nil
 	}
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	att.Send(coherence.AGetM, line, nil)
 	sys.Eng.RunUntilQuiet()
 	start := sys.Eng.Now()
@@ -696,7 +709,8 @@ func snoop(l *lab) filtering {
 		att.Policy = fuzz.InvCorrectAck
 		return nil
 	}
-	sys := l.build(spec)
+	sys := config.Build(spec)
+	defer l.done(sys)
 	for j := 0; j < f.stores; j++ {
 		sys.CPUSeqs[j%len(sys.CPUSeqs)].Store(mem.Addr(0x40000+j*mem.BlockBytes), byte(j), nil)
 	}
@@ -740,7 +754,7 @@ func ablate(l *lab) ablation {
 		set(&lat)
 		spec := l.spec(config.HostMESI, org)
 		spec.AccelCores, spec.Lat, spec.Perms = 1, &lat, workload.Perms(blocked)
-		return l.run(l.build(spec), blocked).Cycles
+		return l.measure(spec, blocked).Cycles
 	}
 	// A1: the paper's negligible-overhead claim holds only while the
 	// guard's processing latency stays small relative to the crossing.
@@ -758,14 +772,14 @@ func ablate(l *lab) ablation {
 	for i, perms := range []*perm.Table{nil, workload.Perms(blocked)} {
 		spec := l.spec(config.HostHammer, config.OrgXGTxn1L)
 		spec.AccelCores, spec.Perms = 1, perms
-		a.perms[i] = l.run(l.build(spec), blocked)
+		a.perms[i] = l.measure(spec, blocked)
 	}
 	// A4: Fig. 2c vs 2d on a kernel whose cores co-read their input.
 	streaming := l.kernel(workload.Streaming)
 	for i, org := range []config.Org{config.OrgXGFull1L, config.OrgXGFull2L} {
 		spec := l.spec(config.HostMESI, org)
 		spec.AccelCores, spec.Perms = 2, workload.Perms(streaming)
-		a.sharing[i] = l.run(l.build(spec), streaming)
+		a.sharing[i] = l.measure(spec, streaming)
 	}
 	return a
 }

@@ -282,9 +282,9 @@ func TestTable1Conformance(t *testing.T) {
 }
 
 // newTableL1 builds a single-level cache running tab in place of Table 1.
-func newTableL1(tab *table, fab *network.Fabric, cfg Config) *L1Cache {
+func newTableL1(tab *coherence.Rules[AState, step], fab *network.Fabric, cfg Config) *L1Cache {
 	c := &L1Cache{}
-	c.init(c, tab, 2, tab.class, fab, 1, cfg)
+	c.init(c, tab, 2, tab.Class, fab, 1, cfg)
 	return c
 }
 
@@ -343,8 +343,8 @@ func TestFlavorStrings(t *testing.T) {
 			t.Errorf("AState %q != %q", s.String(), want)
 		}
 	}
-	for name, tab := range map[string]*table{"MESI": table1, "MSI": tableMSI, "VI": tableVI} {
-		_, rows := tab.render()
+	for name, tab := range map[string]*coherence.Rules[AState, step]{"MESI": table1, "MSI": tableMSI, "VI": tableVI} {
+		_, rows := tab.Render(cellText)
 		var states []string
 		for _, r := range rows {
 			states = append(states, r[0])
@@ -352,8 +352,8 @@ func TestFlavorStrings(t *testing.T) {
 		if want := []string{"M", "E", "S", "I", "B"}; !slices.Equal(states, want) {
 			t.Errorf("%s states %q, want %q", name, states, want)
 		}
-		if tab.class != "accel.L1" {
-			t.Errorf("%s records coverage under %q, want accel.L1", name, tab.class)
+		if tab.Class != "accel.L1" {
+			t.Errorf("%s records coverage under %q, want accel.L1", name, tab.Class)
 		}
 	}
 }
@@ -362,8 +362,8 @@ func TestTable1PairsShape(t *testing.T) {
 	// The published table: M/E/S have 4 defined cells, I has 3 (no
 	// replacement), B has 8 (stalls + 4 responses + inv).
 	counts := map[string]int{}
-	for _, r := range table1.rows {
-		counts[r.st.String()]++
+	for _, r := range table1.Rows {
+		counts[r.St.String()] += len(r.Evs)
 	}
 	want := map[string]int{"M": 4, "E": 4, "S": 4, "I": 3, "B": 8}
 	if !maps.Equal(counts, want) {
@@ -405,14 +405,14 @@ func TestTable1MatchesPaper(t *testing.T) {
 	}
 	for _, d := range []struct {
 		name string
-		tab  *table
+		tab  *coherence.Rules[AState, step]
 		want map[string]string // "state/event" -> cell
 	}{
 		{"MSI", tableMSI, map[string]string{"B/A:DataE": "/ M", "E/Replacement": "issue PutM / B"}},
 		{"VI", tableVI, map[string]string{"B/A:DataE": "/ M", "E/Replacement": "issue PutM / B",
 			"I/Load": "issue GetM / B"}},
 	} {
-		_, got := d.tab.render()
+		_, got := d.tab.Render(cellText)
 		diff := map[string]string{}
 		for i := range got {
 			for j := 1; j < len(got[i]); j++ {
@@ -439,46 +439,44 @@ func TestTablesWellFormed(t *testing.T) {
 		coherence.XDataS: {evLoad}, coherence.XDataM: {evLoad, evStore},
 	}
 	gets := []coherence.MsgType{coherence.AGetS, coherence.AGetM, coherence.XGetS, coherence.XGetM}
-	for _, tab := range []*table{table1, tableMSI, tableVI, innerL1} {
-		name := func(st AState, ev int) string { return fmt.Sprintf("%s %v/%s", tab.class, st, tab.vocab.Events()[ev]) }
-		cell := func(st AState, ev int) (row, bool) {
-			if i := tab.find(st, ev); i >= 0 {
-				return tab.rows[i], true
-			}
-			return row{}, false
-		}
+	for _, tab := range []*coherence.Rules[AState, step]{table1, tableMSI, tableVI, innerL1} {
+		name := func(st AState, ev int) string { return fmt.Sprintf("%s %v/%s", tab.Class, st, tab.Vocab.Events()[ev]) }
 		hits := func(st AState, ev int) bool {
-			r, ok := cell(st, ev)
-			return ok && st.Stable() && r.send == none
+			r := tab.At(st, ev)
+			return r != nil && st.Stable() && r.send == none
 		}
-		inv := tab.vocab.Event(coherence.AInv)
+		inv := tab.Vocab.Event(coherence.AInv)
 		if inv < 0 {
-			inv = tab.vocab.Event(coherence.XInv)
+			inv = tab.Vocab.Event(coherence.XInv)
 		}
-		for _, r := range tab.rows {
-			for _, ev := range []int{evLoad, evStore, inv} {
-				if _, ok := cell(r.st, ev); !ok {
-					t.Errorf("%s has no cell", name(r.st, ev))
-				}
-			}
-			if _, ok := cell(r.st, evReplacement); !ok && r.st.Stable() && r.st != AI {
-				t.Errorf("%s has no cell", name(r.st, evReplacement))
-			}
-			if slices.Contains(gets, r.send) && r.next != AB {
-				t.Errorf("%s sends %v into %v, not B", name(r.st, r.ev), r.send, r.next)
-			}
-			if r.ev >= len(localEvents) {
-				if _, ok := cell(AB, r.ev); !ok {
-					t.Errorf("%s has no cell", name(AB, r.ev))
-				}
-			}
-			for mt, ops := range completes {
-				if tab.vocab.Event(mt) != r.ev {
+		for st := AI; st <= AB; st++ {
+			for ev := range tab.Vocab.Events() {
+				r := tab.At(st, ev)
+				if r == nil {
 					continue
 				}
-				for _, op := range ops {
-					if !hits(r.next, op) {
-						t.Errorf("%s enters %v, where %s is not a hit", name(r.st, r.ev), r.next, localEvents[op])
+				for _, ev := range []int{evLoad, evStore, inv} {
+					if tab.At(st, ev) == nil {
+						t.Errorf("%s has no cell", name(st, ev))
+					}
+				}
+				if tab.At(st, evReplacement) == nil && st.Stable() && st != AI {
+					t.Errorf("%s has no cell", name(st, evReplacement))
+				}
+				if slices.Contains(gets, r.send) && r.next != AB {
+					t.Errorf("%s sends %v into %v, not B", name(st, ev), r.send, r.next)
+				}
+				if ev >= len(localEvents) && tab.At(AB, ev) == nil {
+					t.Errorf("%s has no cell", name(AB, ev))
+				}
+				for mt, ops := range completes {
+					if tab.Vocab.Event(mt) != ev {
+						continue
+					}
+					for _, op := range ops {
+						if !hits(r.next, op) {
+							t.Errorf("%s enters %v, where %s is not a hit", name(st, ev), r.next, localEvents[op])
+						}
 					}
 				}
 			}

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"slices"
 	"strings"
 
 	"crossingguard/internal/coherence"
@@ -37,96 +36,68 @@ var (
 
 // table1 is paper Table 1, in the paper's order of rows and columns: every
 // cell that is not "impossible".
-var table1 = newTable("accel.L1", l1Table, []row{
-	{AM, evLoad, none, AM},
-	{AM, evStore, none, AM},
-	{AM, evReplacement, coherence.APutM, AB},
-	{AM, aInv, coherence.ADirtyWB, AI},
-	{AE, evLoad, none, AE},
-	{AE, evStore, none, AM}, // silent upgrade
-	{AE, evReplacement, coherence.APutE, AB},
-	{AE, aInv, coherence.ACleanWB, AI},
-	{AS, evLoad, none, AS},
-	{AS, evStore, coherence.AGetM, AB},
-	{AS, evReplacement, coherence.APutS, AB},
-	{AS, aInv, coherence.AInvAck, AI},
-	{AI, evLoad, coherence.AGetS, AB},
-	{AI, evStore, coherence.AGetM, AB},
-	{AI, aInv, coherence.AInvAck, AI},
+var table1 = coherence.NewRules("accel.L1", l1Table, []coherence.Row[AState, step]{
+	on(AM, evLoad, none, AM),
+	on(AM, evStore, none, AM),
+	on(AM, evReplacement, coherence.APutM, AB),
+	on(AM, aInv, coherence.ADirtyWB, AI),
+	on(AE, evLoad, none, AE),
+	on(AE, evStore, none, AM), // silent upgrade
+	on(AE, evReplacement, coherence.APutE, AB),
+	on(AE, aInv, coherence.ACleanWB, AI),
+	on(AS, evLoad, none, AS),
+	on(AS, evStore, coherence.AGetM, AB),
+	on(AS, evReplacement, coherence.APutS, AB),
+	on(AS, aInv, coherence.AInvAck, AI),
+	on(AI, evLoad, coherence.AGetS, AB),
+	on(AI, evStore, coherence.AGetM, AB),
+	on(AI, aInv, coherence.AInvAck, AI),
 	// B stalls the core, answers an Inv (the guard resolves a Put/Inv
 	// race) and leaves on the guard's response.
-	{AB, evLoad, none, AB},
-	{AB, evStore, none, AB},
-	{AB, evReplacement, none, AB},
-	{AB, aInv, coherence.AInvAck, AB},
-	{AB, aDataM, none, AM},
-	{AB, aDataE, none, AE},
-	{AB, aDataS, none, AS},
-	{AB, aWBAck, none, AI},
+	on(AB, evLoad, none, AB),
+	on(AB, evStore, none, AB),
+	on(AB, evReplacement, none, AB),
+	on(AB, aInv, coherence.AInvAck, AB),
+	on(AB, aDataM, none, AM),
+	on(AB, aDataE, none, AE),
+	on(AB, aDataS, none, AS),
+	on(AB, aWBAck, none, AI),
 })
 
 // The degraded designs of paper §2.1: "an MSI design is possible by
 // treating DataE as DataM", sending only dirty writebacks, and "a VI
 // design by sending only GetM requests".
 var (
-	tableMSI = table1.with(
-		row{AB, aDataE, none, AM},
-		row{AE, evReplacement, coherence.APutM, AB})
-	tableVI = tableMSI.with(row{AI, evLoad, coherence.AGetM, AB})
+	tableMSI = table1.With(
+		on(AB, aDataE, none, AM),
+		on(AE, evReplacement, coherence.APutM, AB))
+	tableVI = tableMSI.With(on(AI, evLoad, coherence.AGetM, AB))
 )
 
 // Table1 renders paper Table 1 from the rows the cache runs: the event
 // names, then one row per state, the state's name first.
-func Table1() (events []string, rows [][]string) { return table1.render() }
+func Table1() (events []string, rows [][]string) { return table1.Render(cellText) }
 
-// render returns the table as the paper prints it: states and events in
-// the order the rows first name them, "-" where there is no row.
-func (t *table) render() (events []string, rows [][]string) {
-	var sts []AState
-	var evs []int
-	for _, r := range t.rows {
-		if !slices.Contains(sts, r.st) {
-			sts = append(sts, r.st)
-		}
-		if !slices.Contains(evs, r.ev) {
-			evs = append(evs, r.ev)
-			events = append(events, t.vocab.Events()[r.ev])
-		}
-	}
-	for _, st := range sts {
-		out := []string{st.String()}
-		for _, ev := range evs {
-			cell := "-"
-			if i := t.find(st, ev); i >= 0 {
-				cell = t.rows[i].String()
-			}
-			out = append(out, cell)
-		}
-		rows = append(rows, out)
-	}
-	return events, rows
-}
-
-// String renders r as the paper writes a cell: the core's hit or stall,
+// cellText renders a cell as the paper writes it: the core's hit or stall,
 // the request issued or the answer sent, then "/ next" on a change of
 // state.
-func (r row) String() string {
-	_, msg, _ := strings.Cut(r.send.String(), ":") // "A:PutM" is "PutM"
+func cellText(st AState, ev int, s *step) string {
+	_, msg, _ := strings.Cut(s.send.String(), ":") // "A:PutM" is "PutM"
 	do := "stall"
 	switch {
-	case r.send != none && r.ev < len(localEvents):
+	case s.send != none && ev < len(localEvents):
 		do = "issue " + msg
-	case r.send != none:
+	case s.send != none:
 		do = "send " + msg
-	case r.ev >= len(localEvents): // a response, which only moves the state
+	case ev >= len(localEvents): // a response, which only moves the state
 		do = ""
-	case r.st.Stable():
+	case st.Stable():
 		do = "hit"
 	}
-	if r.next == r.st {
+	if s.next == st {
 		return do
 	}
-	return strings.TrimSpace(do + " / " + r.next.String())
+	return strings.TrimSpace(do + " / " + s.next.String())
 }
 
 // MessageInventory counts Table 1's messages with the guard, for the
@@ -136,10 +107,10 @@ func (r row) String() string {
 // cells send.
 func MessageInventory() (reqsIn, respsIn, respsOut int) {
 	answered, answers := map[int]bool{}, map[coherence.MsgType]bool{}
-	for _, r := range table1.rows {
-		if r.ev >= len(localEvents) {
-			answered[r.ev] = answered[r.ev] || r.send != none
-			answers[r.send] = true
+	for _, r := range table1.Rows {
+		if ev := r.Evs[0]; ev >= len(localEvents) {
+			answered[ev] = answered[ev] || r.Do.send != none
+			answers[r.Do.send] = true
 		}
 	}
 	for _, a := range answered {

@@ -74,7 +74,7 @@ func (l *l2Base) evicting(addr mem.Addr) bool {
 // block, copied into the Put, back.
 func (l *l2Base) putToGuard(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
 	l.evictions[addr] = struct{}{}
-	l.send(cellMsg(table1.at(claim(host, dirty), evReplacement).send, addr, l.xg, data))
+	l.send(cellMsg(table1.At(claim(host, dirty), evReplacement).send, addr, l.xg, data))
 	l.fab.FreeBlock(data)
 }
 
@@ -95,7 +95,7 @@ func (l *l2Base) closeEviction(addr mem.Addr, m *coherence.Msg) {
 // line's block back, and wakes what waited: parked, the next Invalidate the
 // line held, first.
 func (l *l2Base) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block, parked *coherence.Msg) {
-	l.send(cellMsg(table1.at(claim(host, dirty), aInv).send, addr, l.xg, data))
+	l.send(cellMsg(table1.At(claim(host, dirty), aInv).send, addr, l.xg, data))
 	l.fab.FreeBlock(data)
 	l.wake(addr, parked)
 	l.replayStalled()
@@ -150,7 +150,7 @@ func heldLine(fn chassis.HeldFunc, addr mem.Addr, host AState, data *mem.Block, 
 func (l *l2Base) WBPending() int { return len(l.evictions) }
 
 // grantLevel is the permission a guard grant confers: Table 1's B row.
-func grantLevel(t coherence.MsgType) AState { return table1.at(AB, l1Table.Event(t)).next }
+func grantLevel(t coherence.MsgType) AState { return table1.At(AB, l1Table.Event(t)).next }
 
 // lruWhere returns the least recently used line of addr's set that passes
 // ok, or nil: the L2s' choice of a line to recall so a stalled miss can

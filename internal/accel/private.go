@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"slices"
 
 	"crossingguard/internal/cacheset"
 	"crossingguard/internal/chassis"
@@ -13,8 +12,8 @@ import (
 
 // The private accelerator caches, paper Table 1's L1Cache and the
 // two-level design's InnerL1, are one interpreter running a transition
-// table. A row names only what the cell sends and the state it enters;
-// everything else follows from the event:
+// table (coherence.Rules). A row names only what the cell sends and the
+// state it enters; everything else follows from the event:
 //
 //   - a core op in a stable state that sends nothing is a hit;
 //   - a grant fills the B line, then completes the waiting op by replaying
@@ -27,59 +26,17 @@ import (
 // none is a cell that sends nothing.
 const none = coherence.MsgInvalid
 
-// A row is one cell of a transition table: in state st, event ev (an
-// index into the table's vocabulary) sends send and enters next.
-type row struct {
-	st   AState
-	ev   int
+// A step is what one cell of a private cache's table does: the message it
+// sends and the state it enters.
+type step struct {
 	send coherence.MsgType
 	next AState
 }
 
-// A table is a private cache's transition table: the coverage class it
-// records under, its vocabulary, its rows in the order written, and the
-// same rows indexed densely by (state, event) for dispatch.
-type table struct {
-	class string
-	vocab *coherence.Table
-	rows  []row
-	cells []row // [state*events + event]
-}
-
-func newTable(class string, vocab *coherence.Table, rows []row) *table {
-	t := &table{class: class, vocab: vocab, rows: rows}
-	t.cells = make([]row, len(vocab.States())*len(vocab.Events()))
-	for _, r := range rows {
-		*t.at(r.st, r.ev) = r
-	}
-	return t
-}
-
-// at returns the cell of (st, ev). The interpreter reads only cells the
-// well-formedness test shows every table has.
-func (t *table) at(st AState, ev int) *row { return &t.cells[int(st)*len(t.vocab.Events())+ev] }
-
-// find returns the index of the row of (st, ev), or -1.
-func (t *table) find(st AState, ev int) int {
-	return slices.IndexFunc(t.rows, func(r row) bool { return r.st == st && r.ev == ev })
-}
-
-// with returns t with the given cells substituted for its own.
-func (t *table) with(subs ...row) *table {
-	rows := slices.Clone(t.rows)
-	for _, s := range subs {
-		rows[t.find(s.st, s.ev)] = s
-	}
-	return newTable(t.class, t.vocab, rows)
-}
-
-// coverage declares exactly the table's rows.
-func (t *table) coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage(t.class, t.vocab)
-	for _, r := range t.rows {
-		cov.Declare(int(r.st), r.ev)
-	}
-	return cov
+// on is a cell in the notation of paper Table 1: in state st, event ev (an
+// index into the table's vocabulary) sends send and enters next.
+func on(st AState, ev int, send coherence.MsgType, next AState) coherence.Row[AState, step] {
+	return coherence.Row[AState, step]{St: st, Evs: []int{ev}, Do: step{send, next}}
 }
 
 // line is the payload of one private accelerator line. data is the
@@ -109,7 +66,7 @@ func held(lines *cacheset.Cache[line], fn chassis.HeldFunc) {
 // Replacement left in B.
 type private struct {
 	chassis.L1[line]
-	tab *table
+	tab *coherence.Rules[AState, step]
 	up  coherence.NodeID // the Crossing Guard endpoint, or the shared L2
 
 	// epoch is the guard epoch the cache operates under (0 until the first
@@ -124,10 +81,10 @@ type private struct {
 
 // init builds the chassis over t and registers self, the cache type
 // embedding c, with the fabric.
-func (c *private) init(self coherence.Controller, t *table, id coherence.NodeID, name string,
+func (c *private) init(self coherence.Controller, t *coherence.Rules[AState, step], id coherence.NodeID, name string,
 	fab *network.Fabric, up coherence.NodeID, cfg Config) {
 	c.tab, c.up = t, up
-	c.Init(self, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, t.coverage(), busy, c.evict, c.core)
+	c.Init(self, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, t.Coverage(), busy, c.evict, c.core)
 }
 
 // Recv implements coherence.Controller. Of the messages a table's
@@ -140,7 +97,7 @@ func (c *private) Recv(m *coherence.Msg) {
 		c.StaleDrops++
 	case m.Type == coherence.ANack:
 		c.nack(m)
-	case c.tab.vocab.Event(m.Type) < 0:
+	case c.tab.Vocab.Event(m.Type) < 0:
 		panic(fmt.Sprintf("%s: unexpected %v", c.Name(), m))
 	case m.Type == coherence.AInv || m.Type == coherence.XInv:
 		c.inv(m)
@@ -204,7 +161,7 @@ func (c *private) core(m *coherence.Msg) {
 			return
 		}
 	}
-	cell := c.tab.at(st, ev)
+	cell := c.tab.At(st, ev)
 	if cell.send == none {
 		c.hit(e, cell, m)
 		return
@@ -214,7 +171,7 @@ func (c *private) core(m *coherence.Msg) {
 }
 
 // hit completes op on line e, which enters cell's next state.
-func (c *private) hit(e *cacheset.Entry[line], cell *row, op *coherence.Msg) {
+func (c *private) hit(e *cacheset.Entry[line], cell *step, op *coherence.Msg) {
 	e.V.state = cell.next
 	if op.Type == coherence.ReqStore {
 		e.V.data[op.Addr.Offset()] = op.Val
@@ -226,7 +183,7 @@ func (c *private) hit(e *cacheset.Entry[line], cell *row, op *coherence.Msg) {
 
 func (c *private) evict(addr mem.Addr, v *line) {
 	c.Cov.Record(int(v.state), evReplacement)
-	cell := c.tab.at(v.state, evReplacement)
+	cell := c.tab.At(v.state, evReplacement)
 	c.send(cell.send, addr, v.data)
 	if cell.next == AB {
 		c.Buffer(addr, v) // the buffer takes the victim's block over
@@ -240,12 +197,12 @@ func (c *private) grant(m *coherence.Msg) {
 	if e == nil || e.V.state != AB || e.V.op == nil {
 		panic(fmt.Sprintf("%s: data %v with no pending get", c.Name(), m))
 	}
-	ev := c.tab.vocab.Event(m.Type)
+	ev := c.tab.Vocab.Event(m.Type)
 	c.Cov.Record(int(AB), ev)
 	op := e.V.op
-	e.V.state, e.V.op = c.tab.at(AB, ev).next, nil
+	e.V.state, e.V.op = c.tab.At(AB, ev).next, nil
 	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade
-	cell := c.tab.at(e.V.state, opEv(op))
+	cell := c.tab.At(e.V.state, opEv(op))
 	if cell.send != none {
 		// DataS answered a GetM? The interfaces forbid it; only a buggy
 		// guard or L2 could do this.
@@ -261,12 +218,12 @@ func (c *private) wbAck(m *coherence.Msg) {
 	if wl == nil {
 		panic(fmt.Sprintf("%s: WBAck with no writeback: %v", c.Name(), m))
 	}
-	c.Cov.Record(int(AB), c.tab.vocab.Event(m.Type))
+	c.Cov.Record(int(AB), c.tab.Vocab.Event(m.Type))
 	c.Retire(addr, wl.data)
 }
 
 func (c *private) inv(m *coherence.Msg) {
-	addr, ev := m.Addr.Line(), c.tab.vocab.Event(m.Type)
+	addr, ev := m.Addr.Line(), c.tab.Vocab.Event(m.Type)
 	st, e := AI, c.Lines.Peek(m.Addr)
 	var data *mem.Block
 	if e != nil {
@@ -275,7 +232,7 @@ func (c *private) inv(m *coherence.Msg) {
 		st = AB
 	}
 	c.Cov.Record(int(st), ev)
-	cell := c.tab.at(st, ev)
+	cell := c.tab.At(st, ev)
 	c.send(cell.send, addr, data)
 	if cell.next != st {
 		c.Drop(e, data)

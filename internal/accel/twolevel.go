@@ -40,22 +40,22 @@ var (
 // innerL1 is the inner L1's transition table: Table 1 without E, except
 // that a shared copy leaves at once. The L2 acknowledges no PutS, so
 // S/Replacement enters I, not B.
-var innerL1 = newTable("accel2L.L1", innerTable, []row{
-	{AM, evLoad, none, AM},
-	{AM, evStore, none, AM},
-	{AM, evReplacement, coherence.XPutM, AB},
-	{AM, xInv, coherence.XInvWB, AI},
-	{AS, evLoad, none, AS},
-	{AS, evStore, coherence.XGetM, AB},
-	{AS, evReplacement, coherence.XPutS, AI},
-	{AS, xInv, coherence.XInvAck, AI},
-	{AI, evLoad, coherence.XGetS, AB},
-	{AI, evStore, coherence.XGetM, AB},
-	{AI, xInv, coherence.XInvAck, AI},
-	{AB, evLoad, none, AB},
-	{AB, evStore, none, AB},
-	{AB, xInv, coherence.XInvAck, AB},
-	{AB, xDataM, none, AM},
-	{AB, xDataS, none, AS},
-	{AB, xWBAck, none, AI},
+var innerL1 = coherence.NewRules("accel2L.L1", innerTable, []coherence.Row[AState, step]{
+	on(AM, evLoad, none, AM),
+	on(AM, evStore, none, AM),
+	on(AM, evReplacement, coherence.XPutM, AB),
+	on(AM, xInv, coherence.XInvWB, AI),
+	on(AS, evLoad, none, AS),
+	on(AS, evStore, coherence.XGetM, AB),
+	on(AS, evReplacement, coherence.XPutS, AI),
+	on(AS, xInv, coherence.XInvAck, AI),
+	on(AI, evLoad, coherence.XGetS, AB),
+	on(AI, evStore, coherence.XGetM, AB),
+	on(AI, xInv, coherence.XInvAck, AI),
+	on(AB, evLoad, none, AB),
+	on(AB, evStore, none, AB),
+	on(AB, xInv, coherence.XInvAck, AB),
+	on(AB, xDataM, none, AM),
+	on(AB, xDataS, none, AS),
+	on(AB, xWBAck, none, AI),
 })

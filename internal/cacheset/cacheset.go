@@ -55,9 +55,6 @@ func (c *Cache[T]) Ways() int { return c.ways }
 // Capacity returns the number of lines the cache can hold.
 func (c *Cache[T]) Capacity() int { return c.sets * c.ways }
 
-// SizeBytes returns the data capacity in bytes.
-func (c *Cache[T]) SizeBytes() int { return c.Capacity() * mem.BlockBytes }
-
 func (c *Cache[T]) setOf(addr mem.Addr) []Entry[T] {
 	idx := int(addr>>mem.BlockShift) & (c.sets - 1)
 	return c.entries[idx*c.ways : (idx+1)*c.ways]

@@ -21,8 +21,8 @@ func TestGeometryValidation(t *testing.T) {
 		}()
 	}
 	c := New[payload](4, 2)
-	if c.Capacity() != 8 || c.SizeBytes() != 8*mem.BlockBytes {
-		t.Fatalf("capacity %d size %d", c.Capacity(), c.SizeBytes())
+	if c.Capacity() != 8 {
+		t.Fatalf("capacity %d", c.Capacity())
 	}
 }
 

@@ -358,30 +358,6 @@ func RunBudget(gen func(i int) ShardSpec, opt Options) *Report {
 	return run(g, opt)
 }
 
-// mergeCoverage folds src class coverages into dst, creating classes on
-// first sight. dst must be guarded by the caller.
-func mergeCoverage(dst, src map[string]*coherence.Coverage) {
-	for _, name := range sortedKeys(src) {
-		c := src[name]
-		if into, ok := dst[name]; ok {
-			into.Merge(c)
-		} else {
-			fresh := coherence.NewCoverage(name, nil)
-			fresh.Merge(c)
-			dst[name] = fresh
-		}
-	}
-}
-
-func sortedKeys(m map[string]*coherence.Coverage) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 	start := time.Now()
 	workers := opt.workers()
@@ -389,8 +365,8 @@ func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 	if live == nil {
 		live = &Telemetry{start: start}
 	}
-	if opt.Progress != nil && opt.Heartbeat <= 0 {
-		live.cov = map[string]*coherence.Coverage{} // the human line prints it
+	if live.cov == nil {
+		live.cov = map[string]*coherence.Coverage{}
 	}
 	jobs := make(chan ShardSpec)
 
@@ -400,7 +376,7 @@ func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 		go func() {
 			defer wg.Done()
 			for spec := range jobs {
-				live.observe(runShardSafe(spec, opt.Trace, opt.TraceTail))
+				live.observe(runShardSafe(spec, opt.Trace, opt.TraceTail, live))
 			}
 		}()
 	}
@@ -428,16 +404,21 @@ func run(gen func(int) (ShardSpec, bool), opt Options) *Report {
 	// run returns.
 	<-reported
 
-	return aggregate(live.results, time.Since(start), workers)
+	return aggregate(live.results, live.cov, time.Since(start), workers)
 }
 
 // aggregate rebuilds the deterministic report: results sorted by shard
-// index, coverage and violation counts merged in that order.
-func aggregate(results []ShardResult, elapsed time.Duration, workers int) *Report {
+// index and violation counts merged in that order. cov, the shards'
+// coverage merged as they finished, becomes the report's, its Unexpected
+// lists rebuilt in shard order.
+func aggregate(results []ShardResult, cov map[string]*coherence.Coverage, elapsed time.Duration, workers int) *Report {
 	sort.Slice(results, func(i, j int) bool { return results[i].Spec.Index < results[j].Spec.Index })
+	for _, c := range cov {
+		c.Unexpected = c.Unexpected[:0]
+	}
 	rep := &Report{
 		Shards:  results,
-		Cov:     map[string]*coherence.Coverage{},
+		Cov:     cov,
 		ByCode:  map[string]uint64{},
 		Metrics: obs.NewRegistry(),
 		Elapsed: elapsed,
@@ -446,7 +427,9 @@ func aggregate(results []ShardResult, elapsed time.Duration, workers int) *Repor
 	for i := range results {
 		s := &results[i]
 		rep.Metrics.Merge(s.Obs)
-		mergeCoverage(rep.Cov, s.Cov)
+		for class, pairs := range s.Unexpected {
+			rep.Cov[class].Unexpected = append(rep.Cov[class].Unexpected, pairs...)
+		}
 		if s.Quarantined {
 			rep.Quarantines++
 		}
@@ -471,12 +454,12 @@ func aggregate(results []ShardResult, elapsed time.Duration, workers int) *Repor
 // runShardSafe converts a shard panic into a captured failure instead of
 // killing the whole pool: the fuzzer's promise is "never crashes", so a
 // panic IS a finding, not an excuse to lose the campaign.
-func runShardSafe(spec ShardSpec, trace bool, tail int) (res ShardResult) {
+func runShardSafe(spec ShardSpec, trace bool, tail int, live *Telemetry) (res ShardResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Spec = spec
 			res.Err = fmt.Errorf("PANIC: %v", r)
 		}
 	}()
-	return RunShardTrace(spec, trace, tail)
+	return runShard(spec, trace, tail, live)
 }

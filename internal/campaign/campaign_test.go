@@ -41,6 +41,11 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if got, want := rep.CoverageTable(), baseline.CoverageTable(); got != want {
 			t.Errorf("workers=%d: coverage table differs from workers=1:\n got:\n%s\nwant:\n%s", workers, got, want)
 		}
+		for name, c := range rep.Cov {
+			if w := baseline.Cov[name]; w == nil || !reflect.DeepEqual(c.Snapshot(), w.Snapshot()) {
+				t.Errorf("workers=%d: coverage class %s differs", workers, name)
+			}
+		}
 		if !reflect.DeepEqual(rep.ByCode, baseline.ByCode) {
 			t.Errorf("workers=%d: violation counts differ: %v vs %v", workers, rep.ByCode, baseline.ByCode)
 		}
@@ -53,11 +58,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("workers=%d shard %d: result %+v/%d/%d, want %+v/%d/%d",
 					workers, i, got.Res, got.Sent, got.Violations, want.Res, want.Sent, want.Violations)
 			}
-			for name, c := range got.Cov {
-				w, ok := want.Cov[name]
-				if !ok || !reflect.DeepEqual(c.Snapshot(), w.Snapshot()) {
-					t.Errorf("workers=%d shard %d: coverage class %s differs", workers, i, name)
-				}
+			if !reflect.DeepEqual(got.Unexpected, want.Unexpected) {
+				t.Errorf("workers=%d shard %d: undeclared transitions %v, want %v", workers, i, got.Unexpected, want.Unexpected)
 			}
 		}
 	}

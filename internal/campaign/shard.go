@@ -149,7 +149,10 @@ type ShardResult struct {
 	// RecoverAfter armed recovery.
 	Recoveries uint64
 	ByCode     map[string]uint64
-	Cov        map[string]*coherence.Coverage
+	// Unexpected lists, by controller class, the undeclared (state, event)
+	// pairs the shard's controllers visited (nil when there are none). The
+	// visit counts go straight into the campaign's coverage (Report.Cov).
+	Unexpected map[string][]string
 	Err        error
 	TraceDump  string
 	// Obs is the shard machine's metrics registry (nil for custom
@@ -314,7 +317,8 @@ func newMachine(spec ShardSpec) (*machine, error) {
 // RunShard executes one shard to completion on the calling goroutine
 // with the default trace-ring capacity. The shard builds a private
 // machine (engine, fabric, RNGs, memory, permission table) and never
-// touches state outside it.
+// touches state outside it. Its controllers' coverage counts are not kept:
+// Run merges them into the report's.
 func RunShard(spec ShardSpec, trace bool) ShardResult {
 	return RunShardTrace(spec, trace, DefaultTraceTail)
 }
@@ -323,11 +327,13 @@ func RunShard(spec ShardSpec, trace bool) ShardResult {
 // tracing, the shard keeps its last tail events (DefaultTraceTail when
 // tail is not positive).
 func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
-	res := ShardResult{
-		Spec:   spec,
-		ByCode: map[string]uint64{},
-		Cov:    map[string]*coherence.Coverage{},
-	}
+	return runShard(spec, trace, tail, nil)
+}
+
+// runShard is RunShardTrace merging the machine's coverage, when the shard
+// passed, into live's (nil: nowhere) before the machine closes.
+func runShard(spec ShardSpec, trace bool, tail int, live *Telemetry) ShardResult {
+	res := ShardResult{Spec: spec, ByCode: map[string]uint64{}}
 	if tail <= 0 {
 		tail = DefaultTraceTail
 	}
@@ -381,7 +387,7 @@ func RunShardTrace(spec ShardSpec, trace bool, tail int) ShardResult {
 	// ShardSpec.Consistency).
 	finishConsistency(&res, sys.Consistency, !m.cfg.SkipValueChecks)
 	if res.Err == nil {
-		recordCoverage(sys, res.Cov)
+		res.Unexpected = live.mergeCoverage(sys)
 	}
 	if ring != nil {
 		res.Events = ring.Events()
@@ -418,21 +424,6 @@ func finishConsistency(res *ShardResult, rec *consistency.Recorder, checked bool
 	}
 	if res.Err != nil {
 		res.ObsDump = consistency.Tail(res.Recs, 40)
-	}
-}
-
-// recordCoverage folds every controller's coverage into the per-class
-// map: the state/event accounting of the paper's §4.1 stress test.
-func recordCoverage(sys *config.System, covs map[string]*coherence.Coverage) {
-	for _, cov := range sys.Coverages() {
-		c, ok := covs[cov.Name()]
-		if !ok {
-			// A bare coverage takes the class's table and declarations from
-			// the first instance merged into it.
-			c = coherence.NewCoverage(cov.Name(), nil)
-			covs[cov.Name()] = c
-		}
-		c.Merge(cov)
 	}
 }
 

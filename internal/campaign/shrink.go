@@ -63,7 +63,7 @@ func (sh *shrinker) fails(spec ShardSpec) bool {
 	}
 	sh.runs++
 	spec.Index = 0
-	res := runShardSafe(spec, false, 0)
+	res := runShardSafe(spec, false, 0, nil)
 	if res.Err != nil {
 		sh.lastErr = res.Err
 		return true

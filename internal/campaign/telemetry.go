@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crossingguard/internal/coherence"
+	"crossingguard/internal/config"
 	"crossingguard/internal/obs"
 )
 
@@ -30,9 +31,11 @@ type Telemetry struct {
 	stores      uint64
 	sent        uint64
 	ticks       uint64
-	// reg merges the shards' metrics registries for the -http payload and
-	// cov their coverage for the human progress line. Each is nil unless
-	// something reads it, so a run pays for neither by default.
+	// reg merges the shards' metrics registries for the -http payload; it
+	// is nil unless something reads it. cov is the campaign's coverage by
+	// controller class: visit counts add and declarations union in any
+	// order, so each passed shard merges its machine's in as it finishes
+	// (mergeCoverage) and the report takes it over.
 	reg *obs.Registry
 	cov map[string]*coherence.Coverage
 }
@@ -63,9 +66,37 @@ func (t *Telemetry) observe(res ShardResult) {
 	if t.reg != nil {
 		t.reg.Merge(res.Obs)
 	}
-	if t.cov != nil {
-		mergeCoverage(t.cov, res.Cov)
+}
+
+// mergeCoverage folds every controller coverage of sys into t's (t nil:
+// nowhere) and returns the undeclared pairs they visited, by class, in
+// controller order, for the report to list in shard order.
+func (t *Telemetry) mergeCoverage(sys *config.System) map[string][]string {
+	var unexpected map[string][]string
+	if t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
+	for _, cov := range sys.Coverages() {
+		if len(cov.Unexpected) > 0 {
+			if unexpected == nil {
+				unexpected = map[string][]string{}
+			}
+			unexpected[cov.Name()] = append(unexpected[cov.Name()], cov.Unexpected...)
+		}
+		if t == nil {
+			continue
+		}
+		c := t.cov[cov.Name()]
+		if c == nil {
+			// A bare coverage takes the class's table and declarations from
+			// the first instance merged into it.
+			c = coherence.NewCoverage(cov.Name(), nil)
+			t.cov[cov.Name()] = c
+		}
+		c.Merge(cov)
+	}
+	return unexpected
 }
 
 // TelemetrySnapshot is one point-in-time progress record: a -heartbeat

@@ -5,12 +5,10 @@ import (
 	"sort"
 )
 
-// Table is the coverage vocabulary of one controller class, declared once
-// as a package-level variable of the controller's package: the names of
-// its states and of its events. A state or event is thereafter the index
-// of its name, so recording a transition is integer arithmetic; names are
-// rendered only where a report is built. A Table is immutable and shared
-// by every Coverage of the class.
+// Table is the vocabulary of one controller class, declared once in the
+// controller's package: the names of its states and of its events. A state
+// or event is the index of its name, so recording a transition is integer
+// arithmetic. A Table is immutable and shared by the class's coverages.
 type Table struct {
 	states, events []string
 	// col maps a message type to its event index, -1 where the class
@@ -46,15 +44,12 @@ func (t *Table) Events() []string { return t.events }
 func (t *Table) Event(m MsgType) int { return int(t.col[m]) }
 
 // Coverage records which (state, event) pairs a controller has exercised,
-// reproducing the coverage accounting of the paper's stress test (§4.1):
-// "we counted the state/event pairs that the random tester visited at each
-// cache controller and compared it with the number that we believe are
-// possible". Controllers Declare their reachable pairs up front; Record
-// marks a visit; visiting an undeclared pair is a protocol bug surfaced
-// via the Unexpected list.
-//
-// Visit counts and declarations are dense arrays over the class Table's
-// states x events, so Record is an increment and a flag test.
+// the accounting of the paper's stress test (§4.1): "we counted the
+// state/event pairs that the random tester visited at each cache controller
+// and compared it with the number that we believe are possible".
+// Controllers Declare their reachable pairs; Record marks a visit, in dense
+// arrays over the Table's states x events; an undeclared pair visited is a
+// protocol bug, listed in Unexpected.
 type Coverage struct {
 	name     string
 	tab      *Table
@@ -103,8 +98,7 @@ func (c *Coverage) pairName(i int) string {
 	return c.tab.states[i/c.nev] + "/" + c.tab.events[i%c.nev]
 }
 
-// Declare marks (state, event) for each given event as a possible
-// transition.
+// Declare marks (state, event) for each given event as possible.
 func (c *Coverage) Declare(state int, events ...int) {
 	for _, ev := range events {
 		if i := c.cell(state, ev); !c.declared[i] {
@@ -186,14 +180,11 @@ func (c *Coverage) Missing() []string {
 	return out
 }
 
-// Merge folds other's visit counts into c (same controller class running
-// as multiple instances, or across runs or campaign shards); merging
-// coverages of different vocabularies panics. Declared pairs are
-// unioned, so merging into a bare NewCoverage preserves the class's
-// declaration table. Visit counts add and declared/visited sets union,
-// making Merge commutative and associative up to the order of the
-// Unexpected list — aggregators that need byte-identical reports (the
-// campaign runner) must merge in a deterministic shard order.
+// Merge folds other's visit counts into c (a class's instances, runs or
+// campaign shards); merging coverages of different vocabularies panics.
+// Counts add and declarations union, so merging into a bare NewCoverage
+// keeps the class's declarations, and Merge is commutative and
+// associative up to the order of the Unexpected list it appends.
 func (c *Coverage) Merge(other *Coverage) {
 	c.Unexpected = append(c.Unexpected, other.Unexpected...)
 	if other.tab == nil {

@@ -243,11 +243,6 @@ type Spec struct {
 	// for the offline invariant checker. Nil (the default) keeps the
 	// sequencer completion path record-free.
 	Consistency *consistency.Recorder
-	// Obs, when set, is used as the machine's metrics registry instead
-	// of a fresh one — callers running several machines sequentially
-	// (cmd/xgsim's sweep) can accumulate into a single registry. Build
-	// always leaves the registry in use on System.Obs.
-	Obs *obs.Registry
 	// CustomAccel, when set on an XG organization, replaces the
 	// accelerator cache hierarchy: it is invoked once per guard with the
 	// accelerator-side node id and the guard id, must register a
@@ -332,10 +327,9 @@ type System struct {
 	custom *customWiring
 	// audit is the audits' storage, made at the first audit (audit.go).
 	audit *auditState
-	// ownObs is false when the registry is the caller's (Spec.Obs), and
-	// such a machine is never parked. closed is set by Close and cleared by
-	// the reset that hands the machine out again.
-	ownObs, closed bool
+	// closed is set by Close and cleared by the reset that hands the
+	// machine out again.
+	closed bool
 }
 
 // customWiring lists the guards whose accelerator side Spec.CustomAccel
@@ -421,13 +415,17 @@ func (s *System) countStates(cov *coherence.Coverage) {
 }
 
 // Coverages returns the coverage of every controller that declares a
-// transition table: the home node's, then the caches' in build order.
+// transition table: the home node's, then the caches' in build order, then
+// the guards'.
 func (s *System) Coverages() []*coherence.Coverage {
 	covs := []*coherence.Coverage{s.home.Coverage()}
 	for _, c := range s.caches {
 		if cov := c.Coverage(); cov != nil {
 			covs = append(covs, cov)
 		}
+	}
+	for _, g := range s.Guards {
+		covs = append(covs, g.Coverage())
 	}
 	return covs
 }
@@ -519,13 +517,10 @@ func construct(spec Spec) *System {
 	}
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, spec.Seed, network.Config{Latency: lat.HostHop, Jitter: lat.Jitter, Ordered: true})
-	reg := spec.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	fab.AttachObs(reg)
 	s := &System{Spec: spec, Eng: eng, Fab: fab, Mem: mem.NewMemory(), Log: coherence.NewErrorLog(), Obs: reg,
-		lat: lat, ownObs: spec.Obs == nil}
+		lat: lat}
 
 	// The §3.2 host modifications serve the Transactional guard.
 	txnMods := spec.Org == OrgXGTxn1L || spec.Org == OrgXGTxn2L
@@ -542,9 +537,7 @@ func construct(spec Spec) *System {
 		}
 		s.Faults = inj
 	}
-	if s.ownObs {
-		s.Obs.Seal()
-	}
+	s.Obs.Seal()
 	if s.custom != nil {
 		s.custom.wired, s.custom.seqs = fab.Mark(), len(s.AccelSeqs)
 	}
@@ -578,9 +571,7 @@ func (s *System) reset(spec Spec) {
 	s.Fab.Reset(spec.Seed)
 	s.Mem.Reset()
 	s.Log.Reset()
-	if s.ownObs {
-		s.Obs.Reset()
-	}
+	s.Obs.Reset()
 	clear(s.outstandingFns)
 	s.outstandingFns = s.outstandingFns[:0]
 	clear(s.deviceResets)
@@ -910,7 +901,7 @@ func (s *System) Close() {
 	}
 	s.closed = true
 	s.Eng.Close()
-	if s.Eng.Recycles() && s.ownObs {
+	if s.Eng.Recycles() {
 		park(s)
 	}
 }

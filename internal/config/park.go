@@ -94,11 +94,7 @@ func evictOldest() {
 }
 
 // unpark takes the machine of spec's shape parked last, or returns nil.
-// A spec with its own registry (Spec.Obs) always gets a new machine.
 func unpark(spec Spec) *System {
-	if spec.Obs != nil {
-		return nil
-	}
 	parked.Lock()
 	defer parked.Unlock()
 	if parked.off {
@@ -119,11 +115,10 @@ func unpark(spec Spec) *System {
 
 // Reset returns the machine to its just-built state for a run of spec,
 // keeping all its storage: what Build does with a parked machine. spec
-// must have the machine's shape, and may not bring a registry of its own
-// unless it is the machine's.
+// must have the machine's shape.
 func (s *System) Reset(spec Spec) {
 	spec = normalize(spec)
-	if shapeOf(spec) != shapeOf(s.Spec) || (spec.Obs != nil && spec.Obs != s.Obs) {
+	if shapeOf(spec) != shapeOf(s.Spec) {
 		panic("config: Reset with a spec of another shape (" + spec.Name() + " on " + s.Spec.Name() + ")")
 	}
 	s.reset(spec)

@@ -192,7 +192,8 @@ func chaotic() faults.Plan {
 
 // shardSig runs a campaign shard, traced, and renders what it decided.
 func shardSig(spec campaign.ShardSpec) string {
-	res := campaign.RunShardTrace(spec, true, 200_000)
+	rep := campaign.Run([]campaign.ShardSpec{spec}, campaign.Options{Workers: 1, Trace: true, TraceTail: 200_000})
+	res := rep.Shards[0]
 	var b strings.Builder
 	fmt.Fprintf(&b, "spec %s\nres %+v\nsent %d injected %d violations %d quarantined %v recoveries %d\nerr %v\n",
 		campaign.FormatSpec(spec), res.Res, res.Sent, res.Injected, res.Violations, res.Quarantined,
@@ -201,13 +202,8 @@ func shardSig(spec campaign.ShardSpec) string {
 	if err := res.Obs.WriteJSON(&b); err != nil {
 		panic(err)
 	}
-	names := make([]string, 0, len(res.Cov))
-	for n := range res.Cov {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		writeCoverage(&b, res.Cov[n])
+	for _, n := range rep.CoverageClasses() {
+		writeCoverage(&b, rep.Cov[n])
 	}
 	writeEvents(&b, res.Events)
 	for _, r := range res.Recs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"crossingguard/internal/coherence"
 )
@@ -10,6 +11,7 @@ import (
 // from its format, so that rejecting a message allocates no string: a fuzz
 // shard's guard rejects one forged message after another. A type outside
 // the table, which only a forged message carries, is rendered on the spot.
+// A format without a verb is the text for every type.
 type detail struct {
 	format string
 	text   [coherence.NumMsgTypes]string
@@ -18,31 +20,31 @@ type detail struct {
 func newDetail(format string) *detail {
 	d := &detail{format: format}
 	for t := range d.text {
-		d.text[t] = fmt.Sprintf(format, coherence.MsgType(t))
+		d.text[t] = d.of(coherence.MsgType(t))
 	}
 	return d
 }
 
 // of returns the text for a message of type t.
 func (d *detail) of(t coherence.MsgType) string {
-	if t >= 0 && int(t) < len(d.text) {
+	switch {
+	case t >= 0 && int(t) < len(d.text) && d.text[t] != "":
 		return d.text[t]
+	case strings.Contains(d.format, "%"):
+		return fmt.Sprintf(d.format, t)
 	}
-	return fmt.Sprintf(d.format, t)
+	return d.format
 }
 
 // The guard's violation texts that name only the message type, by code.
 var (
 	// XG.BadMessage
 	detailNotInterface = newDetail("accelerator sent non-interface message %v")
-	// XG.G0a, XG.G0b, XG.G1b
+	// XG.G0a, XG.G0b
 	detailNoAccess = newDetail("%v for page with no access")
 	detailReadOnly = newDetail("%v for read-only page")
-	detailTxnOpen  = newDetail("%v while a transaction is already open")
 	// XG.G2a
 	detailOwnedNoData  = newDetail("racing %v for an owned block carries no data")
 	detailSharedData   = newDetail("racing %v carries data for a block held only in S")
 	detailInconsistent = newDetail("%v inconsistent with accelerator state")
-	// XG.G2b
-	detailNoHostReq = newDetail("%v with no pending host request")
 )

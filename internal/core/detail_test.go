@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -14,17 +15,28 @@ import (
 
 // Every violation text the tables hold is the one its format renders, for
 // every message type and for the undefined types only a forged message
-// carries.
+// carries; a format without a verb is the text itself.
 func TestViolationDetailTables(t *testing.T) {
-	tables := []*detail{detailNotInterface, detailNoAccess, detailReadOnly, detailTxnOpen,
-		detailOwnedNoData, detailSharedData, detailInconsistent, detailNoHostReq}
+	tables := []*detail{detailNotInterface, detailNoAccess, detailReadOnly,
+		detailOwnedNoData, detailSharedData, detailInconsistent}
+	for _, rules := range guardRules {
+		for _, r := range rules.Rows {
+			if r.Do.detail != nil {
+				tables = append(tables, r.Do.detail)
+			}
+		}
+	}
 	types := []coherence.MsgType{-1, coherence.MsgType(coherence.NumMsgTypes), 1 << 20} // forged
 	for ty := range coherence.NumMsgTypes {
 		types = append(types, coherence.MsgType(ty))
 	}
 	for _, d := range tables {
 		for _, ty := range types {
-			if got, want := d.of(ty), fmt.Sprintf(d.format, ty); got != want {
+			want := d.format
+			if strings.Contains(want, "%") {
+				want = fmt.Sprintf(d.format, ty)
+			}
+			if got := d.of(ty); got != want {
 				t.Errorf("%q for %v: got %q, want %q", d.format, ty, got, want)
 			}
 		}

@@ -76,15 +76,11 @@ const (
 // receive all host-protocol messages. A block passed either way is a loan
 // for the call: whoever needs it longer copies it into a record of its own.
 //
-// The core owns every per-line record — a shim has no table — and with it
-// "is this line busy", what is outstanding, and the life of a host
-// writeback: its record and block, "already writing back" for a
-// guard-initiated one, retiring on the host's ack, completing the
-// accelerator's Put, reporting a stray ack. A shim owns what its protocol
-// differs in: the message vocabulary, how a get's responses are counted
-// and which carries the data, what a writeback's ack asks for (hammer's
-// HWBAck wants the data; an HNack or a Fwd_GetM loses it), and how each
-// forward, Inv or inclusion recall is answered.
+// The core owns every per-line record, and with it "is this line busy",
+// what is outstanding and the life of a host writeback. A shim owns what
+// its protocol differs in: the message vocabulary, how a get's responses
+// are counted, what a writeback's ack asks for, and how each forward, Inv
+// or inclusion recall is answered.
 type hostShim interface {
 	// get issues a host request for a block, opening the line's host get.
 	get(addr mem.Addr, kind GetKind)
@@ -135,17 +131,13 @@ type Config struct {
 	// backoff, doubled for every earlier readmission, a quarantined device
 	// is drained, reset, and reintegrated under a bumped guard epoch; after
 	// maxRecoveries readmissions the next quarantine is permanent. 0 (the
-	// default) keeps quarantine terminal — today's behavior, byte-for-byte.
+	// default) keeps quarantine terminal.
 	RecoverAfter sim.Time
-	// Spans enables causal span tracing: every accepted accelerator
-	// crossing, host-initiated recall, and recovery cycle is assigned a
-	// stable span id, emits paired span-begin/span-end (+ span-phase)
-	// events on the trace bus, stamps the id on its outbound accelerator
-	// messages, and feeds the per-phase xg.span.* latency histograms.
-	// Off by default: span events interleave with the message trace and
-	// add metrics, so golden traces and metric snapshots are only stable
-	// with spans off. Pure observability — span tracing never changes
-	// simulated timing or message order.
+	// Spans enables causal span tracing: every accepted crossing, recall
+	// and recovery cycle gets a span id, paired span-begin/span-end (and
+	// span-phase) trace events, the id stamped on its accelerator messages,
+	// and the xg.span.* latency histograms. It never changes simulated
+	// timing or message order.
 	Spans bool
 }
 
@@ -165,6 +157,8 @@ type Guard struct {
 	// a block, keyed by line address. Lines and their open-work records
 	// are recycled through the two free lists.
 	lines     map[mem.Addr]*line
+	rules     *coherence.Rules[viewState, rule] // the mode's table (rules.go)
+	cov       *coherence.Coverage               // its visits
 	freeLines coherence.RecPool[line]
 	freeWork  coherence.RecPool[lineWork]
 	inspect   []*line // the audits' walks of the table (inspected)
@@ -389,10 +383,11 @@ func (g *Guard) fire(t timer) {
 	case timerGet, timerPut:
 		// A recall can consume a buffered Put in the latency window (the
 		// Put/Inv race), in which case nothing reaches the host.
-		txn := g.txnAt(t.addr)
-		if txn == nil || txn.serial != t.serial {
+		l := g.lines[t.addr]
+		if !hasTxn(l) || l.work.txn.serial != t.serial {
 			return
 		}
+		txn := &l.work.txn
 		txn.fwd = g.eng.Now()
 		g.spanEvent(obs.KindSpanPhase, txn.span, t.addr, 0, "check")
 		if t.kind == timerGet {
@@ -464,12 +459,17 @@ func (g *Guard) Restart(cfg Config) {
 			watchdogs[attempt].Bind(g.eng, cfg.Timeout<<attempt, g.onDeadline)
 		}
 	}
+	rules, cov := guardRules[cfg.Mode], g.cov
+	if cov == nil || cov.Name() != rules.Class {
+		cov = rules.Coverage()
+	}
+	cov.Reset()
 	*g = Guard{
 		// The wiring.
 		id: g.id, name: g.name, eng: g.eng, fab: g.fab, cfg: cfg, sink: g.sink, accel: g.accel, shim: g.shim,
 		accelTag: g.accelTag, resetHook: g.resetHook, stampEpoch: g.stampEpoch, onDeadline: g.onDeadline,
 		// The storage.
-		lines: g.lines, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
+		lines: g.lines, rules: rules, cov: cov, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
 		ready: g.ready[:0], timers: g.timers, watchdogs: watchdogs, wakeEv: g.wakeEv,
 		// The instruments.
 		obsReg: g.obsReg, mPass: g.mPass, mPassAccel: g.mPassAccel, mCrossing: g.mCrossing, mViolation: g.mViolation,
@@ -496,10 +496,8 @@ func (g *Guard) resetState() {
 }
 
 // SetAccelTag labels this guard with its accelerator device index
-// (0-based). Tag 0 — the first or only device — leaves trace events and
-// metric names exactly as before; nonzero tags stamp an accel field on
-// the guard's trace events and register per-accelerator metric variants
-// alongside the aggregates. Call before AttachObs.
+// (0-based), stamped on its trace events and per-accelerator metric names.
+// Call before AttachObs.
 func (g *Guard) SetAccelTag(tag int) { g.accelTag = tag }
 
 // AccelTag reports the device label set by SetAccelTag.
@@ -509,15 +507,11 @@ func (g *Guard) AccelTag() int { return g.accelTag }
 func (g *Guard) metricSuffix() string { return "@a" + strconv.Itoa(g.accelTag) }
 
 // AttachObs registers the guard's instruments with r: the
-// guard.check.pass counter (requests that cleared every guarantee
-// check), per-code guard.violation.<code> counters (XG.G0a .. XG.G2c,
-// XG.BadMessage, XG.BadSource), and the xg.crossing.ticks
-// histogram measuring request acceptance to grant/writeback-ack. Each
-// pass/violation counter also increments a per-accelerator variant
-// suffixed "@a<device>" so reports can break guarantee outcomes down by
-// accelerator. Violations and recall timeouts are also emitted as
-// structured events on the fabric's trace bus when one is attached. A
-// nil registry leaves the guard uninstrumented.
+// guard.check.pass counter (requests that cleared every check), per-code
+// guard.violation.<code> counters, each with a per-accelerator twin
+// suffixed "@a<device>", and the xg.crossing.ticks histogram (acceptance
+// to grant or writeback ack). A nil registry leaves the guard
+// uninstrumented.
 func (g *Guard) AttachObs(r *obs.Registry) {
 	g.obsReg, g.mViolation = r, nil
 	g.mPass = r.Counter("guard.check.pass")
@@ -556,23 +550,39 @@ func (g *Guard) Name() string { return g.name }
 // from exactly the one accelerator node it fronts.
 func (g *Guard) Recv(m *coherence.Msg) {
 	fromAccel := m.Src == g.accel
-	if fromAccel && m.Epoch != g.epoch {
-		// A pre-reset straggler (late data reply, duplicated or delayed
-		// message) delivered after reintegration bumped the epoch: drop
-		// it before it can touch the fresh table. Counted and traced as
-		// XG.StaleEpoch but not charged to the error score — the current
-		// device did not misbehave, its predecessor did.
-		g.staleEpoch(m)
-		return
-	}
 	req, resp := m.Type.IsAccelRequest(), m.Type.IsAccelResponse()
 	switch {
+	case fromAccel && m.Epoch != g.epoch:
+		// A pre-reset straggler (late data reply, duplicated or delayed
+		// message) delivered after reintegration bumped the epoch: dropped
+		// before it can touch the fresh table, and counted and traced as
+		// XG.StaleEpoch, but neither scored nor reported: charging the
+		// fenced predecessor's traffic to the readmitted device would
+		// re-trip quarantine on ghosts.
+		g.ReqsBlocked++
+		g.countViolation("XG.StaleEpoch")
+		if g.fab.Bus.Active() {
+			g.emit(obs.Event{Kind: obs.KindViolation, Addr: m.Addr.Line(), Msg: m.Type,
+				Payload: fmt.Sprintf("XG.StaleEpoch: %v from epoch %d dropped (guard epoch %d)", m.Type, m.Epoch, g.epoch)})
+		}
 	case (req || resp) && !fromAccel:
 		g.violation("XG.BadSource", fmt.Sprintf("%v from non-accelerator node %d", m.Type, m.Src), m.Addr.Line())
+	case req && g.Quarantined:
+		// Fenced accelerator: refuse service explicitly. Nack rather than
+		// silently drop so a confused-but-live accelerator's transactions
+		// terminate instead of hanging its internal state machine.
+		g.ReqsBlocked++
+		g.obsReg.Counter("guard.quarantine.nacks").Inc()
+		g.sendToAccelAfter(coherence.ANack, m.Addr.Line(), nil, 0)
 	case req:
 		g.handleAccelRequest(m)
+	case resp && g.Quarantined:
+		// A fenced accelerator has no pending host requests by
+		// construction (quarantine resolved them all); swallow late
+		// responses without the per-message G2b violation spam.
+		g.obsReg.Counter("guard.quarantine.dropped").Inc()
 	case resp:
-		g.handleAccelResponse(m)
+		g.dispatch(m, perm.None, 0)
 	case fromAccel:
 		g.ReqsBlocked++
 		g.violation("XG.BadMessage", detailNotInterface.of(m.Type), m.Addr.Line())
@@ -584,19 +594,13 @@ func (g *Guard) Recv(m *coherence.Msg) {
 // send takes a message holding t from the pool and hands it to the fabric.
 func (g *Guard) send(t coherence.Msg) { g.fab.Send(g.fab.Msg(t)) }
 
-// staleEpoch drops one accelerator message carrying an outdated epoch.
-// Unlike violation, it neither scores the error nor reports to the sink:
-// a stale straggler is the fenced predecessor's traffic, and charging it
-// to the freshly readmitted device would re-trip quarantine on ghosts.
-func (g *Guard) staleEpoch(m *coherence.Msg) {
-	g.ReqsBlocked++
-	g.countViolation("XG.StaleEpoch")
+// emit puts e on the trace bus, if one is listening, stamped with the tick
+// and the guard's name and device. A caller whose payload costs to build
+// checks the bus first.
+func (g *Guard) emit(e obs.Event) {
 	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindViolation,
-			Addr: m.Addr.Line(), Accel: g.accelTag, Msg: m.Type,
-			Payload: fmt.Sprintf("XG.StaleEpoch: %v from epoch %d dropped (guard epoch %d)", m.Type, m.Epoch, g.epoch),
-		})
+		e.Tick, e.Component, e.Accel = g.eng.Now(), g.name, g.accelTag
+		b.Emit(e)
 	}
 }
 
@@ -614,14 +618,8 @@ func (g *Guard) newSpanID() uint64 {
 // transition; the Perfetto exporter draws cross-device flow arrows from
 // it.
 func (g *Guard) spanEvent(kind obs.Kind, span uint64, addr mem.Addr, from coherence.NodeID, payload string) {
-	if !g.cfg.Spans || span == 0 {
-		return
-	}
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: kind,
-			Addr: addr, From: from, Accel: g.accelTag, Span: span, Payload: payload,
-		})
+	if g.cfg.Spans && span != 0 {
+		g.emit(obs.Event{Kind: kind, Addr: addr, From: from, Span: span, Payload: payload})
 	}
 }
 
@@ -675,11 +673,8 @@ func (g *Guard) countViolation(code string) {
 func (g *Guard) violation(code, detail string, addr mem.Addr) {
 	g.errors++
 	g.countViolation(code)
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindViolation,
-			Addr: addr, Accel: g.accelTag, Payload: code + ": " + detail,
-		})
+	if g.fab.Bus.Active() {
+		g.emit(obs.Event{Kind: obs.KindViolation, Addr: addr, Payload: code + ": " + detail})
 	}
 	g.sink.ReportError(coherence.ProtocolError{
 		Where: g.name, Code: code, Addr: addr, Detail: detail,
@@ -700,16 +695,9 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 	if g.cfg.Mode == FullState {
 		g.obsReg.Counter("guard.quarantine.fenced_lines").Add(uint64(g.TableEntries()))
 	}
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindQuarantine,
-			Addr: addr, Accel: g.accelTag, Payload: fmt.Sprintf("accelerator quarantined after %d violations", g.errors),
-		})
-	}
-	g.sink.ReportError(coherence.ProtocolError{
-		Where: g.name, Code: "XG.Quarantined", Addr: addr,
-		Detail: fmt.Sprintf("accelerator quarantined after %d violations", g.errors),
-	})
+	detail := fmt.Sprintf("accelerator quarantined after %d violations", g.errors)
+	g.emit(obs.Event{Kind: obs.KindQuarantine, Addr: addr, Payload: detail})
+	g.sink.ReportError(coherence.ProtocolError{Where: g.name, Code: "XG.Quarantined", Addr: addr, Detail: detail})
 	// Resolve open recalls in address order (map iteration is randomized;
 	// resolution order must be deterministic), without charging timeouts.
 	for _, l := range g.sortedLines(hasRecall) {
@@ -741,16 +729,6 @@ func (g *Guard) answerFenced(addr mem.Addr, ht *hostTxn) {
 // --- accelerator requests (GetS, GetM, PutM, PutE, PutS) ---
 
 func (g *Guard) handleAccelRequest(m *coherence.Msg) {
-	if g.Quarantined {
-		// Fenced accelerator: refuse service explicitly. Nack rather than
-		// silently drop so a confused-but-live accelerator's transactions
-		// terminate instead of hanging its internal state machine.
-		g.ReqsBlocked++
-		g.obsReg.Counter("guard.quarantine.nacks").Inc()
-		addr := m.Addr.Line()
-		g.sendToAccelAfter(coherence.ANack, addr, nil, 0)
-		return
-	}
 	arrive := g.eng.Now()
 	// §2.5: rate-limit requests (responses are never delayed). The
 	// limiter hands out a single wait per request (queue semantics).
@@ -765,12 +743,12 @@ func (g *Guard) handleAccelRequest(m *coherence.Msg) {
 	g.processAccelRequest(m, arrive)
 }
 
-// processAccelRequest runs the guarantee checks after rate admission.
-// arrive is the request's original arrival tick (kept across rate-limit
-// waits and time on the wait list; it anchors the span request phase).
-// A request for a line with an open host-side transaction or an open
-// recall is parked, and runs through here again, from the top, in the
-// tick that closes it.
+// processAccelRequest runs the page-permission checks after rate admission
+// and dispatches what passes through the guard's table (rules.go). arrive
+// is the request's original arrival tick (kept across rate-limit waits and
+// time on the wait list; it anchors the span request phase). A parked
+// request runs through here again, from the top, in the tick that closes
+// what it waits on.
 func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	addr := m.Addr.Line()
 
@@ -786,68 +764,13 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 	}
 	// Guarantee 0b: no exclusive (write) request, and no dirty data,
 	// without page write permission.
-	if m.Type == coherence.AGetM || m.Type == coherence.APutM {
-		if !access.AllowsWrite() {
-			g.ReqsBlocked++
-			g.violation("XG.G0b", detailReadOnly.of(m.Type), addr)
-			return
-		}
+	if (m.Type == coherence.AGetM || m.Type == coherence.APutM) && !access.AllowsWrite() {
+		g.ReqsBlocked++
+		g.violation("XG.G0b", detailReadOnly.of(m.Type), addr)
+		return
 	}
 
-	l := g.lines[addr]
-	if hasWork(l) {
-		w := l.work
-		switch {
-		case w.txn.serial != 0:
-			// Guarantee 1b: at most one outstanding transaction per address.
-			g.ReqsBlocked++
-			g.violation("XG.G1b", detailTxnOpen.of(m.Type), addr)
-			return
-		case w.recall.serial != 0:
-			// A request racing with an open host recall: only a Put is
-			// meaningful (the legitimate Put/Inv race, §2.1); it resolves
-			// the recall. Gets during a recall are held until it closes.
-			switch m.Type {
-			case coherence.APutM, coherence.APutE, coherence.APutS:
-				g.resolveRecallByPut(l, m)
-			default:
-				g.park(addr, m, arrive)
-			}
-			return
-		case w.get.open || w.put.open:
-			// Hold requests for lines with an open host-side transaction
-			// (e.g. a relinquish writeback still in flight): a cache never
-			// issues a Get while its own Put for the line is outstanding.
-			g.park(addr, m, arrive)
-			return
-		}
-	}
-
-	// Guarantee 1a: request consistent with the stable accelerator
-	// state. Full State checks its table; Transactional relies on host
-	// tolerance (§2.3.2) and can only sanity-check Puts carry data.
-	if g.cfg.Mode == FullState {
-		if err := requestRules[l.view()][m.Type-coherence.AGetS]; err != "" {
-			g.ReqsBlocked++
-			g.violation("XG.G1a", err, addr)
-			// Every request gets exactly one response: fail Puts fast so
-			// a *correct-but-confused* accelerator is not left hanging.
-			switch m.Type {
-			case coherence.APutM, coherence.APutE, coherence.APutS:
-				g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)
-			}
-			return
-		}
-	}
-	// Malformed data-carrying requests (Guarantee 1 hygiene): the guard
-	// forwards a zero block in place of the missing data.
-	data := m.Data
-	if (m.Type == coherence.APutM || m.Type == coherence.APutE) && data == nil {
-		g.violation("XG.G1a", "Put without data", addr)
-		data = &zeroBlock
-	}
-
-	g.forwardRequest(addr, m.Type, data, access, arrive)
+	g.dispatch(m, access, arrive)
 }
 
 // forwardRequest opens the transaction synchronously (so that racing
@@ -955,23 +878,12 @@ func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool)
 		g.closeCrossingSpan(&t, addr, "grant-quarantined")
 		return
 	}
-	var ty coherence.MsgType
-	switch {
-	case t.kind == coherence.AGetM || accelLevel == GrantM:
+	ty := [...]coherence.MsgType{GrantS: coherence.ADataS, GrantE: coherence.ADataE, GrantM: coherence.ADataM}[accelLevel]
+	if t.kind == coherence.AGetM {
 		ty = coherence.ADataM
-	case accelLevel == GrantE:
-		ty = coherence.ADataE
-	default:
-		ty = coherence.ADataS
 	}
 	g.mCrossing.Observe(float64(g.eng.Now() - t.start))
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindGrant,
-			Addr: addr, Accel: g.accelTag, Msg: ty, To: g.accel, Span: t.span,
-			Payload: accelLevel.String(),
-		})
-	}
+	g.emit(obs.Event{Kind: obs.KindGrant, Addr: addr, Msg: ty, To: g.accel, Span: t.span, Payload: accelLevel.String()})
 	if t.span != 0 { // the outcome string is only built for a live span
 		g.closeCrossingSpan(&t, addr, "grant "+accelLevel.String())
 	}
@@ -1062,6 +974,9 @@ func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bo
 		fn(l.addr, l.accel, l.host, l.copy != nil)
 	}
 }
+
+// Coverage reports the cells of the guard's table its messages visited.
+func (g *Guard) Coverage() *coherence.Coverage { return g.cov }
 
 // Resident reports whether the Full State table holds addr's line.
 func (g *Guard) Resident(addr mem.Addr) bool { return g.lines[addr] != nil && g.lines[addr].resident }

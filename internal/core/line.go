@@ -9,14 +9,14 @@ import (
 	"crossingguard/internal/mem"
 )
 
-// The guard's one table. The paper's guard keeps a tag-and-state entry per
-// block the accelerator holds in Full State (§2.3.1) and an entry only per
-// open transaction in Transactional (§2.3.2): the same structure, differing
-// only in whether an idle line stays. Everything the guard knows about one
-// block hangs off its line — the Full State residency, the accelerator's
-// open transaction, the open recall, the shim's open host get and host
-// writeback, the parked requests, the InvAcks still owed — so "is this line
-// busy" is one lookup.
+// The guard's record of the lines. The paper's guard keeps a tag-and-state
+// entry per block the accelerator holds in Full State (§2.3.1) and an entry
+// only per open transaction in Transactional (§2.3.2): the same structure,
+// differing only in whether an idle line stays. Everything the guard knows
+// about one block hangs off its line — the Full State residency, the
+// accelerator's open transaction, the open recall, the shim's open host get
+// and host writeback, the parked requests, the InvAcks still owed — so the
+// key its table (rules.go) dispatches on is one lookup.
 //
 // Lifetime: the first of those makes the line (workFor) and the last to go
 // sends it back to the free list. settle alone decides that, and every site
@@ -105,14 +105,6 @@ func (g *Guard) workFor(addr mem.Addr) *line {
 		l.work = g.freeWork.Get()
 	}
 	return l
-}
-
-// txnAt returns addr's open accelerator transaction, if any.
-func (g *Guard) txnAt(addr mem.Addr) *accelTxn {
-	if l := g.lines[addr]; hasTxn(l) {
-		return &l.work.txn
-	}
-	return nil
 }
 
 // getAt returns addr's open host get for a response that has arrived for
@@ -218,7 +210,6 @@ func hasTxn(l *line) bool     { return hasWork(l) && l.work.txn.serial != 0 }
 func hasRecall(l *line) bool  { return hasWork(l) && l.work.recall.serial != 0 }
 func hasGet(l *line) bool     { return hasWork(l) && l.work.get.open }
 func hasPut(l *line) bool     { return hasWork(l) && l.work.put.open }
-func hasParked(l *line) bool  { return hasWork(l) && l.work.wait.head != nil }
 
 // --- Full State residency: the inclusive directory of every block in the
 // accelerator hierarchy. Because the interface requires PutS, the resident
@@ -265,27 +256,6 @@ func (l *line) view() viewState {
 		return viewNone
 	}
 	return [...]viewState{GrantS: viewS, GrantE: viewE, GrantM: viewM}[l.accel]
-}
-
-// requestRules is Guarantee 1a: a request must be consistent with the
-// accelerator's stable state as the Full State table tracks it. It holds,
-// for each view and each request (indexed from AGetS: GetS, GetM, PutM,
-// PutE, PutS), the violation detail, or "" when the request is legal.
-var requestRules = [viewM + 1][coherence.APutS - coherence.AGetS + 1]string{
-	viewNone: {"", "",
-		"PutM for a block the accelerator does not hold",
-		"PutE for a block the accelerator does not hold",
-		"PutS for a block the accelerator does not hold"},
-	viewS: {"GetS but the accelerator already holds the block in S", "",
-		"PutM for a block held only in S",
-		"PutE for a block held in S", ""},
-	viewE: {"GetS but the accelerator already holds the block in E",
-		"GetM but the accelerator already holds the block in E", "", "",
-		"PutS for a block held in E"},
-	viewM: {"GetS but the accelerator already holds the block in M",
-		"GetM but the accelerator already holds the block in M", "",
-		"PutE for a block held in M",
-		"PutS for a block held in M"},
 }
 
 // --- the host writeback, shared by both shims ---

@@ -12,11 +12,21 @@ import (
 
 // Helpers for the tests that look into the guard's table.
 
-func openTxns(g *Guard) int    { return g.count(hasTxn) }
+func openTxns(g *Guard) int { return g.count(hasTxn) }
+
+// txnAt returns addr's open accelerator transaction, if any.
+func (g *Guard) txnAt(addr mem.Addr) *accelTxn {
+	if l := g.lines[addr]; hasTxn(l) {
+		return &l.work.txn
+	}
+	return nil
+}
 func openRecalls(g *Guard) int { return g.count(hasRecall) }
 
 // parkedLines counts the lines with requests on their wait list.
-func parkedLines(g *Guard) int { return g.count(hasParked) }
+func parkedLines(g *Guard) int {
+	return g.count(func(l *line) bool { return l.work != nil && l.work.wait.head != nil })
+}
 
 // tableCopies counts the Full State trusted copies.
 func tableCopies(g *Guard) int { return g.count(hasCopy) }
@@ -34,8 +44,14 @@ func (v tableView) grant(accel, host Grant, keepCopy bool, data *mem.Block, dirt
 	v.g.settle(l)
 }
 
+// checkRequest returns the Guarantee 1a detail the Full State table gives a
+// request from the line's view, "" where it forwards the request.
 func (v tableView) checkRequest(ty coherence.MsgType) string {
-	return requestRules[v.g.lines[v.addr].view()][ty-coherence.AGetS]
+	r := guardRules[FullState].At(v.g.lines[v.addr].view(), guardVocab.Event(ty))
+	if r.act == actForward {
+		return ""
+	}
+	return r.detail.of(ty)
 }
 
 // The line lifecycle: a line is made by the first thing opened on its

@@ -8,32 +8,14 @@ import (
 	"crossingguard/internal/obs"
 )
 
-// viewState is the guard's knowledge of the accelerator's copy of a block.
-type viewState int
-
-const (
-	viewNone viewState = iota
-	viewS
-	viewE
-	viewM
-	viewUnknown
-)
-
-func (v viewState) String() string {
-	return [...]string{"None", "S", "E", "M", "Unknown"}[v]
-}
-
-// owned reports whether the view implies the accelerator must supply data.
-func (v viewState) owned() bool { return v == viewE || v == viewM }
-
 // accelHolds returns the guard's view of addr at the accelerator, plus
 // the resident Full State line when there is one.
 //
 // Full State answers from its inclusive table. Transactional deduces what
 // it can (§2.3.2): a page with no permissions cannot be cached by the
-// accelerator (this also closes the coherence side channel, §3.2), and a
-// block with an open Get transaction has not been granted yet; everything
-// else is Unknown and requires consulting the accelerator.
+// accelerator (this also closes the coherence side channel, §3.2);
+// everything else is Unknown and requires consulting the accelerator, even
+// with a Get open, since the accelerator may hold S and be upgrading.
 func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
 	if g.cfg.Mode == FullState {
 		l := g.lines[addr]
@@ -45,39 +27,25 @@ func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
 	if g.cfg.Perms != nil && !g.cfg.Perms.Peek(addr).AllowsRead() {
 		return viewNone, nil
 	}
-	// Note: an open Get transaction does NOT imply the accelerator holds
-	// nothing — it may hold S and be upgrading. Transactional guards must
-	// consult the accelerator (Invalidate answered from B is harmless).
 	return viewUnknown, nil
 }
 
 // startRecall obtains a block back from the accelerator: it sends the
-// interface's single host request (Inv), arms the Guarantee 2c watchdog,
-// validates the response (2a/2b), and resolves the Put/Inv race. c is what
-// the shim will do with the answer: it is resumed exactly once with the
-// recovered data (nil when the accelerator held no data) and whether the
-// resolution came from a racing Put. c.req names the host node whose
-// request triggered the recall; here it only feeds span tracing, where the
-// Perfetto exporter draws recall fan-out and cross-device ownership
-// migration arrows from it.
-//
-// A recall arriving while one for the same block is already in flight —
-// two host-side requestors racing for the line, reachable once several
-// guards (and hence several host requestors' forwards) share one fabric
-// — is coalesced: the accelerator sees exactly one Invalidate, and every
-// waiter completes from the single response.
+// interface's single host request (Inv) and arms the Guarantee 2c
+// watchdog; the guard's table (rules.go) takes the answer or a racing Put.
+// c is what the shim will do with the answer: it is resumed exactly once
+// with the recovered data (nil when the accelerator held none) and whether
+// a racing Put resolved the recall. c.req, the host node whose request
+// caused the recall, only feeds span tracing's flow arrows. A recall for a
+// block whose recall is in flight (two host requestors racing for the
+// line) is coalesced: the accelerator sees one Invalidate, and every
+// waiter completes from its answer.
 func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	if l := g.lines[addr]; hasRecall(l) {
 		ht := &l.work.recall
 		g.RecallsCoalesced++
 		g.obsReg.Counter("guard.recall.coalesced").Inc()
-		if b := g.fab.Bus; b.Active() {
-			b.Emit(obs.Event{
-				Tick: g.eng.Now(), Component: g.name, Kind: obs.KindRetry,
-				Addr: addr, Accel: g.accelTag,
-				Payload: "recall coalesced onto in-flight Invalidate",
-			})
-		}
+		g.emit(obs.Event{Kind: obs.KindRetry, Addr: addr, Payload: "recall coalesced onto in-flight Invalidate"})
 		g.spanEvent(obs.KindSpanPhase, ht.span, addr, c.req, "coalesced")
 		ht.waiters = append(ht.waiters, c)
 		return
@@ -145,13 +113,9 @@ func (g *Guard) recallDeadline(d deadline) {
 	}
 	g.RetriesSent++
 	g.obsReg.Counter("guard.recall.retry").Inc()
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindRetry,
-			Addr: addr, Accel: g.accelTag, Msg: coherence.AInv, To: g.accel,
-			Span:    ht.span,
-			Payload: fmt.Sprintf("recall retry %d/%d", attempt+1, g.cfg.RecallRetries),
-		})
+	if g.fab.Bus.Active() {
+		g.emit(obs.Event{Kind: obs.KindRetry, Addr: addr, Msg: coherence.AInv, To: g.accel, Span: ht.span,
+			Payload: fmt.Sprintf("recall retry %d/%d", attempt+1, g.cfg.RecallRetries)})
 	}
 	if ht.retryAt == 0 {
 		ht.retryAt = g.eng.Now()
@@ -167,12 +131,7 @@ func (g *Guard) recallDeadline(d deadline) {
 // data) and reports the error. serial is the expired timer's.
 func (g *Guard) recallTimeout(addr mem.Addr, serial uint64) {
 	g.Timeouts++
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindTimeout,
-			Addr: addr, Accel: g.accelTag, Payload: "recall watchdog fired",
-		})
-	}
+	g.emit(obs.Event{Kind: obs.KindTimeout, Addr: addr, Payload: "recall watchdog fired"})
 	g.violation("XG.G2c", "accelerator did not answer Invalidate within the timeout", addr)
 	// The violation may have tripped quarantine, which resolves every open
 	// recall — this one included — before returning.
@@ -238,31 +197,9 @@ func (g *Guard) closeRecall(l *line, reason string) hostTxn {
 	return ht
 }
 
-// handleAccelResponse validates and translates the accelerator's three
-// response types (InvAck, CleanWB, DirtyWB).
-func (g *Guard) handleAccelResponse(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	if g.Quarantined {
-		// A fenced accelerator has no pending host requests by
-		// construction (quarantine resolved them all); swallow late
-		// responses without the per-message G2b violation spam.
-		g.obsReg.Counter("guard.quarantine.dropped").Inc()
-		return
-	}
-	l := g.lines[addr]
-	if m.Type == coherence.AInvAck && l != nil && l.ignoreInvAck > 0 {
-		// The InvAck a correct accelerator sends from B after the
-		// Put/Inv race; already resolved.
-		l.ignoreInvAck--
-		g.settle(l)
-		return
-	}
-	if !hasRecall(l) {
-		// Guarantee 2b: responses are only valid against a pending host
-		// request; block and report.
-		g.violation("XG.G2b", detailNoHostReq.of(m.Type), addr)
-		return
-	}
+// answerRecall answers l's open recall with the accelerator's response m.
+func (g *Guard) answerRecall(l *line, m *coherence.Msg) {
+	addr := l.addr
 	// Either writeback type is accepted from an owner; data from an M
 	// block is conservatively treated as dirty. m.Data is read by the
 	// continuations before m goes back.

@@ -42,15 +42,9 @@ const maxRecoveries = 3
 // attempt: RecoverAfter, doubled for every earlier readmission.
 func (g *Guard) recoverDelay() sim.Time { return g.cfg.RecoverAfter << g.recoveries }
 
-// recoveryEvent emits one KindRecovery trace event (nil-safe: quiet when
-// no bus is attached).
+// recoveryEvent emits one KindRecovery trace event.
 func (g *Guard) recoveryEvent(addr mem.Addr, payload string) {
-	if b := g.fab.Bus; b.Active() {
-		b.Emit(obs.Event{
-			Tick: g.eng.Now(), Component: g.name, Kind: obs.KindRecovery,
-			Addr: addr, Accel: g.accelTag, Payload: payload,
-		})
-	}
+	g.emit(obs.Event{Kind: obs.KindRecovery, Addr: addr, Payload: payload})
 }
 
 // scheduleRecovery runs at the tail of enterQuarantine: with recovery

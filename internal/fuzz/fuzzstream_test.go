@@ -58,8 +58,9 @@ var knownCodes = map[string]bool{
 // FuzzGuardMessageStream decodes raw bytes into a message stream aimed
 // at the guard's accelerator port while the CPUs run the random
 // workload, asserting the paper's §4.2 claim as an executable property:
-// no panic, no deadlock, the host audit stays clean, and every rejected
-// message maps to a classified guarantee error.
+// no panic, no deadlock, the host audit stays clean, every rejected
+// message maps to a classified guarantee error, and the guard handles
+// every message by a row of its declared table.
 //
 // Byte layout: byte 0 selects (host protocol, guard organization,
 // confined); each following 4-byte chunk is one injected message:
@@ -143,6 +144,12 @@ func FuzzGuardMessageStream(f *testing.F) {
 		for _, e := range sys.Log.Errors {
 			if !knownCodes[e.Code] {
 				t.Fatalf("unclassified rejection %q: %v", e.Code, e)
+			}
+		}
+		// Every message the guard took is a cell of its declared table.
+		for _, g := range sys.Guards {
+			if u := g.Coverage().Unexpected; len(u) > 0 {
+				t.Fatalf("%s visited undeclared transitions %v", g.Name(), u)
 			}
 		}
 	})

@@ -112,9 +112,6 @@ func NewDirectoryCoverage() *coherence.Coverage {
 // simulation starts.
 func (d *Directory) AddPeer(id coherence.NodeID) { d.peers = append(d.peers, id) }
 
-// Peers returns the broadcast set size.
-func (d *Directory) Peers() int { return len(d.peers) }
-
 // ID implements coherence.Controller.
 func (d *Directory) ID() coherence.NodeID { return d.id }
 

@@ -126,25 +126,6 @@ func TestJSONLShardTag(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	a, b := &Slice{}, &Slice{}
-	tee := Tee{a, b}
-	if err := tee.Emit(ev(0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Events) != 1 || len(b.Events) != 1 {
-		t.Fatalf("tee did not duplicate: %d/%d", len(a.Events), len(b.Events))
-	}
-	boom := errors.New("x")
-	tee = Tee{FuncSink(func(Event) error { return boom }), b}
-	if err := tee.Emit(ev(1)); err != boom {
-		t.Fatalf("tee error = %v, want %v", err, boom)
-	}
-	if len(b.Events) != 1 {
-		t.Fatalf("tee kept writing after error")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	s := ev(0).String()
 	for _, want := range []string{"recv", "A:GetS", "0x10000", "200->40", "@net"} {

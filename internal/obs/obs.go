@@ -22,8 +22,6 @@
 package obs
 
 import (
-	"sort"
-
 	"crossingguard/internal/stats"
 )
 
@@ -195,19 +193,18 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Merge folds other's instruments into r: counters add, gauge levels add
 // and high-water marks take the max, histogram counts add. Everything
 // observed is integer-valued, so the merged registry is the same in any
-// merge order; shard-index order is still the convention. A nil other is
-// a no-op.
+// merge order, of registries and of the instruments within one; shard-index
+// order is still the convention. A nil other is a no-op.
 func (r *Registry) Merge(other *Registry) {
 	if r == nil || other == nil {
 		return
 	}
-	for _, name := range sortedKeys(other.counters) {
-		if c := other.counters[name]; !c.hidden {
+	for name, c := range other.counters {
+		if !c.hidden {
 			r.Counter(name).Add(c.v)
 		}
 	}
-	for _, name := range sortedKeys(other.gauges) {
-		og := other.gauges[name]
+	for name, og := range other.gauges {
 		if og.hidden {
 			continue
 		}
@@ -217,8 +214,8 @@ func (r *Registry) Merge(other *Registry) {
 			g.max = og.max
 		}
 	}
-	for _, name := range sortedKeys(other.hists) {
-		if h := other.hists[name]; !h.hidden {
+	for name, h := range other.hists {
+		if !h.hidden {
 			r.Histogram(name).c.Merge(&h.c)
 		}
 	}
@@ -283,13 +280,4 @@ func StateRecorder(r *Registry, prefix string, states []string) func(state, even
 		c.v++
 		c.hidden = false
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -117,19 +117,6 @@ func (j *JSONL) Emit(e Event) error {
 // Flush drains the write buffer.
 func (j *JSONL) Flush() error { return j.w.Flush() }
 
-// Tee duplicates events to several sinks; the first error wins.
-type Tee []Sink
-
-// Emit implements Sink.
-func (t Tee) Emit(e Event) error {
-	for _, s := range t {
-		if err := s.Emit(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FuncSink adapts a function to the Sink interface (error-injection
 // tests).
 type FuncSink func(e Event) error

@@ -87,15 +87,6 @@ func (t *Table) GrantRange(start mem.Addr, length uint64, a Access) {
 	}
 }
 
-// Revoke removes any explicit right for addr's page (reverting to Default)
-// and cools the permission cache for it.
-func (t *Table) Revoke(addr mem.Addr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.pages, addr.Page())
-	delete(t.warm, addr.Page())
-}
-
 // Lookup returns the access right for addr, tracking cache warmth.
 func (t *Table) Lookup(addr mem.Addr) Access {
 	t.mu.Lock()
@@ -120,19 +111,4 @@ func (t *Table) Peek(addr mem.Addr) Access {
 		return a
 	}
 	return t.Default
-}
-
-// InvalidateAll cools the entire permission cache (e.g. after a TLB
-// shootdown); rights are preserved.
-func (t *Table) InvalidateAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.warm = make(map[mem.Addr]bool)
-}
-
-// Pages reports how many pages hold explicit rights.
-func (t *Table) Pages() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.pages)
 }

@@ -137,18 +137,6 @@ func (s *Sample) Histogram(width int) string {
 	return c.Histogram(width)
 }
 
-// Normalize divides every value by base, for the paper's
-// normalized-runtime tables.
-func Normalize(base float64, vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		if base != 0 {
-			out[i] = v / base
-		}
-	}
-	return out
-}
-
 // GeoMean returns the geometric mean, the evaluation's cross-workload
 // aggregate (0 when any value is non-positive).
 func GeoMean(vals []float64) float64 {

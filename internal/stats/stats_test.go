@@ -138,19 +138,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize(2, []float64{2, 4, 6})
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almost(out[i], want[i]) {
-			t.Fatalf("Normalize = %v", out)
-		}
-	}
-	if Normalize(0, []float64{1})[0] != 0 {
-		t.Fatal("zero base must not divide")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if !almost(GeoMean([]float64{1, 4}), 2) {
 		t.Fatalf("geomean = %v", GeoMean([]float64{1, 4}))

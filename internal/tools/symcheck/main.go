@@ -133,13 +133,16 @@ func (st *symtab) addFile(f *ast.File) {
 	}
 }
 
-// recvTypeName unwraps *T and generic T[P] receivers to the type name.
+// recvTypeName unwraps *T and generic T[P] and T[P, Q] receivers to the
+// type name.
 func recvTypeName(t ast.Expr) string {
 	for {
 		switch x := t.(type) {
 		case *ast.StarExpr:
 			t = x.X
 		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
 			t = x.X
 		case *ast.Ident:
 			return x.Name

@@ -39,3 +39,22 @@ func (f fixture) Fuzz() {}
 		t.Errorf("problems:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// Methods of generic types are members of the type, whatever the number of
+// type parameters.
+func TestGenericReceivers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "x.go", `package x
+func (s *Set[T]) Add() {}
+func (r *Rules[S, V]) At() {}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}}
+	st.addFile(f)
+	for typ, m := range map[string]string{"Set": "Add", "Rules": "At"} {
+		if !st.members[typ][m] {
+			t.Errorf("%s.%s not recorded", typ, m)
+		}
+	}
+}

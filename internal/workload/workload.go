@@ -93,12 +93,6 @@ const (
 	cpuBase    = mem.Addr(0x300000)
 )
 
-// AccelBase exposes the accelerator region base (for permission setup).
-func AccelBase() mem.Addr { return accelBase }
-
-// SharedBase exposes the shared region base.
-func SharedBase() mem.Addr { return sharedBase }
-
 // Perms returns a Border-Control permission table covering the workload
 // regions: the accelerator may read and write its own and the shared
 // region, and nothing else. Installing it lets Transactional guards
