@@ -26,6 +26,11 @@ type l2Base struct {
 	epoch uint32
 
 	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
+	// invs holds (and keeps) a guard Invalidate that arrived during a
+	// line's local transaction; it is serviced with priority as soon as
+	// the line goes idle, ahead of queued requests (whose own guard Gets
+	// may be deferred until this very Invalidate is answered).
+	invs      coherence.LineQueues
 	waiting   coherence.LineQueues
 	stalled   []*coherence.Msg // kept until replayed
 	replaying *coherence.Msg   // message being replayed from the queue head
@@ -44,6 +49,7 @@ func (l *l2Base) init(id coherence.NodeID, name string, fab *network.Fabric, xg 
 func (l *l2Base) reset(epoch uint32) {
 	l.epoch = epoch
 	clear(l.evictions)
+	l.invs.Reset()
 	l.waiting.Reset()
 	clear(l.stalled)
 	l.stalled, l.replaying = l.stalled[:0], nil
@@ -85,19 +91,18 @@ func (l *l2Base) closeEviction(addr mem.Addr, m *coherence.Msg) {
 		panic(fmt.Sprintf("%s: %v with no eviction", l.name, m))
 	}
 	delete(l.evictions, addr)
-	l.wake(addr, nil)
+	l.wake(addr)
 	l.replayStalled()
 }
 
 // answerInv answers the guard's Invalidate for a line that has just left
 // the cache by Table 1's Invalidate cell for the line's claim — with the
 // data when the grant or a local write made it ours to return — gives the
-// line's block back, and wakes what waited: parked, the next Invalidate the
-// line held, first.
-func (l *l2Base) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block, parked *coherence.Msg) {
+// line's block back, and wakes what waited.
+func (l *l2Base) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
 	l.send(cellMsg(table1.At(claim(host, dirty), aInv).send, addr, l.xg, data))
 	l.fab.FreeBlock(data)
-	l.wake(addr, parked)
+	l.wake(addr)
 	l.replayStalled()
 }
 
@@ -110,11 +115,10 @@ func claim(host AState, dirty bool) AState {
 	return host
 }
 
-// wake serves the guard Invalidate that was parked on addr's line, or with
-// none the oldest queued request; a caller that took the line out of the
-// cache passes the Invalidate the line held.
-func (l *l2Base) wake(addr mem.Addr, parked *coherence.Msg) {
-	next, handle := parked, l.doAInv
+// wake serves the guard Invalidate parked on addr's line, or with none the
+// oldest queued request: the line has gone idle or left the cache.
+func (l *l2Base) wake(addr mem.Addr) {
+	next, handle := l.invs.Pop(addr), l.doAInv
 	if next == nil {
 		if next, handle = l.waiting.Pop(addr), l.doRecv; next == nil {
 			return

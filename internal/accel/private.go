@@ -41,16 +41,33 @@ func on(st AState, ev int, send coherence.MsgType, next AState) coherence.Row[AS
 
 // line is the payload of one private accelerator line. data is the
 // cache's own block, taken from the machine's block list at fill and
-// given back at invalidation; op is the core operation waiting in B for
-// a grant.
+// given back at invalidation; txn is the record of a line waiting in B
+// for a grant.
 type line struct {
 	state AState
 	data  *mem.Block
-	op    *coherence.Msg
+	txn   *pending
 }
+
+// pending is a B line's record: the core operation its grant completes.
+type pending struct{ op *coherence.Msg }
 
 // busy reports a line with a request outstanding.
 func busy(v *line) bool { return v.state == AB }
+
+// await has line v wait in B for the grant that completes core operation op.
+func (v *line) await(txns *coherence.Txns[pending], op *coherence.Msg) {
+	v.state, v.txn = AB, txns.Get()
+	v.txn.op = op
+}
+
+// complete gives line v's record back and returns the operation it held.
+func (v *line) complete(txns *coherence.Txns[pending]) *coherence.Msg {
+	op := v.txn.op
+	txns.Put(v.txn)
+	v.txn = nil
+	return op
+}
 
 // held reports the stable valid lines of a private cache.
 func held(lines *cacheset.Cache[line], fn chassis.HeldFunc) {
@@ -65,7 +82,7 @@ func held(lines *cacheset.Cache[line], fn chassis.HeldFunc) {
 // table's cells. The chassis's write-back buffer holds the lines a
 // Replacement left in B.
 type private struct {
-	chassis.L1[line]
+	chassis.L1[line, pending]
 	tab *coherence.Rules[AState, step]
 	up  coherence.NodeID // the Crossing Guard endpoint, or the shared L2
 
@@ -166,7 +183,7 @@ func (c *private) core(m *coherence.Msg) {
 		c.hit(e, cell, m)
 		return
 	}
-	e.V.state, e.V.op = cell.next, m
+	e.V.await(&c.Txns, m) // every request's cell enters B
 	c.send(cell.send, addr, nil)
 }
 
@@ -194,13 +211,13 @@ func (c *private) evict(addr mem.Addr, v *line) {
 
 func (c *private) grant(m *coherence.Msg) {
 	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.state != AB || e.V.op == nil {
+	if e == nil || e.V.txn == nil {
 		panic(fmt.Sprintf("%s: data %v with no pending get", c.Name(), m))
 	}
 	ev := c.tab.Vocab.Event(m.Type)
 	c.Cov.Record(int(AB), ev)
-	op := e.V.op
-	e.V.state, e.V.op = c.tab.At(AB, ev).next, nil
+	op := e.V.complete(&c.Txns)
+	e.V.state = c.tab.At(AB, ev).next
 	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade
 	cell := c.tab.At(e.V.state, opEv(op))
 	if cell.send != none {
@@ -251,6 +268,7 @@ func (c *private) nack(m *coherence.Msg) {
 		return
 	}
 	if e := c.Lines.Peek(m.Addr); e != nil && e.V.state == AB {
+		e.V.complete(&c.Txns)
 		c.Drop(e, e.V.data)
 		c.Settled(addr)
 	}

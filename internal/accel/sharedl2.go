@@ -21,8 +21,8 @@ const (
 	sl2Recall                     // answering a Crossing Guard Invalidate
 )
 
-// sl2Txn is the open transaction on one line, held by value in the line
-// (kind sl2Idle when there is none).
+// sl2Txn is the open transaction on one line, a record of the L2's Txns
+// the line points to while it is busy.
 type sl2Txn struct {
 	kind      sl2TxnKind
 	requestor coherence.NodeID // inner L1 being served
@@ -40,32 +40,40 @@ type sl2Txn struct {
 
 // sl2Line is the payload of one shared-L2 line. data is the L2's own
 // block, taken from the machine's block list when the grant lands and
-// given back when the line leaves the cache.
+// given back when the line leaves the cache; txn is nil while it is idle.
 type sl2Line struct {
 	host    AState // grant level held from Crossing Guard (S/E/M)
 	data    *mem.Block
 	dirty   bool // modified relative to the grant
 	sharers coherence.NodeSet
 	owner   coherence.NodeID
-	txn     sl2Txn
-	// hostInv holds (and keeps) a guard Invalidate that arrived during a
-	// local transaction; it is serviced with priority as soon as the line
-	// goes idle, ahead of queued requests (whose own guard Gets may be
-	// deferred until this very Invalidate is answered).
-	hostInv *coherence.Msg
+	txn     *sl2Txn
 }
 
-func (v *sl2Line) busy() bool { return v.txn.kind != sl2Idle }
+func (v *sl2Line) busy() bool { return v.txn != nil }
 
-// open starts the line's transaction; the wait set keeps its storage from
-// one transaction to the next.
-func (v *sl2Line) open(kind sl2TxnKind, requestor coherence.NodeID, wantM bool) *sl2Txn {
-	v.txn = sl2Txn{kind: kind, requestor: requestor, wantM: wantM, wait: v.txn.wait[:0]}
-	return &v.txn
+// kind is the line's open transaction, sl2Idle when it is idle.
+func (v *sl2Line) kind() sl2TxnKind {
+	if v.txn == nil {
+		return sl2Idle
+	}
+	return v.txn.kind
 }
 
-// closeTxn leaves the line idle.
-func (v *sl2Line) closeTxn() { v.txn.kind = sl2Idle }
+// open starts line v's transaction on a record whose wait set keeps its
+// storage from one transaction to the next.
+func (l *SharedL2) open(v *sl2Line, kind sl2TxnKind, requestor coherence.NodeID, wantM bool) *sl2Txn {
+	t := l.txns.Get()
+	*t = sl2Txn{kind: kind, requestor: requestor, wantM: wantM, wait: t.wait[:0]}
+	v.txn = t
+	return t
+}
+
+// closeTxn leaves line v idle.
+func (l *SharedL2) closeTxn(v *sl2Line) {
+	l.txns.Put(v.txn)
+	v.txn = nil
+}
 
 // ackKey names one inner L1's invalidation ack for one line.
 type ackKey struct {
@@ -79,12 +87,13 @@ type SharedL2 struct {
 	l2Base // the guard side and the request queues; internal X* traffic carries its epoch too
 
 	cache *cacheset.Cache[sl2Line]
+	txns  coherence.Txns[sl2Txn]
 	// ignoreAck counts the XInvAcks still to come from an inner L1 whose
 	// Put crossed our Inv and already served as its response; the line may
 	// have left the cache by the time one arrives.
 	ignoreAck map[ackKey]int
-	// spare is the node-set storage of lines that have left the cache, for
-	// the next lines fetched.
+	// spare is the sharer-set storage of lines that have left the cache,
+	// for the next lines fetched.
 	spare coherence.NodeSets
 	// doServe is serve bound once (CallAfter's handler).
 	doServe func(*coherence.Msg)
@@ -197,6 +206,7 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 func (l *SharedL2) Reset(epoch uint32) {
 	l.reset(epoch)
 	l.cache.Reset()
+	l.txns.Reset()
 	clear(l.ignoreAck)
 }
 
@@ -219,22 +229,12 @@ func (l *SharedL2) handleANack(m *coherence.Msg) {
 		l.closeEviction(addr, m)
 		return
 	}
-	if e := l.cache.Peek(addr); e != nil && e.V.txn.kind == sl2Fetch {
-		l.invalidate(e)
+	if e := l.cache.Peek(addr); e != nil && e.V.kind() == sl2Fetch {
+		l.closeTxn(&e.V)
+		l.fab.FreeBlock(e.V.data)
+		l.spare.Put(e.V.sharers)
+		l.cache.Invalidate(e.Addr)
 	}
-}
-
-// invalidate drops the line and gives its block back.
-func (l *SharedL2) invalidate(e *cacheset.Entry[sl2Line]) {
-	l.fab.FreeBlock(e.V.data)
-	l.reclaim(&e.V)
-	l.cache.Invalidate(e.Addr)
-}
-
-// reclaim takes the storage of a departing line's node sets.
-func (l *SharedL2) reclaim(v *sl2Line) {
-	l.spare.Put(v.sharers)
-	l.spare.Put(v.txn.wait)
 }
 
 // --- inner L1 requests ---
@@ -256,7 +256,7 @@ func (l *SharedL2) handleGet(m *coherence.Msg) {
 		return
 	}
 	l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
-	e.V.open(sl2LocalInv, m.Src, false)
+	l.open(&e.V, sl2LocalInv, m.Src, false)
 }
 
 func (l *SharedL2) missFetch(m *coherence.Msg) {
@@ -282,8 +282,8 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 		l.evict(victim.Addr, &victim.V)
 	}
 	wantM := m.Type == coherence.XGetM
-	e.V = sl2Line{owner: coherence.NodeNone, sharers: l.spare.Get(), txn: sl2Txn{wait: l.spare.Get()}}
-	e.V.open(sl2Fetch, m.Src, wantM)
+	e.V = sl2Line{owner: coherence.NodeNone, sharers: l.spare.Get()}
+	l.open(&e.V, sl2Fetch, m.Src, wantM)
 	ty := coherence.AGetS
 	if wantM {
 		ty = coherence.AGetM
@@ -299,7 +299,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
-	t := &e.V.txn
+	t := e.V.txn
 	i := m.Src
 	if m.Type == coherence.XGetS {
 		if e.V.owner != coherence.NodeNone {
@@ -321,8 +321,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		// A guard Invalidate parked during the lookup window must be
 		// answered now: the guard defers our Get until it is, so waiting
 		// for the fetch to finish first would deadlock into the 2c timeout.
-		if parked := e.V.hostInv; parked != nil {
-			e.V.hostInv = nil
+		if parked := l.invs.Pop(addr); parked != nil {
 			l.fab.Release(parked)
 			l.invalidateUnderFetch(addr, e)
 		}
@@ -334,7 +333,7 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 // localInvForGetM invalidates all local copies except the requestor's,
 // then grants M.
 func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := &e.V.txn
+	t := e.V.txn
 	t.kind = sl2LocalInv
 	t.wantM = true
 	if e.V.owner != coherence.NodeNone && e.V.owner != t.requestor {
@@ -353,24 +352,24 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 
 func (l *SharedL2) grantS(addr mem.Addr, e *cacheset.Entry[sl2Line], i coherence.NodeID) {
 	e.V.sharers.Add(i)
-	e.V.closeTxn()
+	l.closeTxn(&e.V)
 	l.send(coherence.Msg{Type: coherence.XDataS, Addr: addr, Dst: i,
 		Data: e.V.data})
-	l.pop(addr)
+	l.wake(addr)
 }
 
 func (l *SharedL2) maybeGrantM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := &e.V.txn
-	if !e.V.busy() || len(t.wait) > 0 {
+	t := e.V.txn
+	if t == nil || len(t.wait) > 0 {
 		return
 	}
 	i := t.requestor
 	e.V.sharers = e.V.sharers[:0]
 	e.V.owner = i
-	e.V.closeTxn()
+	l.closeTxn(&e.V)
 	l.send(coherence.Msg{Type: coherence.XDataM, Addr: addr, Dst: i,
 		Data: e.V.data})
-	l.pop(addr)
+	l.wake(addr)
 }
 
 // --- writebacks from inner L1s ---
@@ -403,7 +402,7 @@ func (l *SharedL2) handlePut(m *coherence.Msg) {
 		panic(fmt.Sprintf("%s: Put from non-owner %d for %v", l.name, m.Src, addr))
 	}
 	l.absorbPut(e, m)
-	l.pop(addr)
+	l.wake(addr)
 }
 
 // absorbPut takes the owner's written-back data into the line and acks it.
@@ -444,8 +443,8 @@ func (l *SharedL2) handleInvResp(m *coherence.Msg) {
 
 // advance moves a transaction forward once an ack set drains.
 func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := &e.V.txn
-	if !e.V.busy() || len(t.wait) > 0 {
+	t := e.V.txn
+	if t == nil || len(t.wait) > 0 {
 		return
 	}
 	if t.pendingInvAck {
@@ -475,10 +474,11 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 			return
 		}
 		// Local recall for eviction: write the line back to the guard.
+		l.closeTxn(&e.V)
 		v := e.V
 		l.cache.Invalidate(addr)
 		l.evict(addr, &v)
-		l.wake(addr, v.hostInv)
+		l.wake(addr)
 		l.replayStalled()
 	case sl2Recall:
 		l.finishRecall(addr, e)
@@ -490,10 +490,10 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 func (l *SharedL2) handleGrant(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn.kind != sl2Fetch {
+	if e == nil || e.V.kind() != sl2Fetch {
 		panic(fmt.Sprintf("%s: grant with no fetch: %v", l.name, m))
 	}
-	t := &e.V.txn
+	t := e.V.txn
 	e.V.host = grantLevel(m.Type)
 	l.fab.FillBlock(&e.V.data, m.Data)
 	e.V.dirty = false
@@ -510,7 +510,7 @@ func (l *SharedL2) handleGrant(m *coherence.Msg) {
 // resumeGrant completes a fetch once its grant (and any racing guard
 // Invalidate) has been dealt with.
 func (l *SharedL2) resumeGrant(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := &e.V.txn
+	t := e.V.txn
 	if t.wantM {
 		if e.V.host == AS {
 			panic(fmt.Sprintf("%s: DataS answered GetM at %v", l.name, addr))
@@ -530,7 +530,7 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
-	switch e.V.txn.kind {
+	switch e.V.kind() {
 	case sl2Idle:
 		// Stable line: recall every local copy, then answer the guard.
 		l.recallCopies(e, sl2Recall)
@@ -541,11 +541,10 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 		// priority as soon as it completes (it must never wait behind
 		// queued requests, whose guard Gets are deferred until this
 		// Invalidate is answered).
-		if e.V.hostInv != nil {
+		if l.invs.Waiting(addr) {
 			panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 		}
-		m.Keep()
-		e.V.hostInv = m
+		l.invs.Push(addr, m)
 	}
 }
 
@@ -553,7 +552,7 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 // line out of every inner L1 holding it, and advances at once when there
 // is none.
 func (l *SharedL2) recallCopies(e *cacheset.Entry[sl2Line], kind sl2TxnKind) {
-	e.V.open(kind, coherence.NodeNone, false)
+	l.open(&e.V, kind, coherence.NodeNone, false)
 	l.invalidateCopies(e)
 	l.advance(e.Addr, e)
 }
@@ -576,7 +575,7 @@ func (l *SharedL2) invalidateCopies(e *cacheset.Entry[sl2Line]) {
 // fetch outstanding: local copies die, the guard is acked, and the fetch
 // continues (its grant carries fresh post-invalidation data).
 func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	t := &e.V.txn
+	t := e.V.txn
 	if len(t.wait) > 0 {
 		panic(fmt.Sprintf("%s: fetch at %v is collecting acks of its own", l.name, addr))
 	}
@@ -588,42 +587,26 @@ func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line
 }
 
 func (l *SharedL2) finishRecall(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	host, data, dirty, parked := e.V.host, e.V.data, e.V.dirty, e.V.hostInv
-	l.reclaim(&e.V)
+	host, data, dirty := e.V.host, e.V.data, e.V.dirty
+	l.closeTxn(&e.V)
+	l.spare.Put(e.V.sharers)
 	l.cache.Invalidate(addr)
-	l.answerInv(addr, host, dirty, data, parked)
+	l.answerInv(addr, host, dirty, data)
 }
 
 // evict writes a line that has left the cache back to the guard and takes
-// its node sets' storage.
+// its sharer set's storage.
 func (l *SharedL2) evict(addr mem.Addr, v *sl2Line) {
 	l.putToGuard(addr, v.host, v.dirty, v.data)
-	l.reclaim(v)
+	l.spare.Put(v.sharers)
 }
 
-// --- wakeups ---
-
-// pop wakes the next piece of work on a line that has gone idle.
-func (l *SharedL2) pop(addr mem.Addr) {
-	var parked *coherence.Msg
-	if e := l.cache.Peek(addr); e != nil {
-		parked, e.V.hostInv = e.V.hostInv, nil
-	}
-	l.wake(addr, parked)
-}
+// OpenTxns reports the lines with a transaction open (none at quiesce).
+func (l *SharedL2) OpenTxns() int { return l.txns.Live() }
 
 // Outstanding reports open transactions and queued work.
 func (l *SharedL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + l.waiting.Len()
-	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
-		if e.V.busy() {
-			n++
-		}
-		if e.V.hostInv != nil {
-			n++
-		}
-	})
-	return n
+	return l.txns.Live() + l.invs.Len() + len(l.evictions) + len(l.stalled) + l.waiting.Len()
 }
 
 // Coverage returns the L2's (state, event) coverage.

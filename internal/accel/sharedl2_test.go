@@ -150,7 +150,7 @@ func TestSharedL2IgnoresLateInvAckAfterLineLeft(t *testing.T) {
 }
 
 // A guard Invalidate that arrives while the line is in a local transaction
-// is parked on the line itself, kept, and served the moment the
+// is parked for the line, kept, and served the moment the
 // transaction closes — ahead of a request that was already queued, whose
 // own guard Get must wait for the Invalidate's answer.
 func TestSharedL2ParksGuardInvalidateOnBusyLine(t *testing.T) {
@@ -173,7 +173,7 @@ func TestSharedL2ParksGuardInvalidateOnBusyLine(t *testing.T) {
 	// the Invalidate waits on the line.
 	r.eng.Schedule(9, func() {
 		e := r.l2.cache.Peek(sl2Line0)
-		if e == nil || e.V.hostInv == nil || e.V.hostInv.Type != coherence.AInv {
+		if e == nil || !e.V.busy() || !r.l2.invs.Waiting(sl2Line0) || r.l2.invs.Len() != 1 {
 			t.Errorf("guard Invalidate not parked on the busy line: %+v", e)
 		}
 		if n := r.l2.Outstanding(); n != 3 { // the transaction, the parked Invalidate, 23's queued Get

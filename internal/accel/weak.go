@@ -31,7 +31,7 @@ import (
 type WeakL1 struct {
 	// A write-back gives its block back at once, so the chassis's buffer
 	// stays empty: flushing counts the acknowledgements still due.
-	chassis.L1[line]
+	chassis.L1[line, pending]
 	eng *sim.Engine
 	l2  coherence.NodeID
 
@@ -93,7 +93,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 		if isStore {
 			ty = coherence.XGetM
 		}
-		e.V.state, e.V.op = AB, m
+		e.V.await(&c.Txns, m)
 		c.send(coherence.Msg{Type: ty, Addr: addr, Dst: c.l2})
 		return
 	}
@@ -104,8 +104,7 @@ func (c *WeakL1) handleCPU(m *coherence.Msg) {
 		e.V.data[m.Addr.Offset()] = m.Val
 		c.Respond(m, 0)
 	default: // store to a read-only local copy: upgrade (no sibling invs)
-		e.V.state = AB
-		e.V.op = m
+		e.V.await(&c.Txns, m)
 		c.send(coherence.Msg{Type: coherence.XGetM, Addr: addr, Dst: c.l2})
 	}
 }
@@ -167,11 +166,10 @@ func (c *WeakL1) Flush(done func()) {
 
 func (c *WeakL1) handleData(m *coherence.Msg) {
 	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.state != AB || e.V.op == nil {
+	if e == nil || e.V.txn == nil {
 		panic(fmt.Sprintf("%s: data with no pending get: %v", c.Name(), m))
 	}
-	op := e.V.op
-	e.V.op = nil
+	op := e.V.complete(&c.Txns)
 	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade from S
 	if m.Type == coherence.XDataM {
 		e.V.state = AM

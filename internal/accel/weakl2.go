@@ -21,8 +21,8 @@ const (
 	wkEvict                   // local recall for a capacity eviction
 )
 
-// wkTxn is the open transaction on one line, held by value in the line
-// (kind wkIdle when there is none).
+// wkTxn is the open transaction on one line, a record of the L2's Txns
+// the line points to while it is busy.
 type wkTxn struct {
 	kind    wkTxnKind
 	waiters []*coherence.Msg  // XGets, kept, served once the fetch lands
@@ -33,29 +33,39 @@ type wkTxn struct {
 
 // wkLine is the payload of one weak-L2 line. data is the L2's own block,
 // taken from the machine's block list when the grant lands and given back
-// when the line leaves the cache.
+// when the line leaves the cache; txn is nil while it is idle.
 type wkLine struct {
 	host    AState // grant held from the guard
 	data    *mem.Block
 	dirty   bool
 	holders coherence.NodeSet // L1s that may hold (stale) copies
-	txn     wkTxn
-	hostInv *coherence.Msg // guard Invalidate parked during a recall, kept until serviced
+	txn     *wkTxn
 }
 
-func (v *wkLine) busy() bool { return v.txn.kind != wkIdle }
+func (v *wkLine) busy() bool { return v.txn != nil }
 
-// open starts the line's transaction; the waiter list and the wait set
-// keep their storage from one transaction to the next.
-func (v *wkLine) open(kind wkTxnKind, wantM bool) *wkTxn {
-	v.txn = wkTxn{kind: kind, wantM: wantM, waiters: v.txn.waiters[:0], wait: v.txn.wait[:0]}
-	return &v.txn
+// kind is the line's open transaction, wkIdle when it is idle.
+func (v *wkLine) kind() wkTxnKind {
+	if v.txn == nil {
+		return wkIdle
+	}
+	return v.txn.kind
 }
 
-// closeTxn leaves the line idle and forgets the fetch's waiters.
-func (v *wkLine) closeTxn() {
+// open starts line v's transaction on a record whose waiter list and wait
+// set keep their storage from one transaction to the next.
+func (l *WeakL2) open(v *wkLine, kind wkTxnKind, wantM bool) *wkTxn {
+	t := l.txns.Get()
+	*t = wkTxn{kind: kind, wantM: wantM, waiters: t.waiters[:0], wait: t.wait[:0]}
+	v.txn = t
+	return t
+}
+
+// closeTxn leaves line v idle and forgets the fetch's waiters.
+func (l *WeakL2) closeTxn(v *wkLine) {
 	clear(v.txn.waiters)
-	v.txn.kind, v.txn.waiters = wkIdle, v.txn.waiters[:0]
+	l.txns.Put(v.txn)
+	v.txn = nil
 }
 
 // WeakL2 is the shared L2 of the weakly-coherent hierarchy: it never
@@ -67,6 +77,7 @@ type WeakL2 struct {
 	l2Base // the guard side and the request queues
 
 	cache *cacheset.Cache[wkLine]
+	txns  coherence.Txns[wkTxn]
 	// doServe is serveWeak bound once (CallAfter's handler).
 	doServe func(*coherence.Msg)
 }
@@ -86,6 +97,7 @@ func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.F
 func (l *WeakL2) Restart() {
 	l.reset(0)
 	l.cache.Reset()
+	l.txns.Reset()
 }
 
 // Recv implements coherence.Controller.
@@ -204,7 +216,7 @@ func (l *WeakL2) serveWeak(m *coherence.Msg) {
 // openFetch opens the line's fetch with m, kept, as its first waiter.
 func (l *WeakL2) openFetch(e *cacheset.Entry[wkLine], wantM bool, m *coherence.Msg) {
 	m.Keep()
-	t := e.V.open(wkFetch, wantM)
+	t := l.open(&e.V, wkFetch, wantM)
 	t.waiters = append(t.waiters, m)
 }
 
@@ -256,10 +268,11 @@ func (l *WeakL2) advanceWeak(addr mem.Addr, e *cacheset.Entry[wkLine]) {
 	case wkRecall:
 		l.answerGuard(addr, e)
 	case wkEvict:
+		l.closeTxn(&e.V)
 		v := e.V
 		l.cache.Invalidate(addr)
 		l.putToGuard(addr, v.host, v.dirty, v.data)
-		l.wake(addr, v.hostInv)
+		l.wake(addr)
 		l.replayStalled()
 	}
 }
@@ -267,10 +280,10 @@ func (l *WeakL2) advanceWeak(addr mem.Addr, e *cacheset.Entry[wkLine]) {
 func (l *WeakL2) handleGrant(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn.kind != wkFetch {
+	if e == nil || e.V.kind() != wkFetch {
 		panic(fmt.Sprintf("%s: grant with no fetch: %v", l.name, m))
 	}
-	t := &e.V.txn
+	t := e.V.txn
 	e.V.host = grantLevel(m.Type)
 	if !e.V.dirty {
 		l.fab.FillBlock(&e.V.data, m.Data)
@@ -278,14 +291,14 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 	if t.invPend {
 		// A guard Invalidate raced the fetch; local copies are already
 		// gone (nothing was granted), so answer now and retry waiters.
-		waiters := t.waiters
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
-		// Whatever we were granted is void; drop and refetch on demand.
-		l.invalidate(e)
-		for _, wm := range waiters {
+		for _, wm := range t.waiters {
 			l.fab.CallAfter(0, l.doRecv, wm)
 		}
-		l.pop(addr)
+		// Whatever we were granted is void; drop and refetch on demand.
+		l.closeTxn(&e.V)
+		l.invalidate(e)
+		l.wake(addr)
 		return
 	}
 	if t.wantM && e.V.host == AS {
@@ -297,8 +310,8 @@ func (l *WeakL2) handleGrant(m *coherence.Msg) {
 		l.grant(addr, e, wm)
 		l.fab.Release(wm)
 	}
-	e.V.closeTxn()
-	l.pop(addr)
+	l.closeTxn(&e.V)
+	l.wake(addr)
 }
 
 func (l *WeakL2) handleAInv(m *coherence.Msg) {
@@ -310,23 +323,22 @@ func (l *WeakL2) handleAInv(m *coherence.Msg) {
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
-	switch e.V.txn.kind {
+	switch e.V.kind() {
 	case wkIdle:
 		l.recallHolders(addr, e, wkRecall)
 	case wkFetch:
 		e.V.txn.invPend = true // answered when the grant lands
 	default:
-		if e.V.hostInv != nil {
+		if l.invs.Waiting(addr) {
 			panic(fmt.Sprintf("%s: second concurrent guard Invalidate for %v", l.name, addr))
 		}
-		m.Keep()
-		e.V.hostInv = m
+		l.invs.Push(addr, m)
 	}
 }
 
 // recallHolders pulls the line out of every (possibly stale) holder.
 func (l *WeakL2) recallHolders(addr mem.Addr, e *cacheset.Entry[wkLine], kind wkTxnKind) {
-	t := e.V.open(kind, false)
+	t := l.open(&e.V, kind, false)
 	for _, h := range e.V.holders {
 		t.wait.Add(h)
 		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: h})
@@ -335,32 +347,18 @@ func (l *WeakL2) recallHolders(addr mem.Addr, e *cacheset.Entry[wkLine], kind wk
 }
 
 func (l *WeakL2) answerGuard(addr mem.Addr, e *cacheset.Entry[wkLine]) {
-	host, data, dirty, parked := e.V.host, e.V.data, e.V.dirty, e.V.hostInv
+	host, data, dirty := e.V.host, e.V.data, e.V.dirty
+	l.closeTxn(&e.V)
 	l.cache.Invalidate(addr)
-	l.answerInv(addr, host, dirty, data, parked)
+	l.answerInv(addr, host, dirty, data)
 }
 
-// pop wakes the next piece of work on a line that has gone idle.
-func (l *WeakL2) pop(addr mem.Addr) {
-	var parked *coherence.Msg
-	if e := l.cache.Peek(addr); e != nil {
-		parked, e.V.hostInv = e.V.hostInv, nil
-	}
-	l.wake(addr, parked)
-}
+// OpenTxns reports the lines with a transaction open (none at quiesce).
+func (l *WeakL2) OpenTxns() int { return l.txns.Live() }
 
 // Outstanding reports open transactions and queued work.
 func (l *WeakL2) Outstanding() int {
-	n := len(l.evictions) + len(l.stalled) + l.waiting.Len()
-	l.cache.Visit(func(e *cacheset.Entry[wkLine]) {
-		if e.V.busy() {
-			n++
-		}
-		if e.V.hostInv != nil {
-			n++
-		}
-	})
-	return n
+	return l.txns.Live() + l.invs.Len() + len(l.evictions) + len(l.stalled) + l.waiting.Len()
 }
 
 // Coverage returns nil: the weak hierarchy declares no transition table.

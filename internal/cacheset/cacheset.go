@@ -11,13 +11,16 @@ import (
 	"crossingguard/internal/mem"
 )
 
-// Entry is one cache way: a tag plus protocol-specific payload.
+// Entry is one cache way: a tag plus protocol-specific payload. A way in
+// use carries an LRU stamp of at least 1; a free way's stamp is 0.
 type Entry[T any] struct {
-	Addr  mem.Addr // line address; valid only when Valid
-	Valid bool
-	lru   uint64
-	V     T
+	Addr mem.Addr // line address; meaningful only while the way is in use
+	lru  uint64
+	V    T
 }
+
+// valid reports a way in use.
+func (e *Entry[T]) valid() bool { return e.lru != 0 }
 
 // Cache is a set-associative array of Entry.
 type Cache[T any] struct {
@@ -66,7 +69,7 @@ func (c *Cache[T]) Lookup(addr mem.Addr) *Entry[T] {
 	line := addr.Line()
 	set := c.setOf(addr)
 	for i := range set {
-		if set[i].Valid && set[i].Addr == line {
+		if set[i].valid() && set[i].Addr == line {
 			c.tick++
 			set[i].lru = c.tick
 			c.Hits++
@@ -82,7 +85,7 @@ func (c *Cache[T]) Peek(addr mem.Addr) *Entry[T] {
 	line := addr.Line()
 	set := c.setOf(addr)
 	for i := range set {
-		if set[i].Valid && set[i].Addr == line {
+		if set[i].valid() && set[i].Addr == line {
 			return &set[i]
 		}
 	}
@@ -101,7 +104,7 @@ func (c *Cache[T]) Allocate(addr mem.Addr, canEvict func(*Entry[T]) bool, victim
 	set := c.setOf(addr)
 	var best *Entry[T]
 	for i := range set {
-		if !set[i].Valid {
+		if !set[i].valid() {
 			best = &set[i]
 			break
 		}
@@ -124,7 +127,7 @@ func (c *Cache[T]) Allocate(addr mem.Addr, canEvict func(*Entry[T]) bool, victim
 	}
 	c.tick++
 	var zero T
-	*best = Entry[T]{Addr: line, Valid: true, lru: c.tick, V: zero}
+	*best = Entry[T]{Addr: line, lru: c.tick, V: zero}
 	return best, evicted, true
 }
 
@@ -143,7 +146,7 @@ func (c *Cache[T]) Invalidate(addr mem.Addr) bool {
 func (c *Cache[T]) VisitSet(addr mem.Addr, fn func(*Entry[T])) {
 	set := c.setOf(addr)
 	for i := range set {
-		if set[i].Valid {
+		if set[i].valid() {
 			fn(&set[i])
 		}
 	}
@@ -156,7 +159,7 @@ func (c *Cache[T]) LRUOrder(e *Entry[T]) uint64 { return e.lru }
 // Visit calls fn for every valid entry.
 func (c *Cache[T]) Visit(fn func(*Entry[T])) {
 	for i := range c.entries {
-		if c.entries[i].Valid {
+		if c.entries[i].valid() {
 			fn(&c.entries[i])
 		}
 	}
@@ -166,7 +169,7 @@ func (c *Cache[T]) Visit(fn func(*Entry[T])) {
 func (c *Cache[T]) Count() int {
 	n := 0
 	for i := range c.entries {
-		if c.entries[i].Valid {
+		if c.entries[i].valid() {
 			n++
 		}
 	}

@@ -165,3 +165,50 @@ func TestPropertyAllocateThenLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFreeWaysHoldNothing: a way is in use from Allocate until Invalidate
+// or Reset, whatever its address. Line 0, the address a free way reads, is
+// found only while allocated; Visit, VisitSet and Count skip free ways;
+// and a way freed by Invalidate or Reset is taken before any line is
+// evicted, with LRU order starting afresh after Reset.
+func TestFreeWaysHoldNothing(t *testing.T) {
+	c := New[payload](1, 2)
+	var victim Entry[payload]
+	visited := func() int {
+		n := 0
+		c.Visit(func(*Entry[payload]) { n++ })
+		return n
+	}
+	if c.Lookup(0) != nil || c.Peek(0) != nil || c.Count() != 0 || visited() != 0 {
+		t.Fatal("an empty cache holds line 0")
+	}
+	c.Allocate(0, nil, &victim)
+	if c.Lookup(0x3f) == nil || c.Peek(0) == nil || c.Count() != 1 || visited() != 1 {
+		t.Fatal("allocated line 0 not found")
+	}
+	c.Allocate(0x40, nil, &victim)
+	if !c.Invalidate(0) || c.Peek(0) != nil || c.Lookup(0) != nil || c.Count() != 1 || visited() != 1 {
+		t.Fatal("invalidated line 0 still found")
+	}
+	if _, evicted, ok := c.Allocate(0x80, nil, &victim); !ok || evicted {
+		t.Fatalf("Allocate after Invalidate: evicted %v, ok %v; want the freed way", evicted, ok)
+	}
+	c.Reset()
+	if c.Count() != 0 || visited() != 0 || c.Peek(0x40) != nil || c.Hits+c.Misses+c.Evictions != 0 {
+		t.Fatalf("after Reset: Count %d, counters %d/%d/%d", c.Count(), c.Hits, c.Misses, c.Evictions)
+	}
+	for _, a := range []mem.Addr{0, 0x40} {
+		if _, evicted, ok := c.Allocate(a, nil, &victim); !ok || evicted {
+			t.Fatalf("Allocate(%v) after Reset: evicted %v, ok %v", a, evicted, ok)
+		}
+	}
+	n := 0
+	c.VisitSet(0, func(*Entry[payload]) { n++ })
+	if n != 2 {
+		t.Fatalf("VisitSet saw %d ways, want 2", n)
+	}
+	c.Lookup(0) // line 0 most recent: 0x40 goes
+	if _, evicted, _ := c.Allocate(0x80, nil, &victim); !evicted || victim.Addr != 0x40 {
+		t.Fatalf("evicted %v (%v), want LRU line 0x40", victim.Addr, evicted)
+	}
+}

@@ -16,12 +16,13 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// L1 is the chassis of one private cache over the protocol's line type L.
+// L1 is the chassis of one private cache over the protocol's line type L
+// and transaction record type T: a busy line points to one of Txns.
 // Core operations (sequencer requests) belong to the cache until it
 // replies; the chassis parks them behind a busy or buffered line, stalls
 // them when no way can be evicted, and replays them through the
 // protocol's core-operation handler.
-type L1[L any] struct {
+type L1[L, T any] struct {
 	id     coherence.NodeID
 	name   string
 	hitLat sim.Time
@@ -32,6 +33,8 @@ type L1[L any] struct {
 	// Cov records (state, event) coverage over the protocol's table; nil
 	// when the protocol declares none.
 	Cov *coherence.Coverage
+	// Txns are the records of the lines with a transaction open.
+	Txns coherence.Txns[T]
 
 	// wb is the write-back buffer: evicted lines whose protocol has not
 	// closed yet, each still a line of the protocol's own type. A handful
@@ -54,7 +57,7 @@ type L1[L any] struct {
 // with the fabric under id. busy reports a line with an open transaction;
 // evict starts the replacement of a stable victim (it may Buffer it); cpu
 // is the protocol's core-operation handler, which replays go through.
-func (c *L1[L]) Init(self coherence.Controller, id coherence.NodeID, name string, fab *network.Fabric,
+func (c *L1[L, T]) Init(self coherence.Controller, id coherence.NodeID, name string, fab *network.Fabric,
 	sets, ways int, hitLat sim.Time, cov *coherence.Coverage,
 	busy func(*L) bool, evict func(mem.Addr, *L), cpu func(*coherence.Msg)) {
 	c.id, c.name, c.hitLat, c.Fab, c.Cov = id, name, hitLat, fab, cov
@@ -65,19 +68,20 @@ func (c *L1[L]) Init(self coherence.Controller, id coherence.NodeID, name string
 }
 
 // Coverage returns Cov.
-func (c *L1[L]) Coverage() *coherence.Coverage { return c.Cov }
+func (c *L1[L, T]) Coverage() *coherence.Coverage { return c.Cov }
 
 // ID implements coherence.Controller.
-func (c *L1[L]) ID() coherence.NodeID { return c.id }
+func (c *L1[L, T]) ID() coherence.NodeID { return c.id }
 
 // Name implements coherence.Controller.
-func (c *L1[L]) Name() string { return c.name }
+func (c *L1[L, T]) Name() string { return c.name }
 
 // Reset forgets every line, buffered write-back and waiting operation (a
 // device reset; the sequencer aborts the operations in the same reset),
 // keeping the storage. Coverage is cumulative and survives it.
-func (c *L1[L]) Reset() {
+func (c *L1[L, T]) Reset() {
 	c.Lines.Reset()
+	c.Txns.Reset()
 	c.waiting.Reset()
 	clear(c.wb)
 	clear(c.stalled)
@@ -88,7 +92,7 @@ func (c *L1[L]) Reset() {
 // Admit looks up the line of core operation m. ok is false when the line
 // is in the write-back buffer or busy: m is then parked and replays once
 // the line settles. Otherwise e is the line, nil on a miss.
-func (c *L1[L]) Admit(line mem.Addr, m *coherence.Msg) (e *cacheset.Entry[L], ok bool) {
+func (c *L1[L, T]) Admit(line mem.Addr, m *coherence.Msg) (e *cacheset.Entry[L], ok bool) {
 	if c.Buffered(line) == nil {
 		if e = c.Lines.Lookup(line); e == nil || !c.busy(&e.V) {
 			return e, true
@@ -101,7 +105,7 @@ func (c *L1[L]) Admit(line mem.Addr, m *coherence.Msg) (e *cacheset.Entry[L], ok
 // Allocate finds a way for line, handing a victim to the protocol's
 // evict. With every way busy it stalls m, which replays when any line
 // settles, and returns nil.
-func (c *L1[L]) Allocate(line mem.Addr, m *coherence.Msg) *cacheset.Entry[L] {
+func (c *L1[L, T]) Allocate(line mem.Addr, m *coherence.Msg) *cacheset.Entry[L] {
 	e, evicted, ok := c.Lines.Allocate(line, c.canEvict, &c.victim)
 	if !ok {
 		c.stalled = append(c.stalled, m)
@@ -115,18 +119,18 @@ func (c *L1[L]) Allocate(line mem.Addr, m *coherence.Msg) *cacheset.Entry[L] {
 
 // Buffer moves an evicted line into the write-back buffer, where it keeps
 // answering for its address until Retire.
-func (c *L1[L]) Buffer(line mem.Addr, v *L) {
+func (c *L1[L, T]) Buffer(line mem.Addr, v *L) {
 	if c.wb == nil {
 		// First use: room enough that a stress shard's small caches never
 		// grow it, and a cache that never evicts pays nothing.
 		c.wb = make([]cacheset.Entry[L], 0, 4)
 	}
-	c.wb = append(c.wb, cacheset.Entry[L]{Addr: line, Valid: true, V: *v})
+	c.wb = append(c.wb, cacheset.Entry[L]{Addr: line, V: *v})
 }
 
 // Buffered returns line's record in the write-back buffer, or nil. The
 // pointer is good until the next Buffer or Retire.
-func (c *L1[L]) Buffered(line mem.Addr) *L {
+func (c *L1[L, T]) Buffered(line mem.Addr) *L {
 	for i := range c.wb {
 		if c.wb[i].Addr == line {
 			return &c.wb[i].V
@@ -136,14 +140,14 @@ func (c *L1[L]) Buffered(line mem.Addr) *L {
 }
 
 // Drop invalidates line e and gives data, its block, back to the pool.
-func (c *L1[L]) Drop(e *cacheset.Entry[L], data *mem.Block) {
+func (c *L1[L, T]) Drop(e *cacheset.Entry[L], data *mem.Block) {
 	c.Fab.FreeBlock(data)
 	c.Lines.Invalidate(e.Addr)
 }
 
 // Retire closes line's write-back, gives data, the block it held (nil for
 // none), back to the pool, and wakes what waited for the line.
-func (c *L1[L]) Retire(line mem.Addr, data *mem.Block) {
+func (c *L1[L, T]) Retire(line mem.Addr, data *mem.Block) {
 	c.Fab.FreeBlock(data)
 	for i := range c.wb {
 		if c.wb[i].Addr == line {
@@ -155,14 +159,14 @@ func (c *L1[L]) Retire(line mem.Addr, data *mem.Block) {
 }
 
 // Respond completes core operation op with val after the hit latency.
-func (c *L1[L]) Respond(op *coherence.Msg, val byte) {
+func (c *L1[L, T]) Respond(op *coherence.Msg, val byte) {
 	c.Fab.SendAfter(c.hitLat, coherence.Reply(op, c.id, val), nil)
 }
 
 // Settled replays the oldest operation parked behind line, and every
 // operation stalled on allocation: a line that settled is a way that may
 // now be evicted.
-func (c *L1[L]) Settled(line mem.Addr) {
+func (c *L1[L, T]) Settled(line mem.Addr) {
 	if next := c.waiting.Pop(line); next != nil {
 		c.Fab.CallAfter(0, c.cpu, next)
 	}
@@ -173,16 +177,13 @@ func (c *L1[L]) Settled(line mem.Addr) {
 }
 
 // WBPending reports buffered write-backs (zero at quiesce).
-func (c *L1[L]) WBPending() int { return len(c.wb) }
+func (c *L1[L, T]) WBPending() int { return len(c.wb) }
+
+// OpenTxns reports the lines with a transaction open (none at quiesce).
+func (c *L1[L, T]) OpenTxns() int { return c.Txns.Live() }
 
 // Outstanding reports open transactions: busy lines, buffered write-backs
 // and waiting operations.
-func (c *L1[L]) Outstanding() int {
-	n := len(c.wb) + len(c.stalled) + c.waiting.Len()
-	c.Lines.Visit(func(e *cacheset.Entry[L]) {
-		if c.busy(&e.V) {
-			n++
-		}
-	})
-	return n
+func (c *L1[L, T]) Outstanding() int {
+	return c.Txns.Live() + len(c.wb) + len(c.stalled) + c.waiting.Len()
 }

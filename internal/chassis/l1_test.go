@@ -3,6 +3,7 @@ package chassis
 import (
 	"testing"
 
+	"crossingguard/internal/cacheset"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
@@ -10,16 +11,19 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// toyLine is a line with no protocol: busy is all the chassis asks of it.
+// toyLine is a line with no protocol: busy, a record, is all the chassis
+// asks of it.
 type toyLine struct {
-	busy bool
-	tag  int
+	txn *toyTxn
+	tag int
 }
+
+type toyTxn struct{ n int }
 
 // toy embeds the chassis the way a protocol does. Its core-operation
 // handler only notes what reached it; its evict buffers every victim.
 type toy struct {
-	L1[toyLine]
+	L1[toyLine, toyTxn]
 	eng     *sim.Engine
 	handled int
 	last    *coherence.Msg
@@ -29,6 +33,14 @@ type toy struct {
 func (t *toy) Recv(m *coherence.Msg) { t.cpu(m) }
 
 func (t *toy) cpu(m *coherence.Msg) { t.handled, t.last = t.handled+1, m }
+
+// open opens a transaction on line e; settle closes it.
+func (t *toy) open(e *cacheset.Entry[toyLine]) { e.V.txn = t.Txns.Get() }
+
+func (t *toy) settle(e *cacheset.Entry[toyLine]) {
+	t.Txns.Put(e.V.txn)
+	e.V.txn = nil
+}
 
 func (t *toy) evict(addr mem.Addr, v *toyLine) {
 	t.evicted++
@@ -46,7 +58,7 @@ func newToy(sets, ways int) *toy {
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
 	t := &toy{eng: eng}
-	t.Init(t, 7, "toy", fab, sets, ways, 1, nil, func(v *toyLine) bool { return v.busy }, t.evict, t.cpu)
+	t.Init(t, 7, "toy", fab, sets, ways, 1, nil, func(v *toyLine) bool { return v.txn != nil }, t.evict, t.cpu)
 	return t
 }
 
@@ -91,12 +103,12 @@ func TestBufferedLineParksUntilRetire(t *testing.T) {
 func TestBusyLineParks(t *testing.T) {
 	c := newToy(1, 2)
 	e := c.Allocate(line(0), load(line(0)))
-	e.V.busy = true
+	c.open(e)
 	m := load(line(0) + 3)
 	if _, ok := c.Admit(line(0), m); ok {
 		t.Fatal("Admit to a busy line did not park")
 	}
-	e.V.busy = false
+	c.settle(e)
 	if e2, ok := c.Admit(line(0), m); !ok || e2 != e {
 		t.Fatalf("Admit to an idle line = (%v, %v), want the line", e2, ok)
 	}
@@ -108,7 +120,7 @@ func TestBusyLineParks(t *testing.T) {
 func TestEveryWayBusyStallsUntilAnyLineSettles(t *testing.T) {
 	c := newToy(1, 2)
 	for i := 0; i < 2; i++ {
-		c.Allocate(line(i), load(line(i))).V.busy = true
+		c.open(c.Allocate(line(i), load(line(i))))
 	}
 	m := load(line(2))
 	if e := c.Allocate(line(2), m); e != nil {
@@ -120,7 +132,7 @@ func TestEveryWayBusyStallsUntilAnyLineSettles(t *testing.T) {
 	if n := c.run(); n != 0 {
 		t.Fatalf("%d operations replayed before anything settled", n)
 	}
-	c.Lines.Peek(line(1)).V.busy = false
+	c.settle(c.Lines.Peek(line(1)))
 	c.Settled(line(1)) // not the line the operation wants
 	if n := c.run(); n != 1 || c.last != m {
 		t.Fatalf("Settled replayed %d operations, want the stalled one", n)
@@ -148,8 +160,8 @@ func TestRetireTheMiddleOfThree(t *testing.T) {
 
 func TestResetForgetsEverything(t *testing.T) {
 	c := newToy(1, 2)
-	c.Allocate(line(0), load(line(0))).V.busy = true
-	c.Allocate(line(1), load(line(1))).V.busy = true
+	c.open(c.Allocate(line(0), load(line(0))))
+	c.open(c.Allocate(line(1), load(line(1))))
 	c.Allocate(line(2), load(line(2))) // stalls
 	c.Buffer(line(3), &toyLine{})
 	c.Admit(line(3), load(line(3))) // parks

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"crossingguard/internal/mem"
 	"crossingguard/internal/raceflag"
@@ -309,6 +310,61 @@ func (p *RecPool[T]) Put(r *T) {
 
 // Free reports how many records wait on the list.
 func (p *RecPool[T]) Free() int { return len(p.free) }
+
+// txnsInline is how many records a Txns holds inside itself: as many as a
+// Small machine's largest cache has lines, so none of its caches makes one.
+const txnsInline = 8
+
+// Txns is one controller's transaction records, the TBE or MSHR beside a
+// cache's tag array: a line with work open points to its record, an idle
+// line to none, so a way holds only stable state. The first records live
+// inside the Txns; more are made when that many lines are open at once,
+// and kept. A record comes back as it was given back: the opener sets
+// every field and keeps what storage (node sets, message lists) it likes.
+// T must not be zero-size: Put tells the records apart by address.
+type Txns[T any] struct {
+	first [txnsInline]T
+	taken uint8 // bit i: first[i] is out
+	more  []*T  // the records made beyond first
+	free  []*T  // those of more that are not out
+}
+
+// Get hands out a record.
+func (p *Txns[T]) Get() *T {
+	if p.taken != 1<<txnsInline-1 {
+		i := bits.TrailingZeros8(^p.taken)
+		p.taken |= 1 << i
+		return &p.first[i]
+	}
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	r := new(T)
+	p.more = append(p.more, r)
+	return r
+}
+
+// Put takes r back.
+func (p *Txns[T]) Put(r *T) {
+	for i := range p.first {
+		if r == &p.first[i] {
+			p.taken &^= 1 << i
+			return
+		}
+	}
+	p.free = append(p.free, r)
+}
+
+// Live reports how many records are out: the lines with work open.
+func (p *Txns[T]) Live() int { return bits.OnesCount8(p.taken) + len(p.more) - len(p.free) }
+
+// Reset takes every record back, wherever the last run left it.
+func (p *Txns[T]) Reset() {
+	p.taken = 0
+	p.free = append(p.free[:0], p.more...)
+}
 
 // NodeSet is a small set of nodes kept as an ascending slice, so ranging
 // over it is deterministic (a map's order is not) and emptying it (s[:0])

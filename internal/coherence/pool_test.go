@@ -220,6 +220,56 @@ func TestPoolBlocksRecycle(t *testing.T) {
 	}
 }
 
+// Records are distinct while out, come back as they were put, count in
+// Live, and past the ones a Txns holds itself are made once and kept:
+// Reset takes every record back, the made ones included.
+func TestTxns(t *testing.T) {
+	type rec struct{ n int }
+	var p Txns[rec]
+	out := map[*rec]bool{}
+	for i := 0; i < txnsInline+3; i++ {
+		r := p.Get()
+		if out[r] {
+			t.Fatalf("record %d handed out twice", i)
+		}
+		out[r] = true
+		r.n = i
+	}
+	if p.Live() != txnsInline+3 || len(p.more) != 3 {
+		t.Fatalf("Live %d, %d made; want %d and 3", p.Live(), len(p.more), txnsInline+3)
+	}
+	for r := range out {
+		p.Put(r)
+	}
+	if p.Live() != 0 {
+		t.Fatalf("Live %d with every record back", p.Live())
+	}
+	first := p.Get()
+	if first.n != 0 || first != &p.first[0] {
+		t.Fatalf("Get after Put = %+v, want the first record as it was put", *first)
+	}
+	for i := 0; i < txnsInline+3; i++ {
+		p.Get()
+	}
+	if p.Live() != txnsInline+4 || len(p.more) != 4 {
+		t.Fatalf("Live %d, %d made; want %d and 4", p.Live(), len(p.more), txnsInline+4)
+	}
+	p.Reset()
+	if p.Live() != 0 {
+		t.Fatalf("Live %d after Reset", p.Live())
+	}
+	if !raceflag.Enabled {
+		if n := testing.AllocsPerRun(10, func() {
+			for i := 0; i < txnsInline+4; i++ {
+				p.Get()
+			}
+			p.Reset()
+		}); n != 0 {
+			t.Fatalf("%v allocations per reuse of every record, want 0", n)
+		}
+	}
+}
+
 func TestNodeSet(t *testing.T) {
 	var s NodeSet
 	for _, n := range []NodeID{3000, 1, 2000, 1, 7} {

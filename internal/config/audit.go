@@ -22,8 +22,9 @@ import (
 //     left in a guard's table is resident (Full State) or kept by an
 //     InvAck the accelerator still owes — none has open work, none is
 //     empty (core.Guard.CheckQuiesced); no delayed send or deferred
-//     handler is still waiting for its tick; and the machine's message
-//     and block pool balances (auditPool).
+//     handler is still waiting for its tick; no cache, and not the home,
+//     has a transaction open; and the machine's message and block pool
+//     balances (auditPool).
 //
 // Audit implements tester.System.
 func (s *System) Audit() error {
@@ -37,6 +38,14 @@ func (s *System) Audit() error {
 	}
 	if n := s.Fab.DelayedSends(); n != 0 {
 		return fmt.Errorf("fabric: %d delayed sends still scheduled at quiesce", n)
+	}
+	if n := s.home.OpenTxns(); n != 0 {
+		return fmt.Errorf("%s: %d transactions open at quiesce", s.home.Name(), n)
+	}
+	for _, c := range s.caches {
+		if n := c.OpenTxns(); n != 0 {
+			return fmt.Errorf("%s: %d transactions open at quiesce", c.Name(), n)
+		}
 	}
 	if err := s.auditor().Audit(s.hostScope(guardedCache)); err != nil {
 		return err

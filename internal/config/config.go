@@ -353,6 +353,7 @@ type customSlot struct {
 type cacheView interface {
 	chassis.Holder
 	ID() coherence.NodeID
+	OpenTxns() int // lines with a transaction open, in O(1)
 	Outstanding() int
 	Coverage() *coherence.Coverage // nil when the cache declares no table
 	Restart()                      // back to just built, for the next run
@@ -362,6 +363,8 @@ type cacheView interface {
 // shared L2.
 type homeView interface {
 	chassis.Home
+	Name() string
+	OpenTxns() int
 	Outstanding() int
 	Coverage() *coherence.Coverage
 	Restart()

@@ -8,6 +8,7 @@ import (
 
 	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
+	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/seq"
 	"crossingguard/internal/tester"
@@ -161,6 +162,23 @@ func TestAuditQuiesceHygiene(t *testing.T) {
 	}
 }
 
+// TestAuditNamesOpenTxn: a transaction record a cache handed out and never
+// took back, which no line points to, fails the audit with the cache's
+// name, though every line is stable and every queue is empty.
+func TestAuditNamesOpenTxn(t *testing.T) {
+	s := Build(Spec{Host: HostMESI, Org: OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: 71})
+	s.CPUSeqs[0].Store(0x3000, 5, nil)
+	quiesce(t, s)
+	if err := s.Audit(); err != nil {
+		t.Fatalf("audit at quiesce: %v", err)
+	}
+	s.caches[1].cacheView.(*mesi.L1).Txns.Get()
+	const want = "mesi.L1[1]: 1 transactions open at quiesce"
+	if err := s.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("audit with a leaked record = %v, want %q", err, want)
+	}
+}
+
 // TestAuditGuardTableMismatchStable: when the Full State table and the
 // accelerator disagree about several lines, the audit reports the one at
 // the lowest address, the same on every run — a shard's failure artifact
@@ -220,6 +238,7 @@ type strayCopy struct {
 func (strayCopy) ID() coherence.NodeID          { return 9999 }
 func (strayCopy) Name() string                  { return "stray" }
 func (strayCopy) Outstanding() int              { return 0 }
+func (strayCopy) OpenTxns() int                 { return 0 }
 func (strayCopy) WBPending() int                { return 0 }
 func (strayCopy) Coverage() *coherence.Coverage { return nil }
 func (strayCopy) Restart()                      {}

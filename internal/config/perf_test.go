@@ -13,7 +13,7 @@ import (
 // and heap bytes per completed load or store, for one stress shard,
 // config.Build included, on the Transactional single-level guard and on
 // the Full State guard over the two-level hierarchy (the shared L2's node
-// sets and transactions, which live in its lines): about 10% above what
+// sets and transaction records): about 10% above what
 // the code allocates today (xg-txn/1L hammer 0.635 objects and 81.7 B,
 // mesi 0.631 and 80.2 B; xg-full/2L hammer 0.619 and 79.2 B, mesi 0.613
 // and 78.9 B). While every pooled record was two objects (a bound callback
@@ -126,5 +126,42 @@ func TestStressShardRecordedIsInvisible(t *testing.T) {
 	if plain.EndTime != recorded.EndTime || plain.Stores+plain.Loads != recorded.Stores+recorded.Loads {
 		t.Fatalf("recording perturbed the shard: plain (%d,%d), recorded (%d,%d)",
 			plain.EndTime, plain.Stores+plain.Loads, recorded.EndTime, recorded.Stores+recorded.Loads)
+	}
+}
+
+// fullSizeBuildCeilings is what config.Build may allocate, in heap bytes,
+// for a machine of each shape the kernels_e5 benchmark runs (2 CPUs, 2
+// accelerator cores, full-size caches), built afresh: about 10% above
+// what it allocates today (243 480, 187 611, 251 968 and 108 448 B). Most
+// of it is the caches' way arrays, so a way that grows back shows here
+// first: while every way embedded its open transaction the four read
+// 454 552, 300 411, 484 352 and 177 440 B.
+var fullSizeBuildCeilings = []struct {
+	spec  Spec
+	bytes float64
+}{
+	{Spec{Host: HostMESI, Org: OrgXGFull1L}, 268_000},
+	{Spec{Host: HostHammer, Org: OrgXGTxn2L}, 207_000},
+	{Spec{Host: HostMESI, Org: OrgAccelSide}, 277_000},
+	{Spec{Host: HostHammer, Org: OrgHostSide}, 119_000},
+}
+
+// TestFullSizeBuildBytes holds a fresh full-size build under its ceiling.
+// The park is off, so every Build constructs.
+func TestFullSizeBuildBytes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer SetParking(SetParking(false))
+	for _, row := range fullSizeBuildCeilings {
+		spec := row.spec
+		spec.CPUs, spec.AccelCores, spec.Seed = 2, 2, 1
+		t.Run(spec.Name(), func(t *testing.T) {
+			_, bytes := allocsPerRun(3, func() { Build(spec) })
+			t.Logf("%.0f B per build (ceiling %.0f B)", bytes, row.bytes)
+			if bytes > row.bytes {
+				t.Fatalf("%.0f heap bytes per build, over the %.0f B ceiling", bytes, row.bytes)
+			}
+		})
 	}
 }

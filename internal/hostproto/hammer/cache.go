@@ -10,23 +10,26 @@ import (
 	"crossingguard/internal/network"
 )
 
-// cLine is the protocol payload of one private-cache line. Its blocks —
-// the line's data and the responses an open Get has collected — are the
-// cache's own, taken from the machine's block list when filled and given
-// back when the line is invalidated or the Get completes.
+// cLine is the protocol payload of one private-cache line. data is the
+// cache's own block, taken from the machine's block list when filled and
+// given back when the line is invalidated; txn is the open Get's record,
+// nil in a stable state.
 type cLine struct {
 	state CState
 	data  *mem.Block
-	// Open-transaction bookkeeping (response counting).
+	dirty bool // modified relative to memory
+	txn   *getTxn
+}
+
+// getTxn counts an open Get's responses. Its blocks, the responses it has
+// collected, are the cache's own until the Get completes.
+type getTxn struct {
 	expected  int
 	got       int
 	dataCount int
 	cacheData *mem.Block
 	memData   *mem.Block
 	op        *coherence.Msg
-	// The flags sit together so a line, which the write-back buffer holds
-	// by value, pads once.
-	dirty     bool // modified relative to memory
 	shared    bool
 	cacheDirt bool
 	noExcl    bool // GetS_only: never take E
@@ -36,7 +39,7 @@ type cLine struct {
 type Cache struct {
 	// The chassis's write-back buffer holds evicted lines in MI/OI/EI/II,
 	// with the data they took along.
-	chassis.L1[cLine]
+	chassis.L1[cLine, getTxn]
 	txnMods bool
 	dir     coherence.NodeID
 	sink    coherence.ErrorSink
@@ -174,13 +177,8 @@ func (c *Cache) handleCPU(m *coherence.Msg) {
 }
 
 func (c *Cache) issueGet(e *cacheset.Entry[cLine], op *coherence.Msg, ty coherence.MsgType, next CState) {
-	e.V.state = next
-	e.V.expected = c.responses
-	e.V.got = 0
-	e.V.dataCount = 0
-	e.V.shared = false
-	e.V.noExcl = ty == coherence.HGetSOnly
-	e.V.op = op
+	e.V.state, e.V.txn = next, c.Txns.Get()
+	*e.V.txn = getTxn{expected: c.responses, noExcl: ty == coherence.HGetSOnly, op: op}
 	c.send(coherence.Msg{Type: ty, Addr: e.Addr, Src: c.ID(), Dst: c.dir})
 }
 
@@ -268,11 +266,11 @@ func (c *Cache) handleForward(m *coherence.Msg) {
 
 func (c *Cache) handleResponse(m *coherence.Msg) {
 	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.op == nil {
+	if e == nil || e.V.txn == nil {
 		c.protocolError("I", m)
 		return
 	}
-	st := e.V.state
+	t, st := e.V.txn, e.V.state
 	switch st {
 	case CIS, CIM, CSM, COM:
 	default:
@@ -282,39 +280,39 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 	c.Cov.Record(int(st), cacheTable.Event(m.Type))
 	switch m.Type {
 	case coherence.HData:
-		e.V.dataCount++
-		if e.V.dataCount > 1 && !c.txnMods {
+		t.dataCount++
+		if t.dataCount > 1 && !c.txnMods {
 			panic(fmt.Sprintf("%s: multiple data responses for %v", c.Name(), m.Addr))
 		}
-		if e.V.dataCount > 1 {
+		if t.dataCount > 1 {
 			c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 				Code: "HOST.MultiData", Addr: m.Addr, Detail: "duplicate data response tolerated"})
 		}
-		if e.V.cacheData == nil && m.Data != nil {
-			e.V.cacheData = c.Fab.CopyBlock(m.Data)
-			e.V.cacheDirt = m.Dirty
+		if t.cacheData == nil && m.Data != nil {
+			t.cacheData = c.Fab.CopyBlock(m.Data)
+			t.cacheDirt = m.Dirty
 		}
-		e.V.shared = true // an owner elsewhere means the block is shared
+		t.shared = true // an owner elsewhere means the block is shared
 	case coherence.HAck:
 		if m.Shared {
-			e.V.shared = true
+			t.shared = true
 		}
 	case coherence.HMemData:
 		// A second memory response (possible only under fault injection)
 		// replaces the first.
-		c.Fab.FreeBlock(e.V.memData)
-		e.V.memData = c.Fab.CopyBlock(m.Data)
+		c.Fab.FreeBlock(t.memData)
+		t.memData = c.Fab.CopyBlock(m.Data)
 	}
-	e.V.got++
-	if e.V.got < e.V.expected {
+	t.got++
+	if t.got < t.expected {
 		return
 	}
 	c.completeGet(e)
 }
 
 func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
-	op := e.V.op
-	st := e.V.state
+	t, st := e.V.txn, e.V.state
+	op := t.op
 	// The line adopts the block that answers the Get — no further copy —
 	// and the other collected responses go back to the block list.
 	data := e.V.data
@@ -323,12 +321,12 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 	case st == COM:
 		// We are the owner: our copy is authoritative.
 		dirty = e.V.dirty
-	case e.V.cacheData != nil:
-		data, dirty = e.V.cacheData, e.V.cacheDirt
-		e.V.cacheData = nil
-	case e.V.memData != nil:
-		data, dirty = e.V.memData, false
-		e.V.memData = nil
+	case t.cacheData != nil:
+		data, dirty = t.cacheData, t.cacheDirt
+		t.cacheData = nil
+	case t.memData != nil:
+		data, dirty = t.memData, false
+		t.memData = nil
 	default:
 		// Response-counting tolerance: every response was an ack and
 		// even memory data is missing (possible only under fuzzing with
@@ -344,12 +342,11 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		c.Fab.FreeBlock(e.V.data)
 		e.V.data = data
 	}
-	c.Fab.FreeBlock(e.V.cacheData)
-	c.Fab.FreeBlock(e.V.memData)
-	e.V.cacheData, e.V.memData = nil, nil
+	c.Fab.FreeBlock(t.cacheData)
+	c.Fab.FreeBlock(t.memData)
 	tookShared := false
 	if st == CIS {
-		if e.V.shared || e.V.noExcl {
+		if t.shared || t.noExcl {
 			e.V.state = CS
 			tookShared = true
 		} else {
@@ -366,7 +363,8 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		e.V.data[op.Addr.Offset()] = op.Val
 		c.Respond(op, 0)
 	}
-	e.V.op = nil
+	c.Txns.Put(t)
+	e.V.txn = nil
 	c.send(coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.ID(), Dst: c.dir,
 		Shared: tookShared})
 	c.Settled(e.Addr)

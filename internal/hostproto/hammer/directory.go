@@ -278,9 +278,9 @@ func (d *Directory) pop(addr mem.Addr) {
 	d.replaying = prev
 }
 
-// Outstanding reports open transactions and queued requests.
-func (d *Directory) Outstanding() int {
-	n := d.waiting.Len()
+// OpenTxns reports the lines with a transaction open (none at quiesce).
+func (d *Directory) OpenTxns() int {
+	n := 0
 	for _, l := range d.lines {
 		if l.busy() {
 			n++
@@ -288,6 +288,9 @@ func (d *Directory) Outstanding() int {
 	}
 	return n
 }
+
+// Outstanding reports open transactions and queued requests.
+func (d *Directory) Outstanding() int { return d.OpenTxns() + d.waiting.Len() }
 
 // Owner reports the recorded owner of a line (for audits).
 func (d *Directory) Owner(addr mem.Addr) coherence.NodeID {

@@ -12,14 +12,19 @@ import (
 
 // l1Line is the protocol payload of one L1 cache line. data is the L1's
 // own block, taken from the machine's block list at fill and given back
-// at invalidation.
+// at invalidation; txn is the open Get's record, nil in a stable state.
 type l1Line struct {
-	state  L1State
-	data   *mem.Block
-	dirty  bool             // modified relative to the L2
+	state L1State
+	data  *mem.Block
+	dirty bool // modified relative to the L2
+	txn   *l1Txn
+}
+
+// l1Txn is an open Get: what it waits for and who waits on it.
+type l1Txn struct {
 	needed int              // responses to await for a GetM (-1 = unknown)
 	got    int              // responses received so far
-	op     *coherence.Msg   // CPU operation driving the open transaction
+	op     *coherence.Msg   // CPU operation driving the transaction
 	fwds   []*coherence.Msg // forwards queued until the line stabilizes
 }
 
@@ -27,7 +32,7 @@ type l1Line struct {
 type L1 struct {
 	// The chassis's write-back buffer holds lines evicted but awaiting a
 	// writeback ack (MI_A / II_A): the writeback buffer / MSHR of a real L1.
-	chassis.L1[l1Line]
+	chassis.L1[l1Line, l1Txn]
 	txnMods bool
 	l2      coherence.NodeID
 	sink    coherence.ErrorSink
@@ -150,14 +155,11 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		if e = l.Allocate(line, m); e == nil {
 			return // stalled; will be replayed
 		}
-		e.V.needed = -1
 		if isStore {
-			e.V.state = L1IMad
-			e.V.op = m
+			l.open(e, L1IMad, m)
 			l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
 		} else {
-			e.V.state = L1ISd
-			e.V.op = m
+			l.open(e, L1ISd, m)
 			l.send(coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.ID(), Dst: l.l2})
 		}
 		return
@@ -177,11 +179,16 @@ func (l *L1) handleCPU(m *coherence.Msg) {
 		e.V.dirty = true
 		l.Respond(m, 0)
 	case st == L1S:
-		e.V.state = L1SMad
-		e.V.needed = -1
-		e.V.op = m
+		l.open(e, L1SMad, m)
 		l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
 	}
+}
+
+// open starts line e's Get for core operation op in transient state st.
+func (l *L1) open(e *cacheset.Entry[l1Line], st L1State, op *coherence.Msg) {
+	t := l.Txns.Get()
+	*t = l1Txn{needed: -1, op: op, fwds: t.fwds[:0]}
+	e.V.state, e.V.txn = st, t
 }
 
 // evict starts replacement of a stable victim line.
@@ -255,16 +262,16 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 				l.Fab.FillBlock(&e.V.data, m.Data)
 				e.V.dirty = false
 			}
-			e.V.needed = m.Acks
+			e.V.txn.needed = m.Acks
 			l.maybeCompleteGetM(e, m.Addr)
 		case coherence.MDataOwner:
 			// Ownership hand-off from the previous owner.
 			l.Fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
-			e.V.got++
+			e.V.txn.got++
 			l.maybeCompleteGetM(e, m.Addr)
 		case coherence.MInvAck:
-			e.V.got++
+			e.V.txn.got++
 			l.maybeCompleteGetM(e, m.Addr)
 		default:
 			l.protocolError(st.String(), m)
@@ -272,14 +279,14 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 	case L1IMa, L1SMa:
 		switch m.Type {
 		case coherence.MInvAck:
-			e.V.got++
+			e.V.txn.got++
 			l.maybeCompleteGetM(e, m.Addr)
 		case coherence.MDataOwner:
 			// Owner hand-off whose "expect 1 response" notice from the
 			// L2 arrived first.
 			l.Fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = m.Dirty
-			e.V.got++
+			e.V.txn.got++
 			l.maybeCompleteGetM(e, m.Addr)
 		default:
 			l.protocolError(st.String(), m)
@@ -293,22 +300,21 @@ func (l *L1) handleResponse(m *coherence.Msg) {
 // message from a misbehaving peer — fills the line with zeros, matching
 // Crossing Guard's recovery policy of supplying zero blocks.
 func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State) {
-	op := e.V.op
+	op := e.V.txn.op
 	e.V.state = st
 	l.Fab.FillBlock(&e.V.data, data)
 	e.V.dirty = false
-	e.V.op = nil
 	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
 	l.Respond(op, e.V.data[op.Addr.Offset()])
-	l.drainFwds(e)
-	l.Settled(e.Addr)
+	l.closeTxn(e)
 }
 
 // maybeCompleteGetM finishes a GetM once the data and every expected
 // response have arrived.
 func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 	// Move to the "got data" transients for coverage fidelity.
-	if e.V.needed >= 0 {
+	t := e.V.txn
+	if t.needed >= 0 {
 		switch e.V.state {
 		case L1IMad:
 			e.V.state = L1IMa
@@ -316,7 +322,7 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 			e.V.state = L1SMa
 		}
 	}
-	if e.V.needed < 0 || e.V.got < e.V.needed {
+	if t.needed < 0 || t.got < t.needed {
 		return
 	}
 	if e.V.data == nil {
@@ -330,17 +336,13 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 			Detail: "GetM completed with zero block"})
 		e.V.data = l.Fab.CopyBlock(nil)
 	}
-	op := e.V.op
+	op := t.op
 	e.V.state = L1M
 	e.V.dirty = true
-	e.V.needed = -1
-	e.V.got = 0
-	e.V.op = nil
 	e.V.data[op.Addr.Offset()] = op.Val
 	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
 	l.Respond(op, 0)
-	l.drainFwds(e)
-	l.Settled(e.Addr)
+	l.closeTxn(e)
 }
 
 // --- host requests (invalidations, forwards) ---
@@ -410,7 +412,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 			l.Settled(line)
 		case L1IMa, L1SMa:
 			m.Keep()
-			e.V.fwds = append(e.V.fwds, m)
+			e.V.txn.fwds = append(e.V.txn.fwds, m)
 		default:
 			l.protocolError(st.String(), m)
 		}
@@ -422,7 +424,7 @@ func (l *L1) handleHostRequest(m *coherence.Msg) {
 			l.Settled(line)
 		case L1IMa, L1SMa:
 			m.Keep()
-			e.V.fwds = append(e.V.fwds, m)
+			e.V.txn.fwds = append(e.V.txn.fwds, m)
 		default:
 			l.protocolError(st.String(), m)
 		}
@@ -486,13 +488,17 @@ func (l *L1) copyToL2(line mem.Addr, v *l1Line) {
 		Data: v.data, Dirty: v.dirty})
 }
 
-// drainFwds replays forwards queued while a GetM was completing.
-func (l *L1) drainFwds(e *cacheset.Entry[l1Line]) {
-	for i, f := range e.V.fwds {
+// closeTxn ends line e's Get: it replays the forwards queued while the Get
+// was completing, gives the record back and wakes what waited for the line.
+func (l *L1) closeTxn(e *cacheset.Entry[l1Line]) {
+	t := e.V.txn
+	for i, f := range t.fwds {
 		l.Fab.CallAfter(0, l.doRecv, f)
-		e.V.fwds[i] = nil
+		t.fwds[i] = nil
 	}
-	e.V.fwds = e.V.fwds[:0]
+	l.Txns.Put(t)
+	e.V.txn = nil
+	l.Settled(e.Addr)
 }
 
 // Held reports every stable valid line for invariant checks.

@@ -11,8 +11,8 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// l2Txn is the open transaction on one L2 line, held by value in the
-// line (kind txnNone when the line is idle). The L2 processes one
+// l2Txn is the open transaction on one L2 line, a record of the L2's
+// Txns the line points to while it is busy. The L2 processes one
 // transaction per line at a time; later requests queue.
 type l2Txn struct {
 	kind        txnKind
@@ -28,28 +28,42 @@ type l2Txn struct {
 
 // l2Line is the protocol payload of one L2 line. data is the L2's own
 // block, taken from the machine's block list when the fetch lands and
-// given back when the line leaves the cache.
+// given back when the line leaves the cache; txn is nil while it is idle.
 type l2Line struct {
 	state   L2State
 	data    *mem.Block
 	dirty   bool // relative to memory
 	sharers coherence.NodeSet
 	owner   coherence.NodeID
-	txn     l2Txn
+	txn     *l2Txn
 }
 
-func (v *l2Line) busy() bool { return v.txn.kind != txnNone }
+func (v *l2Line) busy() bool { return v.txn != nil }
 
-// open starts the line's transaction; the node sets keep their storage
-// from one transaction to the next.
-func (v *l2Line) open(kind txnKind, requestor, oldOwner coherence.NodeID) *l2Txn {
-	v.txn = l2Txn{kind: kind, requestor: requestor, oldOwner: oldOwner,
-		invalidated: v.txn.invalidated[:0], recallWait: v.txn.recallWait[:0]}
-	return &v.txn
+// kind is the line's open transaction, txnNone when it is idle.
+func (v *l2Line) kind() txnKind {
+	if v.txn == nil {
+		return txnNone
+	}
+	return v.txn.kind
 }
 
-// closeTxn leaves the line idle.
-func (v *l2Line) closeTxn() { v.txn.kind, v.txn.req = txnNone, nil }
+// open starts line v's transaction on a record whose node sets keep their
+// storage from one transaction to the next.
+func (l *L2) open(v *l2Line, kind txnKind, requestor, oldOwner coherence.NodeID) *l2Txn {
+	t := l.txns.Get()
+	*t = l2Txn{kind: kind, requestor: requestor, oldOwner: oldOwner,
+		invalidated: t.invalidated[:0], recallWait: t.recallWait[:0]}
+	v.txn = t
+	return t
+}
+
+// closeTxn leaves line v idle.
+func (l *L2) closeTxn(v *l2Line) {
+	v.txn.req = nil
+	l.txns.Put(v.txn)
+	v.txn = nil
+}
 
 // L2 is the shared inclusive L2 with its integrated directory and the
 // memory controller behind it.
@@ -62,8 +76,9 @@ type L2 struct {
 	sink coherence.ErrorSink
 
 	cache *cacheset.Cache[l2Line]
-	// spare is the node-set storage of lines that have left the cache, for
-	// the next lines fetched.
+	txns  coherence.Txns[l2Txn]
+	// spare is the sharer-set storage of lines that have left the cache,
+	// for the next lines fetched.
 	spare     coherence.NodeSets
 	memory    *mem.Memory
 	waiting   coherence.LineQueues
@@ -96,8 +111,9 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 // Restart returns the L2 to its just-built state for the machine's next
 // run, keeping its storage. The machine's Reset calls it.
 func (l *L2) Restart() {
-	l.cache.Visit(func(e *cacheset.Entry[l2Line]) { l.keepSets(&e.V) })
+	l.cache.Visit(func(e *cacheset.Entry[l2Line]) { l.spare.Put(e.V.sharers) })
 	l.cache.Reset()
+	l.txns.Reset()
 	l.waiting.Reset()
 	clear(l.stalled)
 	l.stalled, l.replaying = l.stalled[:0], nil
@@ -202,7 +218,7 @@ func (l *L2) handleGet(m *coherence.Msg) {
 	}
 	// Reserve the line for the duration of the lookup latency so that a
 	// second request cannot start a racing transaction.
-	e.V.open(txnLookup, m.Src, coherence.NodeNone).req = m
+	l.open(&e.V, txnLookup, m.Src, coherence.NodeNone).req = m
 	l.fab.CallAfter(l.cfg.L2Lat, l.doServeHit, m)
 }
 
@@ -227,11 +243,10 @@ func (l *L2) missFetch(m *coherence.Msg) {
 			l.memory.Write(victim.Addr, victim.V.data)
 		}
 		l.fab.FreeBlock(victim.V.data)
-		l.keepSets(&victim.V)
+		l.spare.Put(victim.V.sharers)
 	}
-	e.V = l2Line{state: L2SS, owner: coherence.NodeNone, sharers: l.spare.Get(),
-		txn: l2Txn{invalidated: l.spare.Get(), recallWait: l.spare.Get()}}
-	e.V.open(txnFetch, m.Src, coherence.NodeNone).req = m
+	e.V = l2Line{state: L2SS, owner: coherence.NodeNone, sharers: l.spare.Get()}
+	l.open(&e.V, txnFetch, m.Src, coherence.NodeNone).req = m
 	l.fab.CallAfter(l.cfg.L2Lat+l.cfg.MemLat, l.doFetchDone, m)
 }
 
@@ -239,14 +254,14 @@ func (l *L2) missFetch(m *coherence.Msg) {
 func (l *L2) fetchDone(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	le := l.cache.Peek(addr)
-	if le == nil || le.V.txn.kind != txnFetch {
+	if le == nil || le.V.kind() != txnFetch {
 		panic(fmt.Sprintf("%s: fetch completion for %v found no fetch txn", l.name, addr))
 	}
 	req := le.V.txn.req
 	le.V.data = l.fab.CopyBlock(nil)
 	l.memory.ReadInto(addr, le.V.data)
 	le.V.dirty = false
-	le.V.closeTxn()
+	l.closeTxn(&le.V)
 	l.serveHit(req)
 }
 
@@ -259,8 +274,8 @@ func (l *L2) serveHit(m *coherence.Msg) {
 		l.fab.CallAfter(0, l.doRecv, m)
 		return
 	}
-	if e.V.txn.kind == txnLookup && e.V.txn.req == m {
-		e.V.closeTxn() // lookup reservation resolves into the real txn below
+	if e.V.kind() == txnLookup && e.V.txn.req == m {
+		l.closeTxn(&e.V) // lookup reservation resolves into the real txn below
 	} else if e.V.busy() {
 		l.fab.CallAfter(0, l.doRecv, m)
 		return
@@ -271,10 +286,10 @@ func (l *L2) serveHit(m *coherence.Msg) {
 		o := e.V.owner
 		switch m.Type {
 		case coherence.MGetS, coherence.MGetInstr:
-			e.V.open(txnGetS, r, o).needCopy = true
+			l.open(&e.V, txnGetS, r, o).needCopy = true
 			l.send(coherence.Msg{Type: coherence.MFwdGetS, Addr: addr, Src: l.id, Dst: o, Requestor: r})
 		case coherence.MGetM:
-			e.V.open(txnGetM, r, o)
+			l.open(&e.V, txnGetM, r, o)
 			e.V.owner = r
 			// Tell the requestor to expect exactly one response; the
 			// data arrives directly from the old owner.
@@ -293,10 +308,10 @@ func (l *L2) serveHit(m *coherence.Msg) {
 			} else {
 				e.V.sharers.Add(r)
 			}
-			e.V.open(txnGetS, r, coherence.NodeNone)
+			l.open(&e.V, txnGetS, r, coherence.NodeNone)
 			l.send(coherence.Msg{Type: ty, Addr: addr, Src: l.id, Dst: r, Data: e.V.data})
 		case coherence.MGetM:
-			t := e.V.open(txnGetM, r, coherence.NodeNone)
+			t := l.open(&e.V, txnGetM, r, coherence.NodeNone)
 			for _, s := range e.V.sharers {
 				if s != r {
 					t.invalidated = append(t.invalidated, s) // ascending, like sharers
@@ -326,7 +341,7 @@ func (l *L2) handlePut(m *coherence.Msg) {
 		l.popWaiting(addr)
 		return
 	}
-	if t := &e.V.txn; !e.V.busy() && l.waiting.Waiting(addr) && m != l.replaying {
+	if t := e.V.txn; !e.V.busy() && l.waiting.Waiting(addr) && m != l.replaying {
 		l.waiting.Push(addr, m)
 		return
 	} else if e.V.busy() {
@@ -398,7 +413,7 @@ func (l *L2) handleCopy(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
 	if e != nil && e.V.busy() {
-		t := &e.V.txn
+		t := e.V.txn
 		switch {
 		case t.kind == txnGetS && t.needCopy && m.Src == t.oldOwner:
 			l.fab.FillBlock(&e.V.data, m.Data)
@@ -437,8 +452,8 @@ func (l *L2) handleCopy(m *coherence.Msg) {
 }
 
 func (l *L2) maybeCloseTxn(addr mem.Addr, e *cacheset.Entry[l2Line]) {
-	t := &e.V.txn
-	if !e.V.busy() || !t.unblocked || (t.needCopy && !t.copyIn) {
+	t := e.V.txn
+	if t == nil || !t.unblocked || (t.needCopy && !t.copyIn) {
 		return
 	}
 	if t.kind == txnGetS && t.oldOwner != coherence.NodeNone {
@@ -448,7 +463,7 @@ func (l *L2) maybeCloseTxn(addr mem.Addr, e *cacheset.Entry[l2Line]) {
 		e.V.sharers.Add(t.oldOwner)
 		e.V.sharers.Add(t.requestor)
 	}
-	e.V.closeTxn()
+	l.closeTxn(&e.V)
 	l.popWaiting(addr)
 	l.replayStalled()
 }
@@ -471,7 +486,7 @@ func (l *L2) startRecallInSet(addr mem.Addr) {
 		return // all ways busy; stalled request retries on any close
 	}
 	// No requestor: node 0, which an Unblock is checked against.
-	t := cand.V.open(txnRecall, 0, coherence.NodeNone)
+	t := l.open(&cand.V, txnRecall, 0, coherence.NodeNone)
 	for _, s := range cand.V.sharers {
 		t.recallWait.Add(s)
 		l.send(coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: s})
@@ -486,7 +501,7 @@ func (l *L2) startRecallInSet(addr mem.Addr) {
 func (l *L2) handleRecallAck(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	e := l.cache.Peek(addr)
-	if e == nil || e.V.txn.kind != txnRecall || !e.V.txn.recallWait.Remove(m.Src) {
+	if e == nil || e.V.kind() != txnRecall || !e.V.txn.recallWait.Remove(m.Src) {
 		l.StrayAcks++
 		return
 	}
@@ -494,26 +509,18 @@ func (l *L2) handleRecallAck(m *coherence.Msg) {
 }
 
 func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {
-	t := &e.V.txn
-	if t.kind != txnRecall || len(t.recallWait) > 0 {
+	if e.V.kind() != txnRecall || len(e.V.txn.recallWait) > 0 {
 		return
 	}
 	if e.V.dirty {
 		l.memory.Write(addr, e.V.data)
 	}
 	l.fab.FreeBlock(e.V.data)
-	l.keepSets(&e.V)
+	l.spare.Put(e.V.sharers)
+	l.closeTxn(&e.V)
 	l.cache.Invalidate(addr)
 	l.popWaiting(addr)
 	l.replayStalled()
-}
-
-// keepSets puts the node-set storage of a line leaving the cache on the
-// spare list.
-func (l *L2) keepSets(v *l2Line) {
-	l.spare.Put(v.sharers)
-	l.spare.Put(v.txn.invalidated)
-	l.spare.Put(v.txn.recallWait)
 }
 
 // --- wakeups ---
@@ -540,16 +547,11 @@ func (l *L2) replayStalled() {
 	l.stalled = l.stalled[:0]
 }
 
+// OpenTxns reports the lines with a transaction open (none at quiesce).
+func (l *L2) OpenTxns() int { return l.txns.Live() }
+
 // Outstanding reports open transactions and queued work.
-func (l *L2) Outstanding() int {
-	n := len(l.stalled) + l.waiting.Len()
-	l.cache.Visit(func(e *cacheset.Entry[l2Line]) {
-		if e.V.busy() {
-			n++
-		}
-	})
-	return n
-}
+func (l *L2) Outstanding() int { return l.txns.Live() + len(l.stalled) + l.waiting.Len() }
 
 // Coverage returns the L2's (state, event) coverage.
 func (l *L2) Coverage() *coherence.Coverage { return l.Cov }

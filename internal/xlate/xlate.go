@@ -39,16 +39,22 @@ const (
 
 // wideLine is one 128-byte line; data holds its two halves, each the
 // accelerator's own block, taken from the machine's block list when the
-// half is granted and given back when it is invalidated or evicted.
+// half is granted and given back when it is invalidated or evicted. txn
+// is the open fill's record, nil when none is open.
 type wideLine struct {
-	busy     bool // paired transaction outstanding
+	txn     *wideFill
+	pending int // sub-block responses still expected: grants, or WBAcks once evicted
+	half    [2]halfState
+	dirty   [2]bool
+	data    [2]*mem.Block
+}
+
+// wideFill is an open paired fill: the core operation it completes, when
+// it was issued (for crossing latency) and which halves are in flight.
+type wideFill struct {
 	op       *coherence.Msg
-	pending  int      // sub-block responses still expected: grants, or WBAcks once evicted
-	issue    sim.Time // first sub-block request tick, for crossing latency
+	issue    sim.Time
 	inflight [2]bool
-	half     [2]halfState
-	dirty    [2]bool
-	data     [2]*mem.Block
 }
 
 // WideAccel is the 128-byte-block accelerator plus its translation layer.
@@ -57,7 +63,7 @@ type WideAccel struct {
 	// granularity as long as addresses are consistent, so entries are keyed
 	// by the wide-aligned address. The chassis's write-back buffer holds
 	// wide evictions until their last WBAck.
-	chassis.L1[wideLine]
+	chassis.L1[wideLine, wideFill]
 	eng *sim.Engine
 	xg  coherence.NodeID
 
@@ -76,7 +82,7 @@ type WideAccel struct {
 func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	xg coherence.NodeID, sets, ways int) *WideAccel {
 	w := &WideAccel{eng: eng, xg: xg}
-	w.Init(w, id, name, fab, sets, ways, 1, nil, func(v *wideLine) bool { return v.busy }, w.evict, w.handleCPU)
+	w.Init(w, id, name, fab, sets, ways, 1, nil, func(v *wideLine) bool { return v.txn != nil }, w.evict, w.handleCPU)
 	return w
 }
 
@@ -157,8 +163,8 @@ func (w *WideAccel) fill(e *cacheset.Entry[wideLine], wa mem.Addr, op *coherence
 	if excl {
 		ty = coherence.AGetM
 	}
-	e.V.busy = true
-	e.V.op = op
+	e.V.txn = w.Txns.Get()
+	*e.V.txn = wideFill{op: op}
 	e.V.pending = 0
 	for h := 0; h < 2; h++ {
 		sub := wa + mem.Addr(h*mem.BlockBytes)
@@ -171,20 +177,20 @@ func (w *WideAccel) fill(e *cacheset.Entry[wideLine], wa mem.Addr, op *coherence
 			// in the interface (Table 1's S+Store row).
 		}
 		e.V.pending++
-		e.V.inflight[h] = true
+		e.V.txn.inflight[h] = true
 		w.send(ty, sub, nil, false)
 	}
 	if e.V.pending == 0 {
 		w.completeFill(e)
 	} else {
-		e.V.issue = w.eng.Now()
+		e.V.txn.issue = w.eng.Now()
 	}
 }
 
 func (w *WideAccel) handleData(m *coherence.Msg) {
 	wa := wideAddr(m.Addr)
 	e := w.Lines.Peek(wa)
-	if e == nil || !e.V.busy {
+	if e == nil || e.V.txn == nil {
 		panic(fmt.Sprintf("%s: grant with no fill: %v", w.Name(), m))
 	}
 	h := halfIndex(m.Addr)
@@ -198,20 +204,20 @@ func (w *WideAccel) handleData(m *coherence.Msg) {
 	}
 	w.Fab.FillBlock(&e.V.data[h], m.Data) // in place on an upgrade
 	e.V.dirty[h] = false
-	e.V.inflight[h] = false
+	e.V.txn.inflight[h] = false
 	e.V.pending--
 	if e.V.pending == 0 {
 		w.Merges++
 		w.mMerges.Inc()
-		w.mCrossing.Observe(float64(w.eng.Now() - e.V.issue))
+		w.mCrossing.Observe(float64(w.eng.Now() - e.V.txn.issue))
 		w.completeFill(e)
 	}
 }
 
 func (w *WideAccel) completeFill(e *cacheset.Entry[wideLine]) {
-	op := e.V.op
-	e.V.busy = false
-	e.V.op = nil
+	op := e.V.txn.op
+	w.Txns.Put(e.V.txn)
+	e.V.txn = nil
 	h := halfIndex(op.Addr)
 	if op.Type == coherence.ReqStore {
 		if e.V.half[h] == halfE {
@@ -279,7 +285,7 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 		return
 	}
 	e := w.Lines.Peek(wa)
-	if e == nil || e.V.inflight[h] || e.V.data[h] == nil {
+	if e == nil || (e.V.txn != nil && e.V.txn.inflight[h]) || e.V.data[h] == nil {
 		// Absent or mid-fetch: B-style InvAck, no further action.
 		w.send(coherence.AInvAck, m.Addr.Line(), nil, false)
 		return
@@ -300,7 +306,7 @@ func (w *WideAccel) handleInv(m *coherence.Msg) {
 	e.V.data[h] = nil
 	e.V.dirty[h] = false
 	e.V.half[h] = halfS
-	if e.V.data[0] == nil && e.V.data[1] == nil && !e.V.busy {
+	if e.V.data[0] == nil && e.V.data[1] == nil && e.V.txn == nil {
 		w.Lines.Invalidate(wa)
 	}
 }
