@@ -270,10 +270,11 @@ func complexity(*lab) complexityTable {
 	aReqs, aResps, aOut := accel.MessageInventory()
 	mS, mT := mesi.StateInventory()
 	hS, hT := hammer.StateInventory()
+	hReqs, hResps, hOut := hammer.MessageInventory()
 	return complexityTable{
 		{"accel L1 (XG iface)", len(aS), len(aT), aReqs, aResps, aOut},
 		{"MESI host L1", len(mS), len(mT), 4, 7, 5},
-		{"Hammer host cache", len(hS), len(hT), 3, 6, 4},
+		{"Hammer host cache", len(hS), len(hT), hReqs, hResps, hOut},
 	}
 }
 

@@ -106,20 +106,6 @@ func cellText(st AState, ev int, s *step) string {
 // responses the rest, and the answers out the distinct messages those
 // cells send.
 func MessageInventory() (reqsIn, respsIn, respsOut int) {
-	answered, answers := map[int]bool{}, map[coherence.MsgType]bool{}
-	for _, r := range table1.Rows {
-		if ev := r.Evs[0]; ev >= len(localEvents) {
-			answered[ev] = answered[ev] || r.Do.send != none
-			answers[r.Do.send] = true
-		}
-	}
-	for _, a := range answered {
-		if a {
-			reqsIn++
-		} else {
-			respsIn++
-		}
-	}
-	delete(answers, none)
-	return reqsIn, respsIn, len(answers)
+	send := func(s *step) coherence.MsgType { return s.send }
+	return table1.Inventory(len(localEvents), func(s *step) bool { return s.send != none }, send)
 }

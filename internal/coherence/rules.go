@@ -83,3 +83,25 @@ func (t *Rules[S, V]) Render(cell func(st S, ev int, do *V) string) (events []st
 	}
 	return events, rows
 }
+
+// Inventory counts the table's messages for experiment E2. Events from
+// local on are messages: the requests taken are those some cell answers,
+// the responses the rest; respsOut is the distinct messages cells send.
+func (t *Rules[S, V]) Inventory(local int, answers func(*V) bool, send func(*V) MsgType) (reqsIn, respsIn, respsOut int) {
+	answered, sent := map[int]bool{}, map[MsgType]bool{}
+	for i := range t.Rows {
+		for _, ev := range t.Rows[i].Evs {
+			if ev >= local {
+				answered[ev] = answered[ev] || answers(&t.Rows[i].Do)
+				sent[send(&t.Rows[i].Do)] = true
+			}
+		}
+	}
+	for _, a := range answered {
+		if a {
+			reqsIn++
+		}
+	}
+	delete(sent, MsgInvalid)
+	return reqsIn, len(answered) - reqsIn, len(sent)
+}

@@ -31,11 +31,10 @@ type getTxn struct {
 	memData   *mem.Block
 	op        *coherence.Msg
 	shared    bool
-	cacheDirt bool
-	noExcl    bool // GetS_only: never take E
 }
 
-// Cache is a private combined L1/L2 in the Hammer-like protocol.
+// Cache is a private combined L1/L2 in the Hammer-like protocol, run from
+// its transition table (cacheRules).
 type Cache struct {
 	// The chassis's write-back buffer holds evicted lines in MI/OI/EI/II,
 	// with the data they took along.
@@ -56,7 +55,7 @@ type Cache struct {
 func NewCache(id coherence.NodeID, name string, fab *network.Fabric,
 	dir coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Cache {
 	c := &Cache{txnMods: cfg.TxnMods, dir: dir, sink: sink, responses: responses}
-	c.Init(c, id, name, fab, cfg.Sets, cfg.Ways, cfg.HitLat, NewCacheCoverage(),
+	c.Init(c, id, name, fab, cfg.Sets, cfg.Ways, cfg.HitLat, cacheRules.Coverage(),
 		func(v *cLine) bool { return !v.state.Stable() }, c.evict, c.handleCPU)
 	return c
 }
@@ -75,29 +74,111 @@ var cacheTable = coherence.NewTable(cStateNames[:], localEvents,
 	coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM,
 	coherence.HData, coherence.HAck, coherence.HMemData, coherence.HWBAck, coherence.HNack)
 
-// NewCacheCoverage declares reachable (state, event) pairs.
-func NewCacheCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.cache", cacheTable)
-	declare := func(states []CState, msgs ...coherence.MsgType) {
-		for _, s := range states {
-			for _, m := range msgs {
-				cov.Declare(int(s), cacheTable.Event(m))
-			}
-		}
-	}
-	for s := CI; s <= CM; s++ {
-		cov.Declare(int(s), evLoad, evStore)
-	}
-	for s := CS; s <= CM; s++ {
-		cov.Declare(int(s), evReplacement)
-	}
-	declare([]CState{CI, CS, CE, CO, CM, CIS, CIM, CSM, COM, CMI, COI, CEI, CII},
-		coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM)
-	declare([]CState{CIS, CIM, CSM, COM}, coherence.HData, coherence.HAck, coherence.HMemData)
-	declare([]CState{CMI, COI, CEI}, coherence.HWBAck)
-	declare([]CState{CII}, coherence.HNack, coherence.HWBAck)
-	return cov
+var (
+	fwdGetS, fwdGetSOnly, fwdGetM = cacheTable.Event(coherence.HFwdGetS), cacheTable.Event(coherence.HFwdGetSOnly),
+		cacheTable.Event(coherence.HFwdGetM)
+	wbAck, nack = cacheTable.Event(coherence.HWBAck), cacheTable.Event(coherence.HNack)
+	resps       = []int{cacheTable.Event(coherence.HData), cacheTable.Event(coherence.HAck), cacheTable.Event(coherence.HMemData)}
+)
+
+// none is a cell that sends nothing.
+const none = coherence.MsgInvalid
+
+// action is what a cell of the cache's table does.
+type action uint8
+
+const (
+	actHit     action = iota // complete the core operation
+	actGet                   // send the Get and count its responses in the transient
+	actEvict                 // send the Put and buffer the line, or with none drop it silently
+	actAnswer                // answer the forward to its requestor: Data from an owner, else Ack
+	actCollect               // count the response; the last completes the Get and sends Unblock
+	actRetire                // close the write-back, sending WBData unless none
+	actSink                  // TxnMods only: sink the unexpected Nack and raise an error
+)
+
+// A rule is one cell of the cache's table: what it does, the message it
+// sends and the state the line enters.
+type rule struct {
+	act  action
+	send coherence.MsgType
+	next CState
 }
+
+func on(st CState, r rule, evs ...int) coherence.Row[CState, rule] {
+	return coherence.Row[CState, rule]{St: st, Evs: evs, Do: r}
+}
+
+func hit(next CState) rule                      { return rule{actHit, none, next} }
+func get(t coherence.MsgType, next CState) rule { return rule{actGet, t, next} }
+func put(next CState) rule                      { return rule{actEvict, coherence.HPut, next} }
+func data(next CState) rule                     { return rule{actAnswer, coherence.HData, next} }
+func ack(next CState) rule                      { return rule{actAnswer, coherence.HAck, next} }
+func collect(next CState) rule                  { return rule{actCollect, coherence.HUnblock, next} }
+func retire(t coherence.MsgType) rule           { return rule{actRetire, t, CI} }
+func sinkNack(next CState) rule                 { return rule{actSink, none, next} }
+
+// cacheRules is the cache's table in the row format of paper Table 1. A
+// Get's responses all count in its transient; the last enters the cell's
+// next state, or S instead of E when a response said the block is shared.
+// The Nack cells outside II are the §3.2.1 tolerance: a Nack the protocol
+// never sends there is sunk, dropping a buffered write-back.
+var cacheRules = coherence.NewRules("hammer.cache", cacheTable, []coherence.Row[CState, rule]{
+	on(CI, get(coherence.HGetS, CIS), evLoad),
+	on(CI, get(coherence.HGetM, CIM), evStore),
+	on(CI, ack(CI), fwdGetS, fwdGetSOnly, fwdGetM),
+	on(CI, sinkNack(CI), nack),
+	on(CS, hit(CS), evLoad),
+	on(CS, get(coherence.HGetM, CSM), evStore),
+	on(CS, rule{actEvict, none, CI}, evReplacement), // Hammer evicts S silently
+	on(CS, ack(CS), fwdGetS, fwdGetSOnly),
+	on(CS, ack(CI), fwdGetM),
+	on(CS, sinkNack(CS), nack),
+	on(CE, hit(CE), evLoad),
+	on(CE, hit(CM), evStore),
+	on(CE, put(CEI), evReplacement),
+	on(CE, data(CO), fwdGetS, fwdGetSOnly),
+	on(CE, data(CI), fwdGetM),
+	on(CE, sinkNack(CE), nack),
+	on(CO, hit(CO), evLoad),
+	on(CO, get(coherence.HGetM, COM), evStore),
+	on(CO, put(COI), evReplacement),
+	on(CO, data(CO), fwdGetS, fwdGetSOnly),
+	on(CO, data(CI), fwdGetM),
+	on(CO, sinkNack(CO), nack),
+	on(CM, hit(CM), evLoad, evStore),
+	on(CM, put(CMI), evReplacement),
+	on(CM, data(CO), fwdGetS, fwdGetSOnly),
+	on(CM, data(CI), fwdGetM),
+	on(CM, sinkNack(CM), nack),
+	on(CIS, ack(CIS), fwdGetS, fwdGetSOnly, fwdGetM),
+	on(CIS, collect(CE), resps...),
+	on(CIM, ack(CIM), fwdGetS, fwdGetSOnly, fwdGetM),
+	on(CIM, collect(CM), resps...),
+	on(CSM, ack(CSM), fwdGetS, fwdGetSOnly),
+	on(CSM, ack(CIM), fwdGetM),
+	on(CSM, collect(CM), resps...),
+	on(COM, data(COM), fwdGetS, fwdGetSOnly),
+	on(COM, data(CIM), fwdGetM), // our own GetM is still queued
+	on(COM, collect(CM), resps...),
+	on(CMI, data(CMI), fwdGetS, fwdGetSOnly),
+	on(CMI, data(CII), fwdGetM),
+	on(CMI, retire(coherence.HWBData), wbAck),
+	on(CMI, sinkNack(CI), nack),
+	on(COI, data(COI), fwdGetS, fwdGetSOnly),
+	on(COI, data(CII), fwdGetM),
+	on(COI, retire(coherence.HWBData), wbAck),
+	on(COI, sinkNack(CI), nack),
+	on(CEI, data(CEI), fwdGetS, fwdGetSOnly),
+	on(CEI, data(CII), fwdGetM),
+	on(CEI, retire(coherence.HWBData), wbAck),
+	on(CEI, sinkNack(CI), nack),
+	// Ownership moved on while the Put was queued: a WBAck is answered
+	// with a clean WBData so the directory can close, a Nack ends the race.
+	on(CII, ack(CII), fwdGetS, fwdGetSOnly, fwdGetM),
+	on(CII, retire(coherence.HWBData), wbAck),
+	on(CII, retire(none), nack),
+})
 
 func (c *Cache) protocolError(state string, m *coherence.Msg) {
 	if c.txnMods {
@@ -110,174 +191,147 @@ func (c *Cache) protocolError(state string, m *coherence.Msg) {
 	panic(fmt.Sprintf("%s: unexpected %v in state %s", c.Name(), m, state))
 }
 
-// Recv implements coherence.Controller.
+// Recv implements coherence.Controller: a message runs the cell of the
+// state its line is in, buffered or not.
 func (c *Cache) Recv(m *coherence.Msg) {
-	switch m.Type {
-	case coherence.ReqLoad, coherence.ReqStore:
+	if m.Type == coherence.ReqLoad || m.Type == coherence.ReqStore {
 		c.handleCPU(m)
-	case coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM:
-		c.handleForward(m)
-	case coherence.HData, coherence.HAck, coherence.HMemData:
-		c.handleResponse(m)
-	case coherence.HWBAck:
-		c.handleWBAck(m)
-	case coherence.HNack:
-		c.handleNack(m)
-	default:
+		return
+	}
+	ev := cacheTable.Event(m.Type)
+	if ev < 0 {
 		c.protocolError("?", m)
+		return
+	}
+	line, st := m.Addr.Line(), CI
+	var e *cacheset.Entry[cLine]
+	v := c.Buffered(line)
+	if v == nil {
+		if e = c.Lines.Peek(m.Addr); e != nil {
+			v = &e.V
+		}
+	}
+	if v != nil {
+		st = v.state
+	}
+	c.Cov.Record(int(st), ev)
+	r := cacheRules.At(st, ev)
+	if r == nil {
+		c.protocolError(st.String(), m)
+		return
+	}
+	switch r.act {
+	case actAnswer:
+		c.answer(m, r, e, v)
+	case actCollect:
+		c.collect(e, r, m)
+	case actRetire:
+		if r.send != none {
+			// In II the block has a new owner: the WBData is clean.
+			c.send(coherence.Msg{Type: r.send, Addr: line, Src: c.ID(), Dst: c.dir,
+				Data: v.data, Dirty: v.dirty && st != CII})
+		}
+		c.Retire(line, v.data)
+	case actSink:
+		// Paper §3.2.1: host caches must sink unexpected Nacks and raise
+		// an error instead of crashing.
+		if !c.txnMods {
+			panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.Name(), st, line))
+		}
+		c.NacksSunk++
+		c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
+			Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
+		if r.next != st {
+			c.Retire(line, v.data) // the write-back is dropped
+		}
 	}
 }
 
 // send takes a message holding t from the pool and hands it to the fabric.
 func (c *Cache) send(t coherence.Msg) { c.Fab.Send(c.Fab.Msg(t)) }
 
-// --- CPU side ---
+func opEv(op *coherence.Msg) int {
+	if op.Type == coherence.ReqStore {
+		return evStore
+	}
+	return evLoad
+}
 
 func (c *Cache) handleCPU(m *coherence.Msg) {
-	line := m.Addr.Line()
+	line, ev := m.Addr.Line(), opEv(m)
 	e, ok := c.Admit(line, m)
 	if !ok {
 		return
 	}
-	isStore := m.Type == coherence.ReqStore
-	ev := evLoad
-	if isStore {
-		ev = evStore
+	st := CI
+	if e != nil {
+		st = e.V.state
 	}
+	c.Cov.Record(int(st), ev)
 	if e == nil {
-		c.Cov.Record(int(CI), ev)
 		if e = c.Allocate(line, m); e == nil {
 			return
 		}
-		if isStore {
-			c.issueGet(e, m, coherence.HGetM, CIM)
-		} else {
-			c.issueGet(e, m, coherence.HGetS, CIS)
-		}
+	}
+	r := cacheRules.At(st, ev)
+	if r.act != actGet {
+		c.hit(e, r, m)
 		return
 	}
-	st := e.V.state
-	c.Cov.Record(int(st), ev)
-	switch {
-	case !isStore: // load hit in S/E/O/M
-		c.Respond(m, e.V.data[m.Addr.Offset()])
-	case st == CM:
-		e.V.data[m.Addr.Offset()] = m.Val
-		c.Respond(m, 0)
-	case st == CE:
-		e.V.state = CM
-		e.V.dirty = true
-		e.V.data[m.Addr.Offset()] = m.Val
-		c.Respond(m, 0)
-	case st == CS:
-		c.issueGet(e, m, coherence.HGetM, CSM)
-	case st == CO:
-		c.issueGet(e, m, coherence.HGetM, COM)
-	}
+	e.V.state, e.V.txn = r.next, c.Txns.Get()
+	*e.V.txn = getTxn{expected: c.responses, op: m}
+	c.send(coherence.Msg{Type: r.send, Addr: line, Src: c.ID(), Dst: c.dir})
 }
 
-func (c *Cache) issueGet(e *cacheset.Entry[cLine], op *coherence.Msg, ty coherence.MsgType, next CState) {
-	e.V.state, e.V.txn = next, c.Txns.Get()
-	*e.V.txn = getTxn{expected: c.responses, noExcl: ty == coherence.HGetSOnly, op: op}
-	c.send(coherence.Msg{Type: ty, Addr: e.Addr, Src: c.ID(), Dst: c.dir})
+// hit completes core operation op on line e, which enters r's next state.
+func (c *Cache) hit(e *cacheset.Entry[cLine], r *rule, op *coherence.Msg) {
+	e.V.state = r.next
+	if op.Type == coherence.ReqStore {
+		e.V.dirty = true
+		e.V.data[op.Addr.Offset()] = op.Val
+		c.Respond(op, 0)
+		return
+	}
+	c.Respond(op, e.V.data[op.Addr.Offset()])
 }
 
 func (c *Cache) evict(addr mem.Addr, v *cLine) {
 	c.Cov.Record(int(v.state), evReplacement)
-	switch v.state {
-	case CS:
-		// Hammer allows silent eviction of shared blocks.
+	r := cacheRules.At(v.state, evReplacement)
+	if r.send == none {
 		c.Fab.FreeBlock(v.data)
-	case CM, CO, CE:
-		switch v.state {
-		case CM:
-			v.state = CMI
-		case CO:
-			v.state = COI
-		case CE:
-			v.state = CEI
-		}
-		c.Buffer(addr, v)
-		c.send(coherence.Msg{Type: coherence.HPut, Addr: addr, Src: c.ID(), Dst: c.dir})
-	default:
-		panic(fmt.Sprintf("%s: evicting line in state %v", c.Name(), v.state))
+		return
 	}
+	v.state = r.next
+	c.Buffer(addr, v)
+	c.send(coherence.Msg{Type: r.send, Addr: addr, Src: c.ID(), Dst: c.dir})
 }
 
-// --- forwards (broadcast requests from the directory) ---
-
-func (c *Cache) handleForward(m *coherence.Msg) {
+// answer sends forward m's requestor r's response and moves line v, nil in
+// I, to r's next state. Data carries the owner's block and says Shared; an
+// Ack says Shared when the line keeps an S copy.
+func (c *Cache) answer(m *coherence.Msg, r *rule, e *cacheset.Entry[cLine], v *cLine) {
 	line := m.Addr.Line()
-	var st CState
-	var data *mem.Block
-	var dirty bool
-	var e *cacheset.Entry[cLine]
-	wl := c.Buffered(line)
-	if wl != nil {
-		st, data, dirty = wl.state, wl.data, wl.dirty
-	} else if e = c.Lines.Peek(m.Addr); e != nil {
-		st, data, dirty = e.V.state, e.V.data, e.V.dirty
-	} else {
-		st = CI
+	out := coherence.Msg{Type: r.send, Addr: line, Src: c.ID(), Dst: m.Requestor,
+		Shared: r.next == CS || r.next == CSM}
+	if r.send == coherence.HData {
+		out.Data, out.Dirty, out.Shared = v.data, v.dirty, true
 	}
-	c.Cov.Record(int(st), cacheTable.Event(m.Type))
-
-	getM := m.Type == coherence.HFwdGetM
-	if st.owned() {
-		c.send(coherence.Msg{Type: coherence.HData, Addr: line, Src: c.ID(), Dst: m.Requestor,
-			Data: data, Dirty: dirty, Shared: true})
-		switch {
-		case getM:
-			// Ownership moves to the requestor.
-			switch st {
-			case CM, CO, CE:
-				c.Drop(e, e.V.data)
-				c.Settled(line)
-			case COM:
-				e.V.state = CIM // lost our copy; our own GetM is still queued
-			case CMI, COI, CEI:
-				wl.state = CII
-			}
-		default: // FwdGetS / FwdGetSOnly: owner downgrades to O, keeps data
-			switch st {
-			case CM, CE:
-				e.V.state = CO
-				// CO, COM, CMI, COI, CEI: unchanged; still the owner.
-			}
-		}
-		return
-	}
-	// Non-owners ack, asserting Shared when they hold an S copy.
-	hasS := st == CS || st == CSM
-	c.send(coherence.Msg{Type: coherence.HAck, Addr: line, Src: c.ID(), Dst: m.Requestor,
-		Shared: hasS && !getM})
-	if getM {
-		switch st {
-		case CS:
-			c.Drop(e, e.V.data)
-			c.Settled(line)
-		case CSM:
-			e.V.state = CIM
-		}
+	c.send(out)
+	switch {
+	case v == nil || r.next == v.state:
+	case r.next == CI:
+		c.Drop(e, e.V.data)
+		c.Settled(line)
+	default:
+		v.state = r.next
 	}
 }
 
-// --- responses to our own requests ---
-
-func (c *Cache) handleResponse(m *coherence.Msg) {
-	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.txn == nil {
-		c.protocolError("I", m)
-		return
-	}
-	t, st := e.V.txn, e.V.state
-	switch st {
-	case CIS, CIM, CSM, COM:
-	default:
-		c.protocolError(st.String(), m)
-		return
-	}
-	c.Cov.Record(int(st), cacheTable.Event(m.Type))
+// collect counts response m to line e's open Get, and on the last one
+// completes the Get into r's next state.
+func (c *Cache) collect(e *cacheset.Entry[cLine], r *rule, m *coherence.Msg) {
+	t := e.V.txn
 	switch m.Type {
 	case coherence.HData:
 		t.dataCount++
@@ -290,7 +344,6 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 		}
 		if t.cacheData == nil && m.Data != nil {
 			t.cacheData = c.Fab.CopyBlock(m.Data)
-			t.cacheDirt = m.Dirty
 		}
 		t.shared = true // an owner elsewhere means the block is shared
 	case coherence.HAck:
@@ -307,26 +360,16 @@ func (c *Cache) handleResponse(m *coherence.Msg) {
 	if t.got < t.expected {
 		return
 	}
-	c.completeGet(e)
-}
-
-func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
-	t, st := e.V.txn, e.V.state
-	op := t.op
 	// The line adopts the block that answers the Get — no further copy —
 	// and the other collected responses go back to the block list.
 	data := e.V.data
-	var dirty bool
 	switch {
-	case st == COM:
+	case e.V.state == COM:
 		// We are the owner: our copy is authoritative.
-		dirty = e.V.dirty
 	case t.cacheData != nil:
-		data, dirty = t.cacheData, t.cacheDirt
-		t.cacheData = nil
+		data, t.cacheData = t.cacheData, nil
 	case t.memData != nil:
-		data, dirty = t.memData, false
-		t.memData = nil
+		data, t.memData = t.memData, nil
 	default:
 		// Response-counting tolerance: every response was an ack and
 		// even memory data is missing (possible only under fuzzing with
@@ -336,7 +379,7 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 		}
 		c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
 			Code: "HOST.NoData", Addr: e.Addr, Detail: "request completed with zero block"})
-		data, dirty = c.Fab.CopyBlock(nil), false
+		data = c.Fab.CopyBlock(nil)
 	}
 	if data != e.V.data {
 		c.Fab.FreeBlock(e.V.data)
@@ -344,95 +387,16 @@ func (c *Cache) completeGet(e *cacheset.Entry[cLine]) {
 	}
 	c.Fab.FreeBlock(t.cacheData)
 	c.Fab.FreeBlock(t.memData)
-	tookShared := false
-	if st == CIS {
-		if t.shared || t.noExcl {
-			e.V.state = CS
-			tookShared = true
-		} else {
-			e.V.state = CE
-		}
-		e.V.dirty = dirty
-		if tookShared {
-			e.V.dirty = false // the owner retains responsibility
-		}
-		c.Respond(op, e.V.data[op.Addr.Offset()])
-	} else {
-		e.V.state = CM
-		e.V.dirty = true
-		e.V.data[op.Addr.Offset()] = op.Val
-		c.Respond(op, 0)
+	next, op := r.next, t.op
+	if next == CE && t.shared {
+		next = CS // the owner retains responsibility for the data
 	}
 	c.Txns.Put(t)
-	e.V.txn = nil
+	e.V.state, e.V.dirty, e.V.txn = next, false, nil
+	c.hit(e, cacheRules.At(next, opEv(op)), op)
 	c.send(coherence.Msg{Type: coherence.HUnblock, Addr: e.Addr, Src: c.ID(), Dst: c.dir,
-		Shared: tookShared})
+		Shared: next == CS})
 	c.Settled(e.Addr)
-}
-
-// --- writeback acks and nacks ---
-
-func (c *Cache) handleWBAck(m *coherence.Msg) {
-	line := m.Addr.Line()
-	wl := c.Buffered(line)
-	if wl == nil {
-		c.protocolError("I", m)
-		return
-	}
-	c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
-	switch wl.state {
-	case CMI, COI, CEI:
-		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.ID(), Dst: c.dir,
-			Data: wl.data, Dirty: wl.dirty})
-		c.Retire(line, wl.data)
-	case CII:
-		// We no longer own the block; the WBAck is for a Put the
-		// directory accepted before ownership moved — complete with a
-		// clean (ignored) writeback so the directory can close.
-		c.send(coherence.Msg{Type: coherence.HWBData, Addr: line, Src: c.ID(), Dst: c.dir,
-			Data: wl.data, Dirty: false})
-		c.Retire(line, wl.data)
-	default:
-		c.protocolError(wl.state.String(), m)
-	}
-}
-
-func (c *Cache) handleNack(m *coherence.Msg) {
-	line := m.Addr.Line()
-	if wl := c.Buffered(line); wl != nil {
-		c.Cov.Record(int(wl.state), cacheTable.Event(m.Type))
-		if wl.state == CII {
-			// Normal race resolution: ownership moved while our Put was
-			// queued; the data already went to the new owner.
-			c.Retire(line, wl.data)
-			return
-		}
-		// A Nack in MI/OI/EI means the directory disagrees about
-		// ownership without us having seen a FwdGetM: impossible in a
-		// correct system, possible after accelerator-corrupted state.
-		if !c.txnMods {
-			panic(fmt.Sprintf("%s: Nack in %v for %v", c.Name(), wl.state, line))
-		}
-		c.NacksSunk++
-		c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
-			Code: "HOST.UnexpectedNack", Addr: line,
-			Detail: fmt.Sprintf("Nack sunk in state %v; dropping writeback", wl.state)})
-		c.Retire(line, wl.data)
-		return
-	}
-	// Paper §3.2.1: host caches must sink unexpected Nacks and raise an
-	// error instead of crashing.
-	st := CI
-	if e := c.Lines.Peek(m.Addr); e != nil {
-		st = e.V.state
-	}
-	c.Cov.Record(int(st), cacheTable.Event(m.Type))
-	if !c.txnMods {
-		panic(fmt.Sprintf("%s: unexpected Nack in state %s for %v", c.Name(), st, line))
-	}
-	c.NacksSunk++
-	c.sink.ReportError(coherence.ProtocolError{Where: c.Name(),
-		Code: "HOST.UnexpectedNack", Addr: line, Detail: "Nack sunk in state " + st.String()})
 }
 
 // Held reports every stable valid line for invariant checks.

@@ -10,18 +10,12 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// dirTxnKind labels an open directory transaction.
-type dirTxnKind int
-
-const (
-	dirIdle dirTxnKind = iota // no transaction open
-	dirGet
-	dirWB
-)
-
-// dirTxn is a line's open transaction, held by value in its dirLine.
+// dirTxn is a line's open transaction, held by value in its dirLine: the
+// cell that closes it, takeUnblock for a Get and takeWBData for a
+// writeback, and the requestor that must send it. The zero value (closer
+// openGet) is no transaction.
 type dirTxn struct {
-	kind      dirTxnKind
+	closer    dirAction
 	requestor coherence.NodeID
 }
 
@@ -33,10 +27,11 @@ type dirLine struct {
 	txn   dirTxn
 }
 
-func (l *dirLine) busy() bool { return l.txn.kind != dirIdle }
+func (l *dirLine) busy() bool { return l.txn.closer != openGet }
 
 // Directory is the Hammer directory + memory controller. It serializes
-// transactions per line and broadcasts every request to all peer caches.
+// transactions per line and broadcasts every request to all peer caches,
+// and runs from its transition table (dirRules).
 type Directory struct {
 	id    coherence.NodeID
 	name  string
@@ -70,7 +65,7 @@ func NewDirectory(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
 		memory: memory,
 		lines:  make(map[mem.Addr]*dirLine),
-		Cov:    NewDirectoryCoverage(),
+		Cov:    dirRules.Coverage(),
 	}
 	d.fillMemData = d.readMemData
 	d.doBroadcast = d.broadcast
@@ -96,17 +91,40 @@ var dirTable = coherence.NewTable(
 	coherence.HFwdGetS, coherence.HFwdGetSOnly, coherence.HFwdGetM, coherence.HWBAck, coherence.HNack,
 	coherence.HMemData, coherence.HData, coherence.HAck)
 
-// NewDirectoryCoverage declares reachable (state, event) pairs.
-func NewDirectoryCoverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("hammer.dir", dirTable)
-	var events []int
-	for _, m := range []coherence.MsgType{coherence.HGetS, coherence.HGetSOnly, coherence.HGetM,
-		coherence.HPut, coherence.HWBData, coherence.HUnblock} {
-		events = append(events, dirTable.Event(m))
-	}
-	cov.DeclareAll([]int{dirUnowned, dirOwned, dirUnownedBusy, dirOwnedBusy}, events)
-	return cov
-}
+// dirAction is what a cell of the directory's table does. The first three
+// take a request on an idle line.
+type dirAction uint8
+
+const (
+	openGet     dirAction = iota // open the Get and broadcast it after the lookup latency
+	ackPut                       // ack the owner's Put and await its WBData; Nack anyone else's
+	nackPut                      // Nack the Put: the line has no owner to write it back
+	queueReq                     // queue the request behind the open transaction
+	takeWBData                   // close the open writeback with its data
+	takeUnblock                  // close the open Get
+)
+
+var (
+	dirReqs = []int{dirTable.Event(coherence.HGetS), dirTable.Event(coherence.HGetSOnly),
+		dirTable.Event(coherence.HGetM), dirTable.Event(coherence.HPut)}
+	dirGets, dirPut       = dirReqs[:3], dirReqs[3:]
+	dirWBData, dirUnblock = []int{dirTable.Event(coherence.HWBData)}, []int{dirTable.Event(coherence.HUnblock)}
+)
+
+// dirRules is the directory's table, keyed on its coverage state. Every
+// other message is a protocol error.
+var dirRules = coherence.NewRules("hammer.dir", dirTable, []coherence.Row[int, dirAction]{
+	{St: dirUnowned, Evs: dirGets, Do: openGet},
+	{St: dirUnowned, Evs: dirPut, Do: nackPut},
+	{St: dirOwned, Evs: dirGets, Do: openGet},
+	{St: dirOwned, Evs: dirPut, Do: ackPut},
+	{St: dirUnownedBusy, Evs: dirReqs, Do: queueReq},
+	{St: dirUnownedBusy, Evs: dirWBData, Do: takeWBData},
+	{St: dirUnownedBusy, Evs: dirUnblock, Do: takeUnblock},
+	{St: dirOwnedBusy, Evs: dirReqs, Do: queueReq},
+	{St: dirOwnedBusy, Evs: dirWBData, Do: takeWBData},
+	{St: dirOwnedBusy, Evs: dirUnblock, Do: takeUnblock},
+})
 
 // AddPeer registers a cache for broadcast. Call once per cache before
 // simulation starts.
@@ -149,19 +167,15 @@ func (d *Directory) Restart() {
 
 // covState is the line's coverage state.
 func (d *Directory) covState(l *dirLine) int {
-	owned, busy := l.owner != coherence.NodeNone, l.busy()
-	switch {
-	case owned && busy:
-		return dirOwnedBusy
-	case owned:
-		return dirOwned
-	case busy:
-		return dirUnownedBusy
+	k := dirUnowned
+	if l.owner != coherence.NodeNone {
+		k = dirOwned
 	}
-	return dirUnowned
+	if l.busy() {
+		k += dirUnownedBusy // the busy states follow the idle ones
+	}
+	return k
 }
-
-func (d *Directory) stateName(l *dirLine) string { return dirTable.States()[d.covState(l)] }
 
 func (d *Directory) protocolError(state string, m *coherence.Msg) {
 	if d.cfg.TxnMods {
@@ -174,61 +188,61 @@ func (d *Directory) protocolError(state string, m *coherence.Msg) {
 	panic(fmt.Sprintf("%s: unexpected %v in state %s", d.name, m, state))
 }
 
-// Recv implements coherence.Controller.
+// Recv implements coherence.Controller: a message runs the cell of its
+// line's coverage state, once the per-line FIFO lets it.
 func (d *Directory) Recv(m *coherence.Msg) {
 	addr := m.Addr.Line()
 	l := d.lineFor(addr)
-	d.Cov.Record(d.covState(l), dirTable.Event(m.Type))
-	switch m.Type {
-	case coherence.HGetS, coherence.HGetSOnly, coherence.HGetM:
-		if l.busy() || (d.waiting.Waiting(addr) && m != d.replaying) {
-			// Strict per-line FIFO: nothing may overtake queued requests
-			// (a Get overtaking a queued Put would read stale memory).
-			d.waiting.Push(addr, m)
-			return
-		}
-		l.txn = dirTxn{kind: dirGet, requestor: m.Src}
+	k, ev := d.covState(l), dirTable.Event(m.Type)
+	d.Cov.Record(k, ev)
+	do := dirRules.At(k, ev)
+	if do == nil {
+		d.protocolError(dirTable.States()[k], m)
+		return
+	}
+	act := *do
+	if act <= nackPut && d.waiting.Waiting(addr) && m != d.replaying {
+		// Strict per-line FIFO: nothing may overtake queued requests
+		// (a Get overtaking a queued Put would read stale memory).
+		act = queueReq
+	}
+	switch act {
+	case openGet:
+		l.txn = dirTxn{takeUnblock, m.Src}
 		d.fab.CallAfter(d.cfg.DirLat, d.doBroadcast, m)
-	case coherence.HPut:
-		if l.busy() || (d.waiting.Waiting(addr) && m != d.replaying) {
-			d.waiting.Push(addr, m)
+	case ackPut:
+		if l.owner == m.Src {
+			l.txn = dirTxn{takeWBData, m.Src}
+			d.fab.SendAfter(d.cfg.DirLat,
+				d.fab.Msg(coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src}), nil)
 			return
 		}
-		if l.owner != m.Src {
-			// Put from a non-owner: a legitimate race (ownership moved
-			// while the Put was in flight) or a stray accelerator Put.
-			d.NacksSent++
-			d.send(coherence.Msg{Type: coherence.HNack, Addr: addr, Src: d.id, Dst: m.Src})
-			d.pop(addr)
-			return
-		}
-		l.txn = dirTxn{kind: dirWB, requestor: m.Src}
-		d.fab.SendAfter(d.cfg.DirLat,
-			d.fab.Msg(coherence.Msg{Type: coherence.HWBAck, Addr: addr, Src: d.id, Dst: m.Src}), nil)
-	case coherence.HWBData:
-		if l.txn.kind != dirWB || l.txn.requestor != m.Src {
-			d.protocolError(d.stateName(l), m)
-			return
-		}
-		if m.Dirty && m.Data != nil {
-			d.memory.Write(addr, m.Data)
-		}
-		l.owner = coherence.NodeNone
-		l.txn = dirTxn{}
+		fallthrough
+	case nackPut:
+		// Put from a non-owner: a legitimate race (ownership moved
+		// while the Put was in flight) or a stray accelerator Put.
+		d.NacksSent++
+		d.send(coherence.Msg{Type: coherence.HNack, Addr: addr, Src: d.id, Dst: m.Src})
 		d.pop(addr)
-	case coherence.HUnblock:
-		if l.txn.kind != dirGet || l.txn.requestor != m.Src {
-			d.protocolError(d.stateName(l), m)
+	case queueReq:
+		d.waiting.Push(addr, m)
+	case takeWBData, takeUnblock:
+		if l.txn != (dirTxn{act, m.Src}) {
+			d.protocolError(dirTable.States()[k], m)
 			return
 		}
-		if !m.Shared {
+		switch {
+		case act == takeWBData:
+			if m.Dirty && m.Data != nil {
+				d.memory.Write(addr, m.Data)
+			}
+			l.owner = coherence.NodeNone
+		case !m.Shared:
 			// The requestor took an owned state (E or M).
 			l.owner = m.Src
 		}
 		l.txn = dirTxn{}
 		d.pop(addr)
-	default:
-		d.protocolError(d.stateName(l), m)
 	}
 }
 

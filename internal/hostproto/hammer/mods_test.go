@@ -1,6 +1,7 @@
 package hammer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,10 @@ func TestUnexpectedNackSunkWithMods(t *testing.T) {
 	}
 	if s.Log.ByCode["HOST.UnexpectedNack"] != 1 {
 		t.Fatalf("error log: %v", s.Log.ByCode)
+	}
+	// The tolerance is a cell of the cache's table, not an undeclared visit.
+	if u := s.Caches[0].Cov.Unexpected; len(u) != 0 {
+		t.Fatalf("sunk Nack recorded as undeclared: %v", u)
 	}
 	// The cache remains fully functional.
 	var got byte
@@ -94,6 +99,23 @@ func TestGetSOnlyNeverGrantsExclusive(t *testing.T) {
 	_, st, _, _ := s.Caches[0].AuditLine(0x2000)
 	if st != CO {
 		t.Fatalf("previous owner state = %v, want O (supplied data, kept ownership)", st)
+	}
+	// The directory and the owner took the pair by declared cells. (The
+	// forged requestor never asked, so its responses are undeclared.)
+	if u := s.Dir.Cov.Unexpected; len(u) != 0 {
+		t.Fatalf("directory visited undeclared %v", u)
+	}
+	visited := 0
+	for pair := range s.Caches[0].Cov.Snapshot() {
+		if strings.HasSuffix(pair, "/H:FwdGetSOnly") {
+			visited++
+			if slices.Contains(s.Caches[0].Cov.Unexpected, pair) {
+				t.Errorf("owner visited undeclared %s", pair)
+			}
+		}
+	}
+	if visited == 0 {
+		t.Fatal("no FwdGetSOnly cell visited")
 	}
 }
 

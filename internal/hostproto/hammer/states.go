@@ -16,10 +16,17 @@
 //   - host modifications for Transactional Crossing Guard: a
 //     non-upgradable GetS_only/Fwd_GetS_only pair, caches sink unexpected
 //     Nacks, and requestors count responses rather than acks (TxnMods).
+//
+// The cache and the directory run from transition tables in the row format
+// of paper Table 1 (cacheRules, dirRules), which state these properties
+// cell by cell and are the classes' coverage declarations.
 package hammer
 
 import (
+	"slices"
+
 	"crossingguard/internal/chassis"
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/sim"
 )
 
@@ -70,25 +77,6 @@ func (s CState) Level() chassis.Level {
 	return chassis.Shared
 }
 
-// owned reports whether this state must supply data to forwards.
-func (s CState) owned() bool {
-	switch s {
-	case CM, CO, CE, COM, CMI, COI, CEI:
-		return true
-	}
-	return false
-}
-
-// dirtyWB reports whether data written back from this state is modified
-// relative to memory.
-func (s CState) dirtyWB() bool {
-	switch s {
-	case CM, CO, COM, CMI, COI:
-		return true
-	}
-	return false
-}
-
 // Config parameterizes a Hammer host instance.
 type Config struct {
 	Sets, Ways int
@@ -116,15 +104,26 @@ const (
 
 var localEvents = []string{evLoad: "Load", evStore: "Store", evReplacement: "Replacement"}
 
-// StateInventory reports the cache's stable and transient state names,
-// for the protocol-complexity comparison (experiment E2).
+// StateInventory reports the stable and transient states the cache's
+// rows name, for the protocol-complexity comparison (experiment E2).
 func StateInventory() (stable, transient []string) {
-	for s := CI; s <= CII; s++ {
-		if s.Stable() {
-			stable = append(stable, s.String())
-		} else {
-			transient = append(transient, s.String())
+	for _, r := range cacheRules.Rows {
+		names := &transient
+		if r.St.Stable() {
+			names = &stable
+		}
+		if !slices.Contains(*names, r.St.String()) {
+			*names = append(*names, r.St.String())
 		}
 	}
-	return
+	return stable, transient
+}
+
+// MessageInventory counts the cache's host messages from its rows, for
+// experiment E2: the host requests it takes are the forwards its cells
+// answer, the host responses the other messages, and the responses out the
+// distinct messages its message cells send.
+func MessageInventory() (reqsIn, respsIn, respsOut int) {
+	send := func(r *rule) coherence.MsgType { return r.send }
+	return cacheRules.Inventory(len(localEvents), func(r *rule) bool { return r.act == actAnswer }, send)
 }

@@ -78,7 +78,7 @@ func (s *System) Audit() error {
 
 // Coverage returns merged coverage across controller classes.
 func (s *System) Coverage() []*coherence.Coverage {
-	ccov := NewCacheCoverage()
+	ccov := cacheRules.Coverage()
 	for _, c := range s.Caches {
 		ccov.Merge(c.Cov)
 	}
