@@ -269,11 +269,12 @@ func complexity(*lab) complexityTable {
 	aS, aT := accel.StateInventory()
 	aReqs, aResps, aOut := accel.MessageInventory()
 	mS, mT := mesi.StateInventory()
+	mReqs, mResps, mOut := mesi.MessageInventory()
 	hS, hT := hammer.StateInventory()
 	hReqs, hResps, hOut := hammer.MessageInventory()
 	return complexityTable{
 		{"accel L1 (XG iface)", len(aS), len(aT), aReqs, aResps, aOut},
-		{"MESI host L1", len(mS), len(mT), 4, 7, 5},
+		{"MESI host L1", len(mS), len(mT), mReqs, mResps, mOut},
 		{"Hammer host cache", len(hS), len(hT), hReqs, hResps, hOut},
 	}
 }

@@ -54,8 +54,6 @@ type Directory struct {
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
-	// NacksSent counts Put/ownership races resolved by Nack.
-	NacksSent uint64
 }
 
 // NewDirectory builds and registers the directory over memory.
@@ -112,14 +110,15 @@ var (
 )
 
 // dirRules is the directory's table, keyed on its coverage state. Every
-// other message is a protocol error.
+// other message is a protocol error. A writeback is open only on an owned
+// line, since only the owner's Put opens one and only its WBData clears
+// the owner, so WBData has no Unowned+busy cell.
 var dirRules = coherence.NewRules("hammer.dir", dirTable, []coherence.Row[int, dirAction]{
 	{St: dirUnowned, Evs: dirGets, Do: openGet},
 	{St: dirUnowned, Evs: dirPut, Do: nackPut},
 	{St: dirOwned, Evs: dirGets, Do: openGet},
 	{St: dirOwned, Evs: dirPut, Do: ackPut},
 	{St: dirUnownedBusy, Evs: dirReqs, Do: queueReq},
-	{St: dirUnownedBusy, Evs: dirWBData, Do: takeWBData},
 	{St: dirUnownedBusy, Evs: dirUnblock, Do: takeUnblock},
 	{St: dirOwnedBusy, Evs: dirReqs, Do: queueReq},
 	{St: dirOwnedBusy, Evs: dirWBData, Do: takeWBData},
@@ -153,7 +152,7 @@ func (d *Directory) lineFor(addr mem.Addr) *dirLine {
 
 // Restart returns the directory to its just-built state for the machine's
 // next run, keeping its storage: no line known, nothing queued, coverage
-// and counters zero. The machine's Reset calls it.
+// zero. The machine's Reset calls it.
 func (d *Directory) Restart() {
 	for _, l := range d.lines {
 		d.spare = append(d.spare, l)
@@ -162,7 +161,6 @@ func (d *Directory) Restart() {
 	d.waiting.Reset()
 	d.replaying = nil
 	d.Cov.Reset()
-	d.NacksSent = 0
 }
 
 // covState is the line's coverage state.
@@ -221,7 +219,6 @@ func (d *Directory) Recv(m *coherence.Msg) {
 	case nackPut:
 		// Put from a non-owner: a legitimate race (ownership moved
 		// while the Put was in flight) or a stray accelerator Put.
-		d.NacksSent++
 		d.send(coherence.Msg{Type: coherence.HNack, Addr: addr, Src: d.id, Dst: m.Src})
 		d.pop(addr)
 	case queueReq:

@@ -28,7 +28,8 @@ type l1Txn struct {
 	fwds   []*coherence.Msg // forwards queued until the line stabilizes
 }
 
-// L1 is a private MESI L1 cache attached to the shared L2.
+// L1 is a private MESI L1 cache attached to the shared L2, run from its
+// transition table (l1Rules).
 type L1 struct {
 	// The chassis's write-back buffer holds lines evicted but awaiting a
 	// writeback ack (MI_A / II_A): the writeback buffer / MSHR of a real L1.
@@ -45,7 +46,7 @@ func NewL1(id coherence.NodeID, name string, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config, sink coherence.ErrorSink) *L1 {
 	l := &L1{txnMods: cfg.TxnMods, l2: l2, sink: sink}
 	l.doRecv = l.Recv
-	l.Init(l, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLat, NewL1Coverage(),
+	l.Init(l, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLat, l1Rules.Coverage(),
 		func(v *l1Line) bool { return !v.state.Stable() }, l.evict, l.handleCPU)
 	return l
 }
@@ -57,63 +58,169 @@ func (l *L1) Restart() {
 	l.Cov.Reset()
 }
 
-// l1Unknown is the coverage state of a message Recv cannot dispatch: no
-// line state applies.
-const l1Unknown = int(L1IIa) + 1
+// l1Table is the L1's coverage vocabulary: states by L1State, events the
+// local three plus the MESI vocabulary.
+var l1Table = coherence.NewTable(l1StateNames[:], localEvents, mesiMsgs...)
 
-// l1Table is the L1's coverage vocabulary: states by L1State plus "?",
-// events the local three plus the MESI vocabulary.
-var l1Table = coherence.NewTable(append(l1StateNames[:], "?"), localEvents, mesiMsgs...)
+var (
+	inv, invToL2        = l1Table.Event(coherence.MInv), l1Table.Event(coherence.MInvToL2)
+	fwdGetS, fwdGetM    = l1Table.Event(coherence.MFwdGetS), l1Table.Event(coherence.MFwdGetM)
+	dataE, dataS        = l1Table.Event(coherence.MDataE), l1Table.Event(coherence.MDataS)
+	dataAcks, dataOwner = l1Table.Event(coherence.MDataAcks), l1Table.Event(coherence.MDataOwner)
+	invAck, wbAck       = l1Table.Event(coherence.MInvAck), l1Table.Event(coherence.MWBAck)
+	fwds                = []int{fwdGetS, fwdGetM}
+)
 
-// NewL1Coverage declares the (state, event) pairs we believe reachable for
-// an L1, mirroring the paper's coverage accounting (§4.1). Pairs that are
-// declared but never visited are reported, not failed; visiting an
-// undeclared pair is flagged as unexpected.
-func NewL1Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L1", l1Table)
-	declare := func(m coherence.MsgType, states ...L1State) {
-		for _, s := range states {
-			cov.Declare(int(s), l1Table.Event(m))
-		}
-	}
-	// CPU events.
-	for s := L1I; s <= L1M; s++ {
-		cov.Declare(int(s), evLoad, evStore)
-	}
-	for s := L1S; s <= L1M; s++ {
-		cov.Declare(int(s), evReplacement)
-	}
-	// Data/ack responses. InvAck in IS_D is defensive: a buggy-accelerator
-	// response surfaced by XG (tolerated only with TxnMods).
-	declare(coherence.MDataE, L1ISd)
-	declare(coherence.MDataS, L1ISd)
-	declare(coherence.MDataAcks, L1IMad, L1SMad)
-	declare(coherence.MDataOwner, L1ISd, L1IMad, L1IMa, L1SMad, L1SMa)
-	declare(coherence.MInvAck, L1IMad, L1IMa, L1SMad, L1SMa, L1ISd)
-	declare(coherence.MWBAck, L1MIa, L1IIa)
-	// Host requests. An evicting owner can be recorded as a sharer after
-	// answering a Fwd_GetS from MI_A; a later GetM then invalidates it
-	// (Inv in MI_A, II_A). Forwards in IM_A/SM_A are queued while
-	// completing a GetM.
-	declare(coherence.MInv, L1S, L1I, L1ISd, L1IMad, L1SMad, L1MIa, L1IIa)
-	declare(coherence.MFwdGetS, L1M, L1E, L1MIa, L1IMa, L1SMa)
-	declare(coherence.MFwdGetM, L1M, L1E, L1MIa, L1IMa, L1SMa)
-	declare(coherence.MInvToL2, L1S, L1E, L1M, L1I, L1MIa, L1SMad, L1IMad)
-	return cov
+// none is a cell that sends nothing.
+const none = coherence.MsgInvalid
+
+// action is what a cell of the L1's table does.
+type action uint8
+
+const (
+	actHit       action = iota // complete the core operation
+	actGet                     // send the Get and await its responses in the transient
+	actEvict                   // send the Put; buffer the line unless it leaves for I
+	actAnswer                  // answer the host request (see answer)
+	actQueue                   // keep the forward until the completing Get closes
+	actCollect                 // take a response to the open Get; the last completes it
+	actAckAsData               // TxnMods only: take an InvAck as data-less GetS data
+	actRetire                  // close the write-back
+)
+
+// A rule is one cell of the L1's table: what it does, the message it
+// sends and the state the line enters.
+type rule struct {
+	act  action
+	send coherence.MsgType
+	next L1State
 }
 
-// Recv implements coherence.Controller.
+func on(st L1State, r rule, evs ...int) coherence.Row[L1State, rule] {
+	return coherence.Row[L1State, rule]{St: st, Evs: evs, Do: r}
+}
+
+func hit(next L1State) rule                      { return rule{actHit, none, next} }
+func get(t coherence.MsgType, next L1State) rule { return rule{actGet, t, next} }
+func put(t coherence.MsgType, next L1State) rule { return rule{actEvict, t, next} }
+func ack(next L1State) rule                      { return rule{actAnswer, coherence.MInvAck, next} }
+func ackL2(next L1State) rule                    { return rule{actAnswer, coherence.MInvAckToL2, next} }
+func copyL2(next L1State) rule                   { return rule{actAnswer, coherence.MCopyToL2, next} }
+func give(next L1State) rule                     { return rule{actAnswer, coherence.MDataOwner, next} }
+func queue(st L1State) rule                      { return rule{actQueue, none, st} }
+func collect(next L1State) rule                  { return rule{actCollect, coherence.MUnblock, next} }
+
+var retire = rule{actRetire, none, L1I}
+
+// l1Rules is the L1's table in the row format of paper Table 1. A GetM's
+// responses count in its transient until DataAcks says how many to expect
+// (IM_A, SM_A); the last enters M. An evicting owner can be recorded as a
+// sharer after answering a Fwd_GetS from MI_A, so a later GetM invalidates
+// it (Inv in MI_A, II_A).
+var l1Rules = coherence.NewRules("mesi.L1", l1Table, []coherence.Row[L1State, rule]{
+	on(L1I, get(coherence.MGetS, L1ISd), evLoad),
+	on(L1I, get(coherence.MGetM, L1IMad), evStore),
+	// Raced with our PutS: the S copy was from an older epoch.
+	on(L1I, ack(L1I), inv),
+	on(L1I, ackL2(L1I), invToL2),
+	on(L1S, hit(L1S), evLoad),
+	on(L1S, get(coherence.MGetM, L1SMad), evStore),
+	on(L1S, put(coherence.MPutS, L1I), evReplacement), // exact sharer tracking
+	on(L1S, ack(L1I), inv),
+	on(L1S, ackL2(L1I), invToL2),
+	on(L1E, hit(L1E), evLoad),
+	on(L1E, hit(L1M), evStore), // silent upgrade
+	on(L1E, put(coherence.MPutM, L1MIa), evReplacement),
+	on(L1E, copyL2(L1I), invToL2),
+	on(L1E, give(L1S), fwdGetS),
+	on(L1E, give(L1I), fwdGetM),
+	on(L1M, hit(L1M), evLoad, evStore),
+	on(L1M, put(coherence.MPutM, L1MIa), evReplacement),
+	on(L1M, copyL2(L1I), invToL2),
+	on(L1M, give(L1S), fwdGetS),
+	on(L1M, give(L1I), fwdGetM),
+	on(L1ISd, collect(L1E), dataE),
+	on(L1ISd, collect(L1S), dataS, dataOwner),
+	// §3.2.2: a buggy accelerator behind the guard answered a Fwd_GetS
+	// with an InvAck.
+	on(L1ISd, rule{actAckAsData, coherence.MUnblock, L1S}, invAck),
+	on(L1ISd, ack(L1ISd), inv), // our GetS is queued
+	on(L1IMad, collect(L1IMa), dataAcks),
+	on(L1IMad, collect(L1IMad), dataOwner, invAck),
+	// A sharer whose GetM is queued behind the invalidating transaction:
+	// the S copy dies, the GetM stays.
+	on(L1IMad, ack(L1IMad), inv),
+	on(L1IMad, ackL2(L1IMad), invToL2),
+	on(L1IMa, collect(L1IMa), dataOwner, invAck),
+	on(L1IMa, queue(L1IMa), fwds...), // answered once the GetM completes
+	on(L1SMad, collect(L1SMa), dataAcks),
+	on(L1SMad, collect(L1SMad), dataOwner, invAck),
+	on(L1SMad, ack(L1IMad), inv),
+	on(L1SMad, ackL2(L1IMad), invToL2),
+	on(L1SMa, collect(L1SMa), dataOwner, invAck),
+	on(L1SMa, queue(L1SMa), fwds...),
+	// The write-back buffer: the Put's WBAck is still coming.
+	on(L1MIa, give(L1MIa), fwdGetS),
+	on(L1MIa, give(L1IIa), fwdGetM),
+	on(L1MIa, copyL2(L1IIa), invToL2),
+	on(L1MIa, ack(L1MIa), inv),
+	on(L1MIa, retire, wbAck),
+	// Ownership already handed off: just ack.
+	on(L1IIa, ack(L1IIa), inv),
+	on(L1IIa, ackL2(L1IIa), invToL2),
+	on(L1IIa, retire, wbAck),
+})
+
+// Recv implements coherence.Controller: a message runs the cell of the
+// state its line is in, buffered or not.
 func (l *L1) Recv(m *coherence.Msg) {
-	switch m.Type {
-	case coherence.ReqLoad, coherence.ReqStore:
+	if m.Type == coherence.ReqLoad || m.Type == coherence.ReqStore {
 		l.handleCPU(m)
-	case coherence.MDataE, coherence.MDataS, coherence.MDataAcks,
-		coherence.MDataOwner, coherence.MInvAck, coherence.MWBAck:
-		l.handleResponse(m)
-	case coherence.MInv, coherence.MInvToL2, coherence.MFwdGetS, coherence.MFwdGetM:
-		l.handleHostRequest(m)
-	default:
-		l.unexpected(l1Unknown, m)
+		return
+	}
+	ev := l1Table.Event(m.Type)
+	if ev < 0 {
+		l.protocolError("?", m)
+		return
+	}
+	line, st := m.Addr.Line(), L1I
+	var e *cacheset.Entry[l1Line]
+	v := l.Buffered(line)
+	if v == nil {
+		if e = l.Lines.Peek(m.Addr); e != nil {
+			v = &e.V
+		}
+	}
+	if v != nil {
+		st = v.state
+	}
+	l.Cov.Record(int(st), ev)
+	r := l1Rules.At(st, ev)
+	if r == nil {
+		l.protocolError(st.String(), m)
+		return
+	}
+	switch r.act {
+	case actAnswer:
+		l.answer(m, r, e, v)
+	case actQueue:
+		m.Keep()
+		v.txn.fwds = append(v.txn.fwds, m)
+	case actCollect:
+		l.collect(e, r, m)
+	case actAckAsData:
+		// With the paper's host mods the ack is accepted as a data-less
+		// response: the line fills with zeros.
+		if !l.txnMods {
+			l.protocolError(st.String(), m)
+			return
+		}
+		l.sink.ReportError(coherence.ProtocolError{Where: l.Name(),
+			Code: "HOST.AckAsData", Addr: m.Addr,
+			Detail: "InvAck accepted as GetS data (zero block)"})
+		l.completeGet(e, nil, r.next)
+	case actRetire:
+		l.Retire(line, v.data)
 	}
 }
 
@@ -132,196 +239,125 @@ func (l *L1) protocolError(state string, m *coherence.Msg) {
 	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.Name(), m, state))
 }
 
-func (l *L1) unexpected(state int, m *coherence.Msg) {
-	l.Cov.Record(state, l1Table.Event(m.Type))
-	l.protocolError(l1Table.States()[state], m)
+// send takes a message holding t from the pool and hands it to the fabric.
+func (l *L1) send(t coherence.Msg) { l.Fab.Send(l.Fab.Msg(t)) }
+
+func opEv(op *coherence.Msg) int {
+	if op.Type == coherence.ReqStore {
+		return evStore
+	}
+	return evLoad
 }
 
-// --- CPU side ---
-
 func (l *L1) handleCPU(m *coherence.Msg) {
-	line := m.Addr.Line()
+	line, ev := m.Addr.Line(), opEv(m)
 	e, ok := l.Admit(line, m)
 	if !ok {
 		return // mid-writeback or mid-transaction; replayed when it settles
 	}
-	isStore := m.Type == coherence.ReqStore
-	ev := evLoad
-	if isStore {
-		ev = evStore
+	st := L1I
+	if e != nil {
+		st = e.V.state
 	}
+	l.Cov.Record(int(st), ev)
 	if e == nil {
-		l.Cov.Record(int(L1I), ev)
 		if e = l.Allocate(line, m); e == nil {
 			return // stalled; will be replayed
 		}
-		if isStore {
-			l.open(e, L1IMad, m)
-			l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
-		} else {
-			l.open(e, L1ISd, m)
-			l.send(coherence.Msg{Type: coherence.MGetS, Addr: line, Src: l.ID(), Dst: l.l2})
-		}
+	}
+	r := l1Rules.At(st, ev)
+	if r.act != actGet {
+		l.hit(e, r, m)
 		return
 	}
-	st := e.V.state
-	l.Cov.Record(int(st), ev)
-	switch {
-	case !isStore: // load hit in S/E/M
-		l.Respond(m, e.V.data[m.Addr.Offset()])
-	case st == L1M:
-		e.V.data[m.Addr.Offset()] = m.Val
-		e.V.dirty = true
-		l.Respond(m, 0)
-	case st == L1E:
-		e.V.state = L1M
-		e.V.data[m.Addr.Offset()] = m.Val
-		e.V.dirty = true
-		l.Respond(m, 0)
-	case st == L1S:
-		l.open(e, L1SMad, m)
-		l.send(coherence.Msg{Type: coherence.MGetM, Addr: line, Src: l.ID(), Dst: l.l2})
-	}
+	t := l.Txns.Get()
+	*t = l1Txn{needed: -1, op: m, fwds: t.fwds[:0]}
+	e.V.state, e.V.txn = r.next, t
+	l.send(coherence.Msg{Type: r.send, Addr: line, Src: l.ID(), Dst: l.l2})
 }
 
-// open starts line e's Get for core operation op in transient state st.
-func (l *L1) open(e *cacheset.Entry[l1Line], st L1State, op *coherence.Msg) {
-	t := l.Txns.Get()
-	*t = l1Txn{needed: -1, op: op, fwds: t.fwds[:0]}
-	e.V.state, e.V.txn = st, t
+// hit completes core operation op on line e, which enters r's next state.
+func (l *L1) hit(e *cacheset.Entry[l1Line], r *rule, op *coherence.Msg) {
+	e.V.state = r.next
+	if op.Type == coherence.ReqStore {
+		e.V.data[op.Addr.Offset()] = op.Val
+		e.V.dirty = true
+		l.Respond(op, 0)
+		return
+	}
+	l.Respond(op, e.V.data[op.Addr.Offset()])
 }
 
 // evict starts replacement of a stable victim line.
 func (l *L1) evict(addr mem.Addr, v *l1Line) {
 	l.Cov.Record(int(v.state), evReplacement)
-	switch v.state {
-	case L1S:
-		// Exact sharer tracking: notify the L2, fire-and-forget.
-		l.send(coherence.Msg{Type: coherence.MPutS, Addr: addr, Src: l.ID(), Dst: l.l2})
+	r := l1Rules.At(v.state, evReplacement)
+	if r.next == L1I {
+		l.send(coherence.Msg{Type: r.send, Addr: addr, Src: l.ID(), Dst: l.l2})
 		l.Fab.FreeBlock(v.data)
-	case L1E, L1M:
-		v.state = L1MIa
-		l.Buffer(addr, v)
-		l.send(coherence.Msg{Type: coherence.MPutM, Addr: addr, Src: l.ID(), Dst: l.l2,
-			Data: v.data, Dirty: v.dirty})
-	default:
-		panic(fmt.Sprintf("%s: evicting line in state %v", l.Name(), v.state))
+		return
 	}
+	v.state = r.next
+	l.Buffer(addr, v)
+	l.send(coherence.Msg{Type: r.send, Addr: addr, Src: l.ID(), Dst: l.l2, Data: v.data, Dirty: v.dirty})
 }
 
-// send takes a message holding t from the pool and hands it to the fabric.
-func (l *L1) send(t coherence.Msg) { l.Fab.Send(l.Fab.Msg(t)) }
-
-// --- responses (data, acks, writeback acks) ---
-
-func (l *L1) handleResponse(m *coherence.Msg) {
+// answer sends host request m's answer r.send and moves line v, nil in I,
+// to r's next state. InvAck and DataOwner go to the requestor, the rest to
+// the L2; DataOwner and CopyToL2 carry the line's block, and a Fwd_GetS
+// also leaves the L2 a copy.
+func (l *L1) answer(m *coherence.Msg, r *rule, e *cacheset.Entry[l1Line], v *l1Line) {
 	line := m.Addr.Line()
-	if m.Type == coherence.MWBAck {
-		wl := l.Buffered(line)
-		if wl == nil {
-			l.unexpected(int(L1I), m)
-			return
-		}
-		l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
-		l.Retire(line, wl.data)
-		return
+	out := coherence.Msg{Type: r.send, Addr: line, Src: l.ID(), Dst: l.l2}
+	if r.send == coherence.MInvAck || r.send == coherence.MDataOwner {
+		out.Dst = m.Requestor
 	}
-	e := l.Lines.Peek(m.Addr)
-	if e == nil {
-		l.unexpected(int(L1I), m)
-		return
+	if r.send == coherence.MDataOwner || r.send == coherence.MCopyToL2 {
+		out.Data, out.Dirty = v.data, v.dirty
 	}
-	st := e.V.state
-	l.Cov.Record(int(st), l1Table.Event(m.Type))
-	switch st {
-	case L1ISd:
-		switch m.Type {
-		case coherence.MDataE:
-			l.completeGet(e, m.Data, L1E)
-		case coherence.MDataS, coherence.MDataOwner:
-			l.completeGet(e, m.Data, L1S)
-		case coherence.MInvAck:
-			// A buggy accelerator behind Crossing Guard answered a
-			// Fwd_GetS with an InvAck; with the paper's host mods we
-			// accept the ack as a (data-less) response.
-			if !l.txnMods {
-				l.protocolError(st.String(), m)
-				return
-			}
-			l.sink.ReportError(coherence.ProtocolError{Where: l.Name(),
-				Code: "HOST.AckAsData", Addr: m.Addr,
-				Detail: "InvAck accepted as GetS data (zero block)"})
-			l.completeGet(e, nil, L1S)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	case L1IMad, L1SMad:
-		switch m.Type {
-		case coherence.MDataAcks:
-			if m.Data != nil {
-				l.Fab.FillBlock(&e.V.data, m.Data)
-				e.V.dirty = false
-			}
-			e.V.txn.needed = m.Acks
-			l.maybeCompleteGetM(e, m.Addr)
-		case coherence.MDataOwner:
-			// Ownership hand-off from the previous owner.
-			l.Fab.FillBlock(&e.V.data, m.Data)
-			e.V.dirty = m.Dirty
-			e.V.txn.got++
-			l.maybeCompleteGetM(e, m.Addr)
-		case coherence.MInvAck:
-			e.V.txn.got++
-			l.maybeCompleteGetM(e, m.Addr)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	case L1IMa, L1SMa:
-		switch m.Type {
-		case coherence.MInvAck:
-			e.V.txn.got++
-			l.maybeCompleteGetM(e, m.Addr)
-		case coherence.MDataOwner:
-			// Owner hand-off whose "expect 1 response" notice from the
-			// L2 arrived first.
-			l.Fab.FillBlock(&e.V.data, m.Data)
-			e.V.dirty = m.Dirty
-			e.V.txn.got++
-			l.maybeCompleteGetM(e, m.Addr)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	default:
-		l.protocolError(st.String(), m)
+	l.send(out)
+	if m.Type == coherence.MFwdGetS {
+		l.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.ID(), Dst: l.l2,
+			Data: v.data, Dirty: v.dirty})
+	}
+	switch {
+	case v == nil || r.next == v.state:
+	case e == nil || !v.state.Stable(): // buffered, or a GetM still open
+		v.state = r.next
+	case r.next == L1I:
+		l.Drop(e, e.V.data)
+		l.Settled(line)
+	default: // the owner keeps a clean S copy
+		v.state, v.dirty = r.next, false
+		l.Settled(line)
 	}
 }
 
-// completeGet finishes a GetS transaction. A nil data — a data-less
-// message from a misbehaving peer — fills the line with zeros, matching
-// Crossing Guard's recovery policy of supplying zero blocks.
-func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State) {
-	op := e.V.txn.op
-	e.V.state = st
-	l.Fab.FillBlock(&e.V.data, data)
-	e.V.dirty = false
-	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
-	l.Respond(op, e.V.data[op.Addr.Offset()])
-	l.closeTxn(e)
-}
-
-// maybeCompleteGetM finishes a GetM once the data and every expected
-// response have arrived.
-func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
-	// Move to the "got data" transients for coverage fidelity.
+// collect takes response m to line e's open Get into r's next state. A
+// GetS completes on its data; a GetM counts responses until DataAcks has
+// said how many to expect and every one has arrived.
+func (l *L1) collect(e *cacheset.Entry[l1Line], r *rule, m *coherence.Msg) {
+	if r.next.Stable() {
+		l.completeGet(e, m.Data, r.next)
+		return
+	}
 	t := e.V.txn
-	if t.needed >= 0 {
-		switch e.V.state {
-		case L1IMad:
-			e.V.state = L1IMa
-		case L1SMad:
-			e.V.state = L1SMa
+	switch m.Type {
+	case coherence.MDataAcks:
+		if m.Data != nil {
+			l.Fab.FillBlock(&e.V.data, m.Data)
+			e.V.dirty = false
 		}
+		t.needed = m.Acks
+	case coherence.MDataOwner:
+		// Ownership hand-off from the previous owner.
+		l.Fab.FillBlock(&e.V.data, m.Data)
+		e.V.dirty = m.Dirty
+		t.got++
+	case coherence.MInvAck:
+		t.got++
 	}
+	e.V.state = r.next
 	if t.needed < 0 || t.got < t.needed {
 		return
 	}
@@ -336,156 +372,25 @@ func (l *L1) maybeCompleteGetM(e *cacheset.Entry[l1Line], addr mem.Addr) {
 			Detail: "GetM completed with zero block"})
 		e.V.data = l.Fab.CopyBlock(nil)
 	}
-	op := t.op
-	e.V.state = L1M
-	e.V.dirty = true
-	e.V.data[op.Addr.Offset()] = op.Val
+	l.complete(e, L1M)
+}
+
+// completeGet finishes a GetS into st. A nil data — a data-less message
+// from a misbehaving peer — fills the line with zeros, matching Crossing
+// Guard's recovery policy of supplying zero blocks.
+func (l *L1) completeGet(e *cacheset.Entry[l1Line], data *mem.Block, st L1State) {
+	l.Fab.FillBlock(&e.V.data, data)
+	e.V.dirty = false
+	l.complete(e, st)
+}
+
+// complete closes line e's Get into stable state st: it unblocks the L2,
+// then completes the core operation as a hit in st.
+func (l *L1) complete(e *cacheset.Entry[l1Line], st L1State) {
+	op := e.V.txn.op
 	l.send(coherence.Msg{Type: coherence.MUnblock, Addr: e.Addr, Src: l.ID(), Dst: l.l2})
-	l.Respond(op, 0)
+	l.hit(e, l1Rules.At(st, opEv(op)), op)
 	l.closeTxn(e)
-}
-
-// --- host requests (invalidations, forwards) ---
-
-func (l *L1) handleHostRequest(m *coherence.Msg) {
-	line := m.Addr.Line()
-	if wl := l.Buffered(line); wl != nil {
-		l.hostReqOnWB(line, wl, m)
-		return
-	}
-	e := l.Lines.Peek(m.Addr)
-	st := L1I
-	if e != nil {
-		st = e.V.state
-	}
-	l.Cov.Record(int(st), l1Table.Event(m.Type))
-	switch m.Type {
-	case coherence.MInv:
-		switch st {
-		case L1S:
-			l.Drop(e, e.V.data)
-			l.sendInvAck(m)
-			l.Settled(line)
-		case L1I, L1ISd:
-			// Raced with our PutS or our queued GetS; the S copy (if
-			// any) is from an older epoch. Ack and carry on.
-			l.sendInvAck(m)
-		case L1IMad, L1SMad:
-			// We were a sharer whose GetM is queued behind the
-			// invalidating transaction; drop the stale S copy.
-			if st == L1SMad {
-				e.V.state = L1IMad
-			}
-			l.sendInvAck(m)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	case coherence.MInvToL2:
-		switch st {
-		case L1S:
-			l.Drop(e, e.V.data)
-			l.sendInvAckToL2(line)
-			l.Settled(line)
-		case L1E, L1M:
-			l.copyToL2(line, &e.V)
-			l.Drop(e, e.V.data)
-			l.Settled(line)
-		case L1I:
-			l.sendInvAckToL2(line)
-		case L1SMad, L1IMad:
-			// Recall of a line we are also trying to upgrade; our S
-			// copy dies, our GetM stays queued.
-			if st == L1SMad {
-				e.V.state = L1IMad
-			}
-			l.sendInvAckToL2(line)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	case coherence.MFwdGetS:
-		switch st {
-		case L1E, L1M:
-			l.dataOwner(line, m.Requestor, &e.V)
-			l.copyToL2(line, &e.V)
-			e.V.state = L1S
-			e.V.dirty = false
-			l.Settled(line)
-		case L1IMa, L1SMa:
-			m.Keep()
-			e.V.txn.fwds = append(e.V.txn.fwds, m)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	case coherence.MFwdGetM:
-		switch st {
-		case L1E, L1M:
-			l.dataOwner(line, m.Requestor, &e.V)
-			l.Drop(e, e.V.data)
-			l.Settled(line)
-		case L1IMa, L1SMa:
-			m.Keep()
-			e.V.txn.fwds = append(e.V.txn.fwds, m)
-		default:
-			l.protocolError(st.String(), m)
-		}
-	}
-}
-
-// hostReqOnWB handles host requests that race with an outstanding
-// writeback (the line lives in the writeback buffer).
-func (l *L1) hostReqOnWB(line mem.Addr, wl *l1Line, m *coherence.Msg) {
-	l.Cov.Record(int(wl.state), l1Table.Event(m.Type))
-	switch m.Type {
-	case coherence.MFwdGetS:
-		if wl.state != L1MIa {
-			l.protocolError(wl.state.String(), m)
-			return
-		}
-		l.dataOwner(line, m.Requestor, wl)
-		l.copyToL2(line, wl)
-		// Remain MI_A: the WBAck for our Put is still coming.
-	case coherence.MFwdGetM:
-		if wl.state != L1MIa {
-			l.protocolError(wl.state.String(), m)
-			return
-		}
-		l.dataOwner(line, m.Requestor, wl)
-		wl.state = L1IIa
-	case coherence.MInvToL2:
-		if wl.state != L1MIa {
-			// II_A: ownership already handed off; just ack.
-			l.sendInvAckToL2(line)
-			return
-		}
-		l.copyToL2(line, wl)
-		wl.state = L1IIa
-	case coherence.MInv:
-		// We answered a Fwd_GetS while evicting, so the L2 recorded us
-		// as a sharer; a later writer now invalidates that stale entry.
-		l.sendInvAck(m)
-	default:
-		l.protocolError(wl.state.String(), m)
-	}
-}
-
-func (l *L1) sendInvAck(m *coherence.Msg) {
-	l.send(coherence.Msg{Type: coherence.MInvAck, Addr: m.Addr.Line(), Src: l.ID(), Dst: m.Requestor})
-}
-
-func (l *L1) sendInvAckToL2(line mem.Addr) {
-	l.send(coherence.Msg{Type: coherence.MInvAckToL2, Addr: line, Src: l.ID(), Dst: l.l2})
-}
-
-// dataOwner hands v's data to the requestor of a forward.
-func (l *L1) dataOwner(line mem.Addr, r coherence.NodeID, v *l1Line) {
-	l.send(coherence.Msg{Type: coherence.MDataOwner, Addr: line, Src: l.ID(),
-		Dst: r, Data: v.data, Dirty: v.dirty})
-}
-
-// copyToL2 sends the L2 a copy of v's data.
-func (l *L1) copyToL2(line mem.Addr, v *l1Line) {
-	l.send(coherence.Msg{Type: coherence.MCopyToL2, Addr: line, Src: l.ID(), Dst: l.l2,
-		Data: v.data, Dirty: v.dirty})
 }
 
 // closeTxn ends line e's Get: it replays the forwards queued while the Get

@@ -2,6 +2,7 @@ package mesi
 
 import (
 	"fmt"
+	"slices"
 
 	"crossingguard/internal/cacheset"
 	"crossingguard/internal/chassis"
@@ -66,7 +67,7 @@ func (l *L2) closeTxn(v *l2Line) {
 }
 
 // L2 is the shared inclusive L2 with its integrated directory and the
-// memory controller behind it.
+// memory controller behind it, run from its transition table (l2Rules).
 type L2 struct {
 	id   coherence.NodeID
 	name string
@@ -90,8 +91,9 @@ type L2 struct {
 
 	// Cov records (state, event) coverage.
 	Cov *coherence.Coverage
-	// Race/tolerance counters (legitimate protocol races, not errors).
-	StrayPuts, StrayCopies, StrayAcks uint64
+	// StrayPuts counts Puts from a cache that does not own the line: a
+	// legitimate race, not an error.
+	StrayPuts uint64
 }
 
 // NewL2 builds and registers the shared L2 over the given backing memory.
@@ -101,7 +103,7 @@ func NewL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabri
 		id: id, name: name, eng: eng, fab: fab, cfg: cfg, sink: sink,
 		cache:  cacheset.New[l2Line](cfg.L2Sets, cfg.L2Ways),
 		memory: memory,
-		Cov:    NewL2Coverage(),
+		Cov:    l2Rules.Coverage(),
 	}
 	l.doRecv, l.doServeHit, l.doFetchDone = l.Recv, l.serveHit, l.fetchDone
 	fab.Register(l)
@@ -118,7 +120,7 @@ func (l *L2) Restart() {
 	clear(l.stalled)
 	l.stalled, l.replaying = l.stalled[:0], nil
 	l.Cov.Reset()
-	l.StrayPuts, l.StrayCopies, l.StrayAcks = 0, 0, 0
+	l.StrayPuts = 0
 }
 
 // L2 coverage states: not present, or the L2State with or without a
@@ -133,17 +135,63 @@ const (
 var l2Table = coherence.NewTable(
 	[]string{int(L2SS): "SS", int(L2MT): "MT", l2NP: "NP", l2SSBusy: "SS+busy", l2MTBusy: "MT+busy"}, nil, mesiMsgs...)
 
-// NewL2Coverage declares reachable (state, event) pairs for the L2.
-func NewL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("mesi.L2", l2Table)
-	var events []int
-	for _, m := range []coherence.MsgType{coherence.MGetS, coherence.MGetM, coherence.MGetInstr,
-		coherence.MPutM, coherence.MPutS, coherence.MUnblock, coherence.MCopyToL2, coherence.MInvAckToL2} {
-		events = append(events, l2Table.Event(m))
-	}
-	cov.DeclareAll([]int{l2NP, int(L2SS), int(L2MT), l2SSBusy, l2MTBusy}, events)
-	return cov
-}
+// l2Action is what a cell of the L2's table does. The first three take a
+// request on an idle line, so they wait behind queued requests.
+type l2Action uint8
+
+const (
+	fetchGet      l2Action = iota // allocate the line and fetch it from memory, then serve the Get
+	lookupGet                     // reserve the line for the lookup latency, then serve the Get
+	takePut                       // take the owner's writeback; ack any Put
+	ackStrayPut                   // ack a Put for a line the L2 does not hold
+	queueReq                      // queue the request behind the open transaction
+	busyPut                       // a Put racing the open transaction (see Recv)
+	forgetSharer                  // PutS: forget the sharer, fire-and-forget
+	takeUnblock                   // the requestor closes its transaction
+	takeCopy                      // an L1's copy of the line (see takeCopy)
+	takeRecallAck                 // an L1 answers the recall
+	dropLate                      // a copy or recall ack no transaction awaits: a legitimate race
+)
+
+var (
+	l2Gets       = []int{l2Table.Event(coherence.MGetS), l2Table.Event(coherence.MGetM), l2Table.Event(coherence.MGetInstr)}
+	l2PutM       = []int{l2Table.Event(coherence.MPutM)}
+	l2PutS       = []int{l2Table.Event(coherence.MPutS)}
+	l2Unblock    = []int{l2Table.Event(coherence.MUnblock)}
+	l2Copy       = []int{l2Table.Event(coherence.MCopyToL2)}
+	l2RecallAck  = []int{l2Table.Event(coherence.MInvAckToL2)}
+	l2LateCopies = slices.Concat(l2Copy, l2RecallAck)
+)
+
+// l2Rules is the L2's table, keyed on its coverage state. An Unblock with
+// no transaction open, and every message the L2 is never sent, is a
+// protocol error.
+var l2Rules = coherence.NewRules("mesi.L2", l2Table, []coherence.Row[int, l2Action]{
+	{St: l2NP, Evs: l2Gets, Do: fetchGet},
+	{St: l2NP, Evs: l2PutM, Do: ackStrayPut},
+	{St: l2NP, Evs: l2PutS, Do: forgetSharer},
+	{St: l2NP, Evs: l2LateCopies, Do: dropLate},
+	{St: int(L2SS), Evs: l2Gets, Do: lookupGet},
+	{St: int(L2SS), Evs: l2PutM, Do: takePut},
+	{St: int(L2SS), Evs: l2PutS, Do: forgetSharer},
+	{St: int(L2SS), Evs: l2LateCopies, Do: dropLate},
+	{St: int(L2MT), Evs: l2Gets, Do: lookupGet},
+	{St: int(L2MT), Evs: l2PutM, Do: takePut},
+	{St: int(L2MT), Evs: l2PutS, Do: forgetSharer},
+	{St: int(L2MT), Evs: l2LateCopies, Do: dropLate},
+	{St: l2SSBusy, Evs: l2Gets, Do: queueReq},
+	{St: l2SSBusy, Evs: l2PutM, Do: busyPut},
+	{St: l2SSBusy, Evs: l2PutS, Do: forgetSharer},
+	{St: l2SSBusy, Evs: l2Unblock, Do: takeUnblock},
+	{St: l2SSBusy, Evs: l2Copy, Do: takeCopy},
+	{St: l2SSBusy, Evs: l2RecallAck, Do: takeRecallAck},
+	{St: l2MTBusy, Evs: l2Gets, Do: queueReq},
+	{St: l2MTBusy, Evs: l2PutM, Do: busyPut},
+	{St: l2MTBusy, Evs: l2PutS, Do: forgetSharer},
+	{St: l2MTBusy, Evs: l2Unblock, Do: takeUnblock},
+	{St: l2MTBusy, Evs: l2Copy, Do: takeCopy},
+	{St: l2MTBusy, Evs: l2RecallAck, Do: takeRecallAck},
+})
 
 // ID implements coherence.Controller.
 func (l *L2) ID() coherence.NodeID { return l.id }
@@ -164,8 +212,6 @@ func (l *L2) covState(e *cacheset.Entry[l2Line]) int {
 	return l2MTBusy
 }
 
-func (l *L2) stateName(e *cacheset.Entry[l2Line]) string { return l2Table.States()[l.covState(e)] }
-
 func (l *L2) protocolError(state string, m *coherence.Msg) {
 	if l.cfg.TxnMods {
 		l.sink.ReportError(coherence.ProtocolError{
@@ -177,50 +223,95 @@ func (l *L2) protocolError(state string, m *coherence.Msg) {
 	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.name, m, state))
 }
 
-// Recv implements coherence.Controller.
+// Recv implements coherence.Controller: a message runs the cell of its
+// line's coverage state, once the per-line FIFO lets it.
 func (l *L2) Recv(m *coherence.Msg) {
-	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.covState(e), l2Table.Event(m.Type))
-	switch m.Type {
-	case coherence.MGetS, coherence.MGetM, coherence.MGetInstr:
-		l.handleGet(m)
-	case coherence.MPutM:
-		l.handlePut(m)
-	case coherence.MPutS:
-		l.handlePutS(m)
-	case coherence.MUnblock:
-		l.handleUnblock(m)
-	case coherence.MCopyToL2:
-		l.handleCopy(m)
-	case coherence.MInvAckToL2:
-		l.handleRecallAck(m)
-	default:
-		l.protocolError(l.stateName(e), m)
+	addr := m.Addr.Line()
+	e := l.cache.Peek(addr)
+	k, ev := l.covState(e), l2Table.Event(m.Type)
+	l.Cov.Record(k, ev)
+	do := l2Rules.At(k, ev)
+	if do == nil {
+		l.protocolError(l2Table.States()[k], m)
+		return
+	}
+	act := *do
+	if act <= takePut && l.waiting.Waiting(addr) && m != l.replaying {
+		// Strict per-line FIFO: nothing may overtake queued requests.
+		act = queueReq
+	}
+	switch act {
+	case fetchGet:
+		l.missFetch(m)
+	case lookupGet:
+		// Reserve the line for the duration of the lookup latency so that
+		// a second request cannot start a racing transaction.
+		l.open(&e.V, txnLookup, m.Src, coherence.NodeNone).req = m
+		l.fab.CallAfter(l.cfg.L2Lat, l.doServeHit, m)
+	case takePut, ackStrayPut:
+		if e != nil && e.V.owner == m.Src {
+			if m.Data != nil {
+				l.fab.FillBlock(&e.V.data, m.Data)
+			}
+			if m.Dirty {
+				e.V.dirty = true
+			}
+			e.V.owner = coherence.NodeNone
+			e.V.state = L2SS
+		} else {
+			// A stale Put from a cache that lost ownership earlier, one
+			// that raced a recall which already freed the line, or a
+			// stray accelerator Put: ack and drop it — the paper notes
+			// the MESI host tolerates accelerator requests at any time
+			// unchanged.
+			if e != nil {
+				e.V.sharers.Remove(m.Src)
+			}
+			l.StrayPuts++
+		}
+		l.ackPut(m)
+		l.popWaiting(addr)
+	case queueReq:
+		l.waiting.Push(addr, m)
+	case busyPut:
+		switch t := e.V.txn; {
+		case m.Src == t.oldOwner:
+			// The Put raced with a forward we already sent; the data is
+			// (or will be) supplied by the forward response.
+			l.ackPut(m)
+		case t.kind == txnRecall && t.recallWait.Remove(m.Src):
+			// The Put raced with our recall; absorb it as the recall reply.
+			if m.Dirty {
+				l.fab.FillBlock(&e.V.data, m.Data)
+				e.V.dirty = true
+			}
+			l.ackPut(m)
+			l.maybeFinishRecall(addr, e)
+		default:
+			l.waiting.Push(addr, m)
+		}
+	case forgetSharer:
+		if e != nil {
+			e.V.sharers.Remove(m.Src)
+		}
+	case takeUnblock:
+		if e.V.txn.requestor != m.Src {
+			l.protocolError(l2Table.States()[k], m)
+			return
+		}
+		e.V.txn.unblocked = true
+		l.maybeCloseTxn(addr, e)
+	case takeCopy:
+		l.takeCopy(e, m)
+	case takeRecallAck:
+		if e.V.kind() == txnRecall && e.V.txn.recallWait.Remove(m.Src) {
+			l.maybeFinishRecall(addr, e)
+		}
 	}
 }
 
 // send takes a message holding t from the pool and hands it to the fabric.
 func (l *L2) send(t coherence.Msg) { l.fab.Send(l.fab.Msg(t)) }
-
-// --- Get handling ---
-
-func (l *L2) handleGet(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if (e != nil && e.V.busy()) || (l.waiting.Waiting(addr) && m != l.replaying) {
-		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting.Push(addr, m)
-		return
-	}
-	if e == nil {
-		l.missFetch(m)
-		return
-	}
-	// Reserve the line for the duration of the lookup latency so that a
-	// second request cannot start a racing transaction.
-	l.open(&e.V, txnLookup, m.Src, coherence.NodeNone).req = m
-	l.fab.CallAfter(l.cfg.L2Lat, l.doServeHit, m)
-}
 
 // missFetch allocates a line and fetches it from memory; the original
 // request is replayed when the data arrives.
@@ -327,128 +418,43 @@ func (l *L2) serveHit(m *coherence.Msg) {
 	}
 }
 
-// --- writebacks ---
-
-func (l *L2) handlePut(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if e == nil {
-		// Raced with a recall that already freed the line (or a stray
-		// accelerator Put): ack and drop — the paper notes the MESI
-		// host tolerates accelerator requests at any time unchanged.
-		l.StrayPuts++
-		l.ackPut(m)
-		l.popWaiting(addr)
-		return
-	}
-	if t := e.V.txn; !e.V.busy() && l.waiting.Waiting(addr) && m != l.replaying {
-		l.waiting.Push(addr, m)
-		return
-	} else if e.V.busy() {
-		switch {
-		case m.Src == t.oldOwner:
-			// Put raced with a forward we already sent; the data is
-			// (or will be) supplied by the forward response.
-			l.ackPut(m)
-		case t.kind == txnRecall && t.recallWait.Remove(m.Src):
-			// Put raced with our recall; absorb it as the recall reply.
-			if m.Dirty {
-				l.fab.FillBlock(&e.V.data, m.Data)
-				e.V.dirty = true
-			}
-			l.ackPut(m)
-			l.maybeFinishRecall(addr, e)
-		default:
-			l.waiting.Push(addr, m)
-		}
-		return
-	}
-	switch {
-	case e.V.owner == m.Src:
-		if m.Data != nil {
-			l.fab.FillBlock(&e.V.data, m.Data)
-		}
-		if m.Dirty {
-			e.V.dirty = true
-		}
-		e.V.owner = coherence.NodeNone
-		e.V.state = L2SS
-		l.ackPut(m)
-	case e.V.sharers.Remove(m.Src):
-		// Stale Put from a cache that lost ownership earlier.
-		l.StrayPuts++
-		l.ackPut(m)
-	default:
-		l.StrayPuts++
-		l.ackPut(m)
-	}
-	l.popWaiting(addr)
-}
-
 func (l *L2) ackPut(m *coherence.Msg) {
 	l.send(coherence.Msg{Type: coherence.MWBAck, Addr: m.Addr.Line(), Src: l.id, Dst: m.Src})
 }
 
-func (l *L2) handlePutS(m *coherence.Msg) {
-	if e := l.cache.Peek(m.Addr); e != nil {
-		e.V.sharers.Remove(m.Src)
-	}
-	// Fire-and-forget: no ack, absent line ignored.
-}
-
-// --- transaction completion ---
-
-func (l *L2) handleUnblock(m *coherence.Msg) {
-	e := l.cache.Peek(m.Addr)
-	if e == nil || !e.V.busy() || e.V.txn.requestor != m.Src {
-		l.StrayAcks++
-		l.protocolError(l.stateName(e), m)
-		return
-	}
-	e.V.txn.unblocked = true
-	l.maybeCloseTxn(m.Addr.Line(), e)
-}
-
-func (l *L2) handleCopy(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if e != nil && e.V.busy() {
-		t := e.V.txn
-		switch {
-		case t.kind == txnGetS && t.needCopy && m.Src == t.oldOwner:
-			l.fab.FillBlock(&e.V.data, m.Data)
-			if m.Dirty {
-				e.V.dirty = true
-			}
-			t.copyIn = true
-			l.maybeCloseTxn(addr, e)
-			return
-		case t.kind == txnRecall && t.recallWait.Has(m.Src):
-			l.fab.FillBlock(&e.V.data, m.Data)
-			if m.Dirty {
-				e.V.dirty = true
-			}
-			t.recallWait.Remove(m.Src)
-			l.maybeFinishRecall(addr, e)
-			return
-		case t.kind == txnGetM && t.invalidated.Has(m.Src):
-			// Paper §3.2.2: a buggy accelerator answered an Inv with a
-			// writeback; the L2 acks the requestor on its behalf.
-			if !l.cfg.TxnMods {
-				l.protocolError(l.stateName(e), m)
-				return
-			}
-			t.invalidated.Remove(m.Src)
-			l.sink.ReportError(coherence.ProtocolError{Where: l.name,
-				Code: "HOST.WBAsAck", Addr: addr,
-				Detail: "writeback accepted as InvAck; acking requestor on its behalf"})
-			l.send(coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: l.id, Dst: t.requestor})
+// takeCopy takes L1 copy m into busy line e: the old
+// owner's copy a GetS awaits, or a recall reply. A copy from neither is
+// late, a legitimate race, and dropped.
+func (l *L2) takeCopy(e *cacheset.Entry[l2Line], m *coherence.Msg) {
+	addr, t := e.Addr, e.V.txn
+	switch {
+	case t.kind == txnGetS && t.needCopy && m.Src == t.oldOwner:
+		l.fab.FillBlock(&e.V.data, m.Data)
+		if m.Dirty {
+			e.V.dirty = true
+		}
+		t.copyIn = true
+		l.maybeCloseTxn(addr, e)
+	case t.kind == txnRecall && t.recallWait.Has(m.Src):
+		l.fab.FillBlock(&e.V.data, m.Data)
+		if m.Dirty {
+			e.V.dirty = true
+		}
+		t.recallWait.Remove(m.Src)
+		l.maybeFinishRecall(addr, e)
+	case t.kind == txnGetM && t.invalidated.Has(m.Src):
+		// Paper §3.2.2: a buggy accelerator answered an Inv with a
+		// writeback; the L2 acks the requestor on its behalf.
+		if !l.cfg.TxnMods {
+			l.protocolError(l2Table.States()[l.covState(e)], m)
 			return
 		}
+		t.invalidated.Remove(m.Src)
+		l.sink.ReportError(coherence.ProtocolError{Where: l.name,
+			Code: "HOST.WBAsAck", Addr: addr,
+			Detail: "writeback accepted as InvAck; acking requestor on its behalf"})
+		l.send(coherence.Msg{Type: coherence.MInvAck, Addr: addr, Src: l.id, Dst: t.requestor})
 	}
-	// Late copy from a line already recalled/reassigned: a legitimate
-	// race; drop it.
-	l.StrayCopies++
 }
 
 func (l *L2) maybeCloseTxn(addr mem.Addr, e *cacheset.Entry[l2Line]) {
@@ -496,16 +502,6 @@ func (l *L2) startRecallInSet(addr mem.Addr) {
 		l.send(coherence.Msg{Type: coherence.MInvToL2, Addr: cand.Addr, Src: l.id, Dst: cand.V.owner})
 	}
 	l.maybeFinishRecall(cand.Addr, cand) // zero-copy lines finish at once
-}
-
-func (l *L2) handleRecallAck(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if e == nil || e.V.kind() != txnRecall || !e.V.txn.recallWait.Remove(m.Src) {
-		l.StrayAcks++
-		return
-	}
-	l.maybeFinishRecall(addr, e)
 }
 
 func (l *L2) maybeFinishRecall(addr mem.Addr, e *cacheset.Entry[l2Line]) {

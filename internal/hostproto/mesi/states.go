@@ -13,9 +13,15 @@
 //     are accepted interchangeably as forward responses, and the L2 acks
 //     a requestor on the accelerator's behalf when Crossing Guard
 //     forwards an unexpected writeback (enabled via Config.TxnMods).
+//
+// The L1 and the L2 run from transition tables in the row format of paper
+// Table 1 (l1Rules, l2Rules), which state these properties cell by cell
+// and are the classes' coverage declarations.
 package mesi
 
 import (
+	"slices"
+
 	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/sim"
@@ -152,15 +158,26 @@ var mesiMsgs = []coherence.MsgType{
 	coherence.MDataOwner, coherence.MCopyToL2, coherence.MUnblock,
 }
 
-// StateInventory reports the L1's stable and transient state names, for
-// the protocol-complexity comparison (paper §2.4 / experiment E2).
+// StateInventory reports the stable and transient states the L1's rows
+// name, for the protocol-complexity comparison (paper §2.4 / experiment E2).
 func StateInventory() (stable, transient []string) {
-	for s := L1I; s <= L1IIa; s++ {
-		if s.Stable() {
-			stable = append(stable, s.String())
-		} else {
-			transient = append(transient, s.String())
+	for _, r := range l1Rules.Rows {
+		names := &transient
+		if r.St.Stable() {
+			names = &stable
+		}
+		if !slices.Contains(*names, r.St.String()) {
+			*names = append(*names, r.St.String())
 		}
 	}
-	return
+	return stable, transient
+}
+
+// MessageInventory counts the L1's host messages from its rows, for
+// experiment E2: the host requests it takes are the messages its cells
+// answer, the host responses the other messages, and the responses out the
+// distinct messages its message cells send.
+func MessageInventory() (reqsIn, respsIn, respsOut int) {
+	send := func(r *rule) coherence.MsgType { return r.send }
+	return l1Rules.Inventory(len(localEvents), func(r *rule) bool { return r.act == actAnswer }, send)
 }

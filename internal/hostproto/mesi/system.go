@@ -79,7 +79,7 @@ func (s *System) Audit() error {
 // Coverage returns merged coverage across all controllers, keyed by
 // controller class.
 func (s *System) Coverage() []*coherence.Coverage {
-	l1cov := NewL1Coverage()
+	l1cov := l1Rules.Coverage()
 	for _, l1 := range s.L1s {
 		l1cov.Merge(l1.Cov)
 	}
