@@ -16,13 +16,15 @@ import (
 // mockGuard is a minimal Crossing Guard standing in for the host: it
 // grants every GetS with the configured type, every GetM with DataM, and
 // acks every Put — enough to drive an accelerator cache through all of
-// Table 1 deterministically.
+// Table 1 deterministically. Set to nack, it refuses every request as a
+// quarantined guard does.
 type mockGuard struct {
 	id    coherence.NodeID
 	eng   *sim.Engine
 	fab   *network.Fabric
 	mem   *mem.Memory
 	sGets coherence.MsgType // response type for GetS (DataS/DataE/DataM)
+	nack  bool
 
 	gets, puts, putSs uint64
 	invResps          []*coherence.Msg
@@ -39,6 +41,10 @@ func (g *mockGuard) ID() coherence.NodeID { return g.id }
 func (g *mockGuard) Name() string         { return "mockXG" }
 
 func (g *mockGuard) Recv(m *coherence.Msg) {
+	if g.nack && m.Type.IsAccelRequest() {
+		g.fab.Send(&coherence.Msg{Type: coherence.ANack, Addr: m.Addr, Src: g.id, Dst: m.Src})
+		return
+	}
 	switch m.Type {
 	case coherence.AGetS:
 		g.gets++

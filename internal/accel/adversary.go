@@ -155,11 +155,9 @@ type Adversary struct {
 	stepEv  sim.Timed
 	replies sim.Deferred[advReply]
 
-	// Sent counts self-initiated messages; Grants / WBAcks / Invs /
-	// Nacks count guard traffic observed; StaleDrops counts guard
-	// messages dropped for carrying an outdated epoch; Resets counts
-	// device reinitializations.
-	Sent, Grants, WBAcks, Invs, Nacks, StaleDrops, Resets uint64
+	// Sent counts self-initiated messages; Nacks counts the guard's
+	// refusals.
+	Sent, Nacks uint64
 }
 
 // NewAdversary builds and registers an adversary as the accelerator node
@@ -210,7 +208,6 @@ func (a *Adversary) Outstanding() int { return 0 }
 // flap count, which is the device's lifetime pathology, not cache state.
 func (a *Adversary) Reset(epoch uint32) {
 	a.epoch = epoch
-	a.Resets++
 	a.open = make(map[mem.Addr]coherence.MsgType)
 	a.held = make(map[mem.Addr]*mem.Block)
 	a.stale = make(map[mem.Addr]*mem.Block)
@@ -225,13 +222,11 @@ func (a *Adversary) Recv(m *coherence.Msg) {
 	if m.Epoch != a.epoch {
 		// A guard message from before our reset (or after a reset we have
 		// not been told about yet): stale, drop it.
-		a.StaleDrops++
 		return
 	}
 	addr := m.Addr.Line()
 	switch m.Type {
 	case coherence.ADataS, coherence.ADataE, coherence.ADataM:
-		a.Grants++
 		delete(a.open, addr)
 		var blk mem.Block
 		if m.Data != nil {
@@ -243,11 +238,9 @@ func (a *Adversary) Recv(m *coherence.Msg) {
 			a.stale[addr] = &cp
 		}
 	case coherence.AWBAck:
-		a.WBAcks++
 		delete(a.open, addr)
 		delete(a.held, addr)
 	case coherence.AInv:
-		a.Invs++
 		a.answerInv(addr)
 	case coherence.ANack:
 		// Quarantined: the guard refuses service. Close the transaction

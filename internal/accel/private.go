@@ -91,9 +91,6 @@ type private struct {
 	// epoch are pre-reset stragglers and are dropped, never dispatched — a
 	// stale grant must not be mistaken for an answer to a fresh request.
 	epoch uint32
-	// StaleDrops counts messages dropped for a stale epoch; Nacked counts
-	// transactions refused by a quarantined guard.
-	StaleDrops, Nacked uint64
 }
 
 // init builds the chassis over t and registers self, the cache type
@@ -111,7 +108,7 @@ func (c *private) Recv(m *coherence.Msg) {
 	case m.Type == coherence.ReqLoad || m.Type == coherence.ReqStore:
 		c.core(m)
 	case m.Epoch != c.epoch:
-		c.StaleDrops++
+		// A pre-reset straggler: dropped.
 	case m.Type == coherence.ANack:
 		c.nack(m)
 	case c.tab.Vocab.Event(m.Type) < 0:
@@ -136,12 +133,11 @@ func (c *private) Reset(epoch uint32) {
 }
 
 // Restart returns the cache to its just-built state for the machine's next
-// run, keeping its storage. Unlike a device reset it zeroes coverage and
-// counters too. The machine's Reset calls it.
+// run, keeping its storage. Unlike a device reset it zeroes coverage too.
+// The machine's Reset calls it.
 func (c *private) Restart() {
 	c.Reset(0)
 	c.Cov.Reset()
-	c.StaleDrops, c.Nacked = 0, 0
 }
 
 // cellMsg is the message of type t a cell sends to dst for addr: with the
@@ -262,7 +258,6 @@ func (c *private) inv(m *coherence.Msg) {
 // and the sequencer abort drops the operation with it.
 func (c *private) nack(m *coherence.Msg) {
 	addr := m.Addr.Line()
-	c.Nacked++
 	if wl := c.Buffered(addr); wl != nil {
 		c.Retire(addr, wl.data)
 		return

@@ -15,8 +15,7 @@ import (
 type sl2TxnKind int
 
 const (
-	sl2Idle     sl2TxnKind = iota // no transaction open
-	sl2Fetch                      // Crossing Guard Get outstanding
+	sl2Fetch    sl2TxnKind = iota // Crossing Guard Get outstanding
 	sl2LocalInv                   // gathering invalidation acks from inner L1s
 	sl2Recall                     // answering a Crossing Guard Invalidate
 )
@@ -52,21 +51,12 @@ type sl2Line struct {
 
 func (v *sl2Line) busy() bool { return v.txn != nil }
 
-// kind is the line's open transaction, sl2Idle when it is idle.
-func (v *sl2Line) kind() sl2TxnKind {
-	if v.txn == nil {
-		return sl2Idle
-	}
-	return v.txn.kind
-}
-
 // open starts line v's transaction on a record whose wait set keeps its
 // storage from one transaction to the next.
-func (l *SharedL2) open(v *sl2Line, kind sl2TxnKind, requestor coherence.NodeID, wantM bool) *sl2Txn {
+func (l *SharedL2) open(v *sl2Line, kind sl2TxnKind, requestor coherence.NodeID, wantM bool) {
 	t := l.txns.Get()
 	*t = sl2Txn{kind: kind, requestor: requestor, wantM: wantM, wait: t.wait[:0]}
 	v.txn = t
-	return t
 }
 
 // closeTxn leaves line v idle.
@@ -102,10 +92,6 @@ type SharedL2 struct {
 	// LocalSharing counts data requests satisfied without crossing to
 	// the host (the benefit of Figure 2d).
 	LocalSharing uint64
-
-	// StaleDrops counts messages dropped for a stale epoch; Nacked
-	// counts transactions refused by a quarantined guard.
-	StaleDrops, Nacked uint64
 }
 
 // NewSharedL2 builds and registers the shared accelerator L2.
@@ -114,7 +100,7 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 	l := &SharedL2{
 		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
 		ignoreAck: make(map[ackKey]int),
-		Cov:       NewSharedL2Coverage(),
+		Cov:       sl2Rules.Coverage(),
 	}
 	l.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
 	l.doServe = l.serve
@@ -125,34 +111,97 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 // Shared-L2 coverage states: the host grant level (by AState), the same
 // with a transaction open (+busy), and not-present.
 const (
-	sl2Busy   = len(aStateNames) // + host state
-	sl2NP     = 2 * len(aStateNames)
-	sl2NPBusy = sl2NP + 1
+	sl2Busy = int(AM) + 1 // + host state
+	sl2NP   = 2 * sl2Busy
 )
 
 // sharedL2Table is the shared L2's coverage vocabulary. It has no local
 // events: everything it does answers an inner L1 or the guard.
 var sharedL2Table = coherence.NewTable(
-	[]string{"I", "S", "E", "M", "B", "I+busy", "S+busy", "E+busy", "M+busy", "B+busy", "NP", "NP+busy"}, nil,
+	[]string{"I", "S", "E", "M", "I+busy", "S+busy", "E+busy", "M+busy", "NP"}, nil,
 	coherence.XGetS, coherence.XGetM, coherence.XPutM, coherence.XPutS, coherence.XInvAck, coherence.XInvWB,
 	coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv, coherence.ANack)
 
-// NewSharedL2Coverage declares reachable (state, event) pairs.
-func NewSharedL2Coverage() *coherence.Coverage {
-	cov := coherence.NewCoverage("accel2L.L2", sharedL2Table)
-	var states, events []int
-	for _, st := range []AState{AI, AS, AE, AM} {
-		states = append(states, int(st), sl2Busy+int(st))
-	}
-	states = append(states, sl2NP, sl2NPBusy)
-	for _, m := range []coherence.MsgType{
-		coherence.XGetS, coherence.XGetM, coherence.XPutM, coherence.XPutS, coherence.XInvAck, coherence.XInvWB,
-		coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv} {
-		events = append(events, sharedL2Table.Event(m))
-	}
-	cov.DeclareAll(states, events)
-	return cov
-}
+// sl2Action is what a cell of the shared L2's table does. The first two
+// take a Get, so they wait behind queued requests and a writeback in
+// flight.
+type sl2Action uint8
+
+const (
+	fetchMiss    sl2Action = iota // allocate the line and fetch it from the guard
+	lookupGet                     // reserve the line for the lookup latency, then serve the Get
+	queueGet                      // queue the Get behind the open transaction
+	takePut                       // take the owner's writeback
+	busyPut                       // a Put racing the open transaction (see Recv)
+	forgetSharer                  // XPutS: forget the sharer, fire-and-forget
+	collectAck                    // an inner L1 answers the transaction's XInv
+	dropLate                      // an XInvAck whose Put already answered its XInv
+	takeGrant                     // the guard answers the fetch
+	abandonFetch                  // a quarantined guard refuses the fetch
+	endEviction                   // the guard acknowledges or refuses the writeback
+	serveInv                      // the guard's Invalidate (see handleAInv)
+)
+
+var (
+	sl2Gets     = []int{sharedL2Table.Event(coherence.XGetS), sharedL2Table.Event(coherence.XGetM)}
+	sl2PutM     = []int{sharedL2Table.Event(coherence.XPutM)}
+	sl2PutS     = []int{sharedL2Table.Event(coherence.XPutS)}
+	sl2InvAck   = []int{sharedL2Table.Event(coherence.XInvAck)}
+	sl2InvResps = []int{sharedL2Table.Event(coherence.XInvAck), sharedL2Table.Event(coherence.XInvWB)}
+	sl2Grants   = []int{sharedL2Table.Event(coherence.ADataS), sharedL2Table.Event(coherence.ADataE), sharedL2Table.Event(coherence.ADataM)}
+	sl2WBEnds   = []int{sharedL2Table.Event(coherence.AWBAck), sharedL2Table.Event(coherence.ANack)}
+	sl2Inv      = []int{sharedL2Table.Event(coherence.AInv)}
+	sl2Nack     = []int{sharedL2Table.Event(coherence.ANack)}
+)
+
+// sl2Rules is the shared L2's table, keyed on its coverage state. Idle I
+// has no row: a grant always sets the line's level. An inner L1 owns a line
+// only under an E or M grant, so only those take a PutM; the guard answers
+// a fetch, open only at I+busy or S+busy, with a grant or a Nack; a
+// writeback closes only after its line has left the cache.
+var sl2Rules = coherence.NewRules("accel2L.L2", sharedL2Table, []coherence.Row[int, sl2Action]{
+	{St: sl2NP, Evs: sl2Gets, Do: fetchMiss},
+	{St: sl2NP, Evs: sl2PutS, Do: forgetSharer},
+	{St: sl2NP, Evs: sl2InvAck, Do: dropLate},
+	{St: sl2NP, Evs: sl2WBEnds, Do: endEviction},
+	{St: sl2NP, Evs: sl2Inv, Do: serveInv},
+	{St: int(AS), Evs: sl2Gets, Do: lookupGet},
+	{St: int(AS), Evs: sl2PutS, Do: forgetSharer},
+	{St: int(AS), Evs: sl2InvAck, Do: dropLate},
+	{St: int(AS), Evs: sl2Inv, Do: serveInv},
+	{St: int(AE), Evs: sl2Gets, Do: lookupGet},
+	{St: int(AE), Evs: sl2PutM, Do: takePut},
+	{St: int(AE), Evs: sl2PutS, Do: forgetSharer},
+	{St: int(AE), Evs: sl2InvAck, Do: dropLate},
+	{St: int(AE), Evs: sl2Inv, Do: serveInv},
+	{St: int(AM), Evs: sl2Gets, Do: lookupGet},
+	{St: int(AM), Evs: sl2PutM, Do: takePut},
+	{St: int(AM), Evs: sl2PutS, Do: forgetSharer},
+	{St: int(AM), Evs: sl2InvAck, Do: dropLate},
+	{St: int(AM), Evs: sl2Inv, Do: serveInv},
+	{St: sl2Busy + int(AI), Evs: sl2Gets, Do: queueGet},
+	{St: sl2Busy + int(AI), Evs: sl2PutS, Do: forgetSharer},
+	{St: sl2Busy + int(AI), Evs: sl2InvResps, Do: collectAck},
+	{St: sl2Busy + int(AI), Evs: sl2Grants, Do: takeGrant},
+	{St: sl2Busy + int(AI), Evs: sl2Inv, Do: serveInv},
+	{St: sl2Busy + int(AI), Evs: sl2Nack, Do: abandonFetch},
+	{St: sl2Busy + int(AS), Evs: sl2Gets, Do: queueGet},
+	{St: sl2Busy + int(AS), Evs: sl2PutS, Do: forgetSharer},
+	{St: sl2Busy + int(AS), Evs: sl2InvResps, Do: collectAck},
+	{St: sl2Busy + int(AS), Evs: sl2Grants, Do: takeGrant},
+	{St: sl2Busy + int(AS), Evs: sl2Inv, Do: serveInv},
+	{St: sl2Busy + int(AS), Evs: sl2Nack, Do: abandonFetch},
+	{St: sl2Busy + int(AE), Evs: sl2Gets, Do: queueGet},
+	{St: sl2Busy + int(AE), Evs: sl2PutM, Do: busyPut},
+	{St: sl2Busy + int(AE), Evs: sl2PutS, Do: forgetSharer},
+	{St: sl2Busy + int(AE), Evs: sl2InvResps, Do: collectAck},
+	{St: sl2Busy + int(AE), Evs: sl2Inv, Do: serveInv},
+	{St: sl2Busy + int(AM), Evs: sl2Gets, Do: queueGet},
+	{St: sl2Busy + int(AM), Evs: sl2PutM, Do: busyPut},
+	{St: sl2Busy + int(AM), Evs: sl2PutS, Do: forgetSharer},
+	{St: sl2Busy + int(AM), Evs: sl2InvResps, Do: collectAck},
+	{St: sl2Busy + int(AM), Evs: sl2Inv, Do: serveInv},
+})
 
 // covState is the line's coverage state.
 func (l *SharedL2) covState(e *cacheset.Entry[sl2Line]) int {
@@ -165,38 +214,88 @@ func (l *SharedL2) covState(e *cacheset.Entry[sl2Line]) int {
 	return int(e.V.host)
 }
 
-// Recv implements coherence.Controller.
+// Recv implements coherence.Controller: a message of the hierarchy's epoch
+// runs the cell of its line's coverage state, once the per-line FIFO lets
+// it. A message no cell takes is a protocol bug.
 func (l *SharedL2) Recv(m *coherence.Msg) {
 	if m.Epoch != l.epoch {
 		// A pre-reset straggler (guard or inner-level): drop before it can
 		// touch the fresh hierarchy.
-		l.StaleDrops++
 		return
 	}
-	e := l.cache.Peek(m.Addr)
-	l.Cov.Record(l.covState(e), sharedL2Table.Event(m.Type))
-	switch m.Type {
-	case coherence.XGetS, coherence.XGetM:
-		l.handleGet(m)
-	case coherence.XPutM:
-		l.handlePut(m)
-	case coherence.XPutS:
-		if e := l.cache.Peek(m.Addr); e != nil {
+	addr := m.Addr.Line()
+	e := l.cache.Peek(addr)
+	k, ev := l.covState(e), sharedL2Table.Event(m.Type)
+	l.Cov.Record(k, ev)
+	do := sl2Rules.At(k, ev)
+	if do == nil {
+		l.unexpected(k, m)
+	}
+	act := *do
+	if act <= lookupGet && (l.evicting(addr) || l.waiting.Waiting(addr) && m != l.replaying) {
+		// Strict per-line FIFO: nothing may overtake queued requests.
+		act = queueGet
+	}
+	if (act == takeGrant || act == abandonFetch) && e.V.txn.kind != sl2Fetch {
+		panic(fmt.Sprintf("%s: %v with no fetch", l.name, m))
+	}
+	switch act {
+	case fetchMiss:
+		l.missFetch(m)
+	case lookupGet:
+		l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
+		l.open(&e.V, sl2LocalInv, m.Src, false)
+	case queueGet:
+		l.waiting.Push(addr, m)
+	case takePut:
+		if e.V.owner != m.Src {
+			panic(fmt.Sprintf("%s: Put from non-owner %d for %v", l.name, m.Src, addr))
+		}
+		l.absorbPut(e, m)
+		l.wake(addr)
+	case busyPut:
+		switch {
+		case e.V.txn.wait.Remove(m.Src):
+			// The owner's Put crossed our Inv: absorb it as the response.
+			l.absorbPut(e, m)
+			l.ignoreAck[ackKey{addr, m.Src}]++
+			l.advance(addr, e)
+		case e.V.owner == m.Src:
+			// The owner's Put arrived in a transaction's lookup window,
+			// before any Inv went out: absorb it now so the transaction
+			// proceeds against current data and a cleared owner.
+			l.absorbPut(e, m)
+		default:
+			l.waiting.Push(addr, m)
+		}
+	case forgetSharer:
+		if e != nil {
 			e.V.sharers.Remove(m.Src)
 		}
-	case coherence.XInvAck, coherence.XInvWB:
-		l.handleInvResp(m)
-	case coherence.ADataS, coherence.ADataE, coherence.ADataM:
-		l.handleGrant(m)
-	case coherence.AWBAck:
-		l.closeEviction(m.Addr.Line(), m)
-	case coherence.AInv:
+	case collectAck:
+		if !l.ignored(m) {
+			l.collectAck(e, m)
+		}
+	case dropLate:
+		if !l.ignored(m) {
+			l.unexpected(k, m)
+		}
+	case takeGrant:
+		l.takeGrant(e, m)
+	case abandonFetch:
+		// The inner requestor gets no grant: the device is about to be
+		// reset.
+		l.fab.FreeBlock(l.leave(e).data)
+	case endEviction:
+		l.closeEviction(addr, m)
+	case serveInv:
 		l.handleAInv(m)
-	case coherence.ANack:
-		l.handleANack(m)
-	default:
-		panic(fmt.Sprintf("%s: unexpected %v", l.name, m))
 	}
+}
+
+// unexpected panics on message m, naming the cell (k, m) it has no row for.
+func (l *SharedL2) unexpected(k int, m *coherence.Msg) {
+	panic(fmt.Sprintf("%s: unexpected %v in state %s", l.name, m, sharedL2Table.States()[k]))
 }
 
 // Reset reinitializes the shared L2 under a new guard epoch (the
@@ -216,48 +315,10 @@ func (l *SharedL2) Reset(epoch uint32) {
 func (l *SharedL2) Restart() {
 	l.Reset(0)
 	l.Cov.Reset()
-	l.LocalSharing, l.StaleDrops, l.Nacked = 0, 0, 0
-}
-
-// handleANack closes a transaction a quarantined guard refused: a nacked
-// eviction abandons the writeback, a nacked fetch abandons the line. The
-// inner requestor gets no grant — the device is about to be reset.
-func (l *SharedL2) handleANack(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	l.Nacked++
-	if l.evicting(addr) {
-		l.closeEviction(addr, m)
-		return
-	}
-	if e := l.cache.Peek(addr); e != nil && e.V.kind() == sl2Fetch {
-		l.closeTxn(&e.V)
-		l.fab.FreeBlock(e.V.data)
-		l.spare.Put(e.V.sharers)
-		l.cache.Invalidate(e.Addr)
-	}
+	l.LocalSharing = 0
 }
 
 // --- inner L1 requests ---
-
-func (l *SharedL2) handleGet(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	if l.evicting(addr) {
-		l.waiting.Push(addr, m)
-		return
-	}
-	e := l.cache.Peek(addr)
-	if (e != nil && e.V.busy()) || (l.waiting.Waiting(addr) && m != l.replaying) {
-		// Strict per-line FIFO: nothing may overtake queued requests.
-		l.waiting.Push(addr, m)
-		return
-	}
-	if e == nil {
-		l.missFetch(m)
-		return
-	}
-	l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
-	l.open(&e.V, sl2LocalInv, m.Src, false)
-}
 
 func (l *SharedL2) missFetch(m *coherence.Msg) {
 	addr := m.Addr.Line()
@@ -279,7 +340,8 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 		return
 	}
 	if evicted {
-		l.evict(victim.Addr, &victim.V)
+		l.putToGuard(victim.Addr, victim.V.host, victim.V.dirty, victim.V.data)
+		l.spare.Put(victim.V.sharers)
 	}
 	wantM := m.Type == coherence.XGetM
 	e.V = sl2Line{owner: coherence.NodeNone, sharers: l.spare.Get()}
@@ -300,16 +362,14 @@ func (l *SharedL2) serve(m *coherence.Msg) {
 		return
 	}
 	t := e.V.txn
-	i := m.Src
 	if m.Type == coherence.XGetS {
 		if e.V.owner != coherence.NodeNone {
 			// Pull the dirty copy out of the owner first.
-			t.wait.Add(e.V.owner)
-			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
+			l.invalidateCopies(e, coherence.NodeNone)
 			l.LocalSharing++
-			return // completed in handleInvResp
+			return // completed in collectAck
 		}
-		l.grantS(addr, e, i)
+		l.grantS(addr, e, m.Src)
 		return
 	}
 	// XGetM.
@@ -337,16 +397,9 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	t.kind = sl2LocalInv
 	t.wantM = true
 	if e.V.owner != coherence.NodeNone && e.V.owner != t.requestor {
-		t.wait.Add(e.V.owner)
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: e.V.owner})
 		l.LocalSharing++
 	}
-	for _, s := range e.V.sharers {
-		if s != t.requestor {
-			t.wait.Add(s)
-			l.send(coherence.Msg{Type: coherence.XInv, Addr: addr, Dst: s})
-		}
-	}
+	l.invalidateCopies(e, t.requestor)
 	l.maybeGrantM(addr, e)
 }
 
@@ -374,37 +427,6 @@ func (l *SharedL2) maybeGrantM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 
 // --- writebacks from inner L1s ---
 
-func (l *SharedL2) handlePut(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if e == nil {
-		panic(fmt.Sprintf("%s: Put for absent line %v (inclusion broken)", l.name, addr))
-	}
-	if e.V.busy() && e.V.txn.wait.Remove(m.Src) {
-		// The owner's Put crossed our Inv: absorb it as the response.
-		l.absorbPut(e, m)
-		l.ignoreAck[ackKey{addr, m.Src}]++
-		l.advance(addr, e)
-		return
-	}
-	if e.V.busy() {
-		if e.V.owner == m.Src {
-			// The owner's Put arrived in a transaction's lookup window,
-			// before any Inv went out: absorb it now so the transaction
-			// proceeds against current data and a cleared owner.
-			l.absorbPut(e, m)
-			return
-		}
-		l.waiting.Push(addr, m)
-		return
-	}
-	if e.V.owner != m.Src {
-		panic(fmt.Sprintf("%s: Put from non-owner %d for %v", l.name, m.Src, addr))
-	}
-	l.absorbPut(e, m)
-	l.wake(addr)
-}
-
 // absorbPut takes the owner's written-back data into the line and acks it.
 func (l *SharedL2) absorbPut(e *cacheset.Entry[sl2Line], m *coherence.Msg) {
 	l.fab.FillBlock(&e.V.data, m.Data)
@@ -413,22 +435,23 @@ func (l *SharedL2) absorbPut(e *cacheset.Entry[sl2Line], m *coherence.Msg) {
 	l.send(coherence.Msg{Type: coherence.XWBAck, Addr: e.Addr, Dst: m.Src})
 }
 
-func (l *SharedL2) handleInvResp(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	if m.Type == coherence.XInvAck {
-		if k := (ackKey{addr, m.Src}); l.ignoreAck[k] > 0 {
-			if l.ignoreAck[k]--; l.ignoreAck[k] == 0 {
-				delete(l.ignoreAck, k)
-			}
-			return
-		}
+// ignored drops m if it is an XInvAck whose owner's Put already answered
+// its XInv.
+func (l *SharedL2) ignored(m *coherence.Msg) bool {
+	k := ackKey{m.Addr.Line(), m.Src}
+	if m.Type != coherence.XInvAck || l.ignoreAck[k] == 0 {
+		return false
 	}
-	e := l.cache.Peek(addr)
-	if e == nil || !e.V.busy() {
-		panic(fmt.Sprintf("%s: inv response with no transaction: %v", l.name, m))
+	if l.ignoreAck[k]--; l.ignoreAck[k] == 0 {
+		delete(l.ignoreAck, k)
 	}
+	return true
+}
+
+// collectAck takes an inner L1's answer to busy line e's XInv.
+func (l *SharedL2) collectAck(e *cacheset.Entry[sl2Line], m *coherence.Msg) {
 	if !e.V.txn.wait.Remove(m.Src) {
-		panic(fmt.Sprintf("%s: unexpected inv response from %d for %v", l.name, m.Src, addr))
+		panic(fmt.Sprintf("%s: unexpected inv response from %d for %v", l.name, m.Src, e.Addr))
 	}
 	if m.Type == coherence.XInvWB {
 		l.fab.FillBlock(&e.V.data, m.Data)
@@ -438,7 +461,7 @@ func (l *SharedL2) handleInvResp(m *coherence.Msg) {
 		e.V.owner = coherence.NodeNone
 	}
 	e.V.sharers.Remove(m.Src)
-	l.advance(addr, e)
+	l.advance(e.Addr, e)
 }
 
 // advance moves a transaction forward once an ack set drains.
@@ -462,37 +485,28 @@ func (l *SharedL2) advance(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 		}
 		return
 	}
-	switch t.kind {
-	case sl2LocalInv:
-		if t.requestor != coherence.NodeNone && t.wantM {
-			l.maybeGrantM(addr, e)
-			return
-		}
-		if t.requestor != coherence.NodeNone {
-			// XGetS that pulled data from the owner.
-			l.grantS(addr, e, t.requestor)
-			return
-		}
+	switch {
+	case t.kind == sl2Recall:
+		v := l.leave(e)
+		l.answerInv(addr, v.host, v.dirty, v.data)
+	case t.requestor == coherence.NodeNone:
 		// Local recall for eviction: write the line back to the guard.
-		l.closeTxn(&e.V)
-		v := e.V
-		l.cache.Invalidate(addr)
-		l.evict(addr, &v)
+		v := l.leave(e)
+		l.putToGuard(addr, v.host, v.dirty, v.data)
 		l.wake(addr)
 		l.replayStalled()
-	case sl2Recall:
-		l.finishRecall(addr, e)
+	case t.wantM:
+		l.maybeGrantM(addr, e)
+	default:
+		// XGetS that pulled data from the owner.
+		l.grantS(addr, e, t.requestor)
 	}
 }
 
 // --- Crossing Guard interactions ---
 
-func (l *SharedL2) handleGrant(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := l.cache.Peek(addr)
-	if e == nil || e.V.kind() != sl2Fetch {
-		panic(fmt.Sprintf("%s: grant with no fetch: %v", l.name, m))
-	}
+// takeGrant lands the guard's grant on busy line e.
+func (l *SharedL2) takeGrant(e *cacheset.Entry[sl2Line], m *coherence.Msg) {
 	t := e.V.txn
 	e.V.host = grantLevel(m.Type)
 	l.fab.FillBlock(&e.V.data, m.Data)
@@ -504,7 +518,7 @@ func (l *SharedL2) handleGrant(m *coherence.Msg) {
 		// advance() resumes the grant once the guard is acked.
 		return
 	}
-	l.resumeGrant(addr, e)
+	l.resumeGrant(e.Addr, e)
 }
 
 // resumeGrant completes a fetch once its grant (and any racing guard
@@ -530,11 +544,11 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 		l.send(coherence.Msg{Type: coherence.AInvAck, Addr: addr, Dst: l.xg})
 		return
 	}
-	switch e.V.kind() {
-	case sl2Idle:
+	switch {
+	case !e.V.busy():
 		// Stable line: recall every local copy, then answer the guard.
 		l.recallCopies(e, sl2Recall)
-	case sl2Fetch:
+	case e.V.txn.kind == sl2Fetch:
 		l.invalidateUnderFetch(addr, e)
 	default:
 		// Local transaction in progress: serve the Invalidate with
@@ -553,21 +567,23 @@ func (l *SharedL2) handleAInv(m *coherence.Msg) {
 // is none.
 func (l *SharedL2) recallCopies(e *cacheset.Entry[sl2Line], kind sl2TxnKind) {
 	l.open(&e.V, kind, coherence.NodeNone, false)
-	l.invalidateCopies(e)
+	l.invalidateCopies(e, coherence.NodeNone)
 	l.advance(e.Addr, e)
 }
 
-// invalidateCopies sends XInv to every inner L1 holding the line — sharers
-// in ascending order, then the owner — and has the transaction wait for
-// each one's response.
-func (l *SharedL2) invalidateCopies(e *cacheset.Entry[sl2Line]) {
+// invalidateCopies sends XInv to every inner L1 but except holding the
+// line — sharers in ascending order, then the owner; a line with an owner
+// has no sharers — and has the transaction wait for each one's response.
+func (l *SharedL2) invalidateCopies(e *cacheset.Entry[sl2Line], except coherence.NodeID) {
 	for _, s := range e.V.sharers {
-		e.V.txn.wait.Add(s)
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: s})
+		if s != except {
+			e.V.txn.wait.Add(s)
+			l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: s})
+		}
 	}
-	if e.V.owner != coherence.NodeNone {
-		e.V.txn.wait.Add(e.V.owner)
-		l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: e.V.owner})
+	if o := e.V.owner; o != coherence.NodeNone && o != except {
+		e.V.txn.wait.Add(o)
+		l.send(coherence.Msg{Type: coherence.XInv, Addr: e.Addr, Dst: o})
 	}
 }
 
@@ -580,25 +596,20 @@ func (l *SharedL2) invalidateUnderFetch(addr mem.Addr, e *cacheset.Entry[sl2Line
 		panic(fmt.Sprintf("%s: fetch at %v is collecting acks of its own", l.name, addr))
 	}
 	t.pendingInvAck = true
-	l.invalidateCopies(e)
+	l.invalidateCopies(e, coherence.NodeNone)
 	e.V.owner = coherence.NodeNone
 	e.V.host = AI // whatever we held is gone; the grant re-establishes
 	l.advance(addr, e)
 }
 
-func (l *SharedL2) finishRecall(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
-	host, data, dirty := e.V.host, e.V.data, e.V.dirty
+// leave closes line e's transaction and takes the line out of the cache,
+// keeping its sharer set's storage, and returns what the line held.
+func (l *SharedL2) leave(e *cacheset.Entry[sl2Line]) sl2Line {
 	l.closeTxn(&e.V)
-	l.spare.Put(e.V.sharers)
-	l.cache.Invalidate(addr)
-	l.answerInv(addr, host, dirty, data)
-}
-
-// evict writes a line that has left the cache back to the guard and takes
-// its sharer set's storage.
-func (l *SharedL2) evict(addr mem.Addr, v *sl2Line) {
-	l.putToGuard(addr, v.host, v.dirty, v.data)
+	v := e.V
 	l.spare.Put(v.sharers)
+	l.cache.Invalidate(e.Addr)
+	return v
 }
 
 // OpenTxns reports the lines with a transaction open (none at quiesce).

@@ -72,7 +72,25 @@ func (r *sl2Rig) quiesce(t *testing.T) {
 	if out := r.fab.Stats().MsgsOut; out != len(r.xg.invResps) {
 		t.Fatalf("%d messages out of the pool at quiesce, the guard keeps %d", out, len(r.xg.invResps))
 	}
+	if u := r.l2.Cov.Unexpected; len(u) != 0 {
+		t.Fatalf("the shared L2 visited undeclared cells %v", u)
+	}
 }
+
+// visits requires cell, "state/event", of the shared L2's table visited
+// want times.
+func (r *sl2Rig) visits(t *testing.T, cell string, want uint64) {
+	t.Helper()
+	if n := r.l2.Cov.Snapshot()[cell]; n != want {
+		t.Fatalf("%s visited %d times, want %d", cell, n, want)
+	}
+}
+
+// The rig's L2 has 2 sets of 2 ways: lines 128 bytes apart share a set.
+const (
+	sl2Line1 = sl2Line0 + 128
+	sl2Line2 = sl2Line0 + 256
+)
 
 // A recall invalidates the sharers in ascending node order whatever order
 // they joined in — the order is the NodeSet's own, not a sort at the send
@@ -201,5 +219,119 @@ func TestSharedL2ParksGuardInvalidateOnBusyLine(t *testing.T) {
 	}
 	if n := r.l2.Outstanding(); n != 0 {
 		t.Fatalf("%d transactions outstanding at the shared L2", n)
+	}
+}
+
+// TestSharedL2RulesMatchProtocol reads the shared L2's protocol off the
+// rows it runs: a grant lands only on a line with a fetch open, a
+// writeback closes only after its line has left the cache, and the
+// guard's Invalidate has a cell in every state a line can be in.
+func TestSharedL2RulesMatchProtocol(t *testing.T) {
+	states := sharedL2Table.States()
+	for k := range states {
+		fetching := k == sl2Busy+int(AI) || k == sl2Busy+int(AS)
+		for _, ev := range sl2Grants {
+			if do := sl2Rules.At(k, ev); fetching != (do != nil) || do != nil && *do != takeGrant {
+				t.Errorf("%s/%s = %v, want a grant cell exactly at I+busy and S+busy", states[k], sharedL2Table.Events()[ev], do)
+			}
+		}
+		if do := sl2Rules.At(k, sl2WBEnds[0]); (k == sl2NP) != (do != nil) {
+			t.Errorf("%s/A:WBAck = %v, want a cell at NP alone", states[k], do)
+		}
+		// Idle I is no line's state: a grant always sets the level.
+		if do := sl2Rules.At(k, sl2Inv[0]); (k != int(AI)) != (do != nil) {
+			t.Errorf("%s/A:Inv = %v, want a cell in every state but idle I", states[k], do)
+		}
+	}
+	for _, r := range sl2Rules.Rows {
+		if r.St == int(AI) {
+			t.Errorf("idle I has a row: %+v", r)
+		}
+	}
+}
+
+// A miss into a set whose ways hold no inner copy evicts the LRU line: its
+// data goes back to the guard in a Put, and the guard's WBAck closes the
+// writeback after the line has left the cache.
+func TestSharedL2EvictsVictimToGuard(t *testing.T) {
+	r := newSL2Rig(21)
+	l1 := r.l1s[21]
+	dirty := mem.Block{0: 0xAB}
+	l1.send(coherence.XGetM, sl2Line0, nil)
+	r.quiesce(t)
+	l1.send(coherence.XPutM, sl2Line0, &dirty)
+	l1.send(coherence.XGetS, sl2Line1, nil)
+	r.quiesce(t)
+	l1.send(coherence.XPutS, sl2Line1, nil)
+	r.quiesce(t)
+
+	l1.send(coherence.XGetS, sl2Line2, nil)
+	r.quiesce(t)
+	if r.l2.cache.Peek(sl2Line0) != nil || r.l2.cache.Peek(sl2Line2) == nil {
+		t.Fatal("the miss did not replace the LRU line")
+	}
+	if r.xg.puts != 1 || r.xg.mem.Read(sl2Line0)[0] != 0xAB {
+		t.Fatalf("guard took %d Puts holding %#x, want one with the written data", r.xg.puts, r.xg.mem.Read(sl2Line0)[0])
+	}
+	r.visits(t, "NP/A:WBAck", 1)
+}
+
+// A miss into a set whose every way has inner copies recalls the LRU line
+// from its inner L1s, writes it back to the guard, and replays the
+// stalled miss into the freed way.
+func TestSharedL2RecallsForStalledMiss(t *testing.T) {
+	r := newSL2Rig(21)
+	l1 := r.l1s[21]
+	l1.send(coherence.XGetS, sl2Line0, nil)
+	r.quiesce(t)
+	l1.send(coherence.XGetS, sl2Line1, nil)
+	r.quiesce(t)
+	r.log = nil
+
+	l1.send(coherence.XGetS, sl2Line2, nil)
+	r.quiesce(t)
+	if want := []string{"21 X:Inv", "21 X:DataS"}; !reflect.DeepEqual(r.log, want) {
+		t.Fatalf("inner L1 saw %v, want the recall of the LRU line, then the stalled miss's data", r.log)
+	}
+	if r.l2.cache.Peek(sl2Line0) != nil || r.l2.cache.Peek(sl2Line2) == nil {
+		t.Fatal("the recall did not free the LRU line's way for the miss")
+	}
+	if r.xg.putSs != 1 {
+		t.Fatalf("guard took %d PutS, want the recalled line's", r.xg.putSs)
+	}
+	r.visits(t, "S+busy/X:InvAck", 1)
+	r.visits(t, "NP/X:GetS", 4) // three misses, one replayed
+	r.visits(t, "NP/A:WBAck", 1)
+}
+
+// A quarantined guard nacks whatever it is sent: a nacked fetch or
+// upgrade abandons its line, and a nacked writeback closes as if acked.
+// The inner requestor gets no answer; the device is about to be reset.
+func TestSharedL2TakesNacks(t *testing.T) {
+	r := newSL2Rig(21)
+	l1 := r.l1s[21]
+	for _, a := range []mem.Addr{sl2Line0, sl2Line1} {
+		l1.send(coherence.XGetS, a, nil)
+		r.quiesce(t)
+		l1.send(coherence.XPutS, a, nil)
+		r.quiesce(t)
+	}
+
+	r.xg.nack = true
+	r.log = nil
+	l1.send(coherence.XGetS, sl2Line2, nil) // evicts line 0, then fetches
+	r.quiesce(t)
+	r.visits(t, "NP/A:Nack", 1)
+	r.visits(t, "I+busy/A:Nack", 1)
+	l1.send(coherence.XGetM, sl2Line1, nil) // an upgrade of the S grant
+	r.quiesce(t)
+	r.visits(t, "S+busy/A:Nack", 1)
+	for _, a := range []mem.Addr{sl2Line0, sl2Line1, sl2Line2} {
+		if r.l2.cache.Peek(a) != nil {
+			t.Errorf("line %v still in the shared L2 after its nack", a)
+		}
+	}
+	if len(r.log) != 0 {
+		t.Fatalf("inner L1 was answered %v under a nacking guard", r.log)
 	}
 }

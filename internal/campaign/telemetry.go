@@ -77,7 +77,7 @@ func (t *Telemetry) mergeCoverage(sys *config.System) map[string][]string {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
-	for _, cov := range sys.Coverages() {
+	sys.Coverages(func(cov *coherence.Coverage) {
 		if len(cov.Unexpected) > 0 {
 			if unexpected == nil {
 				unexpected = map[string][]string{}
@@ -85,7 +85,7 @@ func (t *Telemetry) mergeCoverage(sys *config.System) map[string][]string {
 			unexpected[cov.Name()] = append(unexpected[cov.Name()], cov.Unexpected...)
 		}
 		if t == nil {
-			continue
+			return
 		}
 		c := t.cov[cov.Name()]
 		if c == nil {
@@ -95,7 +95,7 @@ func (t *Telemetry) mergeCoverage(sys *config.System) map[string][]string {
 			t.cov[cov.Name()] = c
 		}
 		c.Merge(cov)
-	}
+	})
 	return unexpected
 }
 

@@ -127,9 +127,18 @@ func TestTableEvents(t *testing.T) {
 	NewCoverage("L1", testTable).Record(tI, testTable.Event(MGetS))
 }
 
+// testCoverage is testTable's coverage declaring states x events, built
+// as every controller's is: from the cells of a Rules table.
+func testCoverage(states, events []int) *Coverage {
+	var rows []Row[int, struct{}]
+	for _, st := range states {
+		rows = append(rows, Row[int, struct{}]{St: st, Evs: events})
+	}
+	return NewRules("L1", testTable, rows).Coverage()
+}
+
 func TestCoverageDeclareRecord(t *testing.T) {
-	c := NewCoverage("L1", testTable)
-	c.DeclareAll([]int{tI, tS}, []int{tLoad, tInv})
+	c := testCoverage([]int{tI, tS}, []int{tLoad, tInv})
 	if c.Possible() != 4 {
 		t.Fatalf("Possible = %d", c.Possible())
 	}
@@ -153,8 +162,7 @@ func TestCoverageDeclareRecord(t *testing.T) {
 }
 
 func TestCoverageMerge(t *testing.T) {
-	a := NewCoverage("L1", testTable)
-	a.Declare(tI, tLoad)
+	a := testCoverage([]int{tI}, []int{tLoad})
 	a.Record(tI, tLoad)
 	b := NewCoverage("L1", testTable)
 	b.Record(tI, tLoad)
@@ -171,26 +179,16 @@ func TestCoverageMerge(t *testing.T) {
 	a.Merge(NewCoverage("L2", NewTable([]string{"NP"}, nil, MGetS)))
 }
 
-func TestCoverageSummaryNoDeclared(t *testing.T) {
-	c := NewCoverage("x", testTable)
-	c.Record(tI, tLoad)
-	if !strings.Contains(c.Summary(), "1 pairs visited") {
-		t.Errorf("Summary = %q", c.Summary())
-	}
-}
-
 // Coverage counts by (state, event) index; every string a report or an
 // aggregator sees keeps the "state/event" form, and a bare coverage takes
 // the table and the declarations of what is merged into it.
 func TestCoverageRenderedStrings(t *testing.T) {
-	a := NewCoverage("L1", testTable)
-	a.DeclareAll([]int{tI, tSBusy}, []int{tLoad, testTable.Event(HFwdGetS)})
+	a := testCoverage([]int{tI, tSBusy}, []int{tLoad, testTable.Event(HFwdGetS)})
 	a.Record(tI, tLoad)
 	a.Record(tSBusy, testTable.Event(HFwdGetS))
 	a.Record(tSBusy, testTable.Event(HFwdGetS))
 	a.Record(tM, testTable.Event(HNack)) // undeclared
-	b := NewCoverage("L1", testTable)
-	b.Declare(tE, tStore)
+	b := testCoverage([]int{tE}, []int{tStore})
 	b.Record(tI, tLoad) // undeclared in b: b declares only E/Store
 	b.Record(tO, tRepl)
 	bare := NewCoverage("L1", nil)
@@ -223,8 +221,7 @@ func TestCoverageRecordAllocFree(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, hooked := range []bool{false, true} {
-		c := NewCoverage("L1", testTable)
-		c.DeclareAll([]int{tI, tS}, []int{tLoad, tInv})
+		c := testCoverage([]int{tI, tS}, []int{tLoad, tInv})
 		seen := 0
 		if hooked {
 			c.OnRecord = func(state, event int) { seen++ }

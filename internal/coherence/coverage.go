@@ -47,9 +47,10 @@ func (t *Table) Event(m MsgType) int { return int(t.col[m]) }
 // the accounting of the paper's stress test (§4.1): "we counted the
 // state/event pairs that the random tester visited at each cache controller
 // and compared it with the number that we believe are possible".
-// Controllers Declare their reachable pairs; Record marks a visit, in dense
-// arrays over the Table's states x events; an undeclared pair visited is a
-// protocol bug, listed in Unexpected.
+// A controller's Rules declare its reachable pairs, the cells it handles
+// (Rules.Coverage); Record marks a visit, in dense arrays over the Table's
+// states x events; an undeclared pair visited is a protocol bug, listed in
+// Unexpected.
 type Coverage struct {
 	name     string
 	tab      *Table
@@ -98,27 +99,18 @@ func (c *Coverage) pairName(i int) string {
 	return c.tab.states[i/c.nev] + "/" + c.tab.events[i%c.nev]
 }
 
-// Declare marks (state, event) for each given event as possible.
-func (c *Coverage) Declare(state int, events ...int) {
-	for _, ev := range events {
-		if i := c.cell(state, ev); !c.declared[i] {
-			c.declared[i] = true
-			c.possible++
-		}
-	}
-}
-
-// DeclareAll declares the cross product states x events.
-func (c *Coverage) DeclareAll(states, events []int) {
-	for _, s := range states {
-		c.Declare(s, events...)
+// declare marks cell i as possible.
+func (c *Coverage) declare(i int) {
+	if !c.declared[i] {
+		c.declared[i] = true
+		c.possible++
 	}
 }
 
 // Record notes a visit to (state, event).
 func (c *Coverage) Record(state, event int) {
 	i := c.cell(state, event)
-	if c.possible > 0 && !c.declared[i] {
+	if !c.declared[i] {
 		c.Unexpected = append(c.Unexpected, c.pairName(i))
 	}
 	c.visits[i]++
@@ -196,9 +188,8 @@ func (c *Coverage) Merge(other *Coverage) {
 		panic(fmt.Sprintf("coherence: merging %s coverage into %s: different tables", other.name, c.name))
 	}
 	for i, d := range other.declared {
-		if d && !c.declared[i] {
-			c.declared[i] = true
-			c.possible++
+		if d {
+			c.declare(i)
 		}
 	}
 	for i, v := range other.visits {
@@ -220,9 +211,6 @@ func (c *Coverage) Snapshot() map[string]uint64 {
 
 // Summary renders a one-line coverage report.
 func (c *Coverage) Summary() string {
-	if c.Possible() == 0 {
-		return fmt.Sprintf("%-14s %6d pairs visited (%d visits)", c.name, c.Visited(), c.Visits())
-	}
 	return fmt.Sprintf("%-14s %4d/%-4d pairs (%5.1f%%), %d visits, %d unexpected",
 		c.name, c.Visited(), c.Possible(),
 		100*float64(c.Visited())/float64(c.Possible()), c.Visits(), len(c.Unexpected))

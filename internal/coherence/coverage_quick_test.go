@@ -49,12 +49,14 @@ func (covSpec) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(s)
 }
 
-// build materializes the spec as a real Coverage.
+// build materializes the spec as a real Coverage, declared by a Rules
+// table with one cell per declared pair.
 func (s covSpec) build() *Coverage {
-	c := NewCoverage("quick", quickTable)
+	var rows []Row[int, struct{}]
 	for _, p := range s.Declared {
-		c.Declare(pairUniverse[p][0], pairUniverse[p][1])
+		rows = append(rows, Row[int, struct{}]{St: pairUniverse[p][0], Evs: pairUniverse[p][1:]})
 	}
+	c := NewRules("quick", quickTable, rows).Coverage()
 	for p, n := range s.Visits {
 		for i := uint64(0); i < n; i++ {
 			c.Record(pairUniverse[p][0], pairUniverse[p][1])

@@ -47,7 +47,7 @@ func (t *Rules[S, V]) Coverage() *Coverage {
 	cov := NewCoverage(t.Class, t.Vocab)
 	for i, v := range t.cells {
 		if v != nil {
-			cov.Declare(i/len(t.Vocab.Events()), i%len(t.Vocab.Events()))
+			cov.declare(i)
 		}
 	}
 	return cov

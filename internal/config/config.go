@@ -417,20 +417,19 @@ func (s *System) countStates(cov *coherence.Coverage) {
 	cov.OnRecord = obs.StateRecorder(s.Obs, cov.Name(), cov.States())
 }
 
-// Coverages returns the coverage of every controller that declares a
+// Coverages calls fn with the coverage of every controller that declares a
 // transition table: the home node's, then the caches' in build order, then
 // the guards'.
-func (s *System) Coverages() []*coherence.Coverage {
-	covs := []*coherence.Coverage{s.home.Coverage()}
+func (s *System) Coverages(fn func(*coherence.Coverage)) {
+	fn(s.home.Coverage())
 	for _, c := range s.caches {
 		if cov := c.Coverage(); cov != nil {
-			covs = append(covs, cov)
+			fn(cov)
 		}
 	}
 	for _, g := range s.Guards {
-		covs = append(covs, g.Coverage())
+		fn(g.Coverage())
 	}
-	return covs
 }
 
 // OnDeviceReset registers fn to run when the guard fronting accelID

@@ -263,9 +263,7 @@ func machineSig(sys *config.System, drive func(*config.System) string) string {
 	if err := sys.Obs.WriteJSON(&b); err != nil {
 		panic(err)
 	}
-	for _, cov := range sys.Coverages() {
-		writeCoverage(&b, cov)
-	}
+	sys.Coverages(func(cov *coherence.Coverage) { writeCoverage(&b, cov) })
 	var chans []string
 	sys.Fab.VisitStats(func(src, dst coherence.NodeID, s *network.Stats) {
 		chans = append(chans, fmt.Sprintf("chan %d>%d %d msgs %d bytes %v", src, dst, s.Msgs, s.Bytes, s.MsgsByType))

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/seq"
@@ -85,6 +86,15 @@ func runPoint(sys *config.System, sc Scenario, off sim.Time) error {
 	}
 	if !sc.ExpectViolations && sys.Log.Count() != 0 {
 		return fmt.Errorf("protocol errors: %v", sys.Log.Errors[0])
+	}
+	var undeclared error
+	sys.Coverages(func(cov *coherence.Coverage) {
+		if undeclared == nil && len(cov.Unexpected) > 0 {
+			undeclared = fmt.Errorf("%s visited undeclared transitions %v", cov.Name(), cov.Unexpected)
+		}
+	})
+	if undeclared != nil {
+		return undeclared
 	}
 	if verify != nil {
 		return verify()

@@ -148,10 +148,10 @@ func FuzzGuardMessageStream(f *testing.F) {
 		}
 		// Every message the guard, the host and the accelerator side took
 		// is a cell of its class's declared table.
-		for _, cov := range sys.Coverages() {
+		sys.Coverages(func(cov *coherence.Coverage) {
 			if u := cov.Unexpected; len(u) > 0 {
 				t.Fatalf("%s visited undeclared transitions %v", cov.Name(), u)
 			}
-		}
+		})
 	})
 }

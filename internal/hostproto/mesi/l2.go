@@ -147,7 +147,7 @@ const (
 	queueReq                      // queue the request behind the open transaction
 	busyPut                       // a Put racing the open transaction (see Recv)
 	forgetSharer                  // PutS: forget the sharer, fire-and-forget
-	takeUnblock                   // the requestor closes its transaction
+	takeUnblock                   // the requestor closes its GetS or GetM
 	takeCopy                      // an L1's copy of the line (see takeCopy)
 	takeRecallAck                 // an L1 answers the recall
 	dropLate                      // a copy or recall ack no transaction awaits: a legitimate race
@@ -164,7 +164,7 @@ var (
 )
 
 // l2Rules is the L2's table, keyed on its coverage state. An Unblock with
-// no transaction open, and every message the L2 is never sent, is a
+// no GetS or GetM open, and every message the L2 is never sent, is a
 // protocol error.
 var l2Rules = coherence.NewRules("mesi.L2", l2Table, []coherence.Row[int, l2Action]{
 	{St: l2NP, Evs: l2Gets, Do: fetchGet},
@@ -295,7 +295,8 @@ func (l *L2) Recv(m *coherence.Msg) {
 			e.V.sharers.Remove(m.Src)
 		}
 	case takeUnblock:
-		if e.V.txn.requestor != m.Src {
+		// Only a GetS or GetM waits for its requestor's Unblock.
+		if t := e.V.txn; t.requestor != m.Src || t.kind != txnGetS && t.kind != txnGetM {
 			l.protocolError(l2Table.States()[k], m)
 			return
 		}
@@ -491,7 +492,7 @@ func (l *L2) startRecallInSet(addr mem.Addr) {
 	if cand == nil {
 		return // all ways busy; stalled request retries on any close
 	}
-	// No requestor: node 0, which an Unblock is checked against.
+	// No requestor: a recall takes no Unblock.
 	t := l.open(&cand.V, txnRecall, 0, coherence.NodeNone)
 	for _, s := range cand.V.sharers {
 		t.recallWait.Add(s)

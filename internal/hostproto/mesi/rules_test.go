@@ -151,6 +151,58 @@ func TestAckAsDataCell(t *testing.T) {
 	}
 }
 
+// TestEarlyUnblockCell drives SS+busy/M:Unblock while the requestor's own
+// GetS is still fetching from memory. Only a GetS or GetM waits for an
+// Unblock: with TxnMods this one is a HOST.L2.Unexpected error and the
+// fetch completes; the baseline treats it as fatal.
+func TestEarlyUnblockCell(t *testing.T) {
+	const a = mem.Addr(0x5000)
+	for _, mods := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.TxnMods = mods
+		s := NewSystem(1, cfg, 17)
+		s.Mem.StoreByte(a, 42)
+		got := byte(0xff)
+		s.Seqs[0].Load(a, func(op *seq.Op) { got = op.Result })
+		for i := 0; ; i++ {
+			if e := s.L2C.cache.Peek(a); e != nil && e.V.kind() == txnFetch {
+				break
+			}
+			if i == 1000 {
+				t.Fatal("the GetS never started its fetch")
+			}
+			s.Eng.RunUntil(s.Eng.Now() + 1)
+		}
+		s.Fab.Send(&coherence.Msg{Type: coherence.MUnblock, Addr: a, Src: s.L1s[0].ID(), Dst: NodeL2})
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			s.Eng.RunUntilQuiet()
+			return nil
+		}()
+		if !mods {
+			if msg, _ := panicked.(string); !strings.Contains(msg, "unexpected") {
+				t.Fatalf("baseline took an Unblock during a fetch: %v", panicked)
+			}
+			continue
+		}
+		if panicked != nil {
+			t.Fatal(panicked)
+		}
+		if n := s.L2C.Cov.Snapshot()["SS+busy/M:Unblock"]; n != 1 {
+			t.Fatalf("SS+busy/M:Unblock visited %d times, want 1", n)
+		}
+		if s.Log.Count() != 1 || s.Log.Errors[0].Code != "HOST.L2.Unexpected" {
+			t.Fatalf("errors %v, want one HOST.L2.Unexpected", s.Log.Errors)
+		}
+		if got != 42 {
+			t.Fatalf("load read %d, want 42", got)
+		}
+		if n := s.Outstanding(); n != 0 {
+			t.Fatalf("%d transactions outstanding after quiesce", n)
+		}
+	}
+}
+
 // TestInvToL2InIIAAcksTheL2: a recall that reaches a line whose
 // ownership moved on while its PutM was queued is acked, since the new
 // owner holds the data.
