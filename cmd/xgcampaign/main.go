@@ -141,22 +141,8 @@ func main() {
 		os.Exit(runShrink(*shrink, *shrinkN))
 	}
 
-	var base []campaign.ShardSpec
-	switch *mode {
-	case "stress":
-		base = campaign.StressSweep(1, *cpus, *cores, *stores)
-	case "fuzz":
-		base = campaign.FuzzSweep(1, *cpus, *messages)
-	case "chaos":
-		base = campaign.ChaosSweep(1, *cpus, *messages)
-	case "recovery":
-		base = campaign.RecoverySweep(1, *cpus, *messages)
-	case "multi":
-		base = campaign.MultiAccelSweep(1, *cpus, *stores, *messages)
-	case "all":
-		base = append(campaign.StressSweep(1, *cpus, *cores, *stores),
-			campaign.FuzzSweep(1, *cpus, *messages)...)
-	default:
+	base := sweep(*mode)
+	if base == nil {
 		fmt.Fprintf(os.Stderr, "xgcampaign: unknown -mode %q (want stress, fuzz, chaos, recovery, multi, or all)\n", *mode)
 		os.Exit(campaign.ExitUsage)
 	}
@@ -212,6 +198,26 @@ func main() {
 	}
 	printReport(rep)
 	os.Exit(rep.ExitCode())
+}
+
+// sweep returns the seed-1 shards of mode under the flags, nil for an
+// unknown mode.
+func sweep(mode string) []campaign.ShardSpec {
+	switch mode {
+	case "stress":
+		return campaign.StressSweep(1, *cpus, *cores, *stores)
+	case "fuzz":
+		return campaign.FuzzSweep(1, *cpus, *messages)
+	case "chaos":
+		return campaign.ChaosSweep(1, *cpus, *messages)
+	case "recovery":
+		return campaign.RecoverySweep(1, *cpus, *messages)
+	case "multi":
+		return campaign.MultiAccelSweep(1, *cpus, *stores, *messages)
+	case "all":
+		return append(sweep("stress"), sweep("fuzz")...)
+	}
+	return nil
 }
 
 func printReport(rep *campaign.Report) {

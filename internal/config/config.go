@@ -419,7 +419,7 @@ func (s *System) countStates(cov *coherence.Coverage) {
 
 // Coverages calls fn with the coverage of every controller that declares a
 // transition table: the home node's, then the caches' in build order, then
-// the guards'.
+// each guard's two, its accelerator half's and its host half's.
 func (s *System) Coverages(fn func(*coherence.Coverage)) {
 	fn(s.home.Coverage())
 	for _, c := range s.caches {
@@ -429,6 +429,7 @@ func (s *System) Coverages(fn func(*coherence.Coverage)) {
 	}
 	for _, g := range s.Guards {
 		fn(g.Coverage())
+		fn(g.HostCoverage())
 	}
 }
 

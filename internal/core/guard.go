@@ -1,7 +1,7 @@
 // Package core implements Crossing Guard (XG), the paper's contribution:
 // trusted host hardware that (1) exposes the small standardized coherence
 // interface of §2.1 to an accelerator, (2) translates it to the host
-// protocol (Hammer-like MOESI or inclusive MESI, via per-host shims, §3),
+// protocol (Hammer-like MOESI or inclusive MESI, one table each, §3),
 // and (3) enforces the safety guarantees of Figure 1 so that a buggy or
 // malicious accelerator can never crash, deadlock, or corrupt the host.
 //
@@ -70,37 +70,6 @@ const (
 	GetExcl                      // exclusive (write) request
 )
 
-// hostShim is the host-protocol-specific half of Crossing Guard. The
-// guard core calls down; the shim calls back (finishGet, retirePut,
-// startRecall, whose completion comes back down as resume). Shims also
-// receive all host-protocol messages. A block passed either way is a loan
-// for the call: whoever needs it longer copies it into a record of its own.
-//
-// The core owns every per-line record, and with it "is this line busy",
-// what is outstanding and the life of a host writeback. A shim owns what
-// its protocol differs in: the message vocabulary, how a get's responses
-// are counted, what a writeback's ack asks for, and how each forward, Inv
-// or inclusion recall is answered.
-type hostShim interface {
-	// get issues a host request for a block, opening the line's host get.
-	get(addr mem.Addr, kind GetKind)
-	// put sends the first message of the line's host writeback, which the
-	// core has opened (dirty=false for PutE); data is the record's block.
-	put(addr mem.Addr, data *mem.Block, dirty bool)
-	// putS notifies the host of a shared eviction, if the host wants it.
-	putS(addr mem.Addr)
-	// suppressPutS reports whether this host allows silent S eviction
-	// (Crossing Guard then drops PutS, §2.1).
-	suppressPutS() bool
-	// recv handles a host-protocol message.
-	recv(m *coherence.Msg)
-	// resume finishes what the shim was doing when it had to recall addr
-	// from the accelerator first (startRecall): c is the continuation it
-	// left, data the recovered block (nil when the accelerator held none)
-	// and viaPut whether a racing Put resolved the recall.
-	resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool)
-}
-
 // Config parameterizes a Crossing Guard instance.
 type Config struct {
 	Mode Mode
@@ -151,7 +120,14 @@ type Guard struct {
 	cfg   Config
 	sink  coherence.ErrorSink
 	accel coherence.NodeID
-	shim  hostShim
+
+	// The host half (host.go): the protocol, the node the guard asks
+	// (directory or L2), how many responses complete a get (-1: the first
+	// says) and the visits to the protocol's table.
+	host      *hostProto
+	home      coherence.NodeID
+	responses int
+	hostCov   *coherence.Coverage
 
 	// lines is the guard's one table (line.go): everything it knows about
 	// a block, keyed by line address. Lines and their open-work records
@@ -275,7 +251,7 @@ type accelTxn struct {
 	start sim.Time // acceptance tick, for the crossing-latency histogram
 	// Span tracing (Config.Spans): the crossing's span id, its arrival
 	// tick (request-phase start, before rate limiting and deferrals), and
-	// the tick the request was dispatched to the host shim (check-phase
+	// the tick the request was dispatched to the host (check-phase
 	// end). All zero with spans off.
 	span   uint64
 	arrive sim.Time
@@ -308,12 +284,10 @@ type hostTxn struct {
 	retryAt sim.Time
 }
 
-// recallCont is what a shim leaves behind when it starts a recall: which of
-// its handlers to finish (kind, the shim's own numbering) and that handler's
-// arguments, by value.
+// recallCont is what a host cell leaves behind when it starts a recall: the
+// cell itself, which resume runs, and what it answers with, by value.
 type recallCont struct {
-	kind uint8
-	getM bool // the host request was a Fwd_GetM
+	do *hostRule
 	// req is the host node whose request caused the recall (the L2 for an
 	// inclusion recall), where most continuations send their answer.
 	req coherence.NodeID
@@ -324,29 +298,24 @@ type recallCont struct {
 	dirty bool // copy is dirty
 }
 
-// complete resumes the shim handler that started the closed recall ht and
+// complete resumes the host cell that started the closed recall ht and
 // every one coalesced onto it, in arrival order, with the same resolution.
 // data is a loan: a continuation only reads it, into the messages it sends
 // and the writeback records it opens, so sharing the pointer is safe. None
 // of them starts a recall, so nothing appends to the waiters' storage —
 // still the work record's, which may be in use again — while it is read.
-func (g *Guard) complete(addr mem.Addr, ht *hostTxn, data *mem.Block, dirty, viaPut bool) {
-	g.resume(addr, ht.done, data, dirty, viaPut)
+func (g *Guard) complete(addr mem.Addr, ht *hostTxn, data *mem.Block, dirty bool) {
+	g.resume(addr, ht.done, data, dirty)
 	for _, c := range ht.waiters {
-		g.resume(addr, c, data, dirty, viaPut)
+		g.resume(addr, c, data, dirty)
 	}
-}
-
-func (g *Guard) resume(addr mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool) {
-	g.shim.resume(addr, c, data, dirty, viaPut)
-	g.fab.FreeBlock(c.copy)
 }
 
 // timerKind says what a deferred guard action does when its tick comes.
 type timerKind uint8
 
 const (
-	timerGet   timerKind = iota // dispatch an accepted Get to the host shim
+	timerGet   timerKind = iota // dispatch an accepted Get to the host
 	timerPut                    // dispatch an accepted PutM/PutE as a host writeback
 	timerPutS                   // forward a PutS
 	timerAdmit                  // a rate-limited request's wait is over
@@ -391,12 +360,12 @@ func (g *Guard) fire(t timer) {
 		txn.fwd = g.eng.Now()
 		g.spanEvent(obs.KindSpanPhase, txn.span, t.addr, 0, "check")
 		if t.kind == timerGet {
-			g.shim.get(t.addr, t.getKind)
+			g.askHost(t.addr, t.getKind)
 		} else {
 			g.writeback(t.addr, txn.data, txn.dirty, true)
 		}
 	case timerPutS:
-		g.shim.putS(t.addr)
+		g.send(coherence.Msg{Type: g.host.putS, Addr: t.addr, Src: g.id, Dst: g.home})
 	case timerAdmit:
 		g.fab.BeginRecv(t.m)
 		g.processAccelRequest(t.m, t.arrive)
@@ -410,11 +379,12 @@ func (g *Guard) nextSerial() uint64 {
 	return g.serial
 }
 
-// NewGuard builds the guard core; a shim must be attached with
-// attachShim (done by NewHammerGuard / NewMESIGuard).
+// newGuard builds a guard that speaks host to home (NewHammerGuard,
+// NewMESIGuard).
 func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
-	accel coherence.NodeID, cfg Config, sink coherence.ErrorSink) *Guard {
+	accel coherence.NodeID, host *hostProto, home coherence.NodeID, responses int, cfg Config, sink coherence.ErrorSink) *Guard {
 	g := &Guard{id: id, name: name, eng: eng, fab: fab, sink: sink, accel: accel,
+		host: host, home: home, responses: responses, hostCov: host.rules.Coverage(),
 		lines: make(map[mem.Addr]*line)}
 	g.wakeEv.Fn = g.runWoken
 	g.stampEpoch, g.onDeadline = g.stamp, g.recallDeadline
@@ -464,12 +434,14 @@ func (g *Guard) Restart(cfg Config) {
 		cov = rules.Coverage()
 	}
 	cov.Reset()
+	g.hostCov.Reset()
 	*g = Guard{
 		// The wiring.
-		id: g.id, name: g.name, eng: g.eng, fab: g.fab, cfg: cfg, sink: g.sink, accel: g.accel, shim: g.shim,
+		id: g.id, name: g.name, eng: g.eng, fab: g.fab, cfg: cfg, sink: g.sink, accel: g.accel,
+		host: g.host, home: g.home, responses: g.responses,
 		accelTag: g.accelTag, resetHook: g.resetHook, stampEpoch: g.stampEpoch, onDeadline: g.onDeadline,
 		// The storage.
-		lines: g.lines, rules: rules, cov: cov, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
+		lines: g.lines, rules: rules, cov: cov, hostCov: g.hostCov, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
 		ready: g.ready[:0], timers: g.timers, watchdogs: watchdogs, wakeEv: g.wakeEv,
 		// The instruments.
 		obsReg: g.obsReg, mPass: g.mPass, mPassAccel: g.mPassAccel, mCrossing: g.mCrossing, mViolation: g.mViolation,
@@ -539,8 +511,8 @@ func (g *Guard) AccelID() coherence.NodeID { return g.accel }
 // Name implements coherence.Controller.
 func (g *Guard) Name() string { return g.name }
 
-// Recv dispatches accelerator-interface messages to the guard core and
-// host-protocol messages to the shim. The accelerator's physical link
+// Recv dispatches accelerator-interface messages to the guard's table and
+// host-protocol messages to its host's (recvHost). The accelerator's physical link
 // terminates at the guard, so anything arriving from the accelerator
 // that is not one of the interface's eight message types — in particular
 // raw host-protocol messages a malicious accelerator might forge — is
@@ -587,7 +559,7 @@ func (g *Guard) Recv(m *coherence.Msg) {
 		g.ReqsBlocked++
 		g.violation("XG.BadMessage", detailNotInterface.of(m.Type), m.Addr.Line())
 	default:
-		g.shim.recv(m)
+		g.recvHost(m)
 	}
 }
 
@@ -722,7 +694,7 @@ func (g *Guard) answerFenced(addr mem.Addr, ht *hostTxn) {
 		copy, dirty = e.copy, e.dirty
 	}
 	data, dirty, _ := hostAnswer(ht.view, copy != nil, copy, dirty)
-	g.complete(addr, ht, data, dirty, false)
+	g.complete(addr, ht, data, dirty)
 	g.drop(addr)
 }
 
@@ -774,13 +746,13 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 }
 
 // forwardRequest opens the transaction synchronously (so that racing
-// host forwards observe it) and dispatches to the host shim after the
+// host forwards observe it) and dispatches to the host after the
 // guard's processing latency (fire), if the very same transaction is still
 // open then. With span tracing on, the accepted crossing opens its span
 // here and marks the check-phase end at dispatch.
 //
 // data is the Put payload, on loan from the request message: the
-// transaction copies it into a block of its own, which the shim's
+// transaction copies it into a block of its own, which the host
 // writeback record and the host message copy from in turn.
 func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Block, access perm.Access, arrive sim.Time) {
 	g.mPass.Inc()
@@ -806,7 +778,7 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 		t.data, t.dirty = g.fab.CopyBlock(data), ty == coherence.APutM
 		g.timers.After(g.cfg.GuardLat, timer{kind: timerPut, addr: addr, serial: t.serial})
 	case coherence.APutS:
-		if g.shim.suppressPutS() {
+		if g.host.putS == none {
 			// Host evicts shared blocks silently; drop the message
 			// (§2.1) and ack the accelerator directly.
 			g.PutSSuppressed++
@@ -842,7 +814,7 @@ func (g *Guard) closeTxn(l *line) {
 	g.closed(l)
 }
 
-// granted is called by the shim when the host satisfies a get; data (nil
+// granted is called when the host satisfies a get (collect); data (nil
 // reads as a zero block) is copied into the grant message.
 func (g *Guard) granted(addr mem.Addr, level Grant, data *mem.Block, dirty bool) {
 	l := g.lines[addr]
@@ -977,6 +949,10 @@ func (g *Guard) VisitBlocks(fn func(addr mem.Addr, accel, host Grant, hasCopy bo
 
 // Coverage reports the cells of the guard's table its messages visited.
 func (g *Guard) Coverage() *coherence.Coverage { return g.cov }
+
+// HostCoverage reports the cells of its host's table the host's messages
+// visited.
+func (g *Guard) HostCoverage() *coherence.Coverage { return g.hostCov }
 
 // Resident reports whether the Full State table holds addr's line.
 func (g *Guard) Resident(addr mem.Addr) bool { return g.lines[addr] != nil && g.lines[addr].resident }

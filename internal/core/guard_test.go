@@ -12,35 +12,58 @@ import (
 	"crossingguard/internal/sim"
 )
 
-// stubShim records what the guard core asks of the host side and lets
-// tests drive grants/acks by hand — the guard core in isolation.
-type stubShim struct {
+// stubHost stands in for the host: the fabric hands it, as the guard sends
+// them, the gets, puts and PutSs addressed home, and the answers of the
+// recalls started through coreRig.recall — the guard core in isolation.
+// It keeps no host get open, so a test grants by hand (granted).
+type stubHost struct {
 	g    *Guard
 	gets []struct {
 		addr mem.Addr
 		kind GetKind
 	}
-	puts     []mem.Addr
-	putSs    []mem.Addr
-	suppress bool
-	received []*coherence.Msg
+	puts  []mem.Addr
+	putSs []mem.Addr
 	// dones are the completion callbacks of the recalls started through
-	// coreRig.recall, which numbers them in the continuation's req.
+	// coreRig.recall; the i-th one's answer goes to node probe+i.
 	dones []func(data *mem.Block, dirty, viaPut bool)
 }
 
-func (s *stubShim) get(addr mem.Addr, kind GetKind) {
-	s.gets = append(s.gets, struct {
-		addr mem.Addr
-		kind GetKind
-	}{addr, kind})
-}
-func (s *stubShim) put(addr mem.Addr, data *mem.Block, dirty bool) { s.puts = append(s.puts, addr) }
-func (s *stubShim) putS(addr mem.Addr)                             { s.putSs = append(s.putSs, addr) }
-func (s *stubShim) suppressPutS() bool                             { return s.suppress }
-func (s *stubShim) recv(m *coherence.Msg)                          { m.Keep(); s.received = append(s.received, m) }
-func (s *stubShim) resume(_ mem.Addr, c recallCont, data *mem.Block, dirty, viaPut bool) {
-	s.dones[c.req](data, dirty, viaPut)
+// The stub's home node, and the first of its recall requestors.
+const stubHome, probe coherence.NodeID = 300, 1000
+
+// probeCell is the continuation of coreRig.recall: it answers the probe
+// with the data the recall resolved with, or acks without.
+var probeCell = hostRule{act: doRecall, send: coherence.MDataOwner, ack: coherence.MInvAck}
+
+func (s *stubHost) Intercept(_ sim.Time, m *coherence.Msg) ([]network.Delivery, bool) {
+	switch {
+	case m.Dst >= probe:
+		// A racing Put that resolved the recall leaves its InvAck owed.
+		var data *mem.Block
+		if m.Data != nil {
+			b := *m.Data
+			data = &b
+		}
+		l := s.g.lines[m.Addr]
+		s.dones[m.Dst-probe](data, m.Dirty, l != nil && l.ignoreInvAck > 0)
+	case m.Dst != stubHome:
+		return nil, false
+	case m.Type == coherence.MPutS:
+		s.putSs = append(s.putSs, m.Addr)
+	case m.Type == coherence.MPutM || m.Type == coherence.HPut:
+		s.puts = append(s.puts, m.Addr)
+	default:
+		// The get stays unanswered and unrecorded: a test grants by hand.
+		s.g.lines[m.Addr].work.get = hostGet{}
+		kind := map[coherence.MsgType]GetKind{coherence.MGetS: GetShared, coherence.MGetInstr: GetSharedOnly,
+			coherence.MGetM: GetExcl, coherence.HGetS: GetShared, coherence.HGetSOnly: GetSharedOnly, coherence.HGetM: GetExcl}[m.Type]
+		s.gets = append(s.gets, struct {
+			addr mem.Addr
+			kind GetKind
+		}{m.Addr, kind})
+	}
+	return nil, true
 }
 
 // accelSink collects what the guard sends to the accelerator, and the tick
@@ -63,22 +86,13 @@ type coreRig struct {
 	eng   *sim.Engine
 	fab   *network.Fabric
 	g     *Guard
-	shim  *stubShim
+	host  *stubHost
 	accel *accelSink
 	log   *coherence.ErrorLog
 }
 
 func newCoreRig(mode Mode, perms *perm.Table) *coreRig {
-	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, 1, network.Config{Latency: 1, Ordered: true})
-	log := coherence.NewErrorLog()
-	accel := &accelSink{id: 200, eng: eng}
-	fab.Register(accel)
-	g := newGuard(40, "xg", eng, fab, 200, Config{Mode: mode, Perms: perms,
-		Timeout: 1000, GuardLat: 1}, log)
-	shim := &stubShim{g: g}
-	g.shim = shim
-	return &coreRig{eng, fab, g, shim, accel, log}
+	return newRecallRig(mode, Config{Perms: perms, Timeout: 1000, GuardLat: 1})
 }
 
 func (r *coreRig) fromAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block) {
@@ -87,11 +101,13 @@ func (r *coreRig) fromAccel(ty coherence.MsgType, addr mem.Addr, data *mem.Block
 	r.eng.RunUntilQuiet()
 }
 
-// recall starts a recall the way a shim does and has done called with its
-// resolution.
+// recall starts a recall the way a host cell does and has done called with
+// its resolution, and whether a racing Put resolved it.
 func (r *coreRig) recall(addr mem.Addr, expect viewState, done func(data *mem.Block, dirty, viaPut bool)) {
-	r.shim.dones = append(r.shim.dones, done)
-	r.g.startRecall(addr, expect, recallCont{req: coherence.NodeID(len(r.shim.dones) - 1)})
+	req := probe + coherence.NodeID(len(r.host.dones))
+	r.host.dones = append(r.host.dones, done)
+	r.fab.Register(&hostSink{id: req})
+	r.g.startRecall(addr, expect, recallCont{do: &probeCell, req: req})
 }
 
 func (r *coreRig) lastToAccel() *coherence.Msg {
@@ -109,14 +125,14 @@ func TestGuardForwardsGetsWithRightKind(t *testing.T) {
 	r.fromAccel(coherence.AGetS, 0x40, nil)
 	r.fromAccel(coherence.AGetM, 0x80, nil)
 	r.fromAccel(coherence.AGetS, 0x1040, nil) // read-only page
-	if len(r.shim.gets) != 3 {
-		t.Fatalf("gets = %d", len(r.shim.gets))
+	if len(r.host.gets) != 3 {
+		t.Fatalf("gets = %d", len(r.host.gets))
 	}
-	if r.shim.gets[0].kind != GetShared || r.shim.gets[1].kind != GetExcl {
-		t.Fatalf("kinds: %+v", r.shim.gets)
+	if r.host.gets[0].kind != GetShared || r.host.gets[1].kind != GetExcl {
+		t.Fatalf("kinds: %+v", r.host.gets)
 	}
-	if r.shim.gets[2].kind != GetSharedOnly {
-		t.Fatalf("Transactional RO GetS kind = %v, want GetSharedOnly", r.shim.gets[2].kind)
+	if r.host.gets[2].kind != GetSharedOnly {
+		t.Fatalf("Transactional RO GetS kind = %v, want GetSharedOnly", r.host.gets[2].kind)
 	}
 }
 
@@ -141,13 +157,13 @@ func TestGuardGrantDegradesForReadOnly(t *testing.T) {
 
 func TestGuardPutSSuppression(t *testing.T) {
 	r := newCoreRig(FullState, nil)
-	r.shim.suppress = true
+	r.g.host = hammerHost // evicts S silently
 	// Legitimate S grant first so the table allows the PutS.
 	r.fromAccel(coherence.AGetS, 0x40, nil)
 	r.g.granted(0x40, GrantS, mem.Zero(), false)
 	r.eng.RunUntilQuiet()
 	r.fromAccel(coherence.APutS, 0x40, nil)
-	if len(r.shim.putSs) != 0 {
+	if len(r.host.putSs) != 0 {
 		t.Fatal("PutS forwarded despite suppression")
 	}
 	if r.g.PutSSuppressed != 1 {
@@ -162,7 +178,7 @@ func TestGuardPutSSuppression(t *testing.T) {
 	r2.g.granted(0x40, GrantS, mem.Zero(), false)
 	r2.eng.RunUntilQuiet()
 	r2.fromAccel(coherence.APutS, 0x40, nil)
-	if len(r2.shim.putSs) != 1 || r2.g.PutSForwarded != 1 {
+	if len(r2.host.putSs) != 1 || r2.g.PutSForwarded != 1 {
 		t.Fatal("PutS not forwarded")
 	}
 }
@@ -446,14 +462,14 @@ func TestStorageBytesGrowsWithTable(t *testing.T) {
 
 // Interface messages from a node that is not this guard's accelerator —
 // another device forging its neighbor's requests — are rejected with
-// XG.BadSource and never reach the host shim.
+// XG.BadSource and never reach the host.
 func TestForgedAccelIDRejected(t *testing.T) {
 	r := newCoreRig(FullState, nil)
 	const forger coherence.NodeID = 1200 // device 1's accelerator node
 	r.g.Recv(&coherence.Msg{Type: coherence.AGetM, Addr: 0x40, Src: forger, Dst: 40})
 	r.eng.RunUntilQuiet()
-	if len(r.shim.gets) != 0 {
-		t.Fatalf("forged GetM reached the host shim (%d gets)", len(r.shim.gets))
+	if len(r.host.gets) != 0 {
+		t.Fatalf("forged GetM reached the host (%d gets)", len(r.host.gets))
 	}
 	if r.g.Errors() != 1 {
 		t.Fatalf("violations = %d, want 1 (XG.BadSource)", r.g.Errors())

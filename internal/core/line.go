@@ -14,7 +14,7 @@ import (
 // only per open transaction in Transactional (§2.3.2): the same structure,
 // differing only in whether an idle line stays. Everything the guard knows
 // about one block hangs off its line — the Full State residency, the
-// accelerator's open transaction, the open recall, the shim's open host get
+// accelerator's open transaction, the open recall, the open host get
 // and host writeback, the parked requests, the InvAcks still owed — so the
 // key its table (rules.go) dispatches on is one lookup.
 //
@@ -56,13 +56,13 @@ type line struct {
 type lineWork struct {
 	txn    accelTxn  // open accelerator-initiated transaction (1b)
 	recall hostTxn   // open host-initiated recall (2b, 2c)
-	get    hostGet   // the shim's open host get
+	get    hostGet   // open host get
 	put    hostPut   // open host writeback
 	wait   waitQueue // requests parked until one of the above changes
 }
 
-// hostGet is the host half of an accelerator Get: what the shim has
-// collected of the host's responses so far.
+// hostGet is the host half of an accelerator Get: what the guard has
+// collected of the host's responses so far (collect).
 type hostGet struct {
 	open bool
 	kind GetKind
@@ -74,8 +74,7 @@ type hostGet struct {
 	data      *mem.Block
 	dirty     bool
 	fromCache bool // hammer: data is an owner's HData, which beats memory's
-	shared    bool // hammer: some peer keeps a copy
-	excl      bool // mesi: the host granted E/M
+	shared    bool // a response said another cache keeps a copy
 }
 
 // hostPut is an open host writeback.
@@ -107,17 +106,6 @@ func (g *Guard) workFor(addr mem.Addr) *line {
 	return l
 }
 
-// getAt returns addr's open host get for a response that has arrived for
-// it; a response for no open get is reported and nil returned.
-func (g *Guard) getAt(addr mem.Addr) *hostGet {
-	if l := g.lines[addr]; hasGet(l) {
-		return &l.work.get
-	}
-	g.sink.ReportError(coherence.ProtocolError{Where: g.name,
-		Code: "XG.HostAnomaly", Addr: addr, Detail: "response with no open get"})
-	return nil
-}
-
 // finishGet retires addr's open host get and grants the line at level with
 // the block the get collected (none grants zeros).
 func (g *Guard) finishGet(addr mem.Addr, level Grant, dirty bool) {
@@ -129,8 +117,7 @@ func (g *Guard) finishGet(addr mem.Addr, level Grant, dirty bool) {
 	g.fab.FreeBlock(data)
 }
 
-// putAt returns addr's open host writeback, if any (shims answer forwards
-// racing with the writeback from its data).
+// putAt returns addr's open host writeback, if any.
 func (g *Guard) putAt(addr mem.Addr) *hostPut {
 	if l := g.lines[addr]; hasPut(l) {
 		return &l.work.put
@@ -258,14 +245,18 @@ func (l *line) view() viewState {
 	return [...]viewState{GrantS: viewS, GrantE: viewE, GrantM: viewM}[l.accel]
 }
 
-// --- the host writeback, shared by both shims ---
+// --- the host writeback ---
 
-// writeback opens addr's host writeback with a copy of data and has the
-// shim send its first message.
+// writeback opens addr's host writeback with a copy of data and sends the
+// host its put (dirty=false for PutE).
 func (g *Guard) writeback(addr mem.Addr, data *mem.Block, dirty, accelPut bool) {
 	p := &g.workFor(addr).work.put
 	*p = hostPut{open: true, data: g.fab.CopyBlock(data), dirty: dirty, accelPut: accelPut}
-	g.shim.put(addr, p.data, dirty)
+	m := coherence.Msg{Type: g.host.put, Addr: addr, Src: g.id, Dst: g.home}
+	if g.host.putData {
+		m.Data, m.Dirty = p.data, dirty
+	}
+	g.send(m)
 }
 
 // relinquish starts a guard-initiated writeback, unless the line is
@@ -280,16 +271,10 @@ func (g *Guard) relinquish(addr mem.Addr, data *mem.Block, dirty bool) {
 	}
 }
 
-// retirePut closes addr's host writeback on the host's last word for it
-// and, when the writeback was the accelerator's, completes its Put. An ack
-// for no open writeback is reported, not acted on.
+// retirePut closes addr's open host writeback on the host's last word for
+// it and, when the writeback was the accelerator's, completes its Put.
 func (g *Guard) retirePut(addr mem.Addr) {
 	l := g.lines[addr]
-	if !hasPut(l) {
-		g.sink.ReportError(coherence.ProtocolError{Where: g.name,
-			Code: "XG.HostAnomaly", Addr: addr, Detail: "WBAck with no open put"})
-		return
-	}
 	accelPut := l.work.put.accelPut
 	g.fab.FreeBlock(l.work.put.data)
 	l.work.put = hostPut{}

@@ -11,31 +11,35 @@ import (
 // accelHolds returns the guard's view of addr at the accelerator, plus
 // the resident Full State line when there is one.
 //
-// Full State answers from its inclusive table. Transactional deduces what
+// Full State answers from its inclusive table, where S with a trusted copy
+// is a view of its own. Transactional deduces what
 // it can (§2.3.2): a page with no permissions cannot be cached by the
 // accelerator (this also closes the coherence side channel, §3.2);
 // everything else is Unknown and requires consulting the accelerator, even
 // with a Get open, since the accelerator may hold S and be upgrading.
-func (g *Guard) accelHolds(addr mem.Addr) (viewState, *line) {
+func (g *Guard) accelHolds(addr mem.Addr) (hostKey, *line) {
 	if g.cfg.Mode == FullState {
 		l := g.lines[addr]
-		if v := l.view(); v != viewNone {
-			return v, l
+		switch v := l.view(); {
+		case v == viewS && l.copy != nil:
+			return hSCopy, l
+		case v != viewNone:
+			return hostKey(v), l
 		}
-		return viewNone, nil
+		return hNone, nil
 	}
 	if g.cfg.Perms != nil && !g.cfg.Perms.Peek(addr).AllowsRead() {
-		return viewNone, nil
+		return hNone, nil
 	}
-	return viewUnknown, nil
+	return hUnknown, nil
 }
 
 // startRecall obtains a block back from the accelerator: it sends the
 // interface's single host request (Inv) and arms the Guarantee 2c
 // watchdog; the guard's table (rules.go) takes the answer or a racing Put.
-// c is what the shim will do with the answer: it is resumed exactly once
-// with the recovered data (nil when the accelerator held none) and whether
-// a racing Put resolved the recall. c.req, the host node whose request
+// c is the host cell that answers the host with what comes back: it is
+// resumed exactly once with the recovered data (nil when the accelerator
+// held none). c.req, the host node whose request
 // caused the recall, only feeds span tracing's flow arrows. A recall for a
 // block whose recall is in flight (two host requestors racing for the
 // line) is coalesced: the accelerator sees one Invalidate, and every
@@ -67,7 +71,7 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 		g.drop(addr)
 		g.closeCrossingSpan(&t, addr, "put-consumed-by-recall")
 		g.sendToAccelAfter(coherence.AWBAck, addr, nil, t.span)
-		g.resume(addr, c, t.data, t.dirty, true)
+		g.resume(addr, c, t.data, t.dirty)
 		g.fab.FreeBlock(t.data)
 		return
 	}
@@ -141,7 +145,7 @@ func (g *Guard) recallTimeout(addr mem.Addr, serial uint64) {
 	}
 	ht := g.closeRecall(l, "timeout")
 	data, dirty, _ := hostAnswer(ht.view, false, nil, false)
-	g.complete(addr, &ht, data, dirty, false)
+	g.complete(addr, &ht, data, dirty)
 	g.drop(addr)
 }
 
@@ -164,7 +168,7 @@ func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
 	}
 	g.drop(addr)
 	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
-	g.complete(addr, &ht, data, dirty, true)
+	g.complete(addr, &ht, data, dirty)
 }
 
 // closeRecall retires l's open recall, cancels its deadline and returns it:
@@ -211,7 +215,7 @@ func (g *Guard) answerRecall(l *line, m *coherence.Msg) {
 	if bad {
 		g.violation("XG.G2a", detailInconsistent.of(m.Type), addr)
 	}
-	g.complete(addr, &ht, data, dirty, false)
+	g.complete(addr, &ht, data, dirty)
 }
 
 // hostAnswer is the one rule for what the host side gets back when a recall

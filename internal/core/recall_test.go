@@ -22,11 +22,12 @@ func newRecallRig(mode Mode, cfg Config) *coreRig {
 	log := coherence.NewErrorLog()
 	accel := &accelSink{id: 200, eng: eng}
 	fab.Register(accel)
+	fab.Register(&hostSink{id: stubHome})
 	cfg.Mode = mode
-	g := newGuard(40, "xg", eng, fab, 200, cfg, log)
-	shim := &stubShim{g: g}
-	g.shim = shim
-	return &coreRig{eng, fab, g, shim, accel, log}
+	g := newGuard(40, "xg", eng, fab, 200, mesiHost, stubHome, -1, cfg, log)
+	host := &stubHost{g: g}
+	fab.SetInterceptor(host)
+	return &coreRig{eng, fab, g, host, accel, log}
 }
 
 func countToAccel(r *coreRig, ty coherence.MsgType) int {
@@ -173,8 +174,8 @@ func TestQuarantineNacksFurtherRequests(t *testing.T) {
 	if r.g.ReqsBlocked != blocked+1 {
 		t.Fatalf("ReqsBlocked = %d, want %d", r.g.ReqsBlocked, blocked+1)
 	}
-	if len(r.shim.gets) != 0 {
-		t.Fatal("quarantined Get still reached the host shim")
+	if len(r.host.gets) != 0 {
+		t.Fatal("quarantined Get still reached the host")
 	}
 }
 
@@ -253,8 +254,8 @@ func TestQuarantineResolvesOpenRecallsInOrder(t *testing.T) {
 func TestQuarantineGrantRaceKeepsTrustedCopy(t *testing.T) {
 	r := newRecallRig(FullState, Config{Timeout: 1000, GuardLat: 1, QuarantineAfter: 1})
 	r.fromAccel(coherence.AGetS, 0x40, nil) // opens the transaction
-	if len(r.shim.gets) != 1 {
-		t.Fatalf("gets = %d", len(r.shim.gets))
+	if len(r.host.gets) != 1 {
+		t.Fatalf("gets = %d", len(r.host.gets))
 	}
 	tripQuarantine(t, r, 1)
 	sent := len(r.accel.got)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/obs"
 	"crossingguard/internal/sim"
@@ -127,8 +128,8 @@ func (g *Guard) recoveryDrainTable() {
 	for _, e := range lines {
 		a := e.addr
 		if e.host == GrantS {
-			if !g.shim.suppressPutS() {
-				g.shim.putS(a)
+			if g.host.putS != none {
+				g.send(coherence.Msg{Type: g.host.putS, Addr: a, Src: g.id, Dst: g.home})
 			}
 		} else {
 			data, dirty := &zeroBlock, true

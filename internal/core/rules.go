@@ -11,9 +11,10 @@ import (
 // The guard's table: its handling of the eight accelerator-to-guard
 // messages, in the row format of paper Table 1. A message's row key is the
 // first of what its line has open, in keyTxn..keyHost order, with a row for
-// it; failing that, the guard's view of the accelerator's copy. The rows
-// are the guard's coverage declaration. The page-permission, quarantine,
-// epoch, source, interface and rate-limit checks run ahead of the table.
+// it; failing that, the guard's view of the accelerator's copy (rowKey). The
+// rows are the guard's coverage declaration. The page-permission,
+// quarantine, epoch, source, interface and rate-limit checks run ahead of
+// the table. The host half's tables (host.go) are keyed the same way.
 
 // viewState is the guard's knowledge of the accelerator's copy of a block
 // and, past viewUnknown, the row keys of what a line may have open.
@@ -31,7 +32,50 @@ const (
 	keyHost     // an open host get or writeback
 )
 
+// viewNames names the views, which both halves' tables share.
+var viewNames = []string{"None", "S", "E", "M", "Unknown"}
+
 func (v viewState) String() string { return guardVocab.States()[v] }
+
+// accelKeys are the keys dispatch looks for, in order, before the view.
+var accelKeys = [...]viewState{keyTxn, keyOwed, keyRecall, keyHost}
+
+// open reports whether l has open the work key k names. l may be nil.
+func (k viewState) open(l *line) bool {
+	switch k {
+	case keyTxn:
+		return hasTxn(l)
+	case keyOwed:
+		return l != nil && l.ignoreInvAck > 0
+	case keyRecall:
+		return hasRecall(l)
+	}
+	return hasGet(l) || hasPut(l)
+}
+
+// rowKey returns the key of the row that decides event ev on line l: the
+// first of keys open on l with a row for ev in rules, else view. Both
+// halves of the guard key their rows with it.
+func rowKey[K interface {
+	~int
+	open(*line) bool
+}, V any](rules *coherence.Rules[K, V], ev int, l *line, view K, keys []K) K {
+	for _, k := range keys {
+		if k.open(l) && rules.At(k, ev) != nil {
+			return k
+		}
+	}
+	return view
+}
+
+// cells is a row of a table over vocab: in key k, each of msgs does do.
+func cells[K ~int, V any](vocab *coherence.Table, k K, do V, msgs ...coherence.MsgType) coherence.Row[K, V] {
+	evs := make([]int, len(msgs))
+	for i, t := range msgs {
+		evs[i] = vocab.Event(t)
+	}
+	return coherence.Row[K, V]{St: k, Evs: evs, Do: do}
+}
 
 // owned reports whether the view implies the accelerator must supply data.
 func (v viewState) owned() bool { return v == viewE || v == viewM }
@@ -43,9 +87,8 @@ var (
 	responses = []coherence.MsgType{coherence.AInvAck, coherence.ACleanWB, coherence.ADirtyWB}
 )
 
-var guardVocab = coherence.NewTable(
-	[]string{"None", "S", "E", "M", "Unknown", "Txn", "OwedInvAck", "Recall", "HostGetPut"}, nil,
-	slices.Concat(requests, responses)...)
+var guardVocab = coherence.NewTable(slices.Concat(viewNames, []string{"Txn", "OwedInvAck", "Recall", "HostGetPut"}),
+	nil, slices.Concat(requests, responses)...)
 
 // action is what the guard does with a message.
 type action uint8
@@ -69,11 +112,7 @@ type rule struct {
 }
 
 func row(k viewState, r rule, msgs ...coherence.MsgType) coherence.Row[viewState, rule] {
-	evs := make([]int, len(msgs))
-	for i, t := range msgs {
-		evs[i] = guardVocab.Event(t)
-	}
-	return coherence.Row[viewState, rule]{St: k, Evs: evs, Do: r}
+	return cells(guardVocab, k, r, msgs...)
 }
 
 // g1a is a Guarantee 1a rejection: a request inconsistent with the
@@ -130,21 +169,11 @@ var (
 func (g *Guard) dispatch(m *coherence.Msg, access perm.Access, arrive sim.Time) {
 	addr := m.Addr.Line()
 	l := g.lines[addr]
-	ev, k := guardVocab.Event(m.Type), viewUnknown
+	ev, view := guardVocab.Event(m.Type), viewUnknown
 	if g.cfg.Mode == FullState {
-		k = l.view()
+		view = l.view()
 	}
-	if l != nil {
-		for _, open := range [...]struct {
-			k  viewState
-			on bool
-		}{{keyTxn, hasTxn(l)}, {keyOwed, l.ignoreInvAck > 0}, {keyRecall, hasRecall(l)}, {keyHost, hasGet(l) || hasPut(l)}} {
-			if open.on && g.rules.At(open.k, ev) != nil {
-				k = open.k
-				break
-			}
-		}
-	}
+	k := rowKey(g.rules, ev, l, view, accelKeys[:])
 	g.cov.Record(int(k), ev)
 	switch r := g.rules.At(k, ev); r.act {
 	case actForward:

@@ -60,8 +60,8 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			r.g.closeTxn(l)
 			recycled(t, r, w, at, func(a mem.Addr) { r.g.openTxn(a, coherence.AGetM, 0) })
 			r.eng.RunUntilQuiet()
-			if len(r.shim.gets) != 0 || r.g.txnAt(A).fwd != 0 || r.g.txnAt(at).fwd != 0 {
-				t.Fatalf("stale dispatch ran against a later transaction: %d gets", len(r.shim.gets))
+			if len(r.host.gets) != 0 || r.g.txnAt(A).fwd != 0 || r.g.txnAt(at).fwd != 0 {
+				t.Fatalf("stale dispatch ran against a later transaction: %d gets", len(r.host.gets))
 			}
 		})
 	})
@@ -79,8 +79,8 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 				r.g.openTxn(a, coherence.APutM, 0).data = r.fab.CopyBlock(nil)
 			})
 			r.eng.RunUntilQuiet()
-			if len(r.shim.puts) != 0 {
-				t.Fatalf("stale dispatch wrote back a later transaction's block: %d puts", len(r.shim.puts))
+			if len(r.host.puts) != 0 {
+				t.Fatalf("stale dispatch wrote back a later transaction's block: %d puts", len(r.host.puts))
 			}
 		})
 	})
@@ -162,8 +162,8 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			fromAccel(coherence.AGetS, A) // admitted on arrival, tick 1
 			fromAccel(coherence.AGetM, A) // arrives with it and must wait about 50 ticks
 			r.eng.RunUntil(10)
-			if r.g.RateDelayed != 1 || len(r.shim.gets) != 1 {
-				t.Fatalf("RateDelayed=%d gets=%d at tick 10, want 1, 1", r.g.RateDelayed, len(r.shim.gets))
+			if r.g.RateDelayed != 1 || len(r.host.gets) != 1 {
+				t.Fatalf("RateDelayed=%d gets=%d at tick 10, want 1, 1", r.g.RateDelayed, len(r.host.gets))
 			}
 			w := r.g.lines[A].work
 			r.g.closeTxn(r.g.lines[A])
@@ -178,11 +178,11 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			// The waiting request runs against what is there when its wait
 			// ends, and is still the message that was sent.
 			if at == A {
-				if n := r.log.ByCode["XG.G1b"]; n != 1 || len(r.shim.gets) != 1 {
-					t.Fatalf("request behind the reopened transaction: %d G1b reports, %d gets; want 1, 1", n, len(r.shim.gets))
+				if n := r.log.ByCode["XG.G1b"]; n != 1 || len(r.host.gets) != 1 {
+					t.Fatalf("request behind the reopened transaction: %d G1b reports, %d gets; want 1, 1", n, len(r.host.gets))
 				}
-			} else if len(r.shim.gets) != 2 || r.shim.gets[1].addr != A || r.shim.gets[1].kind != GetExcl || r.log.Count() != 0 {
-				t.Fatalf("request for the closed line: gets %+v, errors %v; want a second, exclusive get for A", r.shim.gets, r.log.Errors)
+			} else if len(r.host.gets) != 2 || r.host.gets[1].addr != A || r.host.gets[1].kind != GetExcl || r.log.Count() != 0 {
+				t.Fatalf("request for the closed line: gets %+v, errors %v; want a second, exclusive get for A", r.host.gets, r.log.Errors)
 			}
 		})
 	})
@@ -217,12 +217,13 @@ func (h *recorder) Recv(m *coherence.Msg) {
 	*h.log = append(*h.log, s)
 }
 
-// Each of the eight recall continuations answers the host with what the
-// closure it replaced sent. A row names the guard state and the host request
-// that make a shim leave the continuation; the request arrives twice, from
-// two requestors, so the second coalesces onto the first's recall; the recall
-// then resolves with data, without (where the core can resume it so), and by
-// a racing Put, and both requestors must be answered, in order. The
+// Each recalling cell of the two host tables answers the host with what
+// the hand-written handler it replaced sent. A row names the guard state and
+// the host request whose cell leaves itself as the continuation; the
+// request arrives twice, from two requestors, so the second coalesces onto
+// the first's recall; the recall then resolves with data, without (where the
+// core can resume it so), and by a racing Put, whose data reaches the cell
+// as a response's does, and both requestors must be answered, in order. The
 // resolution is handed to complete directly: Guarantee 2a would correct some
 // of these before a continuation saw them.
 func TestRecallContinuations(t *testing.T) {
@@ -234,11 +235,10 @@ func TestRecallContinuations(t *testing.T) {
 		answerByte = 0xDA // what the accelerator answered with
 	)
 	type resolution struct {
-		name   string
-		data   bool
-		viaPut bool
+		name string
+		data bool
 	}
-	resolutions := []resolution{{"data", true, false}, {"no data", false, false}, {"via Put", true, true}}
+	resolutions := []resolution{{"data", true}, {"no data", false}, {"via Put", true}}
 
 	// What one continuation sends for requestor r, given the resolution.
 	type answer func(r coherence.NodeID, data bool) []sent
@@ -265,7 +265,7 @@ func TestRecallContinuations(t *testing.T) {
 		alwaysData bool
 	}{
 		{host: "hammer", name: "Fwd_GetM to a sharer", mode: FullState, resident: true, accel: GrantS,
-			fwd: coherence.HFwdGetM, want: recallCont{kind: hammerSharer},
+			fwd: coherence.HFwdGetM, want: recallCont{do: hammerRules.At(hS, hammerVocab.Event(coherence.HFwdGetM))},
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{hData(r, answerByte, true)}
@@ -273,13 +273,13 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.HAck, r, -1, false, false}}
 			}},
 		{host: "hammer", name: "Fwd_GetS to an owner", mode: FullState, resident: true, accel: GrantM,
-			fwd: coherence.HFwdGetS, want: recallCont{kind: hammerMayOwn}, relinquish: true, alwaysData: true,
+			fwd: coherence.HFwdGetS, want: recallCont{do: hammerRules.At(hM, hammerVocab.Event(coherence.HFwdGetS))}, relinquish: true, alwaysData: true,
 			answer: func(r coherence.NodeID, _ bool) []sent { return []sent{hData(r, answerByte, true)} }},
 		{host: "hammer", name: "Fwd_GetM to an owner", mode: FullState, resident: true, accel: GrantM,
-			fwd: coherence.HFwdGetM, want: recallCont{kind: hammerMayOwn, getM: true}, alwaysData: true,
+			fwd: coherence.HFwdGetM, want: recallCont{do: hammerRules.At(hM, hammerVocab.Event(coherence.HFwdGetM))}, alwaysData: true,
 			answer: func(r coherence.NodeID, _ bool) []sent { return []sent{hData(r, answerByte, true)} }},
 		{host: "hammer", name: "Fwd_GetS, Transactional", mode: Transactional,
-			fwd: coherence.HFwdGetS, want: recallCont{kind: hammerMayOwn}, relinquish: true,
+			fwd: coherence.HFwdGetS, want: recallCont{do: hammerRules.At(hUnknown, hammerVocab.Event(coherence.HFwdGetS))}, relinquish: true,
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{hData(r, answerByte, true)}
@@ -287,7 +287,7 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.HAck, r, -1, false, false}}
 			}},
 		{host: "hammer", name: "Fwd_GetM, Transactional", mode: Transactional,
-			fwd: coherence.HFwdGetM, want: recallCont{kind: hammerMayOwn, getM: true},
+			fwd: coherence.HFwdGetM, want: recallCont{do: hammerRules.At(hUnknown, hammerVocab.Event(coherence.HFwdGetM))},
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{hData(r, answerByte, true)}
@@ -295,10 +295,10 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.HAck, r, -1, false, false}}
 			}},
 		{host: "hammer", name: "Fwd_GetM to a guard-owned read-only block", mode: FullState, resident: true, accel: GrantS, copy: true,
-			fwd: coherence.HFwdGetM, want: recallCont{kind: hammerServeCopy, dirty: true},
+			fwd: coherence.HFwdGetM, want: recallCont{do: hammerRules.At(hSCopy, hammerVocab.Event(coherence.HFwdGetM)), dirty: true},
 			answer: func(r coherence.NodeID, _ bool) []sent { return []sent{hData(r, copyByte, true)} }},
 		{host: "mesi", name: "Inv", mode: FullState, resident: true, accel: GrantS,
-			fwd: coherence.MInv, want: recallCont{kind: mesiInv},
+			fwd: coherence.MInv, want: recallCont{do: mesiRules.At(hS, mesiVocab.Event(coherence.MInv))},
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{copyToL2(answerByte, true)}
@@ -306,7 +306,7 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.MInvAck, r, -1, false, false}}
 			}},
 		{host: "mesi", name: "InvToL2", mode: FullState, resident: true, accel: GrantM,
-			fwd: coherence.MInvToL2, fromHome: true, want: recallCont{kind: mesiInvToL2},
+			fwd: coherence.MInvToL2, fromHome: true, want: recallCont{do: mesiRules.At(hM, mesiVocab.Event(coherence.MInvToL2))},
 			answer: func(_ coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{copyToL2(answerByte, true)}
@@ -314,10 +314,10 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.MInvAckToL2, home, -1, false, false}}
 			}},
 		{host: "mesi", name: "InvToL2 of a guard-owned read-only block", mode: FullState, resident: true, accel: GrantS, copy: true,
-			fwd: coherence.MInvToL2, fromHome: true, want: recallCont{kind: mesiInvToL2Copy, dirty: true},
+			fwd: coherence.MInvToL2, fromHome: true, want: recallCont{do: mesiRules.At(hSCopy, mesiVocab.Event(coherence.MInvToL2)), dirty: true},
 			answer: func(coherence.NodeID, bool) []sent { return []sent{copyToL2(copyByte, true)} }},
 		{host: "mesi", name: "Fwd_GetS", mode: FullState, resident: true, accel: GrantM,
-			fwd: coherence.MFwdGetS, want: recallCont{kind: mesiFwd},
+			fwd: coherence.MFwdGetS, want: recallCont{do: mesiRules.At(hM, mesiVocab.Event(coherence.MFwdGetS))},
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{{coherence.MDataOwner, r, answerByte, true, false}, copyToL2(answerByte, true)}
@@ -325,7 +325,7 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.MInvAck, r, -1, false, false}, copyToL2(0, false)}
 			}},
 		{host: "mesi", name: "Fwd_GetM", mode: Transactional,
-			fwd: coherence.MFwdGetM, want: recallCont{kind: mesiFwd, getM: true},
+			fwd: coherence.MFwdGetM, want: recallCont{do: mesiRules.At(hUnknown, mesiVocab.Event(coherence.MFwdGetM))},
 			answer: func(r coherence.NodeID, data bool) []sent {
 				if data {
 					return []sent{{coherence.MDataOwner, r, answerByte, true, false}}
@@ -333,14 +333,14 @@ func TestRecallContinuations(t *testing.T) {
 				return []sent{{coherence.MInvAck, r, -1, false, false}}
 			}},
 		{host: "mesi", name: "Fwd_GetM to a guard-owned read-only block", mode: FullState, resident: true, accel: GrantS, copy: true,
-			fwd: coherence.MFwdGetM, want: recallCont{kind: mesiFwdCopy, dirty: true},
+			fwd: coherence.MFwdGetM, want: recallCont{do: mesiRules.At(hSCopy, mesiVocab.Event(coherence.MFwdGetM)), dirty: true},
 			answer: func(r coherence.NodeID, _ bool) []sent {
 				return []sent{{coherence.MDataOwner, r, copyByte, true, false}}
 			}},
 	}
-	kinds := map[string]bool{}
+	reached := map[hostRule]bool{}
 	for _, row := range rows {
-		kinds[fmt.Sprint(row.host, row.want.kind)] = true
+		reached[*row.want.do] = true
 		for _, res := range resolutions {
 			if row.alwaysData && !res.data {
 				continue
@@ -395,7 +395,7 @@ func TestRecallContinuations(t *testing.T) {
 				}
 				ht := g.closeRecall(l, "response")
 				g.drop(line)
-				g.complete(line, &ht, data, res.data, res.viaPut)
+				g.complete(line, &ht, data, res.data)
 				eng.RunUntilQuiet()
 
 				var want []sent
@@ -421,8 +421,12 @@ func TestRecallContinuations(t *testing.T) {
 			})
 		}
 	}
-	if len(kinds) != 8 {
-		t.Fatalf("the table reaches %d continuation kinds, want all 8", len(kinds))
+	for _, rules := range []*coherence.Rules[hostKey, hostRule]{hammerRules, mesiRules} {
+		for _, r := range rules.Rows {
+			if (r.Do.act == doRecall || r.Do.act == doServe) && !reached[r.Do] {
+				t.Errorf("%s: no row reaches the continuation %+v", rules.Class, r.Do)
+			}
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // — one pooled record, no engine event — and every site that changes what
 // it waits on calls wake: the line's accelerator transaction opening or
 // closing (openTxn, closeTxn), a recall opening or closing (startRecall,
-// closeRecall), and a host get or writeback retiring (the shims' response
-// handlers, retirePut). wake never re-runs a request itself: the close
+// closeRecall), and a host get or writeback retiring (finishGet,
+// retirePut). wake never re-runs a request itself: the close
 // sites sit in the middle of handlers that are still updating the line, so
 // it only queues the line and arms one delay-0 engine event; that event
 // re-runs the line's parked requests, in arrival order, through
@@ -29,7 +29,7 @@ type parkedReq struct {
 
 // waitQueue is one line's parked requests in arrival order. queued marks
 // a line already on the ready list, so wakes from several sites in one
-// handler (a shim retiring its get, then granted closing the transaction)
+// handler (finishGet retiring the get, then granted closing the transaction)
 // cost one entry.
 type waitQueue struct {
 	head, tail *parkedReq

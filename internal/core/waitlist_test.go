@@ -30,9 +30,9 @@ func parkedGetRun(t testing.TB, delay sim.Time) uint64 {
 	}
 	r.eng.Schedule(delay, func() { r.g.Recv(accelMsg(coherence.AInvAck, waitLine, nil)) })
 	r.eng.RunUntilQuiet()
-	if len(r.shim.gets) != 1 || r.g.ParkedNow() != 0 {
+	if len(r.host.gets) != 1 || r.g.ParkedNow() != 0 {
 		t.Fatalf("after the InvAck: %d gets dispatched, %d parked; want 1, 0",
-			len(r.shim.gets), r.g.ParkedNow())
+			len(r.host.gets), r.g.ParkedNow())
 	}
 	return r.eng.Executed
 }
@@ -55,7 +55,7 @@ func TestParkedRequestCostsNothingWhileWaiting(t *testing.T) {
 	}
 }
 
-// hostSink stands in for the directory / L2: it swallows what the shim
+// hostSink stands in for the directory / L2: it swallows what the guard
 // sends; tests hand the guard the host's replies themselves.
 type hostSink struct{ id coherence.NodeID }
 
@@ -63,7 +63,7 @@ func (h *hostSink) ID() coherence.NodeID { return h.id }
 func (h *hostSink) Name() string         { return "hostSink" }
 func (h *hostSink) Recv(*coherence.Msg)  {}
 
-// newShimRig builds a guard with its real host shim ("hammer" or "mesi")
+// newShimRig builds a guard with its real host table ("hammer" or "mesi")
 // in front of a hostSink at node 10.
 func newShimRig(host string) (*sim.Engine, *Guard) {
 	eng := sim.NewEngine()
@@ -93,7 +93,7 @@ func acceptedAt(g *Guard) (at sim.Time, kind coherence.MsgType, ok bool) {
 func TestWakeEdges(t *testing.T) {
 	const closeAt sim.Time = 50
 
-	// stubCase runs on the stub shim: setup parks the request(s) at tick 0,
+	// stubCase runs on the stub host: setup parks the request(s) at tick 0,
 	// closing runs as an engine event at tick closeAt.
 	type stubCase struct {
 		name    string
@@ -226,7 +226,7 @@ func TestWakeEdges(t *testing.T) {
 		})
 	}
 
-	// The shims' own retire sites, on the real shims. A guard-initiated
+	// The host tables' own retire sites, on the real tables. A guard-initiated
 	// writeback (no accelerator transaction) makes the line busy; the host's
 	// reply retires it.
 	shimCases := []struct {
@@ -244,14 +244,14 @@ func TestWakeEdges(t *testing.T) {
 			func(g *Guard) { g.relinquish(waitLine, mem.Zero(), true) },
 			&coherence.Msg{Type: coherence.MWBAck, Addr: waitLine, Src: 10, Dst: 40}},
 		// A host get in flight with a request parked behind it is a state no
-		// event can observe (the shim retires the get and the guard closes
+		// event can observe (the get retires and the guard closes
 		// the transaction in one handler), so the test builds it by hand: the
-		// wake in the shim's retire path must still release the request.
+		// wake in the get's retire path must still release the request.
 		{"shim Get retired by grant (hammer)", "hammer",
-			func(g *Guard) { g.shim.get(waitLine, GetShared) },
+			func(g *Guard) { g.askHost(waitLine, GetShared) },
 			&coherence.Msg{Type: coherence.HMemData, Addr: waitLine, Src: 10, Dst: 40, Data: mem.Zero()}},
 		{"shim Get retired by grant (mesi)", "mesi",
-			func(g *Guard) { g.shim.get(waitLine, GetShared) },
+			func(g *Guard) { g.askHost(waitLine, GetShared) },
 			&coherence.Msg{Type: coherence.MDataS, Addr: waitLine, Src: 10, Dst: 40, Data: mem.Zero()}},
 	}
 	for _, c := range shimCases {
