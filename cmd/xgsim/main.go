@@ -36,7 +36,6 @@ import (
 	"crossingguard/internal/hostproto/hammer"
 	"crossingguard/internal/hostproto/mesi"
 	"crossingguard/internal/mem"
-	"crossingguard/internal/network"
 	"crossingguard/internal/obs"
 	"crossingguard/internal/perm"
 	"crossingguard/internal/seq"
@@ -510,10 +509,10 @@ func (l *lab) flood(name string, flood bool, rate *core.RateLimit) floodRow {
 	// the resource-consumption attack §2.5 rate-limits.
 	spec := l.spec(config.HostHammer, config.OrgXGTxn1L)
 	spec.AccelCores, spec.Rate, spec.Timeout = 1, rate, 50_000
-	spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-		att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, l.seed+1, pool)
+	spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+		att = config.SlotDevice[fuzz.Attacker](slot)
+		att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, l.seed+1, pool)
 		att.Policy = fuzz.InvCorrectAck
-		return nil
 	}
 	sys := config.Build(spec)
 	defer l.done(sys)
@@ -598,13 +597,10 @@ func (l *lab) wideRun(host config.HostKind) xlateRow {
 	var sq *seq.Sequencer
 	spec := l.spec(host, config.OrgXGFull1L)
 	spec.AccelCores, spec.Timeout = 1, 50_000
-	spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-		wide = xlate.NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 16, 4)
-		wide.AttachObs(s.Obs)
-		sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
-		s.AccelSeqs = append(s.AccelSeqs, sq)
-		s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
-		return wide.Outstanding
+	spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+		dev := xlate.Wire(s, slot, 16, 4)
+		dev.Accel.AttachObs(s.Obs)
+		wide, sq = dev.Accel, dev.Seq
 	}
 	sys := config.Build(spec)
 	defer l.done(sys)
@@ -664,10 +660,10 @@ func timeout(l *lab) recovery {
 	var att *fuzz.Attacker
 	spec := l.spec(config.HostMESI, config.OrgXGFull1L)
 	spec.AccelCores, spec.Timeout = 1, r.timeout
-	spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-		att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, l.seed+1, []mem.Addr{line})
+	spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+		att = config.SlotDevice[fuzz.Attacker](slot)
+		att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, l.seed+1, []mem.Addr{line})
 		att.Policy = fuzz.InvIgnore
-		return nil
 	}
 	sys := config.Build(spec)
 	defer l.done(sys)
@@ -706,10 +702,10 @@ func snoop(l *lab) filtering {
 	var att *fuzz.Attacker
 	spec := l.spec(config.HostHammer, config.OrgXGTxn1L)
 	spec.AccelCores, spec.Perms, spec.Timeout = 1, perm.NewTable(), 5_000
-	spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-		att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, l.seed+1, []mem.Addr{0x10000})
+	spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+		att = config.SlotDevice[fuzz.Attacker](slot)
+		att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, l.seed+1, []mem.Addr{0x10000})
 		att.Policy = fuzz.InvCorrectAck
-		return nil
 	}
 	sys := config.Build(spec)
 	defer l.done(sys)

@@ -14,7 +14,6 @@ import (
 	"log"
 	"sort"
 
-	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/fuzz"
 	"crossingguard/internal/mem"
@@ -41,12 +40,12 @@ func main() {
 		Perms:           perms,
 		Timeout:         5000, // Guarantee 2c watchdog
 		QuarantineAfter: 500,  // OS policy: fence it after 500 violations
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, 14, pool)
+		CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+			att = config.SlotDevice[fuzz.Attacker](slot)
+			att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, 14, pool)
 			att.Policy = fuzz.InvRandom // sometimes ignores, sometimes lies
 			att.IncludeHostTypes = true // even forges raw host messages
 			att.NilDataProb = 0.2
-			return nil
 		},
 	})
 

@@ -120,7 +120,8 @@ type AdvConfig struct {
 // AdvModel. It is deliberately not a cache: it keeps just enough state
 // (open transaction, lines it believes it holds) to misbehave in a
 // model-specific, deterministic way. Plug it into a machine via
-// config.Spec.CustomAccel.
+// config.Spec.CustomAccel, which reconfigures it in place (Init) for each
+// run of a machine that is reset.
 type Adversary struct {
 	id  coherence.NodeID
 	xg  coherence.NodeID
@@ -132,8 +133,8 @@ type Adversary struct {
 	pool []mem.Addr // Pool followed by VictimPool
 
 	open     map[mem.Addr]coherence.MsgType // self-initiated open transactions
-	held     map[mem.Addr]*mem.Block        // lines granted to us (data as granted)
-	stale    map[mem.Addr]*mem.Block        // first data ever seen per line (AdvStaleWriter)
+	held     map[mem.Addr]mem.Block         // lines granted to us (data as granted)
+	stale    map[mem.Addr]mem.Block         // first data ever seen per line (AdvStaleWriter)
 	dark     bool                           // AdvSilent has stopped answering
 	acquired int                            // lines acquired so far (AdvSilent goes dark after a few)
 
@@ -163,6 +164,17 @@ type Adversary struct {
 // NewAdversary builds and registers an adversary as the accelerator node
 // facing guard xg.
 func NewAdversary(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric, cfg AdvConfig) *Adversary {
+	a := new(Adversary)
+	a.Init(id, xg, eng, fab, cfg)
+	return a
+}
+
+// Init makes a the adversary NewAdversary(id, xg, eng, fab, cfg) would
+// build and registers it, keeping a's storage: its pool array, its maps,
+// emptied, and its events, bound once per engine. A machine that is reset
+// in place reconfigures its adversaries this way for the next run; the
+// engine and the fabric must have been reset first.
+func (a *Adversary) Init(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric, cfg AdvConfig) {
 	if len(cfg.Pool) == 0 {
 		panic("accel: adversary needs a non-empty address pool")
 	}
@@ -172,23 +184,27 @@ func NewAdversary(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric,
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 1000
 	}
-	pool := make([]mem.Addr, 0, len(cfg.Pool)+len(cfg.VictimPool))
-	pool = append(append(pool, cfg.Pool...), cfg.VictimPool...)
-	a := &Adversary{
+	if a.eng != eng {
+		a.stepEv.Fn = a.step
+		a.replies.Bind(eng, a.sendReply)
+	}
+	if a.open == nil {
+		a.open, a.held, a.stale = map[mem.Addr]coherence.MsgType{}, map[mem.Addr]mem.Block{}, map[mem.Addr]mem.Block{}
+	}
+	clear(a.open)
+	clear(a.held)
+	clear(a.stale)
+	*a = Adversary{
 		id: id, xg: xg, eng: eng, fab: fab,
-		rng:   eng.Rand(cfg.Seed),
-		cfg:   cfg,
-		pool:  pool,
-		open:  make(map[mem.Addr]coherence.MsgType),
-		held:  make(map[mem.Addr]*mem.Block),
-		stale: make(map[mem.Addr]*mem.Block),
+		rng:  eng.Rand(cfg.Seed),
+		cfg:  cfg,
+		pool: append(append(a.pool[:0], cfg.Pool...), cfg.VictimPool...),
+		open: a.open, held: a.held, stale: a.stale,
+		left:   cfg.Budget,
+		stepEv: a.stepEv, replies: a.replies,
 	}
 	fab.Register(a)
-	a.left = cfg.Budget
-	a.stepEv.Fn = a.step
-	a.replies.Bind(eng, a.sendReply)
 	a.eng.ScheduleEvent(1, &a.stepEv)
-	return a
 }
 
 // ID implements coherence.Controller.
@@ -208,9 +224,9 @@ func (a *Adversary) Outstanding() int { return 0 }
 // flap count, which is the device's lifetime pathology, not cache state.
 func (a *Adversary) Reset(epoch uint32) {
 	a.epoch = epoch
-	a.open = make(map[mem.Addr]coherence.MsgType)
-	a.held = make(map[mem.Addr]*mem.Block)
-	a.stale = make(map[mem.Addr]*mem.Block)
+	clear(a.open)
+	clear(a.held)
+	clear(a.stale)
 	a.dark = false
 	a.acquired = 0
 	a.burstLeft = 0
@@ -232,10 +248,9 @@ func (a *Adversary) Recv(m *coherence.Msg) {
 		if m.Data != nil {
 			blk = *m.Data
 		}
-		a.held[addr] = &blk
+		a.held[addr] = blk
 		if _, ok := a.stale[addr]; !ok {
-			cp := blk
-			a.stale[addr] = &cp
+			a.stale[addr] = blk
 		}
 	case coherence.AWBAck:
 		delete(a.open, addr)
@@ -400,7 +415,7 @@ func (a *Adversary) stepCorrect() {
 	if blk, have := a.held[addr]; have {
 		if a.rng.Intn(2) == 0 {
 			a.open[addr] = coherence.APutM
-			a.send(coherence.APutM, addr, blk, true)
+			a.send(coherence.APutM, addr, &blk, true)
 			delete(a.held, addr)
 		}
 		return
@@ -445,7 +460,7 @@ func (a *Adversary) answerInv(addr mem.Addr) {
 		late := a.cfg.Deadline + a.cfg.Deadline/2
 		if blk, have := a.held[addr]; have {
 			delete(a.held, addr)
-			a.respond(coherence.ADirtyWB, addr, blk, true, late)
+			a.respond(coherence.ADirtyWB, addr, &blk, true, late)
 		} else {
 			a.respond(coherence.AInvAck, addr, nil, false, late)
 		}
@@ -454,7 +469,7 @@ func (a *Adversary) answerInv(addr mem.Addr) {
 		// its bursts, not its responses.
 		if blk, have := a.held[addr]; have {
 			delete(a.held, addr)
-			a.respond(coherence.ADirtyWB, addr, blk, true, 0)
+			a.respond(coherence.ADirtyWB, addr, &blk, true, 0)
 		} else {
 			a.respond(coherence.AInvAck, addr, nil, false, 0)
 		}
@@ -517,10 +532,7 @@ func (a *Adversary) pick() mem.Addr {
 // ever observed for the line, scrambled further so it can never pass for
 // current.
 func (a *Adversary) staleBlock(addr mem.Addr) mem.Block {
-	var blk mem.Block
-	if old, ok := a.stale[addr]; ok {
-		blk = *old
-	}
+	blk := a.stale[addr]
 	blk[int(addr)%mem.BlockBytes] ^= 0xA5
 	return blk
 }

@@ -49,19 +49,15 @@ func TestChaosLifetimeMatrix(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							var sent uint64
-							for _, n := range m.sent {
-								sent += *n
-							}
-							return res, sent, m.sys
+							return res, sent(m.sys), m.sys
 						}
 						plain, plainSent, _ := run(false)
-						checked, sent, sys := run(true)
-						if plain != checked || plainSent != sent {
+						checked, checkedSent, sys := run(true)
+						if plain != checked || plainSent != checkedSent {
 							t.Fatalf("lifetime check changed the run: plain %+v (%d sent), checked %+v (%d sent)",
-								plain, plainSent, checked, sent)
+								plain, plainSent, checked, checkedSent)
 						}
-						if model != accel.AdvIdle && sent == 0 {
+						if model != accel.AdvIdle && checkedSent == 0 {
 							t.Fatal("the adversary sent nothing")
 						}
 						if fabric.Plan.Active() {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"crossingguard/internal/accel"
-	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/consistency"
 	"crossingguard/internal/faults"
@@ -187,15 +186,19 @@ func (h hostView) Audit() error                 { return h.AuditHostOnly() }
 // attackBase is where the lines fuzz and chaos shards fight over start.
 const attackBase = mem.Addr(0x10000)
 
-// fuzzPool is the small shared address pool attackers aim at (the same 8
-// lines the CPUs stress, maximizing interference).
-func fuzzPool(base mem.Addr) []mem.Addr {
-	pool := make([]mem.Addr, 8)
-	for i := range pool {
-		pool[i] = base + mem.Addr(i*mem.BlockBytes)
+// devicePools[d] is the small address pool device d's attacker aims at:
+// for device 0 the 8 lines the CPUs stress, maximizing interference, and
+// for each further device 8 lines of its own, 0x8000 bytes on. They are
+// made once and only read, by every shard on every worker.
+var devicePools = func() (pools [config.MaxAccels][]mem.Addr) {
+	for d := range pools {
+		pools[d] = make([]mem.Addr, 8)
+		for i := range pools[d] {
+			pools[d][i] = attackBase + mem.Addr(d*0x8000+i*mem.BlockBytes)
+		}
 	}
-	return pool
-}
+	return pools
+}()
 
 // DefaultTraceTail is the trace-ring capacity (events kept per shard)
 // when the caller does not override it (Options.TraceTail, -tracetail).
@@ -209,8 +212,6 @@ type machine struct {
 	// an attacker stands in for the accelerator.
 	drive tester.System
 	cfg   tester.Config
-	// sent points at each attacker's count of messages injected.
-	sent []*uint64
 }
 
 // newMachine builds the machine a shard runs on. Per-component seeds
@@ -235,29 +236,26 @@ func newMachine(spec ShardSpec) (*machine, error) {
 	var testerSeed int64
 	switch spec.Kind {
 	case KindFuzz:
-		var atts []*fuzz.Attacker
 		m.sys = config.Build(config.Spec{Host: spec.Host, Org: spec.Org,
 			CPUs: spec.CPUs, AccelCores: 1, Accels: spec.Accels,
 			Seed: spec.Seed * 61, Small: true, Spans: spec.Spans,
 			Timeout: 5000, Perms: perms, Consistency: newRecorder(spec),
-			CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+			CustomAccel: func(s *config.System, slot *config.CustomSlot) {
 				// One attacker per device. Device 0 keeps the historical seed
 				// formula exactly; further devices perturb it so each attacker
 				// draws an independent — but replayable — message stream.
 				seed := spec.Seed * 67
-				if d := config.DeviceOf(accelID); d > 0 {
+				if d := config.DeviceOf(slot.AccelID); d > 0 {
 					seed += int64(d) * 1009
 				}
-				att := fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, seed, fuzzPool(attackBase))
+				att := config.SlotDevice[fuzz.Attacker](slot)
+				att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, seed, devicePools[0])
 				att.Policy = fuzz.InvRandom
 				att.IncludeHostTypes = true
 				att.NilDataProb = 0.1
-				atts = append(atts, att)
-				m.sent = append(m.sent, &att.Sent)
-				return nil
 			}})
-		for _, att := range atts {
-			att.Rampage(spec.Messages, 40)
+		for _, slot := range m.sys.CustomSlots() {
+			slot.Dev.(*fuzz.Attacker).Rampage(spec.Messages, 40)
 		}
 		testerSeed = spec.Seed * 71
 	case KindChaos:
@@ -276,27 +274,23 @@ func newMachine(spec ShardSpec) (*machine, error) {
 			Timeout: 2000, RecallRetries: 2, QuarantineAfter: 25,
 			RecoverAfter: spec.RecoverAfter, Perms: perms, Faults: &plan,
 			Consistency: newRecorder(spec),
-			CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
+			CustomAccel: func(s *config.System, slot *config.CustomSlot) {
 				// One adversary per device. Device 0 keeps the historical seed
 				// and pool exactly; further devices get a device-private pool
 				// plus the shared lines as a victim pool, so they fight the
-				// other accelerator (and the CPUs) for ownership.
+				// other accelerator (and the CPUs) for ownership. The
+				// adversary's Reset rejoins the epoch protocol after a device
+				// reset.
 				cfg := accel.AdvConfig{
-					Model: model, Seed: spec.Seed * 43, Pool: fuzzPool(attackBase),
+					Model: model, Seed: spec.Seed * 43, Pool: devicePools[0],
 					Budget: spec.Messages, Gap: 20, Deadline: 2000,
 				}
-				if d := config.DeviceOf(accelID); d > 0 {
+				if d := config.DeviceOf(slot.AccelID); d > 0 {
 					cfg.Seed += int64(d) * 1013
-					cfg.Pool = fuzzPool(attackBase + mem.Addr(d*0x8000))
-					cfg.VictimPool = fuzzPool(attackBase)
+					cfg.Pool = devicePools[d]
+					cfg.VictimPool = devicePools[0]
 				}
-				adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, cfg)
-				// Rejoin the epoch protocol after a device reset; without this
-				// a recovered adversary keeps stamping its old epoch and every
-				// message it sends is dropped as stale.
-				s.OnDeviceReset(accelID, adv.Reset)
-				m.sent = append(m.sent, &adv.Sent)
-				return adv.Outstanding
+				config.SlotDevice[accel.Adversary](slot).Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, cfg)
 			}})
 		testerSeed = spec.Seed * 47
 	default:
@@ -362,9 +356,7 @@ func runShard(spec ShardSpec, trace bool, tail int, live *Telemetry) ShardResult
 	}
 	res.Res, res.Err = tester.Run(m.drive, m.cfg)
 	res.Obs = sys.Obs.Clone()
-	for _, n := range m.sent {
-		res.Sent += *n
-	}
+	res.Sent = sent(sys)
 	if sys.Faults != nil {
 		res.Injected = sys.Faults.Injected
 	}
@@ -396,6 +388,19 @@ func runShard(spec ShardSpec, trace bool, tail int, live *Telemetry) ShardResult
 		}
 	}
 	return res
+}
+
+// sent counts the messages sys's attackers and adversaries injected.
+func sent(sys *config.System) (n uint64) {
+	for _, slot := range sys.CustomSlots() {
+		switch d := slot.Dev.(type) {
+		case *fuzz.Attacker:
+			n += d.Sent
+		case *accel.Adversary:
+			n += d.Sent
+		}
+	}
+	return n
 }
 
 // newRecorder returns the observation recorder for a shard, nil unless

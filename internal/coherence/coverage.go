@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,12 +53,14 @@ func (t *Table) Event(m MsgType) int { return int(t.col[m]) }
 // states x events; an undeclared pair visited is a protocol bug, listed in
 // Unexpected.
 type Coverage struct {
-	name     string
-	tab      *Table
-	nev      int      // len(tab.events): the row stride
-	visits   []uint64 // [state*nev+event]
-	declared []bool   // same indexing
-	possible int      // declared pairs
+	name   string
+	tab    *Table
+	nev    int      // len(tab.events): the row stride
+	visits []uint64 // [state*nev+event]
+	// declared is indexed like visits. It is never written: its Rules and
+	// the class's other coverages share it.
+	declared []bool
+	possible int // declared pairs
 	// Unexpected lists visited pairs that were never declared possible,
 	// rendered "state/event", one entry per visit.
 	Unexpected []string
@@ -73,16 +76,17 @@ type Coverage struct {
 func NewCoverage(name string, t *Table) *Coverage {
 	c := &Coverage{name: name}
 	if t != nil {
-		c.adopt(t)
+		c.adopt(t, make([]bool, len(t.states)*len(t.events)), 0)
 	}
 	return c
 }
 
-func (c *Coverage) adopt(t *Table) {
+// adopt gives c the vocabulary t, no visits, and the declarations of the
+// declared array, which c only reads.
+func (c *Coverage) adopt(t *Table, declared []bool, possible int) {
 	c.tab, c.nev = t, len(t.events)
-	cells := len(t.states) * c.nev
-	c.visits = make([]uint64, cells)
-	c.declared = make([]bool, cells)
+	c.visits = make([]uint64, len(t.states)*c.nev)
+	c.declared, c.possible = declared, possible
 }
 
 // cell returns the array index of (state, event). An event outside the
@@ -97,14 +101,6 @@ func (c *Coverage) cell(state, event int) int {
 // pairName renders cell i as "state/event".
 func (c *Coverage) pairName(i int) string {
 	return c.tab.states[i/c.nev] + "/" + c.tab.events[i%c.nev]
-}
-
-// declare marks cell i as possible.
-func (c *Coverage) declare(i int) {
-	if !c.declared[i] {
-		c.declared[i] = true
-		c.possible++
-	}
 }
 
 // Record notes a visit to (state, event).
@@ -182,14 +178,26 @@ func (c *Coverage) Merge(other *Coverage) {
 	if other.tab == nil {
 		return
 	}
-	if c.tab == nil {
-		c.adopt(other.tab)
-	} else if c.tab != other.tab {
+	switch {
+	case c.tab == nil:
+		c.adopt(other.tab, other.declared, other.possible)
+	case c.tab != other.tab:
 		panic(fmt.Sprintf("coherence: merging %s coverage into %s: different tables", other.name, c.name))
-	}
-	for i, d := range other.declared {
-		if d {
-			c.declare(i)
+	default:
+		// The union goes in a new array, made only when other declares a
+		// pair c does not: coverages of one table share their Rules'.
+		var union []bool
+		for i, d := range other.declared {
+			if d && !c.declared[i] {
+				if union == nil {
+					union = slices.Clone(c.declared)
+				}
+				union[i] = true
+				c.possible++
+			}
+		}
+		if union != nil {
+			c.declared = union
 		}
 	}
 	for i, v := range other.visits {

@@ -63,5 +63,15 @@ func (l *ErrorLog) Reset() {
 	clear(l.ByCode)
 }
 
+// Trim lets the log's array go when it has room for more than n errors and
+// the last run filled at most a quarter of it: a machine that waits to run
+// again keeps the array its last run needed, not its largest run's. The
+// errors it held may not be read.
+func (l *ErrorLog) Trim(n int) {
+	if cap(l.Errors) > n && len(l.Errors) <= cap(l.Errors)/4 {
+		l.Errors = nil
+	}
+}
+
 // Count returns the total number of reported errors.
 func (l *ErrorLog) Count() int { return len(l.Errors) }

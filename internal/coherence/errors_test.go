@@ -29,3 +29,35 @@ func TestErrorLogRecycle(t *testing.T) {
 		}
 	}
 }
+
+// Trim lets go of a large array only when the last run left it mostly
+// empty: a log that needed its room keeps it, and a small one is kept
+// whatever it held.
+func TestErrorLogTrim(t *testing.T) {
+	fill := func(l *ErrorLog, n int) {
+		l.Reset()
+		for j := 0; j < n; j++ {
+			l.ReportError(ProtocolError{Code: "XG.G1a"})
+		}
+	}
+	l := NewErrorLog()
+	fill(l, 2000)
+	l.Trim(256)
+	if cap(l.Errors) < 2000 {
+		t.Fatalf("Trim dropped the array its last run filled (cap %d)", cap(l.Errors))
+	}
+	fill(l, 26)
+	l.Trim(256)
+	if l.Errors != nil {
+		t.Fatalf("Trim kept a %d-entry array its last run filled 26 of", cap(l.Errors))
+	}
+	fill(l, 3)
+	l.Trim(256)
+	if l.Errors == nil {
+		t.Fatal("Trim dropped an array within the bound")
+	}
+	fill(l, 40)
+	if l.Count() != 40 || l.ByCode["XG.G1a"] != 40 {
+		t.Fatalf("after Trim the log counts %d errors, %d by code", l.Count(), l.ByCode["XG.G1a"])
+	}
+}

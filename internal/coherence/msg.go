@@ -23,7 +23,7 @@ const NodeNone NodeID = -1
 // (paper §2.1), H* the Hammer-like host protocol, M* the MESI two-level
 // host protocol, and X* accelerator-internal messages for the two-level
 // accelerator hierarchy.
-type MsgType int
+type MsgType int32
 
 const (
 	MsgInvalid MsgType = iota // zero value; no valid message carries it
@@ -221,8 +221,9 @@ const (
 // it owns (Pool.CopyBlock for line storage), and a receiver that queues
 // the message itself, hangs it on an open transaction or schedules a
 // handler for it (Fabric.CallAfter keeps it for the caller) calls Keep.
-// A forgotten give-back costs one allocation — the collector still owns
-// the object; a missing Keep is the bug, and the lifetime check
+// A forgotten give-back costs one allocation for the rest of the run — the
+// pool's Reset takes the object back; a missing Keep is the bug, and the
+// lifetime check
 // (Pool.CheckLifetimes, on in -race builds) is there to trip on it.
 //
 // A message waits on at most one list at a time, and the list runs through
@@ -245,12 +246,16 @@ const (
 // belongs to the cache it was delivered to until that cache completes it
 // with Reply.
 type Msg struct {
-	Type      MsgType
+	Type   MsgType
+	Dirty  bool      // data is modified relative to memory
+	Shared bool      // responder also holds/held the block shared
+	Val    byte      // byte operand/result for sequencer-level ops
+	life   lifeState // pool bookkeeping; zero on a message the pool did not hand out
+
 	Addr      mem.Addr
 	Src, Dst  NodeID
 	Requestor NodeID     // original requestor, for forwarded requests
 	Data      *mem.Block // nil when absent; a pooled message's points at its own storage
-	Acks      int        // invalidation acks the requestor must await
 	Tag       uint64     // sequencer-level operation id, echoed in responses
 	// Span is the causal span id of the guard transaction this message
 	// belongs to (core.Config.Spans). 0 — span tracing disabled, or a
@@ -263,11 +268,8 @@ type Msg struct {
 	// has reintegrated its device stamps its bumped epoch on every
 	// outbound accelerator message and rejects accelerator messages
 	// carrying an older epoch as XG.StaleEpoch.
-	Epoch  uint32
-	Dirty  bool      // data is modified relative to memory
-	Shared bool      // responder also holds/held the block shared
-	Val    byte      // byte operand/result for sequencer-level ops
-	life   lifeState // pool bookkeeping; zero on a message the pool did not hand out
+	Epoch uint32
+	Acks  int32 // invalidation acks the requestor must await
 	// home is the pooled object this message lives in (nil otherwise); a
 	// by-value copy of a pooled message points at its original's home, not
 	// its own, which is how the pool tells the two apart.

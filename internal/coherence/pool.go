@@ -13,7 +13,7 @@ import (
 type lifeState uint8
 
 const (
-	lifeNone lifeState = iota // disowned: the collector's from here
+	lifeNone lifeState = iota // disowned: out of the lifetime rule until Reset
 	lifeHeld                  // handed out: with its sender, in flight, or kept by a receiver
 	lifeRecv                  // inside Recv (or a replay): taken back when it returns
 	lifeFree                  // released
@@ -24,10 +24,15 @@ const (
 const poisonByte = 0xDB
 
 // pooledMsg is what the pool allocates: a message and the block it owns,
-// one object.
+// one object, linked to the message the pool made before it. Reset finds
+// every message the pool made through the chain, wherever the run left it,
+// as it finds every block; the link fits the 160-byte size class a message
+// and its block take anyway (TestMsgSize), so a machine that is never reset
+// pays nothing for it.
 type pooledMsg struct {
-	m   Msg
-	blk mem.Block
+	m    Msg
+	blk  mem.Block
+	prev *pooledMsg
 }
 
 // blockSlab is four blocks the pool made together, linked to the slab
@@ -58,7 +63,9 @@ func (m *Msg) pooled() bool { return m.home != nil && &m.home.m == m && m.life !
 // does not have out all panic. The check is on in -race builds and where a
 // test calls CheckLifetimes; nothing else selects it.
 type Pool struct {
-	msgs   *Msg // free messages, linked through next
+	msgs *Msg // free messages, linked through next
+	// made is the newest message the pool made.
+	made   *pooledMsg
 	blocks []*mem.Block
 	// slabs is the newest block slab, spare its blocks not handed out yet.
 	slabs *blockSlab
@@ -83,17 +90,21 @@ func (p *Pool) Stats() PoolStats {
 	return PoolStats{p.msgsOut, p.blocksOut, p.msgsMade, p.blocksMade}
 }
 
-// Reset takes back every block the pool ever made, wherever the last run
-// left it — free, in flight or held by a cache line — and keeps the free
-// messages. A message still out is left to the collector: a run that
-// drained has none, and one that did not (a fault or a fence lost some)
-// makes that many again. The machine's Reset calls it after every holder
-// forgot its references. Under the lifetime check it keeps nothing, so
-// nothing of the last run is handed out again.
+// Reset takes back every message and every block the pool ever made,
+// wherever the last run left it — free, in flight, held by a cache line, or
+// lost by a fault, a fence or a quarantine — so the next run makes none it
+// made before. The machine's Reset calls it after every holder forgot its
+// references. Under the lifetime check it keeps nothing, so nothing of the
+// last run is handed out again.
 func (p *Pool) Reset() {
 	if p.checking() {
 		*p = Pool{check: p.check, msgsMade: p.msgsMade, blocksMade: p.blocksMade}
 		return
+	}
+	p.msgs = nil
+	for pm := p.made; pm != nil; pm = pm.prev {
+		pm.m = Msg{life: lifeFree, home: pm, next: p.msgs}
+		p.msgs = &pm.m
 	}
 	p.blocks = p.blocks[:0]
 	for s := p.slabs; s != nil; s = s.prev {
@@ -119,8 +130,9 @@ func (p *Pool) Msg(t Msg) *Msg {
 	if m != nil {
 		p.msgs = m.next
 	} else {
-		pm := new(pooledMsg)
+		pm := &pooledMsg{prev: p.made}
 		pm.m.home = pm
+		p.made = pm
 		m = &pm.m
 		p.msgsMade++
 	}
@@ -211,9 +223,10 @@ func (p *Pool) release(m *Msg) {
 	p.msgs = m
 }
 
-// Disown takes m out of the pool for good: the collector owns it from
-// here. The fabric disowns a message a fault interceptor has it deliver
-// twice, or beside a corrupted copy of itself.
+// Disown takes m out of the pool for the rest of the run: no Release takes
+// it back, and Reset does, once every holder forgot it. The fabric disowns
+// a message a fault interceptor has it deliver twice, or beside a corrupted
+// copy of itself.
 func (p *Pool) Disown(m *Msg) {
 	if m.pooled() {
 		m.life = lifeNone

@@ -346,7 +346,7 @@ func TestLineQueuesZeroValue(t *testing.T) {
 			// pops win the second half, so lines and the whole queue empty.
 			line := lines[(i*7+i/5)%len(lines)]
 			if i%100 < 50 && i%3 != 2 || i%100 >= 50 && i%6 == 0 {
-				m := p.Msg(Msg{Acks: i})
+				m := p.Msg(Msg{Acks: int32(i)})
 				deliver(&p, m, func(m *Msg) { q.Push(line, m) })
 				model[line] = append(model[line], m)
 				queued++
@@ -419,7 +419,7 @@ func TestLineQueuesZeroValue(t *testing.T) {
 	// interleaved, and empties one line while others still wait.
 	msgs := make([]*Msg, 12)
 	for i := range msgs {
-		msgs[i] = p.Msg(Msg{Acks: i})
+		msgs[i] = p.Msg(Msg{Acks: int32(i)})
 	}
 	base := mem.Addr(0x10000)
 	round := func() {
@@ -488,10 +488,15 @@ func TestLineQueuesPushTwicePanics(t *testing.T) {
 }
 
 // TestMsgSize pins a message's size: the link that chains it into a line's
-// queue or the pool's free list (next) sits in what used to be padding, so
-// a pooled message and its block fit the 160-byte size class.
+// queue or the pool's free list (next) sits in what used to be padding, and
+// its type and ack count share a word with the flags, so a pooled message,
+// its block and the link that chains it to the message made before it
+// (Reset) fit the 160-byte size class.
 func TestMsgSize(t *testing.T) {
-	if got := unsafe.Sizeof(Msg{}); got > 96 {
-		t.Fatalf("unsafe.Sizeof(Msg{}) = %d, want at most 96", got)
+	if got := unsafe.Sizeof(Msg{}); got > 88 {
+		t.Fatalf("unsafe.Sizeof(Msg{}) = %d, want at most 88", got)
+	}
+	if got := unsafe.Sizeof(pooledMsg{}); got > 160 {
+		t.Fatalf("unsafe.Sizeof(pooledMsg{}) = %d, want at most 160", got)
 	}
 }

@@ -20,6 +20,10 @@ type Rules[S ~int, V any] struct {
 	Vocab *Table
 	Rows  []Row[S, V]
 	cells []*V // [state*events + event], nil where no row
+	// declared marks the cells a row has, and possible counts them: the
+	// declarations every coverage of the table shares.
+	declared []bool
+	possible int
 }
 
 // NewRules indexes rows over vocab.
@@ -29,6 +33,13 @@ func NewRules[S ~int, V any](class string, vocab *Table, rows []Row[S, V]) *Rule
 	for i := range rows {
 		for _, ev := range rows[i].Evs {
 			t.cells[int(rows[i].St)*len(vocab.Events())+ev] = &rows[i].Do
+		}
+	}
+	t.declared = make([]bool, len(t.cells))
+	for i, v := range t.cells {
+		if v != nil {
+			t.declared[i] = true
+			t.possible++
 		}
 	}
 	return t
@@ -42,14 +53,11 @@ func (t *Rules[S, V]) With(subs ...Row[S, V]) *Rules[S, V] {
 	return NewRules(t.Class, t.Vocab, slices.Concat(t.Rows, subs))
 }
 
-// Coverage returns a recorder that declares exactly the table's cells.
+// Coverage returns a recorder that declares exactly the table's cells. It
+// shares the table's declarations and owns only its visit counts.
 func (t *Rules[S, V]) Coverage() *Coverage {
-	cov := NewCoverage(t.Class, t.Vocab)
-	for i, v := range t.cells {
-		if v != nil {
-			cov.declare(i)
-		}
-	}
+	cov := &Coverage{name: t.Class}
+	cov.adopt(t.Vocab, t.declared, t.possible)
 	return cov
 }
 

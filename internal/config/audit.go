@@ -142,14 +142,15 @@ func (s *System) hostScope(last place) *chassis.Scope {
 // auditPool checks the pool's balance at quiesce: every message handed out
 // has come back, and the blocks still out are exactly the ones resident in
 // cache lines and guard tables. A leak is only a performance bug — the
-// collector still owns whatever the pool lost track of — but this is where
+// pool's Reset takes back whatever a run lost track of — but this is where
 // it gets noticed. Three kinds of machine are exempt, because they lose
 // messages by design: one with a fault injector (a message delivered
-// twice or beside a corrupted copy left the pool for good, and a dropped
-// message's transaction never closes), one with a quarantined guard (the fenced device's open
-// transactions, and the requests kept behind them, never finish), and one
-// whose device was reset (Reset drops tables full of kept messages and
-// whole caches of blocks for the collector).
+// twice or beside a corrupted copy leaves the pool for the run, and a
+// dropped message's transaction never closes), one with a quarantined
+// guard (the fenced device's open transactions, and the requests kept
+// behind them, never finish), and one whose device was reset (that drops
+// tables full of kept messages and whole caches of blocks until the
+// pool's Reset).
 func (s *System) auditPool() error {
 	if s.Faults != nil {
 		return nil

@@ -244,14 +244,13 @@ type Spec struct {
 	// sequencer completion path record-free.
 	Consistency *consistency.Recorder
 	// CustomAccel, when set on an XG organization, replaces the
-	// accelerator cache hierarchy: it is invoked once per guard with the
-	// accelerator-side node id and the guard id, must register a
-	// controller under that id, and returns an outstanding-count
-	// function (may be nil). With several devices it runs once per guard
-	// per device; DeviceOf(accelID) recovers which device is being
-	// built. The fuzz harness uses this to attach pathological
-	// accelerators (paper §4.2).
-	CustomAccel func(s *System, accelID, xgID coherence.NodeID) func() int
+	// accelerator cache hierarchy: Build invokes it once per guard, with
+	// the guard's slot (CustomSlot), to wire the slot's device for the
+	// run. With several devices it runs once per guard per device;
+	// DeviceOf(slot.AccelID) recovers which device is being wired. The
+	// fuzz harness uses this to attach pathological accelerators (paper
+	// §4.2).
+	CustomAccel func(s *System, slot *CustomSlot)
 }
 
 // Name renders the configuration id used in reports; multi-device specs
@@ -313,16 +312,9 @@ type System struct {
 	// crossings lists the node pairs routed across the host<->accelerator
 	// crossing (cross).
 	crossings [][2]coherence.NodeID
-	// outstandingFns counts the custom accelerators' open work.
-	outstandingFns []func() int
 	// innerScopes audits each two-level device's inner L1s under its own
 	// shared L2, so the inner audit never mixes devices.
 	innerScopes []chassis.Scope
-	// deviceResets maps accelerator-side node ids to the reset functions
-	// registered by OnDeviceReset (custom accelerators joining the
-	// quarantine-recovery protocol).
-	deviceResets map[coherence.NodeID][]func(epoch uint32)
-
 	// custom is what Spec.CustomAccel builds on, nil without one.
 	custom *customWiring
 	// audit is the audits' storage, made at the first audit (audit.go).
@@ -333,19 +325,54 @@ type System struct {
 }
 
 // customWiring lists the guards whose accelerator side Spec.CustomAccel
-// builds, afresh on every reset, after the machine forgets what the last
-// build added: the fabric's wiring past wired, and the sequencers past the
-// first seqs of AccelSeqs.
+// wires, afresh on every reset, after the machine forgets what the last
+// run's wiring added: the fabric's nodes and routes past wired, and the
+// sequencers past the first seqs of AccelSeqs.
 type customWiring struct {
-	slots []customSlot
+	slots []CustomSlot
 	wired network.Mark
 	seqs  int
 }
 
-// customSlot is one guard whose accelerator side is Spec.CustomAccel's.
-type customSlot struct {
-	g             *core.Guard
-	xgID, accelID coherence.NodeID
+// CustomSlot is one guard whose accelerator side Spec.CustomAccel
+// provides. The slot parks with its machine, and so does the device in it:
+// every reset first forgets the last run's custom wiring and then invokes
+// CustomAccel with the slot, which either reconfigures Dev and registers
+// it again or builds a new device, registers it and leaves it in Dev. A
+// device of the wanted type is reconfigured, not remade (SlotDevice), so a
+// machine reset in place allocates no accelerator.
+type CustomSlot struct {
+	// AccelID is the accelerator-side node, XGID the guard in front of it.
+	AccelID, XGID coherence.NodeID
+	// Dev is the slot's device, nil until CustomAccel first sets it. Its
+	// optional methods join it to the machine: Outstanding() int counts
+	// its open work (System.Outstanding), and Reset(epoch uint32) runs
+	// when its guard resets it for readmission under a new epoch
+	// (quarantine recovery). A device without Reset keeps stamping its old
+	// epoch, and its guard drops everything it sends after readmission as
+	// stale.
+	Dev any
+}
+
+// SlotDevice returns slot's device when it is a *T, else a new zero T,
+// which it leaves in the slot: a builder's first step, before it
+// configures the device for the run and registers it.
+func SlotDevice[T any](slot *CustomSlot) *T {
+	d, ok := slot.Dev.(*T)
+	if !ok {
+		d = new(T)
+		slot.Dev = d
+	}
+	return d
+}
+
+// CustomSlots returns the machine's custom accelerator slots in guard
+// order (nil without Spec.CustomAccel).
+func (s *System) CustomSlots() []CustomSlot {
+	if s.custom == nil {
+		return nil
+	}
+	return s.custom.slots
 }
 
 // cacheView is what the machine asks of a cache it built, whatever its
@@ -430,30 +457,6 @@ func (s *System) Coverages(fn func(*coherence.Coverage)) {
 	for _, g := range s.Guards {
 		fn(g.Coverage())
 		fn(g.HostCoverage())
-	}
-}
-
-// OnDeviceReset registers fn to run when the guard fronting accelID
-// resets its device during quarantine recovery (the guard epoch the
-// device reintegrates under is passed in). Custom accelerator builders
-// (Spec.CustomAccel) call this so their models rejoin under the new
-// epoch — an unregistered model keeps stamping its old epoch after a
-// reset and every message it sends is dropped as stale.
-func (s *System) OnDeviceReset(accelID coherence.NodeID, fn func(epoch uint32)) {
-	if s.deviceResets == nil {
-		s.deviceResets = map[coherence.NodeID][]func(epoch uint32){}
-	}
-	s.deviceResets[accelID] = append(s.deviceResets[accelID], fn)
-}
-
-// deviceResetHook returns the guard reset hook for a custom accelerator:
-// it fans the epoch out to every function registered under accelID (the
-// map is consulted at fire time, so registration order is free).
-func (s *System) deviceResetHook(accelID coherence.NodeID) func(epoch uint32) {
-	return func(epoch uint32) {
-		for _, fn := range s.deviceResets[accelID] {
-			fn(epoch)
-		}
 	}
 }
 
@@ -553,7 +556,7 @@ func construct(spec Spec) *System {
 // dropped, its streams rewound), then the agents, which forget what they
 // hold without handing it back, then the fabric, whose pool takes every
 // message and block back. Last come what spec supplies for the run: the
-// custom accelerators, built afresh, the fault plan and the recorder.
+// custom accelerators, wired afresh, the fault plan and the recorder.
 func (s *System) reset(spec Spec) {
 	s.Spec, s.closed = spec, false
 	s.Eng.Reset()
@@ -575,16 +578,14 @@ func (s *System) reset(spec Spec) {
 	s.Mem.Reset()
 	s.Log.Reset()
 	s.Obs.Reset()
-	clear(s.outstandingFns)
-	s.outstandingFns = s.outstandingFns[:0]
-	clear(s.deviceResets)
 	if c := s.custom; c != nil {
 		s.Fab.Forget(c.wired)
 		clear(s.AccelSeqs[c.seqs:])
 		s.AccelSeqs = s.AccelSeqs[:c.seqs]
-		for _, slot := range c.slots {
-			if fn := spec.CustomAccel(s, slot.accelID, slot.xgID); fn != nil {
-				s.outstandingFns = append(s.outstandingFns, fn)
+		for i := range c.slots {
+			spec.CustomAccel(s, &c.slots[i])
+			if c.slots[i].Dev == nil {
+				panic("config: Spec.CustomAccel left no device in its slot")
 			}
 		}
 	}
@@ -759,13 +760,19 @@ func (s *System) guardConfig() core.Config {
 }
 
 // attachCustom leaves the accelerator side of guard g to Spec.CustomAccel,
-// which every reset invokes afresh.
+// which every reset invokes afresh. The guard's device reset runs the
+// slot's device's Reset, if it has one, looked up when it fires.
 func (s *System) attachCustom(g *core.Guard, xgID, accelID coherence.NodeID) {
 	if s.custom == nil {
 		s.custom = &customWiring{}
 	}
-	s.custom.slots = append(s.custom.slots, customSlot{g, xgID, accelID})
-	g.SetResetHook(s.deviceResetHook(accelID))
+	i := len(s.custom.slots)
+	s.custom.slots = append(s.custom.slots, CustomSlot{AccelID: accelID, XGID: xgID})
+	g.SetResetHook(func(epoch uint32) {
+		if d, ok := s.custom.slots[i].Dev.(interface{ Reset(epoch uint32) }); ok {
+			d.Reset(epoch)
+		}
+	})
 }
 
 // accelSeq builds the sequencer of device d's core i, in front of cache.
@@ -905,6 +912,7 @@ func (s *System) Close() {
 	s.closed = true
 	s.Eng.Close()
 	if s.Eng.Recycles() {
+		s.Log.Trim(parkedLogCap)
 		park(s)
 	}
 }
@@ -917,8 +925,8 @@ func (s *System) Engine() *sim.Engine { return s.Eng }
 // Sequencers implements tester.System (CPU cores first, then the
 // accelerator cores).
 func (s *System) Sequencers() []*seq.Sequencer {
-	out := append([]*seq.Sequencer{}, s.CPUSeqs...)
-	return append(out, s.AccelSeqs...)
+	out := make([]*seq.Sequencer, 0, len(s.CPUSeqs)+len(s.AccelSeqs))
+	return append(append(out, s.CPUSeqs...), s.AccelSeqs...)
 }
 
 // Outstanding implements tester.System.
@@ -930,8 +938,10 @@ func (s *System) Outstanding() int {
 	for _, g := range s.Guards {
 		n += g.Outstanding()
 	}
-	for _, fn := range s.outstandingFns {
-		n += fn()
+	for _, slot := range s.CustomSlots() {
+		if d, ok := slot.Dev.(interface{ Outstanding() int }); ok {
+			n += d.Outstanding()
+		}
 	}
 	for _, sq := range s.CPUSeqs {
 		n += sq.Outstanding()

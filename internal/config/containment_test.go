@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"crossingguard/internal/accel"
-	"crossingguard/internal/coherence"
 	"crossingguard/internal/core"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/obs"
@@ -39,8 +38,8 @@ func buildContainment(host HostKind, org Org, dev2 accel.AdvModel) *System {
 	spec := Spec{Host: host, Org: org, CPUs: 2, AccelCores: 1, Accels: 4,
 		Seed: 7, Small: true, Timeout: 2000, RecallRetries: 2,
 		QuarantineAfter: 10, RecoverAfter: 2000, Lat: &lat}
-	spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
-		d := DeviceOf(accelID)
+	spec.CustomAccel = func(s *System, slot *CustomSlot) {
+		d := DeviceOf(slot.AccelID)
 		// AdvSlowpoke's request engine is fully correct; its only sin is
 		// late recall answers, and nothing ever recalls these disjoint
 		// pools — so devices 0/1/3 are deterministic honest workloads.
@@ -48,12 +47,10 @@ func buildContainment(host HostKind, org Org, dev2 accel.AdvModel) *System {
 		if d == 2 {
 			model = dev2
 		}
-		adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, accel.AdvConfig{
+		SlotDevice[accel.Adversary](slot).Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, accel.AdvConfig{
 			Model: model, Seed: 1000 + int64(d), Pool: containPool(d),
 			Budget: 300, Gap: 8,
 		})
-		s.OnDeviceReset(accelID, adv.Reset)
-		return nil
 	}
 	return Build(spec)
 }

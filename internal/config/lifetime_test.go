@@ -109,9 +109,9 @@ func TestPoolBalanceExemptions(t *testing.T) {
 	var att *fuzz.Attacker
 	const line = mem.Addr(0x5400)
 	spec := recoverySpec(HostMESI, OrgXGFull1L)
-	spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
-		att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, spec.Seed, []mem.Addr{line})
-		return nil
+	spec.CustomAccel = func(s *System, slot *CustomSlot) {
+		att = SlotDevice[fuzz.Attacker](slot)
+		att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, spec.Seed, []mem.Addr{line})
 	}
 	sys = Build(spec)
 	sys.CPUSeqs[0].Store(line, 7, func(*seq.Op) {

@@ -58,6 +58,13 @@ type parkedSystem struct {
 	seq uint64
 }
 
+// parkedLogCap is the error-log array a parked machine keeps whatever its
+// last run logged. A fuzz shard logs one error per forged message,
+// thousands, where a chaos shard logs tens, and the two can share a shape:
+// past the bound a machine keeps only an array its last run needed
+// (ErrorLog.Trim), not the array of the largest run it ever had.
+const parkedLogCap = 256
+
 // park adds a closed machine to the park.
 func park(s *System) {
 	parked.Lock()

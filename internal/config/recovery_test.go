@@ -45,13 +45,13 @@ func TestStaleEpochRejectedAfterReintegration(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", host, org), func(t *testing.T) {
 				var att *fuzz.Attacker
 				spec := recoverySpec(host, org)
-				spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
-					// Deliberately no OnDeviceReset registration: the
-					// attacker stays on epoch 0 forever, so everything it
-					// sends after the reset is a pre-reset straggler.
-					att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, spec.Seed,
-						[]mem.Addr{line})
-					return nil
+				spec.CustomAccel = func(s *System, slot *CustomSlot) {
+					// An attacker has no Reset, so it is not told of the
+					// device reset: it stays on epoch 0 forever, and
+					// everything it sends after the reset is a pre-reset
+					// straggler.
+					att = SlotDevice[fuzz.Attacker](slot)
+					att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, spec.Seed, []mem.Addr{line})
 				}
 				sys := Build(spec)
 
@@ -117,8 +117,8 @@ func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
 		t.Run(host.String(), func(t *testing.T) {
 			spec := recoverySpec(host, OrgXGFull1L)
 			spec.RecoverAfter = 200
-			spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
-				adv := accel.NewAdversary(accelID, xgID, s.Eng, s.Fab, accel.AdvConfig{
+			spec.CustomAccel = func(s *System, slot *CustomSlot) {
+				SlotDevice[accel.Adversary](slot).Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, accel.AdvConfig{
 					// A persistent offender: enough flaps that bursts burned
 					// off while the guard is fenced (they are blocked, not
 					// scored) never exhaust the pathology before the
@@ -127,8 +127,6 @@ func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
 					Budget: 4000, Gap: 3,
 					Flaps: 100, BurstLen: 16, FlapGap: 30,
 				})
-				s.OnDeviceReset(accelID, adv.Reset)
-				return nil
 			}
 			sys := Build(spec)
 
@@ -194,10 +192,9 @@ func TestRecoveryDisabledKeepsQuarantineTerminal(t *testing.T) {
 			var att *fuzz.Attacker
 			spec := recoverySpec(host, OrgXGFull1L)
 			spec.RecoverAfter = 0
-			spec.CustomAccel = func(s *System, accelID, xgID coherence.NodeID) func() int {
-				att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, spec.Seed,
-					[]mem.Addr{line})
-				return nil
+			spec.CustomAccel = func(s *System, slot *CustomSlot) {
+				att = SlotDevice[fuzz.Attacker](slot)
+				att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, spec.Seed, []mem.Addr{line})
 			}
 			sys := Build(spec)
 			att.Send(coherence.AGetS, line, nil)

@@ -2,6 +2,7 @@ package config_test
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -51,6 +52,63 @@ func TestResetMachineRunsAsBuilt(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("a reset machine ran differently from a new one:\n%s", firstDiff(want, got))
+			}
+		})
+	}
+}
+
+// TestCustomAccelResetInPlace is the reset contract for custom
+// accelerators: a shard on a parked machine, whose slot's device another
+// run of the same device type left there and the shard's builder
+// reconfigured in place, decides what a shard on a new machine decides.
+// It covers every adversary model and the fuzz attacker.
+func TestCustomAccelResetInPlace(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the lifetime check, on under -race, parks nothing")
+	}
+	defer config.SetParking(config.SetParking(true))
+	var specs []campaign.ShardSpec
+	for m := accel.AdvModel(0); !strings.HasPrefix(m.String(), "AdvModel("); m++ {
+		specs = append(specs, campaign.ShardSpec{Kind: campaign.KindChaos, Host: config.HostMESI,
+			Org: config.OrgXGTxn1L, Seed: int64(m) + 1, CPUs: 2, Messages: 300, Model: m.String(),
+			Faults: chaotic(), RecoverAfter: 3000})
+	}
+	specs = append(specs, campaign.ShardSpec{Kind: campaign.KindFuzz, Host: config.HostHammer,
+		Org: config.OrgXGFull1L, Seed: 5, CPUs: 2, Messages: 300})
+	for _, spec := range specs {
+		spec := spec
+		t.Run(fmt.Sprintf("%v/%s", spec.Kind, spec.Model), func(t *testing.T) {
+			config.SetParking(false)
+			want := campaign.RunShard(spec, false)
+			config.SetParking(true)
+			other := withSeed(spec, spec.Seed+70)
+			if spec.Kind == campaign.KindChaos {
+				// The stale writer leaves lines held, transactions open and
+				// stale data in its adversary's maps for the reset to clear.
+				other.Model = accel.AdvStaleWriter.String()
+				if spec.Model == other.Model {
+					other.Model = accel.AdvSlowpoke.String()
+				}
+			}
+			campaign.RunShard(other, false)
+			hits := config.ParkHits()
+			got := campaign.RunShard(spec, false)
+			if config.ParkHits() == hits {
+				t.Fatal("the shard did not take the parked machine")
+			}
+			if want.Err != nil || got.Err != nil {
+				t.Fatalf("shard failed: new %v, reset %v", want.Err, got.Err)
+			}
+			if got.Res != want.Res || got.Sent != want.Sent || got.Injected != want.Injected ||
+				got.Violations != want.Violations {
+				t.Fatalf("reset machine: res %+v sent %d injected %d violations %d; new: %+v %d %d %d",
+					got.Res, got.Sent, got.Injected, got.Violations, want.Res, want.Sent, want.Injected, want.Violations)
+			}
+			if !reflect.DeepEqual(got.ByCode, want.ByCode) {
+				t.Fatalf("reset machine's codes %v, new machine's %v", got.ByCode, want.ByCode)
+			}
+			if g, w := got.Obs.Snapshot(), want.Obs.Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("reset machine's metrics differ from a new machine's:\n%+v\n%+v", g, w)
 			}
 		})
 	}
@@ -154,16 +212,12 @@ func resetCases() []resetCase {
 // spec's custom builder wires with a sequencer of its own, which it adds
 // to the machine's, as cmd/xgsim's translation experiment does.
 func wideSig(host config.HostKind, seed int64, ops int) string {
-	var wide *xlate.WideAccel
 	var sq *seq.Sequencer
 	spec := config.Spec{Host: host, Org: config.OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: seed, Timeout: 50_000,
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			wide = xlate.NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 4, 2)
-			wide.AttachObs(s.Obs)
-			sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
-			s.AccelSeqs = append(s.AccelSeqs, sq)
-			s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
-			return wide.Outstanding
+		CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+			dev := xlate.Wire(s, slot, 4, 2)
+			dev.Accel.AttachObs(s.Obs)
+			sq = dev.Seq
 		}}
 	return machineSig(config.Build(spec), func(sys *config.System) string {
 		for i := 0; i < ops; i++ {

@@ -415,7 +415,6 @@ func (g *Guard) Restart(cfg Config) {
 	}
 	clear(g.lines)
 	clear(g.ready)
-	clear(g.mViolation)
 	// A lane's records point back at it, so lanes never move: a guard
 	// that needs more than it has takes a new array.
 	watchdogs := g.watchdogs[:0]
@@ -623,7 +622,8 @@ func (g *Guard) closeCrossingSpan(t *accelTxn, addr mem.Addr, outcome string) {
 
 // countViolation bumps guard.violation.<code> and its per-accelerator twin,
 // building the two names and creating the counters on the code's first
-// violation only.
+// violation only: the guard keeps them across restarts, and a counter its
+// registry's reset hid is listed again by the first Inc of the next run.
 func (g *Guard) countViolation(code string) {
 	if g.obsReg == nil {
 		return

@@ -228,7 +228,7 @@ func (g *Guard) collect(l *line, r *hostRule, m *coherence.Msg) {
 		if m.Data != nil {
 			g.fab.FillBlock(&t.data, m.Data)
 		}
-		t.needed = m.Acks
+		t.needed = int(m.Acks)
 	case coherence.MDataOwner:
 		// An owner's hand-off completes a read.
 		if m.Data != nil {

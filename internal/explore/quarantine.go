@@ -21,6 +21,9 @@ import (
 	"crossingguard/internal/sim"
 )
 
+// raceLinePool is the quarantine scenario's attacker pool: raceLine alone.
+var raceLinePool = []mem.Addr{raceLine}
+
 // quarantineThreshold is the guard's QuarantineAfter for the scenario:
 // small, so a short burst of garbage trips the fence at a precisely
 // swept tick.
@@ -44,9 +47,9 @@ func QuarantineScenario() Scenario {
 			spec.Timeout = 2000
 			spec.RecallRetries = 1
 			spec.QuarantineAfter = quarantineThreshold
-			spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-				att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, spec.Seed, []mem.Addr{raceLine})
-				return nil
+			spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+				att = config.SlotDevice[fuzz.Attacker](slot)
+				att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, spec.Seed, raceLinePool)
 			}
 			return config.Build(spec)
 		},

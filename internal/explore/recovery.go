@@ -30,6 +30,53 @@ import (
 // not address sharing.
 const hostileLine = mem.Addr(0x7A00)
 
+// hostilePool is the hostile device's attacker pool: hostileLine alone.
+var hostilePool = []mem.Addr{hostileLine}
+
+// neighbor is the recovery scenario's device 0: a real, well-behaved
+// single-level accelerator. It is built by hand (CustomAccel replaces the
+// hierarchy for every device) but wired like the standard single-level
+// path, reset included, and a machine reset in place restarts it.
+type neighbor struct {
+	l1 *accel.L1Cache
+	sq *seq.Sequencer
+}
+
+// wire builds the neighbor's cache and core at accelID behind guard xgID,
+// or restarts the ones it built for the machine's last run and registers
+// them again.
+func (n *neighbor) wire(s *config.System, accelID, xgID coherence.NodeID) {
+	if n.l1 == nil {
+		n.l1 = accel.NewL1Cache(accelID, "nbrL1", s.Fab, xgID, accel.DefaultConfig())
+		n.sq = seq.New(accelID+100, "nbr", s.Eng, s.Fab, accelID, &s.Ops)
+	} else {
+		n.l1.Restart()
+		n.sq.Restart()
+		s.Fab.Register(n.l1)
+		s.Fab.Register(n.sq)
+	}
+	s.Fab.SetRoutePair(n.sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
+}
+
+// Reset is the device reset: abort the core's operations, then wipe the
+// cache under the new epoch.
+func (n *neighbor) Reset(epoch uint32) {
+	n.sq.Abort()
+	n.l1.Reset(epoch)
+}
+
+// Outstanding counts the cache's open work.
+func (n *neighbor) Outstanding() int { return n.l1.Outstanding() }
+
+// rejoiningAttacker is the hostile device: an attacker that rejoins the
+// epoch protocol on reset. Without that, every post-reintegration
+// injection is dropped as a stale straggler and the scenario could not
+// tell "readmitted and served" from "readmitted and ignored".
+type rejoiningAttacker struct{ fuzz.Attacker }
+
+// Reset stamps the new epoch on what the attacker sends from here.
+func (r *rejoiningAttacker) Reset(epoch uint32) { r.Epoch = epoch }
+
 // recoverAfter is the scenario's readmission delay: long enough that
 // the drain genuinely overlaps swept neighbor traffic, short enough
 // that reintegration completes well inside the run.
@@ -58,31 +105,16 @@ func RecoveryScenario() Scenario {
 			spec.RecallRetries = 1
 			spec.QuarantineAfter = quarantineThreshold
 			spec.RecoverAfter = recoverAfter
-			spec.CustomAccel = func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-				if config.DeviceOf(accelID) == 0 {
-					// Device 0: a real, well-behaved accelerator. Built by
-					// hand (CustomAccel replaces the hierarchy for every
-					// device) but wired like the standard single-level
-					// path, reset hook included.
-					l1 := accel.NewL1Cache(accelID, "nbrL1", s.Fab, xgID, accel.DefaultConfig())
-					sq := seq.New(accelID+100, "nbr", s.Eng, s.Fab, accelID, &s.Ops)
-					s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
-					s.OnDeviceReset(accelID, func(epoch uint32) {
-						sq.Abort()
-						l1.Reset(epoch)
-					})
-					nbr = sq
-					return l1.Outstanding
+			spec.CustomAccel = func(s *config.System, slot *config.CustomSlot) {
+				if config.DeviceOf(slot.AccelID) == 0 {
+					n := config.SlotDevice[neighbor](slot)
+					n.wire(s, slot.AccelID, slot.XGID)
+					nbr = n.sq
+					return
 				}
-				att = fuzz.NewAttacker(accelID, xgID, s.Eng, s.Fab, spec.Seed,
-					[]mem.Addr{hostileLine})
-				// Rejoin the epoch protocol on reset: without this, every
-				// post-reintegration injection is dropped as a stale
-				// straggler and the scenario could not tell "readmitted
-				// and served" from "readmitted and ignored".
-				a := att
-				s.OnDeviceReset(accelID, func(epoch uint32) { a.Epoch = epoch })
-				return nil
+				r := config.SlotDevice[rejoiningAttacker](slot)
+				r.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, spec.Seed, hostilePool)
+				att = &r.Attacker
 			}
 			return config.Build(spec)
 		},

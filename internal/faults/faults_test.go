@@ -109,11 +109,11 @@ func injectorRun(plan Plan) ([]string, *Injector) {
 	inj.Watch(1, 2)
 	fab.SetInterceptor(inj)
 	for i := 0; i < 200; i++ {
-		m := &coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: i}
+		m := &coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: int32(i)}
 		if i%3 == 0 {
 			blk := mem.Zero()
 			blk[0] = byte(i)
-			m = &coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: i, Data: blk}
+			m = &coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: int32(i), Data: blk}
 		}
 		fab.Send(m)
 	}
@@ -167,7 +167,7 @@ func TestInjectorScope(t *testing.T) {
 	inj.Watch(3, 4) // not the channel under test
 	fab.SetInterceptor(inj)
 	for i := 0; i < 10; i++ {
-		fab.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: i})
+		fab.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: int32(i)})
 	}
 	eng.RunUntilQuiet()
 	if len(b.log) != 10 || inj.Injected != 0 {
@@ -212,7 +212,15 @@ func TestInjectorCorruptCopiesNotOriginals(t *testing.T) {
 	orig := mem.Zero()
 	orig[5] = 0xAA
 	var gotData *mem.Block
-	b2 := &funcController{id: 3, fn: func(m *coherence.Msg) { gotData = m.Data }}
+	// The corrupted copy is a pooled message: its block is the receiver's
+	// only until Recv returns, so the receiver copies it out.
+	b2 := &funcController{id: 3, fn: func(m *coherence.Msg) {
+		gotData = nil
+		if m.Data != nil {
+			blk := *m.Data
+			gotData = &blk
+		}
+	}}
 	fab.Register(b2)
 
 	fab.Send(&coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 3, Data: orig})
@@ -382,7 +390,7 @@ func TestFaultedPooledPayloadsArriveTwice(t *testing.T) {
 					for j := range blk {
 						blk[j] = byte(i)
 					}
-					fab.Send(fab.Msg(coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: i, Data: &blk}))
+					fab.Send(fab.Msg(coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: int32(i), Data: &blk}))
 					for k := 0; k < 4; k++ {
 						var junk mem.Block
 						junk[0] = 0xFF
@@ -402,6 +410,82 @@ func TestFaultedPooledPayloadsArriveTwice(t *testing.T) {
 			}
 			if st := fab.Stats(); !checked && !raceflag.Enabled && st.MsgsMade >= 5*n {
 				t.Fatalf("pool allocated %d messages for %d sends: the churn was not recycled", st.MsgsMade, 5*n)
+			}
+		})
+	}
+}
+
+// TestPoolResetReclaimsLostMessages: a faulty run loses messages — the
+// receiver keeps what a dropped message's transaction would never give
+// back, and a message delivered twice or beside a corrupted copy leaves
+// the pool — yet the pool's Reset takes every message it made back: the
+// same run again makes none, and Reset hands out exactly that many before
+// the pool makes another. Under the lifetime check Reset keeps nothing.
+func TestPoolResetReclaimsLostMessages(t *testing.T) {
+	for _, checked := range []bool{false, true} {
+		if !checked && raceflag.Enabled {
+			continue // the lifetime check is on under -race
+		}
+		t.Run(fmt.Sprintf("checked=%v", checked), func(t *testing.T) {
+			eng := sim.NewEngine()
+			fab := network.NewFabric(eng, 1, network.Config{Latency: 2, Ordered: true})
+			if checked {
+				fab.CheckLifetimes()
+			}
+			src := &funcController{id: 1, fn: func(*coherence.Msg) {}}
+			dst := &funcController{id: 2, fn: func(m *coherence.Msg) {
+				if m.Acks%4 == 0 {
+					m.Keep() // a transaction that never closes keeps its message
+				}
+			}}
+			fab.Register(src)
+			fab.Register(dst)
+			plan := Plan{Seed: 3, Drop: 0.2, Dup: 0.2, Corrupt: 0.3}
+			inj := NewInjector(plan, fab)
+			inj.Watch(1, 2)
+			run := func() coherence.PoolStats {
+				fab.SetInterceptor(inj)
+				for i := 0; i < 200; i++ {
+					var blk mem.Block
+					blk[0] = byte(i)
+					fab.Send(fab.Msg(coherence.Msg{Type: coherence.ADataM, Src: 1, Dst: 2, Acks: int32(i), Data: &blk}))
+				}
+				eng.RunUntilQuiet()
+				return fab.Stats()
+			}
+			reset := func() {
+				eng.Reset()
+				fab.Reset(1)
+				inj.Reset(plan)
+			}
+			first := run()
+			if first.MsgsOut == 0 || inj.Drops == 0 || inj.Dups == 0 || inj.Corrupts == 0 {
+				t.Fatalf("the run lost no messages: %d out, %d drops, %d dups, %d corrupts",
+					first.MsgsOut, inj.Drops, inj.Dups, inj.Corrupts)
+			}
+			reset()
+			second := run()
+			if checked {
+				if second.MsgsMade != 2*first.MsgsMade {
+					t.Fatalf("under the lifetime check the second run made %d messages, want %d",
+						second.MsgsMade-first.MsgsMade, first.MsgsMade)
+				}
+				return
+			}
+			if second != first {
+				t.Fatalf("the same run after Reset: %+v, first run %+v", second, first)
+			}
+			reset()
+			for i := uint64(0); i < first.MsgsMade; i++ {
+				fab.Msg(coherence.Msg{})
+			}
+			if made := fab.Stats().MsgsMade; made != first.MsgsMade {
+				t.Fatalf("Reset handed out %d messages before the pool made another, want %d",
+					first.MsgsMade-(made-first.MsgsMade), first.MsgsMade)
+			}
+			fab.Msg(coherence.Msg{})
+			if made := fab.Stats().MsgsMade; made != first.MsgsMade+1 {
+				t.Fatalf("the pool made %d messages past Reset's, want 1", made-first.MsgsMade)
 			}
 		})
 	}

@@ -133,17 +133,16 @@ func (in *Injector) Intercept(now sim.Time, m *coherence.Msg) ([]network.Deliver
 	return dels, true
 }
 
-// corrupt returns a plain copy of m with one random bit flipped in a
-// copied data block. Corruption never touches the original: a duplicate
-// of a corrupted message can deliver the clean payload. Neither message
-// is recycled: the copy is no pool's, and the fabric takes an original
-// that stands beside one out of its pool.
+// corrupt returns a copy of m, out of the fabric's pool, with one random
+// bit flipped in its own copy of the data block. Corruption never touches
+// the original: a duplicate of a corrupted message can deliver the clean
+// payload. The copy goes back to the pool like any delivered message; the
+// fabric disowns an original that stands beside one until its pool's
+// Reset.
 func (in *Injector) corrupt(m *coherence.Msg) *coherence.Msg {
-	cp := *m
-	blk := *m.Data
+	cp := in.fab.Msg(*m)
 	byteIdx := in.rng.Intn(mem.BlockBytes)
 	bit := uint(in.rng.Intn(8))
-	blk[byteIdx] ^= 1 << bit
-	cp.Data = &blk
-	return &cp
+	cp.Data[byteIdx] ^= 1 << bit
+	return cp
 }

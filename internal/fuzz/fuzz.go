@@ -71,12 +71,23 @@ type Attacker struct {
 // NewAttacker builds and registers an attacker as the accelerator node.
 func NewAttacker(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric,
 	seed int64, pool []mem.Addr) *Attacker {
-	a := &Attacker{
+	a := new(Attacker)
+	a.Init(id, xg, eng, fab, seed, pool)
+	return a
+}
+
+// Init makes a the attacker NewAttacker(id, xg, eng, fab, seed, pool)
+// would build and registers it, keeping its firing event: a machine that
+// is reset in place reconfigures its attackers this way for the next run,
+// after its engine and fabric were reset. The attacker keeps pool, which
+// its caller must not change.
+func (a *Attacker) Init(id, xg coherence.NodeID, eng *sim.Engine, fab *network.Fabric, seed int64, pool []mem.Addr) {
+	*a = Attacker{
 		ID_: id, XG: xg, Eng: eng, Fab: fab,
 		Rng: eng.Rand(seed), Pool: pool,
+		fireEv: a.fireEv,
 	}
 	fab.Register(a)
-	return a
 }
 
 // ID implements coherence.Controller.
@@ -168,7 +179,9 @@ func (a *Attacker) Rampage(count int, maxGap sim.Time) {
 		panic("fuzz: Rampage of a negative message count")
 	}
 	a.left, a.maxGap = count, maxGap
-	a.fireEv.Fn = a.fire
+	if a.fireEv.Fn == nil {
+		a.fireEv.Fn = a.fire
+	}
 	a.Eng.ScheduleEvent(1, &a.fireEv)
 }
 

@@ -40,12 +40,12 @@ func buildFuzzedPerms(host config.HostKind, org config.Org, seed int64, policy I
 	spec := config.Spec{
 		Host: host, Org: org, CPUs: 2, AccelCores: 1, Seed: seed, Small: true,
 		Timeout: 5000, Perms: perms,
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			att = NewAttacker(accelID, xgID, s.Eng, s.Fab, seed+1, pool())
+		CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+			att = config.SlotDevice[Attacker](slot)
+			att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, seed+1, pool())
 			att.Policy = policy
 			att.IncludeHostTypes = hostTypes
 			att.NilDataProb = 0.1
-			return nil
 		},
 	}
 	return config.Build(spec), att
@@ -242,10 +242,10 @@ func TestGuarantee0Permissions(t *testing.T) {
 				spec := config.Spec{
 					Host: host, Org: org, CPUs: 1, AccelCores: 1, Seed: 21,
 					Perms: perms, Timeout: 5000,
-					CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-						att = NewAttacker(accelID, xgID, s.Eng, s.Fab, 22, pool())
+					CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+						att = config.SlotDevice[Attacker](slot)
+						att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, 22, pool())
 						att.Policy = InvCorrectAck
-						return nil
 					},
 				}
 				s := config.Build(spec)
@@ -299,10 +299,10 @@ func TestSnoopFiltering(t *testing.T) {
 			spec := config.Spec{
 				Host: config.HostHammer, Org: org, CPUs: 2, AccelCores: 1,
 				Seed: 41, Perms: perms, Timeout: 5000,
-				CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-					att = NewAttacker(accelID, xgID, s.Eng, s.Fab, 42, pool())
+				CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+					att = config.SlotDevice[Attacker](slot)
+					att.Init(slot.AccelID, slot.XGID, s.Eng, s.Fab, 42, pool())
 					att.Policy = InvCorrectAck
-					return nil
 				},
 			}
 			s := config.Build(spec)

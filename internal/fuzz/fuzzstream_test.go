@@ -96,10 +96,11 @@ func FuzzGuardMessageStream(f *testing.F) {
 		sys := config.Build(config.Spec{
 			Host: host, Org: org, CPUs: 2, AccelCores: 1,
 			Seed: int64(sel)*131 + 7, Small: true, Timeout: 2000,
-			CustomAccel: func(s *config.System, aID, xID coherence.NodeID) func() int {
-				accelID, xgID = aID, xID
-				s.Fab.Register(&injector{id: aID})
-				return nil
+			CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+				accelID, xgID = slot.AccelID, slot.XGID
+				inj := config.SlotDevice[injector](slot)
+				inj.id = slot.AccelID
+				s.Fab.Register(inj)
 			}})
 
 		// Schedule the decoded stream. Messages default to the real

@@ -348,7 +348,7 @@ func (l *L1) collect(e *cacheset.Entry[l1Line], r *rule, m *coherence.Msg) {
 			l.Fab.FillBlock(&e.V.data, m.Data)
 			e.V.dirty = false
 		}
-		t.needed = m.Acks
+		t.needed = int(m.Acks)
 	case coherence.MDataOwner:
 		// Ownership hand-off from the previous owner.
 		l.Fab.FillBlock(&e.V.data, m.Data)

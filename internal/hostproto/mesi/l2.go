@@ -414,7 +414,7 @@ func (l *L2) serveHit(m *coherence.Msg) {
 			e.V.owner = r
 			e.V.state = L2MT
 			l.send(coherence.Msg{Type: coherence.MDataAcks, Addr: addr, Src: l.id, Dst: r,
-				Data: e.V.data, Acks: len(t.invalidated)})
+				Data: e.V.data, Acks: int32(len(t.invalidated))})
 		}
 	}
 }

@@ -508,7 +508,7 @@ func (f *Fabric) Send(m *coherence.Msg) {
 			// Delayed or reordered only, the message is still delivered
 			// once as itself and goes back to the pool from there; dropped,
 			// it goes back now. Delivered twice, or standing beside a
-			// corrupted copy of itself, it cannot be recycled.
+			// corrupted copy of itself, it goes back at the pool's Reset.
 			switch {
 			case len(dels) == 0:
 				f.Release(m)

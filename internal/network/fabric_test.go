@@ -215,12 +215,12 @@ func TestOrderedChannelFIFO(t *testing.T) {
 	run := func(ordered bool) []int {
 		eng, f, _, b := setup(42, Config{Latency: 5, Jitter: 50, Ordered: ordered})
 		for i := 0; i < 64; i++ {
-			f.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: i})
+			f.Send(&coherence.Msg{Type: coherence.AGetS, Src: 1, Dst: 2, Acks: int32(i)})
 		}
 		eng.RunUntilQuiet()
 		out := make([]int, len(b.got))
 		for i, m := range b.got {
-			out[i] = m.Acks
+			out[i] = int(m.Acks)
 		}
 		return out
 	}
@@ -245,14 +245,14 @@ func TestPropertyOrderedFIFO(t *testing.T) {
 	f := func(seed int64, jitter uint8, n uint8) bool {
 		eng, fab, _, b := setup(seed, Config{Latency: 1, Jitter: sim.Time(jitter), Ordered: true})
 		for i := 0; i < int(n); i++ {
-			fab.Send(&coherence.Msg{Type: coherence.AGetM, Src: 1, Dst: 2, Acks: i})
+			fab.Send(&coherence.Msg{Type: coherence.AGetM, Src: 1, Dst: 2, Acks: int32(i)})
 		}
 		eng.RunUntilQuiet()
 		if len(b.got) != int(n) {
 			return false
 		}
 		for i, m := range b.got {
-			if m.Acks != i {
+			if int(m.Acks) != i {
 				return false
 			}
 		}
@@ -384,7 +384,7 @@ type arrivalLog struct {
 func (a *arrivalLog) ID() coherence.NodeID { return a.id }
 func (a *arrivalLog) Name() string         { return "arrivals" }
 func (a *arrivalLog) Recv(m *coherence.Msg) {
-	a.got = append(a.got, arrival{a.eng.Now(), m.Tag, m.Acks})
+	a.got = append(a.got, arrival{a.eng.Now(), m.Tag, int(m.Acks)})
 }
 
 // SendAfter is eng.Schedule(d, func() { fab.Send(m) }) without the
@@ -400,7 +400,7 @@ func TestSendAfterMatchesScheduledSend(t *testing.T) {
 		f.Register(&nop{id: 1})
 		f.Register(log)
 		epoch := 0
-		fill := func(m *coherence.Msg) { m.Acks = epoch }
+		fill := func(m *coherence.Msg) { m.Acks = int32(epoch) }
 		for i := uint64(0); i < 40; i++ {
 			m := &coherence.Msg{Type: coherence.AGetS, Addr: 0x40, Src: 1, Dst: 2, Tag: i}
 			switch delay := sim.Time(i % 4); {

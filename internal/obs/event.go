@@ -211,7 +211,7 @@ func msgDetail(m *coherence.Msg) string {
 		if s != "" {
 			s += " "
 		}
-		s += "acks=" + strconv.Itoa(m.Acks)
+		s += "acks=" + strconv.Itoa(int(m.Acks))
 	}
 	if m.Shared {
 		if s != "" {

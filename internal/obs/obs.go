@@ -41,17 +41,20 @@ type life struct {
 	sealed, hidden bool
 }
 
-// Inc adds one.
+// Inc adds one. A counter hidden by Reset is listed again, as a lookup
+// would list it, so a component may keep a counter across resets.
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v++
+		c.hidden = false
 	}
 }
 
-// Add adds n.
+// Add adds n, and lists a hidden counter again, like Inc.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v += n
+		c.hidden = false
 	}
 }
 
@@ -222,10 +225,52 @@ func (r *Registry) Merge(other *Registry) {
 }
 
 // Clone returns a new registry holding what r lists: what a run's result
-// keeps when r goes on to the machine's next run.
+// keeps when r goes on to the machine's next run. The copies of each kind
+// of instrument share one array, and the histograms' counts another, so a
+// clone is a handful of objects however many instruments r lists.
 func (r *Registry) Clone() *Registry {
-	out := NewRegistry()
-	out.Merge(r)
+	var nc, ng, nh int
+	var slab stats.Slab
+	for _, c := range r.counters {
+		if !c.hidden {
+			nc++
+		}
+	}
+	for _, g := range r.gauges {
+		if !g.hidden {
+			ng++
+		}
+	}
+	for _, h := range r.hists {
+		if !h.hidden {
+			nh++
+			slab.Fit(&h.c)
+		}
+	}
+	out := &Registry{
+		counters: make(map[string]*Counter, nc),
+		gauges:   make(map[string]*Gauge, ng),
+		hists:    make(map[string]*Histogram, nh),
+	}
+	cs, gs, hs := make([]Counter, 0, nc), make([]Gauge, 0, ng), make([]Histogram, 0, nh)
+	for name, c := range r.counters {
+		if !c.hidden {
+			cs = append(cs, Counter{v: c.v})
+			out.counters[name] = &cs[len(cs)-1]
+		}
+	}
+	for name, g := range r.gauges {
+		if !g.hidden {
+			gs = append(gs, Gauge{v: g.v, max: g.max})
+			out.gauges[name] = &gs[len(gs)-1]
+		}
+	}
+	for name, h := range r.hists {
+		if !h.hidden {
+			hs = append(hs, Histogram{c: slab.Clone(&h.c)})
+			out.hists[name] = &hs[len(hs)-1]
+		}
+	}
 	return out
 }
 
@@ -277,7 +322,6 @@ func StateRecorder(r *Registry, prefix string, states []string) func(state, even
 			c = r.Counter(prefix + ".state." + states[state])
 			byState[state] = c
 		}
-		c.v++
-		c.hidden = false
+		c.Inc()
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -177,5 +178,53 @@ func TestReadSnapshotWholeObject(t *testing.T) {
 		if _, err := ReadSnapshot(strings.NewReader(in)); err != nil {
 			t.Errorf("ReadSnapshot(%q): %v", in, err)
 		}
+	}
+}
+
+// TestCloneIsACopy: a clone snapshots as its source does, keeps nothing of
+// it (the source's later records and Reset leave the clone alone), and
+// leaves out what a reset hid.
+func TestCloneIsACopy(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("kept").Add(3)
+	r.Gauge("level").Set(7)
+	r.Gauge("level").Set(2)
+	for _, x := range []float64{1, 4, 4, 300, -2} {
+		r.Histogram("lat").Observe(x)
+	}
+	r.Histogram("empty")
+	r.Seal()
+	r.Counter("run").Inc()
+	r.Reset() // hides "run" until it is recorded into again
+	r.Counter("kept").Add(5)
+	r.Gauge("level").Set(9)
+	r.Histogram("lat").Observe(12)
+	r.Histogram("lat").Observe(700)
+
+	want := r.Snapshot()
+	c := r.Clone()
+	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone snapshot %+v, source's %+v", got, want)
+	}
+	if _, ok := c.Snapshot().Counters["run"]; ok {
+		t.Fatal("the clone lists a counter the source's reset hid")
+	}
+	r.Counter("kept").Add(100)
+	r.Gauge("level").Set(50)
+	r.Histogram("lat").Observe(3)
+	r.Histogram("lat").Observe(900)
+	r.Counter("new").Inc()
+	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records into the source changed the clone: %+v, want %+v", got, want)
+	}
+	r.Reset()
+	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the source's reset changed the clone: %+v, want %+v", got, want)
+	}
+	// A clone is a registry of its own: it records and merges.
+	c.Histogram("lat").Observe(5)
+	c.Merge(c.Clone())
+	if n := c.Histogram("lat").Counts().N(); n != 6 {
+		t.Fatalf("clone histogram holds %d observations after a record and a self-merge, want 6", n)
 	}
 }

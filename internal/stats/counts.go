@@ -51,6 +51,42 @@ func (c *Counts) Reset() {
 	*c = Counts{dense: c.dense, sparse: c.sparse[:0]}
 }
 
+// Slab is storage for copies of several Counts, so that copying them
+// allocates two arrays in all: Fit each original first, then Clone each.
+type Slab struct {
+	nd, ns int // the room Fit asked for
+	dense  []uint64
+	sparse []bucket
+}
+
+// Fit makes room in s for a copy of c.
+func (s *Slab) Fit(c *Counts) {
+	s.nd += len(c.dense)
+	s.ns += len(c.sparse)
+}
+
+// Clone returns a copy of c cut from the front of the room Fit made. The
+// copy's arrays are capped at their length, so a later Add or Merge that
+// grows one copies it out and never writes into the rest of the slab.
+func (s *Slab) Clone(c *Counts) Counts {
+	if s.dense == nil && s.sparse == nil {
+		s.dense, s.sparse = make([]uint64, s.nd), make([]bucket, s.ns)
+	}
+	nd, ns := len(c.dense), len(c.sparse)
+	out := Counts{n: c.n, sum: c.sum}
+	if nd > 0 {
+		out.dense = s.dense[:nd:nd]
+		s.dense = s.dense[nd:]
+		copy(out.dense, c.dense)
+	}
+	if ns > 0 {
+		out.sparse = s.sparse[:ns:ns]
+		s.sparse = s.sparse[ns:]
+		copy(out.sparse, c.sparse)
+	}
+	return out
+}
+
 // Merge adds other's counts to c. Merging is commutative and associative
 // for integer-valued data (see the type comment). A nil other is a no-op.
 func (c *Counts) Merge(other *Counts) {

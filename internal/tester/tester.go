@@ -96,19 +96,23 @@ type Result struct {
 
 // location is one independently-verified byte address. It has one
 // operation in flight at a time and keeps that operation's state itself,
-// so its callbacks are bound once, not once per operation.
+// so it is its own think-time event and one callback serves its store and
+// its loads: a run's locations are one array and a callback each.
 type location struct {
+	r      *runner
 	addr   mem.Addr
 	value  byte // last completed store
 	rounds int
 
 	storing   byte           // operand of the store in flight
-	checker   *seq.Sequencer // core that issued the verifying load in flight
+	checker   *seq.Sequencer // core that issued the verifying load in flight; nil while a store is
 	remaining int            // verifying loads to issue after that one
 
-	start           func() // begins the next store→verify round
-	stored, checked func(*seq.Op)
+	done func(*seq.Op) // completes the store or load in flight
 }
+
+// Fire begins the location's next store→verify round (sim.Event).
+func (loc *location) Fire() { loc.r.startStore(loc) }
 
 type runner struct {
 	sys  System
@@ -132,25 +136,27 @@ func Run(sys System, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("tester: system has no sequencers")
 	}
 
-	var locs []*location
+	locs := make([]location, cfg.Lines*cfg.LocsPerLine)
 	for l := 0; l < cfg.Lines; l++ {
 		for o := 0; o < cfg.LocsPerLine; o++ {
 			// Spread locations across the line so neighboring bytes
 			// exercise read-modify-write correctness.
 			off := o * (mem.BlockBytes / cfg.LocsPerLine)
-			locs = append(locs, &location{
-				addr: cfg.BaseAddr + mem.Addr(l*mem.BlockBytes+off),
-			})
+			loc := &locs[l*cfg.LocsPerLine+o]
+			loc.r, loc.addr = r, cfg.BaseAddr+mem.Addr(l*mem.BlockBytes+off)
+			loc.done = func(op *seq.Op) {
+				if loc.checker == nil {
+					loc.r.storeDone(loc)
+				} else {
+					loc.r.checkDone(loc, op)
+				}
+			}
 		}
 	}
 	r.open = len(locs)
 	eng := sys.Engine()
-	for _, loc := range locs {
-		loc := loc
-		loc.start = func() { r.startStore(loc) }
-		loc.stored = func(*seq.Op) { r.storeDone(loc) }
-		loc.checked = func(op *seq.Op) { r.checkDone(loc, op) }
-		eng.Schedule(sim.Time(r.rng.Intn(16)), loc.start)
+	for i := range locs {
+		eng.ScheduleEvent(sim.Time(r.rng.Intn(16)), &locs[i])
 	}
 
 	quiet := eng.RunUntil(cfg.Deadline)
@@ -193,7 +199,8 @@ func (r *runner) startStore(loc *location) {
 		return
 	}
 	loc.storing = byte(r.rng.Intn(255) + 1) // never 0, so "never written" is distinguishable
-	r.pick().Store(loc.addr, loc.storing, loc.stored)
+	loc.checker = nil
+	r.pick().Store(loc.addr, loc.storing, loc.done)
 }
 
 func (r *runner) storeDone(loc *location) {
@@ -215,11 +222,11 @@ func (r *runner) startChecks(loc *location, remaining int) {
 			return
 		}
 		// Small random think time decorrelates the locations.
-		r.sys.Engine().Schedule(sim.Time(r.rng.Intn(8)), loc.start)
+		r.sys.Engine().ScheduleEvent(sim.Time(r.rng.Intn(8)), loc)
 		return
 	}
 	loc.checker, loc.remaining = r.pick(), remaining-1
-	loc.checker.Load(loc.addr, loc.checked)
+	loc.checker.Load(loc.addr, loc.done)
 }
 
 // checkDone verifies one load against the location's last completed store

@@ -19,9 +19,11 @@ import (
 	"crossingguard/internal/cacheset"
 	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
+	"crossingguard/internal/config"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 	"crossingguard/internal/obs"
+	"crossingguard/internal/seq"
 	"crossingguard/internal/sim"
 )
 
@@ -85,6 +87,41 @@ func NewWideAccel(id coherence.NodeID, name string, eng *sim.Engine, fab *networ
 	w.Init(w, id, name, fab, sets, ways, 1, nil, func(v *wideLine) bool { return v.txn != nil }, w.evict, w.handleCPU)
 	return w
 }
+
+// Device is a wide accelerator and the core that drives it, as a
+// machine's Spec.CustomAccel wires them into a slot (Wire).
+type Device struct {
+	Accel      *WideAccel
+	Seq        *seq.Sequencer
+	sets, ways int
+}
+
+// Wire puts slot's Device on s: a wide accelerator of sets x ways 128-byte
+// lines at slot.AccelID behind the slot's guard, and a core (node 350,
+// "wacc") in front of it, which it adds to s.AccelSeqs. A device of that
+// geometry the slot kept from its machine's last run is restarted and
+// registered again instead of built anew.
+func Wire(s *config.System, slot *config.CustomSlot, sets, ways int) *Device {
+	d := config.SlotDevice[Device](slot)
+	if d.Accel == nil || d.sets != sets || d.ways != ways {
+		*d = Device{sets: sets, ways: ways,
+			Accel: NewWideAccel(slot.AccelID, "wide", s.Eng, s.Fab, slot.XGID, sets, ways),
+			Seq:   seq.New(350, "wacc", s.Eng, s.Fab, slot.AccelID, &s.Ops)}
+	} else {
+		w := d.Accel
+		w.L1.Reset()
+		*w = WideAccel{L1: w.L1, eng: w.eng, xg: w.xg}
+		d.Seq.Restart()
+		s.Fab.Register(d.Accel)
+		s.Fab.Register(d.Seq)
+	}
+	s.AccelSeqs = append(s.AccelSeqs, d.Seq)
+	s.Fab.SetRoutePair(d.Seq.ID(), slot.AccelID, network.Config{Latency: 1, Ordered: true})
+	return d
+}
+
+// Outstanding counts the accelerator's open work.
+func (d *Device) Outstanding() int { return d.Accel.Outstanding() }
 
 // AttachObs registers the translation layer's instruments with r:
 // counters xlate.merges / xlate.splits / xlate.falseshare mirroring the

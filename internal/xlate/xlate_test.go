@@ -5,29 +5,22 @@ import (
 	"math/rand"
 	"testing"
 
-	"crossingguard/internal/coherence"
 	"crossingguard/internal/config"
 	"crossingguard/internal/mem"
-	"crossingguard/internal/network"
 	"crossingguard/internal/seq"
 )
 
 // buildWide attaches a WideAccel (with a sequencer) behind a real guard.
 func buildWide(host config.HostKind, org config.Org, seed int64) (*config.System, *WideAccel, *seq.Sequencer) {
-	var wide *WideAccel
-	var sq *seq.Sequencer
+	var dev *Device
 	spec := config.Spec{
 		Host: host, Org: org, CPUs: 2, AccelCores: 1, Seed: seed, Timeout: 50_000,
-		CustomAccel: func(s *config.System, accelID, xgID coherence.NodeID) func() int {
-			wide = NewWideAccel(accelID, "wide", s.Eng, s.Fab, xgID, 4, 2)
-			sq = seq.New(350, "wacc", s.Eng, s.Fab, accelID, &s.Ops)
-			s.AccelSeqs = append(s.AccelSeqs, sq)
-			s.Fab.SetRoutePair(sq.ID(), accelID, network.Config{Latency: 1, Ordered: true})
-			return wide.Outstanding
+		CustomAccel: func(s *config.System, slot *config.CustomSlot) {
+			dev = Wire(s, slot, 4, 2)
 		},
 	}
 	sys := config.Build(spec)
-	return sys, wide, sq
+	return sys, dev.Accel, dev.Seq
 }
 
 func quiesce(t *testing.T, sys *config.System) {
