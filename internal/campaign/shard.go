@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"crossingguard/internal/accel"
 	"crossingguard/internal/config"
@@ -231,7 +232,7 @@ func newMachine(spec ShardSpec) (*machine, error) {
 	m := &machine{}
 	var perms *perm.Table
 	if spec.Confined {
-		perms = perm.NewTable() // deny everything: the attacker owns no pages
+		perms = takeDenyAll() // deny everything: the attacker owns no pages
 	}
 	var testerSeed int64
 	switch spec.Kind {
@@ -308,6 +309,36 @@ func newMachine(spec ShardSpec) (*machine, error) {
 	return m, nil
 }
 
+// denyAll holds the deny-all permission tables of confined shards whose
+// machines closed, for the next confined shard to reset in place, warm map
+// kept. It holds no more tables than confined shards ran at once.
+var denyAll struct {
+	sync.Mutex
+	free []*perm.Table
+}
+
+// takeDenyAll returns a table that denies every page.
+func takeDenyAll() *perm.Table {
+	denyAll.Lock()
+	defer denyAll.Unlock()
+	n := len(denyAll.free)
+	if n == 0 {
+		return perm.NewTable()
+	}
+	t := denyAll.free[n-1]
+	denyAll.free[n-1] = nil
+	denyAll.free = denyAll.free[:n-1]
+	t.Reset()
+	return t
+}
+
+// putDenyAll gives back the table of a confined shard whose machine closed.
+func putDenyAll(t *perm.Table) {
+	denyAll.Lock()
+	defer denyAll.Unlock()
+	denyAll.free = append(denyAll.free, t)
+}
+
 // RunShard executes one shard to completion on the calling goroutine
 // with the default trace-ring capacity. The shard builds a private
 // machine (engine, fabric, RNGs, memory, permission table) and never
@@ -347,7 +378,11 @@ func runShard(spec ShardSpec, trace bool, tail int, live *Telemetry) ShardResult
 	sys := m.sys
 	// Close parks the machine for the next shard of its shape, so what the
 	// result keeps is copied out of it (counts, error text, metrics,
-	// coverage, observations) or was never its (the trace ring).
+	// coverage, observations) or was never its (the trace ring). A confined
+	// shard's table goes back once the machine that reads it has closed.
+	if spec.Confined {
+		defer putDenyAll(sys.Spec.Perms)
+	}
 	defer sys.Close()
 	var ring *obs.Ring
 	if trace {

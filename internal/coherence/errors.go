@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"slices"
 
 	"crossingguard/internal/mem"
 )
@@ -28,50 +27,49 @@ type ErrorSink interface {
 	ReportError(e ProtocolError)
 }
 
-// ErrorLog is the basic ErrorSink: it records everything.
+// ErrorLog is the basic ErrorSink. It keeps what the OS of the paper's
+// error model acts on: the exact number of reports (Count), the exact
+// count per code (ByCode) and the first reports in order (Errors, at most
+// errorsKept of them). A fuzz shard reports one error per forged message;
+// the log stays the same size however many come, and an error-free
+// machine pays nothing for it.
 type ErrorLog struct {
+	// Errors holds the first reports, in order, in an array the log owns.
 	Errors []ProtocolError
 	// ByCode counts errors per code.
 	ByCode map[string]uint64
 }
 
+// errorsKept is how many of the first reports Errors holds.
+const errorsKept = 8
+
 // NewErrorLog returns an empty log.
 func NewErrorLog() *ErrorLog { return &ErrorLog{ByCode: make(map[string]uint64)} }
 
-// errorLogFirstCap is the room the first reported error makes: most
-// adversarial shards end below it, and an error-free machine pays nothing.
-const errorLogFirstCap = 32
-
-// ReportError implements ErrorSink. Every error is kept. A full list at
-// least doubles — a fuzz shard reports one error per forged message, and
-// append's 1.25× steps past 256 entries would copy such a list twice as
-// often.
+// ReportError implements ErrorSink.
 func (l *ErrorLog) ReportError(e ProtocolError) {
-	if n := len(l.Errors); n == cap(l.Errors) {
-		l.Errors = slices.Grow(l.Errors, max(errorLogFirstCap, n))
+	if len(l.Errors) < errorsKept {
+		if l.Errors == nil {
+			l.Errors = make([]ProtocolError, 0, errorsKept)
+		}
+		l.Errors = append(l.Errors, e)
 	}
-	l.Errors = append(l.Errors, e)
 	l.ByCode[e.Code]++
 }
 
-// Reset empties the log and keeps its array and map for the errors of the
-// next run: a fuzz shard logs one error per forged message, and a fresh
-// array would double its way up again. The errors it held may not be read.
+// Reset empties the log for the next run, keeping its array and map. The
+// errors it held may not be read.
 func (l *ErrorLog) Reset() {
 	clear(l.Errors)
 	l.Errors = l.Errors[:0]
 	clear(l.ByCode)
 }
 
-// Trim lets the log's array go when it has room for more than n errors and
-// the last run filled at most a quarter of it: a machine that waits to run
-// again keeps the array its last run needed, not its largest run's. The
-// errors it held may not be read.
-func (l *ErrorLog) Trim(n int) {
-	if cap(l.Errors) > n && len(l.Errors) <= cap(l.Errors)/4 {
-		l.Errors = nil
-	}
-}
-
 // Count returns the total number of reported errors.
-func (l *ErrorLog) Count() int { return len(l.Errors) }
+func (l *ErrorLog) Count() int {
+	n := 0
+	for _, c := range l.ByCode {
+		n += int(c)
+	}
+	return n
+}

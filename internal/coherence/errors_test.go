@@ -1,6 +1,10 @@
 package coherence
 
-import "testing"
+import (
+	"testing"
+
+	"crossingguard/internal/mem"
+)
 
 // A reset log keeps its array for the next run's errors: it starts empty,
 // counts from zero and holds nothing of the last run's errors, not even
@@ -30,34 +34,35 @@ func TestErrorLogRecycle(t *testing.T) {
 	}
 }
 
-// Trim lets go of a large array only when the last run left it mostly
-// empty: a log that needed its room keeps it, and a small one is kept
-// whatever it held.
-func TestErrorLogTrim(t *testing.T) {
-	fill := func(l *ErrorLog, n int) {
-		l.Reset()
-		for j := 0; j < n; j++ {
-			l.ReportError(ProtocolError{Code: "XG.G1a"})
+// However many errors come, the log counts all of them exactly, in total
+// and per code, keeps the first 8 in order, and allocates nothing after
+// the first report.
+func TestErrorLogBounded(t *testing.T) {
+	l := NewErrorLog()
+	codes := []string{"XG.G1a", "XG.G1b", "XG.G2c"}
+	report := func(i int) {
+		l.ReportError(ProtocolError{Where: "xg", Code: codes[i%len(codes)], Addr: mem.Addr(i)})
+	}
+	report(0)
+	i := 1
+	// AllocsPerRun calls once more than it measures: 1 + 1 + 9 998 reports.
+	if n := testing.AllocsPerRun(9_998, func() { report(i); i++ }); n != 0 {
+		t.Fatalf("a report past the first allocates %.1f objects", n)
+	}
+	if l.Count() != 10_000 {
+		t.Fatalf("Count = %d, want 10000", l.Count())
+	}
+	for j, code := range codes {
+		if want := uint64((10_000 + len(codes) - 1 - j) / len(codes)); l.ByCode[code] != want {
+			t.Fatalf("ByCode[%s] = %d, want %d", code, l.ByCode[code], want)
 		}
 	}
-	l := NewErrorLog()
-	fill(l, 2000)
-	l.Trim(256)
-	if cap(l.Errors) < 2000 {
-		t.Fatalf("Trim dropped the array its last run filled (cap %d)", cap(l.Errors))
+	if len(l.Errors) != 8 {
+		t.Fatalf("the log keeps %d errors, want the first 8", len(l.Errors))
 	}
-	fill(l, 26)
-	l.Trim(256)
-	if l.Errors != nil {
-		t.Fatalf("Trim kept a %d-entry array its last run filled 26 of", cap(l.Errors))
-	}
-	fill(l, 3)
-	l.Trim(256)
-	if l.Errors == nil {
-		t.Fatal("Trim dropped an array within the bound")
-	}
-	fill(l, 40)
-	if l.Count() != 40 || l.ByCode["XG.G1a"] != 40 {
-		t.Fatalf("after Trim the log counts %d errors, %d by code", l.Count(), l.ByCode["XG.G1a"])
+	for j, e := range l.Errors {
+		if e.Addr != mem.Addr(j) || e.Code != codes[j%len(codes)] {
+			t.Fatalf("Errors[%d] = %v, want report %d", j, e, j)
+		}
 	}
 }

@@ -902,9 +902,10 @@ func (s *System) cross(a, b coherence.NodeID, cfg network.Config) {
 // Close ends the machine's run. Nothing of it may be read after Close —
 // not its log, its registry, its agents or a stream — and it must not run
 // again: Close parks it for the next Build of its shape to reset in place
-// (park.go). Under the lifetime check (Fab.CheckLifetimes, on in -race
-// builds) it parks nothing and poisons the random streams instead. Closing
-// twice is harmless.
+// (park.go), its random streams' sources handed to the free list. Under
+// the lifetime check (Fab.CheckLifetimes, on in -race builds) it parks
+// nothing and poisons the random streams instead. Closing twice is
+// harmless.
 func (s *System) Close() {
 	if s.closed {
 		return
@@ -912,7 +913,6 @@ func (s *System) Close() {
 	s.closed = true
 	s.Eng.Close()
 	if s.Eng.Recycles() {
-		s.Log.Trim(parkedLogCap)
 		park(s)
 	}
 }

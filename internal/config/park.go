@@ -5,9 +5,10 @@ import "sync"
 // A closed machine is parked for the next Build of its shape, which resets
 // it in place instead of constructing a new one: the engine's slab, the
 // pools, the channels, the cache arrays and the random streams a machine
-// grew in one run serve the next. The park is process-wide and bounded
-// (parkCap machines); past the bound the machine parked longest ago is
-// dropped for the collector.
+// grew in one run serve the next; the streams' sources are not parked
+// (sim.Engine.Close hands them to a free list). The park is process-wide
+// and bounded (parkCap machines); past the bound the machine parked
+// longest ago is dropped for the collector.
 
 // shape is what construct builds from a normalized spec: the components,
 // their wiring and geometry, and the instruments registered up front. Two
@@ -57,13 +58,6 @@ type parkedSystem struct {
 	s   *System
 	seq uint64
 }
-
-// parkedLogCap is the error-log array a parked machine keeps whatever its
-// last run logged. A fuzz shard logs one error per forged message,
-// thousands, where a chaos shard logs tens, and the two can share a shape:
-// past the bound a machine keeps only an array its last run needed
-// (ErrorLog.Trim), not the array of the largest run it ever had.
-const parkedLogCap = 256
 
 // park adds a closed machine to the park.
 func park(s *System) {

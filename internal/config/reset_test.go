@@ -309,10 +309,7 @@ func machineSig(sys *config.System, drive func(*config.System) string) string {
 	fmt.Fprintf(&b, "now %d executed %d pending %d outstanding %d host %d\n", sys.Eng.Now(), sys.Eng.Executed,
 		sys.Eng.Pending(), sys.Outstanding(), sys.HostOutstanding())
 	fmt.Fprintf(&b, "audit %v\nhost audit %v\n", sys.Audit(), sys.AuditHostOnly())
-	fmt.Fprintf(&b, "errors %d\n", sys.Log.Count())
-	for _, e := range sys.Log.Errors {
-		fmt.Fprintf(&b, " %v\n", e)
-	}
+	fmt.Fprintf(&b, "errors %d, first %v\n", sys.Log.Count(), sys.Log.Errors)
 	writeCodes(&b, sys.Log.ByCode)
 	if err := sys.Obs.WriteJSON(&b); err != nil {
 		panic(err)

@@ -142,9 +142,9 @@ func FuzzGuardMessageStream(f *testing.F) {
 		if err != nil {
 			t.Fatalf("host crashed or deadlocked under stream: %v (after %d CPU ops)", err, res.Loads+res.Stores)
 		}
-		for _, e := range sys.Log.Errors {
-			if !knownCodes[e.Code] {
-				t.Fatalf("unclassified rejection %q: %v", e.Code, e)
+		for code, n := range sys.Log.ByCode {
+			if !knownCodes[code] {
+				t.Fatalf("unclassified rejection %q (%d reports; first kept: %v)", code, n, sys.Log.Errors)
 			}
 		}
 		// Every message the guard, the host and the accelerator side took

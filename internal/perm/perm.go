@@ -68,6 +68,16 @@ func NewTable() *Table {
 	return &Table{pages: make(map[mem.Addr]Access), warm: make(map[mem.Addr]bool)}
 }
 
+// Reset returns the table to NewTable's state, keeping its maps' storage
+// for the next run: it denies every page and counts from zero.
+func (t *Table) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.pages)
+	clear(t.warm)
+	t.Default, t.Lookups, t.Misses = None, 0, 0
+}
+
 // Grant sets the access right for the page containing addr.
 func (t *Table) Grant(addr mem.Addr, a Access) {
 	t.mu.Lock()

@@ -106,3 +106,23 @@ func TestPropertyLookupPeekAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A reset table is a new one: every page denied, the default back to None,
+// the counters at zero and every page cold again.
+func TestResetTable(t *testing.T) {
+	tb := NewTable()
+	tb.Grant(0x5000, ReadWrite)
+	tb.Default = ReadOnly
+	tb.Lookup(0x5000)
+	tb.Lookup(0x9000)
+	tb.Reset()
+	if tb.Lookups != 0 || tb.Misses != 0 {
+		t.Fatalf("a reset table counts %d lookups, %d misses", tb.Lookups, tb.Misses)
+	}
+	if got := tb.Lookup(0x5000); got != None {
+		t.Fatalf("a reset table grants %v", got)
+	}
+	if got := tb.Lookup(0x9000); got != None || tb.Misses != 2 {
+		t.Fatalf("a reset table gives %v by default, %d misses after two cold pages", got, tb.Misses)
+	}
+}

@@ -52,7 +52,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
 
 // Time is the simulated clock, in ticks. One tick loosely corresponds to
@@ -280,7 +279,7 @@ type Engine struct {
 	// streams lists the random streams Rand handed out, in order; drawn
 	// counts those handed out since the last Reset. check is the lifetime
 	// check (CheckLifetimes).
-	streams []*rand.Rand
+	streams []*stream
 	drawn   int
 	check   bool
 }

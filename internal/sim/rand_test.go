@@ -3,7 +3,10 @@ package sim_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"crossingguard/internal/sim"
 )
@@ -110,4 +113,76 @@ func TestCheckedCloseRecyclesNothing(t *testing.T) {
 		}
 	}()
 	closed.Int63()
+}
+
+// Streams seeded alike share one memo of the seeded state, which goes when
+// the last stream holding it does. A recycling engine's Close hands its
+// sources back, so a closed machine holds none; the stream it gets after
+// Reset draws exactly as a fresh source would.
+func TestSeedMemoSharedAndSourcesFreed(t *testing.T) {
+	const seed = 424_242
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	for _, e := range engines {
+		drawMix(e.Rand(seed))
+		e.Reset()
+		drawMix(e.Rand(seed)) // the seed came back: the stream holds its memo
+	}
+	if a, b := engines[0].StreamMemo(0), engines[1].StreamMemo(0); a == nil || a != b {
+		t.Fatalf("two streams seeded alike hold memos %p and %p, want one shared", a, b)
+	}
+	if n, _ := sim.MemoHolds(seed); n != 2 {
+		t.Fatalf("the memo has %d holds, want 2", n)
+	}
+	for _, e := range engines {
+		e.Close()
+		if e.Recycles() && e.Sources() != 0 {
+			t.Fatalf("a closed recycling engine holds %d sources", e.Sources())
+		}
+		if !e.Recycles() {
+			continue // the lifetime check poisons the streams instead
+		}
+		e.Reset()
+		if d := sameDraws(e.Rand(seed), rand.New(rand.NewSource(seed)), 1_000); d >= 0 {
+			t.Fatalf("a stream re-seeded after Close differs from a fresh source at draw %d", d)
+		}
+		if e.Sources() != 1 {
+			t.Fatalf("the re-seeded stream holds %d sources, want 1", e.Sources())
+		}
+	}
+	engines = nil
+	kept := func() bool { _, k := sim.MemoHolds(seed); return k }
+	for i := 0; i < 100 && kept(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n, k := sim.MemoHolds(seed); k {
+		t.Fatalf("the memo is still kept, with %d holds, after its streams were collected", n)
+	}
+}
+
+// Engines on several goroutines share the memos and the free sources: each
+// stream still draws exactly what a fresh source with its seed draws.
+func TestStreamsAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			e := sim.NewEngine()
+			for run := 0; run < 20; run++ {
+				e.Reset()
+				for i := 0; i < 3; i++ {
+					seed := int64(i + run%2) // seeds that come back, on every goroutine
+					if d := sameDraws(e.Rand(seed), rand.New(rand.NewSource(seed)), 200); d >= 0 {
+						t.Errorf("goroutine %d run %d: stream %d differs from a fresh source at draw %d", g, run, i, d)
+						return
+					}
+				}
+				if e.Recycles() {
+					e.Close()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -96,8 +96,8 @@ type Result struct {
 
 // location is one independently-verified byte address. It has one
 // operation in flight at a time and keeps that operation's state itself,
-// so it is its own think-time event and one callback serves its store and
-// its loads: a run's locations are one array and a callback each.
+// so it is its own think-time event, and the run's one callback finds it
+// from the operation's address: a run's locations are one array.
 type location struct {
 	r      *runner
 	addr   mem.Addr
@@ -107,8 +107,6 @@ type location struct {
 	storing   byte           // operand of the store in flight
 	checker   *seq.Sequencer // core that issued the verifying load in flight; nil while a store is
 	remaining int            // verifying loads to issue after that one
-
-	done func(*seq.Op) // completes the store or load in flight
 }
 
 // Fire begins the location's next store→verify round (sim.Event).
@@ -122,13 +120,15 @@ type runner struct {
 	res  Result
 	errs []error
 	open int // locations still running
+	locs []location
+	done func(*seq.Op) // opDone, made once per run
 }
 
 // Run drives the system until every location completes its rounds, then
 // verifies quiescence and invariants. It returns the result and the first
 // detected failure (data mismatch, deadlock, or audit violation).
 func Run(sys System, cfg Config) (Result, error) {
-	if cfg.Lines <= 0 || cfg.LocsPerLine <= 0 || cfg.StoresPerLoc <= 0 {
+	if cfg.Lines <= 0 || cfg.LocsPerLine <= 0 || cfg.LocsPerLine > mem.BlockBytes || cfg.StoresPerLoc <= 0 {
 		return Result{}, fmt.Errorf("tester: bad config %+v", cfg)
 	}
 	r := &runner{sys: sys, cfg: cfg, rng: sys.Engine().Rand(cfg.Seed), seqs: sys.Sequencers()}
@@ -137,23 +137,13 @@ func Run(sys System, cfg Config) (Result, error) {
 	}
 
 	locs := make([]location, cfg.Lines*cfg.LocsPerLine)
-	for l := 0; l < cfg.Lines; l++ {
-		for o := 0; o < cfg.LocsPerLine; o++ {
-			// Spread locations across the line so neighboring bytes
-			// exercise read-modify-write correctness.
-			off := o * (mem.BlockBytes / cfg.LocsPerLine)
-			loc := &locs[l*cfg.LocsPerLine+o]
-			loc.r, loc.addr = r, cfg.BaseAddr+mem.Addr(l*mem.BlockBytes+off)
-			loc.done = func(op *seq.Op) {
-				if loc.checker == nil {
-					loc.r.storeDone(loc)
-				} else {
-					loc.r.checkDone(loc, op)
-				}
-			}
-		}
+	for i := range locs {
+		// Spread locations across the line so neighboring bytes
+		// exercise read-modify-write correctness.
+		l, o := i/cfg.LocsPerLine, i%cfg.LocsPerLine
+		locs[i].r, locs[i].addr = r, cfg.BaseAddr+mem.Addr(l*mem.BlockBytes+o*(mem.BlockBytes/cfg.LocsPerLine))
 	}
-	r.open = len(locs)
+	r.locs, r.done, r.open = locs, r.opDone, len(locs)
 	eng := sys.Engine()
 	for i := range locs {
 		eng.ScheduleEvent(sim.Time(r.rng.Intn(16)), &locs[i])
@@ -186,6 +176,17 @@ func Run(sys System, cfg Config) (Result, error) {
 	return r.res, nil
 }
 
+// opDone completes the store or load in flight at op's location.
+func (r *runner) opDone(op *seq.Op) {
+	off := int(op.Addr - r.cfg.BaseAddr)
+	loc := &r.locs[off/mem.BlockBytes*r.cfg.LocsPerLine+off%mem.BlockBytes/(mem.BlockBytes/r.cfg.LocsPerLine)]
+	if loc.checker == nil {
+		r.storeDone(loc)
+	} else {
+		r.checkDone(loc, op)
+	}
+}
+
 func (r *runner) fail(err error) { r.errs = append(r.errs, err) }
 
 func (r *runner) pick() *seq.Sequencer {
@@ -200,7 +201,7 @@ func (r *runner) startStore(loc *location) {
 	}
 	loc.storing = byte(r.rng.Intn(255) + 1) // never 0, so "never written" is distinguishable
 	loc.checker = nil
-	r.pick().Store(loc.addr, loc.storing, loc.done)
+	r.pick().Store(loc.addr, loc.storing, r.done)
 }
 
 func (r *runner) storeDone(loc *location) {
@@ -226,7 +227,7 @@ func (r *runner) startChecks(loc *location, remaining int) {
 		return
 	}
 	loc.checker, loc.remaining = r.pick(), remaining-1
-	loc.checker.Load(loc.addr, loc.done)
+	loc.checker.Load(loc.addr, r.done)
 }
 
 // checkDone verifies one load against the location's last completed store

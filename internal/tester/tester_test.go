@@ -80,23 +80,28 @@ func (f *fakeSystem) Outstanding() (n int) {
 }
 func (f *fakeSystem) Audit() error { return nil }
 
+// Every location completes its rounds, whichever byte of its line it has:
+// the run's one callback finds the location from the address.
 func TestRunCompletesOnCorrectSystem(t *testing.T) {
-	fs := newFake(4, 1)
-	cfg := DefaultConfig(2)
-	cfg.StoresPerLoc = 10
-	res, err := Run(fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStores := uint64(cfg.Lines * cfg.LocsPerLine * cfg.StoresPerLoc)
-	if res.Stores != wantStores {
-		t.Fatalf("stores = %d, want %d", res.Stores, wantStores)
-	}
-	if res.Loads != wantStores*uint64(cfg.LoadsPerStore) {
-		t.Fatalf("loads = %d", res.Loads)
-	}
-	if res.LoadChecks != res.Loads {
-		t.Fatalf("checks %d != loads %d", res.LoadChecks, res.Loads)
+	for _, perLine := range []int{2, 1, 3, mem.BlockBytes} {
+		fs := newFake(4, 1)
+		cfg := DefaultConfig(2)
+		cfg.StoresPerLoc = 10
+		cfg.LocsPerLine = perLine
+		res, err := Run(fs, cfg)
+		if err != nil {
+			t.Fatalf("%d per line: %v", perLine, err)
+		}
+		wantStores := uint64(cfg.Lines * cfg.LocsPerLine * cfg.StoresPerLoc)
+		if res.Stores != wantStores {
+			t.Fatalf("%d per line: stores = %d, want %d", perLine, res.Stores, wantStores)
+		}
+		if res.Loads != wantStores*uint64(cfg.LoadsPerStore) {
+			t.Fatalf("%d per line: loads = %d", perLine, res.Loads)
+		}
+		if res.LoadChecks != res.Loads {
+			t.Fatalf("%d per line: checks %d != loads %d", perLine, res.LoadChecks, res.Loads)
+		}
 	}
 }
 
@@ -147,6 +152,11 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if _, err := Run(&fakeSystem{eng: sim.NewEngine()}, DefaultConfig(1)); err == nil {
 		t.Fatal("system without sequencers accepted")
+	}
+	crowded := DefaultConfig(1)
+	crowded.LocsPerLine = mem.BlockBytes + 1 // two locations would share a byte
+	if _, err := Run(fs, crowded); err == nil {
+		t.Fatal("more locations than bytes per line accepted")
 	}
 }
 
