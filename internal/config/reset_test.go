@@ -189,17 +189,21 @@ func resetCases() []resetCase {
 			scs := explore.Scenarios()
 			for i, sc := range scs {
 				other := scs[(i+1)%len(scs)]
-				cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%v/%s", host, org, sc.Name), spec, sc, 7, other, 3))
+				cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%v/%s", host, org, sc.Name), spec,
+					sc, []sim.Time{7, 2}, other, []sim.Time{3, 5}))
 			}
 		}
 		spec := config.Spec{Host: host, Org: config.OrgXGFull1L, CPUs: 2, AccelCores: 1, Seed: 31, Small: true}
 		cases = append(cases,
-			pointCase(fmt.Sprintf("explore/%v/quarantine", host), spec, explore.QuarantineScenario(), 5, explore.QuarantineScenario(), 11),
-			pointCase(fmt.Sprintf("explore/%v/recovery", host), spec, explore.RecoveryScenario(), 9, explore.RecoveryScenario(), 2))
+			pointCase(fmt.Sprintf("explore/%v/quarantine", host), spec,
+				explore.QuarantineScenario(), []sim.Time{5}, explore.QuarantineScenario(), []sim.Time{11}),
+			pointCase(fmt.Sprintf("explore/%v/recovery", host), spec,
+				explore.RecoveryScenario(), []sim.Time{9}, explore.RecoveryScenario(), []sim.Time{2}))
 		multiSpec := spec
 		multiSpec.Accels = 2
 		for _, sc := range explore.MultiAccelScenarios() {
-			cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%s", host, sc.Name), multiSpec, sc, 4, sc, 13))
+			cases = append(cases, pointCase(fmt.Sprintf("explore/%v/%s", host, sc.Name), multiSpec,
+				sc, []sim.Time{4}, sc, []sim.Time{13}))
 		}
 		host := host
 		cases = append(cases, resetCase{name: fmt.Sprintf("wide/%v", host),
@@ -277,25 +281,36 @@ func kernelSig(spec config.Spec, kind workload.Kind) string {
 }
 
 // pointCase is one explore scenario point, after a point of another
-// scenario (or offset) on the same machine shape.
-func pointCase(name string, spec config.Spec, sc explore.Scenario, off sim.Time, other explore.Scenario, otherOff sim.Time) resetCase {
-	point := func(sc explore.Scenario, off sim.Time) string {
+// scenario (or choice vector) on the same machine shape. A point's
+// choices are answered from its vector, and 0 past its end; the
+// three-writers cases ask two, off the diagonal only a product of
+// choices reaches.
+func pointCase(name string, spec config.Spec, sc explore.Scenario, vec []sim.Time, other explore.Scenario, otherVec []sim.Time) resetCase {
+	point := func(sc explore.Scenario, vec []sim.Time) string {
 		build := config.Build
 		if sc.Build != nil {
 			build = sc.Build
 		}
+		asked := 0
+		choose := func() (c sim.Time) {
+			if asked < len(vec) {
+				c = vec[asked]
+			}
+			asked++
+			return c
+		}
 		return machineSig(build(spec), func(sys *config.System) string {
-			verify := sc.Run(sys, off)
+			verify := sc.Run(sys, choose)
 			drained := sys.Eng.RunUntil(20_000_000)
 			var verdict error
 			if verify != nil {
 				verdict = verify()
 			}
-			return fmt.Sprintf("point %s@%d drained %v verdict %v\n", sc.Name, off, drained, verdict)
+			return fmt.Sprintf("point %s@%v asked %d drained %v verdict %v\n", sc.Name, vec, asked, drained, verdict)
 		})
 	}
-	return resetCase{name: name, run: func() string { return point(sc, off) },
-		unrelated: func() { point(other, otherOff) }}
+	return resetCase{name: name, run: func() string { return point(sc, vec) },
+		unrelated: func() { point(other, otherVec) }}
 }
 
 // machineSig traces drive on sys, renders what the run decided, and closes

@@ -4,9 +4,9 @@
 // heterogeneous system; this package is the tractable middle ground: for
 // each named race (the Put/Inv race of §2.1, upgrade-vs-invalidate,
 // evict-and-refetch, and a three-way CPU/CPU/accel conflict) it runs the
-// REAL implementation across a grid of injection offsets, so every
-// interleaving the offsets can produce is exercised deterministically
-// and checked against the full system audit.
+// REAL implementation at every vector of timing choices up to a bound,
+// so every interleaving the choices can produce is exercised
+// deterministically and checked against the full system audit.
 package explore
 
 import (
@@ -20,13 +20,17 @@ import (
 	"crossingguard/internal/sim"
 )
 
+// Choose answers a scenario's next open timing choice: a delay in ticks,
+// at most the sweep's bound.
+type Choose func() sim.Time
+
 // Scenario is one parameterized race: build a system, then fire the
-// conflicting operations at the given relative offset (in ticks).
+// conflicting operations at the delays its choices answer.
 type Scenario struct {
 	Name string
-	// Run arms the race on sys with the second party delayed by offset
-	// ticks, and returns a verification callback executed after quiesce.
-	Run func(sys *config.System, offset sim.Time) (verify func() error)
+	// Run arms the race on sys, asking choose for each timing it leaves
+	// open, and returns a verification callback executed after quiesce.
+	Run func(sys *config.System, choose Choose) (verify func() error)
 	// Build, when set, replaces config.Build for the scenario — used by
 	// quarantine scenarios that attach a scripted hostile accelerator via
 	// Spec.CustomAccel.
@@ -42,35 +46,56 @@ type Scenario struct {
 
 // Result summarizes one sweep.
 type Result struct {
-	Scenario string
-	Spec     config.Spec
 	Points   int
 	Failures []string
 }
 
-// Sweep runs scenario at every offset in [0, maxOffset] against the
-// given spec: a just-built system per point, closed once the point is
-// judged, so the next point's Build resets the same machine in place.
-func Sweep(spec config.Spec, sc Scenario, maxOffset sim.Time) Result {
-	res := Result{Scenario: sc.Name, Spec: spec}
+// Sweep runs scenario once for every vector of answers in [0, bound] to
+// the choices it asks, against the given spec: a just-built system per
+// point, closed once the point is judged, so the next point's Build
+// resets the same machine in place. The vectors come in lexicographic
+// order, last choice fastest. Each point replays its vector from the
+// first choice and answers 0 to any choice past it, so a scenario may
+// ask a different number of choices depending on earlier answers; the
+// next vector advances the last choice the point asked that is below
+// bound and drops those after it.
+func Sweep(spec config.Spec, sc Scenario, bound sim.Time) Result {
+	var res Result
 	build := config.Build
 	if sc.Build != nil {
 		build = sc.Build
 	}
-	for off := sim.Time(0); off <= maxOffset; off++ {
-		res.Points++
-		if err := runPoint(build(spec), sc, off); err != nil {
-			res.Failures = append(res.Failures, fmt.Sprintf("%s offset=%d: %v", sc.Name, off, err))
+	var vec []sim.Time
+	asked := 0
+	choose := func() sim.Time {
+		if asked == len(vec) {
+			vec = append(vec, 0)
 		}
+		asked++
+		return vec[asked-1]
 	}
-	return res
+	for {
+		asked = 0
+		res.Points++
+		if err := runPoint(build(spec), sc, choose); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("%s choices=%v: %v", sc.Name, vec[:asked], err))
+		}
+		vec = vec[:asked]
+		for len(vec) > 0 && vec[len(vec)-1] >= bound {
+			vec = vec[:len(vec)-1]
+		}
+		if len(vec) == 0 {
+			return res
+		}
+		vec[len(vec)-1]++
+	}
 }
 
-// runPoint runs sc at offset off on sys and judges the point, then closes
-// sys.
-func runPoint(sys *config.System, sc Scenario, off sim.Time) error {
+// runPoint runs sc on sys with its choices answered by choose and judges
+// the point, then closes sys.
+func runPoint(sys *config.System, sc Scenario, choose Choose) error {
 	defer sys.Close()
-	verify := sc.Run(sys, off)
+	verify := sc.Run(sys, choose)
 	if !sys.Eng.RunUntil(20_000_000) {
 		return errors.New("engine did not drain")
 	}
@@ -104,68 +129,104 @@ func runPoint(sys *config.System, sc Scenario, off sim.Time) error {
 
 const raceLine = mem.Addr(0x7000)
 
-// fillSet issues enough conflicting fills to evict raceLine from the
-// accelerator's (small) cache; used to arm replacement-based races.
-// With Small caches the accel L1 is 2 sets x 2 ways: lines 128 bytes
-// apart collide.
-func fillSet(sq *seq.Sequencer, n int, cb func()) {
-	if n == 0 {
-		cb()
-		return
-	}
-	sq.Store(raceLine+mem.Addr(n*128), byte(n), func(*seq.Op) { fillSet(sq, n-1, cb) })
-}
-
-// putVsInv is the put-vs-inv scenario's state, one point at a time: its
-// callbacks are bound once, so a point allocates nothing and a sweep on a
-// machine that is reset per point allocates nothing at all once warm
-// (TestPutVsInvPointAllocFree).
-type putVsInv struct {
-	sys    *config.System
-	off    sim.Time
-	fill   mem.Addr // lines of raceLine's set still to fill, counting down
-	cpuSaw byte
+// evictRace is the state of the two races that evict the accelerator's
+// dirty copy of raceLine and, at a chosen delay, read the line back:
+// put-vs-inv reads it from a CPU, evict-refetch from the accelerator
+// itself. Its callbacks are bound once, so a point allocates nothing and
+// a sweep on a machine that is reset per point allocates nothing per
+// point once warm (TestPutVsInvPointAllocFree).
+type evictRace struct {
+	val      byte // what the accelerator stores, and the reader must see
+	cpuReads bool
+	sys      *config.System
+	at       sim.Time
+	fill     mem.Addr // lines of raceLine's set still to fill, counting down
+	saw      byte
 
 	stored, filled, loaded func(*seq.Op)
-	claim                  func()
+	read                   func()
 	verify                 func() error
 }
 
-func newPutVsInv() *putVsInv {
-	p := &putVsInv{}
+func newEvictRace(val byte, cpuReads bool) *evictRace {
+	p := &evictRace{val: val, cpuReads: cpuReads}
 	p.stored, p.filled, p.loaded = p.onStored, p.onFilled, p.onLoaded
-	p.claim, p.verify = p.onClaim, p.check
+	p.read, p.verify = p.onRead, p.check
 	return p
 }
 
-func (p *putVsInv) run(sys *config.System, off sim.Time) func() error {
-	p.sys, p.off, p.fill, p.cpuSaw = sys, off, 2, 255
-	sys.AccelSeqs[0].Store(raceLine, 11, p.stored)
+func (p *evictRace) run(sys *config.System, choose Choose) func() error {
+	p.sys, p.at, p.fill, p.saw = sys, choose(), 2, 255
+	sys.AccelSeqs[0].Store(raceLine, p.val, p.stored)
 	return p.verify
 }
 
-// onStored evicts raceLine by filling its set (as fillSet does); at the
-// swept offset, a CPU claims the line.
-func (p *putVsInv) onStored(*seq.Op) {
+// onStored evicts raceLine by filling its set: with Small caches the
+// accel L1 is 2 sets x 2 ways, so lines 128 bytes apart collide. At the
+// chosen delay, the reader loads the line.
+func (p *evictRace) onStored(*seq.Op) {
 	p.onFilled(nil)
-	p.sys.Eng.Schedule(p.off, p.claim)
+	p.sys.Eng.Schedule(p.at, p.read)
 }
 
-func (p *putVsInv) onFilled(*seq.Op) {
+func (p *evictRace) onFilled(*seq.Op) {
 	if n := p.fill; n > 0 {
 		p.fill--
 		p.sys.AccelSeqs[0].Store(raceLine+n*128, byte(n), p.filled)
 	}
 }
 
-func (p *putVsInv) onClaim()            { p.sys.CPUSeqs[0].Load(raceLine, p.loaded) }
-func (p *putVsInv) onLoaded(op *seq.Op) { p.cpuSaw = op.Result }
+func (p *evictRace) onRead() {
+	reader := p.sys.AccelSeqs[0]
+	if p.cpuReads {
+		reader = p.sys.CPUSeqs[0]
+	}
+	reader.Load(raceLine, p.loaded)
+}
 
-func (p *putVsInv) check() error {
-	if p.cpuSaw != 11 {
-		return fmt.Errorf("CPU read %d, want 11 (put data lost in the race)", p.cpuSaw)
+func (p *evictRace) onLoaded(op *seq.Op) { p.saw = op.Result }
+
+func (p *evictRace) check() error {
+	if p.saw != p.val {
+		return fmt.Errorf("read %d, want %d (the evicted data lost in the race)", p.saw, p.val)
 	}
 	return nil
+}
+
+// writeThenAgree arms the write-then-agree race: writers[0] stores first
+// at once and writers[i] stores first+i after at[i-1] ticks. Once every
+// store has completed, each reader loads the line; all must read the same
+// value, and it must be one of those written.
+func writeThenAgree(sys *config.System, first byte, writers, readers []*seq.Sequencer, at ...sim.Time) func() error {
+	vals := make([]byte, len(readers))
+	reads, writes := 0, 0
+	wrote := func(*seq.Op) {
+		if writes++; writes < len(writers) {
+			return
+		}
+		for i, sq := range readers {
+			sq.Load(raceLine, func(op *seq.Op) { vals[i] = op.Result; reads++ })
+		}
+	}
+	writers[0].Store(raceLine, first, wrote)
+	for i, delay := range at {
+		sq, v := writers[i+1], first+byte(i+1)
+		sys.Eng.Schedule(delay, func() { sq.Store(raceLine, v, wrote) })
+	}
+	return func() error {
+		if reads != len(readers) {
+			return fmt.Errorf("only %d of %d final reads completed", reads, len(readers))
+		}
+		for _, v := range vals {
+			if v != vals[0] {
+				return fmt.Errorf("divergent final values %v (convergence failed)", vals)
+			}
+		}
+		if vals[0] < first || vals[0] >= first+byte(len(writers)) {
+			return fmt.Errorf("final value %d is none of the written values", vals[0])
+		}
+		return nil
+	}
 }
 
 // Scenarios returns the named races. A scenario may keep its points' state
@@ -178,14 +239,15 @@ func Scenarios() []Scenario {
 			// — the accelerator evicts a modified line while a CPU
 			// writes the same line.
 			Name: "put-vs-inv",
-			Run:  newPutVsInv().run,
+			Run:  newEvictRace(11, true).run,
 		},
 		{
 			// The accelerator upgrades S->M while a CPU writes: the
 			// guard must invalidate the accelerator's stale S copy and
 			// still deliver fresh data to the upgrade.
 			Name: "upgrade-vs-inv",
-			Run: func(sys *config.System, off sim.Time) func() error {
+			Run: func(sys *config.System, choose Choose) func() error {
+				at := choose()
 				var accelSaw, cpuSaw = byte(255), byte(255)
 				done := false
 				sys.AccelSeqs[0].Load(raceLine, func(*seq.Op) { // accel caches S
@@ -198,7 +260,7 @@ func Scenarios() []Scenario {
 							})
 						})
 					})
-					sys.Eng.Schedule(off, func() {
+					sys.Eng.Schedule(at, func() {
 						sys.CPUSeqs[0].Store(raceLine, 99, nil)
 					})
 				})
@@ -225,58 +287,18 @@ func Scenarios() []Scenario {
 			// the accelerator's Get behind its own writeback so the
 			// refetch observes the written-back data.
 			Name: "evict-refetch",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				var saw = byte(255)
-				sys.AccelSeqs[0].Store(raceLine, 31, func(*seq.Op) {
-					fillSet(sys.AccelSeqs[0], 2, func() {})
-					sys.Eng.Schedule(off, func() {
-						sys.AccelSeqs[0].Load(raceLine, func(op *seq.Op) { saw = op.Result })
-					})
-				})
-				return func() error {
-					if saw != 31 {
-						return fmt.Errorf("refetch read %d, want 31", saw)
-					}
-					return nil
-				}
-			},
+			Run:  newEvictRace(31, false).run,
 		},
 		{
 			// Three-way conflict: two CPUs and the accelerator write the
-			// same line in a swept alignment; afterwards everyone must
-			// agree on a single final value.
+			// same line, the second CPU after a chosen delay and the
+			// accelerator a second chosen delay after that; afterwards
+			// everyone must agree on a single final value.
 			Name: "three-writers",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				vals := make([]byte, 3)
-				reads := 0
-				readAll := func() {
-					for i, sq := range []*seq.Sequencer{sys.CPUSeqs[0], sys.CPUSeqs[1], sys.AccelSeqs[0]} {
-						i, sq := i, sq
-						sq.Load(raceLine, func(op *seq.Op) { vals[i] = op.Result; reads++ })
-					}
-				}
-				writes := 0
-				wrote := func(*seq.Op) {
-					writes++
-					if writes == 3 {
-						readAll()
-					}
-				}
-				sys.CPUSeqs[0].Store(raceLine, 41, wrote)
-				sys.Eng.Schedule(off, func() { sys.CPUSeqs[1].Store(raceLine, 42, wrote) })
-				sys.Eng.Schedule(2*off, func() { sys.AccelSeqs[0].Store(raceLine, 43, wrote) })
-				return func() error {
-					if reads != 3 {
-						return fmt.Errorf("only %d final reads completed", reads)
-					}
-					if vals[0] != vals[1] || vals[1] != vals[2] {
-						return fmt.Errorf("divergent final values %v (convergence failed)", vals)
-					}
-					if vals[0] != 41 && vals[0] != 42 && vals[0] != 43 {
-						return fmt.Errorf("final value %d is none of the written values", vals[0])
-					}
-					return nil
-				}
+			Run: func(sys *config.System, choose Choose) func() error {
+				all := []*seq.Sequencer{sys.CPUSeqs[0], sys.CPUSeqs[1], sys.AccelSeqs[0]}
+				a := choose()
+				return writeThenAgree(sys, 41, all, all, a, a+choose())
 			},
 		},
 	}

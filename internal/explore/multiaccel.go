@@ -2,7 +2,7 @@
 // guard, fighting over one block. The host fabric is the only path
 // between them, so every interleaving here exercises the full
 // guard-to-guard migration machinery (recall at the losing guard, grant
-// at the winning one) at a swept timing offset.
+// at the winning one) at a swept timing choice.
 package explore
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"crossingguard/internal/config"
 	"crossingguard/internal/seq"
-	"crossingguard/internal/sim"
 )
 
 // deviceSeq returns the first sequencer belonging to accelerator device
@@ -30,56 +29,28 @@ func MultiAccelScenarios() []Scenario {
 	return []Scenario{
 		{
 			// The core migration race: device A owns the block modified;
-			// at a swept offset device B writes the same block. A's guard
+			// after a chosen delay device B writes the same block. A's guard
 			// must recall the dirty data and B's guard must re-grant it,
 			// all through the host. Afterwards both devices and a CPU
 			// must agree on one final value.
 			Name: "xaccel-migrate",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				seqA, seqB := deviceSeq(sys, 0), deviceSeq(sys, 1)
-				vals := make([]byte, 3)
-				reads := 0
-				writes := 0
-				readAll := func() {
-					for i, sq := range []*seq.Sequencer{seqA, seqB, sys.CPUSeqs[0]} {
-						i, sq := i, sq
-						sq.Load(raceLine, func(op *seq.Op) { vals[i] = op.Result; reads++ })
-					}
-				}
-				wrote := func(*seq.Op) {
-					writes++
-					if writes == 2 {
-						readAll()
-					}
-				}
-				seqA.Store(raceLine, 51, wrote)
-				sys.Eng.Schedule(off, func() { seqB.Store(raceLine, 52, wrote) })
-				return func() error {
-					if reads != 3 {
-						return fmt.Errorf("only %d final reads completed", reads)
-					}
-					if vals[0] != vals[1] || vals[1] != vals[2] {
-						return fmt.Errorf("devices diverge after migration: %v", vals)
-					}
-					if vals[0] != 51 && vals[0] != 52 {
-						return fmt.Errorf("final value %d is neither written value", vals[0])
-					}
-					return nil
-				}
+			Run: func(sys *config.System, choose Choose) func() error {
+				devices := []*seq.Sequencer{deviceSeq(sys, 0), deviceSeq(sys, 1)}
+				return writeThenAgree(sys, 51, devices, append(devices, sys.CPUSeqs[0]), choose())
 			},
 		},
 		{
-			// Migration to shared: device A writes, device B reads at a
-			// swept offset. B's read crosses two guards and must observe
+			// Migration to shared: device A writes, device B reads after a
+			// chosen delay. B's read crosses two guards and must observe
 			// A's store once it completed; A re-reading its own store must
 			// never lose it to the downgrade.
 			Name: "xaccel-read-share",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				seqA, seqB := deviceSeq(sys, 0), deviceSeq(sys, 1)
+			Run: func(sys *config.System, choose Choose) func() error {
+				seqA, seqB, at := deviceSeq(sys, 0), deviceSeq(sys, 1), choose()
 				var sawB, sawA = byte(255), byte(255)
 				done := false
 				seqA.Store(raceLine, 61, func(*seq.Op) {
-					sys.Eng.Schedule(off, func() {
+					sys.Eng.Schedule(at, func() {
 						seqB.Load(raceLine, func(op *seq.Op) {
 							sawB = op.Result
 							seqA.Load(raceLine, func(op *seq.Op) {
@@ -105,12 +76,12 @@ func MultiAccelScenarios() []Scenario {
 		},
 		{
 			// Ping-pong under CPU pressure: the devices alternate stores
-			// to one line while a CPU writes at a swept offset; the line
+			// to one line while a CPU writes after a chosen delay; the line
 			// migrates guard->host->guard repeatedly and the last read
 			// must observe one of the written values with no divergence.
 			Name: "xaccel-pingpong",
-			Run: func(sys *config.System, off sim.Time) func() error {
-				seqA, seqB := deviceSeq(sys, 0), deviceSeq(sys, 1)
+			Run: func(sys *config.System, choose Choose) func() error {
+				seqA, seqB, at := deviceSeq(sys, 0), deviceSeq(sys, 1), choose()
 				var final = byte(255)
 				round := 0
 				var ping func(*seq.Op)
@@ -128,7 +99,7 @@ func MultiAccelScenarios() []Scenario {
 					}
 				}
 				seqA.Store(raceLine, 70, ping)
-				sys.Eng.Schedule(off, func() { sys.CPUSeqs[0].Store(raceLine, 99, nil) })
+				sys.Eng.Schedule(at, func() { sys.CPUSeqs[0].Store(raceLine, 99, nil) })
 				return func() error {
 					if final == 255 {
 						return fmt.Errorf("final read never completed")

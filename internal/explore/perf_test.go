@@ -19,28 +19,31 @@ func putVsInvSpecs() []config.Spec {
 	return specs
 }
 
-// A put-vs-inv point on a machine reset in place allocates nothing once
-// warm: Build takes the parked machine and resets it, the race runs to
-// drain, the audit judges it on storage it kept, and Close parks it again.
-// Under -race nothing is parked (the lifetime check), so the gate skips.
+// A warm put-vs-inv or evict-refetch point on a machine reset in place
+// allocates nothing: Build takes the parked machine and resets it, the
+// race runs to drain, the audit judges it on storage it kept, and Close
+// parks it again. So a warm sweep of 41 points allocates no more than a
+// sweep of one, whose few objects are the sweep's own. Under -race
+// nothing is parked (the lifetime check), so the gate skips.
 func TestPutVsInvPointAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	sc := Scenarios()[0]
-	for _, spec := range putVsInvSpecs() {
-		off := sim.Time(0)
-		point := func() {
-			if err := runPoint(config.Build(spec), sc, off%41); err != nil {
-				t.Fatal(err)
+	scs := Scenarios()
+	for _, sc := range []Scenario{scs[0], scs[2]} { // put-vs-inv, evict-refetch
+		for _, spec := range putVsInvSpecs() {
+			sweep := func(bound sim.Time) func() {
+				return func() {
+					if res := Sweep(spec, sc, bound); len(res.Failures) > 0 {
+						t.Fatal(res.Failures[0])
+					}
+				}
 			}
-			off++
-		}
-		for i := 0; i < 41; i++ {
-			point() // warm-up: every offset once
-		}
-		if n := testing.AllocsPerRun(100, point); n != 0 {
-			t.Errorf("%s: a put-vs-inv point allocates %.1f objects after warm-up, want 0", spec.Name(), n)
+			sweep(40)() // warm-up: every answer once
+			if one, all := testing.AllocsPerRun(10, sweep(0)), testing.AllocsPerRun(10, sweep(40)); all > one {
+				t.Errorf("%s on %s: a warm sweep allocates %.0f objects at bound 40, %.0f at bound 0",
+					sc.Name, spec.Name(), all, one)
+			}
 		}
 	}
 }
@@ -54,8 +57,10 @@ func BenchmarkPutVsInvPoint(b *testing.B) {
 	for _, spec := range putVsInvSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := runPoint(config.Build(spec), sc, sim.Time(i%41)); err != nil {
+			var i sim.Time
+			choose := func() sim.Time { return i % 41 }
+			for ; i < sim.Time(b.N); i++ {
+				if err := runPoint(config.Build(spec), sc, choose); err != nil {
 					b.Fatal(err)
 				}
 			}
