@@ -69,6 +69,9 @@ func TestExitCodes(t *testing.T) {
 			"xgcampaign: 65 accelerator devices exceeds the limit of 64"},
 		{"too many devices in a repro", []string{"xgcampaign", "-repro", "kind=stress host=mesi org=xg-full/1L seed=1 accels=100000000"}, 2,
 			"xgcampaign: campaign: 100000000 accelerator devices exceeds the limit of 64"},
+		{"weak stress on two cores", []string{"xgcampaign", "-repro", "kind=stress host=mesi org=xg-weak seed=1 cores=2"}, 2,
+			"xgcampaign: campaign: stress on xg-weak needs cores=1: its cores see each other's stores only after a flush " +
+				`(got "kind=stress host=mesi org=xg-weak seed=1 cores=2")`},
 		{"stalewriter convicted", []string{"xgcampaign", "-repro", chaos + "model=stalewriter checked=1"}, 1, ""},
 		{"babbler quarantined", []string{"xgcampaign", "-repro", chaos + "model=babbler"}, 3, ""},
 		{"clean log", []string{"xgcheck", clean}, 0, ""},

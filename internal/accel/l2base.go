@@ -3,17 +3,15 @@ package accel
 import (
 	"fmt"
 
-	"crossingguard/internal/cacheset"
-	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 )
 
-// l2Base is what the two accelerator L2s (SharedL2, WeakL2) have in
-// common: the Crossing Guard side of the interface — how a line is put or
-// recalled back, the writebacks in flight — and the queues of inner-L1
-// requests waiting for a line or a way.
+// l2Base is the shared accelerator L2's Crossing Guard side of the
+// interface — how a line is put or recalled back, the writebacks in
+// flight — and its queues of inner-L1 requests waiting for a line or a
+// way.
 type l2Base struct {
 	id   coherence.NodeID
 	name string
@@ -21,8 +19,7 @@ type l2Base struct {
 	cfg  Config
 	xg   coherence.NodeID
 	// epoch is the guard epoch the hierarchy operates under, stamped on
-	// every message sent (0 until the first device reset, and always for
-	// the weak hierarchy, which takes no part in recovery).
+	// every message sent (0 until the first device reset).
 	epoch uint32
 
 	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
@@ -32,17 +29,27 @@ type l2Base struct {
 	// may be deferred until this very Invalidate is answered).
 	invs      coherence.LineQueues
 	waiting   coherence.LineQueues
-	stalled   []*coherence.Msg // kept until replayed
+	stalled   []*coherence.Msg // misses waiting for a recalled way, kept until replayed
+	full      []*coherence.Msg // misses that found every way busy, kept until a line goes idle
 	replaying *coherence.Msg   // message being replayed from the queue head
 	// doRecv and doAInv are the L2's Recv and handleAInv, bound once (the
 	// first is also a CallAfter handler).
 	doRecv, doAInv func(*coherence.Msg)
+	// doReplay is doRecv for a stalled Get, which replays as the head of
+	// its line's queue: whatever queued for the line arrived after it.
+	doReplay func(*coherence.Msg)
 }
 
 func (l *l2Base) init(id coherence.NodeID, name string, fab *network.Fabric, xg coherence.NodeID, cfg Config,
 	recv, aInv func(*coherence.Msg)) {
 	*l = l2Base{id: id, name: name, fab: fab, cfg: cfg, xg: xg, doRecv: recv, doAInv: aInv,
 		evictions: make(map[mem.Addr]struct{})}
+	l.doReplay = func(m *coherence.Msg) {
+		prev := l.replaying
+		l.replaying = m
+		recv(m)
+		l.replaying = prev
+	}
 }
 
 // reset empties the queues under a new guard epoch, keeping their storage.
@@ -52,7 +59,8 @@ func (l *l2Base) reset(epoch uint32) {
 	l.invs.Reset()
 	l.waiting.Reset()
 	clear(l.stalled)
-	l.stalled, l.replaying = l.stalled[:0], nil
+	clear(l.full)
+	l.stalled, l.full, l.replaying = l.stalled[:0], l.full[:0], nil
 }
 
 // ID implements coherence.Controller.
@@ -116,8 +124,10 @@ func claim(host AState, dirty bool) AState {
 }
 
 // wake serves the guard Invalidate parked on addr's line, or with none the
-// oldest queued request: the line has gone idle or left the cache.
+// oldest queued request: the line has gone idle or left the cache, so the
+// misses that found every way busy replay too.
 func (l *l2Base) wake(addr mem.Addr) {
+	l.replay(&l.full)
 	next, handle := l.invs.Pop(addr), l.doAInv
 	if next == nil {
 		if next, handle = l.waiting.Pop(addr), l.doRecv; next == nil {
@@ -133,21 +143,18 @@ func (l *l2Base) wake(addr mem.Addr) {
 	l.replaying = prev
 }
 
-func (l *l2Base) replayStalled() {
-	for i, m := range l.stalled {
-		l.fab.CallAfter(0, l.doRecv, m)
-		l.stalled[i] = nil
-	}
-	l.stalled = l.stalled[:0]
-}
+// replayStalled replays the misses waiting for a recalled way: a line has
+// left the cache.
+func (l *l2Base) replayStalled() { l.replay(&l.stalled) }
 
-// heldLine reports an idle L2 line's claim toward the host: the guard's
-// grant, or Modified once an inner core has written under it. An M grant
-// is dirty toward the host before any write: its data may have come from
-// a CPU's dirty copy.
-func heldLine(fn chassis.HeldFunc, addr mem.Addr, host AState, data *mem.Block, dirty bool) {
-	st := claim(host, dirty)
-	fn(addr, st.Level(), data, st == AM)
+// replay hands every miss of ms back to Recv as the head of its line's
+// queue, and empties ms.
+func (l *l2Base) replay(ms *[]*coherence.Msg) {
+	for i, m := range *ms {
+		l.fab.CallAfter(0, l.doReplay, m)
+		(*ms)[i] = nil
+	}
+	*ms = (*ms)[:0]
 }
 
 // WBPending reports writebacks to the guard in flight (zero at quiesce).
@@ -155,16 +162,3 @@ func (l *l2Base) WBPending() int { return len(l.evictions) }
 
 // grantLevel is the permission a guard grant confers: Table 1's B row.
 func grantLevel(t coherence.MsgType) AState { return table1.At(AB, l1Table.Event(t)).next }
-
-// lruWhere returns the least recently used line of addr's set that passes
-// ok, or nil: the L2s' choice of a line to recall so a stalled miss can
-// allocate.
-func lruWhere[T any](c *cacheset.Cache[T], addr mem.Addr, ok func(*cacheset.Entry[T]) bool) *cacheset.Entry[T] {
-	var cand *cacheset.Entry[T]
-	c.VisitSet(addr, func(e *cacheset.Entry[T]) {
-		if ok(e) && (cand == nil || c.LRUOrder(e) < c.LRUOrder(cand)) {
-			cand = e
-		}
-	})
-	return cand
-}

@@ -35,6 +35,9 @@ type sl2Txn struct {
 	// data.
 	pendingInvAck bool
 	granted       bool // the fetch's grant already arrived
+	// keep: the weak model's M grant, which leaves sibling copies alone
+	// and records the requestor as one more sharer, never as the owner.
+	keep bool
 }
 
 // sl2Line is the payload of one shared-L2 line. data is the L2's own
@@ -76,6 +79,7 @@ type ackKey struct {
 type SharedL2 struct {
 	l2Base // the guard side and the request queues; internal X* traffic carries its epoch too
 
+	tab   *coherence.Rules[int, sl2Action] // the cells Recv runs
 	cache *cacheset.Cache[sl2Line]
 	txns  coherence.Txns[sl2Txn]
 	// ignoreAck counts the XInvAcks still to come from an inner L1 whose
@@ -97,15 +101,21 @@ type SharedL2 struct {
 // NewSharedL2 builds and registers the shared accelerator L2.
 func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	xg coherence.NodeID, cfg Config) *SharedL2 {
-	l := &SharedL2{
-		cache:     cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways),
-		ignoreAck: make(map[ackKey]int),
-		Cov:       sl2Rules.Coverage(),
-	}
-	l.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
-	l.doServe = l.serve
-	fab.Register(l)
+	l := &SharedL2{}
+	l.init(l, sl2Rules, id, name, fab, xg, cfg)
 	return l
+}
+
+// init builds the L2 over table t and registers self, the L2 type
+// embedding l, with the fabric.
+func (l *SharedL2) init(self coherence.Controller, t *coherence.Rules[int, sl2Action], id coherence.NodeID,
+	name string, fab *network.Fabric, xg coherence.NodeID, cfg Config) {
+	l.l2Base.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
+	l.tab, l.Cov = t, t.Coverage()
+	l.cache = cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways)
+	l.ignoreAck = make(map[ackKey]int)
+	l.doServe = l.serve
+	fab.Register(self)
 }
 
 // Shared-L2 coverage states: the host grant level (by AState), the same
@@ -122,17 +132,20 @@ var sharedL2Table = coherence.NewTable(
 	coherence.XGetS, coherence.XGetM, coherence.XPutM, coherence.XPutS, coherence.XInvAck, coherence.XInvWB,
 	coherence.ADataS, coherence.ADataE, coherence.ADataM, coherence.AWBAck, coherence.AInv, coherence.ANack)
 
-// sl2Action is what a cell of the shared L2's table does. The first two
+// sl2Action is what a cell of the shared L2's table does. The first four
 // take a Get, so they wait behind queued requests and a writeback in
 // flight.
 type sl2Action uint8
 
 const (
 	fetchMiss    sl2Action = iota // allocate the line and fetch it from the guard
+	fetchKeep                     // fetchMiss, but the M grant keeps copies (weak model: see sl2Txn.keep)
 	lookupGet                     // reserve the line for the lookup latency, then serve the Get
+	lookupKeep                    // lookupGet, but the M grant keeps copies (weak model)
 	queueGet                      // queue the Get behind the open transaction
 	takePut                       // take the owner's writeback
 	busyPut                       // a Put racing the open transaction (see Recv)
+	mergePut                      // take any holder's writeback, idle or racing (weak model)
 	forgetSharer                  // XPutS: forget the sharer, fire-and-forget
 	collectAck                    // an inner L1 answers the transaction's XInv
 	dropLate                      // an XInvAck whose Put already answered its XInv
@@ -144,6 +157,7 @@ const (
 
 var (
 	sl2Gets     = []int{sharedL2Table.Event(coherence.XGetS), sharedL2Table.Event(coherence.XGetM)}
+	sl2GetM     = sl2Gets[1:]
 	sl2PutM     = []int{sharedL2Table.Event(coherence.XPutM)}
 	sl2PutS     = []int{sharedL2Table.Event(coherence.XPutS)}
 	sl2InvAck   = []int{sharedL2Table.Event(coherence.XInvAck)}
@@ -227,12 +241,12 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 	e := l.cache.Peek(addr)
 	k, ev := l.covState(e), sharedL2Table.Event(m.Type)
 	l.Cov.Record(k, ev)
-	do := sl2Rules.At(k, ev)
+	do := l.tab.At(k, ev)
 	if do == nil {
 		l.unexpected(k, m)
 	}
 	act := *do
-	if act <= lookupGet && (l.evicting(addr) || l.waiting.Waiting(addr) && m != l.replaying) {
+	if act <= lookupKeep && (l.evicting(addr) || l.waiting.Waiting(addr) && m != l.replaying) {
 		// Strict per-line FIFO: nothing may overtake queued requests.
 		act = queueGet
 	}
@@ -240,11 +254,12 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 		panic(fmt.Sprintf("%s: %v with no fetch", l.name, m))
 	}
 	switch act {
-	case fetchMiss:
-		l.missFetch(m)
-	case lookupGet:
+	case fetchMiss, fetchKeep:
+		l.missFetch(m, act == fetchKeep)
+	case lookupGet, lookupKeep:
 		l.fab.CallAfter(l.cfg.L2Lat, l.doServe, m)
 		l.open(&e.V, sl2LocalInv, m.Src, false)
+		e.V.txn.keep = act == lookupKeep
 	case queueGet:
 		l.waiting.Push(addr, m)
 	case takePut:
@@ -267,6 +282,21 @@ func (l *SharedL2) Recv(m *coherence.Msg) {
 			l.absorbPut(e, m)
 		default:
 			l.waiting.Push(addr, m)
+		}
+	case mergePut:
+		// The weak model's write-back: a holder's whole block wins, the
+		// last writer's over the others'. A Put that crossed our Inv
+		// answers it.
+		if !e.V.sharers.Remove(m.Src) {
+			panic(fmt.Sprintf("%s: Put from non-holder %d for %v", l.name, m.Src, addr))
+		}
+		l.absorbPut(e, m)
+		switch {
+		case !e.V.busy():
+			l.wake(addr)
+		case e.V.txn.wait.Remove(m.Src):
+			l.ignoreAck[ackKey{addr, m.Src}]++
+			l.advance(addr, e)
 		}
 	case forgetSharer:
 		if e != nil {
@@ -320,7 +350,7 @@ func (l *SharedL2) Restart() {
 
 // --- inner L1 requests ---
 
-func (l *SharedL2) missFetch(m *coherence.Msg) {
+func (l *SharedL2) missFetch(m *coherence.Msg, keep bool) {
 	addr := m.Addr.Line()
 	var victim cacheset.Entry[sl2Line]
 	e, evicted, ok := l.cache.Allocate(addr, func(e *cacheset.Entry[sl2Line]) bool {
@@ -329,13 +359,20 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 	}, &victim)
 	if !ok {
 		// Recall the LRU idle line with local copies so the miss can
-		// allocate when it is replayed.
-		if cand := lruWhere(l.cache, addr, func(e *cacheset.Entry[sl2Line]) bool {
-			return !e.V.busy() && !l.evicting(e.Addr)
-		}); cand != nil {
-			l.recallCopies(cand, sl2LocalInv)
-		}
+		// allocate when it is replayed; with every way busy, the miss
+		// waits for a line to go idle.
+		var cand *cacheset.Entry[sl2Line]
+		l.cache.VisitSet(addr, func(e *cacheset.Entry[sl2Line]) {
+			if !e.V.busy() && !l.evicting(e.Addr) && (cand == nil || l.cache.LRUOrder(e) < l.cache.LRUOrder(cand)) {
+				cand = e
+			}
+		})
 		m.Keep()
+		if cand == nil {
+			l.full = append(l.full, m)
+			return
+		}
+		l.recallCopies(cand, sl2LocalInv)
 		l.stalled = append(l.stalled, m)
 		return
 	}
@@ -346,6 +383,7 @@ func (l *SharedL2) missFetch(m *coherence.Msg) {
 	wantM := m.Type == coherence.XGetM
 	e.V = sl2Line{owner: coherence.NodeNone, sharers: l.spare.Get()}
 	l.open(&e.V, sl2Fetch, m.Src, wantM)
+	e.V.txn.keep = keep
 	ty := coherence.AGetS
 	if wantM {
 		ty = coherence.AGetM
@@ -399,7 +437,9 @@ func (l *SharedL2) localInvForGetM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 	if e.V.owner != coherence.NodeNone && e.V.owner != t.requestor {
 		l.LocalSharing++
 	}
-	l.invalidateCopies(e, t.requestor)
+	if !t.keep {
+		l.invalidateCopies(e, t.requestor)
+	}
 	l.maybeGrantM(addr, e)
 }
 
@@ -417,8 +457,12 @@ func (l *SharedL2) maybeGrantM(addr mem.Addr, e *cacheset.Entry[sl2Line]) {
 		return
 	}
 	i := t.requestor
-	e.V.sharers = e.V.sharers[:0]
-	e.V.owner = i
+	if t.keep {
+		e.V.sharers.Add(i)
+	} else {
+		e.V.sharers = e.V.sharers[:0]
+		e.V.owner = i
+	}
 	l.closeTxn(&e.V)
 	l.send(coherence.Msg{Type: coherence.XDataM, Addr: addr, Dst: i,
 		Data: e.V.data})
@@ -617,18 +661,22 @@ func (l *SharedL2) OpenTxns() int { return l.txns.Live() }
 
 // Outstanding reports open transactions and queued work.
 func (l *SharedL2) Outstanding() int {
-	return l.txns.Live() + l.invs.Len() + len(l.evictions) + len(l.stalled) + l.waiting.Len()
+	return l.txns.Live() + l.invs.Len() + len(l.evictions) + len(l.stalled) + len(l.full) + l.waiting.Len()
 }
 
 // Coverage returns the L2's (state, event) coverage.
 func (l *SharedL2) Coverage() *coherence.Coverage { return l.Cov }
 
 // Held reports idle lines for invariant checks: the hierarchy's claim
-// toward the host, and the L2's data view.
+// toward the host, and the L2's data view. The claim is the guard's grant,
+// or Modified once an inner core has written under it; an M grant is
+// dirty toward the host before any write, as its data may have come from
+// a CPU's dirty copy.
 func (l *SharedL2) Held(fn chassis.HeldFunc) {
 	l.cache.Visit(func(e *cacheset.Entry[sl2Line]) {
 		if !e.V.busy() {
-			heldLine(fn, e.Addr, e.V.host, e.V.data, e.V.dirty)
+			st := claim(e.V.host, e.V.dirty)
+			fn(e.Addr, st.Level(), e.V.data, st == AM)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package accel
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crossingguard/internal/coherence"
@@ -334,4 +335,49 @@ func TestSharedL2TakesNacks(t *testing.T) {
 	if len(r.log) != 0 {
 		t.Fatalf("inner L1 was answered %v under a nacking guard", r.log)
 	}
+}
+
+// A miss that finds every way of its set in a transaction waits for a line
+// to go idle, then replays: nothing else would wake it.
+func TestSharedL2MissIntoBusySetReplays(t *testing.T) {
+	r := newSL2Rig(21, 22, 23)
+	r.l1s[21].send(coherence.XGetS, sl2Line0, nil)
+	r.l1s[22].send(coherence.XGetS, sl2Line1, nil)
+	r.l1s[23].send(coherence.XGetS, sl2Line2, nil) // both ways are fetching
+	r.quiesce(t)
+	if want := "23 X:DataS"; !slices.Contains(r.log, want) {
+		t.Fatalf("inner L1s saw %v, want %s among them", r.log, want)
+	}
+}
+
+// A queued Get that stalls for a way when its turn comes replays as the
+// head of its line's queue, not behind the requests queued after it: no
+// one else would wake that queue, since its line is not in the cache.
+func TestSharedL2StalledQueueHeadKeepsItsPlace(t *testing.T) {
+	r := newSL2Rig(21, 22, 23)
+	for _, a := range []mem.Addr{sl2Line0, sl2Line1} {
+		r.l1s[21].send(coherence.XGetS, a, nil)
+		r.quiesce(t)
+	}
+	r.l1s[21].send(coherence.XPutS, sl2Line0, nil) // line 1 keeps its sharer
+	r.quiesce(t)
+	r.log = nil
+
+	// The miss on line 2 evicts line 0; the Gets for line 0 queue behind
+	// that writeback, and the first, woken by its WBAck, finds line 2
+	// fetching and line 1 shared, so it stalls behind line 1's recall.
+	r.l1s[21].send(coherence.XGetS, sl2Line2, nil)
+	r.eng.Schedule(1, func() {
+		r.l1s[22].send(coherence.XGetS, sl2Line0, nil)
+		r.l1s[23].send(coherence.XGetS, sl2Line0, nil)
+	})
+	r.quiesce(t)
+	for _, want := range []string{"22 X:DataS", "23 X:DataS"} {
+		if !slices.Contains(r.log, want) {
+			t.Fatalf("inner L1s saw %v, want %s among them", r.log, want)
+		}
+	}
+	// Line 2 missing, line 0 arriving twice and woken twice, and once
+	// replayed, on top of the two misses that filled the set.
+	r.visits(t, "NP/X:GetS", 8)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"crossingguard/internal/cacheset"
-	"crossingguard/internal/chassis"
 	"crossingguard/internal/coherence"
-	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
 	"crossingguard/internal/sim"
 )
@@ -18,211 +16,109 @@ import (
 // places no restrictions on coherence behavior within the accelerator
 // protocol."
 //
-// Inside the accelerator, writes are NOT propagated between sibling L1s:
-// each core writes its own copy and publishes with an explicit Flush
-// (write back dirty lines + drop clean ones). Toward the HOST the shared
-// WeakL2 remains fully coherent — it acquires host write permission
-// through the guard before any core dirties a line, and on a guard
-// Invalidate it recalls the line from every holder (merging dirty
-// copies) before answering. Host safety is therefore unaffected by the
-// accelerator's weak internal model, which is exactly the paper's point.
+// It is the two-level hierarchy with the L2's policy changed in a few
+// cells. Inside the accelerator, writes are NOT propagated between
+// sibling L1s: an M grant leaves sibling copies alone, and each core
+// publishes with an explicit Flush, whose write-backs merge whole blocks
+// (last writer wins). Toward the HOST the shared WeakL2 remains fully
+// coherent — it acquires host write permission through the guard before
+// any core dirties a line, and on a guard Invalidate it recalls the line
+// from every holder (merging dirty copies) before answering. Host safety
+// is therefore unaffected by the accelerator's weak internal model, which
+// is exactly the paper's point.
 
-// WeakL1 is one core's incoherent private cache.
+// WeakL1 is one core's incoherent private cache: the inner L1's table,
+// under a coverage class of its own, plus Flush.
 type WeakL1 struct {
-	// A write-back gives its block back at once, so the chassis's buffer
-	// stays empty: flushing counts the acknowledgements still due.
-	chassis.L1[line, pending]
-	eng *sim.Engine
-	l2  coherence.NodeID
-
-	flushing int    // outstanding writebacks, evictions and flushes alike
-	onFlush  func() // the open Flush calls' completions, chained
+	private
+	eng     *sim.Engine
+	onFlush func() // the open Flush calls' completions, chained
 }
+
+// weakL1 is the weak L1's table: the inner L1's cells. The weak model
+// changes what the shared L2 does with a core's requests, not the core's.
+var weakL1 = innerL1.Named("weak.L1")
 
 // NewWeakL1 builds and registers a weak private L1.
 func NewWeakL1(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
 	l2 coherence.NodeID, cfg Config) *WeakL1 {
-	c := &WeakL1{eng: eng, l2: l2}
-	c.Init(c, id, name, fab, cfg.L1Sets, cfg.L1Ways, cfg.HitLat, nil, busy, c.evict, c.handleCPU)
+	c := &WeakL1{eng: eng}
+	c.init(c, weakL1, id, name, fab, l2, cfg)
 	return c
 }
 
-// Restart returns the cache to its just-built state for the machine's next
-// run, keeping its storage. The machine's Reset calls it.
-func (c *WeakL1) Restart() {
-	c.Reset()
-	c.flushing, c.onFlush = 0, nil
-}
-
-// Recv implements coherence.Controller.
+// Recv implements coherence.Controller, and completes the open Flush
+// calls once the last write-back is acknowledged.
 func (c *WeakL1) Recv(m *coherence.Msg) {
-	switch m.Type {
-	case coherence.ReqLoad, coherence.ReqStore:
-		c.handleCPU(m)
-	case coherence.XDataS, coherence.XDataM:
-		c.handleData(m)
-	case coherence.XWBAck:
-		c.handleWBAck(m)
-	case coherence.XInv:
-		c.handleInv(m)
-	default:
-		panic(fmt.Sprintf("%s: unexpected %v", c.Name(), m))
+	c.private.Recv(m)
+	if done := c.onFlush; done != nil && c.WBPending() == 0 {
+		c.onFlush = nil
+		done()
 	}
 }
 
-// send takes a message holding t from the pool and hands it to the fabric.
-func (c *WeakL1) send(t coherence.Msg) {
-	t.Src = c.ID()
-	c.Fab.Send(c.Fab.Msg(t))
+// Reset is the inner L1's device reset; open Flush calls never complete,
+// as the waiting core operations never do.
+func (c *WeakL1) Reset(epoch uint32) {
+	c.private.Reset(epoch)
+	c.onFlush = nil
 }
 
-func (c *WeakL1) handleCPU(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e, ok := c.Admit(addr, m)
-	if !ok {
-		return
-	}
-	isStore := m.Type == coherence.ReqStore
-	if e == nil {
-		if e = c.Allocate(addr, m); e == nil {
-			return
-		}
-		// Writes need host write permission at the L2 (XGetM ensures
-		// it) but do NOT invalidate sibling copies (weak model).
-		ty := coherence.XGetS
-		if isStore {
-			ty = coherence.XGetM
-		}
-		e.V.await(&c.Txns, m)
-		c.send(coherence.Msg{Type: ty, Addr: addr, Dst: c.l2})
-		return
-	}
-	switch {
-	case !isStore:
-		c.Respond(m, e.V.data[m.Addr.Offset()])
-	case e.V.state == AM:
-		e.V.data[m.Addr.Offset()] = m.Val
-		c.Respond(m, 0)
-	default: // store to a read-only local copy: upgrade (no sibling invs)
-		e.V.await(&c.Txns, m)
-		c.send(coherence.Msg{Type: coherence.XGetM, Addr: addr, Dst: c.l2})
-	}
+// Restart returns the cache to its just-built state for the machine's next
+// run. The machine's Reset calls it.
+func (c *WeakL1) Restart() {
+	c.private.Restart()
+	c.onFlush = nil
 }
 
-// evict writes back a dirty (AM) line or drops a clean one, and gives the
-// victim's block back.
-func (c *WeakL1) evict(addr mem.Addr, v *line) {
-	if v.state == AM {
-		c.flushing++
-		c.send(coherence.Msg{Type: coherence.XPutM, Addr: addr, Dst: c.l2, Data: v.data, Dirty: true})
-	} else {
-		c.send(coherence.Msg{Type: coherence.XPutS, Addr: addr, Dst: c.l2})
-	}
-	c.Fab.FreeBlock(v.data)
-}
-
-// Flush publishes this core's writes: every dirty line is written back to
-// the shared L2 and every line is dropped, so the next loads (here and at
-// sibling cores, after their own flush/reload) observe fresh data. done
-// runs once all writebacks are acknowledged — the accelerator's release
-// fence.
+// Flush publishes this core's writes: every line leaves through its
+// Replacement cell — a dirty one is written back to the shared L2, a clean
+// one dropped — so the next loads (here and at sibling cores, after their
+// own flush) observe fresh data. done runs once every write-back is
+// acknowledged: the accelerator's release fence.
 func (c *WeakL1) Flush(done func()) {
-	var dirty []*cacheset.Entry[line]
 	c.Lines.Visit(func(e *cacheset.Entry[line]) {
-		if e.V.state == AB {
+		if busy(&e.V) {
 			panic(fmt.Sprintf("%s: Flush with operations outstanding", c.Name()))
 		}
-		dirty = append(dirty, e)
+		addr, v := e.Addr, e.V
+		c.Lines.Invalidate(addr)
+		c.evict(addr, &v)
 	})
-	pending := 0
-	for _, e := range dirty {
-		if e.V.state == AM {
-			pending++
-			c.flushing++
-			c.send(coherence.Msg{Type: coherence.XPutM, Addr: e.Addr, Dst: c.l2, Data: e.V.data, Dirty: true})
-		} else {
-			c.send(coherence.Msg{Type: coherence.XPutS, Addr: e.Addr, Dst: c.l2})
-		}
-		c.Drop(e, e.V.data)
-	}
-	if pending == 0 {
-		if done != nil {
-			c.eng.Schedule(1, done)
-		}
-		return
-	}
-	remaining := pending
-	prev := c.onFlush
-	c.onFlush = func() {
-		if prev != nil {
-			prev()
-		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
+	switch prev := c.onFlush; {
+	case done == nil:
+	case c.WBPending() == 0:
+		c.eng.Schedule(1, done)
+	case prev != nil:
+		c.onFlush = func() { prev(); done() }
+	default:
+		c.onFlush = done
 	}
 }
 
-func (c *WeakL1) handleData(m *coherence.Msg) {
-	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.txn == nil {
-		panic(fmt.Sprintf("%s: data with no pending get: %v", c.Name(), m))
-	}
-	op := e.V.complete(&c.Txns)
-	c.Fab.FillBlock(&e.V.data, m.Data) // in place on an upgrade from S
-	if m.Type == coherence.XDataM {
-		e.V.state = AM
-	} else {
-		e.V.state = AS
-	}
-	if op.Type == coherence.ReqStore {
-		e.V.state = AM
-		e.V.data[op.Addr.Offset()] = op.Val
-		c.Respond(op, 0)
-	} else {
-		c.Respond(op, e.V.data[op.Addr.Offset()])
-	}
-	c.Settled(m.Addr.Line())
+// WeakL2 is the shared L2 of the weakly-coherent hierarchy: the two-level
+// hierarchy's shared L2 running weakL2.
+type WeakL2 struct{ SharedL2 }
+
+// weakL2 is the shared L2's table with the weak policy's cells: a store's
+// M grant leaves sibling copies, so every holder is a sharer and none the
+// owner, and a Put from any holder merges its block, whether the line is
+// idle or a transaction races it.
+var weakL2 = sl2Rules.With(
+	coherence.Row[int, sl2Action]{St: sl2NP, Evs: sl2GetM, Do: fetchKeep},
+	coherence.Row[int, sl2Action]{St: int(AS), Evs: sl2GetM, Do: lookupKeep},
+	coherence.Row[int, sl2Action]{St: int(AE), Evs: sl2GetM, Do: lookupKeep},
+	coherence.Row[int, sl2Action]{St: int(AM), Evs: sl2GetM, Do: lookupKeep},
+	coherence.Row[int, sl2Action]{St: int(AE), Evs: sl2PutM, Do: mergePut},
+	coherence.Row[int, sl2Action]{St: int(AM), Evs: sl2PutM, Do: mergePut},
+	coherence.Row[int, sl2Action]{St: sl2Busy + int(AE), Evs: sl2PutM, Do: mergePut},
+	coherence.Row[int, sl2Action]{St: sl2Busy + int(AM), Evs: sl2PutM, Do: mergePut},
+).Named("weak.L2")
+
+// NewWeakL2 builds and registers the weak shared L2.
+func NewWeakL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
+	xg coherence.NodeID, cfg Config) *WeakL2 {
+	l := &WeakL2{}
+	l.init(l, weakL2, id, name, fab, xg, cfg)
+	return l
 }
-
-func (c *WeakL1) handleWBAck(m *coherence.Msg) {
-	if c.flushing == 0 {
-		panic(fmt.Sprintf("%s: WBAck with no writeback", c.Name()))
-	}
-	c.flushing--
-	if c.onFlush != nil {
-		cb := c.onFlush
-		if c.flushing == 0 {
-			c.onFlush = nil
-		}
-		cb()
-	}
-	c.Settled(m.Addr.Line())
-}
-
-// handleInv: the shared L2 recalls the line on the host's behalf. This
-// is the one flow where even the weak hierarchy must cooperate: host
-// coherence is not negotiable.
-func (c *WeakL1) handleInv(m *coherence.Msg) {
-	addr := m.Addr.Line()
-	e := c.Lines.Peek(m.Addr)
-	if e == nil || e.V.state == AB {
-		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: addr, Dst: c.l2})
-		return
-	}
-	if e.V.state == AM {
-		c.send(coherence.Msg{Type: coherence.XInvWB, Addr: addr, Dst: c.l2, Data: e.V.data, Dirty: true})
-	} else {
-		c.send(coherence.Msg{Type: coherence.XInvAck, Addr: addr, Dst: c.l2})
-	}
-	c.Drop(e, e.V.data)
-	c.Settled(addr)
-}
-
-// Outstanding reports open transactions.
-func (c *WeakL1) Outstanding() int { return c.flushing + c.L1.Outstanding() }
-
-// Held reports the lines the cache holds. They are this core's view only:
-// the weak model promises no agreement between sibling copies.
-func (c *WeakL1) Held(fn chassis.HeldFunc) { held(c.Lines, fn) }

@@ -20,6 +20,9 @@ func FuzzParseSpec(f *testing.F) {
 	for _, retired := range []string{"maxrec=4", "backoff=3", "backoffcap=60000"} {
 		f.Add(recovery + " " + retired)
 	}
+	// A weak stress shard runs one core per device; more is refused.
+	f.Add("kind=stress host=hammer org=xg-weak seed=1 cpus=1 cores=1 stores=2")
+	f.Add("kind=stress host=mesi org=xg-weak seed=1 cores=2")
 	f.Fuzz(func(t *testing.T, text string) {
 		spec, err := ParseSpec(text)
 		if err != nil {

@@ -1,9 +1,9 @@
 // Package chassis is the controller skeleton every core-facing private
 // cache shares: identity, the tag array, the write-back buffer, the queues
 // of core operations that wait, and the replays that wake them. A protocol
-// (hammer.Cache, mesi.L1, accel.L1Cache, accel.InnerL1, accel.WeakL1,
-// xlate.WideAccel) embeds an L1 over its own line type and keeps only its
-// Recv and its transitions.
+// (hammer.Cache, mesi.L1, xlate.WideAccel, and accel's table interpreter
+// under L1Cache, InnerL1 and WeakL1) embeds an L1 over its own line type
+// and keeps only its Recv and its transitions.
 package chassis
 
 import (

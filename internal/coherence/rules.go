@@ -53,6 +53,10 @@ func (t *Rules[S, V]) With(subs ...Row[S, V]) *Rules[S, V] {
 	return NewRules(t.Class, t.Vocab, slices.Concat(t.Rows, subs))
 }
 
+// Named returns t recording under coverage class class: a variant
+// controller's visits then never merge with those of the table it varies.
+func (t *Rules[S, V]) Named(class string) *Rules[S, V] { return NewRules(class, t.Vocab, t.Rows) }
+
 // Coverage returns a recorder that declares exactly the table's cells. It
 // shares the table's declarations and owns only its visit counts.
 func (t *Rules[S, V]) Coverage() *Coverage {

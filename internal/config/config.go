@@ -296,7 +296,7 @@ type System struct {
 
 	// AccelL2 is device 0's shared accelerator L2 (two-level XG
 	// organizations); WeakL1s are the weak hierarchy's private L1s
-	// (OrgXGWeak).
+	// (OrgXGWeak), device by device.
 	AccelL2 *accel.SharedL2
 	WeakL1s []*accel.WeakL1
 
@@ -384,6 +384,13 @@ type cacheView interface {
 	Outstanding() int
 	Coverage() *coherence.Coverage // nil when the cache declares no table
 	Restart()                      // back to just built, for the next run
+}
+
+// innerL1 is a private L1 behind a shared accelerator L2, with the
+// device-reset step the guard's hook runs.
+type innerL1 interface {
+	cacheView
+	Reset(epoch uint32)
 }
 
 // homeView is the host protocol's home node: hammer's directory, or MESI's
@@ -497,11 +504,6 @@ func normalize(spec Spec) Spec {
 		spec.AccelCores = 2
 	}
 	if spec.Accels <= 0 {
-		spec.Accels = 1
-	}
-	if spec.Org == OrgXGWeak {
-		// The weak hierarchy keeps its single-device wiring; replicating
-		// incoherent-L1 flush semantics across devices is out of scope.
 		spec.Accels = 1
 	}
 	if spec.Timeout == 0 {
@@ -823,29 +825,37 @@ func (s *System) attachAccelL1(g *core.Guard, xgID, acID coherence.NodeID, d, i 
 
 // buildTwoLevelAccel wires device d's Figure 2d accelerator: inner L1s
 // behind the device's shared accelerator L2 at l2ID, which talks to guard
-// g, including the guard's device-reset hook for quarantine recovery.
+// g, including the guard's device-reset hook for quarantine recovery. The
+// weak hierarchy (OrgXGWeak) is the same device with the weak cells.
 func (s *System) buildTwoLevelAccel(g *core.Guard, xgID, l2ID coherence.NodeID, d int) {
 	if s.Spec.CustomAccel != nil {
 		s.attachCustom(g, xgID, l2ID)
 		return
 	}
-	if s.Spec.Org == OrgXGWeak {
-		// The weak hierarchy predates the epoch protocol and does not
-		// participate in quarantine recovery (no reset hook is wired).
-		s.buildWeakAccel(xgID)
-		return
-	}
 	acfg := s.accelCfg()
-	l2 := accel.NewSharedL2(l2ID, devName(d, "accelL2"), s.Eng, s.Fab, xgID, acfg)
+	weak := s.Spec.Org == OrgXGWeak
+	var l2 *accel.SharedL2
+	if weak {
+		l2 = &accel.NewWeakL2(l2ID, devName(d, "weakL2"), s.Eng, s.Fab, xgID, acfg).SharedL2
+	} else {
+		l2 = accel.NewSharedL2(l2ID, devName(d, "accelL2"), s.Eng, s.Fab, xgID, acfg)
+	}
 	if d == 0 {
 		s.AccelL2 = l2
 	}
 	s.register(l2, guardedCache)
-	var l1s []*accel.InnerL1
+	var l1s []innerL1
 	var seqs []*seq.Sequencer
 	for i := 0; i < s.Spec.AccelCores; i++ {
 		id := devID(d, nodeAccel, i)
-		l1 := accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
+		var l1 innerL1
+		if weak {
+			w := accel.NewWeakL1(id, devName(d, fmt.Sprintf("weakL1[%d]", i)), s.Eng, s.Fab, l2ID, acfg)
+			s.WeakL1s = append(s.WeakL1s, w)
+			l1 = w
+		} else {
+			l1 = accel.NewInnerL1(id, devName(d, fmt.Sprintf("accel2L.L1[%d]", i)), s.Fab, l2ID, acfg)
+		}
 		s.register(l1, innerCache)
 		l1s = append(l1s, l1)
 		sq := s.accelSeq(d, i, id)
@@ -853,7 +863,11 @@ func (s *System) buildTwoLevelAccel(g *core.Guard, xgID, l2ID coherence.NodeID, 
 		s.link(sq.ID(), id, s.lat.CoreToCache, 0)
 		s.link(id, l2ID, s.lat.AccelHop, 1)
 	}
-	s.innerScopes = append(s.innerScopes, chassis.Scope{Caches: chassis.Claimants(l1s), Home: l2, Values: true})
+	if !weak {
+		// The weak model's inner copies disagree by design (§2.1's flush
+		// model): only its L2's claims toward the guard are audited.
+		s.innerScopes = append(s.innerScopes, chassis.Scope{Caches: chassis.Claimants(l1s), Home: l2, Values: true})
+	}
 	// Device reset: abort every core's operations, then wipe the whole
 	// hierarchy — inner L1s before the shared L2 so no L1 retains a line
 	// the L2 no longer tracks (inclusivity).
@@ -867,23 +881,6 @@ func (s *System) buildTwoLevelAccel(g *core.Guard, xgID, l2ID coherence.NodeID, 
 		}
 		l2.Reset(epoch)
 	})
-}
-
-// buildWeakAccel wires the weakly-coherent hierarchy: incoherent WeakL1s
-// behind a host-coherent WeakL2 talking to the guard.
-func (s *System) buildWeakAccel(xgID coherence.NodeID) {
-	acfg := s.accelCfg()
-	l2 := accel.NewWeakL2(nodeAccelL2, "weakL2", s.Eng, s.Fab, xgID, acfg)
-	s.register(l2, guardedCache)
-	for i := 0; i < s.Spec.AccelCores; i++ {
-		id := nodeAccel + coherence.NodeID(i)
-		l1 := accel.NewWeakL1(id, fmt.Sprintf("weakL1[%d]", i), s.Eng, s.Fab, nodeAccelL2, acfg)
-		s.WeakL1s = append(s.WeakL1s, l1)
-		s.register(l1, innerCache)
-		sq := s.accelSeq(0, i, id)
-		s.link(sq.ID(), id, s.lat.CoreToCache, 0)
-		s.link(id, nodeAccelL2, s.lat.AccelHop, 1)
-	}
 }
 
 // link routes a<->b inside the host or inside a device.

@@ -5,6 +5,7 @@ import (
 
 	"crossingguard/internal/mem"
 	"crossingguard/internal/seq"
+	"crossingguard/internal/tester"
 )
 
 func addrOf(a uint64) mem.Addr { return mem.Addr(a) }
@@ -120,5 +121,34 @@ func TestWeakHierarchyChurn(t *testing.T) {
 	}
 	if s.Log.Count() != 0 {
 		t.Fatalf("guard errors under churn: %v", s.Log.Errors[0])
+	}
+}
+
+// TestWeakHierarchyMultiDevice runs the stress tester on two weak devices,
+// one core each, behind their own guards: every load checks, nothing is
+// reported, and the machine audits clean at quiesce.
+func TestWeakHierarchyMultiDevice(t *testing.T) {
+	for _, host := range []HostKind{HostHammer, HostMESI} {
+		t.Run(host.String(), func(t *testing.T) {
+			s := Build(Spec{Host: host, Org: OrgXGWeak, CPUs: 2, AccelCores: 1, Accels: 2, Seed: 29, Small: true})
+			if len(s.Guards) != 2 || len(s.WeakL1s) != 2 {
+				t.Fatalf("%d guards and %d weak L1s, want 2 of each", len(s.Guards), len(s.WeakL1s))
+			}
+			cfg := tester.DefaultConfig(29)
+			cfg.StoresPerLoc = 25
+			res, err := tester.Run(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LoadChecks == 0 {
+				t.Fatalf("stress did nothing: %+v", res)
+			}
+			if err := s.Audit(); err != nil {
+				t.Fatalf("audit: %v", err)
+			}
+			if s.Log.Count() != 0 {
+				t.Fatalf("guard errors: %v", s.Log.Errors[0])
+			}
+		})
 	}
 }
