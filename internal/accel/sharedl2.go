@@ -77,7 +77,33 @@ type ackKey struct {
 // SharedL2 is the shared inclusive accelerator L2 of the two-level
 // design; it is the only agent that speaks the Crossing Guard interface.
 type SharedL2 struct {
-	l2Base // the guard side and the request queues; internal X* traffic carries its epoch too
+	id   coherence.NodeID
+	name string
+	fab  *network.Fabric
+	cfg  Config
+	xg   coherence.NodeID
+	// epoch is the guard epoch the hierarchy operates under, stamped on
+	// every message sent, internal X* traffic too (0 until the first
+	// device reset).
+	epoch uint32
+
+	// The guard side of the interface — how a line is put or recalled
+	// back, the writebacks in flight — and the queues of inner-L1
+	// requests waiting for a line or a way.
+	evictions map[mem.Addr]struct{} // writebacks to the guard awaiting WBAck
+	// invs holds (and keeps) a guard Invalidate that arrived during a
+	// line's local transaction; it is serviced with priority as soon as
+	// the line goes idle, ahead of queued requests (whose own guard Gets
+	// may be deferred until this very Invalidate is answered).
+	invs      coherence.LineQueues
+	waiting   coherence.LineQueues
+	stalled   []*coherence.Msg // misses waiting for a recalled way, kept until replayed
+	full      []*coherence.Msg // misses that found every way busy, kept until a line goes idle
+	replaying *coherence.Msg   // message being replayed from the queue head
+	// doRecv is Recv bound once (a CallAfter handler), and doReplay Recv
+	// for a stalled Get, which replays as the head of its line's queue:
+	// whatever queued for the line arrived after it.
+	doRecv, doReplay func(*coherence.Msg)
 
 	tab   *coherence.Rules[int, sl2Action] // the cells Recv runs
 	cache *cacheset.Cache[sl2Line]
@@ -110,7 +136,15 @@ func NewSharedL2(id coherence.NodeID, name string, eng *sim.Engine, fab *network
 // embedding l, with the fabric.
 func (l *SharedL2) init(self coherence.Controller, t *coherence.Rules[int, sl2Action], id coherence.NodeID,
 	name string, fab *network.Fabric, xg coherence.NodeID, cfg Config) {
-	l.l2Base.init(id, name, fab, xg, cfg, l.Recv, l.handleAInv)
+	l.id, l.name, l.fab, l.cfg, l.xg = id, name, fab, cfg, xg
+	l.evictions = make(map[mem.Addr]struct{})
+	l.doRecv = l.Recv
+	l.doReplay = func(m *coherence.Msg) {
+		prev := l.replaying
+		l.replaying = m
+		l.Recv(m)
+		l.replaying = prev
+	}
 	l.tab, l.Cov = t, t.Coverage()
 	l.cache = cacheset.New[sl2Line](cfg.L2Sets, cfg.L2Ways)
 	l.ignoreAck = make(map[ackKey]int)
@@ -333,7 +367,13 @@ func (l *SharedL2) unexpected(k int, m *coherence.Msg) {
 // same hook, so the whole hierarchy re-enters empty and any in-flight
 // internal message drops as stale on arrival.
 func (l *SharedL2) Reset(epoch uint32) {
-	l.reset(epoch)
+	l.epoch = epoch
+	clear(l.evictions)
+	l.invs.Reset()
+	l.waiting.Reset()
+	clear(l.stalled)
+	clear(l.full)
+	l.stalled, l.full, l.replaying = l.stalled[:0], l.full[:0], nil
 	l.cache.Reset()
 	l.txns.Reset()
 	clear(l.ignoreAck)
@@ -698,3 +738,110 @@ func (l *SharedL2) Line(addr mem.Addr) (coherence.NodeID, *mem.Block, bool) {
 	}
 	return coherence.NodeNone, nil, false
 }
+
+// --- the guard side and the request queues ---
+
+// ID implements coherence.Controller.
+func (l *SharedL2) ID() coherence.NodeID { return l.id }
+
+// Name implements coherence.Controller.
+func (l *SharedL2) Name() string { return l.name }
+
+// send takes a message holding t from the pool, stamps the hierarchy's
+// epoch on it and hands it to the fabric (every protocol message an L2
+// emits — guard-bound or internal — carries the epoch).
+func (l *SharedL2) send(t coherence.Msg) {
+	t.Src, t.Epoch = l.id, l.epoch
+	l.fab.Send(l.fab.Msg(t))
+}
+
+// evicting reports whether addr's writeback to the guard is in flight.
+func (l *SharedL2) evicting(addr mem.Addr) bool {
+	_, ok := l.evictions[addr]
+	return ok
+}
+
+// putToGuard starts the writeback of an evicted line to Crossing Guard,
+// by Table 1's Replacement cell for the line's claim, and gives the line's
+// block, copied into the Put, back.
+func (l *SharedL2) putToGuard(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
+	l.evictions[addr] = struct{}{}
+	l.send(cellMsg(table1.At(claim(host, dirty), evReplacement).send, addr, l.xg, data))
+	l.fab.FreeBlock(data)
+}
+
+// closeEviction retires addr's writeback (acked, or refused by a
+// quarantined guard) and wakes what waited for it.
+func (l *SharedL2) closeEviction(addr mem.Addr, m *coherence.Msg) {
+	if !l.evicting(addr) {
+		panic(fmt.Sprintf("%s: %v with no eviction", l.name, m))
+	}
+	delete(l.evictions, addr)
+	l.wake(addr)
+	l.replayStalled()
+}
+
+// answerInv answers the guard's Invalidate for a line that has just left
+// the cache by Table 1's Invalidate cell for the line's claim — with the
+// data when the grant or a local write made it ours to return — gives the
+// line's block back, and wakes what waited.
+func (l *SharedL2) answerInv(addr mem.Addr, host AState, dirty bool, data *mem.Block) {
+	l.send(cellMsg(table1.At(claim(host, dirty), aInv).send, addr, l.xg, data))
+	l.fab.FreeBlock(data)
+	l.wake(addr)
+	l.replayStalled()
+}
+
+// claim is the Table 1 state an L2 line answers the guard from: its grant,
+// or Modified once an inner core has written under it.
+func claim(host AState, dirty bool) AState {
+	if dirty {
+		return AM
+	}
+	return host
+}
+
+// wake serves the guard Invalidate parked on addr's line, or with none the
+// oldest queued request: the line has gone idle or left the cache, so the
+// misses that found every way busy replay too.
+func (l *SharedL2) wake(addr mem.Addr) {
+	l.replay(&l.full)
+	next := l.invs.Pop(addr)
+	inv := next != nil
+	if !inv {
+		if next = l.waiting.Pop(addr); next == nil {
+			return
+		}
+	}
+	// Process synchronously so no same-tick arrival can cut in front.
+	prev := l.replaying
+	l.replaying = next
+	l.fab.BeginRecv(next)
+	if inv {
+		l.handleAInv(next)
+	} else {
+		l.Recv(next)
+	}
+	l.fab.EndRecv(next)
+	l.replaying = prev
+}
+
+// replayStalled replays the misses waiting for a recalled way: a line has
+// left the cache.
+func (l *SharedL2) replayStalled() { l.replay(&l.stalled) }
+
+// replay hands every miss of ms back to Recv as the head of its line's
+// queue, and empties ms.
+func (l *SharedL2) replay(ms *[]*coherence.Msg) {
+	for i, m := range *ms {
+		l.fab.CallAfter(0, l.doReplay, m)
+		(*ms)[i] = nil
+	}
+	*ms = (*ms)[:0]
+}
+
+// WBPending reports writebacks to the guard in flight (zero at quiesce).
+func (l *SharedL2) WBPending() int { return len(l.evictions) }
+
+// grantLevel is the permission a guard grant confers: Table 1's B row.
+func grantLevel(t coherence.MsgType) AState { return table1.At(AB, l1Table.Event(t)).next }

@@ -139,12 +139,9 @@ type Guard struct {
 	freeWork  coherence.RecPool[lineWork]
 	inspect   []*line // the audits' walks of the table (inspected)
 
-	// serial stamps every opening of a transaction or recall; it only
-	// counts up, so no two ever share a value (timer). timers holds the
-	// guard's short deferred actions and watchdogs the Guarantee 2c
-	// deadlines of the open recalls, one lane per retry attempt: attempt n
-	// waits Timeout<<n.
-	serial    uint64
+	// timers holds the guard's short deferred actions and watchdogs the
+	// Guarantee 2c deadlines of the open recalls, one lane per retry
+	// attempt: attempt n waits Timeout<<n.
 	timers    sim.Deferred[timer]
 	watchdogs []sim.Lane[deadline]
 
@@ -155,18 +152,53 @@ type Guard struct {
 
 	// Wait list (waitlist.go): a line's parked requests are on its
 	// open-work record; ready lists the lines whose parked requests the
-	// armed wake event will re-run; freePark pools the per-request records
-	// and parkedNow counts the requests currently held.
-	ready     []mem.Addr
-	wakeEv    sim.Timed
-	wakeArmed bool
-	freePark  coherence.RecPool[parkedReq]
-	parkedNow int
+	// armed wake event will re-run, and freePark pools the per-request
+	// records.
+	ready    []mem.Addr
+	wakeEv   sim.Timed
+	freePark coherence.RecPool[parkedReq]
 
 	// stampEpoch is stamp bound once (Fabric.SendAfter's fill hook), and
 	// onDeadline recallDeadline (the watchdog lanes' action).
 	stampEpoch func(*coherence.Msg)
 	onDeadline func(deadline)
+
+	// resetHook, when set, reinitializes the fenced accelerator
+	// hierarchy (caches to Invalid, sequencers flushed) under the new
+	// epoch at the reset step of recovery.
+	resetHook func(epoch uint32)
+
+	// Observability (nil-safe no-ops until AttachObs). The hot-path
+	// instruments are fetched once; the per-code violation counters — an
+	// adversary makes that path hot too — are created in obsReg on a code's
+	// first violation and found in mViolation after that. The mSpan*
+	// histogram pairs (aggregate + per-device) are the crossing-anatomy
+	// instruments of span tracing, prefetched like mCrossing.
+	obsReg       *obs.Registry
+	mPass        *obs.Counter
+	mPassAccel   *obs.Counter
+	mCrossing    *obs.Histogram
+	mViolation   map[string][2]*obs.Counter // by code: the counter and its @a<N> twin
+	mSpanRequest [2]*obs.Histogram
+	mSpanCheck   [2]*obs.Histogram
+	mSpanGrant   [2]*obs.Histogram
+	mSpanRecall  [2]*obs.Histogram
+	mSpanRetry   [2]*obs.Histogram
+
+	runState
+}
+
+// runState is what one run of the guard changes besides its table: Restart
+// zeroes it in one assignment. Its exported counters are the Guard's.
+type runState struct {
+	// serial stamps every opening of a transaction or recall; it only
+	// counts up, so no two ever share a value (timer).
+	serial uint64
+
+	// wakeArmed says the wake event is queued; parkedNow counts the
+	// requests currently held on wait lists.
+	wakeArmed bool
+	parkedNow int
 
 	// Quarantined is set once the quarantine policy fences the
 	// accelerator (graceful degradation: the host keeps running on
@@ -187,10 +219,6 @@ type Guard struct {
 	recovering bool
 	// permanent marks a quarantine that recovery will never reopen.
 	permanent bool
-	// resetHook, when set, reinitializes the fenced accelerator
-	// hierarchy (caches to Invalid, sequencers flushed) under the new
-	// epoch at the reset step of recovery.
-	resetHook func(epoch uint32)
 
 	// Statistics.
 	PutSSuppressed  uint64 // PutS not forwarded (host evicts S silently)
@@ -210,31 +238,15 @@ type Guard struct {
 	// recall for the same block (one Invalidate serves every waiter).
 	RecallsCoalesced uint64
 
-	// Observability (nil-safe no-ops until AttachObs). The hot-path
-	// instruments are fetched once; the per-code violation counters — an
-	// adversary makes that path hot too — are created in obsReg on a code's
-	// first violation and found in mViolation after that.
-	obsReg     *obs.Registry
-	mPass      *obs.Counter
-	mPassAccel *obs.Counter
-	mCrossing  *obs.Histogram
-	mViolation map[string][2]*obs.Counter // by code: the counter and its @a<N> twin
-
 	// Span tracing (Config.Spans). spanSeq numbers this guard's spans;
 	// the emitted id is guard-node<<32|seq, unique and deterministic
 	// across the guards of one machine. recoverySpan is the open recovery
 	// cycle's span (0 outside recovery); recoveryMark/recoveryStart time
-	// its phases. The mSpan* histogram pairs (aggregate + per-device) are
-	// the crossing-anatomy instruments, prefetched like mCrossing.
+	// its phases.
 	spanSeq       uint32
 	recoverySpan  uint64
 	recoveryMark  sim.Time
 	recoveryStart sim.Time
-	mSpanRequest  [2]*obs.Histogram
-	mSpanCheck    [2]*obs.Histogram
-	mSpanGrant    [2]*obs.Histogram
-	mSpanRecall   [2]*obs.Histogram
-	mSpanRetry    [2]*obs.Histogram
 }
 
 // accelTxn is an open accelerator-initiated transaction. It lives in its
@@ -367,10 +379,18 @@ func (g *Guard) fire(t timer) {
 	case timerPutS:
 		g.send(coherence.Msg{Type: g.host.putS, Addr: t.addr, Src: g.id, Dst: g.home})
 	case timerAdmit:
-		g.fab.BeginRecv(t.m)
-		g.processAccelRequest(t.m, t.arrive)
-		g.fab.EndRecv(t.m)
+		g.rerun(t.m, t.arrive)
 	}
+}
+
+// rerun runs a request the guard kept — one that waited for the rate
+// limiter or on a wait list — through the checks again, as a delivery of
+// the kept message: it goes back to its pool afterwards unless it parked
+// again.
+func (g *Guard) rerun(m *coherence.Msg, arrive sim.Time) {
+	g.fab.BeginRecv(m)
+	g.processAccelRequest(m, arrive)
+	g.fab.EndRecv(m)
 }
 
 // nextSerial returns a serial no opening or arming has had.
@@ -398,12 +418,42 @@ func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fa
 // machine's next run: an empty table, nothing open or parked, epoch 0,
 // every counter zero. It keeps the wiring, the device-reset hook, the
 // instruments and the storage: the table's map and its records' free
-// lists. The blocks the table held are not freed, since the pool takes
-// every block back in the same reset, and the engine, reset first, has
-// already dropped every armed timer. newGuard ends in it.
+// lists. The engine, reset first, has already dropped every armed timer,
+// and the pool takes every block back after, so the blocks the table gives
+// back are gone with the rest. newGuard ends in it.
 func (g *Guard) Restart(cfg Config) {
+	g.clearTable()
+	// A lane's records point back at it, so lanes never move: a guard
+	// that needs more than it has takes a new array.
+	g.watchdogs = g.watchdogs[:0]
+	if n := max(cfg.RecallRetries, 0) + 1; cfg.Timeout > 0 {
+		if n > cap(g.watchdogs) {
+			g.watchdogs = make([]sim.Lane[deadline], n)
+		}
+		g.watchdogs = g.watchdogs[:n]
+		for attempt := range g.watchdogs {
+			g.watchdogs[attempt].Reset()
+			g.watchdogs[attempt].Bind(g.eng, cfg.Timeout<<attempt, g.onDeadline)
+		}
+	}
+	g.cfg, g.rules, g.runState = cfg, guardRules[cfg.Mode], runState{}
+	if g.cov == nil || g.cov.Name() != g.rules.Class {
+		g.cov = g.rules.Coverage()
+	}
+	g.cov.Reset()
+	g.hostCov.Reset()
+}
+
+// clearTable empties the table, for a new run or a readmitted device
+// (reintegrate): every block a line holds goes back to the block list and
+// every record, a parked request's too, to its free list.
+func (g *Guard) clearTable() {
 	for _, l := range g.lines {
+		g.fab.FreeBlock(l.copy)
 		if w := l.work; w != nil {
+			g.fab.FreeBlock(w.txn.data)
+			g.fab.FreeBlock(w.get.data)
+			g.fab.FreeBlock(w.put.data)
 			for p := w.wait.head; p != nil; {
 				next := p.next
 				g.freePark.Put(p)
@@ -414,56 +464,7 @@ func (g *Guard) Restart(cfg Config) {
 		g.freeLines.Put(l)
 	}
 	clear(g.lines)
-	clear(g.ready)
-	// A lane's records point back at it, so lanes never move: a guard
-	// that needs more than it has takes a new array.
-	watchdogs := g.watchdogs[:0]
-	if n := max(cfg.RecallRetries, 0) + 1; cfg.Timeout > 0 {
-		if n > cap(watchdogs) {
-			watchdogs = make([]sim.Lane[deadline], n)
-		}
-		watchdogs = watchdogs[:n]
-		for attempt := range watchdogs {
-			watchdogs[attempt].Reset()
-			watchdogs[attempt].Bind(g.eng, cfg.Timeout<<attempt, g.onDeadline)
-		}
-	}
-	rules, cov := guardRules[cfg.Mode], g.cov
-	if cov == nil || cov.Name() != rules.Class {
-		cov = rules.Coverage()
-	}
-	cov.Reset()
-	g.hostCov.Reset()
-	*g = Guard{
-		// The wiring.
-		id: g.id, name: g.name, eng: g.eng, fab: g.fab, cfg: cfg, sink: g.sink, accel: g.accel,
-		host: g.host, home: g.home, responses: g.responses,
-		accelTag: g.accelTag, resetHook: g.resetHook, stampEpoch: g.stampEpoch, onDeadline: g.onDeadline,
-		// The storage.
-		lines: g.lines, rules: rules, cov: cov, hostCov: g.hostCov, freeLines: g.freeLines, freeWork: g.freeWork, freePark: g.freePark, inspect: g.inspect,
-		ready: g.ready[:0], timers: g.timers, watchdogs: watchdogs, wakeEv: g.wakeEv,
-		// The instruments.
-		obsReg: g.obsReg, mPass: g.mPass, mPassAccel: g.mPassAccel, mCrossing: g.mCrossing, mViolation: g.mViolation,
-		mSpanRequest: g.mSpanRequest, mSpanCheck: g.mSpanCheck, mSpanGrant: g.mSpanGrant,
-		mSpanRecall: g.mSpanRecall, mSpanRetry: g.mSpanRetry,
-	}
-}
-
-// resetState empties the table when recovery readmits a reset device
-// (reintegrate). Every block a line still holds goes back to the block
-// list and every record to its free list.
-func (g *Guard) resetState() {
-	for a, l := range g.lines {
-		g.fab.FreeBlock(l.copy)
-		if w := l.work; w != nil {
-			g.fab.FreeBlock(w.txn.data)
-			g.fab.FreeBlock(w.get.data)
-			g.fab.FreeBlock(w.put.data)
-			g.freeWork.Put(w)
-		}
-		delete(g.lines, a)
-		g.freeLines.Put(l)
-	}
+	g.ready = g.ready[:0]
 }
 
 // SetAccelTag labels this guard with its accelerator device index
@@ -916,9 +917,6 @@ func (g *Guard) StorageBytes() int {
 	return (g.count(hasTxn)+g.count(hasRecall))*txnBytes +
 		g.count(isResident)*tagStateBytes + g.count(hasCopy)*mem.BlockBytes
 }
-
-// Errors reports the number of guarantee violations recorded.
-func (g *Guard) Errors() int { return g.errors }
 
 // Epoch reports the guard epoch (0 until the first device reset).
 func (g *Guard) Epoch() uint32 { return g.epoch }

@@ -471,8 +471,8 @@ func TestForgedAccelIDRejected(t *testing.T) {
 	if len(r.host.gets) != 0 {
 		t.Fatalf("forged GetM reached the host (%d gets)", len(r.host.gets))
 	}
-	if r.g.Errors() != 1 {
-		t.Fatalf("violations = %d, want 1 (XG.BadSource)", r.g.Errors())
+	if r.g.errors != 1 {
+		t.Fatalf("violations = %d, want 1 (XG.BadSource)", r.g.errors)
 	}
 	errs := r.log.Errors
 	if len(errs) != 1 || errs[0].Code != "XG.BadSource" {
@@ -481,7 +481,7 @@ func TestForgedAccelIDRejected(t *testing.T) {
 	// Forged responses are rejected the same way.
 	r.g.Recv(&coherence.Msg{Type: coherence.AInvAck, Addr: 0x40, Src: forger, Dst: 40})
 	r.eng.RunUntilQuiet()
-	if r.g.Errors() != 2 {
-		t.Fatalf("violations = %d after forged InvAck, want 2", r.g.Errors())
+	if r.g.errors != 2 {
+		t.Fatalf("violations = %d after forged InvAck, want 2", r.g.errors)
 	}
 }

@@ -72,7 +72,7 @@ func TestZeroSubstitutionSurvivesRecycling(t *testing.T) {
 				}
 				eng.RunUntilQuiet()
 
-				if g.Errors() == 0 {
+				if g.errors == 0 {
 					t.Fatal("no guarantee violation recorded")
 				}
 				if len(req.data) != 1 {

@@ -117,14 +117,6 @@ func (g *Guard) finishGet(addr mem.Addr, level Grant, dirty bool) {
 	g.fab.FreeBlock(data)
 }
 
-// putAt returns addr's open host writeback, if any.
-func (g *Guard) putAt(addr mem.Addr) *hostPut {
-	if l := g.lines[addr]; hasPut(l) {
-		return &l.work.put
-	}
-	return nil
-}
-
 // closed runs where something on l has just closed: it wakes the requests
 // parked behind it and gives back what the line no longer needs.
 func (g *Guard) closed(l *line) {
@@ -266,7 +258,7 @@ func (g *Guard) writeback(addr mem.Addr, data *mem.Block, dirty, accelPut bool) 
 // and never sees an ack for it; data is the guard's trusted copy or a zero
 // block, the Guarantee 2c substitution).
 func (g *Guard) relinquish(addr mem.Addr, data *mem.Block, dirty bool) {
-	if g.putAt(addr) == nil {
+	if !hasPut(g.lines[addr]) {
 		g.writeback(addr, data, dirty, false)
 	}
 }

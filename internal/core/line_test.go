@@ -236,8 +236,8 @@ func TestRelinquishAckLeavesGetOpen(t *testing.T) {
 	r.g.relinquish(0x40, mem.Zero(), true)
 	r.g.retirePut(0x40)
 	r.eng.RunUntilQuiet()
-	if openTxns(r.g) != 1 || r.g.putAt(0x40) != nil {
-		t.Fatalf("%d transactions open, put %v; want the Get still open and the put gone", openTxns(r.g), r.g.putAt(0x40))
+	if openTxns(r.g) != 1 || hasPut(r.g.lines[0x40]) {
+		t.Fatalf("%d transactions open, put %v; want the Get still open and the put gone", openTxns(r.g), hasPut(r.g.lines[0x40]))
 	}
 	if m := r.lastToAccel(); m != nil {
 		t.Fatalf("accelerator received %v for a writeback it did not ask for", m.Type)

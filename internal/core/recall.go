@@ -88,15 +88,10 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	}
 	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
 	if g.cfg.Timeout > 0 {
-		g.armRecallWatchdog(addr, ht, 0)
+		// The Guarantee 2c deadline: Timeout, doubled for every Invalidate
+		// re-sent (recallDeadline).
+		ht.watchdog = g.watchdogs[0].Defer(deadline{addr, ht.serial, 0})
 	}
-}
-
-// armRecallWatchdog arms the Guarantee 2c deadline of the open recall ht,
-// Timeout doubled for every Invalidate re-sent so far. The recall has none
-// armed: it is opening, or its last one has just fired.
-func (g *Guard) armRecallWatchdog(addr mem.Addr, ht *hostTxn, attempt int) {
-	ht.watchdog = g.watchdogs[attempt].Defer(deadline{addr, ht.serial, attempt})
 }
 
 // recallDeadline is a 2c deadline expiring, which only an open recall's does
@@ -127,7 +122,7 @@ func (g *Guard) recallDeadline(d deadline) {
 	g.spanEvent(obs.KindSpanPhase, ht.span, addr, 0,
 		fmt.Sprintf("retry %d/%d", attempt+1, g.cfg.RecallRetries))
 	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
-	g.armRecallWatchdog(addr, ht, attempt+1)
+	ht.watchdog = g.watchdogs[attempt+1].Defer(deadline{addr, ht.serial, attempt + 1})
 }
 
 // recallTimeout enforces Guarantee 2c: if the accelerator does not answer

@@ -62,8 +62,8 @@ func TestRecallWatchdogCanceledNeverFires(t *testing.T) {
 	if r.g.Timeouts != 0 {
 		t.Fatalf("Timeouts = %d after canceled watchdog, want 0", r.g.Timeouts)
 	}
-	if r.g.Errors() != 0 {
-		t.Fatalf("violations = %d, want 0", r.g.Errors())
+	if r.g.errors != 0 {
+		t.Fatalf("violations = %d, want 0", r.g.errors)
 	}
 }
 
@@ -85,9 +85,9 @@ func TestRecallWatchdogStaleTimerIgnoresReusedAddress(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("done calls = %d, want 2", calls)
 	}
-	if r.g.Timeouts != 0 || r.g.Errors() != 0 {
+	if r.g.Timeouts != 0 || r.g.errors != 0 {
 		t.Fatalf("stale timer charged the later recall: Timeouts=%d errors=%d",
-			r.g.Timeouts, r.g.Errors())
+			r.g.Timeouts, r.g.errors)
 	}
 	if openRecalls(r.g) != 0 {
 		t.Fatalf("%d host transactions left open", openRecalls(r.g))
@@ -113,9 +113,9 @@ func TestRecallRetryThenSuccess(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("done calls = %d, want 1", calls)
 	}
-	if r.g.Timeouts != 0 || r.g.Errors() != 0 {
+	if r.g.Timeouts != 0 || r.g.errors != 0 {
 		t.Fatalf("successful retry still charged: Timeouts=%d errors=%d",
-			r.g.Timeouts, r.g.Errors())
+			r.g.Timeouts, r.g.errors)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestRecallRetriesExhaustedSingleTimeout(t *testing.T) {
 	if r.g.Timeouts != 1 {
 		t.Fatalf("Timeouts = %d, want exactly 1", r.g.Timeouts)
 	}
-	if r.g.Errors() != 1 {
-		t.Fatalf("violations = %d, want 1 (the G2c)", r.g.Errors())
+	if r.g.errors != 1 {
+		t.Fatalf("violations = %d, want 1 (the G2c)", r.g.errors)
 	}
 	if calls != 1 || gotData == nil {
 		t.Fatalf("done calls=%d data=%v, want one zero-block answer", calls, gotData)
@@ -316,12 +316,12 @@ func TestQuarantineGrantRaceSharedKeepsNoCopy(t *testing.T) {
 func TestQuarantineDropsLateResponsesQuietly(t *testing.T) {
 	r := newRecallRig(FullState, Config{Timeout: 1000, GuardLat: 1, QuarantineAfter: 2})
 	tripQuarantine(t, r, 2)
-	errs := r.g.Errors()
+	errs := r.g.errors
 	r.fromAccel(coherence.ADirtyWB, 0x40, mem.Zero())
 	r.fromAccel(coherence.AInvAck, 0x80, nil)
-	if r.g.Errors() != errs {
+	if r.g.errors != errs {
 		t.Fatalf("late responses under quarantine raised %d violations, want 0",
-			r.g.Errors()-errs)
+			r.g.errors-errs)
 	}
 }
 
@@ -359,8 +359,8 @@ func TestRecallCoalescing(t *testing.T) {
 	if openRecalls(r.g) != 0 {
 		t.Fatalf("%d recalls left open", openRecalls(r.g))
 	}
-	if r.g.Errors() != 0 {
-		t.Fatalf("violations = %d, want 0", r.g.Errors())
+	if r.g.errors != 0 {
+		t.Fatalf("violations = %d, want 0", r.g.errors)
 	}
 }
 
@@ -456,7 +456,7 @@ func TestMuteAcceleratorDeadlineTicks(t *testing.T) {
 		if r.eng.Now() != last {
 			t.Errorf("RecallRetries %d: went quiet at tick %d, after %q", tc.retries, r.eng.Now(), got[len(got)-1])
 		}
-		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, r.g.RetriesSent, r.g.Errors()))
+		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, r.g.RetriesSent, r.g.errors))
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("RecallRetries %d:\n%s\nwant\n%s", tc.retries, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
 		}

@@ -39,9 +39,17 @@ const recoveryPoll sim.Time = 16
 // device converges to a fenced one).
 const maxRecoveries = 3
 
-// recoverDelay is the exponential backoff before the next readmission
-// attempt: RecoverAfter, doubled for every earlier readmission.
-func (g *Guard) recoverDelay() sim.Time { return g.cfg.RecoverAfter << g.recoveries }
+// recoveryMetric adds v to the instrument name and to its per-device twin:
+// a counter, or with hist a histogram.
+func (g *Guard) recoveryMetric(name string, v float64, hist bool) {
+	for _, n := range [2]string{name, name + g.metricSuffix()} {
+		if hist {
+			g.obsReg.Histogram(n).Observe(v)
+		} else {
+			g.obsReg.Counter(n).Add(uint64(v))
+		}
+	}
+}
 
 // recoveryEvent emits one KindRecovery trace event.
 func (g *Guard) recoveryEvent(addr mem.Addr, payload string) {
@@ -59,15 +67,13 @@ func (g *Guard) scheduleRecovery(addr mem.Addr) {
 	}
 	if g.recoveries >= maxRecoveries {
 		g.permanent = true
-		g.obsReg.Counter("guard.recovery.permanent").Inc()
-		g.obsReg.Counter("guard.recovery.permanent" + g.metricSuffix()).Inc()
+		g.recoveryMetric("guard.recovery.permanent", 1, false)
 		g.recoveryEvent(addr, fmt.Sprintf("permanent quarantine after %d recoveries", g.recoveries))
 		return
 	}
-	delay := g.recoverDelay()
+	delay := g.cfg.RecoverAfter << g.recoveries // doubled for every earlier readmission
 	g.recovering = true
-	g.obsReg.Counter("guard.recovery.backoff").Inc()
-	g.obsReg.Counter("guard.recovery.backoff" + g.metricSuffix()).Inc()
+	g.recoveryMetric("guard.recovery.backoff", 1, false)
 	g.recoveryEvent(addr, fmt.Sprintf("recovery %d/%d scheduled, backoff %d ticks",
 		g.recoveries+1, maxRecoveries, uint64(delay)))
 	if g.cfg.Spans {
@@ -92,9 +98,7 @@ func (g *Guard) recoveryPhase(ended string) {
 		return
 	}
 	now := g.eng.Now()
-	name := "xg.span.recovery." + ended + ".ticks"
-	g.obsReg.Histogram(name).Observe(float64(now - g.recoveryMark))
-	g.obsReg.Histogram(name + g.metricSuffix()).Observe(float64(now - g.recoveryMark))
+	g.recoveryMetric("xg.span.recovery."+ended+".ticks", float64(now-g.recoveryMark), true)
 	g.recoveryMark = now
 	g.spanEvent(obs.KindSpanPhase, g.recoverySpan, 0, 0, ended)
 }
@@ -140,8 +144,7 @@ func (g *Guard) recoveryDrainTable() {
 		}
 		g.drop(a)
 	}
-	g.obsReg.Counter("guard.recovery.drained_lines").Add(uint64(len(lines)))
-	g.obsReg.Counter("guard.recovery.drained_lines" + g.metricSuffix()).Add(uint64(len(lines)))
+	g.recoveryMetric("guard.recovery.drained_lines", float64(len(lines)), false)
 	g.recoveryEvent(0, fmt.Sprintf("drain flushed %d lines", len(lines)))
 	g.recoveryPhase("drain")
 	g.recoveryWhenIdle(g.reintegrate)
@@ -161,23 +164,20 @@ func (g *Guard) reintegrate() {
 	}
 	g.epoch++
 	g.recoveries++
-	g.resetState()
+	g.clearTable()
 	if g.resetHook != nil {
 		g.resetHook(g.epoch)
 	}
 	g.Quarantined = false
 	g.errors = 0
 	g.recovering = false
-	g.obsReg.Counter("guard.recovery.reintegrated").Inc()
-	g.obsReg.Counter("guard.recovery.reintegrated" + g.metricSuffix()).Inc()
+	g.recoveryMetric("guard.recovery.reintegrated", 1, false)
 	g.recoveryEvent(0, fmt.Sprintf("device reset, reintegrated under epoch %d (recovery %d/%d)",
 		g.epoch, g.recoveries, maxRecoveries))
 	if g.cfg.Spans && g.recoverySpan != 0 {
 		now := g.eng.Now()
-		g.obsReg.Histogram("xg.span.recovery.reset.ticks").Observe(float64(now - g.recoveryMark))
-		g.obsReg.Histogram("xg.span.recovery.reset.ticks" + g.metricSuffix()).Observe(float64(now - g.recoveryMark))
-		g.obsReg.Histogram("xg.span.recovery.total.ticks").Observe(float64(now - g.recoveryStart))
-		g.obsReg.Histogram("xg.span.recovery.total.ticks" + g.metricSuffix()).Observe(float64(now - g.recoveryStart))
+		g.recoveryMetric("xg.span.recovery.reset.ticks", float64(now-g.recoveryMark), true)
+		g.recoveryMetric("xg.span.recovery.total.ticks", float64(now-g.recoveryStart), true)
 		g.spanEvent(obs.KindSpanEnd, g.recoverySpan, 0, 0,
 			fmt.Sprintf("reintegrated epoch %d", g.epoch))
 		g.recoverySpan = 0

@@ -124,9 +124,9 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			if end := r.eng.RunUntilQuiet(); end >= 550 {
 				t.Fatalf("the run ended at tick %d: a cancelled deadline (due 550) held the clock open", end)
 			}
-			if calls != 1+open || r.g.Timeouts != 0 || r.g.Errors() != 0 || len(r.g.lines) != 0 || r.g.CheckQuiesced() != nil {
+			if calls != 1+open || r.g.Timeouts != 0 || r.g.errors != 0 || len(r.g.lines) != 0 || r.g.CheckQuiesced() != nil {
 				t.Fatalf("calls=%d timeouts=%d errors=%d lines=%d quiesced=%v, want %d, 0, 0, 0, <nil>",
-					calls, r.g.Timeouts, r.g.Errors(), len(r.g.lines), r.g.CheckQuiesced(), 1+open)
+					calls, r.g.Timeouts, r.g.errors, len(r.g.lines), r.g.CheckQuiesced(), 1+open)
 			}
 		})
 	})
@@ -412,7 +412,7 @@ func TestRecallContinuations(t *testing.T) {
 					}
 				}
 				puts := 0
-				if g.putAt(line) != nil {
+				if hasPut(g.lines[line]) {
 					puts = 1
 				}
 				if st := fab.Stats(); st.BlocksOut != puts {

@@ -84,11 +84,7 @@ func (g *Guard) runWoken() {
 			g.freePark.Put(p)
 			g.parkedNow--
 			g.Woken++
-			// The re-run is a delivery of a kept message: m goes back to
-			// its pool afterwards unless it parked again.
-			g.fab.BeginRecv(m)
-			g.processAccelRequest(m, arrive)
-			g.fab.EndRecv(m)
+			g.rerun(m, arrive)
 			p = next
 		}
 		// A line whose requests all left without opening anything (reported

@@ -145,6 +145,7 @@ var l1Rules = coherence.NewRules("mesi.L1", l1Table, []coherence.Row[L1State, ru
 	// with an InvAck.
 	on(L1ISd, rule{actAckAsData, coherence.MUnblock, L1S}, invAck),
 	on(L1ISd, ack(L1ISd), inv), // our GetS is queued
+	on(L1ISd, ackL2(L1ISd), invToL2),
 	on(L1IMad, collect(L1IMa), dataAcks),
 	on(L1IMad, collect(L1IMad), dataOwner, invAck),
 	// A sharer whose GetM is queued behind the invalidating transaction:

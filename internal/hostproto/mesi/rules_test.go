@@ -7,6 +7,7 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/seq"
+	"crossingguard/internal/tester"
 )
 
 // TestMESIRulesMatchProtocol reads the package doc's §2.4 and §3.2.2
@@ -238,5 +239,30 @@ func TestInvToL2InIIAAcksTheL2(t *testing.T) {
 	}
 	if len(l1.Cov.Unexpected) != 0 || s.Outstanding() != 0 {
 		t.Fatalf("unexpected %v, %d outstanding", l1.Cov.Unexpected, s.Outstanding())
+	}
+}
+
+// TestInvToL2WhileGetSWaitsForData: the L2 recalls for inclusion a line
+// whose GetS is still waiting for its data. The L1 acks the L2 and stays in
+// IS_D, as it does in I, S, IM_AD, SM_AD and II_A; the L2 answers the GetS
+// once its recall closes. A CPU-only machine with a one-set L2 reaches it.
+func TestInvToL2WhileGetSWaitsForData(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L1Sets, cfg.L1Ways = 2, 2
+	cfg.L2Sets, cfg.L2Ways = 1, 2
+	s := NewSystem(2, cfg, 1)
+	tc := tester.DefaultConfig(7)
+	tc.Lines, tc.StoresPerLoc = 8, 20
+	if _, err := tester.Run(s, tc); err != nil {
+		t.Fatal(err)
+	}
+	if s.L1s[0].Cov.Snapshot()["IS_D/M:InvToL2"]+s.L1s[1].Cov.Snapshot()["IS_D/M:InvToL2"] == 0 {
+		t.Fatal("no L1 took IS_D/M:InvToL2")
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Log.Count() != 0 {
+		t.Fatalf("protocol errors: %v", s.Log.Errors[0])
 	}
 }

@@ -44,15 +44,44 @@ import (
 )
 
 // symtab is the repo's symbol table: top-level declarations per package
-// and members (methods + struct fields) per exported type.
+// and members (methods + struct fields, promoted ones too) per type.
 type symtab struct {
 	pkgs    map[string]map[string]bool // package name -> top-level idents
-	members map[string]map[string]bool // exported type name -> methods/fields
+	members map[string]map[string]bool // type name -> methods/fields
+	embeds  map[string][]string        // type name -> the types it embeds
 	funcs   map[string]bool            // top-level function names, every package
 }
 
+func newSymtab() *symtab {
+	return &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
+		embeds: map[string][]string{}, funcs: map[string]bool{}}
+}
+
+// promote adds to every type the members of the types it embeds, at any
+// depth, as Go promotes them.
+func (st *symtab) promote() {
+	var add func(to map[string]bool, typ string, depth int)
+	add = func(to map[string]bool, typ string, depth int) {
+		if depth > 8 {
+			return
+		}
+		for _, e := range st.embeds[typ] {
+			for m := range st.members[e] {
+				to[m] = true
+			}
+			add(to, e, depth+1)
+		}
+	}
+	for typ := range st.embeds {
+		if st.members[typ] == nil {
+			st.members[typ] = map[string]bool{}
+		}
+		add(st.members[typ], typ, 0)
+	}
+}
+
 func buildSymtab(root string) (*symtab, error) {
-	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}}
+	st := newSymtab()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -74,6 +103,7 @@ func buildSymtab(root string) (*symtab, error) {
 		st.addFile(f)
 		return nil
 	})
+	st.promote()
 	return st, err
 }
 
@@ -85,9 +115,6 @@ func (st *symtab) addFile(f *ast.File) {
 		st.pkgs[pkg] = decls
 	}
 	member := func(typeName, name string) {
-		if !ast.IsExported(typeName) {
-			return
-		}
 		m := st.members[typeName]
 		if m == nil {
 			m = map[string]bool{}
@@ -115,6 +142,9 @@ func (st *symtab) addFile(f *ast.File) {
 							for _, n := range field.Names {
 								member(s.Name.Name, n.Name)
 							}
+							if len(field.Names) == 0 {
+								st.embeds[s.Name.Name] = append(st.embeds[s.Name.Name], recvTypeName(field.Type))
+							}
 						}
 					case *ast.InterfaceType:
 						for _, m := range t.Methods.List {
@@ -133,8 +163,8 @@ func (st *symtab) addFile(f *ast.File) {
 	}
 }
 
-// recvTypeName unwraps *T and generic T[P] and T[P, Q] receivers to the
-// type name.
+// recvTypeName unwraps *T, generic T[P] and T[P, Q] receivers and embedded
+// pkg.T fields to the type name.
 func recvTypeName(t ast.Expr) string {
 	for {
 		switch x := t.(type) {
@@ -144,6 +174,8 @@ func recvTypeName(t ast.Expr) string {
 			t = x.X
 		case *ast.IndexListExpr:
 			t = x.X
+		case *ast.SelectorExpr: // an embedded pkg.T
+			return x.Sel.Name
 		case *ast.Ident:
 			return x.Name
 		default:

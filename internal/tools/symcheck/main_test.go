@@ -18,7 +18,7 @@ func (f fixture) Fuzz() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}}
+	st := newSymtab()
 	st.addFile(f)
 	doc := filepath.Join(t.TempDir(), "doc.md")
 	body := "`go test -run TestGuardTimeout` and `BenchmarkE3_Stress*`, `BenchmarkE3_*`, `f.Fuzz`, `Tester`\n" +
@@ -50,11 +50,35 @@ func (r *Rules[S, V]) At() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &symtab{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}}
+	st := newSymtab()
 	st.addFile(f)
 	for typ, m := range map[string]string{"Set": "Add", "Rules": "At"} {
 		if !st.members[typ][m] {
 			t.Errorf("%s.%s not recorded", typ, m)
+		}
+	}
+}
+
+// Fields and methods of an embedded type, exported or not, are members of
+// the type that embeds it.
+func TestPromotedMembers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "x.go", `package x
+type Guard struct {
+	id int
+	runState
+}
+type runState struct{ Parked uint64 }
+func (r *runState) Reset() {}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newSymtab()
+	st.addFile(f)
+	st.promote()
+	for _, m := range []string{"Parked", "Reset"} {
+		if !st.members["Guard"][m] {
+			t.Errorf("Guard.%s not recorded", m)
 		}
 	}
 }
