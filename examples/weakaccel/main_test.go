@@ -1,9 +1,9 @@
 package main
 
 import (
-	"io"
-	"os"
 	"testing"
+
+	"crossingguard/examples/internal/capture"
 )
 
 // want is the example's whole output: the weak model inside the
@@ -19,20 +19,7 @@ host-side coherence audit clean; zero guard violations
 
 // TestOutput runs the example and compares what it prints.
 func TestOutput(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	main()
-	os.Stdout = stdout
-	w.Close()
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
+	if got := capture.Stdout(t, main); got != want {
 		t.Fatalf("output:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -399,7 +399,7 @@ func runShard(spec ShardSpec, trace bool, tail int, live *Telemetry) ShardResult
 		if g.Quarantined {
 			res.Quarantined = true
 		}
-		res.Recoveries += uint64(g.Recoveries())
+		res.Recoveries += uint64(g.Recoveries)
 	}
 	res.Violations = uint64(sys.Log.Count())
 	for code, n := range sys.Log.ByCode {

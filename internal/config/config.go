@@ -738,7 +738,7 @@ func (s *System) accelCfg() accel.Config {
 // the link between them across the crossing.
 func (s *System) addGuard(h hostParts, d int, xgID, accelID coherence.NodeID, name string) *core.Guard {
 	g := h.guard(xgID, accelID, devName(d, name), s.guardConfig())
-	g.SetAccelTag(d)
+	g.AccelTag = d
 	g.AttachObs(s.Obs)
 	s.Guards = append(s.Guards, g)
 	s.cross(accelID, xgID, network.Config{Jitter: s.lat.Jitter, Ordered: true})

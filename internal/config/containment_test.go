@@ -92,7 +92,7 @@ func neighborSection(s obs.Snapshot) string {
 
 func guardByTag(sys *System, tag int) *core.Guard {
 	for _, g := range sys.Guards {
-		if g.AccelTag() == tag {
+		if g.AccelTag == tag {
 			return g
 		}
 	}
@@ -127,13 +127,13 @@ func TestRecoveryContainment(t *testing.T) {
 				if g2 == nil {
 					t.Fatal("no guard carries accel tag 2")
 				}
-				if g2.Recoveries() < 1 {
+				if g2.Recoveries < 1 {
 					t.Fatalf("device 2 recovered %d times, want >=1 (quarantined=%v)",
-						g2.Recoveries(), g2.Quarantined)
+						g2.Recoveries, g2.Quarantined)
 				}
-				if gi := guardByTag(idle, 2); gi.Recoveries() != 0 || gi.Epoch() != 0 {
+				if gi := guardByTag(idle, 2); gi.Recoveries != 0 || gi.Epoch != 0 {
 					t.Fatalf("idle baseline's device 2 guard cycled (recoveries=%d epoch=%d)",
-						gi.Recoveries(), gi.Epoch())
+						gi.Recoveries, gi.Epoch)
 				}
 
 				a, b := neighborSection(flap.Obs.Snapshot()), neighborSection(idle.Obs.Snapshot())

@@ -152,10 +152,10 @@ func TestAuditQuiesceHygiene(t *testing.T) {
 				t.Fatalf("audit with a recall open: %v", err)
 			}
 			g.Recv(&coherence.Msg{Type: coherence.AGetS, Addr: line, Src: g.AccelID(), Dst: g.ID()})
-			if g.ParkedNow() != 1 {
-				t.Fatalf("Get during the recall: ParkedNow = %d, want 1", g.ParkedNow())
+			if n := g.Parked - g.Woken; n != 1 {
+				t.Fatalf("Get during the recall: %d parked, want 1", n)
 			}
-			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "still parked at quiesce") {
+			if err := s.Audit(); err == nil || !strings.Contains(err.Error(), "parked true") {
 				t.Fatalf("audit with a parked request: %v", err)
 			}
 		})

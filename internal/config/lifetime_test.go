@@ -121,8 +121,8 @@ func TestPoolBalanceExemptions(t *testing.T) {
 	if !sys.Eng.RunUntil(20_000_000) {
 		t.Fatal("quarantine-recovery cycle did not drain")
 	}
-	if g := sys.Guards[0]; g.Epoch() != 1 {
-		t.Fatalf("device not reset: epoch %d", g.Epoch())
+	if g := sys.Guards[0]; g.Epoch != 1 {
+		t.Fatalf("device not reset: epoch %d", g.Epoch)
 	}
 	sys.Fab.Msg(coherence.Msg{Type: coherence.HAck}) // stands in for what a reset drops
 	if err := sys.Audit(); err != nil {

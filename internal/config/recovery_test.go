@@ -66,9 +66,9 @@ func TestStaleEpochRejectedAfterReintegration(t *testing.T) {
 					t.Fatal("quarantine-recovery cycle did not drain")
 				}
 				g := sys.Guards[0]
-				if g.Recoveries() != 1 || g.Quarantined || g.Epoch() != 1 {
+				if g.Recoveries != 1 || g.Quarantined || g.Epoch != 1 {
 					t.Fatalf("guard not cleanly reintegrated: recoveries=%d quarantined=%v epoch=%d",
-						g.Recoveries(), g.Quarantined, g.Epoch())
+						g.Recoveries, g.Quarantined, g.Epoch)
 				}
 
 				// The delayed pre-reset data reply: dirty garbage for the
@@ -142,15 +142,15 @@ func TestFlapperConvergesToPermanentQuarantine(t *testing.T) {
 				t.Fatal("flapper run did not drain")
 			}
 			g := sys.Guards[0]
-			if !g.PermanentlyQuarantined() {
+			if !g.PermanentlyQuarantined {
 				t.Fatalf("guard not permanently quarantined (recoveries=%d quarantined=%v)",
-					g.Recoveries(), g.Quarantined)
+					g.Recoveries, g.Quarantined)
 			}
 			if !g.Quarantined {
 				t.Fatal("permanently quarantined guard must stay fenced")
 			}
-			if g.Recoveries() != 3 {
-				t.Fatalf("guard recovered %d times, want exactly 3", g.Recoveries())
+			if g.Recoveries != 3 {
+				t.Fatalf("guard recovered %d times, want exactly 3", g.Recoveries)
 			}
 			c := sys.Obs.Snapshot().Counters
 			if c["guard.recovery.backoff"] != 3 || c["guard.recovery.reintegrated"] != 3 ||
@@ -203,9 +203,9 @@ func TestRecoveryDisabledKeepsQuarantineTerminal(t *testing.T) {
 				t.Fatal("run did not drain")
 			}
 			g := sys.Guards[0]
-			if !g.Quarantined || g.Recoveries() != 0 || g.Epoch() != 0 {
+			if !g.Quarantined || g.Recoveries != 0 || g.Epoch != 0 {
 				t.Fatalf("disabled recovery must leave quarantine terminal: quarantined=%v recoveries=%d epoch=%d",
-					g.Quarantined, g.Recoveries(), g.Epoch())
+					g.Quarantined, g.Recoveries, g.Epoch)
 			}
 			for name, v := range sys.Obs.Snapshot().Counters {
 				if strings.HasPrefix(name, "guard.recovery.") && v != 0 {

@@ -343,10 +343,9 @@ func machineSig(sys *config.System, drive func(*config.System) string) string {
 	fmt.Fprintf(&b, "pool out %d/%d dropped %d delayed %d mem %d lines %d reads %d writes\n",
 		st.MsgsOut, st.BlocksOut, sys.Fab.Dropped, sys.Fab.DelayedSends(), sys.Mem.Lines(), sys.Mem.Reads, sys.Mem.Writes)
 	for _, g := range sys.Guards {
-		fmt.Fprintf(&b, "guard %s quarantined %v entries %d epoch %d recoveries %d stats %d %d %d %d %d %d %d %d %d %d %d\n",
-			g.Name(), g.Quarantined, g.TableEntries(), g.Epoch(), g.Recoveries(), g.PutSSuppressed, g.PutSForwarded,
-			g.SnoopsFiltered, g.SnoopsForwarded, g.Timeouts, g.RetriesSent, g.RateDelayed, g.ReqsBlocked,
-			g.Parked, g.Woken, g.RecallsCoalesced)
+		fmt.Fprintf(&b, "guard %s quarantined %v entries %d epoch %d recoveries %d stats %d %d %d %d %d %d %d %d\n",
+			g.Name(), g.Quarantined, g.TableEntries(), g.Epoch, g.Recoveries, g.PutSSuppressed, g.PutSForwarded,
+			g.SnoopsFiltered, g.SnoopsForwarded, g.Timeouts, g.RateDelayed, g.Parked, g.Woken)
 	}
 	for _, sq := range sys.Sequencers() {
 		fmt.Fprintf(&b, "seq %s loads %d stores %d done %d latency %d/%d\n", sq.Name(), sq.Loads, sq.Stores,

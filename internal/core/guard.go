@@ -137,7 +137,7 @@ type Guard struct {
 	cov       *coherence.Coverage               // its visits
 	freeLines coherence.RecPool[line]
 	freeWork  coherence.RecPool[lineWork]
-	inspect   []*line // the audits' walks of the table (inspected)
+	inspect   []*line // the walks of the table in address order (inspected)
 
 	// timers holds the guard's short deferred actions and watchdogs the
 	// Guarantee 2c deadlines of the open recalls, one lane per retry
@@ -145,10 +145,11 @@ type Guard struct {
 	timers    sim.Deferred[timer]
 	watchdogs []sim.Lane[deadline]
 
-	// accelTag is the device label stamped on this guard's trace events
-	// and per-accelerator metric names (0 for the first/only device, so
-	// single-accelerator traces and metric sets are unchanged).
-	accelTag int
+	// AccelTag is the accelerator's device index (0-based), stamped on
+	// this guard's trace events and per-accelerator metric names (0 for the
+	// first/only device, so single-accelerator traces and metric sets are
+	// unchanged). Set it before AttachObs.
+	AccelTag int
 
 	// Wait list (waitlist.go): a line's parked requests are on its
 	// open-work record; ready lists the lines whose parked requests the
@@ -171,19 +172,14 @@ type Guard struct {
 	// Observability (nil-safe no-ops until AttachObs). The hot-path
 	// instruments are fetched once; the per-code violation counters — an
 	// adversary makes that path hot too — are created in obsReg on a code's
-	// first violation and found in mViolation after that. The mSpan*
-	// histogram pairs (aggregate + per-device) are the crossing-anatomy
-	// instruments of span tracing, prefetched like mCrossing.
-	obsReg       *obs.Registry
-	mPass        *obs.Counter
-	mPassAccel   *obs.Counter
-	mCrossing    *obs.Histogram
-	mViolation   map[string][2]*obs.Counter // by code: the counter and its @a<N> twin
-	mSpanRequest [2]*obs.Histogram
-	mSpanCheck   [2]*obs.Histogram
-	mSpanGrant   [2]*obs.Histogram
-	mSpanRecall  [2]*obs.Histogram
-	mSpanRetry   [2]*obs.Histogram
+	// first violation and found in mViolation after that. mSpan holds span
+	// tracing's crossing-anatomy histograms by phase. Each pair is an
+	// instrument and its per-device twin (twins).
+	obsReg     *obs.Registry
+	mPass      [2]*obs.Counter
+	mCrossing  *obs.Histogram
+	mViolation map[string][2]*obs.Counter // by code
+	mSpan      [len(spanPhases)][2]*obs.Histogram
 
 	runState
 }
@@ -195,30 +191,26 @@ type runState struct {
 	// counts up, so no two ever share a value (timer).
 	serial uint64
 
-	// wakeArmed says the wake event is queued; parkedNow counts the
-	// requests currently held on wait lists.
-	wakeArmed bool
-	parkedNow int
-
 	// Quarantined is set once the quarantine policy fences the
 	// accelerator (graceful degradation: the host keeps running on
 	// trusted state, the accelerator is nacked).
 	Quarantined bool
 	errors      int
 
-	// epoch is the guard epoch: 0 until the first device reset, bumped
+	// Epoch is the guard epoch: 0 until the first device reset, bumped
 	// on every reintegration. Stamped on outbound accelerator messages;
 	// accelerator messages carrying any other epoch are dropped as
 	// XG.StaleEpoch.
-	epoch uint32
-	// recoveries counts completed reintegrations; once it reaches
+	Epoch uint32
+	// Recoveries counts completed reintegrations; once it reaches
 	// maxRecoveries the next quarantine is permanent.
-	recoveries int
+	Recoveries int
 	// recovering is set while a recovery (backoff, drain, or reset) is
 	// in flight, so a second scheduling attempt is inert.
 	recovering bool
-	// permanent marks a quarantine that recovery will never reopen.
-	permanent bool
+	// PermanentlyQuarantined marks a quarantine that recovery will never
+	// reopen (maxRecoveries readmissions spent).
+	PermanentlyQuarantined bool
 
 	// Statistics.
 	PutSSuppressed  uint64 // PutS not forwarded (host evicts S silently)
@@ -226,17 +218,12 @@ type runState struct {
 	SnoopsFiltered  uint64 // host requests answered without consulting the accelerator
 	SnoopsForwarded uint64
 	Timeouts        uint64
-	RetriesSent     uint64 // Invalidates re-sent after a recall deadline expired
 	RateDelayed     uint64
-	ReqsBlocked     uint64 // requests dropped by guarantee enforcement
 	// Parked counts requests put on a line's wait list (a request that is
 	// woken and must wait again counts again); Woken counts parked
-	// requests re-run by a wake. Equal whenever no request is parked.
+	// requests re-run by a wake. Their difference is what is parked now.
 	Parked uint64
 	Woken  uint64
-	// RecallsCoalesced counts host recalls merged into an already-open
-	// recall for the same block (one Invalidate serves every waiter).
-	RecallsCoalesced uint64
 
 	// Span tracing (Config.Spans). spanSeq numbers this guard's spans;
 	// the emitted id is guard-node<<32|seq, unique and deterministic
@@ -303,24 +290,11 @@ type recallCont struct {
 	// req is the host node whose request caused the recall (the L2 for an
 	// inclusion recall), where most continuations send their answer.
 	req coherence.NodeID
-	// copy is the guard's trusted data, copied when the recall started
-	// because the residency is gone when it completes (recallThenServe):
-	// the continuation's own block, given back once it has run.
+	// copy is the guard's trusted data, copied when a serving cell's recall
+	// started because the residency is gone when it ends (recvHost): the
+	// continuation's own block, given back once it has run.
 	copy  *mem.Block
 	dirty bool // copy is dirty
-}
-
-// complete resumes the host cell that started the closed recall ht and
-// every one coalesced onto it, in arrival order, with the same resolution.
-// data is a loan: a continuation only reads it, into the messages it sends
-// and the writeback records it opens, so sharing the pointer is safe. None
-// of them starts a recall, so nothing appends to the waiters' storage —
-// still the work record's, which may be in use again — while it is read.
-func (g *Guard) complete(addr mem.Addr, ht *hostTxn, data *mem.Block, dirty bool) {
-	g.resume(addr, ht.done, data, dirty)
-	for _, c := range ht.waiters {
-		g.resume(addr, c, data, dirty)
-	}
 }
 
 // timerKind says what a deferred guard action does when its tick comes.
@@ -393,12 +367,6 @@ func (g *Guard) rerun(m *coherence.Msg, arrive sim.Time) {
 	g.fab.EndRecv(m)
 }
 
-// nextSerial returns a serial no opening or arming has had.
-func (g *Guard) nextSerial() uint64 {
-	g.serial++
-	return g.serial
-}
-
 // newGuard builds a guard that speaks host to home (NewHammerGuard,
 // NewMESIGuard).
 func newGuard(id coherence.NodeID, name string, eng *sim.Engine, fab *network.Fabric,
@@ -467,16 +435,23 @@ func (g *Guard) clearTable() {
 	g.ready = g.ready[:0]
 }
 
-// SetAccelTag labels this guard with its accelerator device index
-// (0-based), stamped on its trace events and per-accelerator metric names.
-// Call before AttachObs.
-func (g *Guard) SetAccelTag(tag int) { g.accelTag = tag }
+// twins returns the instruments get makes of name and of its per-device
+// twin, name@a<device>.
+func twins[T any](g *Guard, get func(string) T, name string) [2]T {
+	return [2]T{get(name), get(name + "@a" + strconv.Itoa(g.AccelTag))}
+}
 
-// AccelTag reports the device label set by SetAccelTag.
-func (g *Guard) AccelTag() int { return g.accelTag }
+// add adds n to a counter and its twin.
+func add(c [2]*obs.Counter, n uint64) {
+	c[0].Add(n)
+	c[1].Add(n)
+}
 
-// metricSuffix is the per-accelerator metric-name suffix ("@a<tag>").
-func (g *Guard) metricSuffix() string { return "@a" + strconv.Itoa(g.accelTag) }
+// observe records v into a histogram and its twin.
+func observe(h [2]*obs.Histogram, v float64) {
+	h[0].Observe(v)
+	h[1].Observe(v)
+}
 
 // AttachObs registers the guard's instruments with r: the
 // guard.check.pass counter (requests that cleared every check), per-code
@@ -486,20 +461,30 @@ func (g *Guard) metricSuffix() string { return "@a" + strconv.Itoa(g.accelTag) }
 // uninstrumented.
 func (g *Guard) AttachObs(r *obs.Registry) {
 	g.obsReg, g.mViolation = r, nil
-	g.mPass = r.Counter("guard.check.pass")
-	g.mPassAccel = r.Counter("guard.check.pass" + g.metricSuffix())
+	g.mPass = twins(g, r.Counter, "guard.check.pass")
 	g.mCrossing = r.Histogram("xg.crossing.ticks")
+	// The crossing-anatomy histograms exist only with span tracing on, so
+	// span-free metric snapshots stay byte-identical.
 	if g.cfg.Spans {
-		// The crossing-anatomy histograms exist only with span tracing on,
-		// so span-free metric snapshots stay byte-identical.
-		suffix := g.metricSuffix()
-		g.mSpanRequest = [2]*obs.Histogram{r.Histogram("xg.span.request.ticks"), r.Histogram("xg.span.request.ticks" + suffix)}
-		g.mSpanCheck = [2]*obs.Histogram{r.Histogram("xg.span.check.ticks"), r.Histogram("xg.span.check.ticks" + suffix)}
-		g.mSpanGrant = [2]*obs.Histogram{r.Histogram("xg.span.grant.ticks"), r.Histogram("xg.span.grant.ticks" + suffix)}
-		g.mSpanRecall = [2]*obs.Histogram{r.Histogram("xg.span.recall.ticks"), r.Histogram("xg.span.recall.ticks" + suffix)}
-		g.mSpanRetry = [2]*obs.Histogram{r.Histogram("xg.span.retry.ticks"), r.Histogram("xg.span.retry.ticks" + suffix)}
+		for i, phase := range spanPhases {
+			g.mSpan[i] = twins(g, r.Histogram, "xg.span."+phase+".ticks")
+		}
 	}
 }
+
+// The crossing-anatomy phases, xg.span.<phase>.ticks: request (arrival to
+// acceptance — rate limiting and busy-line deferrals), check (acceptance to
+// host dispatch), grant (host dispatch to completion), and a recall's
+// duration and, when it needed watchdog retries, its tail past the first.
+const (
+	spanRequest = iota
+	spanCheck
+	spanGrant
+	spanRecall
+	spanRetry
+)
+
+var spanPhases = [...]string{"request", "check", "grant", "recall", "retry"}
 
 // ID implements coherence.Controller.
 func (g *Guard) ID() coherence.NodeID { return g.id }
@@ -524,18 +509,17 @@ func (g *Guard) Recv(m *coherence.Msg) {
 	fromAccel := m.Src == g.accel
 	req, resp := m.Type.IsAccelRequest(), m.Type.IsAccelResponse()
 	switch {
-	case fromAccel && m.Epoch != g.epoch:
+	case fromAccel && m.Epoch != g.Epoch:
 		// A pre-reset straggler (late data reply, duplicated or delayed
 		// message) delivered after reintegration bumped the epoch: dropped
 		// before it can touch the fresh table, and counted and traced as
 		// XG.StaleEpoch, but neither scored nor reported: charging the
 		// fenced predecessor's traffic to the readmitted device would
 		// re-trip quarantine on ghosts.
-		g.ReqsBlocked++
 		g.countViolation("XG.StaleEpoch")
 		if g.fab.Bus.Active() {
 			g.emit(obs.Event{Kind: obs.KindViolation, Addr: m.Addr.Line(), Msg: m.Type,
-				Payload: fmt.Sprintf("XG.StaleEpoch: %v from epoch %d dropped (guard epoch %d)", m.Type, m.Epoch, g.epoch)})
+				Payload: fmt.Sprintf("XG.StaleEpoch: %v from epoch %d dropped (guard epoch %d)", m.Type, m.Epoch, g.Epoch)})
 		}
 	case (req || resp) && !fromAccel:
 		g.violation("XG.BadSource", fmt.Sprintf("%v from non-accelerator node %d", m.Type, m.Src), m.Addr.Line())
@@ -543,11 +527,21 @@ func (g *Guard) Recv(m *coherence.Msg) {
 		// Fenced accelerator: refuse service explicitly. Nack rather than
 		// silently drop so a confused-but-live accelerator's transactions
 		// terminate instead of hanging its internal state machine.
-		g.ReqsBlocked++
 		g.obsReg.Counter("guard.quarantine.nacks").Inc()
 		g.sendToAccelAfter(coherence.ANack, m.Addr.Line(), nil, 0)
 	case req:
-		g.handleAccelRequest(m)
+		// §2.5: rate-limit requests (responses are never delayed). The
+		// limiter hands out a single wait per request (queue semantics).
+		arrive := g.eng.Now()
+		if g.cfg.Rate != nil {
+			if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
+				g.RateDelayed++
+				m.Keep()
+				g.timers.After(wait, timer{kind: timerAdmit, m: m, arrive: arrive})
+				return
+			}
+		}
+		g.processAccelRequest(m, arrive)
 	case resp && g.Quarantined:
 		// A fenced accelerator has no pending host requests by
 		// construction (quarantine resolved them all); swallow late
@@ -556,7 +550,6 @@ func (g *Guard) Recv(m *coherence.Msg) {
 	case resp:
 		g.dispatch(m, perm.None, 0)
 	case fromAccel:
-		g.ReqsBlocked++
 		g.violation("XG.BadMessage", detailNotInterface.of(m.Type), m.Addr.Line())
 	default:
 		g.recvHost(m)
@@ -571,7 +564,7 @@ func (g *Guard) send(t coherence.Msg) { g.fab.Send(g.fab.Msg(t)) }
 // checks the bus first.
 func (g *Guard) emit(e obs.Event) {
 	if b := g.fab.Bus; b.Active() {
-		e.Tick, e.Component, e.Accel = g.eng.Now(), g.name, g.accelTag
+		e.Tick, e.Component, e.Accel = g.eng.Now(), g.name, g.AccelTag
 		b.Emit(e)
 	}
 }
@@ -595,17 +588,8 @@ func (g *Guard) spanEvent(kind obs.Kind, span uint64, addr mem.Addr, from cohere
 	}
 }
 
-// observeSpan records one phase duration into an aggregate+per-device
-// histogram pair (nil-safe before AttachObs).
-func observeSpan(h [2]*obs.Histogram, v float64) {
-	h[0].Observe(v)
-	h[1].Observe(v)
-}
-
-// closeCrossingSpan ends one accelerator crossing's span and feeds the
-// per-phase anatomy histograms: request (arrival to acceptance — rate
-// limiting and busy-line deferrals), check (acceptance to host
-// dispatch), grant (host dispatch to completion). A crossing consumed
+// closeCrossingSpan ends one accelerator crossing's span and feeds its
+// phases' anatomy histograms: request, check and grant. A crossing consumed
 // before its dispatch closure ran (the Put/Inv race) has no dispatch
 // tick and contributes only its request phase. t is the caller's copy of the
 // closed transaction.
@@ -613,10 +597,10 @@ func (g *Guard) closeCrossingSpan(t *accelTxn, addr mem.Addr, outcome string) {
 	if !g.cfg.Spans || t.span == 0 {
 		return
 	}
-	observeSpan(g.mSpanRequest, float64(t.start-t.arrive))
+	observe(g.mSpan[spanRequest], float64(t.start-t.arrive))
 	if t.fwd != 0 {
-		observeSpan(g.mSpanCheck, float64(t.fwd-t.start))
-		observeSpan(g.mSpanGrant, float64(g.eng.Now()-t.fwd))
+		observe(g.mSpan[spanCheck], float64(t.fwd-t.start))
+		observe(g.mSpan[spanGrant], float64(g.eng.Now()-t.fwd))
 	}
 	g.spanEvent(obs.KindSpanEnd, t.span, addr, 0, outcome)
 }
@@ -631,15 +615,13 @@ func (g *Guard) countViolation(code string) {
 	}
 	c, ok := g.mViolation[code]
 	if !ok {
-		name := "guard.violation." + code
-		c = [2]*obs.Counter{g.obsReg.Counter(name), g.obsReg.Counter(name + g.metricSuffix())}
+		c = twins(g, g.obsReg.Counter, "guard.violation."+code)
 		if g.mViolation == nil {
 			g.mViolation = make(map[string][2]*obs.Counter)
 		}
 		g.mViolation[code] = c
 	}
-	c[0].Inc()
-	c[1].Inc()
+	add(c, 1)
 }
 
 // violation records a guarantee violation and applies the error policy.
@@ -673,48 +655,14 @@ func (g *Guard) enterQuarantine(addr mem.Addr) {
 	g.sink.ReportError(coherence.ProtocolError{Where: g.name, Code: "XG.Quarantined", Addr: addr, Detail: detail})
 	// Resolve open recalls in address order (map iteration is randomized;
 	// resolution order must be deterministic), without charging timeouts.
-	for _, l := range g.sortedLines(hasRecall) {
-		a := l.addr
+	for _, l := range g.inspected(hasRecall) {
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		ht := g.closeRecall(l, "quarantine")
-		g.answerFenced(a, &ht)
+		g.endRecall(l.addr, "quarantine", nil, nil)
 	}
 	g.scheduleRecovery(addr)
 }
 
-// answerFenced completes the closed recall ht of a fenced accelerator, which
-// is not asked, and writes its copy off (the residency ends after the
-// continuations have read their data). The line's trusted copy, when it kept
-// one, stands in for the accelerator's answer: an owned line keeps one only
-// when its grant raced the fence, so this is the one path that answers from
-// an owner's copy.
-func (g *Guard) answerFenced(addr mem.Addr, ht *hostTxn) {
-	var copy *mem.Block
-	dirty := false
-	if _, e := g.accelHolds(addr); e != nil {
-		copy, dirty = e.copy, e.dirty
-	}
-	data, dirty, _ := hostAnswer(ht.view, copy != nil, copy, dirty)
-	g.complete(addr, ht, data, dirty)
-	g.drop(addr)
-}
-
 // --- accelerator requests (GetS, GetM, PutM, PutE, PutS) ---
-
-func (g *Guard) handleAccelRequest(m *coherence.Msg) {
-	arrive := g.eng.Now()
-	// §2.5: rate-limit requests (responses are never delayed). The
-	// limiter hands out a single wait per request (queue semantics).
-	if g.cfg.Rate != nil {
-		if wait := g.cfg.Rate.Admit(arrive); wait > 0 {
-			g.RateDelayed++
-			m.Keep()
-			g.timers.After(wait, timer{kind: timerAdmit, m: m, arrive: arrive})
-			return
-		}
-	}
-	g.processAccelRequest(m, arrive)
-}
 
 // processAccelRequest runs the page-permission checks after rate admission
 // and dispatches what passes through the guard's table (rules.go). arrive
@@ -731,14 +679,12 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 		access = g.cfg.Perms.Lookup(addr)
 	}
 	if !access.AllowsRead() {
-		g.ReqsBlocked++
 		g.violation("XG.G0a", detailNoAccess.of(m.Type), addr)
 		return
 	}
 	// Guarantee 0b: no exclusive (write) request, and no dirty data,
 	// without page write permission.
 	if (m.Type == coherence.AGetM || m.Type == coherence.APutM) && !access.AllowsWrite() {
-		g.ReqsBlocked++
 		g.violation("XG.G0b", detailReadOnly.of(m.Type), addr)
 		return
 	}
@@ -756,8 +702,7 @@ func (g *Guard) processAccelRequest(m *coherence.Msg, arrive sim.Time) {
 // transaction copies it into a block of its own, which the host
 // writeback record and the host message copy from in turn.
 func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Block, access perm.Access, arrive sim.Time) {
-	g.mPass.Inc()
-	g.mPassAccel.Inc()
+	add(g.mPass, 1)
 	switch ty {
 	case coherence.AGetS, coherence.AGetM:
 		t := g.openTxn(addr, ty, arrive)
@@ -798,7 +743,8 @@ func (g *Guard) forwardRequest(addr mem.Addr, ty coherence.MsgType, data *mem.Bl
 func (g *Guard) openTxn(addr mem.Addr, kind coherence.MsgType, arrive sim.Time) *accelTxn {
 	l := g.workFor(addr)
 	t := &l.work.txn
-	*t = accelTxn{serial: g.nextSerial(), kind: kind, start: g.eng.Now(), arrive: arrive}
+	g.serial++
+	*t = accelTxn{serial: g.serial, kind: kind, start: g.eng.Now(), arrive: arrive}
 	g.wake(l)
 	if g.cfg.Spans {
 		t.span = g.newSpanID()
@@ -898,13 +844,13 @@ func (g *Guard) sendToAccelAfter(ty coherence.MsgType, addr mem.Addr, data *mem.
 		Data: data, Span: span}), g.stampEpoch)
 }
 
-func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.epoch }
+func (g *Guard) stamp(m *coherence.Msg) { m.Epoch = g.Epoch }
 
 // Outstanding reports open guard transactions (accelerator transactions,
 // recalls, host gets and writebacks) and parked requests (for deadlock
 // detection: a parked request has no engine event of its own).
 func (g *Guard) Outstanding() int {
-	return g.count(hasTxn) + g.count(hasRecall) + g.count(hasGet) + g.count(hasPut) + g.parkedNow
+	return g.count(hasTxn) + g.count(hasRecall) + g.count(hasGet) + g.count(hasPut) + int(g.Parked-g.Woken)
 }
 
 // StorageBytes models the hardware state this guard variant requires
@@ -917,16 +863,6 @@ func (g *Guard) StorageBytes() int {
 	return (g.count(hasTxn)+g.count(hasRecall))*txnBytes +
 		g.count(isResident)*tagStateBytes + g.count(hasCopy)*mem.BlockBytes
 }
-
-// Epoch reports the guard epoch (0 until the first device reset).
-func (g *Guard) Epoch() uint32 { return g.epoch }
-
-// Recoveries reports completed quarantine reintegrations.
-func (g *Guard) Recoveries() int { return g.recoveries }
-
-// PermanentlyQuarantined reports whether the recovery policy has given up
-// on this device (maxRecoveries readmissions spent).
-func (g *Guard) PermanentlyQuarantined() bool { return g.permanent }
 
 // SetResetHook installs the device-reset callback recovery invokes at the
 // reset step: the hook must reinitialize the accelerator hierarchy

@@ -140,7 +140,10 @@ func (g *Guard) recvHost(m *coherence.Msg) {
 		}
 		g.startRecall(addr, expect, recallCont{do: r, req: req})
 	case doServe:
-		g.recallThenServe(e, recallCont{do: r, req: req})
+		// A read-only block the guard owns: the accelerator's S copy dies
+		// first, then the cell serves the trusted copy. The residency is gone
+		// by then, so the continuation takes a copy of its own (resume).
+		g.startRecall(addr, viewS, recallCont{do: r, req: req, copy: g.fab.CopyBlock(e.copy), dirty: e.dirty})
 	case doCollect:
 		g.collect(l, r, m)
 	case doRetire:
@@ -261,7 +264,12 @@ func (g *Guard) collect(l *line, r *hostRule, m *coherence.Msg) {
 		level, dirty = GrantS, false // the owner, if any, keeps the responsibility
 	}
 	g.send(coherence.Msg{Type: r.send, Addr: addr, Src: g.id, Dst: g.home, Shared: r.shared && level == GrantS})
-	g.finishGet(addr, level, dirty)
+	// The get retires and the line is granted the block it collected.
+	data := t.data
+	l.work.get = hostGet{}
+	g.closed(l)
+	g.granted(addr, level, data, dirty)
+	g.fab.FreeBlock(data)
 }
 
 // hostStray reports a host message its table has no cell for: a response

@@ -106,17 +106,6 @@ func (g *Guard) workFor(addr mem.Addr) *line {
 	return l
 }
 
-// finishGet retires addr's open host get and grants the line at level with
-// the block the get collected (none grants zeros).
-func (g *Guard) finishGet(addr mem.Addr, level Grant, dirty bool) {
-	l := g.lines[addr]
-	data := l.work.get.data
-	l.work.get = hostGet{}
-	g.closed(l)
-	g.granted(addr, level, data, dirty)
-	g.fab.FreeBlock(data)
-}
-
 // closed runs where something on l has just closed: it wakes the requests
 // parked behind it and gives back what the line no longer needs.
 func (g *Guard) closed(l *line) {
@@ -143,30 +132,20 @@ func (g *Guard) settle(l *line) {
 	}
 }
 
-// sortedLines returns the lines keep accepts, in address order: map
+// inspected returns the lines keep accepts, in address order: map
 // iteration is randomized, and every walk that sends, resolves or reports
-// must not be.
-func (g *Guard) sortedLines(keep func(*line) bool) []*line {
-	return g.sortInto(make([]*line, 0, len(g.lines)), keep)
-}
-
-// inspected is sortedLines on the guard's own slice, for the read-only
-// walks of the audits (VisitBlocks, CheckQuiesced), which run after every
-// run and so allocate nothing once warm. The next call refills the slice:
-// nothing a walk calls may walk again.
+// must not be. The slice is the guard's own, so a walk allocates nothing
+// once warm, and the next call refills it: nothing a walk calls may walk
+// again.
 func (g *Guard) inspected(keep func(*line) bool) []*line {
-	g.inspect = g.sortInto(g.inspect[:0], keep)
-	return g.inspect
-}
-
-func (g *Guard) sortInto(out []*line, keep func(*line) bool) []*line {
+	g.inspect = g.inspect[:0]
 	for _, l := range g.lines {
 		if keep(l) {
-			out = append(out, l)
+			g.inspect = append(g.inspect, l)
 		}
 	}
-	slices.SortFunc(out, func(a, b *line) int { return cmp.Compare(a.addr, b.addr) })
-	return out
+	slices.SortFunc(g.inspect, func(a, b *line) int { return cmp.Compare(a.addr, b.addr) })
+	return g.inspect
 }
 
 // count reports how many lines keep accepts.
@@ -216,16 +195,6 @@ func (g *Guard) drop(addr mem.Addr) {
 		l.copy, l.resident = nil, false
 		g.settle(l)
 	}
-}
-
-// recallThenServe answers a forward for a read-only block the guard owns
-// (resident line e with a trusted copy) once the accelerator's S copy has
-// died: the recall first, then c serves with the trusted data. The residency
-// is gone by then, so the data is copied into the continuation now and its
-// block given back after (resume).
-func (g *Guard) recallThenServe(e *line, c recallCont) {
-	c.copy, c.dirty = g.fab.CopyBlock(e.copy), e.dirty
-	g.startRecall(e.addr, viewS, c)
 }
 
 // view is the Full State table's view of l's block at the accelerator:

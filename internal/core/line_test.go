@@ -31,6 +31,12 @@ func parkedLines(g *Guard) int {
 // tableCopies counts the Full State trusted copies.
 func tableCopies(g *Guard) int { return g.count(hasCopy) }
 
+// parkedNow reports the requests held on wait lists now.
+func parkedNow(g *Guard) int { return int(g.Parked - g.Woken) }
+
+// counted reads the counter name of a guard with a registry.
+func counted(g *Guard, name string) uint64 { return g.obsReg.Counter(name).Value() }
+
 // tableView drives one address's Full State residency directly, with no
 // transaction behind it.
 type tableView struct {

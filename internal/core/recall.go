@@ -47,7 +47,6 @@ func (g *Guard) accelHolds(addr mem.Addr) (hostKey, *line) {
 func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	if l := g.lines[addr]; hasRecall(l) {
 		ht := &l.work.recall
-		g.RecallsCoalesced++
 		g.obsReg.Counter("guard.recall.coalesced").Inc()
 		g.emit(obs.Event{Kind: obs.KindRetry, Addr: addr, Payload: "recall coalesced onto in-flight Invalidate"})
 		g.spanEvent(obs.KindSpanPhase, ht.span, addr, c.req, "coalesced")
@@ -60,7 +59,7 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	// nothing crosses to the accelerator.
 	if g.Quarantined {
 		g.obsReg.Counter("guard.quarantine.recalls").Inc()
-		g.answerFenced(addr, &hostTxn{view: expect, done: c})
+		g.endRecall(addr, "", nil, &hostTxn{view: expect, done: c})
 		return
 	}
 	// A Put already buffered at the guard resolves the recall at once;
@@ -78,7 +77,8 @@ func (g *Guard) startRecall(addr mem.Addr, expect viewState, c recallCont) {
 	l := g.workFor(addr)
 	ht := &l.work.recall
 	waiters := ht.waiters // empty; the storage is the record's
-	*ht = hostTxn{serial: g.nextSerial(), view: expect, done: c, waiters: waiters}
+	g.serial++
+	*ht = hostTxn{serial: g.serial, view: expect, done: c, waiters: waiters}
 	g.wake(l) // a parked Put resolves the recall it now races
 	g.SnoopsForwarded++
 	if g.cfg.Spans {
@@ -107,10 +107,18 @@ func (g *Guard) recallDeadline(d deadline) {
 	ht := &l.work.recall
 	ht.watchdog = nil // fired: the record is the lane's again
 	if attempt >= g.cfg.RecallRetries {
-		g.recallTimeout(addr, d.serial)
+		// Guarantee 2c: the guard answers on the accelerator's behalf and
+		// reports it.
+		g.Timeouts++
+		g.emit(obs.Event{Kind: obs.KindTimeout, Addr: addr, Payload: "recall watchdog fired"})
+		g.violation("XG.G2c", "accelerator did not answer Invalidate within the timeout", addr)
+		// The violation may have tripped quarantine, which ends every open
+		// recall, this one included.
+		if l := g.lines[addr]; hasRecall(l) && l.work.recall.serial == d.serial {
+			g.endRecall(addr, "timeout", nil, nil)
+		}
 		return
 	}
-	g.RetriesSent++
 	g.obsReg.Counter("guard.recall.retry").Inc()
 	if g.fab.Bus.Active() {
 		g.emit(obs.Event{Kind: obs.KindRetry, Addr: addr, Msg: coherence.AInv, To: g.accel, Span: ht.span,
@@ -123,47 +131,6 @@ func (g *Guard) recallDeadline(d deadline) {
 		fmt.Sprintf("retry %d/%d", attempt+1, g.cfg.RecallRetries))
 	g.sendToAccelAfter(coherence.AInv, addr, nil, ht.span)
 	ht.watchdog = g.watchdogs[attempt+1].Defer(deadline{addr, ht.serial, attempt + 1})
-}
-
-// recallTimeout enforces Guarantee 2c: if the accelerator does not answer
-// within the deadline, the guard answers on its behalf (zero or stale
-// data) and reports the error. serial is the expired timer's.
-func (g *Guard) recallTimeout(addr mem.Addr, serial uint64) {
-	g.Timeouts++
-	g.emit(obs.Event{Kind: obs.KindTimeout, Addr: addr, Payload: "recall watchdog fired"})
-	g.violation("XG.G2c", "accelerator did not answer Invalidate within the timeout", addr)
-	// The violation may have tripped quarantine, which resolves every open
-	// recall — this one included — before returning.
-	l := g.lines[addr]
-	if !hasRecall(l) || l.work.recall.serial != serial {
-		return
-	}
-	ht := g.closeRecall(l, "timeout")
-	data, dirty, _ := hostAnswer(ht.view, false, nil, false)
-	g.complete(addr, &ht, data, dirty)
-	g.drop(addr)
-}
-
-// resolveRecallByPut handles the legitimate Put/Inv race (§2.1): the
-// accelerator's Put and the guard's Invalidate crossed on the ordered
-// link. The Put answers the host as the accelerator's response would
-// (hostAnswer; a Put without data supplies nothing); the accelerator's
-// InvAck (sent from B) will be consumed silently.
-func (g *Guard) resolveRecallByPut(l *line, m *coherence.Msg) {
-	addr := l.addr
-	l.ignoreInvAck++ // before the close: the owed InvAck keeps the line
-	ht := g.closeRecall(l, "put-race")
-	// m.Data is read by the continuations before m goes back.
-	data, dirty, bad := hostAnswer(ht.view, m.Data != nil, m.Data, m.Type == coherence.APutM)
-	switch {
-	case bad && ht.view.owned():
-		g.violation("XG.G2a", detailOwnedNoData.of(m.Type), addr)
-	case bad:
-		g.violation("XG.G2a", detailSharedData.of(m.Type), addr)
-	}
-	g.drop(addr)
-	g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
-	g.complete(addr, &ht, data, dirty)
 }
 
 // closeRecall retires l's open recall, cancels its deadline and returns it:
@@ -187,30 +154,76 @@ func (g *Guard) closeRecall(l *line, reason string) hostTxn {
 	}
 	g.closed(l)
 	if g.cfg.Spans && ht.span != 0 {
-		observeSpan(g.mSpanRecall, float64(g.eng.Now()-ht.opened))
+		observe(g.mSpan[spanRecall], float64(g.eng.Now()-ht.opened))
 		if ht.retryAt != 0 {
-			observeSpan(g.mSpanRetry, float64(g.eng.Now()-ht.retryAt))
+			observe(g.mSpan[spanRetry], float64(g.eng.Now()-ht.retryAt))
 		}
 		g.spanEvent(obs.KindSpanEnd, ht.span, addr, 0, reason)
 	}
 	return ht
 }
 
-// answerRecall answers l's open recall with the accelerator's response m.
-func (g *Guard) answerRecall(l *line, m *coherence.Msg) {
-	addr := l.addr
-	// Either writeback type is accepted from an owner; data from an M
-	// block is conservatively treated as dirty. m.Data is read by the
-	// continuations before m goes back.
-	view := l.work.recall.view
-	carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
-	data, dirty, bad := hostAnswer(view, carries, m.Data, m.Type == coherence.ADirtyWB || view == viewM)
-	ht := g.closeRecall(l, "response")
-	g.drop(addr)
-	if bad {
-		g.violation("XG.G2a", detailInconsistent.of(m.Type), addr)
+// endRecall is the one way a recall ends. ht is addr's recall: nil for the
+// one open on its line, which it closes for reason, or one a fenced
+// accelerator was never asked (startRecall). m is what answered it: the
+// accelerator's response, or a Put that crossed the Invalidate (§2.1), which
+// gets its WBAck here and leaves the accelerator's InvAck (sent from B) owed.
+// Without m the guard answers for the accelerator — after the 2c timeout, or
+// fenced — from its trusted copy where it kept one: an owned line keeps one
+// only when its grant raced the fence. The host gets what hostAnswer rules,
+// and a supply that contradicts the view is a 2a violation. A response ends
+// the residency before that report, and anything else after the host's
+// answer, which may read the copy.
+func (g *Guard) endRecall(addr mem.Addr, reason string, m *coherence.Msg, ht *hostTxn) {
+	put := m != nil && m.Type.IsAccelRequest()
+	if ht == nil {
+		l := g.lines[addr]
+		if put {
+			l.ignoreInvAck++ // before the close: the owed InvAck keeps the line
+		}
+		closed := g.closeRecall(l, reason)
+		ht = &closed
 	}
-	g.complete(addr, &ht, data, dirty)
+	// m.Data is read by the continuations before m goes back.
+	var data *mem.Block
+	dirty, bad, d := false, false, detailInconsistent
+	switch {
+	case put:
+		data, dirty, bad = hostAnswer(ht.view, m.Data != nil, m.Data, m.Type == coherence.APutM)
+		d = detailSharedData
+		if ht.view.owned() {
+			d = detailOwnedNoData
+		}
+	case m != nil:
+		// Either writeback type is accepted from an owner; data from an M
+		// block is conservatively treated as dirty.
+		carries := m.Type == coherence.ACleanWB || m.Type == coherence.ADirtyWB
+		data, dirty, bad = hostAnswer(ht.view, carries, m.Data, m.Type == coherence.ADirtyWB || ht.view == viewM)
+		g.drop(addr)
+	default:
+		var copy *mem.Block
+		if l := g.lines[addr]; l != nil {
+			copy, dirty = l.copy, l.dirty
+		}
+		data, dirty, _ = hostAnswer(ht.view, copy != nil, copy, dirty)
+	}
+	if bad {
+		g.violation("XG.G2a", d.of(m.Type), addr)
+	}
+	if put {
+		g.sendToAccelAfter(coherence.AWBAck, addr, nil, ht.span)
+	}
+	// The cell that started the recall and every one coalesced onto it
+	// resume, in arrival order, with the same answer. data is a loan: a
+	// continuation only reads it, into the messages it sends and the
+	// writeback records it opens. None of them starts a recall, so nothing
+	// appends to the waiters' storage — still the work record's, which may
+	// be in use again — while it is read.
+	g.resume(addr, ht.done, data, dirty)
+	for _, c := range ht.waiters {
+		g.resume(addr, c, data, dirty)
+	}
+	g.drop(addr)
 }
 
 // hostAnswer is the one rule for what the host side gets back when a recall

@@ -10,6 +10,7 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
+	"crossingguard/internal/obs"
 	"crossingguard/internal/sim"
 )
 
@@ -25,6 +26,7 @@ func newRecallRig(mode Mode, cfg Config) *coreRig {
 	fab.Register(&hostSink{id: stubHome})
 	cfg.Mode = mode
 	g := newGuard(40, "xg", eng, fab, 200, mesiHost, stubHome, -1, cfg, log)
+	g.AttachObs(obs.NewRegistry())
 	host := &stubHost{g: g}
 	fab.SetInterceptor(host)
 	return &coreRig{eng, fab, g, host, accel, log}
@@ -102,8 +104,8 @@ func TestRecallRetryThenSuccess(t *testing.T) {
 	calls := 0
 	r.recall(0x40, viewS, func(data *mem.Block, dirty bool, viaPut bool) { calls++ })
 	r.eng.RunUntil(150) // first deadline (t=100) expires: one retry goes out
-	if r.g.RetriesSent != 1 {
-		t.Fatalf("RetriesSent = %d after first deadline, want 1", r.g.RetriesSent)
+	if counted(r.g, "guard.recall.retry") != 1 {
+		t.Fatalf("retries = %d after first deadline, want 1", counted(r.g, "guard.recall.retry"))
 	}
 	if got := countToAccel(r, coherence.AInv); got != 2 {
 		t.Fatalf("accel saw %d Invalidates, want 2 (original + retry)", got)
@@ -131,8 +133,8 @@ func TestRecallRetriesExhaustedSingleTimeout(t *testing.T) {
 		gotData = data
 	})
 	r.eng.RunUntilQuiet() // deadlines at 100, 300, 700; nobody answers
-	if r.g.RetriesSent != 2 {
-		t.Fatalf("RetriesSent = %d, want 2", r.g.RetriesSent)
+	if counted(r.g, "guard.recall.retry") != 2 {
+		t.Fatalf("retries = %d, want 2", counted(r.g, "guard.recall.retry"))
 	}
 	if got := countToAccel(r, coherence.AInv); got != 3 {
 		t.Fatalf("accel saw %d Invalidates, want 3", got)
@@ -166,13 +168,13 @@ func tripQuarantine(t *testing.T, r *coreRig, n int) {
 func TestQuarantineNacksFurtherRequests(t *testing.T) {
 	r := newRecallRig(FullState, Config{Timeout: 1000, GuardLat: 1, QuarantineAfter: 2})
 	tripQuarantine(t, r, 2)
-	blocked := r.g.ReqsBlocked
+	blocked := counted(r.g, "guard.quarantine.nacks")
 	r.fromAccel(coherence.AGetS, 0x40, nil)
 	if m := r.lastToAccel(); m == nil || m.Type != coherence.ANack {
 		t.Fatalf("quarantined request answered with %v, want ANack", m)
 	}
-	if r.g.ReqsBlocked != blocked+1 {
-		t.Fatalf("ReqsBlocked = %d, want %d", r.g.ReqsBlocked, blocked+1)
+	if counted(r.g, "guard.quarantine.nacks") != blocked+1 {
+		t.Fatalf("quarantine nacks = %d, want %d", counted(r.g, "guard.quarantine.nacks"), blocked+1)
 	}
 	if len(r.host.gets) != 0 {
 		t.Fatal("quarantined Get still reached the host")
@@ -342,8 +344,8 @@ func TestRecallCoalescing(t *testing.T) {
 	if got := countToAccel(r, coherence.AInv); got != 1 {
 		t.Fatalf("accelerator saw %d Invalidates, want 1 (coalesced)", got)
 	}
-	if r.g.RecallsCoalesced != 1 {
-		t.Fatalf("RecallsCoalesced = %d, want 1", r.g.RecallsCoalesced)
+	if counted(r.g, "guard.recall.coalesced") != 1 {
+		t.Fatalf("coalesced = %d, want 1", counted(r.g, "guard.recall.coalesced"))
 	}
 	var blk mem.Block
 	blk[0] = 0x5A
@@ -386,8 +388,8 @@ func TestRecallCoalescingResolvedByPut(t *testing.T) {
 	if first != 1 || second != 1 {
 		t.Fatalf("done calls = %d/%d, want 1/1", first, second)
 	}
-	if r.g.RecallsCoalesced != 1 {
-		t.Fatalf("RecallsCoalesced = %d, want 1", r.g.RecallsCoalesced)
+	if counted(r.g, "guard.recall.coalesced") != 1 {
+		t.Fatalf("coalesced = %d, want 1", counted(r.g, "guard.recall.coalesced"))
 	}
 }
 
@@ -456,7 +458,7 @@ func TestMuteAcceleratorDeadlineTicks(t *testing.T) {
 		if r.eng.Now() != last {
 			t.Errorf("RecallRetries %d: went quiet at tick %d, after %q", tc.retries, r.eng.Now(), got[len(got)-1])
 		}
-		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, r.g.RetriesSent, r.g.errors))
+		got = append(got, fmt.Sprintf("timeouts=%d retries=%d errors=%d", r.g.Timeouts, counted(r.g, "guard.recall.retry"), r.g.errors))
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("RecallRetries %d:\n%s\nwant\n%s", tc.retries, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
 		}

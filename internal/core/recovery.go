@@ -42,18 +42,11 @@ const maxRecoveries = 3
 // recoveryMetric adds v to the instrument name and to its per-device twin:
 // a counter, or with hist a histogram.
 func (g *Guard) recoveryMetric(name string, v float64, hist bool) {
-	for _, n := range [2]string{name, name + g.metricSuffix()} {
-		if hist {
-			g.obsReg.Histogram(n).Observe(v)
-		} else {
-			g.obsReg.Counter(n).Add(uint64(v))
-		}
+	if hist {
+		observe(twins(g, g.obsReg.Histogram, name), v)
+	} else {
+		add(twins(g, g.obsReg.Counter, name), uint64(v))
 	}
-}
-
-// recoveryEvent emits one KindRecovery trace event.
-func (g *Guard) recoveryEvent(addr mem.Addr, payload string) {
-	g.emit(obs.Event{Kind: obs.KindRecovery, Addr: addr, Payload: payload})
 }
 
 // scheduleRecovery runs at the tail of enterQuarantine: with recovery
@@ -62,26 +55,26 @@ func (g *Guard) recoveryEvent(addr mem.Addr, payload string) {
 // readmission attempt or, with the budget exhausted, converts this
 // quarantine to a permanent one.
 func (g *Guard) scheduleRecovery(addr mem.Addr) {
-	if g.cfg.RecoverAfter <= 0 || g.recovering || g.permanent {
+	if g.cfg.RecoverAfter <= 0 || g.recovering || g.PermanentlyQuarantined {
 		return
 	}
-	if g.recoveries >= maxRecoveries {
-		g.permanent = true
+	if g.Recoveries >= maxRecoveries {
+		g.PermanentlyQuarantined = true
 		g.recoveryMetric("guard.recovery.permanent", 1, false)
-		g.recoveryEvent(addr, fmt.Sprintf("permanent quarantine after %d recoveries", g.recoveries))
+		g.emit(obs.Event{Kind: obs.KindRecovery, Addr: addr, Payload: fmt.Sprintf("permanent quarantine after %d recoveries", g.Recoveries)})
 		return
 	}
-	delay := g.cfg.RecoverAfter << g.recoveries // doubled for every earlier readmission
+	delay := g.cfg.RecoverAfter << g.Recoveries // doubled for every earlier readmission
 	g.recovering = true
 	g.recoveryMetric("guard.recovery.backoff", 1, false)
-	g.recoveryEvent(addr, fmt.Sprintf("recovery %d/%d scheduled, backoff %d ticks",
-		g.recoveries+1, maxRecoveries, uint64(delay)))
+	g.emit(obs.Event{Kind: obs.KindRecovery, Addr: addr, Payload: fmt.Sprintf("recovery %d/%d scheduled, backoff %d ticks",
+		g.Recoveries+1, maxRecoveries, uint64(delay))})
 	if g.cfg.Spans {
 		g.recoverySpan = g.newSpanID()
 		g.recoveryStart = g.eng.Now()
 		g.recoveryMark = g.recoveryStart
 		g.spanEvent(obs.KindSpanBegin, g.recoverySpan, addr, 0,
-			fmt.Sprintf("recovery %d/%d", g.recoveries+1, maxRecoveries))
+			fmt.Sprintf("recovery %d/%d", g.Recoveries+1, maxRecoveries))
 	}
 	g.eng.Schedule(delay, func() {
 		g.recoveryPhase("backoff")
@@ -90,9 +83,10 @@ func (g *Guard) scheduleRecovery(addr mem.Addr) {
 }
 
 // recoveryPhase marks the end of one recovery-span phase ("backoff",
-// "drain"): the elapsed ticks since the previous phase boundary feed the
-// xg.span.recovery.<phase>.ticks histograms and a span-phase event is
-// emitted. No-op outside an open recovery span.
+// "drain", "reset"): the elapsed ticks since the previous phase boundary
+// feed the xg.span.recovery.<phase>.ticks histograms and a span-phase event
+// is emitted. The reset, the last, ends the span instead. No-op outside an
+// open recovery span.
 func (g *Guard) recoveryPhase(ended string) {
 	if !g.cfg.Spans || g.recoverySpan == 0 {
 		return
@@ -100,7 +94,13 @@ func (g *Guard) recoveryPhase(ended string) {
 	now := g.eng.Now()
 	g.recoveryMetric("xg.span.recovery."+ended+".ticks", float64(now-g.recoveryMark), true)
 	g.recoveryMark = now
-	g.spanEvent(obs.KindSpanPhase, g.recoverySpan, 0, 0, ended)
+	if ended != "reset" {
+		g.spanEvent(obs.KindSpanPhase, g.recoverySpan, 0, 0, ended)
+		return
+	}
+	g.recoveryMetric("xg.span.recovery.total.ticks", float64(now-g.recoveryStart), true)
+	g.spanEvent(obs.KindSpanEnd, g.recoverySpan, 0, 0, fmt.Sprintf("reintegrated epoch %d", g.Epoch))
+	g.recoverySpan = 0
 }
 
 // recoveryWhenIdle polls until nothing is outstanding, then runs next.
@@ -128,7 +128,7 @@ func (g *Guard) recoveryWhenIdle(next func()) {
 // Lines are walked in address order so the drain's message sequence is
 // deterministic.
 func (g *Guard) recoveryDrainTable() {
-	lines := g.sortedLines(isResident)
+	lines := g.inspected(isResident)
 	for _, e := range lines {
 		a := e.addr
 		if e.host == GrantS {
@@ -145,7 +145,7 @@ func (g *Guard) recoveryDrainTable() {
 		g.drop(a)
 	}
 	g.recoveryMetric("guard.recovery.drained_lines", float64(len(lines)), false)
-	g.recoveryEvent(0, fmt.Sprintf("drain flushed %d lines", len(lines)))
+	g.emit(obs.Event{Kind: obs.KindRecovery, Payload: fmt.Sprintf("drain flushed %d lines", len(lines))})
 	g.recoveryPhase("drain")
 	g.recoveryWhenIdle(g.reintegrate)
 }
@@ -157,29 +157,22 @@ func (g *Guard) recoveryDrainTable() {
 // pre-reset straggler still in the fabric carries the old epoch and is
 // dropped as XG.StaleEpoch on arrival.
 func (g *Guard) reintegrate() {
-	if g.parkedNow != 0 {
+	if n := g.Parked - g.Woken; n != 0 {
 		// The table is emptied below; a request still parked in it would
 		// be dropped and its sender hang silently.
-		panic(fmt.Sprintf("%s: reintegrating with %d requests still parked", g.name, g.parkedNow))
+		panic(fmt.Sprintf("%s: reintegrating with %d requests still parked", g.name, n))
 	}
-	g.epoch++
-	g.recoveries++
+	g.Epoch++
+	g.Recoveries++
 	g.clearTable()
 	if g.resetHook != nil {
-		g.resetHook(g.epoch)
+		g.resetHook(g.Epoch)
 	}
 	g.Quarantined = false
 	g.errors = 0
 	g.recovering = false
 	g.recoveryMetric("guard.recovery.reintegrated", 1, false)
-	g.recoveryEvent(0, fmt.Sprintf("device reset, reintegrated under epoch %d (recovery %d/%d)",
-		g.epoch, g.recoveries, maxRecoveries))
-	if g.cfg.Spans && g.recoverySpan != 0 {
-		now := g.eng.Now()
-		g.recoveryMetric("xg.span.recovery.reset.ticks", float64(now-g.recoveryMark), true)
-		g.recoveryMetric("xg.span.recovery.total.ticks", float64(now-g.recoveryStart), true)
-		g.spanEvent(obs.KindSpanEnd, g.recoverySpan, 0, 0,
-			fmt.Sprintf("reintegrated epoch %d", g.epoch))
-		g.recoverySpan = 0
-	}
+	g.emit(obs.Event{Kind: obs.KindRecovery, Payload: fmt.Sprintf("device reset, reintegrated under epoch %d (recovery %d/%d)",
+		g.Epoch, g.Recoveries, maxRecoveries)})
+	g.recoveryPhase("reset")
 }

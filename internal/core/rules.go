@@ -187,16 +187,13 @@ func (g *Guard) dispatch(m *coherence.Msg, access perm.Access, arrive sim.Time) 
 	case actPark:
 		g.park(addr, m, arrive)
 	case actPutRace:
-		g.resolveRecallByPut(l, m)
+		g.endRecall(addr, "put-race", m, nil)
 	case actAnswer:
-		g.answerRecall(l, m)
+		g.endRecall(addr, "response", m, nil)
 	case actConsume:
 		l.ignoreInvAck--
 		g.settle(l)
 	default:
-		if m.Type.IsAccelRequest() {
-			g.ReqsBlocked++
-		}
 		g.violation(r.code, r.detail.of(m.Type), addr)
 		if r.act == actRejectPut {
 			g.sendToAccelAfter(coherence.AWBAck, addr, nil, 0)

@@ -8,6 +8,7 @@ import (
 	"crossingguard/internal/coherence"
 	"crossingguard/internal/mem"
 	"crossingguard/internal/network"
+	"crossingguard/internal/obs"
 	"crossingguard/internal/sim"
 )
 
@@ -96,8 +97,8 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			r.recall(A, viewS, done) // watchdog armed for tick 100
 			w := r.g.lines[A].work
 			runTo(r, 150) // it expired: one retry, re-armed for tick 300
-			if r.g.RetriesSent != 1 {
-				t.Fatalf("RetriesSent = %d at tick 150, want 1", r.g.RetriesSent)
+			if counted(r.g, "guard.recall.retry") != 1 {
+				t.Fatalf("retries = %d at tick 150, want 1", counted(r.g, "guard.recall.retry"))
 			}
 			r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
 			r.eng.RunUntilQuiet()
@@ -108,14 +109,14 @@ func TestStaleTimersIgnoreRecycledLine(t *testing.T) {
 			recycled(t, r, w, at, func(a mem.Addr) { r.recall(a, viewS, done) }) // their own watchdogs: tick 350
 			open := len(r.g.lines)
 			runTo(r, 320) // past the cancelled deadline's tick
-			if r.g.RetriesSent != 1 || r.g.Timeouts != 0 || openRecalls(r.g) != open || calls != 1 {
+			if counted(r.g, "guard.recall.retry") != 1 || r.g.Timeouts != 0 || openRecalls(r.g) != open || calls != 1 {
 				t.Fatalf("a cancelled watchdog acted on a later recall: retries=%d timeouts=%d open=%d calls=%d",
-					r.g.RetriesSent, r.g.Timeouts, openRecalls(r.g), calls)
+					counted(r.g, "guard.recall.retry"), r.g.Timeouts, openRecalls(r.g), calls)
 			}
 			runTo(r, 360) // past their own
-			if r.g.RetriesSent != uint64(1+open) || r.g.Timeouts != 0 {
+			if counted(r.g, "guard.recall.retry") != uint64(1+open) || r.g.Timeouts != 0 {
 				t.Fatalf("retries=%d timeouts=%d at tick 360, want %d, 0: the reopened recalls' deadlines are due at 350",
-					r.g.RetriesSent, r.g.Timeouts, 1+open)
+					counted(r.g, "guard.recall.retry"), r.g.Timeouts, 1+open)
 			}
 			r.g.Recv(accelMsg(coherence.AInvAck, A, nil))
 			if at != A {
@@ -224,7 +225,7 @@ func (h *recorder) Recv(m *coherence.Msg) {
 // the first's recall; the recall then resolves with data, without (where the
 // core can resume it so), and by a racing Put, whose data reaches the cell
 // as a response's does, and both requestors must be answered, in order. The
-// resolution is handed to complete directly: Guarantee 2a would correct some
+// resolution is handed to resume directly: Guarantee 2a would correct some
 // of these before a continuation saw them.
 func TestRecallContinuations(t *testing.T) {
 	const (
@@ -361,6 +362,7 @@ func TestRecallContinuations(t *testing.T) {
 				} else {
 					g = NewMESIGuard(40, "xg", eng, fab, 200, home, cfg, coherence.NewErrorLog())
 				}
+				g.AttachObs(obs.NewRegistry())
 				if row.resident {
 					trusted := mem.Block{copyByte}
 					tableView{g, line}.grant(row.accel, GrantM, row.copy, &trusted, true)
@@ -371,8 +373,8 @@ func TestRecallContinuations(t *testing.T) {
 					g.Recv(&coherence.Msg{Type: row.fwd, Addr: line, Src: home, Dst: 40, Requestor: r})
 				}
 				l := g.lines[line]
-				if !hasRecall(l) || g.RecallsCoalesced != 1 || len(l.work.recall.waiters) != 1 {
-					t.Fatalf("after two requests: recall open %t, %d coalesced", hasRecall(l), g.RecallsCoalesced)
+				if !hasRecall(l) || counted(g, "guard.recall.coalesced") != 1 || len(l.work.recall.waiters) != 1 {
+					t.Fatalf("after two requests: recall open %t, %d coalesced", hasRecall(l), counted(g, "guard.recall.coalesced"))
 				}
 				for i, got := range []recallCont{l.work.recall.done, l.work.recall.waiters[0]} {
 					want := row.want
@@ -395,7 +397,9 @@ func TestRecallContinuations(t *testing.T) {
 				}
 				ht := g.closeRecall(l, "response")
 				g.drop(line)
-				g.complete(line, &ht, data, res.data)
+				for _, c := range append([]recallCont{ht.done}, ht.waiters...) {
+					g.resume(line, c, data, res.data)
+				}
 				eng.RunUntilQuiet()
 
 				var want []sent

@@ -12,7 +12,7 @@ import (
 // — one pooled record, no engine event — and every site that changes what
 // it waits on calls wake: the line's accelerator transaction opening or
 // closing (openTxn, closeTxn), a recall opening or closing (startRecall,
-// closeRecall), and a host get or writeback retiring (finishGet,
+// closeRecall), and a host get or writeback retiring (collect,
 // retirePut). wake never re-runs a request itself: the close
 // sites sit in the middle of handlers that are still updating the line, so
 // it only queues the line and arms one delay-0 engine event; that event
@@ -29,7 +29,7 @@ type parkedReq struct {
 
 // waitQueue is one line's parked requests in arrival order. queued marks
 // a line already on the ready list, so wakes from several sites in one
-// handler (finishGet retiring the get, then granted closing the transaction)
+// handler (collect retiring the get, then granted closing the transaction)
 // cost one entry.
 type waitQueue struct {
 	head, tail *parkedReq
@@ -48,13 +48,12 @@ func (g *Guard) park(addr mem.Addr, m *coherence.Msg, arrive sim.Time) {
 		q.tail.next = p
 	}
 	q.tail = p
-	g.parkedNow++
 	g.Parked++
 }
 
 // wake queues l's parked requests, if any, for a re-run later this tick.
 func (g *Guard) wake(l *line) {
-	if g.parkedNow == 0 || l.work == nil {
+	if g.Parked == g.Woken || l.work == nil {
 		return
 	}
 	q := &l.work.wait
@@ -62,11 +61,10 @@ func (g *Guard) wake(l *line) {
 		return
 	}
 	q.queued = true
-	g.ready = append(g.ready, l.addr)
-	if !g.wakeArmed {
-		g.wakeArmed = true
+	if len(g.ready) == 0 { // the wake event is queued while any line is
 		g.eng.ScheduleEvent(0, &g.wakeEv)
 	}
+	g.ready = append(g.ready, l.addr)
 }
 
 // runWoken is the wake event: it re-runs the parked requests of every
@@ -82,7 +80,6 @@ func (g *Guard) runWoken() {
 		for p := q.head; p != nil; {
 			m, arrive, next := p.m, p.arrive, p.next
 			g.freePark.Put(p)
-			g.parkedNow--
 			g.Woken++
 			g.rerun(m, arrive)
 			p = next
@@ -94,9 +91,4 @@ func (g *Guard) runWoken() {
 		}
 	}
 	g.ready = g.ready[:0]
-	g.wakeArmed = false
 }
-
-// ParkedNow reports the requests currently held on wait lists (zero at
-// quiesce; config.System.Audit checks it).
-func (g *Guard) ParkedNow() int { return g.parkedNow }

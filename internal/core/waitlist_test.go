@@ -25,14 +25,14 @@ func parkedGetRun(t testing.TB, delay sim.Time) uint64 {
 	r := newRecallRig(Transactional, Config{GuardLat: 1})
 	r.recall(waitLine, viewS, func(*mem.Block, bool, bool) {})
 	r.g.Recv(accelMsg(coherence.AGetS, waitLine, nil))
-	if r.g.ParkedNow() != 1 {
-		t.Fatalf("Get behind a recall: ParkedNow = %d, want 1", r.g.ParkedNow())
+	if parkedNow(r.g) != 1 {
+		t.Fatalf("Get behind a recall: parked now = %d, want 1", parkedNow(r.g))
 	}
 	r.eng.Schedule(delay, func() { r.g.Recv(accelMsg(coherence.AInvAck, waitLine, nil)) })
 	r.eng.RunUntilQuiet()
-	if len(r.host.gets) != 1 || r.g.ParkedNow() != 0 {
+	if len(r.host.gets) != 1 || parkedNow(r.g) != 0 {
 		t.Fatalf("after the InvAck: %d gets dispatched, %d parked; want 1, 0",
-			len(r.host.gets), r.g.ParkedNow())
+			len(r.host.gets), parkedNow(r.g))
 	}
 	return r.eng.Executed
 }
@@ -205,20 +205,20 @@ func TestWakeEdges(t *testing.T) {
 			c.cfg.GuardLat = 1
 			r := newRecallRig(Transactional, c.cfg)
 			c.setup(r)
-			parked := r.g.ParkedNow()
+			parked := parkedNow(r.g)
 			if parked == 0 {
 				t.Fatal("setup parked nothing")
 			}
 			r.eng.Schedule(closeAt, func() { c.closing(r) })
 			r.eng.RunUntil(closeAt - 1)
-			if r.g.ParkedNow() != parked || r.g.Woken != 0 {
-				t.Fatalf("before the closing tick: %d parked, %d woken", r.g.ParkedNow(), r.g.Woken)
+			if parkedNow(r.g) != parked || r.g.Woken != 0 {
+				t.Fatalf("before the closing tick: %d parked, %d woken", parkedNow(r.g), r.g.Woken)
 			}
 			r.eng.RunUntil(closeAt) // the closing event and the wake it arms
 			c.check(t, r)
-			if r.g.ParkedNow() != 0 || r.g.Parked != r.g.Woken {
+			if parkedNow(r.g) != 0 || r.g.Parked != r.g.Woken {
 				t.Fatalf("after the closing tick: %d parked, Parked=%d Woken=%d",
-					r.g.ParkedNow(), r.g.Parked, r.g.Woken)
+					parkedNow(r.g), r.g.Parked, r.g.Woken)
 			}
 			if n := parkedLines(r.g); n != 0 {
 				t.Fatalf("wait list still has %d lines", n)
@@ -260,12 +260,13 @@ func TestWakeEdges(t *testing.T) {
 			eng, g := newShimRig(c.host)
 			c.busy(g)
 			g.Recv(accelMsg(coherence.AGetS, waitLine, nil))
-			if g.ParkedNow() != 1 {
-				t.Fatalf("Get on a busy line: ParkedNow = %d, want 1", g.ParkedNow())
+			if parkedNow(g) != 1 {
+				t.Fatalf("Get on a busy line: parked now = %d, want 1", parkedNow(g))
 			}
 			if c.reply.Type == coherence.HMemData || c.reply.Type == coherence.MDataS {
 				// granted needs a transaction to close; see the case comment.
-				g.workFor(waitLine).work.txn = accelTxn{serial: g.nextSerial(), kind: coherence.AGetM}
+				g.serial++
+				g.workFor(waitLine).work.txn = accelTxn{serial: g.serial, kind: coherence.AGetM}
 			}
 			eng.Schedule(closeAt, func() { g.Recv(c.reply) })
 			eng.RunUntil(closeAt - 1)
@@ -278,8 +279,8 @@ func TestWakeEdges(t *testing.T) {
 				t.Fatalf("open transaction = (tick %d, %v, %v), want the GetS accepted at tick %d",
 					at, kind, ok, closeAt)
 			}
-			if g.ParkedNow() != 0 || g.Parked != 1 || g.Woken != 1 {
-				t.Fatalf("%d parked, Parked=%d Woken=%d; want 0, 1, 1", g.ParkedNow(), g.Parked, g.Woken)
+			if parkedNow(g) != 0 || g.Parked != 1 || g.Woken != 1 {
+				t.Fatalf("%d parked, Parked=%d Woken=%d; want 0, 1, 1", parkedNow(g), g.Parked, g.Woken)
 			}
 		})
 	}

@@ -255,21 +255,21 @@ func RecoveryScenario() Scenario {
 			return func() error {
 				var g *core.Guard
 				for _, cand := range sys.Guards {
-					if cand.AccelTag() == 1 {
+					if cand.AccelTag == 1 {
 						g = cand
 					}
 				}
 				if g == nil {
 					return fmt.Errorf("no guard carries accel tag 1")
 				}
-				if got := g.Recoveries(); got < 1 {
+				if got := g.Recoveries; got < 1 {
 					return fmt.Errorf("hostile guard recovered %d times, want >=1 (quarantined=%v)",
 						got, g.Quarantined)
 				}
 				if g.Quarantined {
 					return fmt.Errorf("hostile guard still quarantined after recovery")
 				}
-				if g.Epoch() == 0 {
+				if g.Epoch == 0 {
 					return fmt.Errorf("hostile guard reintegrated without bumping the epoch")
 				}
 				// Containment: the neighbor's migration is untouched by
